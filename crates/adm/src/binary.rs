@@ -30,8 +30,8 @@
 use crate::value::AdmValue;
 use asterix_common::{IngestError, IngestResult};
 
-const TAG_NULL: u8 = 0;
-const TAG_MISSING: u8 = 1;
+pub(crate) const TAG_NULL: u8 = 0;
+pub(crate) const TAG_MISSING: u8 = 1;
 const TAG_BOOLEAN: u8 = 2;
 const TAG_INT: u8 = 3;
 const TAG_DOUBLE: u8 = 4;
@@ -87,14 +87,22 @@ pub fn encode_into(v: &AdmValue, out: &mut Vec<u8>) {
             out.push(TAG_UNORDERED_LIST);
             encode_seq(items, out);
         }
-        AdmValue::Record(fields) => {
-            out.push(TAG_RECORD);
-            out.extend_from_slice(&(fields.len() as u32).to_le_bytes());
-            for (name, value) in fields {
-                encode_str(name, out);
-                encode_into(value, out);
-            }
-        }
+        AdmValue::Record(fields) => encode_record_of(fields.len(), fields, out),
+    }
+}
+
+/// Encode a record of `count` borrowed `(name, value)` pairs — the bytes
+/// [`encode_into`] produces for the owned record, without building one.
+pub(crate) fn encode_record_of<'a>(
+    count: usize,
+    fields: impl IntoIterator<Item = &'a (String, AdmValue)>,
+    out: &mut Vec<u8>,
+) {
+    out.push(TAG_RECORD);
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    for (name, value) in fields {
+        encode_str(name, out);
+        encode_into(value, out);
     }
 }
 

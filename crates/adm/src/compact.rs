@@ -5,7 +5,7 @@
 //! the "schema tax" the LSM-based tuple-compaction approach removes. This
 //! module is the storage half of that idea: given the rows of a component
 //! and the slot fields chosen from an [`InferredSchema`](crate::schema),
-//! [`CompactedBlock::encode`] lays the component out as
+//! [`BlockBuilder`] lays the component out as
 //!
 //! * a **schema header** — slot field names, per-field encoding and lattice
 //!   stats, written once per component instead of once per record;
@@ -36,28 +36,25 @@
 //! Encoding 7 is what pays for tweets: the nested `user` record's six field
 //! names are written once per component instead of once per record.
 //!
+//! Blocks are built two ways only. [`BlockBuilder`] is the one row encoder:
+//! it infers the schema and writes the image in two row-major walks over the
+//! records. [`CompactedBlock::copy_rows`] is the merge path: when every
+//! input block has the same slots and encodings it assembles the merged
+//! image from the inputs' cell bytes without decoding a value.
+//! [`CompactedBlock::from_bytes`] parses and validates a foreign image.
+//!
 //! The corresponding *uncompacted* layout is [`OpenBlock`]: one
 //! binary-codec record per row behind an offset table. Components whose
 //! schema churn defeats inference fall back to it wholesale.
 
-use crate::binary::{self, decode_field_at, decode_prefix, decode_value, encode_value};
-use crate::schema::{FieldType, InferredSchema, RecordShape, SlotType};
+use crate::binary::{self, decode_field_at, decode_prefix, decode_value};
+use crate::schema::{same_shape, FieldType, InferredSchema, RecordShape, SchemaBuilder, SlotType};
 use crate::value::AdmValue;
 use asterix_common::{IngestError, IngestResult};
-use std::collections::HashMap;
 
 const MAGIC: &[u8; 4] = b"ACB1";
 /// High bit of a shape item: set = residual-field ordinal, clear = slot index.
 const RESIDUAL_BIT: u32 = 0x8000_0000;
-
-const ENC_TAGGED: u8 = 0;
-const ENC_INT: u8 = 1;
-const ENC_DOUBLE: u8 = 2;
-const ENC_DATETIME: u8 = 3;
-const ENC_BOOL: u8 = 4;
-const ENC_POINT: u8 = 5;
-const ENC_STR: u8 = 6;
-const ENC_RECORD: u8 = 7;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Encoding {
@@ -72,16 +69,17 @@ enum Encoding {
 }
 
 impl Encoding {
+    /// The `enc` byte of the module-level table.
     fn tag(&self) -> u8 {
         match self {
-            Encoding::Tagged => ENC_TAGGED,
-            Encoding::FixedInt => ENC_INT,
-            Encoding::FixedDouble => ENC_DOUBLE,
-            Encoding::FixedDateTime => ENC_DATETIME,
-            Encoding::FixedBool => ENC_BOOL,
-            Encoding::FixedPoint => ENC_POINT,
-            Encoding::Str => ENC_STR,
-            Encoding::RecFixed(_) => ENC_RECORD,
+            Encoding::Tagged => 0,
+            Encoding::FixedInt => 1,
+            Encoding::FixedDouble => 2,
+            Encoding::FixedDateTime => 3,
+            Encoding::FixedBool => 4,
+            Encoding::FixedPoint => 5,
+            Encoding::Str => 6,
+            Encoding::RecFixed(_) => 7,
         }
     }
 
@@ -94,46 +92,6 @@ impl Encoding {
             _ => None,
         }
     }
-}
-
-fn field_of<'a>(row: &'a AdmValue, name: &str) -> Option<&'a AdmValue> {
-    match row {
-        AdmValue::Record(fields) => fields.iter().find(|(n, _)| n == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// Pick the tightest encoding the rows allow for one slot field. Fixed and
-/// string/record encodings require the field present in *every* row with an
-/// exactly uniform value type — the encoder checks values, not the lattice,
-/// so `Int` widened to `Double` in the schema still round-trips bit-exactly
-/// (such a column stays tagged).
-fn plan_for(rows: &[&AdmValue], name: &str) -> Encoding {
-    let mut plan: Option<Encoding> = None;
-    for row in rows {
-        let v = match field_of(row, name) {
-            Some(v) => v,
-            None => return Encoding::Tagged,
-        };
-        let candidate = match v {
-            AdmValue::Int(_) => Encoding::FixedInt,
-            AdmValue::Double(_) => Encoding::FixedDouble,
-            AdmValue::DateTime(_) => Encoding::FixedDateTime,
-            AdmValue::Boolean(_) => Encoding::FixedBool,
-            AdmValue::Point(_, _) => Encoding::FixedPoint,
-            AdmValue::String(_) => Encoding::Str,
-            AdmValue::Record(sub) => {
-                Encoding::RecFixed(sub.iter().map(|(n, _)| n.clone()).collect())
-            }
-            _ => return Encoding::Tagged,
-        };
-        match &plan {
-            None => plan = Some(candidate),
-            Some(p) if *p == candidate => {}
-            _ => return Encoding::Tagged,
-        }
-    }
-    plan.unwrap_or(Encoding::Tagged)
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -149,44 +107,26 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn ty_byte(ty: FieldType) -> u8 {
-    match ty {
-        FieldType::Stable(SlotType::Boolean) => 0,
-        FieldType::Stable(SlotType::Int) => 1,
-        FieldType::Stable(SlotType::Double) => 2,
-        FieldType::Stable(SlotType::String) => 3,
-        FieldType::Stable(SlotType::Point) => 4,
-        FieldType::Stable(SlotType::DateTime) => 5,
-        FieldType::Stable(SlotType::OrderedList) => 6,
-        FieldType::Stable(SlotType::UnorderedList) => 7,
-        FieldType::Stable(SlotType::Record) => 8,
-        FieldType::Mixed => 9,
-        FieldType::Empty => 10,
-    }
+/// Header byte of each lattice position: its index in this table.
+const FIELD_TYPES: [FieldType; 11] = [
+    FieldType::Stable(SlotType::Boolean),
+    FieldType::Stable(SlotType::Int),
+    FieldType::Stable(SlotType::Double),
+    FieldType::Stable(SlotType::String),
+    FieldType::Stable(SlotType::Point),
+    FieldType::Stable(SlotType::DateTime),
+    FieldType::Stable(SlotType::OrderedList),
+    FieldType::Stable(SlotType::UnorderedList),
+    FieldType::Stable(SlotType::Record),
+    FieldType::Mixed,
+    FieldType::Empty,
+];
+
+fn bad<T>(what: impl std::fmt::Display) -> IngestResult<T> {
+    Err(IngestError::Parse(format!("compacted block: {what}")))
 }
 
-fn ty_from_byte(b: u8) -> IngestResult<FieldType> {
-    Ok(match b {
-        0 => FieldType::Stable(SlotType::Boolean),
-        1 => FieldType::Stable(SlotType::Int),
-        2 => FieldType::Stable(SlotType::Double),
-        3 => FieldType::Stable(SlotType::String),
-        4 => FieldType::Stable(SlotType::Point),
-        5 => FieldType::Stable(SlotType::DateTime),
-        6 => FieldType::Stable(SlotType::OrderedList),
-        7 => FieldType::Stable(SlotType::UnorderedList),
-        8 => FieldType::Stable(SlotType::Record),
-        9 => FieldType::Mixed,
-        10 => FieldType::Empty,
-        other => {
-            return Err(IngestError::Parse(format!(
-                "compacted block: unknown field type byte {other}"
-            )))
-        }
-    })
-}
-
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct FieldMeta {
     name: String,
     encoding: Encoding,
@@ -199,7 +139,23 @@ struct FieldMeta {
     data_len: usize,
 }
 
-#[derive(Debug, Clone)]
+impl FieldMeta {
+    /// A slot whose column has yet to be placed in an image.
+    fn new(name: &str, encoding: Encoding, ty: FieldType, present: u64, nulls: u64) -> Self {
+        FieldMeta {
+            name: name.to_string(),
+            encoding,
+            ty,
+            present,
+            nulls,
+            offsets_pos: 0,
+            data_pos: 0,
+            data_len: 0,
+        }
+    }
+}
+
+#[derive(Debug, Clone, PartialEq)]
 struct ResidualMeta {
     row: u32,
     /// `true`: payload is the whole (non-record) row value; `false`: payload
@@ -209,7 +165,7 @@ struct ResidualMeta {
     len: usize,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct ShapeMeta {
     row: u32,
     items: Vec<u32>,
@@ -219,7 +175,7 @@ struct ShapeMeta {
 ///
 /// Holds the flat byte image plus parsed section offsets, so per-field and
 /// per-row accessors are slice arithmetic + leaf decode only.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompactedBlock {
     bytes: Vec<u8>,
     records: u32,
@@ -231,174 +187,141 @@ pub struct CompactedBlock {
 }
 
 impl CompactedBlock {
-    /// Encode `rows` (key order of the component) against the chosen `slots`
-    /// (subset of `schema`'s fields). The schema's stats ride along in the
-    /// header so merges can widen without re-reading every input record.
-    pub fn encode(rows: &[&AdmValue], schema: &InferredSchema, slots: &[String]) -> CompactedBlock {
-        let plans: Vec<Encoding> = slots.iter().map(|s| plan_for(rows, s)).collect();
-        let slot_index: HashMap<&str, u32> = slots
+    /// Same slot names, in the same order, under the same encodings (nested
+    /// field-name lists included)? Cells of such blocks are interchangeable
+    /// byte for byte, which is what lets a merge copy them.
+    pub fn same_layout(&self, other: &CompactedBlock) -> bool {
+        let layout = |f: &FieldMeta, g: &FieldMeta| f.name == g.name && f.encoding == g.encoding;
+        self.fields.len() == other.fields.len()
+            && self
+                .fields
+                .iter()
+                .zip(&other.fields)
+                .all(|(f, g)| layout(f, g))
+    }
+
+    /// The bytes of one column cell (empty = absent, tagged columns only).
+    fn cell(&self, meta: &FieldMeta, row: usize) -> &[u8] {
+        match meta.encoding.width() {
+            Some(w) => &self.bytes[meta.data_pos + w * row..][..w],
+            None => {
+                let start = read_u32_at(&self.bytes, meta.offsets_pos + 4 * row) as usize;
+                let end = read_u32_at(&self.bytes, meta.offsets_pos + 4 * (row + 1)) as usize;
+                &self.bytes[meta.data_pos + start..meta.data_pos + end]
+            }
+        }
+    }
+
+    /// Build the block holding `picks` — `(input, row)` pairs in output row
+    /// order — by copying cell byte-slices column by column out of `inputs`
+    /// straight into the new image, never decoding a value. `None` unless
+    /// every input has the [same layout](CompactedBlock::same_layout) (the
+    /// caller then re-encodes through [`BlockBuilder`]) and every pick is in
+    /// range.
+    ///
+    /// The header is widen-only: field types come from
+    /// [`InferredSchema::widen`] over the inputs' headers, so a merge never
+    /// narrows a type even when the rows that widened it were dropped, while
+    /// `records`/`present`/`nulls`/`total_items`/`opaque_rows` are recounted
+    /// exactly over the picked rows.
+    pub fn copy_rows(inputs: &[&CompactedBlock], picks: &[(u32, u32)]) -> Option<CompactedBlock> {
+        let (first, rest) = inputs.split_first()?;
+        let in_range =
+            |&(i, row): &(u32, u32)| inputs.get(i as usize).is_some_and(|b| row < b.records);
+        if !rest.iter().all(|b| b.same_layout(first)) || !picks.iter().all(in_range) {
+            return None;
+        }
+        let n = picks.len();
+        let widened = rest
             .iter()
-            .enumerate()
-            .map(|(i, s)| (s.as_str(), i as u32))
+            .fold(first.schema(), |acc, b| acc.widen(&b.schema()));
+        // only a tagged cell can be absent or null: those columns recount
+        let mut fields: Vec<FieldMeta> = first
+            .fields
+            .iter()
+            .zip(&widened.fields)
+            .map(|(f, stats)| FieldMeta::new(&f.name, f.encoding.clone(), stats.ty, n as u64, 0))
             .collect();
-
-        // --- column payloads -------------------------------------------------
-        let mut columns: Vec<(Option<Vec<u32>>, Vec<u8>)> = Vec::with_capacity(slots.len());
-        for (slot, plan) in slots.iter().zip(&plans) {
-            let mut data = Vec::new();
-            match plan {
-                Encoding::Tagged => {
-                    let mut offsets = Vec::with_capacity(rows.len() + 1);
-                    offsets.push(0u32);
-                    for row in rows {
-                        if let Some(v) = field_of(row, slot) {
-                            binary::encode_into(v, &mut data);
-                        }
-                        offsets.push(data.len() as u32);
-                    }
-                    columns.push((Some(offsets), data));
+        let mut bytes = Vec::with_capacity(inputs.iter().map(|b| b.bytes.len()).sum());
+        // a placeholder: the counts are fixed-width, so the real header
+        // overwrites it byte for byte once they are known
+        write_header(&mut bytes, 0, 0, 0, &fields);
+        for (fi, meta) in fields.iter_mut().enumerate() {
+            let (var, tagged) = (
+                meta.encoding.width().is_none(),
+                meta.encoding == Encoding::Tagged,
+            );
+            if var {
+                meta.offsets_pos = bytes.len();
+                // offset words (the first stays 0) + the data length word
+                bytes.resize(bytes.len() + 4 * (n + 2), 0);
+            }
+            if tagged {
+                meta.present = 0;
+            }
+            meta.data_pos = bytes.len();
+            for (out_row, &(i, row)) in picks.iter().enumerate() {
+                let input = inputs[i as usize];
+                let cell = input.cell(&input.fields[fi], row as usize);
+                bytes.extend_from_slice(cell);
+                if var {
+                    let end = (bytes.len() - meta.data_pos) as u32;
+                    write_u32_at(&mut bytes, meta.offsets_pos + 4 * (out_row + 1), end);
                 }
-                Encoding::Str => {
-                    let mut offsets = Vec::with_capacity(rows.len() + 1);
-                    offsets.push(0u32);
-                    for row in rows {
-                        match field_of(row, slot) {
-                            Some(AdmValue::String(s)) => data.extend_from_slice(s.as_bytes()),
-                            _ => unreachable!("str column planned over non-uniform rows"),
-                        }
-                        offsets.push(data.len() as u32);
-                    }
-                    columns.push((Some(offsets), data));
+                if let (true, Some(&tag)) = (tagged, cell.first()) {
+                    meta.present += 1;
+                    meta.nulls += u64::from(tag == binary::TAG_NULL || tag == binary::TAG_MISSING);
                 }
-                Encoding::RecFixed(_) => {
-                    let mut offsets = Vec::with_capacity(rows.len() + 1);
-                    offsets.push(0u32);
-                    for row in rows {
-                        match field_of(row, slot) {
-                            Some(AdmValue::Record(sub)) => {
-                                for (_, sv) in sub {
-                                    binary::encode_into(sv, &mut data);
-                                }
-                            }
-                            _ => unreachable!("record column planned over non-uniform rows"),
-                        }
-                        offsets.push(data.len() as u32);
-                    }
-                    columns.push((Some(offsets), data));
-                }
-                fixed => {
-                    for row in rows {
-                        match (fixed, field_of(row, slot)) {
-                            (Encoding::FixedInt, Some(AdmValue::Int(i))) => {
-                                data.extend_from_slice(&i.to_le_bytes())
-                            }
-                            (Encoding::FixedDouble, Some(AdmValue::Double(d))) => {
-                                data.extend_from_slice(&d.to_bits().to_le_bytes())
-                            }
-                            (Encoding::FixedDateTime, Some(AdmValue::DateTime(ms))) => {
-                                data.extend_from_slice(&ms.to_le_bytes())
-                            }
-                            (Encoding::FixedBool, Some(AdmValue::Boolean(b))) => {
-                                data.push(*b as u8)
-                            }
-                            (Encoding::FixedPoint, Some(AdmValue::Point(x, y))) => {
-                                data.extend_from_slice(&x.to_bits().to_le_bytes());
-                                data.extend_from_slice(&y.to_bits().to_le_bytes());
-                            }
-                            _ => unreachable!("fixed column planned over non-uniform rows"),
-                        }
-                    }
-                    columns.push((None, data));
-                }
+            }
+            meta.data_len = bytes.len() - meta.data_pos;
+            if var {
+                write_u32_at(
+                    &mut bytes,
+                    meta.offsets_pos + 4 * (n + 1),
+                    meta.data_len as u32,
+                );
             }
         }
-
-        // --- residual + shape ------------------------------------------------
-        let mut residual: Vec<(u32, u8, Vec<u8>)> = Vec::new();
-        let mut shapes: Vec<(u32, Vec<u32>)> = Vec::new();
-        for (ri, row) in rows.iter().enumerate() {
-            let ri = ri as u32;
-            let fields = match row {
-                AdmValue::Record(fields) => fields,
-                other => {
-                    residual.push((ri, 1, encode_value(other)));
-                    continue;
-                }
-            };
-            let mut items = Vec::with_capacity(fields.len());
-            let mut leftovers: Vec<(String, AdmValue)> = Vec::new();
-            let mut slotted: Vec<u32> = Vec::new();
-            for (name, value) in fields {
-                match slot_index.get(name.as_str()) {
-                    Some(&si) if !slotted.contains(&si) => {
-                        slotted.push(si);
-                        items.push(si);
-                    }
-                    _ => {
-                        items.push(RESIDUAL_BIT | leftovers.len() as u32);
-                        leftovers.push((name.clone(), value.clone()));
-                    }
-                }
+        let (mut residual, mut shapes) = (Vec::new(), Vec::new());
+        let (mut opaque_rows, mut total_items) = (0, fields.iter().map(|f| f.present).sum());
+        let count_pos = bytes.len();
+        push_u32(&mut bytes, 0);
+        for (out_row, &(i, row)) in picks.iter().enumerate() {
+            let input = inputs[i as usize];
+            if let Some(m) = input.residual_for(row) {
+                let payload = &input.bytes[m.start..m.start + m.len];
+                // an opaque row is one item; a leftover record (tag, u32
+                // count, fields) is as many as it holds
+                total_items += match payload.get(1..5) {
+                    Some(count) if !m.whole => u64::from(read_u32_at(count, 0)),
+                    _ => u64::from(m.whole),
+                };
+                opaque_rows += u32::from(m.whole);
+                residual.push(push_residual(&mut bytes, out_row as u32, m.whole, |out| {
+                    out.extend_from_slice(payload)
+                }));
             }
-            if !leftovers.is_empty() {
-                residual.push((ri, 0, encode_value(&AdmValue::Record(leftovers))));
-            }
-            if !canonical_order(&items) {
-                shapes.push((ri, items));
+            if let Some(shape) = input.shape_for(row) {
+                shapes.push(ShapeMeta {
+                    row: out_row as u32,
+                    items: shape.items.clone(),
+                });
             }
         }
-
-        // --- assemble --------------------------------------------------------
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        push_u32(&mut bytes, rows.len() as u32);
-        push_u64(&mut bytes, schema.total_items);
-        push_u32(&mut bytes, schema.opaque_rows as u32);
-        push_u32(&mut bytes, slots.len() as u32);
-        for (slot, plan) in slots.iter().zip(&plans) {
-            push_str(&mut bytes, slot);
-            bytes.push(plan.tag());
-            let stats = schema.fields.iter().find(|f| &f.name == slot);
-            let (ty, present, nulls) = match stats {
-                Some(f) => (f.ty, f.present, f.nulls),
-                None => (FieldType::Empty, 0, 0),
-            };
-            bytes.push(ty_byte(ty));
-            push_u32(&mut bytes, present as u32);
-            push_u32(&mut bytes, nulls as u32);
-            if let Encoding::RecFixed(sub) = plan {
-                push_u32(&mut bytes, sub.len() as u32);
-                for name in sub {
-                    push_str(&mut bytes, name);
-                }
-            }
-        }
-        for (offsets, data) in &columns {
-            if let Some(offsets) = offsets {
-                for o in offsets {
-                    push_u32(&mut bytes, *o);
-                }
-                push_u32(&mut bytes, data.len() as u32);
-            }
-            bytes.extend_from_slice(data);
-        }
-        push_u32(&mut bytes, residual.len() as u32);
-        for (row, kind, payload) in &residual {
-            push_u32(&mut bytes, *row);
-            bytes.push(*kind);
-            push_u32(&mut bytes, payload.len() as u32);
-            bytes.extend_from_slice(payload);
-        }
-        push_u32(&mut bytes, shapes.len() as u32);
-        for (row, items) in &shapes {
-            push_u32(&mut bytes, *row);
-            push_u32(&mut bytes, items.len() as u32);
-            for it in items {
-                push_u32(&mut bytes, *it);
-            }
-        }
-
-        CompactedBlock::from_bytes(bytes).expect("freshly encoded compacted block must parse back")
+        write_u32_at(&mut bytes, count_pos, residual.len() as u32);
+        write_shapes(&mut bytes, &shapes);
+        let mut header = Vec::new();
+        write_header(&mut header, n as u32, total_items, opaque_rows, &fields);
+        bytes[..header.len()].copy_from_slice(&header);
+        Some(CompactedBlock {
+            bytes,
+            records: n as u32,
+            total_items,
+            opaque_rows,
+            fields,
+            residual,
+            shapes,
+        })
     }
 
     /// Parse a compacted block from its byte image, validating section
@@ -409,110 +332,59 @@ impl CompactedBlock {
             pos: 0,
         };
         if c.take(4)? != MAGIC {
-            return Err(IngestError::Parse("compacted block: bad magic".into()));
+            return bad("bad magic");
         }
         let records = c.u32()?;
         let total_items = c.u64()?;
         let opaque_rows = c.u32()?;
-        let field_count = c.u32()? as usize;
-        if field_count > bytes.len() {
-            return Err(IngestError::Parse(
-                "compacted block: field count exceeds input".into(),
-            ));
-        }
-        let mut fields = Vec::with_capacity(field_count);
-        for _ in 0..field_count {
+        let mut fields = Vec::new();
+        for _ in 0..c.count()? {
             let name = c.string()?;
-            let enc_tag = c.u8()?;
-            let ty = ty_from_byte(c.u8()?)?;
-            let present = c.u32()? as u64;
-            let nulls = c.u32()? as u64;
-            let encoding = match enc_tag {
-                ENC_TAGGED => Encoding::Tagged,
-                ENC_INT => Encoding::FixedInt,
-                ENC_DOUBLE => Encoding::FixedDouble,
-                ENC_DATETIME => Encoding::FixedDateTime,
-                ENC_BOOL => Encoding::FixedBool,
-                ENC_POINT => Encoding::FixedPoint,
-                ENC_STR => Encoding::Str,
-                ENC_RECORD => {
-                    let n = c.u32()? as usize;
-                    if n > bytes.len() {
-                        return Err(IngestError::Parse(
-                            "compacted block: subfield count exceeds input".into(),
-                        ));
-                    }
-                    let mut sub = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        sub.push(c.string()?);
-                    }
-                    Encoding::RecFixed(sub)
-                }
-                other => {
-                    return Err(IngestError::Parse(format!(
-                        "compacted block: unknown encoding tag {other}"
-                    )))
-                }
+            let tag = c.u8()?;
+            let ty = match FIELD_TYPES.get(c.u8()? as usize) {
+                Some(ty) => *ty,
+                None => return bad("unknown field type byte"),
             };
-            fields.push(FieldMeta {
-                name,
-                encoding,
-                ty,
-                present,
-                nulls,
-                offsets_pos: 0,
-                data_pos: 0,
-                data_len: 0,
-            });
+            let (present, nulls) = (c.u32()? as u64, c.u32()? as u64);
+            let encoding = match tag {
+                0 => Encoding::Tagged,
+                1 => Encoding::FixedInt,
+                2 => Encoding::FixedDouble,
+                3 => Encoding::FixedDateTime,
+                4 => Encoding::FixedBool,
+                5 => Encoding::FixedPoint,
+                6 => Encoding::Str,
+                7 => Encoding::RecFixed(
+                    (0..c.count()?)
+                        .map(|_| c.string())
+                        .collect::<IngestResult<_>>()?,
+                ),
+                other => return bad(format!("unknown encoding tag {other}")),
+            };
+            fields.push(FieldMeta::new(&name, encoding, ty, present, nulls));
         }
         for meta in &mut fields {
-            match meta.encoding.width() {
-                Some(w) => {
-                    meta.data_pos = c.pos;
-                    meta.data_len = w * records as usize;
-                    c.take(meta.data_len)?;
-                }
-                None => {
-                    meta.offsets_pos = c.pos;
-                    c.take(4 * (records as usize + 1))?;
-                    let data_len = c.u32()? as usize;
-                    meta.data_pos = c.pos;
-                    meta.data_len = data_len;
-                    c.take(data_len)?;
-                    let last = read_u32_at(&bytes, meta.offsets_pos + 4 * records as usize);
-                    if last as usize != data_len {
-                        return Err(IngestError::Parse(
-                            "compacted block: offset table does not cover column data".into(),
-                        ));
-                    }
+            if let Some(w) = meta.encoding.width() {
+                meta.data_len = w * records as usize;
+            } else {
+                meta.offsets_pos = c.pos;
+                c.take(4 * (records as usize + 1))?;
+                meta.data_len = c.u32()? as usize;
+                let last = read_u32_at(&bytes, meta.offsets_pos + 4 * records as usize);
+                if last as usize != meta.data_len {
+                    return bad("offset table does not cover column data");
                 }
             }
+            meta.data_pos = c.pos;
+            c.take(meta.data_len)?;
         }
-        let residual_count = c.u32()? as usize;
-        if residual_count > bytes.len() {
-            return Err(IngestError::Parse(
-                "compacted block: residual count exceeds input".into(),
-            ));
-        }
-        let mut residual = Vec::with_capacity(residual_count);
-        for _ in 0..residual_count {
-            let row = c.u32()?;
-            let kind = c.u8()?;
-            let len = c.u32()? as usize;
+        let mut residual: Vec<ResidualMeta> = Vec::new();
+        for _ in 0..c.count()? {
+            let (row, kind, len) = (c.u32()?, c.u8()?, c.u32()? as usize);
             let start = c.pos;
             c.take(len)?;
-            if row >= records || kind > 1 {
-                return Err(IngestError::Parse(
-                    "compacted block: bad residual entry".into(),
-                ));
-            }
-            if let Some(prev) = residual.last() {
-                let prev: &ResidualMeta = prev;
-                if prev.row >= row {
-                    return Err(IngestError::Parse(
-                        "compacted block: residual rows not ascending".into(),
-                    ));
-                }
+            if row >= records || kind > 1 || residual.last().is_some_and(|p| p.row >= row) {
+                return bad("residual entry out of range or rows not ascending");
             }
             residual.push(ResidualMeta {
                 row,
@@ -521,39 +393,19 @@ impl CompactedBlock {
                 len,
             });
         }
-        let shape_count = c.u32()? as usize;
-        if shape_count > bytes.len() {
-            return Err(IngestError::Parse(
-                "compacted block: shape count exceeds input".into(),
-            ));
-        }
-        let mut shapes: Vec<ShapeMeta> = Vec::with_capacity(shape_count);
-        for _ in 0..shape_count {
+        let mut shapes: Vec<ShapeMeta> = Vec::new();
+        for _ in 0..c.count()? {
             let row = c.u32()?;
-            let n = c.u32()? as usize;
-            if n > bytes.len() || row >= records {
-                return Err(IngestError::Parse(
-                    "compacted block: bad shape entry".into(),
-                ));
-            }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(c.u32()?);
-            }
-            if let Some(prev) = shapes.last() {
-                if prev.row >= row {
-                    return Err(IngestError::Parse(
-                        "compacted block: shape rows not ascending".into(),
-                    ));
-                }
+            let items = (0..c.count()?)
+                .map(|_| c.u32())
+                .collect::<IngestResult<_>>()?;
+            if row >= records || shapes.last().is_some_and(|p| p.row >= row) {
+                return bad("shape entry out of range or rows not ascending");
             }
             shapes.push(ShapeMeta { row, items });
         }
         if c.pos != bytes.len() {
-            return Err(IngestError::Parse(format!(
-                "compacted block: {} trailing bytes",
-                bytes.len() - c.pos
-            )));
+            return bad(format!("{} trailing bytes", bytes.len() - c.pos));
         }
         Ok(CompactedBlock {
             bytes,
@@ -634,65 +486,44 @@ impl CompactedBlock {
         decode_value(&self.bytes[meta.start..meta.start + meta.len]).ok()
     }
 
+    /// One field of a row's residual record (or of an opaque record row).
+    fn residual_field(&self, meta: &ResidualMeta, name: &str) -> Option<AdmValue> {
+        match self.residual_value(meta)? {
+            AdmValue::Record(fields) => fields.into_iter().find(|(n, _)| n == name).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// Decode one column cell. `None` = field absent in that row.
     fn column_value(&self, fi: usize, row: usize) -> Option<AdmValue> {
         let meta = &self.fields[fi];
-        match &meta.encoding {
-            Encoding::Tagged | Encoding::Str | Encoding::RecFixed(_) => {
-                let start = read_u32_at(&self.bytes, meta.offsets_pos + 4 * row) as usize;
-                let end = read_u32_at(&self.bytes, meta.offsets_pos + 4 * (row + 1)) as usize;
-                let slice = &self.bytes[meta.data_pos + start..meta.data_pos + end];
-                match &meta.encoding {
-                    Encoding::Tagged => {
-                        if slice.is_empty() {
-                            None
-                        } else {
-                            decode_value(slice).ok()
-                        }
-                    }
-                    Encoding::Str => std::str::from_utf8(slice)
-                        .ok()
-                        .map(|s| AdmValue::String(s.to_string())),
-                    Encoding::RecFixed(sub) => {
-                        let mut rest = slice;
-                        let mut fields = Vec::with_capacity(sub.len());
-                        for name in sub {
-                            let (v, r) = decode_prefix(rest).ok()?;
-                            fields.push((name.clone(), v));
-                            rest = r;
-                        }
-                        if rest.is_empty() {
-                            Some(AdmValue::Record(fields))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => unreachable!(),
+        let cell = self.cell(meta, row);
+        let word = |at: usize| -> Option<[u8; 8]> { cell.get(at..at + 8)?.try_into().ok() };
+        Some(match &meta.encoding {
+            Encoding::Tagged if cell.is_empty() => return None,
+            Encoding::Tagged => decode_value(cell).ok()?,
+            Encoding::FixedInt => AdmValue::Int(i64::from_le_bytes(word(0)?)),
+            Encoding::FixedDouble => AdmValue::Double(f64::from_le_bytes(word(0)?)),
+            Encoding::FixedDateTime => AdmValue::DateTime(i64::from_le_bytes(word(0)?)),
+            Encoding::FixedBool => AdmValue::Boolean(cell[0] != 0),
+            Encoding::FixedPoint => {
+                AdmValue::Point(f64::from_le_bytes(word(0)?), f64::from_le_bytes(word(8)?))
+            }
+            Encoding::Str => AdmValue::String(std::str::from_utf8(cell).ok()?.to_string()),
+            Encoding::RecFixed(sub) => {
+                let mut rest = cell;
+                let mut fields = Vec::with_capacity(sub.len());
+                for name in sub {
+                    let (v, r) = decode_prefix(rest).ok()?;
+                    fields.push((name.clone(), v));
+                    rest = r;
                 }
+                if !rest.is_empty() {
+                    return None;
+                }
+                AdmValue::Record(fields)
             }
-            fixed => {
-                let w = fixed.width().expect("fixed encoding has a width");
-                let at = meta.data_pos + w * row;
-                let slice = &self.bytes[at..at + w];
-                Some(match fixed {
-                    Encoding::FixedInt => AdmValue::Int(i64::from_le_bytes(
-                        slice.try_into().expect("8-byte int cell"),
-                    )),
-                    Encoding::FixedDouble => AdmValue::Double(f64::from_bits(u64::from_le_bytes(
-                        slice.try_into().expect("8-byte double cell"),
-                    ))),
-                    Encoding::FixedDateTime => AdmValue::DateTime(i64::from_le_bytes(
-                        slice.try_into().expect("8-byte datetime cell"),
-                    )),
-                    Encoding::FixedBool => AdmValue::Boolean(slice[0] != 0),
-                    Encoding::FixedPoint => AdmValue::Point(
-                        f64::from_bits(u64::from_le_bytes(slice[..8].try_into().expect("point x"))),
-                        f64::from_bits(u64::from_le_bytes(slice[8..].try_into().expect("point y"))),
-                    ),
-                    _ => unreachable!(),
-                })
-            }
-        }
+        })
     }
 
     /// Lazily materialize one field of one row — the vectorized scan
@@ -702,25 +533,15 @@ impl CompactedBlock {
         if row >= self.records as usize {
             return None;
         }
-        if let Some(meta) = self.residual_for(row as u32) {
-            if meta.whole {
-                return match self.residual_value(meta)? {
-                    AdmValue::Record(fields) => {
-                        fields.into_iter().find(|(n, _)| n == name).map(|(_, v)| v)
-                    }
-                    _ => None,
-                };
-            }
+        let residual = self.residual_for(row as u32);
+        if let Some(meta) = residual.filter(|m| m.whole) {
+            return self.residual_field(meta, name);
         }
-        if let Some(fi) = self.fields.iter().position(|f| f.name == name) {
+        match self.fields.iter().position(|f| f.name == name) {
             // a slot field's first occurrence always lives in the column, so
             // an empty cell means the row genuinely lacks the field
-            return self.column_value(fi, row);
-        }
-        let meta = self.residual_for(row as u32)?;
-        match self.residual_value(meta)? {
-            AdmValue::Record(fields) => fields.into_iter().find(|(n, _)| n == name).map(|(_, v)| v),
-            _ => None,
+            Some(fi) => self.column_value(fi, row),
+            None => self.residual_field(residual?, name),
         }
     }
 
@@ -730,69 +551,367 @@ impl CompactedBlock {
         if row >= self.records as usize {
             return None;
         }
-        let residual = self.residual_for(row as u32);
-        if let Some(meta) = residual {
-            if meta.whole {
-                return self.residual_value(meta);
-            }
-        }
-        let leftovers: Vec<(String, AdmValue)> = match residual {
+        let leftovers = match self.residual_for(row as u32) {
+            Some(meta) if meta.whole => return self.residual_value(meta),
             Some(meta) => match self.residual_value(meta)? {
                 AdmValue::Record(fields) => fields,
                 _ => return None,
             },
             None => Vec::new(),
         };
-        if let Some(shape) = self.shape_for(row as u32) {
-            let mut fields = Vec::with_capacity(shape.items.len());
-            let mut leftovers = leftovers.into_iter();
-            for &item in &shape.items {
-                if item & RESIDUAL_BIT != 0 {
-                    fields.push(leftovers.next()?);
-                } else {
-                    let fi = item as usize;
-                    let v = self.column_value(fi, row)?;
-                    fields.push((self.fields[fi].name.clone(), v));
-                }
-            }
-            return Some(AdmValue::Record(fields));
-        }
-        let mut fields = Vec::new();
-        for fi in 0..self.fields.len() {
-            if let Some(v) = self.column_value(fi, row) {
-                fields.push((self.fields[fi].name.clone(), v));
-            }
-        }
-        fields.extend(leftovers);
+        let slot = |fi: usize| Some((self.fields[fi].name.clone(), self.column_value(fi, row)?));
+        let mut leftovers = leftovers.into_iter();
+        let fields = match self.shape_for(row as u32) {
+            Some(shape) => shape
+                .items
+                .iter()
+                .map(|&item| match item & RESIDUAL_BIT {
+                    0 => slot(item as usize),
+                    _ => leftovers.next(),
+                })
+                .collect::<Option<Vec<_>>>()?,
+            // canonical order: the slots present, then the leftovers
+            None => (0..self.fields.len())
+                .filter_map(slot)
+                .chain(leftovers)
+                .collect(),
+        };
         Some(AdmValue::Record(fields))
     }
 }
 
-/// Canonical row order: slotted fields in ascending slot order, then all
-/// residual fields. Rows in canonical order need no shape entry.
-fn canonical_order(items: &[u32]) -> bool {
-    let mut last_slot: Option<u32> = None;
-    let mut seen_residual = false;
-    for &it in items {
-        if it & RESIDUAL_BIT != 0 {
-            seen_residual = true;
-        } else {
-            if seen_residual {
-                return false;
+/// Header: magic, counts, then per slot its name, encoding, lattice type and
+/// stats (plus the hoisted nested names of a record column).
+fn write_header(
+    out: &mut Vec<u8>,
+    records: u32,
+    total_items: u64,
+    opaque_rows: u32,
+    fields: &[FieldMeta],
+) {
+    out.extend_from_slice(MAGIC);
+    push_u32(out, records);
+    push_u64(out, total_items);
+    push_u32(out, opaque_rows);
+    push_u32(out, fields.len() as u32);
+    for f in fields {
+        push_str(out, &f.name);
+        out.push(f.encoding.tag());
+        let ty = FIELD_TYPES.iter().position(|t| *t == f.ty);
+        out.push(ty.expect("every lattice position is in the table") as u8);
+        push_u32(out, f.present as u32);
+        push_u32(out, f.nulls as u32);
+        if let Encoding::RecFixed(sub) = &f.encoding {
+            push_u32(out, sub.len() as u32);
+            for name in sub {
+                push_str(out, name);
             }
-            if let Some(ls) = last_slot {
-                if it <= ls {
-                    return false;
-                }
-            }
-            last_slot = Some(it);
         }
     }
-    true
+}
+
+/// Append one residual entry (row, kind, length-prefixed payload); `write`
+/// produces the payload in place.
+fn push_residual(
+    out: &mut Vec<u8>,
+    row: u32,
+    whole: bool,
+    write: impl FnOnce(&mut Vec<u8>),
+) -> ResidualMeta {
+    push_u32(out, row);
+    out.push(whole as u8);
+    push_u32(out, 0);
+    let start = out.len();
+    write(out);
+    let len = out.len() - start;
+    write_u32_at(out, start - 4, len as u32);
+    ResidualMeta {
+        row,
+        whole,
+        start,
+        len,
+    }
+}
+
+fn write_shapes(out: &mut Vec<u8>, shapes: &[ShapeMeta]) {
+    push_u32(out, shapes.len() as u32);
+    for shape in shapes {
+        push_u32(out, shape.row);
+        push_u32(out, shape.items.len() as u32);
+        for it in &shape.items {
+            push_u32(out, *it);
+        }
+    }
+}
+
+/// One column being filled by [`BlockBuilder::encode`].
+struct Column {
+    /// `None`: fixed width, no offset table.
+    offsets: Option<Vec<u32>>,
+    data: Vec<u8>,
+}
+
+/// The resolved shape of the previous row in [`BlockBuilder::encode`].
+#[derive(Default)]
+struct RowShape {
+    /// Per position: schema field index, as [`same_shape`] wants it.
+    fields: Vec<u32>,
+    /// Per position: slot index, or `RESIDUAL_BIT | ordinal` — the row's
+    /// shape-section entry, should it need one.
+    items: Vec<u32>,
+    leftovers: usize,
+    canonical: bool,
+}
+
+/// The one row encoder of the compacted layout: two row-major walks over a
+/// component's records. [`infer`](BlockBuilder::infer) runs the schema
+/// inferencer (walk 1); the caller picks slots from
+/// [`schema`](BlockBuilder::schema) and decides whether the component is
+/// worth compacting; [`encode`](BlockBuilder::encode) writes the image
+/// (walk 2). Both walks resolve a row's fields through a last-seen-shape
+/// cache, so uniform feeds pay no per-field hashing and no per-slot search.
+pub struct BlockBuilder<'a> {
+    rows: &'a [&'a AdmValue],
+    inferred: SchemaBuilder,
+}
+
+impl<'a> BlockBuilder<'a> {
+    /// Walk 1: infer the schema of `rows` (key order of the component).
+    pub fn infer(rows: &'a [&'a AdmValue]) -> BlockBuilder<'a> {
+        let mut inferred = SchemaBuilder::new();
+        for row in rows {
+            inferred.observe(row);
+        }
+        BlockBuilder { rows, inferred }
+    }
+
+    /// The inferred schema: input to the slot and churn decisions, and the
+    /// source of the header stats.
+    pub fn schema(&self) -> &InferredSchema {
+        &self.inferred.schema
+    }
+
+    /// Pick the tightest encoding the rows allow for one field. Fixed and
+    /// string/record encodings require the field present in *every* row with
+    /// an exactly uniform value type — `Int` widened to `Double` in the
+    /// lattice stays tagged, so it still round-trips bit-exactly.
+    fn encoding_of(&self, fi: usize) -> Encoding {
+        let f = &self.inferred.schema.fields[fi];
+        let dense = f.present == self.inferred.schema.records && f.nulls == 0;
+        match f.ty {
+            FieldType::Stable(ty) if dense && self.inferred.uniform[fi] => match ty {
+                SlotType::Int => Encoding::FixedInt,
+                SlotType::Double => Encoding::FixedDouble,
+                SlotType::DateTime => Encoding::FixedDateTime,
+                SlotType::Boolean => Encoding::FixedBool,
+                SlotType::Point => Encoding::FixedPoint,
+                SlotType::String => Encoding::Str,
+                SlotType::Record => match &f.shape {
+                    RecordShape::Uniform(sub) => Encoding::RecFixed(sub.clone()),
+                    _ => Encoding::Tagged,
+                },
+                SlotType::OrderedList | SlotType::UnorderedList => Encoding::Tagged,
+            },
+            _ => Encoding::Tagged,
+        }
+    }
+
+    /// Walk 2: lay the rows out against `slots` (names of schema fields;
+    /// unknown or repeated names get an all-absent column).
+    pub fn encode(&self, slots: &[String]) -> CompactedBlock {
+        let schema = &self.inferred.schema;
+        let n = self.rows.len();
+        // per schema field: its slot, or `RESIDUAL_BIT` for "not slotted"
+        let mut slot_of = vec![RESIDUAL_BIT; schema.fields.len()];
+        let mut fields = Vec::with_capacity(slots.len());
+        let mut columns = Vec::with_capacity(slots.len());
+        for (si, name) in slots.iter().enumerate() {
+            let fi = self
+                .inferred
+                .index
+                .get(name)
+                .map(|&fi| fi as usize)
+                .filter(|&fi| slot_of[fi] == RESIDUAL_BIT);
+            let (encoding, ty, present, nulls) = match fi {
+                Some(fi) => {
+                    slot_of[fi] = si as u32;
+                    let f = &schema.fields[fi];
+                    (self.encoding_of(fi), f.ty, f.present, f.nulls)
+                }
+                None => (Encoding::Tagged, FieldType::Empty, 0, 0),
+            };
+            columns.push(match encoding.width() {
+                Some(w) => Column {
+                    offsets: None,
+                    data: Vec::with_capacity(w * n),
+                },
+                None => {
+                    let mut offsets = Vec::with_capacity(n + 1);
+                    offsets.push(0);
+                    Column {
+                        offsets: Some(offsets),
+                        data: Vec::new(),
+                    }
+                }
+            });
+            fields.push(FieldMeta::new(name, encoding, ty, present, nulls));
+        }
+
+        // residual entries are written in their final form; only their
+        // position in the image is still unknown
+        let mut residual_bytes = Vec::new();
+        let mut residual = Vec::new();
+        let mut shapes = Vec::new();
+        let mut shape = RowShape {
+            canonical: true,
+            ..RowShape::default()
+        };
+        for (ri, row) in self.rows.iter().enumerate() {
+            match row {
+                AdmValue::Record(row) => {
+                    if !same_shape(row, &shape.fields, &schema.fields) {
+                        shape = self.resolve(row, &slot_of);
+                    }
+                    for ((_, value), &item) in row.iter().zip(&shape.items) {
+                        if item & RESIDUAL_BIT == 0 {
+                            let si = item as usize;
+                            write_cell(&fields[si].encoding, value, &mut columns[si].data);
+                        }
+                    }
+                    if shape.leftovers > 0 {
+                        let leftovers = row
+                            .iter()
+                            .zip(&shape.items)
+                            .filter(|(_, &item)| item & RESIDUAL_BIT != 0)
+                            .map(|(field, _)| field);
+                        residual.push(push_residual(
+                            &mut residual_bytes,
+                            ri as u32,
+                            false,
+                            |out| binary::encode_record_of(shape.leftovers, leftovers, out),
+                        ));
+                    }
+                    if !shape.canonical {
+                        shapes.push(ShapeMeta {
+                            row: ri as u32,
+                            items: shape.items.clone(),
+                        });
+                    }
+                }
+                opaque => {
+                    residual.push(push_residual(&mut residual_bytes, ri as u32, true, |out| {
+                        binary::encode_into(opaque, out)
+                    }))
+                }
+            }
+            for column in &mut columns {
+                if let Some(offsets) = &mut column.offsets {
+                    offsets.push(column.data.len() as u32);
+                }
+            }
+        }
+
+        let body: usize = columns
+            .iter()
+            .map(|c| c.data.len() + c.offsets.as_ref().map_or(0, |o| 4 * o.len() + 4))
+            .sum();
+        let mut bytes = Vec::with_capacity(64 + 32 * fields.len() + body + residual_bytes.len());
+        write_header(
+            &mut bytes,
+            n as u32,
+            schema.total_items,
+            schema.opaque_rows as u32,
+            &fields,
+        );
+        for (meta, column) in fields.iter_mut().zip(&columns) {
+            if let Some(offsets) = &column.offsets {
+                meta.offsets_pos = bytes.len();
+                for o in offsets {
+                    push_u32(&mut bytes, *o);
+                }
+                push_u32(&mut bytes, column.data.len() as u32);
+            }
+            meta.data_pos = bytes.len();
+            meta.data_len = column.data.len();
+            bytes.extend_from_slice(&column.data);
+        }
+        push_u32(&mut bytes, residual.len() as u32);
+        for meta in &mut residual {
+            meta.start += bytes.len();
+        }
+        bytes.extend_from_slice(&residual_bytes);
+        write_shapes(&mut bytes, &shapes);
+        CompactedBlock {
+            bytes,
+            records: n as u32,
+            total_items: schema.total_items,
+            opaque_rows: schema.opaque_rows as u32,
+            fields,
+            residual,
+            shapes,
+        }
+    }
+
+    /// Shape-cache miss: resolve each field of `row` to its slot (first
+    /// occurrence of a slotted field) or to the residual.
+    fn resolve(&self, row: &[(String, AdmValue)], slot_of: &[u32]) -> RowShape {
+        let mut shape = RowShape::default();
+        for (name, _) in row {
+            let fi = self.inferred.index[name.as_str()];
+            let repeat = shape.fields.contains(&fi);
+            shape.fields.push(fi);
+            if repeat || slot_of[fi as usize] == RESIDUAL_BIT {
+                shape.items.push(RESIDUAL_BIT | shape.leftovers as u32);
+                shape.leftovers += 1;
+            } else {
+                shape.items.push(slot_of[fi as usize]);
+            }
+        }
+        shape.canonical = canonical_order(&shape.items);
+        shape
+    }
+}
+
+/// Append one value to a column under the column's encoding.
+fn write_cell(encoding: &Encoding, value: &AdmValue, out: &mut Vec<u8>) {
+    match (encoding, value) {
+        (Encoding::Tagged, v) => binary::encode_into(v, out),
+        (Encoding::FixedInt, AdmValue::Int(i)) => out.extend_from_slice(&i.to_le_bytes()),
+        (Encoding::FixedDouble, AdmValue::Double(d)) => {
+            out.extend_from_slice(&d.to_bits().to_le_bytes())
+        }
+        (Encoding::FixedDateTime, AdmValue::DateTime(ms)) => {
+            out.extend_from_slice(&ms.to_le_bytes())
+        }
+        (Encoding::FixedBool, AdmValue::Boolean(b)) => out.push(*b as u8),
+        (Encoding::FixedPoint, AdmValue::Point(x, y)) => {
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
+            out.extend_from_slice(&y.to_bits().to_le_bytes());
+        }
+        (Encoding::Str, AdmValue::String(s)) => out.extend_from_slice(s.as_bytes()),
+        (Encoding::RecFixed(_), AdmValue::Record(sub)) => {
+            for (_, sv) in sub {
+                binary::encode_into(sv, out);
+            }
+        }
+        _ => unreachable!("column encoding inferred over non-uniform rows"),
+    }
+}
+
+/// Canonical row order: slotted fields in ascending slot order, then all
+/// residual fields. Rows in canonical order need no shape entry. Residual
+/// items carry [`RESIDUAL_BIT`] and ascending ordinals, so this is exactly
+/// "the items strictly ascend".
+fn canonical_order(items: &[u32]) -> bool {
+    items.windows(2).all(|w| w[0] < w[1])
 }
 
 fn read_u32_at(bytes: &[u8], pos: usize) -> u32 {
     u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("u32 in bounds"))
+}
+
+fn write_u32_at(bytes: &mut [u8], pos: usize, v: u32) {
+    bytes[pos..pos + 4].copy_from_slice(&v.to_le_bytes());
 }
 
 struct Cursor<'a> {
@@ -801,16 +920,11 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn err(&self, msg: &str) -> IngestError {
-        IngestError::Parse(format!("compacted block: {msg} at byte {}", self.pos))
-    }
-
     fn take(&mut self, n: usize) -> IngestResult<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| self.err("truncated input"))?;
+        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
+        let Some(end) = end else {
+            return bad(format!("truncated input at byte {}", self.pos));
+        };
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
@@ -832,10 +946,22 @@ impl<'a> Cursor<'a> {
         ))
     }
 
+    /// An element count: never more than the bytes left (every element is
+    /// at least one byte), so garbage cannot drive an allocation.
+    fn count(&mut self) -> IngestResult<usize> {
+        let n = self.u32()? as usize;
+        if n > self.buf.len() - self.pos {
+            return bad(format!("count {n} exceeds input at byte {}", self.pos));
+        }
+        Ok(n)
+    }
+
     fn string(&mut self) -> IngestResult<String> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.err("invalid UTF-8"))
+        match String::from_utf8(self.take(len)?.to_vec()) {
+            Ok(s) => Ok(s),
+            Err(_) => bad(format!("invalid UTF-8 before byte {}", self.pos)),
+        }
     }
 }
 
@@ -894,7 +1020,13 @@ impl OpenBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::SchemaBuilder;
+
+    fn field_of<'a>(row: &'a AdmValue, name: &str) -> Option<&'a AdmValue> {
+        match row {
+            AdmValue::Record(fields) => fields.iter().find(|(n, _)| n == name).map(|(_, v)| v),
+            _ => None,
+        }
+    }
 
     fn rec(fields: Vec<(&str, AdmValue)>) -> AdmValue {
         AdmValue::Record(
@@ -926,14 +1058,9 @@ mod tests {
     }
 
     fn encode_rows(rows: &[AdmValue], min_presence: f64) -> CompactedBlock {
-        let mut b = SchemaBuilder::new();
-        for r in rows {
-            b.observe(r);
-        }
-        let schema = b.finish();
-        let slots = schema.slot_fields(min_presence);
         let refs: Vec<&AdmValue> = rows.iter().collect();
-        CompactedBlock::encode(&refs, &schema, &slots)
+        let builder = BlockBuilder::infer(&refs);
+        builder.encode(&builder.schema().slot_fields(min_presence))
     }
 
     #[test]
@@ -954,15 +1081,15 @@ mod tests {
         assert!(matches!(user.encoding, Encoding::RecFixed(_)));
         // and the fixed columns really are fixed
         for (name, want) in [
-            ("retweets", ENC_INT),
-            ("latitude", ENC_DOUBLE),
-            ("verified", ENC_BOOL),
-            ("where", ENC_POINT),
-            ("at", ENC_DATETIME),
-            ("message_text", ENC_STR),
+            ("retweets", Encoding::FixedInt),
+            ("latitude", Encoding::FixedDouble),
+            ("verified", Encoding::FixedBool),
+            ("where", Encoding::FixedPoint),
+            ("at", Encoding::FixedDateTime),
+            ("message_text", Encoding::Str),
         ] {
             let f = block.fields.iter().find(|f| f.name == name).expect(name);
-            assert_eq!(f.encoding.tag(), want, "{name}");
+            assert_eq!(f.encoding, want, "{name}");
         }
     }
 
@@ -1048,6 +1175,60 @@ mod tests {
                 "truncation at {cut} accepted"
             );
         }
+    }
+
+    #[test]
+    fn copy_rows_recounts_the_header_and_refuses_other_layouts() {
+        // `place` is tagged (absent or null in some rows); row 3 of each
+        // block carries an open field out of canonical order
+        let rows = |base: i64| -> Vec<AdmValue> {
+            (base..base + 6)
+                .map(|i| {
+                    let mut t = tweet(i);
+                    match i % 3 {
+                        0 => t.set_field("place", "here".into()),
+                        1 => t.set_field("place", AdmValue::Null),
+                        _ => {}
+                    }
+                    if i % 6 == 3 {
+                        let AdmValue::Record(fields) = &mut t else {
+                            unreachable!()
+                        };
+                        fields.insert(1, ("rare".to_string(), AdmValue::Int(i)));
+                    }
+                    t
+                })
+                .collect()
+        };
+        let (old, new) = (rows(0), rows(6));
+        let (a, b) = (encode_rows(&old, 0.3), encode_rows(&new, 0.3));
+        assert!(a.same_layout(&b));
+        // newest first; keep rows 1..=4 of each input, alternating
+        let picks: Vec<(u32, u32)> = (1..5).flat_map(|r| [(1, r), (0, r)]).collect();
+        let copied = CompactedBlock::copy_rows(&[&b, &a], &picks).expect("same layout");
+        let picked: Vec<&AdmValue> = (1..5).flat_map(|r| [&old[r], &new[r]]).collect();
+        for (i, row) in picked.iter().enumerate() {
+            assert_eq!(copied.materialize(i).as_ref(), Some(*row), "row {i}");
+        }
+        let reparsed = CompactedBlock::from_bytes(copied.as_bytes().to_vec()).expect("reparse");
+        assert_eq!(reparsed, copied);
+        let place = copied.fields.iter().find(|f| f.name == "place").unwrap();
+        assert_eq!((place.present, place.nulls), (6, 4)); // rows 1,3,4 of each; 1 and 4 null
+        assert_eq!(copied.residual_entries(), 2);
+        assert_eq!(copied.shapes.len(), 2);
+        let fresh = BlockBuilder::infer(&picked);
+        assert_eq!(copied.schema().total_items, fresh.schema().total_items);
+
+        // one column changing encoding is enough to refuse the copy
+        let mut widened = rows(12);
+        widened[0].set_field("retweets", AdmValue::Double(0.5));
+        let c = encode_rows(&widened, 0.3);
+        assert!(!a.same_layout(&c));
+        assert!(CompactedBlock::copy_rows(&[&c, &a], &[(0, 0)]).is_none());
+        assert!(
+            CompactedBlock::copy_rows(&[&a], &[(0, 6)]).is_none(),
+            "row out of range"
+        );
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! `Null`/`Missing` occurrences mark a field nullable without disturbing
 //! its concrete type. Schemas from different components can be merged with
 //! [`InferredSchema::widen`], which unions fields and joins types — the
-//! compactor uses it so merged components never *narrow* a slot that the
-//! inputs agreed on.
+//! cell-copy merge ([`CompactedBlock::copy_rows`](crate::compact::CompactedBlock::copy_rows))
+//! builds the merged component's header with it, so a merge can only *widen*
+//! a slot's type, never narrow it.
 
 use crate::value::AdmValue;
 use std::collections::HashMap;
@@ -248,15 +249,35 @@ impl InferredSchema {
     }
 }
 
+/// Flag on a [`same_shape`] entry: this position repeats a field name seen
+/// earlier in the same record (only first occurrences count).
+pub(crate) const REPEAT: u32 = 0x8000_0000;
+
+/// Does `row` have exactly the field-name sequence that `shape` (per
+/// position: index into `fields`, possibly [`REPEAT`]-flagged) was resolved
+/// from? The last-seen-shape cache test: feeds repeat one shape for
+/// thousands of records, so a hit replaces a hash lookup per field with a
+/// short string compare.
+pub(crate) fn same_shape(row: &[(String, AdmValue)], shape: &[u32], fields: &[FieldStats]) -> bool {
+    row.len() == shape.len()
+        && row
+            .iter()
+            .zip(shape)
+            .all(|((name, _), &i)| fields[(i & !REPEAT) as usize].name == *name)
+}
+
 /// Streaming schema inferencer: one [`observe`](SchemaBuilder::observe) call
 /// per record of a component, then [`finish`](SchemaBuilder::finish).
 #[derive(Debug, Default)]
 pub struct SchemaBuilder {
-    fields: Vec<FieldStats>,
-    index: HashMap<String, usize>,
-    records: u64,
-    opaque_rows: u64,
-    total_items: u64,
+    pub(crate) schema: InferredSchema,
+    /// Per field: every typed occurrence had the identical concrete type
+    /// (`Stable(Double)` alone cannot tell `Double`s from `Int ⊔ Double`).
+    /// The compacted encoder needs this to pick a fixed-width column.
+    pub(crate) uniform: Vec<bool>,
+    pub(crate) index: HashMap<String, u32>,
+    /// Field indices of the previous record's positions, see [`same_shape`].
+    shape: Vec<u32>,
 }
 
 impl SchemaBuilder {
@@ -268,39 +289,35 @@ impl SchemaBuilder {
     /// Fold one record into the running schema. Non-record values are
     /// counted as opaque (they always fall back to the residual section).
     pub fn observe(&mut self, v: &AdmValue) {
-        self.records += 1;
-        let fields = match v {
+        self.schema.records += 1;
+        let row = match v {
             AdmValue::Record(fields) => fields,
             _ => {
-                self.opaque_rows += 1;
-                self.total_items += 1;
+                self.schema.opaque_rows += 1;
+                self.schema.total_items += 1;
                 return;
             }
         };
-        self.total_items += fields.len() as u64;
-        // Duplicate field names inside one record: only the first occurrence
-        // updates stats (it is the one `field()` resolves and the one the
-        // compacted layout slots); later duplicates are residual by fiat.
-        let mut seen_this_row: Vec<usize> = Vec::with_capacity(fields.len());
-        for (name, value) in fields {
-            let idx = match self.index.get(name) {
-                Some(&i) => i,
-                None => {
-                    let i = self.fields.len();
-                    self.fields.push(FieldStats::new(name));
-                    self.index.insert(name.clone(), i);
-                    i
-                }
-            };
-            if seen_this_row.contains(&idx) {
+        self.schema.total_items += row.len() as u64;
+        if !same_shape(row, &self.shape, &self.schema.fields) {
+            self.resolve(row);
+        }
+        for ((_, value), &idx) in row.iter().zip(&self.shape) {
+            // Duplicate field names inside one record: only the first
+            // occurrence updates stats (it is the one `field()` resolves and
+            // the one the compacted layout slots); later duplicates are
+            // residual by fiat.
+            if idx & REPEAT != 0 {
                 continue;
             }
-            seen_this_row.push(idx);
-            let f = &mut self.fields[idx];
+            let f = &mut self.schema.fields[idx as usize];
             f.present += 1;
             match SlotType::of(value) {
                 None => f.nulls += 1,
                 Some(ty) => {
+                    if matches!(f.ty, FieldType::Stable(seen) if seen != ty) {
+                        self.uniform[idx as usize] = false;
+                    }
                     f.ty = f.ty.join(ty);
                     if let AdmValue::Record(sub) = value {
                         f.shape.observe(sub);
@@ -310,14 +327,28 @@ impl SchemaBuilder {
         }
     }
 
+    /// Shape-cache miss: look every name up (creating new fields).
+    fn resolve(&mut self, row: &[(String, AdmValue)]) {
+        self.shape.clear();
+        for (name, _) in row {
+            let idx = match self.index.get(name) {
+                Some(&i) => i,
+                None => {
+                    let i = self.schema.fields.len() as u32;
+                    self.schema.fields.push(FieldStats::new(name));
+                    self.uniform.push(true);
+                    self.index.insert(name.clone(), i);
+                    i
+                }
+            };
+            let repeat = self.shape.contains(&idx);
+            self.shape.push(if repeat { idx | REPEAT } else { idx });
+        }
+    }
+
     /// Seal the pass into an [`InferredSchema`].
     pub fn finish(self) -> InferredSchema {
-        InferredSchema {
-            fields: self.fields,
-            records: self.records,
-            opaque_rows: self.opaque_rows,
-            total_items: self.total_items,
-        }
+        self.schema
     }
 }
 

@@ -3,8 +3,7 @@
 //! uncompacted [`OpenBlock`] layout row for row, and the zero-copy field
 //! decoder matches full-record field access.
 
-use asterix_adm::compact::{CompactedBlock, OpenBlock};
-use asterix_adm::schema::SchemaBuilder;
+use asterix_adm::compact::{BlockBuilder, CompactedBlock, OpenBlock};
 use asterix_adm::{decode_field_at, encode_value, AdmValue};
 use proptest::prelude::*;
 
@@ -61,14 +60,9 @@ fn component_rows() -> impl Strategy<Value = Vec<AdmValue>> {
 }
 
 fn compacted(rows: &[AdmValue], min_presence: f64) -> CompactedBlock {
-    let mut b = SchemaBuilder::new();
-    for r in rows {
-        b.observe(r);
-    }
-    let schema = b.finish();
-    let slots = schema.slot_fields(min_presence);
     let refs: Vec<&AdmValue> = rows.iter().collect();
-    CompactedBlock::encode(&refs, &schema, &slots)
+    let builder = BlockBuilder::infer(&refs);
+    builder.encode(&builder.schema().slot_fields(min_presence))
 }
 
 proptest! {
@@ -142,7 +136,68 @@ proptest! {
             let got = reparsed.materialize(i);
             prop_assert_eq!(got.as_ref(), Some(row), "row {}", i);
         }
-        prop_assert_eq!(reparsed.schema(), block.schema());
+        // the builder fills section offsets and stats without re-parsing its
+        // own image: they must be exactly what a parse of the image finds
+        prop_assert_eq!(reparsed, block);
+    }
+
+    /// Copying cells out of same-layout blocks yields the rows picked, an
+    /// image that parses back to the same block, and exact header counts.
+    #[test]
+    fn copy_rows_equals_re_encoding_the_picked_rows(
+        rows in component_rows(),
+        cuts in prop::collection::vec(0usize..1000, 0..3),
+        keep in prop::collection::vec(any::<bool>(), 32),
+    ) {
+        // split one row set into chunks encoded against the same slot list
+        let all: Vec<&AdmValue> = rows.iter().collect();
+        let slots = BlockBuilder::infer(&all).schema().slot_fields(0.5);
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (rows.len() + 1)).collect();
+        bounds.extend([0, rows.len()]);
+        bounds.sort_unstable();
+        let chunks: Vec<&[AdmValue]> = bounds.windows(2).map(|w| &rows[w[0]..w[1]]).collect();
+        let blocks: Vec<CompactedBlock> = chunks
+            .iter()
+            .map(|chunk| {
+                let refs: Vec<&AdmValue> = chunk.iter().collect();
+                BlockBuilder::infer(&refs).encode(&slots)
+            })
+            .collect();
+        let inputs: Vec<&CompactedBlock> = blocks.iter().collect();
+        let mut picks = Vec::new();
+        let mut picked = Vec::new();
+        for (ci, chunk) in chunks.iter().enumerate() {
+            for (ri, row) in chunk.iter().enumerate() {
+                if keep[picked.len() % keep.len()] || (ci + ri) % 3 == 0 {
+                    picks.push((ci as u32, ri as u32));
+                    picked.push(row);
+                }
+            }
+        }
+        let same_layout = inputs.windows(2).all(|w| w[0].same_layout(w[1]));
+        let copied = CompactedBlock::copy_rows(&inputs, &picks);
+        prop_assert_eq!(copied.is_some(), same_layout);
+        if let Some(copied) = copied {
+            prop_assert_eq!(copied.records(), picked.len());
+            for (i, row) in picked.iter().enumerate() {
+                let got = copied.materialize(i);
+                prop_assert_eq!(got.as_ref(), Some(*row), "row {}", i);
+            }
+            let reparsed = CompactedBlock::from_bytes(copied.as_bytes().to_vec())
+                .expect("copied image must reparse");
+            prop_assert_eq!(&reparsed, &copied);
+            // header counts are exact: those a re-encode of the rows infers
+            let oracle = BlockBuilder::infer(&picked).encode(&slots).schema();
+            let header = copied.schema();
+            prop_assert_eq!(header.records, oracle.records);
+            prop_assert_eq!(header.opaque_rows, oracle.opaque_rows);
+            prop_assert_eq!(header.total_items, oracle.total_items);
+            for (h, o) in header.fields.iter().zip(&oracle.fields) {
+                prop_assert_eq!((&h.name, h.present, h.nulls), (&o.name, o.present, o.nulls));
+            }
+        }
+        // out-of-range picks are refused, not copied from the wrong place
+        prop_assert!(CompactedBlock::copy_rows(&inputs, &[(inputs.len() as u32, 0)]).is_none());
     }
 
     #[test]

@@ -997,6 +997,28 @@ fn registry_snapshot_is_complete_and_finite() {
         sealed_prom.contains("asterix_compaction_fallback_components"),
         "{sealed_prom}"
     );
+    // merge accounting: writing every tweet again stacks a second component
+    // of the same layout on each partition, and merging the two copies cells
+    // out of the sealed images instead of re-encoding the records
+    assert_eq!(sealed_snap.counter("compaction.rows_copied"), 0);
+    for tweet in dataset.scan_all() {
+        dataset.upsert(&tweet).unwrap();
+    }
+    dataset.force_merge_all();
+    let merged_snap = rig.controller.registry().snapshot_at(&rig.clock);
+    assert_eq!(
+        merged_snap.counter_for("compaction.rows_copied", "Tweets"),
+        dataset.len() as u64
+    );
+    assert_eq!(merged_snap.counter("compaction.rows_reencoded"), 0);
+    let merged_prom = merged_snap.to_prometheus();
+    for family in [
+        "asterix_compaction_rows_copied",
+        "asterix_compaction_rows_reencoded",
+    ] {
+        assert!(merged_prom.contains(family), "{merged_prom}");
+    }
+    assert!(merged_snap.to_json().contains("compaction.rows_copied"));
 
     // end-to-end ingestion lag: generation stamp -> durable store
     let lag = snap

@@ -8,7 +8,7 @@
 //! hash-partitioning connector uses, so records always land on the partition
 //! co-located with their store operator.
 
-use crate::partition::{BatchOutcome, DatasetPartition, PartitionConfig};
+use crate::partition::{BatchOutcome, DatasetPartition, PartitionConfig, PartitionObservability};
 use crate::secondary::IndexKind;
 use asterix_adm::hash::partition_for;
 use asterix_adm::AdmValue;
@@ -288,13 +288,18 @@ impl Dataset {
     /// `storage.compactions`, `storage.bytes_per_record` (rounded),
     /// `compaction.schema_inferred_components` and
     /// `compaction.fallback_components` gauges (polled at snapshot time),
-    /// plus one `storage.group_commit_batch_size` histogram shared by all
-    /// partitions. Compaction rounds are traced as `storage.compaction`
-    /// spans into each hosting node's trace log.
+    /// plus, shared by all partitions, one `storage.group_commit_batch_size`
+    /// histogram and the `compaction.rows_copied` /
+    /// `compaction.rows_reencoded` counters (merged rows whose image cells
+    /// were copied from the input images vs. encoded afresh). Compaction
+    /// rounds are traced as `storage.compaction` spans into each hosting
+    /// node's trace log.
     pub fn register_observability(&self, registry: &MetricsRegistry, trace: &TraceHub) {
         let dataset = self.config.name.as_str();
         let batch_hist =
             registry.histogram("storage.group_commit_batch_size", &[("dataset", dataset)]);
+        let rows_copied = registry.counter("compaction.rows_copied", &[("dataset", dataset)]);
+        let rows_reencoded = registry.counter("compaction.rows_reencoded", &[("dataset", dataset)]);
         for (i, (node, part)) in self.partitions.iter().enumerate() {
             let pstr = i.to_string();
             let labels = &[("dataset", dataset), ("partition", pstr.as_str())];
@@ -321,7 +326,12 @@ impl Dataset {
                 "compaction.fallback_components",
                 DatasetPartition::fallback_components,
             );
-            part.set_observability(batch_hist.clone(), trace.node_log(*node));
+            part.set_observability(PartitionObservability {
+                batch_hist: batch_hist.clone(),
+                trace: trace.node_log(*node),
+                rows_copied: rows_copied.clone(),
+                rows_reencoded: rows_reencoded.clone(),
+            });
         }
     }
 
@@ -551,6 +561,16 @@ mod tests {
             snap.gauge_for("compaction.fallback_components", "0"),
             Some(0)
         );
+        // nothing merged since the hooks went in; a second same-layout
+        // component per partition is merged by copying cells, not re-encoding
+        assert_eq!(snap.counter("compaction.rows_copied"), 0);
+        for i in 0..80 {
+            compact.upsert(&rec(i)).unwrap();
+        }
+        compact.force_merge_all();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_for("compaction.rows_copied", "Tweets"), 80);
+        assert_eq!(snap.counter_for("compaction.rows_reencoded", "Tweets"), 0);
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub use secondary::{IndexKind, SecondaryIndex};
 pub use wal::{LogOp, LogRecord, WriteAheadLog};
 
 use asterix_adm::AdmValue;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 
 /// An `AdmValue` wrapper ordered by [`AdmValue::total_cmp`], usable as a
@@ -54,6 +55,52 @@ impl PartialOrd for KeyOrd {
 impl Ord for KeyOrd {
     fn cmp(&self, other: &Self) -> Ordering {
         self.0.total_cmp(&other.0)
+    }
+}
+
+/// A key seen through a reference: lets a map keyed by [`KeyOrd`] be probed
+/// with a plain `&AdmValue` (`map.get(key as &dyn AsKey)`) instead of a
+/// cloned `KeyOrd` — the `Borrow<dyn Trait>` idiom.
+pub trait AsKey {
+    /// The key value.
+    fn as_key(&self) -> &AdmValue;
+}
+
+impl AsKey for KeyOrd {
+    fn as_key(&self) -> &AdmValue {
+        &self.0
+    }
+}
+
+impl AsKey for AdmValue {
+    fn as_key(&self) -> &AdmValue {
+        self
+    }
+}
+
+impl<'a> Borrow<dyn AsKey + 'a> for KeyOrd {
+    fn borrow(&self) -> &(dyn AsKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn AsKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn AsKey + '_ {}
+
+impl PartialOrd for dyn AsKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn AsKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_key().total_cmp(other.as_key())
     }
 }
 

@@ -14,19 +14,24 @@
 //! merge policies, the "constant" policy), which keeps a standalone tree
 //! self-contained.
 //!
-//! Reads consult the memtable first, then components newest-to-oldest;
-//! deletes are tombstones that shadow older versions until a merge discards
-//! them. Values are `Arc`-shared with the caller: an insert through
-//! [`LsmTree::put_shared`] stores the caller's `Arc` directly — no deep
-//! clone of the record on the hot path.
+//! A component is one sorted run: a `Vec` of `(key, entry)` in key order,
+//! probed by binary search. Point reads consult the memtable first, then
+//! components newest-to-oldest; every ordered read — range scans, the
+//! vectorized field scan and the merge itself — goes through one newest-wins
+//! k-way iterator ([`SortedRuns`]) over the memtable and the runs, so no read
+//! rebuilds a map of the entries it visits. Deletes are tombstones that
+//! shadow older versions until a merge discards them. Values are
+//! `Arc`-shared with the caller: an insert through [`LsmTree::put_shared`]
+//! stores the caller's `Arc` directly — no deep clone of the record on the
+//! hot path — and keys are probed by reference ([`crate::AsKey`]).
 //!
 //! # Compacted component storage
 //!
-//! Sealing (and merging) additionally builds a **storage image** for the
-//! component — the disk-equivalent byte layout. A single-pass schema
-//! inferencer ([`asterix_adm::schema`]) runs over the sealed records; if the
-//! component's schema churn stays under [`LayoutConfig::churn_threshold`]
-//! the image is a schema-headed columnar
+//! Sealing additionally builds a **storage image** for the component — the
+//! disk-equivalent byte layout. [`BlockBuilder`] infers the schema of the
+//! sealed records in one walk ([`asterix_adm::schema`]); if the component's
+//! schema churn stays under [`LayoutConfig::churn_threshold`] a second walk
+//! writes a schema-headed columnar
 //! [`CompactedBlock`](asterix_adm::compact::CompactedBlock) (field names and
 //! types written once per component, values in per-field column strides),
 //! otherwise the component falls back to the uncompacted
@@ -34,14 +39,23 @@
 //! read path ([`LsmTree::for_each_live_ref`], [`LsmTree::get_field`])
 //! serves single-field scans and point lookups from the column strides
 //! without materializing whole records; full-record reads keep using the
-//! `Arc`-shared entries. Merging re-infers the merged schema but never
+//! `Arc`-shared entries.
+//!
+//! A merge does not re-encode what its inputs already encoded: when every
+//! input is compacted with the same slots and encodings — the steady state
+//! of a feed — the merged image is assembled by copying the surviving rows'
+//! cell bytes out of the input images, under a header that only ever widens
+//! ([`CompactedBlock::copy_rows`]). Inputs whose layouts differ (an open
+//! fallback component, a column that changed encoding, a new slot) send the
+//! merged rows through the same [`BlockBuilder`] a seal uses, which never
 //! drops a slot that every input component already agreed on.
 
-use crate::KeyOrd;
-use asterix_adm::compact::{CompactedBlock, OpenBlock};
-use asterix_adm::schema::SchemaBuilder;
+use crate::{AsKey, KeyOrd};
+use asterix_adm::compact::{BlockBuilder, CompactedBlock, OpenBlock};
 use asterix_adm::AdmValue;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{btree_map, BTreeMap};
+use std::iter::Peekable;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -72,8 +86,11 @@ impl LiveRef<'_> {
     /// Lazily materialize one field (`None` = absent).
     pub fn field(&self, name: &str) -> Option<AdmValue> {
         match self {
+            LiveRef::Sealed(c, row, v) => match c.storage() {
+                Some(image) => image.field_at(*row, name),
+                None => v.field(name).cloned(),
+            },
             LiveRef::Mem(v) => v.field(name).cloned(),
-            LiveRef::Sealed(c, row, _) => c.field_at(*row, name),
         }
     }
 
@@ -117,20 +134,86 @@ impl ComponentStorage {
             ComponentStorage::Open(b) => b.field_value(row, name),
         }
     }
+
+    /// Encode the image of `rows` per `layout`. `stable_slots` (from a
+    /// merge's input components) are slotted even when the inferred stats
+    /// alone would not qualify them — merged components never drop a slot
+    /// their inputs agreed on.
+    fn encode(rows: &[&AdmValue], layout: &LayoutConfig, stable_slots: &[String]) -> Self {
+        if !layout.compact {
+            return ComponentStorage::Open(OpenBlock::encode(rows));
+        }
+        let builder = BlockBuilder::infer(rows);
+        let schema = builder.schema();
+        let mut slots = schema.slot_fields(layout.min_slot_presence);
+        for s in stable_slots {
+            if !slots.contains(s) && schema.fields.iter().any(|f| &f.name == s) {
+                slots.push(s.clone());
+            }
+        }
+        if schema.churn(&slots) > layout.churn_threshold {
+            ComponentStorage::Open(OpenBlock::encode(rows))
+        } else {
+            ComponentStorage::Compacted(builder.encode(&slots))
+        }
+    }
 }
 
 /// An immutable sorted run.
 #[derive(Debug, Default)]
 pub struct Component {
-    entries: BTreeMap<KeyOrd, Entry>,
+    /// Key order, keys unique.
+    entries: Vec<(KeyOrd, Entry)>,
     /// Disk-equivalent image; row `i` holds the `i`-th live entry in key
     /// order. `None` only for hand-built components (tests).
     storage: Option<ComponentStorage>,
-    /// Keys of live entries in key order — the row index of the image.
-    put_keys: Vec<KeyOrd>,
+    /// Image row of each entry — kept only when the run holds tombstones;
+    /// empty means every entry is live and its row is its position.
+    rows: Vec<u32>,
+    live: usize,
 }
 
 impl Component {
+    /// A run over `entries` (key order, keys unique) with `storage` as the
+    /// image of its live entries.
+    fn new(entries: Vec<(KeyOrd, Entry)>, storage: ComponentStorage) -> Component {
+        let live = entries
+            .iter()
+            .filter(|(_, e)| matches!(e, Entry::Put(_)))
+            .count();
+        let mut rows = Vec::new();
+        if live < entries.len() {
+            let mut row = 0;
+            rows = entries
+                .iter()
+                .map(|(_, e)| {
+                    row += u32::from(matches!(e, Entry::Put(_)));
+                    row.saturating_sub(1)
+                })
+                .collect();
+        }
+        Component {
+            entries,
+            storage: Some(storage),
+            rows,
+            live,
+        }
+    }
+
+    /// Seal `entries` (key order, keys unique) into a run, encoding the
+    /// image of their live records per `layout`.
+    fn seal(entries: Vec<(KeyOrd, Entry)>, layout: &LayoutConfig, stable_slots: &[String]) -> Self {
+        let rows: Vec<&AdmValue> = entries
+            .iter()
+            .filter_map(|(_, e)| match e {
+                Entry::Put(v) => Some(v.as_ref()),
+                Entry::Tombstone => None,
+            })
+            .collect();
+        let storage = ComponentStorage::encode(&rows, layout, stable_slots);
+        Component::new(entries, storage)
+    }
+
     /// Number of entries (including tombstones).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -143,7 +226,7 @@ impl Component {
 
     /// Iterate the component's entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&KeyOrd, &Entry)> {
-        self.entries.iter()
+        self.entries.iter().map(|(k, e)| (k, e))
     }
 
     /// The component's storage image, if one was built.
@@ -158,104 +241,146 @@ impl Component {
 
     /// Number of live (non-tombstone) entries.
     pub fn live_records(&self) -> usize {
-        if self.storage.is_some() {
-            self.put_keys.len()
-        } else {
+        self.live
+    }
+
+    /// Position of `key`'s entry, by binary search.
+    fn find(&self, key: &AdmValue) -> Option<usize> {
+        self.entries
+            .binary_search_by(|(k, _)| k.0.total_cmp(key))
+            .ok()
+    }
+
+    /// Image row of the live entry at `pos`.
+    fn row_at(&self, pos: usize) -> usize {
+        self.rows.get(pos).map_or(pos, |&row| row as usize)
+    }
+
+    /// The positions `[start, end)` of the entries with `lo <= key <= hi`.
+    fn span(&self, lo: Option<&AdmValue>, hi: Option<&AdmValue>) -> (usize, usize) {
+        let below = |bound: &AdmValue, inclusive: bool| {
             self.entries
-                .values()
-                .filter(|e| matches!(e, Entry::Put(_)))
-                .count()
-        }
-    }
-
-    /// Storage row of `key`, if it holds a live entry.
-    fn row_of(&self, key: &KeyOrd) -> Option<usize> {
-        self.put_keys.binary_search(key).ok()
-    }
-
-    /// Lazily decode one field of the `row`-th live entry from the storage
-    /// image (one column stride for compacted components); falls back to
-    /// the in-memory entry when no image exists.
-    pub fn field_at(&self, row: usize, name: &str) -> Option<AdmValue> {
-        match &self.storage {
-            Some(s) => s.field_at(row, name),
-            None => match self
-                .entries
-                .values()
-                .filter_map(|e| match e {
-                    Entry::Put(v) => Some(v),
-                    Entry::Tombstone => None,
+                .partition_point(|(k, _)| match k.0.total_cmp(bound) {
+                    Ordering::Less => true,
+                    Ordering::Equal => inclusive,
+                    Ordering::Greater => false,
                 })
-                .nth(row)
-            {
-                Some(v) => v.field(name).cloned(),
-                None => None,
-            },
-        }
+        };
+        (
+            lo.map_or(0, |lo| below(lo, false)),
+            hi.map_or(self.entries.len(), |hi| below(hi, true)),
+        )
     }
+}
 
-    /// Lazily decode one field of the live entry under `key`.
-    pub fn field_at_key(&self, key: &KeyOrd, name: &str) -> Option<AdmValue> {
-        if self.storage.is_some() {
-            let row = self.row_of(key)?;
-            return self.field_at(row, name);
+/// The newest version of one key, as [`SortedRuns`] yields it.
+struct Newest<'a> {
+    key: &'a KeyOrd,
+    entry: &'a Entry,
+    /// `(component index, entry position)`; `None` = the memtable.
+    at: Option<(usize, usize)>,
+}
+
+/// The one ordered read path: a newest-wins k-way merge over the memtable
+/// (optional) and a stack of sorted runs (newest first). Yields every key of
+/// the range once, in key order, with the version of the newest source
+/// holding it — tombstones included, the caller decides what they mean.
+/// `k` is bounded by the merge policy, so the minimum is found by a linear
+/// pass over the run heads: `k − 1` key comparisons per key yielded.
+struct SortedRuns<'a> {
+    mem: Option<Peekable<btree_map::Range<'a, KeyOrd, Entry>>>,
+    components: &'a [Arc<Component>],
+    /// Per component: next position and end of its span.
+    spans: Vec<(usize, usize)>,
+    /// Components whose head holds the key being yielded.
+    tied: Vec<usize>,
+}
+
+impl<'a> SortedRuns<'a> {
+    /// Over the keys `lo..=hi` (both optional; empty when `lo > hi`).
+    fn new(
+        mem: Option<&'a BTreeMap<KeyOrd, Entry>>,
+        components: &'a [Arc<Component>],
+        lo: Option<&AdmValue>,
+        hi: Option<&AdmValue>,
+    ) -> Self {
+        let empty =
+            matches!((lo, hi), (Some(lo), Some(hi)) if lo.total_cmp(hi) == Ordering::Greater);
+        fn bound(b: Option<&AdmValue>) -> Bound<&dyn AsKey> {
+            b.map_or(Bound::Unbounded, |v| Bound::Included(v as &dyn AsKey))
         }
-        match self.entries.get(key) {
-            Some(Entry::Put(v)) => v.field(name).cloned(),
-            _ => None,
+        SortedRuns {
+            mem: mem
+                .filter(|_| !empty)
+                .map(|m| m.range::<dyn AsKey, _>((bound(lo), bound(hi))).peekable()),
+            spans: components
+                .iter()
+                .map(|c| if empty { (0, 0) } else { c.span(lo, hi) })
+                .collect(),
+            components,
+            tied: Vec::with_capacity(components.len()),
         }
     }
 }
 
-/// Build a component from sealed entries: choose and encode the storage
-/// image per `layout`. `stable_slots` (from a merge's input components)
-/// are slotted even when the re-inferred stats alone would not qualify
-/// them — merged components never drop a slot their inputs agreed on.
-fn build_component(
-    entries: BTreeMap<KeyOrd, Entry>,
-    layout: &LayoutConfig,
-    stable_slots: Option<&[String]>,
-) -> Component {
-    let puts: Vec<Arc<AdmValue>> = entries
-        .values()
-        .filter_map(|e| match e {
-            Entry::Put(v) => Some(Arc::clone(v)),
-            Entry::Tombstone => None,
-        })
-        .collect();
-    let put_keys: Vec<KeyOrd> = entries
-        .iter()
-        .filter(|(_, e)| matches!(e, Entry::Put(_)))
-        .map(|(k, _)| k.clone())
-        .collect();
-    let rows: Vec<&AdmValue> = puts.iter().map(|a| a.as_ref()).collect();
-    let storage = if layout.compact {
-        let mut builder = SchemaBuilder::new();
-        for r in &rows {
-            builder.observe(r);
-        }
-        let schema = builder.finish();
-        let mut slots = schema.slot_fields(layout.min_slot_presence);
-        if let Some(stable) = stable_slots {
-            for s in stable {
-                if !slots.contains(s) && schema.fields.iter().any(|f| &f.name == s) {
-                    slots.push(s.clone());
+impl<'a> Iterator for SortedRuns<'a> {
+    type Item = Newest<'a>;
+
+    fn next(&mut self) -> Option<Newest<'a>> {
+        let mut min = self.mem.as_mut().and_then(|m| m.peek()).map(|(k, _)| *k);
+        let mut in_mem = min.is_some();
+        self.tied.clear();
+        for (ci, &(pos, end)) in self.spans.iter().enumerate() {
+            if pos == end {
+                continue;
+            }
+            let key = &self.components[ci].entries[pos].0;
+            match min.map_or(Ordering::Less, |m| key.cmp(m)) {
+                Ordering::Less => {
+                    min = Some(key);
+                    in_mem = false;
+                    self.tied.clear();
+                    self.tied.push(ci);
                 }
+                Ordering::Equal => self.tied.push(ci),
+                Ordering::Greater => {}
             }
         }
-        if schema.churn(&slots) > layout.churn_threshold {
-            ComponentStorage::Open(OpenBlock::encode(&rows))
+        let key = min?;
+        // newest wins: the memtable, else the first (newest) tied run; every
+        // older version of the key is consumed with it
+        let newest = if in_mem {
+            let (_, entry) = self.mem.as_mut()?.next()?;
+            Newest {
+                key,
+                entry,
+                at: None,
+            }
         } else {
-            ComponentStorage::Compacted(CompactedBlock::encode(&rows, &schema, &slots))
+            let ci = self.tied[0];
+            let pos = self.spans[ci].0;
+            Newest {
+                key,
+                entry: &self.components[ci].entries[pos].1,
+                at: Some((ci, pos)),
+            }
+        };
+        for &ci in &self.tied {
+            self.spans[ci].0 += 1;
         }
-    } else {
-        ComponentStorage::Open(OpenBlock::encode(&rows))
-    };
-    Component {
-        entries,
-        storage: Some(storage),
-        put_keys,
+        Some(newest)
     }
+}
+
+/// What a merge produced, and how its image was built.
+#[derive(Debug)]
+pub struct Merged {
+    /// The merged run.
+    pub component: Component,
+    /// Rows whose image cells were copied out of the input images.
+    pub rows_copied: u64,
+    /// Rows encoded afresh from their records (inputs' layouts differed).
+    pub rows_reencoded: u64,
 }
 
 /// Merge `inputs` (newest first, as [`LsmTree::components_snapshot`] returns
@@ -270,29 +395,24 @@ fn build_component(
 /// `spin_per_entry` busy-spins per surviving entry, modelling merge I/O cost
 /// in capacity experiments (0 = free).
 pub fn merge_components(inputs: &[Arc<Component>], spin_per_entry: u64) -> Component {
-    merge_components_with(inputs, spin_per_entry, &LayoutConfig::default())
+    merge_components_with(inputs, spin_per_entry, &LayoutConfig::default()).component
 }
 
-/// [`merge_components`] with an explicit storage-layout policy: the merged
-/// component's schema is *re-inferred* over the surviving entries, but any
-/// slot that every compacted input agreed on stays a slot (conforming
-/// slots are never rewritten into the residual by a merge).
+/// [`merge_components`] with an explicit storage-layout policy. Inputs that
+/// are all compacted under one layout have their cells copied into the
+/// merged image; otherwise the surviving records are encoded afresh, and any
+/// slot that every compacted input agreed on stays a slot (conforming slots
+/// are never rewritten into the residual by a merge).
 pub fn merge_components_with(
     inputs: &[Arc<Component>],
     spin_per_entry: u64,
     layout: &LayoutConfig,
-) -> Component {
-    // newest version of each key wins: walk oldest → newest, later inserts
-    // overwrite. Everything here is a borrow; nothing is cloned yet.
-    let mut newest: BTreeMap<&KeyOrd, &Entry> = BTreeMap::new();
-    for c in inputs.iter().rev() {
-        for (k, e) in c.iter() {
-            newest.insert(k, e);
-        }
-    }
-    let mut entries = BTreeMap::new();
-    for (k, e) in newest {
-        if let Entry::Put(v) = e {
+) -> Merged {
+    let mut entries = Vec::with_capacity(inputs.iter().map(|c| c.live).sum());
+    // (input, image row) of every survivor, in key order
+    let mut picks: Vec<(u32, u32)> = Vec::with_capacity(entries.capacity());
+    for newest in SortedRuns::new(None, inputs, None, None) {
+        if let (Entry::Put(v), Some((ci, pos))) = (newest.entry, newest.at) {
             if spin_per_entry > 0 {
                 let mut acc = 0u64;
                 for i in 0..spin_per_entry {
@@ -300,27 +420,50 @@ pub fn merge_components_with(
                 }
                 std::hint::black_box(acc);
             }
-            entries.insert(k.clone(), Entry::Put(Arc::clone(v)));
+            entries.push((newest.key.clone(), Entry::Put(Arc::clone(v))));
+            picks.push((ci as u32, inputs[ci].row_at(pos) as u32));
         }
     }
-    // Slot stability across the merge: the intersection of the inputs'
-    // slot sets (only meaningful when every input carried a compacted
-    // image — a fallback input has no slots to preserve).
-    let stable: Option<Vec<String>> = inputs
+    entries.shrink_to_fit();
+    let survivors = entries.len() as u64;
+    // `None` unless every input carries a compacted image
+    let blocks: Option<Vec<&CompactedBlock>> = inputs
         .iter()
         .map(|c| match c.storage() {
-            Some(ComponentStorage::Compacted(b)) => Some(b.slot_names()),
+            Some(ComponentStorage::Compacted(b)) => Some(b),
             _ => None,
         })
-        .try_fold(None::<Vec<String>>, |acc, names| {
-            let names = names?;
-            Some(Some(match acc {
-                None => names,
-                Some(acc) => acc.into_iter().filter(|n| names.contains(n)).collect(),
-            }))
-        })
-        .flatten();
-    build_component(entries, layout, stable.as_deref())
+        .collect();
+    let copied = blocks
+        .as_deref()
+        .filter(|_| layout.compact)
+        .and_then(|blocks| CompactedBlock::copy_rows(blocks, &picks))
+        // dropped rows can only have pushed the churn over the threshold
+        // when they held what conformed; rare enough to re-encode then
+        .filter(|b| b.schema().churn(&b.slot_names()) <= layout.churn_threshold);
+    match copied {
+        Some(block) => Merged {
+            component: Component::new(entries, ComponentStorage::Compacted(block)),
+            rows_copied: survivors,
+            rows_reencoded: 0,
+        },
+        None => {
+            // Slot stability across the merge: the intersection of the
+            // inputs' slot sets (a fallback input has no slots to preserve).
+            let stable = blocks.map_or(Vec::new(), |blocks| {
+                let mut names = blocks.iter().map(|b| b.slot_names());
+                let first = names.next().unwrap_or_default();
+                names.fold(first, |acc, names| {
+                    acc.into_iter().filter(|n| names.contains(n)).collect()
+                })
+            });
+            Merged {
+                component: Component::seal(entries, layout, &stable),
+                rows_copied: 0,
+                rows_reencoded: survivors,
+            }
+        }
+    }
 }
 
 /// Storage-layout policy for sealed components.
@@ -431,23 +574,36 @@ impl LsmTree {
         self.maybe_flush();
     }
 
-    fn lookup(&self, k: &KeyOrd) -> Option<&Entry> {
-        if let Some(e) = self.memtable.get(k) {
-            return Some(e);
+    /// The newest version of `key` and where it lives (`None` = memtable,
+    /// else component index and entry position): memtable first, then the
+    /// runs newest to oldest. Probes by reference — no key is cloned.
+    fn lookup(&self, key: &AdmValue) -> Option<(&Entry, Option<(usize, usize)>)> {
+        if let Some(entry) = self.memtable.get(key as &dyn AsKey) {
+            return Some((entry, None));
         }
-        for c in &self.components {
-            if let Some(e) = c.entries.get(k) {
-                return Some(e);
+        self.components.iter().enumerate().find_map(|(ci, c)| {
+            let pos = c.find(key)?;
+            Some((&c.entries[pos].1, Some((ci, pos))))
+        })
+    }
+
+    /// The live record of a version found at `at` (`None` for a tombstone).
+    fn live_ref<'a>(&'a self, entry: &'a Entry, at: Option<(usize, usize)>) -> Option<LiveRef<'a>> {
+        match (entry, at) {
+            (Entry::Tombstone, _) => None,
+            (Entry::Put(v), None) => Some(LiveRef::Mem(v)),
+            (Entry::Put(v), Some((ci, pos))) => {
+                let c = &self.components[ci];
+                Some(LiveRef::Sealed(c, c.row_at(pos), v))
             }
         }
-        None
     }
 
     /// Point lookup, sharing the stored value.
     pub fn get_shared(&self, key: &AdmValue) -> Option<Arc<AdmValue>> {
-        match self.lookup(&KeyOrd(key.clone())) {
-            Some(Entry::Put(v)) => Some(Arc::clone(v)),
-            _ => None,
+        match self.lookup(key)? {
+            (Entry::Put(v), _) => Some(Arc::clone(v)),
+            (Entry::Tombstone, _) => None,
         }
     }
 
@@ -458,7 +614,7 @@ impl LsmTree {
 
     /// Does `key` currently have a live record?
     pub fn contains(&self, key: &AdmValue) -> bool {
-        matches!(self.lookup(&KeyOrd(key.clone())), Some(Entry::Put(_)))
+        matches!(self.lookup(key), Some((Entry::Put(_), _)))
     }
 
     /// Visit the newest version of every key in `[lo, hi]` (both optional),
@@ -469,25 +625,9 @@ impl LsmTree {
         hi: Option<&AdmValue>,
         mut f: impl FnMut(&AdmValue, &AdmValue),
     ) {
-        let lo_b = lo
-            .map(|v| Bound::Included(KeyOrd(v.clone())))
-            .unwrap_or(Bound::Unbounded);
-        let hi_b = hi
-            .map(|v| Bound::Included(KeyOrd(v.clone())))
-            .unwrap_or(Bound::Unbounded);
-        // newest version of each key wins; borrows only
-        let mut newest: BTreeMap<&KeyOrd, &Entry> = BTreeMap::new();
-        for c in self.components.iter().rev() {
-            for (k, e) in c.entries.range((lo_b.clone(), hi_b.clone())) {
-                newest.insert(k, e);
-            }
-        }
-        for (k, e) in self.memtable.range((lo_b, hi_b)) {
-            newest.insert(k, e);
-        }
-        for (k, e) in newest {
-            if let Entry::Put(v) = e {
-                f(&k.0, v);
+        for newest in SortedRuns::new(Some(&self.memtable), &self.components, lo, hi) {
+            if let Entry::Put(v) = newest.entry {
+                f(&newest.key.0, v);
             }
         }
     }
@@ -502,37 +642,9 @@ impl LsmTree {
     /// storage-image row, so per-field reads decode one column cell instead
     /// of touching the whole record.
     pub fn for_each_live_ref(&self, mut f: impl FnMut(&AdmValue, LiveRef<'_>)) {
-        enum Src<'a> {
-            Mem(&'a Entry),
-            Comp(usize, usize, &'a Entry),
-        }
-        let mut newest: BTreeMap<&KeyOrd, Src> = BTreeMap::new();
-        // oldest → newest so later versions overwrite; row counters track
-        // each component's live entries in key order (its image row order)
-        for (ci, c) in self.components.iter().enumerate().rev() {
-            let mut row = 0usize;
-            for (k, e) in c.entries.iter() {
-                match e {
-                    Entry::Put(_) => {
-                        newest.insert(k, Src::Comp(ci, row, e));
-                        row += 1;
-                    }
-                    Entry::Tombstone => {
-                        newest.insert(k, Src::Comp(ci, 0, e));
-                    }
-                }
-            }
-        }
-        for (k, e) in self.memtable.iter() {
-            newest.insert(k, Src::Mem(e));
-        }
-        for (k, src) in newest {
-            match src {
-                Src::Mem(Entry::Put(v)) => f(&k.0, LiveRef::Mem(v)),
-                Src::Comp(ci, row, Entry::Put(v)) => {
-                    f(&k.0, LiveRef::Sealed(&self.components[ci], row, v))
-                }
-                _ => {}
+        for newest in SortedRuns::new(Some(&self.memtable), &self.components, None, None) {
+            if let Some(live) = self.live_ref(newest.entry, newest.at) {
+                f(&newest.key.0, live);
             }
         }
     }
@@ -547,22 +659,8 @@ impl LsmTree {
     /// Point lookup of a single field: resolves the key's component, then
     /// decodes only the requested field from its storage image.
     pub fn get_field(&self, key: &AdmValue, name: &str) -> Option<AdmValue> {
-        let k = KeyOrd(key.clone());
-        if let Some(e) = self.memtable.get(&k) {
-            return match e {
-                Entry::Put(v) => v.field(name).cloned(),
-                Entry::Tombstone => None,
-            };
-        }
-        for c in &self.components {
-            if let Some(e) = c.entries.get(&k) {
-                return match e {
-                    Entry::Put(_) => c.field_at_key(&k, name),
-                    Entry::Tombstone => None,
-                };
-            }
-        }
-        None
+        let (entry, at) = self.lookup(key)?;
+        self.live_ref(entry, at)?.field(name)
     }
 
     /// Total bytes of the components' storage images — the tree's
@@ -614,14 +712,14 @@ impl LsmTree {
 
     /// Seal the memtable into an immutable component (no merge, ever) —
     /// the only mutation a hot-path insert can trigger in deferred mode.
-    /// Sealing runs the single-pass schema inferencer and encodes the
-    /// component's storage image (compacted, or open on churn fallback).
+    /// Sealing infers the schema and encodes the component's storage image
+    /// (compacted, or open on churn fallback) in two walks over the records.
     pub fn seal(&mut self) {
         if self.memtable.is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut self.memtable);
-        let component = build_component(entries, &self.config.layout, None);
+        let entries = std::mem::take(&mut self.memtable).into_iter().collect();
+        let component = Component::seal(entries, &self.config.layout, &[]);
         self.note_component(&component);
         self.components.insert(0, Arc::new(component));
         self.flushes += 1;
@@ -684,7 +782,7 @@ impl LsmTree {
     /// and dropping tombstones (all older versions are in the merge input).
     pub fn merge_all(&mut self) {
         let snapshot = self.components_snapshot();
-        let merged = merge_components_with(&snapshot, 0, &self.config.layout);
+        let merged = merge_components_with(&snapshot, 0, &self.config.layout).component;
         self.note_component(&merged);
         self.components = vec![Arc::new(merged)];
         self.merges += 1;
@@ -1039,6 +1137,54 @@ mod tests {
     }
 
     #[test]
+    fn image_less_component_serves_fields_from_the_shared_record() {
+        let entries: Vec<(KeyOrd, Entry)> = (0..50)
+            .map(|i| {
+                let e = if i % 7 == 0 {
+                    Entry::Tombstone
+                } else {
+                    Entry::Put(Arc::new(rec(i)))
+                };
+                (KeyOrd(k(i)), e)
+            })
+            .collect();
+        let mut t = LsmTree::default();
+        t.components.push(Arc::new(Component {
+            live: entries.len() - 8,
+            entries,
+            storage: None,
+            rows: Vec::new(),
+        }));
+        assert_eq!(t.get_field(&k(9), "name"), Some(v("n9")));
+        assert_eq!(t.get_field(&k(7), "name"), None, "tombstone");
+        let mut names = Vec::new();
+        t.for_each_live_field("name", |key, val| names.push((key.clone(), val)));
+        assert_eq!(names.len(), 42);
+        assert!(names
+            .iter()
+            .all(|(key, val)| *val == Some(v(&format!("n{}", key.as_int().unwrap())))));
+    }
+
+    #[test]
+    fn probes_borrow_the_key_and_compare_like_the_memtable_orders() {
+        let mut t = small_tree();
+        for i in 0..6 {
+            t.put(k(i), rec(i)); // 0..4 sealed, 4..6 in the memtable
+        }
+        // numbers compare across width, exactly as `KeyOrd` orders them
+        for i in [1, 5] {
+            let as_double = AdmValue::Double(i as f64);
+            assert!(t.contains(&as_double));
+            assert_eq!(t.get(&as_double), Some(rec(i)));
+            assert_eq!(t.get_field(&as_double, "score"), Some(as_double.clone()));
+        }
+        assert!(!t.contains(&AdmValue::Double(1.5)));
+        assert!(!t.contains(&v("1")));
+        // an inverted range is empty, not a panic
+        assert!(t.scan_range(Some(&k(4)), Some(&k(2))).is_empty());
+    }
+
+    #[test]
     fn merge_preserves_slots_the_inputs_agreed_on() {
         let mut t = LsmTree::new(LsmConfig {
             memtable_budget: 4,
@@ -1059,7 +1205,7 @@ mod tests {
                 ComponentStorage::Open(_) => panic!("expected compacted inputs"),
             })
             .collect();
-        let merged = merge_components_with(&snap, 0, &LayoutConfig::default());
+        let merged = merge_components_with(&snap, 0, &LayoutConfig::default()).component;
         let merged_slots = match merged.storage().unwrap() {
             ComponentStorage::Compacted(b) => b.slot_names(),
             ComponentStorage::Open(_) => panic!("merge of compacted inputs stayed compacted"),
@@ -1085,8 +1231,8 @@ mod tests {
             t.put(k(i), rec(i));
         }
         let snap = t.components_snapshot();
-        let merged = Arc::new(merge_components_with(&snap, 0, &LayoutConfig::default()));
-        assert!(t.install_merged(&snap, merged));
+        let merged = merge_components_with(&snap, 0, &LayoutConfig::default()).component;
+        assert!(t.install_merged(&snap, Arc::new(merged)));
         assert!(t.schema_inferred_components() >= snap.len() as u64);
         for i in 0..8 {
             assert_eq!(

@@ -29,7 +29,7 @@ use crate::wal::{LogOp, WriteAheadLog};
 use asterix_adm::AdmValue;
 use asterix_common::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use asterix_common::sync::{thread as sync_thread, Mutex, WakeEvent, WakeSignal};
-use asterix_common::{Histogram, IngestError, IngestResult, TraceLog};
+use asterix_common::{Counter, Histogram, IngestError, IngestResult, TraceLog};
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -84,9 +84,39 @@ impl BatchOutcome {
     }
 }
 
+/// Observability hooks of one partition, attached once by
+/// [`DatasetPartition::set_observability`].
+pub struct PartitionObservability {
+    /// Receives the size of every group-commit batch.
+    pub batch_hist: Histogram,
+    /// Receives a `storage.compaction` span per merge round.
+    pub trace: Arc<TraceLog>,
+    /// Merged rows whose image cells were copied out of the input images.
+    pub rows_copied: Counter,
+    /// Merged rows encoded afresh because the inputs' layouts differed.
+    pub rows_reencoded: Counter,
+}
+
 struct PartitionState {
     primary: LsmTree,
     secondaries: Vec<SecondaryIndex>,
+}
+
+impl PartitionState {
+    /// Before `key` is overwritten: drop its stored version from every
+    /// secondary. The old version is looked up for nothing else, so a
+    /// partition without secondaries skips the probe.
+    fn unindex_old(&mut self, key: &AdmValue) -> IngestResult<()> {
+        if self.secondaries.is_empty() {
+            return Ok(());
+        }
+        if let Some(old) = self.primary.get_shared(key) {
+            for idx in &mut self.secondaries {
+                idx.remove(key, &old)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// State shared between the partition handle and its compaction worker.
@@ -97,10 +127,8 @@ struct PartitionInner {
     signal: WakeSignal,
     merging: AtomicBool,
     compactions: AtomicU64,
-    /// Observability hooks, attached once via `set_observability`:
-    /// group-commit batch sizes and compaction-round trace spans.
-    batch_hist: OnceLock<Histogram>,
-    trace: OnceLock<Arc<TraceLog>>,
+    /// Attached once via `set_observability`.
+    observability: OnceLock<PartitionObservability>,
 }
 
 impl PartitionInner {
@@ -139,25 +167,32 @@ impl PartitionInner {
         if snapshot.len() < 2 {
             return false;
         }
-        let span = self.trace.get().map(|log| {
-            log.span(
+        let observability = self.observability.get();
+        let span = observability.map(|o| {
+            o.trace.span(
                 "storage.compaction",
                 format!("{} components", snapshot.len()),
             )
         });
         self.merging.store(true, Ordering::SeqCst);
         // the expensive part: runs on Arc'd component clones, lock-free —
-        // including re-inferring the merged schema and re-encoding the
-        // merged component under the configured storage layout
-        let merged = Arc::new(merge_components_with(
-            &snapshot,
-            self.config.merge_spin,
-            &self.config.lsm.layout,
-        ));
-        let installed = self.state.lock().primary.install_merged(&snapshot, merged);
+        // the k-way merge of the runs and the merged component's image
+        // (cells copied from the input images, or re-encoded under the
+        // configured storage layout when the inputs' layouts differ)
+        let merged =
+            merge_components_with(&snapshot, self.config.merge_spin, &self.config.lsm.layout);
+        let installed = self
+            .state
+            .lock()
+            .primary
+            .install_merged(&snapshot, Arc::new(merged.component));
         self.merging.store(false, Ordering::SeqCst);
         if installed {
             self.compactions.fetch_add(1, Ordering::SeqCst);
+            if let Some(o) = observability {
+                o.rows_copied.add(merged.rows_copied);
+                o.rows_reencoded.add(merged.rows_reencoded);
+            }
         }
         if let Some(span) = span {
             span.finish(if installed { "installed" } else { "lost race" });
@@ -199,8 +234,7 @@ impl DatasetPartition {
             signal: WakeSignal::new(),
             merging: AtomicBool::new(false),
             compactions: AtomicU64::new(0),
-            batch_hist: OnceLock::new(),
-            trace: OnceLock::new(),
+            observability: OnceLock::new(),
             config,
         });
         let for_worker = Arc::clone(&inner);
@@ -277,11 +311,7 @@ impl DatasetPartition {
         let needs_merge;
         {
             let mut st = self.inner.state.lock();
-            if let Some(old) = st.primary.get_shared(&key) {
-                for idx in &mut st.secondaries {
-                    idx.remove(&key, &old)?;
-                }
-            }
+            st.unindex_old(&key)?;
             self.apply_put(&mut st, key, Arc::new(record.clone()))?;
             needs_merge = st.primary.needs_merge();
         }
@@ -364,18 +394,14 @@ impl DatasetPartition {
             self.inner
                 .wal
                 .append_put_batch(accepted.iter().map(|(i, key)| (key, &*records[*i])));
-            if let Some(h) = self.inner.batch_hist.get() {
-                h.record(accepted.len() as u64);
+            if let Some(o) = self.inner.observability.get() {
+                o.batch_hist.record(accepted.len() as u64);
             }
             for (i, key) in &accepted {
                 self.inner.spin();
                 let record = &records[*i];
                 if upsert {
-                    if let Some(old) = st.primary.get_shared(key) {
-                        for idx in &mut st.secondaries {
-                            idx.remove(key, &old)?;
-                        }
-                    }
+                    st.unindex_old(key)?;
                 }
                 st.primary.put_shared(key.clone(), Arc::clone(record));
                 for idx in &mut st.secondaries {
@@ -527,11 +553,7 @@ impl DatasetPartition {
             match rec.op {
                 LogOp::Put { key, value } => {
                     let value = Arc::new(value);
-                    if let Some(old) = st.primary.get_shared(&key) {
-                        for idx in &mut st.secondaries {
-                            idx.remove(&key, &old)?;
-                        }
-                    }
+                    st.unindex_old(&key)?;
                     st.primary.put_shared(key.clone(), Arc::clone(&value));
                     for idx in &mut st.secondaries {
                         idx.insert(&key, &value)?;
@@ -633,13 +655,10 @@ impl DatasetPartition {
         self.inner.state.lock().primary.fallback_components()
     }
 
-    /// Attach observability hooks: group-commit batch sizes are recorded
-    /// into `batch_hist` and compaction rounds are traced as
-    /// `storage.compaction` spans in `trace`. First call wins; later calls
-    /// are ignored (the hooks are write-once to stay off the hot path).
-    pub fn set_observability(&self, batch_hist: Histogram, trace: Arc<TraceLog>) {
-        let _ = self.inner.batch_hist.set(batch_hist);
-        let _ = self.inner.trace.set(trace);
+    /// Attach observability hooks. First call wins; later calls are ignored
+    /// (the hooks are write-once to stay off the hot path).
+    pub fn set_observability(&self, hooks: PartitionObservability) {
+        let _ = self.inner.observability.set(hooks);
     }
 
     /// Crash injection for recovery tests: tear `bytes` off the end of the
