@@ -4,8 +4,9 @@
 //! re-printing and re-parsing text at every boundary. This module is the
 //! analogue for this codebase: a tag byte per value, little-endian fixed
 //! width scalars, and `u32` length prefixes for strings and collections.
-//! It is used where a value must be materialized as bytes but text is
-//! wasteful — write-ahead-log records and the stormsim Mongo glue.
+//! It is the serialized form of every record between the adaptor and the
+//! store (see [`crate::payload`]) and of write-ahead-log records; ADM text
+//! exists only at the system boundary.
 //!
 //! Layout (`tag` byte first):
 //!
@@ -177,6 +178,41 @@ pub fn decode_field_at(record: &[u8], field: &str) -> IngestResult<Option<AdmVal
         Some(slice) => decode_value(slice).map(Some),
         None => Ok(None),
     }
+}
+
+/// Decode only the named top-level fields of an encoded record, in one
+/// pass over its bytes.
+///
+/// The result is a record holding the first occurrence of every requested
+/// name the input carries, so `projection.field(n)` equals
+/// `decode_value(record)?.field(n)` for each `n` in `names` while every
+/// other field is skipped by length arithmetic; the scan stops as soon as
+/// all names are found. A non-record input is an error.
+pub fn decode_fields<S: AsRef<str>>(record: &[u8], names: &[S]) -> IngestResult<AdmValue> {
+    let mut r = Reader {
+        buf: record,
+        pos: 0,
+    };
+    if r.u8()? != TAG_RECORD {
+        return Err(r.err("field projection on non-record value"));
+    }
+    let n = r.count()?;
+    let mut found: Vec<(String, AdmValue)> = Vec::with_capacity(names.len());
+    for _ in 0..n {
+        if found.len() == names.len() {
+            break;
+        }
+        let name = r.str_slice()?;
+        let wanted = names
+            .iter()
+            .map(|w| w.as_ref())
+            .find(|w| w.as_bytes() == name && found.iter().all(|(k, _)| k != w));
+        match wanted {
+            Some(w) => found.push((w.to_string(), r.value()?)),
+            None => r.skip_value()?,
+        }
+    }
+    Ok(AdmValue::Record(found))
 }
 
 struct Reader<'a> {
@@ -431,6 +467,37 @@ mod tests {
             let _ = decode_field_at(&bytes[..cut], "score");
         }
         assert!(decode_field_at(&bytes[..bytes.len() - 1], "maybe").is_err());
+    }
+
+    #[test]
+    fn decode_fields_agrees_with_the_full_tree_on_every_requested_name() {
+        let mut v = tweet();
+        // a duplicate name: the projection keeps the first occurrence only
+        if let AdmValue::Record(fields) = &mut v {
+            fields.push(("retweets".into(), AdmValue::Int(99)));
+        }
+        let bytes = encode_value(&v);
+        let names = ["retweets", "absent", "user", "id", "retweets"];
+        let projection = decode_fields(&bytes, &names).unwrap();
+        for n in names {
+            assert_eq!(projection.field(n), v.field(n), "field {n}");
+        }
+        assert_eq!(
+            projection.field("score"),
+            None,
+            "unrequested fields skipped"
+        );
+        let none: [&str; 0] = [];
+        assert_eq!(
+            decode_fields(&bytes, &none).unwrap(),
+            AdmValue::Record(vec![])
+        );
+        assert!(decode_fields(&encode_value(&AdmValue::Int(3)), &names).is_err());
+        for cut in 0..bytes.len() {
+            // a clean error or a projection of what the prefix holds, never
+            // a panic
+            let _ = decode_fields(&bytes[..cut], &names);
+        }
     }
 
     #[test]

@@ -20,15 +20,17 @@
 //! * [`mod@print`] — the canonical serializer (parse ∘ print = identity, checked
 //!   by property tests);
 //! * [`binary`] — a compact length-prefixed binary codec (`AdmValue` ↔
-//!   bytes), the analogue of AsterixDB's binary ADM format, used by the
-//!   write-ahead log and external-system glue;
+//!   bytes), the analogue of AsterixDB's binary ADM format: the serialized
+//!   form of every record payload between adaptor and store, and of
+//!   write-ahead-log records;
 //! * [`schema`] — single-pass schema inference over open records (per-field
 //!   type lattice with counts), feeding the compacted storage layout;
 //! * [`compact`] — the compacted columnar-ish component codec (schema
 //!   header + per-field columns + sparse residual), plus the uncompacted
 //!   [`compact::OpenBlock`] fallback;
-//! * [`payload`] — typed access to the shared lazy parse cache carried by
-//!   every [`asterix_common::RecordPayload`], the heart of the parse-once
+//! * [`payload`] — record payloads as binary ADM plus typed access to the
+//!   shared lazy decode cache carried by every
+//!   [`asterix_common::RecordPayload`], the heart of the parse-once
 //!   ingestion pipeline;
 //! * [`functions`] — the builtin scalar functions the feeds chapters use
 //!   (`word-tokens`, `starts-with`, `spatial-cell`, `spatial-intersect`, ...);
@@ -46,11 +48,11 @@ pub mod schema;
 pub mod types;
 pub mod value;
 
-pub use binary::{decode_field_at, decode_value, encode_value, record_field_slice};
+pub use binary::{decode_field_at, decode_fields, decode_value, encode_value, record_field_slice};
 pub use compact::{CompactedBlock, OpenBlock};
 pub use parse::{parse_calls, parse_value};
-pub use payload::{payload_from_value, AdmPayloadExt};
-pub use print::to_adm_string;
+pub use payload::{payload_from_text, payload_from_value, AdmPayloadExt};
+pub use print::{print_calls, to_adm_string};
 pub use schema::{InferredSchema, SchemaBuilder};
 pub use types::{AdmType, Field, RecordType, TypeRegistry};
 pub use value::AdmValue;

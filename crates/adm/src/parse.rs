@@ -46,13 +46,19 @@ pub fn parse_value(input: &str) -> IngestResult<AdmValue> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
 }
 
+/// Field slots a record literal starts with: a tweet-sized record (≤ 8
+/// fields per nesting level) then fills its vector without regrowing.
+const RECORD_FIELDS_HINT: usize = 8;
+
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
         Parser {
+            text: input,
             src: input.as_bytes(),
             pos: 0,
         }
@@ -161,11 +167,11 @@ impl<'a> Parser<'a> {
 
     fn record(&mut self) -> IngestResult<AdmValue> {
         self.eat(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.try_eat(b'}') {
-            return Ok(AdmValue::Record(fields));
+            return Ok(AdmValue::Record(Vec::new()));
         }
+        let mut fields = Vec::with_capacity(RECORD_FIELDS_HINT);
         loop {
             self.skip_ws();
             let key = match self.peek() {
@@ -300,10 +306,22 @@ impl<'a> Parser<'a> {
         }
         let mut out = String::new();
         loop {
+            // copy the run up to the next quote or escape in one piece; both
+            // delimiters are ASCII, so the run is whole characters
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("string run splits a character"))?;
+            out.push_str(run);
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
+                // the run stopped at a backslash
+                Some(_) => match self.bump() {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
                     Some(b'/') => out.push('/'),
@@ -327,23 +345,6 @@ impl<'a> Parser<'a> {
                     }
                     _ => return Err(self.err("bad escape")),
                 },
-                Some(c) if c < 0x80 => out.push(c as char),
-                Some(first) => {
-                    // multi-byte UTF-8: copy the full sequence
-                    let len = match first {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err(self.err("invalid utf8 byte in string")),
-                    };
-                    let start = self.pos - 1;
-                    for _ in 1..len {
-                        self.bump().ok_or_else(|| self.err("truncated utf8"))?;
-                    }
-                    let s = std::str::from_utf8(&self.src[start..self.pos])
-                        .map_err(|_| self.err("invalid utf8 sequence"))?;
-                    out.push_str(s);
-                }
             }
         }
     }

@@ -6,10 +6,26 @@
 //! gain a decimal point, so the Int/Double distinction survives the trip.
 
 use crate::value::AdmValue;
+use asterix_common::metrics::Counter;
 use std::fmt::Write;
+use std::sync::OnceLock;
+
+/// Process-wide count of [`to_adm_string`] calls, the printing twin of
+/// [`crate::parse::parse_calls`]: the parse-once pipeline test reads it to
+/// assert that no stage between the adaptor and the store prints a record.
+fn print_counter() -> &'static Counter {
+    static PRINT_CALLS: OnceLock<Counter> = OnceLock::new();
+    PRINT_CALLS.get_or_init(Counter::new)
+}
+
+/// Current value of the global print counter.
+pub fn print_calls() -> u64 {
+    print_counter().get()
+}
 
 /// Serialize a value to canonical ADM text.
 pub fn to_adm_string(v: &AdmValue) -> String {
+    print_counter().inc();
     let mut out = String::new();
     write_value(&mut out, v);
     out

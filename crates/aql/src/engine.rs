@@ -377,7 +377,7 @@ impl AsterixEngine {
         };
         let n = rows.len();
         // records → frames; the payload cache is seeded with each row so the
-        // store job re-uses this parse instead of re-reading the text
+        // store job re-uses the value instead of decoding its bytes
         let mut builder = asterix_common::FrameBuilder::default();
         let mut frames = Vec::new();
         for row in rows {
@@ -390,6 +390,7 @@ impl AsterixEngine {
         }
         // one Hyracks job per statement
         let metrics = FeedMetrics::with_default_bucket(self.cluster.clock().clone());
+        let parse_calls = metrics.parse_calls.clone();
         let mut policy = IngestionPolicy::basic();
         policy.recover_soft_failure = false; // inserts fail loudly
         let mut job = JobSpec::new(format!("insert:{dataset}"));
@@ -406,7 +407,10 @@ impl AsterixEngine {
         job.connect(
             src,
             store,
-            ConnectorSpec::MNHashPartition(store_key_fn(ds.config.primary_key.clone())),
+            ConnectorSpec::MNHashPartition(store_key_fn(
+                ds.config.primary_key.clone(),
+                parse_calls,
+            )),
         );
         let handle = run_job(&self.cluster, job)?;
         handle.wait_ok()?;

@@ -2,7 +2,10 @@
 //! parse/print, value hashing, LSM and R-tree operations, feed-joint
 //! routing, the WAL, and the UDF sandbox.
 
-use asterix_adm::{hash::hash_value, parse_value, to_adm_string, AdmPayloadExt, AdmValue};
+use asterix_adm::{
+    decode_fields, decode_value, encode_value, hash::hash_value, parse_value, payload_from_text,
+    to_adm_string, AdmPayloadExt, AdmValue,
+};
 use asterix_common::{DataFrame, Record, RecordId};
 use asterix_feeds::joint::FeedJoint;
 use asterix_feeds::udf::Udf;
@@ -86,20 +89,32 @@ fn frame(n: usize) -> DataFrame {
     )
 }
 
+// subscriber queues are bounded and a full one blocks the depositor, so each
+// iteration also receives what it deposited
 fn bench_joint(c: &mut Criterion) {
     c.bench_function("joint/deposit_short_circuit", |b| {
         let joint = FeedJoint::new("bench");
-        let _sub = joint.subscribe("only");
+        let sub = joint.subscribe("only");
         let f = frame(64);
-        b.iter(|| joint.deposit(black_box(f.clone())).unwrap())
+        b.iter(|| {
+            joint.deposit(black_box(f.clone())).unwrap();
+            black_box(sub.try_recv())
+        })
     });
     c.bench_function("joint/deposit_shared_3_subscribers", |b| {
         let joint = FeedJoint::new("bench3");
-        let _s1 = joint.subscribe("a");
-        let _s2 = joint.subscribe("b");
-        let _s3 = joint.subscribe("c");
+        let subs = [
+            joint.subscribe("a"),
+            joint.subscribe("b"),
+            joint.subscribe("c"),
+        ];
         let f = frame(64);
-        b.iter(|| joint.deposit(black_box(f.clone())).unwrap())
+        b.iter(|| {
+            joint.deposit(black_box(f.clone())).unwrap();
+            for sub in &subs {
+                black_box(sub.try_recv());
+            }
+        })
     });
 }
 
@@ -119,7 +134,14 @@ fn bench_udf(c: &mut Criterion) {
 /// The store path touches each record's value three times downstream of the
 /// adaptor: the assign stage (UDF input), the partitioner key function, and
 /// the store's type check. Pre-refactor each touch reparsed the ADM text;
-/// post-refactor they all share the payload's cached parse.
+/// post-refactor the adaptor's translate (parse + binary encode) seeds the
+/// payload cache and all three touches share it.
+///
+/// The `hop_*` pair is what one record costs to cross a boundary that drops
+/// the cache (a TCP edge, a despill): with text payloads the producer
+/// printed and the consumer re-parsed; with binary payloads the producer
+/// encodes and the consumer decodes — or, when it reads two fields to route
+/// the record, projects them out of the bytes.
 fn bench_parse_once(c: &mut Criterion) {
     let mut factory = tweetgen::TweetFactory::new(0, 42);
     let lines: Vec<String> = (0..64).map(|_| factory.next_json()).collect();
@@ -140,7 +162,7 @@ fn bench_parse_once(c: &mut Criterion) {
         b.iter(|| {
             let mut odd_hashes = 0usize;
             for line in &lines {
-                let rec = Record::untracked(0, line.as_str());
+                let rec = Record::untracked(0, payload_from_text(black_box(line)).unwrap());
                 let assign = rec.payload.adm_value().unwrap();
                 let key = rec.payload.adm_value().unwrap();
                 let store = rec.payload.adm_value().unwrap();
@@ -148,6 +170,33 @@ fn bench_parse_once(c: &mut Criterion) {
                 black_box((&assign, &store));
             }
             odd_hashes
+        })
+    });
+
+    let values: Vec<AdmValue> = lines.iter().map(|l| parse_value(l).unwrap()).collect();
+    c.bench_function("pipeline/hop_text_print_then_parse", |b| {
+        b.iter(|| {
+            for v in &values {
+                let text = to_adm_string(black_box(v));
+                black_box(parse_value(&text).unwrap());
+            }
+        })
+    });
+    c.bench_function("pipeline/hop_binary_encode_then_decode", |b| {
+        b.iter(|| {
+            for v in &values {
+                let bytes = encode_value(black_box(v));
+                black_box(decode_value(&bytes).unwrap());
+            }
+        })
+    });
+    let route_fields = ["country", "user"];
+    c.bench_function("pipeline/hop_binary_encode_then_project_2", |b| {
+        b.iter(|| {
+            for v in &values {
+                let bytes = encode_value(black_box(v));
+                black_box(decode_fields(&bytes, &route_fields).unwrap());
+            }
         })
     });
 }

@@ -3,15 +3,32 @@
 //! In Hyracks, data flows between operators "in the form of data frames
 //! containing physical records" (§3.2.2). A frame is the unit of transfer,
 //! back-pressure, soft-failure slicing (§6.1.1) and feed-joint routing
-//! (§5.4). Records carry their serialized form (ADM text bytes) in a
-//! [`RecordPayload`] that also holds a lazily-computed, *shared* parsed
-//! value: the first operator that needs structured access parses the bytes
-//! once and every later stage (assign, partitioner key-fn, type check,
-//! store, secondary-index maintenance) reuses that same parse. Records are
-//! only re-serialized at true materialization boundaries — UDF output, the
-//! write-ahead log, and disk spills.
+//! (§5.4). Records carry their serialized form (binary ADM, written once
+//! by whichever stage produced the value) in a [`RecordPayload`] that also
+//! holds a lazily-computed, *shared* decoded value: the first operator that
+//! needs structured access decodes the bytes once and every later stage
+//! (assign, partitioner key-fn, type check, store, secondary-index
+//! maintenance) reuses that same value. The payload bytes then travel
+//! verbatim: spill segments and wire frames wrap them in the one record
+//! codec below ([`Record::encode_into`] / [`DataFrame::decode`]) and never
+//! look inside.
+//!
+//! ## The record codec
+//!
+//! ```text
+//! frame  := u32 LE record_count, record*
+//! record := u64 LE id, u32 LE adaptor, u64 LE gen_millis | u64::MAX,
+//!           u32 LE payload_len, payload bytes
+//! ```
+//!
+//! One layout and one torn-tail rule for every place a frame is turned into
+//! bytes (the flow controller's spill file, the TCP transport): a decode
+//! succeeds only when the input holds exactly the records it announces —
+//! short input, a count or length pointing past the end and trailing bytes
+//! are all typed errors, never a panic or an allocation sized by garbage.
 
 use crate::clock::SimInstant;
+use crate::error::{IngestError, IngestResult};
 use crate::ids::RecordId;
 use bytes::Bytes;
 use std::any::Any;
@@ -24,16 +41,24 @@ use std::sync::{Arc, OnceLock};
 /// Default number of records per frame.
 pub const DEFAULT_FRAME_CAPACITY: usize = 64;
 
-/// The shared lazily-parsed form of a payload.
+/// Bytes of a serialized record's fixed header (id, adaptor, generation
+/// stamp, payload length).
+const RECORD_HEADER_LEN: usize = 24;
+
+/// Generation-stamp slot of an unstamped record.
+const UNSTAMPED: u64 = u64::MAX;
+
+/// The shared lazily-decoded form of a payload.
 ///
 /// The value is type-erased (`dyn Any`) so that this crate stays independent
 /// of the ADM crate; `asterix-adm` layers a typed accessor on top. A cached
-/// parse *failure* is kept too, so malformed records don't get re-parsed at
-/// every stage either.
+/// decode *failure* is kept too, so malformed records don't get re-decoded
+/// at every stage either.
 pub type ParsedCell = OnceLock<Result<Arc<dyn Any + Send + Sync>, String>>;
 
-/// A record payload: raw serialized bytes plus a shared, lazily-computed
-/// parsed value.
+/// A record payload: raw serialized bytes (binary ADM on the ingestion
+/// path; this crate never interprets them) plus a shared, lazily-computed
+/// decoded value.
 ///
 /// Cloning is cheap (two `Arc` bumps) and clones *share* the parse cache:
 /// when a record is routed through a feed joint to several subscribers, or
@@ -72,11 +97,6 @@ impl RecordPayload {
     /// The raw serialized bytes.
     pub fn bytes(&self) -> &Bytes {
         &self.bytes
-    }
-
-    /// Payload as UTF-8, if valid.
-    pub fn as_str(&self) -> Option<&str> {
-        std::str::from_utf8(&self.bytes).ok()
     }
 
     /// Whether a parse result (success or failure) is already cached.
@@ -162,6 +182,16 @@ impl From<Vec<u8>> for RecordPayload {
     }
 }
 
+/// Split `N` bytes off the front of `input`; `what` names them in the error.
+fn split_array<'a, const N: usize>(
+    input: &'a [u8],
+    what: &str,
+) -> IngestResult<(&'a [u8; N], &'a [u8])> {
+    input
+        .split_first_chunk::<N>()
+        .ok_or_else(|| IngestError::Parse(format!("truncated {what}")))
+}
+
 /// A single physical record travelling through a pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
@@ -178,7 +208,8 @@ pub struct Record {
     /// durable) the observability layer exports. `None` for records whose
     /// origin predates the stamp (e.g. synthetic test frames).
     pub gen_at: Option<SimInstant>,
-    /// Serialized payload (ADM text bytes) plus the shared parse cache.
+    /// Serialized payload (binary ADM) plus the shared decode cache. Not
+    /// text: render it for humans through the ADM crate's payload accessors.
     pub payload: RecordPayload,
 }
 
@@ -217,9 +248,39 @@ impl Record {
         self.id != Self::UNTRACKED
     }
 
-    /// Payload as UTF-8, if valid.
-    pub fn payload_str(&self) -> Option<&str> {
-        self.payload.as_str()
+    /// Append the serialized record (fixed header, then the payload bytes
+    /// verbatim) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let len = u32::try_from(self.payload.len()).expect("record payload under 4 GiB");
+        out.extend_from_slice(&self.id.raw().to_le_bytes());
+        out.extend_from_slice(&self.adaptor.to_le_bytes());
+        out.extend_from_slice(&self.gen_at.map_or(UNSTAMPED, |g| g.0).to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&self.payload);
+    }
+
+    /// Decode one serialized record from the front of `input`; returns it
+    /// and the rest. The payload's decode cache starts cold.
+    pub fn decode_prefix(input: &[u8]) -> IngestResult<(Record, &[u8])> {
+        let (id, rest) = split_array::<8>(input, "record id")?;
+        let (adaptor, rest) = split_array::<4>(rest, "record adaptor")?;
+        let (gen, rest) = split_array::<8>(rest, "record generation stamp")?;
+        let (len, rest) = split_array::<4>(rest, "record payload length")?;
+        let (gen, len) = (u64::from_le_bytes(*gen), u32::from_le_bytes(*len) as usize);
+        if rest.len() < len {
+            return Err(IngestError::Parse(format!(
+                "truncated record payload ({} of {len} bytes)",
+                rest.len()
+            )));
+        }
+        let (payload, rest) = rest.split_at(len);
+        let record = Record {
+            id: RecordId(u64::from_le_bytes(*id)),
+            adaptor: u32::from_le_bytes(*adaptor),
+            gen_at: (gen != UNSTAMPED).then_some(SimInstant(gen)),
+            payload: RecordPayload::new(Bytes::copy_from_slice(payload)),
+        };
+        Ok((record, rest))
     }
 }
 
@@ -281,6 +342,43 @@ impl DataFrame {
                 records: self.records[index + 1..].to_vec(),
             }
         }
+    }
+
+    /// Append the serialized frame (record count, then every record) to
+    /// `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let count = u32::try_from(self.len()).expect("frame under 2^32 records");
+        out.extend_from_slice(&count.to_le_bytes());
+        for r in &self.records {
+            r.encode_into(out);
+        }
+    }
+
+    /// Decode a serialized frame occupying the whole of `input`.
+    pub fn decode(input: &[u8]) -> IngestResult<DataFrame> {
+        let (count, mut rest) = split_array::<4>(input, "frame record count")?;
+        let count = u32::from_le_bytes(*count) as usize;
+        // every record occupies at least its header, so a count the input
+        // cannot hold is garbage: reject it before allocating for it
+        if count > rest.len() / RECORD_HEADER_LEN {
+            return Err(IngestError::Parse(format!(
+                "frame announces {count} records in {} bytes",
+                rest.len()
+            )));
+        }
+        let mut records = Vec::with_capacity(count);
+        for _ in 0..count {
+            let (record, r) = Record::decode_prefix(rest)?;
+            records.push(record);
+            rest = r;
+        }
+        if !rest.is_empty() {
+            return Err(IngestError::Parse(format!(
+                "{} trailing bytes after frame",
+                rest.len()
+            )));
+        }
+        Ok(DataFrame { records })
     }
 
     /// Approximate in-memory size in bytes (for spill accounting).
@@ -357,7 +455,7 @@ mod tests {
     fn untracked_records() {
         let r = Record::untracked(1, "hello");
         assert!(!r.is_tracked());
-        assert_eq!(r.payload_str(), Some("hello"));
+        assert_eq!(&r.payload[..], b"hello");
         let t = Record::tracked(RecordId(5), 1, "x");
         assert!(t.is_tracked());
     }
@@ -417,6 +515,51 @@ mod tests {
     #[should_panic(expected = "frame capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = FrameBuilder::new(0);
+    }
+
+    #[test]
+    fn frame_codec_roundtrips_stamps_and_untracked_ids() {
+        let frame = DataFrame::from_records(vec![
+            rec(1).stamped(SimInstant(42)),
+            Record::untracked(7, vec![0u8, 255, 10]),
+            Record::tracked(RecordId(3), 2, ""),
+        ]);
+        let mut buf = Vec::new();
+        frame.encode_into(&mut buf);
+        let back = DataFrame::decode(&buf).unwrap();
+        assert_eq!(back, frame);
+        assert_eq!(back.records()[0].gen_at, Some(SimInstant(42)));
+        assert_eq!(back.records()[1].gen_at, None);
+        assert!(!back.records()[1].is_tracked());
+        assert!(!back.records()[0].payload.is_parsed(), "decode cache cold");
+        let mut empty = Vec::new();
+        DataFrame::new().encode_into(&mut empty);
+        assert!(DataFrame::decode(&empty).unwrap().is_empty());
+    }
+
+    #[test]
+    fn frame_decode_rejects_every_truncation_and_trailing_bytes() {
+        let mut buf = Vec::new();
+        DataFrame::from_records((0..4).map(rec).collect()).encode_into(&mut buf);
+        for cut in 0..buf.len() {
+            assert!(DataFrame::decode(&buf[..cut]).is_err(), "cut at {cut}");
+        }
+        buf.push(0);
+        assert!(DataFrame::decode(&buf).is_err(), "trailing byte");
+    }
+
+    #[test]
+    fn frame_decode_bounds_counts_and_lengths_by_the_input() {
+        // a count no input of this size could hold: refused before allocating
+        let mut huge = u32::MAX.to_le_bytes().to_vec();
+        huge.extend_from_slice(&[0u8; 64]);
+        assert!(DataFrame::decode(&huge).is_err());
+        // a payload length pointing past the end
+        let mut buf = Vec::new();
+        DataFrame::from_records(vec![rec(0)]).encode_into(&mut buf);
+        let len_at = 4 + RECORD_HEADER_LEN - 4;
+        buf[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(DataFrame::decode(&buf).is_err());
     }
 
     #[test]

@@ -92,12 +92,14 @@ fn parse_datasource_list(config: &AdaptorConfig, key: &str) -> IngestResult<Vec<
     Ok(addrs)
 }
 
-/// Translate one external JSON/ADM line into a canonical ADM record
-/// payload. Malformed input yields a parse error the adaptor may skip.
+/// Translate one external JSON/ADM line into an ADM record payload (§5.3.1).
+/// Malformed input yields a parse error the adaptor may skip.
 ///
-/// This is the *one* parse on the happy path: the payload's shared cache is
-/// seeded with the parsed value here, so assign, the partitioner key
-/// function, type checking and the store all reuse it instead of re-parsing.
+/// This is the *one* text parse a record ever gets: the payload carries the
+/// value's binary ADM encoding from here on, and its shared cache is seeded
+/// with the parsed value, so assign, the partitioner key function, type
+/// checking and the store reuse it (or, past a wire hop or a spill, decode
+/// the binary form) instead of re-parsing text.
 fn translate(line: &str, adaptor_instance: u32) -> IngestResult<Record> {
     let value = parse_value(line)?;
     Ok(Record::untracked(
@@ -604,6 +606,7 @@ impl std::fmt::Debug for AdaptorRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asterix_adm::{decode_value, AdmPayloadExt};
     use tweetgen::{PatternDescriptor, TweetGen, TweetGenConfig};
 
     fn collect_run(adaptor: &mut dyn FeedAdaptor) -> Vec<Record> {
@@ -657,8 +660,10 @@ mod tests {
             .unwrap();
         let records = collect_run(adaptor.as_mut());
         assert!(records.len() > 100, "got {}", records.len());
-        // payload is canonical ADM, reparseable, with an id field
-        let v = parse_value(records[0].payload_str().unwrap()).unwrap();
+        // payload is binary ADM of the translated record, cache seeded
+        assert!(records[0].payload.is_parsed());
+        let v = decode_value(records[0].payload.bytes()).unwrap();
+        assert_eq!(v, *records[0].payload.adm_value().unwrap());
         assert!(v.field("id").is_some());
         assert!(!records[0].is_tracked());
         g.stop();
@@ -780,7 +785,8 @@ mod tests {
         let ids: Vec<String> = records
             .iter()
             .map(|r| {
-                parse_value(r.payload_str().unwrap())
+                r.payload
+                    .adm_value()
                     .unwrap()
                     .field("id")
                     .unwrap()

@@ -1258,6 +1258,7 @@ impl FeedController {
             store,
             ConnectorSpec::MNHashPartition(crate::ops::store_key_fn(
                 conn.dataset.config.primary_key.clone(),
+                conn.metrics.parse_calls.clone(),
             )),
         );
         run_job(&self.cluster, job)

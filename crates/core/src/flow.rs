@@ -25,7 +25,7 @@ use crate::metrics::FeedMetrics;
 use crate::policy::{ExcessStrategy, IngestionPolicy};
 use asterix_common::sync::handoff::{self, TrySendError};
 use asterix_common::sync::{thread as sync_thread, Mutex};
-use asterix_common::{DataFrame, FeedId, IngestError, IngestResult, Record, RecordId, SimInstant};
+use asterix_common::{DataFrame, FeedId, IngestError, IngestResult};
 use asterix_hyracks::operator::FrameWriter;
 use crossbeam_channel::Sender;
 use rand::rngs::SmallRng;
@@ -40,7 +40,9 @@ pub struct ElasticRequest {
     pub connection_key: String,
 }
 
-/// Serialized frames on the simulated local disk.
+/// Serialized frames on the simulated local disk. A segment is one frame in
+/// the shared record codec ([`DataFrame::encode_into`]): the payload bytes
+/// go to disk and come back verbatim.
 #[derive(Debug, Default)]
 pub struct SpillFile {
     segments: VecDeque<Vec<u8>>,
@@ -50,18 +52,10 @@ pub struct SpillFile {
 
 impl SpillFile {
     /// Append a frame (serialized). The generation stamp spills with each
-    /// record (`u64::MAX` = unstamped) so ingestion lag keeps counting
-    /// time spent on disk.
+    /// record so ingestion lag keeps counting time spent on disk.
     pub fn push(&mut self, frame: &DataFrame) {
         let mut buf = Vec::with_capacity(frame.size_bytes() + 16);
-        buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        for r in frame.records() {
-            buf.extend_from_slice(&r.id.raw().to_le_bytes());
-            buf.extend_from_slice(&r.adaptor.to_le_bytes());
-            buf.extend_from_slice(&r.gen_at.map_or(u64::MAX, |g| g.0).to_le_bytes());
-            buf.extend_from_slice(&(r.payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&r.payload);
-        }
+        frame.encode_into(&mut buf);
         self.encodes += 1;
         self.bytes += buf.len();
         self.segments.push_back(buf);
@@ -82,33 +76,15 @@ impl SpillFile {
         self.segments.push_front(segment);
     }
 
-    /// Decode one serialized segment back into a frame.
-    pub fn decode_segment(buf: &[u8]) -> DataFrame {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| {
-            let s = &buf[*pos..*pos + n];
-            *pos += n;
-            s.to_vec()
-        };
-        let n = u32::from_le_bytes(take(&mut pos, 4).try_into().unwrap()) as usize;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = u64::from_le_bytes(take(&mut pos, 8).try_into().unwrap());
-            let adaptor = u32::from_le_bytes(take(&mut pos, 4).try_into().unwrap());
-            let gen_raw = u64::from_le_bytes(take(&mut pos, 8).try_into().unwrap());
-            let len = u32::from_le_bytes(take(&mut pos, 4).try_into().unwrap()) as usize;
-            let payload = take(&mut pos, len);
-            let mut rec = Record::tracked(RecordId(id), adaptor, payload);
-            if gen_raw != u64::MAX {
-                rec = rec.stamped(SimInstant(gen_raw));
-            }
-            records.push(rec);
-        }
-        DataFrame::from_records(records)
+    /// Decode one serialized segment back into a frame; a truncated or
+    /// corrupt segment is a storage error.
+    pub fn decode_segment(buf: &[u8]) -> IngestResult<DataFrame> {
+        DataFrame::decode(buf)
+            .map_err(|e| IngestError::Storage(format!("corrupt spill segment: {e}")))
     }
 
     /// Read back the oldest frame.
-    pub fn pop(&mut self) -> Option<DataFrame> {
+    pub fn pop(&mut self) -> Option<IngestResult<DataFrame>> {
         let buf = self.pop_segment()?;
         Some(SpillFile::decode_segment(&buf))
     }
@@ -261,7 +237,7 @@ impl FlowController {
             }
         }
         while let Some(segment) = self.spill.pop_segment() {
-            let frame = SpillFile::decode_segment(&segment);
+            let frame = SpillFile::decode_segment(&segment)?;
             let n = frame.len() as u64;
             match self.try_send(frame) {
                 Ok(()) => {
@@ -419,11 +395,13 @@ impl FlowController {
     }
 
     /// Records currently deferred (backlog + spill) — used for zombie state.
+    /// The flow is being abandoned, so a segment that no longer decodes is
+    /// dropped rather than reported.
     pub fn take_deferred(&mut self) -> Vec<DataFrame> {
         let mut out: Vec<DataFrame> = self.backlog.drain(..).collect();
         self.backlog_bytes = 0;
         while let Some(f) = self.spill.pop() {
-            out.push(f);
+            out.extend(f.ok());
         }
         out
     }
@@ -462,6 +440,7 @@ impl FlowController {
                     .map_err(|_| IngestError::Disconnected("pipeline gone".into()))?;
             }
             while let Some(f) = self.spill.pop() {
+                let f = f?;
                 let n = f.len() as u64;
                 tx.send(f)
                     .map_err(|_| IngestError::Disconnected("pipeline gone".into()))?;
@@ -515,7 +494,7 @@ impl std::fmt::Debug for FlowController {
 mod tests {
     use super::*;
     use asterix_common::sync::Mutex as PMutex;
-    use asterix_common::SimClock;
+    use asterix_common::{Record, RecordId, SimClock, SimInstant};
 
     fn frame(ids: std::ops::Range<u64>) -> DataFrame {
         DataFrame::from_records(
@@ -969,8 +948,8 @@ mod tests {
         sf.push(&f1);
         sf.push(&f2);
         assert!(sf.bytes() > 0);
-        assert_eq!(sf.pop().unwrap(), f1);
-        assert_eq!(sf.pop().unwrap(), f2);
+        assert_eq!(sf.pop().unwrap().unwrap(), f1);
+        assert_eq!(sf.pop().unwrap().unwrap(), f2);
         assert!(sf.pop().is_none());
         assert_eq!(sf.bytes(), 0);
     }
@@ -981,8 +960,32 @@ mod tests {
         let stamped = Record::tracked(RecordId(1), 0, "{\"id\":1}").stamped(SimInstant(42));
         let plain = Record::tracked(RecordId(2), 0, "{\"id\":2}");
         sf.push(&DataFrame::from_records(vec![stamped, plain]));
-        let back = sf.pop().unwrap();
+        let back = sf.pop().unwrap().unwrap();
         assert_eq!(back.records()[0].gen_at, Some(SimInstant(42)));
         assert_eq!(back.records()[1].gen_at, None);
+    }
+
+    #[test]
+    fn corrupt_spill_segment_is_a_feed_error_not_a_panic() {
+        let sink = GatedSink::default(); // gate closed: everything defers
+        let mut fc = controller(IngestionPolicy::spill(), &sink);
+        congest(&mut fc, 10).unwrap();
+        // tear the head segment in half, as a damaged spill file would be
+        let mut head = fc.spill.pop_segment().unwrap();
+        head.truncate(head.len() / 2);
+        fc.spill.push_front_segment(head);
+        sink.open_gate();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let err = loop {
+            match fc.drain_deferred() {
+                Err(e) => break e,
+                Ok(_) => assert!(std::time::Instant::now() < deadline, "never despilled"),
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        };
+        assert!(matches!(err, IngestError::Storage(_)), "{err}");
+        // the pusher thread is alive and the flow still shuts down cleanly
+        let parked: usize = fc.fail().iter().map(DataFrame::len).sum();
+        assert!(parked > 0, "intact segments behind the torn one survive");
     }
 }

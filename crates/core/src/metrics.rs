@@ -48,12 +48,13 @@ pub struct FeedMetrics {
     /// `records_persisted` this gives the effective batch size the write
     /// path achieved (persisted / frames_stored).
     pub frames_stored: Counter,
-    /// Text-parser invocations attributed to this connection — cache
-    /// *misses* of the shared per-payload parse cell. On the happy path the
-    /// adaptor seeds the cache, so every downstream stage hits it and this
-    /// stays 0; despilled records (whose cache was shed with the spill) and
-    /// records arriving through a joint from another feed's serialized
-    /// output show up here.
+    /// Binary-ADM payload decodes attributed to this connection — cache
+    /// *misses* of the shared per-payload decode cell (the name predates
+    /// the binary payload; no stage parses text). The adaptor seeds the
+    /// cache, so every stage on its side of a wire hop hits it and this
+    /// stays 0; records that arrive as bytes (over a TCP edge, out of the
+    /// spill file) cost one decode at the first stage that needs the tree.
+    /// Field projections (router, partitioner key) are not counted.
     pub parse_calls: Counter,
     /// Hard failures (node loss, operator panic) this connection recovered
     /// from (§6.2.2/§6.2.3).

@@ -52,7 +52,8 @@ pub struct SoftFailureEntry {
     pub operator: String,
     /// The exception message.
     pub message: String,
-    /// The offending record's payload, if identifiable.
+    /// The offending record as ADM text (a lossy rendering of its bytes
+    /// when they do not decode); `None` when no record is to blame.
     pub payload: Option<String>,
 }
 
@@ -137,7 +138,7 @@ impl Sandbox {
             at: self.clock.now(),
             operator: self.name.clone(),
             message: err.to_string(),
-            payload: record.payload_str().map(str::to_string),
+            payload: Some(record.payload.to_display_string()),
         };
         // at minimum, append to the error log
         self.log.lock().push(entry.clone());
@@ -213,7 +214,7 @@ where
     F: FnMut(&Record) -> IngestResult<Option<Record>> + Send,
 {
     fn next_frame(&mut self, frame: DataFrame, output: &mut dyn FrameWriter) -> IngestResult<()> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(frame.len());
         for record in frame.records() {
             match (self.process)(record) {
                 Ok(Some(r)) => {
@@ -799,8 +800,8 @@ impl OperatorDescriptor for AssignDesc {
         let extra_spin = self.extra_spin;
         let extra_delay_us = self.extra_delay_us;
         let process = move |rec: &Record| -> IngestResult<Option<Record>> {
-            // shared parse: a cache hit when the adaptor seeded the payload,
-            // an attributed miss for despilled or externally-built records
+            // shared decode: a cache hit when the adaptor seeded the payload,
+            // an attributed miss for despilled or wire-delivered records
             let value = rec
                 .payload
                 .adm_value_counted(metrics.parse_calls.as_atomic())
@@ -823,8 +824,8 @@ impl OperatorDescriptor for AssignDesc {
                 return Ok(None);
             }
             metrics.records_computed.add(1);
-            // UDF output is a true materialization boundary: serialize the
-            // new value once, seeding the cache so the store never re-parses
+            // UDF output is a true materialization boundary: encode the new
+            // value once, seeding the cache so a co-located store never decodes
             Ok(Some(Record {
                 id: rec.id,
                 adaptor: rec.adaptor,
@@ -885,10 +886,12 @@ impl FrameWriter for JointWriter {
 
 /// Descriptor for the routing operator of a multi-sink ingestion plan: it
 /// subscribes (through an [`IntakeDesc`] upstream) to the plan's tail feed
-/// joint, evaluates every sink's routing predicate **once** per record
-/// against the lazy parse cache, and deposits each record into the joints
-/// of the sinks it matched. Each out joint is consumed by an independent
-/// store pipeline with its own policy, flow control and custody.
+/// joint, evaluates every sink's routing predicate **once** per record —
+/// against the cached value when the record arrives warm, otherwise against
+/// a projection of just the fields the predicates read, so a cold record is
+/// routed without materialising its tree — and deposits each record into
+/// the joints of the sinks it matched. Each out joint is consumed by an
+/// independent store pipeline with its own policy, flow control and custody.
 pub struct RouteDesc {
     /// The compiled plan whose [`IngestPlan::route_record`] drives fan-out.
     ///
@@ -899,13 +902,13 @@ pub struct RouteDesc {
     pub out_joints: Vec<String>,
     /// Pinned locations (the in-joint's nodes; routing never repartitions).
     pub locations: Vec<NodeId>,
-    /// Trunk metrics (parse-cache miss attribution).
+    /// Trunk metrics (decode-cache miss attribution).
     pub metrics: Arc<FeedMetrics>,
     /// Per-sink `plan.sink.records_routed` counters, index-aligned with
     /// `out_joints`.
     pub routed: Vec<asterix_common::Counter>,
     /// `plan.route.no_match_total`: records that matched no sink (possible
-    /// only without an `otherwise` arm) or whose payload failed to parse.
+    /// only without an `otherwise` arm) or whose payload failed to decode.
     pub no_match: asterix_common::Counter,
 }
 
@@ -938,24 +941,27 @@ impl OperatorDescriptor for RouteDesc {
         let plan = Arc::clone(&self.plan);
         let parse_calls = self.metrics.parse_calls.clone();
         let no_match = self.no_match.clone();
+        let fields = plan.route_fields();
         let route_fn = Arc::new(move |rec: &Record| -> Vec<usize> {
-            // one predicate evaluation pass per record, against the shared
-            // parse cache (a hit when the adaptor seeded the payload)
-            match rec.payload.adm_value_counted(parse_calls.as_atomic()) {
-                Ok(value) => {
-                    let targets = plan.route_record(&value, rec.gen_at);
-                    if targets.is_empty() {
-                        no_match.inc();
-                    }
-                    targets
-                }
-                Err(_) => {
-                    // unparseable records cannot be routed; count them with
-                    // the no-match family rather than killing the trunk
-                    no_match.inc();
-                    Vec::new()
-                }
+            // one predicate evaluation pass per record, the same evaluator
+            // whether it sees the cached tree or a projection of the bytes
+            let route = |value: &asterix_adm::AdmValue| plan.route_record(value, rec.gen_at);
+            let routed = match &fields {
+                Some(fields) => rec
+                    .payload
+                    .with_fields(fields, parse_calls.as_atomic(), route),
+                None => rec
+                    .payload
+                    .adm_value_counted(parse_calls.as_atomic())
+                    .map(|value| route(&value)),
+            };
+            // undecodable records cannot be routed; count them with the
+            // no-match family rather than killing the trunk
+            let targets = routed.unwrap_or_default();
+            if targets.is_empty() {
+                no_match.inc();
             }
+            targets
         });
         let router = asterix_hyracks::operator::RouterOperator::new(route_fn, outputs);
         Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
@@ -1071,14 +1077,14 @@ impl OperatorDescriptor for StoreDesc {
 
 /// What became of one record of a store frame before the batch write.
 enum StoreFate {
-    /// Parse or typecheck rejected it (soft).
+    /// Decode or typecheck rejected it (soft).
     Rejected(IngestError),
     /// Valid; its position in the batch handed to the partition.
     Batched(usize),
 }
 
-/// The frame-granular store operator. Per frame: parse + typecheck every
-/// record (reusing the shared parse cache), then hand the survivors to the
+/// The frame-granular store operator. Per frame: decode + typecheck every
+/// record (reusing the shared decode cache), then hand the survivors to the
 /// partition in **one** `upsert_batch` call — one partition lock, one
 /// multi-entry WAL append — and finally run the §6.1 sandbox bookkeeping
 /// over the merged per-record outcomes in arrival order, so soft-failure
@@ -1099,8 +1105,8 @@ impl UnaryOperator for StoreFeed {
         let mut fates: Vec<StoreFate> = Vec::with_capacity(records.len());
         let mut batch: Vec<Arc<asterix_adm::AdmValue>> = Vec::with_capacity(records.len());
         for rec in records {
-            // reuses the parse seeded at the adaptor (or by assign's UDF
-            // output); only despilled/externally-built records miss here
+            // reuses the value seeded at the adaptor (or by assign's UDF
+            // output); only despilled or wire-delivered records miss here
             let parsed = rec
                 .payload
                 .adm_value_counted(self.metrics.parse_calls.as_atomic())
@@ -1164,20 +1170,33 @@ impl UnaryOperator for StoreFeed {
 }
 
 /// The hash-partitioning key function for the store connector: hash of the
-/// record's primary key (falls back to hashing raw bytes on unparseable
+/// record's primary key (falls back to hashing raw bytes on undecodable
 /// payloads — the store's sandbox reports those as soft failures).
 ///
-/// Uses the payload's shared parse cache, so routing a record costs no parse
-/// beyond the adaptor's (and caches the parse for the store if the record
-/// somehow arrives cold).
-pub fn store_key_fn(primary_key: String) -> Arc<dyn Fn(&Record) -> u64 + Send + Sync> {
+/// A warm record is read through its shared cache; a cold one (fresh off a
+/// wire hop) has just the key decoded out of its bytes. Only a record with
+/// no primary key needs the whole value, and that decode is counted in
+/// `parse_calls` like every other stage's.
+pub fn store_key_fn(
+    primary_key: String,
+    parse_calls: Counter,
+) -> Arc<dyn Fn(&Record) -> u64 + Send + Sync> {
+    let fields = [primary_key];
     Arc::new(move |rec: &Record| {
-        match rec.payload.adm_value().ok() {
-            Some(v) => match v.field(&primary_key) {
-                Some(k) => asterix_adm::hash::hash_value(k),
-                None => asterix_adm::hash::hash_value(&v),
-            },
-            None => {
+        let misses = parse_calls.as_atomic();
+        let key_hash =
+            |v: &asterix_adm::AdmValue| v.field(&fields[0]).map(asterix_adm::hash::hash_value);
+        rec.payload
+            .with_fields(&fields, misses, key_hash)
+            .and_then(|hash| match hash {
+                Some(hash) => Ok(hash),
+                // no primary key: the whole value routes the record
+                None => rec
+                    .payload
+                    .adm_value_counted(misses)
+                    .map(|v| asterix_adm::hash::hash_value(&v)),
+            })
+            .unwrap_or_else(|_| {
                 // raw-byte hash keeps routing deterministic
                 let mut h = 0xcbf2_9ce4_8422_2325u64;
                 for &b in rec.payload.iter() {
@@ -1185,8 +1204,7 @@ pub fn store_key_fn(primary_key: String) -> Arc<dyn Fn(&Record) -> u64 + Send + 
                     h = h.wrapping_mul(0x0000_0100_0000_01b3);
                 }
                 h
-            }
-        }
+            })
     })
 }
 
@@ -1248,7 +1266,7 @@ mod tests {
     #[test]
     fn metafeed_skips_soft_failures_and_logs() {
         let (mut meta, m, log) = meta_with(IngestionPolicy::basic(), |r: &Record| {
-            if r.payload_str() == Some("bad") {
+            if &r.payload[..] == b"bad" {
                 Err(IngestError::soft("cannot parse"))
             } else {
                 Ok(Some(r.clone()))
@@ -1283,7 +1301,7 @@ mod tests {
         let mut policy = IngestionPolicy::basic();
         policy.max_consecutive_soft_failures = 2;
         let (mut meta, _m, _log) = meta_with(policy, |r: &Record| {
-            if r.payload_str() == Some("bad") {
+            if &r.payload[..] == b"bad" {
                 Err(IngestError::soft("x"))
             } else {
                 Ok(Some(r.clone()))
@@ -1320,14 +1338,48 @@ mod tests {
 
     #[test]
     fn store_key_fn_routes_by_primary_key() {
-        let key_fn = store_key_fn("id".into());
-        let r1 = Record::tracked(RecordId(0), 0, "{\"id\":\"a\",\"x\":1}");
-        let r2 = Record::tracked(RecordId(1), 0, "{\"id\":\"a\",\"x\":2}");
-        let r3 = Record::tracked(RecordId(2), 0, "{\"id\":\"b\",\"x\":1}");
+        use asterix_adm::payload_from_text;
+        let parse_calls = Counter::new();
+        let key_fn = store_key_fn("id".into(), parse_calls.clone());
+        let warm = |id: u64, text: &str| {
+            Record::tracked(RecordId(id), 0, payload_from_text(text).unwrap())
+        };
+        // the same bytes with a cold cache, as a wire hop delivers them
+        let cold = |r: &Record| Record::tracked(r.id, 0, r.payload.bytes().clone());
+        let r1 = warm(0, "{\"id\":\"a\",\"x\":1}");
+        let r2 = warm(1, "{\"id\":\"a\",\"x\":2}");
+        let r3 = warm(2, "{\"id\":\"b\",\"x\":1}");
         assert_eq!(key_fn(&r1), key_fn(&r2), "same key, same route");
         assert_ne!(key_fn(&r1), key_fn(&r3));
-        // unparseable payloads still route deterministically
-        let bad = Record::tracked(RecordId(3), 0, "}{");
+        // a cold record routes like its warm twin, by decoding only the key
+        let c1 = cold(&r1);
+        assert_eq!(key_fn(&c1), key_fn(&r1));
+        assert!(!c1.payload.is_parsed());
+        assert_eq!(parse_calls.get(), 0, "key projections are not decodes");
+        // no primary key: the whole value routes it, and the decode counts
+        let keyless = warm(3, "{\"x\":1}");
+        assert_eq!(key_fn(&cold(&keyless)), key_fn(&keyless));
+        assert_eq!(parse_calls.get(), 1);
+        // undecodable payloads still route deterministically
+        let bad = Record::tracked(RecordId(4), 0, "}{");
         assert_eq!(key_fn(&bad), key_fn(&bad));
+    }
+
+    #[test]
+    fn soft_failure_log_renders_binary_payloads_as_text() {
+        use asterix_adm::payload_from_text;
+        let (mut meta, _m, log) = meta_with(IngestionPolicy::basic(), |_r: &Record| {
+            Err(IngestError::soft("rejected"))
+        });
+        let text = "{ \"id\": \"t1\", \"n\": 5 }";
+        let warm = Record::tracked(RecordId(0), 0, payload_from_text(text).unwrap());
+        let cold = Record::tracked(RecordId(1), 0, warm.payload.bytes().clone());
+        let mut out = CaptureWriter(Vec::new());
+        meta.next_frame(DataFrame::from_records(vec![warm, cold]), &mut out)
+            .unwrap();
+        let expected = asterix_adm::to_adm_string(&asterix_adm::parse_value(text).unwrap());
+        let entries = log.lock();
+        assert_eq!(entries[0].payload.as_deref(), Some(expected.as_str()));
+        assert_eq!(entries[1].payload, entries[0].payload, "cold bytes decode");
     }
 }

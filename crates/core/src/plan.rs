@@ -357,7 +357,32 @@ impl RoutePredicate {
         Some(cur)
     }
 
+    /// Append the top-level field every leaf of the predicate reads (the
+    /// head of its path). False when a leaf reads the record itself (an
+    /// empty path), so no projection can serve the predicate.
+    fn top_level_fields(&self, out: &mut Vec<String>) -> bool {
+        match self {
+            RoutePredicate::Compare { field, .. } | RoutePredicate::Exists { field } => {
+                let Some(head) = field.first() else {
+                    return false;
+                };
+                if !out.contains(head) {
+                    out.push(head.clone());
+                }
+                true
+            }
+            RoutePredicate::All(ps) | RoutePredicate::Any(ps) => {
+                ps.iter().all(|p| p.top_level_fields(out))
+            }
+            RoutePredicate::Not(p) => p.top_level_fields(out),
+            RoutePredicate::Window { .. } => true,
+        }
+    }
+
     /// Does the predicate hold for `value` (generated at `gen_at`)?
+    ///
+    /// `value` is the record, or any projection of it that keeps the
+    /// top-level fields the predicate reads ([`IngestPlan::route_fields`]).
     ///
     /// This is *the* evaluator: the routing operator, the bench
     /// expected-set computation and the proptests all call it, so runtime
@@ -556,6 +581,19 @@ impl IngestPlan {
                 .map(|(i, _)| i)
                 .collect(),
         }
+    }
+
+    /// The top-level fields the routing predicates read: routing a
+    /// projection of a record onto these fields gives the same answer as
+    /// routing the record. `None` when some predicate reads the record as a
+    /// whole, so only the full value will do.
+    pub fn route_fields(&self) -> Option<Vec<String>> {
+        let mut fields = Vec::new();
+        self.sinks
+            .iter()
+            .filter_map(|s| s.predicate.as_ref())
+            .all(|p| p.top_level_fields(&mut fields))
+            .then_some(fields)
     }
 
     /// True when the plan carries an `otherwise` arm (first-match) — the

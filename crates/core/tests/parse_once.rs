@@ -2,23 +2,28 @@
 //!
 //! A record travelling adaptor → intake → assign (UDF) → partitioner →
 //! store → secondary index must be parsed from text exactly once — at the
-//! adaptor, which seeds the payload's shared parse cache. Before the
-//! parse-once refactor this path parsed each record three or more times
-//! (assign, key function and store each re-read the text).
+//! adaptor, which seeds the payload's shared cache and writes the binary
+//! ADM payload every later hop carries. Before the parse-once refactor this
+//! path parsed each record three or more times (assign, key function and
+//! store each re-read the text); before payloads went binary every TCP hop
+//! and every despill cost another text parse, and every stage that produced
+//! a value printed it.
 //!
 //! This file holds a single `#[test]` so its process owns the global
-//! [`asterix_adm::parse_calls`] counter — other test binaries run in their
-//! own processes and cannot perturb it.
+//! [`asterix_adm::parse_calls`] / [`asterix_adm::print_calls`] counters —
+//! other test binaries run in their own processes and cannot perturb them.
 
 use asterix_adm::types::paper_registry;
-use asterix_adm::{parse_calls, AdmValue};
+use asterix_adm::{parse_calls, print_calls, AdmValue};
 use asterix_common::{NodeId, SimClock, SimDuration};
 use asterix_feeds::adaptor::{bind_socket, unbind_socket};
 use asterix_feeds::builder::FeedBuilder;
 use asterix_feeds::catalog::FeedCatalog;
 use asterix_feeds::controller::{ControllerConfig, FeedController};
+use asterix_feeds::plan::{IngestPlanBuilder, RoutePredicate, SinkSpec};
 use asterix_feeds::udf::Udf;
 use asterix_hyracks::cluster::{Cluster, ClusterConfig};
+use asterix_hyracks::transport::TransportKind;
 use asterix_storage::secondary::IndexKind;
 use asterix_storage::{Dataset, DatasetConfig};
 use std::sync::Arc;
@@ -38,7 +43,118 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 }
 
 #[test]
-fn intake_to_store_parses_each_record_exactly_once() {
+fn every_record_is_parsed_exactly_once_and_never_printed() {
+    in_process_feed_parses_once();
+    tcp_plan_with_a_spill_parses_once_and_prints_nothing();
+}
+
+/// N records through socket → sentiment UDF → 3-way route → 3 stores with
+/// every job edge on a real TCP socket, one sink congested into a
+/// spill/despill: still N text parses (the adaptor's), no print, and two
+/// binary decodes per record — assign and store, each on the far side of a
+/// wire hop. The router and the partitioner read their fields out of the
+/// bytes without decoding the record.
+fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
+    const N: u64 = 600;
+    let clock = SimClock::with_scale(10.0);
+    let cluster = Cluster::start(
+        2,
+        clock.clone(),
+        ClusterConfig {
+            heartbeat_interval: SimDuration::from_secs(5),
+            failure_threshold: SimDuration::from_secs(1_000_000),
+        },
+    );
+    let catalog = FeedCatalog::new(paper_registry());
+    let controller = FeedController::start(
+        cluster.clone(),
+        Arc::clone(&catalog),
+        ControllerConfig {
+            transport: TransportKind::Tcp,
+            flow_capacity: 1,
+            ..ControllerConfig::default()
+        },
+    );
+    let nodegroup: Vec<NodeId> = cluster.alive_nodes().iter().map(|n| n.id()).collect();
+    let dataset = |name: &str, insert_spin: u64| {
+        let config = DatasetConfig {
+            name: name.into(),
+            datatype: "Tweet".into(),
+            primary_key: "id".into(),
+            nodegroup: nodegroup.clone(),
+        };
+        let d = Arc::new(Dataset::create_with(config, insert_spin).unwrap());
+        catalog.register_dataset(Arc::clone(&d));
+        d
+    };
+    let us = dataset("UsTweets", 0);
+    let popular = dataset("PopularTweets", 0);
+    // the catch-all sink is slow: its one-frame hand-off queue backs up and
+    // the Spill policy sends the excess through the spill file
+    let rest = dataset("RestTweets", 400_000);
+    catalog.create_function(Udf::sentiment_analysis()).unwrap();
+
+    let tx = bind_socket("parse-once:9001", 2048).unwrap();
+    let plan = IngestPlanBuilder::new("ScoredFeed")
+        .adaptor("socket_adaptor")
+        .param("sockets", "parse-once:9001")
+        .udf("tweetlib#sentimentAnalysis")
+        .sink(SinkSpec::to("UsTweets").route(RoutePredicate::eq("country", "US")))
+        .sink(
+            SinkSpec::to("PopularTweets").route(RoutePredicate::gt("user.followers_count", 50_000)),
+        )
+        .sink(SinkSpec::to("RestTweets").otherwise().policy("Spill"))
+        .register(&catalog)
+        .unwrap();
+    controller.connect_plan(&plan).unwrap();
+
+    let mut factory = tweetgen::TweetFactory::new(5, 11);
+    let lines: Vec<String> = (0..N).map(|_| factory.next_json()).collect();
+    let (parsed_before, printed_before) = (parse_calls(), print_calls());
+    for line in &lines {
+        tx.send(line.clone()).unwrap();
+    }
+    let stored = || (us.len() + popular.len() + rest.len()) as u64;
+    assert!(
+        wait_until(Duration::from_secs(120), || stored() == N),
+        "expected {N} records persisted, saw {}",
+        stored()
+    );
+    assert_eq!(
+        parse_calls() - parsed_before,
+        N,
+        "text is parsed once, at the adaptor"
+    );
+    assert_eq!(
+        print_calls() - printed_before,
+        0,
+        "no stage between adaptor and store prints a record"
+    );
+    let snap = controller.registry().snapshot();
+    assert!(
+        snap.counter("feed.records_spilled") > 0,
+        "the slow sink never reached the spill path"
+    );
+    assert_eq!(
+        snap.counter("feed.records_despilled"),
+        snap.counter("feed.records_spilled")
+    );
+    assert_eq!(
+        snap.counter("feed.parse_calls"),
+        2 * N,
+        "one decode behind each wire hop that needs the tree: assign, store"
+    );
+    // the UDF ran and the doubles it produced survived three wire hops
+    assert!(rest.scan_all().iter().all(
+        |r| matches!(r.field("sentiment"), Some(AdmValue::Double(s)) if (0.0..=1.0).contains(s))
+    ));
+
+    controller.shutdown();
+    cluster.shutdown();
+    unbind_socket("parse-once:9001");
+}
+
+fn in_process_feed_parses_once() {
     let clock = SimClock::with_scale(10.0);
     let cluster = Cluster::start(
         2,

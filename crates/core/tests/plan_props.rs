@@ -8,10 +8,16 @@
 //! routing operator, the `exp_fanout` bench oracle and these tests all call
 //! the same [`IngestPlan::route_record`], so whatever these properties pin
 //! down is what the pipeline does.
+//!
+//! The router and the store partitioner read a *cold* record (one fresh off
+//! a wire hop) through a projection of its bytes instead of a decoded tree;
+//! the last two properties pin that a projection routes and hashes exactly
+//! like the full value.
 
-use asterix_adm::AdmValue;
-use asterix_common::SimInstant;
+use asterix_adm::{payload_from_value, AdmPayloadExt, AdmValue};
+use asterix_common::{Counter, Record, RecordPayload, SimInstant};
 use asterix_feeds::adaptor::AdaptorConfig;
+use asterix_feeds::ops::store_key_fn;
 use asterix_feeds::plan::{IngestPlan, PlanSource, RoutePredicate, RoutingMode, SinkSpec};
 use proptest::prelude::*;
 
@@ -56,6 +62,33 @@ fn record() -> impl Strategy<Value = AdmValue> {
             AdmValue::record(fields)
         },
     )
+}
+
+/// Records as hostile to a projection as the data model allows: fields in
+/// any order, any of them missing or present twice with different values,
+/// `user` sometimes not a record at all.
+fn ragged_record() -> impl Strategy<Value = AdmValue> {
+    let field = prop_oneof![
+        country().prop_map(|c| ("country", AdmValue::from(c))),
+        (0i64..100_000).prop_map(|n| {
+            let user = AdmValue::record(vec![
+                ("name", "u".into()),
+                ("followers_count", AdmValue::Int(n)),
+            ]);
+            ("user", user)
+        }),
+        (0i64..100_000).prop_map(|n| ("user", AdmValue::Int(n))),
+        Just(("location", AdmValue::Point(1.0, 2.0))),
+        (0u64..50).prop_map(|id| ("id", AdmValue::String(format!("r{id}")))),
+        (0i64..50).prop_map(|id| ("id", AdmValue::Int(id))),
+        "[a-z]{0,12}".prop_map(|t| ("message_text", AdmValue::String(t))),
+    ];
+    prop::collection::vec(field, 0..8).prop_map(AdmValue::record)
+}
+
+/// The bytes of `value` with a cold cache, as a wire hop delivers them.
+fn cold(value: &AdmValue) -> RecordPayload {
+    RecordPayload::new(payload_from_value(value.clone()).bytes().clone())
 }
 
 /// N predicate arms plus a final `otherwise` arm.
@@ -143,4 +176,66 @@ proptest! {
             prop_assert_eq!(targets.is_empty(), !matches_any);
         }
     }
+
+    /// What the routing operator does with a cold record — evaluate the
+    /// plan on a projection onto `route_fields()` — picks the same sinks as
+    /// evaluating it on the decoded record, and decodes nothing.
+    #[test]
+    fn routing_a_projection_equals_routing_the_record(
+        preds in prop::collection::vec(pred(), 0..5),
+        multicast in any::<bool>(),
+        records in prop::collection::vec(
+            (ragged_record(), any::<bool>(), 0u64..20_000), 1..30),
+    ) {
+        let mode = if multicast { RoutingMode::Multicast } else { RoutingMode::FirstMatch };
+        let plan = plan(mode, preds);
+        let fields = plan.route_fields().expect("every generated leaf names a field");
+        let decodes = Counter::new();
+        for (rec, timed, at) in &records {
+            let gen_at = timed.then_some(SimInstant(*at));
+            let payload = cold(rec);
+            let projected = payload
+                .with_fields(&fields, decodes.as_atomic(), |v| plan.route_record(v, gen_at))
+                .unwrap();
+            prop_assert_eq!(projected, plan.route_record(rec, gen_at), "record {:?}", rec);
+            prop_assert!(!payload.is_parsed());
+        }
+        prop_assert_eq!(decodes.get(), 0);
+    }
+
+    /// The partitioner hashes a cold record's primary key out of its bytes:
+    /// same bucket as the warm record, whatever the key's position, type or
+    /// multiplicity — and the whole value when there is no key.
+    #[test]
+    fn hashing_a_projected_key_equals_hashing_the_record(
+        records in prop::collection::vec(ragged_record(), 1..30),
+    ) {
+        let key_fn = store_key_fn("id".into(), Counter::new());
+        for rec in &records {
+            let warm = Record::untracked(0, payload_from_value(rec.clone()));
+            let cold = Record::untracked(0, cold(rec));
+            prop_assert_eq!(key_fn(&cold), key_fn(&warm), "record {:?}", rec);
+        }
+    }
+}
+
+/// A predicate that compares the record as a whole cannot be served by a
+/// projection: the plan says so and the router decodes the full value.
+#[test]
+fn whole_record_predicates_disable_the_projection() {
+    let whole = RoutePredicate::Exists { field: Vec::new() };
+    let named = RoutePredicate::eq("country", "US");
+    let fields = |preds| plan(RoutingMode::FirstMatch, preds).route_fields();
+    assert_eq!(fields(vec![named.clone(), whole]), None);
+    assert_eq!(
+        fields(vec![
+            named,
+            RoutePredicate::gt("user.followers_count", 5),
+            RoutePredicate::window(10, 5),
+            RoutePredicate::exists("user.name"),
+        ]),
+        Some(vec!["country".to_string(), "user".to_string()]),
+        "top-level heads only, each once"
+    );
+    assert_eq!(fields(Vec::new()), Some(Vec::new()), "otherwise-only plan");
 }

@@ -2,9 +2,10 @@
 //!
 //! Real Hyracks connectors move frames between Node Controller processes
 //! over TCP; our in-process ports fake that wire. This module makes the
-//! wire real: a length-prefixed TCP framing of [`TaskMsg`] streams reusing
-//! the binary ADM codec for record metadata, so two halves of a pipeline
-//! can run in separate OS processes.
+//! wire real: a length-prefixed TCP framing of [`TaskMsg`] streams whose
+//! frames are serialized by the shared record codec of
+//! [`asterix_common::frame`], so two halves of a pipeline can run in
+//! separate OS processes.
 //!
 //! ## Wire format
 //!
@@ -15,15 +16,24 @@
 //! body      := tag (u8), payload
 //! tag       := 0 Frame | 1 Close | 2 Fail
 //! Frame     := u32 LE record_count, record*
-//! record    := adm_envelope, u32 LE payload_len, payload bytes
+//! record    := u64 LE id, u32 LE adaptor, u64 LE gen_millis | u64::MAX,
+//!              u32 LE payload_len, payload bytes
 //! ```
 //!
-//! `adm_envelope` is a binary-ADM record `{id, adaptor, gen}` encoding the
-//! record's tracking metadata ([`encode_msg`] documents the exact mapping).
-//! The payload rides as raw bytes after the envelope: payloads are ADM
-//! *text* whose parse is lazy and shared, and re-encoding them as binary
-//! ADM at every hop is exactly the per-boundary re-serialization §3.2.2
-//! says Hyracks avoids.
+//! | field         | bytes | meaning                                         |
+//! |---------------|-------|-------------------------------------------------|
+//! | `id`          | 8     | tracking id (`u64::MAX` = not yet assigned)     |
+//! | `adaptor`     | 4     | sourcing adaptor instance                       |
+//! | `gen_millis`  | 8     | generation stamp, `u64::MAX` = unstamped        |
+//! | `payload_len` | 4     | bytes of payload that follow                    |
+//! | payload       | n     | the record's binary ADM, copied verbatim        |
+//!
+//! The `Frame` payload is exactly what [`DataFrame::encode_into`] writes —
+//! the same bytes a spill segment holds — and is read back by the same
+//! checked [`DataFrame::decode`]. The payload is the record's one
+//! serialized form (binary ADM since the adaptor): a hop copies it and
+//! never re-serializes it, which is the per-boundary work §3.2.2 says
+//! Hyracks avoids.
 //!
 //! ## Pieces
 //!
@@ -42,12 +52,8 @@
 
 use crate::operator::FrameWriter;
 use crate::port::{frame_port, PortPop, PortSender, TaskMsg};
-use asterix_adm::binary;
-use asterix_adm::AdmValue;
 use asterix_common::sync::thread as sync_thread;
-use asterix_common::{
-    Counter, DataFrame, IngestError, IngestResult, MetricsRegistry, Record, RecordId, SimInstant,
-};
+use asterix_common::{Counter, DataFrame, IngestError, IngestResult, MetricsRegistry};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
@@ -84,11 +90,6 @@ pub enum WireMsg {
 }
 
 /// Encode one message, appending to `out`.
-///
-/// Record metadata rides in a binary-ADM envelope record:
-/// `{id: int (u64 tracking id, two's-complement cast), adaptor: int,
-/// gen: int millis | null}`; the serialized payload follows as raw
-/// length-prefixed bytes.
 pub fn encode_msg(msg: &WireMsg, out: &mut Vec<u8>) {
     let len_at = out.len();
     out.extend_from_slice(&[0u8; 4]); // body length backpatched below
@@ -97,100 +98,23 @@ pub fn encode_msg(msg: &WireMsg, out: &mut Vec<u8>) {
         WireMsg::Fail => out.push(TAG_FAIL),
         WireMsg::Frame(frame) => {
             out.push(TAG_FRAME);
-            out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-            for rec in frame.records() {
-                let envelope = AdmValue::record(vec![
-                    ("id", AdmValue::Int(rec.id.raw() as i64)),
-                    ("adaptor", AdmValue::Int(rec.adaptor as i64)),
-                    (
-                        "gen",
-                        match rec.gen_at {
-                            Some(t) => AdmValue::Int(t.as_millis() as i64),
-                            None => AdmValue::Null,
-                        },
-                    ),
-                ]);
-                binary::encode_into(&envelope, out);
-                let payload = rec.payload.bytes();
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                out.extend_from_slice(payload);
-            }
+            frame.encode_into(out);
         }
     }
     let body_len = (out.len() - len_at - 4) as u32;
     out[len_at..len_at + 4].copy_from_slice(&body_len.to_le_bytes());
 }
 
-fn take_u32(input: &[u8]) -> IngestResult<(u32, &[u8])> {
-    if input.len() < 4 {
-        return Err(IngestError::Parse("truncated u32 in wire frame".into()));
-    }
-    let (head, rest) = input.split_at(4);
-    Ok((
-        u32::from_le_bytes([head[0], head[1], head[2], head[3]]),
-        rest,
-    ))
-}
-
-fn envelope_int(fields: &[(String, AdmValue)], name: &str) -> IngestResult<Option<i64>> {
-    match fields.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
-        Some(AdmValue::Int(v)) => Ok(Some(*v)),
-        Some(AdmValue::Null) | None => Ok(None),
-        Some(other) => Err(IngestError::Parse(format!(
-            "wire envelope field '{name}' has type {other:?}"
-        ))),
-    }
-}
-
-fn decode_record(input: &[u8]) -> IngestResult<(Record, &[u8])> {
-    let (envelope, rest) = binary::decode_prefix(input)?;
-    let AdmValue::Record(fields) = envelope else {
-        return Err(IngestError::Parse(
-            "wire record envelope is not an ADM record".into(),
-        ));
-    };
-    let id = envelope_int(&fields, "id")?
-        .ok_or_else(|| IngestError::Parse("wire envelope missing 'id'".into()))?;
-    let adaptor = envelope_int(&fields, "adaptor")?
-        .ok_or_else(|| IngestError::Parse("wire envelope missing 'adaptor'".into()))?;
-    let gen_at = envelope_int(&fields, "gen")?;
-    let (payload_len, rest) = take_u32(rest)?;
-    let payload_len = payload_len as usize;
-    if rest.len() < payload_len {
-        return Err(IngestError::Parse("truncated record payload".into()));
-    }
-    let (payload, rest) = rest.split_at(payload_len);
-    let mut rec = Record::tracked(RecordId(id as u64), adaptor as u32, payload.to_vec());
-    if let Some(ms) = gen_at {
-        rec = rec.stamped(SimInstant(ms as u64));
-    }
-    Ok((rec, rest))
-}
-
 fn decode_body(body: &[u8]) -> IngestResult<WireMsg> {
-    let Some((&tag, rest)) = body.split_first() else {
-        return Err(IngestError::Parse("empty wire message body".into()));
-    };
-    match tag {
-        TAG_CLOSE => Ok(WireMsg::Close),
-        TAG_FAIL => Ok(WireMsg::Fail),
-        TAG_FRAME => {
-            let (count, mut rest) = take_u32(rest)?;
-            let mut records = Vec::with_capacity((count as usize).min(65_536));
-            for _ in 0..count {
-                let (rec, r) = decode_record(rest)?;
-                records.push(rec);
-                rest = r;
-            }
-            if !rest.is_empty() {
-                return Err(IngestError::Parse(format!(
-                    "{} trailing bytes after wire frame",
-                    rest.len()
-                )));
-            }
-            Ok(WireMsg::Frame(DataFrame::from_records(records)))
-        }
-        other => Err(IngestError::Parse(format!("unknown wire tag {other}"))),
+    match body {
+        [TAG_CLOSE] => Ok(WireMsg::Close),
+        [TAG_FAIL] => Ok(WireMsg::Fail),
+        [TAG_FRAME, frame @ ..] => DataFrame::decode(frame).map(WireMsg::Frame),
+        _ => Err(IngestError::Parse(format!(
+            "malformed wire message body: tag {:?}, {} bytes",
+            body.first(),
+            body.len()
+        ))),
     }
 }
 
@@ -523,6 +447,7 @@ pub(crate) fn bridge_consumer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asterix_common::{Record, RecordId, SimInstant};
 
     fn rec(i: u64) -> Record {
         Record::tracked(RecordId(i), (i % 3) as u32, format!("{{\"id\":{i}}}"))
