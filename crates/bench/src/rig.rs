@@ -4,9 +4,9 @@
 use asterix_adm::types::paper_registry;
 use asterix_common::{FaultPlan, MetricsRegistry, MetricsSnapshot, NodeId, SimClock, SimDuration};
 use asterix_feeds::adaptor::{ChaosAdaptorFactory, TweetGenAdaptorFactory};
-use asterix_feeds::builder::FeedBuilder;
 use asterix_feeds::catalog::FeedCatalog;
 use asterix_feeds::controller::{ControllerConfig, FeedController};
+use asterix_feeds::plan::IngestPlanBuilder;
 use asterix_hyracks::cluster::{Cluster, ClusterConfig};
 use asterix_storage::{Dataset, DatasetConfig};
 use std::sync::Arc;
@@ -152,13 +152,13 @@ impl ExperimentRig {
 
     /// Define a primary feed over TweetGen addresses, optionally with a UDF.
     pub fn primary_feed(&self, name: &str, datasource: &str, udf: Option<&str>) {
-        let mut b = FeedBuilder::new(name)
+        let mut b = IngestPlanBuilder::new(name)
             .adaptor("TweetGenAdaptor")
             .param("datasource", datasource);
         if let Some(udf) = udf {
             b = b.udf(udf);
         }
-        b.register(&self.catalog).expect("create feed");
+        b.register_feeds(&self.catalog).expect("create feed");
     }
 
     /// Define a primary feed whose TweetGen adaptor is wrapped in the
@@ -173,19 +173,19 @@ impl ExperimentRig {
                 Arc::new(TweetGenAdaptorFactory),
                 Arc::clone(plan),
             )));
-        FeedBuilder::new(name)
+        IngestPlanBuilder::new(name)
             .adaptor("chaos:TweetGenAdaptor")
             .param("datasource", datasource)
-            .register(&self.catalog)
+            .register_feeds(&self.catalog)
             .expect("create chaos feed");
     }
 
     /// Define a secondary feed.
     pub fn secondary_feed(&self, name: &str, parent: &str, udf: &str) {
-        FeedBuilder::new(name)
+        IngestPlanBuilder::new(name)
             .parent(parent)
             .udf(udf)
-            .register(&self.catalog)
+            .register_feeds(&self.catalog)
             .expect("create secondary feed");
     }
 

@@ -260,6 +260,18 @@ impl FeedCatalog {
         Ok(p)
     }
 
+    /// Resolve a plan sink's policy name + inline parameter overrides into an
+    /// [`IngestionPolicy`] (an override set derives a connection-private
+    /// policy named `<policy>@<dataset>`).
+    pub fn sink_policy(&self, sink: &crate::plan::SinkSpec) -> IngestResult<IngestionPolicy> {
+        let base = self.policy(&sink.policy)?;
+        if sink.policy_params.is_empty() {
+            return Ok(base);
+        }
+        let name = format!("{}@{}", sink.policy, sink.dataset);
+        base.extend(name, &sink.policy_params)
+    }
+
     /// Look up a policy (built-in or custom).
     pub fn policy(&self, name: &str) -> IngestResult<IngestionPolicy> {
         if let Some(p) = self.state.read().policies.get(name) {
@@ -352,21 +364,21 @@ mod tests {
     }
 
     fn primary(name: &str, udf: Option<&str>) -> FeedDef {
-        let mut b = crate::builder::FeedBuilder::new(name)
+        let mut b = crate::plan::IngestPlanBuilder::new(name)
             .adaptor("TweetGenAdaptor")
             .param("datasource", "x:1");
         if let Some(u) = udf {
             b = b.udf(u);
         }
-        b.build().unwrap()
+        b.build_feed_def().unwrap()
     }
 
     fn secondary(name: &str, parent: &str, udf: Option<&str>) -> FeedDef {
-        let mut b = crate::builder::FeedBuilder::new(name).parent(parent);
+        let mut b = crate::plan::IngestPlanBuilder::new(name).parent(parent);
         if let Some(u) = udf {
             b = b.udf(u);
         }
-        b.build().unwrap()
+        b.build_feed_def().unwrap()
     }
 
     #[test]

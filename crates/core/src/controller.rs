@@ -8,54 +8,64 @@
 //! the fault-tolerance protocol (§6.2.2) and elastic restructuring
 //! (§7.3.5).
 //!
-//! ## Pipeline segments
+//! ## One segment table
 //!
-//! A connected cascade network is a set of *segments*, each one Hyracks job:
+//! A connected cascade network is a set of *segments*, each one Hyracks job,
+//! all rows of one table keyed by job name:
 //!
-//! * **Collect segment** (head, one per primary feed with a live external
+//! * `collect:<joint>` (head, one per primary feed with a live external
 //!   connection): `FeedCollect(adaptor) → NullSink`, publishing the root
 //!   joint;
-//! * **Compute segment** (one per feed with a UDF): `FeedIntake(parent
-//!   joint) → Assign(UDF)`, publishing the feed's joint;
-//! * **Store segment** (tail, one per connection): `FeedIntake(source
-//!   joint) → hash-partition → IndexInsert`, co-located with the target
-//!   dataset's partitions.
+//! * `compute:<joint>` (one per feed with a UDF): `FeedIntake(parent joint)
+//!   → Assign(UDF)`, publishing the feed's joint;
+//! * `route:<plan>` (one per routed ingestion plan): `FeedIntake(tail joint)
+//!   → Route`, publishing one joint per sink;
+//! * `store:<feed>-><dataset>` (tail, one per connection):
+//!   `FeedIntake(source joint) → hash-partition → IndexInsert`, co-located
+//!   with the target dataset's partitions.
 //!
-//! Segments are shared: connecting a feed reuses the nearest active
-//! ancestor joint (§5.3.2, "to minimize the processing involved in forming
-//! a feed, it is desired to source the feed from the nearest ancestor feed
-//! that is in the connected state"). Disconnecting kills only the store
-//! segment; producer segments are garbage-collected when their joints lose
-//! their last subscriber.
+//! A joint lives where its producing segment is placed, so the joint
+//! directory is derived from the table, never stored beside it. Segments are
+//! shared: connecting a feed reuses the nearest active ancestor joint
+//! (§5.3.2, "to minimize the processing involved in forming a feed, it is
+//! desired to source the feed from the nearest ancestor feed that is in the
+//! connected state"). Disconnecting kills only the store segment; producer
+//! segments are garbage-collected when their joints lose their last
+//! subscriber.
+//!
+//! Whenever the network has to change — a node failure (§6.2.2), an elastic
+//! restructuring (§7.3.5) — the controller does one thing: it revises the
+//! placement of the affected producers and reschedules them and the jobs
+//! downstream (`move_joints`), carrying the surviving operators' state over
+//! as zombie state (`settle_and_migrate`).
 
+use crate::adaptor::{AdaptorConfig, AdaptorFactory};
 use crate::catalog::{FeedCatalog, FeedKind};
 use crate::flow::ElasticRequest;
-use crate::governor::{decide, GovernorConfig, GovernorSample, GovernorState, ScaleDecision};
+use crate::governor::{ConnGovernor, GovernorConfig, ScaleDecision};
 use crate::manager::FeedManager;
 use crate::metrics::FeedMetrics;
 use crate::ops::{
-    new_soft_failure_log, AckPlumbing, AssignDesc, CollectDesc, IntakeDesc, RouteDesc,
-    SoftFailureEntry, SoftFailureLog, StoreAck, StoreDesc,
+    ack_channels, new_soft_failure_log, AckPlumbing, AssignDesc, CollectDesc, IntakeDesc,
+    NullSinkDesc, RouteDesc, SoftFailureEntry, SoftFailureLog, StoreAck, StoreDesc,
 };
-use crate::plan::{IngestPlan, SinkSpec};
+use crate::plan::IngestPlan;
 use crate::policy::IngestionPolicy;
 use crate::udf::Udf;
 use asterix_common::ids::IdGen;
 use asterix_common::sync::{handoff, thread as sync_thread, Mutex};
 use asterix_common::{
-    FaultPlan, FeedId, HistogramSnapshot, IngestError, IngestResult, NodeId, SimDuration,
-    SimInstant,
+    FaultPlan, FeedId, IngestError, IngestResult, JobId, NodeId, SimDuration, SimInstant,
 };
 use asterix_hyracks::cluster::{Cluster, ClusterEvent};
 use asterix_hyracks::connector::ConnectorSpec;
-use asterix_hyracks::executor::{run_job, JobHandle, TaskContext};
-use asterix_hyracks::job::{Constraint, JobSpec, OperatorDescriptor};
-use asterix_hyracks::operator::{FrameWriter, NullSink, OperatorRuntime};
+use asterix_hyracks::executor::{run_job, JobHandle};
+use asterix_hyracks::job::{Constraint, JobSpec, OperatorDescriptor, OperatorSpecId};
 use asterix_hyracks::scheduler::TaskHandle;
 use asterix_hyracks::transport::TransportKind;
 use asterix_storage::Dataset;
 use crossbeam_channel::Sender;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -88,84 +98,216 @@ pub enum ConnectionState {
     Ended,
 }
 
-struct CollectSegment {
-    joint_id: String,
-    factory: Arc<dyn crate::adaptor::AdaptorFactory>,
-    config: crate::adaptor::AdaptorConfig,
-    locations: Vec<NodeId>,
-    job: JobHandle,
-}
-
-struct ComputeSegment {
-    out_joint: String,
-    in_joint: String,
-    udf: Udf,
-    feed_id: FeedId,
-    compute_locations: Vec<NodeId>,
-    policy: IngestionPolicy,
-    metrics: Arc<FeedMetrics>,
-    depth: usize,
-    extra_spin: u64,
-    extra_delay_us: u64,
-    job: JobHandle,
-    /// At-least-once custody for processed feeds (§5.6): the tracker sits
-    /// at this segment's intake — which for the depth-1 stage is the
-    /// adaptor-side node — and holds every record until the *store* stage
-    /// acks it, so a compute- or store-node death never strands the only
-    /// copy mid-pipeline. Deeper stages and non-ALO segments carry `None`.
-    ack: Option<Arc<AckPlumbing>>,
-    /// Ack senders handed to every store job consuming this chain.
-    store_ack: Option<Arc<StoreAck>>,
-}
-
-/// The fan-out joint of a multi-sink ingestion plan: one Hyracks job
-/// (`FeedIntake(tail joint) → Route`) evaluating every sink's routing
-/// predicate once per record and depositing matches into per-sink joints,
-/// each consumed by an independent store connection.
-struct RouteSegment {
-    plan: Arc<IngestPlan>,
-    /// The plan's tail feed joint the router subscribes to.
-    in_joint: String,
-    /// Per-sink out joints (`plan:<plan>:<dataset>`), sink-index aligned.
-    out_joints: Vec<String>,
-    feed_id: FeedId,
-    /// The router rides on the in-joint's nodes (no repartitioning).
-    locations: Vec<NodeId>,
-    /// Trunk policy governing the router's intake (always lossless Spill:
-    /// per-sink loss semantics belong to the sink connections downstream).
-    policy: IngestionPolicy,
-    metrics: Arc<FeedMetrics>,
-    /// Per-sink `plan.sink.records_routed` counters, sink-index aligned.
-    routed: Vec<asterix_common::Counter>,
-    /// `plan.route.no_match_total` for this plan.
-    no_match: asterix_common::Counter,
-    job: JobHandle,
-}
-
+/// The connection a store segment realizes.
 struct Connection {
     id: ConnectionId,
-    key: String,
     feed: String,
-    feed_id: FeedId,
     dataset: Arc<Dataset>,
-    source_joint: String,
-    policy: IngestionPolicy,
-    metrics: Arc<FeedMetrics>,
-    job: Option<JobHandle>,
     state: ConnectionState,
-    /// When the store node was lost (recovery-latency measurement).
-    suspended_at: Option<SimInstant>,
+    /// Since when the store job is down for a hard failure; the respawn
+    /// that brings it back records the recovery and its latency.
+    down_since: Option<SimInstant>,
 }
 
+/// What a segment's second operator is, with the state only that kind has.
+enum Kind {
+    Collect {
+        factory: Arc<dyn AdaptorFactory>,
+        config: AdaptorConfig,
+    },
+    Compute {
+        udf: Udf,
+        /// At-least-once tracker plumbing of this segment's intake; only the
+        /// depth-1 stage of an at-least-once chain carries it (see `compile`).
+        ack: Option<Arc<AckPlumbing>>,
+        /// Ack senders handed to every store job consuming this chain.
+        store_ack: Option<Arc<StoreAck>>,
+    },
+    /// The fan-out joint of a routed ingestion plan: every sink's routing
+    /// predicate is evaluated once per record and matches are deposited into
+    /// per-sink joints, each consumed by an independent store connection.
+    Route(Arc<IngestPlan>),
+    Store(Connection),
+}
+
+/// One row of the segment table: one Hyracks job of the cascade network.
+struct Segment {
+    /// The job name: `collect:<joint>` | `compute:<joint>` | `route:<plan>`
+    /// | `store:<feed>-><dataset>`.
+    key: String,
+    /// The joint the segment's intake subscribes to (`None`: a collect
+    /// segment reads its adaptor instead).
+    input: Option<String>,
+    /// The joints the segment publishes (none for a store; one per sink for
+    /// a route, `plan:<plan>:<dataset>`, sink-index aligned).
+    outputs: Vec<String>,
+    /// Where the second operator runs, one entry per partition — and
+    /// therefore where the output joints live. A route rides on its input
+    /// joint's nodes (no repartitioning); a store on its dataset's
+    /// nodegroup.
+    placement: Vec<NodeId>,
+    /// Governs the intake. The trunk of a routed plan is always lossless
+    /// Spill: per-sink loss semantics belong to the sink connections.
+    policy: IngestionPolicy,
+    metrics: Arc<FeedMetrics>,
+    feed_id: FeedId,
+    /// `None` on a runnable segment means *pending respawn*: the last
+    /// attempt to start it failed and the next sweep or failure pass retries.
+    job: Option<JobHandle>,
+    kind: Kind,
+}
+
+impl Segment {
+    /// The key intakes report congestion under and store metrics are
+    /// labelled with: `<feed>-><dataset>` for a store, else the job name.
+    fn conn_key(&self) -> &str {
+        self.key.strip_prefix("store:").unwrap_or(&self.key)
+    }
+
+    /// Stable joint-subscription key prefix of the segment's intake.
+    fn sub_key(&self) -> String {
+        match self.kind {
+            Kind::Store(_) => format!("conn:{}", self.conn_key()),
+            _ => self.key.clone(),
+        }
+    }
+
+    /// The `conn` label of the segment's `feed.*` metrics.
+    fn scope(&self) -> &str {
+        match self.kind {
+            Kind::Compute { .. } => &self.outputs[0],
+            _ => self.conn_key(),
+        }
+    }
+
+    fn conn(&self) -> Option<&Connection> {
+        match &self.kind {
+            Kind::Store(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    fn conn_mut(&mut self) -> Option<&mut Connection> {
+        match &mut self.kind {
+            Kind::Store(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    fn state(&self) -> Option<ConnectionState> {
+        self.conn().map(|c| c.state)
+    }
+
+    /// Is the segment still part of the network? All but ended connections.
+    fn live(&self) -> bool {
+        self.state() != Some(ConnectionState::Ended)
+    }
+
+    /// Should a job be running for it? All but suspended/ended connections.
+    fn runnable(&self) -> bool {
+        matches!(self.state(), None | Some(ConnectionState::Active))
+    }
+
+    /// Mark a store segment ended and hand back the segment's job, if any.
+    fn end(&mut self) -> Option<JobHandle> {
+        if let Some(c) = self.conn_mut() {
+            c.state = ConnectionState::Ended;
+        }
+        self.job.take()
+    }
+}
+
+/// The segment table. The joint directory is a view of it.
 #[derive(Default)]
 struct State {
-    /// joint id → nodes hosting an instance of it
-    joints: HashMap<String, Vec<NodeId>>,
-    collects: HashMap<String, CollectSegment>,
-    computes: HashMap<String, ComputeSegment>,
-    /// plan name → fan-out joint of that multi-sink plan
-    routes: HashMap<String, RouteSegment>,
-    connections: HashMap<ConnectionId, Connection>,
+    segments: BTreeMap<String, Segment>,
+}
+
+impl State {
+    fn producer_of(&self, joint: &str) -> Option<&Segment> {
+        self.segments
+            .values()
+            .find(|s| s.outputs.iter().any(|o| o == joint))
+    }
+
+    /// Live segments subscribed to `joint`.
+    fn consumers_of<'a>(&'a self, joint: &'a str) -> impl Iterator<Item = &'a Segment> {
+        self.segments
+            .values()
+            .filter(move |s| s.input.as_deref() == Some(joint) && s.live())
+    }
+
+    /// Nodes hosting an instance of `joint`: its producer's placement.
+    fn placement_of(&self, joint: &str) -> Option<&[NodeId]> {
+        self.producer_of(joint).map(|s| s.placement.as_slice())
+    }
+
+    /// Store segments, in connection-id order.
+    fn connections(&self) -> Vec<(&Segment, &Connection)> {
+        let mut conns: Vec<_> = self
+            .segments
+            .values()
+            .filter_map(|s| Some((s, s.conn()?)))
+            .collect();
+        conns.sort_by_key(|(_, c)| c.id);
+        conns
+    }
+
+    fn connection(&self, id: ConnectionId) -> Option<&Segment> {
+        self.segments
+            .values()
+            .find(|s| s.conn().is_some_and(|c| c.id == id))
+    }
+
+    /// The segment `key` and everything upstream of it, following `input`
+    /// links: `[key, its producer, …, the collect segment]`.
+    fn chain(&self, key: &str) -> Vec<&Segment> {
+        let mut chain = Vec::new();
+        let mut next = self.segments.get(key);
+        while let Some(seg) = next {
+            chain.push(seg);
+            next = seg.input.as_deref().and_then(|j| self.producer_of(j));
+        }
+        chain
+    }
+
+    /// Keys of `key` and of the live segments transitively consuming its
+    /// outputs, descending below a consumer only when `through` says so.
+    fn downstream(&self, key: &str, through: impl Fn(&Segment) -> bool) -> Vec<String> {
+        let mut found = vec![key.to_string()];
+        let mut i = 0;
+        while let Some(seg) = found.get(i).and_then(|k| self.segments.get(k)) {
+            let below = seg.outputs.iter().filter(|_| i == 0 || through(seg));
+            for c in below.flat_map(|j| self.consumers_of(j)) {
+                if !found.contains(&c.key) {
+                    found.push(c.key.clone());
+                }
+            }
+            i += 1;
+        }
+        found
+    }
+}
+
+/// Read-only view of one row of the segment table, for tests and
+/// `explain`-style tooling ([`FeedController::segments`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SegmentInfo {
+    /// Job name (`collect:…` | `compute:…` | `route:…` | `store:…`).
+    pub key: String,
+    /// Joint the intake subscribes to (`None` for a collect segment).
+    pub input: Option<String>,
+    /// Joints the segment publishes.
+    pub outputs: Vec<String>,
+    /// Where the second operator and the output joints are placed.
+    pub placement: Vec<NodeId>,
+    /// Nodes the *running job's* intake partitions sit on, in partition
+    /// order; empty when no job runs or the segment has no intake.
+    pub intake: Vec<NodeId>,
+    /// Connection state (store segments only).
+    pub state: Option<ConnectionState>,
+    /// Id of the job currently running for the segment, if one is.
+    pub job: Option<JobId>,
 }
 
 /// Tuning knobs for the controller.
@@ -217,29 +359,8 @@ impl Default for ControllerConfig {
     }
 }
 
-/// Per-connection control-loop bookkeeping carried between governor ticks.
-#[derive(Default)]
-struct ConnGovernor {
-    control: GovernorState,
-    /// Previous tick's cumulative lag snapshot — subtracted from the current
-    /// one so the governor reacts to the *recent* window, not lifetime lag.
-    prev_lag: Option<HistogramSnapshot>,
-    /// Previous tick's cumulative pressure-counter sum.
-    prev_pressure: u64,
-    /// Open-loop elastic requests received since the last tick; folded into
-    /// the sample as pressure so the hot-path signal is never lost, but
-    /// acted on under the governor's hysteresis/cooldown instead of
-    /// immediately.
-    pending_requests: u64,
-}
-
-#[derive(Default)]
-struct GovernorRuntime {
-    conns: HashMap<String, ConnGovernor>,
-}
-
-/// One aborted pipeline job whose partition state must settle before the
-/// successor owns the stream. The job is awaited *after* the controller
+/// One handed-over pipeline job whose partition state must settle before
+/// the successor owns the stream. The job is awaited *after* the controller
 /// lock is released; then, if the placement changed, frames stranded on
 /// abandoned partitions (parked zombie state plus anything still queued in
 /// the old joint subscriptions) are harvested and re-parked on the
@@ -253,25 +374,17 @@ struct Migration {
     repartition: Option<(String, String, Vec<NodeId>, Vec<NodeId>)>,
 }
 
-/// The producer side of a connection, planned under the state lock by
-/// [`FeedController::build_producer_chain`]: joints pre-registered, compute
-/// segment records inserted, jobs not yet spawned (consumer subscriptions
-/// must be live first — [`FeedController::finish_producer_chain`] starts
-/// them deepest-first, the collect job last).
-struct ChainPlan {
-    /// Stage-0 joint (the primary feed's name).
-    root_raw_joint: String,
-    /// The chain's tail joint — what the consumer (store or route job)
-    /// subscribes to.
-    source_joint: String,
-    /// Adaptor factory + config when a new collect segment is needed
-    /// (`None` reuses a live ancestor's head section).
-    collect_factory: Option<(
-        Arc<dyn crate::adaptor::AdaptorFactory>,
-        crate::adaptor::AdaptorConfig,
-    )>,
-    /// Out joints of the newly planned compute segments, deepest first.
-    new_outs: Vec<String>,
+/// What one pass of the rebuild path leaves to do once the state lock is
+/// dropped (`settle_and_migrate`).
+#[derive(Default)]
+struct Rebuild {
+    /// Span/event name of the enclosing operation; respawn failures are
+    /// traced under it.
+    op: &'static str,
+    migrations: Vec<Migration>,
+    /// `(joint, old placement)` of every moved joint: instances left behind
+    /// on nodes outside the new placement are retired after migration.
+    vacated: Vec<(String, Vec<NodeId>)>,
 }
 
 /// The Central Feed Manager.
@@ -289,7 +402,9 @@ pub struct FeedController {
     monitors: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// The periodic governor task on the cluster scheduler (when enabled).
     governor_task: Mutex<Option<TaskHandle>>,
-    governor: Mutex<GovernorRuntime>,
+    /// Control-loop state per connection key (`<feed>-><dataset>`); entries
+    /// of ended connections are dropped at the next tick.
+    governor: Mutex<HashMap<String, ConnGovernor>>,
     log: SoftFailureLog,
     log_dataset: Mutex<Option<Arc<Dataset>>>,
     shutdown: AtomicBool,
@@ -312,7 +427,7 @@ impl FeedController {
             elastic_tx: Mutex::new(Some(elastic_tx)),
             monitors: Mutex::new(Vec::new()),
             governor_task: Mutex::new(None),
-            governor: Mutex::new(GovernorRuntime::default()),
+            governor: Mutex::new(HashMap::new()),
             log: new_soft_failure_log(),
             log_dataset: Mutex::new(None),
             shutdown: AtomicBool::new(false),
@@ -413,14 +528,13 @@ impl FeedController {
     /// flow controllers use (manual scale trigger / tests). Returns false
     /// once shutdown has closed the channel.
     pub fn request_elastic(&self, connection_key: &str) -> bool {
-        match self.elastic_sender() {
-            Some(tx) => tx
-                .send(ElasticRequest {
-                    connection_key: connection_key.to_string(),
-                })
-                .is_ok(),
-            None => false,
-        }
+        let connection_key = connection_key.to_string();
+        self.elastic_sender()
+            .is_some_and(|tx| tx.send(ElasticRequest { connection_key }).is_ok())
+    }
+
+    fn alive_ids(&self) -> Vec<NodeId> {
+        self.cluster.alive_nodes().iter().map(|n| n.id()).collect()
     }
 
     // -----------------------------------------------------------------------
@@ -435,256 +549,94 @@ impl FeedController {
         policy_name: &str,
     ) -> IngestResult<ConnectionId> {
         let policy = self.catalog.policy(policy_name)?;
-        self.connect_feed_with(feed, dataset, policy)
-    }
-
-    /// Connect with an already-resolved policy (the single-sink pipeline
-    /// both `connect feed` and a degenerate ingestion plan compile to).
-    fn connect_feed_with(
-        &self,
-        feed: &str,
-        dataset: &str,
-        policy: IngestionPolicy,
-    ) -> IngestResult<ConnectionId> {
-        let dataset_arc = self.catalog.dataset(dataset)?;
-        let key = format!("{feed}->{dataset}");
-
-        let mut st = self.state.lock();
-        if st
-            .connections
-            .values()
-            .any(|c| c.key == key && c.state != ConnectionState::Ended)
-        {
-            return Err(IngestError::Metadata(format!(
-                "feed {feed} is already connected to dataset {dataset}"
-            )));
-        }
-
-        let chain = self.build_producer_chain(&mut st, feed, &policy)?;
-
-        // --- connection record -----------------------------------------------
-        let id: ConnectionId = CONNECTION_IDS.next();
-        let connect_span = self
-            .cluster
-            .trace()
-            .cluster_log()
-            .span("feed.connect", key.clone());
-        dataset_arc.register_observability(&self.cluster.registry(), &self.cluster.trace());
-        let metrics = FeedMetrics::registered_default(
-            &self.cluster.registry(),
-            &key,
-            self.cluster.clock().clone(),
-        );
-        let conn = Connection {
-            id,
-            key: key.clone(),
-            feed: feed.to_string(),
-            feed_id: self.catalog.feed_id(feed).unwrap_or(FeedId(0)),
-            dataset: Arc::clone(&dataset_arc),
-            source_joint: chain.source_joint.clone(),
-            policy,
-            metrics: Arc::clone(&metrics),
-            job: None,
-            state: ConnectionState::Active,
-            suspended_at: None,
-        };
-
-        // --- store job (started first so its subscription is live) ----------
-        let job = self.spawn_store_job(&st, &conn)?;
-        let mut conn = conn;
-        conn.job = Some(job);
-        st.connections.insert(id, conn);
-
-        // --- producer jobs, deepest first, collect last ----------------------
-        self.finish_producer_chain(&mut st, chain)?;
-
-        connect_span.finish("active");
-        Ok(id)
+        let sink = (self.catalog.dataset(dataset)?, policy.clone());
+        let ids = self.connect(feed, policy, vec![sink], None)?;
+        Ok(ids[0])
     }
 
     /// `connect plan <plan>` — compile an [`IngestPlan`] into a running
-    /// cascade. A *degenerate* plan (one sink, no predicate) runs through
-    /// the exact single-connection pipeline `connect feed` always built —
-    /// zero behavior change for the legacy surface. A multi-sink plan gets
-    /// a fan-out [`RouteSegment`] between the producer chain and N
-    /// independent store connections, each with its own dataset, policy,
-    /// flow control and (at-least-once) custody.
+    /// cascade: the producer chain of its tail feed, then one independent
+    /// store connection per sink, each with its own dataset, policy, flow
+    /// control and (at-least-once) custody. A plan that routes (several
+    /// sinks, or a predicate) gets a fan-out route segment in between; a
+    /// one-sink, no-predicate plan is exactly the pipeline `connect feed`
+    /// builds.
     ///
     /// Returns one [`ConnectionId`] per sink, sink-index aligned.
     pub fn connect_plan(&self, plan: &IngestPlan) -> IngestResult<Vec<ConnectionId>> {
         plan.validate()?;
-        let tail = plan.tail_feed_name();
-        if plan.is_degenerate() {
-            let sink = &plan.sinks[0];
-            let policy = self.resolve_sink_policy(sink)?;
-            let id = self.connect_feed_with(&tail, &sink.dataset, policy)?;
-            return Ok(vec![id]);
-        }
-
         // resolve every sink's dataset and policy before touching state
-        let mut sink_res: Vec<(Arc<Dataset>, IngestionPolicy)> = Vec::new();
+        let mut sinks: Vec<(Arc<Dataset>, IngestionPolicy)> = Vec::new();
         for sink in &plan.sinks {
             let ds = self.catalog.dataset(&sink.dataset)?;
-            let policy = self.resolve_sink_policy(sink)?;
-            sink_res.push((ds, policy));
+            sinks.push((ds, self.catalog.sink_policy(sink)?));
         }
-        // The trunk (producer chain + router intake) is always lossless
-        // Spill: per-sink loss semantics (Discard's gaps, Basic's budget)
-        // belong downstream of the routing decision, otherwise one sink's
-        // policy would drop records destined for another.
-        let trunk_policy = IngestionPolicy::spill();
-        let feed_id = self.catalog.feed_id(&tail).unwrap_or(FeedId(0));
-
-        let mut st = self.state.lock();
-        if st.routes.contains_key(&plan.name) {
-            return Err(IngestError::Metadata(format!(
-                "plan {} is already connected",
-                plan.name
-            )));
-        }
-        for sink in &plan.sinks {
-            let key = format!("{tail}->{}", sink.dataset);
-            if st
-                .connections
-                .values()
-                .any(|c| c.key == key && c.state != ConnectionState::Ended)
-            {
-                return Err(IngestError::Metadata(format!(
-                    "feed {tail} is already connected to dataset {}",
-                    sink.dataset
-                )));
-            }
-        }
-
-        let connect_span = self
-            .cluster
-            .trace()
-            .cluster_log()
-            .span("feed.connect_plan", plan.name.clone());
-        let chain = self.build_producer_chain(&mut st, &tail, &trunk_policy)?;
-
-        // the router rides on the tail joint's nodes; its out joints are
-        // co-located so routed frames never cross a node boundary twice
-        let route_locs =
-            st.joints.get(&chain.source_joint).cloned().ok_or_else(|| {
-                IngestError::Plan(format!("no live joint '{}'", chain.source_joint))
-            })?;
-        let out_joints: Vec<String> = (0..plan.sinks.len())
-            .map(|i| plan.sink_joint_id(i))
-            .collect();
-        for oj in &out_joints {
-            self.preregister_joint(oj, &route_locs);
-            st.joints.insert(oj.clone(), route_locs.clone());
-        }
-
-        let registry = self.cluster.registry();
-        let trunk_metrics = FeedMetrics::registered_default(
-            &registry,
-            &format!("route:{}", plan.name),
-            self.cluster.clock().clone(),
-        );
-        let routed: Vec<asterix_common::Counter> = (0..plan.sinks.len())
-            .map(|i| {
-                let label = plan.sink_label(i);
-                registry.counter("plan.sink.records_routed", &[("conn", label.as_str())])
-            })
-            .collect();
-        let no_match =
-            registry.counter("plan.route.no_match_total", &[("plan", plan.name.as_str())]);
-        st.routes.insert(
-            plan.name.clone(),
-            RouteSegment {
-                plan: Arc::new(plan.clone()),
-                in_joint: chain.source_joint.clone(),
-                out_joints: out_joints.clone(),
-                feed_id,
-                locations: route_locs,
-                policy: trunk_policy,
-                metrics: trunk_metrics,
-                routed,
-                no_match,
-                job: JobHandle::detached(),
-            },
-        );
-
-        // --- sink store jobs first (their subscriptions must be live) -------
-        let mut ids = Vec::new();
-        for (i, sink) in plan.sinks.iter().enumerate() {
-            let (ds, policy) = &sink_res[i];
-            let key = format!("{tail}->{}", sink.dataset);
-            let id: ConnectionId = CONNECTION_IDS.next();
-            ds.register_observability(&registry, &self.cluster.trace());
-            let metrics =
-                FeedMetrics::registered_default(&registry, &key, self.cluster.clock().clone());
-            let conn = Connection {
-                id,
-                key,
-                feed: tail.clone(),
-                feed_id,
-                dataset: Arc::clone(ds),
-                source_joint: out_joints[i].clone(),
-                policy: policy.clone(),
-                metrics,
-                job: None,
-                state: ConnectionState::Active,
-                suspended_at: None,
-            };
-            // per-sink at-least-once custody: `chain_store_ack` finds no
-            // compute segment behind a `plan:` joint, so an ALO sink gets
-            // its tracker at its own store intake — the custody boundary is
-            // the routing decision, which is this sink's earliest stage
-            let job = self.spawn_store_job(&st, &conn)?;
-            let mut conn = conn;
-            conn.job = Some(job);
-            st.connections.insert(id, conn);
-            ids.push(id);
-        }
-
-        // --- route job (before the producers start depositing) ---------------
-        let seg_ref = st.routes.get(&plan.name).unwrap();
-        let job = self.spawn_route_job(&st, seg_ref)?;
-        st.routes.get_mut(&plan.name).unwrap().job = job;
-
-        // --- producer jobs, deepest first, collect last ----------------------
-        self.finish_producer_chain(&mut st, chain)?;
-
-        connect_span.finish("active");
-        Ok(ids)
+        let route = (!plan.is_degenerate()).then(|| Arc::new(plan.clone()));
+        // The trunk (producer chain + router intake) of a routed plan is
+        // always lossless Spill: per-sink loss semantics (Discard's gaps,
+        // Basic's budget) belong downstream of the routing decision,
+        // otherwise one sink's policy would drop records destined for
+        // another.
+        let trunk = match route {
+            Some(_) => IngestionPolicy::spill(),
+            None => sinks[0].1.clone(),
+        };
+        self.connect(&plan.tail_feed_name(), trunk, sinks, route)
     }
 
-    /// Resolve a sink's policy name + inline parameter overrides into an
-    /// [`IngestionPolicy`] (an override set derives a connection-private
-    /// policy named `<policy>@<dataset>`).
-    fn resolve_sink_policy(&self, sink: &SinkSpec) -> IngestResult<IngestionPolicy> {
-        let base = self.catalog.policy(&sink.policy)?;
-        if sink.policy_params.is_empty() {
-            Ok(base)
-        } else {
-            base.extend(
-                format!("{}@{}", sink.policy, sink.dataset),
-                &sink.policy_params,
-            )
+    /// The one construction path: compile what the table is missing for
+    /// `tail` to reach `sinks`, and start it.
+    fn connect(
+        &self,
+        tail: &str,
+        trunk: IngestionPolicy,
+        sinks: Vec<(Arc<Dataset>, IngestionPolicy)>,
+        route: Option<Arc<IngestPlan>>,
+    ) -> IngestResult<Vec<ConnectionId>> {
+        let mut st = self.state.lock();
+        let taken = |key: String| st.segments.get(&key).is_some_and(Segment::live);
+        if let Some(plan) = route.iter().find(|p| taken(format!("route:{}", p.name))) {
+            let msg = format!("plan {} is already connected", plan.name);
+            return Err(IngestError::Metadata(msg));
         }
+        let dataset_of = |(ds, _): &(Arc<Dataset>, IngestionPolicy)| ds.config.name.clone();
+        if let Some(d) = sinks
+            .iter()
+            .map(dataset_of)
+            .find(|d| taken(format!("store:{tail}->{d}")))
+        {
+            let msg = format!("feed {tail} is already connected to dataset {d}");
+            return Err(IngestError::Metadata(msg));
+        }
+        let log = self.cluster.trace().cluster_log();
+        let connect_span = match &route {
+            Some(plan) => log.span("feed.connect_plan", plan.name.clone()),
+            None => log.span(
+                "feed.connect",
+                format!("{tail}->{}", sinks[0].0.config.name),
+            ),
+        };
+        let compiled = self.compile(&st, tail, &trunk, sinks, route)?;
+        let ids = compiled.iter().filter_map(|s| Some(s.conn()?.id)).collect();
+        self.start_segments(&mut st, compiled)?;
+        connect_span.finish("active");
+        Ok(ids)
     }
 
     /// `disconnect feed <feed> from dataset <dataset>` — graceful: already
     /// received records drain to the target dataset; shared segments keep
     /// serving other connections; orphaned producer segments are reclaimed.
     pub fn disconnect_feed(&self, feed: &str, dataset: &str) -> IngestResult<()> {
-        let key = format!("{feed}->{dataset}");
         let job = {
             let mut st = self.state.lock();
-            let conn = st
-                .connections
-                .values_mut()
-                .find(|c| c.key == key && c.state != ConnectionState::Ended)
+            let seg = st.segments.get_mut(&format!("store:{feed}->{dataset}"));
+            seg.filter(|s| s.live())
                 .ok_or_else(|| {
                     IngestError::Metadata(format!(
                         "feed {feed} is not connected to dataset {dataset}"
                     ))
-                })?;
-            conn.state = ConnectionState::Ended;
-            conn.job.take()
+                })?
+                .end()
         };
         if let Some(job) = job {
             job.stop_sources();
@@ -706,31 +658,16 @@ impl FeedController {
             task.waker().wake();
             let _ = task.join();
         }
-        let (jobs, all_joints) = {
+        let mut jobs = Vec::new();
+        {
             let mut st = self.state.lock();
-            let mut jobs = Vec::new();
-            for c in st.connections.values_mut() {
-                c.state = ConnectionState::Ended;
-                if let Some(j) = c.job.take() {
-                    jobs.push(j);
-                }
-            }
-            for (_, seg) in st.routes.drain() {
-                jobs.push(seg.job);
-            }
-            for (_, seg) in st.computes.drain() {
-                jobs.push(seg.job);
-            }
-            for (_, seg) in st.collects.drain() {
-                jobs.push(seg.job);
-            }
-            let joints: Vec<(String, Vec<NodeId>)> = st.joints.drain().collect();
-            (jobs, joints)
-        };
-        for (joint, locs) in &all_joints {
-            for n in locs {
-                if let Some(node) = self.cluster.node(*n) {
-                    FeedManager::on(&node).retire_joint(joint);
+            // ended connections stay readable (state, metrics); every other
+            // segment leaves the table with its joints
+            for (key, mut seg) in std::mem::take(&mut st.segments) {
+                jobs.extend(seg.end());
+                self.retire_joints(&seg.outputs, &seg.placement);
+                if seg.conn().is_some() {
+                    st.segments.insert(key, seg);
                 }
             }
         }
@@ -750,522 +687,522 @@ impl FeedController {
     }
 
     // -----------------------------------------------------------------------
-    // introspection
+    // introspection — views of the table
     // -----------------------------------------------------------------------
 
     /// Metrics of a connection.
     pub fn connection_metrics(&self, id: ConnectionId) -> IngestResult<Arc<FeedMetrics>> {
-        self.state
-            .lock()
-            .connections
-            .get(&id)
-            .map(|c| Arc::clone(&c.metrics))
+        let st = self.state.lock();
+        st.connection(id)
+            .map(|s| Arc::clone(&s.metrics))
             .ok_or_else(|| IngestError::Metadata(format!("unknown connection {id}")))
     }
 
     /// Metrics of the compute segment publishing `joint_id`.
     pub fn compute_metrics(&self, joint_id: &str) -> Option<Arc<FeedMetrics>> {
-        self.state
-            .lock()
-            .computes
-            .get(joint_id)
-            .map(|s| Arc::clone(&s.metrics))
+        let st = self.state.lock();
+        let seg = st.segments.get(&format!("compute:{joint_id}"))?;
+        Some(Arc::clone(&seg.metrics))
     }
 
-    /// Current state of a connection.
+    /// Current state of a connection. An `Active` connection whose job is
+    /// pending respawn stays `Active`: the controller keeps retrying it.
     pub fn connection_state(&self, id: ConnectionId) -> ConnectionState {
         let st = self.state.lock();
-        match st.connections.get(&id) {
-            Some(c) => {
-                if c.state == ConnectionState::Active
-                    && c.job.as_ref().map(|j| !j.is_running()).unwrap_or(true)
-                {
-                    // the job ended on its own (e.g. FeedTerminated)
-                    ConnectionState::Ended
-                } else {
-                    c.state
-                }
+        match st.connection(id) {
+            // the job ended on its own (e.g. FeedTerminated) and the sweep
+            // has not recorded it yet
+            Some(s) if s.runnable() && s.job.as_ref().is_some_and(|j| !j.is_running()) => {
+                ConnectionState::Ended
             }
+            Some(s) => s.state().unwrap_or(ConnectionState::Ended),
             None => ConnectionState::Ended,
         }
     }
 
     /// Nodes currently hosting instances of `joint_id`.
     pub fn joint_locations(&self, joint_id: &str) -> Vec<NodeId> {
-        self.state
-            .lock()
-            .joints
-            .get(joint_id)
-            .cloned()
-            .unwrap_or_default()
+        let st = self.state.lock();
+        st.placement_of(joint_id).unwrap_or_default().to_vec()
     }
 
     /// Compute parallelism of the segment publishing `joint_id`.
     pub fn compute_parallelism_of(&self, joint_id: &str) -> Option<usize> {
-        self.state
-            .lock()
-            .computes
-            .get(joint_id)
-            .map(|s| s.compute_locations.len())
+        let st = self.state.lock();
+        let seg = st.segments.get(&format!("compute:{joint_id}"))?;
+        Some(seg.placement.len())
+    }
+
+    /// Distinct nodes currently running collect instances for `joint_id`
+    /// (the intake width the governor steers).
+    pub fn intake_width_of(&self, joint_id: &str) -> Option<usize> {
+        let st = self.state.lock();
+        let seg = st.segments.get(&format!("collect:{joint_id}"))?;
+        Some(dedup_nodes(seg.placement.clone()).len())
     }
 
     /// Live connections as `(id, feed, dataset)` triples.
     pub fn connections_detailed(&self) -> Vec<(ConnectionId, String, String)> {
         let st = self.state.lock();
-        let mut out: Vec<(ConnectionId, String, String)> = st
-            .connections
-            .values()
-            .filter(|c| c.state != ConnectionState::Ended)
-            .map(|c| (c.id, c.feed.clone(), c.dataset.config.name.clone()))
-            .collect();
-        out.sort();
-        out
+        let live = st.connections().into_iter().filter(|(s, _)| s.live());
+        live.map(|(_, c)| (c.id, c.feed.clone(), c.dataset.config.name.clone()))
+            .collect()
     }
 
     /// Live connection ids.
     pub fn connections(&self) -> Vec<ConnectionId> {
+        let detailed = self.connections_detailed();
+        detailed.into_iter().map(|(id, _, _)| id).collect()
+    }
+
+    /// A snapshot of the whole segment table, in key order.
+    pub fn segments(&self) -> Vec<SegmentInfo> {
         let st = self.state.lock();
-        let mut ids: Vec<ConnectionId> = st
-            .connections
-            .values()
-            .filter(|c| c.state != ConnectionState::Ended)
-            .map(|c| c.id)
-            .collect();
-        ids.sort();
-        ids
+        let info = |s: &Segment| {
+            let running = s.job.as_ref().filter(|j| j.is_running());
+            let intake = running.filter(|_| s.input.is_some()).map(|job| {
+                let tasks = job.layout().iter();
+                let intake = tasks.filter(|t| t.op == OperatorSpecId(0));
+                intake.map(|t| t.node).collect()
+            });
+            SegmentInfo {
+                key: s.key.clone(),
+                input: s.input.clone(),
+                outputs: s.outputs.clone(),
+                placement: s.placement.clone(),
+                intake: intake.unwrap_or_default(),
+                state: s.state(),
+                job: running.map(|j| j.id),
+            }
+        };
+        st.segments.values().map(info).collect()
     }
 
     /// The Appendix A "Feed Management Console" view: per connection, the
-    /// physical nodes participating at the intake, compute and store stages
-    /// and the instantaneous rates at which data is received and persisted.
+    /// physical nodes of every stage from the intake (collect) through the
+    /// compute and route stages to the store, and the instantaneous rates at
+    /// which data is received and persisted.
     pub fn console_report(&self) -> String {
         use std::fmt::Write as _;
         let st = self.state.lock();
-        let mut out = String::from(
-            "Feed Management Console
-",
-        );
-        let mut conns: Vec<&Connection> = st
-            .connections
-            .values()
-            .filter(|c| c.state != ConnectionState::Ended)
-            .collect();
-        conns.sort_by_key(|c| c.id);
-        for c in conns {
-            let intake = st.joints.get(&c.source_joint).cloned().unwrap_or_default();
-            let compute = st
-                .computes
-                .get(&c.source_joint)
-                .map(|s| s.compute_locations.clone())
-                .unwrap_or_default();
-            let series = c.metrics.throughput();
-            let last_rate = series.points.last().map(|p| p.rate).unwrap_or(0.0);
+        let mut out = String::from("Feed Management Console\n");
+        for (seg, c) in st.connections().into_iter().filter(|(s, _)| s.live()) {
+            let stage = |s: &&Segment| {
+                let name = match s.kind {
+                    Kind::Collect { .. } => "intake",
+                    Kind::Compute { .. } => "compute",
+                    Kind::Route(_) => "route",
+                    Kind::Store(_) => "store",
+                };
+                format!("{name}: {:?}", s.placement)
+            };
+            let stages: Vec<String> = st.chain(&seg.key).iter().rev().map(stage).collect();
+            let m = &seg.metrics;
+            let last_rate = m.throughput().points.last().map_or(0.0, |p| p.rate);
             let _ = writeln!(
                 out,
                 "  {} {} -> {} [{:?}]
-    intake: {:?}  compute: {:?}  store: {:?}
+    {}
                      received: {} records  persisted: {}  instantaneous: {:.0} rec/s
                      hard recoveries: {}  zombie frames adopted: {}  last recovery: {} ms",
                 c.id,
                 c.feed,
                 c.dataset.config.name,
                 c.state,
-                intake,
-                compute,
-                c.dataset.config.nodegroup,
-                c.metrics.records_in.get(),
-                c.metrics.records_persisted.get(),
+                stages.join("  "),
+                m.records_in.get(),
+                m.records_persisted.get(),
                 last_rate,
-                c.metrics.hard_failures_recovered.get(),
-                c.metrics.zombie_frames_adopted.get(),
-                c.metrics.last_recovery_millis.get(),
+                m.hard_failures_recovered.get(),
+                m.zombie_frames_adopted.get(),
+                m.last_recovery_millis.get(),
             );
         }
         out
     }
 
     // -----------------------------------------------------------------------
-    // job construction
+    // plan compilation and job construction
     // -----------------------------------------------------------------------
 
-    fn preregister_joint(&self, joint_id: &str, locations: &[NodeId]) {
-        for n in locations {
-            if let Some(node) = self.cluster.node(*n) {
-                FeedManager::on(&node).register_joint(joint_id);
+    fn register_joints(&self, joints: &[String], nodes: &[NodeId]) {
+        for node in nodes.iter().filter_map(|n| self.cluster.node(*n)) {
+            let fm = FeedManager::on(&node);
+            for joint in joints {
+                fm.register_joint(joint);
             }
         }
     }
 
-    /// Spawn the jobs of a producer chain planned by
-    /// [`FeedController::build_producer_chain`], in the order that loses no
-    /// startup frame: the consumer side (store/route jobs) must already be
-    /// subscribed, so the caller spawns those first, then calls this —
-    /// compute jobs deepest-first, the collect job (external source) last.
-    fn finish_producer_chain(&self, st: &mut State, chain: ChainPlan) -> IngestResult<()> {
-        for out in chain.new_outs {
-            let seg_ref = st.computes.get(&out).unwrap();
-            let job = self.spawn_compute_job(st, seg_ref)?;
-            st.computes.get_mut(&out).unwrap().job = job;
+    fn retire_joints<'a>(&self, joints: &[String], nodes: impl IntoIterator<Item = &'a NodeId>) {
+        for node in nodes.into_iter().filter_map(|n| self.cluster.node(*n)) {
+            let fm = FeedManager::on(&node);
+            for joint in joints {
+                fm.retire_joint(joint);
+            }
         }
-        if let Some((factory, config)) = chain.collect_factory {
-            let locations = st.joints.get(&chain.root_raw_joint).unwrap().clone();
-            let seg = CollectSegment {
-                joint_id: chain.root_raw_joint.clone(),
-                factory,
-                config,
-                locations,
-                job: JobHandle::detached(),
-            };
-            let job = self.spawn_collect_job(&seg)?;
-            let mut seg = seg;
-            seg.job = job;
-            st.collects.insert(chain.root_raw_joint, seg);
-        }
-        Ok(())
     }
 
-    /// Plan and register the producer side of a connection up to `feed`'s
-    /// tail joint: resolve the feed's lineage into a stage chain, reuse the
-    /// nearest live ancestor joint (§5.3.2), pre-register every new joint
-    /// and insert the new compute segments (jobs still detached — the
-    /// caller starts them via [`FeedController::finish_producer_chain`]
-    /// after its own consumer jobs are subscribed).
-    fn build_producer_chain(
+    /// The one plan compiler: the segments the table is missing for the feed
+    /// `tail` to flow into `sinks`, in the order that loses no startup frame
+    /// — store segments first so their subscriptions are live, then the
+    /// route segment (when `route` is given), then the new compute segments
+    /// deepest first, and the collect segment (the external source) last.
+    fn compile(
         &self,
-        st: &mut State,
-        feed: &str,
-        policy: &IngestionPolicy,
-    ) -> IngestResult<ChainPlan> {
-        let lineage = self.catalog.lineage(feed)?;
-
-        // Build the stage chain: stage 0 is the raw collect joint (the
-        // primary feed's name); each further stage is a UDF application
-        // with its own joint id ("<root>:f1:...:fk", §5.3.1).
-        let root_raw_joint = lineage[0].name.clone();
-        // (joint id, udf, owning feed name)
-        let mut stages: Vec<(String, Option<Udf>, String)> =
-            vec![(root_raw_joint.clone(), None, lineage[0].name.clone())];
-        for f in &lineage {
-            if let Some(udf_name) = &f.udf {
-                let udf = self.catalog.function(udf_name)?;
-                stages.push((
-                    self.catalog.joint_id_for(&f.name)?,
-                    Some(udf),
-                    f.name.clone(),
-                ));
-            }
-        }
-        let source_joint = stages.last().unwrap().0.clone();
-
-        // Find the deepest stage whose joint is already live — the nearest
-        // connected ancestor (§5.3.2). None ⇒ the head section must be
-        // constructed too.
-        let mut have = None;
-        for (i, (jid, _, _)) in stages.iter().enumerate().rev() {
-            if st.joints.contains_key(jid) {
-                have = Some(i);
-                break;
-            }
-        }
-        let need_collect = have.is_none();
-        let first_new_stage = have.map(|i| i + 1).unwrap_or(1);
-
-        // resources
-        let alive: Vec<NodeId> = self.cluster.alive_nodes().iter().map(|n| n.id()).collect();
+        st: &State,
+        tail: &str,
+        trunk: &IngestionPolicy,
+        sinks: Vec<(Arc<Dataset>, IngestionPolicy)>,
+        route: Option<Arc<IngestPlan>>,
+    ) -> IngestResult<Vec<Segment>> {
+        let registry = self.cluster.registry();
+        let clock = self.cluster.clock();
+        let feed_id = |name: &str| self.catalog.feed_id(name).unwrap_or(FeedId(0));
+        let lineage = self.catalog.lineage(tail)?;
+        let alive = self.alive_ids();
         if alive.is_empty() {
             return Err(IngestError::Plan("no alive nodes".into()));
         }
-        let compute_n = self
-            .config
-            .compute_parallelism
-            .unwrap_or(alive.len())
-            .clamp(1, alive.len().max(1));
 
-        // --- pre-register every joint so no startup frame is lost ----------
-        let mut planned_joints: Vec<(String, Vec<NodeId>)> = Vec::new();
-        let mut collect_factory = None;
-        if need_collect {
-            let root_def = &lineage[0];
-            let (factory, config) = match &root_def.kind {
-                FeedKind::Primary { adaptor, config } => {
-                    (self.catalog.adaptors().get(adaptor)?, config.clone())
-                }
-                FeedKind::Secondary { .. } => {
-                    return Err(IngestError::Plan(
-                        "lineage root must be a primary feed".into(),
-                    ))
-                }
+        // --- producers the table lacks, upstream first ---------------------
+        // Stage 0 is the raw collect joint (the primary feed's name); each
+        // further stage is a UDF application with its own joint id
+        // ("<root>:f1:...:fk", §5.3.1). A stage whose joint is live is
+        // shared, not rebuilt: the feed is sourced from the nearest
+        // connected ancestor (§5.3.2).
+        let root = lineage[0].name.clone();
+        let mut producers: Vec<Segment> = Vec::new();
+        if st.producer_of(&root).is_none() {
+            let FeedKind::Primary { adaptor, config } = &lineage[0].kind else {
+                return Err(IngestError::Plan(
+                    "lineage root must be a primary feed".into(),
+                ));
             };
-            let constraint = factory.constraints(&config)?;
-            let locations: Vec<NodeId> = match constraint {
+            let factory = self.catalog.adaptors().get(adaptor)?;
+            let placement = match factory.constraints(config)? {
                 Constraint::Count(n) => (0..n).map(|i| alive[i % alive.len()]).collect(),
                 Constraint::Locations(locs) => locs,
             };
-            planned_joints.push((root_raw_joint.clone(), locations));
-            collect_factory = Some((factory, config));
+            let config = config.clone();
+            producers.push(Segment {
+                key: format!("collect:{root}"),
+                input: None,
+                outputs: vec![root.clone()],
+                placement,
+                policy: trunk.clone(),
+                // a collect segment has no intake: nothing writes these
+                metrics: FeedMetrics::with_default_bucket(clock.clone()),
+                feed_id: feed_id(&root),
+                job: None,
+                kind: Kind::Collect { factory, config },
+            });
         }
-        // (depth, in_joint, out_joint, udf, owning feed id, locations)
-        let mut compute_segments: Vec<(usize, String, String, Udf, FeedId, Vec<NodeId>)> =
-            Vec::new();
-        for i in first_new_stage..stages.len() {
-            let udf = stages[i].1.clone().expect("stages past 0 carry a UDF");
-            let in_joint = stages[i - 1].0.clone();
-            let out_joint = stages[i].0.clone();
-            let stage_feed = self.catalog.feed_id(&stages[i].2).unwrap_or(FeedId(0));
-            let offset = self.config.compute_node_offset;
-            let locs = dedup_nodes(
-                (0..compute_n)
-                    .map(|k| alive[(offset + k) % alive.len()])
-                    .collect(),
-            );
-            planned_joints.push((out_joint.clone(), locs.clone()));
-            compute_segments.push((i, in_joint, out_joint, udf, stage_feed, locs));
-        }
-        for (joint, locs) in &planned_joints {
-            self.preregister_joint(joint, locs);
-            st.joints.insert(joint.clone(), locs.clone());
-        }
-
-        // --- compute segments registered now (jobs still detached) ----------
-        // The store job must find the chain's at-least-once plumbing, so the
-        // segment records go into the state before anything is spawned; the
-        // compute *jobs* still start after the consumer jobs, whose
-        // subscriptions must be live first.
-        compute_segments.sort_by_key(|s| std::cmp::Reverse(s.0));
-        let new_outs: Vec<String> = compute_segments.iter().map(|s| s.2.clone()).collect();
-        for (depth, in_joint, out_joint, udf, stage_feed, locs) in compute_segments {
-            let seg_metrics = FeedMetrics::registered_default(
-                &self.cluster.registry(),
-                &out_joint,
-                self.cluster.clock().clone(),
-            );
+        let compute_n = self.config.compute_parallelism.unwrap_or(alive.len());
+        let offset = self.config.compute_node_offset;
+        let instances =
+            (0..compute_n.clamp(1, alive.len())).map(|k| alive[(offset + k) % alive.len()]);
+        let compute_placement = dedup_nodes(instances.collect());
+        let mut tail_joint = root.clone();
+        for f in &lineage {
+            let Some(udf_name) = &f.udf else {
+                continue;
+            };
+            let out = self.catalog.joint_id_for(&f.name)?;
+            let input = std::mem::replace(&mut tail_joint, out.clone());
+            if st.producer_of(&out).is_some() {
+                continue;
+            }
             // At-least-once custody belongs at the earliest intake under the
             // adaptor (§5.6): only the depth-1 stage — whose intake rides on
-            // the collect joint's (adaptor) nodes — gets the tracker
-            // plumbing. The channel count is pinned to the in-joint's
+            // the collect joint's (adaptor) nodes — gets the tracker, which
+            // holds every record until the *store* stage acks it, so a
+            // compute- or store-node death never strands the only copy
+            // mid-pipeline. The channel count is pinned to the in-joint's
             // instance count, which scale_intake keeps constant.
-            let (ack, store_ack) = if policy.at_least_once && in_joint == root_raw_joint {
-                let partitions = st.joints.get(&in_joint).map_or(0, Vec::len);
-                let (plumbing, sender) = self.new_ack_channels(partitions);
+            let (ack, store_ack) = if trunk.at_least_once && input == root {
+                let partitions = match producers.first() {
+                    Some(collect) => collect.placement.len(),
+                    None => st.placement_of(&root).map_or(0, <[NodeId]>::len),
+                };
+                let (plumbing, sender) = self.ack_channels(partitions);
                 (Some(plumbing), Some(sender))
             } else {
                 (None, None)
             };
-            let seg = ComputeSegment {
-                out_joint: out_joint.clone(),
-                in_joint,
-                udf,
-                feed_id: stage_feed,
-                compute_locations: locs,
-                policy: policy.clone(),
-                metrics: seg_metrics,
-                depth,
-                extra_spin: self.config.compute_extra_spin,
-                extra_delay_us: self.config.compute_extra_delay_us,
-                job: JobHandle::detached(),
-                ack,
-                store_ack,
+            let udf = self.catalog.function(udf_name)?;
+            producers.push(Segment {
+                key: format!("compute:{out}"),
+                input: Some(input),
+                placement: compute_placement.clone(),
+                policy: trunk.clone(),
+                metrics: FeedMetrics::registered_default(&registry, &out, clock.clone()),
+                feed_id: feed_id(&f.name),
+                job: None,
+                kind: Kind::Compute {
+                    udf,
+                    ack,
+                    store_ack,
+                },
+                outputs: vec![out],
+            });
+        }
+
+        // --- consumers: one store per sink, behind a route when asked ------
+        let sink_joints: Vec<String> = match &route {
+            Some(plan) => (0..sinks.len()).map(|i| plan.sink_joint_id(i)).collect(),
+            None => vec![tail_joint.clone(); sinks.len()],
+        };
+        let mut segments: Vec<Segment> = Vec::new();
+        for ((dataset, policy), joint) in sinks.into_iter().zip(&sink_joints) {
+            let conn_key = format!("{tail}->{}", dataset.config.name);
+            dataset.register_observability(&registry, &self.cluster.trace());
+            segments.push(Segment {
+                key: format!("store:{conn_key}"),
+                input: Some(joint.clone()),
+                outputs: Vec::new(),
+                placement: dataset.config.nodegroup.clone(),
+                policy,
+                metrics: FeedMetrics::registered_default(&registry, &conn_key, clock.clone()),
+                feed_id: feed_id(tail),
+                job: None,
+                kind: Kind::Store(Connection {
+                    id: CONNECTION_IDS.next(),
+                    feed: tail.to_string(),
+                    dataset,
+                    state: ConnectionState::Active,
+                    down_since: None,
+                }),
+            });
+        }
+        if let Some(plan) = route {
+            // the router rides on the tail joint's nodes; its out joints are
+            // co-located so routed frames never cross a node boundary twice
+            let placement = match producers.last() {
+                Some(tail_producer) => tail_producer.placement.clone(),
+                None => st
+                    .placement_of(&tail_joint)
+                    .ok_or_else(|| IngestError::Plan(format!("no live joint '{tail_joint}'")))?
+                    .to_vec(),
             };
-            st.computes.insert(out_joint, seg);
+            let key = format!("route:{}", plan.name);
+            segments.push(Segment {
+                input: Some(tail_joint),
+                outputs: sink_joints,
+                placement,
+                policy: trunk.clone(),
+                metrics: FeedMetrics::registered_default(&registry, &key, clock.clone()),
+                feed_id: feed_id(tail),
+                job: None,
+                kind: Kind::Route(plan),
+                key,
+            });
         }
-
-        Ok(ChainPlan {
-            root_raw_joint,
-            source_joint,
-            collect_factory,
-            new_outs,
-        })
+        segments.extend(producers.into_iter().rev());
+        Ok(segments)
     }
 
-    fn spawn_collect_job(&self, seg: &CollectSegment) -> IngestResult<JobHandle> {
-        let mut job = JobSpec::new(format!("collect:{}", seg.joint_id));
-        job.transport = self.config.transport;
-        let collect = job.add_operator(Box::new(CollectDesc {
-            joint_id: seg.joint_id.clone(),
-            factory: Arc::clone(&seg.factory),
-            config: seg.config.clone(),
-            locations: seg.locations.clone(),
-            // skipped-unparseable-input counter for all adaptor instances of
-            // this feed, visible in registry snapshots and the exporters
-            malformed_lines: self
-                .cluster
-                .registry()
-                .counter("parse.malformed_lines", &[("feed", &seg.joint_id)]),
-        }));
-        let sink = job.add_operator(Box::new(NullSinkDesc {
-            locations: seg.locations.clone(),
-        }));
-        job.connect(collect, sink, ConnectorSpec::OneToOne);
-        run_job(&self.cluster, job)
-    }
-
-    fn spawn_compute_job(&self, st: &State, seg: &ComputeSegment) -> IngestResult<JobHandle> {
-        let in_locations = st
-            .joints
-            .get(&seg.in_joint)
-            .cloned()
-            .ok_or_else(|| IngestError::Plan(format!("no live joint '{}'", seg.in_joint)))?;
-        let mut job = JobSpec::new(format!("compute:{}", seg.out_joint));
-        job.transport = self.config.transport;
-        let intake = job.add_operator(Box::new(IntakeDesc {
-            joint_id: seg.in_joint.clone(),
-            sub_key: format!("compute:{}", seg.out_joint),
-            locations: in_locations,
-            policy: seg.policy.clone(),
-            metrics: Arc::clone(&seg.metrics),
-            elastic_tx: self.elastic_sender(),
-            flow_capacity: self.config.flow_capacity,
-            ack: seg.ack.clone(),
-            connection_key: format!("compute:{}", seg.out_joint),
-            feed: seg.feed_id,
-            fault_plan: None,
-        }));
-        let assign = job.add_operator(Box::new(AssignDesc {
-            udf: seg.udf.clone(),
-            out_joint_id: seg.out_joint.clone(),
-            locations: seg.compute_locations.clone(),
-            policy: seg.policy.clone(),
-            metrics: Arc::clone(&seg.metrics),
-            log: Arc::clone(&self.log),
-            log_dataset: self.log_dataset.lock().clone(),
-            extra_spin: seg.extra_spin,
-            extra_delay_us: seg.extra_delay_us,
-        }));
-        job.connect(intake, assign, ConnectorSpec::MNRandomPartition);
-        run_job(&self.cluster, job)
-    }
-
-    fn spawn_route_job(&self, st: &State, seg: &RouteSegment) -> IngestResult<JobHandle> {
-        let in_locations = st
-            .joints
-            .get(&seg.in_joint)
-            .cloned()
-            .ok_or_else(|| IngestError::Plan(format!("no live joint '{}'", seg.in_joint)))?;
-        let mut job = JobSpec::new(format!("route:{}", seg.plan.name));
-        job.transport = self.config.transport;
-        let intake = job.add_operator(Box::new(IntakeDesc {
-            joint_id: seg.in_joint.clone(),
-            sub_key: format!("route:{}", seg.plan.name),
-            locations: in_locations,
-            policy: seg.policy.clone(),
-            metrics: Arc::clone(&seg.metrics),
-            elastic_tx: self.elastic_sender(),
-            flow_capacity: self.config.flow_capacity,
-            ack: None,
-            connection_key: format!("route:{}", seg.plan.name),
-            feed: seg.feed_id,
-            fault_plan: None,
-        }));
-        let route = job.add_operator(Box::new(RouteDesc {
-            plan: Arc::clone(&seg.plan),
-            out_joints: seg.out_joints.clone(),
-            locations: seg.locations.clone(),
-            metrics: Arc::clone(&seg.metrics),
-            routed: seg.routed.clone(),
-            no_match: seg.no_match.clone(),
-        }));
-        // the router is co-located with its intake: routing is a local
-        // decision, repartitioning happens at each sink's store job
-        job.connect(intake, route, ConnectorSpec::OneToOne);
-        run_job(&self.cluster, job)
-    }
-
-    /// Paired at-least-once channels for `partitions` tracker partitions.
-    fn new_ack_channels(&self, partitions: usize) -> (Arc<AckPlumbing>, Arc<StoreAck>) {
-        let mut txs = Vec::new();
-        let mut rxs = Vec::new();
-        for _ in 0..partitions {
-            let (tx, rx) = crossbeam_channel::unbounded();
-            txs.push(tx);
-            rxs.push(rx);
+    /// Enter `compiled` into the table and start its jobs in the given
+    /// order. Every row and joint goes in before any job starts: a store
+    /// job must find its chain's at-least-once plumbing. A failed start
+    /// leaves the table as it was.
+    fn start_segments(&self, st: &mut State, compiled: Vec<Segment>) -> IngestResult<()> {
+        let keys: Vec<String> = compiled.iter().map(|s| s.key.clone()).collect();
+        for seg in compiled {
+            self.register_joints(&seg.outputs, &seg.placement);
+            st.segments.insert(seg.key.clone(), seg);
         }
-        (
-            Arc::new(AckPlumbing {
-                rxs,
-                timeout: self.config.ack_timeout,
-            }),
-            Arc::new(StoreAck {
-                txs,
-                window: self.config.ack_window,
-            }),
-        )
-    }
-
-    /// The ack sender of the chain feeding `source_joint`, held by its
-    /// depth-1 (adaptor-side) compute segment. `None` for raw feeds and for
-    /// chains whose root segment was built without at-least-once plumbing.
-    fn chain_store_ack(&self, st: &State, source_joint: &str) -> Option<Arc<StoreAck>> {
-        let mut seg = st.computes.get(source_joint)?;
-        while let Some(parent) = st.computes.get(&seg.in_joint) {
-            seg = parent;
+        for key in &keys {
+            match self.spawn(st, &st.segments[key]) {
+                Ok(job) => st.segments.get_mut(key).expect("inserted above").job = Some(job),
+                Err(e) => {
+                    for seg in keys.iter().filter_map(|k| st.segments.remove(k)) {
+                        // graceful: a started intake must drop its
+                        // subscription to a joint it shares with others
+                        if let Some(job) = seg.job {
+                            job.stop_sources();
+                        }
+                        self.retire_joints(&seg.outputs, &seg.placement);
+                    }
+                    return Err(e);
+                }
+            }
         }
-        seg.store_ack.clone()
+        Ok(())
     }
 
-    fn spawn_store_job(&self, st: &State, conn: &Connection) -> IngestResult<JobHandle> {
-        let in_locations =
-            st.joints.get(&conn.source_joint).cloned().ok_or_else(|| {
-                IngestError::Plan(format!("no live joint '{}'", conn.source_joint))
-            })?;
-        // At-least-once plumbing. A processed feed's tracker sits at the
-        // chain's adaptor-side compute intake (§5.6) — this job's intake
-        // follows the compute joint onto arbitrary worker nodes, and a
-        // tracker there would be the only custodian of in-flight records
-        // when such a node dies. Route the store's acks up the chain and
-        // leave this intake untracked. A raw feed keeps the tracker here:
-        // its store intake IS the adaptor-side stage.
-        let chain_ack = if conn.policy.at_least_once {
-            self.chain_store_ack(st, &conn.source_joint)
+    /// The one place a segment becomes a Hyracks job. Every kind but the
+    /// collect starts with the same intake on the input joint's nodes; the
+    /// second operator is the kind's.
+    fn spawn(&self, st: &State, seg: &Segment) -> IngestResult<JobHandle> {
+        let (policy, metrics) = (seg.policy.clone(), Arc::clone(&seg.metrics));
+        let (log, log_dataset) = (Arc::clone(&self.log), self.log_dataset.lock().clone());
+        let locations = seg.placement.clone();
+        let intake_nodes = seg.input.as_deref().and_then(|j| st.placement_of(j));
+        let mut store_ack = None;
+        let first: Box<dyn OperatorDescriptor> = if let Some(input) = seg.input.as_deref() {
+            let in_locations = intake_nodes
+                .ok_or_else(|| IngestError::Plan(format!("no live joint '{input}'")))?;
+            // A store intake follows the compute joint onto arbitrary worker
+            // nodes, where a tracker would die with the records it guards:
+            // the store of a processed feed routes its acks up the chain to
+            // the adaptor-side custodian and leaves its own intake untracked.
+            // A raw feed keeps the tracker at the store intake: it IS the
+            // adaptor-side stage. So does a sink behind a route: the custody
+            // boundary is the routing decision, that sink's earliest stage.
+            let mut ack = None;
+            if let Kind::Compute { ack: own, .. } = &seg.kind {
+                ack = own.clone();
+            } else if seg.conn().is_some() && policy.at_least_once {
+                store_ack = chain_store_ack(st, seg);
+                if store_ack.is_none() {
+                    let (plumbing, sender) = self.ack_channels(in_locations.len());
+                    (ack, store_ack) = (Some(plumbing), Some(sender));
+                }
+            }
+            Box::new(IntakeDesc {
+                joint_id: input.to_string(),
+                sub_key: seg.sub_key(),
+                locations: in_locations.to_vec(),
+                policy: policy.clone(),
+                metrics: Arc::clone(&metrics),
+                elastic_tx: self.elastic_sender(),
+                flow_capacity: self.config.flow_capacity,
+                ack,
+                connection_key: seg.conn_key().to_string(),
+                feed: seg.feed_id,
+                // only the store-stage intake panics on schedule: killing
+                // the collect side would sever the external source for good
+                fault_plan: seg.conn().and(self.config.fault_plan.clone()),
+            })
         } else {
-            None
+            let Kind::Collect { factory, config } = &seg.kind else {
+                return Err(IngestError::Plan(format!("{} has no input", seg.key)));
+            };
+            let joint_id = seg.outputs[0].clone();
+            Box::new(CollectDesc {
+                // skipped-unparseable-input counter for all adaptor instances
+                // of this feed, visible in registry snapshots and exporters
+                malformed_lines: self
+                    .cluster
+                    .registry()
+                    .counter("parse.malformed_lines", &[("feed", &joint_id)]),
+                joint_id,
+                factory: Arc::clone(factory),
+                config: config.clone(),
+                locations: locations.clone(),
+            })
         };
-        let (ack_plumbing, store_ack) = if let Some(sender) = chain_ack {
-            (None, Some(sender))
-        } else if conn.policy.at_least_once {
-            let (plumbing, sender) = self.new_ack_channels(in_locations.len());
-            (Some(plumbing), Some(sender))
-        } else {
-            (None, None)
+        let (second, connector): (Box<dyn OperatorDescriptor>, _) = match &seg.kind {
+            Kind::Collect { .. } => (
+                Box::new(NullSinkDesc { locations }),
+                ConnectorSpec::OneToOne,
+            ),
+            Kind::Compute { udf, .. } => (
+                Box::new(AssignDesc {
+                    udf: udf.clone(),
+                    out_joint_id: seg.outputs[0].clone(),
+                    locations,
+                    policy,
+                    metrics,
+                    log,
+                    log_dataset,
+                    extra_spin: self.config.compute_extra_spin,
+                    extra_delay_us: self.config.compute_extra_delay_us,
+                }),
+                ConnectorSpec::MNRandomPartition,
+            ),
+            // the router is co-located with its intake: routing is a local
+            // decision, repartitioning happens at each sink's store job
+            Kind::Route(plan) => {
+                let registry = self.cluster.registry();
+                let routed = |i| {
+                    let label = plan.sink_label(i);
+                    registry.counter("plan.sink.records_routed", &[("conn", label.as_str())])
+                };
+                let route = RouteDesc {
+                    out_joints: seg.outputs.clone(),
+                    locations,
+                    metrics,
+                    routed: (0..plan.sinks.len()).map(routed).collect(),
+                    no_match: registry
+                        .counter("plan.route.no_match_total", &[("plan", plan.name.as_str())]),
+                    plan: Arc::clone(plan),
+                };
+                (Box::new(route), ConnectorSpec::OneToOne)
+            }
+            Kind::Store(c) => {
+                let key_fn = crate::ops::store_key_fn(
+                    c.dataset.config.primary_key.clone(),
+                    metrics.parse_calls.clone(),
+                );
+                let store = StoreDesc {
+                    dataset: Arc::clone(&c.dataset),
+                    registry: Some(Arc::clone(self.catalog.types())),
+                    policy,
+                    metrics,
+                    log,
+                    log_dataset,
+                    ack: store_ack,
+                };
+                (Box::new(store), ConnectorSpec::MNHashPartition(key_fn))
+            }
         };
-        let mut job = JobSpec::new(format!("store:{}", conn.key));
+        let mut job = JobSpec::new(seg.key.clone());
         job.transport = self.config.transport;
-        let intake = job.add_operator(Box::new(IntakeDesc {
-            joint_id: conn.source_joint.clone(),
-            sub_key: format!("conn:{}", conn.key),
-            locations: in_locations,
-            policy: conn.policy.clone(),
-            metrics: Arc::clone(&conn.metrics),
-            elastic_tx: self.elastic_sender(),
-            flow_capacity: self.config.flow_capacity,
-            ack: ack_plumbing,
-            connection_key: conn.key.clone(),
-            feed: conn.feed_id,
-            // only the store-stage intake panics on schedule: killing the
-            // collect side would sever the external source for good
-            fault_plan: self.config.fault_plan.clone(),
-        }));
-        let store = job.add_operator(Box::new(StoreDesc {
-            dataset: Arc::clone(&conn.dataset),
-            registry: Some(Arc::clone(self.catalog.types())),
-            policy: conn.policy.clone(),
-            metrics: Arc::clone(&conn.metrics),
-            log: Arc::clone(&self.log),
-            log_dataset: self.log_dataset.lock().clone(),
-            ack: store_ack,
-        }));
-        job.connect(
-            intake,
-            store,
-            ConnectorSpec::MNHashPartition(crate::ops::store_key_fn(
-                conn.dataset.config.primary_key.clone(),
-                conn.metrics.parse_calls.clone(),
-            )),
-        );
-        run_job(&self.cluster, job)
+        let (first, second) = (job.add_operator(first), job.add_operator(second));
+        job.connect(first, second, connector);
+        let handle = run_job(&self.cluster, job)?;
+        // Subscribe on the intake's behalf, so that "spawned" means
+        // "subscribed": the producer started next may deposit at once and
+        // the frame is queued, not dropped. The intake task attaches to the
+        // same keyed subscriptions on its first poll.
+        if let Some((input, nodes)) = seg.input.as_deref().zip(intake_nodes) {
+            let nodes = nodes.iter().map(|n| self.cluster.node(*n));
+            for (p, node) in nodes.enumerate().filter_map(|(p, n)| Some((p, n?))) {
+                let joint = FeedManager::on(&node).register_joint(input);
+                drop(joint.subscribe(format!("{}#p{p}", seg.sub_key())));
+            }
+        }
+        Ok(handle)
+    }
+
+    fn ack_channels(&self, partitions: usize) -> (Arc<AckPlumbing>, Arc<StoreAck>) {
+        ack_channels(partitions, self.config.ack_timeout, self.config.ack_window)
+    }
+
+    /// (Re)start the job of segment `key` — the one place a respawn can
+    /// fail. A failure is reported once (`feed.respawn_failures{conn}`, a
+    /// trace event under the enclosing operation `op`) and leaves the
+    /// segment *pending*: it stays in the table without a job, and every
+    /// sweep tick and every later failure/re-join/scale pass that touches it
+    /// tries again.
+    fn respawn(&self, st: &mut State, op: &str, key: &str) -> bool {
+        let Some(seg) = st.segments.get(key) else {
+            return false;
+        };
+        let spawned = self.spawn(st, seg);
+        if let Err(e) = &spawned {
+            let labels = &[("conn", seg.conn_key())];
+            let registry = self.cluster.registry();
+            registry.counter("feed.respawn_failures", labels).inc();
+            let log = self.cluster.trace().cluster_log();
+            log.event(op, format!("respawn of {key} failed: {e}"));
+        }
+        let seg = st.segments.get_mut(key).expect("looked up above");
+        seg.job = spawned.ok();
+        let running = seg.job.is_some();
+        let back = seg.conn_mut().filter(|_| running);
+        if let Some(t0) = back.and_then(|c| c.down_since.take()) {
+            seg.metrics.hard_failures_recovered.add(1);
+            let elapsed = self.cluster.clock().now().since(t0);
+            seg.metrics.last_recovery_millis.set(elapsed.0);
+        }
+        running
     }
 
     // -----------------------------------------------------------------------
-    // garbage collection of producer segments
+    // garbage collection and segment health
     // -----------------------------------------------------------------------
 
     fn joint_subscriber_count(&self, joint_id: &str, locations: &[NodeId]) -> usize {
@@ -1277,279 +1214,99 @@ impl FeedController {
             .sum()
     }
 
-    /// Reclaim route, compute and collect segments whose joints have no
-    /// subscribers left. Route segments go first (they are the most
-    /// downstream producers): dismantling one unsubscribes its intake from
-    /// the tail joint, which the loop then reclaims upstream.
+    /// Reclaim every producer segment none of whose output joints has a
+    /// subscriber left. Dismantling one unsubscribes its own intake, which
+    /// may orphan the segment upstream of it: repeat until nothing is left
+    /// to reclaim.
     pub fn gc_segments(&self) {
-        enum Victim {
-            /// plan name — all out joints subscriber-free
-            Route(String),
-            Compute(String),
-            Collect(String),
-        }
         loop {
             let victim = {
-                let st = self.state.lock();
-                let mut found: Option<Victim> = None;
-                for (name, seg) in &st.routes {
-                    let subs: usize = seg
-                        .out_joints
-                        .iter()
-                        .map(|oj| {
-                            let locs = st.joints.get(oj).cloned().unwrap_or_default();
-                            self.joint_subscriber_count(oj, &locs)
-                        })
-                        .sum();
-                    if subs == 0 {
-                        found = Some(Victim::Route(name.clone()));
-                        break;
-                    }
-                }
-                if found.is_none() {
-                    for (out, seg) in &st.computes {
-                        let locs = st.joints.get(out).cloned().unwrap_or_default();
-                        if self.joint_subscriber_count(out, &locs) == 0 {
-                            found = Some(Victim::Compute(seg.out_joint.clone()));
-                            break;
-                        }
-                    }
-                }
-                if found.is_none() {
-                    for (root, seg) in &st.collects {
-                        let locs = st.joints.get(root).cloned().unwrap_or_default();
-                        if self.joint_subscriber_count(root, &locs) == 0 {
-                            found = Some(Victim::Collect(seg.joint_id.clone()));
-                            break;
-                        }
-                    }
-                }
-                found
+                let mut st = self.state.lock();
+                let orphaned = |s: &&Segment| {
+                    let subscribers = |j| self.joint_subscriber_count(j, &s.placement);
+                    !s.outputs.is_empty() && s.outputs.iter().all(|j| subscribers(j) == 0)
+                };
+                let key = st.segments.values().find(orphaned).map(|s| s.key.clone());
+                key.and_then(|k| st.segments.remove(&k))
             };
-            let Some(victim) = victim else {
+            let Some(seg) = victim else {
                 return;
             };
-            let (job, retire) = {
-                let mut st = self.state.lock();
-                match victim {
-                    Victim::Route(name) => {
-                        let seg = st.routes.remove(&name);
-                        let mut retire = Vec::new();
-                        if let Some(seg) = &seg {
-                            for oj in &seg.out_joints {
-                                if let Some(locs) = st.joints.remove(oj) {
-                                    retire.push((oj.clone(), locs));
-                                }
-                            }
-                        }
-                        (seg.map(|s| s.job), retire)
-                    }
-                    Victim::Compute(joint) => {
-                        let locs = st.joints.remove(&joint).unwrap_or_default();
-                        (
-                            st.computes.remove(&joint).map(|s| s.job),
-                            vec![(joint, locs)],
-                        )
-                    }
-                    Victim::Collect(joint) => {
-                        let locs = st.joints.remove(&joint).unwrap_or_default();
-                        (
-                            st.collects.remove(&joint).map(|s| s.job),
-                            vec![(joint, locs)],
-                        )
-                    }
-                }
-            };
-            for (joint, locs) in &retire {
-                for n in locs {
-                    if let Some(node) = self.cluster.node(*n) {
-                        FeedManager::on(&node).retire_joint(joint);
-                    }
-                }
-            }
-            if let Some(job) = job {
+            self.retire_joints(&seg.outputs, &seg.placement);
+            if let Some(job) = seg.job {
                 job.stop_sources();
                 let _ = job.wait();
             }
-            // removing this segment may orphan its own source joint: loop
         }
     }
 
-    // -----------------------------------------------------------------------
-    // segment health
-    // -----------------------------------------------------------------------
-
-    /// Detect segments that terminated on their own (e.g. a FeedTerminated
-    /// raised by the Basic policy's memory budget or the consecutive
-    /// soft-failure limit) and end the connections that depend on them.
-    /// Collect segments ending is *not* a failure: a finite source simply
-    /// ran dry, and its connections stay connected (feeds are conceptually
-    /// unbounded).
+    /// Periodic health pass over the table: retry pending respawns, respawn
+    /// store jobs that died of a runtime exception, and detect segments that
+    /// terminated on their own (e.g. a FeedTerminated raised by the Basic
+    /// policy's memory budget or the consecutive soft-failure limit), which
+    /// end together with everything downstream of them. Collect segments
+    /// ending is *not* a failure: a finite source simply ran dry, and its
+    /// connections stay connected (feeds are conceptually unbounded).
     fn sweep_dead_segments(&self) {
-        self.respawn_panicked_stores();
-        // a finished job is a *self*-termination only when none of its
-        // tasks died of a hard failure — those are the fault-tolerance
-        // protocol's to handle (the heartbeat monitor lags the actual
-        // crash, so the sweep must not misclassify them)
-        fn self_terminated(job: &JobHandle) -> bool {
-            match job.try_outcome() {
-                None => false, // still running
-                Some(results) => !results.iter().any(|(_, r)| {
-                    matches!(
-                        r,
-                        Err(IngestError::NodeFailed(_)) | Err(IngestError::Disconnected(_))
-                    )
-                }),
-            }
-        }
         let mut st = self.state.lock();
-        // transitively collect dead compute segments
-        let mut dead: Vec<String> = st
-            .computes
-            .iter()
-            .filter(|(_, s)| self_terminated(&s.job))
-            .map(|(k, _)| k.clone())
-            .collect();
-        let mut i = 0;
-        while i < dead.len() {
-            let joint = dead[i].clone();
-            let downstream: Vec<String> = st
-                .computes
-                .values()
-                .filter(|s| s.in_joint == joint && !dead.contains(&s.out_joint))
-                .map(|s| s.out_joint.clone())
-                .collect();
-            dead.extend(downstream);
-            i += 1;
-        }
-        // route segments die with their trunk (in-joint in the dead set)
-        // or on their own (e.g. the trunk's spill budget raised
-        // FeedTerminated at the router's intake)
-        let dead_routes: Vec<String> = st
-            .routes
-            .iter()
-            .filter(|(_, s)| self_terminated(&s.job) || dead.contains(&s.in_joint))
-            .map(|(k, _)| k.clone())
-            .collect();
-        if dead.is_empty() && dead_routes.is_empty() {
-            // still mark connections whose own store job self-terminated
-            for c in st.connections.values_mut() {
-                if c.state == ConnectionState::Active
-                    && c.job.as_ref().map(self_terminated).unwrap_or(false)
-                {
-                    c.state = ConnectionState::Ended;
-                    c.job.take();
+        let all_alive = |nodes: &[NodeId]| {
+            let alive = |n: &NodeId| self.cluster.node(*n).is_some_and(|h| h.is_alive());
+            nodes.iter().all(alive)
+        };
+        let (mut pending, mut panicked, mut dead) = (Vec::new(), Vec::new(), Vec::new());
+        for seg in st.segments.values().filter(|s| s.runnable()) {
+            let Some(job) = &seg.job else {
+                pending.push(seg.key.clone()); // from an earlier pass
+                continue;
+            };
+            let Some(results) = job.try_outcome() else {
+                continue; // still running
+            };
+            let died_of = |hard: fn(&IngestError) -> bool| {
+                results.iter().any(|(_, r)| r.as_ref().is_err_and(hard))
+            };
+            let exception = died_of(|e| matches!(e, IngestError::Disconnected(_)));
+            if died_of(|e| matches!(e, IngestError::NodeFailed(_))) {
+                // a lost node is the fault-tolerance protocol's to handle
+                // (the heartbeat monitor lags the actual crash, so the sweep
+                // must not misclassify it)
+            } else if exception {
+                // §6.2.3's "runtime exception" hard failure (an operator
+                // panic, injected or real): respawn the store job while its
+                // nodes are all still alive. The alive-guard also filters the
+                // race where a node kill was the real cause but the monitor
+                // has not reported it yet — `kill_node` flips the liveness
+                // flag immediately.
+                let source = seg.input.as_deref().and_then(|j| st.placement_of(j));
+                let recoverable = seg.conn().is_some() && seg.policy.recover_hard_failure;
+                if recoverable && all_alive(&seg.placement) && source.is_some_and(all_alive) {
+                    panicked.push(seg.key.clone());
                 }
+            } else if !matches!(seg.kind, Kind::Collect { .. }) && !dead.contains(&seg.key) {
+                dead.extend(st.downstream(&seg.key, |_| true));
             }
-            return;
         }
-        // connections end when their source joint is a dead compute's out
-        // joint or a dead route's sink joint
-        let mut dead_source_joints = dead.clone();
-        for name in &dead_routes {
-            dead_source_joints.extend(st.routes.get(name).unwrap().out_joints.clone());
+        let now = self.cluster.clock().now();
+        for key in &panicked {
+            let down = st.segments.get_mut(key).and_then(Segment::conn_mut);
+            down.expect("a store, collected above").down_since = Some(now);
         }
-        let conn_ids: Vec<ConnectionId> = st
-            .connections
-            .values()
-            .filter(|c| {
-                c.state == ConnectionState::Active && dead_source_joints.contains(&c.source_joint)
-            })
-            .map(|c| c.id)
-            .collect();
-        for id in conn_ids {
-            let c = st.connections.get_mut(&id).unwrap();
-            c.state = ConnectionState::Ended;
-            if let Some(job) = c.job.take() {
+        for key in pending.iter().chain(&panicked) {
+            self.respawn(&mut st, "feed.sweep", key);
+        }
+        for key in dead {
+            let Some(seg) = st.segments.get_mut(&key) else {
+                continue;
+            };
+            if let Some(job) = seg.end() {
                 job.abort();
             }
-        }
-        // dismantle the dead segments and retire their joints
-        let mut to_retire: Vec<(String, Vec<NodeId>)> = Vec::new();
-        for name in &dead_routes {
-            if let Some(seg) = st.routes.remove(name) {
-                seg.job.abort();
-                for oj in seg.out_joints {
-                    if let Some(locs) = st.joints.remove(&oj) {
-                        to_retire.push((oj, locs));
-                    }
+            // an ended connection stays readable; a dead producer leaves the
+            // table with its joints
+            if seg.conn().is_none() {
+                if let Some(seg) = st.segments.remove(&key) {
+                    self.retire_joints(&seg.outputs, &seg.placement);
                 }
-            }
-        }
-        for joint in &dead {
-            if let Some(seg) = st.computes.remove(joint) {
-                seg.job.abort();
-            }
-            if let Some(locs) = st.joints.remove(joint) {
-                to_retire.push((joint.clone(), locs));
-            }
-        }
-        drop(st);
-        for (joint, locs) in to_retire {
-            for n in locs {
-                if let Some(node) = self.cluster.node(n) {
-                    FeedManager::on(&node).retire_joint(&joint);
-                }
-            }
-        }
-    }
-
-    /// Respawn store jobs that died of a runtime exception (an operator
-    /// panic, injected or real — surfaces as `Disconnected`) while their
-    /// nodes are all still alive (§6.2.3's "runtime exception" hard
-    /// failure). Node-loss deaths are left to `handle_node_failure`; the
-    /// alive-guard also filters the race where a node kill was the real
-    /// cause but the heartbeat monitor has not reported it yet, because
-    /// `kill_node` flips the liveness flag immediately.
-    fn respawn_panicked_stores(&self) {
-        fn panicked(job: &JobHandle) -> bool {
-            match job.try_outcome() {
-                None => false, // still running
-                Some(results) => {
-                    results
-                        .iter()
-                        .any(|(_, r)| matches!(r, Err(IngestError::Disconnected(_))))
-                        && !results
-                            .iter()
-                            .any(|(_, r)| matches!(r, Err(IngestError::NodeFailed(_))))
-                }
-            }
-        }
-        let mut st = self.state.lock();
-        let ids: Vec<ConnectionId> = st
-            .connections
-            .values()
-            .filter(|c| {
-                c.state == ConnectionState::Active
-                    && c.policy.recover_hard_failure
-                    && c.job.as_ref().map(panicked).unwrap_or(false)
-            })
-            .map(|c| c.id)
-            .collect();
-        for id in ids {
-            let healthy = {
-                let c = st.connections.get(&id).unwrap();
-                let joint_up = st.joints.get(&c.source_joint).map(|locs| {
-                    locs.iter()
-                        .all(|n| self.cluster.node(*n).map(|h| h.is_alive()).unwrap_or(false))
-                });
-                let stores_up = c
-                    .dataset
-                    .config
-                    .nodegroup
-                    .iter()
-                    .all(|n| self.cluster.node(*n).map(|h| h.is_alive()).unwrap_or(false));
-                joint_up == Some(true) && stores_up
-            };
-            if !healthy {
-                continue; // a node really is down; §6.2.2 handles it
-            }
-            st.connections.get_mut(&id).unwrap().job.take();
-            let conn_ref = st.connections.get(&id).unwrap();
-            if let Ok(job) = self.spawn_store_job(&st, conn_ref) {
-                let c = st.connections.get_mut(&id).unwrap();
-                c.job = Some(job);
-                c.metrics.hard_failures_recovered.add(1);
             }
         }
     }
@@ -1559,12 +1316,9 @@ impl FeedController {
     // -----------------------------------------------------------------------
 
     fn pick_substitute(&self, dead: NodeId, avoid: &[NodeId]) -> Option<NodeId> {
-        let alive = self.cluster.alive_nodes();
-        alive
-            .iter()
-            .map(|n| n.id())
-            .find(|id| *id != dead && !avoid.contains(id))
-            .or_else(|| alive.first().map(|n| n.id()))
+        let alive = self.alive_ids();
+        let fresh = alive.iter().find(|id| **id != dead && !avoid.contains(id));
+        fresh.or(alive.first()).copied()
     }
 
     fn handle_node_failure(&self, dead: NodeId) {
@@ -1573,190 +1327,55 @@ impl FeedController {
             .trace()
             .node_log(dead)
             .span("feed.recovery", format!("node {dead} failed"));
-        // phase 1: decide what is affected, under the lock
-        let mut st = self.state.lock();
-
-        // connections whose store stage lives on the dead node are suspended
-        // (no replication: the dataset partition is gone until re-join)
-        let mut suspend: Vec<ConnectionId> = Vec::new();
-        let mut end: Vec<ConnectionId> = Vec::new();
-        for c in st.connections.values() {
-            if c.state != ConnectionState::Active {
-                continue;
-            }
-            if c.dataset.config.nodegroup.contains(&dead) {
-                if c.policy.recover_hard_failure {
-                    suspend.push(c.id);
-                } else {
-                    end.push(c.id);
-                }
-            }
-        }
-        let now = self.cluster.clock().now();
-        for id in &suspend {
-            if let Some(c) = st.connections.get_mut(id) {
-                c.state = ConnectionState::Suspended;
-                c.suspended_at = Some(now);
-                if let Some(job) = c.job.take() {
+        let mut rebuild = Rebuild {
+            op: "feed.recovery",
+            ..Default::default()
+        };
+        let moved = {
+            let mut st = self.state.lock();
+            // connections whose store stage lives on the dead node are
+            // suspended (no replication: the dataset partition is gone until
+            // re-join) — or ended, when the policy forgoes recovery
+            let now = self.cluster.clock().now();
+            for seg in st.segments.values_mut() {
+                let recover = seg.policy.recover_hard_failure;
+                let lost = seg.placement.contains(&dead) && seg.runnable();
+                let Some(c) = seg.conn_mut().filter(|_| lost) else {
+                    continue;
+                };
+                (c.state, c.down_since) = match recover {
+                    true => (ConnectionState::Suspended, Some(now)),
+                    false => (ConnectionState::Ended, None),
+                };
+                if let Some(job) = seg.job.take() {
                     job.abort();
                 }
             }
-        }
-        for id in &end {
-            if let Some(c) = st.connections.get_mut(id) {
-                c.state = ConnectionState::Ended;
-                if let Some(job) = c.job.take() {
-                    job.abort();
-                }
+            // producers with an instance on the dead node: a substitute takes
+            // over the dead node's partition slots, and the joint moves there
+            // with everything downstream of it
+            let mut moves = HashMap::new();
+            for seg in st.segments.values() {
+                let shares_nodes = match seg.kind {
+                    Kind::Collect { .. } => true, // instances may share a node
+                    Kind::Compute { .. } => false,
+                    _ => continue,
+                };
+                let substitute = self.pick_substitute(dead, &seg.placement);
+                let Some(substitute) = substitute.filter(|_| seg.placement.contains(&dead)) else {
+                    continue;
+                };
+                let swap = |n: &NodeId| if *n == dead { substitute } else { *n };
+                let new: Vec<NodeId> = seg.placement.iter().map(swap).collect();
+                let new = if shares_nodes { new } else { dedup_nodes(new) };
+                moves.insert(seg.outputs[0].clone(), new);
             }
-        }
-
-        // collect segments on the dead node: substitute and rebuild the head
-        let mut moved_joints: Vec<String> = Vec::new();
-        let collect_keys: Vec<String> = st.collects.keys().cloned().collect();
-        for key in collect_keys {
-            let affected = st.collects.get(&key).map(|s| s.locations.contains(&dead));
-            if affected != Some(true) {
-                continue;
-            }
-            let seg = st.collects.get_mut(&key).unwrap();
-            let avoid = seg.locations.clone();
-            let Some(substitute) = self.pick_substitute(dead, &avoid) else {
-                continue;
-            };
-            for l in seg.locations.iter_mut() {
-                if *l == dead {
-                    *l = substitute;
-                }
-            }
-            seg.job.abort();
-            let locations = seg.locations.clone();
-            let joint = seg.joint_id.clone();
-            st.joints.insert(joint.clone(), locations.clone());
-            moved_joints.push(joint.clone());
-            self.preregister_joint(&joint, &locations);
-            let seg_ref = st.collects.get(&key).unwrap();
-            if let Ok(job) = self.spawn_collect_job(seg_ref) {
-                st.collects.get_mut(&key).unwrap().job = job;
-            }
-        }
-
-        // compute segments, in depth order (upstream first)
-        let mut compute_keys: Vec<(usize, String)> = st
-            .computes
-            .values()
-            .map(|s| (s.depth, s.out_joint.clone()))
-            .collect();
-        compute_keys.sort();
-        for (_, key) in compute_keys {
-            let (needs_rebuild, seg_in_joint) = {
-                let seg = st.computes.get(&key).unwrap();
-                let hit_compute = seg.compute_locations.contains(&dead);
-                let in_moved = moved_joints.contains(&seg.in_joint);
-                let in_on_dead = st
-                    .joints
-                    .get(&seg.in_joint)
-                    .map(|l| l.contains(&dead))
-                    .unwrap_or(false);
-                (hit_compute || in_moved || in_on_dead, seg.in_joint.clone())
-            };
-            if !needs_rebuild {
-                continue;
-            }
-            // fix the in-joint's directory entry if it still lists the dead
-            // node (can happen when the upstream producer itself was fine
-            // but hosted an instance on the dead node — the whole joint
-            // location set is owned by the producer, so only rewrite here
-            // when the producer was untouched)
-            let _ = seg_in_joint;
-            let seg = st.computes.get_mut(&key).unwrap();
-            if seg.compute_locations.contains(&dead) {
-                let avoid = seg.compute_locations.clone();
-                if let Some(substitute) = self.pick_substitute(dead, &avoid) {
-                    for l in seg.compute_locations.iter_mut() {
-                        if *l == dead {
-                            *l = substitute;
-                        }
-                    }
-                }
-                seg.compute_locations = dedup_nodes(seg.compute_locations.clone());
-            }
-            seg.job.abort();
-            let out = seg.out_joint.clone();
-            let locs = seg.compute_locations.clone();
-            st.joints.insert(out.clone(), locs.clone());
-            moved_joints.push(out.clone());
-            self.preregister_joint(&out, &locs);
-            let seg_ref = st.computes.get(&key).unwrap();
-            if let Ok(job) = self.spawn_compute_job(&st, seg_ref) {
-                st.computes.get_mut(&key).unwrap().job = job;
-            }
-        }
-
-        // route segments: the router follows its in-joint, and its out
-        // joints move with it — rebuilt *before* the store pass so sink
-        // connections re-subscribe on the new placement
-        let route_keys: Vec<String> = st.routes.keys().cloned().collect();
-        for key in route_keys {
-            let (needs_rebuild, in_joint, out_joints) = {
-                let seg = st.routes.get(&key).unwrap();
-                let hit = seg.locations.contains(&dead)
-                    || moved_joints.contains(&seg.in_joint)
-                    || st
-                        .joints
-                        .get(&seg.in_joint)
-                        .map(|l| l.contains(&dead))
-                        .unwrap_or(false);
-                (hit, seg.in_joint.clone(), seg.out_joints.clone())
-            };
-            if !needs_rebuild {
-                continue;
-            }
-            let Some(new_locs) = st.joints.get(&in_joint).cloned() else {
-                continue;
-            };
-            {
-                let seg = st.routes.get_mut(&key).unwrap();
-                seg.job.abort();
-                seg.locations = new_locs.clone();
-            }
-            for oj in &out_joints {
-                st.joints.insert(oj.clone(), new_locs.clone());
-                self.preregister_joint(oj, &new_locs);
-                moved_joints.push(oj.clone());
-            }
-            let seg_ref = st.routes.get(&key).unwrap();
-            if let Ok(job) = self.spawn_route_job(&st, seg_ref) {
-                st.routes.get_mut(&key).unwrap().job = job;
-            }
-        }
-
-        // store segments: rebuild when their intake was co-located with the
-        // dead node or their source joint moved
-        let conn_ids: Vec<ConnectionId> = st.connections.keys().copied().collect();
-        for id in conn_ids {
-            let rebuild = {
-                let c = st.connections.get(&id).unwrap();
-                c.state == ConnectionState::Active
-                    && (moved_joints.contains(&c.source_joint)
-                        || st
-                            .joints
-                            .get(&c.source_joint)
-                            .map(|l| l.contains(&dead))
-                            .unwrap_or(false))
-            };
-            if !rebuild {
-                continue;
-            }
-            if let Some(job) = st.connections.get_mut(&id).unwrap().job.take() {
-                job.abort();
-            }
-            let conn_ref = st.connections.get(&id).unwrap();
-            if let Ok(job) = self.spawn_store_job(&st, conn_ref) {
-                st.connections.get_mut(&id).unwrap().job = Some(job);
-            }
-        }
-        recovery_span.finish(&format!("{} joints moved", moved_joints.len()));
+            let moved = moves.len();
+            self.move_joints(&mut st, moves, &mut rebuild);
+            moved
+        };
+        self.settle_and_migrate(rebuild);
+        recovery_span.finish(&format!("{moved} joints moved"));
     }
 
     fn handle_node_join(&self, node: NodeId) {
@@ -1769,294 +1388,123 @@ impl FeedController {
             .node_log(node)
             .span("feed.rejoin", format!("node {node} rejoined"));
         let mut st = self.state.lock();
-        let ids: Vec<ConnectionId> = st
-            .connections
-            .values()
-            .filter(|c| {
-                c.state == ConnectionState::Suspended && c.dataset.config.nodegroup.contains(&node)
-            })
-            .map(|c| c.id)
-            .collect();
-        for id in ids {
-            let c = st.connections.get(&id).unwrap();
+        let suspended_here = |s: &&Segment| {
+            s.state() == Some(ConnectionState::Suspended) && s.placement.contains(&node)
+        };
+        let here = st.segments.values().filter(suspended_here);
+        let keys: Vec<String> = here.map(|s| s.key.clone()).collect();
+        for key in keys {
+            let c = st.segments.get_mut(&key).and_then(Segment::conn_mut);
+            let c = c.expect("a store, collected above");
             if let Some(p) = c.dataset.partition_on(node) {
                 let _ = p.recover();
             }
-            // make sure the source joint still exists; if its segment was
-            // also affected it has been rebuilt already by the failure path
-            if !st.joints.contains_key(&c.source_joint) {
-                continue;
-            }
-            let conn_ref = st.connections.get(&id).unwrap();
-            if let Ok(job) = self.spawn_store_job(&st, conn_ref) {
-                let c = st.connections.get_mut(&id).unwrap();
-                c.job = Some(job);
-                c.state = ConnectionState::Active;
-                c.metrics.hard_failures_recovered.add(1);
-                if let Some(t0) = c.suspended_at.take() {
-                    let elapsed = self.cluster.clock().now().since(t0);
-                    c.metrics.last_recovery_millis.set(elapsed.0);
-                }
-            }
+            // if the source joint's segment was also affected, the failure
+            // path has rebuilt it already: subscribe wherever it lives now
+            c.state = ConnectionState::Active;
+            self.respawn(&mut st, "feed.rejoin", &key);
         }
         rejoin_span.finish("rescheduled");
     }
 
     // -----------------------------------------------------------------------
-    // elasticity (§7.3.5)
+    // the rebuild path (§6.2.2 / §7.3.5)
     // -----------------------------------------------------------------------
 
-    fn handle_elastic_request(&self, req: &ElasticRequest) {
-        // the congested pipeline names either a connection ("F->D") or a
-        // compute segment ("compute:<joint>")
-        let joint = {
-            let st = self.state.lock();
-            if let Some(rest) = req.connection_key.strip_prefix("compute:") {
-                st.computes.contains_key(rest).then(|| rest.to_string())
-            } else {
-                st.connections
-                    .values()
-                    .find(|c| c.key == req.connection_key && c.state != ConnectionState::Ended)
-                    .map(|c| c.source_joint.clone())
+    /// The one rebuild path. Re-place the producer of every joint in `moves`
+    /// (joint → new placement) and reschedule every job this affects: the
+    /// producers and everything downstream of them. A route rides on its
+    /// input joint's nodes, so it — with its out joints and the sinks
+    /// subscribed there — moves along. The affected jobs are handed over and
+    /// queued in `rebuild` for `settle_and_migrate`, which the caller runs
+    /// once the state lock is dropped; their successors start downstream
+    /// first, in `compile`'s spawn order.
+    fn move_joints(
+        &self,
+        st: &mut State,
+        mut moves: HashMap<String, Vec<NodeId>>,
+        rebuild: &mut Rebuild,
+    ) {
+        // The affected segments, every producer ahead of its consumers: the
+        // re-placed producers and the consumers of their joints — and on
+        // below a consumer only if it is re-placed itself (a route, or
+        // another producer in `moves`); a consumer that stays put keeps its
+        // output joints, and everything below it keeps running.
+        let moving = |s: &Segment| s.outputs.iter().any(|j| moves.contains_key(j));
+        let re_placed = |s: &Segment| moving(s) || matches!(s.kind, Kind::Route(_));
+        let mut affected: Vec<String> = Vec::new();
+        for seg in st.segments.values() {
+            if moving(seg) && !affected.contains(&seg.key) {
+                let downstream = st.downstream(&seg.key, re_placed);
+                affected.retain(|k| !downstream.contains(k));
+                affected.extend(downstream);
             }
-        };
-        let Some(joint) = joint else {
-            // a request that names no live connection must not vanish
-            // silently: it is a symptom of a key mismatch or a race with
-            // disconnect, so count it and log it like any soft failure
-            self.cluster
-                .registry()
-                .counter(
-                    "elastic.requests_dropped",
-                    &[("conn", req.connection_key.as_str())],
-                )
-                .inc();
-            self.log.lock().push(SoftFailureEntry {
-                at: self.cluster.clock().now(),
-                operator: "cfm-elastic-monitor".into(),
-                message: format!(
-                    "elastic request for unknown connection '{}' dropped",
-                    req.connection_key
-                ),
-                payload: None,
-            });
-            return;
-        };
-        if self.config.governor.enabled {
-            // record the congestion vote for the control loop; the governor
-            // folds it into its next sample under hysteresis and cooldown
-            self.governor
-                .lock()
-                .conns
-                .entry(req.connection_key.clone())
-                .or_default()
-                .pending_requests += 1;
-        } else {
-            // legacy open-loop behaviour: one request, one extra instance
-            let _ = self.scale_compute(&joint, 1);
         }
-    }
-
-    /// One tick of the closed-loop scaling governor: sample the metrics
-    /// registry per live connection, run the pure control law, and apply
-    /// the decision to both the compute and intake stages. Exported as
-    /// `elastic.*` metrics and `elastic.governor` trace events.
-    fn governor_tick(&self) {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let cfg = self.config.governor.clone();
-        let registry = self.cluster.registry();
-        let snap = registry.snapshot();
-        let now = self.cluster.clock().now();
-        struct TickTarget {
-            key: String,
-            source_joint: String,
-            /// Metric scopes of the whole chain: the connection key plus
-            /// each compute segment's out-joint.
-            scopes: Vec<String>,
-            compute_n: Option<usize>,
-            root_joint: Option<String>,
-            intake_w: Option<usize>,
-        }
-        // collect the per-connection layout under the lock, act after
-        // dropping it (scale_* re-take the non-reentrant state lock)
-        let targets: Vec<TickTarget> = {
-            let st = self.state.lock();
-            st.connections
-                .values()
-                .filter(|c| c.state == ConnectionState::Active)
-                .map(|c| {
-                    let mut scopes = vec![c.key.clone()];
-                    let mut j = c.source_joint.clone();
-                    while let Some(seg) = st.computes.get(&j) {
-                        scopes.push(j.clone());
-                        j = seg.in_joint.clone();
-                    }
-                    let root = st.collects.get(&j).map(|s| s.joint_id.clone());
-                    let intake_w = st
-                        .collects
-                        .get(&j)
-                        .map(|s| dedup_nodes(s.locations.clone()).len());
-                    TickTarget {
-                        key: c.key.clone(),
-                        source_joint: c.source_joint.clone(),
-                        compute_n: st
-                            .computes
-                            .get(&c.source_joint)
-                            .map(|s| s.compute_locations.len()),
-                        root_joint: root,
-                        intake_w,
-                        scopes,
-                    }
-                })
-                .collect()
-        };
-        for t in targets {
-            let mut backlog = 0u64;
-            let mut queue = 0u64;
-            let mut pressure_now = 0u64;
-            for scope in &t.scopes {
-                backlog += snap.gauge_for("feed.buffer_bytes", scope).unwrap_or(0)
-                    + snap.gauge_for("feed.spill_bytes", scope).unwrap_or(0);
-                queue = queue.max(
-                    snap.gauge_for("feed.handoff_queue_frames", scope)
-                        .unwrap_or(0),
-                );
-                pressure_now += snap.counter_for("feed.records_throttled", scope)
-                    + snap.counter_for("feed.records_discarded", scope)
-                    + snap.counter_for("feed.records_spilled", scope)
-                    + snap.counter_for("feed.elastic_scaleouts", scope);
-            }
-            let lag_hist = snap.histogram_for("feed.ingest_lag_millis", &t.key);
-            let (sample, decision) = {
-                let mut gov = self.governor.lock();
-                let per = gov.conns.entry(t.key.clone()).or_default();
-                // windowed lag: current cumulative snapshot minus the
-                // previous tick's, so old congestion cannot dominate p99
-                let lag_p99 = match (&lag_hist, per.prev_lag.take()) {
-                    (Some(h), Some(prev)) => {
-                        let window = h.delta(&prev);
-                        per.prev_lag = Some(h.clone());
-                        if window.count > 0 {
-                            window.quantile(0.99)
-                        } else {
-                            0
-                        }
-                    }
-                    (Some(h), None) => {
-                        per.prev_lag = Some(h.clone());
-                        if h.count > 0 {
-                            h.quantile(0.99)
-                        } else {
-                            0
-                        }
-                    }
-                    (None, prev) => {
-                        per.prev_lag = prev;
-                        0
-                    }
-                };
-                let pressure_delta = pressure_now.saturating_sub(per.prev_pressure)
-                    + std::mem::take(&mut per.pending_requests);
-                per.prev_pressure = pressure_now;
-                let sample = GovernorSample {
-                    lag_p99_millis: lag_p99,
-                    backlog_bytes: backlog,
-                    queue_frames: queue,
-                    pressure_delta,
-                };
-                let decision = decide(&cfg, now, &sample, &mut per.control);
-                (sample, decision)
+        // joint → (old, new) placement, filled in as the walk re-places
+        let mut moved: HashMap<String, (Vec<NodeId>, Vec<NodeId>)> = HashMap::new();
+        for key in &affected {
+            let seg = st.segments.get_mut(key).expect("collected above");
+            let input_move = seg.input.as_ref().and_then(|j| moved.get(j).cloned());
+            let new = match (&seg.kind, &input_move) {
+                (Kind::Route(_), Some((_, new))) => Some(new.clone()),
+                _ => seg.outputs.first().and_then(|j| moves.remove(j)),
             };
-            let labels = &[("conn", t.key.as_str())];
-            registry.counter("elastic.governor_ticks", labels).inc();
-            registry
-                .gauge("elastic.lag_p99_millis", labels)
-                .set(sample.lag_p99_millis);
-            registry
-                .gauge("elastic.backlog_bytes", labels)
-                .set(sample.backlog_bytes);
-            if let Some(n) = t.compute_n {
-                registry
-                    .gauge("elastic.compute_partitions", labels)
-                    .set(n as u64);
-            }
-            if let Some(w) = t.intake_w {
-                registry
-                    .gauge("elastic.intake_partitions", labels)
-                    .set(w as u64);
-            }
-            let delta = match decision {
-                ScaleDecision::Hold => continue,
-                ScaleDecision::Out => 1i64,
-                ScaleDecision::In => -1i64,
-            };
-            let mut changed = false;
-            if let Some(n) = t.compute_n {
-                let within = if delta > 0 {
-                    n < cfg.max_compute
-                } else {
-                    n > cfg.min_compute
-                };
-                if within {
-                    if let Ok(new_n) = self.scale_compute(&t.source_joint, delta) {
-                        changed |= new_n != n;
-                    }
+            if let Some(new) = new {
+                self.register_joints(&seg.outputs, &new);
+                let old = std::mem::replace(&mut seg.placement, new.clone());
+                for joint in &seg.outputs {
+                    moved.insert(joint.clone(), (old.clone(), new.clone()));
                 }
             }
-            if let (Some(root), Some(w)) = (&t.root_joint, t.intake_w) {
-                let within = if delta > 0 {
-                    w < cfg.max_intake
-                } else {
-                    w > cfg.min_intake
-                };
-                if within {
-                    if let Ok(new_w) = self.scale_intake(root, delta) {
-                        changed |= new_w != w;
-                    }
-                }
+            if let Some(job) = seg.job.take() {
+                // the intake parks its deferred work for the successor; what
+                // is already in flight behind it drains through the old job
+                job.hand_over();
+                // An intake whose in-joint stayed put keeps its placement:
+                // wait the predecessor out so its parked state is visible,
+                // but nothing needs repartitioning. (A collect has no intake
+                // at all; its external sockets survive the swap — the source
+                // wire is persistent.)
+                let joint = seg.input.clone().unwrap_or_default();
+                let repartition = input_move.map(|(old, new)| (joint, seg.sub_key(), old, new));
+                rebuild.migrations.push(Migration { job, repartition });
             }
-            if changed {
-                let counter = if delta > 0 {
-                    "elastic.scale_out_total"
-                } else {
-                    "elastic.scale_in_total"
-                };
-                registry.counter(counter, labels).inc();
-                self.cluster.trace().cluster_log().event(
-                    "elastic.governor",
-                    format!(
-                        "{}: {} (lag p99 {} ms, backlog {} B, queue {} frames, pressure {})",
-                        t.key,
-                        if delta > 0 { "scale-out" } else { "scale-in" },
-                        sample.lag_p99_millis,
-                        sample.backlog_bytes,
-                        sample.queue_frames,
-                        sample.pressure_delta,
-                    ),
-                );
+        }
+        let vacated = moved.into_iter().map(|(joint, (old, _))| (joint, old));
+        rebuild.vacated.extend(vacated);
+        // a suspended store stays down until its node re-joins, and then
+        // subscribes wherever the joint lives by then
+        for key in affected.iter().rev() {
+            if st.segments[key].runnable() {
+                self.respawn(st, rebuild.op, key);
             }
         }
     }
 
-    /// Wait for aborted predecessor jobs to fully exit, then repartition
+    /// Wait for handed-over predecessor jobs to fully exit, then repartition
     /// their stranded frames onto the successor partition set. Runs with no
-    /// controller lock held: `JobHandle::abort` is asynchronous, so without
-    /// this settling step a dying intake could park zombie state *after*
-    /// the successor's instantiate-time adoption already ran, orphaning the
-    /// frames forever.
-    fn settle_and_migrate(&self, migrations: Vec<Migration>) {
+    /// controller lock held: `JobHandle::hand_over` is asynchronous, so
+    /// without this settling step a dying intake could park zombie state
+    /// *after* the successor's instantiate-time adoption already ran,
+    /// orphaning the frames forever.
+    fn settle_and_migrate(&self, rebuild: Rebuild) {
         // first make every old job quiescent: no more deposits into the old
         // joint instances, no more late zombie parks
-        for m in &migrations {
-            m.job.abort();
+        for m in &rebuild.migrations {
             let _ = m.job.wait();
         }
-        for m in migrations {
+        for m in rebuild.migrations {
             if let Some((joint_id, prefix, old, new)) = m.repartition {
                 self.migrate_partition_state(&joint_id, &prefix, &old, &new);
             }
+        }
+        // joint instances left behind hold nothing a successor needs any
+        // more; retired, a later placement on that node starts from a fresh
+        // joint instead of stale subscriptions
+        let st = self.state.lock();
+        for (joint, old) in rebuild.vacated {
+            let current = st.placement_of(&joint).unwrap_or_default();
+            self.retire_joints(&[joint], old.iter().filter(|n| !current.contains(n)));
         }
     }
 
@@ -2065,7 +1513,9 @@ impl FeedController {
     /// joint subscription (order preserves the stream: parked frames were
     /// consumed before the queued ones arrived) — and re-park them as
     /// zombie state keyed for the successor partition on its node, where
-    /// the successor's late-adoption poll picks them up.
+    /// the successor's late-adoption poll picks them up. Node substitution
+    /// after a failure keeps partition indices, so every partition is
+    /// skipped there: survivors resume their queue in place.
     fn migrate_partition_state(
         &self,
         joint_id: &str,
@@ -2105,10 +1555,12 @@ impl FeedController {
             FeedManager::on(&dst).save_zombie_state(&format!("{prefix}#p{successor}"), frames);
         }
         if moved > 0 {
-            self.cluster
+            let labels = &[("joint", joint_id)];
+            let migrated = self
+                .cluster
                 .registry()
-                .counter("elastic.frames_migrated", &[("joint", joint_id)])
-                .add(moved);
+                .counter("elastic.frames_migrated", labels);
+            migrated.add(moved);
             self.cluster.trace().cluster_log().event(
                 "elastic.repartition",
                 format!("{joint_id}: {moved} records re-parked for successors"),
@@ -2116,287 +1568,275 @@ impl FeedController {
         }
     }
 
-    /// Rebuild the segments consuming `out` after its placement changed
-    /// from `old_locs` to `new_locs`: dependent store connections and
-    /// downstream compute segments re-subscribe on the new placement, and
-    /// their aborted predecessors are queued for settling + migration.
-    fn rebuild_dependents(
-        &self,
-        st: &mut State,
-        out: &str,
-        old_locs: &[NodeId],
-        new_locs: &[NodeId],
-        migrations: &mut Vec<Migration>,
-    ) {
-        let conn_ids: Vec<ConnectionId> = st
-            .connections
-            .values()
-            .filter(|c| c.state == ConnectionState::Active && c.source_joint == out)
-            .map(|c| c.id)
-            .collect();
-        for id in conn_ids {
-            let old_job = st.connections.get_mut(&id).unwrap().job.take();
-            if let Some(j) = &old_job {
-                j.abort();
-            }
-            let conn_ref = st.connections.get(&id).unwrap();
-            let key = conn_ref.key.clone();
-            if let Ok(job) = self.spawn_store_job(st, conn_ref) {
-                st.connections.get_mut(&id).unwrap().job = Some(job);
-            }
-            if let Some(job) = old_job {
-                migrations.push(Migration {
-                    job,
-                    repartition: Some((
-                        out.to_string(),
-                        format!("conn:{key}"),
-                        old_locs.to_vec(),
-                        new_locs.to_vec(),
-                    )),
-                });
-            }
-        }
-        let compute_keys: Vec<String> = st
-            .computes
-            .values()
-            .filter(|s| s.in_joint == out)
-            .map(|s| s.out_joint.clone())
-            .collect();
-        for key in compute_keys {
-            st.computes.get_mut(&key).unwrap().job.abort();
-            let seg_ref = st.computes.get(&key).unwrap();
-            if let Ok(job) = self.spawn_compute_job(st, seg_ref) {
-                let old_job = std::mem::replace(&mut st.computes.get_mut(&key).unwrap().job, job);
-                migrations.push(Migration {
-                    job: old_job,
-                    repartition: Some((
-                        out.to_string(),
-                        format!("compute:{key}"),
-                        old_locs.to_vec(),
-                        new_locs.to_vec(),
-                    )),
-                });
-            }
-        }
-        // route segments follow their in-joint; their out joints (and the
-        // sink connections subscribed there) move with them
-        let route_keys: Vec<String> = st
-            .routes
-            .iter()
-            .filter(|(_, s)| s.in_joint == out)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in route_keys {
-            let out_joints = st.routes.get(&key).unwrap().out_joints.clone();
-            let old_job = {
-                let seg = st.routes.get_mut(&key).unwrap();
-                seg.locations = new_locs.to_vec();
-                std::mem::replace(&mut seg.job, JobHandle::detached())
-            };
-            old_job.abort();
-            migrations.push(Migration {
-                job: old_job,
-                repartition: Some((
-                    out.to_string(),
-                    format!("route:{key}"),
-                    old_locs.to_vec(),
-                    new_locs.to_vec(),
-                )),
-            });
-            for oj in &out_joints {
-                let old_oj = st
-                    .joints
-                    .insert(oj.clone(), new_locs.to_vec())
-                    .unwrap_or_default();
-                self.preregister_joint(oj, new_locs);
-                // sink connections re-subscribe on the moved out joint
-                // (recursion bottoms out: nothing consumes a sink joint but
-                // its store connections)
-                self.rebuild_dependents(st, oj, &old_oj, new_locs, migrations);
-            }
-            let seg_ref = st.routes.get(&key).unwrap();
-            if let Ok(job) = self.spawn_route_job(st, seg_ref) {
-                st.routes.get_mut(&key).unwrap().job = job;
-            }
-        }
-    }
+    // -----------------------------------------------------------------------
+    // elasticity (§7.3.5)
+    // -----------------------------------------------------------------------
 
     /// Change the parallelism of the compute segment publishing `joint_id`
-    /// by `delta` instances (elastic scale-out/in). Dependent store and
-    /// compute segments are rebuilt to follow the joint; once the aborted
-    /// predecessors have exited, frames stranded on removed partitions are
-    /// migrated to their successors (no-loss scale-in).
+    /// by `delta` instances (elastic scale-out/in). Dependent segments are
+    /// rebuilt to follow the joint; once the aborted predecessors have
+    /// exited, frames stranded on removed partitions are migrated to their
+    /// successors (no-loss scale-in).
     pub fn scale_compute(&self, joint_id: &str, delta: i64) -> IngestResult<usize> {
-        let mut migrations: Vec<Migration> = Vec::new();
+        let mut rebuild = Rebuild {
+            op: "feed.scale",
+            ..Default::default()
+        };
         let new_n = {
             let mut st = self.state.lock();
-            let alive: Vec<NodeId> = self.cluster.alive_nodes().iter().map(|n| n.id()).collect();
-            let seg = st.computes.get_mut(joint_id).ok_or_else(|| {
+            let alive = self.alive_ids();
+            let seg = st.segments.get(&format!("compute:{joint_id}"));
+            let mut new = seg.map(|s| s.placement.clone()).ok_or_else(|| {
                 IngestError::Metadata(format!("no compute segment publishes '{joint_id}'"))
             })?;
-            let current = seg.compute_locations.len() as i64;
-            let target = (current + delta).max(1) as usize;
-            let target = target.min(alive.len().max(1));
-            if target == seg.compute_locations.len() {
+            let current = new.len();
+            let target = ((current as i64 + delta).max(1) as usize).min(alive.len().max(1));
+            if target == current {
                 return Ok(target);
             }
-            let old_locs = seg.compute_locations.clone();
-            if target > seg.compute_locations.len() {
-                // add nodes not yet used, round-robin
-                let mut candidates: Vec<NodeId> = alive
-                    .iter()
-                    .copied()
-                    .filter(|n| !seg.compute_locations.contains(n))
-                    .collect();
-                while seg.compute_locations.len() < target {
-                    match candidates.pop() {
-                        Some(n) => seg.compute_locations.push(n),
-                        None => break,
-                    }
-                }
-            } else {
-                seg.compute_locations.truncate(target);
-            }
-            seg.job.abort();
-            let out = seg.out_joint.clone();
-            let locs = seg.compute_locations.clone();
-            let new_n = locs.len();
-            self.cluster
-                .trace()
-                .cluster_log()
-                .event("feed.scale", format!("{out}: {current} -> {new_n}"));
-            st.joints.insert(out.clone(), locs.clone());
-            self.preregister_joint(&out, &locs);
-            let seg_ref = st.computes.get(&out).unwrap();
-            let job = self.spawn_compute_job(&st, seg_ref)?;
-            let old_main = std::mem::replace(&mut st.computes.get_mut(&out).unwrap().job, job);
-            // the segment's own intake keeps its placement (it follows the
-            // *in*-joint): wait out the predecessor so its parked state is
-            // visible, but no repartitioning is needed
-            migrations.push(Migration {
-                job: old_main,
-                repartition: None,
-            });
-            self.rebuild_dependents(&mut st, &out, &old_locs, &locs, &mut migrations);
+            // grow onto alive nodes not yet used, or drop the tail partitions
+            let spare: Vec<NodeId> = alive.into_iter().filter(|n| !new.contains(n)).collect();
+            new.extend(spare.into_iter().rev());
+            new.truncate(target);
+            let new_n = new.len();
+            let log = self.cluster.trace().cluster_log();
+            log.event("feed.scale", format!("{joint_id}: {current} -> {new_n}"));
+            let moves = HashMap::from([(joint_id.to_string(), new)]);
+            self.move_joints(&mut st, moves, &mut rebuild);
             new_n
         };
-        self.settle_and_migrate(migrations);
+        self.settle_and_migrate(rebuild);
         Ok(new_n)
-    }
-
-    /// Distinct nodes currently running collect instances for `joint_id`
-    /// (the intake width the governor steers).
-    pub fn intake_width_of(&self, joint_id: &str) -> Option<usize> {
-        self.state
-            .lock()
-            .collects
-            .get(joint_id)
-            .map(|s| dedup_nodes(s.locations.clone()).len())
     }
 
     /// Change the *width* of the collect segment publishing `joint_id` by
     /// `delta` distinct nodes (elastic intake scale-out/in). The number of
     /// collect instances is fixed by the adaptor's constraint (one per
     /// external datasource); scaling redistributes those instances across
-    /// more or fewer nodes. Dependent segments are rebuilt to follow the
-    /// joint, with the same settle-and-migrate no-loss protocol as
-    /// [`FeedController::scale_compute`].
+    /// more or fewer nodes, with the same move-settle-migrate no-loss
+    /// protocol as [`FeedController::scale_compute`].
     pub fn scale_intake(&self, joint_id: &str, delta: i64) -> IngestResult<usize> {
-        let mut migrations: Vec<Migration> = Vec::new();
-        let new_w = {
+        let mut rebuild = Rebuild {
+            op: "feed.scale_intake",
+            ..Default::default()
+        };
+        let target = {
             let mut st = self.state.lock();
-            let alive: Vec<NodeId> = self.cluster.alive_nodes().iter().map(|n| n.id()).collect();
-            let seg = st.collects.get_mut(joint_id).ok_or_else(|| {
+            let alive = self.alive_ids();
+            let seg = st.segments.get(&format!("collect:{joint_id}"));
+            let placement = seg.map(|s| s.placement.clone()).ok_or_else(|| {
                 IngestError::Metadata(format!("no collect segment publishes '{joint_id}'"))
             })?;
-            let instances = seg.locations.len();
-            let old_locs = seg.locations.clone();
-            let current_nodes = dedup_nodes(old_locs.clone());
-            let current_w = current_nodes.len();
+            let instances = placement.len();
+            // keep current nodes for stability, grow with unused alive ones
+            let mut nodes = dedup_nodes(placement);
+            let current_w = nodes.len();
             let max_w = instances.min(alive.len()).max(1);
             let target = ((current_w as i64 + delta).max(1) as usize).min(max_w);
             if target == current_w {
                 return Ok(current_w);
             }
-            // keep current nodes for stability, grow with unused alive ones
-            let mut nodes = current_nodes;
-            for n in &alive {
-                if nodes.len() >= target {
-                    break;
-                }
-                if !nodes.contains(n) {
-                    nodes.push(*n);
-                }
-            }
+            let spare: Vec<NodeId> = alive.into_iter().filter(|n| !nodes.contains(n)).collect();
+            nodes.extend(spare);
             nodes.truncate(target);
-            let new_locs: Vec<NodeId> = (0..instances).map(|i| nodes[i % nodes.len()]).collect();
-            seg.locations = new_locs.clone();
-            seg.job.abort();
+            let new: Vec<NodeId> = (0..instances).map(|i| nodes[i % nodes.len()]).collect();
             self.cluster.trace().cluster_log().event(
                 "feed.scale_intake",
                 format!("{joint_id}: width {current_w} -> {target}"),
             );
-            st.joints.insert(joint_id.to_string(), new_locs.clone());
-            self.preregister_joint(joint_id, &new_locs);
-            let seg_ref = st.collects.get(joint_id).unwrap();
-            let job = self.spawn_collect_job(seg_ref)?;
-            let old_main = std::mem::replace(&mut st.collects.get_mut(joint_id).unwrap().job, job);
-            // the old collect must stop depositing into the old joint
-            // instances before dependents' queues are harvested; its
-            // external sockets survive the swap (persistent source wire)
-            migrations.push(Migration {
-                job: old_main,
-                repartition: None,
-            });
-            self.rebuild_dependents(&mut st, joint_id, &old_locs, &new_locs, &mut migrations);
+            let moves = HashMap::from([(joint_id.to_string(), new)]);
+            self.move_joints(&mut st, moves, &mut rebuild);
             target
         };
-        self.settle_and_migrate(migrations);
-        Ok(new_w)
+        self.settle_and_migrate(rebuild);
+        Ok(target)
     }
+
+    fn handle_elastic_request(&self, req: &ElasticRequest) {
+        // the congested intake names its segment: a connection ("F->D") or
+        // a trunk stage ("compute:<joint>", "route:<plan>")
+        let resolved = {
+            let st = self.state.lock();
+            let named = st.segments.get(&req.connection_key);
+            let seg = named.or_else(|| st.segments.get(&format!("store:{}", req.connection_key)));
+            seg.filter(|s| s.live()).map(|seg| {
+                // the compute stage to widen: the congested one itself, else
+                // the one feeding the congested intake
+                let joint = match seg.kind {
+                    Kind::Compute { .. } => Some(seg.outputs[0].clone()),
+                    _ => seg.input.clone(),
+                };
+                // the connections the congested segment feeds
+                let fed = st.downstream(&seg.key, |_| true);
+                let conns = fed.iter().filter_map(|k| k.strip_prefix("store:"));
+                (joint, conns.map(String::from).collect::<Vec<_>>())
+            })
+        };
+        let Some((joint, conns)) = resolved else {
+            // a request that names no live connection must not vanish
+            // silently: it is a symptom of a key mismatch or a race with
+            // disconnect, so count it and log it like any soft failure
+            let labels = &[("conn", req.connection_key.as_str())];
+            let dropped = self
+                .cluster
+                .registry()
+                .counter("elastic.requests_dropped", labels);
+            dropped.inc();
+            self.log.lock().push(SoftFailureEntry {
+                at: self.cluster.clock().now(),
+                operator: "cfm-elastic-monitor".into(),
+                message: format!(
+                    "elastic request for unknown connection '{}' dropped",
+                    req.connection_key
+                ),
+                payload: None,
+            });
+            return;
+        };
+        if self.config.governor.enabled {
+            // record the congestion vote for the control loop, under every
+            // connection it concerns; the governor folds it into its next
+            // sample under hysteresis and cooldown
+            let mut gov = self.governor.lock();
+            for conn in conns {
+                gov.entry(conn).or_default().pending_requests += 1;
+            }
+        } else if let Some(joint) = joint {
+            // legacy open-loop behaviour: one request, one extra instance
+            let _ = self.scale_compute(&joint, 1);
+        }
+    }
+
+    /// One tick of the closed-loop scaling governor: sample the metrics
+    /// registry per live connection, run the pure control law, and apply
+    /// the decision to both the compute and intake stages. Exported as
+    /// `elastic.*` metrics and `elastic.governor` trace events.
+    fn governor_tick(&self) {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let cfg = &self.config.governor;
+        let registry = self.cluster.registry();
+        let snap = registry.snapshot();
+        let now = self.cluster.clock().now();
+        struct TickTarget {
+            key: String,
+            /// Metric scopes of the whole chain: the `conn` label of every
+            /// stage with an intake.
+            scopes: Vec<String>,
+            /// Nearest compute stage upstream: `(out joint, partitions)`.
+            compute: Option<(String, usize)>,
+            /// The chain's collect stage: `(root joint, width)`.
+            intake: Option<(String, usize)>,
+        }
+        // collect the per-connection layout under the lock, act after
+        // dropping it (scale_* re-take the non-reentrant state lock)
+        let (targets, live): (Vec<TickTarget>, HashSet<String>) = {
+            let st = self.state.lock();
+            let target = |s: &Segment| {
+                let chain = st.chain(&s.key);
+                let staged = chain.iter().filter(|s| s.input.is_some());
+                let compute = chain
+                    .iter()
+                    .find(|s| matches!(s.kind, Kind::Compute { .. }));
+                let collect = chain
+                    .iter()
+                    .find(|s| matches!(s.kind, Kind::Collect { .. }));
+                TickTarget {
+                    key: s.conn_key().to_string(),
+                    scopes: staged.map(|s| s.scope().to_string()).collect(),
+                    compute: compute.map(|s| (s.outputs[0].clone(), s.placement.len())),
+                    intake: collect
+                        .map(|s| (s.outputs[0].clone(), dedup_nodes(s.placement.clone()).len())),
+                }
+            };
+            let conns = st.connections();
+            let active = conns.iter().filter(|(s, _)| s.runnable());
+            let live = conns.iter().filter(|(s, _)| s.live());
+            (
+                active.map(|(s, _)| target(s)).collect(),
+                live.map(|(s, _)| s.conn_key().to_string()).collect(),
+            )
+        };
+        // an ended connection takes its control state (and any votes) along
+        self.governor.lock().retain(|k, _| live.contains(k));
+        for t in targets {
+            let (sample, decision) = {
+                let mut gov = self.governor.lock();
+                let per = gov.entry(t.key.clone()).or_default();
+                per.tick(cfg, now, &snap, &t.key, &t.scopes)
+            };
+            let labels = &[("conn", t.key.as_str())];
+            registry.counter("elastic.governor_ticks", labels).inc();
+            let export = |name, value| registry.gauge(name, labels).set(value);
+            export("elastic.lag_p99_millis", sample.lag_p99_millis);
+            export("elastic.backlog_bytes", sample.backlog_bytes);
+            if let Some((_, n)) = &t.compute {
+                export("elastic.compute_partitions", *n as u64);
+            }
+            if let Some((_, w)) = &t.intake {
+                export("elastic.intake_partitions", *w as u64);
+            }
+            let delta = match decision {
+                ScaleDecision::Hold => continue,
+                ScaleDecision::Out => 1i64,
+                ScaleDecision::In => -1i64,
+            };
+            // each dimension moves within its own [min, max] range
+            let within = |n: usize, min, max| if delta > 0 { n < max } else { n > min };
+            let mut changed = false;
+            if let Some((joint, n)) = &t.compute {
+                if within(*n, cfg.min_compute, cfg.max_compute) {
+                    let scaled = self.scale_compute(joint, delta);
+                    changed |= scaled.is_ok_and(|new_n| new_n != *n);
+                }
+            }
+            if let Some((root, w)) = &t.intake {
+                if within(*w, cfg.min_intake, cfg.max_intake) {
+                    let scaled = self.scale_intake(root, delta);
+                    changed |= scaled.is_ok_and(|new_w| new_w != *w);
+                }
+            }
+            if changed {
+                let (counter, action) = if delta > 0 {
+                    ("elastic.scale_out_total", "scale-out")
+                } else {
+                    ("elastic.scale_in_total", "scale-in")
+                };
+                registry.counter(counter, labels).inc();
+                let log = self.cluster.trace().cluster_log();
+                log.event(
+                    "elastic.governor",
+                    format!("{}: {action} ({sample})", t.key),
+                );
+            }
+        }
+    }
+}
+
+/// The ack sender of the chain feeding store segment `store`, held by its
+/// depth-1 (adaptor-side) compute segment: follow the unbroken run of
+/// compute segments upstream of the store to its head. `None` for raw feeds,
+/// for sinks behind a route, and for chains whose root segment was built
+/// without at-least-once plumbing.
+fn chain_store_ack(st: &State, store: &Segment) -> Option<Arc<StoreAck>> {
+    let chain = st.chain(&store.key);
+    let computes = chain[1..].iter().map_while(|s| match &s.kind {
+        Kind::Compute { store_ack, .. } => Some(store_ack),
+        _ => None,
+    });
+    computes.last()?.clone()
 }
 
 impl std::fmt::Debug for FeedController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock();
-        write!(
-            f,
-            "FeedController({} connections, {} computes, {} collects, {} routes)",
-            st.connections.len(),
-            st.computes.len(),
-            st.collects.len(),
-            st.routes.len()
-        )
+        let segments = self.state.lock().segments.len();
+        write!(f, "FeedController({segments} segments)")
     }
 }
 
 fn dedup_nodes(mut nodes: Vec<NodeId>) -> Vec<NodeId> {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     nodes.retain(|n| seen.insert(*n));
     nodes
-}
-
-/// Null-sink descriptor terminating a collect job (§5.3.1's NullSink).
-struct NullSinkDesc {
-    locations: Vec<NodeId>,
-}
-
-impl OperatorDescriptor for NullSinkDesc {
-    fn name(&self) -> String {
-        "NullSink".into()
-    }
-
-    fn constraints(&self) -> Constraint {
-        Constraint::Locations(self.locations.clone())
-    }
-
-    fn instantiate(
-        &self,
-        _ctx: &TaskContext,
-        output: Box<dyn FrameWriter>,
-    ) -> IngestResult<OperatorRuntime> {
-        Ok(OperatorRuntime::Unary(Box::new(
-            asterix_hyracks::executor::UnaryHost::new(Box::new(NullSink), output),
-        )))
-    }
 }

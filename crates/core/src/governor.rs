@@ -23,12 +23,13 @@
 //!
 //! The decision function itself is pure ([`decide`]): it sees one
 //! [`GovernorSample`] plus the per-connection [`GovernorState`] and returns
-//! a [`ScaleDecision`]. All the messy parts — windowing histogram
-//! snapshots, harvesting frames from abandoned partitions, re-spawning
-//! jobs — live in the controller; this keeps the control law unit-testable
-//! without a cluster.
+//! a [`ScaleDecision`]. Assembling that sample from a registry snapshot
+//! (windowed lag, pressure deltas) is `ConnGovernor::tick`, also
+//! cluster-free; the messy parts — harvesting frames from abandoned
+//! partitions, re-spawning jobs — live in the controller. This keeps the
+//! control law unit-testable without a cluster.
 
-use asterix_common::{SimDuration, SimInstant};
+use asterix_common::{HistogramSnapshot, MetricsSnapshot, SimDuration, SimInstant};
 
 /// Tuning for the per-feed scaling governor. Disabled by default — the
 /// legacy open-loop behaviour (one `scale_compute(+1)` per elastic request)
@@ -107,6 +108,16 @@ pub struct GovernorSample {
     pub pressure_delta: u64,
 }
 
+impl std::fmt::Display for GovernorSample {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "lag p99 {} ms, backlog {} B, queue {} frames, pressure {}",
+            self.lag_p99_millis, self.backlog_bytes, self.queue_frames, self.pressure_delta
+        )
+    }
+}
+
 /// Mutable per-connection control state carried between ticks.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GovernorState {
@@ -114,6 +125,65 @@ pub struct GovernorState {
     pub last_action_at: Option<SimInstant>,
     /// Consecutive calm samples observed so far.
     pub quiet_ticks: u32,
+}
+
+/// Per-connection control-loop bookkeeping carried between governor ticks.
+#[derive(Default)]
+pub(crate) struct ConnGovernor {
+    control: GovernorState,
+    /// Previous tick's cumulative lag snapshot — subtracted from the current
+    /// one so the governor reacts to the *recent* window, not lifetime lag.
+    prev_lag: Option<HistogramSnapshot>,
+    /// Previous tick's cumulative pressure-counter sum.
+    prev_pressure: u64,
+    /// Open-loop elastic requests received since the last tick; folded into
+    /// the sample as pressure so the hot-path signal is never lost, but
+    /// acted on under the governor's hysteresis/cooldown instead of
+    /// immediately.
+    pub(crate) pending_requests: u64,
+}
+
+impl ConnGovernor {
+    /// One tick for connection `key`: assemble its sample from a registry
+    /// snapshot — `scopes` are the `conn` labels of every stage of its chain
+    /// — and run the control law on it.
+    pub(crate) fn tick(
+        &mut self,
+        cfg: &GovernorConfig,
+        now: SimInstant,
+        snap: &MetricsSnapshot,
+        key: &str,
+        scopes: &[String],
+    ) -> (GovernorSample, ScaleDecision) {
+        let mut sample = GovernorSample::default();
+        let mut pressure_now = 0u64;
+        for scope in scopes {
+            let gauge = |name: &str| snap.gauge_for(name, scope).unwrap_or(0);
+            sample.backlog_bytes += gauge("feed.buffer_bytes") + gauge("feed.spill_bytes");
+            sample.queue_frames = sample.queue_frames.max(gauge("feed.handoff_queue_frames"));
+            pressure_now += snap.counter_for("feed.records_throttled", scope)
+                + snap.counter_for("feed.records_discarded", scope)
+                + snap.counter_for("feed.records_spilled", scope)
+                + snap.counter_for("feed.elastic_scaleouts", scope);
+        }
+        // windowed lag: current cumulative snapshot minus the previous
+        // tick's, so old congestion cannot dominate p99
+        if let Some(h) = snap.histogram_for("feed.ingest_lag_millis", key) {
+            let window = match &self.prev_lag {
+                Some(prev) => h.delta(prev),
+                None => h.clone(),
+            };
+            if window.count > 0 {
+                sample.lag_p99_millis = window.quantile(0.99);
+            }
+            self.prev_lag = Some(h);
+        }
+        sample.pressure_delta = pressure_now.saturating_sub(self.prev_pressure)
+            + std::mem::take(&mut self.pending_requests);
+        self.prev_pressure = pressure_now;
+        let decision = decide(cfg, now, &sample, &mut self.control);
+        (sample, decision)
+    }
 }
 
 /// What the control law wants done this tick.

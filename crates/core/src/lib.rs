@@ -31,31 +31,34 @@
 //! * [`plan`] — declarative ingestion plans: the typed [`IngestPlan`] IR
 //!   (source → UDF stages → predicate routing → N sinks, each with its own
 //!   dataset, policy and durability knobs) and the fluent
-//!   [`IngestPlanBuilder`];
-//! * [`builder`] — fluent [`FeedBuilder`] construction of feed definitions
-//!   (now a thin single-sink shim over the plan builder), validated before
-//!   they reach the catalog;
-//! * [`controller`] — the Central Feed Manager: connect/disconnect
-//!   lifecycle, cascade-network construction, the hard-failure protocol
-//!   (§6.2) and elastic restructuring (§7.3.5);
+//!   [`IngestPlanBuilder`], the one construction surface — it also builds
+//!   and registers plain feed definitions, validated before they reach the
+//!   catalog;
+//! * [`controller`] — the Central Feed Manager: one segment table, one plan
+//!   compiler behind `connect feed` and `connect plan`, and one rebuild
+//!   path behind the hard-failure protocol (§6.2) and elastic restructuring
+//!   (§7.3.5);
 //! * [`metrics`] — per-connection counters matching Table 7.1.
 //!
 //! ## Job granularity (deviation from the paper, documented)
 //!
 //! The paper builds one head job and one tail job (intake + compute + store)
 //! per connection, and partially dismantles tail jobs on disconnect. Here
-//! every *feed joint* is a durable rendezvous point between jobs: the head
+//! every *feed joint* is a durable rendezvous point between jobs, and every
+//! job is one *segment* — one row of the controller's table: the head
 //! (collect) job ends in a joint; each feed with a UDF runs a *compute job*
-//! (intake → assign → joint); each connection runs a *store job* (intake →
-//! store). Disconnecting a feed kills only its store job, which gives
+//! (intake → assign → joint); a routed plan runs a *route job* (intake →
+//! route → one joint per sink); each connection runs a *store job* (intake
+//! → store). Disconnecting a feed kills only its store job, which gives
 //! exactly the paper's partial-dismantling behaviour (Fig 5.10) with
 //! whole-job granularity. Joint subscriptions survive pipeline failures, so
 //! a rebuilt pipeline resumes from its subscription queue — the paper's
-//! "buffer mode" during recovery (Fig 6.3).
+//! "buffer mode" during recovery (Fig 6.3). A joint lives where its
+//! producing segment is placed; changing that placement (node failure,
+//! elastic scaling) reschedules the producer and every job downstream.
 
 pub mod ack;
 pub mod adaptor;
-pub mod builder;
 pub mod catalog;
 pub mod controller;
 pub mod flow;
@@ -69,7 +72,6 @@ pub mod policy;
 pub mod udf;
 
 pub use adaptor::{AdaptorConfig, AdaptorFactory, FeedAdaptor};
-pub use builder::FeedBuilder;
 pub use catalog::{FeedCatalog, FeedDef, FeedKind};
 pub use controller::{ConnectionId, FeedController};
 pub use joint::FeedJoint;

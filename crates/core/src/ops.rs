@@ -305,6 +305,33 @@ impl OperatorDescriptor for CollectDesc {
     }
 }
 
+/// Null-sink descriptor terminating a collect job (§5.3.1's NullSink).
+pub struct NullSinkDesc {
+    /// The collect instances' locations (one-to-one edge).
+    pub locations: Vec<NodeId>,
+}
+
+impl OperatorDescriptor for NullSinkDesc {
+    fn name(&self) -> String {
+        "NullSink".into()
+    }
+
+    fn constraints(&self) -> Constraint {
+        Constraint::Locations(self.locations.clone())
+    }
+
+    fn instantiate(
+        &self,
+        _ctx: &TaskContext,
+        output: Box<dyn FrameWriter>,
+    ) -> IngestResult<OperatorRuntime> {
+        Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
+            Box::new(asterix_hyracks::operator::NullSink),
+            output,
+        ))))
+    }
+}
+
 struct CollectSource {
     adaptor: Option<Box<dyn crate::adaptor::FeedAdaptor>>,
     joint: Arc<FeedJoint>,
@@ -1007,6 +1034,22 @@ pub struct StoreAck {
     pub txs: Vec<Sender<AckBatch>>,
     /// Grouping window.
     pub window: SimDuration,
+}
+
+/// Paired at-least-once channels for `partitions` tracker partitions: the
+/// intake side (replay timeout) and the store side (ack grouping window).
+pub fn ack_channels(
+    partitions: usize,
+    timeout: SimDuration,
+    window: SimDuration,
+) -> (Arc<AckPlumbing>, Arc<StoreAck>) {
+    let (txs, rxs) = (0..partitions)
+        .map(|_| crossbeam_channel::unbounded())
+        .unzip();
+    (
+        Arc::new(AckPlumbing { rxs, timeout }),
+        Arc::new(StoreAck { txs, window }),
+    )
 }
 
 /// Descriptor for the store (IndexInsert) operator.

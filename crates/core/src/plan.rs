@@ -13,13 +13,14 @@
 //! expected-set computation, and the partition proptests — one evaluator,
 //! no drift between what the pipeline does and what the tests assert.
 //!
-//! Construction goes through [`IngestPlanBuilder`] (the fluent surface;
-//! [`crate::builder::FeedBuilder`] is a thin single-sink shim over it) or
-//! through the extended AQL DDL (`create feed F ... route to A where
-//! <pred>, to B otherwise with policy {...}`), which the `aql` crate
-//! compiles into this same IR. The [`crate::controller::FeedController`]
-//! compiles a registered plan into a fan-out joint with per-sink store
-//! pipelines.
+//! Construction goes through [`IngestPlanBuilder`] — the one fluent surface,
+//! for plain feed definitions (`build_feed_def` / `register_feeds`) as much
+//! as for routed plans — or through the extended AQL DDL (`create feed F ...
+//! route to A where <pred>, to B otherwise with policy {...}`), which the
+//! `aql` crate compiles into this same IR. The
+//! [`crate::controller::FeedController`] compiles a plan into segments of
+//! its one table: per-sink store pipelines, behind a fan-out route segment
+//! when the plan routes.
 
 use crate::adaptor::AdaptorConfig;
 use crate::catalog::{FeedCatalog, FeedDef, FeedKind};
@@ -34,8 +35,7 @@ use std::fmt;
 // ---------------------------------------------------------------------------
 
 /// Typed error taxonomy of the plan API — a superset of the ingestion-policy
-/// errors, replacing the `String`-y `IngestError::Metadata` soup the old
-/// `FeedBuilder` surface returned.
+/// errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The plan (or feed) name is empty.
@@ -71,9 +71,6 @@ pub enum PlanError {
         /// The dataset of the unreachable arm.
         dataset: String,
     },
-    /// `connect()` was called on the single-sink surface without a target
-    /// dataset.
-    NoDataset(String),
     /// A sink names an ingestion policy the catalog does not know.
     UnknownPolicy(String),
     /// An ingestion-policy parameter name no policy understands
@@ -127,9 +124,6 @@ impl fmt::Display for PlanError {
                 f,
                 "plan '{plan}': arm for '{dataset}' follows the otherwise arm and can never match"
             ),
-            PlanError::NoDataset(p) => {
-                write!(f, "feed '{p}': connect() needs into_dataset(...)")
-            }
             PlanError::UnknownPolicy(p) => write!(f, "unknown policy '{p}'"),
             PlanError::UnknownPolicyParam(k) => write!(f, "unknown policy parameter '{k}'"),
             PlanError::InvalidPolicyValue {
@@ -602,16 +596,15 @@ impl IngestPlan {
         self.sinks.iter().any(|s| s.predicate.is_none())
     }
 
-    /// A degenerate plan is the old linear feed: exactly one sink and no
-    /// routing predicate. The controller compiles it through the unchanged
-    /// single-connection path — zero behavior change for the legacy
-    /// `FeedBuilder` surface.
+    /// A degenerate plan is a linear feed: exactly one sink and no routing
+    /// predicate. The plan compiler asks this to decide whether the plan
+    /// needs a route segment at all.
     pub fn is_degenerate(&self) -> bool {
         self.sinks.len() == 1 && self.sinks[0].predicate.is_none()
     }
 
     /// The name of the tail feed of the materialized UDF chain — the feed
-    /// the routing stage (or, degenerate, the store stage) consumes.
+    /// the routing stage (or, without one, the store stage) consumes.
     pub fn tail_feed_name(&self) -> String {
         if self.stages.len() > 1 {
             format!("{}#{}", self.name, self.stages.len())
@@ -721,29 +714,6 @@ impl IngestPlanBuilder {
         self
     }
 
-    /// The plan name chosen at [`new`](IngestPlanBuilder::new).
-    pub fn plan_name(&self) -> &str {
-        &self.name
-    }
-
-    /// Reconstruct a builder from an existing plan IR (used to register a
-    /// plan's feed chain without re-specifying it).
-    pub fn from_plan(plan: &IngestPlan) -> IngestPlanBuilder {
-        let (adaptor, params, parent) = match &plan.source {
-            PlanSource::Adaptor { alias, config } => (Some(alias.clone()), config.clone(), None),
-            PlanSource::Feed(parent) => (None, AdaptorConfig::new(), Some(parent.clone())),
-        };
-        IngestPlanBuilder {
-            name: plan.name.clone(),
-            adaptor,
-            params,
-            parent,
-            udfs: plan.stages.clone(),
-            mode: plan.mode,
-            sinks: plan.sinks.clone(),
-        }
-    }
-
     fn validate_source(&self) -> PlanResult<()> {
         if self.name.trim().is_empty() {
             return Err(PlanError::EmptyName);
@@ -793,9 +763,9 @@ impl IngestPlanBuilder {
         Ok(plan)
     }
 
-    /// Validate and produce a single [`FeedDef`] — the legacy `FeedBuilder`
-    /// build surface. Rejects UDF chains longer than one function, which a
-    /// single definition cannot carry.
+    /// Validate and produce a single [`FeedDef`]. Rejects UDF chains longer
+    /// than one function, which a single definition cannot carry — use
+    /// [`register_feeds`](IngestPlanBuilder::register_feeds).
     pub fn build_feed_def(self) -> PlanResult<FeedDef> {
         self.validate_source()?;
         if self.udfs.len() > 1 {
@@ -848,9 +818,12 @@ impl IngestPlanBuilder {
     }
 
     /// Register in `catalog`, then compile and connect the plan through the
-    /// controller: one fan-out joint, one store pipeline per sink, each with
-    /// its own policy, flow control and at-least-once custody. Returns the
-    /// per-sink connection ids in arm order.
+    /// controller: one store pipeline per sink, each with its own policy,
+    /// flow control and at-least-once custody, behind a fan-out joint when
+    /// the plan routes. Every plan connected this way enters the plan
+    /// catalog — a routeless one-sink plan is no exception, so a plan name
+    /// can be connected once. Returns the per-sink connection ids in arm
+    /// order.
     pub fn connect(
         self,
         catalog: &FeedCatalog,
@@ -864,6 +837,7 @@ impl IngestPlanBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::udf::Udf;
 
     fn tweet(country: &str, followers: i64) -> AdmValue {
         AdmValue::record(vec![
@@ -1010,6 +984,134 @@ mod tests {
                 .unwrap_err(),
             PlanError::ParamsOnSecondary(_)
         ));
+    }
+
+    #[test]
+    fn builds_primary_and_secondary_defs() {
+        let def = IngestPlanBuilder::new("TwitterFeed")
+            .adaptor("TweetGenAdaptor")
+            .param("datasource", "twitter:9000")
+            .build_feed_def()
+            .unwrap();
+        assert_eq!(def.name, "TwitterFeed");
+        match def.kind {
+            FeedKind::Primary { adaptor, config } => {
+                assert_eq!(adaptor, "TweetGenAdaptor");
+                assert_eq!(config.get("datasource").unwrap(), "twitter:9000");
+            }
+            other => panic!("expected primary, got {other:?}"),
+        }
+
+        let def = IngestPlanBuilder::new("Child")
+            .parent("TwitterFeed")
+            .udf("addHashTags")
+            .build_feed_def()
+            .unwrap();
+        assert!(matches!(def.kind, FeedKind::Secondary { parent } if parent == "TwitterFeed"));
+        assert_eq!(def.udf.as_deref(), Some("addHashTags"));
+    }
+
+    #[test]
+    fn invalid_combinations_fail_at_build() {
+        let def = |b: IngestPlanBuilder| b.build_feed_def().unwrap_err();
+        assert_eq!(
+            def(IngestPlanBuilder::new("").adaptor("X")),
+            PlanError::EmptyName
+        );
+        assert!(matches!(
+            def(IngestPlanBuilder::new("F")),
+            PlanError::NoSource(_)
+        ));
+        assert!(matches!(
+            def(IngestPlanBuilder::new("F").adaptor("A").parent("P")),
+            PlanError::TwoSources(_)
+        ));
+        assert!(matches!(
+            def(IngestPlanBuilder::new("F").parent("P").param("k", "v")),
+            PlanError::ParamsOnSecondary(_)
+        ));
+        assert!(matches!(
+            def(IngestPlanBuilder::new("F").adaptor("A").udf("f").udf("g")),
+            PlanError::ChainNeedsRegister { udfs: 2, .. }
+        ));
+    }
+
+    #[test]
+    fn register_materializes_udf_chains() {
+        let catalog = FeedCatalog::new(asterix_adm::types::paper_registry());
+        for udf in [Udf::add_hash_tags(), Udf::sentiment_analysis()] {
+            catalog.create_function(udf).unwrap();
+        }
+        let tail = IngestPlanBuilder::new("TwitterFeed")
+            .adaptor("TweetGenAdaptor")
+            .param("datasource", "twitter:9000")
+            .udf("addHashTags")
+            .udf("tweetlib#sentimentAnalysis")
+            .register_feeds(&catalog)
+            .unwrap();
+        assert_eq!(tail.name, "TwitterFeed#2");
+        assert_eq!(
+            catalog.joint_id_for(&tail.name).unwrap(),
+            "TwitterFeed:addHashTags:tweetlib#sentimentAnalysis"
+        );
+    }
+
+    /// `connect` is `register` + `connect_plan`: a plan without a sink is a
+    /// typed error before anything is registered, and a routeless one-sink
+    /// plan enters the plan catalog like any other — its name connects once.
+    #[test]
+    fn connect_needs_a_sink_and_registers_even_a_one_sink_plan() {
+        use crate::controller::{ConnectionState, ControllerConfig};
+        use asterix_hyracks::cluster::{Cluster, ClusterConfig};
+        use asterix_storage::{Dataset, DatasetConfig};
+        let catalog = FeedCatalog::new(asterix_adm::types::paper_registry());
+        let cluster = Cluster::start(
+            1,
+            asterix_common::SimClock::fast(),
+            ClusterConfig::default(),
+        );
+        let controller = FeedController::start(
+            cluster.clone(),
+            std::sync::Arc::clone(&catalog),
+            ControllerConfig::default(),
+        );
+        let feed = |name: &str| {
+            IngestPlanBuilder::new(name)
+                .adaptor("TweetGenAdaptor")
+                .param("datasource", "plan-connect:9000")
+        };
+        let err = feed("F").connect(&catalog, &controller).unwrap_err();
+        assert_eq!(err, PlanError::NoSinks("F".into()));
+        assert!(catalog.feed("F").is_err(), "nothing registered on error");
+
+        let dataset = Dataset::create(DatasetConfig {
+            name: "D".into(),
+            datatype: "Tweet".into(),
+            primary_key: "id".into(),
+            nodegroup: vec![asterix_common::NodeId(0)],
+        })
+        .unwrap();
+        catalog.register_dataset(std::sync::Arc::new(dataset));
+        let ids = feed("F")
+            .sink(SinkSpec::to("D").policy("Spill"))
+            .connect(&catalog, &controller)
+            .unwrap();
+        assert_eq!(ids.len(), 1);
+        assert_eq!(controller.connection_state(ids[0]), ConnectionState::Active);
+        assert!(catalog.plan("F").unwrap().is_degenerate());
+        assert!(
+            controller
+                .segments()
+                .iter()
+                .all(|s| !s.key.starts_with("route:")),
+            "a routeless plan compiles without a route segment"
+        );
+        let again = feed("F")
+            .sink(SinkSpec::to("D"))
+            .connect(&catalog, &controller);
+        assert!(matches!(again, Err(PlanError::Metadata(_))), "{again:?}");
+        controller.shutdown();
+        cluster.shutdown();
     }
 
     #[test]

@@ -24,9 +24,9 @@ use asterix_common::{
     FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, NodeId, SimClock, SimDuration,
 };
 use asterix_feeds::adaptor::{ChaosAdaptorFactory, TweetGenAdaptorFactory};
-use asterix_feeds::builder::FeedBuilder;
 use asterix_feeds::catalog::FeedCatalog;
 use asterix_feeds::controller::{ConnectionState, ControllerConfig, FeedController};
+use asterix_feeds::plan::IngestPlanBuilder;
 use asterix_feeds::udf::Udf;
 use asterix_hyracks::cluster::{Cluster, ClusterConfig};
 use asterix_hyracks::transport::TransportKind;
@@ -173,10 +173,10 @@ fn soak_once_with(seed: u64, addr: &str, transport: TransportKind) -> SoakOutcom
         clock.clone(),
     )
     .unwrap();
-    FeedBuilder::new("TwitterFeed")
+    IngestPlanBuilder::new("TwitterFeed")
         .adaptor("chaos:TweetGenAdaptor")
         .param("datasource", addr)
-        .register(&catalog)
+        .register_feeds(&catalog)
         .unwrap();
     let conn = controller
         .connect_feed("TwitterFeed", "Tweets", "FaultTolerant")
@@ -342,10 +342,10 @@ fn panic_run(policy: &str, addr: &str) -> PanicOutcome {
         clock.clone(),
     )
     .unwrap();
-    FeedBuilder::new("TwitterFeed")
+    IngestPlanBuilder::new("TwitterFeed")
         .adaptor("chaos:TweetGenAdaptor")
         .param("datasource", addr)
-        .register(&catalog)
+        .register_feeds(&catalog)
         .unwrap();
     let conn = controller
         .connect_feed("TwitterFeed", "Tweets", policy)
@@ -453,10 +453,10 @@ fn adaptor_disconnect_is_graceful_and_lands_at_exact_record() {
         clock.clone(),
     )
     .unwrap();
-    FeedBuilder::new("TwitterFeed")
+    IngestPlanBuilder::new("TwitterFeed")
         .adaptor("chaos:TweetGenAdaptor")
         .param("datasource", "chaos-disc:9000")
-        .register(&catalog)
+        .register_feeds(&catalog)
         .unwrap();
     let conn = controller
         .connect_feed("TwitterFeed", "Tweets", "Basic")
@@ -539,15 +539,15 @@ fn discard_gaps_contiguous_vs_throttle_under_identical_chaos() {
             clock.clone(),
         )
         .unwrap();
-        FeedBuilder::new("TwitterFeed")
+        IngestPlanBuilder::new("TwitterFeed")
             .adaptor("chaos:TweetGenAdaptor")
             .param("datasource", addr)
-            .register(&catalog)
+            .register_feeds(&catalog)
             .unwrap();
-        FeedBuilder::new("P")
+        IngestPlanBuilder::new("P")
             .parent("TwitterFeed")
             .udf("addHashTags")
-            .register(&catalog)
+            .register_feeds(&catalog)
             .unwrap();
         controller.connect_feed("P", "Tweets", policy).unwrap();
         wait_pattern_done(&gen);
@@ -669,15 +669,15 @@ fn scale_in_soak_once(seed: u64, addr: &str, kill_at: u64) -> SoakOutcome {
         clock.clone(),
     )
     .unwrap();
-    FeedBuilder::new("TwitterFeed")
+    IngestPlanBuilder::new("TwitterFeed")
         .adaptor("chaos:TweetGenAdaptor")
         .param("datasource", addr)
-        .register(&catalog)
+        .register_feeds(&catalog)
         .unwrap();
-    FeedBuilder::new("ProcessedTwitterFeed")
+    IngestPlanBuilder::new("ProcessedTwitterFeed")
         .parent("TwitterFeed")
         .udf("addHashTags")
-        .register(&catalog)
+        .register_feeds(&catalog)
         .unwrap();
     let conn = controller
         .connect_feed("ProcessedTwitterFeed", "Tweets", "FaultTolerant")

@@ -11,9 +11,9 @@ use asterix_adm::types::paper_registry;
 use asterix_adm::AdmValue;
 use asterix_common::{NodeId, SimClock, SimDuration};
 use asterix_feeds::adaptor::{bind_socket, unbind_socket};
-use asterix_feeds::builder::FeedBuilder;
 use asterix_feeds::catalog::FeedCatalog;
 use asterix_feeds::controller::{ConnectionState, ControllerConfig, FeedController};
+use asterix_feeds::plan::IngestPlanBuilder;
 use asterix_feeds::udf::Udf;
 use asterix_hyracks::cluster::{Cluster, ClusterConfig};
 use asterix_storage::{Dataset, DatasetConfig};
@@ -103,18 +103,18 @@ impl TestRig {
     }
 
     fn primary_feed(&self, name: &str, datasource: &str) {
-        FeedBuilder::new(name)
+        IngestPlanBuilder::new(name)
             .adaptor("TweetGenAdaptor")
             .param("datasource", datasource)
-            .register(&self.catalog)
+            .register_feeds(&self.catalog)
             .unwrap();
     }
 
     fn secondary_feed(&self, name: &str, parent: &str, udf: &str) {
-        FeedBuilder::new(name)
+        IngestPlanBuilder::new(name)
             .parent(parent)
             .udf(udf)
-            .register(&self.catalog)
+            .register_feeds(&self.catalog)
             .unwrap();
     }
 
@@ -305,10 +305,10 @@ fn soft_failures_are_skipped_and_logged() {
     let rig = TestRig::start(2);
     let tx = bind_socket("e2e-soft:1", 1024).unwrap();
     let dataset = rig.dataset("Events", "Tweet");
-    FeedBuilder::new("EventFeed")
+    IngestPlanBuilder::new("EventFeed")
         .adaptor("socket_adaptor")
         .param("sockets", "e2e-soft:1")
-        .register(&rig.catalog)
+        .register_feeds(&rig.catalog)
         .unwrap();
     let conn = rig
         .controller

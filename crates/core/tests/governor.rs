@@ -4,10 +4,10 @@
 
 use asterix_adm::types::paper_registry;
 use asterix_common::{NodeId, SimClock, SimDuration};
-use asterix_feeds::builder::FeedBuilder;
 use asterix_feeds::catalog::FeedCatalog;
 use asterix_feeds::controller::{ControllerConfig, FeedController};
 use asterix_feeds::governor::GovernorConfig;
+use asterix_feeds::plan::IngestPlanBuilder;
 use asterix_feeds::udf::Udf;
 use asterix_hyracks::cluster::{Cluster, ClusterConfig};
 use asterix_storage::{Dataset, DatasetConfig};
@@ -106,15 +106,15 @@ fn governor_scales_out_under_load_and_back_in_when_calm() {
     let gen = rig.tweetgen("gov-ramp:9000", 0, 1500, 6);
     let dataset = rig.dataset("Tweets");
     rig.catalog.create_function(Udf::add_hash_tags()).unwrap();
-    FeedBuilder::new("TwitterFeed")
+    IngestPlanBuilder::new("TwitterFeed")
         .adaptor("TweetGenAdaptor")
         .param("datasource", "gov-ramp:9000")
-        .register(&rig.catalog)
+        .register_feeds(&rig.catalog)
         .unwrap();
-    FeedBuilder::new("ProcessedTwitterFeed")
+    IngestPlanBuilder::new("ProcessedTwitterFeed")
         .parent("TwitterFeed")
         .udf("addHashTags")
-        .register(&rig.catalog)
+        .register_feeds(&rig.catalog)
         .unwrap();
     rig.controller
         .connect_feed("ProcessedTwitterFeed", "Tweets", "Elastic")
@@ -198,6 +198,82 @@ fn unknown_elastic_request_is_counted_and_logged() {
     rig.stop();
 }
 
+/// A congested *compute* intake reports under its segment key
+/// (`compute:<joint>`), not under a connection key. The vote must be credited
+/// to the connection(s) that segment feeds, so the next tick sees it as
+/// pressure — here the only signal that can make a sample hot.
+#[test]
+fn vote_on_a_compute_key_reaches_the_next_tick() {
+    let rig = TestRig::start_with(
+        3,
+        ControllerConfig {
+            compute_parallelism: Some(1),
+            governor: GovernorConfig {
+                enabled: true,
+                interval: SimDuration::from_millis(500),
+                cooldown: SimDuration::from_secs(1),
+                // no metric threshold can fire, and nothing ever scales in
+                high_lag_millis: u64::MAX,
+                high_backlog_bytes: u64::MAX,
+                high_queue_frames: u64::MAX,
+                scale_in_quiet_ticks: u32::MAX,
+                max_intake: 1,
+                ..GovernorConfig::default()
+            },
+            ..ControllerConfig::default()
+        },
+    );
+    let gen = rig.tweetgen("gov-vote:9000", 0, 50, 10_000);
+    let dataset = rig.dataset("Tweets");
+    rig.catalog.create_function(Udf::add_hash_tags()).unwrap();
+    IngestPlanBuilder::new("TwitterFeed")
+        .adaptor("TweetGenAdaptor")
+        .param("datasource", "gov-vote:9000")
+        .register_feeds(&rig.catalog)
+        .unwrap();
+    IngestPlanBuilder::new("P")
+        .parent("TwitterFeed")
+        .udf("addHashTags")
+        .register_feeds(&rig.catalog)
+        .unwrap();
+    rig.controller.connect_feed("P", "Tweets", "Basic").unwrap();
+    let joint = "TwitterFeed:addHashTags";
+    let ticks = || {
+        let snap = rig.controller.registry().snapshot();
+        snap.counter_for("elastic.governor_ticks", "P->Tweets")
+    };
+    // calm ticks leave the pipeline alone
+    assert!(wait_until(Duration::from_secs(30), || ticks() >= 3
+        && dataset.len() > 20));
+    assert_eq!(rig.controller.compute_parallelism_of(joint), Some(1));
+
+    assert!(rig.controller.request_elastic(&format!("compute:{joint}")));
+    assert!(
+        wait_until(Duration::from_secs(30), || {
+            rig.controller.compute_parallelism_of(joint) == Some(2)
+        }),
+        "the compute-keyed vote never reached a governor tick"
+    );
+    let snap = rig.controller.registry().snapshot();
+    assert_eq!(
+        snap.counter_for("elastic.requests_dropped", &format!("compute:{joint}")),
+        0
+    );
+    assert_eq!(snap.counter_for("elastic.scale_out_total", "P->Tweets"), 1);
+    let decisions: Vec<String> = (rig.cluster.trace().recent().into_iter())
+        .filter(|(_, e)| e.span == "elastic.governor")
+        .map(|(_, e)| e.detail)
+        .collect();
+    assert!(
+        decisions
+            .iter()
+            .any(|d| d.starts_with("P->Tweets: scale-out") && d.ends_with("pressure 1)")),
+        "the vote did not show up as pressure_delta: {decisions:?}"
+    );
+    gen.stop();
+    rig.stop();
+}
+
 #[test]
 fn scale_intake_changes_width_and_keeps_flow() {
     let rig = TestRig::start_with(
@@ -211,10 +287,10 @@ fn scale_intake_changes_width_and_keeps_flow() {
     let gen_a = rig.tweetgen("gov-w-a:9000", 0, 150, 10_000);
     let gen_b = rig.tweetgen("gov-w-b:9000", 1, 150, 10_000);
     let dataset = rig.dataset("Tweets");
-    FeedBuilder::new("TwitterFeed")
+    IngestPlanBuilder::new("TwitterFeed")
         .adaptor("TweetGenAdaptor")
         .param("datasource", "gov-w-a:9000, gov-w-b:9000")
-        .register(&rig.catalog)
+        .register_feeds(&rig.catalog)
         .unwrap();
     rig.controller
         .connect_feed("TwitterFeed", "Tweets", "Basic")

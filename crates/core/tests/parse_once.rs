@@ -17,7 +17,6 @@ use asterix_adm::types::paper_registry;
 use asterix_adm::{parse_calls, print_calls, AdmValue};
 use asterix_common::{NodeId, SimClock, SimDuration};
 use asterix_feeds::adaptor::{bind_socket, unbind_socket};
-use asterix_feeds::builder::FeedBuilder;
 use asterix_feeds::catalog::FeedCatalog;
 use asterix_feeds::controller::{ControllerConfig, FeedController};
 use asterix_feeds::plan::{IngestPlanBuilder, RoutePredicate, SinkSpec};
@@ -191,15 +190,15 @@ fn in_process_feed_parses_once() {
     // socket-fed primary feed with a UDF'd secondary feed on top: the full
     // collect → intake → assign → hash-partition → store pipeline
     let tx = bind_socket("parse-once:9000", 1024).unwrap();
-    FeedBuilder::new("RawFeed")
+    IngestPlanBuilder::new("RawFeed")
         .adaptor("socket_adaptor")
         .param("sockets", "parse-once:9000")
-        .register(&catalog)
+        .register_feeds(&catalog)
         .unwrap();
-    FeedBuilder::new("ProcessedFeed")
+    IngestPlanBuilder::new("ProcessedFeed")
         .parent("RawFeed")
         .udf("addHashTags")
-        .register(&catalog)
+        .register_feeds(&catalog)
         .unwrap();
     let conn = controller
         .connect_feed("ProcessedFeed", "Tweets", "Basic")

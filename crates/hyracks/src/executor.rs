@@ -193,18 +193,6 @@ pub struct JobHandle {
 }
 
 impl JobHandle {
-    /// A detached handle with no tasks — a placeholder for two-phase
-    /// construction of structures that embed a `JobHandle`.
-    pub fn detached() -> JobHandle {
-        JobHandle {
-            id: JobId(u64::MAX),
-            name: "<detached>".into(),
-            tasks: Mutex::new(Vec::new()),
-            layout: Vec::new(),
-            results: Mutex::new(Some(Vec::new())),
-        }
-    }
-
     /// Placement of every task (feeds' Central Feed Manager uses this to
     /// find pipelines affected by a node failure).
     pub fn layout(&self) -> &[TaskPlacement] {
@@ -226,6 +214,17 @@ impl JobHandle {
     /// successor incarnation).
     pub fn abort(&self) {
         for t in self.tasks.lock().iter() {
+            t.stop.stop_abandon();
+        }
+    }
+
+    /// Hand the job's stream over to a successor: the sources stop in
+    /// abandon mode — parking what they deferred and keeping shared state
+    /// such as joint subscriptions, exactly as under [`JobHandle::abort`] —
+    /// while every other task finishes the frames already in flight and
+    /// closes, instead of dropping them.
+    pub fn hand_over(&self) {
+        for t in self.tasks.lock().iter().filter(|t| t.is_source) {
             t.stop.stop_abandon();
         }
     }

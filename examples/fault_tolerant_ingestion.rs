@@ -8,9 +8,9 @@
 
 use asterixdb_ingestion::adm::types::paper_registry;
 use asterixdb_ingestion::common::{NodeId, SimClock, SimDuration};
-use asterixdb_ingestion::feeds::builder::FeedBuilder;
 use asterixdb_ingestion::feeds::catalog::FeedCatalog;
 use asterixdb_ingestion::feeds::controller::{ConnectionState, ControllerConfig, FeedController};
+use asterixdb_ingestion::feeds::plan::IngestPlanBuilder;
 use asterixdb_ingestion::feeds::udf::Udf;
 use asterixdb_ingestion::hyracks::cluster::{Cluster, ClusterConfig};
 use asterixdb_ingestion::storage::{Dataset, DatasetConfig};
@@ -58,15 +58,15 @@ fn main() {
     catalog.register_dataset(Arc::clone(&dataset));
     catalog.create_function(Udf::add_hash_tags()).unwrap();
 
-    FeedBuilder::new("TwitterFeed")
+    IngestPlanBuilder::new("TwitterFeed")
         .adaptor("TweetGenAdaptor")
         .param("datasource", "ft-demo:9000")
-        .register(&catalog)
+        .register_feeds(&catalog)
         .unwrap();
-    FeedBuilder::new("ProcessedTwitterFeed")
+    IngestPlanBuilder::new("ProcessedTwitterFeed")
         .parent("TwitterFeed")
         .udf("addHashTags")
-        .register(&catalog)
+        .register_feeds(&catalog)
         .unwrap();
     let conn = controller
         .connect_feed("ProcessedTwitterFeed", "ProcessedTweets", "FaultTolerant")

@@ -14,9 +14,9 @@
 use asterixdb_ingestion::adm::types::paper_registry;
 use asterixdb_ingestion::adm::AdmValue;
 use asterixdb_ingestion::common::{NodeId, SimClock, SimDuration};
-use asterixdb_ingestion::feeds::builder::FeedBuilder;
 use asterixdb_ingestion::feeds::catalog::FeedCatalog;
 use asterixdb_ingestion::feeds::controller::{ControllerConfig, FeedController};
+use asterixdb_ingestion::feeds::plan::IngestPlanBuilder;
 use asterixdb_ingestion::feeds::udf::Udf;
 use asterixdb_ingestion::hyracks::cluster::{Cluster, ClusterConfig};
 use asterixdb_ingestion::storage::{Dataset, DatasetConfig};
@@ -63,10 +63,10 @@ fn main() {
     let _ = NodeId(0); // (import used by DatasetConfig construction above)
 
     // the published stream
-    FeedBuilder::new("TwitterFeed")
+    IngestPlanBuilder::new("TwitterFeed")
         .adaptor("TweetGenAdaptor")
         .param("datasource", "pubsub:9000")
-        .register(&catalog)
+        .register_feeds(&catalog)
         .unwrap();
 
     // three subscriptions: a country, a hashtag, and high-follower users
@@ -97,10 +97,10 @@ fn main() {
         ("UsSub", "fromUS", "UsTweets"),
         ("InfluencerSub", "influencers", "InfluencerTweets"),
     ] {
-        FeedBuilder::new(feed)
+        IngestPlanBuilder::new(feed)
             .parent("TwitterFeed")
             .udf(udf)
-            .register(&catalog)
+            .register_feeds(&catalog)
             .unwrap();
         mk_dataset(dataset);
         controller.connect_feed(feed, dataset, "Basic").unwrap();
