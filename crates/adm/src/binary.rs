@@ -27,21 +27,42 @@
 //! `decode_value(&encode_value(v)) == v` for every `AdmValue`, including
 //! non-finite doubles (bit-exact, unlike the text round-trip) — verified by
 //! a proptest suite sharing the generator with the text round-trip tests.
+//! The encoding is canonical: bytes that pass [`validate`] are exactly what
+//! [`encode_value`] produces for the value they decode to, which is what
+//! lets storage keep, log and columnarise the bytes without ever building
+//! the value.
+//!
+//! # Reading without a tree
+//!
+//! Everything below the store operator works on the bytes through one
+//! borrowed reader: [`validate`] is the *checked walk* (tags, bounds,
+//! boolean bytes, UTF-8 of every string and field name, nesting depth) a
+//! payload must pass once before it is trusted;
+//! [`TypeRegistry::check_bytes`](crate::types::TypeRegistry::check_bytes)
+//! folds datatype conformance into that same walk. [`record_field_slice`]
+//! projects one field, [`record_spans`] splits a record into its top-level
+//! `(name, value)` byte ranges — the unit the schema inferencer and the
+//! compacted block builder copy cells from.
 
 use crate::value::AdmValue;
 use asterix_common::{IngestError, IngestResult};
 
 pub(crate) const TAG_NULL: u8 = 0;
 pub(crate) const TAG_MISSING: u8 = 1;
-const TAG_BOOLEAN: u8 = 2;
-const TAG_INT: u8 = 3;
-const TAG_DOUBLE: u8 = 4;
-const TAG_STRING: u8 = 5;
-const TAG_POINT: u8 = 6;
-const TAG_DATETIME: u8 = 7;
-const TAG_ORDERED_LIST: u8 = 8;
-const TAG_UNORDERED_LIST: u8 = 9;
-const TAG_RECORD: u8 = 10;
+pub(crate) const TAG_BOOLEAN: u8 = 2;
+pub(crate) const TAG_INT: u8 = 3;
+pub(crate) const TAG_DOUBLE: u8 = 4;
+pub(crate) const TAG_STRING: u8 = 5;
+pub(crate) const TAG_POINT: u8 = 6;
+pub(crate) const TAG_DATETIME: u8 = 7;
+pub(crate) const TAG_ORDERED_LIST: u8 = 8;
+pub(crate) const TAG_UNORDERED_LIST: u8 = 9;
+pub(crate) const TAG_RECORD: u8 = 10;
+
+/// Deepest nesting of collections a reader follows. Every walk below is
+/// recursive, so without a bound a few megabytes of `[[[[…` off a wire would
+/// overflow the stack instead of returning an error.
+const MAX_DEPTH: u32 = 128;
 
 /// Encode a value into a fresh buffer.
 pub fn encode_value(v: &AdmValue) -> Vec<u8> {
@@ -88,22 +109,14 @@ pub fn encode_into(v: &AdmValue, out: &mut Vec<u8>) {
             out.push(TAG_UNORDERED_LIST);
             encode_seq(items, out);
         }
-        AdmValue::Record(fields) => encode_record_of(fields.len(), fields, out),
-    }
-}
-
-/// Encode a record of `count` borrowed `(name, value)` pairs — the bytes
-/// [`encode_into`] produces for the owned record, without building one.
-pub(crate) fn encode_record_of<'a>(
-    count: usize,
-    fields: impl IntoIterator<Item = &'a (String, AdmValue)>,
-    out: &mut Vec<u8>,
-) {
-    out.push(TAG_RECORD);
-    out.extend_from_slice(&(count as u32).to_le_bytes());
-    for (name, value) in fields {
-        encode_str(name, out);
-        encode_into(value, out);
+        AdmValue::Record(fields) => {
+            out.push(TAG_RECORD);
+            out.extend_from_slice(&(fields.len() as u32).to_le_bytes());
+            for (name, value) in fields {
+                encode_str(name, out);
+                encode_into(value, out);
+            }
+        }
     }
 }
 
@@ -121,22 +134,86 @@ fn encode_seq(items: &[AdmValue], out: &mut Vec<u8>) {
 
 /// Decode a single value occupying the whole input.
 pub fn decode_value(input: &[u8]) -> IngestResult<AdmValue> {
-    let mut r = Reader { buf: input, pos: 0 };
+    let mut r = Reader::new(input);
     let v = r.value()?;
-    if r.pos != input.len() {
-        return Err(IngestError::Parse(format!(
-            "binary ADM: {} trailing bytes after value",
-            input.len() - r.pos
-        )));
-    }
+    r.finish()?;
     Ok(v)
 }
 
 /// Decode a value from the front of `input`; returns it and the rest.
 pub fn decode_prefix(input: &[u8]) -> IngestResult<(AdmValue, &[u8])> {
-    let mut r = Reader { buf: input, pos: 0 };
+    let mut r = Reader::new(input);
     let v = r.value()?;
     Ok((v, &input[r.pos..]))
+}
+
+/// The checked walk: is `input` exactly one well-formed value? Verifies
+/// everything [`decode_value`] would — type tags, lengths and counts against
+/// the input, boolean bytes, UTF-8 of every string and field name, nesting
+/// depth, no trailing bytes — without materializing anything. Bytes that
+/// pass decode without error, project without error, and are what
+/// [`encode_value`] writes for the value they decode to.
+pub fn validate(input: &[u8]) -> IngestResult<()> {
+    let mut r = Reader::new(input);
+    r.check_value()?;
+    r.finish()
+}
+
+/// Byte ranges of one top-level field of an encoded record, as
+/// [`record_spans`] reports them. Resolve against the record the spans were
+/// split from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldSpan {
+    name: (u32, u32),
+    value_end: u32,
+}
+
+impl FieldSpan {
+    /// The field's name bytes (UTF-8 once the record passed [`validate`]).
+    pub fn name<'a>(&self, record: &'a [u8]) -> &'a [u8] {
+        &record[self.name.0 as usize..self.name.1 as usize]
+    }
+
+    /// The field's encoded value, tag byte first.
+    pub fn value<'a>(&self, record: &'a [u8]) -> &'a [u8] {
+        &record[self.name.1 as usize..self.value_end as usize]
+    }
+
+    /// The whole field as the record encodes it: length-prefixed name, then
+    /// the value.
+    pub fn entry<'a>(&self, record: &'a [u8]) -> &'a [u8] {
+        &record[self.name.0 as usize - 4..self.value_end as usize]
+    }
+}
+
+/// Split an encoded record into its top-level fields, in record order
+/// (duplicates included), by length arithmetic only. `spans` is cleared
+/// first, so one vector serves a whole scan. Returns `false` — leaving
+/// `spans` empty — when `record` is not exactly one structurally sound
+/// record (a scalar, a list, truncated, trailing bytes).
+pub fn record_spans(record: &[u8], spans: &mut Vec<FieldSpan>) -> bool {
+    spans.clear();
+    let mut r = Reader::new(record);
+    let mut split = || -> IngestResult<()> {
+        if r.u8()? != TAG_RECORD || record.len() > u32::MAX as usize {
+            return Err(r.err("not a record"));
+        }
+        for _ in 0..r.count()? {
+            let name = r.str_slice()?;
+            let name_end = r.pos as u32;
+            r.skip_value()?;
+            spans.push(FieldSpan {
+                name: (name_end - name.len() as u32, name_end),
+                value_end: r.pos as u32,
+            });
+        }
+        r.finish()
+    };
+    let sound = split().is_ok();
+    if !sound {
+        spans.clear();
+    }
+    sound
 }
 
 /// Zero-copy field lookup: return the encoded byte slice of `field` inside an
@@ -148,10 +225,7 @@ pub fn decode_prefix(input: &[u8]) -> IngestResult<(AdmValue, &[u8])> {
 /// tree. Returns `Ok(None)` when the record does not carry the field, and an
 /// error when `record` is not an encoded record at all.
 pub fn record_field_slice<'a>(record: &'a [u8], field: &str) -> IngestResult<Option<&'a [u8]>> {
-    let mut r = Reader {
-        buf: record,
-        pos: 0,
-    };
+    let mut r = Reader::new(record);
     if r.u8()? != TAG_RECORD {
         return Err(r.err("field lookup on non-record value"));
     }
@@ -189,10 +263,7 @@ pub fn decode_field_at(record: &[u8], field: &str) -> IngestResult<Option<AdmVal
 /// other field is skipped by length arithmetic; the scan stops as soon as
 /// all names are found. A non-record input is an error.
 pub fn decode_fields<S: AsRef<str>>(record: &[u8], names: &[S]) -> IngestResult<AdmValue> {
-    let mut r = Reader {
-        buf: record,
-        pos: 0,
-    };
+    let mut r = Reader::new(record);
     if r.u8()? != TAG_RECORD {
         return Err(r.err("field projection on non-record value"));
     }
@@ -215,14 +286,58 @@ pub fn decode_fields<S: AsRef<str>>(record: &[u8], names: &[S]) -> IngestResult<
     Ok(AdmValue::Record(found))
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// The borrowed reader every decode, projection and checked walk runs on:
+/// a cursor over encoded bytes that hands out sub-slices and never copies.
+pub(crate) struct Reader<'a> {
+    pub(crate) buf: &'a [u8],
+    pub(crate) pos: usize,
+    /// Collections entered and not yet left, bounded by [`MAX_DEPTH`].
+    depth: u32,
 }
 
 impl<'a> Reader<'a> {
-    fn err(&self, msg: &str) -> IngestError {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Reader {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    pub(crate) fn err(&self, msg: &str) -> IngestError {
         IngestError::Parse(format!("binary ADM: {msg} at byte {}", self.pos))
+    }
+
+    /// The input must be used up.
+    pub(crate) fn finish(&self) -> IngestResult<()> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(IngestError::Parse(format!(
+                "binary ADM: {n} trailing bytes after value"
+            ))),
+        }
+    }
+
+    /// The tag of the next value, without consuming it.
+    pub(crate) fn peek_tag(&self) -> IngestResult<u8> {
+        self.buf
+            .get(self.pos)
+            .copied()
+            .ok_or_else(|| self.err("truncated input"))
+    }
+
+    /// Run `body` one collection level down.
+    pub(crate) fn nested<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> IngestResult<T>,
+    ) -> IngestResult<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("collections nested too deeply"));
+        }
+        self.depth += 1;
+        let out = body(self);
+        self.depth -= 1;
+        out
     }
 
     fn take(&mut self, n: usize) -> IngestResult<&'a [u8]> {
@@ -236,7 +351,7 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> IngestResult<u8> {
+    pub(crate) fn u8(&mut self) -> IngestResult<u8> {
         Ok(self.take(1)?[0])
     }
 
@@ -255,9 +370,17 @@ impl<'a> Reader<'a> {
     }
 
     fn string(&mut self) -> IngestResult<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
+        let bytes = self.str_slice()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| self.err("invalid UTF-8 in string"))
+    }
+
+    /// The bytes of a length-prefixed string, validated as UTF-8.
+    pub(crate) fn str_checked(&mut self) -> IngestResult<&'a [u8]> {
+        let bytes = self.str_slice()?;
+        match std::str::from_utf8(bytes) {
+            Ok(_) => Ok(bytes),
+            Err(_) => Err(self.err("invalid UTF-8 in string")),
+        }
     }
 
     /// Raw bytes of a length-prefixed string, without UTF-8 validation or
@@ -267,7 +390,8 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
-    /// Advance past one encoded value without materializing it.
+    /// Advance past one encoded value without materializing it: structure
+    /// only (tags, lengths, counts), contents unread.
     fn skip_value(&mut self) -> IngestResult<()> {
         match self.u8()? {
             TAG_NULL | TAG_MISSING => Ok(()),
@@ -275,28 +399,55 @@ impl<'a> Reader<'a> {
             TAG_INT | TAG_DOUBLE | TAG_DATETIME => self.take(8).map(|_| ()),
             TAG_POINT => self.take(16).map(|_| ()),
             TAG_STRING => self.str_slice().map(|_| ()),
-            TAG_ORDERED_LIST | TAG_UNORDERED_LIST => {
-                let n = self.count()?;
-                for _ in 0..n {
-                    self.skip_value()?;
+            TAG_ORDERED_LIST | TAG_UNORDERED_LIST => self.nested(|r| {
+                for _ in 0..r.count()? {
+                    r.skip_value()?;
                 }
                 Ok(())
-            }
-            TAG_RECORD => {
-                let n = self.count()?;
-                for _ in 0..n {
-                    self.str_slice()?;
-                    self.skip_value()?;
+            }),
+            TAG_RECORD => self.nested(|r| {
+                for _ in 0..r.count()? {
+                    r.str_slice()?;
+                    r.skip_value()?;
                 }
                 Ok(())
-            }
+            }),
+            _ => Err(self.err("unknown type tag")),
+        }
+    }
+
+    /// Advance past one encoded value, verifying everything
+    /// [`Reader::value`] would reject: the checked walk of [`validate`].
+    pub(crate) fn check_value(&mut self) -> IngestResult<()> {
+        match self.u8()? {
+            TAG_NULL | TAG_MISSING => Ok(()),
+            TAG_BOOLEAN => match self.u8()? {
+                0 | 1 => Ok(()),
+                _ => Err(self.err("invalid boolean byte")),
+            },
+            TAG_INT | TAG_DOUBLE | TAG_DATETIME => self.take(8).map(|_| ()),
+            TAG_POINT => self.take(16).map(|_| ()),
+            TAG_STRING => self.str_checked().map(|_| ()),
+            TAG_ORDERED_LIST | TAG_UNORDERED_LIST => self.nested(|r| {
+                for _ in 0..r.count()? {
+                    r.check_value()?;
+                }
+                Ok(())
+            }),
+            TAG_RECORD => self.nested(|r| {
+                for _ in 0..r.count()? {
+                    r.str_checked()?;
+                    r.check_value()?;
+                }
+                Ok(())
+            }),
             _ => Err(self.err("unknown type tag")),
         }
     }
 
     /// Guard collection counts against allocating on garbage: a count can
     /// never exceed the bytes remaining (every element is ≥ 1 byte).
-    fn count(&mut self) -> IngestResult<usize> {
+    pub(crate) fn count(&mut self) -> IngestResult<usize> {
         let n = self.u32()? as usize;
         if n > self.buf.len() - self.pos {
             return Err(self.err("collection count exceeds input"));
@@ -318,34 +469,28 @@ impl<'a> Reader<'a> {
             TAG_STRING => Ok(AdmValue::String(self.string()?)),
             TAG_POINT => Ok(AdmValue::Point(self.f64()?, self.f64()?)),
             TAG_DATETIME => Ok(AdmValue::DateTime(self.i64()?)),
-            TAG_ORDERED_LIST => {
-                let n = self.count()?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Ok(AdmValue::OrderedList(items))
-            }
-            TAG_UNORDERED_LIST => {
-                let n = self.count()?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Ok(AdmValue::UnorderedList(items))
-            }
-            TAG_RECORD => {
-                let n = self.count()?;
+            TAG_ORDERED_LIST => self.nested(Self::items).map(AdmValue::OrderedList),
+            TAG_UNORDERED_LIST => self.nested(Self::items).map(AdmValue::UnorderedList),
+            TAG_RECORD => self.nested(|r| {
+                let n = r.count()?;
                 let mut fields = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let name = self.string()?;
-                    let value = self.value()?;
-                    fields.push((name, value));
+                    let name = r.string()?;
+                    fields.push((name, r.value()?));
                 }
                 Ok(AdmValue::Record(fields))
-            }
+            }),
             _ => Err(self.err("unknown type tag")),
         }
+    }
+
+    fn items(&mut self) -> IngestResult<Vec<AdmValue>> {
+        let n = self.count()?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(self.value()?);
+        }
+        Ok(items)
     }
 }
 
@@ -424,6 +569,81 @@ mod tests {
         let mut garbage = vec![TAG_ORDERED_LIST];
         garbage.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_value(&garbage).is_err());
+    }
+
+    /// `depth` lists nested in each other around a null.
+    fn nested_lists(depth: usize) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(5 * depth + 1);
+        for _ in 0..depth {
+            bytes.push(TAG_ORDERED_LIST);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+        }
+        bytes.push(TAG_NULL);
+        bytes
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let fits = nested_lists(MAX_DEPTH as usize);
+        assert!(validate(&fits).is_ok());
+        assert_eq!(encode_value(&decode_value(&fits).unwrap()), fits);
+        // a few megabytes of `[[[[…` off a wire
+        let hostile = nested_lists(1_000_000);
+        assert!(validate(&hostile).is_err());
+        assert!(decode_value(&hostile).is_err());
+        let mut record = vec![TAG_RECORD];
+        record.extend_from_slice(&1u32.to_le_bytes());
+        record.extend_from_slice(&1u32.to_le_bytes());
+        record.push(b'f');
+        record.extend_from_slice(&hostile);
+        assert!(record_field_slice(&record, "f").is_err());
+        assert!(!record_spans(&record, &mut Vec::new()));
+    }
+
+    #[test]
+    fn validate_rejects_what_the_decoder_rejects() {
+        let bytes = encode_value(&tweet());
+        assert!(validate(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert!(validate(&bytes[..cut]).is_err(), "truncation at {cut}");
+        }
+        assert!(validate(&[&bytes[..], &[0]].concat()).is_err(), "trailing");
+        assert!(validate(&[TAG_BOOLEAN, 2]).is_err(), "boolean byte");
+        assert!(validate(&[0xFF]).is_err(), "tag");
+        // bad UTF-8 in a string, and in a field name
+        let at = |needle: &[u8]| {
+            bytes
+                .windows(needle.len())
+                .position(|w| w == needle)
+                .unwrap()
+        };
+        for needle in [&b"alice"[..], &b"location"[..]] {
+            let mut bad = bytes.clone();
+            bad[at(needle)] = 0xFF;
+            assert!(validate(&bad).is_err());
+            assert!(decode_value(&bad).is_err());
+        }
+    }
+
+    #[test]
+    fn record_spans_split_a_record_into_its_fields() {
+        let v = tweet();
+        let bytes = encode_value(&v);
+        let mut spans = Vec::new();
+        assert!(record_spans(&bytes, &mut spans));
+        let fields = v.as_record().unwrap();
+        assert_eq!(spans.len(), fields.len());
+        let mut rebuilt = bytes[..5].to_vec();
+        for (span, (name, value)) in spans.iter().zip(fields) {
+            assert_eq!(span.name(&bytes), name.as_bytes());
+            assert_eq!(span.value(&bytes), &encode_value(value)[..]);
+            rebuilt.extend_from_slice(span.entry(&bytes));
+        }
+        assert_eq!(rebuilt, bytes, "entries tile the record");
+        // not a record, or not exactly one: no spans
+        assert!(!record_spans(&encode_value(&AdmValue::Int(1)), &mut spans));
+        assert!(!record_spans(&[&bytes[..], &[0]].concat(), &mut spans));
+        assert!(spans.is_empty());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A sealed component holds a batch of open ADM records. Storing each one
 //! fully self-describing repeats every field name and type tag per record —
 //! the "schema tax" the LSM-based tuple-compaction approach removes. This
-//! module is the storage half of that idea: given the rows of a component
-//! and the slot fields chosen from an [`InferredSchema`](crate::schema),
-//! [`BlockBuilder`] lays the component out as
+//! module is the storage half of that idea: given the rows of a component —
+//! binary ADM records, exactly as the memtable holds them — and the slot
+//! fields chosen from an [`InferredSchema`](crate::schema), [`BlockBuilder`]
+//! lays the component out as
 //!
 //! * a **schema header** — slot field names, per-field encoding and lattice
 //!   stats, written once per component instead of once per record;
@@ -38,7 +39,9 @@
 //!
 //! Blocks are built two ways only. [`BlockBuilder`] is the one row encoder:
 //! it infers the schema and writes the image in two row-major walks over the
-//! records. [`CompactedBlock::copy_rows`] is the merge path: when every
+//! records' bytes — every cell of the image is a sub-slice of the record it
+//! came from (minus the tag or length prefix the column's encoding implies),
+//! so sealing copies bytes and never builds a value. [`CompactedBlock::copy_rows`] is the merge path: when every
 //! input block has the same slots and encodings it assembles the merged
 //! image from the inputs' cell bytes without decoding a value.
 //! [`CompactedBlock::from_bytes`] parses and validates a foreign image.
@@ -47,8 +50,10 @@
 //! binary-codec record per row behind an offset table. Components whose
 //! schema churn defeats inference fall back to it wholesale.
 
-use crate::binary::{self, decode_field_at, decode_prefix, decode_value};
-use crate::schema::{same_shape, FieldType, InferredSchema, RecordShape, SchemaBuilder, SlotType};
+use crate::binary::{self, decode_field_at, decode_prefix, decode_value, record_spans, FieldSpan};
+use crate::schema::{
+    field_names, same_shape, FieldType, InferredSchema, RecordShape, SchemaBuilder, SlotType,
+};
 use crate::value::AdmValue;
 use asterix_common::{IngestError, IngestResult};
 
@@ -652,7 +657,6 @@ struct Column {
 }
 
 /// The resolved shape of the previous row in [`BlockBuilder::encode`].
-#[derive(Default)]
 struct RowShape {
     /// Per position: schema field index, as [`same_shape`] wants it.
     fields: Vec<u32>,
@@ -663,21 +667,35 @@ struct RowShape {
     canonical: bool,
 }
 
+impl Default for RowShape {
+    /// The shape of a record without fields.
+    fn default() -> Self {
+        RowShape {
+            fields: Vec::new(),
+            items: Vec::new(),
+            leftovers: 0,
+            canonical: true,
+        }
+    }
+}
+
 /// The one row encoder of the compacted layout: two row-major walks over a
-/// component's records. [`infer`](BlockBuilder::infer) runs the schema
-/// inferencer (walk 1); the caller picks slots from
-/// [`schema`](BlockBuilder::schema) and decides whether the component is
-/// worth compacting; [`encode`](BlockBuilder::encode) writes the image
-/// (walk 2). Both walks resolve a row's fields through a last-seen-shape
-/// cache, so uniform feeds pay no per-field hashing and no per-slot search.
+/// component's records, each a binary ADM value (a row that is not a sound
+/// record is opaque: it is carried whole in the residual).
+/// [`infer`](BlockBuilder::infer) runs the schema inferencer (walk 1); the
+/// caller picks slots from [`schema`](BlockBuilder::schema) and decides
+/// whether the component is worth compacting;
+/// [`encode`](BlockBuilder::encode) writes the image (walk 2). Both walks
+/// resolve a row's fields through a last-seen-shape cache, so uniform feeds
+/// pay no per-field hashing and no per-slot search.
 pub struct BlockBuilder<'a> {
-    rows: &'a [&'a AdmValue],
+    rows: &'a [&'a [u8]],
     inferred: SchemaBuilder,
 }
 
 impl<'a> BlockBuilder<'a> {
     /// Walk 1: infer the schema of `rows` (key order of the component).
-    pub fn infer(rows: &'a [&'a AdmValue]) -> BlockBuilder<'a> {
+    pub fn infer(rows: &'a [&'a [u8]]) -> BlockBuilder<'a> {
         let mut inferred = SchemaBuilder::new();
         for row in rows {
             inferred.observe(row);
@@ -762,47 +780,51 @@ impl<'a> BlockBuilder<'a> {
         let mut residual_bytes = Vec::new();
         let mut residual = Vec::new();
         let mut shapes = Vec::new();
-        let mut shape = RowShape {
-            canonical: true,
-            ..RowShape::default()
-        };
+        let mut shape = RowShape::default();
+        let (mut spans, mut nested) = (Vec::new(), Vec::new());
         for (ri, row) in self.rows.iter().enumerate() {
-            match row {
-                AdmValue::Record(row) => {
-                    if !same_shape(row, &shape.fields, &schema.fields) {
-                        shape = self.resolve(row, &slot_of);
-                    }
-                    for ((_, value), &item) in row.iter().zip(&shape.items) {
-                        if item & RESIDUAL_BIT == 0 {
-                            let si = item as usize;
-                            write_cell(&fields[si].encoding, value, &mut columns[si].data);
-                        }
-                    }
-                    if shape.leftovers > 0 {
-                        let leftovers = row
-                            .iter()
-                            .zip(&shape.items)
-                            .filter(|(_, &item)| item & RESIDUAL_BIT != 0)
-                            .map(|(field, _)| field);
-                        residual.push(push_residual(
-                            &mut residual_bytes,
-                            ri as u32,
-                            false,
-                            |out| binary::encode_record_of(shape.leftovers, leftovers, out),
-                        ));
-                    }
-                    if !shape.canonical {
-                        shapes.push(ShapeMeta {
-                            row: ri as u32,
-                            items: shape.items.clone(),
-                        });
+            // the verdict of walk 1, reached the same way
+            let resolved = record_spans(row, &mut spans)
+                && (same_shape(row, &spans, &shape.fields, &schema.fields)
+                    || self.resolve(row, &spans, &slot_of, &mut shape));
+            if resolved {
+                for (span, &item) in spans.iter().zip(&shape.items) {
+                    if item & RESIDUAL_BIT == 0 {
+                        let si = item as usize;
+                        let cell = &mut columns[si].data;
+                        write_cell(&fields[si].encoding, span.value(row), &mut nested, cell);
                     }
                 }
-                opaque => {
-                    residual.push(push_residual(&mut residual_bytes, ri as u32, true, |out| {
-                        binary::encode_into(opaque, out)
-                    }))
+                if shape.leftovers > 0 {
+                    residual.push(push_residual(
+                        &mut residual_bytes,
+                        ri as u32,
+                        false,
+                        |out| {
+                            // the record's own encoding, minus the slotted
+                            // fields
+                            out.push(binary::TAG_RECORD);
+                            push_u32(out, shape.leftovers as u32);
+                            for (span, _) in spans
+                                .iter()
+                                .zip(&shape.items)
+                                .filter(|(_, &item)| item & RESIDUAL_BIT != 0)
+                            {
+                                out.extend_from_slice(span.entry(row));
+                            }
+                        },
+                    ));
                 }
+                if !shape.canonical {
+                    shapes.push(ShapeMeta {
+                        row: ri as u32,
+                        items: shape.items.clone(),
+                    });
+                }
+            } else {
+                residual.push(push_residual(&mut residual_bytes, ri as u32, true, |out| {
+                    out.extend_from_slice(row)
+                }));
             }
             for column in &mut columns {
                 if let Some(offsets) = &mut column.offsets {
@@ -853,11 +875,21 @@ impl<'a> BlockBuilder<'a> {
     }
 
     /// Shape-cache miss: resolve each field of `row` to its slot (first
-    /// occurrence of a slotted field) or to the residual.
-    fn resolve(&self, row: &[(String, AdmValue)], slot_of: &[u32]) -> RowShape {
-        let mut shape = RowShape::default();
-        for (name, _) in row {
-            let fi = self.inferred.index[name.as_str()];
+    /// occurrence of a slotted field) or to the residual. `false` — with
+    /// the cache emptied — for a row walk 1 counted opaque.
+    fn resolve(
+        &self,
+        row: &[u8],
+        spans: &[FieldSpan],
+        slot_of: &[u32],
+        shape: &mut RowShape,
+    ) -> bool {
+        *shape = RowShape::default();
+        let Some(names) = field_names(row, spans) else {
+            return false;
+        };
+        for name in names {
+            let fi = self.inferred.index[name];
             let repeat = shape.fields.contains(&fi);
             shape.fields.push(fi);
             if repeat || slot_of[fi as usize] == RESIDUAL_BIT {
@@ -868,33 +900,25 @@ impl<'a> BlockBuilder<'a> {
             }
         }
         shape.canonical = canonical_order(&shape.items);
-        shape
+        true
     }
 }
 
-/// Append one value to a column under the column's encoding.
-fn write_cell(encoding: &Encoding, value: &AdmValue, out: &mut Vec<u8>) {
-    match (encoding, value) {
-        (Encoding::Tagged, v) => binary::encode_into(v, out),
-        (Encoding::FixedInt, AdmValue::Int(i)) => out.extend_from_slice(&i.to_le_bytes()),
-        (Encoding::FixedDouble, AdmValue::Double(d)) => {
-            out.extend_from_slice(&d.to_bits().to_le_bytes())
-        }
-        (Encoding::FixedDateTime, AdmValue::DateTime(ms)) => {
-            out.extend_from_slice(&ms.to_le_bytes())
-        }
-        (Encoding::FixedBool, AdmValue::Boolean(b)) => out.push(*b as u8),
-        (Encoding::FixedPoint, AdmValue::Point(x, y)) => {
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-            out.extend_from_slice(&y.to_bits().to_le_bytes());
-        }
-        (Encoding::Str, AdmValue::String(s)) => out.extend_from_slice(s.as_bytes()),
-        (Encoding::RecFixed(_), AdmValue::Record(sub)) => {
-            for (_, sv) in sub {
-                binary::encode_into(sv, out);
+/// Append one encoded value to a column under the column's encoding: the
+/// value's bytes minus whatever the encoding makes implicit (the tag, a
+/// string's length prefix, a nested record's count and names). `value` is a
+/// span of a record that split, so it is as long as its tag says.
+fn write_cell(encoding: &Encoding, value: &[u8], nested: &mut Vec<FieldSpan>, out: &mut Vec<u8>) {
+    match encoding {
+        Encoding::Tagged => out.extend_from_slice(value),
+        Encoding::Str => out.extend_from_slice(&value[5..]),
+        Encoding::RecFixed(_) => {
+            record_spans(value, nested);
+            for sub in nested.iter() {
+                out.extend_from_slice(sub.value(value));
             }
         }
-        _ => unreachable!("column encoding inferred over non-uniform rows"),
+        _ => out.extend_from_slice(&value[1..]),
     }
 }
 
@@ -975,13 +999,14 @@ pub struct OpenBlock {
 }
 
 impl OpenBlock {
-    /// Encode `rows` self-describing, in order.
-    pub fn encode(rows: &[&AdmValue]) -> OpenBlock {
+    /// Lay `rows` — binary ADM records — out self-describing, in order: a
+    /// concatenation.
+    pub fn encode(rows: &[&[u8]]) -> OpenBlock {
         let mut offsets = Vec::with_capacity(rows.len() + 1);
         offsets.push(0u32);
-        let mut data = Vec::new();
+        let mut data = Vec::with_capacity(rows.iter().map(|r| r.len()).sum());
         for row in rows {
-            binary::encode_into(row, &mut data);
+            data.extend_from_slice(row);
             offsets.push(data.len() as u32);
         }
         OpenBlock { offsets, data }
@@ -1057,8 +1082,18 @@ mod tests {
         ])
     }
 
+    /// The rows as storage holds them: binary ADM.
+    fn encoded<'a>(rows: impl IntoIterator<Item = &'a AdmValue>) -> Vec<Vec<u8>> {
+        rows.into_iter().map(binary::encode_value).collect()
+    }
+
+    fn slices(rows: &[Vec<u8>]) -> Vec<&[u8]> {
+        rows.iter().map(Vec::as_slice).collect()
+    }
+
     fn encode_rows(rows: &[AdmValue], min_presence: f64) -> CompactedBlock {
-        let refs: Vec<&AdmValue> = rows.iter().collect();
+        let bytes = encoded(rows);
+        let refs = slices(&bytes);
         let builder = BlockBuilder::infer(&refs);
         builder.encode(&builder.schema().slot_fields(min_presence))
     }
@@ -1096,8 +1131,8 @@ mod tests {
     #[test]
     fn compacted_is_smaller_than_open_for_uniform_records() {
         let rows: Vec<AdmValue> = (0..200).map(tweet).collect();
-        let refs: Vec<&AdmValue> = rows.iter().collect();
-        let open = OpenBlock::encode(&refs);
+        let bytes = encoded(&rows);
+        let open = OpenBlock::encode(&slices(&bytes));
         let block = encode_rows(&rows, 0.5);
         assert!(
             (block.size_bytes() as f64) * 1.5 < open.size_bytes() as f64,
@@ -1216,7 +1251,9 @@ mod tests {
         assert_eq!((place.present, place.nulls), (6, 4)); // rows 1,3,4 of each; 1 and 4 null
         assert_eq!(copied.residual_entries(), 2);
         assert_eq!(copied.shapes.len(), 2);
-        let fresh = BlockBuilder::infer(&picked);
+        let bytes = encoded(picked.iter().copied());
+        let refs = slices(&bytes);
+        let fresh = BlockBuilder::infer(&refs);
         assert_eq!(copied.schema().total_items, fresh.schema().total_items);
 
         // one column changing encoding is enough to refuse the copy
@@ -1248,8 +1285,8 @@ mod tests {
     #[test]
     fn open_block_round_trips_and_serves_fields() {
         let rows: Vec<AdmValue> = (0..10).map(tweet).collect();
-        let refs: Vec<&AdmValue> = rows.iter().collect();
-        let open = OpenBlock::encode(&refs);
+        let bytes = encoded(&rows);
+        let open = OpenBlock::encode(&slices(&bytes));
         assert_eq!(open.records(), 10);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(open.materialize(i).as_ref(), Some(row));

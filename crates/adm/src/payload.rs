@@ -1,13 +1,19 @@
 //! Record payloads: binary ADM bytes plus typed access to the shared decode
 //! cache of a [`RecordPayload`].
 //!
-//! A record's serialized form, from the adaptor to the store, is the
-//! [`crate::binary`] encoding of its value — written once by the stage that
-//! produced the value ([`payload_from_value`]: the adaptor's translate, a
-//! UDF's output, an AQL `insert` row) and carried verbatim through frames,
-//! spill segments and wire hops. ADM *text* exists only at the system
-//! boundary: [`parse_value`] where external text comes in,
-//! [`to_adm_string`] where a human reads a record.
+//! A record's serialized form, from the adaptor to the store *and inside
+//! it*, is the [`crate::binary`] encoding of its value — written once by the
+//! stage that produced the value ([`payload_from_value`]: the adaptor's
+//! translate, a UDF's output, an AQL `insert` row) and carried verbatim
+//! through frames, spill segments, wire hops, the write-ahead log and the
+//! memtable. ADM *text* exists only at the system boundary: [`parse_value`]
+//! where external text comes in, [`to_adm_string`] where a human reads a
+//! record.
+//!
+//! The stages that may hold a record's `AdmValue` tree are the adaptor's
+//! translate, a UDF and AQL evaluation. The store never asks for one: it runs
+//! one checked walk over the bytes and keeps the bytes, so a tree seeded
+//! upstream is freed when the frame that carried it is dropped, not retained.
 //!
 //! `asterix-common` keeps the payload's decode cell type-erased so it does
 //! not depend on this crate; here the erased value is pinned to

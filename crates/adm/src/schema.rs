@@ -3,7 +3,8 @@
 //! The LSM-based tuple-compaction approach infers a schema for each sealed
 //! component from the records it actually holds, instead of trusting the
 //! (open) declared type. This module is the inference half: feed every
-//! record of a component through [`SchemaBuilder::observe`] and the
+//! record of a component — in its binary ADM form, as the memtable holds it;
+//! no value tree is built — through [`SchemaBuilder::observe`] and the
 //! resulting [`InferredSchema`] reports, per field, how often it appeared
 //! and where it sits on a small type lattice. The storage layer uses that
 //! to pick *slot* fields (stable, dense — worth a column in the compacted
@@ -29,7 +30,7 @@
 //! builds the merged component's header with it, so a merge can only *widen*
 //! a slot's type, never narrow it.
 
-use crate::value::AdmValue;
+use crate::binary::{self, record_spans, FieldSpan};
 use std::collections::HashMap;
 
 /// A concrete leaf position on the inference lattice.
@@ -56,19 +57,20 @@ pub enum SlotType {
 }
 
 impl SlotType {
-    /// Classify a value; `None` for `Null`/`Missing` (they carry no type).
-    pub fn of(v: &AdmValue) -> Option<SlotType> {
-        match v {
-            AdmValue::Null | AdmValue::Missing => None,
-            AdmValue::Boolean(_) => Some(SlotType::Boolean),
-            AdmValue::Int(_) => Some(SlotType::Int),
-            AdmValue::Double(_) => Some(SlotType::Double),
-            AdmValue::String(_) => Some(SlotType::String),
-            AdmValue::Point(_, _) => Some(SlotType::Point),
-            AdmValue::DateTime(_) => Some(SlotType::DateTime),
-            AdmValue::OrderedList(_) => Some(SlotType::OrderedList),
-            AdmValue::UnorderedList(_) => Some(SlotType::UnorderedList),
-            AdmValue::Record(_) => Some(SlotType::Record),
+    /// Classify an encoded value by its tag byte; `None` for
+    /// `Null`/`Missing` (they carry no type).
+    pub fn of(value: &[u8]) -> Option<SlotType> {
+        match *value.first()? {
+            binary::TAG_BOOLEAN => Some(SlotType::Boolean),
+            binary::TAG_INT => Some(SlotType::Int),
+            binary::TAG_DOUBLE => Some(SlotType::Double),
+            binary::TAG_STRING => Some(SlotType::String),
+            binary::TAG_POINT => Some(SlotType::Point),
+            binary::TAG_DATETIME => Some(SlotType::DateTime),
+            binary::TAG_ORDERED_LIST => Some(SlotType::OrderedList),
+            binary::TAG_UNORDERED_LIST => Some(SlotType::UnorderedList),
+            binary::TAG_RECORD => Some(SlotType::Record),
+            _ => None,
         }
     }
 }
@@ -125,20 +127,28 @@ pub enum RecordShape {
 }
 
 impl RecordShape {
-    fn observe(&mut self, fields: &[(String, AdmValue)]) {
-        match self {
-            RecordShape::Unseen => {
-                *self = RecordShape::Uniform(fields.iter().map(|(n, _)| n.clone()).collect());
-            }
-            RecordShape::Uniform(names) => {
-                let same = names.len() == fields.len()
-                    && names.iter().zip(fields).all(|(n, (fname, _))| n == fname);
-                if !same {
-                    *self = RecordShape::Divergent;
+    /// Fold in one nested record, split into `fields` (`None`: its bytes
+    /// did not split, which no uniform shape can describe).
+    fn observe(&mut self, record: &[u8], fields: Option<&[FieldSpan]>) {
+        let names = fields.and_then(|fields| {
+            let name = |f: &FieldSpan| std::str::from_utf8(f.name(record)).ok();
+            match self {
+                RecordShape::Unseen => fields
+                    .iter()
+                    .map(|f| name(f).map(str::to_string))
+                    .collect::<Option<Vec<_>>>(),
+                RecordShape::Uniform(names) => {
+                    let same = names.len() == fields.len()
+                        && names
+                            .iter()
+                            .zip(fields)
+                            .all(|(n, f)| n.as_bytes() == f.name(record));
+                    same.then(|| std::mem::take(names))
                 }
+                RecordShape::Divergent => None,
             }
-            RecordShape::Divergent => {}
-        }
+        });
+        *self = names.map_or(RecordShape::Divergent, RecordShape::Uniform);
     }
 
     fn widen(&self, other: &RecordShape) -> RecordShape {
@@ -253,17 +263,31 @@ impl InferredSchema {
 /// earlier in the same record (only first occurrences count).
 pub(crate) const REPEAT: u32 = 0x8000_0000;
 
-/// Does `row` have exactly the field-name sequence that `shape` (per
-/// position: index into `fields`, possibly [`REPEAT`]-flagged) was resolved
-/// from? The last-seen-shape cache test: feeds repeat one shape for
-/// thousands of records, so a hit replaces a hash lookup per field with a
-/// short string compare.
-pub(crate) fn same_shape(row: &[(String, AdmValue)], shape: &[u32], fields: &[FieldStats]) -> bool {
-    row.len() == shape.len()
-        && row
+/// Does `row`, split into `spans`, have exactly the field-name sequence that
+/// `shape` (per position: index into `fields`, possibly [`REPEAT`]-flagged)
+/// was resolved from? The last-seen-shape cache test: feeds repeat one shape
+/// for thousands of records, so a hit replaces a hash lookup per field with
+/// a short byte compare.
+pub(crate) fn same_shape(
+    row: &[u8],
+    spans: &[FieldSpan],
+    shape: &[u32],
+    fields: &[FieldStats],
+) -> bool {
+    spans.len() == shape.len()
+        && spans
             .iter()
             .zip(shape)
-            .all(|((name, _), &i)| fields[(i & !REPEAT) as usize].name == *name)
+            .all(|(span, &i)| fields[(i & !REPEAT) as usize].name.as_bytes() == span.name(row))
+}
+
+/// The field names of `row`, or `None` when one is not UTF-8 (such a row is
+/// opaque to the schema: it cannot be named in a header).
+pub(crate) fn field_names<'a>(row: &'a [u8], spans: &[FieldSpan]) -> Option<Vec<&'a str>> {
+    spans
+        .iter()
+        .map(|span| std::str::from_utf8(span.name(row)).ok())
+        .collect()
 }
 
 /// Streaming schema inferencer: one [`observe`](SchemaBuilder::observe) call
@@ -278,6 +302,9 @@ pub struct SchemaBuilder {
     pub(crate) index: HashMap<String, u32>,
     /// Field indices of the previous record's positions, see [`same_shape`].
     shape: Vec<u32>,
+    /// Scratch: the current record's fields, and a nested record's.
+    spans: Vec<FieldSpan>,
+    nested: Vec<FieldSpan>,
 }
 
 impl SchemaBuilder {
@@ -286,23 +313,24 @@ impl SchemaBuilder {
         SchemaBuilder::default()
     }
 
-    /// Fold one record into the running schema. Non-record values are
-    /// counted as opaque (they always fall back to the residual section).
-    pub fn observe(&mut self, v: &AdmValue) {
+    /// Fold one binary ADM record into the running schema. Anything that is
+    /// not a record — another value, or bytes that do not split into named
+    /// fields — is counted as opaque (it always falls back to the residual
+    /// section).
+    pub fn observe(&mut self, row: &[u8]) {
         self.schema.records += 1;
-        let row = match v {
-            AdmValue::Record(fields) => fields,
-            _ => {
-                self.schema.opaque_rows += 1;
-                self.schema.total_items += 1;
-                return;
-            }
-        };
-        self.schema.total_items += row.len() as u64;
-        if !same_shape(row, &self.shape, &self.schema.fields) {
-            self.resolve(row);
+        let mut spans = std::mem::take(&mut self.spans);
+        let is_record = record_spans(row, &mut spans)
+            && (same_shape(row, &spans, &self.shape, &self.schema.fields)
+                || self.resolve(row, &spans));
+        if !is_record {
+            self.schema.opaque_rows += 1;
+            self.schema.total_items += 1;
+            self.spans = spans;
+            return;
         }
-        for ((_, value), &idx) in row.iter().zip(&self.shape) {
+        self.schema.total_items += spans.len() as u64;
+        for (span, &idx) in spans.iter().zip(&self.shape) {
             // Duplicate field names inside one record: only the first
             // occurrence updates stats (it is the one `field()` resolves and
             // the one the compacted layout slots); later duplicates are
@@ -310,6 +338,7 @@ impl SchemaBuilder {
             if idx & REPEAT != 0 {
                 continue;
             }
+            let value = span.value(row);
             let f = &mut self.schema.fields[idx as usize];
             f.present += 1;
             match SlotType::of(value) {
@@ -319,31 +348,38 @@ impl SchemaBuilder {
                         self.uniform[idx as usize] = false;
                     }
                     f.ty = f.ty.join(ty);
-                    if let AdmValue::Record(sub) = value {
-                        f.shape.observe(sub);
+                    if ty == SlotType::Record {
+                        let split = record_spans(value, &mut self.nested);
+                        f.shape.observe(value, split.then_some(&self.nested));
                     }
                 }
             }
         }
+        self.spans = spans;
     }
 
-    /// Shape-cache miss: look every name up (creating new fields).
-    fn resolve(&mut self, row: &[(String, AdmValue)]) {
+    /// Shape-cache miss: look every name up (creating new fields). `false`
+    /// — with the cache emptied — when the row cannot be named.
+    fn resolve(&mut self, row: &[u8], spans: &[FieldSpan]) -> bool {
         self.shape.clear();
-        for (name, _) in row {
+        let Some(names) = field_names(row, spans) else {
+            return false;
+        };
+        for name in names {
             let idx = match self.index.get(name) {
                 Some(&i) => i,
                 None => {
                     let i = self.schema.fields.len() as u32;
                     self.schema.fields.push(FieldStats::new(name));
                     self.uniform.push(true);
-                    self.index.insert(name.clone(), i);
+                    self.index.insert(name.to_string(), i);
                     i
                 }
             };
             let repeat = self.shape.contains(&idx);
             self.shape.push(if repeat { idx | REPEAT } else { idx });
         }
+        true
     }
 
     /// Seal the pass into an [`InferredSchema`].
@@ -355,6 +391,7 @@ impl SchemaBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::AdmValue;
 
     fn rec(fields: Vec<(&str, AdmValue)>) -> AdmValue {
         AdmValue::Record(
@@ -368,7 +405,7 @@ mod tests {
     fn infer(rows: &[AdmValue]) -> InferredSchema {
         let mut b = SchemaBuilder::new();
         for r in rows {
-            b.observe(r);
+            b.observe(&binary::encode_value(r));
         }
         b.finish()
     }

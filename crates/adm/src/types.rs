@@ -5,6 +5,7 @@
 //! dataset's records must *conform* to its datatype; open record types allow
 //! extra fields, closed ones do not.
 
+use crate::binary::{self, Reader};
 use crate::value::AdmValue;
 use asterix_common::sync::{read_or_recover, write_or_recover};
 use asterix_common::{IngestError, IngestResult};
@@ -147,90 +148,109 @@ impl TypeRegistry {
         }
     }
 
-    /// Check that `value` conforms to `ty`, resolving named types.
+    /// Check that `value` conforms to `ty`, resolving named types. The
+    /// conformance relation is defined over the binary encoding
+    /// ([`TypeRegistry::check_bytes`]); a caller holding a tree pays one
+    /// encode.
     pub fn check(&self, value: &AdmValue, ty: &AdmType) -> IngestResult<()> {
-        let ty = self.resolve(ty)?;
-        conforms(self, value, &ty)
+        self.check_bytes(&binary::encode_value(value), ty)
+    }
+
+    /// The checked walk with conformance folded in: `bytes` must be exactly
+    /// one well-formed binary ADM value (everything
+    /// [`binary::validate`] verifies) *and* conform to `ty`, in a single
+    /// pass over the bytes. Nothing is materialized unless a type mismatch
+    /// has to be reported.
+    pub fn check_bytes(&self, bytes: &[u8], ty: &AdmType) -> IngestResult<()> {
+        let mut r = Reader::new(bytes);
+        conforms(self, &mut r, ty)?;
+        r.finish()
     }
 }
 
-fn type_err(expected: &AdmType, got: &AdmValue) -> IngestError {
-    IngestError::Type(format!(
-        "expected {expected}, got {} ({got})",
-        got.type_name()
-    ))
-}
-
-/// Core conformance relation.
-fn conforms(reg: &TypeRegistry, value: &AdmValue, ty: &AdmType) -> IngestResult<()> {
-    match (ty, value) {
-        (AdmType::Any, _) => Ok(()),
-        (AdmType::Boolean, AdmValue::Boolean(_)) => Ok(()),
-        (AdmType::Int, AdmValue::Int(_)) => Ok(()),
+/// Core conformance relation: consume one value from `r`, validating every
+/// byte of it on the way, and hold it to `ty`.
+fn conforms(reg: &TypeRegistry, r: &mut Reader<'_>, ty: &AdmType) -> IngestResult<()> {
+    use binary::*;
+    let start = r.pos;
+    match (ty, r.peek_tag()?) {
+        (AdmType::Named(_), _) => conforms(reg, r, &reg.resolve(ty)?),
+        (AdmType::Any, _)
+        | (AdmType::Boolean, TAG_BOOLEAN)
+        | (AdmType::Int, TAG_INT)
         // ints are acceptable where doubles are expected (numeric promotion)
-        (AdmType::Double, AdmValue::Double(_) | AdmValue::Int(_)) => Ok(()),
-        (AdmType::String, AdmValue::String(_)) => Ok(()),
-        (AdmType::Point, AdmValue::Point(_, _)) => Ok(()),
-        (AdmType::DateTime, AdmValue::DateTime(_)) => Ok(()),
-        (AdmType::OrderedList(elem), AdmValue::OrderedList(items)) => {
-            for item in items {
-                reg.check(item, elem)?;
-            }
-            Ok(())
+        | (AdmType::Double, TAG_DOUBLE | TAG_INT)
+        | (AdmType::String, TAG_STRING)
+        | (AdmType::Point, TAG_POINT)
+        | (AdmType::DateTime, TAG_DATETIME) => r.check_value(),
+        (AdmType::OrderedList(elem), TAG_ORDERED_LIST)
+        | (AdmType::UnorderedList(elem), TAG_UNORDERED_LIST) => {
+            r.u8()?;
+            r.nested(|r| {
+                for _ in 0..r.count()? {
+                    conforms(reg, r, elem)?;
+                }
+                Ok(())
+            })
         }
-        (AdmType::UnorderedList(elem), AdmValue::UnorderedList(items)) => {
-            for item in items {
-                reg.check(item, elem)?;
-            }
-            Ok(())
-        }
-        (AdmType::Record(rt), AdmValue::Record(fields)) => {
-            // every declared required field must be present & conforming
-            for decl in &rt.fields {
-                match fields.iter().find(|(k, _)| *k == decl.name) {
-                    Some((_, v)) => {
-                        if matches!(v, AdmValue::Null | AdmValue::Missing) {
-                            if !decl.optional {
+        (AdmType::Record(rt), TAG_RECORD) => r.nested(|r| {
+            r.u8()?;
+            // first occurrences seen, per declared field (a repeated name is
+            // an open field: only the first is what `field()` resolves)
+            let mut seen = vec![false; rt.fields.len()];
+            for _ in 0..r.count()? {
+                let name = r.str_checked()?;
+                let declared = rt.fields.iter().position(|d| d.name.as_bytes() == name);
+                match declared.filter(|&i| !std::mem::replace(&mut seen[i], true)) {
+                    Some(i) => {
+                        let decl = &rt.fields[i];
+                        match r.peek_tag()? {
+                            tag @ (TAG_NULL | TAG_MISSING) if !decl.optional => {
                                 return Err(IngestError::Type(format!(
                                     "required field '{}' of {} is {}",
                                     decl.name,
                                     rt.name,
-                                    v.type_name()
+                                    if tag == TAG_NULL { "null" } else { "missing" }
                                 )));
                             }
-                        } else {
-                            reg.check(v, &decl.ty).map_err(|e| {
+                            TAG_NULL | TAG_MISSING => r.check_value()?,
+                            _ => conforms(reg, r, &decl.ty).map_err(|e| {
                                 IngestError::Type(format!(
                                     "field '{}' of {}: {e}",
                                     decl.name, rt.name
                                 ))
-                            })?;
+                            })?,
                         }
                     }
-                    None if decl.optional => {}
-                    None => {
+                    // closed types reject undeclared fields
+                    None if declared.is_none() && !rt.open => {
                         return Err(IngestError::Type(format!(
-                            "missing required field '{}' of {}",
-                            decl.name, rt.name
-                        )))
-                    }
-                }
-            }
-            // closed types reject undeclared fields
-            if !rt.open {
-                for (k, _) in fields {
-                    if rt.field(k).is_none() {
-                        return Err(IngestError::Type(format!(
-                            "closed type {} does not allow field '{k}'",
-                            rt.name
+                            "closed type {} does not allow field '{}'",
+                            rt.name,
+                            String::from_utf8_lossy(name)
                         )));
                     }
+                    None => r.check_value()?,
                 }
             }
-            Ok(())
+            // every declared required field must have been present
+            let absent = |(i, d): &(usize, &Field)| !d.optional && !seen[*i];
+            match rt.fields.iter().enumerate().find(absent) {
+                Some((_, decl)) => Err(IngestError::Type(format!(
+                    "missing required field '{}' of {}",
+                    decl.name, rt.name
+                ))),
+                None => Ok(()),
+            }
+        }),
+        (expected, _) => {
+            r.check_value()?;
+            let got = binary::decode_value(&r.buf[start..r.pos])?;
+            Err(IngestError::Type(format!(
+                "expected {expected}, got {} ({got})",
+                got.type_name()
+            )))
         }
-        (AdmType::Named(_), _) => reg.check(value, ty),
-        (expected, got) => Err(type_err(expected, got)),
     }
 }
 
@@ -431,6 +451,77 @@ mod tests {
         ] {
             reg.check(&v, &AdmType::Any).unwrap();
         }
+    }
+
+    #[test]
+    fn check_bytes_is_the_checked_walk_with_conformance() {
+        let reg = paper_registry();
+        let ty = AdmType::Named("Tweet".into());
+        let bytes = binary::encode_value(&tweet());
+        reg.check_bytes(&bytes, &ty).unwrap();
+        // malformed anywhere — inside a declared field, an open field, or
+        // after the value — fails the same pass
+        for cut in 0..bytes.len() {
+            assert!(reg.check_bytes(&bytes[..cut], &ty).is_err(), "cut {cut}");
+        }
+        assert!(reg.check_bytes(&[&bytes[..], &[0]].concat(), &ty).is_err());
+        let mut open_field = tweet();
+        open_field.set_field("extra", "caf\u{e9}".into());
+        let mut bad = binary::encode_value(&open_field);
+        let at = bad.len() - 2;
+        bad[at] = 0xFF;
+        assert!(
+            reg.check_bytes(&bad, &ty).is_err(),
+            "UTF-8 of an open field"
+        );
+        // a mismatch names the field and shows the offending value
+        let mut wrong = tweet();
+        wrong.set_field("latitude", "north".into());
+        let err = reg
+            .check_bytes(&binary::encode_value(&wrong), &ty)
+            .unwrap_err();
+        assert!(err.to_string().contains("latitude"), "{err}");
+        assert!(err.to_string().contains("north"), "{err}");
+    }
+
+    #[test]
+    fn a_recursive_type_does_not_lift_the_nesting_bound() {
+        // `Tree { child: Tree? }`: the type follows the data as deep as it
+        // goes, so the reader's depth bound has to hold on typed levels too
+        let reg = TypeRegistry::new();
+        reg.register(RecordType {
+            name: "Tree".into(),
+            fields: vec![Field::optional("child", AdmType::Named("Tree".into()))],
+            open: true,
+        });
+        let ty = AdmType::Named("Tree".into());
+        let nested = |depth: usize| {
+            let mut bytes = Vec::new();
+            for _ in 0..depth {
+                bytes.push(binary::TAG_RECORD);
+                bytes.extend_from_slice(&1u32.to_le_bytes());
+                bytes.extend_from_slice(&5u32.to_le_bytes());
+                bytes.extend_from_slice(b"child");
+            }
+            bytes.push(binary::TAG_NULL);
+            bytes
+        };
+        reg.check_bytes(&nested(100), &ty).unwrap();
+        assert!(reg.check_bytes(&nested(1_000_000), &ty).is_err());
+    }
+
+    #[test]
+    fn only_the_first_occurrence_of_a_repeated_name_is_declared() {
+        let reg = paper_registry();
+        let ty = AdmType::Named("TwitterUser".into());
+        let AdmValue::Record(mut fields) = user() else {
+            unreachable!()
+        };
+        // `field()` resolves the first `lang`; the repeat is an open field
+        fields.push(("lang".into(), AdmValue::Int(7)));
+        reg.check(&AdmValue::Record(fields.clone()), &ty).unwrap();
+        fields.rotate_right(1);
+        assert!(reg.check(&AdmValue::Record(fields), &ty).is_err());
     }
 
     #[test]

@@ -59,10 +59,24 @@ fn component_rows() -> impl Strategy<Value = Vec<AdmValue>> {
     )
 }
 
+/// Run `f` on the builder over `rows` in the form storage holds them:
+/// binary ADM records.
+fn with_builder<'a, R>(
+    rows: impl IntoIterator<Item = &'a AdmValue>,
+    f: impl FnOnce(&BlockBuilder) -> R,
+) -> R {
+    let bytes: Vec<Vec<u8>> = rows.into_iter().map(encode_value).collect();
+    let refs: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
+    f(&BlockBuilder::infer(&refs))
+}
+
 fn compacted(rows: &[AdmValue], min_presence: f64) -> CompactedBlock {
-    let refs: Vec<&AdmValue> = rows.iter().collect();
-    let builder = BlockBuilder::infer(&refs);
-    builder.encode(&builder.schema().slot_fields(min_presence))
+    with_builder(rows, |b| b.encode(&b.schema().slot_fields(min_presence)))
+}
+
+fn open(rows: &[AdmValue]) -> OpenBlock {
+    let bytes: Vec<Vec<u8>> = rows.iter().map(encode_value).collect();
+    OpenBlock::encode(&bytes.iter().map(Vec::as_slice).collect::<Vec<_>>())
 }
 
 proptest! {
@@ -78,8 +92,7 @@ proptest! {
 
     #[test]
     fn compacted_agrees_with_open_layout(rows in component_rows()) {
-        let refs: Vec<&AdmValue> = rows.iter().collect();
-        let open = OpenBlock::encode(&refs);
+        let open = open(&rows);
         let block = compacted(&rows, 0.5);
         prop_assert_eq!(open.records(), block.records());
         for i in 0..rows.len() {
@@ -89,8 +102,7 @@ proptest! {
 
     #[test]
     fn field_access_matches_across_layouts(rows in component_rows()) {
-        let refs: Vec<&AdmValue> = rows.iter().collect();
-        let open = OpenBlock::encode(&refs);
+        let open = open(&rows);
         let block = compacted(&rows, 0.5);
         // every name observed anywhere, plus one certainly-absent name
         let mut names: Vec<String> = rows
@@ -150,18 +162,14 @@ proptest! {
         keep in prop::collection::vec(any::<bool>(), 32),
     ) {
         // split one row set into chunks encoded against the same slot list
-        let all: Vec<&AdmValue> = rows.iter().collect();
-        let slots = BlockBuilder::infer(&all).schema().slot_fields(0.5);
+        let slots = with_builder(&rows, |b| b.schema().slot_fields(0.5));
         let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (rows.len() + 1)).collect();
         bounds.extend([0, rows.len()]);
         bounds.sort_unstable();
         let chunks: Vec<&[AdmValue]> = bounds.windows(2).map(|w| &rows[w[0]..w[1]]).collect();
         let blocks: Vec<CompactedBlock> = chunks
             .iter()
-            .map(|chunk| {
-                let refs: Vec<&AdmValue> = chunk.iter().collect();
-                BlockBuilder::infer(&refs).encode(&slots)
-            })
+            .map(|chunk| with_builder(*chunk, |b| b.encode(&slots)))
             .collect();
         let inputs: Vec<&CompactedBlock> = blocks.iter().collect();
         let mut picks = Vec::new();
@@ -187,7 +195,7 @@ proptest! {
                 .expect("copied image must reparse");
             prop_assert_eq!(&reparsed, &copied);
             // header counts are exact: those a re-encode of the rows infers
-            let oracle = BlockBuilder::infer(&picked).encode(&slots).schema();
+            let oracle = with_builder(picked.iter().copied(), |b| b.encode(&slots).schema());
             let header = copied.schema();
             prop_assert_eq!(header.records, oracle.records);
             prop_assert_eq!(header.opaque_rows, oracle.opaque_rows);

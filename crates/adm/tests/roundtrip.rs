@@ -2,7 +2,11 @@
 //! binary codec round-trips bit-exactly, the value hash respects equality,
 //! and the total order is indeed total.
 
-use asterix_adm::{decode_value, encode_value, parse_value, to_adm_string, AdmValue};
+use asterix_adm::binary::{record_spans, validate};
+use asterix_adm::{
+    decode_fields, decode_value, encode_value, parse_value, record_field_slice, to_adm_string,
+    AdmType, AdmValue, TypeRegistry,
+};
 use proptest::prelude::*;
 
 /// Strategy producing arbitrary ADM values with finite doubles.
@@ -89,6 +93,61 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..128)
     ) {
         let _ = decode_value(&bytes);
+    }
+
+    /// The checked walk accepts exactly what the decoder accepts — storage
+    /// trusts bytes on its say-so — and what it accepts is canonical: the
+    /// bytes are the encoding of the value they decode to.
+    #[test]
+    fn checked_walk_agrees_with_the_decoder(
+        v in adm_value(),
+        noise in prop::collection::vec(any::<u8>(), 0..128),
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        let valid = encode_value(&v);
+        let mut flipped = valid.clone();
+        let i = at % flipped.len();
+        flipped[i] ^= flip;
+        let registry = TypeRegistry::new();
+        for bytes in [&valid, &flipped, &noise] {
+            let decoded = decode_value(bytes);
+            prop_assert_eq!(validate(bytes).is_ok(), decoded.is_ok());
+            prop_assert_eq!(registry.check_bytes(bytes, &AdmType::Any).is_ok(), decoded.is_ok());
+            if let Ok(value) = decoded {
+                prop_assert_eq!(&encode_value(&value), bytes);
+            }
+        }
+        for cut in 0..valid.len() {
+            prop_assert!(validate(&valid[..cut]).is_err(), "truncation at {} accepted", cut);
+        }
+    }
+
+    /// The projections never panic on hostile bytes, and on any prefix of a
+    /// valid record return an error or what the prefix really holds.
+    #[test]
+    fn projections_never_panic_and_never_invent_a_field(
+        fields in prop::collection::vec(("[ab]{1,2}", adm_value()), 0..6),
+        noise in prop::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let names = ["a", "ab", "zz"];
+        let mut spans = Vec::new();
+        let _ = decode_fields(&noise, &names);
+        let _ = record_field_slice(&noise, "a");
+        let _ = record_spans(&noise, &mut spans);
+        let record = AdmValue::Record(fields);
+        let bytes = encode_value(&record);
+        prop_assert!(record_spans(&bytes, &mut spans));
+        for cut in 0..bytes.len() {
+            if let Ok(projection) = decode_fields(&bytes[..cut], &names) {
+                for name in names {
+                    if let Some(got) = projection.field(name) {
+                        prop_assert_eq!(Some(got), record.field(name));
+                    }
+                }
+            }
+            prop_assert!(!record_spans(&bytes[..cut], &mut spans) && spans.is_empty());
+        }
     }
 
     #[test]

@@ -376,8 +376,8 @@ impl AsterixEngine {
             },
         };
         let n = rows.len();
-        // records → frames; the payload cache is seeded with each row so the
-        // store job re-uses the value instead of decoding its bytes
+        // records → frames; each row is encoded once and the store job takes
+        // the bytes as they are
         let mut builder = asterix_common::FrameBuilder::default();
         let mut frames = Vec::new();
         for row in rows {

@@ -97,9 +97,10 @@ fn parse_datasource_list(config: &AdaptorConfig, key: &str) -> IngestResult<Vec<
 ///
 /// This is the *one* text parse a record ever gets: the payload carries the
 /// value's binary ADM encoding from here on, and its shared cache is seeded
-/// with the parsed value, so assign, the partitioner key function, type
-/// checking and the store reuse it (or, past a wire hop or a spill, decode
-/// the binary form) instead of re-parsing text.
+/// with the parsed value, so a co-located assign reuses it (past a wire hop
+/// or a spill it decodes the binary form) instead of re-parsing text. Route
+/// predicates, the partitioner key function, type checking and the store
+/// read the bytes.
 fn translate(line: &str, adaptor_instance: u32) -> IngestResult<Record> {
     let value = parse_value(line)?;
     Ok(Record::untracked(

@@ -852,7 +852,8 @@ impl OperatorDescriptor for AssignDesc {
             }
             metrics.records_computed.add(1);
             // UDF output is a true materialization boundary: encode the new
-            // value once, seeding the cache so a co-located store never decodes
+            // value once, seeding the cache for a co-located stage that needs
+            // the value (the store does not: it reads the bytes)
             Ok(Some(Record {
                 id: rec.id,
                 adaptor: rec.adaptor,
@@ -1118,21 +1119,20 @@ impl OperatorDescriptor for StoreDesc {
     }
 }
 
-/// What became of one record of a store frame before the batch write.
-enum StoreFate {
-    /// Decode or typecheck rejected it (soft).
-    Rejected(IngestError),
-    /// Valid; its position in the batch handed to the partition.
-    Batched(usize),
-}
-
-/// The frame-granular store operator. Per frame: decode + typecheck every
-/// record (reusing the shared decode cache), then hand the survivors to the
-/// partition in **one** `upsert_batch` call — one partition lock, one
-/// multi-entry WAL append — and finally run the §6.1 sandbox bookkeeping
-/// over the merged per-record outcomes in arrival order, so soft-failure
-/// logging and the consecutive-failure cutoff behave exactly like the old
-/// record-at-a-time path.
+/// The frame-granular store operator. A record reaches it as bytes — its
+/// binary ADM payload, possibly fresh off a wire hop or a spill file — and
+/// stays bytes: per frame the operator hands every payload (a refcount bump
+/// of the frame's buffer; it never decodes one) to the partition in **one**
+/// `upsert_batch_bytes` call. The partition runs the one checked walk over
+/// each payload — well-formedness and datatype conformance in the same pass
+/// — and then: one partition lock, one multi-entry WAL append of the copied
+/// bytes, the memtable sharing the buffers. What the walk rejects comes back
+/// as a per-record soft failure, and the §6.1 sandbox bookkeeping runs over
+/// the outcomes in arrival order, so soft-failure logging (the record
+/// rendered for humans with `to_display_string`) and the
+/// consecutive-failure cutoff behave exactly like a record-at-a-time path.
+/// The only stages that may still build a record's `AdmValue` are upstream:
+/// the adaptor's translate and a UDF.
 struct StoreFeed {
     sandbox: Sandbox,
     partition: Arc<asterix_storage::DatasetPartition>,
@@ -1145,43 +1145,17 @@ struct StoreFeed {
 impl UnaryOperator for StoreFeed {
     fn next_frame(&mut self, frame: DataFrame, _output: &mut dyn FrameWriter) -> IngestResult<()> {
         let records = frame.records();
-        let mut fates: Vec<StoreFate> = Vec::with_capacity(records.len());
-        let mut batch: Vec<Arc<asterix_adm::AdmValue>> = Vec::with_capacity(records.len());
-        for rec in records {
-            // reuses the value seeded at the adaptor (or by assign's UDF
-            // output); only despilled or wire-delivered records miss here
-            let parsed = rec
-                .payload
-                .adm_value_counted(self.metrics.parse_calls.as_atomic())
-                .map_err(|e| IngestError::soft(e.to_string()))
-                .and_then(|value| {
-                    if let Some(reg) = &self.registry {
-                        reg.check(&value, &self.datatype)
-                            .map_err(|e| IngestError::soft(e.to_string()))?;
-                    }
-                    Ok(value)
-                });
-            match parsed {
-                Ok(value) => {
-                    fates.push(StoreFate::Batched(batch.len()));
-                    batch.push(value);
-                }
-                Err(e) => fates.push(StoreFate::Rejected(e)),
-            }
+        let batch: Vec<_> = records.iter().map(|r| r.payload.bytes().clone()).collect();
+        let conform = self.registry.as_deref().map(|reg| (reg, &self.datatype));
+        // the group commit: checked walk, WAL first (one block), then primary
+        // + secondary updates under one acquisition of the partition lock
+        let outcome = self.partition.upsert_batch_bytes(&batch, conform)?;
+        let mut soft: Vec<Option<IngestError>> = Vec::new();
+        soft.resize_with(records.len(), || None);
+        for (i, e) in outcome.soft {
+            soft[i] = Some(e);
         }
-        // the group commit: WAL first (one block), then primary + secondary
-        // updates, all under one acquisition of the partition lock
-        let outcome = self.partition.upsert_batch(&batch)?;
-        let mut batch_soft: Vec<Option<IngestError>> = Vec::new();
-        batch_soft.resize_with(batch.len(), || None);
-        for (j, e) in outcome.soft {
-            batch_soft[j] = Some(e);
-        }
-        for (rec, fate) in records.iter().zip(fates) {
-            let soft = match fate {
-                StoreFate::Rejected(e) => Some(e),
-                StoreFate::Batched(j) => batch_soft[j].take(),
-            };
+        for (rec, soft) in records.iter().zip(soft) {
             match soft {
                 None => {
                     self.sandbox.record_ok();

@@ -984,7 +984,18 @@ fn registry_snapshot_is_complete_and_finite() {
             > 0,
         "the uniform tweet workload must seal compacted, not fall back"
     );
+    // the resident gauge follows the memtable too, so it was live all along
+    assert!(snap.gauge("storage.resident_bytes").unwrap_or(0) > 0);
+    assert_eq!(
+        sealed_snap.gauge("storage.resident_bytes"),
+        Some(dataset.resident_bytes() as u64)
+    );
     let sealed_prom = sealed_snap.to_prometheus();
+    assert!(
+        sealed_prom.contains("asterix_storage_resident_bytes{dataset=\"Tweets\"}"),
+        "{sealed_prom}"
+    );
+    assert!(sealed_snap.to_json().contains("storage.resident_bytes"));
     assert!(
         sealed_prom.contains("asterix_storage_bytes_per_record"),
         "{sealed_prom}"

@@ -9,6 +9,11 @@
 //! and every despill cost another text parse, and every stage that produced
 //! a value printed it.
 //!
+//! Since storage went on bytes the store decodes nothing either: across a
+//! TCP plan the only binary decode left is assign's (the UDF needs a value),
+//! and a feed without a UDF builds no value downstream of the adaptor at
+//! all.
+//!
 //! This file holds a single `#[test]` so its process owns the global
 //! [`asterix_adm::parse_calls`] / [`asterix_adm::print_calls`] counters —
 //! other test binaries run in their own processes and cannot perturb them.
@@ -45,20 +50,14 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 fn every_record_is_parsed_exactly_once_and_never_printed() {
     in_process_feed_parses_once();
     tcp_plan_with_a_spill_parses_once_and_prints_nothing();
+    udf_less_tcp_feed_decodes_nothing();
 }
 
-/// N records through socket → sentiment UDF → 3-way route → 3 stores with
-/// every job edge on a real TCP socket, one sink congested into a
-/// spill/despill: still N text parses (the adaptor's), no print, and two
-/// binary decodes per record — assign and store, each on the far side of a
-/// wire hop. The router and the partitioner read their fields out of the
-/// bytes without decoding the record.
-fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
-    const N: u64 = 600;
-    let clock = SimClock::with_scale(10.0);
+/// Two-node cluster on the TCP transport, heartbeats never failing a node.
+fn tcp_rig() -> (Cluster, Arc<FeedCatalog>, Arc<FeedController>) {
     let cluster = Cluster::start(
         2,
-        clock.clone(),
+        SimClock::with_scale(10.0),
         ClusterConfig {
             heartbeat_interval: SimDuration::from_secs(5),
             failure_threshold: SimDuration::from_secs(1_000_000),
@@ -74,6 +73,83 @@ fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
             ..ControllerConfig::default()
         },
     );
+    (cluster, catalog, controller)
+}
+
+/// N records through socket → TCP → store with no UDF anywhere: the store
+/// takes the payload bytes off the wire as they are, so after the adaptor's
+/// N text parses nothing is decoded, parsed or printed — and the type check
+/// still ran, on the bytes.
+fn udf_less_tcp_feed_decodes_nothing() {
+    const N: u64 = 500;
+    let (cluster, catalog, controller) = tcp_rig();
+    let nodegroup: Vec<NodeId> = cluster.alive_nodes().iter().map(|n| n.id()).collect();
+    let dataset = Arc::new(
+        Dataset::create(DatasetConfig {
+            name: "RawTweets".into(),
+            datatype: "Tweet".into(),
+            primary_key: "id".into(),
+            nodegroup,
+        })
+        .unwrap(),
+    );
+    catalog.register_dataset(Arc::clone(&dataset));
+    let tx = bind_socket("parse-once:9002", 2048).unwrap();
+    IngestPlanBuilder::new("RawTcpFeed")
+        .adaptor("socket_adaptor")
+        .param("sockets", "parse-once:9002")
+        .register_feeds(&catalog)
+        .unwrap();
+    let conn = controller
+        .connect_feed("RawTcpFeed", "RawTweets", "Basic")
+        .unwrap();
+
+    let mut factory = tweetgen::TweetFactory::new(9, 13);
+    let (parsed_before, printed_before) = (parse_calls(), print_calls());
+    for _ in 0..N {
+        tx.send(factory.next_json()).unwrap();
+    }
+    // a well-formed record that is no Tweet: the bytes-level type check
+    // rejects it at the store, softly
+    tx.send("{ \"id\": \"not-a-tweet\" }".to_string()).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(60), || dataset.len() as u64 == N),
+        "expected {N} records persisted, saw {}",
+        dataset.len()
+    );
+    let metrics = controller.connection_metrics(conn).unwrap();
+    assert!(wait_until(Duration::from_secs(30), || {
+        metrics.soft_failures.get() == 1
+    }));
+    assert_eq!(parse_calls() - parsed_before, N + 1, "the adaptor's parses");
+    assert_eq!(
+        metrics.parse_calls.get(),
+        0,
+        "no stage of a UDF-less feed decodes a record, wire hops or not"
+    );
+    // the one print is the soft-failure log line, for humans
+    assert_eq!(print_calls() - printed_before, 1);
+    let logged = controller.error_log();
+    assert!(logged.lock().iter().any(|e| e
+        .payload
+        .as_deref()
+        .is_some_and(|p| p.contains("not-a-tweet"))));
+
+    controller.shutdown();
+    cluster.shutdown();
+    unbind_socket("parse-once:9002");
+}
+
+/// N records through socket → sentiment UDF → 3-way route → 3 stores with
+/// every job edge on a real TCP socket, one sink congested into a
+/// spill/despill: still N text parses (the adaptor's), no print, and one
+/// binary decode per record — assign's, on the far side of a wire hop,
+/// because the UDF needs a value. The router and the partitioner read their
+/// fields out of the bytes without decoding the record, and the store takes
+/// the bytes as they are.
+fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
+    const N: u64 = 600;
+    let (cluster, catalog, controller) = tcp_rig();
     let nodegroup: Vec<NodeId> = cluster.alive_nodes().iter().map(|n| n.id()).collect();
     let dataset = |name: &str, insert_spin: u64| {
         let config = DatasetConfig {
@@ -140,8 +216,8 @@ fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
     );
     assert_eq!(
         snap.counter("feed.parse_calls"),
-        2 * N,
-        "one decode behind each wire hop that needs the tree: assign, store"
+        N,
+        "one decode, behind the wire hop into the only stage that needs the tree: assign"
     );
     // the UDF ran and the doubles it produced survived three wire hops
     assert!(rest.scan_all().iter().all(
@@ -218,19 +294,21 @@ fn in_process_feed_parses_once() {
     );
     let parsed = parse_calls() - before;
 
-    // exactly one parse per record: the adaptor's. Assign, the partitioner
-    // key function, the type check, the store and the secondary index all
-    // reuse the shared cached value. (The pre-refactor pipeline cost 3+
-    // parses per record on this path.)
+    // exactly one parse per record: the adaptor's. Assign reuses the shared
+    // cached value; the partitioner key function, the type check, the store
+    // and the secondary index read the binary payload. (The pre-refactor
+    // pipeline cost 3+ parses per record on this path.)
     assert_eq!(
         parsed, RECORDS,
         "pipeline parsed {parsed} times for {RECORDS} records"
     );
 
-    // the per-feed cache-miss counter agrees: no stage downstream of the
-    // adaptor ever parsed
+    // the per-feed cache-miss counters agree: no stage downstream of the
+    // adaptor ever decoded — not the connection's store job, not assign
     let metrics = controller.connection_metrics(conn).unwrap();
     assert_eq!(metrics.parse_calls.get(), 0);
+    let snap = controller.registry().snapshot();
+    assert_eq!(snap.counter("feed.parse_calls"), 0);
 
     // sanity: the records really went through the UDF and the store
     let sample = dataset.scan_all();
@@ -240,8 +318,8 @@ fn in_process_feed_parses_once() {
 
     // scans never re-parse text either: sealing into (compacted) storage
     // images and reading back — full scans, projected column scans and
-    // point field lookups — all decode binary images or reuse the cached
-    // values, so the global text-parse counter must not move
+    // point field lookups — all decode binary images, so the global
+    // text-parse counter must not move
     let at_seal = parse_calls();
     dataset.force_merge_all();
     let full = dataset.scan_all();

@@ -245,6 +245,16 @@ impl Dataset {
         self.partitions.iter().map(|(_, p)| p.storage_bytes()).sum()
     }
 
+    /// Bytes the dataset's primary indexes keep resident: memtable keys and
+    /// payloads plus every sealed component's keys and storage image, across
+    /// partitions. Unlike [`Dataset::storage_bytes`] this counts the
+    /// memtable, so it follows the process's memory rather than the
+    /// disk-equivalent footprint.
+    pub fn resident_bytes(&self) -> usize {
+        let parts = self.partitions.iter();
+        parts.map(|(_, p)| p.resident_bytes()).sum()
+    }
+
     /// Average storage bytes per sealed live record across all partitions
     /// (0.0 when nothing is sealed).
     pub fn bytes_per_record(&self) -> f64 {
@@ -288,7 +298,8 @@ impl Dataset {
     /// `storage.compactions`, `storage.bytes_per_record` (rounded),
     /// `compaction.schema_inferred_components` and
     /// `compaction.fallback_components` gauges (polled at snapshot time),
-    /// plus, shared by all partitions, one `storage.group_commit_batch_size`
+    /// plus, shared by all partitions, one `storage.resident_bytes` gauge
+    /// ([`Dataset::resident_bytes`]), one `storage.group_commit_batch_size`
     /// histogram and the `compaction.rows_copied` /
     /// `compaction.rows_reencoded` counters (merged rows whose image cells
     /// were copied from the input images vs. encoded afresh). Compaction
@@ -300,6 +311,13 @@ impl Dataset {
             registry.histogram("storage.group_commit_batch_size", &[("dataset", dataset)]);
         let rows_copied = registry.counter("compaction.rows_copied", &[("dataset", dataset)]);
         let rows_reencoded = registry.counter("compaction.rows_reencoded", &[("dataset", dataset)]);
+        let parts: Vec<Arc<DatasetPartition>> =
+            self.partitions.iter().map(|(_, p)| Arc::clone(p)).collect();
+        registry.gauge_fn(
+            "storage.resident_bytes",
+            &[("dataset", dataset)],
+            move || parts.iter().map(|p| p.resident_bytes() as u64).sum(),
+        );
         for (i, (node, part)) in self.partitions.iter().enumerate() {
             let pstr = i.to_string();
             let labels = &[("dataset", dataset), ("partition", pstr.as_str())];
@@ -495,6 +513,14 @@ mod tests {
             .sum();
         assert_eq!(wal_entries, 50);
         assert!(snap.gauge_for("storage.wal_bytes", "0").unwrap_or(0) > 0);
+        assert_eq!(
+            snap.gauge_for("storage.resident_bytes", "Tweets"),
+            Some(d.resident_bytes() as u64)
+        );
+        assert!(
+            d.resident_bytes() > 0 && d.storage_bytes() == 0,
+            "all in the memtable"
+        );
         let batch = snap
             .histogram("storage.group_commit_batch_size")
             .expect("batch histogram");

@@ -5,7 +5,7 @@
 //! *sealed* (flushed) into an immutable component. Components are
 //! `Arc`-shared, so a compactor can take a snapshot under a short lock,
 //! merge the snapshot entirely outside the lock ([`merge_components`] works
-//! by reference and clones only the surviving entries, once), and swap the
+//! by reference and clones only the surviving keys, once), and swap the
 //! result back in with [`LsmTree::install_merged`] — this is how
 //! [`crate::partition::DatasetPartition`] keeps merges off the insert path,
 //! mirroring AsterixDB's asynchronous LSM flush/merge. When
@@ -14,91 +14,118 @@
 //! merge policies, the "constant" policy), which keeps a standalone tree
 //! self-contained.
 //!
-//! A component is one sorted run: a `Vec` of `(key, entry)` in key order,
-//! probed by binary search. Point reads consult the memtable first, then
-//! components newest-to-oldest; every ordered read — range scans, the
-//! vectorized field scan and the merge itself — goes through one newest-wins
-//! k-way iterator ([`SortedRuns`]) over the memtable and the runs, so no read
-//! rebuilds a map of the entries it visits. Deletes are tombstones that
-//! shadow older versions until a merge discards them. Values are
-//! `Arc`-shared with the caller: an insert through [`LsmTree::put_shared`]
-//! stores the caller's `Arc` directly — no deep clone of the record on the
-//! hot path — and keys are probed by reference ([`crate::AsKey`]).
+//! # One representation: bytes
+//!
+//! A record has exactly one form inside this crate — its binary ADM
+//! payload. The memtable maps keys to the payload bytes the store operator
+//! was handed ([`LsmTree::put_bytes`]: a refcount bump of the frame's
+//! buffer, no decode); sealing walks those bytes into the component's
+//! storage image and drops them. A sealed or merged [`Component`] then holds
+//! **keys and liveness only**, next to the image: no record is resident
+//! twice, and no `AdmValue` tree is resident at all. Reads build values on
+//! demand — [`LsmTree::get`]/[`LsmTree::scan_all`] materialize a row from
+//! the image (bit-exactly the record that was written), field reads decode
+//! one cell. [`LsmTree::put`]/[`LsmTree::put_shared`] remain for callers
+//! that hold a value: they encode it once and take the bytes path.
+//!
+//! A component is one sorted run: a `Vec` of keys in key order, probed by
+//! binary search. Point reads consult the memtable first, then components
+//! newest-to-oldest; every ordered read — range scans, the vectorized field
+//! scan and the merge itself — goes through one newest-wins k-way iterator
+//! ([`SortedRuns`]) over the memtable and the runs, so no read rebuilds a
+//! map of the entries it visits. Deletes are tombstones that shadow older
+//! versions until a merge discards them. Keys are probed by reference
+//! ([`crate::AsKey`]).
 //!
 //! # Compacted component storage
 //!
-//! Sealing additionally builds a **storage image** for the component — the
-//! disk-equivalent byte layout. [`BlockBuilder`] infers the schema of the
-//! sealed records in one walk ([`asterix_adm::schema`]); if the component's
+//! Sealing builds the component's **storage image** — the disk-equivalent
+//! byte layout. [`BlockBuilder`] infers the schema of the sealed records in
+//! one walk over their bytes ([`asterix_adm::schema`]); if the component's
 //! schema churn stays under [`LayoutConfig::churn_threshold`] a second walk
-//! writes a schema-headed columnar
+//! copies their cells into a schema-headed columnar
 //! [`CompactedBlock`](asterix_adm::compact::CompactedBlock) (field names and
 //! types written once per component, values in per-field column strides),
 //! otherwise the component falls back to the uncompacted
-//! [`OpenBlock`](asterix_adm::compact::OpenBlock) layout. The vectorized
-//! read path ([`LsmTree::for_each_live_ref`], [`LsmTree::get_field`])
-//! serves single-field scans and point lookups from the column strides
-//! without materializing whole records; full-record reads keep using the
-//! `Arc`-shared entries.
+//! [`OpenBlock`](asterix_adm::compact::OpenBlock) layout — the payloads,
+//! concatenated. The vectorized read path ([`LsmTree::for_each_live_ref`],
+//! [`LsmTree::get_field`]) serves single-field scans and point lookups from
+//! the column strides without materializing whole records.
 //!
 //! A merge does not re-encode what its inputs already encoded: when every
 //! input is compacted with the same slots and encodings — the steady state
 //! of a feed — the merged image is assembled by copying the surviving rows'
 //! cell bytes out of the input images, under a header that only ever widens
-//! ([`CompactedBlock::copy_rows`]). Inputs whose layouts differ (an open
-//! fallback component, a column that changed encoding, a new slot) send the
-//! merged rows through the same [`BlockBuilder`] a seal uses, which never
-//! drops a slot that every input component already agreed on.
+//! ([`CompactedBlock::copy_rows`]); the merge touches no per-record heap
+//! object. Inputs whose layouts differ (an open fallback component, a column
+//! that changed encoding, a new slot) have their surviving rows rebuilt from
+//! the images and sent through the same [`BlockBuilder`] a seal uses, which
+//! never drops a slot that every input component already agreed on.
 
 use crate::{AsKey, KeyOrd};
+use asterix_adm::binary::{decode_field_at, decode_value, encode_into, encode_value};
 use asterix_adm::compact::{BlockBuilder, CompactedBlock, OpenBlock};
 use asterix_adm::AdmValue;
+use bytes::Bytes;
 use std::cmp::Ordering;
 use std::collections::{btree_map, BTreeMap};
 use std::iter::Peekable;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// One version of a key.
+/// One version of a key in the memtable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Entry {
-    /// A live record, shared with whoever inserted/read it.
-    Put(Arc<AdmValue>),
+    /// A live record: its binary ADM payload, shared with whoever wrote it.
+    Put(Bytes),
     /// A deletion marker.
     Tombstone,
 }
 
-/// A borrowed view of one live record during a vectorized scan.
+impl Entry {
+    fn payload_len(&self) -> usize {
+        match self {
+            Entry::Put(payload) => payload.len(),
+            Entry::Tombstone => 0,
+        }
+    }
+}
+
+/// Resident size of a key: the value itself plus a string key's heap bytes.
+fn key_bytes(key: &AdmValue) -> usize {
+    std::mem::size_of::<KeyOrd>() + key.as_str().map_or(0, str::len)
+}
+
+/// A borrowed view of one live record during a scan or lookup.
 ///
 /// Field access on a sealed record decodes one cell of the component's
-/// storage image (a column-stride read for compacted components) instead of
-/// walking the whole record; [`LiveRef::shared`] is the full-record escape
-/// hatch, costing only an `Arc` bump.
+/// storage image (a column-stride read for compacted components); on a
+/// memtable record it skips through the payload to the field. Neither walks
+/// the whole record; [`LiveRef::materialize`] is the full-record read.
 #[derive(Debug)]
 pub enum LiveRef<'a> {
-    /// The record lives in the memtable.
-    Mem(&'a Arc<AdmValue>),
-    /// The record is sealed: component, storage-image row, shared value.
-    Sealed(&'a Component, usize, &'a Arc<AdmValue>),
+    /// The record lives in the memtable: its binary ADM payload.
+    Mem(&'a [u8]),
+    /// The record is sealed: component and storage-image row.
+    Sealed(&'a Component, usize),
 }
 
 impl LiveRef<'_> {
     /// Lazily materialize one field (`None` = absent).
     pub fn field(&self, name: &str) -> Option<AdmValue> {
         match self {
-            LiveRef::Sealed(c, row, v) => match c.storage() {
-                Some(image) => image.field_at(*row, name),
-                None => v.field(name).cloned(),
-            },
-            LiveRef::Mem(v) => v.field(name).cloned(),
+            LiveRef::Sealed(c, row) => c.storage.field_at(*row, name),
+            LiveRef::Mem(payload) => decode_field_at(payload, name).ok().flatten(),
         }
     }
 
-    /// The whole record, `Arc`-shared.
-    pub fn shared(&self) -> &Arc<AdmValue> {
+    /// Build the whole record — bit-exactly the value whose encoding was
+    /// written. `None` only for bytes that never passed the write path's
+    /// checked walk.
+    pub fn materialize(&self) -> Option<AdmValue> {
         match self {
-            LiveRef::Mem(v) => v,
-            LiveRef::Sealed(_, _, v) => v,
+            LiveRef::Sealed(c, row) => c.storage.materialize(*row),
+            LiveRef::Mem(payload) => decode_value(payload).ok(),
         }
     }
 }
@@ -112,6 +139,12 @@ pub enum ComponentStorage {
     /// Uncompacted fallback: self-describing binary records behind an
     /// offset table — used when schema churn defeats inference.
     Open(OpenBlock),
+}
+
+impl Default for ComponentStorage {
+    fn default() -> Self {
+        ComponentStorage::Open(OpenBlock::default())
+    }
 }
 
 impl ComponentStorage {
@@ -128,6 +161,14 @@ impl ComponentStorage {
         matches!(self, ComponentStorage::Compacted(_))
     }
 
+    /// Rebuild the record in `row`.
+    pub fn materialize(&self, row: usize) -> Option<AdmValue> {
+        match self {
+            ComponentStorage::Compacted(b) => b.materialize(row),
+            ComponentStorage::Open(b) => b.materialize(row),
+        }
+    }
+
     fn field_at(&self, row: usize, name: &str) -> Option<AdmValue> {
         match self {
             ComponentStorage::Compacted(b) => b.field_value(row, name),
@@ -135,11 +176,24 @@ impl ComponentStorage {
         }
     }
 
-    /// Encode the image of `rows` per `layout`. `stable_slots` (from a
-    /// merge's input components) are slotted even when the inferred stats
-    /// alone would not qualify them — merged components never drop a slot
-    /// their inputs agreed on.
-    fn encode(rows: &[&AdmValue], layout: &LayoutConfig, stable_slots: &[String]) -> Self {
+    /// Append the binary ADM record of `row` to `out` (nothing for a row
+    /// the image cannot rebuild).
+    fn row_bytes_into(&self, row: usize, out: &mut Vec<u8>) {
+        match self {
+            ComponentStorage::Open(b) => out.extend_from_slice(b.record_slice(row).unwrap_or(&[])),
+            ComponentStorage::Compacted(b) => {
+                if let Some(record) = b.materialize(row) {
+                    encode_into(&record, out);
+                }
+            }
+        }
+    }
+
+    /// Encode the image of `rows` (binary ADM records) per `layout`.
+    /// `stable_slots` (from a merge's input components) are slotted even
+    /// when the inferred stats alone would not qualify them — merged
+    /// components never drop a slot their inputs agreed on.
+    fn encode(rows: &[&[u8]], layout: &LayoutConfig, stable_slots: &[String]) -> Self {
         if !layout.compact {
             return ComponentStorage::Open(OpenBlock::encode(rows));
         }
@@ -159,134 +213,149 @@ impl ComponentStorage {
     }
 }
 
-/// An immutable sorted run.
+/// `rows` entry of a deleted key.
+const TOMBSTONE: u32 = u32::MAX;
+
+/// An immutable sorted run: keys and liveness, next to the storage image
+/// that holds the records.
 #[derive(Debug, Default)]
 pub struct Component {
     /// Key order, keys unique.
-    entries: Vec<(KeyOrd, Entry)>,
-    /// Disk-equivalent image; row `i` holds the `i`-th live entry in key
-    /// order. `None` only for hand-built components (tests).
-    storage: Option<ComponentStorage>,
-    /// Image row of each entry — kept only when the run holds tombstones;
-    /// empty means every entry is live and its row is its position.
+    keys: Vec<KeyOrd>,
+    /// Disk-equivalent image; row `i` holds the `i`-th live key's record.
+    storage: ComponentStorage,
+    /// Per key: its image row, or [`TOMBSTONE`] — kept only when the run
+    /// holds tombstones; empty means every key is live and its row is its
+    /// position.
     rows: Vec<u32>,
     live: usize,
+    /// Resident bytes of `keys`.
+    key_bytes: usize,
 }
 
 impl Component {
-    /// A run over `entries` (key order, keys unique) with `storage` as the
-    /// image of its live entries.
-    fn new(entries: Vec<(KeyOrd, Entry)>, storage: ComponentStorage) -> Component {
-        let live = entries
+    /// A run over `keys` (key order, unique) whose live records are
+    /// `storage`'s rows, in order; `deleted[i]` marks `keys[i]` a tombstone
+    /// (empty: none are).
+    fn new(keys: Vec<KeyOrd>, deleted: &[bool], storage: ComponentStorage) -> Component {
+        let mut next = 0;
+        let rows: Vec<u32> = deleted
             .iter()
-            .filter(|(_, e)| matches!(e, Entry::Put(_)))
-            .count();
-        let mut rows = Vec::new();
-        if live < entries.len() {
-            let mut row = 0;
-            rows = entries
-                .iter()
-                .map(|(_, e)| {
-                    row += u32::from(matches!(e, Entry::Put(_)));
-                    row.saturating_sub(1)
-                })
-                .collect();
-        }
+            .map(|&deleted| match deleted {
+                true => TOMBSTONE,
+                false => {
+                    next += 1;
+                    next - 1
+                }
+            })
+            .collect();
+        let live = if rows.is_empty() {
+            keys.len()
+        } else {
+            next as usize
+        };
         Component {
-            entries,
-            storage: Some(storage),
-            rows,
+            key_bytes: keys.iter().map(|k| key_bytes(&k.0)).sum(),
+            rows: if live == keys.len() { Vec::new() } else { rows },
+            keys,
+            storage,
             live,
         }
     }
 
-    /// Seal `entries` (key order, keys unique) into a run, encoding the
-    /// image of their live records per `layout`.
-    fn seal(entries: Vec<(KeyOrd, Entry)>, layout: &LayoutConfig, stable_slots: &[String]) -> Self {
-        let rows: Vec<&AdmValue> = entries
-            .iter()
-            .filter_map(|(_, e)| match e {
-                Entry::Put(v) => Some(v.as_ref()),
+    /// Seal a memtable into a run, walking its payloads into the storage
+    /// image `layout` asks for; the payloads are dropped with `entries`.
+    fn seal(entries: BTreeMap<KeyOrd, Entry>, layout: &LayoutConfig) -> Component {
+        let payloads: Vec<&[u8]> = entries
+            .values()
+            .filter_map(|e| match e {
+                Entry::Put(payload) => Some(&payload[..]),
                 Entry::Tombstone => None,
             })
             .collect();
-        let storage = ComponentStorage::encode(&rows, layout, stable_slots);
-        Component::new(entries, storage)
+        let storage = ComponentStorage::encode(&payloads, layout, &[]);
+        let deleted: Vec<bool> = entries
+            .values()
+            .map(|e| matches!(e, Entry::Tombstone))
+            .collect();
+        Component::new(entries.into_keys().collect(), &deleted, storage)
     }
 
-    /// Number of entries (including tombstones).
+    /// Number of keys (including tombstones).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
-    /// No entries at all?
+    /// No keys at all?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
-    /// Iterate the component's entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&KeyOrd, &Entry)> {
-        self.entries.iter().map(|(k, e)| (k, e))
+    /// Iterate the component's keys in key order, each with its liveness
+    /// (`false` = tombstone).
+    pub fn iter(&self) -> impl Iterator<Item = (&KeyOrd, bool)> {
+        (0..self.keys.len()).map(|pos| (&self.keys[pos], self.row_at(pos).is_some()))
     }
 
-    /// The component's storage image, if one was built.
-    pub fn storage(&self) -> Option<&ComponentStorage> {
-        self.storage.as_ref()
+    /// The component's storage image.
+    pub fn storage(&self) -> &ComponentStorage {
+        &self.storage
     }
 
-    /// Byte size of the storage image (0 when none was built).
+    /// Byte size of the storage image.
     pub fn storage_size_bytes(&self) -> usize {
-        self.storage.as_ref().map_or(0, |s| s.size_bytes())
+        self.storage.size_bytes()
     }
 
-    /// Number of live (non-tombstone) entries.
+    /// Number of live (non-tombstone) keys.
     pub fn live_records(&self) -> usize {
         self.live
     }
 
-    /// Position of `key`'s entry, by binary search.
+    /// Position of `key`, by binary search.
     fn find(&self, key: &AdmValue) -> Option<usize> {
-        self.entries
-            .binary_search_by(|(k, _)| k.0.total_cmp(key))
-            .ok()
+        self.keys.binary_search_by(|k| k.0.total_cmp(key)).ok()
     }
 
-    /// Image row of the live entry at `pos`.
-    fn row_at(&self, pos: usize) -> usize {
-        self.rows.get(pos).map_or(pos, |&row| row as usize)
+    /// Image row of the key at `pos` (`None`: a tombstone).
+    fn row_at(&self, pos: usize) -> Option<usize> {
+        match self.rows.get(pos) {
+            None => Some(pos),
+            Some(&TOMBSTONE) => None,
+            Some(&row) => Some(row as usize),
+        }
     }
 
-    /// The positions `[start, end)` of the entries with `lo <= key <= hi`.
+    /// The positions `[start, end)` of the keys with `lo <= key <= hi`.
     fn span(&self, lo: Option<&AdmValue>, hi: Option<&AdmValue>) -> (usize, usize) {
         let below = |bound: &AdmValue, inclusive: bool| {
-            self.entries
-                .partition_point(|(k, _)| match k.0.total_cmp(bound) {
-                    Ordering::Less => true,
-                    Ordering::Equal => inclusive,
-                    Ordering::Greater => false,
-                })
+            self.keys.partition_point(|k| match k.0.total_cmp(bound) {
+                Ordering::Less => true,
+                Ordering::Equal => inclusive,
+                Ordering::Greater => false,
+            })
         };
         (
             lo.map_or(0, |lo| below(lo, false)),
-            hi.map_or(self.entries.len(), |hi| below(hi, true)),
+            hi.map_or(self.keys.len(), |hi| below(hi, true)),
         )
     }
 }
 
-/// The newest version of one key, as [`SortedRuns`] yields it.
-struct Newest<'a> {
-    key: &'a KeyOrd,
-    entry: &'a Entry,
-    /// `(component index, entry position)`; `None` = the memtable.
-    at: Option<(usize, usize)>,
+/// Where [`SortedRuns`] found the newest version of a key.
+enum Source<'a> {
+    /// The memtable.
+    Mem(&'a Entry),
+    /// Component index and key position.
+    Run(usize, usize),
 }
 
 /// The one ordered read path: a newest-wins k-way merge over the memtable
 /// (optional) and a stack of sorted runs (newest first). Yields every key of
-/// the range once, in key order, with the version of the newest source
-/// holding it — tombstones included, the caller decides what they mean.
-/// `k` is bounded by the merge policy, so the minimum is found by a linear
-/// pass over the run heads: `k − 1` key comparisons per key yielded.
+/// the range once, in key order, with the newest source holding it —
+/// tombstones included, the caller decides what they mean. `k` is bounded by
+/// the merge policy, so the minimum is found by a linear pass over the run
+/// heads: `k − 1` key comparisons per key yielded.
 struct SortedRuns<'a> {
     mem: Option<Peekable<btree_map::Range<'a, KeyOrd, Entry>>>,
     components: &'a [Arc<Component>],
@@ -324,9 +393,9 @@ impl<'a> SortedRuns<'a> {
 }
 
 impl<'a> Iterator for SortedRuns<'a> {
-    type Item = Newest<'a>;
+    type Item = (&'a KeyOrd, Source<'a>);
 
-    fn next(&mut self) -> Option<Newest<'a>> {
+    fn next(&mut self) -> Option<Self::Item> {
         let mut min = self.mem.as_mut().and_then(|m| m.peek()).map(|(k, _)| *k);
         let mut in_mem = min.is_some();
         self.tied.clear();
@@ -334,7 +403,7 @@ impl<'a> Iterator for SortedRuns<'a> {
             if pos == end {
                 continue;
             }
-            let key = &self.components[ci].entries[pos].0;
+            let key = &self.components[ci].keys[pos];
             match min.map_or(Ordering::Less, |m| key.cmp(m)) {
                 Ordering::Less => {
                     min = Some(key);
@@ -349,26 +418,15 @@ impl<'a> Iterator for SortedRuns<'a> {
         let key = min?;
         // newest wins: the memtable, else the first (newest) tied run; every
         // older version of the key is consumed with it
-        let newest = if in_mem {
-            let (_, entry) = self.mem.as_mut()?.next()?;
-            Newest {
-                key,
-                entry,
-                at: None,
-            }
+        let source = if in_mem {
+            Source::Mem(self.mem.as_mut()?.next()?.1)
         } else {
-            let ci = self.tied[0];
-            let pos = self.spans[ci].0;
-            Newest {
-                key,
-                entry: &self.components[ci].entries[pos].1,
-                at: Some((ci, pos)),
-            }
+            Source::Run(self.tied[0], self.spans[self.tied[0]].0)
         };
         for &ci in &self.tied {
             self.spans[ci].0 += 1;
         }
-        Some(newest)
+        Some((key, source))
     }
 }
 
@@ -386,7 +444,7 @@ pub struct Merged {
 /// Merge `inputs` (newest first, as [`LsmTree::components_snapshot`] returns
 /// them) into a single component, discarding shadowed versions and dropping
 /// tombstones. Works entirely by reference over the shared components: the
-/// only clones are one key clone and one `Arc` bump per *surviving* entry.
+/// only per-survivor work besides its image cells is one key clone.
 ///
 /// Dropping tombstones is sound only when `inputs` end at the oldest
 /// component of the tree — which a snapshot always does, and which
@@ -400,19 +458,23 @@ pub fn merge_components(inputs: &[Arc<Component>], spin_per_entry: u64) -> Compo
 
 /// [`merge_components`] with an explicit storage-layout policy. Inputs that
 /// are all compacted under one layout have their cells copied into the
-/// merged image; otherwise the surviving records are encoded afresh, and any
-/// slot that every compacted input agreed on stays a slot (conforming slots
-/// are never rewritten into the residual by a merge).
+/// merged image; otherwise the surviving records are rebuilt from the input
+/// images and encoded afresh, and any slot that every compacted input agreed
+/// on stays a slot (conforming slots are never rewritten into the residual
+/// by a merge).
 pub fn merge_components_with(
     inputs: &[Arc<Component>],
     spin_per_entry: u64,
     layout: &LayoutConfig,
 ) -> Merged {
-    let mut entries = Vec::with_capacity(inputs.iter().map(|c| c.live).sum());
+    let mut keys = Vec::with_capacity(inputs.iter().map(|c| c.live).sum());
     // (input, image row) of every survivor, in key order
-    let mut picks: Vec<(u32, u32)> = Vec::with_capacity(entries.capacity());
-    for newest in SortedRuns::new(None, inputs, None, None) {
-        if let (Entry::Put(v), Some((ci, pos))) = (newest.entry, newest.at) {
+    let mut picks: Vec<(u32, u32)> = Vec::with_capacity(keys.capacity());
+    for (key, source) in SortedRuns::new(None, inputs, None, None) {
+        let Source::Run(ci, pos) = source else {
+            continue;
+        };
+        if let Some(row) = inputs[ci].row_at(pos) {
             if spin_per_entry > 0 {
                 let mut acc = 0u64;
                 for i in 0..spin_per_entry {
@@ -420,18 +482,18 @@ pub fn merge_components_with(
                 }
                 std::hint::black_box(acc);
             }
-            entries.push((newest.key.clone(), Entry::Put(Arc::clone(v))));
-            picks.push((ci as u32, inputs[ci].row_at(pos) as u32));
+            keys.push(key.clone());
+            picks.push((ci as u32, row as u32));
         }
     }
-    entries.shrink_to_fit();
-    let survivors = entries.len() as u64;
+    keys.shrink_to_fit();
+    let survivors = keys.len() as u64;
     // `None` unless every input carries a compacted image
     let blocks: Option<Vec<&CompactedBlock>> = inputs
         .iter()
-        .map(|c| match c.storage() {
-            Some(ComponentStorage::Compacted(b)) => Some(b),
-            _ => None,
+        .map(|c| match &c.storage {
+            ComponentStorage::Compacted(b) => Some(b),
+            ComponentStorage::Open(_) => None,
         })
         .collect();
     let copied = blocks
@@ -443,7 +505,7 @@ pub fn merge_components_with(
         .filter(|b| b.schema().churn(&b.slot_names()) <= layout.churn_threshold);
     match copied {
         Some(block) => Merged {
-            component: Component::new(entries, ComponentStorage::Compacted(block)),
+            component: Component::new(keys, &[], ComponentStorage::Compacted(block)),
             rows_copied: survivors,
             rows_reencoded: 0,
         },
@@ -457,8 +519,28 @@ pub fn merge_components_with(
                     acc.into_iter().filter(|n| names.contains(n)).collect()
                 })
             });
+            // the survivors' records, rebuilt from the input images
+            let mut records = Vec::new();
+            let ends: Vec<usize> = picks
+                .iter()
+                .map(|&(ci, row)| {
+                    inputs[ci as usize]
+                        .storage
+                        .row_bytes_into(row as usize, &mut records);
+                    records.len()
+                })
+                .collect();
+            let mut start = 0;
+            let rows: Vec<&[u8]> = ends
+                .iter()
+                .map(|&end| &records[std::mem::replace(&mut start, end)..end])
+                .collect();
             Merged {
-                component: Component::seal(entries, layout, &stable),
+                component: Component::new(
+                    keys,
+                    &[],
+                    ComponentStorage::encode(&rows, layout, &stable),
+                ),
                 rows_copied: 0,
                 rows_reencoded: survivors,
             }
@@ -534,6 +616,8 @@ impl Default for LsmConfig {
 pub struct LsmTree {
     config: LsmConfig,
     memtable: BTreeMap<KeyOrd, Entry>,
+    /// Resident bytes of the memtable: its keys and payloads.
+    memtable_bytes: usize,
     /// newest first
     components: Vec<Arc<Component>>,
     flushes: u64,
@@ -548,6 +632,7 @@ impl LsmTree {
         LsmTree {
             config,
             memtable: BTreeMap::new(),
+            memtable_bytes: 0,
             components: Vec::new(),
             flushes: 0,
             merges: 0,
@@ -556,97 +641,105 @@ impl LsmTree {
         }
     }
 
-    /// Insert or replace a record under `key`.
-    pub fn put(&mut self, key: AdmValue, value: AdmValue) {
-        self.put_shared(key, Arc::new(value));
+    /// Insert or replace the record under `key`: the one write. `payload`
+    /// is the record's binary ADM encoding and must have passed the checked
+    /// walk ([`asterix_adm::binary::validate`]) — everything downstream
+    /// (seal, merge, reads) trusts it. The buffer is shared, not copied.
+    pub fn put_bytes(&mut self, key: AdmValue, payload: Bytes) {
+        self.write(key, Entry::Put(payload));
     }
 
-    /// Insert or replace a record under `key`, sharing the caller's `Arc` —
-    /// the hot-path insert: no deep clone of the record.
+    /// [`LsmTree::put_bytes`] for a caller holding a value: encodes it once.
+    pub fn put(&mut self, key: AdmValue, value: AdmValue) {
+        self.put_bytes(key, encode_value(&value).into());
+    }
+
+    /// [`LsmTree::put_bytes`] for a caller holding a shared value: encodes
+    /// it once.
     pub fn put_shared(&mut self, key: AdmValue, value: Arc<AdmValue>) {
-        self.memtable.insert(KeyOrd(key), Entry::Put(value));
-        self.maybe_flush();
+        self.put_bytes(key, encode_value(&value).into());
     }
 
     /// Delete `key` (tombstone).
     pub fn delete(&mut self, key: AdmValue) {
-        self.memtable.insert(KeyOrd(key), Entry::Tombstone);
-        self.maybe_flush();
+        self.write(key, Entry::Tombstone);
     }
 
-    /// The newest version of `key` and where it lives (`None` = memtable,
-    /// else component index and entry position): memtable first, then the
-    /// runs newest to oldest. Probes by reference — no key is cloned.
-    fn lookup(&self, key: &AdmValue) -> Option<(&Entry, Option<(usize, usize)>)> {
-        if let Some(entry) = self.memtable.get(key as &dyn AsKey) {
-            return Some((entry, None));
+    fn write(&mut self, key: AdmValue, entry: Entry) {
+        let (new_key, new_payload) = (key_bytes(&key), entry.payload_len());
+        self.memtable_bytes += new_payload;
+        match self.memtable.insert(KeyOrd(key), entry) {
+            // the map kept its own key
+            Some(old) => self.memtable_bytes -= old.payload_len(),
+            None => self.memtable_bytes += new_key,
         }
-        self.components.iter().enumerate().find_map(|(ci, c)| {
-            let pos = c.find(key)?;
-            Some((&c.entries[pos].1, Some((ci, pos))))
-        })
+        if self.memtable.len() >= self.config.memtable_budget {
+            self.flush();
+        }
     }
 
-    /// The live record of a version found at `at` (`None` for a tombstone).
-    fn live_ref<'a>(&'a self, entry: &'a Entry, at: Option<(usize, usize)>) -> Option<LiveRef<'a>> {
-        match (entry, at) {
-            (Entry::Tombstone, _) => None,
-            (Entry::Put(v), None) => Some(LiveRef::Mem(v)),
-            (Entry::Put(v), Some((ci, pos))) => {
+    /// The newest version of `key`: memtable first, then the runs newest to
+    /// oldest. Probes by reference — no key is cloned.
+    fn lookup(&self, key: &AdmValue) -> Option<Source<'_>> {
+        if let Some(entry) = self.memtable.get(key as &dyn AsKey) {
+            return Some(Source::Mem(entry));
+        }
+        self.components
+            .iter()
+            .enumerate()
+            .find_map(|(ci, c)| Some(Source::Run(ci, c.find(key)?)))
+    }
+
+    /// The live record of a version (`None` for a tombstone).
+    fn live_ref<'a>(&'a self, source: Source<'a>) -> Option<LiveRef<'a>> {
+        match source {
+            Source::Mem(Entry::Tombstone) => None,
+            Source::Mem(Entry::Put(payload)) => Some(LiveRef::Mem(payload)),
+            Source::Run(ci, pos) => {
                 let c = &self.components[ci];
-                Some(LiveRef::Sealed(c, c.row_at(pos), v))
+                Some(LiveRef::Sealed(c, c.row_at(pos)?))
             }
         }
     }
 
-    /// Point lookup, sharing the stored value.
-    pub fn get_shared(&self, key: &AdmValue) -> Option<Arc<AdmValue>> {
-        match self.lookup(key)? {
-            (Entry::Put(v), _) => Some(Arc::clone(v)),
-            (Entry::Tombstone, _) => None,
-        }
+    /// Point lookup by reference: where `key`'s live record is, nothing
+    /// decoded yet.
+    pub fn get_ref(&self, key: &AdmValue) -> Option<LiveRef<'_>> {
+        self.live_ref(self.lookup(key)?)
     }
 
-    /// Point lookup (cloning the value out).
+    /// Point lookup: the record, materialized.
     pub fn get(&self, key: &AdmValue) -> Option<AdmValue> {
-        self.get_shared(key).map(|v| (*v).clone())
+        self.get_ref(key)?.materialize()
     }
 
     /// Does `key` currently have a live record?
     pub fn contains(&self, key: &AdmValue) -> bool {
-        matches!(self.lookup(key), Some((Entry::Put(_), _)))
+        self.get_ref(key).is_some()
     }
 
     /// Visit the newest version of every key in `[lo, hi]` (both optional),
-    /// in key order, tombstones excluded — by reference, no cloning.
+    /// in key order, tombstones excluded, as a [`LiveRef`] — by reference,
+    /// nothing is decoded until the visitor asks. Sealed records are
+    /// addressed by their storage-image row, so per-field reads decode one
+    /// column cell instead of touching the whole record.
     pub fn for_each_live_in(
         &self,
         lo: Option<&AdmValue>,
         hi: Option<&AdmValue>,
-        mut f: impl FnMut(&AdmValue, &AdmValue),
+        mut f: impl FnMut(&AdmValue, LiveRef<'_>),
     ) {
-        for newest in SortedRuns::new(Some(&self.memtable), &self.components, lo, hi) {
-            if let Entry::Put(v) = newest.entry {
-                f(&newest.key.0, v);
+        for (key, source) in SortedRuns::new(Some(&self.memtable), &self.components, lo, hi) {
+            if let Some(live) = self.live_ref(source) {
+                f(&key.0, live);
             }
         }
     }
 
-    /// Visit every live record in key order — by reference, no cloning.
-    pub fn for_each_live(&self, f: impl FnMut(&AdmValue, &AdmValue)) {
+    /// Visit every live record in key order — the vectorized scan entry
+    /// point.
+    pub fn for_each_live_ref(&self, f: impl FnMut(&AdmValue, LiveRef<'_>)) {
         self.for_each_live_in(None, None, f)
-    }
-
-    /// Visit the newest version of every live key as a [`LiveRef`] — the
-    /// vectorized scan entry point. Sealed entries are addressed by their
-    /// storage-image row, so per-field reads decode one column cell instead
-    /// of touching the whole record.
-    pub fn for_each_live_ref(&self, mut f: impl FnMut(&AdmValue, LiveRef<'_>)) {
-        for newest in SortedRuns::new(Some(&self.memtable), &self.components, None, None) {
-            if let Some(live) = self.live_ref(newest.entry, newest.at) {
-                f(&newest.key.0, live);
-            }
-        }
     }
 
     /// Visit one field of every live record — single-field scans touch one
@@ -659,14 +752,20 @@ impl LsmTree {
     /// Point lookup of a single field: resolves the key's component, then
     /// decodes only the requested field from its storage image.
     pub fn get_field(&self, key: &AdmValue, name: &str) -> Option<AdmValue> {
-        let (entry, at) = self.lookup(key)?;
-        self.live_ref(entry, at)?.field(name)
+        self.get_ref(key)?.field(name)
     }
 
     /// Total bytes of the components' storage images — the tree's
     /// disk-equivalent footprint (the memtable is not counted).
     pub fn storage_bytes(&self) -> usize {
         self.components.iter().map(|c| c.storage_size_bytes()).sum()
+    }
+
+    /// Bytes the tree keeps resident: the memtable's keys and payloads plus
+    /// every component's keys and storage image. O(components).
+    pub fn resident_bytes(&self) -> usize {
+        let sealed = |c: &Arc<Component>| c.key_bytes + c.storage_size_bytes();
+        self.memtable_bytes + self.components.iter().map(sealed).sum::<usize>()
     }
 
     /// Live records across sealed components (memtable excluded) — the
@@ -686,15 +785,17 @@ impl LsmTree {
     }
 
     /// Range scan over live records, `lo..=hi` inclusive on both ends (pass
-    /// `None` for open ends). Results are key-ordered; surviving entries are
-    /// cloned exactly once.
+    /// `None` for open ends). Results are key-ordered; each surviving record
+    /// is materialized exactly once.
     pub fn scan_range(
         &self,
         lo: Option<&AdmValue>,
         hi: Option<&AdmValue>,
     ) -> Vec<(AdmValue, AdmValue)> {
         let mut out = Vec::new();
-        self.for_each_live_in(lo, hi, |k, v| out.push((k.clone(), v.clone())));
+        self.for_each_live_in(lo, hi, |k, r| {
+            out.extend(r.materialize().map(|v| (k.clone(), v)))
+        });
         out
     }
 
@@ -703,33 +804,41 @@ impl LsmTree {
         self.scan_range(None, None)
     }
 
-    /// Count of live records (full walk, but nothing is cloned).
+    /// Count of live records (full walk, but nothing is decoded).
     pub fn live_count(&self) -> usize {
         let mut n = 0;
-        self.for_each_live(|_, _| n += 1);
+        self.for_each_live_ref(|_, _| n += 1);
         n
+    }
+
+    /// At least [`LsmTree::live_count`], in O(components): every memtable
+    /// entry plus every live key of every run, shadowed versions included —
+    /// what a scan sizes its output by.
+    pub fn live_upper_bound(&self) -> usize {
+        self.memtable.len() + self.component_live_records()
     }
 
     /// Seal the memtable into an immutable component (no merge, ever) —
     /// the only mutation a hot-path insert can trigger in deferred mode.
     /// Sealing infers the schema and encodes the component's storage image
-    /// (compacted, or open on churn fallback) in two walks over the records.
+    /// (compacted, or open on churn fallback) in two walks over the
+    /// payloads, then lets go of them.
     pub fn seal(&mut self) {
         if self.memtable.is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut self.memtable).into_iter().collect();
-        let component = Component::seal(entries, &self.config.layout, &[]);
+        self.memtable_bytes = 0;
+        let entries = std::mem::take(&mut self.memtable);
+        let component = Component::seal(entries, &self.config.layout);
         self.note_component(&component);
         self.components.insert(0, Arc::new(component));
         self.flushes += 1;
     }
 
     fn note_component(&mut self, c: &Component) {
-        match c.storage() {
-            Some(ComponentStorage::Compacted(_)) => self.schema_inferred += 1,
-            Some(ComponentStorage::Open(_)) => self.fallbacks += 1,
-            None => {}
+        match c.storage {
+            ComponentStorage::Compacted(_) => self.schema_inferred += 1,
+            ComponentStorage::Open(_) => self.fallbacks += 1,
         }
     }
 
@@ -786,12 +895,6 @@ impl LsmTree {
         self.note_component(&merged);
         self.components = vec![Arc::new(merged)];
         self.merges += 1;
-    }
-
-    fn maybe_flush(&mut self) {
-        if self.memtable.len() >= self.config.memtable_budget {
-            self.flush();
-        }
     }
 
     /// Number of immutable components.
@@ -854,12 +957,42 @@ mod tests {
     }
 
     #[test]
-    fn put_shared_stores_the_callers_arc() {
+    fn value_adapters_store_what_the_bytes_path_stores() {
+        let (mut by_value, mut by_bytes) = (LsmTree::default(), LsmTree::default());
+        by_value.put(k(1), rec(1));
+        by_value.put_shared(k(2), Arc::new(rec(2)));
+        for i in [1, 2] {
+            by_bytes.put_bytes(k(i), encode_value(&rec(i)).into());
+        }
+        assert_eq!(by_value.resident_bytes(), by_bytes.resident_bytes());
+        for t in [&mut by_value, &mut by_bytes] {
+            assert_eq!(t.scan_all(), vec![(k(1), rec(1)), (k(2), rec(2))]);
+            t.seal();
+            assert_eq!(t.scan_all(), vec![(k(1), rec(1)), (k(2), rec(2))]);
+        }
+        assert_eq!(by_value.storage_bytes(), by_bytes.storage_bytes());
+    }
+
+    #[test]
+    fn resident_bytes_follow_the_memtable_and_the_images() {
         let mut t = LsmTree::default();
-        let value = Arc::new(v("shared"));
-        t.put_shared(k(1), Arc::clone(&value));
-        let got = t.get_shared(&k(1)).unwrap();
-        assert!(Arc::ptr_eq(&got, &value), "no deep clone on the hot path");
+        assert_eq!(t.resident_bytes(), 0);
+        let payload = encode_value(&rec(1));
+        t.put_bytes(k(1), payload.clone().into());
+        let one = t.resident_bytes();
+        assert_eq!(one, payload.len() + key_bytes(&k(1)));
+        // a replacement swaps the payload and keeps the key
+        t.put_bytes(k(1), payload.clone().into());
+        assert_eq!(t.resident_bytes(), one);
+        t.delete(k(1));
+        assert_eq!(t.resident_bytes(), key_bytes(&k(1)));
+        t.put_bytes(v("a string key"), payload.into());
+        t.seal();
+        assert_eq!(
+            t.resident_bytes(),
+            t.storage_bytes() + key_bytes(&k(1)) + key_bytes(&v("a string key")),
+            "sealed: keys and image, the payloads are gone"
+        );
     }
 
     #[test]
@@ -1000,8 +1133,8 @@ mod tests {
         let snap = t.components_snapshot();
         let merged = merge_components(&snap, 0);
         assert_eq!(merged.len(), 1, "tombstone dropped, one survivor");
-        let survivors: Vec<_> = merged.iter().collect();
-        assert_eq!(survivors[0].1, &Entry::Put(Arc::new(v("v2"))));
+        assert_eq!(merged.iter().collect::<Vec<_>>(), [(&KeyOrd(k(1)), true)]);
+        assert_eq!(merged.storage().materialize(0), Some(v("v2")));
     }
 
     #[test]
@@ -1032,15 +1165,17 @@ mod tests {
     }
 
     #[test]
-    fn for_each_live_walks_without_cloning() {
+    fn for_each_live_ref_hides_tombstones_and_shadowed_versions() {
         let mut t = small_tree();
         t.put(k(2), v("b"));
         t.flush();
         t.put(k(1), v("a"));
         t.delete(k(2));
         let mut seen = Vec::new();
-        t.for_each_live(|key, val| seen.push((key.clone(), val.clone())));
-        assert_eq!(seen, vec![(k(1), v("a"))]);
+        t.for_each_live_ref(|key, r| seen.push((key.clone(), r.materialize())));
+        assert_eq!(seen, vec![(k(1), Some(v("a")))]);
+        assert_eq!(t.live_count(), 1);
+        assert_eq!(t.live_upper_bound(), 3, "two memtable entries, one sealed");
     }
 
     #[test]
@@ -1078,7 +1213,7 @@ mod tests {
         assert!(t.storage_bytes() > 0);
         assert_eq!(t.component_live_records(), 4);
         let snap = t.components_snapshot();
-        assert!(snap[0].storage().unwrap().is_compacted());
+        assert!(snap[0].storage().is_compacted());
     }
 
     #[test]
@@ -1090,7 +1225,7 @@ mod tests {
         assert_eq!(t.schema_inferred_components(), 0);
         assert_eq!(t.fallback_components(), 1);
         let snap = t.components_snapshot();
-        assert!(!snap[0].storage().unwrap().is_compacted());
+        assert!(!snap[0].storage().is_compacted());
         // reads still work through the open image
         assert_eq!(t.get(&k(2)), Some(v("just a string")));
     }
@@ -1137,35 +1272,6 @@ mod tests {
     }
 
     #[test]
-    fn image_less_component_serves_fields_from_the_shared_record() {
-        let entries: Vec<(KeyOrd, Entry)> = (0..50)
-            .map(|i| {
-                let e = if i % 7 == 0 {
-                    Entry::Tombstone
-                } else {
-                    Entry::Put(Arc::new(rec(i)))
-                };
-                (KeyOrd(k(i)), e)
-            })
-            .collect();
-        let mut t = LsmTree::default();
-        t.components.push(Arc::new(Component {
-            live: entries.len() - 8,
-            entries,
-            storage: None,
-            rows: Vec::new(),
-        }));
-        assert_eq!(t.get_field(&k(9), "name"), Some(v("n9")));
-        assert_eq!(t.get_field(&k(7), "name"), None, "tombstone");
-        let mut names = Vec::new();
-        t.for_each_live_field("name", |key, val| names.push((key.clone(), val)));
-        assert_eq!(names.len(), 42);
-        assert!(names
-            .iter()
-            .all(|(key, val)| *val == Some(v(&format!("n{}", key.as_int().unwrap())))));
-    }
-
-    #[test]
     fn probes_borrow_the_key_and_compare_like_the_memtable_orders() {
         let mut t = small_tree();
         for i in 0..6 {
@@ -1200,13 +1306,13 @@ mod tests {
         assert_eq!(snap.len(), 2);
         let input_slots: Vec<Vec<String>> = snap
             .iter()
-            .map(|c| match c.storage().unwrap() {
+            .map(|c| match c.storage() {
                 ComponentStorage::Compacted(b) => b.slot_names(),
                 ComponentStorage::Open(_) => panic!("expected compacted inputs"),
             })
             .collect();
         let merged = merge_components_with(&snap, 0, &LayoutConfig::default()).component;
-        let merged_slots = match merged.storage().unwrap() {
+        let merged_slots = match merged.storage() {
             ComponentStorage::Compacted(b) => b.slot_names(),
             ComponentStorage::Open(_) => panic!("merge of compacted inputs stayed compacted"),
         };

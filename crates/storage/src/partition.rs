@@ -9,13 +9,18 @@
 //! Two properties keep the insert path frame-at-a-time fast, mirroring how
 //! AsterixDB's real LSM storage stays off the ingestion critical path:
 //!
-//! * **Group commit** — [`DatasetPartition::insert_batch`] /
-//!   [`DatasetPartition::upsert_batch`] take a frame's worth of records,
-//!   acquire the partition lock once, append one multi-entry WAL block
-//!   (one buffer, one log lock, one contiguous LSN range) and apply both
-//!   primary and secondary updates in a single pass. Records are
-//!   `Arc`-shared with the caller, so nothing is deep-cloned on the way
-//!   into the memtable.
+//! * **Group commit on bytes** — [`DatasetPartition::upsert_batch_bytes`] /
+//!   [`DatasetPartition::insert_batch_bytes`] take a frame's worth of record
+//!   payloads (binary ADM), run **one checked walk** over each (well-formed,
+//!   and conforming to the dataset's type when one is given), project the
+//!   primary key out of the bytes, acquire the partition lock once, append
+//!   one multi-entry WAL block (header + key + `memcpy` of each payload) and
+//!   apply primary and secondary updates in a single pass. The memtable
+//!   shares the caller's buffers; no `AdmValue` of a record is ever built.
+//!   Every other write — [`DatasetPartition::insert`],
+//!   [`DatasetPartition::upsert`], [`DatasetPartition::upsert_batch`],
+//!   [`DatasetPartition::insert_batch`] — is an adapter that encodes its
+//!   values once and calls that path.
 //! * **Background compaction** — the insert path only ever *seals* the
 //!   memtable into an immutable component
 //!   ([`crate::lsm::LsmConfig::defer_merge`] is forced on). A per-partition
@@ -26,10 +31,14 @@
 use crate::lsm::{merge_components_with, LsmTree};
 use crate::secondary::{IndexKind, SecondaryIndex};
 use crate::wal::{LogOp, WriteAheadLog};
-use asterix_adm::AdmValue;
+use asterix_adm::binary::{
+    decode_field_at, decode_value, encode_value, record_field_slice, validate,
+};
+use asterix_adm::{AdmType, AdmValue, TypeRegistry};
 use asterix_common::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use asterix_common::sync::{thread as sync_thread, Mutex, WakeEvent, WakeSignal};
 use asterix_common::{Counter, Histogram, IngestError, IngestResult, TraceLog};
+use bytes::Bytes;
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -67,8 +76,8 @@ impl PartitionConfig {
 }
 
 /// Per-record outcome of a batch write: how many records committed, and
-/// which input indexes failed softly (duplicate key, missing key). Hard
-/// errors abort the whole call instead.
+/// which input indexes failed softly (malformed or non-conforming payload,
+/// duplicate key, missing key). Hard errors abort the whole call instead.
 #[derive(Debug, Default)]
 pub struct BatchOutcome {
     /// Records logged, applied and indexed.
@@ -103,17 +112,36 @@ struct PartitionState {
 }
 
 impl PartitionState {
-    /// Before `key` is overwritten: drop its stored version from every
-    /// secondary. The old version is looked up for nothing else, so a
-    /// partition without secondaries skips the probe.
+    /// Before `key` is overwritten or deleted: drop its stored version from
+    /// every secondary, reading only each index's field of it. A partition
+    /// without secondaries skips the probe.
     fn unindex_old(&mut self, key: &AdmValue) -> IngestResult<()> {
         if self.secondaries.is_empty() {
             return Ok(());
         }
-        if let Some(old) = self.primary.get_shared(key) {
+        if let Some(old) = self.primary.get_ref(key) {
             for idx in &mut self.secondaries {
-                idx.remove(key, &old)?;
+                idx.remove(key, old.field(&idx.field).as_ref())?;
             }
+        }
+        Ok(())
+    }
+
+    /// Store `payload` (checked binary ADM) under `key`, replacing any
+    /// stored version: the memtable shares the buffer, then every secondary
+    /// gets its one field projected out of the bytes. The primary is written
+    /// before the secondaries, so an index that rejects its field (a
+    /// non-point under an R-tree) leaves the logged record readable.
+    fn put(&mut self, key: AdmValue, payload: &Bytes) -> IngestResult<()> {
+        self.unindex_old(&key)?;
+        if self.secondaries.is_empty() {
+            self.primary.put_bytes(key, payload.clone());
+            return Ok(());
+        }
+        self.primary.put_bytes(key.clone(), payload.clone());
+        for idx in &mut self.secondaries {
+            let indexed = decode_field_at(payload, &idx.field).ok().flatten();
+            idx.insert(&key, indexed.as_ref())?;
         }
         Ok(())
     }
@@ -247,8 +275,8 @@ impl DatasetPartition {
     }
 
     /// Add a secondary index (normally before data arrives; existing records
-    /// are back-filled from the component snapshot by reference — no
-    /// materialized copy of the tree).
+    /// are back-filled by reading the indexed field of each — no record is
+    /// materialized).
     pub fn add_secondary(
         &self,
         name: impl Into<String>,
@@ -256,13 +284,12 @@ impl DatasetPartition {
         kind: IndexKind,
     ) -> IngestResult<()> {
         let mut idx = SecondaryIndex::new(name, field, kind);
+        let field = idx.field.clone();
         let mut st = self.inner.state.lock();
         let mut backfill_err = None;
-        st.primary.for_each_live(|key, record| {
+        st.primary.for_each_live_ref(|key, record| {
             if backfill_err.is_none() {
-                if let Err(e) = idx.insert(key, record) {
-                    backfill_err = Some(e);
-                }
+                backfill_err = idx.insert(key, record.field(&field).as_ref()).err();
             }
         });
         if let Some(e) = backfill_err {
@@ -272,95 +299,107 @@ impl DatasetPartition {
         Ok(())
     }
 
-    fn extract_key(&self, record: &AdmValue) -> IngestResult<AdmValue> {
-        record
-            .field(&self.inner.config.primary_key_field)
-            .filter(|v| !matches!(v, AdmValue::Null | AdmValue::Missing))
-            .cloned()
-            .ok_or_else(|| {
-                IngestError::soft(format!(
-                    "record lacks primary key field '{}'",
-                    self.inner.config.primary_key_field
-                ))
-            })
-    }
-
     /// Insert a record; errors (softly) on a duplicate primary key, like
-    /// AsterixDB's `insert`.
+    /// AsterixDB's `insert`. Encodes the value and takes the bytes path.
     pub fn insert(&self, record: &AdmValue) -> IngestResult<()> {
-        let key = self.extract_key(record)?;
-        let needs_merge;
-        {
-            let mut st = self.inner.state.lock();
-            if st.primary.contains(&key) {
-                return Err(IngestError::soft(format!("duplicate primary key {key}")));
-            }
-            self.apply_put(&mut st, key, Arc::new(record.clone()))?;
-            needs_merge = st.primary.needs_merge();
-        }
-        if needs_merge {
-            self.inner.nudge_compactor();
-        }
-        Ok(())
+        self.write_one(record, false)
     }
 
-    /// Insert or replace a record (the feeds store path: makes at-least-once
-    /// replays idempotent).
+    /// Insert or replace a record (makes at-least-once replays idempotent).
+    /// Encodes the value and takes the bytes path.
     pub fn upsert(&self, record: &AdmValue) -> IngestResult<()> {
-        let key = self.extract_key(record)?;
-        let needs_merge;
-        {
-            let mut st = self.inner.state.lock();
-            st.unindex_old(&key)?;
-            self.apply_put(&mut st, key, Arc::new(record.clone()))?;
-            needs_merge = st.primary.needs_merge();
-        }
-        if needs_merge {
-            self.inner.nudge_compactor();
-        }
-        Ok(())
+        self.write_one(record, true)
     }
 
-    fn apply_put(
-        &self,
-        st: &mut PartitionState,
-        key: AdmValue,
-        record: Arc<AdmValue>,
-    ) -> IngestResult<()> {
-        self.inner.spin();
-        // WAL first: the record is durable once logged. The by-reference
-        // append encodes straight into the log's binary buffer — no deep
-        // clone of the record just to build a LogOp.
-        self.inner.wal.append_put(&key, &record);
-        st.primary.put_shared(key.clone(), Arc::clone(&record));
-        for idx in &mut st.secondaries {
-            idx.insert(&key, &record)?;
+    fn write_one(&self, record: &AdmValue, upsert: bool) -> IngestResult<()> {
+        let outcome = self.write_batch(&[encode_value(record).into()], None, upsert, false)?;
+        match outcome.soft.into_iter().next() {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Group-commit a frame's worth of strict inserts: one partition lock,
-    /// one multi-entry WAL append, one apply pass over primary + secondary
-    /// indexes. Records with a missing or duplicate primary key (already
-    /// stored, or earlier in this same batch) are reported per-index in the
-    /// outcome instead of failing the batch.
+    /// [`DatasetPartition::insert_batch_bytes`] for callers holding values:
+    /// each is encoded once.
     pub fn insert_batch(&self, records: &[Arc<AdmValue>]) -> IngestResult<BatchOutcome> {
-        self.batch_write(records, false)
+        self.write_batch(&encoded(records), None, false, true)
     }
 
-    /// Group-commit a frame's worth of upserts (the feeds store path): one
-    /// partition lock, one multi-entry WAL append, one apply pass. Only
-    /// records lacking a primary key fail (softly, per index).
+    /// [`DatasetPartition::upsert_batch_bytes`] for callers holding values:
+    /// each is encoded once.
     pub fn upsert_batch(&self, records: &[Arc<AdmValue>]) -> IngestResult<BatchOutcome> {
-        self.batch_write(records, true)
+        self.write_batch(&encoded(records), None, true, true)
     }
 
-    fn batch_write(&self, records: &[Arc<AdmValue>], upsert: bool) -> IngestResult<BatchOutcome> {
+    /// Group-commit a frame's worth of strict inserts, each given as its
+    /// binary ADM payload: one checked walk per payload, one partition lock,
+    /// one multi-entry WAL append, one apply pass over primary + secondary
+    /// indexes. Payloads that fail the walk, lack the primary key, or
+    /// duplicate one (already stored, or earlier in this same batch) are
+    /// reported per index in the outcome instead of failing the batch.
+    ///
+    /// `conform` adds datatype conformance to the checked walk (same pass).
+    pub fn insert_batch_bytes(
+        &self,
+        payloads: &[Bytes],
+        conform: Option<(&TypeRegistry, &AdmType)>,
+    ) -> IngestResult<BatchOutcome> {
+        self.write_batch(payloads, conform, false, true)
+    }
+
+    /// Group-commit a frame's worth of upserts (the feeds store path), each
+    /// given as its binary ADM payload: one checked walk per payload, one
+    /// partition lock, one multi-entry WAL append, one apply pass. The
+    /// payloads may come straight off a wire or a spill file: anything the
+    /// walk rejects — truncated, trailing bytes, bad UTF-8, not conforming
+    /// to `conform`'s datatype — or that lacks a primary key fails softly,
+    /// per index, and never reaches the log.
+    pub fn upsert_batch_bytes(
+        &self,
+        payloads: &[Bytes],
+        conform: Option<(&TypeRegistry, &AdmType)>,
+    ) -> IngestResult<BatchOutcome> {
+        self.write_batch(payloads, conform, true, true)
+    }
+
+    /// The checked walk and the key projection of one payload: its primary
+    /// key, decoded, and the slice of the payload that encodes it.
+    fn admit<'a>(
+        &self,
+        payload: &'a [u8],
+        conform: Option<(&TypeRegistry, &AdmType)>,
+    ) -> IngestResult<(AdmValue, &'a [u8])> {
+        match conform {
+            Some((registry, datatype)) => registry.check_bytes(payload, datatype),
+            None => validate(payload),
+        }
+        .map_err(|e| IngestError::soft(e.to_string()))?;
+        let field = &self.inner.config.primary_key_field;
+        // checked bytes project without error; a non-record has no key
+        record_field_slice(payload, field)
+            .ok()
+            .flatten()
+            .and_then(|slice| Some((decode_value(slice).ok()?, slice)))
+            .filter(|(key, _)| !matches!(key, AdmValue::Null | AdmValue::Missing))
+            .ok_or_else(|| IngestError::soft(format!("record lacks primary key field '{field}'")))
+    }
+
+    /// The one write path. `group` is false only for the single-record
+    /// `insert`/`upsert`: their one entry is neither a group commit nor a
+    /// batch-size sample.
+    fn write_batch(
+        &self,
+        payloads: &[Bytes],
+        conform: Option<(&TypeRegistry, &AdmType)>,
+        upsert: bool,
+        group: bool,
+    ) -> IngestResult<BatchOutcome> {
         let mut outcome = BatchOutcome::default();
-        let mut accepted: Vec<(usize, AdmValue)> = Vec::with_capacity(records.len());
-        for (i, record) in records.iter().enumerate() {
-            match self.extract_key(record) {
-                Ok(key) => accepted.push((i, key)),
+        // (input index, key, the key's bytes within the payload)
+        let mut accepted: Vec<(usize, AdmValue, &[u8])> = Vec::with_capacity(payloads.len());
+        for (i, payload) in payloads.iter().enumerate() {
+            match self.admit(payload, conform) {
+                Ok((key, key_bytes)) => accepted.push((i, key, key_bytes)),
                 Err(e) => outcome.soft.push((i, e)),
             }
         }
@@ -374,7 +413,7 @@ impl DatasetPartition {
                 // strict inserts: drop duplicates (stored or in-batch)
                 // before anything reaches the log
                 let mut in_batch: BTreeSet<crate::KeyOrd> = BTreeSet::new();
-                accepted.retain(|(i, key)| {
+                accepted.retain(|(i, key, _)| {
                     let dup =
                         st.primary.contains(key) || !in_batch.insert(crate::KeyOrd(key.clone()));
                     if dup {
@@ -389,24 +428,25 @@ impl DatasetPartition {
                     return Ok(outcome);
                 }
             }
-            // WAL first, as one block: every record of the batch is durable
-            // — and recoverable all-or-nothing — once this returns
-            self.inner
-                .wal
-                .append_put_batch(accepted.iter().map(|(i, key)| (key, &*records[*i])));
-            if let Some(o) = self.inner.observability.get() {
-                o.batch_hist.record(accepted.len() as u64);
+            // WAL first, as one block of copied bytes: every record of the
+            // batch is durable — and recoverable all-or-nothing — once this
+            // returns
+            if group {
+                self.inner.wal.append_put_batch_bytes(
+                    accepted
+                        .iter()
+                        .map(|(i, _, key_bytes)| (*key_bytes, &payloads[*i][..])),
+                );
+                if let Some(o) = self.inner.observability.get() {
+                    o.batch_hist.record(accepted.len() as u64);
+                }
+            } else {
+                let (i, _, key_bytes) = &accepted[0];
+                self.inner.wal.append_put_bytes(key_bytes, &payloads[*i]);
             }
-            for (i, key) in &accepted {
+            for (i, key, _) in accepted {
                 self.inner.spin();
-                let record = &records[*i];
-                if upsert {
-                    st.unindex_old(key)?;
-                }
-                st.primary.put_shared(key.clone(), Arc::clone(record));
-                for idx in &mut st.secondaries {
-                    idx.insert(key, record)?;
-                }
+                st.put(key, &payloads[i])?;
                 outcome.committed += 1;
             }
             needs_merge = st.primary.needs_merge();
@@ -422,16 +462,12 @@ impl DatasetPartition {
         let needs_merge;
         {
             let mut st = self.inner.state.lock();
-            match st.primary.get_shared(key) {
-                Some(old) => {
-                    self.inner.wal.append_delete(key);
-                    st.primary.delete(key.clone());
-                    for idx in &mut st.secondaries {
-                        idx.remove(key, &old)?;
-                    }
-                }
-                None => return Ok(()),
+            if !st.primary.contains(key) {
+                return Ok(());
             }
+            self.inner.wal.append_delete(key);
+            st.unindex_old(key)?;
+            st.primary.delete(key.clone());
             needs_merge = st.primary.needs_merge();
         }
         if needs_merge {
@@ -463,7 +499,7 @@ impl DatasetPartition {
     /// full records are never rebuilt.
     pub fn scan_field(&self, field: &str) -> Vec<(AdmValue, Option<AdmValue>)> {
         let st = self.inner.state.lock();
-        let mut out = Vec::with_capacity(st.primary.live_count());
+        let mut out = Vec::with_capacity(st.primary.live_upper_bound());
         st.primary
             .for_each_live_field(field, |k, v| out.push((k.clone(), v)));
         out
@@ -474,7 +510,7 @@ impl DatasetPartition {
     /// Fields absent from a record are skipped (ADM `MISSING` semantics).
     pub fn scan_projected(&self, fields: &[String]) -> Vec<AdmValue> {
         let st = self.inner.state.lock();
-        let mut out = Vec::with_capacity(st.primary.live_count());
+        let mut out = Vec::with_capacity(st.primary.live_upper_bound());
         st.primary.for_each_live_ref(|_, r| {
             let projected: Vec<(String, AdmValue)> = fields
                 .iter()
@@ -551,19 +587,11 @@ impl DatasetPartition {
             .collect();
         for rec in records {
             match rec.op {
-                LogOp::Put { key, value } => {
-                    let value = Arc::new(value);
-                    st.unindex_old(&key)?;
-                    st.primary.put_shared(key.clone(), Arc::clone(&value));
-                    for idx in &mut st.secondaries {
-                        idx.insert(&key, &value)?;
-                    }
-                }
+                // replay checked the payload: the write path's trust holds
+                LogOp::Put { key, value } => st.put(key, &value)?,
                 LogOp::Delete { key } => {
-                    if let Some(old) = st.primary.get_shared(&key) {
-                        for idx in &mut st.secondaries {
-                            idx.remove(&key, &old)?;
-                        }
+                    if st.primary.contains(&key) {
+                        st.unindex_old(&key)?;
                         st.primary.delete(key);
                     }
                 }
@@ -627,6 +655,12 @@ impl DatasetPartition {
         self.inner.state.lock().primary.storage_bytes()
     }
 
+    /// Bytes the primary index keeps resident: memtable keys and payloads
+    /// plus every sealed component's keys and storage image.
+    pub fn resident_bytes(&self) -> usize {
+        self.inner.state.lock().primary.resident_bytes()
+    }
+
     /// Live records held in sealed components (excludes the memtable).
     pub fn sealed_records(&self) -> usize {
         self.inner.state.lock().primary.component_live_records()
@@ -681,6 +715,11 @@ impl DatasetPartition {
     pub fn apply_fault_plan(&self, plan: &asterix_common::FaultPlan) -> usize {
         self.inner.wal.apply_fault_plan(plan)
     }
+}
+
+/// The binary ADM payload of each value.
+fn encoded(records: &[Arc<AdmValue>]) -> Vec<Bytes> {
+    records.iter().map(|r| encode_value(r).into()).collect()
 }
 
 impl Drop for DatasetPartition {
@@ -795,6 +834,33 @@ mod tests {
     }
 
     #[test]
+    fn bytes_path_rejects_softly_and_logs_only_what_it_accepted() {
+        use asterix_adm::types::paper_registry;
+        let p = part();
+        let good: Bytes = encode_value(&rec("a", "fine")).into();
+        let truncated = Bytes::copy_from_slice(&good[..good.len() - 3]);
+        let trailing: Bytes = [&good[..], &[0]].concat().into();
+        let scalar: Bytes = encode_value(&AdmValue::Int(7)).into();
+        let batch = [good.clone(), truncated, trailing, scalar, Bytes::new()];
+        let outcome = p.upsert_batch_bytes(&batch, None).unwrap();
+        assert_eq!(outcome.committed, 1);
+        let failed: Vec<usize> = outcome.soft.iter().map(|(i, _)| *i).collect();
+        assert_eq!(failed, vec![1, 2, 3, 4]);
+        assert!(outcome.soft.iter().all(|(_, e)| e.is_soft()));
+        assert_eq!(p.wal_len(), 1, "a rejected payload never reaches the log");
+        assert_eq!(p.get(&"a".into()), Some(rec("a", "fine")));
+        // conformance rides the same walk: `rec` is no Tweet
+        let registry = paper_registry();
+        let tweet = AdmType::Named("Tweet".into());
+        let outcome = p
+            .upsert_batch_bytes(&[good], Some((&registry, &tweet)))
+            .unwrap();
+        assert_eq!(outcome.committed, 0);
+        assert!(outcome.soft[0].1.to_string().contains("Tweet"));
+        assert_eq!(p.wal_len(), 1);
+    }
+
+    #[test]
     fn insert_batch_reports_duplicates_and_missing_keys_per_index() {
         let p = part();
         p.insert(&rec("stored", "already here")).unwrap();
@@ -905,6 +971,22 @@ mod tests {
         p.delete(&"a".into()).unwrap();
         assert!(p
             .query_rect("locIdx", 49.0, 49.0, 51.0, 51.0)
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn index_that_rejects_its_field_leaves_the_logged_record_readable() {
+        let p = part();
+        p.add_secondary("locIdx", "location", IndexKind::RTree)
+            .unwrap();
+        p.insert(&rec("a", "x")).unwrap();
+        let bad = AdmValue::record(vec![("id", "a".into()), ("location", "nowhere".into())]);
+        assert!(matches!(p.upsert(&bad), Err(IngestError::Type(_))));
+        // the write reached the log, so it must have reached the primary too
+        assert_eq!(p.get(&"a".into()), Some(bad.clone()));
+        assert!(p
+            .query_rect("locIdx", 0.0, 0.0, 5.0, 5.0)
             .unwrap()
             .is_empty());
     }

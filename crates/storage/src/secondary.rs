@@ -60,12 +60,17 @@ impl SecondaryIndex {
         }
     }
 
-    /// Index `record` (which lives under `primary_key`). Records whose
-    /// indexed field is absent, `null` or `missing` are skipped (optional
-    /// fields are not indexed). A non-point value under an R-tree index is a
-    /// type error.
-    pub fn insert(&mut self, primary_key: &AdmValue, record: &AdmValue) -> IngestResult<()> {
-        let field_val = match record.field(&self.field) {
+    /// Index the record under `primary_key`, given its value for the
+    /// indexed field (the caller projects that one field; the index never
+    /// sees the record). Records whose indexed field is absent, `null` or
+    /// `missing` are skipped (optional fields are not indexed). A non-point
+    /// value under an R-tree index is a type error.
+    pub fn insert(
+        &mut self,
+        primary_key: &AdmValue,
+        indexed: Option<&AdmValue>,
+    ) -> IngestResult<()> {
+        let field_val = match indexed {
             None | Some(AdmValue::Null) | Some(AdmValue::Missing) => return Ok(()),
             Some(v) => v,
         };
@@ -90,9 +95,14 @@ impl SecondaryIndex {
         Ok(())
     }
 
-    /// Remove the entry for `record` under `primary_key`.
-    pub fn remove(&mut self, primary_key: &AdmValue, record: &AdmValue) -> IngestResult<()> {
-        let field_val = match record.field(&self.field) {
+    /// Remove the entry of the record under `primary_key`, given the value
+    /// it was indexed under.
+    pub fn remove(
+        &mut self,
+        primary_key: &AdmValue,
+        indexed: Option<&AdmValue>,
+    ) -> IngestResult<()> {
+        let field_val = match indexed {
             None | Some(AdmValue::Null) | Some(AdmValue::Missing) => return Ok(()),
             Some(v) => v,
         };
@@ -192,12 +202,10 @@ mod tests {
     #[test]
     fn btree_eq_and_range_lookup() {
         let mut idx = SecondaryIndex::new("byCountry", "country", IndexKind::BTree);
-        idx.insert(&"t1".into(), &tweet("t1", Some("US"), None))
-            .unwrap();
-        idx.insert(&"t2".into(), &tweet("t2", Some("US"), None))
-            .unwrap();
-        idx.insert(&"t3".into(), &tweet("t3", Some("IN"), None))
-            .unwrap();
+        for (id, country) in [("t1", "US"), ("t2", "US"), ("t3", "IN")] {
+            let t = tweet(id, Some(country), None);
+            idx.insert(&id.into(), t.field("country")).unwrap();
+        }
         assert_eq!(idx.len(), 3);
         let mut us = idx.lookup_eq(&"US".into());
         us.sort_by(|a, b| a.total_cmp(b));
@@ -210,9 +218,11 @@ mod tests {
     #[test]
     fn null_or_absent_field_skipped() {
         let mut idx = SecondaryIndex::new("byCountry", "country", IndexKind::BTree);
-        idx.insert(&"t1".into(), &tweet("t1", None, None)).unwrap();
+        idx.insert(&"t1".into(), tweet("t1", None, None).field("country"))
+            .unwrap();
         let with_null = AdmValue::record(vec![("id", "t2".into()), ("country", AdmValue::Null)]);
-        idx.insert(&"t2".into(), &with_null).unwrap();
+        idx.insert(&"t2".into(), with_null.field("country"))
+            .unwrap();
         assert!(idx.is_empty());
     }
 
@@ -220,24 +230,21 @@ mod tests {
     fn btree_remove_cleans_up() {
         let mut idx = SecondaryIndex::new("byCountry", "country", IndexKind::BTree);
         let t = tweet("t1", Some("US"), None);
-        idx.insert(&"t1".into(), &t).unwrap();
-        idx.remove(&"t1".into(), &t).unwrap();
+        idx.insert(&"t1".into(), t.field("country")).unwrap();
+        idx.remove(&"t1".into(), t.field("country")).unwrap();
         assert!(idx.lookup_eq(&"US".into()).is_empty());
         assert!(idx.is_empty());
         // double-remove is a no-op
-        idx.remove(&"t1".into(), &t).unwrap();
+        idx.remove(&"t1".into(), t.field("country")).unwrap();
     }
 
     #[test]
     fn rtree_spatial_lookup() {
         let mut idx = SecondaryIndex::new("locationIndex", "location", IndexKind::RTree);
-        idx.insert(
-            &"irvine".into(),
-            &tweet("irvine", None, Some((-117.8, 33.6))),
-        )
-        .unwrap();
-        idx.insert(&"sf".into(), &tweet("sf", None, Some((-122.4, 37.7))))
-            .unwrap();
+        for (id, at) in [("irvine", (-117.8, 33.6)), ("sf", (-122.4, 37.7))] {
+            let t = tweet(id, None, Some(at));
+            idx.insert(&id.into(), t.field("location")).unwrap();
+        }
         let socal = idx.lookup_rect(-120.0, 32.0, -115.0, 35.0);
         assert_eq!(socal, vec![AdmValue::string("irvine")]);
         let eq = idx.lookup_eq(&AdmValue::Point(-122.4, 37.7));
@@ -250,13 +257,13 @@ mod tests {
     fn rtree_rejects_non_point() {
         let mut idx = SecondaryIndex::new("locationIndex", "location", IndexKind::RTree);
         let bad = AdmValue::record(vec![("id", "x".into()), ("location", "nowhere".into())]);
-        assert!(idx.insert(&"x".into(), &bad).is_err());
+        assert!(idx.insert(&"x".into(), bad.field("location")).is_err());
     }
 
     #[test]
     fn btree_rect_lookup_is_empty() {
         let mut idx = SecondaryIndex::new("byCountry", "country", IndexKind::BTree);
-        idx.insert(&"t1".into(), &tweet("t1", Some("US"), None))
+        idx.insert(&"t1".into(), tweet("t1", Some("US"), None).field("country"))
             .unwrap();
         assert!(idx.lookup_rect(0.0, 0.0, 1.0, 1.0).is_empty());
     }

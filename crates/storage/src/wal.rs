@@ -10,11 +10,18 @@
 //! *blocks*, each block being one physical append: a single-record append
 //! produces a one-entry block, while the store operator's frame-granular
 //! path group-commits a whole frame as one multi-entry block
-//! ([`WriteAheadLog::append_put_batch`]) — one buffer, one lock
-//! acquisition, one contiguous LSN range. Entries are serialized with the
-//! compact binary ADM codec ([`asterix_adm::binary`]) on append and decoded
-//! on replay, so recovery exercises the real encode/decode path without the
-//! cost of printing and re-parsing text.
+//! ([`WriteAheadLog::append_put_batch_bytes`]) — one buffer, one lock
+//! acquisition, one contiguous LSN range.
+//!
+//! The log does not own a codec. A put is logged from the bytes the store
+//! already holds — an entry header, the key (the primary-key field's slice
+//! of the record) and a `memcpy` of the record's binary ADM payload — and
+//! replay hands the payload bytes straight back, after the same checked walk
+//! ([`asterix_adm::binary::validate`]) every payload passes on its way in, so
+//! recovery trusts exactly what the write path trusted. Only the
+//! value-taking adapters ([`WriteAheadLog::append_put`],
+//! [`WriteAheadLog::append_put_batch`], [`WriteAheadLog::append_delete`])
+//! encode, once, before calling the one bytes path.
 //!
 //! A crashed node's partition can be rebuilt by replaying its log
 //! ([`WriteAheadLog::replay`]), which is how a store node re-joins the
@@ -29,10 +36,11 @@
 //! `[entry_len: u32 LE][lsn: u64 LE][op: u8 (1 = put, 2 = delete)][key:
 //! binary ADM][value: binary ADM, put only]`.
 
-use asterix_adm::binary::{decode_prefix, encode_into};
+use asterix_adm::binary::{decode_prefix, encode_into, validate};
 use asterix_adm::AdmValue;
 use asterix_common::sync::Mutex;
 use asterix_common::{FaultKind, FaultPlan, IngestError, IngestResult};
+use bytes::Bytes;
 
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
@@ -42,12 +50,12 @@ const ENTRY_HEADER: usize = 4;
 /// The logged operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogOp {
-    /// Insert/replace `value` under `key`.
+    /// Insert/replace the record `value` under `key`.
     Put {
         /// Primary key.
         key: AdmValue,
-        /// Full record.
-        value: AdmValue,
+        /// Full record: its binary ADM payload, checked.
+        value: Bytes,
     },
     /// Delete `key`.
     Delete {
@@ -65,25 +73,15 @@ pub struct LogRecord {
     pub op: LogOp,
 }
 
-/// Append one entry (`[entry_len][lsn][op][key][value?]`) to `buf`.
-fn encode_entry_into(
-    buf: &mut Vec<u8>,
-    lsn: u64,
-    op: u8,
-    key: &AdmValue,
-    value: Option<&AdmValue>,
-) {
-    let len_at = buf.len();
-    buf.extend_from_slice(&[0u8; ENTRY_HEADER]);
-    let body_at = buf.len();
+/// Append one entry (`[entry_len][lsn][op][key][value]`) to `buf`; `value`
+/// is empty for a delete.
+fn entry_into(buf: &mut Vec<u8>, lsn: u64, op: u8, key: &[u8], value: &[u8]) {
+    let body_len = (8 + 1 + key.len() + value.len()) as u32;
+    buf.extend_from_slice(&body_len.to_le_bytes());
     buf.extend_from_slice(&lsn.to_le_bytes());
     buf.push(op);
-    encode_into(key, buf);
-    if let Some(v) = value {
-        encode_into(v, buf);
-    }
-    let body_len = (buf.len() - body_at) as u32;
-    buf[len_at..len_at + ENTRY_HEADER].copy_from_slice(&body_len.to_le_bytes());
+    buf.extend_from_slice(key);
+    buf.extend_from_slice(value);
 }
 
 impl LogRecord {
@@ -92,24 +90,19 @@ impl LogRecord {
             return Err(IngestError::Storage("log record truncated".into()));
         }
         let lsn = u64::from_le_bytes(entry[..8].try_into().unwrap());
-        let op_byte = entry[8];
         let (key, rest) = decode_prefix(&entry[9..])
             .map_err(|e| IngestError::Storage(format!("log record key: {e}")))?;
-        let op = match op_byte {
+        let op = match entry[8] {
             OP_PUT => {
-                let (value, rest) = decode_prefix(rest)
+                validate(rest)
                     .map_err(|e| IngestError::Storage(format!("log record value: {e}")))?;
-                if !rest.is_empty() {
-                    return Err(IngestError::Storage("log record has trailing bytes".into()));
+                LogOp::Put {
+                    key,
+                    value: Bytes::copy_from_slice(rest),
                 }
-                LogOp::Put { key, value }
             }
-            OP_DELETE => {
-                if !rest.is_empty() {
-                    return Err(IngestError::Storage("log record has trailing bytes".into()));
-                }
-                LogOp::Delete { key }
-            }
+            OP_DELETE if rest.is_empty() => LogOp::Delete { key },
+            OP_DELETE => return Err(IngestError::Storage("log record has trailing bytes".into())),
             other => return Err(IngestError::Storage(format!("unknown log op byte {other}"))),
         };
         Ok(LogRecord { lsn, op })
@@ -131,9 +124,12 @@ struct LogBlock {
 }
 
 impl LogBlock {
-    /// Start a block buffer; entry count is backpatched by `finish`.
-    fn begin() -> Vec<u8> {
-        vec![0u8; BLOCK_HEADER]
+    /// Start a block buffer with room for `body` bytes of entries; the
+    /// header is backpatched by `finish`.
+    fn begin(body: usize) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(BLOCK_HEADER + body);
+        buf.resize(BLOCK_HEADER, 0);
+        buf
     }
 
     /// Backpatch the header once `entries` entries were encoded into `buf`.
@@ -205,63 +201,108 @@ impl WriteAheadLog {
         WriteAheadLog::default()
     }
 
-    /// Append an operation; returns its LSN. The record is durable once this
+    /// Log a put from values: encodes key and record once, then takes the
+    /// bytes path. Returns the entry's LSN; the record is durable once this
     /// returns.
-    pub fn append(&self, op: LogOp) -> u64 {
-        match &op {
-            LogOp::Put { key, value } => self.append_put(key, value),
-            LogOp::Delete { key } => self.append_delete(key),
-        }
-    }
-
-    /// Log a put by reference — encodes straight from the caller's values,
-    /// with no intermediate clone of key or record.
     pub fn append_put(&self, key: &AdmValue, value: &AdmValue) -> u64 {
-        self.append_one(OP_PUT, key, Some(value))
+        let mut encoded = Vec::with_capacity(512);
+        encode_into(key, &mut encoded);
+        let key_end = encoded.len();
+        encode_into(value, &mut encoded);
+        self.append_put_bytes(&encoded[..key_end], &encoded[key_end..])
     }
 
-    /// Log a delete by reference.
+    /// Log one put — `(key, record)` in binary ADM, copied verbatim — as a
+    /// block of its own (not a group commit). Returns the entry's LSN.
+    pub fn append_put_bytes(&self, key: &[u8], payload: &[u8]) -> u64 {
+        let (first, _) = self
+            .append_block(OP_PUT, [(key, payload)].into_iter(), false)
+            .expect("one put is a non-empty block");
+        first
+    }
+
+    /// Log a delete; returns its LSN.
     pub fn append_delete(&self, key: &AdmValue) -> u64 {
-        self.append_one(OP_DELETE, key, None)
+        let mut key_bytes = Vec::with_capacity(16);
+        encode_into(key, &mut key_bytes);
+        let (first, _) = self
+            .append_block(OP_DELETE, [(&key_bytes[..], &[][..])].into_iter(), false)
+            .expect("one delete is a non-empty block");
+        first
     }
 
-    fn append_one(&self, op: u8, key: &AdmValue, value: Option<&AdmValue>) -> u64 {
-        let mut st = self.state.lock();
-        let lsn = st.next_lsn;
-        st.next_lsn += 1;
-        let mut buf = LogBlock::begin();
-        encode_entry_into(&mut buf, lsn, op, key, value);
-        st.blocks.push(LogBlock::finish(buf, 1));
-        st.entry_count += 1;
-        lsn
-    }
-
-    /// Group-commit a frame's worth of puts as one multi-entry block: a
-    /// single lock acquisition, a single buffer, and one contiguous LSN
-    /// range `(first, last)`. Returns `None` for an empty batch (nothing is
-    /// appended).
-    ///
-    /// Atomicity is block-granular: replay after a crash recovers either the
-    /// whole batch or none of it (see [`WriteAheadLog::replay`]).
+    /// [`WriteAheadLog::append_put_batch_bytes`] for callers holding values:
+    /// every key and record is encoded once, then the batch takes the bytes
+    /// path.
     pub fn append_put_batch<'a, I>(&self, puts: I) -> Option<(u64, u64)>
     where
         I: IntoIterator<Item = (&'a AdmValue, &'a AdmValue)>,
     {
+        let mut encoded = Vec::new();
+        // (end of key, end of value) of each put within `encoded`
+        let mut ends = Vec::new();
+        for (key, value) in puts {
+            encode_into(key, &mut encoded);
+            let key_end = encoded.len();
+            encode_into(value, &mut encoded);
+            ends.push((key_end, encoded.len()));
+        }
+        let mut start = 0;
+        let puts: Vec<(&[u8], &[u8])> = ends
+            .into_iter()
+            .map(|(key_end, end)| {
+                let key_start = std::mem::replace(&mut start, end);
+                (&encoded[key_start..key_end], &encoded[key_end..end])
+            })
+            .collect();
+        self.append_put_batch_bytes(puts)
+    }
+
+    /// Group-commit a frame's worth of puts as one multi-entry block: a
+    /// single lock acquisition, a single buffer, and one contiguous LSN
+    /// range `(first, last)`. Each put is `(key, record)` in binary ADM —
+    /// the key being the record's primary-key field — and both are copied
+    /// into the block verbatim. Returns `None` for an empty batch (nothing
+    /// is appended).
+    ///
+    /// Atomicity is block-granular: replay after a crash recovers either the
+    /// whole batch or none of it (see [`WriteAheadLog::replay`]).
+    pub fn append_put_batch_bytes<'a, I>(&self, puts: I) -> Option<(u64, u64)>
+    where
+        I: IntoIterator<Item = (&'a [u8], &'a [u8])>,
+        I::IntoIter: Clone,
+    {
+        self.append_block(OP_PUT, puts.into_iter(), true)
+    }
+
+    /// One physical append of `entries` (`(key, value)`, the value empty
+    /// for deletes) under `op`. The block's buffer is sized exactly once —
+    /// it is the log's resident copy of the batch. `group` says whether the
+    /// caller is a batch entry point: those count as group commits whatever
+    /// the batch's size.
+    fn append_block<'a>(
+        &self,
+        op: u8,
+        entries: impl Iterator<Item = (&'a [u8], &'a [u8])> + Clone,
+        group: bool,
+    ) -> Option<(u64, u64)> {
+        let size = |(key, value): (&[u8], &[u8])| ENTRY_HEADER + 9 + key.len() + value.len();
+        let body: usize = entries.clone().map(size).sum();
+        if body == 0 {
+            return None;
+        }
+        let mut buf = LogBlock::begin(body);
         let mut st = self.state.lock();
         let first = st.next_lsn;
-        let mut buf = LogBlock::begin();
         let mut n = 0u32;
-        for (key, value) in puts {
-            encode_entry_into(&mut buf, first + n as u64, OP_PUT, key, Some(value));
+        for (key, value) in entries {
+            entry_into(&mut buf, first + n as u64, op, key, value);
             n += 1;
-        }
-        if n == 0 {
-            return None;
         }
         st.next_lsn = first + n as u64;
         st.blocks.push(LogBlock::finish(buf, n));
         st.entry_count += n as usize;
-        st.group_commits += 1;
+        st.group_commits += u64::from(group);
         Some((first, first + n as u64 - 1))
     }
 
@@ -275,12 +316,13 @@ impl WriteAheadLog {
         self.len() == 0
     }
 
-    /// Lifetime count of multi-entry (group-commit) appends.
+    /// Lifetime count of batch (group-commit) appends.
     pub fn group_commits(&self) -> u64 {
         self.state.lock().group_commits
     }
 
-    /// Decode the whole log in LSN order (restart recovery input).
+    /// Read the whole log back in LSN order (restart recovery input): keys
+    /// decoded, record payloads checked and returned as bytes.
     ///
     /// A torn *final* block — a crash cut the append short — is skipped
     /// whole, so a group-committed batch recovers all-or-nothing. A torn or
@@ -310,7 +352,7 @@ impl WriteAheadLog {
     /// is read — payloads are not decoded.
     pub fn truncate_through(&self, lsn: u64) -> IngestResult<()> {
         let mut st = self.state.lock();
-        let mut buf = LogBlock::begin();
+        let mut buf = LogBlock::begin(0);
         let mut kept = 0u32;
         for block in &st.blocks {
             if !block.is_complete() {
@@ -383,39 +425,31 @@ impl WriteAheadLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn putop(i: i64) -> LogOp {
-        LogOp::Put {
-            key: AdmValue::Int(i),
-            value: AdmValue::record(vec![("id", AdmValue::Int(i)), ("x", "data".into())]),
-        }
-    }
+    use asterix_adm::{decode_value, encode_value};
+    use proptest::prelude::*;
 
     fn recval(i: i64) -> AdmValue {
         AdmValue::record(vec![("id", AdmValue::Int(i)), ("x", "data".into())])
     }
 
+    fn put(wal: &WriteAheadLog, i: i64) -> u64 {
+        wal.append_put(&AdmValue::Int(i), &recval(i))
+    }
+
     #[test]
     fn append_assigns_monotonic_lsns() {
         let wal = WriteAheadLog::new();
-        assert_eq!(wal.append(putop(1)), 0);
-        assert_eq!(wal.append(putop(2)), 1);
-        assert_eq!(
-            wal.append(LogOp::Delete {
-                key: AdmValue::Int(1)
-            }),
-            2
-        );
+        assert_eq!(put(&wal, 1), 0);
+        assert_eq!(put(&wal, 2), 1);
+        assert_eq!(wal.append_delete(&AdmValue::Int(1)), 2);
         assert_eq!(wal.len(), 3);
     }
 
     #[test]
     fn replay_roundtrips_operations() {
         let wal = WriteAheadLog::new();
-        wal.append(putop(1));
-        wal.append(LogOp::Delete {
-            key: AdmValue::Int(1),
-        });
+        put(&wal, 1);
+        wal.append_delete(&AdmValue::Int(1));
         let recs = wal.replay().unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].lsn, 0);
@@ -424,19 +458,22 @@ mod tests {
     }
 
     #[test]
-    fn by_reference_appends_match_logop_appends() {
-        let a = WriteAheadLog::new();
-        let b = WriteAheadLog::new();
-        let key = AdmValue::string("t-9");
-        let value = AdmValue::record(vec![("id", "t-9".into()), ("n", AdmValue::Int(3))]);
-        a.append(LogOp::Put {
-            key: key.clone(),
-            value: value.clone(),
-        });
-        a.append(LogOp::Delete { key: key.clone() });
-        b.append_put(&key, &value);
-        b.append_delete(&key);
+    fn value_adapters_log_what_the_bytes_path_logs() {
+        let (a, b) = (WriteAheadLog::new(), WriteAheadLog::new());
+        let pairs: Vec<(AdmValue, AdmValue)> =
+            (0..5).map(|i| (AdmValue::Int(i), recval(i))).collect();
+        a.append_put_batch(pairs.iter().map(|(k, v)| (k, v)));
+        let encoded: Vec<(Vec<u8>, Vec<u8>)> = pairs
+            .iter()
+            .map(|(k, v)| (encode_value(k), encode_value(v)))
+            .collect();
+        b.append_put_batch_bytes(encoded.iter().map(|(k, v)| (&k[..], &v[..])));
         assert_eq!(a.replay().unwrap(), b.replay().unwrap());
+        assert_eq!(a.size_bytes(), b.size_bytes(), "same bytes on disk");
+        // the payload is stored verbatim: header + key + memcpy(record)
+        let (key, value) = &encoded[0];
+        let entry = ENTRY_HEADER + 8 + 1 + key.len() + value.len();
+        assert!(b.state.lock().blocks[0].buf[BLOCK_HEADER..][..entry].ends_with(value));
     }
 
     #[test]
@@ -456,7 +493,7 @@ mod tests {
         assert_eq!(batched.group_commits(), 1);
         assert_eq!(singles.group_commits(), 0);
         // next append continues the LSN sequence
-        assert_eq!(batched.append_put(&AdmValue::Int(9), &recval(9)), 5);
+        assert_eq!(put(&batched, 9), 5);
     }
 
     #[test]
@@ -482,7 +519,7 @@ mod tests {
         wal.append_put(&"t-1".into(), &value);
         let recs = wal.replay().unwrap();
         match &recs[0].op {
-            LogOp::Put { value: v, .. } => assert_eq!(v, &value),
+            LogOp::Put { value: v, .. } => assert_eq!(decode_value(v).unwrap(), value),
             _ => panic!("expected put"),
         }
     }
@@ -491,7 +528,7 @@ mod tests {
     fn truncate_through_drops_prefix() {
         let wal = WriteAheadLog::new();
         for i in 0..3 {
-            wal.append(putop(i));
+            put(&wal, i);
         }
         wal.append_put_batch([
             (&AdmValue::Int(3), &recval(3)),
@@ -509,7 +546,7 @@ mod tests {
     fn size_bytes_grows() {
         let wal = WriteAheadLog::new();
         assert_eq!(wal.size_bytes(), 0);
-        wal.append(putop(1));
+        put(&wal, 1);
         assert!(wal.size_bytes() > 0);
         assert!(!wal.is_empty());
     }
@@ -517,7 +554,7 @@ mod tests {
     #[test]
     fn torn_tail_discards_only_the_final_block() {
         let wal = WriteAheadLog::new();
-        wal.append(putop(1));
+        put(&wal, 1);
         let committed = wal.size_bytes();
         wal.append_put_batch([
             (&AdmValue::Int(2), &recval(2)),
@@ -540,7 +577,7 @@ mod tests {
     fn fault_plan_tears_apply_once_and_recover_all_or_nothing() {
         use asterix_common::fault::FaultEvent;
         let wal = WriteAheadLog::new();
-        wal.append(putop(1));
+        put(&wal, 1);
         wal.append_put_batch([
             (&AdmValue::Int(2), &recval(2)),
             (&AdmValue::Int(3), &recval(3)),
@@ -566,34 +603,85 @@ mod tests {
     #[test]
     fn torn_everything_replays_empty() {
         let wal = WriteAheadLog::new();
-        wal.append(putop(1));
+        put(&wal, 1);
         wal.corrupt_tail(usize::MAX);
         assert!(wal.replay().unwrap().is_empty());
         assert_eq!(wal.size_bytes(), 0);
     }
 
+    /// One entry body (`[lsn][op][key][value]`).
+    fn entry(op: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        entry_into(&mut buf, 1, op, key, value);
+        buf.split_off(ENTRY_HEADER)
+    }
+
     #[test]
     fn decode_rejects_garbage() {
+        let key = encode_value(&AdmValue::Int(1));
         // too short for the lsn+op header
         assert!(LogRecord::decode(b"short").is_err());
         // unknown op byte
-        let mut bad_op = 7u64.to_le_bytes().to_vec();
-        bad_op.push(99);
-        bad_op.extend_from_slice(&asterix_adm::encode_value(&AdmValue::Int(1)));
-        assert!(LogRecord::decode(&bad_op).is_err());
+        assert!(LogRecord::decode(&entry(99, &key, &[])).is_err());
         // put missing its value
-        let mut missing_value = Vec::new();
-        encode_entry_into(&mut missing_value, 1, OP_PUT, &AdmValue::Int(1), None);
-        assert!(LogRecord::decode(&missing_value[ENTRY_HEADER..]).is_err());
+        assert!(LogRecord::decode(&entry(OP_PUT, &key, &[])).is_err());
+        // put whose value is cut short, or not UTF-8, or followed by junk
+        let value = encode_value(&recval(1));
+        assert!(LogRecord::decode(&entry(OP_PUT, &key, &value)).is_ok());
+        assert!(LogRecord::decode(&entry(OP_PUT, &key, &value[..value.len() - 1])).is_err());
+        let mut bad_utf8 = value.clone();
+        *bad_utf8.last_mut().unwrap() = 0xFF;
+        assert!(LogRecord::decode(&entry(OP_PUT, &key, &bad_utf8)).is_err());
+        assert!(LogRecord::decode(&entry(OP_PUT, &key, &[&value[..], &[0]].concat())).is_err());
         // delete with trailing bytes
-        let mut trailing = Vec::new();
-        encode_entry_into(&mut trailing, 1, OP_DELETE, &AdmValue::Int(1), None);
-        trailing.push(0);
-        assert!(LogRecord::decode(&trailing[ENTRY_HEADER..]).is_err());
+        assert!(LogRecord::decode(&entry(OP_DELETE, &key, &[0])).is_err());
         // corrupted key payload
-        let mut bad_key = 1u64.to_le_bytes().to_vec();
-        bad_key.push(OP_DELETE);
-        bad_key.push(0xFF);
-        assert!(LogRecord::decode(&bad_key).is_err());
+        assert!(LogRecord::decode(&entry(OP_DELETE, &[0xFF], &[])).is_err());
+    }
+
+    /// A log whose only block holds exactly `buf`.
+    fn log_of(buf: Vec<u8>) -> WriteAheadLog {
+        let wal = WriteAheadLog::new();
+        wal.state.lock().blocks.push(LogBlock { buf });
+        wal
+    }
+
+    proptest! {
+        /// Replay of a block holding arbitrary bytes is an error or a list
+        /// of checked records — never a panic.
+        #[test]
+        fn replay_never_panics_on_arbitrary_block_bytes(
+            buf in prop::collection::vec(any::<u8>(), 0..200),
+            entries in 0u32..4,
+        ) {
+            let _ = log_of(buf.clone()).replay();
+            // the same bytes behind a header that claims them complete
+            let mut framed = LogBlock::begin(0);
+            framed.extend_from_slice(&buf);
+            let _ = log_of(LogBlock::finish(framed, entries).buf).replay();
+        }
+
+        /// Flipping any one byte of a valid block yields an error or records
+        /// whose payloads still pass the checked walk.
+        #[test]
+        fn replay_of_a_flipped_byte_yields_only_checked_payloads(
+            at in any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            let wal = WriteAheadLog::new();
+            let pairs: Vec<(AdmValue, AdmValue)> =
+                (0..3).map(|i| (AdmValue::Int(i), recval(i))).collect();
+            wal.append_put_batch(pairs.iter().map(|(k, v)| (k, v)));
+            let mut buf = std::mem::take(&mut wal.state.lock().blocks[0].buf);
+            let i = at % buf.len();
+            buf[i] ^= flip;
+            if let Ok(records) = log_of(buf).replay() {
+                for r in records {
+                    if let LogOp::Put { value, .. } = r.op {
+                        prop_assert!(validate(&value).is_ok());
+                    }
+                }
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! reads exactly what a `BTreeMap` overlay of the runs would.
 
 use asterix_adm::compact::{BlockBuilder, CompactedBlock};
-use asterix_adm::AdmValue;
+use asterix_adm::{encode_value, AdmValue};
 use asterix_storage::lsm::{
     merge_components_with, ComponentStorage, LayoutConfig, LsmConfig, LsmTree,
 };
@@ -116,11 +116,19 @@ fn build(batches: &[(u8, Vec<Op>)], opaque_ok: bool) -> (LsmTree, BTreeMap<i64, 
     (tree, model)
 }
 
-fn compacted(storage: Option<&ComponentStorage>) -> Option<&CompactedBlock> {
+fn compacted(storage: &ComponentStorage) -> Option<&CompactedBlock> {
     match storage {
-        Some(ComponentStorage::Compacted(b)) => Some(b),
-        _ => None,
+        ComponentStorage::Compacted(b) => Some(b),
+        ComponentStorage::Open(_) => None,
     }
+}
+
+/// Run `f` on the builder over `rows` in the form storage holds them:
+/// binary ADM records.
+fn with_builder<R>(rows: &[&AdmValue], f: impl FnOnce(&BlockBuilder) -> R) -> R {
+    let bytes: Vec<Vec<u8>> = rows.iter().map(|r| encode_value(r)).collect();
+    let refs: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
+    f(&BlockBuilder::infer(&refs))
 }
 
 fn field_of(row: &AdmValue, name: &str) -> Option<AdmValue> {
@@ -159,17 +167,14 @@ proptest! {
         }
 
         // the image holds exactly the merged rows, field by field
-        let image = merged.component.storage().expect("merged component has an image");
-        let builder = BlockBuilder::infer(&rows);
+        let image = merged.component.storage();
         for (i, row) in rows.iter().enumerate() {
-            let got = match image {
-                ComponentStorage::Compacted(b) => b.materialize(i),
-                ComponentStorage::Open(b) => b.materialize(i),
-            };
+            let got = image.materialize(i);
             prop_assert_eq!(got.as_ref(), Some(*row), "row {}", i);
         }
-        if let Some(block) = compacted(Some(image)) {
-            let oracle = builder.encode(&block.slot_names());
+        if let Some(block) = compacted(image) {
+            let (oracle, fresh) =
+                with_builder(&rows, |b| (b.encode(&block.slot_names()), b.schema().clone()));
             for (i, row) in rows.iter().enumerate() {
                 for name in FIELDS {
                     prop_assert_eq!(block.field_value(i, name), oracle.field_value(i, name));
@@ -189,7 +194,7 @@ proptest! {
                 let slots = block.slot_names();
                 for name in blocks[0].slot_names() {
                     if blocks.iter().all(|b| b.slot_names().contains(&name))
-                        && builder.schema().fields.iter().any(|f| f.name == name)
+                        && fresh.fields.iter().any(|f| f.name == name)
                     {
                         prop_assert!(slots.contains(&name), "slot {} demoted", name);
                     }
@@ -286,7 +291,7 @@ proptest! {
         prop_assert_eq!(tree.scan_range(lo.as_ref(), hi.as_ref()), want);
 
         let mut refs = Vec::new();
-        tree.for_each_live_ref(|k, r| refs.push((k.clone(), (**r.shared()).clone(), r.field("name"))));
+        tree.for_each_live_ref(|k, r| refs.push((k.clone(), r.materialize().unwrap(), r.field("name"))));
         let want: Vec<(AdmValue, AdmValue, Option<AdmValue>)> = model
             .iter()
             .map(|(k, v)| (AdmValue::Int(*k), v.clone(), field_of(v, "name")))
@@ -356,8 +361,7 @@ fn merging_same_layout_tweet_components_reencodes_nothing() {
     // header recount equals a fresh inference
     let rows: Vec<AdmValue> = tree.scan_all().into_iter().map(|(_, v)| v).collect();
     let refs: Vec<&AdmValue> = rows.iter().collect();
-    let builder = BlockBuilder::infer(&refs);
-    let fresh = builder.encode(&builder.schema().slot_fields(0.5));
+    let fresh = with_builder(&refs, |b| b.encode(&b.schema().slot_fields(0.5)));
     let copied = compacted(merged.component.storage()).expect("compacted");
     assert_eq!(copied.as_bytes(), fresh.as_bytes());
     // a second-generation merge (merged + fresh seals) still copies
