@@ -28,7 +28,7 @@ use asterix_feeds::policy::IngestionPolicy;
 use asterix_feeds::udf::{Udf, UdfKind};
 use asterix_hyracks::cluster::Cluster;
 use asterix_hyracks::connector::ConnectorSpec;
-use asterix_hyracks::executor::{run_job, SourceHost, TaskContext};
+use asterix_hyracks::executor::{run_job, TaskContext};
 use asterix_hyracks::job::{Constraint, JobSpec, OperatorDescriptor};
 use asterix_hyracks::operator::{FrameWriter, OperatorRuntime, VecSource};
 use asterix_storage::secondary::IndexKind;
@@ -487,8 +487,8 @@ impl OperatorDescriptor for InsertSourceDesc {
         _ctx: &TaskContext,
         output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
-        Ok(OperatorRuntime::Source(Box::new(SourceHost::new(
-            Box::new(VecSource::new(self.frames.clone())),
+        Ok(OperatorRuntime::Source(Box::new(VecSource::new(
+            self.frames.clone(),
             output,
         ))))
     }

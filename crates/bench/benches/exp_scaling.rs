@@ -12,7 +12,7 @@
 use asterix_common::{DataFrame, IngestResult, Record, RecordId, SimClock, SimDuration};
 use asterix_hyracks::cluster::{Cluster, ClusterConfig};
 use asterix_hyracks::connector::ConnectorSpec;
-use asterix_hyracks::executor::{run_job, SourceHost, TaskContext, UnaryHost};
+use asterix_hyracks::executor::{run_job, TaskContext};
 use asterix_hyracks::job::{Constraint, JobSpec, OperatorDescriptor};
 use asterix_hyracks::operator::{Collector, FnUnary, FrameWriter, OperatorRuntime, VecSource};
 use std::path::PathBuf;
@@ -55,9 +55,8 @@ impl OperatorDescriptor for SourceDesc {
                 )
             })
             .collect();
-        Ok(OperatorRuntime::Source(Box::new(SourceHost::new(
-            Box::new(VecSource::new(frames)),
-            output,
+        Ok(OperatorRuntime::Source(Box::new(VecSource::new(
+            frames, output,
         ))))
     }
 }
@@ -89,13 +88,13 @@ impl OperatorDescriptor for MapDesc {
         _ctx: &TaskContext,
         output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
-        Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
+        Ok(OperatorRuntime::Unary(
             Box::new(FnUnary::new(|f: DataFrame| {
                 fnv_spin(&f);
                 Ok(f)
             })),
             output,
-        ))))
+        ))
     }
 }
 
@@ -115,10 +114,10 @@ impl OperatorDescriptor for SinkDesc {
         _ctx: &TaskContext,
         output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
-        Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
+        Ok(OperatorRuntime::Unary(
             Box::new(self.collector.operator()),
             output,
-        ))))
+        ))
     }
 }
 

@@ -202,7 +202,8 @@ pub struct Record {
     /// group ack messages per adaptor instance.
     pub adaptor: u32,
     /// Sim-time the record was *generated* at the external source (TweetGen
-    /// stamps this on the wire; socket adaptors stamp at receipt). Threaded
+    /// stamps this on the wire, a trace replay stamps the recorded instant;
+    /// socket and file records carry no stamp). Threaded
     /// through every hop — including spill files and replays — so the store
     /// stage can derive the end-to-end **ingestion lag** (generation →
     /// durable) the observability layer exports. `None` for records whose

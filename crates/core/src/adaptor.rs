@@ -24,6 +24,16 @@
 //!   re-emitting each record at its original offset with its original
 //!   generation stamp, so a captured workload reruns deterministically.
 //!
+//! Every adaptor is *polled* ([`FeedAdaptor::poll`]): the collect operator
+//! hosting it is a task on the shared worker pool, so an adaptor hands over
+//! what its source has already delivered and returns — it never waits. The
+//! paper's two modes (§5.3.1) both fit: a *push* source is whatever pushes
+//! into the channel the adaptor drains (TweetGen's pusher, a `bind_socket`
+//! client), a *pull* source makes one request per poll (the next lines of a
+//! file, the trace records that are due). A source that can only be read
+//! with a blocking call wraps its own thread and channel, exactly as those
+//! push sources do, and is polled like them.
+//!
 //! Adaptors that *skip* unparseable input instead of failing the feed count
 //! every skipped line in the connection's registered
 //! `parse.malformed_lines` counter (handed to [`AdaptorFactory::create`]),
@@ -33,27 +43,32 @@ use asterix_adm::{parse_value, payload_from_value};
 use asterix_common::sync::Mutex;
 use asterix_common::{
     Counter, FaultKind, FaultPlan, IngestError, IngestResult, Record, SimClock, SimDuration,
+    SimInstant,
 };
 use asterix_hyracks::job::Constraint;
-use asterix_hyracks::operator::StopToken;
-use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
+use asterix_hyracks::operator::SourcePoll;
+use crossbeam_channel::{Receiver, Sender, TryRecvError};
 use std::collections::{BTreeMap, HashMap};
+use std::io::BufRead;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Adaptor configuration: the `("key"="value")` pairs of `create feed`.
 pub type AdaptorConfig = BTreeMap<String, String>;
 
-/// Emission callback handed to a running adaptor.
+/// Emission callback handed to a polled adaptor.
 pub type EmitFn<'a> = &'a mut dyn FnMut(Record) -> IngestResult<()>;
 
 /// A configured adaptor instance.
 pub trait FeedAdaptor: Send {
-    /// Fetch/receive records and emit them until the source is exhausted or
-    /// `stop` fires. Returning `Ok` ends the feed gracefully; returning an
-    /// error signals that reconnection proved futile (§6.2.3, "External
-    /// Source Failure") and terminates the feed.
-    fn run(&mut self, emit: EmitFn<'_>, stop: &StopToken) -> IngestResult<()>;
+    /// Emit what the source has already delivered — at most `budget` inputs
+    /// — and return without ever waiting. [`SourcePoll::Produced`]: input
+    /// was consumed, more may be there; [`SourcePoll::Idle`]: nothing right
+    /// now (with the wait until the next input, when the adaptor knows it);
+    /// [`SourcePoll::Done`]: the source is exhausted and the feed ends
+    /// gracefully. An error signals that reconnection proved futile (§6.2.3,
+    /// "External Source Failure") and terminates the feed. Nothing touches
+    /// the external source before the first poll.
+    fn poll(&mut self, emit: EmitFn<'_>, budget: usize) -> IngestResult<SourcePoll>;
 }
 
 /// Factory for a named adaptor.
@@ -109,6 +124,24 @@ fn translate(line: &str, adaptor_instance: u32) -> IngestResult<Record> {
     ))
 }
 
+/// Drain up to `budget` items a push source has already put on its channel.
+/// A closed, drained channel is an exhausted source.
+fn drain_channel<T>(
+    rx: &Receiver<T>,
+    budget: usize,
+    mut each: impl FnMut(T) -> IngestResult<()>,
+) -> IngestResult<SourcePoll> {
+    for taken in 0..budget {
+        match rx.try_recv() {
+            Ok(item) => each(item)?,
+            Err(TryRecvError::Empty) if taken == 0 => return Ok(SourcePoll::Idle(None)),
+            Err(TryRecvError::Empty) => break,
+            Err(TryRecvError::Disconnected) => return Ok(SourcePoll::Done),
+        }
+    }
+    Ok(SourcePoll::Produced)
+}
+
 // ---------------------------------------------------------------------------
 // TweetGen adaptor
 // ---------------------------------------------------------------------------
@@ -147,6 +180,7 @@ impl AdaptorFactory for TweetGenAdaptorFactory {
             .clone();
         Ok(Box::new(TweetGenAdaptor {
             addr,
+            wire: None,
             instance: partition as u32,
             malformed_lines: malformed_lines.clone(),
         }))
@@ -155,38 +189,33 @@ impl AdaptorFactory for TweetGenAdaptorFactory {
 
 struct TweetGenAdaptor {
     addr: String,
+    /// The push channel, once the first poll has done the handshake.
+    wire: Option<Receiver<tweetgen::StampedTweet>>,
     instance: u32,
     malformed_lines: Counter,
 }
 
 impl FeedAdaptor for TweetGenAdaptor {
-    fn run(&mut self, emit: EmitFn<'_>, stop: &StopToken) -> IngestResult<()> {
-        // the initial handshake; a failure here is fatal for the feed
-        let rx = tweetgen::connect(&self.addr)?;
-        let poll = Duration::from_millis(10);
-        loop {
-            if stop.is_stopped() {
-                return Ok(());
+    fn poll(&mut self, emit: EmitFn<'_>, budget: usize) -> IngestResult<SourcePoll> {
+        let wire = match &self.wire {
+            Some(wire) => wire,
+            // the initial handshake; a failure here is fatal for the feed
+            None => self.wire.insert(tweetgen::connect(&self.addr)?),
+        };
+        // TweetGen closes the push channel when its pattern completes (or it
+        // was stopped): the feed's data is exhausted, end gracefully.
+        // Recovery from a *transient* source outage (§6.2.3) is
+        // adaptor-specific; TweetGen has no such failure mode, so no
+        // reconnect is attempted — it would restart the pattern from zero.
+        drain_channel(wire, budget, |tweet| {
+            // the wire carries the generation stamp; it rides on the record
+            // so the store can derive end-to-end ingestion lag
+            match translate(&tweet.json, self.instance) {
+                Ok(rec) => emit(rec.stamped(tweet.gen_at))?,
+                Err(_) => self.malformed_lines.inc(),
             }
-            match rx.recv_timeout(poll) {
-                // the wire carries the generation stamp; it rides on the
-                // record so the store can derive end-to-end ingestion lag
-                Ok(tweet) => match translate(&tweet.json, self.instance) {
-                    Ok(rec) => emit(rec.stamped(tweet.gen_at))?,
-                    Err(_) => self.malformed_lines.inc(),
-                },
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    // TweetGen closes the push channel when its pattern
-                    // completes (or it was stopped): the feed's data is
-                    // exhausted, end gracefully. Recovery from a *transient*
-                    // source outage (§6.2.3) is adaptor-specific; TweetGen
-                    // has no such failure mode, so no reconnect is attempted
-                    // — reconnecting would restart the pattern from zero.
-                    return Ok(());
-                }
-            }
-        }
+            Ok(())
+        })
     }
 }
 
@@ -263,21 +292,14 @@ struct SocketAdaptor {
 }
 
 impl FeedAdaptor for SocketAdaptor {
-    fn run(&mut self, emit: EmitFn<'_>, stop: &StopToken) -> IngestResult<()> {
-        let poll = Duration::from_millis(10);
-        loop {
-            if stop.is_stopped() {
-                return Ok(());
+    fn poll(&mut self, emit: EmitFn<'_>, budget: usize) -> IngestResult<SourcePoll> {
+        drain_channel(&self.rx, budget, |line| {
+            match translate(&line, self.instance) {
+                Ok(rec) => emit(rec)?,
+                Err(_) => self.malformed_lines.inc(),
             }
-            match self.rx.recv_timeout(poll) {
-                Ok(line) => match translate(&line, self.instance) {
-                    Ok(rec) => emit(rec)?,
-                    Err(_) => self.malformed_lines.inc(),
-                },
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Ok(()),
-            }
-        }
+            Ok(())
+        })
     }
 }
 
@@ -309,41 +331,46 @@ impl AdaptorFactory for FileAdaptorFactory {
             .get("path")
             .ok_or_else(|| IngestError::Config("file_based_feed requires 'path'".into()))?
             .clone();
-        Ok(Box::new(FileAdaptor { path }))
+        Ok(Box::new(FileAdaptor { path, lines: None }))
     }
+}
+
+type Lines = std::io::Lines<std::io::BufReader<std::fs::File>>;
+
+/// Open `path` for line-at-a-time reading (a file or trace adaptor's first
+/// poll).
+fn open_lines(path: &str) -> IngestResult<Lines> {
+    let file =
+        std::fs::File::open(path).map_err(|e| IngestError::Config(format!("open {path}: {e}")))?;
+    Ok(std::io::BufReader::new(file).lines())
 }
 
 struct FileAdaptor {
     path: String,
+    lines: Option<Lines>,
 }
 
 impl FeedAdaptor for FileAdaptor {
-    fn run(&mut self, emit: EmitFn<'_>, stop: &StopToken) -> IngestResult<()> {
-        use std::io::BufRead;
-        let file = std::fs::File::open(&self.path)
-            .map_err(|e| IngestError::Config(format!("open {}: {e}", self.path)))?;
-        let mut reader = std::io::BufReader::new(file);
-        let mut line = String::new();
-        loop {
-            if stop.is_stopped() {
-                return Ok(());
-            }
-            line.clear();
-            let n = reader
-                .read_line(&mut line)
-                .map_err(|e| IngestError::Config(format!("read {}: {e}", self.path)))?;
-            if n == 0 {
-                return Ok(());
-            }
+    fn poll(&mut self, emit: EmitFn<'_>, budget: usize) -> IngestResult<SourcePoll> {
+        let lines = match &mut self.lines {
+            Some(lines) => lines,
+            None => self.lines.insert(open_lines(&self.path)?),
+        };
+        let mut taken = 0;
+        for line in lines.by_ref().take(budget) {
+            taken += 1;
+            let line = line.map_err(|e| IngestError::Config(format!("read {}: {e}", self.path)))?;
             let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            match translate(trimmed, 0) {
-                Ok(rec) => emit(rec)?,
-                Err(e) => return Err(e), // a corrupt file is not survivable
+            if !trimmed.is_empty() {
+                // a corrupt file is not survivable
+                emit(translate(trimmed, 0)?)?;
             }
         }
+        Ok(if taken < budget {
+            SourcePoll::Done
+        } else {
+            SourcePoll::Produced
+        })
     }
 }
 
@@ -393,6 +420,7 @@ impl AdaptorFactory for TraceAdaptorFactory {
             instance: partition as u32,
             clock: clock.clone(),
             malformed_lines: malformed_lines.clone(),
+            replay: None,
         }))
     }
 }
@@ -426,17 +454,26 @@ struct TraceAdaptor {
     instance: u32,
     clock: SimClock,
     malformed_lines: Counter,
+    /// Set by the first poll, which starts the replay timeline.
+    replay: Option<Replay>,
 }
 
-impl FeedAdaptor for TraceAdaptor {
-    fn run(&mut self, emit: EmitFn<'_>, stop: &StopToken) -> IngestResult<()> {
-        use std::io::BufRead;
-        let file = std::fs::File::open(&self.path)
-            .map_err(|e| IngestError::Config(format!("open {}: {e}", self.path)))?;
-        let reader = std::io::BufReader::new(file);
-        let start = self.clock.now();
-        for line in reader.lines() {
-            let line = line.map_err(|e| IngestError::Config(format!("read {}: {e}", self.path)))?;
+struct Replay {
+    lines: Lines,
+    start: SimInstant,
+    /// The next record and the instant it is due, read but not yet emitted.
+    next: Option<(SimInstant, String)>,
+}
+
+impl Replay {
+    /// The instant the next recorded line is due (reading ahead to it if
+    /// need be); `None` at the end of the trace.
+    fn next_due(&mut self, path: &str) -> IngestResult<Option<SimInstant>> {
+        while self.next.is_none() {
+            let Some(line) = self.lines.next() else {
+                return Ok(None);
+            };
+            let line = line.map_err(|e| IngestError::Config(format!("read {path}: {e}")))?;
             let trimmed = line.trim_end();
             if trimmed.is_empty() {
                 continue;
@@ -444,32 +481,49 @@ impl FeedAdaptor for TraceAdaptor {
             // a line without the offset frame means the *trace* is corrupt
             // (not merely one recorded payload) — that is not survivable
             let (offset, payload) = trimmed.split_once('\t').ok_or_else(|| {
-                IngestError::Config(format!("trace {}: line lacks offset<TAB>", self.path))
+                IngestError::Config(format!("trace {path}: line lacks offset<TAB>"))
             })?;
-            let offset: u64 = offset.parse().map_err(|_| {
-                IngestError::Config(format!("trace {}: bad offset '{offset}'", self.path))
-            })?;
-            let due = start.plus(SimDuration(offset));
-            // sleep toward the record's instant in short slices so a stop
-            // request interrupts long recorded gaps promptly
-            loop {
-                if stop.is_stopped() {
-                    return Ok(());
-                }
-                let now = self.clock.now();
-                if now.0 >= due.0 {
-                    break;
-                }
-                self.clock.sleep(SimDuration(due.since(now).0.min(20)));
+            let offset: u64 = offset
+                .parse()
+                .map_err(|_| IngestError::Config(format!("trace {path}: bad offset '{offset}'")))?;
+            let due = self.start.plus(SimDuration(offset));
+            self.next = Some((due, payload.to_string()));
+        }
+        Ok(self.next.as_ref().map(|(due, _)| *due))
+    }
+}
+
+impl FeedAdaptor for TraceAdaptor {
+    fn poll(&mut self, emit: EmitFn<'_>, budget: usize) -> IngestResult<SourcePoll> {
+        let replay = match &mut self.replay {
+            Some(replay) => replay,
+            None => self.replay.insert(Replay {
+                lines: open_lines(&self.path)?,
+                start: self.clock.now(),
+                next: None,
+            }),
+        };
+        for emitted in 0..budget {
+            let Some(due) = replay.next_due(&self.path)? else {
+                return Ok(SourcePoll::Done);
+            };
+            let now = self.clock.now();
+            if now < due {
+                // not due yet: say when, so the host need not poll sooner
+                return Ok(match emitted {
+                    0 => SourcePoll::Idle(Some(self.clock.to_real(due.since(now)))),
+                    _ => SourcePoll::Produced,
+                });
             }
+            let (_, payload) = replay.next.take().expect("buffered by next_due");
             // a recorded payload that never parsed is replayed faithfully:
             // skipped and counted, exactly as the live adaptor treated it
-            match translate(payload, self.instance) {
+            match translate(&payload, self.instance) {
                 Ok(rec) => emit(rec.stamped(due))?,
                 Err(_) => self.malformed_lines.inc(),
             }
         }
-        Ok(())
+        Ok(SourcePoll::Produced)
     }
 }
 
@@ -530,25 +584,25 @@ struct ChaosAdaptor {
 }
 
 impl FeedAdaptor for ChaosAdaptor {
-    fn run(&mut self, emit: EmitFn<'_>, stop: &StopToken) -> IngestResult<()> {
-        let plan = Arc::clone(&self.plan);
-        let disconnected = std::cell::Cell::new(false);
+    fn poll(&mut self, emit: EmitFn<'_>, budget: usize) -> IngestResult<SourcePoll> {
+        let plan = &self.plan;
+        let mut hung_up = false;
         let mut wrapped = |rec: Record| -> IngestResult<()> {
             emit(rec)?;
             plan.tick_records(1);
             if !plan.take_due(FaultKind::is_adaptor_event).is_empty() {
-                disconnected.set(true);
-                // surfacing an error makes any inner adaptor stop promptly
+                hung_up = true;
+                // surfacing an error makes any inner adaptor stop at once
                 return Err(IngestError::Disconnected("chaos: source hung up".into()));
             }
             Ok(())
         };
-        let result = self.inner.run(&mut wrapped, stop);
-        if disconnected.get() {
+        let polled = self.inner.poll(&mut wrapped, budget);
+        if hung_up {
             // the injected hang-up is an exhausted source, not a feed error
-            return Ok(());
+            return Ok(SourcePoll::Done);
         }
-        result
+        polled
     }
 }
 
@@ -610,15 +664,28 @@ mod tests {
     use asterix_adm::{decode_value, AdmPayloadExt};
     use tweetgen::{PatternDescriptor, TweetGen, TweetGenConfig};
 
-    fn collect_run(adaptor: &mut dyn FeedAdaptor) -> Vec<Record> {
+    /// Poll `adaptor` until its source is exhausted, the way the collect
+    /// operator does (waiting out idle polls); returns what it emitted.
+    fn drain(adaptor: &mut dyn FeedAdaptor) -> Vec<Record> {
         let mut out = Vec::new();
-        let stop = StopToken::new();
         let mut emit = |r: Record| {
             out.push(r);
             Ok(())
         };
-        adaptor.run(&mut emit, &stop).unwrap();
-        out
+        loop {
+            match adaptor.poll(&mut emit, 16).unwrap() {
+                SourcePoll::Produced => {}
+                SourcePoll::Idle(wait) => {
+                    std::thread::sleep(wait.unwrap_or(std::time::Duration::from_millis(1)))
+                }
+                SourcePoll::Done => return out,
+            }
+        }
+    }
+
+    /// One poll that must fail (a source that cannot be opened or read).
+    fn poll_fails(adaptor: &mut dyn FeedAdaptor) -> bool {
+        adaptor.poll(&mut |_r: Record| Ok(()), 16).is_err()
     }
 
     #[test]
@@ -659,7 +726,7 @@ mod tests {
         let mut adaptor = TweetGenAdaptorFactory
             .create(&cfg, 0, &clock, &Counter::new())
             .unwrap();
-        let records = collect_run(adaptor.as_mut());
+        let records = drain(adaptor.as_mut());
         assert!(records.len() > 100, "got {}", records.len());
         // payload is binary ADM of the translated record, cache seeded
         assert!(records[0].payload.is_parsed());
@@ -683,7 +750,7 @@ mod tests {
         let mut adaptor = SocketAdaptorFactory
             .create(&cfg, 0, &SimClock::fast(), &malformed)
             .unwrap();
-        let records = collect_run(adaptor.as_mut());
+        let records = drain(adaptor.as_mut());
         assert_eq!(records.len(), 2);
         // the skipped line is visible, not silently dropped
         assert_eq!(malformed.get(), 1);
@@ -707,7 +774,7 @@ mod tests {
         let mut adaptor = FileAdaptorFactory
             .create(&cfg, 0, &SimClock::fast(), &Counter::new())
             .unwrap();
-        let records = collect_run(adaptor.as_mut());
+        let records = drain(adaptor.as_mut());
         assert_eq!(records.len(), 2);
         std::fs::remove_file(&path).ok();
     }
@@ -719,9 +786,7 @@ mod tests {
         let mut adaptor = FileAdaptorFactory
             .create(&cfg, 0, &SimClock::fast(), &Counter::new())
             .unwrap();
-        let stop = StopToken::new();
-        let mut emit = |_r: Record| Ok(());
-        assert!(adaptor.run(&mut emit, &stop).is_err());
+        assert!(poll_fails(adaptor.as_mut()));
     }
 
     #[test]
@@ -746,7 +811,7 @@ mod tests {
         let mut adaptor = factory
             .create(&cfg, 0, &SimClock::fast(), &Counter::new())
             .unwrap();
-        let records = collect_run(adaptor.as_mut()); // unwraps Ok: graceful
+        let records = drain(adaptor.as_mut()); // unwraps Ok: graceful
         assert_eq!(records.len(), 5, "stops exactly at the scheduled record");
         assert_eq!(plan.records_seen(), 5);
         unbind_socket("sock:chaos");
@@ -777,7 +842,7 @@ mod tests {
         let mut adaptor = TraceAdaptorFactory
             .create(&cfg, 0, &clock, &malformed)
             .unwrap();
-        let records = collect_run(adaptor.as_mut());
+        let records = drain(adaptor.as_mut());
         std::fs::remove_file(&path).ok();
         // the well-formed payloads arrive in order, the recorded junk line
         // is skipped and counted
@@ -818,14 +883,12 @@ mod tests {
         let mut adaptor = TraceAdaptorFactory
             .create(&cfg, 0, &SimClock::fast(), &Counter::new())
             .unwrap();
-        let stop = StopToken::new();
-        let mut emit = |_r: Record| Ok(());
-        assert!(adaptor.run(&mut emit, &stop).is_err());
+        assert!(poll_fails(adaptor.as_mut()));
         std::fs::write(&path, "xyz\t{\"id\":\"a\"}\n").unwrap();
         let mut adaptor = TraceAdaptorFactory
             .create(&cfg, 0, &SimClock::fast(), &Counter::new())
             .unwrap();
-        assert!(adaptor.run(&mut emit, &stop).is_err());
+        assert!(poll_fails(adaptor.as_mut()));
         std::fs::remove_file(&path).ok();
         assert!(TraceAdaptorFactory
             .constraints(&AdaptorConfig::new())
@@ -834,16 +897,18 @@ mod tests {
 
     #[test]
     fn stop_token_halts_adaptor() {
+        // a bound socket whose client stays silent: there is nothing for a
+        // poll to wait in, so whoever holds the stop token (the collect
+        // operator) gets control back at once
         let _tx = bind_socket("sock:3", 4).unwrap();
         let mut cfg = AdaptorConfig::new();
         cfg.insert("sockets".into(), "sock:3".into());
         let mut adaptor = SocketAdaptorFactory
             .create(&cfg, 0, &SimClock::fast(), &Counter::new())
             .unwrap();
-        let stop = StopToken::new();
-        stop.stop();
         let mut emit = |_r: Record| Ok(());
-        adaptor.run(&mut emit, &stop).unwrap(); // returns promptly
+        let polled = adaptor.poll(&mut emit, 16).unwrap(); // returns promptly
+        assert_eq!(polled, SourcePoll::Idle(None));
         unbind_socket("sock:3");
     }
 }

@@ -190,6 +190,28 @@ impl FeedJoint {
         self.subscriber_count() > 0
     }
 
+    /// Frames queued for the slowest subscriber (none once retired: deposits
+    /// then fail instead of waiting).
+    pub fn backlog(&self) -> usize {
+        let inner = self.inner.lock();
+        if inner.retired {
+            return 0;
+        }
+        let fullest = inner.subscribers.values().map(|e| e.tx.len()).max();
+        fullest.unwrap_or(0)
+    }
+
+    /// Frames the fullest subscriber queue can still take before a
+    /// [`FeedJoint::deposit`] blocks. A depositor running on a scheduler
+    /// worker probes this first and yields while there is no room for its
+    /// next burst — blocking there would park a worker the draining
+    /// subscriber may need. A point-in-time read: exact for a joint's lone
+    /// depositor, while depositors racing on one joint can each overshoot
+    /// by their own burst.
+    pub fn headroom(&self) -> usize {
+        SUBSCRIBER_QUEUE_CAP.saturating_sub(self.backlog())
+    }
+
     /// Deposit a frame: short-circuit to a single subscriber, or wrap in a
     /// shared data bucket for many. No subscribers → the frame is dropped
     /// (the collect operator defers adaptor creation until someone
@@ -500,6 +522,24 @@ mod tests {
         assert!(sub.queued_bytes() > 0);
         drain(&sub, 1);
         assert_eq!(sub.queued_bytes(), 0);
+    }
+
+    #[test]
+    fn headroom_follows_the_fullest_subscriber_queue() {
+        let joint = FeedJoint::new("F");
+        assert_eq!(joint.headroom(), SUBSCRIBER_QUEUE_CAP, "nobody to wait for");
+        let fast = joint.subscribe("fast");
+        let _slow = joint.subscribe("slow"); // never consumes
+        for i in 0..3 {
+            joint.deposit(frame(i..i + 1)).unwrap();
+        }
+        drain(&fast, 3);
+        assert_eq!(joint.backlog(), 3);
+        assert_eq!(joint.headroom(), SUBSCRIBER_QUEUE_CAP - 3);
+        // a retired joint fails deposits instead of making them wait
+        joint.retire();
+        assert_eq!(joint.backlog(), 0);
+        assert_eq!(joint.headroom(), SUBSCRIBER_QUEUE_CAP);
     }
 
     #[test]

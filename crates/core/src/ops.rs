@@ -2,8 +2,11 @@
 //!
 //! * [`CollectDesc`] — *FeedCollect* (§5.3.1): hosts a feed adaptor
 //!   instance, manages its lifecycle, and deposits collected frames into
-//!   the feed joint registered at its output. Adaptor creation is deferred
-//!   "until there is a request for the operator's output data".
+//!   the feed joint registered at its output. Adaptor use is deferred
+//!   "until there is a request for the operator's output data". A task like
+//!   every other operator: each poll drains what the adaptor's source has
+//!   delivered into 64-record frames, flushes a partial frame on a 20 ms
+//!   tick, and yields — never blocks — while the joint has no room.
 //! * [`IntakeDesc`] — *FeedIntake*: co-located with a joint, subscribes
 //!   through the local Feed Manager's search API, and pushes frames
 //!   downstream through the policy-governed [`FlowController`]. Hosts the
@@ -21,7 +24,7 @@
 //! only after too many consecutive failures.
 
 use crate::ack::{AckBatch, AckSender, AckTracker};
-use crate::adaptor::{AdaptorConfig, AdaptorFactory};
+use crate::adaptor::{AdaptorConfig, AdaptorFactory, FeedAdaptor};
 use crate::flow::{ElasticRequest, FlowController};
 use crate::joint::{FeedJoint, JointRecv, JointSubscription};
 use crate::manager::FeedManager;
@@ -29,19 +32,22 @@ use crate::metrics::FeedMetrics;
 use crate::policy::IngestionPolicy;
 use crate::udf::Udf;
 use asterix_adm::{payload_from_value, AdmPayloadExt, AdmType, TypeRegistry};
-use asterix_common::sync::{thread as sync_thread, Mutex};
+use asterix_common::sync::Mutex;
 use asterix_common::{
     Counter, DataFrame, FaultKind, FaultPlan, FeedId, FrameBuilder, IngestError, IngestResult,
-    NodeId, Record, SimDuration, SimInstant,
+    NodeId, Record, SimDuration, SimInstant, DEFAULT_FRAME_CAPACITY,
 };
-use asterix_hyracks::executor::{SourceHost, TaskContext, UnaryHost};
+use asterix_hyracks::cluster::NodeHandle;
+use asterix_hyracks::executor::TaskContext;
 use asterix_hyracks::job::{Constraint, OperatorDescriptor};
 use asterix_hyracks::operator::{
-    FrameWriter, OperatorRuntime, SourceOperator, SourcePoll, StopToken, UnaryOperator,
+    FrameWriter, NullSink, OperatorRuntime, RouterOperator, SourceOperator, SourcePoll, StopMode,
+    StopToken, UnaryOperator,
 };
 use asterix_storage::Dataset;
 use crossbeam_channel::{Receiver, Sender};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// One logged soft failure (§6.1.2).
 #[derive(Debug, Clone, PartialEq)]
@@ -283,7 +289,7 @@ impl OperatorDescriptor for CollectDesc {
     fn instantiate(
         &self,
         ctx: &TaskContext,
-        output: Box<dyn FrameWriter>,
+        mut output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
         let fm = FeedManager::on(&ctx.node);
         let joint = fm.register_joint(&self.joint_id);
@@ -293,15 +299,15 @@ impl OperatorDescriptor for CollectDesc {
             &ctx.clock,
             &self.malformed_lines,
         )?;
-        let source = CollectSource {
-            adaptor: Some(adaptor),
+        output.open()?;
+        Ok(OperatorRuntime::Source(Box::new(CollectSource {
+            adaptor,
             joint,
             node: ctx.node.clone(),
-        };
-        Ok(OperatorRuntime::Source(Box::new(SourceHost::new(
-            Box::new(source),
             output,
-        ))))
+            builder: FrameBuilder::default(),
+            next_flush: None,
+        })))
     }
 }
 
@@ -325,66 +331,114 @@ impl OperatorDescriptor for NullSinkDesc {
         _ctx: &TaskContext,
         output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
-        Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
-            Box::new(asterix_hyracks::operator::NullSink),
-            output,
-        ))))
+        Ok(OperatorRuntime::Unary(Box::new(NullSink), output))
     }
 }
 
+/// Records a collect pulls from its adaptor per poll: four frames' worth,
+/// which keeps a slice of parsing well under a millisecond.
+const COLLECT_POLL_BUDGET: usize = 4 * DEFAULT_FRAME_CAPACITY;
+
+/// Frames one poll can deposit: the full ones plus a flushed partial.
+const COLLECT_FRAMES_PER_POLL: usize = COLLECT_POLL_BUDGET / DEFAULT_FRAME_CAPACITY + 1;
+
+/// How often a partial frame is flushed to the joint, so a low-rate feed is
+/// not held back until 64 records ([`DEFAULT_FRAME_CAPACITY`]) have come.
+const COLLECT_FLUSH_TICK: Duration = Duration::from_millis(20);
+
+/// How far a collect runs ahead of its slowest subscriber at full speed: a
+/// source with a backlog is always ready to run again and would keep its
+/// worker to itself, so past this many queued frames (4 096 records) it
+/// pauses between polls and the worker serves the tasks that drain them.
+const COLLECT_LEAD_FRAMES: usize = 64;
+const COLLECT_LEAD_PAUSE: Duration = Duration::from_millis(1);
+
 struct CollectSource {
-    adaptor: Option<Box<dyn crate::adaptor::FeedAdaptor>>,
+    adaptor: Box<dyn FeedAdaptor>,
     joint: Arc<FeedJoint>,
-    node: asterix_hyracks::cluster::NodeHandle,
+    node: NodeHandle,
+    /// The job edge to the null sink: carries the close, never a frame.
+    output: Box<dyn FrameWriter>,
+    builder: FrameBuilder,
+    /// When the partial frame is flushed next; `None` until the joint has
+    /// had a subscriber, which is when the adaptor is first used.
+    next_flush: Option<Instant>,
+}
+
+impl CollectSource {
+    /// End of the stream — a stop, a hand-over, a source exhausted or lost
+    /// (`outcome`): what was collected so far still reaches the joint.
+    fn finish(&mut self, outcome: IngestResult<()>) -> IngestResult<SourcePoll> {
+        if let Some(rest) = self.builder.flush() {
+            let _ = self.joint.deposit(rest);
+        }
+        outcome?;
+        self.output.close()?;
+        Ok(SourcePoll::Done)
+    }
 }
 
 impl SourceOperator for CollectSource {
-    fn run(&mut self, _output: &mut dyn FrameWriter, stop: &StopToken) -> IngestResult<()> {
+    fn poll(&mut self, stop: &StopToken) -> IngestResult<SourcePoll> {
+        if !self.node.is_alive() {
+            // hard failure: what this node had buffered is lost with it
+            self.output.close()?;
+            return Ok(SourcePoll::Done);
+        }
+        // a full subscriber queue would park this worker inside `deposit`:
+        // leave the records in the source — and a stop pending while even
+        // the partial frame has no room — and yield until the subscriber
+        // has drained
+        let room = self.joint.headroom();
+        if stop.is_stopped() {
+            if room == 0 && self.builder.pending() > 0 {
+                return Ok(SourcePoll::Idle(None));
+            }
+            return self.finish(Ok(()));
+        }
+        if room < COLLECT_FRAMES_PER_POLL {
+            return Ok(SourcePoll::Idle(None));
+        }
         // defer adaptor use until the output is requested
-        while !self.joint.has_subscribers() {
-            if stop.is_stopped() || !self.node.is_alive() {
-                return Ok(());
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
+        if self.next_flush.is_none() && !self.joint.has_subscribers() {
+            return Ok(SourcePoll::Idle(None));
         }
-        let mut adaptor = self.adaptor.take().expect("collect runs once");
-        let joint = Arc::clone(&self.joint);
-        // the builder is shared with a flusher thread so partial frames
-        // reach the joint even when the source goes quiet (low-rate feeds)
-        let builder = Arc::new(Mutex::new(FrameBuilder::default()));
-        let flusher_builder = Arc::clone(&builder);
-        let flusher_joint = Arc::clone(&joint);
-        let flusher_stop = StopToken::new();
-        let flusher_stop2 = flusher_stop.clone();
-        let flusher = sync_thread::spawn_named("collect-flusher", move || {
-            while !flusher_stop2.is_stopped() {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                let partial = flusher_builder.lock().flush();
-                if let Some(f) = partial {
-                    if flusher_joint.deposit(f).is_err() {
-                        return;
-                    }
-                }
-            }
-        })
-        .map_err(|e| IngestError::Plan(format!("spawn flusher: {e}")))?;
-        let emit_builder = Arc::clone(&builder);
-        let emit_joint = Arc::clone(&joint);
-        let mut emit = |rec: Record| -> IngestResult<()> {
-            let full = emit_builder.lock().push(rec);
-            if let Some(full) = full {
-                emit_joint.deposit(full)?;
-            }
-            Ok(())
+        let now = Instant::now();
+        let mut flush_at = *self.next_flush.get_or_insert(now + COLLECT_FLUSH_TICK);
+        let (builder, joint) = (&mut self.builder, &self.joint);
+        let mut emit = |rec: Record| match builder.push(rec) {
+            Some(full) => joint.deposit(full),
+            None => Ok(()),
         };
-        let result = adaptor.run(&mut emit, stop);
-        flusher_stop.stop();
-        let _ = flusher.join();
-        let rest = builder.lock().flush();
-        if let Some(rest) = rest {
-            let _ = self.joint.deposit(rest);
+        let polled = match self.adaptor.poll(&mut emit, COLLECT_POLL_BUDGET) {
+            Ok(SourcePoll::Done) => return self.finish(Ok(())),
+            Ok(polled) => polled,
+            Err(e) => return self.finish(Err(e)),
+        };
+        // the tick runs free of the arrivals, so a record waits for the
+        // flush at most one tick however the polls fall
+        if now >= flush_at {
+            if let Some(partial) = self.builder.flush() {
+                self.joint.deposit(partial)?;
+            }
+            flush_at = now + COLLECT_FLUSH_TICK;
+            self.next_flush = Some(flush_at);
         }
-        result
+        Ok(match polled {
+            // idle no longer than to the next tick: what arrives meanwhile
+            // is then picked up and flushed by the same poll
+            SourcePoll::Idle(wait) => {
+                let to_tick = flush_at.saturating_duration_since(now);
+                SourcePoll::Idle(Some(wait.map_or(to_tick, |w| w.min(to_tick))))
+            }
+            // far ahead of the slowest subscriber: it is the subscriber's
+            // tasks that need this worker now, so ask for it back in a
+            // moment rather than at once
+            SourcePoll::Produced if self.joint.backlog() > COLLECT_LEAD_FRAMES => {
+                SourcePoll::Idle(Some(COLLECT_LEAD_PAUSE))
+            }
+            polled => polled,
+        })
     }
 }
 
@@ -477,7 +531,6 @@ impl OperatorDescriptor for IntakeDesc {
             joint_id: self.joint_id.clone(),
             sub_key,
             node: ctx.node.clone(),
-            clock: ctx.clock.clone(),
             metrics: Arc::clone(&self.metrics),
             flow: Some(flow),
             tracker,
@@ -490,13 +543,12 @@ impl OperatorDescriptor for IntakeDesc {
 struct IntakeSource {
     joint_id: String,
     sub_key: String,
-    node: asterix_hyracks::cluster::NodeHandle,
-    clock: asterix_common::SimClock,
+    node: NodeHandle,
     metrics: Arc<FeedMetrics>,
     flow: Option<FlowController>,
     tracker: Option<AckTracker>,
     fault_plan: Option<Arc<FaultPlan>>,
-    /// Lazily created on the first scheduler poll (cooperative mode).
+    /// Created by the first poll.
     sub: Option<JointSubscription>,
 }
 
@@ -578,103 +630,11 @@ impl IntakeSource {
 }
 
 impl SourceOperator for IntakeSource {
-    fn run(&mut self, _output: &mut dyn FrameWriter, stop: &StopToken) -> IngestResult<()> {
-        let fm = FeedManager::on(&self.node);
-        let joint = fm.search_joint(&self.joint_id).ok_or_else(|| {
-            IngestError::Plan(format!(
-                "no joint '{}' on node {}",
-                self.joint_id,
-                self.node.id()
-            ))
-        })?;
-        let sub = joint.subscribe(self.sub_key.clone());
-        let poll = SimDuration::from_millis(100);
-        loop {
-            if !self.node.is_alive() {
-                // hard failure of this node: vanish (state on this node is
-                // lost with the node)
-                self.flow = None;
-                return Err(IngestError::NodeFailed(self.node.id()));
-            }
-            match stop.mode() {
-                asterix_hyracks::operator::StopMode::Running => {}
-                asterix_hyracks::operator::StopMode::Graceful => {
-                    // graceful disconnect: drain and leave
-                    sub.unsubscribe();
-                    let flow = self.flow.take().expect("flow active");
-                    return flow.finish();
-                }
-                asterix_hyracks::operator::StopMode::Abandon => {
-                    // pipeline rebuild: park deferred work and exit while
-                    // the subscription keeps buffering for the successor
-                    self.fail_with_zombie(&fm);
-                    return Ok(());
-                }
-            }
-            if self.chaos_panic_due() {
-                self.fail_with_zombie(&fm);
-                return Err(IngestError::Disconnected(
-                    "chaos: injected operator panic".into(),
-                ));
-            }
-            // adopt re-parked state every iteration, busy or not: migrated
-            // frames must not wait for the stream to dry up
-            if let Err(e) = self.adopt_late_zombies(&fm) {
-                self.fail_with_zombie(&fm);
-                return Err(e);
-            }
-            match sub.recv(&self.clock, poll) {
-                JointRecv::Frame(frame) => {
-                    self.metrics.records_in.add(frame.len() as u64);
-                    let frame = self.track_frame(frame);
-                    let flow = self.flow.as_mut().expect("flow active");
-                    match flow.offer(frame) {
-                        Ok(()) => {}
-                        Err(e @ IngestError::FeedTerminated { .. }) => {
-                            sub.unsubscribe();
-                            self.flow = None;
-                            return Err(e);
-                        }
-                        Err(e) => {
-                            // downstream died: park state, keep the
-                            // subscription buffering for the rebuild
-                            self.fail_with_zombie(&fm);
-                            return Err(e);
-                        }
-                    }
-                }
-                JointRecv::Timeout => {
-                    let flow = self.flow.as_mut().expect("flow active");
-                    if let Err(e) = flow.drain_deferred() {
-                        self.fail_with_zombie(&fm);
-                        return Err(e);
-                    }
-                    if let Err(e) = self.handle_acks_and_replays() {
-                        self.fail_with_zombie(&fm);
-                        return Err(e);
-                    }
-                }
-                JointRecv::Retired => {
-                    let flow = self.flow.take().expect("flow active");
-                    return flow.finish();
-                }
-            }
-        }
-    }
-
-    fn cooperative(&self) -> bool {
-        true
-    }
-
     /// One scheduler slice of intake work: pull a bounded batch of frames
-    /// off the joint subscription and offer them to the flow controller.
-    /// Replaces the thread-parking loop in [`IntakeSource::run`] — an idle
-    /// intake costs a queued task, not a blocked OS thread.
-    fn poll_produce(
-        &mut self,
-        _output: &mut dyn FrameWriter,
-        stop: &StopToken,
-    ) -> IngestResult<SourcePoll> {
+    /// off the joint subscription and offer them to the flow controller
+    /// (which owns the output writer) — an idle intake costs a queued task,
+    /// not a blocked OS thread.
+    fn poll(&mut self, stop: &StopToken) -> IngestResult<SourcePoll> {
         let fm = FeedManager::on(&self.node);
         if self.sub.is_none() {
             let joint = fm.search_joint(&self.joint_id).ok_or_else(|| {
@@ -693,8 +653,8 @@ impl SourceOperator for IntakeSource {
             return Err(IngestError::NodeFailed(self.node.id()));
         }
         match stop.mode() {
-            asterix_hyracks::operator::StopMode::Running => {}
-            asterix_hyracks::operator::StopMode::Graceful => {
+            StopMode::Running => {}
+            StopMode::Graceful => {
                 // graceful disconnect: drain and leave
                 if let Some(sub) = self.sub.take() {
                     sub.unsubscribe();
@@ -703,7 +663,7 @@ impl SourceOperator for IntakeSource {
                 flow.finish()?;
                 return Ok(SourcePoll::Done);
             }
-            asterix_hyracks::operator::StopMode::Abandon => {
+            StopMode::Abandon => {
                 // pipeline rebuild: park deferred work and exit while
                 // the subscription keeps buffering for the successor
                 self.fail_with_zombie(&fm);
@@ -761,7 +721,7 @@ impl SourceOperator for IntakeSource {
         if produced {
             return Ok(SourcePoll::Produced);
         }
-        // quiet slice: the same housekeeping the thread loop did on timeout
+        // quiet slice: housekeeping
         let flow = self.flow.as_mut().expect("flow active");
         if let Err(e) = flow.drain_deferred() {
             self.fail_with_zombie(&fm);
@@ -771,7 +731,7 @@ impl SourceOperator for IntakeSource {
             self.fail_with_zombie(&fm);
             return Err(e);
         }
-        Ok(SourcePoll::Idle)
+        Ok(SourcePoll::Idle(None))
     }
 }
 
@@ -876,10 +836,7 @@ impl OperatorDescriptor for AssignDesc {
             joint,
             close_path: output,
         };
-        Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
-            Box::new(meta),
-            Box::new(writer),
-        ))))
+        Ok(OperatorRuntime::Unary(Box::new(meta), Box::new(writer)))
     }
 }
 
@@ -991,17 +948,14 @@ impl OperatorDescriptor for RouteDesc {
             }
             targets
         });
-        let router = asterix_hyracks::operator::RouterOperator::new(route_fn, outputs);
-        Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
-            Box::new(router),
-            output,
-        ))))
+        let router = RouterOperator::new(route_fn, outputs);
+        Ok(OperatorRuntime::Unary(Box::new(router), output))
     }
 }
 
 /// Writer depositing frames into one sink's joint while metering routed
-/// records. Unlike [`JointWriter`] there is no close path: the router's
-/// host output carries the job-edge lifecycle, and the out joints are
+/// records. Unlike [`JointWriter`] there is no close path: the router
+/// task's own output carries the job-edge lifecycle, and the out joints are
 /// retired by the controller when the plan is dismantled.
 struct CountingJointWriter {
     joint: Arc<FeedJoint>,
@@ -1112,10 +1066,7 @@ impl OperatorDescriptor for StoreDesc {
                 .as_ref()
                 .map(|a| AckSender::new(a.txs.clone(), a.window, ctx.clock.clone())),
         };
-        Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
-            Box::new(store),
-            output,
-        ))))
+        Ok(OperatorRuntime::Unary(Box::new(store), output))
     }
 }
 
@@ -1229,6 +1180,8 @@ pub fn store_key_fn(
 mod tests {
     use super::*;
     use asterix_common::{RecordId, SimClock};
+    use asterix_hyracks::cluster::{Cluster, ClusterConfig};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn metrics() -> Arc<FeedMetrics> {
         FeedMetrics::with_default_bucket(SimClock::fast())
@@ -1278,6 +1231,331 @@ mod tests {
             Ok(())
         }
         fn fail(&mut self) {}
+    }
+
+    /// A push source the test feeds by hand, counting how often it is polled.
+    #[derive(Clone, Default)]
+    struct HandFed {
+        lines: Arc<Mutex<std::collections::VecDeque<Record>>>,
+        polls: Arc<AtomicUsize>,
+    }
+
+    impl HandFed {
+        fn push(&self, ids: std::ops::Range<u64>) {
+            let recs = ids.map(|i| Record::tracked(RecordId(i), 0, "x"));
+            self.lines.lock().extend(recs);
+        }
+
+        fn polls(&self) -> usize {
+            self.polls.load(Ordering::SeqCst)
+        }
+    }
+
+    impl FeedAdaptor for HandFed {
+        fn poll(
+            &mut self,
+            emit: crate::adaptor::EmitFn<'_>,
+            budget: usize,
+        ) -> IngestResult<SourcePoll> {
+            self.polls.fetch_add(1, Ordering::SeqCst);
+            let batch: Vec<Record> = {
+                let mut lines = self.lines.lock();
+                let n = budget.min(lines.len());
+                lines.drain(..n).collect()
+            };
+            if batch.is_empty() {
+                return Ok(SourcePoll::Idle(None));
+            }
+            batch.into_iter().try_for_each(emit)?;
+            Ok(SourcePoll::Produced)
+        }
+    }
+
+    /// The job edge of a collect: records whether it was closed.
+    struct Edge(Arc<AtomicBool>);
+    impl FrameWriter for Edge {
+        fn open(&mut self) -> IngestResult<()> {
+            Ok(())
+        }
+        fn next_frame(&mut self, _f: DataFrame) -> IngestResult<()> {
+            panic!("a collect's frames go to its joint, not down the job edge")
+        }
+        fn close(&mut self) -> IngestResult<()> {
+            self.0.store(true, Ordering::SeqCst);
+            Ok(())
+        }
+        fn fail(&mut self) {}
+    }
+
+    /// A collect over a hand-fed source, polled by the test instead of the
+    /// scheduler so every step of the cadence is observable.
+    struct CollectRig {
+        cluster: Cluster,
+        source: HandFed,
+        collect: CollectSource,
+        closed: Arc<AtomicBool>,
+        stop: StopToken,
+    }
+
+    /// One node without failure detection: a heartbeat thread starved by
+    /// sibling tests must not declare the node (and its collect) dead.
+    fn one_node_cluster(workers: usize) -> Cluster {
+        let config = ClusterConfig {
+            heartbeat_interval: SimDuration::from_secs(5),
+            failure_threshold: SimDuration::from_secs(1_000_000),
+        };
+        Cluster::start_with_workers(1, SimClock::fast(), config, workers)
+    }
+
+    fn collect_rig() -> CollectRig {
+        let cluster = one_node_cluster(1);
+        let source = HandFed::default();
+        let closed = Arc::new(AtomicBool::new(false));
+        let collect = CollectSource {
+            adaptor: Box::new(source.clone()),
+            joint: FeedJoint::new("F"),
+            node: cluster.nodes()[0].clone(),
+            output: Box::new(Edge(Arc::clone(&closed))),
+            builder: FrameBuilder::default(),
+            next_flush: None,
+        };
+        CollectRig {
+            cluster,
+            source,
+            collect,
+            closed,
+            stop: StopToken::new(),
+        }
+    }
+
+    impl CollectRig {
+        fn poll(&mut self) -> SourcePoll {
+            self.collect.poll(&self.stop).unwrap()
+        }
+    }
+
+    fn next_frame_len(sub: &JointSubscription) -> Option<usize> {
+        match sub.try_recv() {
+            Some(JointRecv::Frame(f)) => Some(f.len()),
+            Some(other) => panic!("expected a frame, got {other:?}"),
+            None => None,
+        }
+    }
+
+    #[test]
+    fn unsubscribed_collect_never_touches_its_adaptor() {
+        let mut rig = collect_rig();
+        rig.source.push(0..10);
+        for _ in 0..3 {
+            assert_eq!(rig.poll(), SourcePoll::Idle(None));
+        }
+        assert_eq!(rig.source.polls(), 0, "adaptor use is deferred");
+        let sub = rig.collect.joint.subscribe("conn");
+        assert_eq!(rig.poll(), SourcePoll::Produced);
+        assert_eq!(rig.source.polls(), 1);
+        assert_eq!(
+            next_frame_len(&sub),
+            None,
+            "10 records: neither full nor due"
+        );
+        rig.cluster.shutdown();
+    }
+
+    #[test]
+    fn sixty_four_records_make_exactly_one_full_frame_at_once() {
+        let mut rig = collect_rig();
+        let sub = rig.collect.joint.subscribe("conn");
+        rig.source.push(0..(DEFAULT_FRAME_CAPACITY as u64 + 3));
+        assert_eq!(rig.poll(), SourcePoll::Produced);
+        assert_eq!(next_frame_len(&sub), Some(DEFAULT_FRAME_CAPACITY));
+        assert_eq!(
+            next_frame_len(&sub),
+            None,
+            "the 3 left over wait for the tick"
+        );
+        rig.cluster.shutdown();
+    }
+
+    #[test]
+    fn lone_record_reaches_the_joint_within_one_tick_and_one_poll() {
+        let mut rig = collect_rig();
+        let sub = rig.collect.joint.subscribe("conn");
+        assert!(
+            matches!(rig.poll(), SourcePoll::Idle(Some(_))),
+            "tick armed"
+        );
+        rig.source.push(0..1);
+        let arrived = Instant::now();
+        assert_eq!(rig.poll(), SourcePoll::Produced);
+        assert_eq!(next_frame_len(&sub), None, "held for the tick");
+        // idle now, and told to come back no later than the tick: following
+        // that advice, the poll that finds the tick due delivers the record
+        while next_frame_len(&sub).is_none() {
+            let SourcePoll::Idle(Some(wait)) = rig.poll() else {
+                panic!("an idle collect names its next look");
+            };
+            assert!(
+                wait <= COLLECT_FLUSH_TICK,
+                "idle wait {wait:?} over the tick"
+            );
+            assert!(arrived.elapsed() < 2 * COLLECT_FLUSH_TICK + Duration::from_millis(20));
+            std::thread::sleep(wait);
+        }
+        rig.cluster.shutdown();
+    }
+
+    #[test]
+    fn stop_and_hand_over_flush_the_partial_frame() {
+        for hand_over in [false, true] {
+            let mut rig = collect_rig();
+            let sub = rig.collect.joint.subscribe("conn");
+            rig.source.push(0..3);
+            assert_eq!(rig.poll(), SourcePoll::Produced);
+            assert_eq!(next_frame_len(&sub), None);
+            if hand_over {
+                rig.stop.stop_abandon();
+            } else {
+                rig.stop.stop();
+            }
+            assert_eq!(rig.poll(), SourcePoll::Done);
+            assert_eq!(next_frame_len(&sub), Some(3), "hand_over={hand_over}");
+            assert!(rig.closed.load(Ordering::SeqCst));
+            rig.cluster.shutdown();
+        }
+    }
+
+    #[test]
+    fn collect_far_ahead_of_its_subscriber_pauses_between_polls() {
+        let mut rig = collect_rig();
+        let sub = rig.collect.joint.subscribe("slow");
+        let lead = (COLLECT_LEAD_FRAMES * DEFAULT_FRAME_CAPACITY) as u64;
+        rig.source.push(0..lead + 2 * COLLECT_POLL_BUDGET as u64);
+        // full speed while the subscriber is within reach...
+        let mut polled = rig.poll();
+        while rig.collect.joint.backlog() <= COLLECT_LEAD_FRAMES {
+            assert_eq!(polled, SourcePoll::Produced);
+            polled = rig.poll();
+        }
+        // ...then a pause after each poll — a pause, not a stop
+        assert_eq!(polled, SourcePoll::Idle(Some(COLLECT_LEAD_PAUSE)));
+        let queued = rig.collect.joint.backlog();
+        assert_eq!(rig.poll(), SourcePoll::Idle(Some(COLLECT_LEAD_PAUSE)));
+        assert!(rig.collect.joint.backlog() > queued, "still pulling");
+        // the subscriber catches up: full speed again
+        while next_frame_len(&sub).is_some() {}
+        rig.source.push(0..10);
+        assert_eq!(rig.poll(), SourcePoll::Produced);
+        rig.cluster.shutdown();
+    }
+
+    #[test]
+    fn collect_yields_while_a_subscriber_queue_is_full() {
+        use crate::adaptor::{bind_socket, unbind_socket, SocketAdaptorFactory};
+        use asterix_hyracks::connector::ConnectorSpec;
+        use asterix_hyracks::executor::run_job;
+        use asterix_hyracks::job::JobSpec;
+
+        // ONE worker: a collect that blocked in `deposit` would take the
+        // whole pool with it
+        let cluster = one_node_cluster(1);
+        let node = cluster.nodes()[0].clone();
+        // more lines than the 1 024-frame subscriber queue holds
+        let n = 1024 * DEFAULT_FRAME_CAPACITY + 2000;
+        let tx = bind_socket("sock:backpressure", n).unwrap();
+        for i in 0..n {
+            tx.send(format!("{{\"id\":{i}}}")).unwrap();
+        }
+        // a subscriber that does not drain
+        let joint = FeedManager::on(&node).register_joint("Slow");
+        let sub = joint.subscribe("stalled");
+
+        let collect_job = |name: &str| {
+            let mut job = JobSpec::new(name);
+            let mut config = AdaptorConfig::new();
+            config.insert("sockets".into(), "sock:backpressure".into());
+            let collect = job.add_operator(Box::new(CollectDesc {
+                joint_id: "Slow".into(),
+                factory: Arc::new(SocketAdaptorFactory),
+                config,
+                locations: vec![node.id()],
+                malformed_lines: Counter::new(),
+            }));
+            let sink = job.add_operator(Box::new(NullSinkDesc {
+                locations: vec![node.id()],
+            }));
+            job.connect(collect, sink, ConnectorSpec::OneToOne);
+            job
+        };
+        let handle = run_job(&cluster, collect_job("collect")).unwrap();
+
+        // the queue fills up to the collect's head-room margin and stops there
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while joint.headroom() >= COLLECT_FRAMES_PER_POLL {
+            assert!(Instant::now() < deadline, "queue never filled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        let in_socket = tx.len();
+        assert!(in_socket > 0, "the rest of the lines stay in the socket");
+        assert!(joint.headroom() > 0, "no deposit was ever blocked");
+        // the one worker is free: other tasks run, and a stop request gets
+        // through to the collect, which has room left for its partial frame
+        let mut other = JobSpec::new("other");
+        other.add_operator(Box::new(NullSourceDesc));
+        let other = run_job(&cluster, other).unwrap();
+        handle.stop_sources();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while other.is_running() || handle.is_running() {
+            assert!(Instant::now() < deadline, "the only worker is parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.wait_ok().unwrap();
+        // a successor finds the queue as full and yields just the same
+        let successor = run_job(&cluster, collect_job("collect-2")).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(tx.len(), in_socket, "no line left the socket meanwhile");
+
+        // the subscriber resumes: the successor picks the socket up where
+        // the first collect left it
+        let mut ids = Vec::with_capacity(n);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while ids.len() < n {
+            assert!(Instant::now() < deadline, "got {} of {n}", ids.len());
+            while let Some(JointRecv::Frame(f)) = sub.try_recv() {
+                for r in f.records() {
+                    let v = r.payload.adm_value().unwrap();
+                    ids.push(v.field("id").unwrap().as_int().unwrap());
+                }
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            ids.iter().copied().eq(0..n as i64),
+            "nothing lost, nothing reordered"
+        );
+        successor.stop_sources();
+        successor.wait_ok().unwrap();
+        unbind_socket("sock:backpressure");
+        cluster.shutdown();
+    }
+
+    /// A source that ends at once: proves a worker is free to run it.
+    struct NullSourceDesc;
+    impl OperatorDescriptor for NullSourceDesc {
+        fn name(&self) -> String {
+            "null-source".into()
+        }
+        fn constraints(&self) -> Constraint {
+            Constraint::Count(1)
+        }
+        fn instantiate(
+            &self,
+            _ctx: &TaskContext,
+            output: Box<dyn FrameWriter>,
+        ) -> IngestResult<OperatorRuntime> {
+            let source = asterix_hyracks::operator::VecSource::new(vec![], output);
+            Ok(OperatorRuntime::Source(Box::new(source)))
+        }
     }
 
     #[test]

@@ -254,6 +254,13 @@ fn vote_on_a_compute_key_reaches_the_next_tick() {
         }),
         "the compute-keyed vote never reached a governor tick"
     );
+    // the counter is bumped after `scale_compute` has returned, i.e. after
+    // the new parallelism is visible: wait for it, do not race it
+    let scale_outs = || {
+        let snap = rig.controller.registry().snapshot();
+        snap.counter_for("elastic.scale_out_total", "P->Tweets")
+    };
+    assert!(wait_until(Duration::from_secs(30), || scale_outs() >= 1));
     let snap = rig.controller.registry().snapshot();
     assert_eq!(
         snap.counter_for("elastic.requests_dropped", &format!("compute:{joint}")),

@@ -13,10 +13,9 @@
 //! their outputs, and after the detection threshold the monitor emits
 //! [`ClusterEvent::NodeFailed`].
 
-use crate::operator::StopToken;
 use crate::scheduler::Scheduler;
 use crate::services::ServiceMap;
-use asterix_common::sync::{handoff, thread as sync_thread, Mutex, RwLock};
+use asterix_common::sync::{handoff, thread as sync_thread, Mutex, RwLock, WakeEvent, WakeSignal};
 use asterix_common::{
     FaultKind, FaultPlan, MetricsRegistry, NodeId, SimClock, SimDuration, SimInstant, TraceHub,
 };
@@ -57,9 +56,6 @@ pub(crate) struct NodeInner {
     last_heartbeat: Mutex<SimInstant>,
     /// set when the failure monitor has already reported this node
     reported_failed: AtomicBool,
-    /// stop tokens fired when the node dies, so blocking source tasks
-    /// (which have no poll loop to observe the alive flag) wind down
-    death_watchers: Mutex<Vec<StopToken>>,
 }
 
 /// Handle to one node of the cluster.
@@ -84,27 +80,9 @@ impl NodeHandle {
         &self.inner.services
     }
 
-    /// Register a stop token fired when this node dies (fired immediately
-    /// if the node is already dead). Used by the executor for blocking
-    /// source tasks, which cannot poll the alive flag.
-    pub fn on_death(&self, token: StopToken) {
-        if !self.is_alive() {
-            token.stop();
-            return;
-        }
-        let mut watchers = self.inner.death_watchers.lock();
-        // prune tokens whose tasks already stopped for other reasons
-        watchers.retain(|t| !t.is_stopped());
-        watchers.push(token);
-    }
-
-    /// Flip the node dead and fire its death watchers.
+    /// Flip the node dead; its tasks observe the flag on their next slice.
     pub(crate) fn mark_dead(&self) {
         self.inner.alive.store(false, Ordering::SeqCst);
-        let watchers: Vec<StopToken> = std::mem::take(&mut *self.inner.death_watchers.lock());
-        for t in watchers {
-            t.stop();
-        }
     }
 }
 
@@ -130,7 +108,17 @@ struct ClusterInner {
     registry: MetricsRegistry,
     trace: TraceHub,
     scheduler: Scheduler,
-    shutdown: AtomicBool,
+    /// Raised by [`Cluster::shutdown`]; the control-plane threads wait on it
+    /// between ticks, so they exit at once instead of after their interval.
+    shutdown: WakeSignal,
+}
+
+impl ClusterInner {
+    /// Wait one control-loop interval of sim-time; `false` once the cluster
+    /// is shut down.
+    fn tick(&self, interval: SimDuration) -> bool {
+        self.shutdown.wait_timeout(self.clock.to_real(interval)) != WakeEvent::Shutdown
+    }
 }
 
 /// Capacity of each subscriber's event queue. Membership events are rare
@@ -172,7 +160,7 @@ impl Cluster {
                 registry,
                 trace,
                 scheduler,
-                shutdown: AtomicBool::new(false),
+                shutdown: WakeSignal::new(),
             }),
         };
         for _ in 0..n_nodes {
@@ -218,14 +206,12 @@ impl Cluster {
     /// to the console every `every` sim-duration until shutdown.
     pub fn spawn_console_reporter(&self, every: SimDuration) {
         let inner = Arc::clone(&self.inner);
-        sync_thread::spawn_named("cc-metrics-reporter", move || loop {
-            inner.clock.sleep(every);
-            if inner.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let snap = inner.registry.snapshot_at(&inner.clock);
-            if !snap.is_empty() {
-                println!("{}", snap.console_summary());
+        sync_thread::spawn_named("cc-metrics-reporter", move || {
+            while inner.tick(every) {
+                let snap = inner.registry.snapshot_at(&inner.clock);
+                if !snap.is_empty() {
+                    println!("{}", snap.console_summary());
+                }
             }
         })
         .expect("spawn console reporter");
@@ -242,7 +228,6 @@ impl Cluster {
                 services: ServiceMap::new(),
                 last_heartbeat: Mutex::new(self.inner.clock.now()),
                 reported_failed: AtomicBool::new(false),
-                death_watchers: Mutex::new(Vec::new()),
             }),
         };
         nodes.push(handle.clone());
@@ -321,7 +306,7 @@ impl Cluster {
         }
         sync_thread::spawn_named("cc-chaos", move || {
             let mut remaining = remaining;
-            while !inner.shutdown.load(Ordering::SeqCst) && remaining > 0 {
+            while remaining > 0 {
                 for ev in plan.take_due(FaultKind::is_node_event) {
                     match ev.kind {
                         FaultKind::KillNode(n) => cluster.kill_node(n),
@@ -332,7 +317,10 @@ impl Cluster {
                     }
                     remaining -= 1;
                 }
-                std::thread::sleep(std::time::Duration::from_millis(2));
+                let poll = std::time::Duration::from_millis(2);
+                if inner.shutdown.wait_timeout(poll) == WakeEvent::Shutdown {
+                    return;
+                }
             }
         })
         .expect("spawn chaos poller");
@@ -352,7 +340,7 @@ impl Cluster {
 
     /// Tear the cluster down (stops monitor, heartbeat and worker threads).
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.shutdown.shutdown();
         for n in self.nodes() {
             n.mark_dead();
         }
@@ -380,9 +368,11 @@ impl Cluster {
     fn spawn_heartbeat(&self, node: NodeHandle) {
         let inner = Arc::clone(&self.inner);
         sync_thread::spawn_named(format!("hb-{}", node.id()), move || {
-            while node.is_alive() && !inner.shutdown.load(Ordering::SeqCst) {
+            while node.is_alive() {
                 *node.inner.last_heartbeat.lock() = inner.clock.now();
-                inner.clock.sleep(inner.config.heartbeat_interval);
+                if !inner.tick(inner.config.heartbeat_interval) {
+                    return;
+                }
             }
         })
         .expect("spawn heartbeat thread");
@@ -392,8 +382,7 @@ impl Cluster {
         let inner = Arc::clone(&self.inner);
         let cluster = self.clone();
         sync_thread::spawn_named("cc-failure-monitor", move || {
-            while !inner.shutdown.load(Ordering::SeqCst) {
-                inner.clock.sleep(inner.config.heartbeat_interval);
+            while inner.tick(inner.config.heartbeat_interval) {
                 let now = inner.clock.now();
                 let nodes = inner.nodes.read().clone();
                 for n in nodes {

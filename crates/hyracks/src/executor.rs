@@ -9,12 +9,17 @@
 //! pool, the way real Hyracks multiplexes activities over node-controller
 //! executors.
 //!
+//! Sources and unary operators alike: a source is polled
+//! ([`SourceOperator::poll`]) exactly as a unary operator is handed frames,
+//! in bounded slices that never block a worker — there is no second,
+//! thread-per-source way to run one.
+//!
 //! Back-pressure survives the translation: a task whose output ports are
 //! saturated *yields* ([`SliceState::Pending`]) instead of blocking, and is
-//! re-woken when a consumer drains below capacity. Dedicated threads
-//! (blocking sources, the feed-flow pusher, TCP pumps) still use classic
-//! blocking sends — that blocking is the congestion mechanism Chapter 7
-//! studies.
+//! re-woken when a consumer drains below capacity. The dedicated threads
+//! left beside the pool (the feed-flow pusher, the TCP pumps) still use
+//! classic blocking sends — that blocking is the congestion mechanism
+//! Chapter 7 studies.
 //!
 //! Tasks scheduled on a node observe the node's alive flag; when the node
 //! is killed they exit *without* closing their outputs — the frames in
@@ -27,7 +32,7 @@ use crate::cluster::{Cluster, NodeHandle};
 use crate::connector::{ConnectorSpec, RouterWriter, TeeWriter};
 use crate::job::{Constraint, JobSpec, OperatorSpecId};
 use crate::operator::{
-    DevNull, FrameWriter, OperatorRuntime, SourceOperator, SourcePoll, StopToken,
+    DevNull, FrameWriter, OperatorRuntime, SourceOperator, SourcePoll, StopToken, UnaryOperator,
 };
 use crate::port::{frame_port, PortHook, PortPop, PortReceiver, PortSender, SaturationProbe};
 use crate::scheduler::{SliceState, Task, TaskHandle};
@@ -383,8 +388,7 @@ pub fn run_job(cluster: &Cluster, spec: JobSpec) -> IngestResult<JobHandle> {
         };
     }
 
-    // 4. build tasks. Two-phase start: every cooperative task is created
-    // un-queued, wakers are wired into its ports, and only then is the
+    // 4. build tasks. Two-phase start: every task is created un-queued, wakers are wired into its ports, and only then is the
     // whole job kicked — so no task can park before its wake path exists.
     let mut tasks = Vec::new();
     let mut layout = Vec::new();
@@ -435,7 +439,7 @@ pub fn run_job(cluster: &Cluster, spec: JobSpec) -> IngestResult<JobHandle> {
             };
             let task_name = format!("{job_id}-{op_name}-{partition}");
             let handle = match runtime {
-                OperatorRuntime::Source(src) if src.cooperative() => {
+                OperatorRuntime::Source(src) => {
                     let h = scheduler.create_task(
                         task_name,
                         Box::new(SourceTask {
@@ -450,15 +454,7 @@ pub fn run_job(cluster: &Cluster, spec: JobSpec) -> IngestResult<JobHandle> {
                     to_wake.push(h.clone());
                     h
                 }
-                OperatorRuntime::Source(mut src) => {
-                    // inherently blocking source: dedicated thread, classic
-                    // blocking back-pressure, stop fired on node death
-                    node.on_death(stop.clone());
-                    let blocking_stop = stop.clone();
-                    scheduler
-                        .spawn_blocking(task_name, move || src.run(&mut DevNull, &blocking_stop))
-                }
-                OperatorRuntime::Unary(uop) => {
+                OperatorRuntime::Unary(op, output) => {
                     let rx = receivers
                         .get_mut(&op_id)
                         .and_then(|v| v[partition].take())
@@ -469,7 +465,8 @@ pub fn run_job(cluster: &Cluster, spec: JobSpec) -> IngestResult<JobHandle> {
                     let h = scheduler.create_task(
                         task_name,
                         Box::new(UnaryTask {
-                            op: uop,
+                            op,
+                            output,
                             ctx,
                             rx,
                             expected_closes: expected.max(1),
@@ -515,14 +512,8 @@ pub fn run_job(cluster: &Cluster, spec: JobSpec) -> IngestResult<JobHandle> {
     })
 }
 
-// Calling convention: `OperatorDescriptor::instantiate` receives the output
-// writer and must move it into the runtime it returns — wrap sources in
-// [`SourceHost`] and unary operators in [`UnaryHost`]. The drive loops below
-// therefore pass a `DevNull` placeholder for the writer parameter of the
-// operator traits; the real writer lives inside the host.
-
-/// One cooperative source partition: polls the source for bounded bursts,
-/// yielding on saturation and backing off exponentially while idle.
+/// One source partition: polls the source for bounded bursts, yielding on
+/// saturation and backing off exponentially while idle.
 struct SourceTask {
     src: Box<dyn SourceOperator>,
     ctx: TaskContext,
@@ -535,7 +526,7 @@ impl Task for SourceTask {
     fn run_slice(&mut self) -> SliceState {
         if !self.ctx.node_alive() {
             // node death requests a stop; the source observes it on its
-            // next poll and winds down (the old watcher-thread semantics)
+            // next poll and winds down
             self.stop.stop();
         }
         if self.probe.saturated() {
@@ -543,26 +534,29 @@ impl Task for SourceTask {
             // safety deadline re-checks stop/node state
             return SliceState::Pending(Some(POLL_SAFETY));
         }
-        match self.src.poll_produce(&mut DevNull, &self.stop) {
+        match self.src.poll(&self.stop) {
             Err(e) => SliceState::Done(Err(e)),
             Ok(SourcePoll::Done) => SliceState::Done(Ok(())),
             Ok(SourcePoll::Produced) => {
                 self.backoff_ms = 1;
                 SliceState::Ready
             }
-            Ok(SourcePoll::Idle) => {
+            Ok(SourcePoll::Idle(no_later_than)) => {
                 let wait = Duration::from_millis(self.backoff_ms);
                 self.backoff_ms = (self.backoff_ms * 2).min(32);
-                SliceState::Pending(Some(wait))
+                SliceState::Pending(Some(no_later_than.map_or(wait, |d| d.min(wait))))
             }
         }
     }
 }
 
 /// One unary operator partition: drains its input port a bounded number of
-/// messages per slice.
+/// messages per slice, handing the operator its output writer. The writer
+/// is opened before the operator and closed after it; it is failed only
+/// once it has been opened.
 struct UnaryTask {
-    op: Box<dyn crate::operator::UnaryOperator>,
+    op: Box<dyn UnaryOperator>,
+    output: Box<dyn FrameWriter>,
     ctx: TaskContext,
     rx: PortReceiver,
     expected_closes: usize,
@@ -573,23 +567,42 @@ struct UnaryTask {
     opened: bool,
 }
 
+impl UnaryTask {
+    fn open(&mut self) -> IngestResult<()> {
+        self.output.open()?;
+        self.opened = true;
+        self.op.open(&mut *self.output)
+    }
+
+    fn close(&mut self) -> IngestResult<()> {
+        self.op.close(&mut *self.output)?;
+        self.output.close()
+    }
+
+    fn fail(&mut self) {
+        self.op.fail();
+        if self.opened {
+            self.output.fail();
+        }
+    }
+}
+
 impl Task for UnaryTask {
     fn run_slice(&mut self) -> SliceState {
         if !self.ctx.node_alive() {
             // hard failure: vanish without closing downstream
-            self.op.fail();
+            self.fail();
             return SliceState::Done(Err(IngestError::NodeFailed(self.ctx.node.id())));
         }
         if self.stop.is_stopped() {
-            self.op.fail();
+            self.fail();
             return SliceState::Done(Ok(()));
         }
         if !self.opened {
-            if let Err(e) = self.op.open(&mut DevNull) {
-                self.op.fail();
+            if let Err(e) = self.open() {
+                self.fail();
                 return SliceState::Done(Err(e));
             }
-            self.opened = true;
         }
         if self.probe.saturated() {
             return SliceState::Pending(Some(POLL_SAFETY));
@@ -600,23 +613,23 @@ impl Task for UnaryTask {
                     self.instruments.frames_in.inc();
                     self.instruments.records_in.add(frame.len() as u64);
                     let started = std::time::Instant::now();
-                    let result = self.op.next_frame(frame, &mut DevNull);
+                    let result = self.op.next_frame(frame, &mut *self.output);
                     self.instruments
                         .latency_us
                         .record(started.elapsed().as_micros() as u64);
                     if let Err(e) = result {
-                        self.op.fail();
+                        self.fail();
                         return SliceState::Done(Err(e));
                     }
                 }
                 PortPop::Msg(TaskMsg::Close) => {
                     self.closes += 1;
                     if self.closes >= self.expected_closes {
-                        return SliceState::Done(self.op.close(&mut DevNull));
+                        return SliceState::Done(self.close());
                     }
                 }
                 PortPop::Msg(TaskMsg::Fail) => {
-                    self.op.fail();
+                    self.fail();
                     return SliceState::Done(Err(IngestError::Disconnected(
                         "upstream failed".into(),
                     )));
@@ -624,7 +637,7 @@ impl Task for UnaryTask {
                 PortPop::Empty => return SliceState::Pending(Some(POLL_SAFETY)),
                 PortPop::Disconnected => {
                     // all producers vanished without Close: abnormal
-                    self.op.fail();
+                    self.fail();
                     return SliceState::Done(Err(IngestError::Disconnected(
                         "producers disappeared".into(),
                     )));
@@ -632,118 +645,5 @@ impl Task for UnaryTask {
             }
         }
         SliceState::Ready
-    }
-}
-
-/// Hosts a source operator together with its output writer, adapting it to
-/// the executor's writer-less drive loop. Operator descriptors building
-/// sources should wrap them:
-///
-/// ```ignore
-/// Ok(OperatorRuntime::Source(Box::new(SourceHost::new(my_source, output))))
-/// ```
-pub struct SourceHost {
-    source: Box<dyn SourceOperator>,
-    output: Box<dyn FrameWriter>,
-    opened: bool,
-}
-
-impl SourceHost {
-    /// Pair a source with the output writer the executor handed the
-    /// descriptor.
-    pub fn new(source: Box<dyn SourceOperator>, output: Box<dyn FrameWriter>) -> Self {
-        SourceHost {
-            source,
-            output,
-            opened: false,
-        }
-    }
-}
-
-impl SourceOperator for SourceHost {
-    fn run(&mut self, _ignored: &mut dyn FrameWriter, stop: &StopToken) -> IngestResult<()> {
-        self.output.open()?;
-        self.opened = true;
-        match self.source.run(&mut *self.output, stop) {
-            Ok(()) => self.output.close(),
-            Err(e) => {
-                self.output.fail();
-                Err(e)
-            }
-        }
-    }
-
-    fn cooperative(&self) -> bool {
-        self.source.cooperative()
-    }
-
-    fn poll_produce(
-        &mut self,
-        _ignored: &mut dyn FrameWriter,
-        stop: &StopToken,
-    ) -> IngestResult<SourcePoll> {
-        if !self.opened {
-            self.output.open()?;
-            self.opened = true;
-        }
-        match self.source.poll_produce(&mut *self.output, stop) {
-            Ok(SourcePoll::Done) => {
-                self.output.close()?;
-                Ok(SourcePoll::Done)
-            }
-            Ok(p) => Ok(p),
-            Err(e) => {
-                self.output.fail();
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Pairs a unary operator with its output writer so the task loop can drive
-/// it with a single object. Operator descriptors building unary operators
-/// should wrap them:
-///
-/// ```ignore
-/// Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(my_op, output))))
-/// ```
-pub struct UnaryHost {
-    op: Box<dyn crate::operator::UnaryOperator>,
-    output: Box<dyn FrameWriter>,
-    opened: bool,
-}
-
-impl UnaryHost {
-    /// Pair an operator with the writer from `instantiate`.
-    pub fn new(op: Box<dyn crate::operator::UnaryOperator>, output: Box<dyn FrameWriter>) -> Self {
-        UnaryHost {
-            op,
-            output,
-            opened: false,
-        }
-    }
-}
-
-impl crate::operator::UnaryOperator for UnaryHost {
-    fn open(&mut self, _ignored: &mut dyn FrameWriter) -> IngestResult<()> {
-        self.output.open()?;
-        self.opened = true;
-        self.op.open(&mut *self.output)
-    }
-
-    fn next_frame(&mut self, frame: DataFrame, _ignored: &mut dyn FrameWriter) -> IngestResult<()> {
-        self.op.next_frame(frame, &mut *self.output)
-    }
-
-    fn close(&mut self, _ignored: &mut dyn FrameWriter) -> IngestResult<()> {
-        self.op.close(&mut *self.output)?;
-        self.output.close()
-    }
-
-    fn fail(&mut self) {
-        self.op.fail();
-        if self.opened {
-            self.output.fail();
-        }
     }
 }

@@ -44,8 +44,9 @@ pub trait OperatorDescriptor: Send + Sync {
     fn constraints(&self) -> Constraint;
 
     /// Build the runtime for partition `ctx.partition`, writing its output
-    /// to `output`. Descriptors that interpose taps (feed joints) wrap
-    /// `output` before handing it to the core runtime.
+    /// to `output`: a source takes the writer with it, a unary operator
+    /// returns it beside itself. Descriptors that interpose taps (feed
+    /// joints) wrap `output` first.
     fn instantiate(
         &self,
         ctx: &TaskContext,
@@ -197,9 +198,12 @@ mod tests {
         fn instantiate(
             &self,
             _ctx: &TaskContext,
-            _output: Box<dyn FrameWriter>,
+            output: Box<dyn FrameWriter>,
         ) -> IngestResult<OperatorRuntime> {
-            Ok(OperatorRuntime::Source(Box::new(VecSource::new(vec![]))))
+            Ok(OperatorRuntime::Source(Box::new(VecSource::new(
+                vec![],
+                output,
+            ))))
         }
     }
 
@@ -214,9 +218,9 @@ mod tests {
         fn instantiate(
             &self,
             _ctx: &TaskContext,
-            _output: Box<dyn FrameWriter>,
+            output: Box<dyn FrameWriter>,
         ) -> IngestResult<OperatorRuntime> {
-            Ok(OperatorRuntime::Unary(Box::new(NullSink)))
+            Ok(OperatorRuntime::Unary(Box::new(NullSink), output))
         }
     }
 

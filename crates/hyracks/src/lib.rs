@@ -13,8 +13,8 @@
 //! * [`job`] — job specifications: operator descriptors with *count* and
 //!   *location* constraints, wired by connectors;
 //! * [`operator`] — the runtime interfaces ([`operator::FrameWriter`],
-//!   source and unary operators) and a library of built-ins (`NullSink`,
-//!   `FnUnary`, collectors for tests);
+//!   polled sources and frame-driven unary operators) and a library of
+//!   built-ins (`NullSink`, `FnUnary`, collectors for tests);
 //! * [`connector`] — one-to-one, M:N hash-partitioning and M:N
 //!   random-partitioning exchange;
 //! * [`cluster`] — the Cluster Controller and Node Controllers: node
@@ -32,7 +32,8 @@
 //!   ports or length-prefixed TCP reusing the binary ADM codec, so the
 //!   halves of a pipeline can run in separate OS processes;
 //! * [`executor`] — plans a job's tasks onto nodes and spawns them on the
-//!   node's scheduler (blocking sources get dedicated facade threads).
+//!   cluster's scheduler; sources and unary operators alike are tasks, there
+//!   is no thread-per-source way to run one.
 //!
 //! ## Simplifications vs. real Hyracks
 //!

@@ -2,16 +2,21 @@
 //!
 //! Mirrors Hyracks' push model (§5.2): "Each operator in a Hyracks job is
 //! provided with an `IFrameWriter` handle that it uses to send output data
-//! frames downstream". Operators come in two shapes:
+//! frames downstream". Operators come in two shapes, and the engine runs
+//! both the same way — as a cooperative task polled in bounded slices:
 //!
-//! * [`SourceOperator`] — drives itself (a feed adaptor host, a tuple
-//!   source) until its [`StopToken`] fires or its input is exhausted;
+//! * [`SourceOperator`] — owns the writer its descriptor was handed and
+//!   produces into it one never-blocking [`SourceOperator::poll`] at a time
+//!   (a feed adaptor host, an intake, a tuple source) until its
+//!   [`StopToken`] fires or its input is exhausted;
 //! * [`UnaryOperator`] — consumes frames pushed by an upstream operator and
-//!   emits frames downstream.
+//!   emits frames into the writer the engine passes along.
 
 use asterix_common::{DataFrame, IngestResult, Record};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The push-side handle: the Rust analogue of Hyracks' `IFrameWriter`.
 pub trait FrameWriter: Send {
@@ -104,43 +109,29 @@ impl StopToken {
     }
 }
 
-/// One step of a cooperative source (see [`SourceOperator::poll_produce`]).
+/// One step of a source (see [`SourceOperator::poll`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourcePoll {
-    /// Emitted at least one frame; poll again soon.
+    /// Made progress; poll again at once.
     Produced,
-    /// Nothing available right now; poll again after a backoff.
-    Idle,
-    /// Input exhausted; the engine will close the output.
+    /// Nothing to do right now: poll again after the engine's idle back-off
+    /// (1 → 32 ms) — and no later than the given wait, when the source knows
+    /// its next deadline (a flush tick, a replay instant).
+    Idle(Option<Duration>),
+    /// Input exhausted and the output closed; the task is finished.
     Done,
 }
 
-/// A self-driving operator (runs a loop producing frames).
+/// A self-driving operator. It owns the output writer `instantiate` was
+/// handed: it opens it before the first frame and closes it when it returns
+/// [`SourcePoll::Done`]. After an `Err` the engine drops the source, and
+/// downstream sees the writer vanish without a close — an abnormal end.
 pub trait SourceOperator: Send {
-    /// Produce frames into `output` until done or `stop` fires. The engine
-    /// calls `output.open()` before and `output.close()`/`fail()` after.
-    fn run(&mut self, output: &mut dyn FrameWriter, stop: &StopToken) -> IngestResult<()>;
-
-    /// Whether this source supports slice-at-a-time execution via
-    /// [`poll_produce`](SourceOperator::poll_produce).
-    ///
-    /// Cooperative sources run as lightweight tasks on the shared worker
-    /// pool; non-cooperative ones (whose `run` blocks on I/O or channels)
-    /// get a dedicated blocking thread. Default: not cooperative.
-    fn cooperative(&self) -> bool {
-        false
-    }
-
-    /// Produce a bounded amount of output and return, instead of looping
-    /// until exhaustion. Only called when
-    /// [`cooperative`](SourceOperator::cooperative) is true; must not block.
-    fn poll_produce(
-        &mut self,
-        _output: &mut dyn FrameWriter,
-        _stop: &StopToken,
-    ) -> IngestResult<SourcePoll> {
-        Ok(SourcePoll::Done)
-    }
+    /// Do a bounded amount of work and return; must never block or sleep —
+    /// the calling thread is a scheduler worker shared with every other
+    /// task. A source that has to wait for something returns
+    /// [`SourcePoll::Idle`] and is polled again later.
+    fn poll(&mut self, stop: &StopToken) -> IngestResult<SourcePoll>;
 }
 
 /// A frame-at-a-time operator.
@@ -161,17 +152,17 @@ pub trait UnaryOperator: Send {
 
 /// The instantiated runtime of one operator partition.
 pub enum OperatorRuntime {
-    /// Self-driving producer.
+    /// Self-driving producer (owns its output writer).
     Source(Box<dyn SourceOperator>),
-    /// Push-driven transformer/consumer.
-    Unary(Box<dyn UnaryOperator>),
+    /// Push-driven transformer/consumer and the writer it emits into.
+    Unary(Box<dyn UnaryOperator>, Box<dyn FrameWriter>),
 }
 
 impl std::fmt::Debug for OperatorRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OperatorRuntime::Source(_) => write!(f, "OperatorRuntime::Source"),
-            OperatorRuntime::Unary(_) => write!(f, "OperatorRuntime::Unary"),
+            OperatorRuntime::Unary(..) => write!(f, "OperatorRuntime::Unary"),
         }
     }
 }
@@ -296,48 +287,41 @@ impl UnaryOperator for RouterOperator {
     }
 }
 
-/// A source emitting a fixed set of frames (tests and the insert path).
+/// A source emitting a fixed set of frames (tests and the insert path),
+/// one frame per poll.
 pub struct VecSource {
-    frames: Vec<DataFrame>,
+    frames: VecDeque<DataFrame>,
+    output: Box<dyn FrameWriter>,
+    opened: bool,
 }
 
 impl VecSource {
-    /// Source over the given frames.
-    pub fn new(frames: Vec<DataFrame>) -> Self {
-        VecSource { frames }
+    /// Source pushing the given frames into `output`.
+    pub fn new(frames: Vec<DataFrame>, output: Box<dyn FrameWriter>) -> Self {
+        VecSource {
+            frames: frames.into(),
+            output,
+            opened: false,
+        }
     }
 }
 
 impl SourceOperator for VecSource {
-    fn run(&mut self, output: &mut dyn FrameWriter, stop: &StopToken) -> IngestResult<()> {
-        for frame in self.frames.drain(..) {
-            if stop.is_stopped() {
-                break;
+    fn poll(&mut self, stop: &StopToken) -> IngestResult<SourcePoll> {
+        if !self.opened {
+            self.output.open()?;
+            self.opened = true;
+        }
+        if !stop.is_stopped() {
+            if let Some(frame) = self.frames.pop_front() {
+                self.output.next_frame(frame)?;
+                if !self.frames.is_empty() {
+                    return Ok(SourcePoll::Produced);
+                }
             }
-            output.next_frame(frame)?;
         }
-        Ok(())
-    }
-
-    fn cooperative(&self) -> bool {
-        true
-    }
-
-    fn poll_produce(
-        &mut self,
-        output: &mut dyn FrameWriter,
-        stop: &StopToken,
-    ) -> IngestResult<SourcePoll> {
-        if stop.is_stopped() || self.frames.is_empty() {
-            self.frames.clear();
-            return Ok(SourcePoll::Done);
-        }
-        output.next_frame(self.frames.remove(0))?;
-        Ok(if self.frames.is_empty() {
-            SourcePoll::Done
-        } else {
-            SourcePoll::Produced
-        })
+        self.output.close()?;
+        Ok(SourcePoll::Done)
     }
 }
 
@@ -422,30 +406,32 @@ mod tests {
         assert!(t.is_stopped());
     }
 
-    #[test]
-    fn vec_source_emits_then_respects_stop() {
-        let mut src = VecSource::new(vec![frame(0..3), frame(3..6)]);
-        let collector = Collector::new();
-        let mut op = collector.operator();
-        let mut sink = DevNull;
-        let stop = StopToken::new();
-        // drive manually: source -> collector
-        struct Bridge<'a>(&'a mut CollectorOp, &'a mut DevNull);
-        impl FrameWriter for Bridge<'_> {
-            fn open(&mut self) -> IngestResult<()> {
-                Ok(())
-            }
-            fn next_frame(&mut self, f: DataFrame) -> IngestResult<()> {
-                self.0.next_frame(f, self.1)
-            }
-            fn close(&mut self) -> IngestResult<()> {
-                self.0.close(self.1)
-            }
-            fn fail(&mut self) {}
+    /// Drive a source the way the engine does, minus the waiting.
+    fn drain(src: &mut dyn SourceOperator, stop: &StopToken) {
+        while src.poll(stop).unwrap() != SourcePoll::Done {}
+    }
+
+    /// Writer end of a [`Collector`] (its operator ignores the output).
+    struct IntoCollector(CollectorOp);
+    impl FrameWriter for IntoCollector {
+        fn open(&mut self) -> IngestResult<()> {
+            Ok(())
         }
-        let mut bridge = Bridge(&mut op, &mut sink);
-        src.run(&mut bridge, &stop).unwrap();
-        bridge.close().unwrap();
+        fn next_frame(&mut self, f: DataFrame) -> IngestResult<()> {
+            self.0.next_frame(f, &mut DevNull)
+        }
+        fn close(&mut self) -> IngestResult<()> {
+            self.0.close(&mut DevNull)
+        }
+        fn fail(&mut self) {}
+    }
+
+    #[test]
+    fn vec_source_emits_then_closes() {
+        let collector = Collector::new();
+        let out = Box::new(IntoCollector(collector.operator()));
+        let mut src = VecSource::new(vec![frame(0..3), frame(3..6)], out);
+        drain(&mut src, &StopToken::new());
         assert_eq!(collector.len(), 6);
         assert!(collector.is_closed());
     }
@@ -454,16 +440,18 @@ mod tests {
     fn vec_source_stops_early() {
         let stop = StopToken::new();
         stop.stop();
-        let mut src = VecSource::new(vec![frame(0..3)]);
-        let mut out = DevNull;
-        src.run(&mut out, &stop).unwrap();
-        // no panic; frames simply skipped
+        let collector = Collector::new();
+        let out = Box::new(IntoCollector(collector.operator()));
+        let mut src = VecSource::new(vec![frame(0..3)], out);
+        drain(&mut src, &stop);
+        // frames simply skipped, the stream still ends gracefully
+        assert!(collector.is_empty());
+        assert!(collector.is_closed());
     }
 
     #[test]
     fn fn_unary_maps_and_drops_empty() {
         let collector = Collector::new();
-        let mut downstream = collector.operator();
         let mut filter = FnUnary::new(|f: DataFrame| {
             let keep: Vec<_> = f
                 .into_records()
@@ -472,21 +460,8 @@ mod tests {
                 .collect();
             Ok(DataFrame::from_records(keep))
         });
-        struct W<'a>(&'a mut CollectorOp);
-        impl FrameWriter for W<'_> {
-            fn open(&mut self) -> IngestResult<()> {
-                Ok(())
-            }
-            fn next_frame(&mut self, f: DataFrame) -> IngestResult<()> {
-                self.0.next_frame(f, &mut DevNull)
-            }
-            fn close(&mut self) -> IngestResult<()> {
-                Ok(())
-            }
-            fn fail(&mut self) {}
-        }
         filter
-            .next_frame(frame(0..10), &mut W(&mut downstream))
+            .next_frame(frame(0..10), &mut IntoCollector(collector.operator()))
             .unwrap();
         assert_eq!(collector.len(), 5);
     }

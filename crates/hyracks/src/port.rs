@@ -10,11 +10,11 @@
 //!   ([`SliceState::Pending`](crate::scheduler::SliceState)) when its
 //!   outputs are saturated, which bounds queue growth to the capacity plus
 //!   one slice's burst.
-//! * **Dedicated threads block.** The feed-flow pusher, blocking sources
-//!   and TCP ingress readers use the classic bounded-queue blocking send —
-//!   that blocking *is* the back-pressure mechanism Chapter 7 studies, and
-//!   it propagates through the flow controller's policy machinery
-//!   unchanged.
+//! * **Dedicated threads block.** The feed-flow pusher and the TCP ingress
+//!   readers — the only producers that are not tasks — use the classic
+//!   bounded-queue blocking send: that blocking *is* the back-pressure
+//!   mechanism Chapter 7 studies, and it propagates through the flow
+//!   controller's policy machinery unchanged.
 //!
 //! Wakers are wired statically at job-wiring time: the consumer task's
 //! waker fires on empty→non-empty, producers' wakers fire when the queue

@@ -30,13 +30,13 @@
 //! finally steals from the *back* of a sibling's deque. Idle workers park
 //! on a condvar with a timeout bounded by the next timer deadline.
 //!
-//! ## Blocking escape hatch
+//! ## No blocking escape hatch
 //!
-//! Sources that wrap inherently blocking producers (socket reads, feed
-//! adaptors) cannot be sliced; [`Scheduler::spawn_blocking`] runs them on a
-//! dedicated facade thread with the same completion/join machinery, and
-//! counts them in `scheduler.blocking_threads` so tests can assert the pool
-//! is not silently regressing to thread-per-operator.
+//! Everything the executor runs is a task on this pool; there is no
+//! facade-thread way to run an operator that blocks. A producer that can
+//! only be read with a blocking call wraps its own thread and channel
+//! *outside* the engine (as TweetGen and `bind_socket` clients do) and the
+//! operator polls the channel.
 
 use asterix_common::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use asterix_common::sync::{thread as sync_thread, Condvar, Mutex};
@@ -74,7 +74,7 @@ const DONE: u32 = 4; // completed; result available
 struct TaskCore {
     name: String,
     state: AtomicU32,
-    /// The task body; `None` for blocking tasks and after completion.
+    /// The task body; `None` after completion.
     body: Mutex<Option<Box<dyn Task>>>,
     result: Mutex<Option<IngestResult<()>>>,
     done_cv: Condvar,
@@ -237,7 +237,6 @@ struct SchedulerInner {
     work_cv: Condvar,
     shutdown: AtomicBool,
     parked: AtomicUsize,
-    blocking_threads: AtomicUsize,
     /// Live task registry so shutdown can fail stragglers (joiners must not
     /// hang once the worker pool is gone).
     live: Mutex<Vec<Weak<TaskCore>>>,
@@ -287,7 +286,6 @@ impl Scheduler {
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
-            blocking_threads: AtomicUsize::new(0),
             live: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
             m: SchedMetrics {
@@ -304,13 +302,6 @@ impl Scheduler {
             move || {
                 weak.upgrade()
                     .map_or(0, |s| s.parked.load(Ordering::SeqCst) as u64)
-            }
-        });
-        registry.gauge_fn("scheduler.blocking_threads", &[], {
-            let weak = weak.clone();
-            move || {
-                weak.upgrade()
-                    .map_or(0, |s| s.blocking_threads.load(Ordering::SeqCst) as u64)
             }
         });
         registry.gauge_fn("scheduler.queue.global_depth", &[], {
@@ -379,43 +370,6 @@ impl Scheduler {
         h
     }
 
-    /// Run a blocking closure on a dedicated facade thread with the same
-    /// join/completion machinery as a cooperative task. For operators that
-    /// wrap inherently blocking producers (feed adaptors, socket reads).
-    pub fn spawn_blocking(
-        &self,
-        name: impl Into<String>,
-        f: impl FnOnce() -> IngestResult<()> + Send + 'static,
-    ) -> TaskHandle {
-        let name = name.into();
-        let core = Arc::new(TaskCore {
-            name: name.clone(),
-            state: AtomicU32::new(RUNNING),
-            body: Mutex::new(None),
-            result: Mutex::new(None),
-            done_cv: Condvar::new(),
-        });
-        self.inner.m.tasks_spawned.inc();
-        self.register(&core);
-        self.inner.blocking_threads.fetch_add(1, Ordering::SeqCst);
-        let core2 = Arc::clone(&core);
-        let inner = Arc::clone(&self.inner);
-        let spawned = sync_thread::spawn_named(name, move || {
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-                .unwrap_or_else(|_| Err(IngestError::Plan("task panicked".into())));
-            inner.blocking_threads.fetch_sub(1, Ordering::SeqCst);
-            core2.complete(r);
-        });
-        if let Err(e) = spawned {
-            self.inner.blocking_threads.fetch_sub(1, Ordering::SeqCst);
-            core.complete(Err(IngestError::Plan(format!("spawn task: {e}"))));
-        }
-        TaskHandle {
-            core,
-            sched: Arc::downgrade(&self.inner),
-        }
-    }
-
     /// Run `f` every `interval` as a cooperative task — the housekeeping
     /// shape (control loops, monitors): no dedicated thread, parks between
     /// ticks, re-checks within `interval` of a wake. `f` returning `true`
@@ -443,9 +397,8 @@ impl Scheduler {
         self.spawn(name, Box::new(Periodic { interval, f }))
     }
 
-    /// Stop the pool: workers exit, then every unfinished cooperative task
-    /// is failed so joiners cannot hang. Blocking tasks keep running until
-    /// their own stop conditions fire (they hold their own threads).
+    /// Stop the pool: workers exit, then every unfinished task is failed so
+    /// joiners cannot hang.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         {
@@ -620,6 +573,11 @@ impl SchedulerInner {
     }
 }
 
+/// Shortest timed park: fine enough to meet a deadline that is less than a
+/// millisecond away (what is left to a collect's flush tick), coarse enough
+/// not to spin.
+const MIN_PARK: Duration = Duration::from_micros(50);
+
 fn worker_loop(inner: Arc<SchedulerInner>, idx: usize) {
     WORKER.with(|w| w.set((inner.id, idx)));
     let max_park = Duration::from_millis(100);
@@ -648,9 +606,7 @@ fn worker_loop(inner: Arc<SchedulerInner>, idx: usize) {
                     .unwrap_or(max_park)
                     .min(max_park);
                 inner.parked.fetch_add(1, Ordering::SeqCst);
-                let _ = inner
-                    .work_cv
-                    .wait_for(&mut guard, timeout.max(Duration::from_millis(1)));
+                let _ = inner.work_cv.wait_for(&mut guard, timeout.max(MIN_PARK));
                 inner.parked.fetch_sub(1, Ordering::SeqCst);
             }
         }
@@ -810,18 +766,6 @@ mod tests {
         );
         h2.join().expect("worker alive");
         assert_eq!(hits.load(Ordering::SeqCst), 1);
-        s.shutdown();
-    }
-
-    #[test]
-    fn spawn_blocking_joins_like_a_task() {
-        let (s, reg) = sched(1);
-        let h = s.spawn_blocking("blocking", || {
-            std::thread::sleep(Duration::from_millis(5));
-            Ok(())
-        });
-        h.join().expect("blocking ok");
-        assert_eq!(reg.snapshot().gauge("scheduler.blocking_threads"), Some(0));
         s.shutdown();
     }
 

@@ -4,10 +4,14 @@
 use asterix_common::{DataFrame, IngestResult, NodeId, Record, RecordId};
 use asterix_hyracks::cluster::Cluster;
 use asterix_hyracks::connector::ConnectorSpec;
-use asterix_hyracks::executor::{run_job, SourceHost, TaskContext, UnaryHost};
+use asterix_hyracks::executor::{run_job, TaskContext};
 use asterix_hyracks::job::{Constraint, JobSpec, OperatorDescriptor};
-use asterix_hyracks::operator::{Collector, FnUnary, FrameWriter, OperatorRuntime, VecSource};
+use asterix_hyracks::operator::{
+    Collector, FnUnary, FrameWriter, OperatorRuntime, SourceOperator, SourcePoll, StopToken,
+    VecSource,
+};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn frames(n_frames: usize, per_frame: usize) -> Vec<DataFrame> {
     (0..n_frames)
@@ -38,8 +42,8 @@ impl OperatorDescriptor for SourceDesc {
         _ctx: &TaskContext,
         output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
-        Ok(OperatorRuntime::Source(Box::new(SourceHost::new(
-            Box::new(VecSource::new(self.frames.clone())),
+        Ok(OperatorRuntime::Source(Box::new(VecSource::new(
+            self.frames.clone(),
             output,
         ))))
     }
@@ -62,10 +66,7 @@ impl OperatorDescriptor for MapDesc {
         output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
         // pass-through map
-        Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
-            Box::new(FnUnary::new(Ok)),
-            output,
-        ))))
+        Ok(OperatorRuntime::Unary(Box::new(FnUnary::new(Ok)), output))
     }
 }
 
@@ -86,10 +87,10 @@ impl OperatorDescriptor for SinkDesc {
         _ctx: &TaskContext,
         output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
-        Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
+        Ok(OperatorRuntime::Unary(
             Box::new(self.collector.operator()),
             output,
-        ))))
+        ))
     }
 }
 
@@ -180,10 +181,7 @@ fn location_constraints_are_respected() {
             _ctx: &TaskContext,
             output: Box<dyn FrameWriter>,
         ) -> IngestResult<OperatorRuntime> {
-            Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
-                Box::new(self.0.operator()),
-                output,
-            ))))
+            Ok(OperatorRuntime::Unary(Box::new(self.0.operator()), output))
         }
     }
     let collector = Collector::new();
@@ -224,8 +222,8 @@ fn scheduling_on_dead_location_fails() {
             _ctx: &TaskContext,
             output: Box<dyn FrameWriter>,
         ) -> IngestResult<OperatorRuntime> {
-            Ok(OperatorRuntime::Source(Box::new(SourceHost::new(
-                Box::new(VecSource::new(vec![])),
+            Ok(OperatorRuntime::Source(Box::new(VecSource::new(
+                vec![],
                 output,
             ))))
         }
@@ -236,43 +234,62 @@ fn scheduling_on_dead_location_fails() {
     cluster.shutdown();
 }
 
+/// An endless source so a pipeline stays busy until it is stopped: one
+/// single-record frame per poll, at most one every `pace`.
+struct Endless {
+    output: Box<dyn FrameWriter>,
+    next: u64,
+    pace: Option<Duration>,
+}
+
+impl SourceOperator for Endless {
+    fn poll(&mut self, stop: &StopToken) -> IngestResult<SourcePoll> {
+        if self.next == 0 {
+            self.output.open()?;
+        }
+        if stop.is_stopped() {
+            self.output.close()?;
+            return Ok(SourcePoll::Done);
+        }
+        let rec = Record::tracked(RecordId(self.next), 0, "x");
+        self.output.next_frame(DataFrame::from_records(vec![rec]))?;
+        self.next += 1;
+        Ok(match self.pace {
+            Some(pace) => SourcePoll::Idle(Some(pace)),
+            None => SourcePoll::Produced,
+        })
+    }
+}
+
+struct EndlessDesc {
+    constraint: Constraint,
+    pace: Option<Duration>,
+}
+
+impl OperatorDescriptor for EndlessDesc {
+    fn name(&self) -> String {
+        "endless".into()
+    }
+    fn constraints(&self) -> Constraint {
+        self.constraint.clone()
+    }
+    fn instantiate(
+        &self,
+        _ctx: &TaskContext,
+        output: Box<dyn FrameWriter>,
+    ) -> IngestResult<OperatorRuntime> {
+        Ok(OperatorRuntime::Source(Box::new(Endless {
+            output,
+            next: 0,
+            pace: self.pace,
+        })))
+    }
+}
+
 #[test]
 fn killing_a_node_aborts_its_tasks() {
     use asterix_common::SimDuration;
-    use asterix_hyracks::operator::{SourceOperator, StopToken};
 
-    // an endless source so the pipeline stays busy until the kill
-    struct Endless;
-    impl SourceOperator for Endless {
-        fn run(&mut self, output: &mut dyn FrameWriter, stop: &StopToken) -> IngestResult<()> {
-            let mut i = 0u64;
-            while !stop.is_stopped() {
-                let f = DataFrame::from_records(vec![Record::tracked(RecordId(i), 0, "x")]);
-                output.next_frame(f)?;
-                i += 1;
-            }
-            Ok(())
-        }
-    }
-    struct EndlessDesc;
-    impl OperatorDescriptor for EndlessDesc {
-        fn name(&self) -> String {
-            "endless".into()
-        }
-        fn constraints(&self) -> Constraint {
-            Constraint::Locations(vec![NodeId(0)])
-        }
-        fn instantiate(
-            &self,
-            _ctx: &TaskContext,
-            output: Box<dyn FrameWriter>,
-        ) -> IngestResult<OperatorRuntime> {
-            Ok(OperatorRuntime::Source(Box::new(SourceHost::new(
-                Box::new(Endless),
-                output,
-            ))))
-        }
-    }
     struct SinkOn1(Collector);
     impl OperatorDescriptor for SinkOn1 {
         fn name(&self) -> String {
@@ -286,17 +303,17 @@ fn killing_a_node_aborts_its_tasks() {
             _ctx: &TaskContext,
             output: Box<dyn FrameWriter>,
         ) -> IngestResult<OperatorRuntime> {
-            Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
-                Box::new(self.0.operator()),
-                output,
-            ))))
+            Ok(OperatorRuntime::Unary(Box::new(self.0.operator()), output))
         }
     }
 
     let cluster = Cluster::start_default(2);
     let collector = Collector::new();
     let mut job = JobSpec::new("kill-test");
-    let src = job.add_operator(Box::new(EndlessDesc));
+    let src = job.add_operator(Box::new(EndlessDesc {
+        constraint: Constraint::Locations(vec![NodeId(0)]),
+        pace: None,
+    }));
     let sink = job.add_operator(Box::new(SinkOn1(collector.clone())));
     job.connect(src, sink, ConnectorSpec::MNRandomPartition);
     let handle = run_job(&cluster, job).unwrap();
@@ -318,46 +335,13 @@ fn killing_a_node_aborts_its_tasks() {
 
 #[test]
 fn stop_sources_drains_gracefully() {
-    use asterix_hyracks::operator::{SourceOperator, StopToken};
-    struct Endless;
-    impl SourceOperator for Endless {
-        fn run(&mut self, output: &mut dyn FrameWriter, stop: &StopToken) -> IngestResult<()> {
-            let mut i = 0u64;
-            while !stop.is_stopped() {
-                output.next_frame(DataFrame::from_records(vec![Record::tracked(
-                    RecordId(i),
-                    0,
-                    "x",
-                )]))?;
-                i += 1;
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            Ok(())
-        }
-    }
-    struct EndlessDesc;
-    impl OperatorDescriptor for EndlessDesc {
-        fn name(&self) -> String {
-            "endless".into()
-        }
-        fn constraints(&self) -> Constraint {
-            Constraint::Count(1)
-        }
-        fn instantiate(
-            &self,
-            _ctx: &TaskContext,
-            output: Box<dyn FrameWriter>,
-        ) -> IngestResult<OperatorRuntime> {
-            Ok(OperatorRuntime::Source(Box::new(SourceHost::new(
-                Box::new(Endless),
-                output,
-            ))))
-        }
-    }
     let cluster = Cluster::start_default(1);
     let collector = Collector::new();
     let mut job = JobSpec::new("drain");
-    let src = job.add_operator(Box::new(EndlessDesc));
+    let src = job.add_operator(Box::new(EndlessDesc {
+        constraint: Constraint::Count(1),
+        pace: Some(Duration::from_millis(1)),
+    }));
     let sink = job.add_operator(Box::new(SinkDesc {
         collector: collector.clone(),
         count: 1,

@@ -10,7 +10,7 @@ use asterix_common::{DataFrame, IngestResult, Record, RecordId};
 use asterix_common::{SimClock, SimDuration};
 use asterix_hyracks::cluster::{Cluster, ClusterConfig};
 use asterix_hyracks::connector::ConnectorSpec;
-use asterix_hyracks::executor::{run_job, SourceHost, TaskContext, UnaryHost};
+use asterix_hyracks::executor::{run_job, TaskContext};
 use asterix_hyracks::job::{Constraint, JobSpec, OperatorDescriptor};
 use asterix_hyracks::operator::{Collector, FrameWriter, OperatorRuntime, VecSource};
 
@@ -51,8 +51,8 @@ impl OperatorDescriptor for TinySourceDesc {
             0,
             "smoke",
         )]);
-        Ok(OperatorRuntime::Source(Box::new(SourceHost::new(
-            Box::new(VecSource::new(vec![frame])),
+        Ok(OperatorRuntime::Source(Box::new(VecSource::new(
+            vec![frame],
             output,
         ))))
     }
@@ -74,10 +74,10 @@ impl OperatorDescriptor for SinkDesc {
         _ctx: &TaskContext,
         output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
-        Ok(OperatorRuntime::Unary(Box::new(UnaryHost::new(
+        Ok(OperatorRuntime::Unary(
             Box::new(self.collector.operator()),
             output,
-        ))))
+        ))
     }
 }
 
