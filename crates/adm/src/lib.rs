@@ -28,10 +28,8 @@
 //! * [`compact`] — the compacted columnar-ish component codec (schema
 //!   header + per-field columns + sparse residual), plus the uncompacted
 //!   [`compact::OpenBlock`] fallback;
-//! * [`payload`] — record payloads as binary ADM plus typed access to the
-//!   shared lazy decode cache carried by every
-//!   [`asterix_common::RecordPayload`], the heart of the parse-once
-//!   ingestion pipeline;
+//! * [`payload`] — record payloads as binary ADM bytes: encode a value
+//!   once, project a few fields out of the bytes, render them for a human;
 //! * [`functions`] — the builtin scalar functions the feeds chapters use
 //!   (`word-tokens`, `starts-with`, `spatial-cell`, `spatial-intersect`, ...);
 //! * [`hash`] — a stable 64-bit value hash used for hash-partitioning
@@ -51,7 +49,7 @@ pub mod value;
 pub use binary::{decode_field_at, decode_fields, decode_value, encode_value, record_field_slice};
 pub use compact::{CompactedBlock, OpenBlock};
 pub use parse::{parse_calls, parse_value};
-pub use payload::{payload_from_text, payload_from_value, AdmPayloadExt};
+pub use payload::{payload_from_text, payload_from_value, to_display_string, with_fields};
 pub use print::{print_calls, to_adm_string};
 pub use schema::{InferredSchema, SchemaBuilder};
 pub use types::{AdmType, Field, RecordType, TypeRegistry};

@@ -398,6 +398,7 @@ impl AsterixEngine {
         let store = job.add_operator(Box::new(StoreDesc {
             dataset: Arc::clone(&ds),
             registry: Some(Arc::clone(self.catalog.types())),
+            feed: asterix_common::FeedId(0), // an insert belongs to no feed
             policy,
             metrics,
             log: new_soft_failure_log(),

@@ -65,7 +65,7 @@ fn fnv_spin(frame: &DataFrame) {
     for rec in frame.records() {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for _ in 0..HASH_PASSES {
-            for &b in rec.payload.bytes() {
+            for &b in rec.payload.iter() {
                 h ^= b as u64;
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }

@@ -3,8 +3,8 @@
 //! routing, the WAL, and the UDF sandbox.
 
 use asterix_adm::{
-    decode_fields, decode_value, encode_value, hash::hash_value, parse_value, payload_from_text,
-    to_adm_string, AdmPayloadExt, AdmValue,
+    decode_fields, decode_value, encode_value, hash::hash_value, parse_value, to_adm_string,
+    AdmValue,
 };
 use asterix_common::{DataFrame, Record, RecordId};
 use asterix_feeds::joint::FeedJoint;
@@ -131,72 +131,26 @@ fn bench_udf(c: &mut Criterion) {
     });
 }
 
-/// The store path touches each record's value three times downstream of the
-/// adaptor: the assign stage (UDF input), the partitioner key function, and
-/// the store's type check. Pre-refactor each touch reparsed the ADM text;
-/// post-refactor the adaptor's translate (parse + binary encode) seeds the
-/// payload cache and all three touches share it.
-///
-/// The `hop_*` pair is what one record costs to cross a boundary that drops
-/// the cache (a TCP edge, a despill): with text payloads the producer
-/// printed and the consumer re-parsed; with binary payloads the producer
-/// encodes and the consumer decodes — or, when it reads two fields to route
-/// the record, projects them out of the bytes.
+/// What a record's bytes cost the stages that read or write them, over one
+/// tweet: the full decode a UDF stage pays (assign), the one-field projection
+/// the partitioner's key function pays, and the encode a stage that built a
+/// value pays on the way out (the adaptor's translate, a UDF's output).
+/// `adm/parse_tweet` above is the text parse translate pays before it.
 fn bench_parse_once(c: &mut Criterion) {
-    let mut factory = tweetgen::TweetFactory::new(0, 42);
-    let lines: Vec<String> = (0..64).map(|_| factory.next_json()).collect();
-    c.bench_function("pipeline/store_path_reparse_x3", |b| {
-        b.iter(|| {
-            let mut odd_hashes = 0usize;
-            for line in &lines {
-                let assign = parse_value(black_box(line)).unwrap();
-                let key = parse_value(black_box(line)).unwrap();
-                let store = parse_value(black_box(line)).unwrap();
-                odd_hashes += (hash_value(&key) as usize) & 1;
-                black_box((&assign, &store));
-            }
-            odd_hashes
-        })
+    let value = parse_value(&sample_tweet_json()).unwrap();
+    let bytes = encode_value(&value);
+    c.bench_function("pipeline/stage_decode_full", |b| {
+        b.iter(|| decode_value(black_box(&bytes)).unwrap())
     });
-    c.bench_function("pipeline/store_path_parse_once", |b| {
-        b.iter(|| {
-            let mut odd_hashes = 0usize;
-            for line in &lines {
-                let rec = Record::untracked(0, payload_from_text(black_box(line)).unwrap());
-                let assign = rec.payload.adm_value().unwrap();
-                let key = rec.payload.adm_value().unwrap();
-                let store = rec.payload.adm_value().unwrap();
-                odd_hashes += (hash_value(&key) as usize) & 1;
-                black_box((&assign, &store));
-            }
-            odd_hashes
-        })
+    c.bench_function("pipeline/stage_project_key", |b| {
+        b.iter(|| decode_fields(black_box(&bytes), &["id"]).unwrap())
     });
-
-    let values: Vec<AdmValue> = lines.iter().map(|l| parse_value(l).unwrap()).collect();
-    c.bench_function("pipeline/hop_text_print_then_parse", |b| {
+    c.bench_function("pipeline/stage_encode", |b| {
+        // `payload_from_value` minus the drop of the value it consumes
         b.iter(|| {
-            for v in &values {
-                let text = to_adm_string(black_box(v));
-                black_box(parse_value(&text).unwrap());
-            }
-        })
-    });
-    c.bench_function("pipeline/hop_binary_encode_then_decode", |b| {
-        b.iter(|| {
-            for v in &values {
-                let bytes = encode_value(black_box(v));
-                black_box(decode_value(&bytes).unwrap());
-            }
-        })
-    });
-    let route_fields = ["country", "user"];
-    c.bench_function("pipeline/hop_binary_encode_then_project_2", |b| {
-        b.iter(|| {
-            for v in &values {
-                let bytes = encode_value(black_box(v));
-                black_box(decode_fields(&bytes, &route_fields).unwrap());
-            }
+            let mut out = Vec::with_capacity(512);
+            asterix_adm::binary::encode_into(black_box(&value), &mut out);
+            Record::untracked(0, out)
         })
     });
 }

@@ -3,15 +3,12 @@
 //! In Hyracks, data flows between operators "in the form of data frames
 //! containing physical records" (§3.2.2). A frame is the unit of transfer,
 //! back-pressure, soft-failure slicing (§6.1.1) and feed-joint routing
-//! (§5.4). Records carry their serialized form (binary ADM, written once
-//! by whichever stage produced the value) in a [`RecordPayload`] that also
-//! holds a lazily-computed, *shared* decoded value: the first operator that
-//! needs structured access decodes the bytes once and every later stage
-//! (assign, partitioner key-fn, type check, store, secondary-index
-//! maintenance) reuses that same value. The payload bytes then travel
-//! verbatim: spill segments and wire frames wrap them in the one record
-//! codec below ([`Record::encode_into`] / [`DataFrame::decode`]) and never
-//! look inside.
+//! (§5.4). A record's payload is its serialized form and nothing else:
+//! binary ADM bytes, written once by the stage that produced the value and
+//! carried verbatim from then on. This crate never interprets them; a stage
+//! that needs structure reads it out of the bytes (`asterix-adm`), and spill
+//! segments and wire frames wrap them in the one record codec below
+//! ([`Record::encode_into`] / [`DataFrame::decode`]) without looking inside.
 //!
 //! ## The record codec
 //!
@@ -31,12 +28,6 @@ use crate::clock::SimInstant;
 use crate::error::{IngestError, IngestResult};
 use crate::ids::RecordId;
 use bytes::Bytes;
-use std::any::Any;
-use std::borrow::Borrow;
-use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
 
 /// Default number of records per frame.
 pub const DEFAULT_FRAME_CAPACITY: usize = 64;
@@ -47,140 +38,6 @@ const RECORD_HEADER_LEN: usize = 24;
 
 /// Generation-stamp slot of an unstamped record.
 const UNSTAMPED: u64 = u64::MAX;
-
-/// The shared lazily-decoded form of a payload.
-///
-/// The value is type-erased (`dyn Any`) so that this crate stays independent
-/// of the ADM crate; `asterix-adm` layers a typed accessor on top. A cached
-/// decode *failure* is kept too, so malformed records don't get re-decoded
-/// at every stage either.
-pub type ParsedCell = OnceLock<Result<Arc<dyn Any + Send + Sync>, String>>;
-
-/// A record payload: raw serialized bytes (binary ADM on the ingestion
-/// path; this crate never interprets them) plus a shared, lazily-computed
-/// decoded value.
-///
-/// Cloning is cheap (two `Arc` bumps) and clones *share* the parse cache:
-/// when a record is routed through a feed joint to several subscribers, or
-/// retained by the ack tracker, whichever stage parses first fills the cell
-/// for all of them.
-///
-/// Equality, ordering and hashing consider only the bytes, so the cache is
-/// invisible to collections and tests.
-#[derive(Clone)]
-pub struct RecordPayload {
-    bytes: Bytes,
-    parsed: Arc<ParsedCell>,
-}
-
-impl RecordPayload {
-    /// Payload from raw serialized bytes; nothing parsed yet.
-    pub fn new(bytes: impl Into<Bytes>) -> Self {
-        RecordPayload {
-            bytes: bytes.into(),
-            parsed: Arc::new(OnceLock::new()),
-        }
-    }
-
-    /// Payload whose parse cache is pre-seeded with an already-known value
-    /// (e.g. the adaptor just parsed the wire bytes, or a UDF just produced
-    /// the value and serialized it).
-    pub fn with_parsed(bytes: impl Into<Bytes>, value: Arc<dyn Any + Send + Sync>) -> Self {
-        let cell = OnceLock::new();
-        let _ = cell.set(Ok(value));
-        RecordPayload {
-            bytes: bytes.into(),
-            parsed: Arc::new(cell),
-        }
-    }
-
-    /// The raw serialized bytes.
-    pub fn bytes(&self) -> &Bytes {
-        &self.bytes
-    }
-
-    /// Whether a parse result (success or failure) is already cached.
-    pub fn is_parsed(&self) -> bool {
-        self.parsed.get().is_some()
-    }
-
-    /// Get the cached parse result, computing it with `parse` on first use.
-    ///
-    /// `parse` runs at most once per payload *family* (original + clones);
-    /// later callers — and later clones — get the cached `Arc` back.
-    pub fn parse_with<F>(&self, parse: F) -> Result<Arc<dyn Any + Send + Sync>, String>
-    where
-        F: FnOnce(&[u8]) -> Result<Arc<dyn Any + Send + Sync>, String>,
-    {
-        self.parsed.get_or_init(|| parse(&self.bytes)).clone()
-    }
-}
-
-impl Deref for RecordPayload {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-impl AsRef<[u8]> for RecordPayload {
-    fn as_ref(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-impl Borrow<[u8]> for RecordPayload {
-    fn borrow(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-impl PartialEq for RecordPayload {
-    fn eq(&self, other: &Self) -> bool {
-        self.bytes == other.bytes
-    }
-}
-
-impl Eq for RecordPayload {}
-
-impl Hash for RecordPayload {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.bytes.hash(state);
-    }
-}
-
-impl fmt::Debug for RecordPayload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RecordPayload")
-            .field("bytes", &self.bytes)
-            .field("parsed", &self.is_parsed())
-            .finish()
-    }
-}
-
-impl From<Bytes> for RecordPayload {
-    fn from(b: Bytes) -> Self {
-        RecordPayload::new(b)
-    }
-}
-
-impl From<String> for RecordPayload {
-    fn from(s: String) -> Self {
-        RecordPayload::new(s)
-    }
-}
-
-impl From<&str> for RecordPayload {
-    fn from(s: &str) -> Self {
-        RecordPayload::new(s)
-    }
-}
-
-impl From<Vec<u8>> for RecordPayload {
-    fn from(v: Vec<u8>) -> Self {
-        RecordPayload::new(v)
-    }
-}
 
 /// Split `N` bytes off the front of `input`; `what` names them in the error.
 fn split_array<'a, const N: usize>(
@@ -209,9 +66,9 @@ pub struct Record {
     /// durable) the observability layer exports. `None` for records whose
     /// origin predates the stamp (e.g. synthetic test frames).
     pub gen_at: Option<SimInstant>,
-    /// Serialized payload (binary ADM) plus the shared decode cache. Not
-    /// text: render it for humans through the ADM crate's payload accessors.
-    pub payload: RecordPayload,
+    /// Serialized payload (binary ADM). Not text: render it for humans with
+    /// the ADM crate's `to_display_string`.
+    pub payload: Bytes,
 }
 
 impl Record {
@@ -219,7 +76,7 @@ impl Record {
     pub const UNTRACKED: RecordId = RecordId(u64::MAX);
 
     /// A record fresh out of an adaptor, before intake assigns a tracking id.
-    pub fn untracked(adaptor: u32, payload: impl Into<RecordPayload>) -> Self {
+    pub fn untracked(adaptor: u32, payload: impl Into<Bytes>) -> Self {
         Record {
             id: Self::UNTRACKED,
             adaptor,
@@ -229,7 +86,7 @@ impl Record {
     }
 
     /// A record with a known tracking id.
-    pub fn tracked(id: RecordId, adaptor: u32, payload: impl Into<RecordPayload>) -> Self {
+    pub fn tracked(id: RecordId, adaptor: u32, payload: impl Into<Bytes>) -> Self {
         Record {
             id,
             adaptor,
@@ -261,7 +118,7 @@ impl Record {
     }
 
     /// Decode one serialized record from the front of `input`; returns it
-    /// and the rest. The payload's decode cache starts cold.
+    /// and the rest.
     pub fn decode_prefix(input: &[u8]) -> IngestResult<(Record, &[u8])> {
         let (id, rest) = split_array::<8>(input, "record id")?;
         let (adaptor, rest) = split_array::<4>(rest, "record adaptor")?;
@@ -279,7 +136,7 @@ impl Record {
             id: RecordId(u64::from_le_bytes(*id)),
             adaptor: u32::from_le_bytes(*adaptor),
             gen_at: (gen != UNSTAMPED).then_some(SimInstant(gen)),
-            payload: RecordPayload::new(Bytes::copy_from_slice(payload)),
+            payload: Bytes::copy_from_slice(payload),
         };
         Ok((record, rest))
     }
@@ -532,7 +389,6 @@ mod tests {
         assert_eq!(back.records()[0].gen_at, Some(SimInstant(42)));
         assert_eq!(back.records()[1].gen_at, None);
         assert!(!back.records()[1].is_tracked());
-        assert!(!back.records()[0].payload.is_parsed(), "decode cache cold");
         let mut empty = Vec::new();
         DataFrame::new().encode_into(&mut empty);
         assert!(DataFrame::decode(&empty).unwrap().is_empty());
@@ -561,51 +417,5 @@ mod tests {
         let len_at = 4 + RECORD_HEADER_LEN - 4;
         buf[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(DataFrame::decode(&buf).is_err());
-    }
-
-    #[test]
-    fn payload_parse_runs_once_and_is_shared_by_clones() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let calls = AtomicU32::new(0);
-        let parse = |bytes: &[u8]| -> Result<Arc<dyn Any + Send + Sync>, String> {
-            calls.fetch_add(1, Ordering::SeqCst);
-            Ok(Arc::new(bytes.len()))
-        };
-        let p = RecordPayload::new("hello");
-        assert!(!p.is_parsed());
-        let clone = p.clone(); // clone taken *before* the first parse
-        let v1 = p.parse_with(parse).unwrap();
-        let v2 = clone.parse_with(parse).unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert!(Arc::ptr_eq(&v1, &v2));
-        assert_eq!(*v1.downcast_ref::<usize>().unwrap(), 5);
-        assert!(clone.is_parsed());
-    }
-
-    #[test]
-    fn payload_caches_parse_failures() {
-        let p = RecordPayload::new("oops");
-        let e1 = p
-            .parse_with(|_| Err("bad".into()))
-            .expect_err("first parse fails");
-        let e2 = p
-            .parse_with(|_| panic!("must not re-parse"))
-            .expect_err("cached failure");
-        assert_eq!(e1, "bad");
-        assert_eq!(e2, "bad");
-    }
-
-    #[test]
-    // the interior mutability is the parse cache, which Eq/Hash ignore by
-    // construction — exactly what this test demonstrates
-    #[allow(clippy::mutable_key_type)]
-    fn payload_eq_and_hash_ignore_parse_cache() {
-        let a = RecordPayload::new("same");
-        let b = RecordPayload::with_parsed("same", Arc::new(42u64));
-        assert_eq!(a, b);
-        assert!(b.is_parsed());
-        let mut set = std::collections::HashSet::new();
-        set.insert(a);
-        assert!(set.contains(&b));
     }
 }

@@ -44,7 +44,7 @@ pub mod trace;
 pub use clock::{SimClock, SimDuration, SimInstant};
 pub use error::{IngestError, IngestResult, SoftError};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
-pub use frame::{DataFrame, FrameBuilder, Record, RecordPayload, DEFAULT_FRAME_CAPACITY};
+pub use frame::{DataFrame, FrameBuilder, Record, DEFAULT_FRAME_CAPACITY};
 pub use ids::{FeedId, JobId, NodeId, OperatorId, RecordId};
 pub use meter::{RateMeter, ThroughputSeries};
 pub use metrics::{

@@ -74,12 +74,6 @@ impl Counter {
         // relaxed-ok: a momentarily-old read of a lone counter is fine
         self.0.load(Ordering::Relaxed)
     }
-
-    /// The backing atomic, for call sites (e.g. the shared parse-cache miss
-    /// counter) that hand a raw `&AtomicU64` across a crate boundary.
-    pub fn as_atomic(&self) -> &AtomicU64 {
-        &self.0
-    }
 }
 
 /// A last-value-wins gauge.

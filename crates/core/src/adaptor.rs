@@ -42,8 +42,7 @@
 use asterix_adm::{parse_value, payload_from_value};
 use asterix_common::sync::Mutex;
 use asterix_common::{
-    Counter, FaultKind, FaultPlan, IngestError, IngestResult, Record, SimClock, SimDuration,
-    SimInstant,
+    Counter, FaultKind, FaultPlan, IngestError, IngestResult, Record, SimClock, SimInstant,
 };
 use asterix_hyracks::job::Constraint;
 use asterix_hyracks::operator::SourcePoll;
@@ -110,12 +109,9 @@ fn parse_datasource_list(config: &AdaptorConfig, key: &str) -> IngestResult<Vec<
 /// Translate one external JSON/ADM line into an ADM record payload (§5.3.1).
 /// Malformed input yields a parse error the adaptor may skip.
 ///
-/// This is the *one* text parse a record ever gets: the payload carries the
-/// value's binary ADM encoding from here on, and its shared cache is seeded
-/// with the parsed value, so a co-located assign reuses it (past a wire hop
-/// or a spill it decodes the binary form) instead of re-parsing text. Route
-/// predicates, the partitioner key function, type checking and the store
-/// read the bytes.
+/// This is the *one* text parse a record ever gets, and the tree it builds
+/// is dropped here: the record leaves as the value's binary ADM encoding,
+/// which every later stage reads in place.
 fn translate(line: &str, adaptor_instance: u32) -> IngestResult<Record> {
     let value = parse_value(line)?;
     Ok(Record::untracked(
@@ -483,11 +479,15 @@ impl Replay {
             let (offset, payload) = trimmed.split_once('\t').ok_or_else(|| {
                 IngestError::Config(format!("trace {path}: line lacks offset<TAB>"))
             })?;
-            let offset: u64 = offset
+            // an offset the clock cannot reach is as bad as a non-numeric one
+            let due = offset
                 .parse()
-                .map_err(|_| IngestError::Config(format!("trace {path}: bad offset '{offset}'")))?;
-            let due = self.start.plus(SimDuration(offset));
-            self.next = Some((due, payload.to_string()));
+                .ok()
+                .and_then(|ms: u64| self.start.0.checked_add(ms))
+                .ok_or_else(|| {
+                    IngestError::Config(format!("trace {path}: bad offset '{offset}'"))
+                })?;
+            self.next = Some((SimInstant(due), payload.to_string()));
         }
         Ok(self.next.as_ref().map(|(due, _)| *due))
     }
@@ -661,7 +661,7 @@ impl std::fmt::Debug for AdaptorRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asterix_adm::{decode_value, AdmPayloadExt};
+    use asterix_adm::decode_value;
     use tweetgen::{PatternDescriptor, TweetGen, TweetGenConfig};
 
     /// Poll `adaptor` until its source is exhausted, the way the collect
@@ -728,10 +728,8 @@ mod tests {
             .unwrap();
         let records = drain(adaptor.as_mut());
         assert!(records.len() > 100, "got {}", records.len());
-        // payload is binary ADM of the translated record, cache seeded
-        assert!(records[0].payload.is_parsed());
-        let v = decode_value(records[0].payload.bytes()).unwrap();
-        assert_eq!(v, *records[0].payload.adm_value().unwrap());
+        // payload is binary ADM of the translated record
+        let v = decode_value(&records[0].payload).unwrap();
         assert!(v.field("id").is_some());
         assert!(!records[0].is_tracked());
         g.stop();
@@ -851,14 +849,8 @@ mod tests {
         let ids: Vec<String> = records
             .iter()
             .map(|r| {
-                r.payload
-                    .adm_value()
-                    .unwrap()
-                    .field("id")
-                    .unwrap()
-                    .as_str()
-                    .unwrap()
-                    .to_string()
+                let v = decode_value(&r.payload).unwrap();
+                v.field("id").unwrap().as_str().unwrap().to_string()
             })
             .collect();
         assert_eq!(ids, ["a", "b", "c"]);
@@ -874,21 +866,56 @@ mod tests {
         assert!(clock.now().since(start).0 >= 400);
     }
 
+    /// The trace file is input from outside the program: whatever a line
+    /// holds, replay answers with a typed error (the *trace* is corrupt) or
+    /// a counted `parse.malformed_lines` (one recorded payload is), never a
+    /// panic and never a record stamped with a wrapped-around instant.
     #[test]
-    fn trace_adaptor_rejects_corrupt_frames() {
-        let path = std::env::temp_dir().join("asterix_trace_adaptor_corrupt.trace");
-        std::fs::write(&path, "no tab here\n").unwrap();
+    fn trace_adaptor_survives_hostile_lines() {
+        let path = std::env::temp_dir().join("asterix_trace_adaptor_hostile.trace");
         let mut cfg = AdaptorConfig::new();
         cfg.insert("path".into(), path.to_string_lossy().into_owned());
-        let mut adaptor = TraceAdaptorFactory
-            .create(&cfg, 0, &SimClock::fast(), &Counter::new())
-            .unwrap();
-        assert!(poll_fails(adaptor.as_mut()));
-        std::fs::write(&path, "xyz\t{\"id\":\"a\"}\n").unwrap();
-        let mut adaptor = TraceAdaptorFactory
-            .create(&cfg, 0, &SimClock::fast(), &Counter::new())
-            .unwrap();
-        assert!(poll_fails(adaptor.as_mut()));
+        let clock = SimClock::fast();
+        while clock.now() == SimInstant(0) {
+            std::thread::yield_now(); // any offset overflows only past instant 0
+        }
+        // (what, contents, Some((records, malformed)) | None for a typed error)
+        let cases = [
+            ("no TAB", "{\"id\":\"a\"}\n", None),
+            ("non-numeric offset", "soon\t{\"id\":\"a\"}\n", None),
+            ("negative offset", "-5\t{\"id\":\"a\"}\n", None),
+            ("offset past u64", "18446744073709551616\t{}\n", None),
+            ("offset past the clock", "18446744073709551615\t{}\n", None),
+            // the trailing-whitespace trim eats the TAB of an empty payload
+            ("empty payload", "0\t\n", None),
+            ("junk payload", "0\t{{{\n0\t{\"id\":\"a\"}\n", Some((1, 1))),
+            ("CRLF line ends", "0\t{}\r\n0\t{}\r\n", Some((2, 0))),
+            ("blank lines", "\n\n0\t{}\n  \n\r\n", Some((1, 0))),
+        ];
+        for (what, contents, expected) in cases {
+            std::fs::write(&path, contents).unwrap();
+            let malformed = Counter::new();
+            let mut adaptor = TraceAdaptorFactory
+                .create(&cfg, 0, &clock, &malformed)
+                .unwrap();
+            let mut records = 0;
+            let outcome = loop {
+                let mut emit = |r: Record| {
+                    assert!(r.gen_at.unwrap() >= SimInstant(1), "{what}: stamp wrapped");
+                    records += 1;
+                    Ok(())
+                };
+                match adaptor.poll(&mut emit, 16) {
+                    Ok(SourcePoll::Done) => break Some((records, malformed.get())),
+                    Ok(_) => {}
+                    Err(e) => {
+                        assert!(matches!(e, IngestError::Config(_)), "{what}: {e}");
+                        break None;
+                    }
+                }
+            };
+            assert_eq!(outcome, expected, "{what}");
+        }
         std::fs::remove_file(&path).ok();
         assert!(TraceAdaptorFactory
             .constraints(&AdaptorConfig::new())

@@ -1103,6 +1103,7 @@ impl FeedController {
                     udf: udf.clone(),
                     out_joint_id: seg.outputs[0].clone(),
                     locations,
+                    feed: seg.feed_id,
                     policy,
                     metrics,
                     log,
@@ -1139,6 +1140,7 @@ impl FeedController {
                 let store = StoreDesc {
                     dataset: Arc::clone(&c.dataset),
                     registry: Some(Arc::clone(self.catalog.types())),
+                    feed: seg.feed_id,
                     policy,
                     metrics,
                     log,

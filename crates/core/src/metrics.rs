@@ -48,12 +48,10 @@ pub struct FeedMetrics {
     /// `records_persisted` this gives the effective batch size the write
     /// path achieved (persisted / frames_stored).
     pub frames_stored: Counter,
-    /// Binary-ADM payload decodes attributed to this connection — cache
-    /// *misses* of the shared per-payload decode cell (the name predates
-    /// the binary payload; no stage parses text). The adaptor seeds the
-    /// cache, so every stage on its side of a wire hop hits it and this
-    /// stays 0; records that arrive as bytes (over a TCP edge, out of the
-    /// spill file) cost one decode at the first stage that needs the tree.
+    /// Full-tree binary decodes downstream of the adaptor attributed to this
+    /// connection (the name predates the binary payload; no stage parses
+    /// text): one per record at each assign (the UDF needs a value), the
+    /// router's whole-record fallback, key-less records at the partitioner.
     /// Field projections (router, partitioner key) are not counted.
     pub parse_calls: Counter,
     /// Hard failures (node loss, operator panic) this connection recovered

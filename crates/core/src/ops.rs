@@ -31,7 +31,7 @@ use crate::manager::FeedManager;
 use crate::metrics::FeedMetrics;
 use crate::policy::IngestionPolicy;
 use crate::udf::Udf;
-use asterix_adm::{payload_from_value, AdmPayloadExt, AdmType, TypeRegistry};
+use asterix_adm::{decode_value, payload_from_value, to_display_string, AdmType, TypeRegistry};
 use asterix_common::sync::Mutex;
 use asterix_common::{
     Counter, DataFrame, FaultKind, FaultPlan, FeedId, FrameBuilder, IngestError, IngestResult,
@@ -82,6 +82,7 @@ pub fn new_soft_failure_log() -> SoftFailureLog {
 /// the feed only after too many *consecutive* failures.
 pub struct Sandbox {
     name: String,
+    feed: FeedId,
     policy: IngestionPolicy,
     metrics: Arc<FeedMetrics>,
     log: SoftFailureLog,
@@ -91,9 +92,10 @@ pub struct Sandbox {
 }
 
 impl Sandbox {
-    /// A sandbox reporting as operator `name`.
+    /// A sandbox reporting as operator `name` of `feed`.
     pub fn new(
         name: impl Into<String>,
+        feed: FeedId,
         policy: IngestionPolicy,
         metrics: Arc<FeedMetrics>,
         log: SoftFailureLog,
@@ -102,6 +104,7 @@ impl Sandbox {
     ) -> Self {
         Sandbox {
             name: name.into(),
+            feed,
             policy,
             metrics,
             log,
@@ -128,7 +131,7 @@ impl Sandbox {
         self.consecutive_failures += 1;
         if self.consecutive_failures > self.policy.max_consecutive_soft_failures {
             return Err(IngestError::FeedTerminated {
-                feed: asterix_common::FeedId(0),
+                feed: self.feed,
                 reason: format!(
                     "{}: {} consecutive soft failures",
                     self.name, self.consecutive_failures
@@ -144,7 +147,7 @@ impl Sandbox {
             at: self.clock.now(),
             operator: self.name.clone(),
             message: err.to_string(),
-            payload: Some(record.payload.to_display_string()),
+            payload: Some(to_display_string(&record.payload)),
         };
         // at minimum, append to the error log
         self.log.lock().push(entry.clone());
@@ -199,6 +202,7 @@ where
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: impl Into<String>,
+        feed: FeedId,
         policy: IngestionPolicy,
         metrics: Arc<FeedMetrics>,
         log: SoftFailureLog,
@@ -208,7 +212,7 @@ where
         on_close: Option<Box<dyn FnMut() + Send>>,
     ) -> Self {
         MetaFeed {
-            sandbox: Sandbox::new(name, policy, metrics, log, log_dataset, clock),
+            sandbox: Sandbox::new(name, feed, policy, metrics, log, log_dataset, clock),
             process,
             on_close,
         }
@@ -748,6 +752,8 @@ pub struct AssignDesc {
     pub out_joint_id: String,
     /// Pinned compute locations.
     pub locations: Vec<NodeId>,
+    /// The feed a sandbox termination names.
+    pub feed: FeedId,
     /// Connection policy (sandbox settings).
     pub policy: IngestionPolicy,
     /// Shared metrics.
@@ -787,12 +793,10 @@ impl OperatorDescriptor for AssignDesc {
         let extra_spin = self.extra_spin;
         let extra_delay_us = self.extra_delay_us;
         let process = move |rec: &Record| -> IngestResult<Option<Record>> {
-            // shared decode: a cache hit when the adaptor seeded the payload,
-            // an attributed miss for despilled or wire-delivered records
-            let value = rec
-                .payload
-                .adm_value_counted(metrics.parse_calls.as_atomic())
-                .map_err(|e| IngestError::soft(e.to_string()))?;
+            // the UDF reads a tree: this stage's one decode, dropped with
+            // the call
+            metrics.parse_calls.add(1);
+            let value = decode_value(&rec.payload).map_err(|e| IngestError::soft(e.to_string()))?;
             if extra_delay_us > 0 {
                 std::thread::sleep(std::time::Duration::from_micros(extra_delay_us));
             }
@@ -811,9 +815,8 @@ impl OperatorDescriptor for AssignDesc {
                 return Ok(None);
             }
             metrics.records_computed.add(1);
-            // UDF output is a true materialization boundary: encode the new
-            // value once, seeding the cache for a co-located stage that needs
-            // the value (the store does not: it reads the bytes)
+            // UDF output is a true materialization boundary: the new value
+            // is encoded once and leaves as bytes
             Ok(Some(Record {
                 id: rec.id,
                 adaptor: rec.adaptor,
@@ -823,6 +826,7 @@ impl OperatorDescriptor for AssignDesc {
         };
         let meta = MetaFeed::new(
             self.name(),
+            self.feed,
             self.policy.clone(),
             Arc::clone(&self.metrics),
             Arc::clone(&self.log),
@@ -872,10 +876,10 @@ impl FrameWriter for JointWriter {
 /// Descriptor for the routing operator of a multi-sink ingestion plan: it
 /// subscribes (through an [`IntakeDesc`] upstream) to the plan's tail feed
 /// joint, evaluates every sink's routing predicate **once** per record —
-/// against the cached value when the record arrives warm, otherwise against
-/// a projection of just the fields the predicates read, so a cold record is
-/// routed without materialising its tree — and deposits each record into
-/// the joints of the sinks it matched. Each out joint is consumed by an
+/// against a projection of just the fields the predicates read, so a record
+/// is routed without materialising its tree (a predicate on the whole record
+/// costs a full, counted decode) — and deposits each record into the joints
+/// of the sinks it matched. Each out joint is consumed by an
 /// independent store pipeline with its own policy, flow control and custody.
 pub struct RouteDesc {
     /// The compiled plan whose [`IngestPlan::route_record`] drives fan-out.
@@ -887,7 +891,7 @@ pub struct RouteDesc {
     pub out_joints: Vec<String>,
     /// Pinned locations (the in-joint's nodes; routing never repartitions).
     pub locations: Vec<NodeId>,
-    /// Trunk metrics (decode-cache miss attribution).
+    /// Trunk metrics (`parse_calls`: whole-record decodes).
     pub metrics: Arc<FeedMetrics>,
     /// Per-sink `plan.sink.records_routed` counters, index-aligned with
     /// `out_joints`.
@@ -929,16 +933,14 @@ impl OperatorDescriptor for RouteDesc {
         let fields = plan.route_fields();
         let route_fn = Arc::new(move |rec: &Record| -> Vec<usize> {
             // one predicate evaluation pass per record, the same evaluator
-            // whether it sees the cached tree or a projection of the bytes
+            // whether it sees a projection or the whole tree
             let route = |value: &asterix_adm::AdmValue| plan.route_record(value, rec.gen_at);
             let routed = match &fields {
-                Some(fields) => rec
-                    .payload
-                    .with_fields(fields, parse_calls.as_atomic(), route),
-                None => rec
-                    .payload
-                    .adm_value_counted(parse_calls.as_atomic())
-                    .map(|value| route(&value)),
+                Some(fields) => asterix_adm::with_fields(&rec.payload, fields, &parse_calls, route),
+                None => {
+                    parse_calls.add(1);
+                    decode_value(&rec.payload).map(|value| route(&value))
+                }
             };
             // undecodable records cannot be routed; count them with the
             // no-match family rather than killing the trunk
@@ -1013,6 +1015,8 @@ pub struct StoreDesc {
     pub dataset: Arc<Dataset>,
     /// Type registry for record validation; `None` skips validation.
     pub registry: Option<Arc<TypeRegistry>>,
+    /// The feed a sandbox termination names.
+    pub feed: FeedId,
     /// Connection policy.
     pub policy: IngestionPolicy,
     /// Shared metrics.
@@ -1051,6 +1055,7 @@ impl OperatorDescriptor for StoreDesc {
         let store = StoreFeed {
             sandbox: Sandbox::new(
                 self.name(),
+                self.feed,
                 self.policy.clone(),
                 Arc::clone(&self.metrics),
                 Arc::clone(&self.log),
@@ -1071,19 +1076,17 @@ impl OperatorDescriptor for StoreDesc {
 }
 
 /// The frame-granular store operator. A record reaches it as bytes — its
-/// binary ADM payload, possibly fresh off a wire hop or a spill file — and
-/// stays bytes: per frame the operator hands every payload (a refcount bump
-/// of the frame's buffer; it never decodes one) to the partition in **one**
-/// `upsert_batch_bytes` call. The partition runs the one checked walk over
-/// each payload — well-formedness and datatype conformance in the same pass
-/// — and then: one partition lock, one multi-entry WAL append of the copied
-/// bytes, the memtable sharing the buffers. What the walk rejects comes back
-/// as a per-record soft failure, and the §6.1 sandbox bookkeeping runs over
-/// the outcomes in arrival order, so soft-failure logging (the record
-/// rendered for humans with `to_display_string`) and the
-/// consecutive-failure cutoff behave exactly like a record-at-a-time path.
-/// The only stages that may still build a record's `AdmValue` are upstream:
-/// the adaptor's translate and a UDF.
+/// binary ADM payload — and stays bytes: per frame the operator hands every
+/// payload (a refcount bump of the record's buffer; it never decodes one) to
+/// the partition in **one** `upsert_batch_bytes` call. The partition runs the
+/// one checked walk over each payload — well-formedness and datatype
+/// conformance in the same pass — and then: one partition lock, one
+/// multi-entry WAL append of the copied bytes, the memtable sharing the
+/// buffers. What the walk rejects comes back as a per-record soft failure,
+/// and the §6.1 sandbox bookkeeping runs over the outcomes in arrival order,
+/// so soft-failure logging (the record rendered for humans with
+/// `to_display_string`) and the consecutive-failure cutoff behave exactly
+/// like a record-at-a-time path.
 struct StoreFeed {
     sandbox: Sandbox,
     partition: Arc<asterix_storage::DatasetPartition>,
@@ -1096,7 +1099,7 @@ struct StoreFeed {
 impl UnaryOperator for StoreFeed {
     fn next_frame(&mut self, frame: DataFrame, _output: &mut dyn FrameWriter) -> IngestResult<()> {
         let records = frame.records();
-        let batch: Vec<_> = records.iter().map(|r| r.payload.bytes().clone()).collect();
+        let batch: Vec<_> = records.iter().map(|r| r.payload.clone()).collect();
         let conform = self.registry.as_deref().map(|reg| (reg, &self.datatype));
         // the group commit: checked walk, WAL first (one block), then primary
         // + secondary updates under one acquisition of the partition lock
@@ -1141,9 +1144,8 @@ impl UnaryOperator for StoreFeed {
 /// record's primary key (falls back to hashing raw bytes on undecodable
 /// payloads — the store's sandbox reports those as soft failures).
 ///
-/// A warm record is read through its shared cache; a cold one (fresh off a
-/// wire hop) has just the key decoded out of its bytes. Only a record with
-/// no primary key needs the whole value, and that decode is counted in
+/// Just the key is decoded out of the record's bytes. Only a record with no
+/// primary key needs the whole value, and that decode is counted in
 /// `parse_calls` like every other stage's.
 pub fn store_key_fn(
     primary_key: String,
@@ -1151,18 +1153,16 @@ pub fn store_key_fn(
 ) -> Arc<dyn Fn(&Record) -> u64 + Send + Sync> {
     let fields = [primary_key];
     Arc::new(move |rec: &Record| {
-        let misses = parse_calls.as_atomic();
         let key_hash =
             |v: &asterix_adm::AdmValue| v.field(&fields[0]).map(asterix_adm::hash::hash_value);
-        rec.payload
-            .with_fields(&fields, misses, key_hash)
+        asterix_adm::with_fields(&rec.payload, &fields, &parse_calls, key_hash)
             .and_then(|hash| match hash {
                 Some(hash) => Ok(hash),
                 // no primary key: the whole value routes the record
-                None => rec
-                    .payload
-                    .adm_value_counted(misses)
-                    .map(|v| asterix_adm::hash::hash_value(&v)),
+                None => {
+                    parse_calls.add(1);
+                    decode_value(&rec.payload).map(|v| asterix_adm::hash::hash_value(&v))
+                }
             })
             .unwrap_or_else(|_| {
                 // raw-byte hash keeps routing deterministic
@@ -1197,6 +1197,7 @@ mod tests {
         let log = new_soft_failure_log();
         let meta = MetaFeed::new(
             "test-op",
+            FeedId(7),
             policy,
             Arc::clone(&m),
             Arc::clone(&log),
@@ -1523,7 +1524,7 @@ mod tests {
             assert!(Instant::now() < deadline, "got {} of {n}", ids.len());
             while let Some(JointRecv::Frame(f)) = sub.try_recv() {
                 for r in f.records() {
-                    let v = r.payload.adm_value().unwrap();
+                    let v = decode_value(&r.payload).unwrap();
                     ids.push(v.field("id").unwrap().as_int().unwrap());
                 }
             }
@@ -1588,7 +1589,11 @@ mod tests {
         let err = meta
             .next_frame(frame_of(&["a", "b", "c", "d", "e"]), &mut out)
             .unwrap_err();
-        assert!(matches!(err, IngestError::FeedTerminated { .. }), "{err}");
+        // the termination names the sandbox's own feed (used to say FEED0)
+        assert!(
+            matches!(err, IngestError::FeedTerminated { feed, .. } if feed == FeedId(7)),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1636,25 +1641,19 @@ mod tests {
         use asterix_adm::payload_from_text;
         let parse_calls = Counter::new();
         let key_fn = store_key_fn("id".into(), parse_calls.clone());
-        let warm = |id: u64, text: &str| {
+        let rec = |id: u64, text: &str| {
             Record::tracked(RecordId(id), 0, payload_from_text(text).unwrap())
         };
-        // the same bytes with a cold cache, as a wire hop delivers them
-        let cold = |r: &Record| Record::tracked(r.id, 0, r.payload.bytes().clone());
-        let r1 = warm(0, "{\"id\":\"a\",\"x\":1}");
-        let r2 = warm(1, "{\"id\":\"a\",\"x\":2}");
-        let r3 = warm(2, "{\"id\":\"b\",\"x\":1}");
+        let r1 = rec(0, "{\"id\":\"a\",\"x\":1}");
+        let r2 = rec(1, "{\"id\":\"a\",\"x\":2}");
+        let r3 = rec(2, "{\"id\":\"b\",\"x\":1}");
         assert_eq!(key_fn(&r1), key_fn(&r2), "same key, same route");
         assert_ne!(key_fn(&r1), key_fn(&r3));
-        // a cold record routes like its warm twin, by decoding only the key
-        let c1 = cold(&r1);
-        assert_eq!(key_fn(&c1), key_fn(&r1));
-        assert!(!c1.payload.is_parsed());
         assert_eq!(parse_calls.get(), 0, "key projections are not decodes");
         // no primary key: the whole value routes it, and the decode counts
-        let keyless = warm(3, "{\"x\":1}");
-        assert_eq!(key_fn(&cold(&keyless)), key_fn(&keyless));
-        assert_eq!(parse_calls.get(), 1);
+        let keyless = rec(3, "{\"x\":1}");
+        assert_eq!(key_fn(&keyless), key_fn(&rec(4, "{\"x\":1}")));
+        assert_eq!(parse_calls.get(), 2);
         // undecodable payloads still route deterministically
         let bad = Record::tracked(RecordId(4), 0, "}{");
         assert_eq!(key_fn(&bad), key_fn(&bad));
@@ -1667,14 +1666,12 @@ mod tests {
             Err(IngestError::soft("rejected"))
         });
         let text = "{ \"id\": \"t1\", \"n\": 5 }";
-        let warm = Record::tracked(RecordId(0), 0, payload_from_text(text).unwrap());
-        let cold = Record::tracked(RecordId(1), 0, warm.payload.bytes().clone());
+        let rec = Record::tracked(RecordId(0), 0, payload_from_text(text).unwrap());
         let mut out = CaptureWriter(Vec::new());
-        meta.next_frame(DataFrame::from_records(vec![warm, cold]), &mut out)
+        meta.next_frame(DataFrame::from_records(vec![rec]), &mut out)
             .unwrap();
         let expected = asterix_adm::to_adm_string(&asterix_adm::parse_value(text).unwrap());
         let entries = log.lock();
         assert_eq!(entries[0].payload.as_deref(), Some(expected.as_str()));
-        assert_eq!(entries[1].payload, entries[0].payload, "cold bytes decode");
     }
 }

@@ -2,17 +2,13 @@
 //!
 //! A record travelling adaptor → intake → assign (UDF) → partitioner →
 //! store → secondary index must be parsed from text exactly once — at the
-//! adaptor, which seeds the payload's shared cache and writes the binary
-//! ADM payload every later hop carries. Before the parse-once refactor this
-//! path parsed each record three or more times (assign, key function and
-//! store each re-read the text); before payloads went binary every TCP hop
-//! and every despill cost another text parse, and every stage that produced
-//! a value printed it.
-//!
-//! Since storage went on bytes the store decodes nothing either: across a
-//! TCP plan the only binary decode left is assign's (the UDF needs a value),
-//! and a feed without a UDF builds no value downstream of the adaptor at
-//! all.
+//! adaptor, which writes the binary ADM payload every later hop carries —
+//! and never printed. Downstream of the adaptor the only stage that builds a
+//! record's tree is assign (the UDF needs a value): one binary decode per
+//! record per UDF stage, whether the record reached it over an in-process
+//! edge, a TCP hop or a despill. The router and the partitioner project
+//! their fields out of the bytes and the store keeps the bytes, so a feed
+//! without a UDF builds no value downstream of the adaptor at all.
 //!
 //! This file holds a single `#[test]` so its process owns the global
 //! [`asterix_adm::parse_calls`] / [`asterix_adm::print_calls`] counters —
@@ -48,13 +44,14 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn every_record_is_parsed_exactly_once_and_never_printed() {
-    in_process_feed_parses_once();
+    in_process_feed_decodes_once_at_assign();
     tcp_plan_with_a_spill_parses_once_and_prints_nothing();
-    udf_less_tcp_feed_decodes_nothing();
+    udf_less_feed_decodes_nothing(TransportKind::Tcp, "parse-once:9002");
+    udf_less_feed_decodes_nothing(TransportKind::InProcess, "parse-once:9003");
 }
 
-/// Two-node cluster on the TCP transport, heartbeats never failing a node.
-fn tcp_rig() -> (Cluster, Arc<FeedCatalog>, Arc<FeedController>) {
+/// Two-node cluster on `transport`, heartbeats never failing a node.
+fn rig(transport: TransportKind) -> (Cluster, Arc<FeedCatalog>, Arc<FeedController>) {
     let cluster = Cluster::start(
         2,
         SimClock::with_scale(10.0),
@@ -68,7 +65,7 @@ fn tcp_rig() -> (Cluster, Arc<FeedCatalog>, Arc<FeedController>) {
         cluster.clone(),
         Arc::clone(&catalog),
         ControllerConfig {
-            transport: TransportKind::Tcp,
+            transport,
             flow_capacity: 1,
             ..ControllerConfig::default()
         },
@@ -76,13 +73,13 @@ fn tcp_rig() -> (Cluster, Arc<FeedCatalog>, Arc<FeedController>) {
     (cluster, catalog, controller)
 }
 
-/// N records through socket → TCP → store with no UDF anywhere: the store
-/// takes the payload bytes off the wire as they are, so after the adaptor's
-/// N text parses nothing is decoded, parsed or printed — and the type check
-/// still ran, on the bytes.
-fn udf_less_tcp_feed_decodes_nothing() {
+/// N records through socket → store with no UDF anywhere, on either
+/// transport: the store takes the payload bytes as they are, so after the
+/// adaptor's N text parses nothing is decoded, parsed or printed — and the
+/// type check still ran, on the bytes.
+fn udf_less_feed_decodes_nothing(transport: TransportKind, socket: &str) {
     const N: u64 = 500;
-    let (cluster, catalog, controller) = tcp_rig();
+    let (cluster, catalog, controller) = rig(transport);
     let nodegroup: Vec<NodeId> = cluster.alive_nodes().iter().map(|n| n.id()).collect();
     let dataset = Arc::new(
         Dataset::create(DatasetConfig {
@@ -94,14 +91,14 @@ fn udf_less_tcp_feed_decodes_nothing() {
         .unwrap(),
     );
     catalog.register_dataset(Arc::clone(&dataset));
-    let tx = bind_socket("parse-once:9002", 2048).unwrap();
-    IngestPlanBuilder::new("RawTcpFeed")
+    let tx = bind_socket(socket, 2048).unwrap();
+    IngestPlanBuilder::new("PlainFeed")
         .adaptor("socket_adaptor")
-        .param("sockets", "parse-once:9002")
+        .param("sockets", socket)
         .register_feeds(&catalog)
         .unwrap();
     let conn = controller
-        .connect_feed("RawTcpFeed", "RawTweets", "Basic")
+        .connect_feed("PlainFeed", "RawTweets", "Basic")
         .unwrap();
 
     let mut factory = tweetgen::TweetFactory::new(9, 13);
@@ -137,7 +134,7 @@ fn udf_less_tcp_feed_decodes_nothing() {
 
     controller.shutdown();
     cluster.shutdown();
-    unbind_socket("parse-once:9002");
+    unbind_socket(socket);
 }
 
 /// N records through socket → sentiment UDF → 3-way route → 3 stores with
@@ -149,7 +146,7 @@ fn udf_less_tcp_feed_decodes_nothing() {
 /// the bytes as they are.
 fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
     const N: u64 = 600;
-    let (cluster, catalog, controller) = tcp_rig();
+    let (cluster, catalog, controller) = rig(TransportKind::Tcp);
     let nodegroup: Vec<NodeId> = cluster.alive_nodes().iter().map(|n| n.id()).collect();
     let dataset = |name: &str, insert_spin: u64| {
         let config = DatasetConfig {
@@ -217,7 +214,7 @@ fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
     assert_eq!(
         snap.counter("feed.parse_calls"),
         N,
-        "one decode, behind the wire hop into the only stage that needs the tree: assign"
+        "one decode, in the only stage that needs the tree: assign"
     );
     // the UDF ran and the doubles it produced survived three wire hops
     assert!(rest.scan_all().iter().all(
@@ -229,7 +226,10 @@ fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
     unbind_socket("parse-once:9001");
 }
 
-fn in_process_feed_parses_once() {
+/// The full in-process pipeline with a UDF: one text parse per record (the
+/// adaptor's), one binary decode per record (assign's, for the UDF), and
+/// nowhere else — no print, no decode at the partitioner or the store.
+fn in_process_feed_decodes_once_at_assign() {
     let clock = SimClock::with_scale(10.0);
     let cluster = Cluster::start(
         2,
@@ -283,7 +283,7 @@ fn in_process_feed_parses_once() {
     let mut factory = tweetgen::TweetFactory::new(3, 7);
     let lines: Vec<String> = (0..RECORDS).map(|_| factory.next_json()).collect();
 
-    let before = parse_calls();
+    let (before, printed_before) = (parse_calls(), print_calls());
     for line in &lines {
         tx.send(line.clone()).unwrap();
     }
@@ -294,21 +294,21 @@ fn in_process_feed_parses_once() {
     );
     let parsed = parse_calls() - before;
 
-    // exactly one parse per record: the adaptor's. Assign reuses the shared
-    // cached value; the partitioner key function, the type check, the store
-    // and the secondary index read the binary payload. (The pre-refactor
-    // pipeline cost 3+ parses per record on this path.)
+    // exactly one text parse per record: the adaptor's. The partitioner key
+    // function, the type check, the store and the secondary index read the
+    // binary payload.
     assert_eq!(
         parsed, RECORDS,
         "pipeline parsed {parsed} times for {RECORDS} records"
     );
+    assert_eq!(print_calls() - printed_before, 0);
 
-    // the per-feed cache-miss counters agree: no stage downstream of the
-    // adaptor ever decoded — not the connection's store job, not assign
+    // one decode per record, at assign, and nowhere else: the connection's
+    // store job (partitioner + store) decoded nothing
     let metrics = controller.connection_metrics(conn).unwrap();
     assert_eq!(metrics.parse_calls.get(), 0);
     let snap = controller.registry().snapshot();
-    assert_eq!(snap.counter("feed.parse_calls"), 0);
+    assert_eq!(snap.counter("feed.parse_calls"), RECORDS);
 
     // sanity: the records really went through the UDF and the store
     let sample = dataset.scan_all();

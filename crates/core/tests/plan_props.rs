@@ -9,13 +9,12 @@
 //! the same [`IngestPlan::route_record`], so whatever these properties pin
 //! down is what the pipeline does.
 //!
-//! The router and the store partitioner read a *cold* record (one fresh off
-//! a wire hop) through a projection of its bytes instead of a decoded tree;
-//! the last two properties pin that a projection routes and hashes exactly
-//! like the full value.
+//! The router and the store partitioner read a record through a projection
+//! of its bytes instead of a decoded tree; the last two properties pin that
+//! a projection routes and hashes exactly like the full value.
 
-use asterix_adm::{payload_from_value, AdmPayloadExt, AdmValue};
-use asterix_common::{Counter, Record, RecordPayload, SimInstant};
+use asterix_adm::{decode_value, hash::hash_value, payload_from_value, with_fields, AdmValue};
+use asterix_common::{Counter, Record, SimInstant};
 use asterix_feeds::adaptor::AdaptorConfig;
 use asterix_feeds::ops::store_key_fn;
 use asterix_feeds::plan::{IngestPlan, PlanSource, RoutePredicate, RoutingMode, SinkSpec};
@@ -84,11 +83,6 @@ fn ragged_record() -> impl Strategy<Value = AdmValue> {
         "[a-z]{0,12}".prop_map(|t| ("message_text", AdmValue::String(t))),
     ];
     prop::collection::vec(field, 0..8).prop_map(AdmValue::record)
-}
-
-/// The bytes of `value` with a cold cache, as a wire hop delivers them.
-fn cold(value: &AdmValue) -> RecordPayload {
-    RecordPayload::new(payload_from_value(value.clone()).bytes().clone())
 }
 
 /// N predicate arms plus a final `otherwise` arm.
@@ -177,9 +171,9 @@ proptest! {
         }
     }
 
-    /// What the routing operator does with a cold record — evaluate the
-    /// plan on a projection onto `route_fields()` — picks the same sinks as
-    /// evaluating it on the decoded record, and decodes nothing.
+    /// What the routing operator does with a record — evaluate the plan on
+    /// a projection of its bytes onto `route_fields()` — picks the same sinks
+    /// as evaluating it on the fully decoded record, and decodes nothing.
     #[test]
     fn routing_a_projection_equals_routing_the_record(
         preds in prop::collection::vec(pred(), 0..5),
@@ -193,28 +187,29 @@ proptest! {
         let decodes = Counter::new();
         for (rec, timed, at) in &records {
             let gen_at = timed.then_some(SimInstant(*at));
-            let payload = cold(rec);
-            let projected = payload
-                .with_fields(&fields, decodes.as_atomic(), |v| plan.route_record(v, gen_at))
-                .unwrap();
-            prop_assert_eq!(projected, plan.route_record(rec, gen_at), "record {:?}", rec);
-            prop_assert!(!payload.is_parsed());
+            let payload = payload_from_value(rec.clone());
+            let route = |v: &AdmValue| plan.route_record(v, gen_at);
+            let projected = with_fields(&payload, &fields, &decodes, route).unwrap();
+            let full = decode_value(&payload).unwrap();
+            prop_assert_eq!(projected, route(&full), "record {:?}", rec);
         }
         prop_assert_eq!(decodes.get(), 0);
     }
 
-    /// The partitioner hashes a cold record's primary key out of its bytes:
-    /// same bucket as the warm record, whatever the key's position, type or
-    /// multiplicity — and the whole value when there is no key.
+    /// The partitioner hashes a record's primary key out of its bytes: same
+    /// bucket as the key of the fully decoded record, whatever the key's
+    /// position, type or multiplicity — and the whole value when there is no
+    /// key.
     #[test]
     fn hashing_a_projected_key_equals_hashing_the_record(
         records in prop::collection::vec(ragged_record(), 1..30),
     ) {
         let key_fn = store_key_fn("id".into(), Counter::new());
         for rec in &records {
-            let warm = Record::untracked(0, payload_from_value(rec.clone()));
-            let cold = Record::untracked(0, cold(rec));
-            prop_assert_eq!(key_fn(&cold), key_fn(&warm), "record {:?}", rec);
+            let record = Record::untracked(0, payload_from_value(rec.clone()));
+            let full = decode_value(&record.payload).unwrap();
+            let expected = hash_value(full.field("id").unwrap_or(&full));
+            prop_assert_eq!(key_fn(&record), expected, "record {:?}", rec);
         }
     }
 }

@@ -12,30 +12,11 @@
 use asterix_adm::{encode_value, parse_value};
 use asterix_storage::partition::{DatasetPartition, PartitionConfig};
 use bytes::Bytes;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
 use tweetgen::TweetFactory;
 
-/// Bytes allocated and not yet freed.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to the system allocator, which
-// upholds the `GlobalAlloc` contract; the counter is bookkeeping only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::SeqCst);
-        // SAFETY: `layout` is the caller's, passed through untouched.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::SeqCst);
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{live, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -45,7 +26,7 @@ const FRAME: usize = 32;
 
 #[test]
 fn a_merged_partition_holds_no_record_tree() {
-    let before = LIVE.load(Ordering::SeqCst);
+    let before = live();
     let mut factory = TweetFactory::new(0, 17);
     let payloads: Vec<Bytes> = (0..TWEETS)
         .map(|_| {
@@ -64,9 +45,9 @@ fn a_merged_partition_holds_no_record_tree() {
         let outcome = partition.upsert_batch_bytes(frame, None).expect("upsert");
         assert_eq!(outcome.committed, frame.len());
     }
-    let inputs = LIVE.load(Ordering::SeqCst);
+    let inputs = live();
     drop(payloads);
-    let inputs = (inputs - LIVE.load(Ordering::SeqCst)) as usize;
+    let inputs = (inputs - live()) as usize;
     assert!(
         inputs >= payload_bytes * 9 / 10,
         "dropping the inputs freed {inputs} of {payload_bytes} B: storage kept them alive"
@@ -75,7 +56,7 @@ fn a_merged_partition_holds_no_record_tree() {
     assert_eq!(partition.len(), TWEETS);
     assert_eq!(partition.component_count(), 1);
 
-    let live = (LIVE.load(Ordering::SeqCst) - before) as usize;
+    let live = (live() - before) as usize;
     let ratio = live as f64 / payload_bytes as f64;
     println!(
         "live heap {live} B for {payload_bytes} B of payloads ({ratio:.2}x): \
