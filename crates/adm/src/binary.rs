@@ -59,10 +59,11 @@ pub(crate) const TAG_ORDERED_LIST: u8 = 8;
 pub(crate) const TAG_UNORDERED_LIST: u8 = 9;
 pub(crate) const TAG_RECORD: u8 = 10;
 
-/// Deepest nesting of collections a reader follows. Every walk below is
-/// recursive, so without a bound a few megabytes of `[[[[…` off a wire would
-/// overflow the stack instead of returning an error.
-const MAX_DEPTH: u32 = 128;
+/// Deepest nesting of collections a reader follows — and the text grammar
+/// walk writes ([`crate::parse`]). Every walk is recursive, so without a
+/// bound a few megabytes of `[[[[…` off a wire or a socket would overflow
+/// the stack instead of returning an error.
+pub(crate) const MAX_DEPTH: u32 = 128;
 
 /// Encode a value into a fresh buffer.
 pub fn encode_value(v: &AdmValue) -> Vec<u8> {

@@ -15,8 +15,10 @@
 //! * [`value::AdmValue`] — the runtime value tree;
 //! * [`types`] — datatype definitions and conformance checking, including
 //!   open/closed records and optional fields;
-//! * [`parse`] — a hand-written recursive-descent parser for ADM text
-//!   (JSON-compatible, plus `point(...)`, `datetime(...)` and `{{ }}` bags);
+//! * [`parse`] — the one grammar walk over ADM text (JSON-compatible, plus
+//!   `point(...)`, `datetime(...)` and `{{ }}` bags): [`transcode`] writes
+//!   the binary ADM of the text straight into a buffer, no tree;
+//!   [`parse_value`] is the decode of that for callers that want a tree;
 //! * [`mod@print`] — the canonical serializer (parse ∘ print = identity, checked
 //!   by property tests);
 //! * [`binary`] — a compact length-prefixed binary codec (`AdmValue` ↔
@@ -28,8 +30,9 @@
 //! * [`compact`] — the compacted columnar-ish component codec (schema
 //!   header + per-field columns + sparse residual), plus the uncompacted
 //!   [`compact::OpenBlock`] fallback;
-//! * [`payload`] — record payloads as binary ADM bytes: encode a value
-//!   once, project a few fields out of the bytes, render them for a human;
+//! * [`payload`] — record payloads as binary ADM bytes: transcode text or
+//!   encode a value once, project a few fields out of the bytes, render them
+//!   for a human;
 //! * [`functions`] — the builtin scalar functions the feeds chapters use
 //!   (`word-tokens`, `starts-with`, `spatial-cell`, `spatial-intersect`, ...);
 //! * [`hash`] — a stable 64-bit value hash used for hash-partitioning
@@ -48,7 +51,7 @@ pub mod value;
 
 pub use binary::{decode_field_at, decode_fields, decode_value, encode_value, record_field_slice};
 pub use compact::{CompactedBlock, OpenBlock};
-pub use parse::{parse_calls, parse_value};
+pub use parse::{parse_calls, parse_value, transcode};
 pub use payload::{payload_from_text, payload_from_value, to_display_string, with_fields};
 pub use print::{print_calls, to_adm_string};
 pub use schema::{InferredSchema, SchemaBuilder};

@@ -2,23 +2,24 @@
 //!
 //! A record's serialized form, from the adaptor to the store *and inside
 //! it*, is the [`crate::binary`] encoding of its value — written once by the
-//! stage that produced the value ([`payload_from_value`]: the adaptor's
-//! translate, a UDF's output, an AQL `insert` row) and carried verbatim
-//! through frames, spill segments, wire hops, the write-ahead log and the
-//! memtable. ADM *text* exists only at the system boundary: [`parse_value`]
-//! where external text comes in, [`to_adm_string`] where a human reads a
-//! record.
+//! stage that produced it and carried verbatim through frames, spill
+//! segments, wire hops, the write-ahead log and the memtable. The adaptor
+//! writes it straight from the text ([`transcode`]; [`payload_from_text`]
+//! for tests and tools); a stage that built a value — a UDF's output, an AQL
+//! `insert` row — encodes it with [`payload_from_value`]. ADM *text* exists
+//! only at the system boundary: [`transcode`] where external text comes in,
+//! [`to_adm_string`] where a human reads a record.
 //!
 //! The bytes are all there is: no `AdmValue` tree travels with a record, so
 //! an in-process edge, a wire hop and a despill hand a stage the same thing.
-//! A tree is a local of the stage that builds it — the adaptor's translate,
-//! a UDF call ([`binary::decode_value`], one per record per UDF stage), AQL
-//! evaluation — and is dropped there. A stage that reads a few top-level
-//! fields uses [`with_fields`] and builds no tree at all; the store runs one
-//! checked walk over the bytes and keeps the bytes.
+//! A tree is a local of the stage that builds it — a UDF call
+//! ([`binary::decode_value`], one per record per UDF stage), AQL evaluation
+//! — and is dropped there. A stage that reads a few top-level fields uses
+//! [`with_fields`] and builds no tree at all; the store runs one checked walk
+//! over the bytes and keeps the bytes.
 
 use crate::binary;
-use crate::parse::parse_value;
+use crate::parse::transcode;
 use crate::print::to_adm_string;
 use crate::value::AdmValue;
 use asterix_common::{Counter, IngestResult};
@@ -60,10 +61,12 @@ pub fn payload_from_value(value: AdmValue) -> Bytes {
     bytes.into()
 }
 
-/// Build a payload from ADM text — [`parse_value`] then
-/// [`payload_from_value`] — for tests and tools that write records as text.
+/// Build a payload from ADM text — [`transcode`] into a buffer, no tree —
+/// for tests and tools that write records as text.
 pub fn payload_from_text(text: &str) -> IngestResult<Bytes> {
-    parse_value(text).map(payload_from_value)
+    let mut bytes = Vec::with_capacity(text.len());
+    transcode(text, &mut bytes)?;
+    Ok(bytes.into())
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The value generator the byte-level property tests share (included with
-//! `#[path]` by `record_codec_props` in `asterix-feeds` and by the storage
-//! crate's bytes-path tests): one definition of "any value the binary codec
-//! can carry".
+//! `#[path]` by this crate's `roundtrip`, by `record_codec_props` in
+//! `asterix-feeds` and by the storage crate's bytes-path tests): one
+//! definition of "any value the binary codec can carry".
 
 use asterix_adm::AdmValue;
 use proptest::prelude::*;

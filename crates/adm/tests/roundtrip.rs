@@ -1,13 +1,139 @@
 //! Property tests: the ADM printer and parser are mutual inverses, the
+//! transcoder is the tree-building parser it replaced byte for byte, the
 //! binary codec round-trips bit-exactly, the value hash respects equality,
 //! and the total order is indeed total.
 
 use asterix_adm::binary::{record_spans, validate};
 use asterix_adm::{
     decode_fields, decode_value, encode_value, parse_value, record_field_slice, to_adm_string,
-    AdmType, AdmValue, TypeRegistry,
+    transcode, AdmType, AdmValue, TypeRegistry,
 };
 use proptest::prelude::*;
+
+#[path = "common/gen.rs"]
+mod gen;
+#[path = "common/oracle.rs"]
+mod oracle;
+
+/// What a buffer holds before `transcode` appends to it.
+const HELD: &[u8] = b"held";
+
+/// `transcode` and the oracle agree on `text`: both succeed and `transcode`
+/// appends `encode_value` of the oracle's tree, or both fail with the same
+/// error and `transcode` leaves the buffer as it found it.
+fn agree(text: &str) -> Result<(), TestCaseError> {
+    let mut out = HELD.to_vec();
+    match (oracle::parse(text), transcode(text, &mut out)) {
+        (Ok(tree), Ok(())) => {
+            prop_assert_eq!(&out[..HELD.len()], HELD);
+            prop_assert_eq!(&out[HELD.len()..], &encode_value(&tree)[..], "{:?}", text);
+        }
+        (Err(want), Err(got)) => {
+            prop_assert_eq!(want.to_string(), got.to_string(), "{:?}", text);
+            prop_assert_eq!(&out[..], HELD, "{:?}", text);
+        }
+        (want, got) => prop_assert!(false, "{text:?}: oracle {want:?}, transcode {got:?}"),
+    }
+    Ok(())
+}
+
+/// Non-finite doubles have no text form; everything else in the shared
+/// generator's values does.
+fn printable(v: AdmValue) -> AdmValue {
+    let finite = |d: f64| if d.is_finite() { d } else { 0.5 };
+    match v {
+        AdmValue::Double(d) => AdmValue::Double(finite(d)),
+        AdmValue::Point(x, y) => AdmValue::Point(finite(x), finite(y)),
+        AdmValue::OrderedList(items) => {
+            AdmValue::OrderedList(items.into_iter().map(printable).collect())
+        }
+        AdmValue::UnorderedList(items) => {
+            AdmValue::UnorderedList(items.into_iter().map(printable).collect())
+        }
+        AdmValue::Record(fields) => {
+            AdmValue::Record(fields.into_iter().map(|(k, v)| (k, printable(v))).collect())
+        }
+        other => other,
+    }
+}
+
+/// Bytes a single-byte substitution draws from.
+const SUBSTITUTES: &[u8] = b"{}[],:\"\\ 0123456789abcdefghijklmnopqrstuvwxyz";
+
+#[test]
+fn transcoder_agrees_with_the_oracle_on_hostile_text() {
+    let table = [
+        // escapes: a lone surrogate, a short \u, one at the end of input
+        r#""\ud800""#,
+        r#""\u12""#,
+        r#""\u12"#,
+        r#""\x""#,
+        r#"{"aé\n": "A\t\"\\\/\b\f\r"}"#,
+        // numbers: overflow to a bit-exact infinity, negative zero, i64
+        // overflow, half a number
+        "1e999",
+        "-1e999",
+        "-0.0",
+        "99999999999999999999999",
+        "-9223372036854775808",
+        "-",
+        "1.",
+        "1e",
+        "--1",
+        // collections
+        "{{1}",
+        "{{1} }",
+        "{{}}",
+        "{{ } }",
+        "[1,]",
+        "{\"a\":1,}",
+        "{\"a\" 1}",
+        "[[[]]]",
+        // CRLF whitespace and bare identifiers as field names
+        "{\r\n  id: \"x\",\r\n  _tag-2: [1,\r\n2]\r\n}\r\n",
+        "{ 1: 2 }",
+        "nul",
+        "NaN",
+        // constructors, both forms each
+        "point(1, -2.5)",
+        "point(\"3.5, -4\")",
+        "point(\" inf ,NaN\")",
+        "point(\"1\")",
+        "point(1)",
+        "point(\"1,2\"",
+        "datetime(1420070400000)",
+        "datetime(\"2015-01-01T00:00:00.123Z\")",
+        "datetime(1.5)",
+        "datetime(\"2015-02-30\")",
+        // hostile dates: a fraction ending inside a character, an instant
+        // past i64 milliseconds
+        "datetime(\"2015-01-01T00:00:00.a€\")",
+        "datetime(\"300000000-01-01\")",
+        // text that is not ADM at all
+        "",
+        "   ",
+        "é",
+        "\"é\" x",
+        "not adm at all {{{",
+    ];
+    for text in table {
+        agree(text).unwrap_or_else(|e| panic!("{e:?}"));
+    }
+    // the numbers that have no text form of their own arrive bit-exact
+    for (text, want) in [("1e999", f64::INFINITY), ("-0.0", -0.0)] {
+        match parse_value(text).unwrap() {
+            AdmValue::Double(d) => assert_eq!(d.to_bits(), want.to_bits(), "{text}"),
+            other => panic!("{text}: {other:?}"),
+        }
+    }
+    for text in [
+        "datetime(\"2015-01-01T00:00:00.a€\")",
+        "datetime(\"300000000-01-01\")",
+    ] {
+        let err = transcode(text, &mut Vec::new()).unwrap_err().to_string();
+        assert!(err.contains("bad ISO datetime"), "{text}: {err}");
+    }
+}
 
 /// Strategy producing arbitrary ADM values with finite doubles.
 fn adm_value() -> impl Strategy<Value = AdmValue> {
@@ -69,6 +195,40 @@ proptest! {
     #[test]
     fn parser_never_panics_on_arbitrary_input(s in "\\PC{0,64}") {
         let _ = parse_value(&s);
+    }
+
+    /// The adaptor's bytes are the printed value's encoding, appended.
+    #[test]
+    fn transcode_appends_the_encoding_of_the_printed_value(
+        v in gen::adm_value().prop_map(printable)
+    ) {
+        let mut out = HELD.to_vec();
+        transcode(&to_adm_string(&v), &mut out).unwrap();
+        prop_assert_eq!(&out[..HELD.len()], HELD);
+        prop_assert_eq!(&out[HELD.len()..], &encode_value(&v)[..]);
+    }
+
+    /// Every prefix of a printed value, and the text with any one character
+    /// replaced by a grammar byte: the transcoder and the tree-building
+    /// parser accept the same texts, write the same value and reject the
+    /// rest with the same message at the same byte.
+    #[test]
+    fn transcoder_agrees_with_the_oracle_on_prefixes_and_substitutions(
+        v in gen::adm_value(),
+        seed in any::<usize>(),
+    ) {
+        let text = to_adm_string(&v);
+        agree(&text)?;
+        for (i, c) in text.char_indices() {
+            agree(&text[..i])?;
+            let sub = SUBSTITUTES[seed.wrapping_add(i) % SUBSTITUTES.len()] as char;
+            agree(&format!("{}{sub}{}", &text[..i], &text[i + c.len_utf8()..]))?;
+        }
+    }
+
+    #[test]
+    fn transcoder_agrees_with_the_oracle_on_arbitrary_input(s in "\\PC{0,64}") {
+        agree(&s)?;
     }
 
     #[test]

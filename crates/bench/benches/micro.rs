@@ -4,7 +4,7 @@
 
 use asterix_adm::{
     decode_fields, decode_value, encode_value, hash::hash_value, parse_value, to_adm_string,
-    AdmValue,
+    transcode, AdmValue,
 };
 use asterix_common::{DataFrame, Record, RecordId};
 use asterix_feeds::joint::FeedJoint;
@@ -132,13 +132,25 @@ fn bench_udf(c: &mut Criterion) {
 }
 
 /// What a record's bytes cost the stages that read or write them, over one
-/// tweet: the full decode a UDF stage pays (assign), the one-field projection
-/// the partitioner's key function pays, and the encode a stage that built a
-/// value pays on the way out (the adaptor's translate, a UDF's output).
-/// `adm/parse_tweet` above is the text parse translate pays before it.
+/// tweet: the adaptor's translate (text straight to the payload bytes), the
+/// full decode a UDF stage pays (assign), the one-field projection the
+/// partitioner's key function pays, and the encode a stage that built a
+/// value pays on the way out (a UDF's output, an AQL insert row).
+/// `adm/parse_tweet` above is `parse_value`, the tree-building decode of a
+/// transcode, which no feed stage calls.
 fn bench_parse_once(c: &mut Criterion) {
-    let value = parse_value(&sample_tweet_json()).unwrap();
+    let text = sample_tweet_json();
+    let value = parse_value(&text).unwrap();
     let bytes = encode_value(&value);
+    c.bench_function("pipeline/stage_transcode", |b| {
+        // translate: one reused scratch buffer, one exactly-sized payload
+        let mut scratch = Vec::new();
+        b.iter(|| {
+            scratch.clear();
+            transcode(black_box(&text), &mut scratch).unwrap();
+            Record::untracked(0, &scratch[..])
+        })
+    });
     c.bench_function("pipeline/stage_decode_full", |b| {
         b.iter(|| decode_value(black_box(&bytes)).unwrap())
     });

@@ -34,12 +34,16 @@
 //! with a blocking call wraps its own thread and channel, exactly as those
 //! push sources do, and is polled like them.
 //!
-//! Adaptors that *skip* unparseable input instead of failing the feed count
-//! every skipped line in the connection's registered
+//! Every built-in adaptor turns a line into a record the same way
+//! (`translate`): the text is transcoded straight to binary ADM in the
+//! instance's reusable buffer and the payload is one copy of it — no
+//! `AdmValue` is built at the front door. Adaptors that *skip* unparseable
+//! input (including text nested more than 128 collections deep) instead of
+//! failing the feed count every skipped line in the connection's registered
 //! `parse.malformed_lines` counter (handed to [`AdaptorFactory::create`]),
 //! so silent drops at the front door are observable in metrics snapshots.
 
-use asterix_adm::{parse_value, payload_from_value};
+use asterix_adm::transcode;
 use asterix_common::sync::Mutex;
 use asterix_common::{
     Counter, FaultKind, FaultPlan, IngestError, IngestResult, Record, SimClock, SimInstant,
@@ -109,15 +113,15 @@ fn parse_datasource_list(config: &AdaptorConfig, key: &str) -> IngestResult<Vec<
 /// Translate one external JSON/ADM line into an ADM record payload (§5.3.1).
 /// Malformed input yields a parse error the adaptor may skip.
 ///
-/// This is the *one* text parse a record ever gets, and the tree it builds
-/// is dropped here: the record leaves as the value's binary ADM encoding,
-/// which every later stage reads in place.
-fn translate(line: &str, adaptor_instance: u32) -> IngestResult<Record> {
-    let value = parse_value(line)?;
-    Ok(Record::untracked(
-        adaptor_instance,
-        payload_from_value(value),
-    ))
+/// This is the *one* text parse a record ever gets, and it builds no tree:
+/// [`transcode`] writes the binary ADM encoding every later stage reads in
+/// place into the adaptor instance's reusable `scratch` buffer, and the
+/// record's payload is one exactly-sized copy of it.
+fn translate(line: &str, adaptor_instance: u32, scratch: &mut Vec<u8>) -> IngestResult<Record> {
+    scratch.clear();
+    transcode(line, scratch)?;
+    // `From<&[u8]>` is `Bytes::copy_from_slice`: one allocation, no regrowth
+    Ok(Record::untracked(adaptor_instance, &scratch[..]))
 }
 
 /// Drain up to `budget` items a push source has already put on its channel.
@@ -179,6 +183,7 @@ impl AdaptorFactory for TweetGenAdaptorFactory {
             wire: None,
             instance: partition as u32,
             malformed_lines: malformed_lines.clone(),
+            scratch: Vec::new(),
         }))
     }
 }
@@ -189,6 +194,8 @@ struct TweetGenAdaptor {
     wire: Option<Receiver<tweetgen::StampedTweet>>,
     instance: u32,
     malformed_lines: Counter,
+    /// [`translate`]'s buffer, reused for every record.
+    scratch: Vec<u8>,
 }
 
 impl FeedAdaptor for TweetGenAdaptor {
@@ -206,7 +213,7 @@ impl FeedAdaptor for TweetGenAdaptor {
         drain_channel(wire, budget, |tweet| {
             // the wire carries the generation stamp; it rides on the record
             // so the store can derive end-to-end ingestion lag
-            match translate(&tweet.json, self.instance) {
+            match translate(&tweet.json, self.instance, &mut self.scratch) {
                 Ok(rec) => emit(rec.stamped(tweet.gen_at))?,
                 Err(_) => self.malformed_lines.inc(),
             }
@@ -277,6 +284,7 @@ impl AdaptorFactory for SocketAdaptorFactory {
             rx,
             instance: partition as u32,
             malformed_lines: malformed_lines.clone(),
+            scratch: Vec::new(),
         }))
     }
 }
@@ -285,12 +293,14 @@ struct SocketAdaptor {
     rx: Receiver<String>,
     instance: u32,
     malformed_lines: Counter,
+    /// [`translate`]'s buffer, reused for every record.
+    scratch: Vec<u8>,
 }
 
 impl FeedAdaptor for SocketAdaptor {
     fn poll(&mut self, emit: EmitFn<'_>, budget: usize) -> IngestResult<SourcePoll> {
         drain_channel(&self.rx, budget, |line| {
-            match translate(&line, self.instance) {
+            match translate(&line, self.instance, &mut self.scratch) {
                 Ok(rec) => emit(rec)?,
                 Err(_) => self.malformed_lines.inc(),
             }
@@ -327,7 +337,11 @@ impl AdaptorFactory for FileAdaptorFactory {
             .get("path")
             .ok_or_else(|| IngestError::Config("file_based_feed requires 'path'".into()))?
             .clone();
-        Ok(Box::new(FileAdaptor { path, lines: None }))
+        Ok(Box::new(FileAdaptor {
+            path,
+            lines: None,
+            scratch: Vec::new(),
+        }))
     }
 }
 
@@ -344,6 +358,8 @@ fn open_lines(path: &str) -> IngestResult<Lines> {
 struct FileAdaptor {
     path: String,
     lines: Option<Lines>,
+    /// [`translate`]'s buffer, reused for every record.
+    scratch: Vec<u8>,
 }
 
 impl FeedAdaptor for FileAdaptor {
@@ -359,7 +375,7 @@ impl FeedAdaptor for FileAdaptor {
             let trimmed = line.trim();
             if !trimmed.is_empty() {
                 // a corrupt file is not survivable
-                emit(translate(trimmed, 0)?)?;
+                emit(translate(trimmed, 0, &mut self.scratch)?)?;
             }
         }
         Ok(if taken < budget {
@@ -417,6 +433,7 @@ impl AdaptorFactory for TraceAdaptorFactory {
             clock: clock.clone(),
             malformed_lines: malformed_lines.clone(),
             replay: None,
+            scratch: Vec::new(),
         }))
     }
 }
@@ -452,6 +469,8 @@ struct TraceAdaptor {
     malformed_lines: Counter,
     /// Set by the first poll, which starts the replay timeline.
     replay: Option<Replay>,
+    /// [`translate`]'s buffer, reused for every record.
+    scratch: Vec<u8>,
 }
 
 struct Replay {
@@ -518,7 +537,7 @@ impl FeedAdaptor for TraceAdaptor {
             let (_, payload) = replay.next.take().expect("buffered by next_due");
             // a recorded payload that never parsed is replayed faithfully:
             // skipped and counted, exactly as the live adaptor treated it
-            match translate(&payload, self.instance) {
+            match translate(&payload, self.instance, &mut self.scratch) {
                 Ok(rec) => emit(rec.stamped(due))?,
                 Err(_) => self.malformed_lines.inc(),
             }
@@ -740,6 +759,11 @@ mod tests {
         let tx = bind_socket("sock:1", 16).unwrap();
         tx.send("{\"id\":\"a\"}".into()).unwrap();
         tx.send("not adm at all {{{".into()).unwrap();
+        // nested deeper than a record may be: a parse error, not a stack
+        // overflow that takes the node down
+        tx.send(format!("{}1{}", "[".repeat(129), "]".repeat(129)))
+            .unwrap();
+        tx.send("[".repeat(1_000_000)).unwrap();
         tx.send("{\"id\":\"b\"}".into()).unwrap();
         drop(tx);
         let mut cfg = AdaptorConfig::new();
@@ -750,8 +774,8 @@ mod tests {
             .unwrap();
         let records = drain(adaptor.as_mut());
         assert_eq!(records.len(), 2);
-        // the skipped line is visible, not silently dropped
-        assert_eq!(malformed.get(), 1);
+        // the skipped lines are visible, not silently dropped
+        assert_eq!(malformed.get(), 3);
         unbind_socket("sock:1");
     }
 

@@ -1,6 +1,6 @@
 //! The regression pin for "nothing rides with a record": 10 000 tweets
-//! translated the way an adaptor does (text parse, then
-//! `payload_from_value`) and framed hold a live heap that is what
+//! translated the way an adaptor does (transcoded into a reused buffer, then
+//! copied into the payload) and framed hold a live heap that is what
 //! [`DataFrame::size_bytes`] says it is, within allocator overhead — which
 //! is what the Basic memory budget, `feed.buffer_bytes` and a joint's
 //! `queued_bytes` count with. A decoded tree riding beside each payload
@@ -9,7 +9,7 @@
 //! One `#[test]` in its own binary, so the counting allocator sees nothing
 //! but this scenario.
 
-use asterix_adm::{parse_value, payload_from_value};
+use asterix_adm::transcode;
 use asterix_common::{DataFrame, FrameBuilder, Record};
 use tweetgen::TweetFactory;
 
@@ -30,12 +30,14 @@ fn a_frame_holds_its_payload_bytes_and_nothing_else() {
     let mut factory = TweetFactory::new(0, 17);
     let mut builder = FrameBuilder::default();
     let mut frames: Vec<DataFrame> = Vec::new();
+    let mut scratch = Vec::new();
     for _ in 0..TWEETS {
-        let tweet = parse_value(&factory.next_json()).expect("generated tweet parses");
-        frames.extend(builder.push(Record::untracked(0, payload_from_value(tweet))));
+        scratch.clear();
+        transcode(&factory.next_json(), &mut scratch).expect("generated tweet parses");
+        frames.extend(builder.push(Record::untracked(0, &scratch[..])));
     }
     frames.extend(builder.flush());
-    drop((factory, builder));
+    drop((factory, builder, scratch));
     assert_eq!(frames.iter().map(DataFrame::len).sum::<usize>(), TWEETS);
 
     let live = (live() - before) as usize;
