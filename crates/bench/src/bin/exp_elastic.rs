@@ -124,7 +124,6 @@ fn main() {
         // plus the collect/intake/store/governor tasks around them
         workers: Some(12),
         controller: ControllerConfig {
-            flow_capacity: 2,
             compute_parallelism: Some(1),
             compute_extra_delay_us: DELAY_US,
             governor: GovernorConfig {

@@ -54,7 +54,6 @@ fn rig() -> ExperimentRig {
         nodes: 4,
         time_scale: 10.0,
         controller: ControllerConfig {
-            flow_capacity: 2,
             compute_parallelism: Some(2),
             ..ControllerConfig::default()
         },

@@ -56,7 +56,6 @@ fn run(nodes: usize, round: usize) -> (u64, usize, u64) {
         nodes,
         time_scale: 100.0,
         controller: ControllerConfig {
-            flow_capacity: 2,
             compute_parallelism: Some(nodes),
             compute_extra_delay_us: DELAY_US,
             ..ControllerConfig::default()

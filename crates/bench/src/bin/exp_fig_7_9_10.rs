@@ -51,7 +51,6 @@ fn run(policy: &str) -> PatternStats {
         nodes: 2,
         time_scale: 100.0,
         controller: ControllerConfig {
-            flow_capacity: 2,
             compute_parallelism: Some(1),
             compute_extra_delay_us: DELAY_US,
             ..ControllerConfig::default()

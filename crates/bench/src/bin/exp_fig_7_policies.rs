@@ -83,7 +83,6 @@ fn run(policy: &str, round: usize) -> PolicyRun {
         nodes: 4,
         time_scale: 100.0,
         controller: ControllerConfig {
-            flow_capacity: 2,
             compute_parallelism: Some(1),
             compute_extra_delay_us: DELAY_US,
             ..ControllerConfig::default()

@@ -17,9 +17,9 @@
 //!
 //! * [`WakeSignal`] — a latch for background workers (the LSM compactor)
 //!   combining a wake flag, a shutdown flag and a timed wait.
-//! * [`handoff`] — a small bounded MPSC channel used for the feed-flow
-//!   spill-queue handoff, replacing the previous crossbeam queue on that
-//!   path so the lost-wakeup proof covers the real code.
+//! * [`handoff`] — a small bounded MPSC channel behind every feed-joint
+//!   subscription and cluster-event subscriber, so the lost-wakeup proof
+//!   covers the real code.
 //! * [`thread`] — the workspace's only sanctioned way to start an OS
 //!   thread. Runtime code is forbidden (by the `raw-thread-spawn` lint
 //!   rule) from calling `std::thread::spawn` directly; every background
@@ -447,14 +447,14 @@ impl WakeSignal {
 
 pub mod handoff {
     //! Bounded MPSC handoff channel built on the cfg-switched [`Mutex`] /
-    //! [`Condvar`](super::Condvar), so the loom model of the feed-flow
-    //! spill-queue handoff exercises this exact implementation.
+    //! [`Condvar`](super::Condvar), so its loom model exercises this exact
+    //! implementation.
     //!
-    //! Semantics mirror the subset of `crossbeam_channel` the flow
-    //! controller uses: bounded capacity, non-blocking [`Sender::try_send`]
+    //! Semantics mirror a subset of `crossbeam_channel`: bounded capacity,
+    //! non-blocking [`Sender::try_send`]
     //! distinguishing *full* from *disconnected*, blocking [`Sender::send`],
-    //! and a blocking [`Receiver::iter`] that ends once every sender is
-    //! dropped and the queue is drained.
+    //! and a blocking [`Receiver::recv`] that reports the disconnect once
+    //! every sender is dropped and the queue is drained.
 
     use super::{Condvar, Mutex};
     use std::collections::VecDeque;
@@ -650,12 +650,6 @@ pub mod handoff {
         pub fn is_empty(&self) -> bool {
             self.len() == 0
         }
-
-        /// Blocking iterator; ends when every sender is dropped and the
-        /// queue is drained.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { rx: self }
-        }
     }
 
     impl<T> Drop for Receiver<T> {
@@ -664,19 +658,6 @@ pub mod handoff {
             st.rx_alive = false;
             // wake blocked senders so they observe the disconnect
             self.0.not_full.notify_all();
-        }
-    }
-
-    /// Blocking iterator over received values (see [`Receiver::iter`]).
-    #[derive(Debug)]
-    pub struct Iter<'a, T> {
-        rx: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.rx.recv().ok()
         }
     }
 }
@@ -840,7 +821,8 @@ mod tests {
         assert_eq!(rx.recv(), Ok(1));
         tx.try_send(3u32).expect("room after recv");
         drop(tx);
-        assert_eq!(rx.iter().collect::<Vec<_>>(), vec![2, 3]);
+        let rest: Vec<u32> = std::iter::from_fn(|| rx.recv().ok()).collect();
+        assert_eq!(rest, vec![2, 3]);
         assert_eq!(rx.recv(), Err(handoff::RecvError));
     }
 

@@ -1,4 +1,4 @@
-//! Loom models of the feed-flow spill-queue handoff channel and the
+//! Loom models of the joint-subscription handoff channel and the
 //! compactor [`WakeSignal`]: exhaustive interleaving checks that no
 //! schedule loses a wakeup.
 //!
@@ -22,9 +22,9 @@ fn handoff_delivers_everything_no_lost_wakeup() {
         let producer = loom::thread::spawn(move || {
             tx.try_send(1u32).expect("capacity 2, first send fits");
             tx.send(2u32).expect("receiver alive");
-            // tx dropped here: iter() below must terminate
+            // tx dropped here: the receive loop below must terminate
         });
-        let got: Vec<u32> = rx.iter().collect();
+        let got: Vec<u32> = std::iter::from_fn(|| rx.recv().ok()).collect();
         producer.join().unwrap();
         assert_eq!(got, vec![1, 2], "in order, nothing lost");
     });

@@ -313,8 +313,6 @@ pub struct SegmentInfo {
 /// Tuning knobs for the controller.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Hand-off queue depth per intake (frames) — the congestion sensor.
-    pub flow_capacity: usize,
     /// Ack grouping window for at-least-once.
     pub ack_window: SimDuration,
     /// Replay timeout for at-least-once.
@@ -345,7 +343,6 @@ pub struct ControllerConfig {
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            flow_capacity: 16,
             ack_window: SimDuration::from_millis(500),
             ack_timeout: SimDuration::from_secs(10),
             compute_parallelism: None,
@@ -1067,7 +1064,6 @@ impl FeedController {
                 policy: policy.clone(),
                 metrics: Arc::clone(&metrics),
                 elastic_tx: self.elastic_sender(),
-                flow_capacity: self.config.flow_capacity,
                 ack,
                 connection_key: seg.conn_key().to_string(),
                 feed: seg.feed_id,

@@ -3,10 +3,10 @@
 //! "An expensive UDF or an increased rate of arrival of data may lead to an
 //! excessive demand for resources leading to delays in the processing of
 //! records" (§7.1). The intake operator of every pipeline pushes frames
-//! through a [`FlowController`]: a bounded hand-off queue drained by a
-//! pusher thread into the (back-pressured) downstream stage. While the
-//! queue accepts, data flows normally; when it is full the arriving frame
-//! is *excess* and the connection's ingestion policy decides its fate
+//! through a [`FlowController`], which owns the intake's output writer: the
+//! bounded port into the next stage. While the port has room a frame goes
+//! straight into it; once the port is saturated the arriving frame is
+//! *excess* and the connection's ingestion policy decides its fate
 //! (Table 4.2):
 //!
 //! * **Buffer** (Basic) — excess is held in memory; exhausting the memory
@@ -20,11 +20,15 @@
 //!   (the uniform thinning of Fig 7.10);
 //! * **Elastic** — a scale-out request is signalled to the Central Feed
 //!   Manager and excess is buffered while the pipeline is restructured.
+//!
+//! The port's saturation is the one congestion sensor, and nothing here
+//! blocks: the executor already holds the intake task back while its port
+//! is saturated, so excess is what arrives within one intake slice after
+//! the port filled, and deferred work goes back out, oldest first, as the
+//! port drains.
 
 use crate::metrics::FeedMetrics;
 use crate::policy::{ExcessStrategy, IngestionPolicy};
-use asterix_common::sync::handoff::{self, TrySendError};
-use asterix_common::sync::{thread as sync_thread, Mutex};
 use asterix_common::{DataFrame, FeedId, IngestError, IngestResult};
 use asterix_hyracks::operator::FrameWriter;
 use crossbeam_channel::Sender;
@@ -47,7 +51,6 @@ pub struct ElasticRequest {
 pub struct SpillFile {
     segments: VecDeque<Vec<u8>>,
     bytes: usize,
-    encodes: u64,
 }
 
 impl SpillFile {
@@ -56,37 +59,19 @@ impl SpillFile {
     pub fn push(&mut self, frame: &DataFrame) {
         let mut buf = Vec::with_capacity(frame.size_bytes() + 16);
         frame.encode_into(&mut buf);
-        self.encodes += 1;
         self.bytes += buf.len();
         self.segments.push_back(buf);
     }
 
-    /// Detach the oldest segment without decoding it.
-    pub fn pop_segment(&mut self) -> Option<Vec<u8>> {
+    /// Read back the oldest frame; a truncated or corrupt segment is a
+    /// storage error (and is gone from the file).
+    pub fn pop(&mut self) -> Option<IngestResult<DataFrame>> {
         let buf = self.segments.pop_front()?;
         self.bytes -= buf.len();
-        Some(buf)
-    }
-
-    /// Re-queue an already-encoded segment at the *front* (a failed
-    /// de-spill). O(1): the serialized bytes are reused verbatim, no
-    /// re-encode of this — or any other — segment.
-    pub fn push_front_segment(&mut self, segment: Vec<u8>) {
-        self.bytes += segment.len();
-        self.segments.push_front(segment);
-    }
-
-    /// Decode one serialized segment back into a frame; a truncated or
-    /// corrupt segment is a storage error.
-    pub fn decode_segment(buf: &[u8]) -> IngestResult<DataFrame> {
-        DataFrame::decode(buf)
-            .map_err(|e| IngestError::Storage(format!("corrupt spill segment: {e}")))
-    }
-
-    /// Read back the oldest frame.
-    pub fn pop(&mut self) -> Option<IngestResult<DataFrame>> {
-        let buf = self.pop_segment()?;
-        Some(SpillFile::decode_segment(&buf))
+        Some(
+            DataFrame::decode(&buf)
+                .map_err(|e| IngestError::Storage(format!("corrupt spill segment: {e}"))),
+        )
     }
 
     /// Bytes currently on disk.
@@ -94,30 +79,27 @@ impl SpillFile {
         self.bytes
     }
 
+    /// Spilled frames waiting.
+    pub fn len(&self) -> usize {
+        self.segments.len()
+    }
+
     /// Any spilled frames waiting?
     pub fn is_empty(&self) -> bool {
         self.segments.is_empty()
     }
-
-    /// How many frame serializations this file performed. A failed de-spill
-    /// must not re-encode surviving segments, so this counts each spilled
-    /// frame exactly once regardless of re-queues.
-    pub fn encode_count(&self) -> u64 {
-        self.encodes
-    }
 }
 
-struct Shared {
-    error: Mutex<Option<IngestError>>,
+fn pipeline_gone() -> IngestError {
+    IngestError::Disconnected("pipeline gone".into())
 }
 
 /// The per-pipeline congestion controller.
 pub struct FlowController {
     policy: IngestionPolicy,
     metrics: Arc<FeedMetrics>,
-    q_tx: Option<handoff::Sender<DataFrame>>,
-    pusher: Option<std::thread::JoinHandle<IngestResult<()>>>,
-    shared: Arc<Shared>,
+    /// The intake's output; `None` once closed or broken.
+    writer: Option<Box<dyn FrameWriter>>,
     backlog: VecDeque<DataFrame>,
     backlog_bytes: usize,
     spill: SpillFile,
@@ -126,58 +108,23 @@ pub struct FlowController {
     feed: FeedId,
     connection_key: String,
     elastic_signalled: bool,
-    capacity: usize,
 }
 
 impl FlowController {
-    /// Wrap `downstream` with policy-governed flow control. `capacity` is
-    /// the hand-off queue depth in frames (the congestion sensor).
+    /// Put policy-governed flow control in front of `writer`, the intake's
+    /// opened output. Its saturation is the congestion sensor.
     pub fn new(
         policy: IngestionPolicy,
         metrics: Arc<FeedMetrics>,
-        downstream: Box<dyn FrameWriter>,
-        capacity: usize,
+        writer: Box<dyn FrameWriter>,
         feed: FeedId,
         connection_key: impl Into<String>,
         elastic_tx: Option<Sender<ElasticRequest>>,
     ) -> FlowController {
-        let (q_tx, q_rx) = handoff::bounded::<DataFrame>(capacity.max(1));
-        let shared = Arc::new(Shared {
-            error: Mutex::new(None),
-        });
-        let pusher_shared = Arc::clone(&shared);
-        let spawned = sync_thread::spawn_named("feed-flow-pusher", move || {
-            let mut downstream = downstream;
-            if let Err(e) = downstream.open() {
-                *pusher_shared.error.lock() = Some(e.clone());
-                return Err(e);
-            }
-            for frame in q_rx.iter() {
-                if let Err(e) = downstream.next_frame(frame) {
-                    *pusher_shared.error.lock() = Some(e.clone());
-                    downstream.fail();
-                    return Err(e);
-                }
-            }
-            downstream.close()
-        });
-        // a failed OS-thread spawn degrades the controller (first offer
-        // reports the error) instead of panicking the intake operator
-        let (q_tx, pusher) = match spawned {
-            Ok(handle) => (Some(q_tx), Some(handle)),
-            Err(e) => {
-                *shared.error.lock() = Some(IngestError::Plan(format!(
-                    "cannot spawn flow pusher thread: {e}"
-                )));
-                (None, None)
-            }
-        };
         FlowController {
             policy,
             metrics,
-            q_tx,
-            pusher,
-            shared,
+            writer: Some(writer),
             backlog: VecDeque::new(),
             backlog_bytes: 0,
             spill: SpillFile::default(),
@@ -186,109 +133,79 @@ impl FlowController {
             feed,
             connection_key: connection_key.into(),
             elastic_signalled: false,
-            capacity: capacity.max(1),
         }
     }
 
-    fn check_downstream(&self) -> IngestResult<()> {
-        if let Some(e) = self.shared.error.lock().clone() {
+    fn has_room(&self) -> bool {
+        self.writer.as_ref().is_some_and(|w| !w.is_saturated())
+    }
+
+    /// Push one frame into the writer, saturated or not. A writer error
+    /// fails the writer and ends the flow.
+    fn send(&mut self, frame: DataFrame) -> IngestResult<()> {
+        let Some(writer) = self.writer.as_mut() else {
+            return Err(pipeline_gone());
+        };
+        if let Err(e) = writer.next_frame(frame) {
+            writer.fail();
+            self.writer = None;
             return Err(e);
         }
         Ok(())
     }
 
-    fn try_send(&mut self, frame: DataFrame) -> Result<(), Option<DataFrame>> {
-        // a missing queue (failed spawn, already-finished flow) reads as
-        // disconnected rather than panicking
-        let Some(tx) = self.q_tx.as_ref() else {
-            return Err(None);
-        };
-        match tx.try_send(frame) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(f)) => Err(Some(f)),
-            Err(TrySendError::Disconnected(_)) => Err(None),
-        }
+    /// Refresh the gauges the governor samples: the bytes held back, and
+    /// the frames behind them (backlog frames plus spilled segments).
+    fn publish(&self) {
+        self.metrics.buffer_bytes.set(self.backlog_bytes as u64);
+        self.metrics.spill_bytes.set(self.spill.bytes() as u64);
+        let held = self.backlog.len() + self.spill.len();
+        self.metrics.handoff_queue_frames.set(held as u64);
     }
 
-    /// Move backlog / spillage downstream while there is room. Returns true
-    /// if everything deferred has drained.
+    /// Move deferred work — memory backlog first, then spill — into the
+    /// writer while it has room. Returns true if nothing is deferred.
     pub fn drain_deferred(&mut self) -> IngestResult<bool> {
-        self.check_downstream()?;
-        // refresh the congestion gauge from every housekeeping pass, not
-        // just offers — a drained-but-idle feed must read as depth 0 or the
-        // governor would keep seeing the last congested value forever
-        self.metrics
-            .handoff_queue_frames
-            .set(self.queue_depth() as u64);
-        // memory backlog first (it is older under Basic; under Spill the
-        // memory backlog is unused)
-        while let Some(frame) = self.backlog.pop_front() {
-            let sz = frame.size_bytes();
-            match self.try_send(frame) {
-                Ok(()) => {
-                    self.backlog_bytes -= sz;
-                    self.metrics.buffer_bytes.set(self.backlog_bytes as u64);
-                }
-                Err(Some(f)) => {
-                    self.backlog.push_front(f);
-                    return Ok(false);
-                }
-                Err(None) => return Err(IngestError::Disconnected("pipeline gone".into())),
+        if self.writer.is_none() {
+            return Err(pipeline_gone());
+        }
+        while self.has_room() {
+            if let Some(frame) = self.backlog.pop_front() {
+                self.backlog_bytes -= frame.size_bytes();
+                self.send(frame)?;
+            } else if let Some(frame) = self.spill.pop() {
+                let frame = frame?;
+                let n = frame.len() as u64;
+                self.send(frame)?;
+                self.metrics.records_despilled.add(n);
+            } else {
+                break;
             }
         }
-        while let Some(segment) = self.spill.pop_segment() {
-            let frame = SpillFile::decode_segment(&segment)?;
-            let n = frame.len() as u64;
-            match self.try_send(frame) {
-                Ok(()) => {
-                    self.metrics.records_despilled.add(n);
-                    self.metrics.spill_bytes.set(self.spill.bytes() as u64);
-                }
-                Err(Some(_)) => {
-                    // no room: re-queue the encoded segment at the front
-                    self.spill.push_front_segment(segment);
-                    self.metrics.spill_bytes.set(self.spill.bytes() as u64);
-                    return Ok(false);
-                }
-                Err(None) => return Err(IngestError::Disconnected("pipeline gone".into())),
-            }
-        }
-        // Everything deferred has drained. If the hand-off queue is also
-        // below its low-water mark (half capacity), the congestion episode
-        // is over: re-arm the elastic signal so the *next* episode can
-        // request scale-out again — without this a feed could only ever
-        // signal once in its lifetime. The low-water check keeps a
-        // still-saturated queue (one slot freeing momentarily) from
-        // flapping signal → drain-one-frame → re-arm → signal.
-        if self.elastic_signalled && self.queue_depth() * 2 <= self.capacity {
+        // refreshed on every housekeeping pass, not just on offers: a
+        // drained-but-idle feed must read as 0 or the governor would keep
+        // seeing the last congested value forever
+        self.publish();
+        let clear = self.backlog.is_empty() && self.spill.is_empty();
+        // nothing deferred and room in the port: the congestion episode is
+        // over, so the *next* one may request scale-out again
+        if clear && self.has_room() {
             self.elastic_signalled = false;
         }
-        Ok(true)
-    }
-
-    /// Frames currently in the hand-off queue (the congestion sensor).
-    fn queue_depth(&self) -> usize {
-        self.q_tx.as_ref().map_or(0, |tx| tx.len())
+        Ok(clear)
     }
 
     /// Offer one frame to the pipeline, applying the ingestion policy to any
-    /// excess. Never blocks (except under Throttle, which paces the kept
-    /// fraction).
+    /// excess. Never blocks.
     pub fn offer(&mut self, frame: DataFrame) -> IngestResult<()> {
-        self.check_downstream()?;
-        let all_clear = self.drain_deferred()?;
-        self.metrics
-            .handoff_queue_frames
-            .set(self.queue_depth() as u64);
-        if all_clear {
-            match self.try_send(frame) {
-                Ok(()) => return Ok(()),
-                Err(Some(f)) => return self.handle_excess(f),
-                Err(None) => return Err(IngestError::Disconnected("pipeline gone".into())),
-            }
+        // deferred data still pending: the arriving frame is excess by
+        // definition, or it would overtake older records
+        if self.drain_deferred()? && self.has_room() {
+            return self.send(frame);
         }
-        // deferred data still pending: arriving frame is excess by definition
-        self.handle_excess(frame)
+        let outcome = self.handle_excess(frame);
+        self.publish();
+        outcome
     }
 
     fn handle_excess(&mut self, frame: DataFrame) -> IngestResult<()> {
@@ -334,7 +251,6 @@ impl FlowController {
         }
         self.backlog_bytes += sz;
         self.backlog.push_back(frame);
-        self.metrics.buffer_bytes.set(self.backlog_bytes as u64);
         Ok(())
     }
 
@@ -353,7 +269,6 @@ impl FlowController {
         }
         self.metrics.records_spilled.add(frame.len() as u64);
         self.spill.push(&frame);
-        self.metrics.spill_bytes.set(self.spill.bytes() as u64);
         Ok(())
     }
 
@@ -377,21 +292,17 @@ impl FlowController {
         // fraction, so while anything is spilled or buffered the frame joins
         // the back of that structure instead of jumping the queue.
         if !self.spill.is_empty() {
-            let n = frame.len() as u64;
-            self.metrics.records_spilled.add(n);
+            self.metrics.records_spilled.add(frame.len() as u64);
             self.spill.push(&frame);
-            self.metrics.spill_bytes.set(self.spill.bytes() as u64);
             return Ok(());
         }
         if !self.backlog.is_empty() {
             return self.buffer_excess(frame);
         }
-        // nothing deferred: pace the kept fraction through with a blocking
-        // send — throttling "regulates the rate of inflow"
-        match self.q_tx.as_ref().map(|tx| tx.send(frame)) {
-            Some(Ok(())) => Ok(()),
-            _ => Err(IngestError::Disconnected("pipeline gone".into())),
-        }
+        // nothing deferred: the kept fraction goes out even into a saturated
+        // port — it overshoots by at most one intake slice, the contract
+        // every task's output has
+        self.send(frame)
     }
 
     /// Records currently deferred (backlog + spill) — used for zombie state.
@@ -403,6 +314,7 @@ impl FlowController {
         while let Some(f) = self.spill.pop() {
             out.extend(f.ok());
         }
+        self.publish();
         out
     }
 
@@ -423,58 +335,38 @@ impl FlowController {
             self.backlog_bytes += sz;
             self.backlog.push_back(f);
         }
-        self.metrics.buffer_bytes.set(self.backlog_bytes as u64);
+        self.publish();
         Ok(())
     }
 
-    /// Flush everything (blocking) and close the downstream gracefully.
-    pub fn finish(mut self) -> IngestResult<()> {
-        self.check_downstream()?;
-        // blocking-drain the memory backlog, then the spill file (counting
-        // the deferred records as re-processed)
-        let backlog: Vec<DataFrame> = self.backlog.drain(..).collect();
-        self.backlog_bytes = 0;
-        if let Some(tx) = self.q_tx.as_ref() {
-            for f in backlog {
-                tx.send(f)
-                    .map_err(|_| IngestError::Disconnected("pipeline gone".into()))?;
-            }
-            while let Some(f) = self.spill.pop() {
-                let f = f?;
-                let n = f.len() as u64;
-                tx.send(f)
-                    .map_err(|_| IngestError::Disconnected("pipeline gone".into()))?;
-                self.metrics.records_despilled.add(n);
-            }
-            self.metrics.buffer_bytes.set(0);
-            self.metrics.spill_bytes.set(0);
+    /// Graceful end: drain what the writer has room for and, once nothing
+    /// is deferred, close it and return true. Called again on later polls
+    /// until it does — the whole spill never lands in the port at once.
+    pub fn finish(&mut self) -> IngestResult<bool> {
+        if !self.drain_deferred()? {
+            return Ok(false);
         }
-        drop(self.q_tx.take());
-        match self.pusher.take() {
-            Some(p) => p
-                .join()
-                .unwrap_or_else(|_| Err(IngestError::Plan("flow pusher panicked".into()))),
-            None => Ok(()),
+        match self.writer.take() {
+            Some(mut writer) => writer.close().map(|()| true),
+            None => Err(pipeline_gone()),
         }
     }
 
-    /// Abandon the flow (pipeline failure); deferred frames are returned to
-    /// the caller for zombie parking. The pusher thread is detached — it
-    /// ends on its own once its queue disconnects or its downstream errors
-    /// (joining here could deadlock against a wedged downstream).
+    /// Abandon the flow (pipeline failure): the deferred frames are returned
+    /// for zombie parking, and the writer is closed on drop, behind what it
+    /// already holds.
     pub fn fail(mut self) -> Vec<DataFrame> {
-        let deferred = self.take_deferred();
-        drop(self.q_tx.take());
-        self.pusher.take(); // detach
-        deferred
+        self.take_deferred()
     }
 }
 
 impl Drop for FlowController {
     fn drop(&mut self) {
-        drop(self.q_tx.take());
-        // detach the pusher: it exits when the queue disconnects
-        self.pusher.take();
+        // what reached the writer is delivered and the stream ends cleanly;
+        // what was still deferred is dropped (or was parked by `fail`)
+        if let Some(mut writer) = self.writer.take() {
+            let _ = writer.close();
+        }
     }
 }
 
@@ -493,8 +385,8 @@ impl std::fmt::Debug for FlowController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asterix_common::sync::Mutex as PMutex;
     use asterix_common::{Record, RecordId, SimClock, SimInstant};
+    use asterix_hyracks::operator::ScriptedSink;
 
     fn frame(ids: std::ops::Range<u64>) -> DataFrame {
         DataFrame::from_records(
@@ -503,207 +395,184 @@ mod tests {
         )
     }
 
-    /// A downstream writer whose consumption is gated by a latch and can be
-    /// slowed per frame.
-    #[derive(Clone, Default)]
-    struct GatedSink {
-        accepted: Arc<PMutex<Vec<DataFrame>>>,
-        gate: Arc<PMutex<bool>>, // true = accept, false = block
-        closed: Arc<PMutex<bool>>,
-        delay_ms: Arc<PMutex<u64>>,
-    }
-
-    impl GatedSink {
-        fn open_gate(&self) {
-            *self.gate.lock() = true;
-        }
-        fn close_gate(&self) {
-            *self.gate.lock() = false;
-        }
-        fn set_delay(&self, ms: u64) {
-            *self.delay_ms.lock() = ms;
-        }
-        fn records(&self) -> usize {
-            self.accepted.lock().iter().map(|f| f.len()).sum()
-        }
-    }
-
-    impl FrameWriter for GatedSink {
-        fn open(&mut self) -> IngestResult<()> {
-            Ok(())
-        }
-        fn next_frame(&mut self, f: DataFrame) -> IngestResult<()> {
-            while !*self.gate.lock() {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            let d = *self.delay_ms.lock();
-            if d > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(d));
-            }
-            self.accepted.lock().push(f);
-            Ok(())
-        }
-        fn close(&mut self) -> IngestResult<()> {
-            *self.closed.lock() = true;
-            Ok(())
-        }
-        fn fail(&mut self) {}
-    }
-
     fn metrics() -> Arc<FeedMetrics> {
         FeedMetrics::with_default_bucket(SimClock::fast())
     }
 
-    fn controller(policy: IngestionPolicy, sink: &GatedSink) -> FlowController {
+    /// A port that saturates at two frames: congestion from the third on.
+    fn tiny_port() -> ScriptedSink {
+        ScriptedSink::new(2)
+    }
+
+    fn controller(policy: IngestionPolicy, sink: &ScriptedSink) -> FlowController {
         FlowController::new(
             policy,
             metrics(),
             Box::new(sink.clone()),
-            2, // tiny queue: congestion after 2 frames
             FeedId(7),
             "conn-test",
             None,
         )
     }
 
+    fn elastic(
+        sink: &ScriptedSink,
+        key: &str,
+    ) -> (FlowController, crossbeam_channel::Receiver<ElasticRequest>) {
+        let (tx, rx) = crossbeam_channel::unbounded();
+        let fc = FlowController::new(
+            IngestionPolicy::elastic(),
+            metrics(),
+            Box::new(sink.clone()),
+            FeedId(7),
+            key,
+            Some(tx),
+        );
+        (fc, rx)
+    }
+
+    /// Offer `frames` ten-record frames, ids from 0.
     fn congest(fc: &mut FlowController, frames: usize) -> IngestResult<()> {
-        for i in 0..frames {
-            fc.offer(frame(i as u64 * 10..i as u64 * 10 + 10))?;
+        for i in 0..frames as u64 {
+            fc.offer(frame(i * 10..i * 10 + 10))?;
         }
         Ok(())
     }
 
-    #[test]
-    fn open_gate_flows_everything() {
-        let sink = GatedSink::default();
-        sink.open_gate();
-        let m;
-        {
-            let mut fc = controller(IngestionPolicy::basic(), &sink);
-            m = Arc::clone(&fc.metrics);
-            congest(&mut fc, 10).unwrap();
-            fc.finish().unwrap();
+    /// The consumer catches up and the flow ends, finished over as many
+    /// calls as the port needs — the way an intake finishes across polls.
+    fn finish(fc: &mut FlowController, sink: &ScriptedSink) {
+        for _ in 0..10_000 {
+            sink.drain(usize::MAX);
+            if fc.finish().unwrap() {
+                assert!(sink.is_closed());
+                return;
+            }
         }
-        assert_eq!(sink.records(), 100);
-        assert!(*sink.closed.lock());
-        assert_eq!(m.records_discarded.get(), 0);
+        panic!("finish never completed");
+    }
+
+    fn delivered(sink: &ScriptedSink) -> u64 {
+        sink.records().len() as u64
+    }
+
+    #[test]
+    fn open_port_flows_everything() {
+        let sink = ScriptedSink::new(usize::MAX);
+        let mut fc = controller(IngestionPolicy::basic(), &sink);
+        congest(&mut fc, 10).unwrap();
+        assert!(fc.finish().unwrap(), "nothing was deferred");
+        assert_eq!(delivered(&sink), 100);
+        assert!(sink.is_closed());
+        assert_eq!(fc.metrics.records_discarded.get(), 0);
     }
 
     #[test]
     fn basic_buffers_excess_then_terminates_on_budget() {
-        let sink = GatedSink::default(); // gate closed: full congestion
+        let sink = tiny_port(); // never drained: full congestion
         let mut policy = IngestionPolicy::basic();
         policy.memory_budget_bytes = 2000;
         let mut fc = controller(policy, &sink);
-        // first few land in the queue, then the backlog, then budget blows
+        // two frames reach the port, then the backlog, then the budget blows
         let err = congest(&mut fc, 100).unwrap_err();
         assert!(matches!(err, IngestError::FeedTerminated { .. }), "{err}");
     }
 
     #[test]
     fn basic_backlog_drains_when_congestion_clears() {
-        let sink = GatedSink::default();
+        let sink = tiny_port();
         let mut fc = controller(IngestionPolicy::basic(), &sink);
-        congest(&mut fc, 10).unwrap(); // queue(2) + backlog(8)
-        sink.open_gate();
-        fc.finish().unwrap();
-        assert_eq!(sink.records(), 100, "nothing lost under Basic");
+        congest(&mut fc, 10).unwrap(); // port(2) + backlog(8)
+        assert_eq!(fc.metrics.handoff_queue_frames.get(), 8);
+        finish(&mut fc, &sink);
+        assert_eq!(delivered(&sink), 100, "nothing lost under Basic");
+        assert_eq!(fc.metrics.handoff_queue_frames.get(), 0);
     }
 
     #[test]
     fn discard_drops_excess_and_resumes() {
-        let sink = GatedSink::default();
-        let m;
-        {
-            let mut fc = controller(IngestionPolicy::discard(), &sink);
-            m = Arc::clone(&fc.metrics);
-            congest(&mut fc, 10).unwrap();
-            sink.open_gate();
-            fc.finish().unwrap();
-        }
-        let discarded = m.records_discarded.get();
-        assert!(discarded > 0, "expected drops");
-        assert_eq!(sink.records() as u64 + discarded, 100);
+        let sink = tiny_port();
+        let mut fc = controller(IngestionPolicy::discard(), &sink);
+        congest(&mut fc, 10).unwrap();
+        assert_eq!(delivered(&sink), 20, "what fit in the port");
+        assert_eq!(fc.metrics.records_discarded.get(), 80);
+        // the consumer catches up: the next frame flows again
+        sink.drain(usize::MAX);
+        fc.offer(frame(100..110)).unwrap();
+        assert_eq!(delivered(&sink), 30);
+        finish(&mut fc, &sink);
     }
 
     #[test]
-    fn spill_defers_and_despills() {
-        let sink = GatedSink::default();
-        let m;
-        {
-            let mut fc = controller(IngestionPolicy::spill(), &sink);
-            m = Arc::clone(&fc.metrics);
-            congest(&mut fc, 10).unwrap();
-            assert!(m.records_spilled.get() > 0);
-            assert!(m.spill_bytes.get() > 0);
-            sink.open_gate();
-            fc.finish().unwrap();
-        }
-        assert_eq!(sink.records(), 100, "spill loses nothing");
+    fn spill_defers_and_despills_in_order() {
+        let sink = tiny_port();
+        let mut fc = controller(IngestionPolicy::spill(), &sink);
+        congest(&mut fc, 10).unwrap();
+        let m = Arc::clone(&fc.metrics);
+        assert_eq!(m.records_spilled.get(), 80);
+        assert!(m.spill_bytes.get() > 0);
+        assert_eq!(m.handoff_queue_frames.get(), 8, "one segment per frame");
+        finish(&mut fc, &sink);
+        let ids: Vec<u64> = sink.records().iter().map(|r| r.id.raw()).collect();
+        assert!(
+            ids.iter().copied().eq(0..100),
+            "spill loses and reorders nothing"
+        );
         assert_eq!(m.records_despilled.get(), m.records_spilled.get());
+        assert_eq!(m.spill_bytes.get(), 0);
     }
 
     #[test]
     fn spill_overflow_escalates_to_discard() {
-        let sink = GatedSink::default();
+        let sink = tiny_port();
         let mut policy = IngestionPolicy::spill();
         policy.max_spill_bytes = Some(2000);
-        let m;
-        {
-            let mut fc = controller(policy, &sink);
-            m = Arc::clone(&fc.metrics);
-            congest(&mut fc, 50).unwrap();
-            sink.open_gate();
-            fc.finish().unwrap();
-        }
+        let mut fc = controller(policy, &sink);
+        congest(&mut fc, 50).unwrap();
+        finish(&mut fc, &sink);
+        let m = &fc.metrics;
         assert!(m.records_discarded.get() > 0);
         assert!(m.records_spilled.get() > 0);
+        assert_eq!(delivered(&sink) + m.records_discarded.get(), 500);
     }
 
     #[test]
     fn spill_then_throttle_custom_policy() {
-        let sink = GatedSink::default();
+        let sink = tiny_port();
         let mut params = std::collections::BTreeMap::new();
         params.insert("max.spill.size.on.disk".into(), "2000".into());
         params.insert("excess.records.throttle".into(), "true".into());
         let policy = IngestionPolicy::spill()
             .extend("Spill_then_Throttle", &params)
             .unwrap();
-        let m;
-        {
-            let mut fc = controller(policy, &sink);
-            m = Arc::clone(&fc.metrics);
-            // open the gate from another thread shortly, since throttle
-            // paces with blocking sends
-            let s2 = sink.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                s2.open_gate();
-            });
-            congest(&mut fc, 50).unwrap();
-            fc.finish().unwrap();
-        }
+        let mut fc = controller(policy, &sink);
+        congest(&mut fc, 50).unwrap();
+        finish(&mut fc, &sink);
+        let m = &fc.metrics;
         assert!(m.records_spilled.get() > 0, "spill first");
         assert!(m.records_throttled.get() > 0, "then throttle");
+        assert_eq!(delivered(&sink) + m.records_throttled.get(), 500);
     }
 
     #[test]
-    fn throttle_samples_uniformly() {
-        // a slow-but-open sink keeps the pipeline congested throughout
-        let sink = GatedSink::default();
-        sink.open_gate();
-        sink.set_delay(2);
-        let m;
-        {
-            let mut fc = controller(IngestionPolicy::throttle(), &sink);
-            m = Arc::clone(&fc.metrics);
-            congest(&mut fc, 100).unwrap();
-            sink.set_delay(0);
-            fc.finish().unwrap();
+    fn throttle_samples_uniformly_and_never_defers() {
+        // a consumer taking one frame per two offered keeps the port full
+        let sink = tiny_port();
+        let mut fc = controller(IngestionPolicy::throttle(), &sink);
+        for i in 0..100u64 {
+            fc.offer(frame(i * 10..i * 10 + 10)).unwrap();
+            assert!(
+                fc.drain_deferred().unwrap(),
+                "the kept fraction is sent, not held"
+            );
+            if i % 2 == 0 {
+                sink.drain(1);
+            }
         }
-        let dropped = m.records_throttled.get();
+        finish(&mut fc, &sink);
+        let dropped = fc.metrics.records_throttled.get();
         assert!(dropped > 0);
-        assert_eq!(sink.records() as u64 + dropped, 1000);
+        assert_eq!(delivered(&sink) + dropped, 1000);
         // keep fraction is 0.5: roughly half of the excess records dropped
         let ratio = dropped as f64 / 1000.0;
         assert!(ratio > 0.2 && ratio < 0.8, "drop ratio {ratio}");
@@ -711,17 +580,8 @@ mod tests {
 
     #[test]
     fn elastic_signals_once_and_buffers() {
-        let sink = GatedSink::default();
-        let (tx, rx) = crossbeam_channel::unbounded();
-        let mut fc = FlowController::new(
-            IngestionPolicy::elastic(),
-            metrics(),
-            Box::new(sink.clone()),
-            2,
-            FeedId(7),
-            "conn42",
-            Some(tx),
-        );
+        let sink = tiny_port();
+        let (mut fc, rx) = elastic(&sink, "conn42");
         congest(&mut fc, 10).unwrap();
         let req = rx.try_recv().unwrap();
         assert_eq!(req.connection_key, "conn42");
@@ -729,86 +589,98 @@ mod tests {
         fc.reset_elastic_signal();
         congest(&mut fc, 5).unwrap();
         assert!(rx.try_recv().is_ok(), "re-signals after reset");
-        sink.open_gate();
-        fc.finish().unwrap();
-        assert_eq!(sink.records(), 150, "elastic buffered everything");
+        finish(&mut fc, &sink);
+        assert_eq!(delivered(&sink), 150, "elastic buffered everything");
     }
 
     #[test]
     fn elastic_rearms_after_congestion_clears() {
-        let sink = GatedSink::default();
-        let (tx, rx) = crossbeam_channel::unbounded();
-        let mut fc = FlowController::new(
-            IngestionPolicy::elastic(),
-            metrics(),
-            Box::new(sink.clone()),
-            2,
-            FeedId(7),
-            "conn43",
-            Some(tx),
-        );
+        let sink = tiny_port();
+        let (mut fc, rx) = elastic(&sink, "conn43");
         // episode 1: downstream stalled, excess signals scale-out once
         congest(&mut fc, 10).unwrap();
         assert!(rx.try_recv().is_ok(), "first episode signals");
         assert!(rx.try_recv().is_err(), "exactly once per episode");
-        // congestion clears: downstream unblocks and the backlog drains
-        sink.open_gate();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            let drained = fc.drain_deferred().unwrap();
-            if drained && sink.records() == 100 {
-                break; // queue empty (all delivered) and no deferred left
-            }
-            assert!(std::time::Instant::now() < deadline, "drain stalled");
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        // congestion clears: the backlog drains out, and the port has room
+        // again once the consumer takes the last of it
+        while !fc.drain_deferred().unwrap() {
+            sink.drain(usize::MAX);
         }
-        // the queue is below low-water: the signal re-armed on its own
+        sink.drain(usize::MAX);
         fc.drain_deferred().unwrap();
+        assert_eq!(delivered(&sink), 100);
         // episode 2: downstream stalls again — no manual reset needed
-        sink.close_gate();
         congest(&mut fc, 10).unwrap();
         assert!(
             rx.try_recv().is_ok(),
             "re-armed after congestion cleared; second episode signals"
         );
-        sink.open_gate();
-        fc.finish().unwrap();
-        assert_eq!(sink.records(), 200, "elastic buffered everything");
+        finish(&mut fc, &sink);
+        assert_eq!(delivered(&sink), 200, "elastic buffered everything");
     }
 
     #[test]
-    fn fail_returns_deferred_frames_for_zombie_parking() {
-        let sink = GatedSink::default();
+    fn fail_returns_deferred_frames_and_closes_the_writer() {
+        let sink = tiny_port();
         let mut fc = controller(IngestionPolicy::basic(), &sink);
         congest(&mut fc, 10).unwrap();
         let deferred = fc.fail();
         let total: usize = deferred.iter().map(|f| f.len()).sum();
-        assert!(total >= 70, "most frames parked, got {total}");
+        assert_eq!(total, 80, "everything short of the port is parked");
+        assert_eq!(delivered(&sink), 20);
+        assert!(sink.is_closed(), "the writer ends behind what it holds");
+    }
+
+    #[test]
+    fn writer_error_fails_the_writer_and_ends_the_flow() {
+        struct Broken(Arc<std::sync::atomic::AtomicBool>);
+        impl FrameWriter for Broken {
+            fn open(&mut self) -> IngestResult<()> {
+                Ok(())
+            }
+            fn next_frame(&mut self, _f: DataFrame) -> IngestResult<()> {
+                Err(IngestError::Disconnected("consumer gone".into()))
+            }
+            fn close(&mut self) -> IngestResult<()> {
+                panic!("a failed writer is not closed")
+            }
+            fn fail(&mut self) {
+                self.0.store(true, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+        let failed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut fc = FlowController::new(
+            IngestionPolicy::basic(),
+            metrics(),
+            Box::new(Broken(Arc::clone(&failed))),
+            FeedId(7),
+            "conn-test",
+            None,
+        );
+        assert!(fc.offer(frame(0..10)).is_err());
+        assert!(failed.load(std::sync::atomic::Ordering::SeqCst));
+        assert!(fc.offer(frame(10..20)).is_err(), "the flow stays ended");
+        assert!(fc.drain_deferred().is_err());
     }
 
     #[test]
     fn adopt_deferred_replays_zombie_state() {
-        let sink = GatedSink::default();
-        sink.open_gate();
+        let sink = ScriptedSink::new(usize::MAX);
         let mut fc = controller(IngestionPolicy::basic(), &sink);
         fc.adopt_deferred(vec![frame(0..10), frame(10..20)])
             .unwrap();
         fc.offer(frame(20..30)).unwrap();
-        fc.finish().unwrap();
-        assert_eq!(sink.records(), 30);
-        // order preserved: adopted state first
-        let first = sink.accepted.lock()[0].records()[0].id;
-        assert_eq!(first, RecordId(0));
+        finish(&mut fc, &sink);
+        let ids: Vec<u64> = sink.records().iter().map(|r| r.id.raw()).collect();
+        assert!(ids.iter().copied().eq(0..30), "adopted state first");
     }
 
     #[test]
     fn throttle_defers_kept_records_behind_older_data() {
-        // regression: kept records used to be blocking-sent straight into
-        // the hand-off queue, overtaking adopted/buffered frames and
-        // breaking the FIFO that adopt_deferred relies on
-        let sink = GatedSink::default();
-        sink.open_gate();
-        sink.set_delay(3);
+        // regression: kept records used to be sent straight on, overtaking
+        // adopted/buffered frames and breaking the FIFO that adopt_deferred
+        // relies on
+        let sink = tiny_port();
         let mut fc = controller(IngestionPolicy::throttle(), &sink);
         fc.adopt_deferred(vec![
             frame(0..10),
@@ -819,30 +691,21 @@ mod tests {
         .unwrap();
         for i in 4..12 {
             fc.offer(frame(i * 10..i * 10 + 10)).unwrap();
+            sink.drain(1);
         }
-        sink.set_delay(0);
-        fc.finish().unwrap();
-        let mut last: Option<RecordId> = None;
-        for f in sink.accepted.lock().iter() {
-            for r in f.records() {
-                if let Some(prev) = last {
-                    assert!(
-                        r.id > prev,
-                        "throttled records overtook older data: {} after {}",
-                        r.id,
-                        prev
-                    );
-                }
-                last = Some(r.id);
-            }
-        }
-        assert!(last.is_some(), "nothing delivered");
+        finish(&mut fc, &sink);
+        let ids: Vec<u64> = sink.records().iter().map(|r| r.id.raw()).collect();
+        assert!(!ids.is_empty(), "nothing delivered");
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "throttled records overtook older data: {ids:?}"
+        );
     }
 
     #[test]
     fn budget_blowout_reports_real_feed_id() {
         // regression: the FeedTerminated error used to hardcode FeedId(0)
-        let sink = GatedSink::default(); // gate closed: full congestion
+        let sink = tiny_port();
         let mut policy = IngestionPolicy::basic();
         policy.memory_budget_bytes = 2000;
         let mut fc = controller(policy, &sink);
@@ -856,62 +719,69 @@ mod tests {
     }
 
     #[test]
-    fn failed_despill_requeues_without_reencoding() {
-        // regression: a failed de-spill used to rebuild the whole SpillFile
-        // by popping and re-serializing every remaining frame (O(spill) per
-        // drain attempt); the encoded segment is now reused as-is
-        let sink = GatedSink::default(); // gate closed
+    fn saturated_writer_pops_no_spill_segment() {
+        // a segment is de-spilled only when the port has room, so a popped
+        // segment is always sent: nothing is decoded just to be put back
+        let sink = tiny_port();
         let mut fc = controller(IngestionPolicy::spill(), &sink);
-        congest(&mut fc, 10).unwrap(); // queue(2) + blocked pusher(≤1) + spill
-        let encodes_after_spill = fc.spill.encode_count();
-        assert!(
-            (7..=8).contains(&encodes_after_spill),
-            "each excess frame encoded once, got {encodes_after_spill}"
-        );
+        congest(&mut fc, 10).unwrap();
+        assert_eq!(fc.spill.len(), 8);
         for _ in 0..5 {
-            // queue is full: every drain pops the head segment, fails to
-            // send it, and must put it back without touching the encoder
             assert!(!fc.drain_deferred().unwrap());
+            assert_eq!(fc.spill.len(), 8, "the port is full: nothing popped");
         }
-        assert_eq!(
-            fc.spill.encode_count(),
-            encodes_after_spill,
-            "failed de-spills must not re-encode surviving segments"
-        );
-        sink.open_gate();
-        fc.finish().unwrap();
-        assert_eq!(sink.records(), 100, "re-queues lost nothing");
+        assert_eq!(fc.metrics.records_despilled.get(), 0);
+        // room for one frame: exactly one segment leaves the spill
+        sink.drain(1);
+        assert!(!fc.drain_deferred().unwrap());
+        assert_eq!(fc.spill.len(), 7);
+        assert_eq!(fc.metrics.records_despilled.get(), 10);
+        finish(&mut fc, &sink);
+        assert_eq!(delivered(&sink), 100);
+    }
+
+    #[test]
+    fn finish_drains_across_calls_and_closes_last() {
+        let sink = tiny_port();
+        let mut fc = controller(IngestionPolicy::spill(), &sink);
+        congest(&mut fc, 10).unwrap();
+        sink.drain(usize::MAX);
+        // the spill goes out a port's worth at a time, never all at once
+        assert!(!fc.finish().unwrap());
+        assert_eq!(sink.queued(), 2);
+        assert!(!sink.is_closed());
+        finish(&mut fc, &sink);
+        assert_eq!(delivered(&sink), 100);
     }
 
     #[test]
     fn adopted_overflow_spills_under_spill_policy() {
-        let sink = GatedSink::default();
+        let sink = tiny_port();
         let mut policy = IngestionPolicy::spill();
         // budget admits exactly one adopted frame; the rest must spill
         policy.memory_budget_bytes = frame(0..10).size_bytes() + 1;
-        let m;
-        {
-            let mut fc = controller(policy, &sink);
-            m = Arc::clone(&fc.metrics);
-            fc.adopt_deferred(vec![frame(0..10), frame(10..20), frame(20..30)])
-                .unwrap();
-            assert!(
-                m.records_spilled.get() >= 20,
-                "overflow beyond the budget must hit the excess strategy"
-            );
-            sink.open_gate();
-            fc.finish().unwrap();
-        }
-        assert_eq!(sink.records(), 30, "spilled adoptions lose nothing");
+        let mut fc = controller(policy, &sink);
+        fc.adopt_deferred(vec![frame(0..10), frame(10..20), frame(20..30)])
+            .unwrap();
+        let m = Arc::clone(&fc.metrics);
+        assert_eq!(
+            m.records_spilled.get(),
+            20,
+            "overflow beyond the budget must hit the excess strategy"
+        );
+        finish(&mut fc, &sink);
         assert_eq!(m.zombie_frames_adopted.get(), 3);
         // order preserved: in-budget backlog first, spilled overflow after
-        let first = sink.accepted.lock()[0].records()[0].id;
-        assert_eq!(first, RecordId(0));
+        let ids: Vec<u64> = sink.records().iter().map(|r| r.id.raw()).collect();
+        assert!(
+            ids.iter().copied().eq(0..30),
+            "spilled adoptions lose nothing"
+        );
     }
 
     #[test]
     fn adopted_overflow_terminates_under_basic_policy() {
-        let sink = GatedSink::default();
+        let sink = tiny_port();
         let mut policy = IngestionPolicy::basic();
         policy.memory_budget_bytes = frame(0..10).size_bytes() + 1;
         let mut fc = controller(policy, &sink);
@@ -923,20 +793,15 @@ mod tests {
 
     #[test]
     fn adopted_overflow_drops_under_discard_policy() {
-        let sink = GatedSink::default();
+        let sink = tiny_port();
         let mut policy = IngestionPolicy::discard();
         policy.memory_budget_bytes = frame(0..10).size_bytes() + 1;
-        let m;
-        {
-            let mut fc = controller(policy, &sink);
-            m = Arc::clone(&fc.metrics);
-            fc.adopt_deferred(vec![frame(0..10), frame(10..20), frame(20..30)])
-                .unwrap();
-            sink.open_gate();
-            fc.finish().unwrap();
-        }
-        assert_eq!(m.records_discarded.get(), 20);
-        assert_eq!(sink.records(), 10, "in-budget frame survives");
+        let mut fc = controller(policy, &sink);
+        fc.adopt_deferred(vec![frame(0..10), frame(10..20), frame(20..30)])
+            .unwrap();
+        finish(&mut fc, &sink);
+        assert_eq!(fc.metrics.records_discarded.get(), 20);
+        assert_eq!(delivered(&sink), 10, "in-budget frame survives");
     }
 
     #[test]
@@ -948,6 +813,7 @@ mod tests {
         sf.push(&f1);
         sf.push(&f2);
         assert!(sf.bytes() > 0);
+        assert_eq!(sf.len(), 2);
         assert_eq!(sf.pop().unwrap().unwrap(), f1);
         assert_eq!(sf.pop().unwrap().unwrap(), f2);
         assert!(sf.pop().is_none());
@@ -967,25 +833,20 @@ mod tests {
 
     #[test]
     fn corrupt_spill_segment_is_a_feed_error_not_a_panic() {
-        let sink = GatedSink::default(); // gate closed: everything defers
+        let sink = tiny_port();
         let mut fc = controller(IngestionPolicy::spill(), &sink);
         congest(&mut fc, 10).unwrap();
         // tear the head segment in half, as a damaged spill file would be
-        let mut head = fc.spill.pop_segment().unwrap();
-        head.truncate(head.len() / 2);
-        fc.spill.push_front_segment(head);
-        sink.open_gate();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let err = loop {
-            match fc.drain_deferred() {
-                Err(e) => break e,
-                Ok(_) => assert!(std::time::Instant::now() < deadline, "never despilled"),
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        };
+        let head = fc.spill.segments.front_mut().unwrap();
+        let torn = head.len() / 2;
+        fc.spill.bytes -= head.len() - torn;
+        head.truncate(torn);
+        sink.drain(usize::MAX);
+        let err = fc.drain_deferred().unwrap_err();
         assert!(matches!(err, IngestError::Storage(_)), "{err}");
-        // the pusher thread is alive and the flow still shuts down cleanly
+        // the flow still shuts down cleanly, with what is intact parked
         let parked: usize = fc.fail().iter().map(DataFrame::len).sum();
-        assert!(parked > 0, "intact segments behind the torn one survive");
+        assert_eq!(parked, 70, "intact segments behind the torn one survive");
+        assert!(sink.is_closed());
     }
 }

@@ -4,8 +4,9 @@
 //! fires a single scale-out request and never revisits the decision. This
 //! module closes the loop. A periodic control task owned by the
 //! [`FeedController`](crate::controller::FeedController) samples the
-//! metrics registry — the ingestion-lag histogram, the intake hand-off
-//! queue backlog, and the spill/throttle pressure counters — and issues
+//! metrics registry — the ingestion-lag histogram, the frames the intakes'
+//! flow controllers hold back, and the spill/throttle pressure counters —
+//! and issues
 //! scale-out *and* scale-in decisions for both the intake and compute
 //! partitions of each live feed connection.
 //!
@@ -52,9 +53,10 @@ pub struct GovernorConfig {
     pub high_backlog_bytes: u64,
     /// Calm requires backlog at or below this many bytes.
     pub low_backlog_bytes: u64,
-    /// Scale-out when the hand-off queue holds at least this many frames.
+    /// Scale-out when a flow controller holds back at least this many
+    /// frames (its output port is full and work waits behind it).
     pub high_queue_frames: u64,
-    /// Calm requires the hand-off queue at or below this many frames.
+    /// Calm requires at most this many frames held back.
     pub low_queue_frames: u64,
     /// Consecutive calm samples required before scaling in.
     pub scale_in_quiet_ticks: u32,
@@ -100,7 +102,8 @@ pub struct GovernorSample {
     /// In-memory excess buffer plus spill file bytes, summed over the
     /// connection's store and compute stages.
     pub backlog_bytes: u64,
-    /// Hand-off queue depth in frames, max over the connection's stages.
+    /// Frames held back by a flow controller (backlog frames plus spill
+    /// segments), max over the connection's stages.
     pub queue_frames: u64,
     /// Pressure events since the previous sample: records throttled,
     /// discarded or spilled, plus open-loop elastic requests routed to the

@@ -64,8 +64,9 @@ pub struct FeedMetrics {
     pub spill_bytes: Gauge,
     /// Current in-memory excess buffer size in bytes (gauge).
     pub buffer_bytes: Gauge,
-    /// Current hand-off queue depth in frames (gauge) — the congestion
-    /// sensor the scaling governor samples.
+    /// Frames the intake's flow controller holds back while its output
+    /// port is full — backlog frames plus spilled segments (gauge); the
+    /// congestion signal the scaling governor samples.
     pub handoff_queue_frames: Gauge,
     /// Sim-milliseconds the most recent hard-failure recovery took, from
     /// failure handling to the connection going active again (gauge).

@@ -9,8 +9,9 @@
 //!   tick, and yields — never blocks — while the joint has no room.
 //! * [`IntakeDesc`] — *FeedIntake*: co-located with a joint, subscribes
 //!   through the local Feed Manager's search API, and pushes frames
-//!   downstream through the policy-governed [`FlowController`]. Hosts the
-//!   at-least-once tracker when the policy demands it.
+//!   downstream through the policy-governed [`FlowController`], which owns
+//!   its output port. Hosts the at-least-once tracker when the policy
+//!   demands it.
 //! * [`AssignDesc`] — *Assign* (the compute stage): applies the
 //!   pre-processing UDF to every record and deposits results into the
 //!   feed's output joint.
@@ -38,7 +39,7 @@ use asterix_common::{
     NodeId, Record, SimDuration, SimInstant, DEFAULT_FRAME_CAPACITY,
 };
 use asterix_hyracks::cluster::NodeHandle;
-use asterix_hyracks::executor::TaskContext;
+use asterix_hyracks::executor::{TaskContext, MSGS_PER_SLICE};
 use asterix_hyracks::job::{Constraint, OperatorDescriptor};
 use asterix_hyracks::operator::{
     FrameWriter, NullSink, OperatorRuntime, RouterOperator, SourceOperator, SourcePoll, StopMode,
@@ -472,8 +473,6 @@ pub struct IntakeDesc {
     pub metrics: Arc<FeedMetrics>,
     /// Elastic scale-out signal channel.
     pub elastic_tx: Option<Sender<ElasticRequest>>,
-    /// Hand-off queue depth (congestion sensor).
-    pub flow_capacity: usize,
     /// At-least-once plumbing, when the policy enables it.
     pub ack: Option<Arc<AckPlumbing>>,
     /// Connection key (for elastic requests and zombie state).
@@ -497,15 +496,15 @@ impl OperatorDescriptor for IntakeDesc {
     fn instantiate(
         &self,
         ctx: &TaskContext,
-        output: Box<dyn FrameWriter>,
+        mut output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
         let fm = FeedManager::on(&ctx.node);
         let sub_key = format!("{}#p{}", self.sub_key, ctx.partition);
+        output.open()?;
         let mut flow = FlowController::new(
             self.policy.clone(),
             Arc::clone(&self.metrics),
             output,
-            self.flow_capacity,
             self.feed,
             self.connection_key.clone(),
             self.elastic_tx.clone(),
@@ -540,6 +539,7 @@ impl OperatorDescriptor for IntakeDesc {
             tracker,
             fault_plan: self.fault_plan.clone(),
             sub: None,
+            ending: false,
         })))
     }
 }
@@ -554,6 +554,9 @@ struct IntakeSource {
     fault_plan: Option<Arc<FaultPlan>>,
     /// Created by the first poll.
     sub: Option<JointSubscription>,
+    /// The stream has ended (graceful stop or retired joint): polls only
+    /// drain what the flow controller deferred, then close.
+    ending: bool,
 }
 
 /// Frames an intake task pulls off its joint per scheduler slice.
@@ -563,7 +566,7 @@ impl IntakeSource {
     fn fail_with_zombie(&mut self, fm: &Arc<FeedManager>) {
         if let Some(flow) = self.flow.take() {
             let mut deferred = flow.fail();
-            // The tracker's unacked records were in the hand-off queue or in
+            // The tracker's unacked records were in the output port or in
             // flight toward the store when we died — without parking them the
             // successor would never re-emit them and at-least-once would only
             // hold for records the flow controller still had by value.
@@ -640,7 +643,7 @@ impl SourceOperator for IntakeSource {
     /// not a blocked OS thread.
     fn poll(&mut self, stop: &StopToken) -> IngestResult<SourcePoll> {
         let fm = FeedManager::on(&self.node);
-        if self.sub.is_none() {
+        if self.sub.is_none() && !self.ending {
             let joint = fm.search_joint(&self.joint_id).ok_or_else(|| {
                 IngestError::Plan(format!(
                     "no joint '{}' on node {}",
@@ -659,13 +662,11 @@ impl SourceOperator for IntakeSource {
         match stop.mode() {
             StopMode::Running => {}
             StopMode::Graceful => {
-                // graceful disconnect: drain and leave
+                // graceful disconnect: leave the joint, drain and close
                 if let Some(sub) = self.sub.take() {
                     sub.unsubscribe();
                 }
-                let flow = self.flow.take().expect("flow active");
-                flow.finish()?;
-                return Ok(SourcePoll::Done);
+                self.ending = true;
             }
             StopMode::Abandon => {
                 // pipeline rebuild: park deferred work and exit while
@@ -673,6 +674,15 @@ impl SourceOperator for IntakeSource {
                 self.fail_with_zombie(&fm);
                 return Ok(SourcePoll::Done);
             }
+        }
+        if self.ending {
+            // a port's worth of deferred work per poll, never the whole
+            // spill at once; idle while the port is full
+            let flow = self.flow.as_mut().expect("flow active");
+            return Ok(match flow.finish()? {
+                true => SourcePoll::Done,
+                false => SourcePoll::Idle(None),
+            });
         }
         if self.chaos_panic_due() {
             self.fail_with_zombie(&fm);
@@ -715,9 +725,10 @@ impl SourceOperator for IntakeSource {
                     }
                 }
                 Some(JointRecv::Retired) => {
-                    let flow = self.flow.take().expect("flow active");
-                    flow.finish()?;
-                    return Ok(SourcePoll::Done);
+                    // nothing more will arrive: drain and close from the
+                    // next poll on
+                    self.ending = true;
+                    return Ok(SourcePoll::Produced);
                 }
                 Some(JointRecv::Timeout) | None => break,
             }
@@ -844,6 +855,12 @@ impl OperatorDescriptor for AssignDesc {
     }
 }
 
+/// Is `joint` too full for one more slice of a unary task's output? A task
+/// yields on it instead of parking its worker inside [`FeedJoint::deposit`].
+fn joint_saturated(joint: &FeedJoint) -> bool {
+    joint.headroom() < MSGS_PER_SLICE
+}
+
 /// Writer depositing frames into a joint while propagating lifecycle events
 /// down the job edge.
 struct JointWriter {
@@ -866,6 +883,10 @@ impl FrameWriter for JointWriter {
 
     fn fail(&mut self) {
         self.close_path.fail();
+    }
+
+    fn is_saturated(&self) -> bool {
+        joint_saturated(&self.joint)
     }
 }
 
@@ -979,6 +1000,10 @@ impl FrameWriter for CountingJointWriter {
     }
 
     fn fail(&mut self) {}
+
+    fn is_saturated(&self) -> bool {
+        joint_saturated(&self.joint)
+    }
 }
 
 // ---------------------------------------------------------------------------

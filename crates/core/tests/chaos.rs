@@ -54,13 +54,21 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
-/// Wait until the generator's pattern has finished (count stable).
+/// Wait until the generator's pattern has finished (count stable for three
+/// looks in a row: one 150 ms stall of a starved generator thread on a busy
+/// host is not the end of its pattern).
 fn wait_pattern_done(gen: &TweetGen) -> u64 {
     let mut last = gen.generated();
+    let mut stable = 0;
     loop {
         std::thread::sleep(Duration::from_millis(150));
         let now = gen.generated();
-        if now == last && now > 0 {
+        stable = if now == last && now > 0 {
+            stable + 1
+        } else {
+            0
+        };
+        if stable == 3 {
             return now;
         }
         last = now;
@@ -285,25 +293,39 @@ struct PanicOutcome {
     spilled: u64,
 }
 
-/// Run a congested single-panic chaos round under `policy`. The store is
-/// slowed with an insert spin so the flow controller has deferred work in
-/// flight when the panic fires; the panic is scheduled late in the 4500
-/// record budget because the trigger counts *collect-side* emissions, which
-/// run far ahead of the congested store stage.
+/// Run a congested single-panic chaos round under `policy`, with the
+/// congestion made real by arithmetic rather than by thread timing.
+///
+/// The store spins 60 000 iterations per record (~73 µs optimised, ~340 µs
+/// unoptimised on a 2-core x86 host), so its two partitions persist at most
+/// ~27k records/s (~6k unoptimised). TweetGen offers 1 500 sim-records/s at
+/// 10 real ms per sim-second: 150k records/s, 9 000 records in 60 real ms.
+/// The intake's output is two 32-frame ports holding one ~32-record frame
+/// per partition for every 64-record intake frame — 2 048 records — so they
+/// are full after ~2 500 records, and from then on every intake slice meets
+/// a full port with frames waiting in its joint: the excess spills, and
+/// keeps spilling until the burst has drained. The panic is due at
+/// collect-side record 8 000 (the trigger counts what the collect emitted,
+/// which runs ahead of the intake), long after the spill began. Four workers
+/// for the two nodes: each store task spends whole 8-frame slices spinning,
+/// and the intake needs a worker of its own to run the moment a store pops.
+/// A socket buffer larger than the burst keeps TweetGen from dropping any
+/// of it on the wire while the collect competes for the cores.
 fn panic_run(policy: &str, addr: &str) -> PanicOutcome {
     let clock = SimClock::with_scale(10.0);
-    let cluster = Cluster::start(
+    let cluster = Cluster::start_with_workers(
         2,
         clock.clone(),
         ClusterConfig {
             heartbeat_interval: SimDuration::from_secs(5),
             failure_threshold: SimDuration::from_secs(1_000_000),
         },
+        4,
     );
     let plan = Arc::new(FaultPlan::from_events(
         0xBAD_0B5,
         vec![FaultEvent {
-            at_record: 4_000,
+            at_record: 8_000,
             kind: FaultKind::OperatorPanic,
         }],
     ));
@@ -318,7 +340,6 @@ fn panic_run(policy: &str, addr: &str) -> PanicOutcome {
         cluster.clone(),
         Arc::clone(&catalog),
         ControllerConfig {
-            flow_capacity: 2,
             fault_plan: Some(Arc::clone(&plan)),
             ..ControllerConfig::default()
         },
@@ -332,13 +353,16 @@ fn panic_run(policy: &str, addr: &str) -> PanicOutcome {
                 primary_key: "id".into(),
                 nodegroup,
             },
-            60_000, // slow store: keep the flow controller congested
+            60_000, // slow store: see the arithmetic above
         )
         .unwrap(),
     );
     catalog.register_dataset(Arc::clone(&dataset));
     let gen = TweetGen::bind(
-        TweetGenConfig::new(addr, 0, PatternDescriptor::constant(1500, 3)),
+        TweetGenConfig {
+            socket_buffer: 16_384,
+            ..TweetGenConfig::new(addr, 0, PatternDescriptor::constant(1500, 6))
+        },
         clock.clone(),
     )
     .unwrap();
@@ -516,7 +540,6 @@ fn discard_gaps_contiguous_vs_throttle_under_identical_chaos() {
             cluster.clone(),
             Arc::clone(&catalog),
             ControllerConfig {
-                flow_capacity: 1,
                 compute_parallelism: Some(1),
                 compute_extra_spin: 60_000,
                 ..ControllerConfig::default()

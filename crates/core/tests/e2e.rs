@@ -459,13 +459,7 @@ fn kill_node_while_congested_recovers_without_loss() {
     // deferred work. Under FaultTolerant nothing may be lost — the zombie
     // frames and the unacked tracker records must survive the rebuild — and
     // the connection must walk Active -> Suspended -> Active.
-    let rig = TestRig::start_faulty(
-        3,
-        ControllerConfig {
-            flow_capacity: 2,
-            ..ControllerConfig::default()
-        },
-    );
+    let rig = TestRig::start_faulty(3, ControllerConfig::default());
     let gen = rig.tweetgen("e2e-chaos:9000", 0, 400, 6); // 2400-tweet budget
                                                          // a slow store keeps the flow controller congested when the kill lands
     let nodegroup: Vec<NodeId> = rig.cluster.alive_nodes().iter().map(|n| n.id()).collect();
@@ -550,7 +544,6 @@ fn discard_policy_sheds_load_under_overload() {
     let rig = TestRig::start_with(
         2,
         ControllerConfig {
-            flow_capacity: 2,
             compute_parallelism: Some(1),
             compute_extra_spin: 200_000, // make compute the bottleneck
             ..ControllerConfig::default()
@@ -586,7 +579,6 @@ fn elastic_policy_scales_compute_out() {
     let rig = TestRig::start_with(
         4,
         ControllerConfig {
-            flow_capacity: 2,
             compute_parallelism: Some(1),
             compute_extra_spin: 100_000,
             ..ControllerConfig::default()
@@ -700,7 +692,6 @@ fn basic_policy_memory_budget_terminates_feed() {
     let rig = TestRig::start_with(
         1,
         ControllerConfig {
-            flow_capacity: 1,
             compute_parallelism: Some(1),
             compute_extra_spin: 500_000,
             ..ControllerConfig::default()
@@ -737,7 +728,6 @@ fn policy_comparison_discard_vs_throttle_pattern() {
         let rig = TestRig::start_with(
             1,
             ControllerConfig {
-                flow_capacity: 1,
                 compute_parallelism: Some(1),
                 compute_extra_spin: 60_000,
                 ..ControllerConfig::default()

@@ -2,20 +2,19 @@
 //!
 //! * **Record conservation** — under any policy and congestion pattern,
 //!   every offered record is accounted for: delivered + discarded +
-//!   throttled (+ still deferred) = offered;
+//!   throttled + still deferred = offered;
 //! * **Guaranteed delivery** — a feed joint delivers every deposited frame
 //!   to every subscriber that stays subscribed, in order, under arbitrary
 //!   interleavings of subscribe/unsubscribe;
 //! * **Policy algebra** — custom-policy derivation never loses or invents
 //!   parameter state.
 
-use asterix_common::sync::Mutex;
 use asterix_common::{DataFrame, FeedId, Record, RecordId, SimClock, SimDuration};
 use asterix_feeds::flow::FlowController;
 use asterix_feeds::joint::{FeedJoint, JointRecv};
 use asterix_feeds::metrics::FeedMetrics;
 use asterix_feeds::policy::IngestionPolicy;
-use asterix_hyracks::operator::FrameWriter;
+use asterix_hyracks::operator::ScriptedSink;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -27,57 +26,10 @@ fn frame(start: u64, len: usize) -> DataFrame {
     )
 }
 
-/// A sink whose acceptance is scripted: it consumes `budget` frames, then
-/// blocks until the budget is raised.
-#[derive(Clone)]
-struct ScriptedSink {
-    accepted: Arc<Mutex<Vec<DataFrame>>>,
-    budget: Arc<Mutex<i64>>,
-}
-
-impl ScriptedSink {
-    fn new() -> Self {
-        ScriptedSink {
-            accepted: Arc::new(Mutex::new(Vec::new())),
-            budget: Arc::new(Mutex::new(0)),
-        }
-    }
-    fn add_budget(&self, n: i64) {
-        *self.budget.lock() += n;
-    }
-    fn records(&self) -> u64 {
-        self.accepted.lock().iter().map(|f| f.len() as u64).sum()
-    }
-}
-
-impl FrameWriter for ScriptedSink {
-    fn open(&mut self) -> asterix_common::IngestResult<()> {
-        Ok(())
-    }
-    fn next_frame(&mut self, f: DataFrame) -> asterix_common::IngestResult<()> {
-        loop {
-            {
-                let mut b = self.budget.lock();
-                if *b > 0 {
-                    *b -= 1;
-                    break;
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-        self.accepted.lock().push(f);
-        Ok(())
-    }
-    fn close(&mut self) -> asterix_common::IngestResult<()> {
-        Ok(())
-    }
-    fn fail(&mut self) {}
-}
-
 #[derive(Debug, Clone)]
 enum Step {
     Offer(u8),  // offer a frame of 1..=32 records
-    Budget(u8), // let the sink accept up to n more frames
+    Budget(u8), // let the consumer take up to n more frames
     Drain,      // opportunistic drain of deferred work
 }
 
@@ -94,6 +46,7 @@ fn policy_strategy() -> impl Strategy<Value = IngestionPolicy> {
         Just(IngestionPolicy::basic()),
         Just(IngestionPolicy::spill()),
         Just(IngestionPolicy::discard()),
+        Just(IngestionPolicy::throttle()),
         Just(IngestionPolicy::elastic()),
     ]
 }
@@ -101,25 +54,30 @@ fn policy_strategy() -> impl Strategy<Value = IngestionPolicy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// offered = delivered + discarded (+ deferred recovered at finish).
-    /// (Throttle is excluded here: its blocking pacing needs a live
-    /// consumer; it has its own deterministic test below.)
+    /// offered = delivered + discarded + throttled + deferred, exactly,
+    /// whether the flow finishes or a blown budget terminates it — and what
+    /// is delivered arrives in order.
     #[test]
     fn flow_controller_conserves_records(
         policy in policy_strategy(),
         steps in prop::collection::vec(step_strategy(), 1..60),
     ) {
-        let sink = ScriptedSink::new();
+        let sink = ScriptedSink::new(2);
         let metrics = FeedMetrics::with_default_bucket(SimClock::fast());
         let mut fc = FlowController::new(
             policy,
             Arc::clone(&metrics),
             Box::new(sink.clone()),
-            2,
             FeedId(1),
             "prop",
             None,
         );
+        let accounted = |deferred: u64| {
+            sink.records().len() as u64
+                + metrics.records_discarded.get()
+                + metrics.records_throttled.get()
+                + deferred
+        };
         let mut offered = 0u64;
         let mut next_id = 0u64;
         for step in steps {
@@ -131,53 +89,33 @@ proptest! {
                     match fc.offer(f) {
                         Ok(()) => {}
                         Err(asterix_common::IngestError::FeedTerminated { .. }) => {
-                            // Basic with a blown budget: conservation still
-                            // holds for everything before the termination
+                            // Basic with a blown budget: the terminating
+                            // frame was not admitted, and everything before
+                            // it is delivered, dropped or still deferred
+                            offered -= n as u64;
                             let deferred: u64 =
                                 fc.take_deferred().iter().map(|f| f.len() as u64).sum();
-                            // the terminating frame was not admitted
-                            offered -= n as u64;
-                            sink.add_budget(1000);
-                            std::thread::sleep(std::time::Duration::from_millis(30));
-                            let delivered = sink.records();
-                            let discarded =
-                                metrics.records_discarded.get();
-                            // queued frames may still be in the hand-off
-                            // queue; drop the controller to flush
-                            drop(fc);
-                            std::thread::sleep(std::time::Duration::from_millis(30));
-                            let delivered = sink.records().max(delivered);
-                            prop_assert!(
-                                delivered + discarded + deferred <= offered,
-                                "no duplication: {delivered}+{discarded}+{deferred} vs {offered}"
-                            );
+                            prop_assert_eq!(accounted(deferred), offered);
                             return Ok(());
                         }
                         Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
                     }
                 }
-                Step::Budget(n) => {
-                    sink.add_budget(n as i64);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
+                Step::Budget(n) => sink.drain(n as usize),
                 Step::Drain => {
-                    let _ = fc.drain_deferred();
+                    fc.drain_deferred().unwrap();
                 }
             }
         }
-        // open the gate fully and finish: everything deferred flows
-        sink.add_budget(1_000_000);
-        fc.finish().unwrap();
-        let delivered = sink.records();
-        let discarded = metrics.records_discarded.get();
-        prop_assert_eq!(
-            delivered + discarded,
-            offered,
-            "delivered {} + discarded {} != offered {}",
-            delivered,
-            discarded,
-            offered
-        );
+        // the consumer catches up and the flow finishes: nothing is left
+        // deferred
+        while !fc.finish().unwrap() {
+            sink.drain(usize::MAX);
+        }
+        prop_assert!(sink.is_closed());
+        let ids: Vec<u64> = sink.records().iter().map(|r| r.id.raw()).collect();
+        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "delivery order: {:?}", ids);
+        prop_assert_eq!(accounted(0), offered);
     }
 
     /// Every subscriber of a joint receives exactly the frames deposited
@@ -273,31 +211,4 @@ proptest! {
         prop_assert_eq!(q.primary_excess_strategy(), p.primary_excess_strategy());
         prop_assert_eq!(q.memory_budget_bytes, p.memory_budget_bytes);
     }
-}
-
-/// Throttle conservation, deterministic: delivered + throttled = offered.
-#[test]
-fn throttle_conserves_records() {
-    let sink = ScriptedSink::new();
-    sink.add_budget(1_000_000);
-    let metrics = FeedMetrics::with_default_bucket(SimClock::fast());
-    let mut fc = FlowController::new(
-        IngestionPolicy::throttle(),
-        Arc::clone(&metrics),
-        Box::new(sink.clone()),
-        1,
-        FeedId(1),
-        "throttle-prop",
-        None,
-    );
-    let mut offered = 0u64;
-    for i in 0..200u64 {
-        let f = frame(i * 16, 16);
-        offered += 16;
-        fc.offer(f).unwrap();
-    }
-    fc.finish().unwrap();
-    let delivered = sink.records();
-    let throttled = metrics.records_throttled.get();
-    assert_eq!(delivered + throttled, offered);
 }

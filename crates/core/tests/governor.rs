@@ -89,7 +89,6 @@ fn governor_scales_out_under_load_and_back_in_when_calm() {
     let rig = TestRig::start_with(
         4,
         ControllerConfig {
-            flow_capacity: 2,
             compute_parallelism: Some(1),
             compute_extra_spin: 100_000,
             governor: GovernorConfig {

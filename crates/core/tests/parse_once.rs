@@ -66,7 +66,6 @@ fn rig(transport: TransportKind) -> (Cluster, Arc<FeedCatalog>, Arc<FeedControll
         Arc::clone(&catalog),
         ControllerConfig {
             transport,
-            flow_capacity: 1,
             ..ControllerConfig::default()
         },
     );
@@ -144,26 +143,41 @@ fn udf_less_feed_decodes_nothing(transport: TransportKind, socket: &str) {
 /// because the UDF needs a value. The router and the partitioner read their
 /// fields out of the bytes without decoding the record, and the store takes
 /// the bytes as they are.
+///
+/// The congestion is real, not a thread's wake-up delay. The catch-all sink
+/// takes ~80 % of the records (10 % are US, ~9 % of the rest popular) into
+/// one store partition spinning 15 000 iterations per record; measured on a
+/// 2-core x86 host it persists ~45k records/s optimised (~7k unoptimised)
+/// while the trunk routes it ~110k/s (~23k/s) — well under half. The
+/// backlog fills, in turn, the store's 32-frame input port, the loopback
+/// socket, the relay's 32-frame port and the sink's 1 024-frame joint
+/// queue; a Spill intake spills once the port in front of it is full — the
+/// sink's own, or, once that joint is full, the routed trunk's (always
+/// Spill). The kernel autotunes the socket's buffers (several MB), so no
+/// fixed N promises that on every host: the test offers lines until the
+/// spill has carried 2 000 records — several times what a late-scheduled
+/// relay thread spills on its own (≤ 450 seen) — and N is what it offered
+/// (~20–120k here).
 fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
-    const N: u64 = 600;
+    const SPILLED_AT_LEAST: u64 = 2_000;
+    const AT_MOST: u64 = 300_000;
     let (cluster, catalog, controller) = rig(TransportKind::Tcp);
     let nodegroup: Vec<NodeId> = cluster.alive_nodes().iter().map(|n| n.id()).collect();
-    let dataset = |name: &str, insert_spin: u64| {
+    let dataset = |name: &str, nodegroup: &[NodeId], insert_spin: u64| {
         let config = DatasetConfig {
             name: name.into(),
             datatype: "Tweet".into(),
             primary_key: "id".into(),
-            nodegroup: nodegroup.clone(),
+            nodegroup: nodegroup.to_vec(),
         };
         let d = Arc::new(Dataset::create_with(config, insert_spin).unwrap());
         catalog.register_dataset(Arc::clone(&d));
         d
     };
-    let us = dataset("UsTweets", 0);
-    let popular = dataset("PopularTweets", 0);
-    // the catch-all sink is slow: its one-frame hand-off queue backs up and
-    // the Spill policy sends the excess through the spill file
-    let rest = dataset("RestTweets", 400_000);
+    let us = dataset("UsTweets", &nodegroup, 0);
+    let popular = dataset("PopularTweets", &nodegroup, 0);
+    // one partition: one socket's worth of buffers to fill
+    let rest = dataset("RestTweets", &nodegroup[..1], 15_000);
     catalog.create_function(Udf::sentiment_analysis()).unwrap();
 
     let tx = bind_socket("parse-once:9001", 2048).unwrap();
@@ -173,7 +187,7 @@ fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
         .udf("tweetlib#sentimentAnalysis")
         .sink(SinkSpec::to("UsTweets").route(RoutePredicate::eq("country", "US")))
         .sink(
-            SinkSpec::to("PopularTweets").route(RoutePredicate::gt("user.followers_count", 50_000)),
+            SinkSpec::to("PopularTweets").route(RoutePredicate::gt("user.followers_count", 90_000)),
         )
         .sink(SinkSpec::to("RestTweets").otherwise().policy("Spill"))
         .register(&catalog)
@@ -181,20 +195,31 @@ fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
     controller.connect_plan(&plan).unwrap();
 
     let mut factory = tweetgen::TweetFactory::new(5, 11);
-    let lines: Vec<String> = (0..N).map(|_| factory.next_json()).collect();
+    let spilled = || {
+        let snap = controller.registry().snapshot();
+        snap.counter("feed.records_spilled")
+    };
     let (parsed_before, printed_before) = (parse_calls(), print_calls());
-    for line in &lines {
-        tx.send(line.clone()).unwrap();
+    let mut n = 0u64;
+    while spilled() < SPILLED_AT_LEAST {
+        assert!(
+            n < AT_MOST,
+            "{n} records offered and the sink never spilled"
+        );
+        for _ in 0..1_000 {
+            tx.send(factory.next_json()).unwrap();
+        }
+        n += 1_000;
     }
     let stored = || (us.len() + popular.len() + rest.len()) as u64;
     assert!(
-        wait_until(Duration::from_secs(120), || stored() == N),
-        "expected {N} records persisted, saw {}",
+        wait_until(Duration::from_secs(120), || stored() == n),
+        "expected {n} records persisted, saw {}",
         stored()
     );
     assert_eq!(
         parse_calls() - parsed_before,
-        N,
+        n,
         "text is parsed once, at the adaptor"
     );
     assert_eq!(
@@ -203,17 +228,13 @@ fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
         "no stage between adaptor and store prints a record"
     );
     let snap = controller.registry().snapshot();
-    assert!(
-        snap.counter("feed.records_spilled") > 0,
-        "the slow sink never reached the spill path"
-    );
     assert_eq!(
         snap.counter("feed.records_despilled"),
         snap.counter("feed.records_spilled")
     );
     assert_eq!(
         snap.counter("feed.parse_calls"),
-        N,
+        n,
         "one decode, in the only stage that needs the tree: assign"
     );
     // the UDF ran and the doubles it produced survived three wire hops

@@ -103,7 +103,6 @@ proptest! {
         frame.encode_into(&mut segment);
         for cut in 0..segment.len() {
             prop_assert!(DataFrame::decode(&segment[..cut]).is_err(), "segment cut at {}", cut);
-            prop_assert!(SpillFile::decode_segment(&segment[..cut]).is_err());
         }
         // the same torn frame inside an intact wire envelope
         let mut wire = Vec::new();

@@ -16,10 +16,13 @@
 //!
 //! Back-pressure survives the translation: a task whose output ports are
 //! saturated *yields* ([`SliceState::Pending`]) instead of blocking, and is
-//! re-woken when a consumer drains below capacity. The dedicated threads
-//! left beside the pool (the feed-flow pusher, the TCP pumps) still use
-//! classic blocking sends — that blocking is the congestion mechanism
-//! Chapter 7 studies.
+//! re-woken when a consumer drains below capacity; a unary task whose
+//! operator writes outside its job edge (into a feed joint) also yields
+//! while [`UnaryOperator::is_saturated`] says there is no room for a slice.
+//! A feed intake is held back the same way while its output port is full,
+//! and that port is the sensor its flow controller's ingestion policy reacts
+//! to (Chapter 7). The only dedicated threads left on the data path are the
+//! TCP pumps, whose blocking fills the kernel socket buffers.
 //!
 //! Tasks scheduled on a node observe the node's alive flag; when the node
 //! is killed they exit *without* closing their outputs — the frames in
@@ -51,8 +54,11 @@ pub use crate::port::TaskMsg;
 static JOB_IDS: IdGen = IdGen::new();
 
 /// Messages a unary task drains per slice before re-queueing itself, so one
-/// busy pipeline cannot monopolize a worker.
-const MSGS_PER_SLICE: usize = 8;
+/// busy pipeline cannot monopolize a worker. An operator emitting at most
+/// one frame per output for each input frame (assign, route) therefore
+/// emits at most this many per slice: a writer outside the job edge with
+/// less room than this reports itself saturated.
+pub const MSGS_PER_SLICE: usize = 8;
 
 /// Pending-deadline safety net: stop requests and node deaths are observed
 /// within this bound even if no waker ever fires.
@@ -604,7 +610,9 @@ impl Task for UnaryTask {
                 return SliceState::Done(Err(e));
             }
         }
-        if self.probe.saturated() {
+        // the downstream ports wake this task when they drain; an output
+        // outside the job (a joint) is re-checked on the safety deadline
+        if self.probe.saturated() || self.op.is_saturated() || self.output.is_saturated() {
             return SliceState::Pending(Some(POLL_SAFETY));
         }
         for _ in 0..MSGS_PER_SLICE {

@@ -148,6 +148,12 @@ pub trait UnaryOperator: Send {
     }
     /// Abnormal termination of the pipeline this operator belongs to.
     fn fail(&mut self) {}
+    /// True when writers the operator owns itself (outside its job edge)
+    /// have no room for another slice of output; its task then yields like
+    /// one whose output port is full.
+    fn is_saturated(&self) -> bool {
+        false
+    }
 }
 
 /// The instantiated runtime of one operator partition.
@@ -285,6 +291,10 @@ impl UnaryOperator for RouterOperator {
             o.fail();
         }
     }
+
+    fn is_saturated(&self) -> bool {
+        self.outputs.iter().any(|o| o.is_saturated())
+    }
 }
 
 /// A source emitting a fixed set of frames (tests and the insert path),
@@ -382,6 +392,79 @@ impl UnaryOperator for CollectorOp {
     fn close(&mut self, _output: &mut dyn FrameWriter) -> IngestResult<()> {
         self.collector.closed.store(true, Ordering::SeqCst);
         Ok(())
+    }
+}
+
+/// A writer standing in for a bounded downstream queue whose consumer the
+/// caller drives by hand (tests, experiment harnesses): it takes every frame
+/// at once, reports saturation while `capacity` or more frames wait, and
+/// [`ScriptedSink::drain`] consumes the oldest. Clones share the queue.
+#[derive(Debug, Clone)]
+pub struct ScriptedSink {
+    state: Arc<asterix_common::sync::Mutex<ScriptedState>>,
+    capacity: usize,
+}
+
+#[derive(Debug, Default)]
+struct ScriptedState {
+    /// Every frame accepted, in arrival order.
+    frames: Vec<DataFrame>,
+    /// How many of `frames` the consumer has taken.
+    consumed: usize,
+    closed: bool,
+}
+
+impl ScriptedSink {
+    /// An empty queue that saturates at `capacity` waiting frames.
+    pub fn new(capacity: usize) -> Self {
+        ScriptedSink {
+            state: Arc::default(),
+            capacity,
+        }
+    }
+
+    /// Consume up to `k` waiting frames.
+    pub fn drain(&self, k: usize) {
+        let mut st = self.state.lock();
+        st.consumed = st.frames.len().min(st.consumed.saturating_add(k));
+    }
+
+    /// Frames accepted and not yet consumed.
+    pub fn queued(&self) -> usize {
+        let st = self.state.lock();
+        st.frames.len() - st.consumed
+    }
+
+    /// Every record accepted so far, in arrival order.
+    pub fn records(&self) -> Vec<Record> {
+        let st = self.state.lock();
+        st.frames
+            .iter()
+            .flat_map(|f| f.records().iter().cloned())
+            .collect()
+    }
+
+    /// Did the stream close gracefully?
+    pub fn is_closed(&self) -> bool {
+        self.state.lock().closed
+    }
+}
+
+impl FrameWriter for ScriptedSink {
+    fn open(&mut self) -> IngestResult<()> {
+        Ok(())
+    }
+    fn next_frame(&mut self, frame: DataFrame) -> IngestResult<()> {
+        self.state.lock().frames.push(frame);
+        Ok(())
+    }
+    fn close(&mut self) -> IngestResult<()> {
+        self.state.lock().closed = true;
+        Ok(())
+    }
+    fn fail(&mut self) {}
+    fn is_saturated(&self) -> bool {
+        self.queued() >= self.capacity
     }
 }
 
@@ -512,6 +595,21 @@ mod tests {
         assert_eq!(ids(&a), vec![0, 2, 4]);
         assert_eq!(ids(&b), vec![0, 1, 2, 4]);
         assert!(a.is_closed() && b.is_closed());
+    }
+
+    #[test]
+    fn router_is_saturated_while_any_output_is() {
+        let (a, b) = (ScriptedSink::new(1), ScriptedSink::new(1));
+        let mut router = RouterOperator::new(
+            Arc::new(|r: &Record| vec![r.id.raw() as usize % 2]),
+            vec![Box::new(a.clone()), Box::new(b.clone())],
+        );
+        assert!(!router.is_saturated());
+        router.next_frame(frame(0..1), &mut DevNull).unwrap();
+        assert!(a.is_saturated() && !b.is_saturated());
+        assert!(router.is_saturated(), "one full output holds the router");
+        a.drain(1);
+        assert!(!router.is_saturated());
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //!   threads therefore always append and report saturation; the task yields
 //!   ([`SliceState::Pending`](crate::scheduler::SliceState)) when its
 //!   outputs are saturated, which bounds queue growth to the capacity plus
-//!   one slice's burst.
-//! * **Dedicated threads block.** The feed-flow pusher and the TCP ingress
-//!   readers — the only producers that are not tasks — use the classic
-//!   bounded-queue blocking send: that blocking *is* the back-pressure
-//!   mechanism Chapter 7 studies, and it propagates through the flow
-//!   controller's policy machinery unchanged.
+//!   one slice's burst. A feed intake's port is also its congestion sensor:
+//!   the flow controller in front of it treats what arrives while the port
+//!   is saturated as excess for the connection's ingestion policy
+//!   (Chapter 7).
+//! * **Dedicated threads block.** The TCP ingress reader — the only
+//!   producer that is not a task — uses the classic bounded-queue blocking
+//!   send: it stops reading, the kernel socket buffers fill, and the wire's
+//!   sending side sees its own port saturate.
 //!
 //! Wakers are wired statically at job-wiring time: the consumer task's
 //! waker fires on empty→non-empty, producers' wakers fire when the queue

@@ -38,7 +38,6 @@ fn run(policy_stmts: &str, policy: &str, round: usize) {
     let engine = AsterixEngine::start(
         cluster.clone(),
         ControllerConfig {
-            flow_capacity: 2,
             compute_parallelism: Some(1),
             compute_extra_delay_us: 400, // capacity ≈ 2500 records/s
             ..ControllerConfig::default()
