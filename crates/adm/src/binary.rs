@@ -42,7 +42,9 @@
 //! folds datatype conformance into that same walk. [`record_field_slice`]
 //! projects one field, [`record_spans`] splits a record into its top-level
 //! `(name, value)` byte ranges — the unit the schema inferencer and the
-//! compacted block builder copy cells from.
+//! compacted block builder copy cells from — and [`checked_spans`] is the
+//! checked walk and that split in one pass, which a
+//! [`RecordView`](crate::view::RecordView) is built on.
 
 use crate::value::AdmValue;
 use asterix_common::{IngestError, IngestResult};
@@ -121,7 +123,7 @@ pub fn encode_into(v: &AdmValue, out: &mut Vec<u8>) {
     }
 }
 
-fn encode_str(s: &str, out: &mut Vec<u8>) {
+pub(crate) fn encode_str(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
@@ -177,7 +179,12 @@ impl FieldSpan {
 
     /// The field's encoded value, tag byte first.
     pub fn value<'a>(&self, record: &'a [u8]) -> &'a [u8] {
-        &record[self.name.1 as usize..self.value_end as usize]
+        &record[self.value_range()]
+    }
+
+    /// Where [`FieldSpan::value`] lies in the record.
+    pub(crate) fn value_range(&self) -> std::ops::Range<usize> {
+        self.name.1 as usize..self.value_end as usize
     }
 
     /// The whole field as the record encodes it: length-prefixed name, then
@@ -215,6 +222,39 @@ pub fn record_spans(record: &[u8], spans: &mut Vec<FieldSpan>) -> bool {
         spans.clear();
     }
     sound
+}
+
+/// [`validate`] and, for a record, [`record_spans`] in one pass: the checked
+/// walk over `input`, collecting the top-level field spans of a record on the
+/// way. `spans` is cleared first and left empty when `input` is not a record
+/// (any other well-formed value has no fields) or fails the walk. The verdict
+/// is [`validate`]'s, except that a record of 4 GiB or more — past what a
+/// span addresses — is an error.
+pub fn checked_spans(input: &[u8], spans: &mut Vec<FieldSpan>) -> IngestResult<()> {
+    spans.clear();
+    let mut r = Reader::new(input);
+    let walked = match input.first() {
+        Some(&TAG_RECORD) if input.len() > u32::MAX as usize => Err(r.err("record over 4 GiB")),
+        Some(&TAG_RECORD) => r.nested(|r| {
+            r.pos = 1;
+            for _ in 0..r.count()? {
+                let name = r.str_checked()?;
+                let name_end = r.pos as u32;
+                r.check_value()?;
+                spans.push(FieldSpan {
+                    name: (name_end - name.len() as u32, name_end),
+                    value_end: r.pos as u32,
+                });
+            }
+            Ok(())
+        }),
+        _ => r.check_value(),
+    };
+    let verdict = walked.and_then(|()| r.finish());
+    if verdict.is_err() {
+        spans.clear();
+    }
+    verdict
 }
 
 /// Zero-copy field lookup: return the encoded byte slice of `field` inside an
@@ -645,6 +685,33 @@ mod tests {
         assert!(!record_spans(&encode_value(&AdmValue::Int(1)), &mut spans));
         assert!(!record_spans(&[&bytes[..], &[0]].concat(), &mut spans));
         assert!(spans.is_empty());
+    }
+
+    #[test]
+    fn checked_spans_are_record_spans_under_validate() {
+        let bytes = encode_value(&tweet());
+        let (mut checked, mut split) = (Vec::new(), Vec::new());
+        assert!(checked_spans(&bytes, &mut checked).is_ok());
+        assert!(record_spans(&bytes, &mut split));
+        assert_eq!(checked, split);
+        // a scalar walks clean and has no fields
+        assert!(checked_spans(&encode_value(&AdmValue::Int(1)), &mut checked).is_ok());
+        assert!(checked.is_empty());
+        // what validate rejects, including bad UTF-8 that the structural
+        // split alone lets through, leaves no spans
+        let mut bad = bytes.clone();
+        let at = bytes.windows(5).position(|w| w == b"alice").unwrap();
+        bad[at] = 0xFF;
+        assert!(record_spans(&bad, &mut split));
+        for input in [
+            &bad[..],
+            &bytes[..bytes.len() - 1],
+            &[&bytes[..], &[0]].concat(),
+        ] {
+            assert!(validate(input).is_err());
+            assert!(checked_spans(input, &mut checked).is_err());
+            assert!(checked.is_empty());
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! The subset of AQL's builtin library that the paper's listings use:
 //! `word-tokens`, `starts-with` (Listing 4.2), `create-point`,
 //! `create-rectangle`, `spatial-intersect`, `spatial-cell` (Listing 3.3).
-//! [`add_hash_tags`] is the paper's example AQL UDF in executable form.
+//! The paper's example AQL UDF built on them, `addHashTags`, is
+//! `asterix-feeds`' `Udf::add_hash_tags`, which tokenises with
+//! [`word_token_strs`] straight out of the record's bytes.
 
 use crate::value::AdmValue;
 use asterix_common::{IngestError, IngestResult};
@@ -14,19 +16,28 @@ pub fn word_tokens(v: &AdmValue) -> IngestResult<AdmValue> {
     let s = v.as_str().ok_or_else(|| {
         IngestError::Type(format!("word-tokens expects string, got {}", v.type_name()))
     })?;
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    for c in s.chars() {
-        if c.is_alphanumeric() || c == '_' || ((c == '#' || c == '@') && current.is_empty()) {
-            current.push(c);
-        } else if !current.is_empty() {
-            tokens.push(AdmValue::String(std::mem::take(&mut current)));
+    Ok(AdmValue::OrderedList(
+        word_token_strs(s).map(AdmValue::string).collect(),
+    ))
+}
+
+/// The tokens [`word_tokens`] splits `s` into, borrowed from `s`: maximal
+/// runs of alphanumerics and `_`, a run may start with one `#` or `@`.
+pub fn word_token_strs(s: &str) -> impl Iterator<Item = &str> {
+    let mut chars = s.char_indices();
+    std::iter::from_fn(move || {
+        let mut start = None;
+        for (i, c) in chars.by_ref() {
+            let takes =
+                c.is_alphanumeric() || c == '_' || (start.is_none() && (c == '#' || c == '@'));
+            match (takes, start) {
+                (true, None) => start = Some(i),
+                (false, Some(from)) => return Some(&s[from..i]),
+                _ => {}
+            }
         }
-    }
-    if !current.is_empty() {
-        tokens.push(AdmValue::String(current));
-    }
-    Ok(AdmValue::OrderedList(tokens))
+        start.map(|from| &s[from..])
+    })
 }
 
 /// `starts-with($s, $prefix)`.
@@ -112,25 +123,6 @@ pub fn spatial_cell(
     Ok(AdmValue::Point(cx, cy))
 }
 
-/// The paper's Listing 4.2 AQL UDF: extract `#hashtags` from
-/// `message_text` and append them as a `topics` ordered list.
-pub fn add_hash_tags(tweet: &AdmValue) -> IngestResult<AdmValue> {
-    let text = tweet
-        .field("message_text")
-        .ok_or_else(|| IngestError::soft("record has no message_text attribute"))?;
-    let tokens = word_tokens(text).map_err(|e| IngestError::soft(e.to_string()))?;
-    let hash_prefix = AdmValue::string("#");
-    let mut topics = Vec::new();
-    for tok in tokens.as_list().unwrap_or(&[]) {
-        if let AdmValue::Boolean(true) = starts_with(tok, &hash_prefix)? {
-            topics.push(tok.clone());
-        }
-    }
-    let mut out = tweet.clone();
-    out.set_field("topics", AdmValue::OrderedList(topics));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,34 +201,5 @@ mod tests {
             &AdmValue::Double(1.0)
         )
         .is_err());
-    }
-
-    #[test]
-    fn add_hash_tags_extracts_topics() {
-        let tweet = AdmValue::record(vec![
-            ("id", "t1".into()),
-            ("message_text", "I like #Obama and #politics".into()),
-        ]);
-        let out = add_hash_tags(&tweet).unwrap();
-        let topics = out.field("topics").unwrap().as_list().unwrap();
-        assert_eq!(topics.len(), 2);
-        assert_eq!(topics[0].as_str(), Some("#Obama"));
-        assert_eq!(topics[1].as_str(), Some("#politics"));
-        // original fields preserved
-        assert_eq!(out.field("id").and_then(AdmValue::as_str), Some("t1"));
-    }
-
-    #[test]
-    fn add_hash_tags_soft_fails_without_text() {
-        let bad = AdmValue::record(vec![("id", "t1".into())]);
-        let err = add_hash_tags(&bad).unwrap_err();
-        assert!(err.is_soft());
-    }
-
-    #[test]
-    fn add_hash_tags_soft_fails_on_non_string_text() {
-        let bad = AdmValue::record(vec![("message_text", AdmValue::Int(3))]);
-        let err = add_hash_tags(&bad).unwrap_err();
-        assert!(err.is_soft(), "{err}");
     }
 }

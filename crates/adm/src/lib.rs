@@ -33,6 +33,9 @@
 //! * [`payload`] — record payloads as binary ADM bytes: transcode text or
 //!   encode a value once, project a few fields out of the bytes, render them
 //!   for a human;
+//! * [`view`] — a record read through its top-level field spans
+//!   ([`RecordView`]) and rewritten by a [`RecordPatch`]: what a function
+//!   that reads a field or two and writes one needs, without the tree;
 //! * [`functions`] — the builtin scalar functions the feeds chapters use
 //!   (`word-tokens`, `starts-with`, `spatial-cell`, `spatial-intersect`, ...);
 //! * [`hash`] — a stable 64-bit value hash used for hash-partitioning
@@ -48,6 +51,7 @@ pub mod print;
 pub mod schema;
 pub mod types;
 pub mod value;
+pub mod view;
 
 pub use binary::{decode_field_at, decode_fields, decode_value, encode_value, record_field_slice};
 pub use compact::{CompactedBlock, OpenBlock};
@@ -57,3 +61,4 @@ pub use print::{print_calls, to_adm_string};
 pub use schema::{InferredSchema, SchemaBuilder};
 pub use types::{AdmType, Field, RecordType, TypeRegistry};
 pub use value::AdmValue;
+pub use view::{RecordPatch, RecordView};

@@ -5,17 +5,21 @@
 //! stage that produced it and carried verbatim through frames, spill
 //! segments, wire hops, the write-ahead log and the memtable. The adaptor
 //! writes it straight from the text ([`transcode`]; [`payload_from_text`]
-//! for tests and tools); a stage that built a value — a UDF's output, an AQL
-//! `insert` row — encodes it with [`payload_from_value`]. ADM *text* exists
-//! only at the system boundary: [`transcode`] where external text comes in,
-//! [`to_adm_string`] where a human reads a record.
+//! for tests and tools); a UDF that derives fields writes the input's bytes
+//! with a [`RecordPatch`](crate::view::RecordPatch) applied; a stage that
+//! built a whole value — a black-box UDF's output, an AQL `insert` row —
+//! encodes it ([`payload_from_value`]). ADM *text* exists only at the system
+//! boundary: [`transcode`] where external text comes in, [`to_adm_string`]
+//! where a human reads a record.
 //!
 //! The bytes are all there is: no `AdmValue` tree travels with a record, so
 //! an in-process edge, a wire hop and a despill hand a stage the same thing.
-//! A tree is a local of the stage that builds it — a UDF call
-//! ([`binary::decode_value`], one per record per UDF stage), AQL evaluation
-//! — and is dropped there. A stage that reads a few top-level fields uses
-//! [`with_fields`] and builds no tree at all; the store runs one checked walk
+//! A tree is a local of the stage that builds it — a UDF with a tree body
+//! ([`binary::decode_value`], one per record per such stage), AQL evaluation
+//! — and is dropped there. A stage that reads a few top-level fields builds
+//! no tree at all: the router and the partitioner project them with
+//! [`with_fields`], a view-bodied UDF reads them through a
+//! [`RecordView`](crate::view::RecordView); the store runs one checked walk
 //! over the bytes and keeps the bytes.
 
 use crate::binary;

@@ -3,12 +3,12 @@
 //! routing, the WAL, and the UDF sandbox.
 
 use asterix_adm::{
-    decode_fields, decode_value, encode_value, hash::hash_value, parse_value, to_adm_string,
-    transcode, AdmValue,
+    decode_fields, decode_value, encode_value, hash::hash_value, parse_value, payload_from_text,
+    to_adm_string, transcode, AdmValue,
 };
 use asterix_common::{DataFrame, Record, RecordId};
 use asterix_feeds::joint::FeedJoint;
-use asterix_feeds::udf::Udf;
+use asterix_feeds::udf::{Udf, UdfScratch};
 use asterix_storage::lsm::{LsmConfig, LsmTree};
 use asterix_storage::partition::{DatasetPartition, PartitionConfig};
 use asterix_storage::rtree::{RTree, Rect};
@@ -118,24 +118,29 @@ fn bench_joint(c: &mut Criterion) {
     });
 }
 
+/// The UDF stage's per-record cost as assign pays it: `apply_bytes` on one
+/// tweet's payload with a reused scratch — the view bodies read their field
+/// in place and write the input's bytes plus what they set.
 fn bench_udf(c: &mut Criterion) {
-    let json = sample_tweet_json();
-    let tweet = parse_value(&json).unwrap();
-    let add_tags = Udf::add_hash_tags();
-    c.bench_function("udf/add_hash_tags", |b| {
-        b.iter(|| add_tags.apply(black_box(&tweet)).unwrap())
-    });
-    let spin = Udf::busy_spin("bench", 10_000);
-    c.bench_function("udf/busy_spin_10k", |b| {
-        b.iter(|| spin.apply(black_box(&tweet)).unwrap())
-    });
+    let payload = payload_from_text(&sample_tweet_json()).unwrap();
+    for (name, udf) in [
+        ("udf/sentiment", Udf::sentiment_analysis()),
+        ("udf/add_hash_tags", Udf::add_hash_tags()),
+        ("udf/busy_spin_10k", Udf::busy_spin("bench", 10_000)),
+    ] {
+        let mut scratch = UdfScratch::default();
+        c.bench_function(name, |b| {
+            b.iter(|| udf.apply_bytes(black_box(&payload), &mut scratch).unwrap())
+        });
+    }
 }
 
 /// What a record's bytes cost the stages that read or write them, over one
 /// tweet: the adaptor's translate (text straight to the payload bytes), the
-/// full decode a UDF stage pays (assign), the one-field projection the
-/// partitioner's key function pays, and the encode a stage that built a
-/// value pays on the way out (a UDF's output, an AQL insert row).
+/// full decode a tree-bodied UDF pays at assign, the one-field projection
+/// the partitioner's key function pays, and the encode a stage that built a
+/// value pays on the way out (a tree-bodied UDF's output, an AQL insert
+/// row).
 /// `adm/parse_tweet` above is `parse_value`, the tree-building decode of a
 /// transcode, which no feed stage calls.
 fn bench_parse_once(c: &mut Criterion) {

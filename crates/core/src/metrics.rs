@@ -28,6 +28,10 @@ pub struct FeedMetrics {
     pub records_in: Counter,
     /// Records that passed the compute stage.
     pub records_computed: Counter,
+    /// Records the compute stage's UDF filtered out (a predicate feed's
+    /// rejects): with `records_computed` and the stage's soft failures, every
+    /// record the stage took.
+    pub records_filtered: Counter,
     /// Records persisted (and indexed) — the paper's headline metric.
     pub records_persisted: Counter,
     /// Records dropped by the Discard strategy.
@@ -50,9 +54,10 @@ pub struct FeedMetrics {
     pub frames_stored: Counter,
     /// Full-tree binary decodes downstream of the adaptor attributed to this
     /// connection (the name predates the binary payload; no stage parses
-    /// text): one per record at each assign (the UDF needs a value), the
-    /// router's whole-record fallback, key-less records at the partitioner.
-    /// Field projections (router, partitioner key) are not counted.
+    /// text): one per record at each assign whose UDF has a tree body (a
+    /// view body decodes only the fields it reads, uncounted), the router's
+    /// whole-record fallback, key-less records at the partitioner. Field
+    /// projections (router, partitioner key, a view) are not counted.
     pub parse_calls: Counter,
     /// Hard failures (node loss, operator panic) this connection recovered
     /// from (§6.2.2/§6.2.3).
@@ -96,6 +101,7 @@ impl FeedMetrics {
         Arc::new(FeedMetrics {
             records_in: counter("records_in"),
             records_computed: counter("records_computed"),
+            records_filtered: counter("records_filtered"),
             records_persisted: counter("records_persisted"),
             records_discarded: counter("records_discarded"),
             records_throttled: counter("records_throttled"),
@@ -171,9 +177,10 @@ impl FeedMetrics {
     /// One-line summary for experiment output.
     pub fn summary(&self) -> String {
         format!(
-            "in={} computed={} persisted={} discarded={} throttled={} spilled={} despilled={} soft_failures={} replayed={} parse_calls={} frames_stored={} hard_recoveries={} zombies_adopted={}",
+            "in={} computed={} filtered={} persisted={} discarded={} throttled={} spilled={} despilled={} soft_failures={} replayed={} parse_calls={} frames_stored={} hard_recoveries={} zombies_adopted={}",
             self.records_in.get(),
             self.records_computed.get(),
+            self.records_filtered.get(),
             self.records_persisted.get(),
             self.records_discarded.get(),
             self.records_throttled.get(),

@@ -31,8 +31,8 @@ use crate::joint::{FeedJoint, JointRecv, JointSubscription};
 use crate::manager::FeedManager;
 use crate::metrics::FeedMetrics;
 use crate::policy::IngestionPolicy;
-use crate::udf::Udf;
-use asterix_adm::{decode_value, payload_from_value, to_display_string, AdmType, TypeRegistry};
+use crate::udf::{Udf, UdfScratch};
+use asterix_adm::{decode_value, to_display_string, AdmType, TypeRegistry};
 use asterix_common::sync::Mutex;
 use asterix_common::{
     Counter, DataFrame, FaultKind, FaultPlan, FeedId, FrameBuilder, IngestError, IngestResult,
@@ -803,11 +803,8 @@ impl OperatorDescriptor for AssignDesc {
         let metrics = Arc::clone(&self.metrics);
         let extra_spin = self.extra_spin;
         let extra_delay_us = self.extra_delay_us;
+        let mut scratch = UdfScratch::default();
         let process = move |rec: &Record| -> IngestResult<Option<Record>> {
-            // the UDF reads a tree: this stage's one decode, dropped with
-            // the call
-            metrics.parse_calls.add(1);
-            let value = decode_value(&rec.payload).map_err(|e| IngestError::soft(e.to_string()))?;
             if extra_delay_us > 0 {
                 std::thread::sleep(std::time::Duration::from_micros(extra_delay_us));
             }
@@ -818,21 +815,21 @@ impl OperatorDescriptor for AssignDesc {
                 }
                 std::hint::black_box(acc);
             }
-            let out = udf.apply(&value)?;
-            // a UDF returning `missing` filters the record out — the basis
-            // of the publish-subscribe use case (§8.2), where subscriptions
-            // are predicate feeds
-            if matches!(out, asterix_adm::AdmValue::Missing) {
-                return Ok(None);
+            if udf.decodes_record() {
+                metrics.parse_calls.add(1);
             }
+            // a filtered record is the basis of the publish-subscribe use
+            // case (§8.2), where subscriptions are predicate feeds
+            let Some(payload) = udf.apply_bytes(&rec.payload, &mut scratch)? else {
+                metrics.records_filtered.add(1);
+                return Ok(None);
+            };
             metrics.records_computed.add(1);
-            // UDF output is a true materialization boundary: the new value
-            // is encoded once and leaves as bytes
             Ok(Some(Record {
                 id: rec.id,
                 adaptor: rec.adaptor,
                 gen_at: rec.gen_at,
-                payload: payload_from_value(out),
+                payload,
             }))
         };
         let meta = MetaFeed::new(

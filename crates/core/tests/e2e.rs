@@ -852,14 +852,10 @@ fn publish_subscribe_with_filter_feeds_and_dataset_union() {
     let us_tweets = rig.dataset("UsTweets", "Tweet");
     let union = rig.dataset("Union", "Tweet");
     rig.catalog
-        .create_function(Udf::filter("onlyUS", |t| {
-            t.field("country").and_then(AdmValue::as_str) == Some("US")
-        }))
+        .create_function(Udf::filter("onlyUS", |t| t.str("country") == Some("US")))
         .unwrap();
     rig.catalog
-        .create_function(Udf::filter("onlyJP", |t| {
-            t.field("country").and_then(AdmValue::as_str) == Some("JP")
-        }))
+        .create_function(Udf::filter("onlyJP", |t| t.str("country") == Some("JP")))
         .unwrap();
     rig.primary_feed("TwitterFeed", "e2e-pubsub:9000");
     rig.secondary_feed("UsSub", "TwitterFeed", "onlyUS");
@@ -892,6 +888,31 @@ fn publish_subscribe_with_filter_feeds_and_dataset_union() {
         assert!(c == "US" || c == "JP", "unexpected country {c}");
     }
     assert!(union.len() < generated, "filters actually filtered");
+    // once the subscriptions have drained, each one's books balance: every
+    // generated record was kept or counted as filtered
+    let filtered = |udf: &str| {
+        let compute = rig
+            .controller
+            .compute_metrics(&format!("TwitterFeed:{udf}"));
+        compute.unwrap().records_filtered.get() as usize
+    };
+    let books = || {
+        let jp = union
+            .scan_all()
+            .iter()
+            .filter(|t| t.field("country").and_then(AdmValue::as_str) == Some("JP"))
+            .count();
+        (
+            us_tweets.len() + filtered("onlyUS"),
+            jp + filtered("onlyJP"),
+        )
+    };
+    assert!(
+        wait_until(Duration::from_secs(15 * 3), || books()
+            == (generated, generated)),
+        "kept + filtered per subscription {:?}, generated {generated}",
+        books()
+    );
     gen.stop();
     rig.stop();
 }

@@ -3,12 +3,14 @@
 //! A record travelling adaptor → intake → assign (UDF) → partitioner →
 //! store → secondary index must be parsed from text exactly once — at the
 //! adaptor, which writes the binary ADM payload every later hop carries —
-//! and never printed. Downstream of the adaptor the only stage that builds a
-//! record's tree is assign (the UDF needs a value): one binary decode per
-//! record per UDF stage, whether the record reached it over an in-process
-//! edge, a TCP hop or a despill. The router and the partitioner project
-//! their fields out of the bytes and the store keeps the bytes, so a feed
-//! without a UDF builds no value downstream of the adaptor at all.
+//! and never printed. Downstream of the adaptor the only stage that may build
+//! a record's tree is assign, and only for a UDF with a tree body (a
+//! black-box closure): one binary decode per record per such stage, whether
+//! the record reached it over an in-process edge, a TCP hop or a despill.
+//! The built-in UDFs read a view of the bytes, the router and the
+//! partitioner project their fields out of the bytes and the store keeps the
+//! bytes, so a feed whose UDFs are built-ins — or that has none — decodes
+//! no record downstream of the adaptor at all.
 //!
 //! This file holds a single `#[test]` so its process owns the global
 //! [`asterix_adm::parse_calls`] / [`asterix_adm::print_calls`] counters —
@@ -44,8 +46,9 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn every_record_is_parsed_exactly_once_and_never_printed() {
-    in_process_feed_decodes_once_at_assign();
-    tcp_plan_with_a_spill_parses_once_and_prints_nothing();
+    in_process_cascade_decodes_only_for_a_black_box_udf();
+    plan_with_a_spill_parses_once_and_decodes_nothing(TransportKind::Tcp, "parse-once:9001");
+    plan_with_a_spill_parses_once_and_decodes_nothing(TransportKind::InProcess, "parse-once:9004");
     udf_less_feed_decodes_nothing(TransportKind::Tcp, "parse-once:9002");
     udf_less_feed_decodes_nothing(TransportKind::InProcess, "parse-once:9003");
 }
@@ -136,32 +139,31 @@ fn udf_less_feed_decodes_nothing(transport: TransportKind, socket: &str) {
     unbind_socket(socket);
 }
 
-/// N records through socket → sentiment UDF → 3-way route → 3 stores with
-/// every job edge on a real TCP socket, one sink congested into a
-/// spill/despill: still N text parses (the adaptor's), no print, and one
-/// binary decode per record — assign's, on the far side of a wire hop,
-/// because the UDF needs a value. The router and the partitioner read their
-/// fields out of the bytes without decoding the record, and the store takes
-/// the bytes as they are.
+/// N records through socket → sentiment UDF → 3-way route → 3 stores, one
+/// sink congested into a spill/despill, on `transport` (over TCP every job
+/// edge is a real socket): N text parses (the adaptor's), no print, and no
+/// decode — the UDF reads `message_text` through a view and appends its
+/// double to the bytes, the router and the partitioner read their fields out
+/// of the bytes, and the store takes the bytes as they are.
 ///
 /// The congestion is real, not a thread's wake-up delay. The catch-all sink
 /// takes ~80 % of the records (10 % are US, ~9 % of the rest popular) into
 /// one store partition spinning 15 000 iterations per record; measured on a
 /// 2-core x86 host it persists ~45k records/s optimised (~7k unoptimised)
 /// while the trunk routes it ~110k/s (~23k/s) — well under half. The
-/// backlog fills, in turn, the store's 32-frame input port, the loopback
-/// socket, the relay's 32-frame port and the sink's 1 024-frame joint
-/// queue; a Spill intake spills once the port in front of it is full — the
+/// backlog fills, in turn, the store's 32-frame input port, over TCP the
+/// loopback socket and the relay's 32-frame port, and the sink's 1 024-frame
+/// joint queue; a Spill intake spills once the port in front of it is full — the
 /// sink's own, or, once that joint is full, the routed trunk's (always
 /// Spill). The kernel autotunes the socket's buffers (several MB), so no
 /// fixed N promises that on every host: the test offers lines until the
 /// spill has carried 2 000 records — several times what a late-scheduled
 /// relay thread spills on its own (≤ 450 seen) — and N is what it offered
 /// (~20–120k here).
-fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
+fn plan_with_a_spill_parses_once_and_decodes_nothing(transport: TransportKind, socket: &str) {
     const SPILLED_AT_LEAST: u64 = 2_000;
     const AT_MOST: u64 = 300_000;
-    let (cluster, catalog, controller) = rig(TransportKind::Tcp);
+    let (cluster, catalog, controller) = rig(transport);
     let nodegroup: Vec<NodeId> = cluster.alive_nodes().iter().map(|n| n.id()).collect();
     let dataset = |name: &str, nodegroup: &[NodeId], insert_spin: u64| {
         let config = DatasetConfig {
@@ -180,10 +182,10 @@ fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
     let rest = dataset("RestTweets", &nodegroup[..1], 15_000);
     catalog.create_function(Udf::sentiment_analysis()).unwrap();
 
-    let tx = bind_socket("parse-once:9001", 2048).unwrap();
+    let tx = bind_socket(socket, 2048).unwrap();
     let plan = IngestPlanBuilder::new("ScoredFeed")
         .adaptor("socket_adaptor")
-        .param("sockets", "parse-once:9001")
+        .param("sockets", socket)
         .udf("tweetlib#sentimentAnalysis")
         .sink(SinkSpec::to("UsTweets").route(RoutePredicate::eq("country", "US")))
         .sink(
@@ -234,23 +236,25 @@ fn tcp_plan_with_a_spill_parses_once_and_prints_nothing() {
     );
     assert_eq!(
         snap.counter("feed.parse_calls"),
-        n,
-        "one decode, in the only stage that needs the tree: assign"
+        0,
+        "the UDF read a view, every other stage the bytes"
     );
-    // the UDF ran and the doubles it produced survived three wire hops
+    // the UDF ran and the doubles it produced survived the hops
     assert!(rest.scan_all().iter().all(
         |r| matches!(r.field("sentiment"), Some(AdmValue::Double(s)) if (0.0..=1.0).contains(s))
     ));
 
     controller.shutdown();
     cluster.shutdown();
-    unbind_socket("parse-once:9001");
+    unbind_socket(socket);
 }
 
-/// The full in-process pipeline with a UDF: one text parse per record (the
-/// adaptor's), one binary decode per record (assign's, for the UDF), and
-/// nowhere else — no print, no decode at the partitioner or the store.
-fn in_process_feed_decodes_once_at_assign() {
+/// The full in-process pipeline with two UDF'd child feeds off one parent
+/// joint: one text parse per record (the adaptor's) and no print. The
+/// built-in `addHashTags` child decodes nothing — not at assign, the
+/// partitioner or the store; the child whose UDF is a black-box closure pays
+/// exactly one decode per record, at its assign.
+fn in_process_cascade_decodes_only_for_a_black_box_udf() {
     let clock = SimClock::with_scale(10.0);
     let cluster = Cluster::start(
         2,
@@ -267,39 +271,48 @@ fn in_process_feed_decodes_once_at_assign() {
         ControllerConfig::default(),
     );
 
-    // dataset with a secondary index, so index maintenance is on the path
+    // datasets with a secondary index, so index maintenance is on the path
     let nodegroup: Vec<NodeId> = cluster.alive_nodes().iter().map(|n| n.id()).collect();
-    let dataset = Arc::new(
-        Dataset::create(DatasetConfig {
-            name: "Tweets".into(),
-            datatype: "Tweet".into(),
-            primary_key: "id".into(),
-            nodegroup,
-        })
-        .unwrap(),
-    );
-    dataset
-        .create_index("byText", "message_text", IndexKind::BTree)
-        .unwrap();
-    catalog.register_dataset(Arc::clone(&dataset));
+    let dataset = |name: &str| {
+        let d = Arc::new(
+            Dataset::create(DatasetConfig {
+                name: name.into(),
+                datatype: "Tweet".into(),
+                primary_key: "id".into(),
+                nodegroup: nodegroup.clone(),
+            })
+            .unwrap(),
+        );
+        d.create_index("byText", "message_text", IndexKind::BTree)
+            .unwrap();
+        catalog.register_dataset(Arc::clone(&d));
+        d
+    };
+    let (dataset, copies) = (dataset("Tweets"), dataset("Copies"));
     catalog.create_function(Udf::add_hash_tags()).unwrap();
+    catalog
+        .create_function(Udf::external("lib#identity", |r| Ok(r.clone())))
+        .unwrap();
 
-    // socket-fed primary feed with a UDF'd secondary feed on top: the full
-    // collect → intake → assign → hash-partition → store pipeline
+    // socket-fed primary feed with two UDF'd secondary feeds on top: the full
+    // collect → intake → assign → hash-partition → store pipeline, twice
     let tx = bind_socket("parse-once:9000", 1024).unwrap();
     IngestPlanBuilder::new("RawFeed")
         .adaptor("socket_adaptor")
         .param("sockets", "parse-once:9000")
         .register_feeds(&catalog)
         .unwrap();
-    IngestPlanBuilder::new("ProcessedFeed")
-        .parent("RawFeed")
-        .udf("addHashTags")
-        .register_feeds(&catalog)
-        .unwrap();
-    let conn = controller
-        .connect_feed("ProcessedFeed", "Tweets", "Basic")
-        .unwrap();
+    for (feed, udf, target) in [
+        ("ProcessedFeed", "addHashTags", "Tweets"),
+        ("BlackBoxFeed", "lib#identity", "Copies"),
+    ] {
+        IngestPlanBuilder::new(feed)
+            .parent("RawFeed")
+            .udf(udf)
+            .register_feeds(&catalog)
+            .unwrap();
+        controller.connect_feed(feed, target, "Basic").unwrap();
+    }
 
     let mut factory = tweetgen::TweetFactory::new(3, 7);
     let lines: Vec<String> = (0..RECORDS).map(|_| factory.next_json()).collect();
@@ -309,9 +322,11 @@ fn in_process_feed_decodes_once_at_assign() {
         tx.send(line.clone()).unwrap();
     }
     assert!(
-        wait_until(Duration::from_secs(60), || dataset.len() as u64 == RECORDS),
-        "expected {RECORDS} records persisted, saw {}",
-        dataset.len()
+        wait_until(Duration::from_secs(60), || dataset.len() as u64 == RECORDS
+            && copies.len() as u64 == RECORDS),
+        "expected {RECORDS} records persisted twice, saw {} and {}",
+        dataset.len(),
+        copies.len()
     );
     let parsed = parse_calls() - before;
 
@@ -324,10 +339,11 @@ fn in_process_feed_decodes_once_at_assign() {
     );
     assert_eq!(print_calls() - printed_before, 0);
 
-    // one decode per record, at assign, and nowhere else: the connection's
-    // store job (partitioner + store) decoded nothing
-    let metrics = controller.connection_metrics(conn).unwrap();
-    assert_eq!(metrics.parse_calls.get(), 0);
+    // the view-bodied UDF decoded nothing; the black box one decode per
+    // record, and nothing else anywhere did
+    let decodes = |joint: &str| controller.compute_metrics(joint).unwrap().parse_calls.get();
+    assert_eq!(decodes("RawFeed:addHashTags"), 0);
+    assert_eq!(decodes("RawFeed:lib#identity"), RECORDS);
     let snap = controller.registry().snapshot();
     assert_eq!(snap.counter("feed.parse_calls"), RECORDS);
 

@@ -72,20 +72,16 @@ fn main() {
     // three subscriptions: a country, a hashtag, and high-follower users
     catalog
         .create_function(Udf::filter("aboutObama", |t| {
-            t.field("message_text")
-                .and_then(AdmValue::as_str)
-                .map(|s| s.contains("#Obama"))
-                .unwrap_or(false)
+            t.str("message_text").is_some_and(|s| s.contains("#Obama"))
         }))
         .unwrap();
     catalog
-        .create_function(Udf::filter("fromUS", |t| {
-            t.field("country").and_then(AdmValue::as_str) == Some("US")
-        }))
+        .create_function(Udf::filter("fromUS", |t| t.str("country") == Some("US")))
         .unwrap();
     catalog
         .create_function(Udf::filter("influencers", |t| {
             t.field("user")
+                .as_ref()
                 .and_then(|u| u.field("followers_count"))
                 .and_then(AdmValue::as_int)
                 .map(|f| f > 90_000)
