@@ -127,7 +127,6 @@ fn main() {
             compute_parallelism: Some(1),
             compute_extra_delay_us: DELAY_US,
             governor: GovernorConfig {
-                enabled: true,
                 interval: SimDuration::from_secs(1),
                 cooldown: SimDuration::from_secs(4),
                 // a calm pipeline still shows a few hundred sim-ms of lag

@@ -38,16 +38,25 @@
 //! placement of the affected producers and reschedules them and the jobs
 //! downstream (`move_joints`), carrying the surviving operators' state over
 //! as zombie state (`settle_and_migrate`).
+//!
+//! ## One scaling loop
+//!
+//! Elastic restructuring comes from one place: the `cfm-governor` periodic
+//! task on the cluster scheduler (`governor_tick`). Each tick it samples
+//! the connections whose policy is Elastic — no other connection is scaled
+//! — and moves each stage they run through (compute joint, intake root) at
+//! most one step: out if any of them is hot, in only if all of them are
+//! calm (`governor::merge`). `scale_compute` and `scale_intake` remain the
+//! public manual triggers.
 
 use crate::adaptor::{AdaptorConfig, AdaptorFactory};
 use crate::catalog::{FeedCatalog, FeedKind};
-use crate::flow::ElasticRequest;
-use crate::governor::{ConnGovernor, GovernorConfig, ScaleDecision};
+use crate::governor::{merge, ConnGovernor, GovernorConfig, ScaleDecision};
 use crate::manager::FeedManager;
 use crate::metrics::FeedMetrics;
 use crate::ops::{
     ack_channels, new_soft_failure_log, AckPlumbing, AssignDesc, CollectDesc, IntakeDesc,
-    NullSinkDesc, RouteDesc, SoftFailureEntry, SoftFailureLog, StoreAck, StoreDesc,
+    NullSinkDesc, RouteDesc, SoftFailureLog, StoreAck, StoreDesc,
 };
 use crate::plan::IngestPlan;
 use crate::policy::IngestionPolicy;
@@ -64,7 +73,6 @@ use asterix_hyracks::job::{Constraint, JobSpec, OperatorDescriptor, OperatorSpec
 use asterix_hyracks::scheduler::TaskHandle;
 use asterix_hyracks::transport::TransportKind;
 use asterix_storage::Dataset;
-use crossbeam_channel::Sender;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -323,9 +331,6 @@ pub struct ControllerConfig {
     /// (round-robin). Lets experiments separate intake, compute and store
     /// roles onto distinct nodes, like the paper's Fig 6.4 layout.
     pub compute_node_offset: usize,
-    /// Busy-spin iterations added per record at every compute stage
-    /// (experiment knob; normally 0).
-    pub compute_extra_spin: u64,
     /// Sleep (µs) added per record at every compute stage — fixed per-node
     /// capacity modelling for scalability experiments (normally 0).
     pub compute_extra_delay_us: u64,
@@ -335,8 +340,8 @@ pub struct ControllerConfig {
     /// Wire the controller's pipeline segments ride on: in-process ports
     /// (default) or length-prefixed TCP over loopback.
     pub transport: TransportKind,
-    /// Closed-loop scaling governor tuning; disabled by default, in which
-    /// case elastic requests fall back to the open-loop scale-by-one path.
+    /// Tuning of the scaling governor, the control loop that scales every
+    /// connection whose policy is Elastic out and back in.
     pub governor: GovernorConfig,
 }
 
@@ -347,7 +352,6 @@ impl Default for ControllerConfig {
             ack_timeout: SimDuration::from_secs(10),
             compute_parallelism: None,
             compute_node_offset: 0,
-            compute_extra_spin: 0,
             compute_extra_delay_us: 0,
             fault_plan: None,
             transport: TransportKind::InProcess,
@@ -390,17 +394,13 @@ pub struct FeedController {
     catalog: Arc<FeedCatalog>,
     config: ControllerConfig,
     state: Mutex<State>,
-    /// Hot-path congestion reports land here. Held as an `Option` so
-    /// shutdown can drop the last sender, which disconnects the channel and
-    /// lets the elastic monitor exit deterministically.
-    elastic_tx: Mutex<Option<Sender<ElasticRequest>>>,
-    /// The monitor threads, joined on shutdown so no `cfm-*` thread
+    /// The failure monitor thread, joined on shutdown so no `cfm-*` thread
     /// outlives the controller.
-    monitors: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// The periodic governor task on the cluster scheduler (when enabled).
+    monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The periodic governor task on the cluster scheduler.
     governor_task: Mutex<Option<TaskHandle>>,
-    /// Control-loop state per connection key (`<feed>-><dataset>`); entries
-    /// of ended connections are dropped at the next tick.
+    /// Control-loop state per Elastic connection key (`<feed>-><dataset>`);
+    /// entries of ended connections are dropped at the next tick.
     governor: Mutex<HashMap<String, ConnGovernor>>,
     log: SoftFailureLog,
     log_dataset: Mutex<Option<Arc<Dataset>>>,
@@ -408,21 +408,19 @@ pub struct FeedController {
 }
 
 impl FeedController {
-    /// Start the controller: subscribes to cluster events and begins
-    /// monitoring for failures and elastic requests.
+    /// Start the controller: subscribes to cluster events, begins
+    /// monitoring for failures, and starts the scaling governor.
     pub fn start(
         cluster: Cluster,
         catalog: Arc<FeedCatalog>,
         config: ControllerConfig,
     ) -> Arc<FeedController> {
-        let (elastic_tx, elastic_rx) = crossbeam_channel::unbounded::<ElasticRequest>();
         let ctrl = Arc::new(FeedController {
             cluster: cluster.clone(),
             catalog,
             config,
             state: Mutex::new(State::default()),
-            elastic_tx: Mutex::new(Some(elastic_tx)),
-            monitors: Mutex::new(Vec::new()),
+            monitor: Mutex::new(None),
             governor_task: Mutex::new(None),
             governor: Mutex::new(HashMap::new()),
             log: new_soft_failure_log(),
@@ -445,38 +443,22 @@ impl FeedController {
             }
         })
         .expect("spawn cfm monitor");
-        // elastic monitor
-        let c2 = Arc::clone(&ctrl);
-        let elastic_monitor = sync_thread::spawn_named("cfm-elastic-monitor", move || {
-            while !c2.shutdown.load(Ordering::SeqCst) {
-                match elastic_rx.recv_timeout(std::time::Duration::from_millis(20)) {
-                    Ok(req) => c2.handle_elastic_request(&req),
-                    Err(crossbeam_channel::RecvTimeoutError::Timeout) => {}
-                    Err(_) => break,
-                }
-            }
-        })
-        .expect("spawn elastic monitor");
-        ctrl.monitors
-            .lock()
-            .extend([failure_monitor, elastic_monitor]);
-        // closed-loop scaling governor: periodic housekeeping on the shared
+        *ctrl.monitor.lock() = Some(failure_monitor);
+        // the scaling governor: periodic housekeeping on the shared
         // scheduler, like the console reporter — a Weak reference so the
         // task never keeps a dropped controller alive
-        if ctrl.config.governor.enabled {
-            let weak: Weak<FeedController> = Arc::downgrade(&ctrl);
-            let interval = cluster.clock().to_real(ctrl.config.governor.interval);
-            let task = cluster
-                .scheduler()
-                .spawn_periodic("cfm-governor", interval, move || match weak.upgrade() {
-                    Some(c) if !c.shutdown.load(Ordering::SeqCst) => {
-                        c.governor_tick();
-                        true
-                    }
-                    _ => false,
-                });
-            *ctrl.governor_task.lock() = Some(task);
-        }
+        let weak: Weak<FeedController> = Arc::downgrade(&ctrl);
+        let interval = cluster.clock().to_real(ctrl.config.governor.interval);
+        let task = cluster
+            .scheduler()
+            .spawn_periodic("cfm-governor", interval, move || match weak.upgrade() {
+                Some(c) if !c.shutdown.load(Ordering::SeqCst) => {
+                    c.governor_tick();
+                    true
+                }
+                _ => false,
+            });
+        *ctrl.governor_task.lock() = Some(task);
         ctrl
     }
 
@@ -513,21 +495,6 @@ impl FeedController {
     /// `storage.*` gauges.
     pub fn registry(&self) -> asterix_common::MetricsRegistry {
         self.cluster.registry()
-    }
-
-    /// A sender for hot-path elastic requests, `None` once shutdown closed
-    /// the channel.
-    fn elastic_sender(&self) -> Option<Sender<ElasticRequest>> {
-        self.elastic_tx.lock().clone()
-    }
-
-    /// Report congestion for `connection_key` through the same channel the
-    /// flow controllers use (manual scale trigger / tests). Returns false
-    /// once shutdown has closed the channel.
-    pub fn request_elastic(&self, connection_key: &str) -> bool {
-        let connection_key = connection_key.to_string();
-        self.elastic_sender()
-            .is_some_and(|tx| tx.send(ElasticRequest { connection_key }).is_ok())
     }
 
     fn alive_ids(&self) -> Vec<NodeId> {
@@ -645,9 +612,8 @@ impl FeedController {
 
     /// Stop everything. Teardown is deterministic: the governor task is
     /// joined first (so it cannot respawn jobs mid-teardown), then the
-    /// pipeline jobs are dismantled, and finally the elastic channel is
-    /// closed and both monitor threads are joined — no `cfm-*` thread
-    /// survives this call.
+    /// pipeline jobs are dismantled, and finally the failure monitor is
+    /// joined — no `cfm-*` thread survives this call.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(task) = self.governor_task.lock().take() {
@@ -674,11 +640,8 @@ impl FeedController {
         for j in jobs {
             let _ = j.wait();
         }
-        // dropping the last sender disconnects the channel, so the elastic
-        // monitor exits on its next recv instead of leaking past shutdown
-        *self.elastic_tx.lock() = None;
-        let monitors: Vec<std::thread::JoinHandle<()>> = std::mem::take(&mut *self.monitors.lock());
-        for m in monitors {
+        let monitor = self.monitor.lock().take();
+        if let Some(m) = monitor {
             let _ = m.join();
         }
     }
@@ -1063,9 +1026,7 @@ impl FeedController {
                 locations: in_locations.to_vec(),
                 policy: policy.clone(),
                 metrics: Arc::clone(&metrics),
-                elastic_tx: self.elastic_sender(),
                 ack,
-                connection_key: seg.conn_key().to_string(),
                 feed: seg.feed_id,
                 // only the store-stage intake panics on schedule: killing
                 // the collect side would sever the external source for good
@@ -1104,7 +1065,6 @@ impl FeedController {
                     metrics,
                     log,
                     log_dataset,
-                    extra_spin: self.config.compute_extra_spin,
                     extra_delay_us: self.config.compute_extra_delay_us,
                 }),
                 ConnectorSpec::MNRandomPartition,
@@ -1650,82 +1610,28 @@ impl FeedController {
         Ok(target)
     }
 
-    fn handle_elastic_request(&self, req: &ElasticRequest) {
-        // the congested intake names its segment: a connection ("F->D") or
-        // a trunk stage ("compute:<joint>", "route:<plan>")
-        let resolved = {
-            let st = self.state.lock();
-            let named = st.segments.get(&req.connection_key);
-            let seg = named.or_else(|| st.segments.get(&format!("store:{}", req.connection_key)));
-            seg.filter(|s| s.live()).map(|seg| {
-                // the compute stage to widen: the congested one itself, else
-                // the one feeding the congested intake
-                let joint = match seg.kind {
-                    Kind::Compute { .. } => Some(seg.outputs[0].clone()),
-                    _ => seg.input.clone(),
-                };
-                // the connections the congested segment feeds
-                let fed = st.downstream(&seg.key, |_| true);
-                let conns = fed.iter().filter_map(|k| k.strip_prefix("store:"));
-                (joint, conns.map(String::from).collect::<Vec<_>>())
-            })
-        };
-        let Some((joint, conns)) = resolved else {
-            // a request that names no live connection must not vanish
-            // silently: it is a symptom of a key mismatch or a race with
-            // disconnect, so count it and log it like any soft failure
-            let labels = &[("conn", req.connection_key.as_str())];
-            let dropped = self
-                .cluster
-                .registry()
-                .counter("elastic.requests_dropped", labels);
-            dropped.inc();
-            self.log.lock().push(SoftFailureEntry {
-                at: self.cluster.clock().now(),
-                operator: "cfm-elastic-monitor".into(),
-                message: format!(
-                    "elastic request for unknown connection '{}' dropped",
-                    req.connection_key
-                ),
-                payload: None,
-            });
-            return;
-        };
-        if self.config.governor.enabled {
-            // record the congestion vote for the control loop, under every
-            // connection it concerns; the governor folds it into its next
-            // sample under hysteresis and cooldown
-            let mut gov = self.governor.lock();
-            for conn in conns {
-                gov.entry(conn).or_default().pending_requests += 1;
-            }
-        } else if let Some(joint) = joint {
-            // legacy open-loop behaviour: one request, one extra instance
-            let _ = self.scale_compute(&joint, 1);
-        }
-    }
-
-    /// One tick of the closed-loop scaling governor: sample the metrics
-    /// registry per live connection, run the pure control law, and apply
-    /// the decision to both the compute and intake stages. Exported as
-    /// `elastic.*` metrics and `elastic.governor` trace events.
+    /// One tick of the scaling governor: sample the metrics registry per
+    /// running Elastic connection, run the pure control law, and move each
+    /// stage those connections run through — compute joint, intake root —
+    /// at most one step (`governor::merge`). Exported as `elastic.*`
+    /// metrics and `elastic.governor` trace events.
     fn governor_tick(&self) {
         if self.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let cfg = &self.config.governor;
-        let registry = self.cluster.registry();
-        let snap = registry.snapshot();
-        let now = self.cluster.clock().now();
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        enum Stage {
+            Compute,
+            Intake,
+        }
         struct TickTarget {
             key: String,
             /// Metric scopes of the whole chain: the `conn` label of every
             /// stage with an intake.
             scopes: Vec<String>,
-            /// Nearest compute stage upstream: `(out joint, partitions)`.
-            compute: Option<(String, usize)>,
-            /// The chain's collect stage: `(root joint, width)`.
-            intake: Option<(String, usize)>,
+            /// `(stage, joint it publishes, partitions)`: the nearest compute
+            /// stage upstream and the chain's collect stage (its width).
+            stages: Vec<(Stage, String, usize)>,
         }
         // collect the per-connection layout under the lock, act after
         // dropping it (scale_* re-take the non-reentrant state lock)
@@ -1736,78 +1642,107 @@ impl FeedController {
                 let staged = chain.iter().filter(|s| s.input.is_some());
                 let compute = chain
                     .iter()
-                    .find(|s| matches!(s.kind, Kind::Compute { .. }));
-                let collect = chain
+                    .find(|s| matches!(s.kind, Kind::Compute { .. }))
+                    .map(|s| (Stage::Compute, s.outputs[0].clone(), s.placement.len()));
+                let intake = chain
                     .iter()
-                    .find(|s| matches!(s.kind, Kind::Collect { .. }));
+                    .find(|s| matches!(s.kind, Kind::Collect { .. }))
+                    .map(|s| {
+                        let width = dedup_nodes(s.placement.clone()).len();
+                        (Stage::Intake, s.outputs[0].clone(), width)
+                    });
                 TickTarget {
                     key: s.conn_key().to_string(),
                     scopes: staged.map(|s| s.scope().to_string()).collect(),
-                    compute: compute.map(|s| (s.outputs[0].clone(), s.placement.len())),
-                    intake: collect
-                        .map(|s| (s.outputs[0].clone(), dedup_nodes(s.placement.clone()).len())),
+                    stages: compute.into_iter().chain(intake).collect(),
                 }
             };
             let conns = st.connections();
-            let active = conns.iter().filter(|(s, _)| s.runnable());
-            let live = conns.iter().filter(|(s, _)| s.live());
+            let elastic = conns
+                .iter()
+                .filter(|(s, _)| s.policy.excess_records_elastic);
+            let live = elastic.clone().filter(|(s, _)| s.live());
+            let active = elastic.filter(|(s, _)| s.runnable());
             (
                 active.map(|(s, _)| target(s)).collect(),
                 live.map(|(s, _)| s.conn_key().to_string()).collect(),
             )
         };
-        // an ended connection takes its control state (and any votes) along
+        // an ended connection takes its control state along
         self.governor.lock().retain(|k, _| live.contains(k));
-        for t in targets {
-            let (sample, decision) = {
-                let mut gov = self.governor.lock();
+        if targets.is_empty() {
+            // nothing to steer: no snapshot, whose gauge closures lock
+            // partitions on the ingestion path
+            return;
+        }
+        let cfg = &self.config.governor;
+        let registry = self.cluster.registry();
+        let snap = registry.snapshot();
+        let now = self.cluster.clock().now();
+        let ticked: Vec<_> = {
+            let mut gov = self.governor.lock();
+            let mut tick = |t: &TickTarget| {
                 let per = gov.entry(t.key.clone()).or_default();
                 per.tick(cfg, now, &snap, &t.key, &t.scopes)
             };
+            targets.iter().map(&mut tick).collect()
+        };
+        // one step per stage, whatever the number of connections through it
+        let mut stages: BTreeMap<(Stage, &str), (usize, Vec<usize>)> = BTreeMap::new();
+        for (i, t) in targets.iter().enumerate() {
             let labels = &[("conn", t.key.as_str())];
             registry.counter("elastic.governor_ticks", labels).inc();
             let export = |name, value| registry.gauge(name, labels).set(value);
-            export("elastic.lag_p99_millis", sample.lag_p99_millis);
-            export("elastic.backlog_bytes", sample.backlog_bytes);
-            if let Some((_, n)) = &t.compute {
-                export("elastic.compute_partitions", *n as u64);
-            }
-            if let Some((_, w)) = &t.intake {
-                export("elastic.intake_partitions", *w as u64);
-            }
-            let delta = match decision {
-                ScaleDecision::Hold => continue,
-                ScaleDecision::Out => 1i64,
-                ScaleDecision::In => -1i64,
-            };
-            // each dimension moves within its own [min, max] range
-            let within = |n: usize, min, max| if delta > 0 { n < max } else { n > min };
-            let mut changed = false;
-            if let Some((joint, n)) = &t.compute {
-                if within(*n, cfg.min_compute, cfg.max_compute) {
-                    let scaled = self.scale_compute(joint, delta);
-                    changed |= scaled.is_ok_and(|new_n| new_n != *n);
-                }
-            }
-            if let Some((root, w)) = &t.intake {
-                if within(*w, cfg.min_intake, cfg.max_intake) {
-                    let scaled = self.scale_intake(root, delta);
-                    changed |= scaled.is_ok_and(|new_w| new_w != *w);
-                }
-            }
-            if changed {
-                let (counter, action) = if delta > 0 {
-                    ("elastic.scale_out_total", "scale-out")
-                } else {
-                    ("elastic.scale_in_total", "scale-in")
+            export("elastic.lag_p99_millis", ticked[i].0.lag_p99_millis);
+            export("elastic.backlog_bytes", ticked[i].0.backlog_bytes);
+            for (stage, joint, n) in &t.stages {
+                let gauge = match stage {
+                    Stage::Compute => "elastic.compute_partitions",
+                    Stage::Intake => "elastic.intake_partitions",
                 };
-                registry.counter(counter, labels).inc();
-                let log = self.cluster.trace().cluster_log();
-                log.event(
-                    "elastic.governor",
-                    format!("{}: {action} ({sample})", t.key),
-                );
+                export(gauge, *n as u64);
+                let through = stages.entry((*stage, joint)).or_insert((*n, Vec::new()));
+                through.1.push(i);
             }
+        }
+        // a connection is credited with its own decision when a stage it
+        // runs through moved that way
+        let mut moved = vec![false; targets.len()];
+        for ((stage, joint), (n, through)) in stages {
+            let step = merge(through.iter().map(|&i| ticked[i].1));
+            // each dimension moves within its own [min, max] range
+            let (min, max) = match stage {
+                Stage::Compute => (cfg.min_compute, cfg.max_compute),
+                Stage::Intake => (cfg.min_intake, cfg.max_intake),
+            };
+            let delta = match step {
+                ScaleDecision::Out if n < max => 1,
+                ScaleDecision::In if n > min => -1,
+                _ => continue,
+            };
+            let scaled = match stage {
+                Stage::Compute => self.scale_compute(joint, delta),
+                Stage::Intake => self.scale_intake(joint, delta),
+            };
+            if scaled.is_ok_and(|new_n| new_n != n) {
+                for &i in &through {
+                    moved[i] |= ticked[i].1 == step;
+                }
+            }
+        }
+        let log = self.cluster.trace().cluster_log();
+        for (i, t) in targets.iter().enumerate().filter(|(i, _)| moved[*i]) {
+            let (sample, decision) = &ticked[i];
+            let (counter, action) = match decision {
+                ScaleDecision::Out => ("elastic.scale_out_total", "scale-out"),
+                _ => ("elastic.scale_in_total", "scale-in"),
+            };
+            let labels = &[("conn", t.key.as_str())];
+            registry.counter(counter, labels).inc();
+            log.event(
+                "elastic.governor",
+                format!("{}: {action} ({sample})", t.key),
+            );
         }
     }
 }

@@ -18,8 +18,10 @@
 //!   (producing the contiguous gaps of Fig 7.9);
 //! * **Throttle** — records are randomly sampled down to a keep-fraction
 //!   (the uniform thinning of Fig 7.10);
-//! * **Elastic** — a scale-out request is signalled to the Central Feed
-//!   Manager and excess is buffered while the pipeline is restructured.
+//! * **Elastic** — excess is buffered, and the first excess frame of each
+//!   congestion episode bumps `feed.elastic_scaleouts`: pressure the
+//!   scaling governor (`crate::governor`) reads on its next tick, when it
+//!   scales the connection's stages out (and, once calm, back in).
 //!
 //! The port's saturation is the one congestion sensor, and nothing here
 //! blocks: the executor already holds the intake task back while its port
@@ -31,18 +33,10 @@ use crate::metrics::FeedMetrics;
 use crate::policy::{ExcessStrategy, IngestionPolicy};
 use asterix_common::{DataFrame, FeedId, IngestError, IngestResult};
 use asterix_hyracks::operator::FrameWriter;
-use crossbeam_channel::Sender;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// A scale-out request emitted under the Elastic policy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ElasticRequest {
-    /// Key of the congested connection.
-    pub connection_key: String,
-}
 
 /// Serialized frames on the simulated local disk. A segment is one frame in
 /// the shared record codec ([`DataFrame::encode_into`]): the payload bytes
@@ -104,9 +98,8 @@ pub struct FlowController {
     backlog_bytes: usize,
     spill: SpillFile,
     rng: SmallRng,
-    elastic_tx: Option<Sender<ElasticRequest>>,
     feed: FeedId,
-    connection_key: String,
+    /// The current congestion episode has bumped `elastic_scaleouts`.
     elastic_signalled: bool,
 }
 
@@ -118,8 +111,6 @@ impl FlowController {
         metrics: Arc<FeedMetrics>,
         writer: Box<dyn FrameWriter>,
         feed: FeedId,
-        connection_key: impl Into<String>,
-        elastic_tx: Option<Sender<ElasticRequest>>,
     ) -> FlowController {
         FlowController {
             policy,
@@ -129,9 +120,7 @@ impl FlowController {
             backlog_bytes: 0,
             spill: SpillFile::default(),
             rng: SmallRng::seed_from_u64(0xF10C),
-            elastic_tx,
             feed,
-            connection_key: connection_key.into(),
             elastic_signalled: false,
         }
     }
@@ -188,7 +177,7 @@ impl FlowController {
         self.publish();
         let clear = self.backlog.is_empty() && self.spill.is_empty();
         // nothing deferred and room in the port: the congestion episode is
-        // over, so the *next* one may request scale-out again
+        // over, so the *next* one signals again
         if clear && self.has_room() {
             self.elastic_signalled = false;
         }
@@ -221,21 +210,11 @@ impl FlowController {
                 if !self.elastic_signalled {
                     self.elastic_signalled = true;
                     self.metrics.elastic_scaleouts.add(1);
-                    if let Some(tx) = &self.elastic_tx {
-                        let _ = tx.send(ElasticRequest {
-                            connection_key: self.connection_key.clone(),
-                        });
-                    }
                 }
-                // buffer while the CFM restructures the pipeline
+                // buffer while the governor scales the pipeline out
                 self.buffer_excess(frame)
             }
         }
-    }
-
-    /// Allow a later congestion episode to signal scale-out again.
-    pub fn reset_elastic_signal(&mut self) {
-        self.elastic_signalled = false;
     }
 
     fn buffer_excess(&mut self, frame: DataFrame) -> IngestResult<()> {
@@ -405,30 +384,19 @@ mod tests {
     }
 
     fn controller(policy: IngestionPolicy, sink: &ScriptedSink) -> FlowController {
-        FlowController::new(
-            policy,
-            metrics(),
-            Box::new(sink.clone()),
-            FeedId(7),
-            "conn-test",
-            None,
-        )
+        FlowController::new(policy, metrics(), Box::new(sink.clone()), FeedId(7))
     }
 
-    fn elastic(
-        sink: &ScriptedSink,
-        key: &str,
-    ) -> (FlowController, crossbeam_channel::Receiver<ElasticRequest>) {
-        let (tx, rx) = crossbeam_channel::unbounded();
+    /// An Elastic flow controller and the metrics its signals land in.
+    fn elastic(sink: &ScriptedSink) -> (FlowController, Arc<FeedMetrics>) {
+        let m = metrics();
         let fc = FlowController::new(
             IngestionPolicy::elastic(),
-            metrics(),
+            Arc::clone(&m),
             Box::new(sink.clone()),
             FeedId(7),
-            key,
-            Some(tx),
         );
-        (fc, rx)
+        (fc, m)
     }
 
     /// Offer `frames` ten-record frames, ids from 0.
@@ -581,14 +549,12 @@ mod tests {
     #[test]
     fn elastic_signals_once_and_buffers() {
         let sink = tiny_port();
-        let (mut fc, rx) = elastic(&sink, "conn42");
+        let (mut fc, m) = elastic(&sink);
         congest(&mut fc, 10).unwrap();
-        let req = rx.try_recv().unwrap();
-        assert_eq!(req.connection_key, "conn42");
-        assert!(rx.try_recv().is_err(), "signalled exactly once");
-        fc.reset_elastic_signal();
+        assert_eq!(m.elastic_scaleouts.get(), 1, "signalled exactly once");
+        // the port never drained: still the same congestion episode
         congest(&mut fc, 5).unwrap();
-        assert!(rx.try_recv().is_ok(), "re-signals after reset");
+        assert_eq!(m.elastic_scaleouts.get(), 1, "one signal per episode");
         finish(&mut fc, &sink);
         assert_eq!(delivered(&sink), 150, "elastic buffered everything");
     }
@@ -596,11 +562,10 @@ mod tests {
     #[test]
     fn elastic_rearms_after_congestion_clears() {
         let sink = tiny_port();
-        let (mut fc, rx) = elastic(&sink, "conn43");
-        // episode 1: downstream stalled, excess signals scale-out once
+        let (mut fc, m) = elastic(&sink);
+        // episode 1: downstream stalled, excess signals once
         congest(&mut fc, 10).unwrap();
-        assert!(rx.try_recv().is_ok(), "first episode signals");
-        assert!(rx.try_recv().is_err(), "exactly once per episode");
+        assert_eq!(m.elastic_scaleouts.get(), 1, "first episode signals once");
         // congestion clears: the backlog drains out, and the port has room
         // again once the consumer takes the last of it
         while !fc.drain_deferred().unwrap() {
@@ -609,10 +574,12 @@ mod tests {
         sink.drain(usize::MAX);
         fc.drain_deferred().unwrap();
         assert_eq!(delivered(&sink), 100);
-        // episode 2: downstream stalls again — no manual reset needed
+        assert_eq!(m.elastic_scaleouts.get(), 1, "draining signals nothing");
+        // episode 2: downstream stalls again — the flow re-armed by itself
         congest(&mut fc, 10).unwrap();
-        assert!(
-            rx.try_recv().is_ok(),
+        assert_eq!(
+            m.elastic_scaleouts.get(),
+            2,
             "re-armed after congestion cleared; second episode signals"
         );
         finish(&mut fc, &sink);
@@ -654,8 +621,6 @@ mod tests {
             metrics(),
             Box::new(Broken(Arc::clone(&failed))),
             FeedId(7),
-            "conn-test",
-            None,
         );
         assert!(fc.offer(frame(0..10)).is_err());
         assert!(failed.load(std::sync::atomic::Ordering::SeqCst));

@@ -1,14 +1,16 @@
-//! The closed-loop scaling governor (§7.3.5 elasticity, made continuous).
+//! The scaling governor: the Elastic policy's one control loop (§7.3.5).
 //!
-//! The paper's Elastic policy is open-loop: a congested flow controller
-//! fires a single scale-out request and never revisits the decision. This
-//! module closes the loop. A periodic control task owned by the
-//! [`FeedController`](crate::controller::FeedController) samples the
-//! metrics registry — the ingestion-lag histogram, the frames the intakes'
-//! flow controllers hold back, and the spill/throttle pressure counters —
-//! and issues
-//! scale-out *and* scale-in decisions for both the intake and compute
-//! partitions of each live feed connection.
+//! Table 4.2 has Elastic "scale out/in to adapt to the rate of arrival".
+//! A periodic control task owned by the
+//! [`FeedController`](crate::controller::FeedController) does both: each
+//! tick, for every running connection whose policy sets
+//! `excess.records.elastic`, it samples the metrics registry — the
+//! ingestion-lag histogram, the frames the intakes' flow controllers hold
+//! back, and the pressure counters (records spilled, throttled, discarded,
+//! and the congestion episodes an Elastic flow controller counts in
+//! `feed.elastic_scaleouts`) — and decides whether the connection's intake
+//! and compute stages should grow, shrink or hold. Connections under any
+//! other policy are never scaled.
 //!
 //! Stability comes from three classic control elements:
 //!
@@ -24,22 +26,20 @@
 //!
 //! The decision function itself is pure ([`decide`]): it sees one
 //! [`GovernorSample`] plus the per-connection [`GovernorState`] and returns
-//! a [`ScaleDecision`]. Assembling that sample from a registry snapshot
-//! (windowed lag, pressure deltas) is `ConnGovernor::tick`, also
-//! cluster-free; the messy parts — harvesting frames from abandoned
-//! partitions, re-spawning jobs — live in the controller. This keeps the
-//! control law unit-testable without a cluster.
+//! a [`ScaleDecision`]. Connections sharing a stage (two stores fed by one
+//! compute joint) fold their decisions into one step per stage and tick
+//! with [`merge`]. Assembling a sample from a registry snapshot (windowed
+//! lag, pressure deltas) is `ConnGovernor::tick`, also cluster-free; the
+//! messy parts — harvesting frames from abandoned partitions, re-spawning
+//! jobs — live in the controller. This keeps the control law unit-testable
+//! without a cluster.
 
 use asterix_common::{HistogramSnapshot, MetricsSnapshot, SimDuration, SimInstant};
 
-/// Tuning for the per-feed scaling governor. Disabled by default — the
-/// legacy open-loop behaviour (one `scale_compute(+1)` per elastic request)
-/// is preserved unless a deployment opts in.
+/// Tuning for the scaling governor. It steers exactly the connections
+/// whose policy is Elastic; there is no other switch.
 #[derive(Debug, Clone)]
 pub struct GovernorConfig {
-    /// Master switch. When false the controller neither spawns the control
-    /// task nor intercepts elastic requests.
-    pub enabled: bool,
     /// Sampling period of the control loop, in sim-time.
     pub interval: SimDuration,
     /// Minimum sim-time between two scaling actions on the same connection.
@@ -73,7 +73,6 @@ pub struct GovernorConfig {
 impl Default for GovernorConfig {
     fn default() -> GovernorConfig {
         GovernorConfig {
-            enabled: false,
             interval: SimDuration::from_secs(1),
             cooldown: SimDuration::from_secs(4),
             high_lag_millis: 2_000,
@@ -106,8 +105,8 @@ pub struct GovernorSample {
     /// segments), max over the connection's stages.
     pub queue_frames: u64,
     /// Pressure events since the previous sample: records throttled,
-    /// discarded or spilled, plus open-loop elastic requests routed to the
-    /// governor. Any non-zero value marks the sample hot.
+    /// discarded or spilled, plus Elastic congestion episodes. Any non-zero
+    /// value marks the sample hot.
     pub pressure_delta: u64,
 }
 
@@ -139,11 +138,6 @@ pub(crate) struct ConnGovernor {
     prev_lag: Option<HistogramSnapshot>,
     /// Previous tick's cumulative pressure-counter sum.
     prev_pressure: u64,
-    /// Open-loop elastic requests received since the last tick; folded into
-    /// the sample as pressure so the hot-path signal is never lost, but
-    /// acted on under the governor's hysteresis/cooldown instead of
-    /// immediately.
-    pub(crate) pending_requests: u64,
 }
 
 impl ConnGovernor {
@@ -181,8 +175,7 @@ impl ConnGovernor {
             }
             self.prev_lag = Some(h);
         }
-        sample.pressure_delta = pressure_now.saturating_sub(self.prev_pressure)
-            + std::mem::take(&mut self.pending_requests);
+        sample.pressure_delta = pressure_now.saturating_sub(self.prev_pressure);
         self.prev_pressure = pressure_now;
         let decision = decide(cfg, now, &sample, &mut self.control);
         (sample, decision)
@@ -206,6 +199,25 @@ impl GovernorState {
             Some(at) => now.since(at) >= cfg.cooldown,
             None => true,
         }
+    }
+}
+
+/// Fold the decisions of every connection through one stage into the one
+/// step the stage takes this tick: out if any of them wants more capacity,
+/// in only if all of them can do with less, otherwise hold.
+pub fn merge(decisions: impl IntoIterator<Item = ScaleDecision>) -> ScaleDecision {
+    let (mut any, mut all_in) = (false, true);
+    for d in decisions {
+        if d == ScaleDecision::Out {
+            return ScaleDecision::Out;
+        }
+        any = true;
+        all_in &= d == ScaleDecision::In;
+    }
+    if any && all_in {
+        ScaleDecision::In
+    } else {
+        ScaleDecision::Hold
     }
 }
 
@@ -256,7 +268,6 @@ mod tests {
 
     fn cfg() -> GovernorConfig {
         GovernorConfig {
-            enabled: true,
             cooldown: SimDuration::from_secs(4),
             scale_in_quiet_ticks: 3,
             ..GovernorConfig::default()
@@ -372,5 +383,22 @@ mod tests {
             decide(&cfg, SimInstant(4_000), &calm(), &mut st),
             ScaleDecision::In
         );
+    }
+
+    #[test]
+    fn merge_moves_a_shared_stage_one_step() {
+        use ScaleDecision::{Hold, In, Out};
+        // any Out wins: one hot connection is enough to grow the stage,
+        // and two hot ones still grow it by one step, not two
+        assert_eq!(merge([Out, Out]), Out);
+        assert_eq!(merge([In, Out]), Out);
+        assert_eq!(merge([Hold, Out, In]), Out);
+        // In only if every connection through the stage says In
+        assert_eq!(merge([In, In]), In);
+        assert_eq!(merge([In]), In);
+        assert_eq!(merge([In, Hold]), Hold);
+        assert_eq!(merge([Hold]), Hold);
+        // no connection through the stage: nothing to do
+        assert_eq!(merge([]), Hold);
     }
 }

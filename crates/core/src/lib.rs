@@ -38,6 +38,8 @@
 //!   compiler behind `connect feed` and `connect plan`, and one rebuild
 //!   path behind the hard-failure protocol (§6.2) and elastic restructuring
 //!   (§7.3.5);
+//! * [`governor`] — the scaling governor, the Elastic policy's one control
+//!   loop: scale out under congestion, back in when calm;
 //! * [`metrics`] — per-connection counters matching Table 7.1.
 //!
 //! ## Job granularity (deviation from the paper, documented)

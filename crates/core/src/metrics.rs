@@ -46,7 +46,8 @@ pub struct FeedMetrics {
     pub soft_failures: Counter,
     /// Records replayed by the at-least-once tracker.
     pub records_replayed: Counter,
-    /// Elastic scale-out events requested.
+    /// Congestion episodes an Elastic flow controller signalled: pressure
+    /// the scaling governor reads on its next tick.
     pub elastic_scaleouts: Counter,
     /// Frames group-committed by the store stage. Together with
     /// `records_persisted` this gives the effective batch size the write

@@ -26,7 +26,7 @@
 
 use crate::ack::{AckBatch, AckSender, AckTracker};
 use crate::adaptor::{AdaptorConfig, AdaptorFactory, FeedAdaptor};
-use crate::flow::{ElasticRequest, FlowController};
+use crate::flow::FlowController;
 use crate::joint::{FeedJoint, JointRecv, JointSubscription};
 use crate::manager::FeedManager;
 use crate::metrics::FeedMetrics;
@@ -471,12 +471,8 @@ pub struct IntakeDesc {
     pub policy: IngestionPolicy,
     /// Shared connection metrics.
     pub metrics: Arc<FeedMetrics>,
-    /// Elastic scale-out signal channel.
-    pub elastic_tx: Option<Sender<ElasticRequest>>,
     /// At-least-once plumbing, when the policy enables it.
     pub ack: Option<Arc<AckPlumbing>>,
-    /// Connection key (for elastic requests and zombie state).
-    pub connection_key: String,
     /// The owning feed's catalog id (error attribution).
     pub feed: FeedId,
     /// Chaos schedule; due operator-panic events make this intake die hard
@@ -506,8 +502,6 @@ impl OperatorDescriptor for IntakeDesc {
             Arc::clone(&self.metrics),
             output,
             self.feed,
-            self.connection_key.clone(),
-            self.elastic_tx.clone(),
         );
         // adopt any zombie state parked by a previous incarnation (§6.2.2)
         let zombie = fm.take_zombie_state(&sub_key);
@@ -773,9 +767,6 @@ pub struct AssignDesc {
     pub log: SoftFailureLog,
     /// Optional dataset for persisted failure logging.
     pub log_dataset: Option<Arc<Dataset>>,
-    /// Busy-spin iterations added per record (models the §7.1 "expensive
-    /// UDF" knob orthogonally to the UDF itself; usually 0).
-    pub extra_spin: u64,
     /// Sleep (µs) added per record: models a fixed per-node processing
     /// capacity of `1e6/extra_delay_us` records/s *without* consuming host
     /// CPU, so capacity scales with instance count even on few physical
@@ -801,19 +792,11 @@ impl OperatorDescriptor for AssignDesc {
         let joint = fm.register_joint(&self.out_joint_id);
         let udf = self.udf.clone();
         let metrics = Arc::clone(&self.metrics);
-        let extra_spin = self.extra_spin;
         let extra_delay_us = self.extra_delay_us;
         let mut scratch = UdfScratch::default();
         let process = move |rec: &Record| -> IngestResult<Option<Record>> {
             if extra_delay_us > 0 {
                 std::thread::sleep(std::time::Duration::from_micros(extra_delay_us));
-            }
-            if extra_spin > 0 {
-                let mut acc = 0u64;
-                for i in 0..extra_spin {
-                    acc = acc.wrapping_add(i).rotate_left(1);
-                }
-                std::hint::black_box(acc);
             }
             if udf.decodes_record() {
                 metrics.parse_calls.add(1);

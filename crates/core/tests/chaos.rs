@@ -541,7 +541,6 @@ fn discard_gaps_contiguous_vs_throttle_under_identical_chaos() {
             Arc::clone(&catalog),
             ControllerConfig {
                 compute_parallelism: Some(1),
-                compute_extra_spin: 60_000,
                 ..ControllerConfig::default()
             },
         );
@@ -556,7 +555,9 @@ fn discard_gaps_contiguous_vs_throttle_under_identical_chaos() {
             .unwrap(),
         );
         catalog.register_dataset(Arc::clone(&dataset));
-        catalog.create_function(Udf::add_hash_tags()).unwrap();
+        catalog
+            .create_function(Udf::busy_spin("spin", 60_000))
+            .unwrap();
         let gen = TweetGen::bind(
             TweetGenConfig::new(addr, 0, PatternDescriptor::constant(1500, 5)),
             clock.clone(),
@@ -569,7 +570,7 @@ fn discard_gaps_contiguous_vs_throttle_under_identical_chaos() {
             .unwrap();
         IngestPlanBuilder::new("P")
             .parent("TwitterFeed")
-            .udf("addHashTags")
+            .udf("spin")
             .register_feeds(&catalog)
             .unwrap();
         controller.connect_feed("P", "Tweets", policy).unwrap();

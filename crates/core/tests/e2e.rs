@@ -545,22 +545,21 @@ fn discard_policy_sheds_load_under_overload() {
         2,
         ControllerConfig {
             compute_parallelism: Some(1),
-            compute_extra_spin: 200_000, // make compute the bottleneck
             ..ControllerConfig::default()
         },
     );
     let gen = rig.tweetgen("e2e-h:9000", 0, 2000, 10_000);
     let dataset = rig.dataset("Tweets", "Tweet");
-    rig.catalog.create_function(Udf::add_hash_tags()).unwrap();
+    // make compute the bottleneck
+    rig.catalog
+        .create_function(Udf::busy_spin("spin", 200_000))
+        .unwrap();
     rig.primary_feed("TwitterFeed", "e2e-h:9000");
-    rig.secondary_feed("ProcessedTwitterFeed", "TwitterFeed", "addHashTags");
+    rig.secondary_feed("ProcessedTwitterFeed", "TwitterFeed", "spin");
     rig.controller
         .connect_feed("ProcessedTwitterFeed", "Tweets", "Discard")
         .unwrap();
-    let m = rig
-        .controller
-        .compute_metrics("TwitterFeed:addHashTags")
-        .unwrap();
+    let m = rig.controller.compute_metrics("TwitterFeed:spin").unwrap();
     assert!(
         wait_until(Duration::from_secs(20 * 3), || m.records_discarded.get()
             > 0),
@@ -580,27 +579,27 @@ fn elastic_policy_scales_compute_out() {
         4,
         ControllerConfig {
             compute_parallelism: Some(1),
-            compute_extra_spin: 100_000,
             ..ControllerConfig::default()
         },
     );
     let gen = rig.tweetgen("e2e-i:9000", 0, 1500, 10_000);
     let _dataset = rig.dataset("Tweets", "Tweet");
-    rig.catalog.create_function(Udf::add_hash_tags()).unwrap();
+    rig.catalog
+        .create_function(Udf::busy_spin("spin", 100_000))
+        .unwrap();
     rig.primary_feed("TwitterFeed", "e2e-i:9000");
-    rig.secondary_feed("ProcessedTwitterFeed", "TwitterFeed", "addHashTags");
+    rig.secondary_feed("ProcessedTwitterFeed", "TwitterFeed", "spin");
     rig.controller
         .connect_feed("ProcessedTwitterFeed", "Tweets", "Elastic")
         .unwrap();
     assert_eq!(
-        rig.controller
-            .compute_parallelism_of("TwitterFeed:addHashTags"),
+        rig.controller.compute_parallelism_of("TwitterFeed:spin"),
         Some(1)
     );
     assert!(
         wait_until(Duration::from_secs(25 * 3), || {
             rig.controller
-                .compute_parallelism_of("TwitterFeed:addHashTags")
+                .compute_parallelism_of("TwitterFeed:spin")
                 .map(|n| n > 1)
                 .unwrap_or(false)
         }),
@@ -693,7 +692,6 @@ fn basic_policy_memory_budget_terminates_feed() {
         1,
         ControllerConfig {
             compute_parallelism: Some(1),
-            compute_extra_spin: 500_000,
             ..ControllerConfig::default()
         },
     );
@@ -702,9 +700,11 @@ fn basic_policy_memory_budget_terminates_feed() {
         .unwrap();
     let gen = rig.tweetgen("e2e-l:9000", 0, 3000, 10_000);
     let _dataset = rig.dataset("Tweets", "Tweet");
-    rig.catalog.create_function(Udf::add_hash_tags()).unwrap();
+    rig.catalog
+        .create_function(Udf::busy_spin("spin", 500_000))
+        .unwrap();
     rig.primary_feed("TwitterFeed", "e2e-l:9000");
-    rig.secondary_feed("P", "TwitterFeed", "addHashTags");
+    rig.secondary_feed("P", "TwitterFeed", "spin");
     let conn = rig
         .controller
         .connect_feed("P", "Tweets", "TinyBasic")
@@ -729,15 +729,16 @@ fn policy_comparison_discard_vs_throttle_pattern() {
             1,
             ControllerConfig {
                 compute_parallelism: Some(1),
-                compute_extra_spin: 60_000,
                 ..ControllerConfig::default()
             },
         );
         let gen = rig.tweetgen(addr, 0, 1500, 5); // 7500-tweet budget
         let dataset = rig.dataset("Tweets", "Tweet");
-        rig.catalog.create_function(Udf::add_hash_tags()).unwrap();
+        rig.catalog
+            .create_function(Udf::busy_spin("spin", 60_000))
+            .unwrap();
         rig.primary_feed("TwitterFeed", addr);
-        rig.secondary_feed("P", "TwitterFeed", "addHashTags");
+        rig.secondary_feed("P", "TwitterFeed", "spin");
         rig.controller.connect_feed("P", "Tweets", policy).unwrap();
         let total = wait_pattern_done(&gen) as usize;
         // wait until the pipeline has drained (count stable for a while)

@@ -69,8 +69,6 @@ proptest! {
             Arc::clone(&metrics),
             Box::new(sink.clone()),
             FeedId(1),
-            "prop",
-            None,
         );
         let accounted = |deferred: u64| {
             sink.records().len() as u64

@@ -1,13 +1,14 @@
-//! Closed-loop scaling governor tests: scale-out under load, scale-in when
-//! calm, dropped-request accounting, and live intake re-width with the
-//! settle-and-migrate protocol.
+//! Scaling governor tests: the Elastic policy scales out under load and
+//! back in when calm, other policies are never scaled, a shared stage moves
+//! one step per tick, an Elastic sink behind a route scales the trunk, and
+//! live intake re-width keeps the settle-and-migrate protocol.
 
 use asterix_adm::types::paper_registry;
-use asterix_common::{NodeId, SimClock, SimDuration};
+use asterix_common::{MetricsSnapshot, NodeId, SimClock, SimDuration};
 use asterix_feeds::catalog::FeedCatalog;
 use asterix_feeds::controller::{ControllerConfig, FeedController};
 use asterix_feeds::governor::GovernorConfig;
-use asterix_feeds::plan::IngestPlanBuilder;
+use asterix_feeds::plan::{IngestPlanBuilder, RoutePredicate, SinkSpec};
 use asterix_feeds::udf::Udf;
 use asterix_hyracks::cluster::{Cluster, ClusterConfig};
 use asterix_storage::{Dataset, DatasetConfig};
@@ -67,6 +68,26 @@ impl TestRig {
         .unwrap()
     }
 
+    /// Register `<root>` reading TweetGen at `addr`, and `Processed<root>`
+    /// applying the catalog function `udf` to it: the compute joint is
+    /// `<root>:<udf>`.
+    fn processed_feed(&self, root: &str, addr: &str, udf: &str) {
+        IngestPlanBuilder::new(root)
+            .adaptor("TweetGenAdaptor")
+            .param("datasource", addr)
+            .register_feeds(&self.catalog)
+            .unwrap();
+        IngestPlanBuilder::new(format!("Processed{root}"))
+            .parent(root)
+            .udf(udf)
+            .register_feeds(&self.catalog)
+            .unwrap();
+    }
+
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.controller.registry().snapshot()
+    }
+
     fn stop(self) {
         self.controller.shutdown();
         self.cluster.shutdown();
@@ -90,9 +111,7 @@ fn governor_scales_out_under_load_and_back_in_when_calm() {
         4,
         ControllerConfig {
             compute_parallelism: Some(1),
-            compute_extra_spin: 100_000,
             governor: GovernorConfig {
-                enabled: true,
                 interval: SimDuration::from_millis(500),
                 cooldown: SimDuration::from_secs(2),
                 max_compute: 3,
@@ -104,21 +123,13 @@ fn governor_scales_out_under_load_and_back_in_when_calm() {
     // a finite burst: hot while the pattern runs, calm once it drains
     let gen = rig.tweetgen("gov-ramp:9000", 0, 1500, 6);
     let dataset = rig.dataset("Tweets");
-    rig.catalog.create_function(Udf::add_hash_tags()).unwrap();
-    IngestPlanBuilder::new("TwitterFeed")
-        .adaptor("TweetGenAdaptor")
-        .param("datasource", "gov-ramp:9000")
-        .register_feeds(&rig.catalog)
-        .unwrap();
-    IngestPlanBuilder::new("ProcessedTwitterFeed")
-        .parent("TwitterFeed")
-        .udf("addHashTags")
-        .register_feeds(&rig.catalog)
-        .unwrap();
+    let spin = Udf::busy_spin("spin", 100_000);
+    rig.catalog.create_function(spin).unwrap();
+    rig.processed_feed("TwitterFeed", "gov-ramp:9000", "spin");
     rig.controller
         .connect_feed("ProcessedTwitterFeed", "Tweets", "Elastic")
         .unwrap();
-    let joint = "TwitterFeed:addHashTags";
+    let joint = "TwitterFeed:spin";
     assert_eq!(rig.controller.compute_parallelism_of(joint), Some(1));
 
     // phase 1: load drives the governor to add compute partitions
@@ -173,42 +184,19 @@ fn governor_scales_out_under_load_and_back_in_when_calm() {
     rig.stop();
 }
 
+/// An Elastic flow controller reports congestion by bumping
+/// `feed.elastic_scaleouts` under its stage's scope; for a compute stage
+/// that is the joint id, not a connection key. The governor samples every
+/// scope of the connection's chain, so one bump on the compute scope is the
+/// pressure of the next tick — here the only signal that can make a sample
+/// hot — and moves the compute stage exactly one step.
 #[test]
-fn unknown_elastic_request_is_counted_and_logged() {
-    let rig = TestRig::start_with(2, ControllerConfig::default());
-    assert!(rig.controller.request_elastic("nope->Nowhere"));
-    assert!(rig.controller.request_elastic("compute:NoSuchJoint"));
-    assert!(
-        wait_until(Duration::from_secs(5), || {
-            let snap = rig.controller.registry().snapshot();
-            snap.counter_for("elastic.requests_dropped", "nope->Nowhere") == 1
-                && snap.counter_for("elastic.requests_dropped", "compute:NoSuchJoint") == 1
-        }),
-        "dropped elastic requests were not counted"
-    );
-    let log = rig.controller.error_log();
-    let entries = log.lock().clone();
-    assert!(
-        entries
-            .iter()
-            .any(|e| e.operator == "cfm-elastic-monitor" && e.message.contains("nope->Nowhere")),
-        "dropped request not in the soft-failure log: {entries:?}"
-    );
-    rig.stop();
-}
-
-/// A congested *compute* intake reports under its segment key
-/// (`compute:<joint>`), not under a connection key. The vote must be credited
-/// to the connection(s) that segment feeds, so the next tick sees it as
-/// pressure — here the only signal that can make a sample hot.
-#[test]
-fn vote_on_a_compute_key_reaches_the_next_tick() {
+fn pressure_on_a_compute_scope_reaches_the_next_tick() {
     let rig = TestRig::start_with(
         3,
         ControllerConfig {
             compute_parallelism: Some(1),
             governor: GovernorConfig {
-                enabled: true,
                 interval: SimDuration::from_millis(500),
                 cooldown: SimDuration::from_secs(1),
                 // no metric threshold can fire, and nothing ever scales in
@@ -222,64 +210,222 @@ fn vote_on_a_compute_key_reaches_the_next_tick() {
             ..ControllerConfig::default()
         },
     );
-    let gen = rig.tweetgen("gov-vote:9000", 0, 50, 10_000);
+    // a trickle: no port fills, so the flow controllers signal nothing
+    let gen = rig.tweetgen("gov-vote:9000", 0, 10, 10_000);
     let dataset = rig.dataset("Tweets");
     rig.catalog.create_function(Udf::add_hash_tags()).unwrap();
-    IngestPlanBuilder::new("TwitterFeed")
-        .adaptor("TweetGenAdaptor")
-        .param("datasource", "gov-vote:9000")
-        .register_feeds(&rig.catalog)
+    rig.processed_feed("TwitterFeed", "gov-vote:9000", "addHashTags");
+    let key = "ProcessedTwitterFeed->Tweets";
+    rig.controller
+        .connect_feed("ProcessedTwitterFeed", "Tweets", "Elastic")
         .unwrap();
-    IngestPlanBuilder::new("P")
-        .parent("TwitterFeed")
-        .udf("addHashTags")
-        .register_feeds(&rig.catalog)
-        .unwrap();
-    rig.controller.connect_feed("P", "Tweets", "Basic").unwrap();
     let joint = "TwitterFeed:addHashTags";
-    let ticks = || {
-        let snap = rig.controller.registry().snapshot();
-        snap.counter_for("elastic.governor_ticks", "P->Tweets")
-    };
+    let ticks = || rig.snapshot().counter_for("elastic.governor_ticks", key);
     // calm ticks leave the pipeline alone
     assert!(wait_until(Duration::from_secs(30), || ticks() >= 3
         && dataset.len() > 20));
     assert_eq!(rig.controller.compute_parallelism_of(joint), Some(1));
 
-    assert!(rig.controller.request_elastic(&format!("compute:{joint}")));
+    let registry = rig.controller.registry();
+    (registry.counter("feed.elastic_scaleouts", &[("conn", joint)])).inc();
     assert!(
         wait_until(Duration::from_secs(30), || {
             rig.controller.compute_parallelism_of(joint) == Some(2)
         }),
-        "the compute-keyed vote never reached a governor tick"
+        "the compute-scope signal never reached a governor tick"
     );
     // the counter is bumped after `scale_compute` has returned, i.e. after
     // the new parallelism is visible: wait for it, do not race it
-    let scale_outs = || {
-        let snap = rig.controller.registry().snapshot();
-        snap.counter_for("elastic.scale_out_total", "P->Tweets")
-    };
+    let scale_outs = || rig.snapshot().counter_for("elastic.scale_out_total", key);
     assert!(wait_until(Duration::from_secs(30), || scale_outs() >= 1));
-    let snap = rig.controller.registry().snapshot();
-    assert_eq!(
-        snap.counter_for("elastic.requests_dropped", &format!("compute:{joint}")),
-        0
-    );
-    assert_eq!(snap.counter_for("elastic.scale_out_total", "P->Tweets"), 1);
+    // a few more ticks: one signal, one step
+    let seen = ticks();
+    assert!(wait_until(Duration::from_secs(30), || ticks() >= seen + 3));
+    assert_eq!(scale_outs(), 1);
+    assert_eq!(rig.controller.compute_parallelism_of(joint), Some(2));
     let decisions: Vec<String> = (rig.cluster.trace().recent().into_iter())
         .filter(|(_, e)| e.span == "elastic.governor")
         .map(|(_, e)| e.detail)
         .collect();
+    assert_eq!(decisions.len(), 1, "{decisions:?}");
     assert!(
-        decisions
-            .iter()
-            .any(|d| d.starts_with("P->Tweets: scale-out") && d.ends_with("pressure 1)")),
-        "the vote did not show up as pressure_delta: {decisions:?}"
+        decisions[0].starts_with(&format!("{key}: scale-out"))
+            && decisions[0].ends_with("pressure 1)"),
+        "the signal did not show up as pressure_delta: {decisions:?}"
     );
     gen.stop();
     rig.stop();
 }
 
+/// The policy is the switch: under the same overload an Elastic connection
+/// scales and a Basic one on the same controller is left alone — the
+/// governor does not even sample it.
+#[test]
+fn only_the_elastic_connection_scales() {
+    let rig = TestRig::start_with(
+        4,
+        ControllerConfig {
+            compute_parallelism: Some(1),
+            governor: GovernorConfig {
+                interval: SimDuration::from_millis(500),
+                cooldown: SimDuration::from_secs(2),
+                ..GovernorConfig::default()
+            },
+            ..ControllerConfig::default()
+        },
+    );
+    let gen_basic = rig.tweetgen("gov-basic:9000", 0, 1500, 6);
+    let gen_elastic = rig.tweetgen("gov-elastic:9000", 1, 1500, 6);
+    rig.dataset("BasicTweets");
+    rig.dataset("ElasticTweets");
+    let spin = Udf::busy_spin("spin", 100_000);
+    rig.catalog.create_function(spin).unwrap();
+    rig.processed_feed("BasicFeed", "gov-basic:9000", "spin");
+    rig.processed_feed("ElasticFeed", "gov-elastic:9000", "spin");
+    rig.controller
+        .connect_feed("ProcessedBasicFeed", "BasicTweets", "Basic")
+        .unwrap();
+    rig.controller
+        .connect_feed("ProcessedElasticFeed", "ElasticTweets", "Elastic")
+        .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(25 * 3), || {
+            rig.controller
+                .compute_parallelism_of("ElasticFeed:spin")
+                .is_some_and(|n| n > 1)
+        }),
+        "the Elastic connection never scaled out"
+    );
+    // the counter is bumped once the tick's rebuilds are done: wait for it
+    let elastic = "ProcessedElasticFeed->ElasticTweets";
+    assert!(wait_until(Duration::from_secs(30), || {
+        rig.snapshot()
+            .counter_for("elastic.scale_out_total", elastic)
+            >= 1
+    }));
+    let basic = "ProcessedBasicFeed->BasicTweets";
+    let snap = rig.snapshot();
+    assert!(
+        snap.counter_for("feed.records_in", basic) > 0,
+        "the Basic connection saw no load"
+    );
+    assert_eq!(
+        rig.controller.compute_parallelism_of("BasicFeed:spin"),
+        Some(1)
+    );
+    assert_eq!(rig.controller.intake_width_of("BasicFeed"), Some(1));
+    assert_eq!(snap.counter_for("elastic.governor_ticks", basic), 0);
+    assert_eq!(snap.gauge_for("elastic.lag_p99_millis", basic), None);
+    assert_eq!(snap.gauge_for("elastic.compute_partitions", basic), None);
+    gen_basic.stop();
+    gen_elastic.stop();
+    rig.stop();
+}
+
+/// A stage shared by several Elastic connections moves one step per tick,
+/// not one per connection: two always-hot sinks of one plan share the
+/// compute stage, and with a cooldown that never ends it settles at two
+/// partitions.
+#[test]
+fn a_shared_stage_moves_one_step_per_tick() {
+    let rig = TestRig::start_with(
+        4,
+        ControllerConfig {
+            compute_parallelism: Some(1),
+            governor: GovernorConfig {
+                interval: SimDuration::from_millis(500),
+                cooldown: SimDuration::from_secs(1_000_000),
+                // every sample is hot
+                high_lag_millis: 0,
+                max_compute: 3,
+                ..GovernorConfig::default()
+            },
+            ..ControllerConfig::default()
+        },
+    );
+    let gen = rig.tweetgen("gov-shared:9000", 0, 10, 10_000);
+    rig.dataset("A");
+    rig.dataset("B");
+    rig.catalog.create_function(Udf::add_hash_tags()).unwrap();
+    IngestPlanBuilder::new("TwitterFeed")
+        .adaptor("TweetGenAdaptor")
+        .param("datasource", "gov-shared:9000")
+        .register_feeds(&rig.catalog)
+        .unwrap();
+    // one plan: both connections appear in the table at once, so their
+    // first tick is the same tick
+    let every = || RoutePredicate::exists("id");
+    let plan = IngestPlanBuilder::new("P")
+        .parent("TwitterFeed")
+        .udf("addHashTags")
+        .multicast()
+        .sink(SinkSpec::to("A").route(every()).policy("Elastic"))
+        .sink(SinkSpec::to("B").route(every()).policy("Elastic"))
+        .register(&rig.catalog)
+        .unwrap();
+    rig.controller.connect_plan(&plan).unwrap();
+    let joint = "TwitterFeed:addHashTags";
+    let ticks = |key| rig.snapshot().counter_for("elastic.governor_ticks", key);
+    assert!(wait_until(Duration::from_secs(30), || {
+        ticks("P->A") >= 5 && ticks("P->B") >= 5
+    }));
+    assert_eq!(rig.controller.compute_parallelism_of(joint), Some(2));
+    let snap = rig.snapshot();
+    // both hot connections are credited with the one step they asked for
+    assert_eq!(snap.counter_for("elastic.scale_out_total", "P->A"), 1);
+    assert_eq!(snap.counter_for("elastic.scale_out_total", "P->B"), 1);
+    gen.stop();
+    rig.stop();
+}
+
+/// An Elastic sink behind a route scales the trunk: the compute stage
+/// feeding the routing stage, whose own policy is Spill.
+#[test]
+fn an_elastic_sink_behind_a_route_scales_the_trunk() {
+    let rig = TestRig::start_with(
+        4,
+        ControllerConfig {
+            compute_parallelism: Some(1),
+            ..ControllerConfig::default()
+        },
+    );
+    let gen = rig.tweetgen("gov-routed:9000", 0, 1500, 10_000);
+    rig.dataset("Tweets");
+    let spin = Udf::busy_spin("spin", 100_000);
+    rig.catalog.create_function(spin).unwrap();
+    IngestPlanBuilder::new("TwitterFeed")
+        .adaptor("TweetGenAdaptor")
+        .param("datasource", "gov-routed:9000")
+        .register_feeds(&rig.catalog)
+        .unwrap();
+    let plan = IngestPlanBuilder::new("Routed")
+        .parent("TwitterFeed")
+        .udf("spin")
+        .sink(
+            SinkSpec::to("Tweets")
+                .route(RoutePredicate::exists("id"))
+                .policy("Elastic"),
+        )
+        .register(&rig.catalog)
+        .unwrap();
+    assert!(!plan.is_degenerate(), "the plan must route");
+    rig.controller.connect_plan(&plan).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(25 * 3), || {
+            rig.controller
+                .compute_parallelism_of("TwitterFeed:spin")
+                .is_some_and(|n| n > 1)
+        }),
+        "the trunk's compute stage never scaled out"
+    );
+    assert!(wait_until(Duration::from_secs(30), || {
+        rig.snapshot()
+            .counter_for("elastic.scale_out_total", "Routed->Tweets")
+            >= 1
+    }));
+    gen.stop();
+    rig.stop();
+}
 #[test]
 fn scale_intake_changes_width_and_keeps_flow() {
     let rig = TestRig::start_with(

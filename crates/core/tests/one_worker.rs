@@ -120,7 +120,6 @@ fn assign_yields_while_its_out_joint_subscriber_queue_is_full() {
         metrics: metrics(),
         log: new_soft_failure_log(),
         log_dataset: None,
-        extra_spin: 0,
         extra_delay_us: 0,
     }));
     job.connect(source, assign, ConnectorSpec::OneToOne);
@@ -209,9 +208,7 @@ fn spill_intake_defers_without_parking_the_worker() {
         locations: vec![node],
         policy: IngestionPolicy::spill(),
         metrics: Arc::clone(&m),
-        elastic_tx: None,
         ack: None,
-        connection_key: "In->Gate".into(),
         feed: FeedId(1),
         fault_plan: None,
     }));

@@ -1,6 +1,7 @@
 //! Thread census. Controller teardown must be deterministic:
-//! `FeedController::shutdown` closes the elastic channel and joins both
-//! `cfm-*` monitor threads, so no named controller thread survives the call;
+//! `FeedController::shutdown` joins its one thread, the `cfm-failure-monitor`
+//! (the scaling governor is a task on the pool), so no named controller
+//! thread survives the call;
 //! `Cluster::shutdown` releases its heartbeat and monitor threads at once,
 //! not an interval later; and a connected feed costs no thread at all —
 //! collect, intake and store are tasks on the pool. Kept in its own test binary with ONE `#[test]` — the
@@ -13,7 +14,6 @@ use asterix_common::{NodeId, SimClock, SimDuration};
 use asterix_feeds::adaptor::{bind_socket, unbind_socket};
 use asterix_feeds::catalog::FeedCatalog;
 use asterix_feeds::controller::{ControllerConfig, FeedController};
-use asterix_feeds::governor::GovernorConfig;
 use asterix_feeds::plan::IngestPlanBuilder;
 use asterix_hyracks::cluster::{Cluster, ClusterConfig};
 use asterix_storage::{Dataset, DatasetConfig};
@@ -132,23 +132,18 @@ fn connected_feed_adds_no_thread_and_shutdown_frees_them_all() {
 fn shutdown_leaves_no_cfm_thread_behind() {
     let cluster = quiet_cluster();
     let catalog = FeedCatalog::new(paper_registry());
-    let controller = FeedController::start(
-        cluster.clone(),
-        catalog,
-        ControllerConfig {
-            governor: GovernorConfig {
-                enabled: true,
-                ..GovernorConfig::default()
-            },
-            ..ControllerConfig::default()
-        },
-    );
-    // both monitors are up before shutdown
+    let controller = FeedController::start(cluster.clone(), catalog, ControllerConfig::default());
+    // the failure monitor is up before shutdown, and it is the only thread
+    // the controller starts
     let deadline = Instant::now() + Duration::from_secs(5);
-    while cfm_threads().len() < 2 && Instant::now() < deadline {
+    while cfm_threads().is_empty() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(cfm_threads().len(), 2, "monitors did not start");
+    assert_eq!(
+        cfm_threads(),
+        ["cfm-failure-mon"],
+        "the controller starts one thread"
+    );
     controller.shutdown();
     // shutdown joins: the threads are gone the moment it returns
     assert!(
