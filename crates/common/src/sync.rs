@@ -17,9 +17,8 @@
 //!
 //! * [`WakeSignal`] — a latch for background workers (the LSM compactor)
 //!   combining a wake flag, a shutdown flag and a timed wait.
-//! * [`handoff`] — a small bounded MPSC channel behind every feed-joint
-//!   subscription and cluster-event subscriber, so the lost-wakeup proof
-//!   covers the real code.
+//! * [`handoff`] — a small bounded MPSC channel behind every cluster-event
+//!   subscriber, so the lost-wakeup proof covers the real code.
 //! * [`thread`] — the workspace's only sanctioned way to start an OS
 //!   thread. Runtime code is forbidden (by the `raw-thread-spawn` lint
 //!   rule) from calling `std::thread::spawn` directly; every background

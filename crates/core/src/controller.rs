@@ -36,8 +36,8 @@
 //! Whenever the network has to change — a node failure (§6.2.2), an elastic
 //! restructuring (§7.3.5) — the controller does one thing: it revises the
 //! placement of the affected producers and reschedules them and the jobs
-//! downstream (`move_joints`), carrying the surviving operators' state over
-//! as zombie state (`settle_and_migrate`).
+//! downstream (`move_joints`), carrying the frames in the surviving
+//! subscriptions over to the successors (`settle_and_migrate`).
 //!
 //! ## One scaling loop
 //!
@@ -362,16 +362,14 @@ impl Default for ControllerConfig {
 
 /// One handed-over pipeline job whose partition state must settle before
 /// the successor owns the stream. The job is awaited *after* the controller
-/// lock is released; then, if the placement changed, frames stranded on
-/// abandoned partitions (parked zombie state plus anything still queued in
-/// the old joint subscriptions) are harvested and re-parked on the
-/// successor partitions' nodes.
+/// lock is released; then, if the placement changed, the subscriptions of
+/// abandoned partitions — what the old intakes handed back plus what was
+/// never taken — are moved to the successor partitions' subscriptions.
 struct Migration {
     job: JobHandle,
     /// `(joint id, sub-key prefix, old placement, new placement)`; `None`
     /// when the placement is unchanged — the successor resumes the same
-    /// queues and late zombie adoption alone closes the park-after-start
-    /// window.
+    /// queues, hand-backs included.
     repartition: Option<(String, String, Vec<NodeId>, Vec<NodeId>)>,
 }
 
@@ -1415,14 +1413,14 @@ impl FeedController {
                 }
             }
             if let Some(job) = seg.job.take() {
-                // the intake parks its deferred work for the successor; what
-                // is already in flight behind it drains through the old job
+                // the intake hands its deferred work back to its
+                // subscription; what is already in flight behind it drains
+                // through the old job
                 job.hand_over();
-                // An intake whose in-joint stayed put keeps its placement:
-                // wait the predecessor out so its parked state is visible,
-                // but nothing needs repartitioning. (A collect has no intake
-                // at all; its external sockets survive the swap — the source
-                // wire is persistent.)
+                // An intake whose in-joint stayed put keeps its placement and
+                // its subscriptions: nothing needs repartitioning. (A collect
+                // has no intake at all; its external sockets survive the
+                // swap — the source wire is persistent.)
                 let joint = seg.input.clone().unwrap_or_default();
                 let repartition = input_move.map(|(old, new)| (joint, seg.sub_key(), old, new));
                 rebuild.migrations.push(Migration { job, repartition });
@@ -1441,13 +1439,12 @@ impl FeedController {
 
     /// Wait for handed-over predecessor jobs to fully exit, then repartition
     /// their stranded frames onto the successor partition set. Runs with no
-    /// controller lock held: `JobHandle::hand_over` is asynchronous, so
-    /// without this settling step a dying intake could park zombie state
-    /// *after* the successor's instantiate-time adoption already ran,
-    /// orphaning the frames forever.
+    /// controller lock held: `JobHandle::hand_over` is asynchronous, and a
+    /// dying intake hands its frames back to its old subscription only as
+    /// it exits.
     fn settle_and_migrate(&self, rebuild: Rebuild) {
         // first make every old job quiescent: no more deposits into the old
-        // joint instances, no more late zombie parks
+        // joint instances, no more hand-backs
         for m in &rebuild.migrations {
             let _ = m.job.wait();
         }
@@ -1466,14 +1463,14 @@ impl FeedController {
         }
     }
 
-    /// Harvest frames stranded on abandoned partitions of `joint_id` —
-    /// parked zombie state first, then whatever is still queued in the old
-    /// joint subscription (order preserves the stream: parked frames were
-    /// consumed before the queued ones arrived) — and re-park them as
-    /// zombie state keyed for the successor partition on its node, where
-    /// the successor's late-adoption poll picks them up. Node substitution
-    /// after a failure keeps partition indices, so every partition is
-    /// skipped there: survivors resume their queue in place.
+    /// Move the subscriptions of abandoned partitions of `joint_id` to
+    /// their successors: detach each old queue — handed-back frames first,
+    /// then what was never taken — and hand it back, marks kept, to the
+    /// head of successor partition `p % new_len`'s subscription on its
+    /// node. A successor counts the unmarked frames in as new arrivals, the
+    /// marked ones not again. Node substitution after a failure keeps
+    /// partition indices, so every partition is skipped there: survivors
+    /// resume their queue in place.
     fn migrate_partition_state(
         &self,
         joint_id: &str,
@@ -1487,8 +1484,7 @@ impl FeedController {
         let mut moved = 0u64;
         for (p, node) in old.iter().enumerate() {
             if p < new.len() && new[p] == *node {
-                // the successor resumes the same queue under the same key;
-                // late zombie adoption covers the park-after-start window
+                // the successor resumes the same queue under the same key
                 continue;
             }
             // a dead node's memory is gone with the node (§6.2.2) — its
@@ -1496,12 +1492,10 @@ impl FeedController {
             let Some(src) = self.cluster.node(*node).filter(|n| n.is_alive()) else {
                 continue;
             };
-            let src_fm = FeedManager::on(&src);
-            let key = format!("{prefix}#p{p}");
-            let mut frames = src_fm.take_zombie_state(&key);
-            if let Some(joint) = src_fm.search_joint(joint_id) {
-                frames.extend(joint.detach_queued(&key));
-            }
+            let Some(joint) = FeedManager::on(&src).search_joint(joint_id) else {
+                continue;
+            };
+            let frames = joint.detach_queued(&format!("{prefix}#p{p}"));
             if frames.is_empty() {
                 continue;
             }
@@ -1509,8 +1503,11 @@ impl FeedController {
             let Some(dst) = self.cluster.node(new[successor]) else {
                 continue;
             };
-            moved += frames.iter().map(|f| f.len() as u64).sum::<u64>();
-            FeedManager::on(&dst).save_zombie_state(&format!("{prefix}#p{successor}"), frames);
+            let Some(dst_joint) = FeedManager::on(&dst).search_joint(joint_id) else {
+                continue;
+            };
+            moved += frames.iter().map(|h| h.frame.len() as u64).sum::<u64>();
+            dst_joint.hand_back(&format!("{prefix}#p{successor}"), frames);
         }
         if moved > 0 {
             let labels = &[("joint", joint_id)];
@@ -1521,7 +1518,7 @@ impl FeedController {
             migrated.add(moved);
             self.cluster.trace().cluster_log().event(
                 "elastic.repartition",
-                format!("{joint_id}: {moved} records re-parked for successors"),
+                format!("{joint_id}: {moved} records handed to successors"),
             );
         }
     }

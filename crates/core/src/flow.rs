@@ -284,8 +284,8 @@ impl FlowController {
         self.send(frame)
     }
 
-    /// Records currently deferred (backlog + spill) — used for zombie state.
-    /// The flow is being abandoned, so a segment that no longer decodes is
+    /// Records currently deferred (backlog + spill), oldest first. The flow
+    /// is being abandoned, so a segment that no longer decodes is
     /// dropped rather than reported.
     pub fn take_deferred(&mut self) -> Vec<DataFrame> {
         let mut out: Vec<DataFrame> = self.backlog.drain(..).collect();
@@ -295,27 +295,6 @@ impl FlowController {
         }
         self.publish();
         out
-    }
-
-    /// Pre-load deferred frames (adopting zombie state). The memory budget
-    /// applies here too: frames beyond `memory_budget_bytes` fall through to
-    /// the policy's excess strategy (spill/discard/terminate) rather than
-    /// silently over-committing the backlog. Order is preserved — overflow
-    /// lands *behind* the in-budget adopted frames (backlog drains before
-    /// spill).
-    pub fn adopt_deferred(&mut self, frames: Vec<DataFrame>) -> IngestResult<()> {
-        self.metrics.zombie_frames_adopted.add(frames.len() as u64);
-        for f in frames {
-            let sz = f.size_bytes();
-            if self.backlog_bytes + sz > self.policy.memory_budget_bytes {
-                self.handle_excess(f)?;
-                continue;
-            }
-            self.backlog_bytes += sz;
-            self.backlog.push_back(f);
-        }
-        self.publish();
-        Ok(())
     }
 
     /// Graceful end: drain what the writer has room for and, once nothing
@@ -332,8 +311,8 @@ impl FlowController {
     }
 
     /// Abandon the flow (pipeline failure): the deferred frames are returned
-    /// for zombie parking, and the writer is closed on drop, behind what it
-    /// already holds.
+    /// for the intake to hand back to its subscription, and the writer is
+    /// closed on drop, behind what it already holds.
     pub fn fail(mut self) -> Vec<DataFrame> {
         self.take_deferred()
     }
@@ -342,7 +321,7 @@ impl FlowController {
 impl Drop for FlowController {
     fn drop(&mut self) {
         // what reached the writer is delivered and the stream ends cleanly;
-        // what was still deferred is dropped (or was parked by `fail`)
+        // what was still deferred is dropped (or was returned by `fail`)
         if let Some(mut writer) = self.writer.take() {
             let _ = writer.close();
         }
@@ -629,38 +608,29 @@ mod tests {
     }
 
     #[test]
-    fn adopt_deferred_replays_zombie_state() {
-        let sink = ScriptedSink::new(usize::MAX);
-        let mut fc = controller(IngestionPolicy::basic(), &sink);
-        fc.adopt_deferred(vec![frame(0..10), frame(10..20)])
-            .unwrap();
-        fc.offer(frame(20..30)).unwrap();
-        finish(&mut fc, &sink);
-        let ids: Vec<u64> = sink.records().iter().map(|r| r.id.raw()).collect();
-        assert!(ids.iter().copied().eq(0..30), "adopted state first");
-    }
-
-    #[test]
     fn throttle_defers_kept_records_behind_older_data() {
         // regression: kept records used to be sent straight on, overtaking
-        // adopted/buffered frames and breaking the FIFO that adopt_deferred
-        // relies on
+        // spilled frames and breaking the stream's FIFO
         let sink = tiny_port();
-        let mut fc = controller(IngestionPolicy::throttle(), &sink);
-        fc.adopt_deferred(vec![
-            frame(0..10),
-            frame(10..20),
-            frame(20..30),
-            frame(30..40),
-        ])
-        .unwrap();
-        for i in 4..12 {
+        let mut params = std::collections::BTreeMap::new();
+        params.insert("max.spill.size.on.disk".into(), "2000".into());
+        params.insert("excess.records.throttle".into(), "true".into());
+        let policy = IngestionPolicy::spill()
+            .extend("Spill_then_Throttle", &params)
+            .unwrap();
+        let mut fc = controller(policy, &sink);
+        for i in 0..40 {
             fc.offer(frame(i * 10..i * 10 + 10)).unwrap();
-            sink.drain(1);
+            if i % 2 == 0 {
+                sink.drain(1);
+            }
         }
+        assert!(
+            fc.metrics.records_throttled.get() > 0,
+            "the spill overflowed"
+        );
         finish(&mut fc, &sink);
         let ids: Vec<u64> = sink.records().iter().map(|r| r.id.raw()).collect();
-        assert!(!ids.is_empty(), "nothing delivered");
         assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
             "throttled records overtook older data: {ids:?}"
@@ -717,56 +687,6 @@ mod tests {
         assert!(!sink.is_closed());
         finish(&mut fc, &sink);
         assert_eq!(delivered(&sink), 100);
-    }
-
-    #[test]
-    fn adopted_overflow_spills_under_spill_policy() {
-        let sink = tiny_port();
-        let mut policy = IngestionPolicy::spill();
-        // budget admits exactly one adopted frame; the rest must spill
-        policy.memory_budget_bytes = frame(0..10).size_bytes() + 1;
-        let mut fc = controller(policy, &sink);
-        fc.adopt_deferred(vec![frame(0..10), frame(10..20), frame(20..30)])
-            .unwrap();
-        let m = Arc::clone(&fc.metrics);
-        assert_eq!(
-            m.records_spilled.get(),
-            20,
-            "overflow beyond the budget must hit the excess strategy"
-        );
-        finish(&mut fc, &sink);
-        assert_eq!(m.zombie_frames_adopted.get(), 3);
-        // order preserved: in-budget backlog first, spilled overflow after
-        let ids: Vec<u64> = sink.records().iter().map(|r| r.id.raw()).collect();
-        assert!(
-            ids.iter().copied().eq(0..30),
-            "spilled adoptions lose nothing"
-        );
-    }
-
-    #[test]
-    fn adopted_overflow_terminates_under_basic_policy() {
-        let sink = tiny_port();
-        let mut policy = IngestionPolicy::basic();
-        policy.memory_budget_bytes = frame(0..10).size_bytes() + 1;
-        let mut fc = controller(policy, &sink);
-        let err = fc
-            .adopt_deferred(vec![frame(0..10), frame(10..20)])
-            .unwrap_err();
-        assert!(matches!(err, IngestError::FeedTerminated { .. }), "{err}");
-    }
-
-    #[test]
-    fn adopted_overflow_drops_under_discard_policy() {
-        let sink = tiny_port();
-        let mut policy = IngestionPolicy::discard();
-        policy.memory_budget_bytes = frame(0..10).size_bytes() + 1;
-        let mut fc = controller(policy, &sink);
-        fc.adopt_deferred(vec![frame(0..10), frame(10..20), frame(20..30)])
-            .unwrap();
-        finish(&mut fc, &sink);
-        assert_eq!(fc.metrics.records_discarded.get(), 20);
-        assert_eq!(delivered(&sink), 10, "in-budget frame survives");
     }
 
     #[test]

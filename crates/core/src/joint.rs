@@ -7,84 +7,84 @@
 //! properties (§5.4.1):
 //!
 //! * **Guaranteed delivery** — every data frame reaches every registered
-//!   subscriber; a frame is wrapped in a *Data Bucket* carrying a counter
-//!   initialized to the subscriber count, and the bucket is reclaimed only
-//!   when every subscriber has consumed it.
+//!   subscriber. A deposit is one `Arc<DataFrame>` pushed onto every
+//!   subscriber queue: the `Arc` is the paper's *data bucket* and its
+//!   reference count the bucket's count of consumers yet to come. A
+//!   consumer takes the frame itself when it holds the last reference and
+//!   a shallow clone (refcounted payloads) otherwise, so one path serves
+//!   one subscriber or many.
 //! * **Congestion isolation** — each subscriber consumes from its own queue
 //!   at its own pace; a slow path never stalls the others.
 //!
-//! With a single subscriber the joint runs in *short-circuited* mode: no
-//! bucket bookkeeping, frames are forwarded directly. The mode switches
-//! dynamically as subscribers come and go.
+//! A joint is a *durable rendezvous point* owned by its node's Feed
+//! Manager: it outlives the jobs writing to and reading from it.
+//! Subscriptions are keyed (`<prefix>#p<n>`), and a subscription is the
+//! node's one custody queue for its key. A rebuilt pipeline re-attaches to
+//! its old subscription — what accumulated while it was down is the
+//! paper's "buffer mode" during failure recovery — and a dying consumer
+//! hands the frames it took but did not finish back to the head of its own
+//! subscription ([`FeedJoint::hand_back`]): the paper's *zombie state*
+//! (§6.2.2). Handed-back frames carry a mark, so the successor takes them
+//! first and knows they are not new arrivals.
 //!
-//! In this implementation a joint is a *durable rendezvous point* owned by
-//! its node's Feed Manager: it outlives the jobs writing to and reading
-//! from it. Subscriptions are keyed, and a rebuilt pipeline re-attaches to
-//! its old subscription — the queue contents accumulated while the pipeline
-//! was down are exactly the paper's "buffer mode" during failure recovery.
+//! Nothing here blocks. The queue bound is soft: depositors probe
+//! [`FeedJoint::headroom`] and yield while it is short, and a deposit into
+//! a full queue still lands.
 
-use asterix_common::sync::{handoff, Mutex};
-use asterix_common::{DataFrame, IngestResult, SimClock, SimDuration};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use asterix_common::sync::Mutex;
+use asterix_common::{DataFrame, IngestError, IngestResult};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// A frame wrapped for shared-mode delivery.
-#[derive(Debug)]
-pub struct DataBucket {
-    frame: DataFrame,
-    /// Subscribers that have not yet consumed the content.
-    pending: AtomicUsize,
+/// A frame in a subscription's custody.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HeldFrame {
+    /// The frame.
+    pub frame: DataFrame,
+    /// A consumer took it once already (and counted its records then) and
+    /// handed it back when it died.
+    pub handed_back: bool,
 }
 
-impl DataBucket {
-    /// Remaining consumers.
-    pub fn pending(&self) -> usize {
-        self.pending.load(Ordering::SeqCst)
+impl HeldFrame {
+    /// `frame`, marked as handed back.
+    pub fn handed_back(frame: DataFrame) -> HeldFrame {
+        HeldFrame {
+            frame,
+            handed_back: true,
+        }
     }
 }
 
-/// Message on a subscriber queue.
-#[derive(Debug)]
-enum JointMsg {
-    /// Shared-mode delivery.
-    Bucket(Arc<DataBucket>),
-    /// Short-circuited single-subscriber delivery.
-    Direct(DataFrame),
-    /// The joint was retired; no more data will ever arrive.
-    Retired,
+/// A queue entry: the shared bucket and the hand-back mark.
+struct Queued {
+    frame: Arc<DataFrame>,
+    handed_back: bool,
 }
 
-struct SubEntry {
-    tx: handoff::Sender<JointMsg>,
-    /// kept so re-attaching subscribers can share the receiver and resume
-    /// the same queue (the entry's reference also keeps the queue alive
-    /// across pipeline rebuilds)
-    rx: Arc<handoff::Receiver<JointMsg>>,
-    queued_bytes: Arc<AtomicU64>,
+impl Queued {
+    /// The frame by value: the last holder of the bucket takes it, the
+    /// others clone it.
+    fn take(self) -> HeldFrame {
+        let frame = Arc::try_unwrap(self.frame).unwrap_or_else(|shared| (*shared).clone());
+        HeldFrame {
+            frame,
+            handed_back: self.handed_back,
+        }
+    }
 }
 
-/// Per-subscriber queue bound, in messages. Congestion isolation holds up
-/// to this depth; past it, deposits exert backpressure on the producing
-/// pipeline instead of growing memory without bound.
+/// One subscription's queue, shared by the joint and every handle on it.
+type Queue = Arc<Mutex<VecDeque<Queued>>>;
+
+/// Per-subscriber queue bound, in frames. Congestion isolation holds up to
+/// this depth; past it, depositors yield (they read [`FeedJoint::headroom`])
+/// instead of growing memory without bound.
 const SUBSCRIBER_QUEUE_CAP: usize = 1024;
 
 struct JointInner {
-    subscribers: HashMap<String, SubEntry>,
+    subscribers: HashMap<String, Queue>,
     retired: bool,
-}
-
-/// Statistics of a joint's lifetime.
-#[derive(Debug, Default)]
-pub struct JointStats {
-    /// Frames routed through the joint.
-    pub frames_routed: AtomicU64,
-    /// Buckets allocated in shared mode.
-    pub buckets_created: AtomicU64,
-    /// Buckets fully consumed and reclaimed.
-    pub buckets_reclaimed: AtomicU64,
-    /// Frames delivered in short-circuited mode.
-    pub short_circuited: AtomicU64,
 }
 
 /// A feed joint.
@@ -92,8 +92,6 @@ pub struct FeedJoint {
     /// Symbolic id: `<feed>` or `<feed>:f1:...:fN` (§5.3.1).
     pub id: String,
     inner: Mutex<JointInner>,
-    /// Lifetime statistics.
-    pub stats: JointStats,
 }
 
 impl FeedJoint {
@@ -105,7 +103,6 @@ impl FeedJoint {
                 subscribers: HashMap::new(),
                 retired: false,
             }),
-            stats: JointStats::default(),
         })
     }
 
@@ -114,70 +111,57 @@ impl FeedJoint {
     /// anything that accumulated while no consumer was attached.
     pub fn subscribe(self: &Arc<Self>, key: impl Into<String>) -> JointSubscription {
         let key = key.into();
-        let mut inner = self.inner.lock();
-        let entry = inner.subscribers.entry(key.clone()).or_insert_with(|| {
-            let (tx, rx) = handoff::bounded(SUBSCRIBER_QUEUE_CAP);
-            SubEntry {
-                tx,
-                rx: Arc::new(rx),
-                queued_bytes: Arc::new(AtomicU64::new(0)),
-            }
-        });
+        let queue = {
+            let mut inner = self.inner.lock();
+            Arc::clone(inner.subscribers.entry(key.clone()).or_default())
+        };
         JointSubscription {
             key,
-            rx: Arc::clone(&entry.rx),
-            queued_bytes: Arc::clone(&entry.queued_bytes),
+            queue,
             joint: Arc::clone(self),
         }
     }
 
-    /// Remove the subscription under `key` (graceful disconnect). Queued
-    /// frames for that subscriber are dropped; shared buckets they held are
-    /// decremented so other subscribers are unaffected.
+    /// Remove the subscription under `key` (graceful disconnect) and drop
+    /// the frames queued for it; other subscribers are unaffected.
     pub fn unsubscribe(&self, key: &str) {
-        let entry = self.inner.lock().subscribers.remove(key);
-        if let Some(entry) = entry {
-            // drain this subscriber's queue, releasing bucket holds
-            while let Some(msg) = entry.rx.try_recv() {
-                if let JointMsg::Bucket(b) = msg {
-                    if b.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        // relaxed-ok: standalone stat; reclamation itself is
-                        // ordered by the SeqCst refcount decrement above
-                        self.stats.buckets_reclaimed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+        let queue = self.inner.lock().subscribers.remove(key);
+        if let Some(queue) = queue {
+            queue.lock().clear();
         }
     }
 
-    /// Remove the subscription under `key` and return the frames still
-    /// queued for it, in arrival order. This is the harvesting half of the
-    /// elastic repartitioning protocol: when scaling moves a partition off a
-    /// node, its successor subscribes elsewhere and would otherwise never
-    /// see frames buffered here. Shared-bucket holds are released exactly as
-    /// in [`FeedJoint::unsubscribe`], so the other subscribers are
-    /// unaffected; the returned frames are re-parked as zombie state on the
-    /// successor's node.
-    pub fn detach_queued(&self, key: &str) -> Vec<DataFrame> {
-        let entry = self.inner.lock().subscribers.remove(key);
-        let mut frames = Vec::new();
-        if let Some(entry) = entry {
-            while let Some(msg) = entry.rx.try_recv() {
-                match msg {
-                    JointMsg::Direct(frame) => frames.push(frame),
-                    JointMsg::Bucket(b) => {
-                        frames.push(b.frame.clone());
-                        if b.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                            // relaxed-ok: standalone stat; reclamation is
-                            // ordered by the SeqCst refcount decrement above
-                            self.stats.buckets_reclaimed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    JointMsg::Retired => {}
-                }
+    /// Remove the subscription under `key` and return its frames in queue
+    /// order, marks kept. When scaling moves a partition off a node, its
+    /// successor subscribes elsewhere; the controller hands these frames
+    /// back to the successor's subscription there.
+    pub fn detach_queued(&self, key: &str) -> Vec<HeldFrame> {
+        let queue = self.inner.lock().subscribers.remove(key);
+        let Some(queue) = queue else {
+            return Vec::new();
+        };
+        let drained: Vec<Queued> = queue.lock().drain(..).collect();
+        drained.into_iter().map(Queued::take).collect()
+    }
+
+    /// Put `frames` at the head of the subscription under `key`, in order,
+    /// ahead of everything queued there, creating the subscription if it
+    /// is missing. A retired joint drops them: no consumer will come.
+    pub fn hand_back(&self, key: &str, frames: Vec<HeldFrame>) {
+        let queue = {
+            let mut inner = self.inner.lock();
+            if inner.retired {
+                return;
             }
+            Arc::clone(inner.subscribers.entry(key.to_string()).or_default())
+        };
+        let mut queue = queue.lock();
+        for held in frames.into_iter().rev() {
+            queue.push_front(Queued {
+                frame: Arc::new(held.frame),
+                handed_back: held.handed_back,
+            });
         }
-        frames
     }
 
     /// Current number of subscribers.
@@ -191,102 +175,52 @@ impl FeedJoint {
     }
 
     /// Frames queued for the slowest subscriber (none once retired: deposits
-    /// then fail instead of waiting).
+    /// then fail).
     pub fn backlog(&self) -> usize {
         let inner = self.inner.lock();
         if inner.retired {
             return 0;
         }
-        let fullest = inner.subscribers.values().map(|e| e.tx.len()).max();
+        let fullest = inner.subscribers.values().map(|q| q.lock().len()).max();
         fullest.unwrap_or(0)
     }
 
-    /// Frames the fullest subscriber queue can still take before a
-    /// [`FeedJoint::deposit`] blocks. A depositor running on a scheduler
-    /// worker probes this first and yields while there is no room for its
-    /// next burst — blocking there would park a worker the draining
-    /// subscriber may need. A point-in-time read: exact for a joint's lone
-    /// depositor, while depositors racing on one joint can each overshoot
-    /// by their own burst.
+    /// Frames the fullest subscriber queue can still take within its bound.
+    /// A depositor running on a scheduler worker probes this first and
+    /// yields while there is no room for its next burst. A point-in-time
+    /// read: exact for a joint's lone depositor, while depositors racing on
+    /// one joint can each overshoot by their own burst.
     pub fn headroom(&self) -> usize {
         SUBSCRIBER_QUEUE_CAP.saturating_sub(self.backlog())
     }
 
-    /// Deposit a frame: short-circuit to a single subscriber, or wrap in a
-    /// shared data bucket for many. No subscribers → the frame is dropped
-    /// (the collect operator defers adaptor creation until someone
-    /// subscribes, so this only happens in teardown windows).
-    ///
-    /// Sends happen on *bounded* queues and outside the joint lock: a full
-    /// subscriber queue blocks only this depositor (backpressure on the
-    /// producing pipeline), never other joint operations. The tradeoff is a
-    /// narrow teardown race — a deposit that passed the retired check may
-    /// land after a concurrent [`FeedJoint::retire`] notification; consumers
-    /// treat `Retired` as terminal, so such a frame is dropped, equivalent
-    /// to depositing just after retirement.
+    /// Deposit a frame onto every subscriber queue; it never waits. No
+    /// subscribers → the frame is dropped (the collect operator defers
+    /// adaptor creation until someone subscribes, so this only happens in
+    /// teardown windows).
     pub fn deposit(&self, frame: DataFrame) -> IngestResult<()> {
-        // snapshot the delivery plan under the lock, send outside it
-        let targets: Vec<(handoff::Sender<JointMsg>, Arc<AtomicU64>)> = {
-            let inner = self.inner.lock();
-            if inner.retired {
-                return Err(asterix_common::IngestError::Disconnected(format!(
-                    "joint {} retired",
-                    self.id
-                )));
-            }
-            // relaxed-ok: routing/backpressure stats; frame contents are
-            // published by the channel send, not by these counters
-            self.stats.frames_routed.fetch_add(1, Ordering::Relaxed);
-            inner
-                .subscribers
-                .values()
-                .map(|e| (e.tx.clone(), Arc::clone(&e.queued_bytes)))
-                .collect()
-        };
-        match targets.len() {
-            0 => Ok(()),
-            1 => {
-                let (tx, queued_bytes) = &targets[0];
-                // relaxed-ok: backpressure stat, see above
-                queued_bytes.fetch_add(frame.size_bytes() as u64, Ordering::Relaxed);
-                // relaxed-ok: routing stat, see above
-                self.stats.short_circuited.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(JointMsg::Direct(frame));
-                Ok(())
-            }
-            n => {
-                let bucket = Arc::new(DataBucket {
-                    pending: AtomicUsize::new(n),
-                    frame,
-                });
-                // relaxed-ok: routing stat, see above
-                self.stats.buckets_created.fetch_add(1, Ordering::Relaxed);
-                for (tx, queued_bytes) in &targets {
-                    // relaxed-ok: backpressure stat, see above
-                    queued_bytes.fetch_add(bucket.frame.size_bytes() as u64, Ordering::Relaxed);
-                    let _ = tx.send(JointMsg::Bucket(Arc::clone(&bucket)));
-                }
-                Ok(())
-            }
+        let inner = self.inner.lock();
+        if inner.retired {
+            return Err(IngestError::Disconnected(format!(
+                "joint {} retired",
+                self.id
+            )));
         }
+        let frame = Arc::new(frame);
+        for queue in inner.subscribers.values() {
+            queue.lock().push_back(Queued {
+                frame: Arc::clone(&frame),
+                handed_back: false,
+            });
+        }
+        Ok(())
     }
 
-    /// Retire the joint: all subscribers see end-of-stream, further deposits
-    /// error. Used when a feed is dismantled entirely.
-    ///
-    /// The end-of-stream marker is sent with `try_send` so a subscriber
-    /// whose queue is already full cannot wedge teardown; such a subscriber
-    /// still observes retirement because [`JointSubscription::recv`] checks
-    /// the retired flag once its queue drains empty.
+    /// Retire the joint: further deposits and hand-backs fail, and each
+    /// subscriber sees end-of-stream once its queue is empty. Used when a
+    /// feed is dismantled entirely.
     pub fn retire(&self) {
-        let senders: Vec<handoff::Sender<JointMsg>> = {
-            let mut inner = self.inner.lock();
-            inner.retired = true;
-            inner.subscribers.values().map(|e| e.tx.clone()).collect()
-        };
-        for tx in senders {
-            let _ = tx.try_send(JointMsg::Retired);
-        }
+        self.inner.lock().retired = true;
     }
 
     /// Has the joint been retired?
@@ -306,14 +240,15 @@ impl std::fmt::Debug for FeedJoint {
     }
 }
 
-/// Outcome of one receive attempt on a subscription.
+/// What a subscription yields.
 #[derive(Debug)]
 pub enum JointRecv {
-    /// A frame arrived.
+    /// A frame the producer deposited.
     Frame(DataFrame),
-    /// Nothing within the timeout.
-    Timeout,
-    /// The joint was retired; no more data will arrive.
+    /// A frame a predecessor consumer took, did not finish and handed back.
+    HandedBack(DataFrame),
+    /// The joint was retired and the queue is empty; no more data will
+    /// arrive.
     Retired,
 }
 
@@ -321,79 +256,31 @@ pub enum JointRecv {
 pub struct JointSubscription {
     /// Subscription key (stable across pipeline rebuilds).
     pub key: String,
-    rx: Arc<handoff::Receiver<JointMsg>>,
-    queued_bytes: Arc<AtomicU64>,
+    queue: Queue,
     joint: Arc<FeedJoint>,
 }
 
 impl JointSubscription {
-    fn on_msg(&self, msg: JointMsg) -> JointRecv {
-        match msg {
-            JointMsg::Direct(frame) => {
-                // relaxed-ok: backpressure stat; the frame arrived via the
-                // channel, nothing synchronises through this counter
-                self.queued_bytes
-                    .fetch_sub(frame.size_bytes() as u64, Ordering::Relaxed);
-                JointRecv::Frame(frame)
-            }
-            JointMsg::Bucket(bucket) => {
-                // relaxed-ok: backpressure stat, see above
-                self.queued_bytes
-                    .fetch_sub(bucket.frame.size_bytes() as u64, Ordering::Relaxed);
-                // consume: clone the content (payload bytes are refcounted,
-                // so this is shallow for the heavy part) and release our hold
-                let frame = bucket.frame.clone();
-                if bucket.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    // relaxed-ok: standalone stat; reclamation is ordered by
-                    // the SeqCst refcount decrement above
-                    self.joint
-                        .stats
-                        .buckets_reclaimed
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                JointRecv::Frame(frame)
-            }
-            JointMsg::Retired => JointRecv::Retired,
-        }
-    }
-
-    /// Receive the next frame, waiting up to `timeout` of sim-time.
-    pub fn recv(&self, clock: &SimClock, timeout: SimDuration) -> JointRecv {
-        match self.rx.recv_timeout(clock.to_real(timeout)) {
-            Ok(msg) => self.on_msg(msg),
-            Err(handoff::RecvTimeoutError::Timeout) => {
-                // an empty queue on a retired joint means end-of-stream even
-                // if the Retired marker was squeezed out by a full queue
-                if self.joint.is_retired() {
-                    JointRecv::Retired
-                } else {
-                    JointRecv::Timeout
-                }
-            }
-            Err(handoff::RecvTimeoutError::Disconnected) => JointRecv::Retired,
-        }
-    }
-
-    /// Receive without blocking: `None` when the queue is empty. Cooperative
-    /// intake tasks poll this from the scheduler instead of parking a whole
-    /// OS thread in [`JointSubscription::recv`].
+    /// Take the next frame without waiting: `None` when the queue is empty.
     pub fn try_recv(&self) -> Option<JointRecv> {
-        match self.rx.try_recv() {
-            Some(msg) => Some(self.on_msg(msg)),
-            None if self.joint.is_retired() => Some(JointRecv::Retired),
-            None => None,
-        }
+        // the queue lock is released here, before the joint lock is taken:
+        // deposits lock the joint first
+        let next = self.queue.lock().pop_front();
+        let Some(next) = next else {
+            return self.joint.is_retired().then_some(JointRecv::Retired);
+        };
+        let held = next.take();
+        Some(match held.handed_back {
+            true => JointRecv::HandedBack(held.frame),
+            false => JointRecv::Frame(held.frame),
+        })
     }
 
-    /// Bytes currently waiting in this subscription's queue.
-    pub fn queued_bytes(&self) -> u64 {
-        // relaxed-ok: monitoring read of a lone gauge
-        self.queued_bytes.load(Ordering::Relaxed)
-    }
-
-    /// The joint this subscription belongs to.
-    pub fn joint(&self) -> &Arc<FeedJoint> {
-        &self.joint
+    /// Hand `frames` back to the head of this subscription, marked, for
+    /// whoever consumes it next ([`FeedJoint::hand_back`]).
+    pub fn hand_back(&self, frames: Vec<DataFrame>) {
+        let held = frames.into_iter().map(HeldFrame::handed_back).collect();
+        self.joint.hand_back(&self.key, held);
     }
 
     /// Gracefully end the subscription.
@@ -417,29 +304,34 @@ mod tests {
         DataFrame::from_records(ids.map(|i| Record::tracked(RecordId(i), 0, "x")).collect())
     }
 
-    fn clock() -> SimClock {
-        SimClock::with_scale(1000.0) // real time so recv timeouts are exact
+    /// Everything queued for `sub`, as (first record id, handed back).
+    fn drain(sub: &JointSubscription) -> Vec<(u64, bool)> {
+        let mut got = Vec::new();
+        loop {
+            match sub.try_recv() {
+                Some(JointRecv::Frame(f)) => got.push((f.records()[0].id.raw(), false)),
+                Some(JointRecv::HandedBack(f)) => got.push((f.records()[0].id.raw(), true)),
+                Some(JointRecv::Retired) | None => return got,
+            }
+        }
     }
 
-    fn drain(sub: &JointSubscription, n: usize) -> Vec<DataFrame> {
-        let c = clock();
-        (0..n)
-            .map(|_| match sub.recv(&c, SimDuration::from_secs(2)) {
-                JointRecv::Frame(f) => f,
-                other => panic!("expected frame, got {other:?}"),
-            })
-            .collect()
+    fn fresh(ids: &[u64]) -> Vec<(u64, bool)> {
+        ids.iter().map(|&i| (i, false)).collect()
     }
 
     #[test]
-    fn short_circuit_single_subscriber() {
+    fn single_subscriber_gets_every_frame_in_order() {
         let joint = FeedJoint::new("TwitterFeed");
         let sub = joint.subscribe("conn1");
         joint.deposit(frame(0..3)).unwrap();
-        let got = drain(&sub, 1);
-        assert_eq!(got[0].len(), 3);
-        assert_eq!(joint.stats.short_circuited.load(Ordering::Relaxed), 1);
-        assert_eq!(joint.stats.buckets_created.load(Ordering::Relaxed), 0);
+        joint.deposit(frame(3..5)).unwrap();
+        let first = match sub.try_recv() {
+            Some(JointRecv::Frame(f)) => f,
+            other => panic!("expected a frame, got {other:?}"),
+        };
+        assert_eq!(first, frame(0..3), "the frame itself, records intact");
+        assert_eq!(drain(&sub), fresh(&[3]));
     }
 
     #[test]
@@ -449,55 +341,49 @@ mod tests {
         let s2 = joint.subscribe("conn2");
         joint.deposit(frame(0..5)).unwrap();
         joint.deposit(frame(5..10)).unwrap();
-        let f1 = drain(&s1, 2);
-        let f2 = drain(&s2, 2);
-        assert_eq!(f1[0].records(), f2[0].records());
-        assert_eq!(f1[1].records(), f2[1].records());
-        assert_eq!(joint.stats.buckets_created.load(Ordering::Relaxed), 2);
-        assert_eq!(joint.stats.buckets_reclaimed.load(Ordering::Relaxed), 2);
+        assert_eq!(drain(&s1), fresh(&[0, 5]));
+        assert_eq!(drain(&s2), fresh(&[0, 5]));
     }
 
     #[test]
-    fn mode_switches_dynamically() {
+    fn subscribers_coming_and_going_see_what_was_deposited_meanwhile() {
         let joint = FeedJoint::new("F");
         let s1 = joint.subscribe("a");
         joint.deposit(frame(0..1)).unwrap();
         let s2 = joint.subscribe("b");
         joint.deposit(frame(1..2)).unwrap();
+        assert_eq!(drain(&s2), fresh(&[1]), "b joined after frame 0");
         joint.unsubscribe("b");
-        drop(s2);
         joint.deposit(frame(2..3)).unwrap();
-        assert_eq!(joint.stats.short_circuited.load(Ordering::Relaxed), 2);
-        assert_eq!(joint.stats.buckets_created.load(Ordering::Relaxed), 1);
-        // subscriber a saw all three frames
-        assert_eq!(drain(&s1, 3).len(), 3);
+        assert_eq!(drain(&s2), fresh(&[]), "b left before frame 2");
+        assert_eq!(drain(&s1), fresh(&[0, 1, 2]), "a saw all three");
     }
 
     #[test]
     fn congestion_isolation_slow_subscriber_does_not_block() {
         let joint = FeedJoint::new("F");
         let fast = joint.subscribe("fast");
-        let _slow = joint.subscribe("slow"); // never consumes
+        let slow = joint.subscribe("slow");
         for i in 0..50 {
             joint.deposit(frame(i * 10..i * 10 + 10)).unwrap();
         }
-        // fast subscriber can consume everything immediately
-        assert_eq!(drain(&fast, 50).len(), 50);
-        // buckets not reclaimed while slow holds them
-        assert_eq!(joint.stats.buckets_reclaimed.load(Ordering::Relaxed), 0);
+        // the fast subscriber consumes everything at once...
+        assert_eq!(drain(&fast).len(), 50);
+        // ...while the slow one still holds all 50
+        assert_eq!(joint.backlog(), 50);
+        assert_eq!(drain(&slow).len(), 50);
     }
 
     #[test]
-    fn unsubscribe_releases_bucket_holds() {
+    fn unsubscribe_drops_only_that_queue() {
         let joint = FeedJoint::new("F");
         let s1 = joint.subscribe("a");
-        let _s2 = joint.subscribe("b");
+        let s2 = joint.subscribe("b");
         joint.deposit(frame(0..1)).unwrap();
-        drain(&s1, 1);
-        assert_eq!(joint.stats.buckets_reclaimed.load(Ordering::Relaxed), 0);
         joint.unsubscribe("b");
-        assert_eq!(joint.stats.buckets_reclaimed.load(Ordering::Relaxed), 1);
         assert_eq!(joint.subscriber_count(), 1);
+        assert_eq!(drain(&s2), fresh(&[]), "b's queued frame is gone");
+        assert_eq!(drain(&s1), fresh(&[0]), "a still has its copy");
     }
 
     #[test]
@@ -508,20 +394,22 @@ mod tests {
         drop(s1); // consumer died without unsubscribing (pipeline failure)
         joint.deposit(frame(2..4)).unwrap(); // buffer mode: queue accumulates
         let s1b = joint.subscribe("conn1"); // rebuilt pipeline re-attaches
-        let got = drain(&s1b, 2);
-        assert_eq!(got[0].records()[0].id, RecordId(0));
-        assert_eq!(got[1].records()[0].id, RecordId(2));
+        assert_eq!(drain(&s1b), fresh(&[0, 2]));
     }
 
     #[test]
-    fn queued_bytes_tracks_backlog() {
+    fn a_deposit_never_waits_and_a_full_queue_reads_no_headroom() {
         let joint = FeedJoint::new("F");
-        let sub = joint.subscribe("a");
-        assert_eq!(sub.queued_bytes(), 0);
-        joint.deposit(frame(0..10)).unwrap();
-        assert!(sub.queued_bytes() > 0);
-        drain(&sub, 1);
-        assert_eq!(sub.queued_bytes(), 0);
+        let sub = joint.subscribe("stalled");
+        for i in 0..SUBSCRIBER_QUEUE_CAP as u64 {
+            joint.deposit(frame(i..i + 1)).unwrap();
+        }
+        assert_eq!(joint.headroom(), 0);
+        // past the bound the deposit still lands, at once
+        joint.deposit(frame(5000..5001)).unwrap();
+        assert_eq!(joint.backlog(), SUBSCRIBER_QUEUE_CAP + 1);
+        assert_eq!(joint.headroom(), 0);
+        assert_eq!(drain(&sub).len(), SUBSCRIBER_QUEUE_CAP + 1);
     }
 
     #[test]
@@ -533,60 +421,96 @@ mod tests {
         for i in 0..3 {
             joint.deposit(frame(i..i + 1)).unwrap();
         }
-        drain(&fast, 3);
+        drain(&fast);
         assert_eq!(joint.backlog(), 3);
         assert_eq!(joint.headroom(), SUBSCRIBER_QUEUE_CAP - 3);
-        // a retired joint fails deposits instead of making them wait
+        // a retired joint fails deposits instead of counting them
         joint.retire();
         assert_eq!(joint.backlog(), 0);
         assert_eq!(joint.headroom(), SUBSCRIBER_QUEUE_CAP);
     }
 
     #[test]
-    fn detach_queued_harvests_frames_and_releases_buckets() {
+    fn handed_back_frames_come_out_first_and_marked() {
+        let joint = FeedJoint::new("F");
+        let sub = joint.subscribe("p#p0");
+        joint.deposit(frame(20..30)).unwrap();
+        joint.deposit(frame(30..40)).unwrap();
+        sub.hand_back(vec![frame(0..10), frame(10..20)]);
+        assert_eq!(
+            drain(&sub),
+            vec![(0, true), (10, true), (20, false), (30, false)]
+        );
+    }
+
+    #[test]
+    fn hand_back_creates_a_missing_subscription() {
+        let joint = FeedJoint::new("F");
+        joint.hand_back("p#p1", vec![HeldFrame::handed_back(frame(0..1))]);
+        assert_eq!(joint.subscriber_count(), 1);
+        // the successor subscribes later and finds the frame waiting
+        let sub = joint.subscribe("p#p1");
+        assert_eq!(drain(&sub), vec![(0, true)]);
+    }
+
+    #[test]
+    fn detach_queued_keeps_marks_and_order() {
         let joint = FeedJoint::new("F");
         let s1 = joint.subscribe("a");
         let _s2 = joint.subscribe("b");
-        joint.deposit(frame(0..2)).unwrap();
-        joint.deposit(frame(2..4)).unwrap();
-        drain(&s1, 2); // `a` consumed both; `b` still holds its copies
-        let harvested = joint.detach_queued("b");
-        assert_eq!(harvested.len(), 2);
-        assert_eq!(harvested[0].records()[0].id, RecordId(0));
-        assert_eq!(harvested[1].records()[0].id, RecordId(2));
-        assert_eq!(joint.stats.buckets_reclaimed.load(Ordering::Relaxed), 2);
+        joint.deposit(frame(10..20)).unwrap();
+        joint.deposit(frame(20..30)).unwrap();
+        joint.hand_back("b", vec![HeldFrame::handed_back(frame(0..10))]);
+        assert_eq!(drain(&s1), fresh(&[10, 20]), "`a` is unaffected");
+        let detached = joint.detach_queued("b");
+        let got: Vec<(u64, bool)> = detached
+            .iter()
+            .map(|h| (h.frame.records()[0].id.raw(), h.handed_back))
+            .collect();
+        assert_eq!(got, vec![(0, true), (10, false), (20, false)]);
         assert_eq!(joint.subscriber_count(), 1);
+        // handed on to a successor's subscription, marks and order hold
+        let successor = FeedJoint::new("F");
+        let sub = successor.subscribe("b'");
+        successor.deposit(frame(90..91)).unwrap();
+        successor.hand_back("b'", detached);
+        assert_eq!(
+            drain(&sub),
+            vec![(0, true), (10, false), (20, false), (90, false)]
+        );
         // detaching an unknown key is a harmless no-op
         assert!(joint.detach_queued("nope").is_empty());
+    }
+
+    #[test]
+    fn a_retired_joint_drops_handed_back_frames() {
+        let joint = FeedJoint::new("F");
+        let sub = joint.subscribe("a");
+        joint.retire();
+        sub.hand_back(vec![frame(0..5)]);
+        assert!(matches!(sub.try_recv(), Some(JointRecv::Retired)));
+        joint.hand_back("b", vec![HeldFrame::handed_back(frame(0..5))]);
+        assert_eq!(joint.subscriber_count(), 1, "no entry created");
     }
 
     #[test]
     fn deposit_with_no_subscribers_drops() {
         let joint = FeedJoint::new("F");
         joint.deposit(frame(0..5)).unwrap();
-        assert_eq!(joint.stats.frames_routed.load(Ordering::Relaxed), 1);
+        let late = joint.subscribe("late");
+        assert!(late.try_recv().is_none(), "nothing was kept for later");
     }
 
     #[test]
-    fn retire_ends_streams_and_rejects_deposits() {
+    fn retire_ends_streams_after_the_queue_and_rejects_deposits() {
         let joint = FeedJoint::new("F");
         let sub = joint.subscribe("a");
+        assert!(sub.try_recv().is_none(), "empty, not ended");
+        joint.deposit(frame(0..1)).unwrap();
         joint.retire();
         assert!(joint.is_retired());
-        match sub.recv(&clock(), SimDuration::from_secs(1)) {
-            JointRecv::Retired => {}
-            other => panic!("expected retired, got {other:?}"),
-        }
-        assert!(joint.deposit(frame(0..1)).is_err());
-    }
-
-    #[test]
-    fn timeout_when_empty() {
-        let joint = FeedJoint::new("F");
-        let sub = joint.subscribe("a");
-        match sub.recv(&clock(), SimDuration::from_millis(10)) {
-            JointRecv::Timeout => {}
-            other => panic!("expected timeout, got {other:?}"),
-        }
+        assert!(matches!(sub.try_recv(), Some(JointRecv::Frame(_))));
+        assert!(matches!(sub.try_recv(), Some(JointRecv::Retired)));
+        assert!(joint.deposit(frame(1..2)).is_err());
     }
 }

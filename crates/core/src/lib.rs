@@ -14,10 +14,11 @@
 //! * [`policy`] — ingestion policies (Ch. 4.5, Table 4.1/4.2): Basic, Spill,
 //!   Discard, Throttle, Elastic, plus custom policies built by extension;
 //! * [`joint`] — feed joints (§5.4): the routing points that let one flow of
-//!   data feed many pipelines, with *shared* (data-bucket) and
-//!   *short-circuited* modes, guaranteed delivery and congestion isolation;
-//! * [`manager`] — the per-node Feed Manager (§5.3.1) and its joint search
-//!   API;
+//!   data feed many pipelines, with guaranteed delivery and congestion
+//!   isolation; each subscription is the one custody queue for its key,
+//!   zombie state (§6.2.2) included;
+//! * [`manager`] — the per-node Feed Manager (§5.3.1): joints and their
+//!   search API;
 //! * [`flow`] — the congestion controller (Ch. 7): where excess records are
 //!   buffered, spilled, discarded, throttled or escalated to elastic
 //!   scaling;

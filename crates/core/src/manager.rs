@@ -8,14 +8,14 @@
 //! (`<feed>` or `<feed>:f1:...:fN`), discoverable through the *search API*
 //! by co-located operator instances.
 //!
-//! The Feed Manager also holds *zombie state* (§6.2.2): when an operator
-//! instance transitions to a zombie during the fault-tolerance protocol, its
-//! unprocessed input is parked here for the replacement instance (scheduled
-//! at the same node) to adopt.
+//! The manager holds joints and nothing else. The paper's *zombie state*
+//! (§6.2.2) — the unprocessed input of an instance that died — lives in
+//! the joint subscription the instance consumed from: it hands its frames
+//! back to the head of that queue ([`FeedJoint::hand_back`]), where the
+//! replacement instance takes them first.
 
 use crate::joint::FeedJoint;
 use asterix_common::sync::Mutex;
-use asterix_common::DataFrame;
 use asterix_hyracks::cluster::NodeHandle;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,7 +24,6 @@ use std::sync::Arc;
 #[derive(Default)]
 pub struct FeedManager {
     joints: Mutex<HashMap<String, Arc<FeedJoint>>>,
-    zombies: Mutex<HashMap<String, Vec<DataFrame>>>,
 }
 
 impl FeedManager {
@@ -73,50 +72,18 @@ impl FeedManager {
     pub fn joint_ids(&self) -> Vec<String> {
         self.joints.lock().keys().cloned().collect()
     }
-
-    /// Park zombie state under `key` (appends to any existing state).
-    pub fn save_zombie_state(&self, key: &str, frames: Vec<DataFrame>) {
-        if frames.is_empty() {
-            return;
-        }
-        self.zombies
-            .lock()
-            .entry(key.to_string())
-            .or_default()
-            .extend(frames);
-    }
-
-    /// Adopt (take) the zombie state under `key`.
-    pub fn take_zombie_state(&self, key: &str) -> Vec<DataFrame> {
-        self.zombies.lock().remove(key).unwrap_or_default()
-    }
-
-    /// Is there parked state under `key`?
-    pub fn has_zombie_state(&self, key: &str) -> bool {
-        self.zombies.lock().contains_key(key)
-    }
 }
 
 impl std::fmt::Debug for FeedManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "FeedManager({} joints, {} zombie entries)",
-            self.joints.lock().len(),
-            self.zombies.lock().len()
-        )
+        write!(f, "FeedManager({} joints)", self.joints.lock().len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asterix_common::{Record, RecordId};
     use asterix_hyracks::cluster::Cluster;
-
-    fn frame() -> DataFrame {
-        DataFrame::from_records(vec![Record::tracked(RecordId(1), 0, "x")])
-    }
 
     #[test]
     fn register_and_search() {
@@ -154,25 +121,6 @@ mod tests {
         fm.retire_joint("F");
         assert!(j.is_retired());
         assert!(fm.search_joint("F").is_none());
-    }
-
-    #[test]
-    fn zombie_state_roundtrip() {
-        let fm = FeedManager::new();
-        assert!(!fm.has_zombie_state("conn1:intake:0"));
-        fm.save_zombie_state("conn1:intake:0", vec![frame()]);
-        fm.save_zombie_state("conn1:intake:0", vec![frame(), frame()]);
-        assert!(fm.has_zombie_state("conn1:intake:0"));
-        let adopted = fm.take_zombie_state("conn1:intake:0");
-        assert_eq!(adopted.len(), 3);
-        assert!(fm.take_zombie_state("conn1:intake:0").is_empty());
-    }
-
-    #[test]
-    fn empty_zombie_saves_are_ignored() {
-        let fm = FeedManager::new();
-        fm.save_zombie_state("k", vec![]);
-        assert!(!fm.has_zombie_state("k"));
     }
 
     #[test]

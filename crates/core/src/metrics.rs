@@ -63,8 +63,9 @@ pub struct FeedMetrics {
     /// Hard failures (node loss, operator panic) this connection recovered
     /// from (§6.2.2/§6.2.3).
     pub hard_failures_recovered: Counter,
-    /// Zombie frames adopted by replacement operator instances after a
-    /// failure (§6.2.2).
+    /// Frames a dying intake handed back to its joint subscription that its
+    /// successor took (§6.2.2's zombie state). Their records were counted
+    /// in `records_in` once, when first taken, and are not counted again.
     pub zombie_frames_adopted: Counter,
     /// Current spill file size in bytes (gauge).
     pub spill_bytes: Gauge,
@@ -152,12 +153,6 @@ impl FeedMetrics {
         self.meter.record_at(self.clock.now(), n);
     }
 
-    /// Record `n` persisted records at an explicit instant (tests).
-    pub fn persisted_at(&self, t: SimInstant, n: u64) {
-        self.records_persisted.add(n);
-        self.meter.record_at(t, n);
-    }
-
     /// Record the end-to-end lag of a record generated at `gen_at` and
     /// durable now.
     pub fn lag_from(&self, gen_at: SimInstant) {
@@ -168,11 +163,6 @@ impl FeedMetrics {
     /// Instantaneous-throughput series of persisted records.
     pub fn throughput(&self) -> ThroughputSeries {
         self.meter.series()
-    }
-
-    /// Convenience getter.
-    pub fn get(&self, c: &Counter) -> u64 {
-        c.get()
     }
 
     /// One-line summary for experiment output.
@@ -212,17 +202,6 @@ mod tests {
         let series = m.throughput();
         assert_eq!(series.total(), 14);
         assert!(series.points.len() >= 2);
-    }
-
-    #[test]
-    fn persisted_at_allows_backdating() {
-        let clock = SimClock::with_scale(5.0);
-        let m = FeedMetrics::new(clock, SimDuration::from_secs(1));
-        m.persisted_at(SimInstant(500), 3);
-        m.persisted_at(SimInstant(1500), 7);
-        let s = m.throughput();
-        assert_eq!(s.points[0].count, 3);
-        assert_eq!(s.points[1].count, 7);
     }
 
     #[test]

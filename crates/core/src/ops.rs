@@ -158,12 +158,7 @@ impl Sandbox {
                 let rec = asterix_adm::AdmValue::record(vec![
                     (
                         "id",
-                        format!(
-                            "sf-{}-{}",
-                            self.name,
-                            self.metrics.get(&self.metrics.soft_failures)
-                        )
-                        .into(),
+                        format!("sf-{}-{}", self.name, self.metrics.soft_failures.get()).into(),
                     ),
                     ("at_millis", asterix_adm::AdmValue::Int(entry.at.0 as i64)),
                     ("operator", entry.operator.clone().into()),
@@ -390,18 +385,12 @@ impl SourceOperator for CollectSource {
             self.output.close()?;
             return Ok(SourcePoll::Done);
         }
-        // a full subscriber queue would park this worker inside `deposit`:
-        // leave the records in the source — and a stop pending while even
-        // the partial frame has no room — and yield until the subscriber
-        // has drained
-        let room = self.joint.headroom();
         if stop.is_stopped() {
-            if room == 0 && self.builder.pending() > 0 {
-                return Ok(SourcePoll::Idle(None));
-            }
             return self.finish(Ok(()));
         }
-        if room < COLLECT_FRAMES_PER_POLL {
+        // a subscriber queue short of room for this poll's frames: leave
+        // the records in the source and yield until the subscriber drains
+        if self.joint.headroom() < COLLECT_FRAMES_PER_POLL {
             return Ok(SourcePoll::Idle(None));
         }
         // defer adaptor use until the output is requested
@@ -494,20 +483,14 @@ impl OperatorDescriptor for IntakeDesc {
         ctx: &TaskContext,
         mut output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
-        let fm = FeedManager::on(&ctx.node);
         let sub_key = format!("{}#p{}", self.sub_key, ctx.partition);
         output.open()?;
-        let mut flow = FlowController::new(
+        let flow = FlowController::new(
             self.policy.clone(),
             Arc::clone(&self.metrics),
             output,
             self.feed,
         );
-        // adopt any zombie state parked by a previous incarnation (§6.2.2)
-        let zombie = fm.take_zombie_state(&sub_key);
-        if !zombie.is_empty() {
-            flow.adopt_deferred(zombie)?;
-        }
         let tracker = match &self.ack {
             Some(plumbing) => {
                 let rx = plumbing
@@ -546,7 +529,8 @@ struct IntakeSource {
     flow: Option<FlowController>,
     tracker: Option<AckTracker>,
     fault_plan: Option<Arc<FaultPlan>>,
-    /// Created by the first poll.
+    /// Created by the first poll; kept for the intake's lifetime, so a
+    /// dying intake hands its frames back to the queue it consumed from.
     sub: Option<JointSubscription>,
     /// The stream has ended (graceful stop or retired joint): polls only
     /// drain what the flow controller deferred, then close.
@@ -557,26 +541,32 @@ struct IntakeSource {
 const INTAKE_FRAMES_PER_SLICE: usize = 8;
 
 impl IntakeSource {
-    fn fail_with_zombie(&mut self, fm: &Arc<FeedManager>) {
-        if let Some(flow) = self.flow.take() {
-            let mut deferred = flow.fail();
-            // The tracker's unacked records were in the output port or in
-            // flight toward the store when we died — without parking them the
-            // successor would never re-emit them and at-least-once would only
-            // hold for records the flow controller still had by value.
-            if let Some(t) = &self.tracker {
-                let pending = t.drain_pending();
-                if !pending.is_empty() {
-                    deferred.push(DataFrame::from_records(pending));
-                }
+    /// Hand what this intake took but did not finish back to the head of
+    /// its subscription, marked, for its successor (§6.2.2's zombie state):
+    /// the flow controller's deferred frames, then the tracker's unacked
+    /// records — they were in the output port or in flight toward the
+    /// store, and without them at-least-once would only hold for records
+    /// the flow controller still had by value. The output writer closes
+    /// behind what it already holds.
+    fn hand_back(&mut self) {
+        let Some(flow) = self.flow.take() else {
+            return;
+        };
+        let mut frames = flow.fail();
+        if let Some(t) = &self.tracker {
+            let pending = t.drain_pending();
+            if !pending.is_empty() {
+                frames.push(DataFrame::from_records(pending));
             }
-            fm.save_zombie_state(&self.sub_key, deferred);
+        }
+        if let Some(sub) = &self.sub {
+            sub.hand_back(frames);
         }
     }
 
-    /// Fire any due injected operator panic (§6.2.3): park deferred state
-    /// exactly like a real runtime exception unwinding this operator, then
-    /// surface a hard error so the job sees the instance die.
+    /// Fire any due injected operator panic (§6.2.3): hand deferred state
+    /// back exactly like a real runtime exception unwinding this operator,
+    /// then surface a hard error so the job sees the instance die.
     fn chaos_panic_due(&self) -> bool {
         match &self.fault_plan {
             Some(plan) => !plan.take_due(FaultKind::is_operator_event).is_empty(),
@@ -591,26 +581,6 @@ impl IntakeSource {
             }
             None => frame,
         }
-    }
-
-    /// Adopt zombie state parked *after* this instance was instantiated.
-    ///
-    /// Instantiate-time adoption (§6.2.2) only sees frames the predecessor
-    /// had already parked. During an elastic rebuild the old job is aborted
-    /// asynchronously, so it can park its deferred work after the successor
-    /// started — and the repartitioning sweep re-parks migrated frames under
-    /// this key once the old job has fully exited. Polling from the quiet
-    /// paths closes both windows without any cross-job handshake.
-    fn adopt_late_zombies(&mut self, fm: &Arc<FeedManager>) -> IngestResult<()> {
-        if !fm.has_zombie_state(&self.sub_key) {
-            return Ok(());
-        }
-        let zombie = fm.take_zombie_state(&self.sub_key);
-        if zombie.is_empty() {
-            return Ok(());
-        }
-        let flow = self.flow.as_mut().expect("flow active");
-        flow.adopt_deferred(zombie)
     }
 
     fn handle_acks_and_replays(&mut self) -> IngestResult<()> {
@@ -636,8 +606,8 @@ impl SourceOperator for IntakeSource {
     /// (which owns the output writer) — an idle intake costs a queued task,
     /// not a blocked OS thread.
     fn poll(&mut self, stop: &StopToken) -> IngestResult<SourcePoll> {
-        let fm = FeedManager::on(&self.node);
         if self.sub.is_none() && !self.ending {
+            let fm = FeedManager::on(&self.node);
             let joint = fm.search_joint(&self.joint_id).ok_or_else(|| {
                 IngestError::Plan(format!(
                     "no joint '{}' on node {}",
@@ -663,9 +633,9 @@ impl SourceOperator for IntakeSource {
                 self.ending = true;
             }
             StopMode::Abandon => {
-                // pipeline rebuild: park deferred work and exit while
-                // the subscription keeps buffering for the successor
-                self.fail_with_zombie(&fm);
+                // pipeline rebuild: hand deferred work back and exit
+                // while the subscription keeps buffering for the successor
+                self.hand_back();
                 return Ok(SourcePoll::Done);
             }
         }
@@ -679,44 +649,23 @@ impl SourceOperator for IntakeSource {
             });
         }
         if self.chaos_panic_due() {
-            self.fail_with_zombie(&fm);
+            self.hand_back();
             return Err(IngestError::Disconnected(
                 "chaos: injected operator panic".into(),
             ));
         }
-        // adopt re-parked state on every slice, busy or quiet: under a
-        // sustained load a successor intake may not see a quiet slice for
-        // the lifetime of the ramp, and migrated frames must not wait for
-        // the stream to dry up (the probe is one map lookup)
-        if let Err(e) = self.adopt_late_zombies(&fm) {
-            self.fail_with_zombie(&fm);
-            return Err(e);
-        }
         let mut produced = false;
         for _ in 0..INTAKE_FRAMES_PER_SLICE {
             let recv = self.sub.as_ref().expect("subscribed above").try_recv();
-            match recv {
+            let frame = match recv {
                 Some(JointRecv::Frame(frame)) => {
-                    produced = true;
                     self.metrics.records_in.add(frame.len() as u64);
-                    let frame = self.track_frame(frame);
-                    let flow = self.flow.as_mut().expect("flow active");
-                    match flow.offer(frame) {
-                        Ok(()) => {}
-                        Err(e @ IngestError::FeedTerminated { .. }) => {
-                            if let Some(sub) = self.sub.take() {
-                                sub.unsubscribe();
-                            }
-                            self.flow = None;
-                            return Err(e);
-                        }
-                        Err(e) => {
-                            // downstream died: park state, keep the
-                            // subscription buffering for the rebuild
-                            self.fail_with_zombie(&fm);
-                            return Err(e);
-                        }
-                    }
+                    frame
+                }
+                // a predecessor counted these records in already
+                Some(JointRecv::HandedBack(frame)) => {
+                    self.metrics.zombie_frames_adopted.add(1);
+                    frame
                 }
                 Some(JointRecv::Retired) => {
                     // nothing more will arrive: drain and close from the
@@ -724,7 +673,26 @@ impl SourceOperator for IntakeSource {
                     self.ending = true;
                     return Ok(SourcePoll::Produced);
                 }
-                Some(JointRecv::Timeout) | None => break,
+                None => break,
+            };
+            produced = true;
+            let frame = self.track_frame(frame);
+            let flow = self.flow.as_mut().expect("flow active");
+            match flow.offer(frame) {
+                Ok(()) => {}
+                Err(e @ IngestError::FeedTerminated { .. }) => {
+                    if let Some(sub) = self.sub.take() {
+                        sub.unsubscribe();
+                    }
+                    self.flow = None;
+                    return Err(e);
+                }
+                Err(e) => {
+                    // downstream died: hand state back, keep the
+                    // subscription buffering for the rebuild
+                    self.hand_back();
+                    return Err(e);
+                }
             }
         }
         if produced {
@@ -733,11 +701,11 @@ impl SourceOperator for IntakeSource {
         // quiet slice: housekeeping
         let flow = self.flow.as_mut().expect("flow active");
         if let Err(e) = flow.drain_deferred() {
-            self.fail_with_zombie(&fm);
+            self.hand_back();
             return Err(e);
         }
         if let Err(e) = self.handle_acks_and_replays() {
-            self.fail_with_zombie(&fm);
+            self.hand_back();
             return Err(e);
         }
         Ok(SourcePoll::Idle(None))
@@ -1505,7 +1473,7 @@ mod tests {
         assert!(in_socket > 0, "the rest of the lines stay in the socket");
         assert!(joint.headroom() > 0, "no deposit was ever blocked");
         // the one worker is free: other tasks run, and a stop request gets
-        // through to the collect, which has room left for its partial frame
+        // through to the collect
         let mut other = JobSpec::new("other");
         other.add_operator(Box::new(NullSourceDesc));
         let other = run_job(&cluster, other).unwrap();

@@ -10,8 +10,8 @@
 //! * replayability — two runs with the same seed produce identical fault
 //!   schedules and identical post-recovery record-id sets;
 //! * Basic/Spill lose nothing across a hard failure that is a runtime
-//!   exception (§6.2.3 operator panic): deferred work is parked as zombie
-//!   frames and re-adopted by the respawned store job;
+//!   exception (§6.2.3 operator panic): deferred work is handed back to the
+//!   intake's subscription and taken first by the respawned store job;
 //! * Discard's drop pattern stays contiguous under chaos (Fig 7.9) while
 //!   Throttle's stays uniform (Fig 7.10);
 //! * a torn WAL tail is recovered all-or-nothing.
@@ -282,7 +282,7 @@ fn tcp_transport_replays_to_the_same_record_ids() {
 
 // ---------------------------------------------------------------------------
 // operator panics: Basic / Spill lose nothing across a runtime-exception
-// hard failure (§6.2.3) — zombie frames are parked and re-adopted
+// hard failure (§6.2.3) — zombie frames are handed back and re-adopted
 // ---------------------------------------------------------------------------
 
 struct PanicOutcome {

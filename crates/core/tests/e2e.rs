@@ -456,7 +456,7 @@ fn store_node_failure_suspends_then_resumes_on_rejoin() {
 #[test]
 fn kill_node_while_congested_recovers_without_loss() {
     // the hard case: a store node dies while the flow controller is holding
-    // deferred work. Under FaultTolerant nothing may be lost — the zombie
+    // deferred work. Under FaultTolerant nothing may be lost — the handed-back
     // frames and the unacked tracker records must survive the rebuild — and
     // the connection must walk Active -> Suspended -> Active.
     let rig = TestRig::start_faulty(3, ControllerConfig::default());

@@ -2,8 +2,8 @@
 //! translated the way an adaptor does (transcoded into a reused buffer, then
 //! copied into the payload) and framed hold a live heap that is what
 //! [`DataFrame::size_bytes`] says it is, within allocator overhead — which
-//! is what the Basic memory budget, `feed.buffer_bytes` and a joint's
-//! `queued_bytes` count with. A decoded tree riding beside each payload
+//! is what the Basic memory budget and `feed.buffer_bytes` count with. A
+//! decoded tree riding beside each payload
 //! (1 678 B in ≈ 22 allocations for a 388 B tweet) puts this ratio above 4.
 //!
 //! One `#[test]` in its own binary, so the counting allocator sees nothing

@@ -3,11 +3,12 @@
 //! could drain that downstream. Each test fills a queue behind a consumer
 //! that does not drain, proves the worker is free by running another job
 //! to completion, then lets the consumer drain and checks that every record
-//! arrives once and in order.
+//! arrives once and in order — across an intake's death and respawn too.
 
 use asterix_common::sync::Mutex;
 use asterix_common::{
-    DataFrame, FeedId, IngestResult, NodeId, Record, RecordId, SimClock, SimDuration,
+    DataFrame, FaultEvent, FaultKind, FaultPlan, FeedId, IngestResult, NodeId, Record, RecordId,
+    SimClock, SimDuration,
 };
 use asterix_feeds::joint::{JointRecv, JointSubscription};
 use asterix_feeds::manager::FeedManager;
@@ -182,14 +183,12 @@ impl OperatorDescriptor for GateDesc {
     }
 }
 
-#[test]
-fn spill_intake_defers_without_parking_the_worker() {
-    let (cluster, node) = one_worker_node();
+/// Queue `n` ten-record frames, ids from 0, in the joint `In` on the one
+/// node, for the subscription `spill#p0` — created first, so the whole
+/// stream is waiting in the joint when the intake first polls.
+fn stream_waiting_in_joint(cluster: &Cluster, n: u64) {
     let joint = FeedManager::on(&cluster.nodes()[0]).register_joint("In");
-    // the intake's subscription exists before it runs, so the whole stream
-    // is waiting in the joint at its first poll
-    let _sub = joint.subscribe("spill#p0");
-    let n = 100u64;
+    drop(joint.subscribe("spill#p0"));
     for i in 0..n {
         let ids = i * 10..i * 10 + 10;
         let records = ids
@@ -197,24 +196,50 @@ fn spill_intake_defers_without_parking_the_worker() {
             .collect();
         joint.deposit(DataFrame::from_records(records)).unwrap();
     }
-    let m = metrics();
-    let gate = Gate::default();
+}
+
+/// A Spill intake on `spill#p0` feeding `gate` through a 4-frame port: its
+/// first slice pulls 8 frames, and 4 are excess.
+fn spill_intake_job(
+    node: NodeId,
+    m: &Arc<FeedMetrics>,
+    gate: &Gate,
+    fault_plan: Option<Arc<FaultPlan>>,
+) -> JobSpec {
     let mut job = JobSpec::new("spill-intake");
-    // a 4-frame port: the first slice pulls 8 frames, and 4 are excess
     job.queue_capacity = 4;
     let intake = job.add_operator(Box::new(IntakeDesc {
         joint_id: "In".into(),
         sub_key: "spill".into(),
         locations: vec![node],
         policy: IngestionPolicy::spill(),
-        metrics: Arc::clone(&m),
+        metrics: Arc::clone(m),
         ack: None,
         feed: FeedId(1),
-        fault_plan: None,
+        fault_plan,
     }));
     let consumer = job.add_operator(Box::new(GateDesc(gate.clone(), node)));
     job.connect(intake, consumer, ConnectorSpec::OneToOne);
-    let handle = run_job(&cluster, job).unwrap();
+    job
+}
+
+/// Wait until `gate` has taken `n` records.
+fn wait_taken(gate: &Gate, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while gate.ids.lock().len() < n {
+        assert!(Instant::now() < deadline, "got {}", gate.ids.lock().len());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn spill_intake_defers_without_parking_the_worker() {
+    let (cluster, node) = one_worker_node();
+    let n = 100u64;
+    stream_waiting_in_joint(&cluster, n);
+    let m = metrics();
+    let gate = Gate::default();
+    let handle = run_job(&cluster, spill_intake_job(node, &m, &gate, None)).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(30);
     while m.records_spilled.get() == 0 || m.handoff_queue_frames.get() == 0 {
@@ -226,11 +251,7 @@ fn spill_intake_defers_without_parking_the_worker() {
 
     // the consumer drains: spill first, then the joint, each record once
     gate.open.store(true, Ordering::SeqCst);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while gate.ids.lock().len() < (n * 10) as usize {
-        assert!(Instant::now() < deadline, "got {}", gate.ids.lock().len());
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_taken(&gate, (n * 10) as usize);
     handle.stop_sources();
     handle.wait_ok().unwrap();
     assert!(
@@ -239,5 +260,70 @@ fn spill_intake_defers_without_parking_the_worker() {
     );
     assert!(m.records_spilled.get() > 0);
     assert_eq!(m.records_despilled.get(), m.records_spilled.get());
+    cluster.shutdown();
+}
+
+/// An intake that dies of an injected operator panic hands the frames it
+/// deferred back to the head of its own subscription. Its respawned
+/// successor takes them first — counted as adopted zombie frames, not a
+/// second time as arrivals — and then the rest of the stream.
+#[test]
+fn respawned_intake_takes_the_handed_back_frames_first() {
+    let (cluster, node) = one_worker_node();
+    let n = 100u64;
+    stream_waiting_in_joint(&cluster, n);
+    let m = metrics();
+    let plan = Arc::new(FaultPlan::from_events(
+        1,
+        vec![FaultEvent {
+            at_record: 1,
+            kind: FaultKind::OperatorPanic,
+        }],
+    ));
+
+    // the first incarnation spills its excess behind a shut gate...
+    let first = Gate::default();
+    let job = spill_intake_job(node, &m, &first, Some(Arc::clone(&plan)));
+    let handle = run_job(&cluster, job).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while m.records_spilled.get() == 0 || m.handoff_queue_frames.get() == 0 {
+        assert!(Instant::now() < deadline, "nothing spilled and held back");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // ...and dies at its next poll, which comes once the port drains
+    plan.tick_records(1);
+    first.open.store(true, Ordering::SeqCst);
+    let results = handle.wait();
+    assert!(
+        results.iter().any(|(_, r)| r.is_err()),
+        "the injected panic fails the job"
+    );
+    let delivered = first.ids.lock().len();
+    assert!(delivered > 0, "what reached the port was delivered");
+    // it died before de-spilling anything: every spilled frame went back
+    assert_eq!(m.records_despilled.get(), 0);
+    let handed_back = m.records_spilled.get() / 10;
+
+    // the successor drains the subscription: handed-back frames first
+    let second = Gate::default();
+    second.open.store(true, Ordering::SeqCst);
+    let handle = run_job(&cluster, spill_intake_job(node, &m, &second, None)).unwrap();
+    wait_taken(&second, (n * 10) as usize - delivered);
+    handle.stop_sources();
+    handle.wait_ok().unwrap();
+    let ids: Vec<u64> = (first.ids.lock().iter())
+        .chain(second.ids.lock().iter())
+        .copied()
+        .collect();
+    assert!(
+        ids.iter().copied().eq(0..n * 10),
+        "every record once, in order"
+    );
+    assert_eq!(m.zombie_frames_adopted.get(), handed_back);
+    assert_eq!(
+        m.records_in.get(),
+        n * 10,
+        "handed-back records counted once"
+    );
     cluster.shutdown();
 }

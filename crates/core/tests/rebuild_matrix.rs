@@ -36,8 +36,9 @@
 //! Routing conservation (`plan.sink.records_routed` summed over the sinks =
 //! the route trunk's `records_in` − `plan.route.no_match_total`) is asserted
 //! when the route job is never rebuilt. Across a rebuild the sum can only
-//! exceed it: frames the old intake parks as zombie state while its output
-//! port still drains are routed by both the old job and its successor.
+//! exceed it: frames the old intake hands back as zombie state while its
+//! output port still drains are routed by both the old job and its
+//! successor.
 //!
 //! `REBUILD_MATRIX_TRANSPORT=tcp` runs the same matrix over the TCP wire.
 
