@@ -78,7 +78,7 @@ impl EvalContext for BodiesContext<'_> {
             Some((param, expr)) => {
                 let mut env = Env::new();
                 env.insert(param, arg.clone());
-                let out = eval(&expr, &env, self)?;
+                let out = eval(&expr, &mut env, self)?;
                 Ok(unwrap_singleton(out))
             }
             None => match self.catalog {
@@ -306,8 +306,8 @@ impl AsterixEngine {
                     };
                     let mut env = Env::new();
                     env.insert(body.0, record.clone());
-                    let out =
-                        eval(&body.1, &env, &ctx).map_err(|e| IngestError::soft(e.to_string()))?;
+                    let out = eval(&body.1, &mut env, &ctx)
+                        .map_err(|e| IngestError::soft(e.to_string()))?;
                     Ok(unwrap_singleton(out))
                 });
                 self.catalog.create_function(udf)?;
@@ -352,8 +352,8 @@ impl AsterixEngine {
                     catalog: Some(&self.catalog),
                 };
                 let rows = match &expr {
-                    Expr::Flwor { .. } => eval_flwor(&expr, &Env::new(), &ctx)?,
-                    other => vec![eval(other, &Env::new(), &ctx)?],
+                    Expr::Flwor { .. } => eval_flwor(&expr, &mut Env::new(), &ctx)?,
+                    other => vec![eval(other, &mut Env::new(), &ctx)?],
                 };
                 Ok(ExecOutcome::Rows(rows))
             }
@@ -369,8 +369,8 @@ impl AsterixEngine {
             catalog: Some(&self.catalog),
         };
         let rows = match query {
-            Expr::Flwor { .. } => eval_flwor(query, &Env::new(), &ctx)?,
-            other => match eval(other, &Env::new(), &ctx)? {
+            Expr::Flwor { .. } => eval_flwor(query, &mut Env::new(), &ctx)?,
+            other => match eval(other, &mut Env::new(), &ctx)? {
                 AdmValue::OrderedList(items) => items,
                 single => vec![single],
             },

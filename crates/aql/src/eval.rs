@@ -6,14 +6,28 @@
 //! library, and record/list construction. The compiler treats AQL UDFs as
 //! transparent expressions evaluated through this module (unlike external
 //! UDFs, which stay black boxes).
+//!
+//! A FLWOR is a pipeline evaluated one binding at a time over a single
+//! scoped [`Env`]: each `for` and `let` binds its variable in place,
+//! recurses into the clauses after it and restores the outer binding on
+//! exit; `where` filters each complete binding, and `return` (or the
+//! group-by accumulator) consumes it. No environment is copied and no list
+//! of bindings is built. A dataset `for` with no `for` before it streams its
+//! rows straight from the storage scan ([`Dataset::try_for_each_row`]),
+//! which reads each partition from a snapshot with no lock held — so a
+//! nested query may scan the same dataset. Any other dataset `for` is
+//! scanned once per evaluation, and its rows are lent to the binding for
+//! every outer binding in turn. Variables, `$v.f.g` paths and comparison
+//! operands that are literals or such paths are read by reference; only a
+//! value an expression returns is cloned.
 
 use crate::ast::{BinOp, Expr, FlworClause, GroupBy};
 use asterix_adm::functions as builtins;
 use asterix_adm::AdmValue;
 use asterix_common::{IngestError, IngestResult};
-use asterix_storage::Dataset;
+use asterix_storage::{AsKey, Dataset, KeyOrd};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Resolves names the evaluator cannot know by itself.
@@ -41,17 +55,22 @@ impl EvalContext for EmptyContext {
     }
 }
 
-/// Variable bindings.
+/// Variable bindings. Evaluation binds the variables it introduces in
+/// place and restores them on exit: after a call the map holds what it held
+/// before, whether the call succeeded or not.
 pub type Env = HashMap<String, AdmValue>;
 
+/// What a field access on a record without the field, or on `null` /
+/// `missing`, reads.
+static MISSING: AdmValue = AdmValue::Missing;
+
 /// Evaluate `expr` under `env`.
-pub fn eval(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult<AdmValue> {
+pub fn eval(expr: &Expr, env: &mut Env, ctx: &dyn EvalContext) -> IngestResult<AdmValue> {
+    if let Some(v) = read_ref(expr, env) {
+        return v.cloned();
+    }
     match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Var(name) => env
-            .get(name)
-            .cloned()
-            .ok_or_else(|| IngestError::Language(format!("unbound variable ${name}"))),
+        Expr::Literal(_) | Expr::Var(_) => unreachable!("read by reference"),
         Expr::DatasetScan(name) => {
             let ds = ctx.dataset(name)?;
             Ok(AdmValue::OrderedList(ds.scan_all()))
@@ -59,17 +78,7 @@ pub fn eval(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult<AdmVa
         Expr::FeedIntake(feed) => Err(IngestError::Plan(format!(
             "feed_intake(\"{feed}\") is a pipeline source, not an evaluable expression"
         ))),
-        Expr::FieldAccess(inner, field) => {
-            let v = eval(inner, env, ctx)?;
-            match &v {
-                AdmValue::Record(_) => Ok(v.field(field).cloned().unwrap_or(AdmValue::Missing)),
-                AdmValue::Null | AdmValue::Missing => Ok(AdmValue::Missing),
-                other => Err(IngestError::Type(format!(
-                    "field access on non-record {}",
-                    other.type_name()
-                ))),
-            }
-        }
+        Expr::FieldAccess(inner, field) => field_of(&eval(inner, env, ctx)?, field).cloned(),
         Expr::RecordCtor(fields) => {
             let mut out = Vec::with_capacity(fields.len());
             for (k, e) in fields {
@@ -92,17 +101,23 @@ pub fn eval(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult<AdmVa
             call_function(name, &vals, ctx)
         }
         Expr::Bin(op, lhs, rhs) => {
+            use BinOp::*;
+            if let (Eq | Ne | Lt | Le | Gt | Ge, Some(l), Some(r)) =
+                (op, read_ref(lhs, env), read_ref(rhs, env))
+            {
+                return apply_binop(*op, l?, r?);
+            }
             let l = eval(lhs, env, ctx)?;
             // short-circuit booleans
             match op {
-                BinOp::And => {
+                And => {
                     if l.as_bool() == Some(false) {
                         return Ok(AdmValue::Boolean(false));
                     }
                     let r = eval(rhs, env, ctx)?;
                     return bool_op(&l, &r, |a, b| a && b);
                 }
-                BinOp::Or => {
+                Or => {
                     if l.as_bool() == Some(true) {
                         return Ok(AdmValue::Boolean(true));
                     }
@@ -125,29 +140,17 @@ pub fn eval(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult<AdmVa
             source,
             predicate,
         } => {
-            let coll = eval(source, env, ctx)?;
-            let items = match coll.as_list() {
-                Some(items) => items,
-                // `some $x in missing` is false, not an error (optional
-                // fields)
-                None if matches!(coll, AdmValue::Null | AdmValue::Missing) => {
-                    return Ok(AdmValue::Boolean(false))
+            // `some $x in missing` is false, not an error (optional fields)
+            let items = items_of(eval(source, env, ctx)?, "some..in")?;
+            scoped(env, var, |env| {
+                for item in items {
+                    *slot(env, var) = item;
+                    if eval(predicate, env, ctx)?.as_bool() == Some(true) {
+                        return Ok(AdmValue::Boolean(true));
+                    }
                 }
-                None => {
-                    return Err(IngestError::Type(format!(
-                        "some..in over non-collection {}",
-                        coll.type_name()
-                    )))
-                }
-            };
-            let mut scoped = env.clone();
-            for item in items {
-                scoped.insert(var.clone(), item.clone());
-                if eval(predicate, &scoped, ctx)?.as_bool() == Some(true) {
-                    return Ok(AdmValue::Boolean(true));
-                }
-            }
-            Ok(AdmValue::Boolean(false))
+                Ok(AdmValue::Boolean(false))
+            })
         }
         Expr::Flwor { .. } => {
             let rows = eval_flwor(expr, env, ctx)?;
@@ -156,8 +159,80 @@ pub fn eval(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult<AdmVa
     }
 }
 
+/// A literal, a variable or a `$v.f.g` path, read by reference; `None` for
+/// any other expression.
+fn read_ref<'a>(expr: &'a Expr, env: &'a Env) -> Option<IngestResult<&'a AdmValue>> {
+    Some(match expr {
+        Expr::Literal(v) => Ok(v),
+        Expr::Var(name) => env
+            .get(name)
+            .ok_or_else(|| IngestError::Language(format!("unbound variable ${name}"))),
+        Expr::FieldAccess(inner, field) => read_ref(inner, env)?.and_then(|v| field_of(v, field)),
+        _ => return None,
+    })
+}
+
+/// `v.<field>`: `missing` when a record lacks the field or `v` is `null` /
+/// `missing`, an error on any other value.
+fn field_of<'a>(v: &'a AdmValue, field: &str) -> IngestResult<&'a AdmValue> {
+    match v {
+        AdmValue::Record(_) => Ok(v.field(field).unwrap_or(&MISSING)),
+        AdmValue::Null | AdmValue::Missing => Ok(&MISSING),
+        other => Err(IngestError::Type(format!(
+            "field access on non-record {}",
+            other.type_name()
+        ))),
+    }
+}
+
+/// The items a `for` or `some` ranges over: a list's items, none for
+/// `null` / `missing` (an absent optional field), an error otherwise.
+fn items_of(coll: AdmValue, clause: &str) -> IngestResult<Vec<AdmValue>> {
+    match coll {
+        AdmValue::OrderedList(items) | AdmValue::UnorderedList(items) => Ok(items),
+        AdmValue::Null | AdmValue::Missing => Ok(Vec::new()),
+        other => Err(IngestError::Type(format!(
+            "{clause} over non-collection {}",
+            other.type_name()
+        ))),
+    }
+}
+
+/// Run `body` with `var` bound in place — to `missing` until the body sets
+/// it through [`slot`] — then restore the outer binding, on error too.
+fn scoped<T>(
+    env: &mut Env,
+    var: &str,
+    body: impl FnOnce(&mut Env) -> IngestResult<T>,
+) -> IngestResult<T> {
+    let outer = match env.get_mut(var) {
+        Some(v) => Some(std::mem::replace(v, AdmValue::Missing)),
+        None => {
+            env.insert(var.to_owned(), AdmValue::Missing);
+            None
+        }
+    };
+    let out = body(env);
+    match outer {
+        Some(v) => *slot(env, var) = v,
+        None => {
+            env.remove(var);
+        }
+    }
+    out
+}
+
+/// The binding of `var` inside its [`scoped`] body.
+fn slot<'e>(env: &'e mut Env, var: &str) -> &'e mut AdmValue {
+    env.get_mut(var).expect("bound by `scoped`")
+}
+
 /// Evaluate a FLWOR expression to its row sequence.
-pub fn eval_flwor(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult<Vec<AdmValue>> {
+pub fn eval_flwor(
+    expr: &Expr,
+    env: &mut Env,
+    ctx: &dyn EvalContext,
+) -> IngestResult<Vec<AdmValue>> {
     let Expr::Flwor {
         clauses,
         where_clause,
@@ -167,110 +242,217 @@ pub fn eval_flwor(expr: &Expr, env: &Env, ctx: &dyn EvalContext) -> IngestResult
     else {
         return Err(IngestError::Language("not a FLWOR expression".into()));
     };
-    // expand clauses into a stream of environments
-    let mut envs = vec![env.clone()];
+    let flwor = Flwor {
+        where_clause: where_clause.as_deref(),
+        group_by: group_by.as_ref(),
+        ret,
+        ctx,
+    };
+    let mut scans = Vec::with_capacity(clauses.len());
     for (ci, clause) in clauses.iter().enumerate() {
-        match clause {
-            FlworClause::For { var, source } => {
-                // projection pushdown: a dataset scan whose bound variable
-                // is only ever used through direct field accesses downstream
-                // scans just those fields — on compacted components only the
-                // requested columns are decoded
-                let prescanned: Option<Vec<AdmValue>> = if let Expr::DatasetScan(name) = source {
-                    match projection_for(
-                        var,
-                        &clauses[ci + 1..],
-                        where_clause.as_deref(),
-                        group_by.as_ref(),
-                        ret,
-                    ) {
-                        Some(fields) => Some(ctx.dataset(name)?.scan_projected(&fields)),
-                        None => None,
+        let FlworClause::For {
+            var,
+            source: Expr::DatasetScan(name),
+        } = clause
+        else {
+            scans.push(None);
+            continue;
+        };
+        // projection pushdown: a dataset scan whose bound variable is only
+        // ever used through direct field accesses downstream scans just
+        // those fields — on compacted components only the requested
+        // columns are decoded
+        let fields = projection_for(
+            var,
+            &clauses[ci + 1..],
+            flwor.where_clause,
+            flwor.group_by,
+            ret,
+        );
+        let streamed = !clauses[..ci]
+            .iter()
+            .any(|c| matches!(c, FlworClause::For { .. }));
+        // a nested projected scan is taken up front (an unknown dataset
+        // fails the query even when no outer binding reaches the clause),
+        // a whole-record one when an outer binding first reaches it
+        let rows = match (&fields, streamed) {
+            (Some(fields), false) => Some(ctx.dataset(name)?.scan_projected(fields)),
+            _ => None,
+        };
+        scans.push(Some(DatasetFor {
+            name,
+            fields,
+            streamed,
+            rows,
+        }));
+    }
+    let mut out = Output::default();
+    flwor.bind(clauses, &mut scans, env, &mut out)?;
+    match flwor.group_by {
+        None => Ok(out.rows),
+        Some(g) => flwor.return_groups(g, out.groups, env),
+    }
+}
+
+/// The parts of a FLWOR that act on a complete binding.
+struct Flwor<'q> {
+    where_clause: Option<&'q Expr>,
+    group_by: Option<&'q GroupBy>,
+    ret: &'q Expr,
+    ctx: &'q dyn EvalContext,
+}
+
+/// A `for $v in dataset <name>` clause.
+struct DatasetFor<'q> {
+    name: &'q str,
+    /// What the scan is projected to ([`projection_for`]); `None` scans
+    /// whole records.
+    fields: Option<Vec<String>>,
+    /// No `for` comes before it: its rows stream from the scan.
+    streamed: bool,
+    /// A nested scan's rows, taken once per evaluation.
+    rows: Option<Vec<AdmValue>>,
+}
+
+/// What the complete bindings produced so far.
+#[derive(Default)]
+struct Output {
+    /// Returned rows (no group-by).
+    rows: Vec<AdmValue>,
+    groups: Groups,
+}
+
+/// The group-by accumulator: groups in first-appearance order, each found
+/// by its key in O(log groups).
+#[derive(Default)]
+struct Groups {
+    index: BTreeMap<KeyOrd, usize>,
+    /// Key and `with` values of each group.
+    groups: Vec<(AdmValue, Vec<AdmValue>)>,
+}
+
+impl Groups {
+    fn add(&mut self, key: AdmValue, item: AdmValue) {
+        match self.index.get(&key as &dyn AsKey) {
+            Some(&i) => self.groups[i].1.push(item),
+            None => {
+                self.index.insert(KeyOrd(key.clone()), self.groups.len());
+                self.groups.push((key, vec![item]));
+            }
+        }
+    }
+}
+
+impl Flwor<'_> {
+    /// Bind `clauses` in turn, each paired with its entry of `scans`, and
+    /// hand every complete binding to [`Flwor::consume`].
+    fn bind(
+        &self,
+        clauses: &[FlworClause],
+        scans: &mut [Option<DatasetFor<'_>>],
+        env: &mut Env,
+        out: &mut Output,
+    ) -> IngestResult<()> {
+        let (Some((clause, clauses)), Some((scan, scans))) =
+            (clauses.split_first(), scans.split_first_mut())
+        else {
+            return self.consume(env, out);
+        };
+        match (clause, scan) {
+            (FlworClause::Let { var, value }, _) => {
+                let v = eval(value, env, self.ctx)?;
+                scoped(env, var, |env| {
+                    *slot(env, var) = v;
+                    self.bind(clauses, scans, env, out)
+                })
+            }
+            (FlworClause::For { var, .. }, Some(ds)) if ds.streamed => {
+                let dataset = self.ctx.dataset(ds.name)?;
+                scoped(env, var, |env| {
+                    dataset.try_for_each_row(ds.fields.as_deref(), |row| {
+                        *slot(env, var) = row;
+                        self.bind(clauses, scans, env, out)
+                    })
+                })
+            }
+            (FlworClause::For { var, .. }, Some(ds)) => {
+                if ds.rows.is_none() {
+                    let dataset = self.ctx.dataset(ds.name)?;
+                    ds.rows = Some(match &ds.fields {
+                        Some(fields) => dataset.scan_projected(fields),
+                        None => dataset.scan_all(),
+                    });
+                }
+                let rows = ds.rows.as_mut().expect("scanned above");
+                scoped(env, var, |env| {
+                    for row in rows.iter_mut() {
+                        // the row is lent to the binding, not copied
+                        std::mem::swap(slot(env, var), row);
+                        let bound = self.bind(clauses, scans, env, out);
+                        std::mem::swap(slot(env, var), row);
+                        bound?;
                     }
-                } else {
-                    None
-                };
-                let mut next = Vec::new();
-                for e in envs {
-                    let items: Vec<AdmValue> = match &prescanned {
-                        Some(items) => items.clone(),
-                        None => {
-                            let coll = eval(source, &e, ctx)?;
-                            match coll {
-                                AdmValue::OrderedList(v) | AdmValue::UnorderedList(v) => v,
-                                AdmValue::Null | AdmValue::Missing => Vec::new(),
-                                other => {
-                                    return Err(IngestError::Type(format!(
-                                        "for..in over non-collection {}",
-                                        other.type_name()
-                                    )))
-                                }
-                            }
-                        }
-                    };
+                    Ok(())
+                })
+            }
+            (FlworClause::For { var, source }, None) => {
+                let items = items_of(eval(source, env, self.ctx)?, "for..in")?;
+                scoped(env, var, |env| {
                     for item in items {
-                        let mut e2 = e.clone();
-                        e2.insert(var.clone(), item);
-                        next.push(e2);
+                        *slot(env, var) = item;
+                        self.bind(clauses, scans, env, out)?;
                     }
-                }
-                envs = next;
-            }
-            FlworClause::Let { var, value } => {
-                for e in envs.iter_mut() {
-                    let v = eval(value, e, ctx)?;
-                    e.insert(var.clone(), v);
-                }
+                    Ok(())
+                })
             }
         }
     }
-    // where
-    if let Some(pred) = where_clause {
-        let mut kept = Vec::new();
-        for e in envs {
-            if eval(pred, &e, ctx)?.as_bool() == Some(true) {
-                kept.push(e);
+
+    /// One complete binding: filter it, then return it or add it to its
+    /// group.
+    fn consume(&self, env: &mut Env, out: &mut Output) -> IngestResult<()> {
+        if let Some(pred) = self.where_clause {
+            if eval(pred, env, self.ctx)?.as_bool() != Some(true) {
+                return Ok(());
             }
         }
-        envs = kept;
-    }
-    // group by
-    match group_by {
-        None => {
-            let mut rows = Vec::with_capacity(envs.len());
-            for e in &envs {
-                rows.push(eval(ret, e, ctx)?);
-            }
-            Ok(rows)
-        }
-        Some(g) => {
-            // group environments by key (total order on ADM values)
-            let mut groups: Vec<(AdmValue, Vec<AdmValue>)> = Vec::new();
-            for e in &envs {
-                let key = eval(&g.key_expr, e, ctx)?;
-                let with_val = e.get(&g.with_var).cloned().ok_or_else(|| {
+        match self.group_by {
+            None => out.rows.push(eval(self.ret, env, self.ctx)?),
+            Some(g) => {
+                let key = eval(&g.key_expr, env, self.ctx)?;
+                let item = env.get(&g.with_var).cloned().ok_or_else(|| {
                     IngestError::Language(format!(
                         "group-by with-variable ${} is unbound",
                         g.with_var
                     ))
                 })?;
-                match groups
-                    .iter_mut()
-                    .find(|(k, _)| k.total_cmp(&key) == Ordering::Equal)
-                {
-                    Some((_, items)) => items.push(with_val),
-                    None => groups.push((key, vec![with_val])),
-                }
+                out.groups.add(key, item);
             }
-            let mut rows = Vec::with_capacity(groups.len());
-            for (key, items) in groups {
-                let mut e = env.clone();
-                e.insert(g.key_var.clone(), key);
-                e.insert(g.with_var.clone(), AdmValue::OrderedList(items));
-                rows.push(eval(ret, &e, ctx)?);
-            }
-            Ok(rows)
         }
+        Ok(())
+    }
+
+    /// The return rows of a group-by: `return` once per group, in
+    /// first-appearance order, under the FLWOR's outer bindings plus the
+    /// group key and the regrouped `with` values.
+    fn return_groups(
+        &self,
+        g: &GroupBy,
+        groups: Groups,
+        env: &mut Env,
+    ) -> IngestResult<Vec<AdmValue>> {
+        let mut rows = Vec::with_capacity(groups.groups.len());
+        scoped(env, &g.key_var, |env| {
+            scoped(env, &g.with_var, |env| {
+                for (key, items) in groups.groups {
+                    *slot(env, &g.key_var) = key;
+                    *slot(env, &g.with_var) = AdmValue::OrderedList(items);
+                    rows.push(eval(self.ret, env, self.ctx)?);
+                }
+                Ok(())
+            })
+        })?;
+        Ok(rows)
     }
 }
 
@@ -519,12 +701,15 @@ mod tests {
 
     fn run(src: &str) -> AdmValue {
         let e = parse_expr(src).unwrap();
-        eval(&e, &Env::new(), &EmptyContext).unwrap()
+        eval(&e, &mut Env::new(), &EmptyContext).unwrap()
     }
 
-    fn run_env(src: &str, env: &Env) -> AdmValue {
+    fn run_env(src: &str, env: &mut Env) -> AdmValue {
         let e = parse_expr(src).unwrap();
-        eval(&e, env, &EmptyContext).unwrap()
+        let before = env.clone();
+        let v = eval(&e, env, &EmptyContext).unwrap();
+        assert_eq!(*env, before, "evaluation restores the bindings");
+        v
     }
 
     #[test]
@@ -541,7 +726,7 @@ mod tests {
     #[test]
     fn division_by_zero_is_soft() {
         let e = parse_expr("1 / 0").unwrap();
-        let err = eval(&e, &Env::new(), &EmptyContext).unwrap_err();
+        let err = eval(&e, &mut Env::new(), &EmptyContext).unwrap_err();
         assert!(err.is_soft());
     }
 
@@ -559,9 +744,9 @@ mod tests {
     fn field_access_and_missing() {
         let mut env = Env::new();
         env.insert("x".into(), AdmValue::record(vec![("id", "t1".into())]));
-        assert_eq!(run_env("$x.id", &env), AdmValue::string("t1"));
-        assert_eq!(run_env("$x.nope", &env), AdmValue::Missing);
-        assert_eq!(run_env("$x.nope.deeper", &env), AdmValue::Missing);
+        assert_eq!(run_env("$x.id", &mut env), AdmValue::string("t1"));
+        assert_eq!(run_env("$x.nope", &mut env), AdmValue::Missing);
+        assert_eq!(run_env("$x.nope.deeper", &mut env), AdmValue::Missing);
     }
 
     #[test]
@@ -595,6 +780,32 @@ mod tests {
     }
 
     #[test]
+    fn group_by_keeps_first_appearance_order_over_many_keys() {
+        const KEYS: i64 = 5_000;
+        // round 0 visits every key once, in a scrambled order (7919 is
+        // coprime to 5000); round r revisits the keys with k % 3 >= r, so
+        // key k is seen k % 3 + 1 times
+        let order: Vec<i64> = (0..KEYS).map(|i| i * 7919 % KEYS).collect();
+        let xs = (0..3)
+            .flat_map(|r| order.iter().filter(move |&&k| k % 3 >= r))
+            .map(|&k| AdmValue::Int(k))
+            .collect();
+        let mut env = Env::new();
+        env.insert("xs".into(), AdmValue::OrderedList(xs));
+        let v = run_env(
+            r#"for $x in $xs group by $k := $x with $x
+               return { "k": $k, "n": count($x) }"#,
+            &mut env,
+        );
+        let groups = v.as_list().unwrap();
+        assert_eq!(groups.len(), KEYS as usize);
+        for (g, &k) in groups.iter().zip(&order) {
+            assert_eq!(g.field("k"), Some(&AdmValue::Int(k)));
+            assert_eq!(g.field("n"), Some(&AdmValue::Int(k % 3 + 1)));
+        }
+    }
+
+    #[test]
     fn some_satisfies() {
         let mut env = Env::new();
         env.insert(
@@ -605,16 +816,22 @@ mod tests {
             )]),
         );
         assert_eq!(
-            run_env(r##"some $h in $t.topics satisfies ($h = "#Obama")"##, &env),
+            run_env(
+                r##"some $h in $t.topics satisfies ($h = "#Obama")"##,
+                &mut env
+            ),
             AdmValue::Boolean(true)
         );
         assert_eq!(
-            run_env(r##"some $h in $t.topics satisfies ($h = "#nope")"##, &env),
+            run_env(
+                r##"some $h in $t.topics satisfies ($h = "#nope")"##,
+                &mut env
+            ),
             AdmValue::Boolean(false)
         );
         // quantifying over a missing field is false
         assert_eq!(
-            run_env("some $h in $t.missing_field satisfies ($h = 1)", &env),
+            run_env("some $h in $t.missing_field satisfies ($h = 1)", &mut env),
             AdmValue::Boolean(false)
         );
     }
@@ -630,15 +847,15 @@ mod tests {
     #[test]
     fn unbound_variable_and_unknown_function_error() {
         let e = parse_expr("$nope").unwrap();
-        assert!(eval(&e, &Env::new(), &EmptyContext).is_err());
+        assert!(eval(&e, &mut Env::new(), &EmptyContext).is_err());
         let e = parse_expr("frobnicate(1)").unwrap();
-        assert!(eval(&e, &Env::new(), &EmptyContext).is_err());
+        assert!(eval(&e, &mut Env::new(), &EmptyContext).is_err());
     }
 
     #[test]
     fn feed_intake_is_not_evaluable() {
         let e = parse_expr("for $x in feed_intake(\"F\") return $x").unwrap();
-        assert!(eval(&e, &Env::new(), &EmptyContext).is_err());
+        assert!(eval(&e, &mut Env::new(), &EmptyContext).is_err());
     }
 
     fn analyze(src: &str) -> Option<Vec<String>> {
@@ -768,7 +985,7 @@ mod tests {
 
     fn run_ctx(src: &str, ctx: &dyn EvalContext) -> AdmValue {
         let e = parse_expr(src).unwrap();
-        eval(&e, &Env::new(), ctx).unwrap()
+        eval(&e, &mut Env::new(), ctx).unwrap()
     }
 
     #[test]
@@ -807,7 +1024,7 @@ mod tests {
                where some $hashTag in $tweet.topics satisfies ($hashTag = "#Obama")
                group by $c := spatial-cell($tweet.location, $leftBottom, $latResolution, $longResolution) with $tweet
                return { "cell": $c, "count": count($tweet) }"##,
-            &env,
+            &mut env,
         );
         let cells = v.as_list().unwrap();
         assert_eq!(cells.len(), 2);

@@ -1,0 +1,313 @@
+//! FLWOR oracle property test: over random datasets, each query shape of a
+//! fixed corpus returns exactly what plain Rust computes over
+//! `Dataset::scan_all()`, row for row and in the same order.
+//!
+//! The records upsert the same small key space again and again (and delete
+//! some keys), leave optional fields missing or null, and nest
+//! `user.followers_count`. Dataset `A` spans two partitions, `B` one; a tiny
+//! memtable budget spreads both over sealed components, merges and the
+//! memtable. The corpus covers the streamed scan (projected and whole
+//! record), `let` before `for`, a list `for` after a dataset `for`, joins
+//! whose inner dataset is scanned once per evaluation, a correlated nested
+//! FLWOR that scans the dataset its outer query is streaming (it would
+//! deadlock if a scan held its partition's lock), group-by, shadowing, and
+//! an error.
+
+use asterix_adm::AdmValue;
+use asterix_aql::eval::{eval_flwor, Env, EvalContext};
+use asterix_aql::parser::parse_expr;
+use asterix_common::{IngestError, IngestResult, NodeId};
+use asterix_storage::partition::PartitionConfig;
+use asterix_storage::{Dataset, DatasetConfig};
+use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::sync::Arc;
+
+const COUNTRIES: [&str; 4] = ["US", "CA", "UK", "IN"];
+const NAMES: [&str; 3] = ["ann", "bo", "cy"];
+
+/// One write: `(key, shape bits, follower count, op)`; op 0 deletes.
+type Op = (u8, u32, u32, u8);
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec((0u8..24, any::<u32>(), any::<u32>(), 0u8..8), 0..48)
+}
+
+fn key(k: u8) -> AdmValue {
+    AdmValue::string(format!("t{k:02}"))
+}
+
+/// A tweet whose optional fields are missing, null or present by `bits`.
+fn tweet(k: u8, bits: u32, followers: u32) -> AdmValue {
+    let mut fields = vec![
+        ("id".to_string(), key(k)),
+        (
+            "country".to_string(),
+            AdmValue::string(COUNTRIES[bits as usize % 4]),
+        ),
+    ];
+    let mut optional = |name: &str, shift: u32, present: AdmValue| match bits >> shift & 3 {
+        0 => {}
+        1 => fields.push((name.to_string(), AdmValue::Null)),
+        _ => fields.push((name.to_string(), present)),
+    };
+    let mut user = vec![(
+        "name".to_string(),
+        AdmValue::string(NAMES[(bits >> 4) as usize % 3]),
+    )];
+    if bits >> 6 & 1 == 1 {
+        user.push((
+            "followers_count".to_string(),
+            AdmValue::Int(i64::from(followers % 1000)),
+        ));
+    }
+    optional("user", 2, AdmValue::Record(user));
+    optional("lang", 7, AdmValue::string("en"));
+    let tags = (0..bits >> 11 & 3)
+        .map(|i| AdmValue::string(format!("#{}", (bits >> (13 + i)) & 3)))
+        .collect();
+    optional("tags", 9, AdmValue::OrderedList(tags));
+    AdmValue::Record(fields)
+}
+
+fn dataset(name: &str, partitions: u64, ops: &[Op]) -> Arc<Dataset> {
+    let mut config = PartitionConfig::keyed_on("id");
+    config.lsm.memtable_budget = 4;
+    config.lsm.max_components = 2;
+    let d = Dataset::create_configured(
+        DatasetConfig {
+            name: name.into(),
+            datatype: "Tweet".into(),
+            primary_key: "id".into(),
+            nodegroup: (0..partitions).map(NodeId).collect(),
+        },
+        config,
+    )
+    .expect("dataset");
+    for &(k, bits, followers, op) in ops {
+        match op {
+            0 => d.delete(&key(k)).expect("delete"),
+            _ => d.upsert(&tweet(k, bits, followers)).expect("upsert"),
+        }
+    }
+    Arc::new(d)
+}
+
+struct Datasets(Vec<Arc<Dataset>>);
+
+impl EvalContext for Datasets {
+    fn dataset(&self, name: &str) -> IngestResult<Arc<Dataset>> {
+        self.0
+            .iter()
+            .find(|d| d.config.name == name)
+            .cloned()
+            .ok_or_else(|| IngestError::Metadata(format!("unknown dataset {name}")))
+    }
+
+    fn call_udf(&self, name: &str, _arg: &AdmValue) -> IngestResult<AdmValue> {
+        Err(IngestError::Metadata(format!("no function {name}")))
+    }
+}
+
+/// `$v.p.q...` in plain Rust: `missing` past an absent field or a
+/// `null` / `missing` value (the generated records nest nothing else).
+fn path(v: &AdmValue, fields: &[&str]) -> AdmValue {
+    fields.iter().fold(v.clone(), |v, f| {
+        v.field(f).cloned().unwrap_or(AdmValue::Missing)
+    })
+}
+
+fn s(text: &str) -> AdmValue {
+    AdmValue::string(text)
+}
+
+fn rec(fields: Vec<(&str, AdmValue)>) -> AdmValue {
+    AdmValue::record(fields)
+}
+
+fn list(items: Vec<AdmValue>) -> AdmValue {
+    AdmValue::OrderedList(items)
+}
+
+fn eq(a: &AdmValue, b: &AdmValue) -> bool {
+    a.total_cmp(b) == Ordering::Equal
+}
+
+/// Group `rows` by `key`, groups in first-appearance order.
+fn groups(rows: &[AdmValue], key: impl Fn(&AdmValue) -> AdmValue) -> Vec<(AdmValue, usize)> {
+    let mut out: Vec<(AdmValue, usize)> = Vec::new();
+    for row in rows {
+        let k = key(row);
+        match out.iter_mut().find(|(g, _)| eq(g, &k)) {
+            Some((_, n)) => *n += 1,
+            None => out.push((k, 1)),
+        }
+    }
+    out
+}
+
+/// The corpus: each query with the rows plain Rust computes for it over
+/// the scans of `A` and `B` (`None`: the query must fail).
+fn corpus(a: &[AdmValue], b: &[AdmValue]) -> Vec<(&'static str, Option<Vec<AdmValue>>)> {
+    let us = |t: &&AdmValue| path(t, &["country"]) == s("US");
+    vec![
+        (
+            r#"for $t in dataset A where $t.country = "US" return $t.id"#,
+            Some(a.iter().filter(us).map(|t| path(t, &["id"])).collect()),
+        ),
+        (
+            "for $t in dataset A where $t.user.followers_count < 500 return $t",
+            Some(
+                a.iter()
+                    .filter(|t| {
+                        path(t, &["user", "followers_count"]).total_cmp(&AdmValue::Int(500))
+                            == Ordering::Less
+                    })
+                    .cloned()
+                    .collect(),
+            ),
+        ),
+        (
+            r#"let $c := "UK"
+               for $t in dataset A
+               where $t.country = $c
+               return { "id": $t.id, "f": $t.user.followers_count, "l": $t.lang }"#,
+            Some(
+                a.iter()
+                    .filter(|t| path(t, &["country"]) == s("UK"))
+                    .map(|t| {
+                        rec(vec![
+                            ("id", path(t, &["id"])),
+                            ("f", path(t, &["user", "followers_count"])),
+                            ("l", path(t, &["lang"])),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "for $t in dataset A for $h in $t.tags return [$t.id, $h]",
+            Some(
+                a.iter()
+                    .flat_map(|t| {
+                        let tags = path(t, &["tags"]).as_list().unwrap_or(&[]).to_vec();
+                        tags.into_iter().map(|h| list(vec![path(t, &["id"]), h]))
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            r#"for $t in dataset B for $x in [1, 2] where $x = 2 or $t.country = "US"
+               return [$t.id, $x]"#,
+            Some(
+                b.iter()
+                    .flat_map(|t| [1, 2].map(|x| (t, x)))
+                    .filter(|&(t, x)| x == 2 || us(&t))
+                    .map(|(t, x)| list(vec![path(t, &["id"]), AdmValue::Int(x)]))
+                    .collect(),
+            ),
+        ),
+        (
+            "for $x in dataset A for $y in dataset A
+             where $x.user.name = $y.user.name and $x.id < $y.id
+             return [$x.id, $y.id]",
+            Some(
+                a.iter()
+                    .flat_map(|x| a.iter().map(move |y| (x, y)))
+                    .filter(|(x, y)| {
+                        eq(&path(x, &["user", "name"]), &path(y, &["user", "name"]))
+                            && path(x, &["id"]).total_cmp(&path(y, &["id"])) == Ordering::Less
+                    })
+                    .map(|(x, y)| list(vec![path(x, &["id"]), path(y, &["id"])]))
+                    .collect(),
+            ),
+        ),
+        (
+            "for $b in dataset B for $a in dataset A where $a.country = $b.country
+             return [$b.id, $a]",
+            Some(
+                b.iter()
+                    .flat_map(|x| a.iter().map(move |y| (x, y)))
+                    .filter(|(x, y)| eq(&path(x, &["country"]), &path(y, &["country"])))
+                    .map(|(x, y)| list(vec![path(x, &["id"]), y.clone()]))
+                    .collect(),
+            ),
+        ),
+        (
+            r#"for $t in dataset A where $t.country != "CA"
+               return { "id": $t.id,
+                        "peers": count(for $u in dataset A
+                                       where $u.user.name = $t.user.name
+                                       return $u) }"#,
+            Some(
+                a.iter()
+                    .filter(|t| path(t, &["country"]) != s("CA"))
+                    .map(|t| {
+                        let name = path(t, &["user", "name"]);
+                        let peers = a
+                            .iter()
+                            .filter(|u| eq(&path(u, &["user", "name"]), &name))
+                            .count();
+                        rec(vec![
+                            ("id", path(t, &["id"])),
+                            ("peers", AdmValue::Int(peers as i64)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            r#"for $t in dataset A group by $c := $t.country with $t
+               return { "c": $c, "n": count($t) }"#,
+            Some(
+                groups(a, |t| path(t, &["country"]))
+                    .into_iter()
+                    .map(|(c, n)| rec(vec![("c", c), ("n", AdmValue::Int(n as i64))]))
+                    .collect(),
+            ),
+        ),
+        (
+            "for $t in dataset B group by $l := $t.lang with $t return [$l, count($t)]",
+            Some(
+                groups(b, |t| path(t, &["lang"]))
+                    .into_iter()
+                    .map(|(l, n)| list(vec![l, AdmValue::Int(n as i64)]))
+                    .collect(),
+            ),
+        ),
+        (
+            "for $t in dataset A
+             let $n := (for $t in [1, 2, 3] return $t)
+             let $t := $t.user
+             return [$t.name, count($n)]",
+            Some(
+                a.iter()
+                    .map(|t| list(vec![path(t, &["user", "name"]), AdmValue::Int(3)]))
+                    .collect(),
+            ),
+        ),
+        (
+            "for $t in dataset B return $t.id.nested",
+            if b.is_empty() { Some(Vec::new()) } else { None },
+        ),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn every_query_shape_matches_plain_rust(ops_a in ops(), ops_b in ops()) {
+        let ctx = Datasets(vec![dataset("A", 2, &ops_a), dataset("B", 1, &ops_b)]);
+        let a = ctx.0[0].scan_all();
+        let b = ctx.0[1].scan_all();
+        for (query, want) in corpus(&a, &b) {
+            let expr = parse_expr(query).expect("corpus query parses");
+            let mut env = Env::new();
+            let got = eval_flwor(&expr, &mut env, &ctx);
+            prop_assert!(env.is_empty(), "{query}: bindings leaked: {env:?}");
+            match want {
+                Some(want) => prop_assert_eq!(got.expect(query), want),
+                None => prop_assert!(got.is_err(), "{query} returned {got:?}"),
+            }
+        }
+    }
+}

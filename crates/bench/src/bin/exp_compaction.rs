@@ -137,16 +137,16 @@ fn timed_scan(
     iters: usize,
 ) -> (ScanRow, Vec<AdmValue>) {
     let expr = parse_expr(query).expect("query parses");
-    let env = Env::new();
+    let mut env = Env::new();
     // warm-up evaluation, also the correctness sample
-    let sample = eval(&expr, &env, ctx)
+    let sample = eval(&expr, &mut env, ctx)
         .expect("query evaluates")
         .as_list()
         .expect("FLWOR yields a list")
         .to_vec();
     let t0 = Instant::now();
     for _ in 0..iters {
-        std::hint::black_box(eval(&expr, &env, ctx).expect("query evaluates"));
+        std::hint::black_box(eval(&expr, &mut env, ctx).expect("query evaluates"));
     }
     let total = t0.elapsed();
     let scanned = RECORDS * iters;

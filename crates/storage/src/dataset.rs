@@ -13,6 +13,7 @@ use crate::secondary::IndexKind;
 use asterix_adm::hash::partition_for;
 use asterix_adm::AdmValue;
 use asterix_common::{IngestError, IngestResult, MetricsRegistry, NodeId, TraceHub};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Static description of a dataset.
@@ -214,12 +215,9 @@ impl Dataset {
         self.len() == 0
     }
 
-    /// All live records (merged, unordered across partitions).
+    /// All live records: partition by partition, each in key order.
     pub fn scan_all(&self) -> Vec<AdmValue> {
-        self.partitions
-            .iter()
-            .flat_map(|(_, p)| p.scan_all().into_iter().map(|(_, v)| v))
-            .collect()
+        self.collect_rows(None)
     }
 
     /// Projected scan: each live record reduced to the requested fields (in
@@ -227,10 +225,33 @@ impl Dataset {
     /// semantics). On compacted components only the requested columns are
     /// decoded — the full records are never materialized.
     pub fn scan_projected(&self, fields: &[String]) -> Vec<AdmValue> {
-        self.partitions
-            .iter()
-            .flat_map(|(_, p)| p.scan_projected(fields))
-            .collect()
+        self.collect_rows(Some(fields))
+    }
+
+    fn collect_rows(&self, fields: Option<&[String]>) -> Vec<AdmValue> {
+        let mut out = Vec::new();
+        let Ok(()) = self.try_for_each_row(fields, |row| {
+            out.push(row);
+            Ok::<_, Infallible>(())
+        });
+        out
+    }
+
+    /// The streamed scan: every live record, partition by partition and in
+    /// key order within one, handed to `visit` — projected to `fields`, or
+    /// whole with `None` — until the visitor fails. Each partition is read
+    /// from its own snapshot ([`DatasetPartition::try_for_each_row`]): the
+    /// scan sees every partition as of one instant and holds no lock while
+    /// `visit` runs.
+    pub fn try_for_each_row<E>(
+        &self,
+        fields: Option<&[String]>,
+        mut visit: impl FnMut(AdmValue) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for (_, p) in &self.partitions {
+            p.try_for_each_row(fields, |_, row| visit(row))?;
+        }
+        Ok(())
     }
 
     /// Point lookup of one field, decoding only that field's column cell on

@@ -37,6 +37,11 @@
 //! versions until a merge discards them. Keys are probed by reference
 //! ([`crate::AsKey`]).
 //!
+//! A long read need not hold its owner's lock: [`LsmTree::snapshot`] copies
+//! the memtable (bounded by its budget; the payloads are shared) and shares
+//! the component stack, and the [`LsmSnapshot`] is walked by the same
+//! iterator with nothing locked.
+//!
 //! # Compacted component storage
 //!
 //! Sealing builds the component's **storage image** — the disk-equivalent
@@ -69,6 +74,7 @@ use asterix_adm::AdmValue;
 use bytes::Bytes;
 use std::cmp::Ordering;
 use std::collections::{btree_map, BTreeMap};
+use std::convert::Infallible;
 use std::iter::Peekable;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -430,6 +436,59 @@ impl<'a> Iterator for SortedRuns<'a> {
     }
 }
 
+/// The live record of a version found in `components` (`None` for a
+/// tombstone).
+fn live_ref<'a>(components: &'a [Arc<Component>], source: Source<'a>) -> Option<LiveRef<'a>> {
+    match source {
+        Source::Mem(Entry::Tombstone) => None,
+        Source::Mem(Entry::Put(payload)) => Some(LiveRef::Mem(payload)),
+        Source::Run(ci, pos) => {
+            let c = &components[ci];
+            Some(LiveRef::Sealed(c, c.row_at(pos)?))
+        }
+    }
+}
+
+/// Visit the newest live version of every key in `[lo, hi]` over a memtable
+/// and a run stack, in key order, until the visitor fails.
+fn try_for_each_live<E>(
+    mem: &BTreeMap<KeyOrd, Entry>,
+    components: &[Arc<Component>],
+    lo: Option<&AdmValue>,
+    hi: Option<&AdmValue>,
+    mut f: impl FnMut(&AdmValue, LiveRef<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    for (key, source) in SortedRuns::new(Some(mem), components, lo, hi) {
+        if let Some(live) = live_ref(components, source) {
+            f(&key.0, live)?;
+        }
+    }
+    Ok(())
+}
+
+/// A read snapshot of an [`LsmTree`]: its component stack, `Arc`-shared,
+/// and a copy of its memtable. [`LsmTree::snapshot`] is O(memtable) — at
+/// most `memtable_budget` entries, each a key clone and a refcount bump of
+/// the payload — so an owner can take it under a short lock and scan it
+/// without: later writes, seals and merges do not touch it, and the
+/// components it shares stay alive until it is dropped.
+#[derive(Debug)]
+pub struct LsmSnapshot {
+    memtable: BTreeMap<KeyOrd, Entry>,
+    components: Vec<Arc<Component>>,
+}
+
+impl LsmSnapshot {
+    /// [`LsmTree::for_each_live_ref`] over the snapshot, stopping at the
+    /// first error the visitor returns.
+    pub fn try_for_each_live_ref<E>(
+        &self,
+        f: impl FnMut(&AdmValue, LiveRef<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        try_for_each_live(&self.memtable, &self.components, None, None, f)
+    }
+}
+
 /// What a merge produced, and how its image was built.
 #[derive(Debug)]
 pub struct Merged {
@@ -690,22 +749,10 @@ impl LsmTree {
             .find_map(|(ci, c)| Some(Source::Run(ci, c.find(key)?)))
     }
 
-    /// The live record of a version (`None` for a tombstone).
-    fn live_ref<'a>(&'a self, source: Source<'a>) -> Option<LiveRef<'a>> {
-        match source {
-            Source::Mem(Entry::Tombstone) => None,
-            Source::Mem(Entry::Put(payload)) => Some(LiveRef::Mem(payload)),
-            Source::Run(ci, pos) => {
-                let c = &self.components[ci];
-                Some(LiveRef::Sealed(c, c.row_at(pos)?))
-            }
-        }
-    }
-
     /// Point lookup by reference: where `key`'s live record is, nothing
     /// decoded yet.
     pub fn get_ref(&self, key: &AdmValue) -> Option<LiveRef<'_>> {
-        self.live_ref(self.lookup(key)?)
+        live_ref(&self.components, self.lookup(key)?)
     }
 
     /// Point lookup: the record, materialized.
@@ -729,11 +776,11 @@ impl LsmTree {
         hi: Option<&AdmValue>,
         mut f: impl FnMut(&AdmValue, LiveRef<'_>),
     ) {
-        for (key, source) in SortedRuns::new(Some(&self.memtable), &self.components, lo, hi) {
-            if let Some(live) = self.live_ref(source) {
-                f(&key.0, live);
-            }
-        }
+        let visit = |k: &AdmValue, r: LiveRef<'_>| {
+            f(k, r);
+            Ok::<_, Infallible>(())
+        };
+        let Ok(()) = try_for_each_live(&self.memtable, &self.components, lo, hi, visit);
     }
 
     /// Visit every live record in key order — the vectorized scan entry
@@ -811,13 +858,6 @@ impl LsmTree {
         n
     }
 
-    /// At least [`LsmTree::live_count`], in O(components): every memtable
-    /// entry plus every live key of every run, shadowed versions included —
-    /// what a scan sizes its output by.
-    pub fn live_upper_bound(&self) -> usize {
-        self.memtable.len() + self.component_live_records()
-    }
-
     /// Seal the memtable into an immutable component (no merge, ever) —
     /// the only mutation a hot-path insert can trigger in deferred mode.
     /// Sealing infers the schema and encodes the component's storage image
@@ -855,6 +895,15 @@ impl LsmTree {
     /// Whether enough components accumulated that a merge is due.
     pub fn needs_merge(&self) -> bool {
         self.components.len() > self.config.max_components
+    }
+
+    /// A read snapshot: the state every later read of it sees, whatever is
+    /// written after.
+    pub fn snapshot(&self) -> LsmSnapshot {
+        LsmSnapshot {
+            memtable: self.memtable.clone(),
+            components: self.components.clone(),
+        }
     }
 
     /// The current component stack (newest first), `Arc`-shared: the input
@@ -1175,7 +1224,6 @@ mod tests {
         t.for_each_live_ref(|key, r| seen.push((key.clone(), r.materialize())));
         assert_eq!(seen, vec![(k(1), Some(v("a")))]);
         assert_eq!(t.live_count(), 1);
-        assert_eq!(t.live_upper_bound(), 3, "two memtable entries, one sealed");
     }
 
     #[test]

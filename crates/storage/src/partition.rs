@@ -28,7 +28,7 @@
 //!   entirely outside the partition lock and swaps the result in under a
 //!   short lock, so a merge of any size never stalls intake.
 
-use crate::lsm::{merge_components_with, LsmTree};
+use crate::lsm::{merge_components_with, LsmSnapshot, LsmTree};
 use crate::secondary::{IndexKind, SecondaryIndex};
 use crate::wal::{LogOp, WriteAheadLog};
 use asterix_adm::binary::{
@@ -40,6 +40,7 @@ use asterix_common::sync::{thread as sync_thread, Mutex, WakeEvent, WakeSignal};
 use asterix_common::{Counter, Histogram, IngestError, IngestResult, TraceLog};
 use bytes::Bytes;
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -481,9 +482,15 @@ impl DatasetPartition {
         self.inner.state.lock().primary.get(key)
     }
 
-    /// All live records in key order.
+    /// All live records in key order, as of one instant (see
+    /// [`DatasetPartition::try_for_each_row`]).
     pub fn scan_all(&self) -> Vec<(AdmValue, AdmValue)> {
-        self.inner.state.lock().primary.scan_all()
+        let mut out = Vec::new();
+        let Ok(()) = self.try_for_each_row(None, |key, row| {
+            out.push((key.clone(), row));
+            Ok::<_, Infallible>(())
+        });
+        out
     }
 
     /// Point lookup of a single field by primary key. On a compacted
@@ -494,14 +501,15 @@ impl DatasetPartition {
     }
 
     /// Vectorized single-field scan: `(key, field value)` for every live
-    /// record in key order. Sealed components answer straight from their
-    /// storage image (one column cell per row on the compacted layout);
-    /// full records are never rebuilt.
+    /// record in key order, over a read snapshot. Sealed components answer
+    /// straight from their storage image (one column cell per row on the
+    /// compacted layout); full records are never rebuilt.
     pub fn scan_field(&self, field: &str) -> Vec<(AdmValue, Option<AdmValue>)> {
-        let st = self.inner.state.lock();
-        let mut out = Vec::with_capacity(st.primary.live_upper_bound());
-        st.primary
-            .for_each_live_field(field, |k, v| out.push((k.clone(), v)));
+        let mut out = Vec::new();
+        let Ok(()) = self.snapshot().try_for_each_live_ref(|key, r| {
+            out.push((key.clone(), r.field(field)));
+            Ok::<_, Infallible>(())
+        });
         out
     }
 
@@ -509,16 +517,47 @@ impl DatasetPartition {
     /// record holding just the requested fields, in the requested order.
     /// Fields absent from a record are skipped (ADM `MISSING` semantics).
     pub fn scan_projected(&self, fields: &[String]) -> Vec<AdmValue> {
-        let st = self.inner.state.lock();
-        let mut out = Vec::with_capacity(st.primary.live_upper_bound());
-        st.primary.for_each_live_ref(|_, r| {
-            let projected: Vec<(String, AdmValue)> = fields
-                .iter()
-                .filter_map(|f| r.field(f).map(|v| (f.clone(), v)))
-                .collect();
-            out.push(AdmValue::Record(projected));
+        let mut out = Vec::new();
+        let Ok(()) = self.try_for_each_row(Some(fields), |_, row| {
+            out.push(row);
+            Ok::<_, Infallible>(())
         });
         out
+    }
+
+    /// A read snapshot of the primary index: the one acquisition of the
+    /// partition lock a scan makes.
+    fn snapshot(&self) -> LsmSnapshot {
+        self.inner.state.lock().primary.snapshot()
+    }
+
+    /// The one scan path: hand every live record, in key order, to `visit`
+    /// with its key — projected to `fields` (absent fields skipped, per ADM
+    /// `MISSING` semantics; on compacted components only those columns are
+    /// decoded) or, with `None`, whole. Stops at the visitor's first error.
+    ///
+    /// The scan reads a snapshot taken under one short acquisition of the
+    /// partition lock, so it sees the partition as of one instant — a
+    /// group-committed batch all or not at all — and `visit` runs with the
+    /// lock released: writers, seals and merges proceed beside a slow
+    /// visitor, and a visitor may itself read this partition.
+    pub fn try_for_each_row<E>(
+        &self,
+        fields: Option<&[String]>,
+        mut visit: impl FnMut(&AdmValue, AdmValue) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.snapshot()
+            .try_for_each_live_ref(|key, r| match fields {
+                Some(fields) => {
+                    let projected = fields
+                        .iter()
+                        .filter_map(|f| r.field(f).map(|v| (f.clone(), v)))
+                        .collect();
+                    visit(key, AdmValue::Record(projected))
+                }
+                // `None` only for bytes that never passed the checked walk
+                None => r.materialize().map_or(Ok(()), |row| visit(key, row)),
+            })
     }
 
     /// Live record count.

@@ -14,6 +14,9 @@ static LIVE: AtomicIsize = AtomicIsize::new(0);
 /// Allocations made so far (a reallocation counts as one).
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
+/// The most `LIVE` has reached since the last [`reset_peak`].
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
 /// Bytes allocated and not yet freed, right now.
 pub fn live() -> isize {
     LIVE.load(Ordering::SeqCst)
@@ -24,6 +27,16 @@ pub fn allocs() -> usize {
     ALLOCS.load(Ordering::SeqCst)
 }
 
+/// The high-water mark of [`live`] since the last [`reset_peak`].
+pub fn peak() -> isize {
+    PEAK.load(Ordering::SeqCst)
+}
+
+/// Start a new high-water mark at what is live now.
+pub fn reset_peak() {
+    PEAK.store(live(), Ordering::SeqCst);
+}
+
 pub struct Counting;
 
 // SAFETY: every call is forwarded unchanged to the system allocator, which
@@ -31,7 +44,9 @@ pub struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::SeqCst);
-        LIVE.fetch_add(layout.size() as isize, Ordering::SeqCst);
+        let size = layout.size() as isize;
+        let now = LIVE.fetch_add(size, Ordering::SeqCst) + size;
+        PEAK.fetch_max(now, Ordering::SeqCst);
         // SAFETY: `layout` is the caller's, passed through untouched.
         unsafe { System.alloc(layout) }
     }
