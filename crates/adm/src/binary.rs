@@ -143,6 +143,33 @@ pub fn decode_value(input: &[u8]) -> IngestResult<AdmValue> {
     Ok(v)
 }
 
+/// [`decode_field_at`] into `dst`, reusing its buffer when both are strings
+/// ([`AdmValue::set_str`]): `true` when the record has the field and it
+/// decoded; `false`, leaving `dst` as it was, for an absent field or bytes
+/// that are not a sound record.
+pub fn field_into(record: &[u8], field: &str, dst: &mut AdmValue) -> bool {
+    let Ok(Some(value)) = record_field_slice(record, field) else {
+        return false;
+    };
+    match (value.first(), value.get(5..).map(std::str::from_utf8)) {
+        (Some(&TAG_STRING), Some(Ok(s))) => dst.set_str(s),
+        (Some(&TAG_STRING), _) => return false,
+        _ => match decode_value(value) {
+            Ok(v) => *dst = v,
+            Err(_) => return false,
+        },
+    }
+    true
+}
+
+/// The first encoded value of `input` and what follows it, split by length
+/// arithmetic only.
+pub(crate) fn split_value(input: &[u8]) -> IngestResult<(&[u8], &[u8])> {
+    let mut r = Reader::new(input);
+    r.skip_value()?;
+    Ok(input.split_at(r.pos))
+}
+
 /// Decode a value from the front of `input`; returns it and the rest.
 pub fn decode_prefix(input: &[u8]) -> IngestResult<(AdmValue, &[u8])> {
     let mut r = Reader::new(input);

@@ -51,6 +51,7 @@
 //! schema churn defeats inference fall back to it wholesale.
 
 use crate::binary::{self, decode_field_at, decode_prefix, decode_value, record_spans, FieldSpan};
+use crate::pred::Val;
 use crate::schema::{
     field_names, same_shape, FieldType, InferredSchema, RecordShape, SchemaBuilder, SlotType,
 };
@@ -499,6 +500,52 @@ impl CompactedBlock {
         }
     }
 
+    /// The slot holding the field `name`, if the header has one.
+    pub(crate) fn slot(&self, name: &str) -> Option<usize> {
+        self.fields.iter().position(|f| f.name == name)
+    }
+
+    /// The field names of slot `fi`'s hoisted records, when its column
+    /// holds them.
+    pub(crate) fn nested_names(&self, fi: usize) -> Option<&[String]> {
+        match &self.fields[fi].encoding {
+            Encoding::RecFixed(names) => Some(names),
+            _ => None,
+        }
+    }
+
+    /// Slot `fi`'s cell in `row`, read in place under the column's
+    /// encoding. A slot field's first occurrence always lives in its column,
+    /// so an absent cell (`None`) means the row lacks the field. (So does a
+    /// tagged cell of an unknown type, which the write path's checked walk
+    /// keeps out of every image.)
+    pub(crate) fn cell_at(&self, fi: usize, row: usize) -> Option<Val<'_>> {
+        let meta = &self.fields[fi];
+        let cell = self.cell(meta, row);
+        let word = |at: usize| -> [u8; 8] { cell[at..at + 8].try_into().expect("8-byte cell") };
+        Some(match &meta.encoding {
+            Encoding::Tagged if cell.is_empty() => return None,
+            Encoding::Tagged => Val::of_bytes(cell).ok()?,
+            Encoding::FixedInt => Val::Int(i64::from_le_bytes(word(0))),
+            Encoding::FixedDouble => Val::Double(f64::from_le_bytes(word(0))),
+            Encoding::FixedDateTime => Val::DateTime(i64::from_le_bytes(word(0))),
+            Encoding::FixedBool => Val::Bool(cell[0] != 0),
+            Encoding::FixedPoint => {
+                Val::Point(f64::from_le_bytes(word(0)), f64::from_le_bytes(word(8)))
+            }
+            Encoding::Str => Val::Str(cell),
+            Encoding::RecFixed(names) => Val::Rec(cell, names),
+        })
+    }
+
+    /// The residual of `row`: `(true, value)` for an opaque row carried
+    /// whole, `(false, record)` for the record of its leftover fields, `None`
+    /// when every field of the row is in a column.
+    pub(crate) fn residual_at(&self, row: usize) -> Option<(bool, &[u8])> {
+        let meta = self.residual_for(u32::try_from(row).ok()?)?;
+        Some((meta.whole, &self.bytes[meta.start..meta.start + meta.len]))
+    }
+
     /// Decode one column cell. `None` = field absent in that row.
     fn column_value(&self, fi: usize, row: usize) -> Option<AdmValue> {
         let meta = &self.fields[fi];
@@ -515,19 +562,7 @@ impl CompactedBlock {
                 AdmValue::Point(f64::from_le_bytes(word(0)?), f64::from_le_bytes(word(8)?))
             }
             Encoding::Str => AdmValue::String(std::str::from_utf8(cell).ok()?.to_string()),
-            Encoding::RecFixed(sub) => {
-                let mut rest = cell;
-                let mut fields = Vec::with_capacity(sub.len());
-                for name in sub {
-                    let (v, r) = decode_prefix(rest).ok()?;
-                    fields.push((name.clone(), v));
-                    rest = r;
-                }
-                if !rest.is_empty() {
-                    return None;
-                }
-                AdmValue::Record(fields)
-            }
+            Encoding::RecFixed(names) => rec_value(cell, names)?,
         })
     }
 
@@ -535,18 +570,27 @@ impl CompactedBlock {
     /// primitive. Slot fields cost one column-cell decode; open fields fall
     /// back to the row's residual record. `None` = absent.
     pub fn field_value(&self, row: usize, name: &str) -> Option<AdmValue> {
+        let mut value = AdmValue::Missing;
+        self.field_into(row, name, &mut value).then_some(value)
+    }
+
+    /// [`CompactedBlock::field_value`] into `dst`, reusing its string buffer
+    /// when both are strings. `false` (and `dst` untouched) = absent.
+    pub fn field_into(&self, row: usize, name: &str, dst: &mut AdmValue) -> bool {
         if row >= self.records as usize {
-            return None;
+            return false;
         }
         let residual = self.residual_for(row as u32);
-        if let Some(meta) = residual.filter(|m| m.whole) {
-            return self.residual_field(meta, name);
-        }
-        match self.fields.iter().position(|f| f.name == name) {
-            // a slot field's first occurrence always lives in the column, so
-            // an empty cell means the row genuinely lacks the field
-            Some(fi) => self.column_value(fi, row),
-            None => self.residual_field(residual?, name),
+        match (residual.filter(|m| m.whole), self.slot(name)) {
+            (None, Some(fi)) => match self.cell_at(fi, row) {
+                Some(Val::Str(utf8)) => std::str::from_utf8(utf8).map(|s| dst.set_str(s)).is_ok(),
+                Some(_) => self.column_value(fi, row).map(|v| *dst = v).is_some(),
+                None => false,
+            },
+            _ => residual
+                .and_then(|m| self.residual_field(m, name))
+                .map(|v| *dst = v)
+                .is_some(),
         }
     }
 
@@ -583,6 +627,19 @@ impl CompactedBlock {
         };
         Some(AdmValue::Record(fields))
     }
+}
+
+/// The record a hoisted-record cell holds: `values` encoded back to back,
+/// one per name. `None` when they do not split so.
+pub(crate) fn rec_value(values: &[u8], names: &[String]) -> Option<AdmValue> {
+    let mut rest = values;
+    let mut fields = Vec::with_capacity(names.len());
+    for name in names {
+        let (v, r) = decode_prefix(rest).ok()?;
+        fields.push((name.clone(), v));
+        rest = r;
+    }
+    rest.is_empty().then_some(AdmValue::Record(fields))
 }
 
 /// Header: magic, counts, then per slot its name, encoding, lattice type and
@@ -1034,6 +1091,13 @@ impl OpenBlock {
         decode_field_at(self.record_slice(row)?, name)
             .ok()
             .flatten()
+    }
+
+    /// [`OpenBlock::field_value`] into `dst`, reusing its string buffer when
+    /// both are strings. `false` (and `dst` untouched) = absent.
+    pub fn field_into(&self, row: usize, name: &str, dst: &mut AdmValue) -> bool {
+        self.record_slice(row)
+            .is_some_and(|record| binary::field_into(record, name, dst))
     }
 
     /// Decode the whole record for `row`.

@@ -36,6 +36,9 @@
 //! * [`view`] — a record read through its top-level field spans
 //!   ([`RecordView`]) and rewritten by a [`RecordPatch`]: what a function
 //!   that reads a field or two and writes one needs, without the tree;
+//! * [`pred`] — a filter ([`Pred`]) compiled once and tested against a
+//!   record's bytes or a compacted component's column cells, meaning what
+//!   AQL's comparisons mean over the decoded record;
 //! * [`functions`] — the builtin scalar functions the feeds chapters use
 //!   (`word-tokens`, `starts-with`, `spatial-cell`, `spatial-intersect`, ...);
 //! * [`hash`] — a stable 64-bit value hash used for hash-partitioning
@@ -47,6 +50,7 @@ pub mod functions;
 pub mod hash;
 pub mod parse;
 pub mod payload;
+pub mod pred;
 pub mod print;
 pub mod schema;
 pub mod types;
@@ -57,6 +61,7 @@ pub use binary::{decode_field_at, decode_fields, decode_value, encode_value, rec
 pub use compact::{CompactedBlock, OpenBlock};
 pub use parse::{parse_calls, parse_value, transcode};
 pub use payload::{payload_from_text, payload_from_value, to_display_string, with_fields};
+pub use pred::{CmpOp, Pred};
 pub use print::{print_calls, to_adm_string};
 pub use schema::{InferredSchema, SchemaBuilder};
 pub use types::{AdmType, Field, RecordType, TypeRegistry};

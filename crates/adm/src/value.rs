@@ -91,6 +91,19 @@ impl AdmValue {
         }
     }
 
+    /// Make this the string `s`, in its own buffer when it holds a string
+    /// already: a scan decoding row after row into one value allocates only
+    /// when a string outgrows the last.
+    pub fn set_str(&mut self, s: &str) {
+        match self {
+            AdmValue::String(buf) => {
+                buf.clear();
+                buf.push_str(s);
+            }
+            other => *other = AdmValue::String(s.to_owned()),
+        }
+    }
+
     /// As string slice if this is a `String`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -165,36 +178,46 @@ impl AdmValue {
         }
     }
 
+    /// The type rank [`AdmValue::total_cmp`] orders by first: `missing`
+    /// lowest, then `null`, booleans, numbers (both widths), strings,
+    /// points, datetimes, ordered lists, bags, records.
+    pub(crate) fn rank(&self) -> u8 {
+        match self {
+            AdmValue::Missing => 0,
+            AdmValue::Null => 1,
+            AdmValue::Boolean(_) => 2,
+            AdmValue::Int(_) | AdmValue::Double(_) => 3,
+            AdmValue::String(_) => 4,
+            AdmValue::Point(_, _) => 5,
+            AdmValue::DateTime(_) => 6,
+            AdmValue::OrderedList(_) => 7,
+            AdmValue::UnorderedList(_) => 8,
+            AdmValue::Record(_) => 9,
+        }
+    }
+
     /// Total order over values, used for sorting and B+-tree keys.
     ///
-    /// Values order first by a type rank, then within a type. NaN doubles
-    /// order after all other doubles so the order stays total.
+    /// Values order first by a type rank, then within a type. Numbers
+    /// compare by their exact value across widths: two `Int`s as `i64`, an
+    /// `Int` against a `Double` without rounding either, so distinct int64
+    /// keys above 2^53 stay distinct. An `Int` and a `Double` of the same
+    /// value (`3` and `3.0`) are one key, and hash alike
+    /// ([`crate::hash::hash_value`]). Doubles keep [`f64::total_cmp`]'s
+    /// order among themselves: `-0.0` sorts just below `0` (which equals
+    /// `0.0`), and NaN sorts after every other number (a NaN with its sign
+    /// bit set, before), so the order stays total.
     pub fn total_cmp(&self, other: &AdmValue) -> Ordering {
-        fn rank(v: &AdmValue) -> u8 {
-            match v {
-                AdmValue::Missing => 0,
-                AdmValue::Null => 1,
-                AdmValue::Boolean(_) => 2,
-                AdmValue::Int(_) | AdmValue::Double(_) => 3,
-                AdmValue::String(_) => 4,
-                AdmValue::Point(_, _) => 5,
-                AdmValue::DateTime(_) => 6,
-                AdmValue::OrderedList(_) => 7,
-                AdmValue::UnorderedList(_) => 8,
-                AdmValue::Record(_) => 9,
-            }
-        }
-        let (ra, rb) = (rank(self), rank(other));
+        let (ra, rb) = (self.rank(), other.rank());
         if ra != rb {
             return ra.cmp(&rb);
         }
         match (self, other) {
             (AdmValue::Boolean(a), AdmValue::Boolean(b)) => a.cmp(b),
-            // numbers compare cross-width
-            (a, b) if rank(a) == 3 => {
-                let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
-                x.total_cmp(&y)
-            }
+            (AdmValue::Int(a), AdmValue::Int(b)) => a.cmp(b),
+            (AdmValue::Double(a), AdmValue::Double(b)) => a.total_cmp(b),
+            (AdmValue::Int(a), AdmValue::Double(b)) => cmp_int_double(*a, *b),
+            (AdmValue::Double(a), AdmValue::Int(b)) => cmp_int_double(*b, *a).reverse(),
             (AdmValue::String(a), AdmValue::String(b)) => a.cmp(b),
             (AdmValue::Point(ax, ay), AdmValue::Point(bx, by)) => {
                 ax.total_cmp(bx).then_with(|| ay.total_cmp(by))
@@ -221,6 +244,25 @@ impl AdmValue {
             }
             _ => Ordering::Equal,
         }
+    }
+}
+
+/// `i` against `d` under [`AdmValue::total_cmp`]: by exact value. Zeros and
+/// NaNs, whose place an `i64` cannot shift by rounding, compare as
+/// `i as f64` does.
+pub(crate) fn cmp_int_double(i: i64, d: f64) -> Ordering {
+    /// 2^63: the first double past `i64::MAX`.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if d.is_nan() || d == 0.0 {
+        (i as f64).total_cmp(&d)
+    } else if d >= TWO_63 {
+        Ordering::Less
+    } else if d < -TWO_63 {
+        Ordering::Greater
+    } else {
+        // -2^63 <= d < 2^63: its integer part is an exact i64
+        let whole = d.trunc();
+        i.cmp(&(whole as i64)).then(whole.total_cmp(&d))
     }
 }
 
@@ -338,6 +380,41 @@ mod tests {
         // NaN does not break totality
         let nan = AdmValue::Double(f64::NAN);
         assert_eq!(nan.total_cmp(&nan), Ordering::Equal);
+    }
+
+    #[test]
+    fn int_keys_above_2_pow_53_stay_distinct() {
+        let (a, b) = (AdmValue::Int(1 << 53), AdmValue::Int((1 << 53) + 1));
+        assert_eq!(a.total_cmp(&b), Ordering::Less);
+        let two_53 = AdmValue::Double(9_007_199_254_740_992.0);
+        assert_eq!(a.total_cmp(&two_53), Ordering::Equal);
+        assert_eq!(b.total_cmp(&two_53), Ordering::Greater);
+        assert_eq!(two_53.total_cmp(&b), Ordering::Less);
+        assert_eq!(
+            AdmValue::Int(i64::MAX).total_cmp(&AdmValue::Double(9.223_372_036_854_776e18)),
+            Ordering::Less
+        );
+        assert_eq!(
+            AdmValue::Int(i64::MIN).total_cmp(&AdmValue::Double(-9.223_372_036_854_776e18)),
+            Ordering::Equal
+        );
+        // today's zero order: -0.0 < 0 == 0.0
+        assert_eq!(
+            AdmValue::Int(0).total_cmp(&AdmValue::Double(-0.0)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            AdmValue::Int(0).total_cmp(&AdmValue::Double(0.0)),
+            Ordering::Equal
+        );
+        assert_eq!(
+            AdmValue::Int(-1).total_cmp(&AdmValue::Double(-0.5)),
+            Ordering::Less
+        );
+        assert_eq!(
+            AdmValue::Int(i64::MAX).total_cmp(&AdmValue::Double(f64::NAN)),
+            Ordering::Less
+        );
     }
 
     #[test]

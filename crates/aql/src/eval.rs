@@ -15,18 +15,31 @@
 //! of bindings is built. A dataset `for` with no `for` before it streams its
 //! rows straight from the storage scan ([`Dataset::try_for_each_row`]),
 //! which reads each partition from a snapshot with no lock held — so a
-//! nested query may scan the same dataset. Any other dataset `for` is
-//! scanned once per evaluation, and its rows are lent to the binding for
-//! every outer binding in turn. Variables, `$v.f.g` paths and comparison
-//! operands that are literals or such paths are read by reference; only a
-//! value an expression returns is cloned.
+//! nested query may scan the same dataset — and lends each row to the
+//! binding in one reused buffer. Any other dataset `for` is scanned once per
+//! evaluation, and its rows are lent to the binding for every outer binding
+//! in turn. Variables, `$v.f.g` paths and comparison operands that are
+//! literals or such paths are read by reference; only a value an expression
+//! returns is cloned.
+//!
+//! Before it binds anything, a FLWOR splits its `where` into its `and`-ed
+//! conjuncts and pushes each one that compares `$v.<path>` with literals
+//! (under `and`/`or`/`not`) into the scan of the dataset `for` binding `$v`,
+//! as one [`Pred`] the scan tests on the stored bytes — column cells of a
+//! compacted component, payload bytes elsewhere — before it projects or
+//! decodes the row (`push_down` has the rule that keeps every error where
+//! the tree would raise it). Only the conjuncts left are evaluated as trees,
+//! and a scan is projected to the fields those and the rest of the query
+//! read: `for $t in dataset D where $t.country = "US" return $t.id` compares
+//! `country` in place and decodes `id` of the matching rows only.
 
 use crate::ast::{BinOp, Expr, FlworClause, GroupBy};
+use crate::route::{cmp_op, field_path};
 use asterix_adm::functions as builtins;
+use asterix_adm::pred::Pred;
 use asterix_adm::AdmValue;
 use asterix_common::{IngestError, IngestResult};
 use asterix_storage::{AsKey, Dataset, KeyOrd};
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -242,8 +255,18 @@ pub fn eval_flwor(
     else {
         return Err(IngestError::Language("not a FLWOR expression".into()));
     };
+    let mut conjuncts = Vec::new();
+    if let Some(w) = where_clause {
+        split_and(w, &mut conjuncts);
+    }
+    // predicate pushdown: the conjuncts a dataset scan can test on the
+    // stored bytes leave the tree `where`
+    let (mut filters, rest) = push_down(clauses, &conjuncts, env, ctx);
     let flwor = Flwor {
-        where_clause: where_clause.as_deref(),
+        where_clause: Where {
+            chained: conjuncts.len() > 1,
+            conjuncts: rest,
+        },
         group_by: group_by.as_ref(),
         ret,
         ctx,
@@ -265,10 +288,11 @@ pub fn eval_flwor(
         let fields = projection_for(
             var,
             &clauses[ci + 1..],
-            flwor.where_clause,
+            &flwor.where_clause.conjuncts,
             flwor.group_by,
             ret,
         );
+        let filter = filters[ci].take();
         let streamed = !clauses[..ci]
             .iter()
             .any(|c| matches!(c, FlworClause::For { .. }));
@@ -276,12 +300,17 @@ pub fn eval_flwor(
         // fails the query even when no outer binding reaches the clause),
         // a whole-record one when an outer binding first reaches it
         let rows = match (&fields, streamed) {
-            (Some(fields), false) => Some(ctx.dataset(name)?.scan_projected(fields)),
+            (Some(fields), false) => Some(scan_rows(
+                &*ctx.dataset(name)?,
+                Some(fields),
+                filter.as_ref(),
+            )?),
             _ => None,
         };
         scans.push(Some(DatasetFor {
             name,
             fields,
+            filter,
             streamed,
             rows,
         }));
@@ -296,7 +325,7 @@ pub fn eval_flwor(
 
 /// The parts of a FLWOR that act on a complete binding.
 struct Flwor<'q> {
-    where_clause: Option<&'q Expr>,
+    where_clause: Where<'q>,
     group_by: Option<&'q GroupBy>,
     ret: &'q Expr,
     ctx: &'q dyn EvalContext,
@@ -308,6 +337,8 @@ struct DatasetFor<'q> {
     /// What the scan is projected to ([`projection_for`]); `None` scans
     /// whole records.
     fields: Option<Vec<String>>,
+    /// The conjuncts of `where` the scan tests ([`push_down`]).
+    filter: Option<Pred>,
     /// No `for` comes before it: its rows stream from the scan.
     streamed: bool,
     /// A nested scan's rows, taken once per evaluation.
@@ -369,19 +400,23 @@ impl Flwor<'_> {
             (FlworClause::For { var, .. }, Some(ds)) if ds.streamed => {
                 let dataset = self.ctx.dataset(ds.name)?;
                 scoped(env, var, |env| {
-                    dataset.try_for_each_row(ds.fields.as_deref(), |row| {
-                        *slot(env, var) = row;
-                        self.bind(clauses, scans, env, out)
+                    dataset.try_for_each_row(ds.fields.as_deref(), ds.filter.as_ref(), |row| {
+                        // the scan's row buffer is lent to the binding
+                        std::mem::swap(slot(env, var), row);
+                        let bound = self.bind(clauses, scans, env, out);
+                        std::mem::swap(slot(env, var), row);
+                        bound
                     })
                 })
             }
             (FlworClause::For { var, .. }, Some(ds)) => {
                 if ds.rows.is_none() {
                     let dataset = self.ctx.dataset(ds.name)?;
-                    ds.rows = Some(match &ds.fields {
-                        Some(fields) => dataset.scan_projected(fields),
-                        None => dataset.scan_all(),
-                    });
+                    ds.rows = Some(scan_rows(
+                        &dataset,
+                        ds.fields.as_deref(),
+                        ds.filter.as_ref(),
+                    )?);
                 }
                 let rows = ds.rows.as_mut().expect("scanned above");
                 scoped(env, var, |env| {
@@ -411,10 +446,8 @@ impl Flwor<'_> {
     /// One complete binding: filter it, then return it or add it to its
     /// group.
     fn consume(&self, env: &mut Env, out: &mut Output) -> IngestResult<()> {
-        if let Some(pred) = self.where_clause {
-            if eval(pred, env, self.ctx)?.as_bool() != Some(true) {
-                return Ok(());
-            }
+        if !self.where_clause.holds(env, self.ctx)? {
+            return Ok(());
         }
         match self.group_by {
             None => out.rows.push(eval(self.ret, env, self.ctx)?),
@@ -456,6 +489,264 @@ impl Flwor<'_> {
     }
 }
 
+/// What is left of a `where` once its pushed conjuncts went into the scans:
+/// the other conjuncts, tested on each complete binding in their order.
+struct Where<'q> {
+    conjuncts: Vec<&'q Expr>,
+    /// The `where` was an `and` of several conjuncts: each one evaluated
+    /// must be a boolean, as `and` requires, where a lone non-boolean
+    /// `where` merely rejects the binding.
+    chained: bool,
+}
+
+impl Where<'_> {
+    /// The conjuncts' `and`, left to right, stopping at the first `false`.
+    fn holds(&self, env: &mut Env, ctx: &dyn EvalContext) -> IngestResult<bool> {
+        for c in &self.conjuncts {
+            let v = eval(c, env, ctx)?;
+            match v.as_bool() {
+                Some(true) => {}
+                Some(false) => return Ok(false),
+                None if self.chained => {
+                    return Err(IngestError::Type(format!(
+                        "boolean operator on {}",
+                        v.type_name()
+                    )))
+                }
+                None => return Ok(false),
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// The rows of one dataset scan, projected to `fields` and passed by
+/// `filter`.
+fn scan_rows(
+    dataset: &Dataset,
+    fields: Option<&[String]>,
+    filter: Option<&Pred>,
+) -> IngestResult<Vec<AdmValue>> {
+    let mut rows = Vec::new();
+    dataset.try_for_each_row(fields, filter, |row| {
+        rows.push(std::mem::replace(row, AdmValue::Missing));
+        Ok::<_, IngestError>(())
+    })?;
+    Ok(rows)
+}
+
+/// Append the conjuncts of an `and` chain to `out`, left to right.
+fn split_and<'q>(expr: &'q Expr, out: &mut Vec<&'q Expr>) {
+    match expr {
+        Expr::Bin(BinOp::And, l, r) => {
+            split_and(l, out);
+            split_and(r, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// Predicate pushdown: which conjuncts of a FLWOR's `where` the scan of a
+/// dataset `for` tests on the stored bytes ([`Dataset::try_for_each_row`]'s
+/// filter), per clause, and the conjuncts left for the tree.
+///
+/// A conjunct is pushed into the scan of `for $v in dataset D` when it
+/// compiles to a [`Pred`] — comparisons of `$v.<path>` with a literal under
+/// `and`/`or`/`not` — and no later clause rebinds `$v` (`where` sees the
+/// scan's row). The scan then tests it on every row before anything after
+/// the `for` runs, where the tree tested it on each complete binding after
+/// everything else. So that the query errors exactly where the tree errs:
+///
+/// * a conjunct whose paths are all one field long cannot fail on a row (a
+///   dataset holds records) and is pushed when nothing it lets the scan
+///   skip could have failed: every clause after the `for` is one this
+///   analysis proves infallible, and so is every conjunct before it that
+///   the same scan does not test first;
+/// * a longer path can fail (`$t.a.b` with `a` a string), so its conjunct
+///   is pushed only into the `for` of `let* for $v in dataset D where ...`
+///   and only when every conjunct before it was too: the scan then tests
+///   the conjuncts at the same rows, in the same order, with the same
+///   short-circuit as the tree.
+fn push_down<'q>(
+    clauses: &'q [FlworClause],
+    conjuncts: &[&'q Expr],
+    env: &Env,
+    ctx: &dyn EvalContext,
+) -> (Vec<Option<Pred>>, Vec<&'q Expr>) {
+    let mut filters: Vec<Vec<Pred>> = clauses.iter().map(|_| Vec::new()).collect();
+    if conjuncts.is_empty() {
+        return (clauses.iter().map(|_| None).collect(), Vec::new());
+    }
+    let mut scope = Scope {
+        bound: env.keys().map(String::as_str).collect(),
+        rows: Vec::new(),
+    };
+    // per clause: can evaluating it fail, where it stands?
+    let mut fallible = Vec::with_capacity(clauses.len());
+    for clause in clauses {
+        fallible.push(!scope.clause_infallible(clause, ctx));
+        scope.enter(clause);
+    }
+    let last = clauses.len().saturating_sub(1);
+    let streamed_last = clauses[..last]
+        .iter()
+        .all(|c| matches!(c, FlworClause::Let { .. }));
+    let mut rest = Vec::new();
+    // per conjunct so far: the clause it was pushed into, and whether it is
+    // a boolean that cannot fail
+    let mut pushed: Vec<Option<usize>> = Vec::with_capacity(conjuncts.len());
+    let mut safe: Vec<bool> = Vec::with_capacity(conjuncts.len());
+    for &c in conjuncts {
+        let target = compile_pred(c).and_then(|(var, pred, short)| {
+            let ci = clauses.iter().rposition(|cl| cl.var() == var)?;
+            let FlworClause::For {
+                source: Expr::DatasetScan(_),
+                ..
+            } = &clauses[ci]
+            else {
+                return None;
+            };
+            // an earlier conjunct the same scan tests keeps its place
+            let first = |k: usize| pushed[k] == Some(ci);
+            let sound = match short {
+                true => {
+                    (0..pushed.len()).all(|k| first(k) || safe[k])
+                        && !fallible[ci + 1..].contains(&true)
+                }
+                false => ci == last && streamed_last && (0..pushed.len()).all(first),
+            };
+            sound.then_some((ci, pred))
+        });
+        match target {
+            Some((ci, pred)) => {
+                filters[ci].push(pred);
+                pushed.push(Some(ci));
+            }
+            None => {
+                rest.push(c);
+                pushed.push(None);
+            }
+        }
+        safe.push(scope.boolean(c));
+    }
+    let filters = filters.into_iter().map(|mut preds| match preds.len() {
+        0 | 1 => preds.pop(),
+        _ => Some(Pred::All(preds)),
+    });
+    (filters.collect(), rest)
+}
+
+/// A pushable conjunct: the variable it reads, its predicate, and whether
+/// every path in it is one field long. `None` for anything else.
+fn compile_pred(expr: &Expr) -> Option<(&str, Pred, bool)> {
+    let (mut var, mut short) = (None, true);
+    let pred = compile_leaves(expr, &mut var, &mut short)?;
+    Some((var?, pred, short))
+}
+
+fn compile_leaves<'q>(expr: &'q Expr, var: &mut Option<&'q str>, short: &mut bool) -> Option<Pred> {
+    Some(match expr {
+        Expr::Bin(BinOp::And, l, r) => Pred::All(vec![
+            compile_leaves(l, var, short)?,
+            compile_leaves(r, var, short)?,
+        ]),
+        Expr::Bin(BinOp::Or, l, r) => Pred::Any(vec![
+            compile_leaves(l, var, short)?,
+            compile_leaves(r, var, short)?,
+        ]),
+        Expr::Not(inner) => Pred::Not(Box::new(compile_leaves(inner, var, short)?)),
+        Expr::Bin(op, l, r) => {
+            let (op, path, literal) = match (cmp_op(*op)?, &**l, &**r) {
+                (op, path, Expr::Literal(literal)) => (op, path, literal),
+                (op, Expr::Literal(literal), path) => (op.flipped(), path, literal),
+                _ => return None,
+            };
+            let (v, path) = field_path(path).ok()?;
+            if *var.get_or_insert(v) != v {
+                return None;
+            }
+            *short &= path.len() == 1;
+            Pred::Compare {
+                path,
+                op,
+                literal: literal.clone(),
+            }
+        }
+        _ => return None,
+    })
+}
+
+/// What a point of a FLWOR sees, for [`push_down`]'s proof that an
+/// expression cannot fail there.
+struct Scope<'q> {
+    /// Variables bound.
+    bound: Vec<&'q str>,
+    /// Variables bound to a dataset's rows: records, whose fields can be
+    /// read without error.
+    rows: Vec<&'q str>,
+}
+
+impl<'q> Scope<'q> {
+    /// Step past `clause`'s binding.
+    fn enter(&mut self, clause: &'q FlworClause) {
+        let var = clause.var();
+        self.bound.push(var);
+        self.rows.retain(|v| *v != var);
+        if let FlworClause::For {
+            source: Expr::DatasetScan(_),
+            ..
+        } = clause
+        {
+            self.rows.push(var);
+        }
+    }
+
+    /// Can evaluating `clause` here not fail? (It may bind nothing.)
+    fn clause_infallible(&self, clause: &FlworClause, ctx: &dyn EvalContext) -> bool {
+        match clause {
+            FlworClause::Let { value, .. } => self.infallible(value),
+            FlworClause::For {
+                source: Expr::DatasetScan(name),
+                ..
+            } => ctx.dataset(name).is_ok(),
+            FlworClause::For {
+                source: Expr::ListCtor(items),
+                ..
+            } => items.iter().all(|e| self.infallible(e)),
+            FlworClause::For { .. } => false,
+        }
+    }
+
+    /// Can evaluating `expr` here not fail? Conservative: `false` for
+    /// anything not plainly safe.
+    fn infallible(&self, expr: &Expr) -> bool {
+        match expr {
+            Expr::Literal(_) => true,
+            Expr::Var(v) => self.bound.contains(&v.as_str()),
+            Expr::FieldAccess(inner, _) => {
+                matches!(&**inner, Expr::Var(v) if self.rows.contains(&v.as_str()))
+            }
+            Expr::ListCtor(items) => items.iter().all(|e| self.infallible(e)),
+            Expr::RecordCtor(fields) => fields.iter().all(|(_, e)| self.infallible(e)),
+            _ => self.boolean(expr),
+        }
+    }
+
+    /// Does evaluating `expr` here yield a boolean, without fail — what an
+    /// operand of `and` must?
+    fn boolean(&self, expr: &Expr) -> bool {
+        match expr {
+            Expr::Literal(v) => v.as_bool().is_some(),
+            Expr::Bin(BinOp::And | BinOp::Or, l, r) => self.boolean(l) && self.boolean(r),
+            Expr::Bin(op, l, r) => {
+                cmp_op(*op).is_some() && self.infallible(l) && self.infallible(r)
+            }
+            Expr::Not(inner) => self.boolean(inner),
+            _ => false,
+        }
+    }
+}
+
 /// The field set a dataset-scan variable can be projected down to, or
 /// `None` when the whole record is needed. Projection is sound only when
 /// every downstream use of `$var` is a direct field access `$var.<f>`: a
@@ -465,7 +756,7 @@ impl Flwor<'_> {
 fn projection_for(
     var: &str,
     tail: &[FlworClause],
-    where_clause: Option<&Expr>,
+    where_clause: &[&Expr],
     group_by: Option<&GroupBy>,
     ret: &Expr,
 ) -> Option<Vec<String>> {
@@ -477,13 +768,13 @@ fn projection_for(
     }
 }
 
-/// Walk the remainder of a FLWOR (clauses after the binding, then where /
-/// group-by / return) collecting `$var.<f>` accesses into `fields`.
-/// Returns false as soon as a whole-record use is found.
+/// Walk the remainder of a FLWOR (clauses after the binding, then the
+/// conjuncts of where / group-by / return) collecting `$var.<f>` accesses
+/// into `fields`. Returns false as soon as a whole-record use is found.
 fn flwor_tail_projects(
     var: &str,
     tail: &[FlworClause],
-    where_clause: Option<&Expr>,
+    where_clause: &[&Expr],
     group_by: Option<&GroupBy>,
     ret: &Expr,
     fields: &mut BTreeSet<String>,
@@ -500,10 +791,11 @@ fn flwor_tail_projects(
             return true; // shadowed from here on
         }
     }
-    if let Some(w) = where_clause {
-        if !collect_projected(w, var, fields) {
-            return false;
-        }
+    if !where_clause
+        .iter()
+        .all(|w| collect_projected(w, var, fields))
+    {
+        return false;
     }
     if let Some(g) = group_by {
         if !collect_projected(&g.key_expr, var, fields) {
@@ -556,7 +848,7 @@ fn collect_projected(expr: &Expr, var: &str, fields: &mut BTreeSet<String>) -> b
         } => flwor_tail_projects(
             var,
             clauses,
-            where_clause.as_deref(),
+            where_clause.as_deref().as_slice(),
             group_by.as_ref(),
             ret,
             fields,
@@ -577,19 +869,12 @@ fn bool_op(l: &AdmValue, r: &AdmValue, f: impl Fn(bool, bool) -> bool) -> Ingest
 
 fn apply_binop(op: BinOp, l: &AdmValue, r: &AdmValue) -> IngestResult<AdmValue> {
     use BinOp::*;
+    if let Some(cmp) = cmp_op(op) {
+        // the comparison a pushed-down `Pred` makes on the bytes
+        return Ok(AdmValue::Boolean(cmp.holds(l.total_cmp(r))));
+    }
     match op {
-        Eq => Ok(AdmValue::Boolean(l.total_cmp(r) == Ordering::Equal)),
-        Ne => Ok(AdmValue::Boolean(l.total_cmp(r) != Ordering::Equal)),
-        Lt | Le | Gt | Ge => {
-            let c = l.total_cmp(r);
-            Ok(AdmValue::Boolean(match op {
-                Lt => c == Ordering::Less,
-                Le => c != Ordering::Greater,
-                Gt => c == Ordering::Greater,
-                Ge => c != Ordering::Less,
-                _ => unreachable!(),
-            }))
-        }
+        Eq | Ne | Lt | Le | Gt | Ge => unreachable!("comparisons returned above"),
         Add | Sub | Mul | Div => {
             // string concatenation for Add
             if op == Add {
@@ -698,6 +983,7 @@ fn call_function(name: &str, args: &[AdmValue], ctx: &dyn EvalContext) -> Ingest
 mod tests {
     use super::*;
     use crate::parser::parse_expr;
+    use asterix_adm::CmpOp;
 
     fn run(src: &str) -> AdmValue {
         let e = parse_expr(src).unwrap();
@@ -874,7 +1160,7 @@ mod tests {
         projection_for(
             var,
             &clauses[1..],
-            where_clause.as_deref(),
+            where_clause.as_deref().as_slice(),
             group_by.as_ref(),
             &ret,
         )
@@ -913,6 +1199,136 @@ mod tests {
             analyze("for $t in dataset T for $t in $t.items return $t"),
             Some(vec!["items".to_string()])
         );
+    }
+
+    /// What [`push_down`] pushes for the FLWOR `src`: per clause, the
+    /// predicates its scan tests; and how many conjuncts stay in the tree.
+    fn pushed(src: &str, ctx: &dyn EvalContext) -> (Vec<Option<Pred>>, usize) {
+        let Expr::Flwor {
+            clauses,
+            where_clause,
+            ..
+        } = parse_expr(src).unwrap()
+        else {
+            panic!("not a FLWOR");
+        };
+        let mut conjuncts = Vec::new();
+        split_and(where_clause.as_deref().unwrap(), &mut conjuncts);
+        let (filters, rest) = push_down(&clauses, &conjuncts, &Env::new(), ctx);
+        (filters, rest.len())
+    }
+
+    fn compare(path: &str, op: CmpOp, literal: impl Into<AdmValue>) -> Pred {
+        Pred::Compare {
+            path: path.split('.').map(str::to_string).collect(),
+            op,
+            literal: literal.into(),
+        }
+    }
+
+    #[test]
+    fn pushdown_takes_the_conjuncts_it_can_prove_sound() {
+        let ctx = OneDataset(tweet_dataset());
+        // the reader query: `country` is tested in the scan, only `id` is
+        // projected
+        let reader = r#"for $t in dataset T where $t.country = "US" return $t.id"#;
+        assert_eq!(
+            pushed(reader, &ctx),
+            (vec![Some(compare("country", CmpOp::Eq, "US"))], 0)
+        );
+        assert_eq!(analyze_pushed(reader, &ctx), Some(vec!["id".to_string()]));
+        // a literal on the left flips; a nested path under `let* for` goes
+        // in, and so does a conjunct after it
+        assert_eq!(
+            pushed(
+                r#"let $c := "UK" for $t in dataset T
+                   where 5 < $t.user.n and $t.country = $c and $t.lang != "en" return $t.id"#,
+                &ctx
+            ),
+            (
+                vec![
+                    None,
+                    Some(Pred::All(vec![
+                        compare("user.n", CmpOp::Gt, 5i64),
+                        compare("lang", CmpOp::Ne, "en")
+                    ]))
+                ],
+                1
+            )
+        );
+        // a nested path behind a tree conjunct, or under a later clause,
+        // stays in the tree
+        assert_eq!(
+            pushed(
+                r#"for $t in dataset T where $t.a = $t.b and $t.u.n = 1 return 1"#,
+                &ctx
+            )
+            .1,
+            2
+        );
+        assert_eq!(
+            pushed(
+                r#"for $t in dataset T for $x in [1] where $t.u.n = 1 return 1"#,
+                &ctx
+            )
+            .1,
+            1
+        );
+        // a clause that may fail keeps the scan from skipping rows
+        assert_eq!(
+            pushed(
+                r#"for $t in dataset T for $h in $t.tags where $t.c = "x" return $h"#,
+                &ctx
+            )
+            .1,
+            1
+        );
+        // each side of a join filters its own scan
+        assert_eq!(
+            pushed(
+                r#"for $b in dataset T for $a in dataset T where $a.c = "x" and $b.n = 1 return 1"#,
+                &ctx
+            ),
+            (
+                vec![
+                    Some(compare("n", CmpOp::Eq, 1i64)),
+                    Some(compare("c", CmpOp::Eq, "x"))
+                ],
+                0
+            )
+        );
+        // a variable a later clause rebinds is not the scan's row
+        assert_eq!(
+            pushed(
+                r#"for $t in dataset T let $t := $t.u where $t.n = 1 return 1"#,
+                &ctx
+            )
+            .1,
+            1
+        );
+    }
+
+    /// [`projection_for`] of the first clause once the `where` was pushed.
+    fn analyze_pushed(src: &str, ctx: &dyn EvalContext) -> Option<Vec<String>> {
+        let Expr::Flwor {
+            clauses,
+            where_clause,
+            group_by,
+            ret,
+        } = parse_expr(src).unwrap()
+        else {
+            panic!("not a FLWOR");
+        };
+        let mut conjuncts = Vec::new();
+        split_and(where_clause.as_deref().unwrap(), &mut conjuncts);
+        let (_, rest) = push_down(&clauses, &conjuncts, &Env::new(), ctx);
+        projection_for(
+            clauses[0].var(),
+            &clauses[1..],
+            &rest,
+            group_by.as_ref(),
+            &ret,
+        )
     }
 
     fn tweet_dataset() -> Arc<Dataset> {

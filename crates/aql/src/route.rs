@@ -41,12 +41,12 @@ pub fn compile_route_predicate(expr: &Expr) -> IngestResult<RoutePredicate> {
                 .ok_or_else(|| unsupported(expr, "arithmetic inside routing predicates"))?;
             match (&**l, &**r) {
                 (lhs, Expr::Literal(v)) => Ok(RoutePredicate::Compare {
-                    field: field_path(lhs)?,
+                    field: field_path(lhs)?.1,
                     op,
                     value: v.clone(),
                 }),
                 (Expr::Literal(v), rhs) => Ok(RoutePredicate::Compare {
-                    field: field_path(rhs)?,
+                    field: field_path(rhs)?.1,
                     op: op.flipped(),
                     value: v.clone(),
                 }),
@@ -55,7 +55,7 @@ pub fn compile_route_predicate(expr: &Expr) -> IngestResult<RoutePredicate> {
         }
         Expr::Call(name, args) if name.eq_ignore_ascii_case("exists") => match args.as_slice() {
             [field] => Ok(RoutePredicate::Exists {
-                field: field_path(field)?,
+                field: field_path(field)?.1,
             }),
             _ => Err(unsupported(expr, "exists(<field>) takes one argument")),
         },
@@ -78,7 +78,8 @@ pub fn compile_route_predicate(expr: &Expr) -> IngestResult<RoutePredicate> {
     }
 }
 
-fn cmp_op(op: BinOp) -> Option<CmpOp> {
+/// The comparison a binary operator is, if it is one.
+pub(crate) fn cmp_op(op: BinOp) -> Option<CmpOp> {
     match op {
         BinOp::Eq => Some(CmpOp::Eq),
         BinOp::Ne => Some(CmpOp::Ne),
@@ -90,11 +91,12 @@ fn cmp_op(op: BinOp) -> Option<CmpOp> {
     }
 }
 
-/// A field reference is a `FieldAccess` chain rooted at the record variable
-/// (`$t.user.followers_count` → `["user", "followers_count"]`); which
-/// variable name the arm uses is irrelevant — every arm sees the one feed
-/// record.
-fn field_path(expr: &Expr) -> IngestResult<Vec<String>> {
+/// A field reference is a `FieldAccess` chain rooted at a record variable
+/// (`$t.user.followers_count` → `("t", ["user", "followers_count"])`). A
+/// routing arm ignores the variable's name — every arm sees the one feed
+/// record; the query evaluator pushes a comparison into the scan of the
+/// dataset the variable ranges over.
+pub(crate) fn field_path(expr: &Expr) -> IngestResult<(&str, Vec<String>)> {
     let mut segs = Vec::new();
     let mut cur = expr;
     loop {
@@ -103,12 +105,12 @@ fn field_path(expr: &Expr) -> IngestResult<Vec<String>> {
                 segs.push(field.clone());
                 cur = base;
             }
-            Expr::Var(_) => {
+            Expr::Var(var) => {
                 segs.reverse();
                 if segs.is_empty() {
                     return Err(unsupported(expr, "bare record variable is not a field"));
                 }
-                return Ok(segs);
+                return Ok((var, segs));
             }
             other => return Err(unsupported(other, "expected $record.field[.field...]")),
         }

@@ -11,7 +11,13 @@
 //! whose inner dataset is scanned once per evaluation, a correlated nested
 //! FLWOR that scans the dataset its outer query is streaming (it would
 //! deadlock if a scan held its partition's lock), group-by, shadowing, and
-//! an error.
+//! an error. And every shape of `where` the evaluator pushes into a scan:
+//! comparisons on a string, an int and a nested int, `and`/`or`/`not`
+//! mixes, a conjunct over a `let` variable beside a pushed one, `!=` on a
+//! field some rows lack, paths through a string field (the query must fail
+//! exactly when the tree's would), conjuncts that must stay in the tree so
+//! an error is not skipped, shadowing, a join, and group-by under a pushed
+//! `where`.
 
 use asterix_adm::AdmValue;
 use asterix_aql::eval::{eval_flwor, Env, EvalContext};
@@ -63,6 +69,7 @@ fn tweet(k: u8, bits: u32, followers: u32) -> AdmValue {
     }
     optional("user", 2, AdmValue::Record(user));
     optional("lang", 7, AdmValue::string("en"));
+    optional("n", 16, AdmValue::Int(i64::from(followers % 10)));
     let tags = (0..bits >> 11 & 3)
         .map(|i| AdmValue::string(format!("#{}", (bits >> (13 + i)) & 3)))
         .collect();
@@ -115,6 +122,30 @@ fn path(v: &AdmValue, fields: &[&str]) -> AdmValue {
     fields.iter().fold(v.clone(), |v, f| {
         v.field(f).cloned().unwrap_or(AdmValue::Missing)
     })
+}
+
+/// `$v.p.q...` where a step may meet a non-record: the query's error.
+fn try_path(v: &AdmValue, fields: &[&str]) -> Result<AdmValue, ()> {
+    fields.iter().try_fold(v.clone(), |v, f| match v {
+        AdmValue::Record(_) => Ok(v.field(f).cloned().unwrap_or(AdmValue::Missing)),
+        AdmValue::Null | AdmValue::Missing => Ok(AdmValue::Missing),
+        _ => Err(()),
+    })
+}
+
+/// `path <op> literal` as AQL compares.
+fn cmp(v: &AdmValue, fields: &[&str], literal: impl Into<AdmValue>) -> Ordering {
+    path(v, fields).total_cmp(&literal.into())
+}
+
+/// The ids of the rows of `rows` that `keep` keeps.
+fn ids(rows: &[AdmValue], keep: impl Fn(&AdmValue) -> bool) -> Option<Vec<AdmValue>> {
+    Some(
+        rows.iter()
+            .filter(|t| keep(t))
+            .map(|t| path(t, &["id"]))
+            .collect(),
+    )
 }
 
 fn s(text: &str) -> AdmValue {
@@ -289,6 +320,183 @@ fn corpus(a: &[AdmValue], b: &[AdmValue]) -> Vec<(&'static str, Option<Vec<AdmVa
         (
             "for $t in dataset B return $t.id.nested",
             if b.is_empty() { Some(Vec::new()) } else { None },
+        ),
+        // pushed-down shapes: `=` `!=` `<` `>=` on a string, an int and a
+        // nested int
+        (
+            r#"for $t in dataset A where $t.country != "US" return $t.id"#,
+            ids(a, |t| cmp(t, &["country"], "US") != Ordering::Equal),
+        ),
+        (
+            r#"for $t in dataset A where "IN" > $t.country return $t.id"#,
+            ids(a, |t| cmp(t, &["country"], "IN") == Ordering::Less),
+        ),
+        (
+            "for $t in dataset A where $t.n = 3 return $t.id",
+            ids(a, |t| cmp(t, &["n"], 3i64) == Ordering::Equal),
+        ),
+        (
+            "for $t in dataset A where $t.n < 5 return [$t.id, $t.n]",
+            Some(
+                a.iter()
+                    .filter(|t| cmp(t, &["n"], 5i64) == Ordering::Less)
+                    .map(|t| list(vec![path(t, &["id"]), path(t, &["n"])]))
+                    .collect(),
+            ),
+        ),
+        (
+            "for $t in dataset A where $t.user.followers_count >= 500 return $t.id",
+            ids(a, |t| {
+                cmp(t, &["user", "followers_count"], 500i64) != Ordering::Less
+            }),
+        ),
+        // `and` / `or` / `not` mixes
+        (
+            r#"for $t in dataset A
+               where ($t.country = "US" or $t.lang = "en") and not ($t.n >= 5)
+               return $t.id"#,
+            ids(a, |t| {
+                (path(t, &["country"]) == s("US") || eq(&path(t, &["lang"]), &s("en")))
+                    && cmp(t, &["n"], 5i64) == Ordering::Less
+            }),
+        ),
+        (
+            r#"for $t in dataset A
+               where not ($t.country = "CA" and $t.user.followers_count < 300) or $t.n = 0
+               return $t.id"#,
+            ids(a, |t| {
+                !(path(t, &["country"]) == s("CA")
+                    && cmp(t, &["user", "followers_count"], 300i64) == Ordering::Less)
+                    || cmp(t, &["n"], 0i64) == Ordering::Equal
+            }),
+        ),
+        // a conjunct over a `let` variable beside a pushed one
+        (
+            r#"let $c := "UK"
+               for $t in dataset A
+               where $t.country = $c and $t.n != 7
+               return $t.id"#,
+            ids(a, |t| {
+                path(t, &["country"]) == s("UK") && cmp(t, &["n"], 7i64) != Ordering::Equal
+            }),
+        ),
+        // `!=` on a field some rows lack (missing and null are not "en")
+        (
+            r#"for $t in dataset A where $t.lang != "en" return [$t.id, $t.lang]"#,
+            Some(
+                a.iter()
+                    .filter(|t| !eq(&path(t, &["lang"]), &s("en")))
+                    .map(|t| list(vec![path(t, &["id"]), path(t, &["lang"])]))
+                    .collect(),
+            ),
+        ),
+        // a path through a string field fails the query where the tree does
+        (
+            r#"for $t in dataset A where $t.country.code = "x" return $t.id"#,
+            if a.is_empty() { Some(Vec::new()) } else { None },
+        ),
+        (
+            r#"for $t in dataset A where $t.country = "US" and $t.lang.code = "x" return $t.id"#,
+            a.iter()
+                .filter(|t| path(t, &["country"]) == s("US"))
+                .map(|t| try_path(t, &["lang", "code"]).map(|_| ()))
+                .collect::<Result<Vec<()>, ()>>()
+                .ok()
+                .map(|_| Vec::new()),
+        ),
+        (
+            r#"for $t in dataset A where $t.user.name.first = "a" and $t.country = "nowhere"
+               return $t.id"#,
+            a.iter()
+                .map(|t| try_path(t, &["user", "name", "first"]).map(|_| ()))
+                .collect::<Result<Vec<()>, ()>>()
+                .ok()
+                .map(|_| Vec::new()),
+        ),
+        // nothing the pushed conjunct lets the scan skip may have failed:
+        // `for $h in $t.lang` fails on a string, so `country` stays in the tree
+        (
+            r#"for $t in dataset A for $h in $t.lang where $t.country = "nowhere" return $h"#,
+            if a.iter().any(|t| eq(&path(t, &["lang"]), &s("en"))) {
+                None
+            } else {
+                Some(Vec::new())
+            },
+        ),
+        (
+            r#"for $t in dataset A for $h in $t.tags where $t.country.code = "x" return $h"#,
+            if a.iter()
+                .any(|t| !path(t, &["tags"]).as_list().unwrap_or(&[]).is_empty())
+            {
+                None
+            } else {
+                Some(Vec::new())
+            },
+        ),
+        // a non-boolean conjunct fails an `and`, pushed neighbour or not
+        (
+            r#"for $t in dataset A where $t.lang and $t.country = "US" return $t.id"#,
+            if a.is_empty() { Some(Vec::new()) } else { None },
+        ),
+        // a shadowing `for`: `$t` of the `where` is the last binding
+        (
+            r#"let $t := "shadowed"
+               for $t in dataset A
+               where $t.country = "CA"
+               return $t.id"#,
+            ids(a, |t| path(t, &["country"]) == s("CA")),
+        ),
+        (
+            r#"for $t in dataset A let $t := $t.user where $t.name = "bo" return $t.name"#,
+            Some(
+                a.iter()
+                    .filter(|t| eq(&path(t, &["user", "name"]), &s("bo")))
+                    .map(|t| path(t, &["user", "name"]))
+                    .collect(),
+            ),
+        ),
+        // a join: each side's conjunct goes into its own scan
+        (
+            r#"for $b in dataset B for $a in dataset A
+               where $a.country = "US" and $b.n >= 5
+               return [$b.id, $a.id]"#,
+            Some(
+                b.iter()
+                    .flat_map(|x| a.iter().map(move |y| (x, y)))
+                    .filter(|(x, y)| {
+                        path(y, &["country"]) == s("US") && cmp(x, &["n"], 5i64) != Ordering::Less
+                    })
+                    .map(|(x, y)| list(vec![path(x, &["id"]), path(y, &["id"])]))
+                    .collect(),
+            ),
+        ),
+        // `group by ... with $t` under a pushed `where`
+        (
+            r#"for $t in dataset A where $t.country != "IN"
+               group by $l := $t.lang with $t
+               return { "l": $l, "n": count($t), "ids": (for $x in $t return $x.id) }"#,
+            Some({
+                let kept: Vec<AdmValue> = a
+                    .iter()
+                    .filter(|t| path(t, &["country"]) != s("IN"))
+                    .cloned()
+                    .collect();
+                groups(&kept, |t| path(t, &["lang"]))
+                    .into_iter()
+                    .map(|(l, n)| {
+                        let members = kept
+                            .iter()
+                            .filter(|t| eq(&path(t, &["lang"]), &l))
+                            .map(|t| path(t, &["id"]))
+                            .collect();
+                        rec(vec![
+                            ("l", l),
+                            ("n", AdmValue::Int(n as i64)),
+                            ("ids", list(members)),
+                        ])
+                    })
+                    .collect()
+            }),
         ),
     ]
 }

@@ -188,61 +188,9 @@ pub type PlanResult<T> = Result<T, PlanError>;
 // Routing predicates
 // ---------------------------------------------------------------------------
 
-/// A comparison operator of a [`RoutePredicate::Compare`] leaf.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Less than.
-    Lt,
-    /// Less than or equal.
-    Le,
-    /// Greater than.
-    Gt,
-    /// Greater than or equal.
-    Ge,
-}
-
-impl CmpOp {
-    /// Apply the operator to an ordering of `lhs` relative to `rhs`.
-    fn holds(self, ord: std::cmp::Ordering) -> bool {
-        use std::cmp::Ordering::*;
-        match self {
-            CmpOp::Eq => ord == Equal,
-            CmpOp::Ne => ord != Equal,
-            CmpOp::Lt => ord == Less,
-            CmpOp::Le => ord != Greater,
-            CmpOp::Gt => ord == Greater,
-            CmpOp::Ge => ord != Less,
-        }
-    }
-
-    /// The operator with swapped operand sides (`a < b` ⇔ `b > a`).
-    pub fn flipped(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Ne => CmpOp::Ne,
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-        }
-    }
-
-    /// AQL spelling (`=`, `!=`, `<`, `<=`, `>`, `>=`).
-    pub fn symbol(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "!=",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
-}
+/// A comparison operator of a [`RoutePredicate::Compare`] leaf: the one the
+/// byte predicates of `asterix_adm::pred` use.
+pub use asterix_adm::pred::CmpOp;
 
 /// A routing predicate evaluated against a record's parsed ADM value (and,
 /// for windowed arms, its generation timestamp). Field paths are nested:

@@ -867,9 +867,12 @@ fn recovery_after_torn_tail_seals_into_valid_compacted_component() {
         .collect();
     assert_eq!(sealed, survivors, "sealing changed the record-id set");
     // the compacted columns answer field scans identically to full reads
-    for (key, field_val) in part.scan_field("message_text") {
-        let full = part.get(&key).unwrap();
-        assert_eq!(full.field("message_text"), field_val.as_ref());
-        assert_eq!(part.get_field(&key, "score"), full.field("score").cloned());
-    }
+    let fields = ["message_text".to_string()];
+    part.try_for_each_row(Some(&fields), None, |key, row| {
+        let full = part.get(key).unwrap();
+        assert_eq!(full.field("message_text"), row.field("message_text"));
+        assert_eq!(part.get_field(key, "score"), full.field("score").cloned());
+        Ok::<_, asterix_common::IngestError>(())
+    })
+    .unwrap();
 }

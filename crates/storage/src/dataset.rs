@@ -11,9 +11,9 @@
 use crate::partition::{BatchOutcome, DatasetPartition, PartitionConfig, PartitionObservability};
 use crate::secondary::IndexKind;
 use asterix_adm::hash::partition_for;
+use asterix_adm::pred::Pred;
 use asterix_adm::AdmValue;
 use asterix_common::{IngestError, IngestResult, MetricsRegistry, NodeId, TraceHub};
-use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Static description of a dataset.
@@ -230,26 +230,29 @@ impl Dataset {
 
     fn collect_rows(&self, fields: Option<&[String]>) -> Vec<AdmValue> {
         let mut out = Vec::new();
-        let Ok(()) = self.try_for_each_row(fields, |row| {
-            out.push(row);
-            Ok::<_, Infallible>(())
-        });
+        self.try_for_each_row(fields, None, |row| {
+            out.push(std::mem::replace(row, AdmValue::Missing));
+            Ok::<_, IngestError>(())
+        })
+        .expect("an unfiltered scan has no error to return");
         out
     }
 
-    /// The streamed scan: every live record, partition by partition and in
-    /// key order within one, handed to `visit` — projected to `fields`, or
-    /// whole with `None` — until the visitor fails. Each partition is read
-    /// from its own snapshot ([`DatasetPartition::try_for_each_row`]): the
-    /// scan sees every partition as of one instant and holds no lock while
-    /// `visit` runs.
-    pub fn try_for_each_row<E>(
+    /// The streamed scan: every live record that passes `filter` (all of
+    /// them with `None`), partition by partition and in key order within
+    /// one, lent to `visit` — projected to `fields`, or whole with `None` —
+    /// until the filter or the visitor fails. Each partition is read from
+    /// its own snapshot ([`DatasetPartition::try_for_each_row`]): the scan
+    /// sees every partition as of one instant, tests the filter on the
+    /// stored bytes and holds no lock while `visit` runs.
+    pub fn try_for_each_row<E: From<IngestError>>(
         &self,
         fields: Option<&[String]>,
-        mut visit: impl FnMut(AdmValue) -> Result<(), E>,
+        filter: Option<&Pred>,
+        mut visit: impl FnMut(&mut AdmValue) -> Result<(), E>,
     ) -> Result<(), E> {
         for (_, p) in &self.partitions {
-            p.try_for_each_row(fields, |_, row| visit(row))?;
+            p.try_for_each_row(fields, filter, |_, row| visit(row))?;
         }
         Ok(())
     }
@@ -445,6 +448,36 @@ mod tests {
         let idx = d.partition_index_for(&key);
         assert!(d.partition(idx).get(&key).is_some());
         assert_eq!(d.get(&key).unwrap().field("id").unwrap(), &key);
+    }
+
+    #[test]
+    fn int64_keys_above_2_pow_53_are_distinct_records() {
+        let keyed = |id: i64, text: &str| {
+            AdmValue::record(vec![
+                ("id", AdmValue::Int(id)),
+                ("message_text", text.into()),
+            ])
+        };
+        let (a, b) = (1i64 << 53, (1i64 << 53) + 1);
+        // one partition would share the hash of the two keys anyway; two
+        // check that placement still finds each
+        for nodes in [1, 2] {
+            let d = dataset(nodes);
+            d.insert(&keyed(a, "a")).unwrap();
+            d.insert(&keyed(b, "b"))
+                .expect("a distinct key is no duplicate");
+            assert_eq!(d.len(), 2);
+            let d = dataset(nodes);
+            d.upsert(&keyed(a, "a")).unwrap();
+            d.upsert(&keyed(b, "b")).unwrap();
+            assert_eq!(d.len(), 2, "the upsert overwrote the other key");
+            for (id, text) in [(a, "a"), (b, "b")] {
+                assert_eq!(d.get(&AdmValue::Int(id)), Some(keyed(id, text)));
+            }
+            // an int key and an equal double are still one key
+            assert!(d.insert(&keyed(3, "three")).is_ok());
+            assert!(d.get(&AdmValue::Double(3.0)).is_some());
+        }
     }
 
     #[test]

@@ -40,7 +40,10 @@
 //! A long read need not hold its owner's lock: [`LsmTree::snapshot`] copies
 //! the memtable (bounded by its budget; the payloads are shared) and shares
 //! the component stack, and the [`LsmSnapshot`] is walked by the same
-//! iterator with nothing locked.
+//! iterator with nothing locked. That walk takes a filter
+//! ([`asterix_adm::pred::Pred`]), bound once per compacted component and
+//! tested on each row's column cells — on the payload bytes for memtable
+//! and open-layout rows — so a row the filter rejects is never decoded.
 //!
 //! # Compacted component storage
 //!
@@ -68,13 +71,14 @@
 //! never drops a slot that every input component already agreed on.
 
 use crate::{AsKey, KeyOrd};
-use asterix_adm::binary::{decode_field_at, decode_value, encode_into, encode_value};
+use asterix_adm::binary::{self, decode_field_at, decode_value, encode_into, encode_value};
 use asterix_adm::compact::{BlockBuilder, CompactedBlock, OpenBlock};
+use asterix_adm::pred::{BlockPred, Pred};
 use asterix_adm::AdmValue;
+use asterix_common::{IngestError, IngestResult};
 use bytes::Bytes;
 use std::cmp::Ordering;
 use std::collections::{btree_map, BTreeMap};
-use std::convert::Infallible;
 use std::iter::Peekable;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -125,6 +129,44 @@ impl LiveRef<'_> {
         }
     }
 
+    /// [`LiveRef::field`] into `dst`, reusing its string buffer when both
+    /// are strings. `false` (and `dst` untouched) = absent.
+    pub fn field_into(&self, name: &str, dst: &mut AdmValue) -> bool {
+        match self {
+            LiveRef::Sealed(c, row) => match &c.storage {
+                ComponentStorage::Compacted(b) => b.field_into(*row, name, dst),
+                ComponentStorage::Open(b) => b.field_into(*row, name, dst),
+            },
+            LiveRef::Mem(payload) => binary::field_into(payload, name, dst),
+        }
+    }
+
+    /// Write the record holding just `fields` of this one — in that order,
+    /// absent fields skipped (ADM `MISSING` semantics) — into `dst`, in the
+    /// field slots and string buffers `dst` already has where they fit: a
+    /// scan projecting every row into one buffer allocates for a row only
+    /// what differs in shape from the row before.
+    pub fn project_into(&self, fields: &[String], dst: &mut AdmValue) {
+        if !matches!(dst, AdmValue::Record(_)) {
+            *dst = AdmValue::Record(Vec::with_capacity(fields.len()));
+        }
+        let AdmValue::Record(out) = dst else {
+            unreachable!("made a record above")
+        };
+        let mut present = 0;
+        for f in fields {
+            match out.get_mut(present) {
+                None => out.push((f.clone(), AdmValue::Missing)),
+                Some((name, _)) if name != f => name.clone_from(f),
+                Some(_) => {}
+            }
+            if self.field_into(f, &mut out[present].1) {
+                present += 1;
+            }
+        }
+        out.truncate(present);
+    }
+
     /// Build the whole record — bit-exactly the value whose encoding was
     /// written. `None` only for bytes that never passed the write path's
     /// checked walk.
@@ -132,6 +174,19 @@ impl LiveRef<'_> {
         match self {
             LiveRef::Sealed(c, row) => c.storage.materialize(*row),
             LiveRef::Mem(payload) => decode_value(payload).ok(),
+        }
+    }
+
+    /// Does the record pass `filter`? `block` is the filter bound to this
+    /// record's component image when that image is compacted.
+    fn passes(&self, filter: &Pred, block: Option<&BlockPred<'_>>) -> IngestResult<bool> {
+        match (self, block) {
+            (LiveRef::Sealed(_, row), Some(block)) => block.test(*row),
+            (LiveRef::Sealed(c, row), None) => match &c.storage {
+                ComponentStorage::Open(b) => filter.test_bytes(b.record_slice(*row).unwrap_or(&[])),
+                ComponentStorage::Compacted(b) => filter.bind(b).test(*row),
+            },
+            (LiveRef::Mem(payload), _) => filter.test_bytes(payload),
         }
     }
 }
@@ -363,7 +418,7 @@ enum Source<'a> {
 /// the merge policy, so the minimum is found by a linear pass over the run
 /// heads: `k − 1` key comparisons per key yielded.
 struct SortedRuns<'a> {
-    mem: Option<Peekable<btree_map::Range<'a, KeyOrd, Entry>>>,
+    mem: Option<Peekable<MemRun<'a>>>,
     components: &'a [Arc<Component>],
     /// Per component: next position and end of its span.
     spans: Vec<(usize, usize)>,
@@ -387,13 +442,39 @@ impl<'a> SortedRuns<'a> {
         SortedRuns {
             mem: mem
                 .filter(|_| !empty)
-                .map(|m| m.range::<dyn AsKey, _>((bound(lo), bound(hi))).peekable()),
+                .map(|m| MemRun::Map(m.range::<dyn AsKey, _>((bound(lo), bound(hi)))).peekable()),
             spans: components
                 .iter()
                 .map(|c| if empty { (0, 0) } else { c.span(lo, hi) })
                 .collect(),
             components,
             tied: Vec::with_capacity(components.len()),
+        }
+    }
+
+    /// Over every key of a snapshot: its memtable copy and its runs.
+    fn snapshot(memtable: &'a [(KeyOrd, Entry)], components: &'a [Arc<Component>]) -> Self {
+        SortedRuns {
+            mem: Some(MemRun::Copy(memtable.iter()).peekable()),
+            ..SortedRuns::new(None, components, None, None)
+        }
+    }
+}
+
+/// The memtable side of a [`SortedRuns`] walk, in key order: a range of the
+/// tree's map, or a snapshot's copy of it.
+enum MemRun<'a> {
+    Map(btree_map::Range<'a, KeyOrd, Entry>),
+    Copy(std::slice::Iter<'a, (KeyOrd, Entry)>),
+}
+
+impl<'a> Iterator for MemRun<'a> {
+    type Item = (&'a KeyOrd, &'a Entry);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            MemRun::Map(range) => range.next(),
+            MemRun::Copy(entries) => entries.next().map(|(k, e)| (k, e)),
         }
     }
 }
@@ -449,43 +530,66 @@ fn live_ref<'a>(components: &'a [Arc<Component>], source: Source<'a>) -> Option<
     }
 }
 
-/// Visit the newest live version of every key in `[lo, hi]` over a memtable
-/// and a run stack, in key order, until the visitor fails.
-fn try_for_each_live<E>(
-    mem: &BTreeMap<KeyOrd, Entry>,
-    components: &[Arc<Component>],
-    lo: Option<&AdmValue>,
-    hi: Option<&AdmValue>,
-    mut f: impl FnMut(&AdmValue, LiveRef<'_>) -> Result<(), E>,
-) -> Result<(), E> {
-    for (key, source) in SortedRuns::new(Some(mem), components, lo, hi) {
-        if let Some(live) = live_ref(components, source) {
-            f(&key.0, live)?;
-        }
-    }
-    Ok(())
-}
-
 /// A read snapshot of an [`LsmTree`]: its component stack, `Arc`-shared,
-/// and a copy of its memtable. [`LsmTree::snapshot`] is O(memtable) — at
-/// most `memtable_budget` entries, each a key clone and a refcount bump of
-/// the payload — so an owner can take it under a short lock and scan it
+/// and a copy of its memtable's entries in one vector. [`LsmTree::snapshot`]
+/// is O(memtable) — at most `memtable_budget` entries, each a key clone and
+/// a refcount bump of the payload — so an owner can take it under a short
+/// lock and scan it
 /// without: later writes, seals and merges do not touch it, and the
 /// components it shares stay alive until it is dropped.
 #[derive(Debug)]
 pub struct LsmSnapshot {
-    memtable: BTreeMap<KeyOrd, Entry>,
+    /// The memtable's entries, in key order.
+    memtable: Vec<(KeyOrd, Entry)>,
     components: Vec<Arc<Component>>,
 }
 
 impl LsmSnapshot {
     /// [`LsmTree::for_each_live_ref`] over the snapshot, stopping at the
-    /// first error the visitor returns.
-    pub fn try_for_each_live_ref<E>(
+    /// first error the visitor returns. With a `filter`, only the records
+    /// that pass it reach the visitor: it is bound once to each compacted
+    /// component's image and tested on the row's column cells there, on the
+    /// payload bytes elsewhere, so a record it rejects is never decoded. A
+    /// filter's error (a path through a non-record value) stops the walk.
+    pub fn try_for_each_live_ref<E: From<IngestError>>(
         &self,
-        f: impl FnMut(&AdmValue, LiveRef<'_>) -> Result<(), E>,
+        filter: Option<&Pred>,
+        mut f: impl FnMut(&AdmValue, LiveRef<'_>) -> Result<(), E>,
     ) -> Result<(), E> {
-        try_for_each_live(&self.memtable, &self.components, None, None, f)
+        let bound: Vec<Option<BlockPred<'_>>> = match filter {
+            None => Vec::new(),
+            Some(filter) => self
+                .components
+                .iter()
+                .map(|c| match &c.storage {
+                    ComponentStorage::Compacted(b) => Some(filter.bind(b)),
+                    ComponentStorage::Open(_) => None,
+                })
+                .collect(),
+        };
+        for (key, source) in SortedRuns::snapshot(&self.memtable, &self.components) {
+            let block = match source {
+                Source::Run(ci, _) => bound.get(ci).and_then(Option::as_ref),
+                Source::Mem(_) => None,
+            };
+            let Some(live) = live_ref(&self.components, source) else {
+                continue;
+            };
+            if let Some(filter) = filter {
+                if !live.passes(filter, block)? {
+                    continue;
+                }
+            }
+            f(&key.0, live)?;
+        }
+        Ok(())
+    }
+
+    /// Count of live records (a walk of the keys; nothing is decoded).
+    pub fn live_count(&self) -> usize {
+        SortedRuns::snapshot(&self.memtable, &self.components)
+            .filter_map(|(_, source)| live_ref(&self.components, source))
+            .count()
     }
 }
 
@@ -776,24 +880,17 @@ impl LsmTree {
         hi: Option<&AdmValue>,
         mut f: impl FnMut(&AdmValue, LiveRef<'_>),
     ) {
-        let visit = |k: &AdmValue, r: LiveRef<'_>| {
-            f(k, r);
-            Ok::<_, Infallible>(())
-        };
-        let Ok(()) = try_for_each_live(&self.memtable, &self.components, lo, hi, visit);
+        for (key, source) in SortedRuns::new(Some(&self.memtable), &self.components, lo, hi) {
+            if let Some(live) = live_ref(&self.components, source) {
+                f(&key.0, live);
+            }
+        }
     }
 
     /// Visit every live record in key order — the vectorized scan entry
     /// point.
     pub fn for_each_live_ref(&self, f: impl FnMut(&AdmValue, LiveRef<'_>)) {
         self.for_each_live_in(None, None, f)
-    }
-
-    /// Visit one field of every live record — single-field scans touch one
-    /// column stride per compacted component. The value is `None` when the
-    /// record lacks the field.
-    pub fn for_each_live_field(&self, name: &str, mut f: impl FnMut(&AdmValue, Option<AdmValue>)) {
-        self.for_each_live_ref(|k, r| f(k, r.field(name)));
     }
 
     /// Point lookup of a single field: resolves the key's component, then
@@ -901,7 +998,11 @@ impl LsmTree {
     /// written after.
     pub fn snapshot(&self) -> LsmSnapshot {
         LsmSnapshot {
-            memtable: self.memtable.clone(),
+            memtable: self
+                .memtable
+                .iter()
+                .map(|(k, e)| (k.clone(), e.clone()))
+                .collect(),
             components: self.components.clone(),
         }
     }
@@ -1307,7 +1408,7 @@ mod tests {
         }
         assert_eq!(t.get_field(&k(99), "name"), None);
         let mut scanned = Vec::new();
-        t.for_each_live_field("name", |key, val| scanned.push((key.clone(), val)));
+        t.for_each_live_ref(|key, r| scanned.push((key.clone(), r.field("name"))));
         let full: Vec<(AdmValue, Option<AdmValue>)> = t
             .scan_all()
             .into_iter()

@@ -34,13 +34,13 @@ use crate::wal::{LogOp, WriteAheadLog};
 use asterix_adm::binary::{
     decode_field_at, decode_value, encode_value, record_field_slice, validate,
 };
+use asterix_adm::pred::Pred;
 use asterix_adm::{AdmType, AdmValue, TypeRegistry};
 use asterix_common::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use asterix_common::sync::{thread as sync_thread, Mutex, WakeEvent, WakeSignal};
 use asterix_common::{Counter, Histogram, IngestError, IngestResult, TraceLog};
 use bytes::Bytes;
 use std::collections::BTreeSet;
-use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -486,10 +486,11 @@ impl DatasetPartition {
     /// [`DatasetPartition::try_for_each_row`]).
     pub fn scan_all(&self) -> Vec<(AdmValue, AdmValue)> {
         let mut out = Vec::new();
-        let Ok(()) = self.try_for_each_row(None, |key, row| {
-            out.push((key.clone(), row));
-            Ok::<_, Infallible>(())
-        });
+        self.try_for_each_row(None, None, |key, row| {
+            out.push((key.clone(), std::mem::replace(row, AdmValue::Missing)));
+            Ok::<_, IngestError>(())
+        })
+        .expect("an unfiltered scan has no error to return");
         out
     }
 
@@ -500,28 +501,16 @@ impl DatasetPartition {
         self.inner.state.lock().primary.get_field(key, field)
     }
 
-    /// Vectorized single-field scan: `(key, field value)` for every live
-    /// record in key order, over a read snapshot. Sealed components answer
-    /// straight from their storage image (one column cell per row on the
-    /// compacted layout); full records are never rebuilt.
-    pub fn scan_field(&self, field: &str) -> Vec<(AdmValue, Option<AdmValue>)> {
-        let mut out = Vec::new();
-        let Ok(()) = self.snapshot().try_for_each_live_ref(|key, r| {
-            out.push((key.clone(), r.field(field)));
-            Ok::<_, Infallible>(())
-        });
-        out
-    }
-
     /// Vectorized projected scan: for each live record (in key order), a
     /// record holding just the requested fields, in the requested order.
     /// Fields absent from a record are skipped (ADM `MISSING` semantics).
     pub fn scan_projected(&self, fields: &[String]) -> Vec<AdmValue> {
         let mut out = Vec::new();
-        let Ok(()) = self.try_for_each_row(Some(fields), |_, row| {
-            out.push(row);
-            Ok::<_, Infallible>(())
-        });
+        self.try_for_each_row(Some(fields), None, |_, row| {
+            out.push(std::mem::replace(row, AdmValue::Missing));
+            Ok::<_, IngestError>(())
+        })
+        .expect("an unfiltered scan has no error to return");
         out
     }
 
@@ -531,38 +520,48 @@ impl DatasetPartition {
         self.inner.state.lock().primary.snapshot()
     }
 
-    /// The one scan path: hand every live record, in key order, to `visit`
-    /// with its key — projected to `fields` (absent fields skipped, per ADM
-    /// `MISSING` semantics; on compacted components only those columns are
-    /// decoded) or, with `None`, whole. Stops at the visitor's first error.
+    /// The one scan path: hand every live record that passes `filter` (all
+    /// of them with `None`), in key order, to `visit` with its key —
+    /// projected to `fields` (absent fields skipped, per ADM `MISSING`
+    /// semantics; on compacted components only those columns are decoded)
+    /// or, with `None`, whole. The filter reads the record where it lies —
+    /// column cells of a compacted component, payload bytes elsewhere — and
+    /// a record it rejects is neither projected nor decoded. Stops at the
+    /// filter's or the visitor's first error.
+    ///
+    /// The row is lent to the visitor: it may take it, but what it leaves
+    /// is where the next row is projected, so a scan whose visitor only
+    /// reads the row builds it in one buffer.
     ///
     /// The scan reads a snapshot taken under one short acquisition of the
     /// partition lock, so it sees the partition as of one instant — a
     /// group-committed batch all or not at all — and `visit` runs with the
     /// lock released: writers, seals and merges proceed beside a slow
     /// visitor, and a visitor may itself read this partition.
-    pub fn try_for_each_row<E>(
+    pub fn try_for_each_row<E: From<IngestError>>(
         &self,
         fields: Option<&[String]>,
-        mut visit: impl FnMut(&AdmValue, AdmValue) -> Result<(), E>,
+        filter: Option<&Pred>,
+        mut visit: impl FnMut(&AdmValue, &mut AdmValue) -> Result<(), E>,
     ) -> Result<(), E> {
-        self.snapshot()
-            .try_for_each_live_ref(|key, r| match fields {
-                Some(fields) => {
-                    let projected = fields
-                        .iter()
-                        .filter_map(|f| r.field(f).map(|v| (f.clone(), v)))
-                        .collect();
-                    visit(key, AdmValue::Record(projected))
-                }
-                // `None` only for bytes that never passed the checked walk
-                None => r.materialize().map_or(Ok(()), |row| visit(key, row)),
-            })
+        let mut row = AdmValue::Missing;
+        self.snapshot().try_for_each_live_ref(filter, |key, r| {
+            match fields {
+                Some(fields) => r.project_into(fields, &mut row),
+                None => match r.materialize() {
+                    Some(whole) => row = whole,
+                    // only bytes that never passed the checked walk
+                    None => return Ok(()),
+                },
+            }
+            visit(key, &mut row)
+        })
     }
 
-    /// Live record count.
+    /// Live record count, walked over a read snapshot: the partition lock is
+    /// held only to take it.
     pub fn len(&self) -> usize {
-        self.inner.state.lock().primary.live_count()
+        self.snapshot().live_count()
     }
 
     /// No live records?
@@ -1174,7 +1173,13 @@ mod tests {
         }
         p.force_merge(); // everything sealed into one (compacted) component
         let full = p.scan_all();
-        let texts = p.scan_field("message_text");
+        let mut texts = Vec::new();
+        p.snapshot()
+            .try_for_each_live_ref(None, |key, r| {
+                texts.push((key.clone(), r.field("message_text")));
+                Ok::<_, IngestError>(())
+            })
+            .unwrap();
         assert_eq!(texts.len(), full.len());
         for ((k, v), (fk, fv)) in full.iter().zip(&texts) {
             assert_eq!(k, fk);

@@ -209,7 +209,7 @@ proptest! {
         prop_assert_eq!(tree.scan_all(), want);
         for name in FIELDS {
             let mut got = Vec::new();
-            tree.for_each_live_field(name, |_, v| got.push(v));
+            tree.for_each_live_ref(|_, r| got.push(r.field(name)));
             let want: Vec<Option<AdmValue>> = rows.iter().map(|r| field_of(r, name)).collect();
             prop_assert_eq!(got, want, "field scan '{}'", name);
         }

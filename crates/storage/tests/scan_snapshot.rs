@@ -5,6 +5,7 @@
 //! scan began, and every scan sees a group-committed batch all or nothing.
 
 use asterix_adm::{encode_value, AdmValue};
+use asterix_common::IngestError;
 use asterix_storage::partition::{DatasetPartition, PartitionConfig};
 use bytes::Bytes;
 use std::sync::mpsc;
@@ -50,13 +51,13 @@ fn a_parked_scan_neither_blocks_a_writer_nor_sees_its_records() {
         let p = Arc::clone(&p);
         thread::spawn(move || {
             let mut seen = Vec::new();
-            p.try_for_each_row(None, |key, row| {
+            p.try_for_each_row(None, None, |key, row| {
                 if seen.is_empty() {
                     parked_tx.send(()).expect("test alive");
                     resume_rx.recv().expect("test alive");
                 }
-                seen.push((key.clone(), generation(&row)));
-                Ok::<_, ()>(())
+                seen.push((key.clone(), generation(row)));
+                Ok::<_, IngestError>(())
             })
             .expect("scan");
             seen
@@ -122,9 +123,9 @@ fn a_scan_beside_batched_upserts_sees_each_batch_whole() {
     let mut last = 0;
     while !writer.is_finished() || scans == 0 {
         let mut generations = Vec::with_capacity(KEYS);
-        p.try_for_each_row(Some(&["gen".to_string()]), |_, row| {
-            generations.push(generation(&row));
-            Ok::<_, ()>(())
+        p.try_for_each_row(Some(&["gen".to_string()]), None, |_, row| {
+            generations.push(generation(row));
+            Ok::<_, IngestError>(())
         })
         .expect("scan");
         assert_eq!(generations.len(), KEYS);

@@ -131,9 +131,9 @@ proptest! {
         prop_assert_eq!(compacted.scan_all(), open.scan_all());
         for field in ["id", "v", "extra", "zz_absent"] {
             let mut a = Vec::new();
-            compacted.for_each_live_field(field, |k, val| a.push((k.clone(), val)));
+            compacted.for_each_live_ref(|k, r| a.push((k.clone(), r.field(field))));
             let mut b = Vec::new();
-            open.for_each_live_field(field, |k, val| b.push((k.clone(), val)));
+            open.for_each_live_ref(|k, r| b.push((k.clone(), r.field(field))));
             prop_assert_eq!(&a, &b, "field scan '{}' diverged", field);
             for (k, want) in a {
                 prop_assert_eq!(compacted.get_field(&k, field), want, "get_field '{}'", field);
