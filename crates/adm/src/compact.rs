@@ -582,10 +582,11 @@ impl CompactedBlock {
         }
         let residual = self.residual_for(row as u32);
         match (residual.filter(|m| m.whole), self.slot(name)) {
-            (None, Some(fi)) => match self.cell_at(fi, row) {
-                Some(Val::Str(utf8)) => std::str::from_utf8(utf8).map(|s| dst.set_str(s)).is_ok(),
-                Some(_) => self.column_value(fi, row).map(|v| *dst = v).is_some(),
-                None => false,
+            (None, Some(fi)) => match &self.fields[fi].encoding {
+                Encoding::Str => std::str::from_utf8(self.cell(&self.fields[fi], row))
+                    .map(|s| dst.set_str(s))
+                    .is_ok(),
+                _ => self.column_value(fi, row).map(|v| *dst = v).is_some(),
             },
             _ => residual
                 .and_then(|m| self.residual_field(m, name))

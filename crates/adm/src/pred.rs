@@ -117,86 +117,47 @@ impl Pred {
     /// Test the record encoded in `record` (binary ADM, trusted: it passed
     /// the checked walk).
     pub fn test_bytes(&self, record: &[u8]) -> IngestResult<bool> {
-        self.test_by(&mut |leaf| {
-            let (path, op, literal) = leaf.parts();
-            let value = walk(Val::of_bytes(record)?, path)?;
-            Ok(op.holds(value.cmp(literal)?))
-        })
+        match self {
+            Pred::Compare { path, op, literal } => {
+                let value = walk(Val::of_bytes(record)?, path)?;
+                Ok(op.holds(value.cmp(literal)?))
+            }
+            Pred::All(ps) => all(ps, |p| p.test_bytes(record)),
+            Pred::Any(ps) => any(ps, |p| p.test_bytes(record)),
+            Pred::Not(p) => Ok(!p.test_bytes(record)?),
+        }
     }
 
     /// Resolve every path against `block`'s header, once: the predicate as
     /// [`BlockPred::test`] runs it over the block's rows.
     pub fn bind<'a>(&'a self, block: &'a CompactedBlock) -> BlockPred<'a> {
-        let mut leaves = Vec::new();
-        self.collect_leaves(&mut leaves);
-        let leaves = leaves
-            .into_iter()
-            .map(|leaf| {
-                let (path, _, _) = leaf.parts();
-                let Some(first) = path.first() else {
-                    return (leaf, Access::Row);
-                };
-                let access = match (block.slot(first), path.get(1)) {
-                    (None, _) => Access::Residual,
-                    (Some(fi), Some(next)) => match block.nested_names(fi) {
-                        Some(names) => Access::Nested {
-                            fi,
-                            at: names.iter().position(|n| n == next),
-                        },
-                        None => Access::Slot(fi),
-                    },
-                    (Some(fi), None) => Access::Slot(fi),
-                };
-                (leaf, access)
-            })
-            .collect();
         BlockPred {
-            pred: self,
             block,
-            leaves,
+            tree: Bound::of(self, block),
         }
     }
+}
 
-    fn collect_leaves<'a>(&'a self, out: &mut Vec<&'a Pred>) {
-        match self {
-            Pred::Compare { .. } => out.push(self),
-            Pred::All(ps) | Pred::Any(ps) => ps.iter().for_each(|p| p.collect_leaves(out)),
-            Pred::Not(p) => p.collect_leaves(out),
+/// `and` of `items` under `test`, left to right, stopping at the first
+/// that fails or errs.
+fn all<T>(items: &[T], mut test: impl FnMut(&T) -> IngestResult<bool>) -> IngestResult<bool> {
+    for item in items {
+        if !test(item)? {
+            return Ok(false);
         }
     }
+    Ok(true)
+}
 
-    /// The fields of a [`Pred::Compare`].
-    fn parts(&self) -> (&[String], CmpOp, &AdmValue) {
-        match self {
-            Pred::Compare { path, op, literal } => (path, *op, literal),
-            _ => unreachable!("a leaf is a comparison"),
+/// `or` of `items` under `test`, left to right, stopping at the first
+/// that holds or errs.
+fn any<T>(items: &[T], mut test: impl FnMut(&T) -> IngestResult<bool>) -> IngestResult<bool> {
+    for item in items {
+        if test(item)? {
+            return Ok(true);
         }
     }
-
-    /// The one walk of the combinators: `leaf` decides each comparison the
-    /// test reaches, in order.
-    fn test_by(&self, leaf: &mut impl FnMut(&Pred) -> IngestResult<bool>) -> IngestResult<bool> {
-        match self {
-            Pred::Compare { .. } => leaf(self),
-            Pred::All(ps) => {
-                for p in ps {
-                    if !p.test_by(leaf)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Pred::Any(ps) => {
-                for p in ps {
-                    if p.test_by(leaf)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            Pred::Not(p) => Ok(!p.test_by(leaf)?),
-        }
-    }
+    Ok(false)
 }
 
 /// Where a leaf's path starts in a compacted block.
@@ -213,13 +174,46 @@ enum Access {
     Row,
 }
 
+impl Access {
+    /// Where `path` starts in `block`.
+    fn of(path: &[String], block: &CompactedBlock) -> Access {
+        let Some(first) = path.first() else {
+            return Access::Row;
+        };
+        match (block.slot(first), path.get(1)) {
+            (None, _) => Access::Residual,
+            (Some(fi), Some(next)) => match block.nested_names(fi) {
+                Some(names) => Access::Nested {
+                    fi,
+                    at: names.iter().position(|n| n == next),
+                },
+                None => Access::Slot(fi),
+            },
+            (Some(fi), None) => Access::Slot(fi),
+        }
+    }
+}
+
 /// A [`Pred`] bound to one [`CompactedBlock`] by [`Pred::bind`].
 #[derive(Debug)]
 pub struct BlockPred<'a> {
-    pred: &'a Pred,
     block: &'a CompactedBlock,
-    /// Each comparison of `pred`, by address, with where its path starts.
-    leaves: Vec<(&'a Pred, Access)>,
+    tree: Bound<'a>,
+}
+
+/// A [`Pred`]'s tree, each comparison with where its path starts in the
+/// block.
+#[derive(Debug)]
+enum Bound<'a> {
+    Compare {
+        path: &'a [String],
+        op: CmpOp,
+        literal: &'a AdmValue,
+        access: Access,
+    },
+    All(Vec<Bound<'a>>),
+    Any(Vec<Bound<'a>>),
+    Not(Box<Bound<'a>>),
 }
 
 impl BlockPred<'_> {
@@ -230,38 +224,69 @@ impl BlockPred<'_> {
             Some((true, value)) => Some(value),
             _ => None,
         };
-        self.pred.test_by(&mut |leaf| {
-            let (path, op, literal) = leaf.parts();
-            let (_, access) = self
-                .leaves
-                .iter()
-                .find(|(l, _)| std::ptr::eq(*l, leaf))
-                .expect("bound leaf");
-            let value = match (opaque, *access) {
-                (Some(value), _) => walk(Val::of_bytes(value)?, path)?,
-                (None, Access::Slot(fi)) => {
-                    let cell = self.block.cell_at(fi, row).unwrap_or(Val::Missing);
-                    walk(cell, &path[1..])?
+        self.tree.test(self.block, row, opaque)
+    }
+}
+
+impl<'a> Bound<'a> {
+    fn of(pred: &'a Pred, block: &CompactedBlock) -> Self {
+        let children = |ps: &'a [Pred]| ps.iter().map(|p| Bound::of(p, block)).collect();
+        match pred {
+            Pred::Compare { path, op, literal } => Bound::Compare {
+                path,
+                op: *op,
+                literal,
+                access: Access::of(path, block),
+            },
+            Pred::All(ps) => Bound::All(children(ps)),
+            Pred::Any(ps) => Bound::Any(children(ps)),
+            Pred::Not(p) => Bound::Not(Box::new(Bound::of(p, block))),
+        }
+    }
+
+    /// Test row `row` of `block`; `opaque` holds the row's bytes when it is
+    /// carried whole.
+    fn test(
+        &self,
+        block: &CompactedBlock,
+        row: usize,
+        opaque: Option<&[u8]>,
+    ) -> IngestResult<bool> {
+        let (path, op, literal, access) = match self {
+            Bound::Compare {
+                path,
+                op,
+                literal,
+                access,
+            } => (*path, *op, *literal, *access),
+            Bound::All(bs) => return all(bs, |b| b.test(block, row, opaque)),
+            Bound::Any(bs) => return any(bs, |b| b.test(block, row, opaque)),
+            Bound::Not(b) => return Ok(!b.test(block, row, opaque)?),
+        };
+        let value = match (opaque, access) {
+            (Some(value), _) => walk(Val::of_bytes(value)?, path)?,
+            (None, Access::Slot(fi)) => {
+                let cell = block.cell_at(fi, row).unwrap_or(Val::Missing);
+                walk(cell, &path[1..])?
+            }
+            (None, Access::Nested { fi, at }) => match (block.cell_at(fi, row), at) {
+                (Some(Val::Rec(values, _)), Some(at)) => {
+                    walk(Val::of_bytes(nth_value(values, at)?)?, &path[2..])?
                 }
-                (None, Access::Nested { fi, at }) => match (self.block.cell_at(fi, row), at) {
-                    (Some(Val::Rec(values, _)), Some(at)) => {
-                        walk(Val::of_bytes(nth_value(values, at)?)?, &path[2..])?
-                    }
-                    _ => Val::Missing,
-                },
-                (None, Access::Residual) => match self.block.residual_at(row) {
-                    Some((_, leftovers)) => walk(Val::of_bytes(leftovers)?, path)?,
-                    None => Val::Missing,
-                },
-                (None, Access::Row) => {
-                    let record = self.block.materialize(row).ok_or_else(|| {
-                        IngestError::Parse("compacted block: row does not rebuild".into())
-                    })?;
-                    return Ok(op.holds(record.total_cmp(literal)));
-                }
-            };
-            Ok(op.holds(value.cmp(literal)?))
-        })
+                _ => Val::Missing,
+            },
+            (None, Access::Residual) => match block.residual_at(row) {
+                Some((_, leftovers)) => walk(Val::of_bytes(leftovers)?, path)?,
+                None => Val::Missing,
+            },
+            (None, Access::Row) => {
+                let record = block.materialize(row).ok_or_else(|| {
+                    IngestError::Parse("compacted block: row does not rebuild".into())
+                })?;
+                return Ok(op.holds(record.total_cmp(literal)));
+            }
+        };
+        Ok(op.holds(value.cmp(literal)?))
     }
 }
 

@@ -205,15 +205,6 @@ pub enum FlworClause {
     },
 }
 
-impl FlworClause {
-    /// The variable the clause binds.
-    pub fn var(&self) -> &str {
-        match self {
-            FlworClause::For { var, .. } | FlworClause::Let { var, .. } => var,
-        }
-    }
-}
-
 /// An AQL expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {

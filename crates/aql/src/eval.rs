@@ -22,16 +22,19 @@
 //! literals or such paths are read by reference; only a value an expression
 //! returns is cloned.
 //!
-//! Before it binds anything, a FLWOR splits its `where` into its `and`-ed
-//! conjuncts and pushes each one that compares `$v.<path>` with literals
-//! (under `and`/`or`/`not`) into the scan of the dataset `for` binding `$v`,
-//! as one [`Pred`] the scan tests on the stored bytes — column cells of a
-//! compacted component, payload bytes elsewhere — before it projects or
-//! decodes the row (`push_down` has the rule that keeps every error where
-//! the tree would raise it). Only the conjuncts left are evaluated as trees,
-//! and a scan is projected to the fields those and the rest of the query
-//! read: `for $t in dataset D where $t.country = "US" return $t.id` compares
-//! `country` in place and decodes `id` of the matching rows only.
+//! Before it binds anything, a FLWOR of the shape `let* for $v in dataset D
+//! where ...` splits its `where` into its `and`-ed conjuncts and pushes the
+//! leading ones that compare `$v.<path>` with literals (under
+//! `and`/`or`/`not`) into the scan, as one [`Pred`] the scan tests on the
+//! stored bytes — column cells of a compacted component, payload bytes
+//! elsewhere — before it projects or decodes the row. The scan's rows are
+//! then the complete bindings, in order, so the pushed conjuncts run at the
+//! same rows, in the same order and with the same short-circuit as the tree
+//! would, and fail where it would fail (`push_down`). Only the conjuncts
+//! left are evaluated as trees, and a scan is projected to the fields those
+//! and the rest of the query read: `for $t in dataset D where $t.country =
+//! "US" return $t.id` compares `country` in place and decodes `id` of the
+//! matching rows only.
 
 use crate::ast::{BinOp, Expr, FlworClause, GroupBy};
 use crate::route::{cmp_op, field_path};
@@ -259,13 +262,14 @@ pub fn eval_flwor(
     if let Some(w) = where_clause {
         split_and(w, &mut conjuncts);
     }
-    // predicate pushdown: the conjuncts a dataset scan can test on the
-    // stored bytes leave the tree `where`
-    let (mut filters, rest) = push_down(clauses, &conjuncts, env, ctx);
+    // predicate pushdown: the leading conjuncts the last clause's scan can
+    // test on the stored bytes leave the tree `where`
+    let (mut filter, pushed) = push_down(clauses, &conjuncts);
+    let rest = &conjuncts[pushed..];
     let flwor = Flwor {
         where_clause: Where {
-            chained: conjuncts.len() > 1,
-            conjuncts: rest,
+            expr: where_clause.as_deref().filter(|_| !rest.is_empty()),
+            pushed,
         },
         group_by: group_by.as_ref(),
         ret,
@@ -285,14 +289,7 @@ pub fn eval_flwor(
         // ever used through direct field accesses downstream scans just
         // those fields — on compacted components only the requested
         // columns are decoded
-        let fields = projection_for(
-            var,
-            &clauses[ci + 1..],
-            &flwor.where_clause.conjuncts,
-            flwor.group_by,
-            ret,
-        );
-        let filter = filters[ci].take();
+        let fields = projection_for(var, &clauses[ci + 1..], rest, flwor.group_by, ret);
         let streamed = !clauses[..ci]
             .iter()
             .any(|c| matches!(c, FlworClause::For { .. }));
@@ -300,17 +297,15 @@ pub fn eval_flwor(
         // fails the query even when no outer binding reaches the clause),
         // a whole-record one when an outer binding first reaches it
         let rows = match (&fields, streamed) {
-            (Some(fields), false) => Some(scan_rows(
-                &*ctx.dataset(name)?,
-                Some(fields),
-                filter.as_ref(),
-            )?),
+            (Some(fields), false) => Some(scan_rows(&*ctx.dataset(name)?, Some(fields))?),
             _ => None,
         };
         scans.push(Some(DatasetFor {
             name,
             fields,
-            filter,
+            // only the last clause has a filter, and then it is the one
+            // dataset `for`
+            filter: filter.take(),
             streamed,
             rows,
         }));
@@ -337,7 +332,7 @@ struct DatasetFor<'q> {
     /// What the scan is projected to ([`projection_for`]); `None` scans
     /// whole records.
     fields: Option<Vec<String>>,
-    /// The conjuncts of `where` the scan tests ([`push_down`]).
+    /// The leading conjuncts of `where` the scan tests ([`push_down`]).
     filter: Option<Pred>,
     /// No `for` comes before it: its rows stream from the scan.
     streamed: bool,
@@ -412,11 +407,7 @@ impl Flwor<'_> {
             (FlworClause::For { var, .. }, Some(ds)) => {
                 if ds.rows.is_none() {
                     let dataset = self.ctx.dataset(ds.name)?;
-                    ds.rows = Some(scan_rows(
-                        &dataset,
-                        ds.fields.as_deref(),
-                        ds.filter.as_ref(),
-                    )?);
+                    ds.rows = Some(scan_rows(&dataset, ds.fields.as_deref())?);
                 }
                 let rows = ds.rows.as_mut().expect("scanned above");
                 scoped(env, var, |env| {
@@ -489,46 +480,54 @@ impl Flwor<'_> {
     }
 }
 
-/// What is left of a `where` once its pushed conjuncts went into the scans:
-/// the other conjuncts, tested on each complete binding in their order.
+/// A `where` whose leading conjuncts may have gone into the scan: it is
+/// evaluated as [`eval`] evaluates it, with each pushed conjunct — which
+/// every binding reaching it has passed — read as `true`.
 struct Where<'q> {
-    conjuncts: Vec<&'q Expr>,
-    /// The `where` was an `and` of several conjuncts: each one evaluated
-    /// must be a boolean, as `and` requires, where a lone non-boolean
-    /// `where` merely rejects the binding.
-    chained: bool,
+    /// `None` when there is no `where`, or all of it was pushed.
+    expr: Option<&'q Expr>,
+    /// How many leading conjuncts the scan tests.
+    pushed: usize,
 }
 
 impl Where<'_> {
-    /// The conjuncts' `and`, left to right, stopping at the first `false`.
+    /// Does the complete binding in `env` pass?
     fn holds(&self, env: &mut Env, ctx: &dyn EvalContext) -> IngestResult<bool> {
-        for c in &self.conjuncts {
-            let v = eval(c, env, ctx)?;
-            match v.as_bool() {
-                Some(true) => {}
-                Some(false) => return Ok(false),
-                None if self.chained => {
-                    return Err(IngestError::Type(format!(
-                        "boolean operator on {}",
-                        v.type_name()
-                    )))
-                }
-                None => return Ok(false),
-            }
+        let Some(w) = self.expr else {
+            return Ok(true);
+        };
+        Ok(self.eval_and(w, &mut 0, env, ctx)?.as_bool() == Some(true))
+    }
+
+    /// [`eval`]'s `and` over the chain `expr`, whose first conjunct is the
+    /// `where`'s conjunct number `seen`.
+    fn eval_and(
+        &self,
+        expr: &Expr,
+        seen: &mut usize,
+        env: &mut Env,
+        ctx: &dyn EvalContext,
+    ) -> IngestResult<AdmValue> {
+        let Expr::Bin(BinOp::And, l, r) = expr else {
+            *seen += 1;
+            return match *seen <= self.pushed {
+                true => Ok(AdmValue::Boolean(true)),
+                false => eval(expr, env, ctx),
+            };
+        };
+        let l = self.eval_and(l, seen, env, ctx)?;
+        if l.as_bool() == Some(false) {
+            return Ok(AdmValue::Boolean(false));
         }
-        Ok(true)
+        let r = self.eval_and(r, seen, env, ctx)?;
+        bool_op(&l, &r, |a, b| a && b)
     }
 }
 
-/// The rows of one dataset scan, projected to `fields` and passed by
-/// `filter`.
-fn scan_rows(
-    dataset: &Dataset,
-    fields: Option<&[String]>,
-    filter: Option<&Pred>,
-) -> IngestResult<Vec<AdmValue>> {
+/// The rows of one dataset scan, projected to `fields`.
+fn scan_rows(dataset: &Dataset, fields: Option<&[String]>) -> IngestResult<Vec<AdmValue>> {
     let mut rows = Vec::new();
-    dataset.try_for_each_row(fields, filter, |row| {
+    dataset.try_for_each_row(fields, None, |row| {
         rows.push(std::mem::replace(row, AdmValue::Missing));
         Ok::<_, IngestError>(())
     })?;
@@ -546,115 +545,53 @@ fn split_and<'q>(expr: &'q Expr, out: &mut Vec<&'q Expr>) {
     }
 }
 
-/// Predicate pushdown: which conjuncts of a FLWOR's `where` the scan of a
-/// dataset `for` tests on the stored bytes ([`Dataset::try_for_each_row`]'s
-/// filter), per clause, and the conjuncts left for the tree.
+/// Predicate pushdown: the filter the scan of a FLWOR's last clause tests
+/// on the stored bytes ([`Dataset::try_for_each_row`]), and how many of the
+/// `where`'s leading conjuncts it holds.
 ///
-/// A conjunct is pushed into the scan of `for $v in dataset D` when it
-/// compiles to a [`Pred`] — comparisons of `$v.<path>` with a literal under
-/// `and`/`or`/`not` — and no later clause rebinds `$v` (`where` sees the
-/// scan's row). The scan then tests it on every row before anything after
-/// the `for` runs, where the tree tested it on each complete binding after
-/// everything else. So that the query errors exactly where the tree errs:
-///
-/// * a conjunct whose paths are all one field long cannot fail on a row (a
-///   dataset holds records) and is pushed when nothing it lets the scan
-///   skip could have failed: every clause after the `for` is one this
-///   analysis proves infallible, and so is every conjunct before it that
-///   the same scan does not test first;
-/// * a longer path can fail (`$t.a.b` with `a` a string), so its conjunct
-///   is pushed only into the `for` of `let* for $v in dataset D where ...`
-///   and only when every conjunct before it was too: the scan then tests
-///   the conjuncts at the same rows, in the same order, with the same
-///   short-circuit as the tree.
-fn push_down<'q>(
-    clauses: &'q [FlworClause],
-    conjuncts: &[&'q Expr],
-    env: &Env,
-    ctx: &dyn EvalContext,
-) -> (Vec<Option<Pred>>, Vec<&'q Expr>) {
-    let mut filters: Vec<Vec<Pred>> = clauses.iter().map(|_| Vec::new()).collect();
-    if conjuncts.is_empty() {
-        return (clauses.iter().map(|_| None).collect(), Vec::new());
-    }
-    let mut scope = Scope {
-        bound: env.keys().map(String::as_str).collect(),
-        rows: Vec::new(),
+/// The FLWOR must be `let* for $v in dataset D where ...`: the scan's rows
+/// are then its complete bindings, one for one and in order, tested as they
+/// stream. The conjuncts pushed are the leading ones that compile to a
+/// [`Pred`] over `$v`, so the scan tests them at the same rows, in the same
+/// order and with the same short-circuit as the tree, and an error one
+/// raises (`$t.a.b` with `a` a string) stops the query where the tree's
+/// would.
+fn push_down(clauses: &[FlworClause], conjuncts: &[&Expr]) -> (Option<Pred>, usize) {
+    let Some((
+        FlworClause::For {
+            var,
+            source: Expr::DatasetScan(_),
+        },
+        before,
+    )) = clauses.split_last()
+    else {
+        return (None, 0);
     };
-    // per clause: can evaluating it fail, where it stands?
-    let mut fallible = Vec::with_capacity(clauses.len());
-    for clause in clauses {
-        fallible.push(!scope.clause_infallible(clause, ctx));
-        scope.enter(clause);
+    if !before.iter().all(|c| matches!(c, FlworClause::Let { .. })) {
+        return (None, 0);
     }
-    let last = clauses.len().saturating_sub(1);
-    let streamed_last = clauses[..last]
+    let mut preds: Vec<Pred> = conjuncts
         .iter()
-        .all(|c| matches!(c, FlworClause::Let { .. }));
-    let mut rest = Vec::new();
-    // per conjunct so far: the clause it was pushed into, and whether it is
-    // a boolean that cannot fail
-    let mut pushed: Vec<Option<usize>> = Vec::with_capacity(conjuncts.len());
-    let mut safe: Vec<bool> = Vec::with_capacity(conjuncts.len());
-    for &c in conjuncts {
-        let target = compile_pred(c).and_then(|(var, pred, short)| {
-            let ci = clauses.iter().rposition(|cl| cl.var() == var)?;
-            let FlworClause::For {
-                source: Expr::DatasetScan(_),
-                ..
-            } = &clauses[ci]
-            else {
-                return None;
-            };
-            // an earlier conjunct the same scan tests keeps its place
-            let first = |k: usize| pushed[k] == Some(ci);
-            let sound = match short {
-                true => {
-                    (0..pushed.len()).all(|k| first(k) || safe[k])
-                        && !fallible[ci + 1..].contains(&true)
-                }
-                false => ci == last && streamed_last && (0..pushed.len()).all(first),
-            };
-            sound.then_some((ci, pred))
-        });
-        match target {
-            Some((ci, pred)) => {
-                filters[ci].push(pred);
-                pushed.push(Some(ci));
-            }
-            None => {
-                rest.push(c);
-                pushed.push(None);
-            }
-        }
-        safe.push(scope.boolean(c));
-    }
-    let filters = filters.into_iter().map(|mut preds| match preds.len() {
+        .map_while(|c| compile_pred(c, var))
+        .collect();
+    let pushed = preds.len();
+    let filter = match pushed {
         0 | 1 => preds.pop(),
         _ => Some(Pred::All(preds)),
-    });
-    (filters.collect(), rest)
+    };
+    (filter, pushed)
 }
 
-/// A pushable conjunct: the variable it reads, its predicate, and whether
-/// every path in it is one field long. `None` for anything else.
-fn compile_pred(expr: &Expr) -> Option<(&str, Pred, bool)> {
-    let (mut var, mut short) = (None, true);
-    let pred = compile_leaves(expr, &mut var, &mut short)?;
-    Some((var?, pred, short))
-}
-
-fn compile_leaves<'q>(expr: &'q Expr, var: &mut Option<&'q str>, short: &mut bool) -> Option<Pred> {
+/// `expr` as a [`Pred`] on the records `$var` binds: comparisons of
+/// `$var.<path>` with a literal under `and`/`or`/`not`. `None` for anything
+/// else.
+fn compile_pred(expr: &Expr, var: &str) -> Option<Pred> {
     Some(match expr {
-        Expr::Bin(BinOp::And, l, r) => Pred::All(vec![
-            compile_leaves(l, var, short)?,
-            compile_leaves(r, var, short)?,
-        ]),
-        Expr::Bin(BinOp::Or, l, r) => Pred::Any(vec![
-            compile_leaves(l, var, short)?,
-            compile_leaves(r, var, short)?,
-        ]),
-        Expr::Not(inner) => Pred::Not(Box::new(compile_leaves(inner, var, short)?)),
+        Expr::Bin(BinOp::And, l, r) => {
+            Pred::All(vec![compile_pred(l, var)?, compile_pred(r, var)?])
+        }
+        Expr::Bin(BinOp::Or, l, r) => Pred::Any(vec![compile_pred(l, var)?, compile_pred(r, var)?]),
+        Expr::Not(inner) => Pred::Not(Box::new(compile_pred(inner, var)?)),
         Expr::Bin(op, l, r) => {
             let (op, path, literal) = match (cmp_op(*op)?, &**l, &**r) {
                 (op, path, Expr::Literal(literal)) => (op, path, literal),
@@ -662,10 +599,9 @@ fn compile_leaves<'q>(expr: &'q Expr, var: &mut Option<&'q str>, short: &mut boo
                 _ => return None,
             };
             let (v, path) = field_path(path).ok()?;
-            if *var.get_or_insert(v) != v {
+            if v != var {
                 return None;
             }
-            *short &= path.len() == 1;
             Pred::Compare {
                 path,
                 op,
@@ -674,77 +610,6 @@ fn compile_leaves<'q>(expr: &'q Expr, var: &mut Option<&'q str>, short: &mut boo
         }
         _ => return None,
     })
-}
-
-/// What a point of a FLWOR sees, for [`push_down`]'s proof that an
-/// expression cannot fail there.
-struct Scope<'q> {
-    /// Variables bound.
-    bound: Vec<&'q str>,
-    /// Variables bound to a dataset's rows: records, whose fields can be
-    /// read without error.
-    rows: Vec<&'q str>,
-}
-
-impl<'q> Scope<'q> {
-    /// Step past `clause`'s binding.
-    fn enter(&mut self, clause: &'q FlworClause) {
-        let var = clause.var();
-        self.bound.push(var);
-        self.rows.retain(|v| *v != var);
-        if let FlworClause::For {
-            source: Expr::DatasetScan(_),
-            ..
-        } = clause
-        {
-            self.rows.push(var);
-        }
-    }
-
-    /// Can evaluating `clause` here not fail? (It may bind nothing.)
-    fn clause_infallible(&self, clause: &FlworClause, ctx: &dyn EvalContext) -> bool {
-        match clause {
-            FlworClause::Let { value, .. } => self.infallible(value),
-            FlworClause::For {
-                source: Expr::DatasetScan(name),
-                ..
-            } => ctx.dataset(name).is_ok(),
-            FlworClause::For {
-                source: Expr::ListCtor(items),
-                ..
-            } => items.iter().all(|e| self.infallible(e)),
-            FlworClause::For { .. } => false,
-        }
-    }
-
-    /// Can evaluating `expr` here not fail? Conservative: `false` for
-    /// anything not plainly safe.
-    fn infallible(&self, expr: &Expr) -> bool {
-        match expr {
-            Expr::Literal(_) => true,
-            Expr::Var(v) => self.bound.contains(&v.as_str()),
-            Expr::FieldAccess(inner, _) => {
-                matches!(&**inner, Expr::Var(v) if self.rows.contains(&v.as_str()))
-            }
-            Expr::ListCtor(items) => items.iter().all(|e| self.infallible(e)),
-            Expr::RecordCtor(fields) => fields.iter().all(|(_, e)| self.infallible(e)),
-            _ => self.boolean(expr),
-        }
-    }
-
-    /// Does evaluating `expr` here yield a boolean, without fail — what an
-    /// operand of `and` must?
-    fn boolean(&self, expr: &Expr) -> bool {
-        match expr {
-            Expr::Literal(v) => v.as_bool().is_some(),
-            Expr::Bin(BinOp::And | BinOp::Or, l, r) => self.boolean(l) && self.boolean(r),
-            Expr::Bin(op, l, r) => {
-                cmp_op(*op).is_some() && self.infallible(l) && self.infallible(r)
-            }
-            Expr::Not(inner) => self.boolean(inner),
-            _ => false,
-        }
-    }
 }
 
 /// The field set a dataset-scan variable can be projected down to, or
@@ -1201,9 +1066,9 @@ mod tests {
         );
     }
 
-    /// What [`push_down`] pushes for the FLWOR `src`: per clause, the
-    /// predicates its scan tests; and how many conjuncts stay in the tree.
-    fn pushed(src: &str, ctx: &dyn EvalContext) -> (Vec<Option<Pred>>, usize) {
+    /// What [`push_down`] pushes for the FLWOR `src`: the predicate the
+    /// last clause's scan tests, and how many conjuncts it holds.
+    fn pushed(src: &str) -> (Option<Pred>, usize) {
         let Expr::Flwor {
             clauses,
             where_clause,
@@ -1214,8 +1079,7 @@ mod tests {
         };
         let mut conjuncts = Vec::new();
         split_and(where_clause.as_deref().unwrap(), &mut conjuncts);
-        let (filters, rest) = push_down(&clauses, &conjuncts, &Env::new(), ctx);
-        (filters, rest.len())
+        push_down(&clauses, &conjuncts)
     }
 
     fn compare(path: &str, op: CmpOp, literal: impl Into<AdmValue>) -> Pred {
@@ -1227,89 +1091,54 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_takes_the_conjuncts_it_can_prove_sound() {
-        let ctx = OneDataset(tweet_dataset());
+    fn pushdown_takes_the_leading_conjuncts_of_a_let_star_for() {
         // the reader query: `country` is tested in the scan, only `id` is
         // projected
         let reader = r#"for $t in dataset T where $t.country = "US" return $t.id"#;
         assert_eq!(
-            pushed(reader, &ctx),
-            (vec![Some(compare("country", CmpOp::Eq, "US"))], 0)
+            pushed(reader),
+            (Some(compare("country", CmpOp::Eq, "US")), 1)
         );
-        assert_eq!(analyze_pushed(reader, &ctx), Some(vec!["id".to_string()]));
-        // a literal on the left flips; a nested path under `let* for` goes
-        // in, and so does a conjunct after it
+        assert_eq!(analyze_pushed(reader), Some(vec!["id".to_string()]));
+        // a literal on the left flips, a nested path goes in, and the
+        // conjuncts from the first one that does not compile stay in the tree
         assert_eq!(
             pushed(
                 r#"let $c := "UK" for $t in dataset T
-                   where 5 < $t.user.n and $t.country = $c and $t.lang != "en" return $t.id"#,
-                &ctx
+                   where 5 < $t.user.n and not($t.lang = "en" or $t.lang = "fr")
+                     and $t.country = $c and $t.id = 1
+                   return $t.id"#
             ),
             (
-                vec![
-                    None,
-                    Some(Pred::All(vec![
-                        compare("user.n", CmpOp::Gt, 5i64),
-                        compare("lang", CmpOp::Ne, "en")
-                    ]))
-                ],
-                1
+                Some(Pred::All(vec![
+                    compare("user.n", CmpOp::Gt, 5i64),
+                    Pred::Not(Box::new(Pred::Any(vec![
+                        compare("lang", CmpOp::Eq, "en"),
+                        compare("lang", CmpOp::Eq, "fr")
+                    ])))
+                ])),
+                2
             )
         );
-        // a nested path behind a tree conjunct, or under a later clause,
-        // stays in the tree
+        // a tree conjunct first keeps everything in the tree
         assert_eq!(
-            pushed(
-                r#"for $t in dataset T where $t.a = $t.b and $t.u.n = 1 return 1"#,
-                &ctx
-            )
-            .1,
-            2
+            pushed(r#"for $t in dataset T where $t.a = $t.b and $t.u = 1 return 1"#),
+            (None, 0)
         );
-        assert_eq!(
-            pushed(
-                r#"for $t in dataset T for $x in [1] where $t.u.n = 1 return 1"#,
-                &ctx
-            )
-            .1,
-            1
-        );
-        // a clause that may fail keeps the scan from skipping rows
-        assert_eq!(
-            pushed(
-                r#"for $t in dataset T for $h in $t.tags where $t.c = "x" return $h"#,
-                &ctx
-            )
-            .1,
-            1
-        );
-        // each side of a join filters its own scan
-        assert_eq!(
-            pushed(
-                r#"for $b in dataset T for $a in dataset T where $a.c = "x" and $b.n = 1 return 1"#,
-                &ctx
-            ),
-            (
-                vec![
-                    Some(compare("n", CmpOp::Eq, 1i64)),
-                    Some(compare("c", CmpOp::Eq, "x"))
-                ],
-                0
-            )
-        );
-        // a variable a later clause rebinds is not the scan's row
-        assert_eq!(
-            pushed(
-                r#"for $t in dataset T let $t := $t.u where $t.n = 1 return 1"#,
-                &ctx
-            )
-            .1,
-            1
-        );
+        // a clause after the scan, a `for` before it, a join, or a later
+        // clause rebinding the variable: nothing is pushed
+        for src in [
+            r#"for $t in dataset T for $x in [1] where $t.u = 1 return 1"#,
+            r#"for $x in [1] for $t in dataset T where $t.u = 1 return 1"#,
+            r#"for $b in dataset T for $a in dataset T where $a.c = "x" return 1"#,
+            r#"for $t in dataset T let $t := $t.u where $t.n = 1 return 1"#,
+        ] {
+            assert_eq!(pushed(src), (None, 0), "{src}");
+        }
     }
 
     /// [`projection_for`] of the first clause once the `where` was pushed.
-    fn analyze_pushed(src: &str, ctx: &dyn EvalContext) -> Option<Vec<String>> {
+    fn analyze_pushed(src: &str) -> Option<Vec<String>> {
         let Expr::Flwor {
             clauses,
             where_clause,
@@ -1319,13 +1148,16 @@ mod tests {
         else {
             panic!("not a FLWOR");
         };
+        let FlworClause::For { var, .. } = &clauses[0] else {
+            panic!("first clause not a for");
+        };
         let mut conjuncts = Vec::new();
         split_and(where_clause.as_deref().unwrap(), &mut conjuncts);
-        let (_, rest) = push_down(&clauses, &conjuncts, &Env::new(), ctx);
+        let (_, pushed) = push_down(&clauses, &conjuncts);
         projection_for(
-            clauses[0].var(),
+            var,
             &clauses[1..],
-            &rest,
+            &conjuncts[pushed..],
             group_by.as_ref(),
             &ret,
         )

@@ -15,9 +15,10 @@
 //! comparisons on a string, an int and a nested int, `and`/`or`/`not`
 //! mixes, a conjunct over a `let` variable beside a pushed one, `!=` on a
 //! field some rows lack, paths through a string field (the query must fail
-//! exactly when the tree's would), conjuncts that must stay in the tree so
-//! an error is not skipped, shadowing, a join, and group-by under a pushed
-//! `where`.
+//! exactly when the tree's would), a non-boolean conjunct beside pushed
+//! ones (the error must be the tree's, word for word), shapes that push
+//! nothing (a clause after the scan, a join, a rebinding `let`), shadowing,
+//! and group-by under a pushed `where`.
 
 use asterix_adm::AdmValue;
 use asterix_aql::eval::{eval_flwor, Env, EvalContext};
@@ -380,6 +381,15 @@ fn corpus(a: &[AdmValue], b: &[AdmValue]) -> Vec<(&'static str, Option<Vec<AdmVa
                 path(t, &["country"]) == s("UK") && cmp(t, &["n"], 7i64) != Ordering::Equal
             }),
         ),
+        (
+            r#"let $c := "UK"
+               for $t in dataset A
+               where $t.n != 7 and $t.country = $c
+               return $t.id"#,
+            ids(a, |t| {
+                cmp(t, &["n"], 7i64) != Ordering::Equal && path(t, &["country"]) == s("UK")
+            }),
+        ),
         // `!=` on a field some rows lack (missing and null are not "en")
         (
             r#"for $t in dataset A where $t.lang != "en" return [$t.id, $t.lang]"#,
@@ -413,8 +423,8 @@ fn corpus(a: &[AdmValue], b: &[AdmValue]) -> Vec<(&'static str, Option<Vec<AdmVa
                 .ok()
                 .map(|_| Vec::new()),
         ),
-        // nothing the pushed conjunct lets the scan skip may have failed:
-        // `for $h in $t.lang` fails on a string, so `country` stays in the tree
+        // a clause after the scan keeps the `where` in the tree: `for $h in
+        // $t.lang` fails on a string, whatever `country` holds
         (
             r#"for $t in dataset A for $h in $t.lang where $t.country = "nowhere" return $h"#,
             if a.iter().any(|t| eq(&path(t, &["lang"]), &s("en"))) {
@@ -455,7 +465,7 @@ fn corpus(a: &[AdmValue], b: &[AdmValue]) -> Vec<(&'static str, Option<Vec<AdmVa
                     .collect(),
             ),
         ),
-        // a join: each side's conjunct goes into its own scan
+        // a join keeps its `where` in the tree
         (
             r#"for $b in dataset B for $a in dataset A
                where $a.country = "US" and $b.n >= 5
@@ -501,6 +511,47 @@ fn corpus(a: &[AdmValue], b: &[AdmValue]) -> Vec<(&'static str, Option<Vec<AdmVa
     ]
 }
 
+/// Queries whose error must be the tree's, word for word (`Ok`: no error).
+/// `a and b` with `a` not a boolean evaluates `b`, then fails on the pair
+/// unless `b` failed first; a pushed conjunct before it reads `true`.
+fn error_corpus(a: &[AdmValue]) -> Vec<(&'static str, Result<Vec<AdmValue>, String>)> {
+    let type_error = |msg: String| Err(IngestError::Type(msg).to_string());
+    let lang = |t: &AdmValue| path(t, &["lang"]).type_name();
+    let first_us = a.iter().find(|t| path(t, &["country"]) == s("US"));
+    vec![
+        (
+            "for $t in dataset A where $t.lang and $t.id = $t.id return $t.id",
+            match a.first() {
+                Some(t) => type_error(format!("boolean operator on {} / boolean", lang(t))),
+                None => Ok(Vec::new()),
+            },
+        ),
+        (
+            r#"for $t in dataset A where $t.lang and $t.country.code = "x" return $t.id"#,
+            match a.first() {
+                Some(_) => type_error("field access on non-record string".into()),
+                None => Ok(Vec::new()),
+            },
+        ),
+        (
+            r#"for $t in dataset A where $t.country = "US" and $t.lang and $t.id = $t.id
+               return $t.id"#,
+            match first_us {
+                Some(t) => type_error(format!("boolean operator on boolean / {}", lang(t))),
+                None => Ok(Vec::new()),
+            },
+        ),
+        (
+            r#"for $t in dataset A where $t.country = "US" and ($t.lang and $t.n = 1)
+               return $t.id"#,
+            match first_us {
+                Some(t) => type_error(format!("boolean operator on {} / boolean", lang(t))),
+                None => Ok(Vec::new()),
+            },
+        ),
+    ]
+}
+
 proptest! {
     #[test]
     fn every_query_shape_matches_plain_rust(ops_a in ops(), ops_b in ops()) {
@@ -516,6 +567,11 @@ proptest! {
                 Some(want) => prop_assert_eq!(got.expect(query), want),
                 None => prop_assert!(got.is_err(), "{query} returned {got:?}"),
             }
+        }
+        for (query, want) in error_corpus(&a) {
+            let expr = parse_expr(query).expect("error corpus query parses");
+            let got = eval_flwor(&expr, &mut Env::new(), &ctx).map_err(|e| e.to_string());
+            prop_assert_eq!(got, want, "{}", query);
         }
     }
 }

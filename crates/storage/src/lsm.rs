@@ -176,17 +176,30 @@ impl LiveRef<'_> {
             LiveRef::Mem(payload) => decode_value(payload).ok(),
         }
     }
+}
 
-    /// Does the record pass `filter`? `block` is the filter bound to this
-    /// record's component image when that image is compacted.
-    fn passes(&self, filter: &Pred, block: Option<&BlockPred<'_>>) -> IngestResult<bool> {
-        match (self, block) {
-            (LiveRef::Sealed(_, row), Some(block)) => block.test(*row),
-            (LiveRef::Sealed(c, row), None) => match &c.storage {
-                ComponentStorage::Open(b) => filter.test_bytes(b.record_slice(*row).unwrap_or(&[])),
-                ComponentStorage::Compacted(b) => filter.bind(b).test(*row),
-            },
-            (LiveRef::Mem(payload), _) => filter.test_bytes(payload),
+/// A filter as the rows of one sealed component are tested against it:
+/// bound once to a compacted image's columns, or on an open image's record
+/// bytes.
+enum RunFilter<'a> {
+    Columns(BlockPred<'a>),
+    Records(&'a Pred, &'a OpenBlock),
+}
+
+impl<'a> RunFilter<'a> {
+    fn new(filter: &'a Pred, storage: &'a ComponentStorage) -> Self {
+        match storage {
+            ComponentStorage::Compacted(b) => RunFilter::Columns(filter.bind(b)),
+            ComponentStorage::Open(b) => RunFilter::Records(filter, b),
+        }
+    }
+
+    fn test(&self, row: usize) -> IngestResult<bool> {
+        match self {
+            RunFilter::Columns(block) => block.test(row),
+            RunFilter::Records(filter, b) => {
+                filter.test_bytes(b.record_slice(row).unwrap_or_default())
+            }
         }
     }
 }
@@ -404,6 +417,7 @@ impl Component {
 }
 
 /// Where [`SortedRuns`] found the newest version of a key.
+#[derive(Clone, Copy)]
 enum Source<'a> {
     /// The memtable.
     Mem(&'a Entry),
@@ -418,7 +432,7 @@ enum Source<'a> {
 /// the merge policy, so the minimum is found by a linear pass over the run
 /// heads: `k − 1` key comparisons per key yielded.
 struct SortedRuns<'a> {
-    mem: Option<Peekable<MemRun<'a>>>,
+    mem: Option<Peekable<btree_map::Range<'a, KeyOrd, Entry>>>,
     components: &'a [Arc<Component>],
     /// Per component: next position and end of its span.
     spans: Vec<(usize, usize)>,
@@ -442,39 +456,13 @@ impl<'a> SortedRuns<'a> {
         SortedRuns {
             mem: mem
                 .filter(|_| !empty)
-                .map(|m| MemRun::Map(m.range::<dyn AsKey, _>((bound(lo), bound(hi)))).peekable()),
+                .map(|m| m.range::<dyn AsKey, _>((bound(lo), bound(hi))).peekable()),
             spans: components
                 .iter()
                 .map(|c| if empty { (0, 0) } else { c.span(lo, hi) })
                 .collect(),
             components,
             tied: Vec::with_capacity(components.len()),
-        }
-    }
-
-    /// Over every key of a snapshot: its memtable copy and its runs.
-    fn snapshot(memtable: &'a [(KeyOrd, Entry)], components: &'a [Arc<Component>]) -> Self {
-        SortedRuns {
-            mem: Some(MemRun::Copy(memtable.iter()).peekable()),
-            ..SortedRuns::new(None, components, None, None)
-        }
-    }
-}
-
-/// The memtable side of a [`SortedRuns`] walk, in key order: a range of the
-/// tree's map, or a snapshot's copy of it.
-enum MemRun<'a> {
-    Map(btree_map::Range<'a, KeyOrd, Entry>),
-    Copy(std::slice::Iter<'a, (KeyOrd, Entry)>),
-}
-
-impl<'a> Iterator for MemRun<'a> {
-    type Item = (&'a KeyOrd, &'a Entry);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            MemRun::Map(range) => range.next(),
-            MemRun::Copy(entries) => entries.next().map(|(k, e)| (k, e)),
         }
     }
 }
@@ -531,16 +519,14 @@ fn live_ref<'a>(components: &'a [Arc<Component>], source: Source<'a>) -> Option<
 }
 
 /// A read snapshot of an [`LsmTree`]: its component stack, `Arc`-shared,
-/// and a copy of its memtable's entries in one vector. [`LsmTree::snapshot`]
-/// is O(memtable) — at most `memtable_budget` entries, each a key clone and
-/// a refcount bump of the payload — so an owner can take it under a short
-/// lock and scan it
+/// and a copy of its memtable. [`LsmTree::snapshot`] is O(memtable) — at
+/// most `memtable_budget` entries, each a key clone and a refcount bump of
+/// the payload — so an owner can take it under a short lock and scan it
 /// without: later writes, seals and merges do not touch it, and the
 /// components it shares stay alive until it is dropped.
 #[derive(Debug)]
 pub struct LsmSnapshot {
-    /// The memtable's entries, in key order.
-    memtable: Vec<(KeyOrd, Entry)>,
+    memtable: BTreeMap<KeyOrd, Entry>,
     components: Vec<Arc<Component>>,
 }
 
@@ -556,27 +542,26 @@ impl LsmSnapshot {
         filter: Option<&Pred>,
         mut f: impl FnMut(&AdmValue, LiveRef<'_>) -> Result<(), E>,
     ) -> Result<(), E> {
-        let bound: Vec<Option<BlockPred<'_>>> = match filter {
-            None => Vec::new(),
-            Some(filter) => self
-                .components
+        // per component, in stack order
+        let runs: Vec<RunFilter<'_>> = filter.map_or_else(Vec::new, |filter| {
+            self.components
                 .iter()
-                .map(|c| match &c.storage {
-                    ComponentStorage::Compacted(b) => Some(filter.bind(b)),
-                    ComponentStorage::Open(_) => None,
-                })
-                .collect(),
-        };
-        for (key, source) in SortedRuns::snapshot(&self.memtable, &self.components) {
-            let block = match source {
-                Source::Run(ci, _) => bound.get(ci).and_then(Option::as_ref),
-                Source::Mem(_) => None,
-            };
+                .map(|c| RunFilter::new(filter, &c.storage))
+                .collect()
+        });
+        for (key, source) in self.sorted_runs() {
             let Some(live) = live_ref(&self.components, source) else {
                 continue;
             };
             if let Some(filter) = filter {
-                if !live.passes(filter, block)? {
+                let passes = match (&live, source) {
+                    (LiveRef::Mem(payload), _) => filter.test_bytes(payload)?,
+                    (LiveRef::Sealed(_, row), Source::Run(ci, _)) => runs[ci].test(*row)?,
+                    (LiveRef::Sealed(..), Source::Mem(_)) => {
+                        unreachable!("a sealed record comes from a run")
+                    }
+                };
+                if !passes {
                     continue;
                 }
             }
@@ -587,9 +572,13 @@ impl LsmSnapshot {
 
     /// Count of live records (a walk of the keys; nothing is decoded).
     pub fn live_count(&self) -> usize {
-        SortedRuns::snapshot(&self.memtable, &self.components)
+        self.sorted_runs()
             .filter_map(|(_, source)| live_ref(&self.components, source))
             .count()
+    }
+
+    fn sorted_runs(&self) -> SortedRuns<'_> {
+        SortedRuns::new(Some(&self.memtable), &self.components, None, None)
     }
 }
 
@@ -948,11 +937,10 @@ impl LsmTree {
         self.scan_range(None, None)
     }
 
-    /// Count of live records (full walk, but nothing is decoded).
+    /// Count of live records, over a [`LsmTree::snapshot`] (nothing is
+    /// decoded).
     pub fn live_count(&self) -> usize {
-        let mut n = 0;
-        self.for_each_live_ref(|_, _| n += 1);
-        n
+        self.snapshot().live_count()
     }
 
     /// Seal the memtable into an immutable component (no merge, ever) —
@@ -998,11 +986,7 @@ impl LsmTree {
     /// written after.
     pub fn snapshot(&self) -> LsmSnapshot {
         LsmSnapshot {
-            memtable: self
-                .memtable
-                .iter()
-                .map(|(k, e)| (k.clone(), e.clone()))
-                .collect(),
+            memtable: self.memtable.clone(),
             components: self.components.clone(),
         }
     }
