@@ -57,10 +57,10 @@ pub mod types;
 pub mod value;
 pub mod view;
 
-pub use binary::{decode_field_at, decode_fields, decode_value, encode_value, record_field_slice};
+pub use binary::{decode_field_at, decode_value, encode_value, record_field_slice};
 pub use compact::{CompactedBlock, OpenBlock};
 pub use parse::{parse_calls, parse_value, transcode};
-pub use payload::{payload_from_text, payload_from_value, to_display_string, with_fields};
+pub use payload::{payload_from_text, payload_from_value, to_display_string};
 pub use pred::{CmpOp, Pred};
 pub use print::{print_calls, to_adm_string};
 pub use schema::{InferredSchema, SchemaBuilder};

@@ -16,36 +16,20 @@
 //! an in-process edge, a wire hop and a despill hand a stage the same thing.
 //! A tree is a local of the stage that builds it — a UDF with a tree body
 //! ([`binary::decode_value`], one per record per such stage), AQL evaluation
-//! — and is dropped there. A stage that reads a few top-level fields builds
-//! no tree at all: the router and the partitioner project them with
-//! [`with_fields`], a view-bodied UDF reads them through a
-//! [`RecordView`](crate::view::RecordView); the store runs one checked walk
-//! over the bytes and keeps the bytes.
+//! — and is dropped there. A stage that reads a few fields builds no tree at
+//! all: the router tests its arms on the bytes
+//! ([`Pred::test_bytes`](crate::pred::Pred::test_bytes)), the partitioner
+//! decodes only the key it finds with
+//! [`record_field_slice`](crate::binary::record_field_slice), a view-bodied
+//! UDF reads them through a [`RecordView`](crate::view::RecordView); the
+//! store runs one checked walk over the bytes and keeps the bytes.
 
 use crate::binary;
 use crate::parse::transcode;
 use crate::print::to_adm_string;
 use crate::value::AdmValue;
-use asterix_common::{Counter, IngestResult};
+use asterix_common::IngestResult;
 use bytes::Bytes;
-
-/// Run `f` on a projection of the record that carries its top-level
-/// `fields`, decoded straight from the bytes: only those fields are
-/// materialised and `misses` stays put. Bytes that do not project (not a
-/// record, corrupt) fall back to a full decode, which bumps `misses` and
-/// whose verdict is the one returned.
-pub fn with_fields<R>(
-    payload: &[u8],
-    fields: &[String],
-    misses: &Counter,
-    f: impl FnOnce(&AdmValue) -> R,
-) -> IngestResult<R> {
-    if let Ok(projection) = binary::decode_fields(payload, fields) {
-        return Ok(f(&projection));
-    }
-    misses.inc();
-    binary::decode_value(payload).map(|v| f(&v))
-}
 
 /// The record as ADM text, for humans (error log, console): the decoded
 /// value printed canonically, or a lossy rendering of the raw bytes when
@@ -90,25 +74,5 @@ mod tests {
         assert_eq!(parse_calls(), before);
         // text is not a payload: it renders through the lossy fallback
         assert_eq!(to_display_string(b"{ not valid"), "{ not valid");
-    }
-
-    #[test]
-    fn with_fields_projects_and_counts_only_the_full_decode_fallback() {
-        let text = r#"{ "id": "a", "n": 5, "user": { "name": "u" } }"#;
-        let fields = ["n".to_string(), "absent".to_string()];
-        let misses = Counter::new();
-        let read = |v: &AdmValue| (v.field("n").cloned(), v.field("id").is_some());
-
-        let p = payload_from_text(text).unwrap();
-        let (n, saw_id) = with_fields(&p, &fields, &misses, read).unwrap();
-        assert_eq!((n, saw_id), (Some(AdmValue::Int(5)), false), "projection");
-        assert_eq!(misses.get(), 0, "and counts nothing");
-
-        // not a record: the full decode decides, and is counted
-        let scalar = payload_from_text("7").unwrap();
-        let is_int = |v: &AdmValue| v.as_int() == Some(7);
-        assert!(with_fields(&scalar, &fields, &misses, is_int).unwrap());
-        assert_eq!(misses.get(), 1);
-        assert!(with_fields(b"junk", &fields, &misses, |_| ()).is_err());
     }
 }

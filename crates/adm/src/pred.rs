@@ -3,8 +3,10 @@
 //! component's columns — without building the record.
 //!
 //! A [`Pred`] is a tree of [`Pred::Compare`] leaves (`path <op> literal`)
-//! under `and` ([`Pred::All`]), `or` ([`Pred::Any`]) and `not`
-//! ([`Pred::Not`]). Its meaning is AQL's over the decoded record, exactly:
+//! and [`Pred::Window`] leaves under `and` ([`Pred::All`]), `or`
+//! ([`Pred::Any`]) and `not` ([`Pred::Not`]). It is both the filter a query
+//! pushes into a scan and the arm of a feed's routing stage. A comparison
+//! means what AQL means over the decoded record, exactly:
 //!
 //! * a path is read one field at a time from the record: a record yields
 //!   its field's first occurrence, or `missing` when it lacks it; `null` and
@@ -16,6 +18,10 @@
 //!   `f`);
 //! * `All` and `Any` test their children left to right and stop at the
 //!   first that decides them; an error stops the test.
+//!
+//! A window reads no field: it tests the record's generation stamp, which
+//! only a record in flight carries ([`Pred::test_bytes`]'s `stamp`). A
+//! stored row has none, so a window never holds in a scan.
 //!
 //! [`cmp_encoded`] compares one encoded value with a literal in place:
 //! type ranks first, then numbers exactly across widths, strings bytewise,
@@ -111,25 +117,92 @@ pub enum Pred {
     Any(Vec<Pred>),
     /// The child does not hold.
     Not(Box<Pred>),
+    /// The record's stamp falls in the open prefix of its cycle:
+    /// `stamp % period_millis < open_millis`. Never holds without a stamp.
+    Window {
+        /// Cycle length in sim-milliseconds.
+        period_millis: u64,
+        /// Open prefix of each cycle in sim-milliseconds.
+        open_millis: u64,
+    },
 }
 
 impl Pred {
-    /// Test the record encoded in `record` (binary ADM, trusted: it passed
-    /// the checked walk).
-    pub fn test_bytes(&self, record: &[u8]) -> IngestResult<bool> {
+    /// `path <op> literal` over a dotted path (`"user.followers_count"`).
+    pub fn compare(path: &str, op: CmpOp, literal: impl Into<AdmValue>) -> Pred {
+        Pred::Compare {
+            path: path.split('.').map(str::to_string).collect(),
+            op,
+            literal: literal.into(),
+        }
+    }
+
+    /// `path = literal`.
+    pub fn eq(path: &str, literal: impl Into<AdmValue>) -> Pred {
+        Pred::compare(path, CmpOp::Eq, literal)
+    }
+
+    /// `path < literal`.
+    pub fn lt(path: &str, literal: impl Into<AdmValue>) -> Pred {
+        Pred::compare(path, CmpOp::Lt, literal)
+    }
+
+    /// `path > literal`.
+    pub fn gt(path: &str, literal: impl Into<AdmValue>) -> Pred {
+        Pred::compare(path, CmpOp::Gt, literal)
+    }
+
+    /// The path reads a value: `path != missing`.
+    pub fn exists(path: &str) -> Pred {
+        Pred::compare(path, CmpOp::Ne, AdmValue::Missing)
+    }
+
+    /// Open for the first `open_millis` of every `period_millis`.
+    pub fn window(period_millis: u64, open_millis: u64) -> Pred {
+        Pred::Window {
+            period_millis,
+            open_millis,
+        }
+    }
+
+    /// Conjunction.
+    pub fn all(preds: Vec<Pred>) -> Pred {
+        Pred::All(preds)
+    }
+
+    /// Disjunction.
+    pub fn any(preds: Vec<Pred>) -> Pred {
+        Pred::Any(preds)
+    }
+
+    /// Negation.
+    pub fn negate(self) -> Pred {
+        Pred::Not(Box::new(self))
+    }
+
+    /// Test the record encoded in `record` (binary ADM), generated at
+    /// `stamp` (sim-milliseconds; `None` for a stored row).
+    pub fn test_bytes(&self, record: &[u8], stamp: Option<u64>) -> IngestResult<bool> {
         match self {
             Pred::Compare { path, op, literal } => {
                 let value = walk(Val::of_bytes(record)?, path)?;
                 Ok(op.holds(value.cmp(literal)?))
             }
-            Pred::All(ps) => all(ps, |p| p.test_bytes(record)),
-            Pred::Any(ps) => any(ps, |p| p.test_bytes(record)),
-            Pred::Not(p) => Ok(!p.test_bytes(record)?),
+            Pred::All(ps) => all(ps, |p| p.test_bytes(record, stamp)),
+            Pred::Any(ps) => any(ps, |p| p.test_bytes(record, stamp)),
+            Pred::Not(p) => Ok(!p.test_bytes(record, stamp)?),
+            Pred::Window {
+                period_millis,
+                open_millis,
+            } => Ok(stamp
+                .and_then(|at| at.checked_rem(*period_millis))
+                .is_some_and(|phase| phase < *open_millis)),
         }
     }
 
     /// Resolve every path against `block`'s header, once: the predicate as
-    /// [`BlockPred::test`] runs it over the block's rows.
+    /// [`BlockPred::test`] runs it over the block's rows (which have no
+    /// stamp, so a window is bound to `false`).
     pub fn bind<'a>(&'a self, block: &'a CompactedBlock) -> BlockPred<'a> {
         BlockPred {
             block,
@@ -241,6 +314,7 @@ impl<'a> Bound<'a> {
             Pred::All(ps) => Bound::All(children(ps)),
             Pred::Any(ps) => Bound::Any(children(ps)),
             Pred::Not(p) => Bound::Not(Box::new(Bound::of(p, block))),
+            Pred::Window { .. } => Bound::Any(Vec::new()),
         }
     }
 
@@ -454,14 +528,6 @@ mod tests {
     use crate::binary::encode_value;
     use crate::compact::{BlockBuilder, OpenBlock};
 
-    fn cmp(path: &str, op: CmpOp, literal: impl Into<AdmValue>) -> Pred {
-        Pred::Compare {
-            path: path.split('.').map(str::to_string).collect(),
-            op,
-            literal: literal.into(),
-        }
-    }
-
     fn tweet(i: i64) -> AdmValue {
         AdmValue::record(vec![
             ("id", AdmValue::Int(i)),
@@ -485,19 +551,23 @@ mod tests {
         let block = builder.encode(&builder.schema().slot_fields(0.5));
         let open = OpenBlock::encode(&refs);
         let pred = Pred::All(vec![
-            cmp("country", CmpOp::Eq, "US"),
-            Pred::Not(Box::new(cmp("user.followers_count", CmpOp::Lt, 300i64))),
-            cmp("absent", CmpOp::Ne, "x"),
+            Pred::eq("country", "US"),
+            Pred::lt("user.followers_count", 300i64).negate(),
+            Pred::compare("absent", CmpOp::Ne, "x"),
         ]);
         let bound = pred.bind(&block);
         let want = [
             false, false, false, false, true, false, true, false, true, false,
         ];
         for (row, want) in want.into_iter().enumerate() {
-            assert_eq!(pred.test_bytes(&encoded[row]).unwrap(), want, "row {row}");
+            assert_eq!(
+                pred.test_bytes(&encoded[row], None).unwrap(),
+                want,
+                "row {row}"
+            );
             assert_eq!(bound.test(row).unwrap(), want, "row {row}");
             let open_row = open.record_slice(row).unwrap();
-            assert_eq!(pred.test_bytes(open_row).unwrap(), want, "row {row}");
+            assert_eq!(pred.test_bytes(open_row, None).unwrap(), want, "row {row}");
         }
     }
 
@@ -516,17 +586,37 @@ mod tests {
     #[test]
     fn a_path_through_a_scalar_is_the_evaluators_error() {
         let row = encode_value(&tweet(1));
-        let err = cmp("country.code", CmpOp::Eq, "x")
-            .test_bytes(&row)
+        let err = Pred::eq("country.code", "x")
+            .test_bytes(&row, None)
             .unwrap_err();
         assert_eq!(
             err.to_string(),
             IngestError::Type("field access on non-record string".into()).to_string()
         );
         // a missing or null field reads as missing all the way down
-        assert!(cmp("absent.deeper", CmpOp::Eq, AdmValue::Missing)
-            .test_bytes(&row)
+        assert!(Pred::eq("absent.deeper", AdmValue::Missing)
+            .test_bytes(&row, None)
             .unwrap());
+        assert!(!Pred::exists("absent.deeper")
+            .test_bytes(&row, None)
+            .unwrap());
+        assert!(Pred::exists("user.name").test_bytes(&row, None).unwrap());
+    }
+
+    #[test]
+    fn a_window_follows_the_stamp_and_is_false_in_a_scan() {
+        let row = encode_value(&tweet(1));
+        let p = Pred::window(1000, 250);
+        assert!(p.test_bytes(&row, Some(0)).unwrap());
+        assert!(p.test_bytes(&row, Some(1249)).unwrap());
+        assert!(!p.test_bytes(&row, Some(250)).unwrap());
+        assert!(!p.test_bytes(&row, None).unwrap(), "no stamp, no match");
+        assert!(!Pred::window(0, 5).test_bytes(&row, Some(3)).unwrap());
+        let refs = [row.as_slice()];
+        let builder = BlockBuilder::infer(&refs);
+        let block = builder.encode(&builder.schema().slot_fields(0.5));
+        assert!(!p.bind(&block).test(0).unwrap());
+        assert!(p.negate().bind(&block).test(0).unwrap());
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! decides each row exactly as AQL's comparison does on the decoded record
 //! (the oracle: `$v.<path>` read field by field, then
 //! [`AdmValue::total_cmp`] under the operator, `and`/`or` short-circuiting
-//! left to right, a path through a non-record value an error). The byte
-//! evaluator runs over the record's encoding, over a [`CompactedBlock`]
-//! holding it among the other rows, and over an [`OpenBlock`] of them.
+//! left to right, a path through a non-record value an error, a window
+//! false for want of a stamp). The byte evaluator runs over the record's
+//! encoding, over a [`CompactedBlock`] holding it among the other rows, and
+//! over an [`OpenBlock`] of them.
 //!
 //! The order itself is pinned first: `total_cmp` is antisymmetric and
 //! transitive over int64 extremes, ±0.0, NaN and cross-width pairs, two
@@ -226,11 +227,15 @@ fn op() -> impl Strategy<Value = CmpOp> {
 }
 
 fn pred() -> impl Strategy<Value = Pred> {
-    let leaf = (path(), op(), literal()).prop_map(|(path, op, literal)| Pred::Compare {
-        path,
-        op,
-        literal,
-    });
+    let leaf = prop_oneof![
+        8 => (path(), op(), literal()).prop_map(|(path, op, literal)| Pred::Compare {
+            path,
+            op,
+            literal,
+        }),
+        // a stored row has no stamp: a window never holds in a scan
+        1 => (0u64..4, 0u64..4).prop_map(|(period, open)| Pred::window(period, open)),
+    ];
     leaf.prop_recursive(3, 12, 3, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..3).prop_map(Pred::All),
@@ -272,6 +277,7 @@ fn oracle(pred: &Pred, row: &AdmValue) -> Result<bool, ()> {
             Ok(false)
         }
         Pred::Not(p) => Ok(!oracle(p, row)?),
+        Pred::Window { .. } => Ok(false),
     }
 }
 
@@ -308,12 +314,12 @@ proptest! {
             let bound = pred.bind(&block);
             for (i, row) in rows.iter().enumerate() {
                 let want = oracle(pred, row);
-                let bytes = pred.test_bytes(&encoded[i]).map_err(drop);
+                let bytes = pred.test_bytes(&encoded[i], None).map_err(drop);
                 prop_assert_eq!(bytes, want, "bytes, row {}: {:?} on {:?}", i, pred, row);
                 let cells = bound.test(i).map_err(drop);
                 prop_assert_eq!(cells, want, "compacted, row {}: {:?} on {:?}", i, pred, row);
                 let open_row = open.record_slice(i).expect("row in range");
-                let open_bytes = pred.test_bytes(open_row).map_err(drop);
+                let open_bytes = pred.test_bytes(open_row, None).map_err(drop);
                 prop_assert_eq!(open_bytes, want, "open, row {}: {:?} on {:?}", i, pred, row);
             }
         }

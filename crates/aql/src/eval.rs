@@ -37,7 +37,7 @@
 //! matching rows only.
 
 use crate::ast::{BinOp, Expr, FlworClause, GroupBy};
-use crate::route::{cmp_op, field_path};
+use crate::route::{cmp_op, compare_leaf};
 use asterix_adm::functions as builtins;
 use asterix_adm::pred::Pred;
 use asterix_adm::AdmValue;
@@ -592,22 +592,10 @@ fn compile_pred(expr: &Expr, var: &str) -> Option<Pred> {
         }
         Expr::Bin(BinOp::Or, l, r) => Pred::Any(vec![compile_pred(l, var)?, compile_pred(r, var)?]),
         Expr::Not(inner) => Pred::Not(Box::new(compile_pred(inner, var)?)),
-        Expr::Bin(op, l, r) => {
-            let (op, path, literal) = match (cmp_op(*op)?, &**l, &**r) {
-                (op, path, Expr::Literal(literal)) => (op, path, literal),
-                (op, Expr::Literal(literal), path) => (op.flipped(), path, literal),
-                _ => return None,
-            };
-            let (v, path) = field_path(path).ok()?;
-            if v != var {
-                return None;
-            }
-            Pred::Compare {
-                path,
-                op,
-                literal: literal.clone(),
-            }
-        }
+        Expr::Bin(..) => match compare_leaf(expr) {
+            Ok((v, leaf)) if v == var => leaf,
+            _ => return None,
+        },
         _ => return None,
     })
 }

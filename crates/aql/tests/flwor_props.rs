@@ -19,11 +19,18 @@
 //! ones (the error must be the tree's, word for word), shapes that push
 //! nothing (a clause after the scan, a join, a rebinding `let`), shadowing,
 //! and group-by under a pushed `where`.
+//!
+//! A feed's routing arm is the same predicate: for a corpus of `where`
+//! texts, the arm the DDL compiles takes a record exactly when `eval` of
+//! the text, with `$t` bound to the record, is `true`, and its test fails
+//! with `eval`'s error word for word (an arm that errs takes nothing).
 
-use asterix_adm::AdmValue;
-use asterix_aql::eval::{eval_flwor, Env, EvalContext};
+use asterix_adm::{encode_value, AdmValue};
+use asterix_aql::compile_route_predicate;
+use asterix_aql::eval::{eval, eval_flwor, Env, EvalContext};
 use asterix_aql::parser::parse_expr;
 use asterix_common::{IngestError, IngestResult, NodeId};
+use asterix_feeds::plan::{IngestPlanBuilder, SinkSpec};
 use asterix_storage::partition::PartitionConfig;
 use asterix_storage::{Dataset, DatasetConfig};
 use proptest::prelude::*;
@@ -552,7 +559,63 @@ fn error_corpus(a: &[AdmValue]) -> Vec<(&'static str, Result<Vec<AdmValue>, Stri
     ]
 }
 
+/// `where` texts a routing arm and a query share.
+const ROUTE_TEXTS: [&str; 5] = [
+    r#"$t.lang != "en""#,
+    "$t.user.followers_count < 10",
+    r#"not($t.country = "US")"#,
+    "$t.a.b = 1",
+    r#"$t.country = "US" and $t.lang != "en" or not($t.n <= 3) and $t.a.b > 0"#,
+];
+
+/// `row` with a field `a` that is absent, a string (so `$t.a.b` errs),
+/// `null`, or a record.
+fn with_a(row: &AdmValue) -> Vec<AdmValue> {
+    let a_values = [
+        s("str"),
+        AdmValue::Null,
+        rec(vec![("b", AdmValue::Int(1))]),
+        rec(vec![("b", AdmValue::Int(2))]),
+    ];
+    let mut rows = vec![row.clone()];
+    for a in a_values {
+        let mut fields = match row {
+            AdmValue::Record(fields) => fields.clone(),
+            _ => Vec::new(),
+        };
+        fields.push(("a".to_string(), a));
+        rows.push(AdmValue::Record(fields));
+    }
+    rows
+}
+
 proptest! {
+    #[test]
+    fn route_arms_decide_as_the_query_does(ops_a in ops()) {
+        let ctx = Datasets(Vec::new());
+        for text in ROUTE_TEXTS {
+            let expr = parse_expr(text).expect("route text parses");
+            let arm = compile_route_predicate(&expr).expect("route text compiles");
+            let plan = IngestPlanBuilder::new("P")
+                .adaptor("socket_adaptor")
+                .sink(SinkSpec::to("D").route(arm.clone()))
+                .build()
+                .unwrap();
+            for row in dataset("A", 2, &ops_a).scan_all().iter().flat_map(with_a) {
+                let mut env = Env::new();
+                env.insert("t".into(), row.clone());
+                let want = eval(&expr, &mut env, &ctx).map_err(|e| e.to_string()).map(|v| {
+                    v.as_bool().unwrap_or_else(|| panic!("{text} is not boolean: {v:?}"))
+                });
+                let bytes = encode_value(&row);
+                let got = arm.test_bytes(&bytes, None).map_err(|e| e.to_string());
+                prop_assert_eq!(&got, &want, "{} on {:?}", text, row);
+                let taken = plan.route_payload(&bytes, None) == vec![0];
+                prop_assert_eq!(taken, want == Ok(true), "{} on {:?}", text, row);
+            }
+        }
+    }
+
     #[test]
     fn every_query_shape_matches_plain_rust(ops_a in ops(), ops_b in ops()) {
         let ctx = Datasets(vec![dataset("A", 2, &ops_a), dataset("B", 1, &ops_b)]);

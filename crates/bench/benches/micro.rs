@@ -3,7 +3,7 @@
 //! routing, the WAL, and the UDF sandbox.
 
 use asterix_adm::{
-    decode_fields, decode_value, encode_value, hash::hash_value, parse_value, payload_from_text,
+    decode_field_at, decode_value, encode_value, hash::hash_value, parse_value, payload_from_text,
     to_adm_string, transcode, AdmValue,
 };
 use asterix_common::{DataFrame, Record, RecordId};
@@ -159,7 +159,7 @@ fn bench_parse_once(c: &mut Criterion) {
         b.iter(|| decode_value(black_box(&bytes)).unwrap())
     });
     c.bench_function("pipeline/stage_project_key", |b| {
-        b.iter(|| decode_fields(black_box(&bytes), &["id"]).unwrap())
+        b.iter(|| decode_field_at(black_box(&bytes), "id").unwrap())
     });
     c.bench_function("pipeline/stage_encode", |b| {
         // `payload_from_value` minus the drop of the value it consumes

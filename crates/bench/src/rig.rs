@@ -208,17 +208,15 @@ pub fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
-/// Wait until a TweetGen pattern completes; returns the generated total.
+/// Wait until the generator has sent its pattern's last tweet; returns
+/// the generated total.
 pub fn wait_pattern_done(gen: &TweetGen) -> u64 {
-    let mut last = gen.generated();
-    loop {
-        std::thread::sleep(Duration::from_millis(150));
-        let now = gen.generated();
-        if now == last && now > 0 {
-            return now;
-        }
-        last = now;
-    }
+    assert!(
+        wait_until(Duration::from_secs(600), || gen.finished()),
+        "generator at {} still running after 600 s",
+        gen.addr()
+    );
+    gen.generated()
 }
 
 /// Wait until a counter stops growing (pipeline drained).

@@ -1078,7 +1078,6 @@ impl FeedController {
                 let route = RouteDesc {
                     out_joints: seg.outputs.clone(),
                     locations,
-                    metrics,
                     routed: (0..plan.sinks.len()).map(routed).collect(),
                     no_match: registry
                         .counter("plan.route.no_match_total", &[("plan", plan.name.as_str())]),

@@ -56,9 +56,10 @@ pub struct FeedMetrics {
     /// Full-tree binary decodes downstream of the adaptor attributed to this
     /// connection (the name predates the binary payload; no stage parses
     /// text): one per record at each assign whose UDF has a tree body (a
-    /// view body decodes only the fields it reads, uncounted), the router's
-    /// whole-record fallback, key-less records at the partitioner. Field
-    /// projections (router, partitioner key, a view) are not counted.
+    /// view body decodes only the fields it reads, uncounted) and key-less
+    /// records at the partitioner. The router decodes nothing (its arms test
+    /// the bytes), and neither the partitioner's key read nor a view is
+    /// counted.
     pub parse_calls: Counter,
     /// Hard failures (node loss, operator panic) this connection recovered
     /// from (§6.2.2/§6.2.3).

@@ -844,29 +844,26 @@ impl FrameWriter for JointWriter {
 
 /// Descriptor for the routing operator of a multi-sink ingestion plan: it
 /// subscribes (through an [`IntakeDesc`] upstream) to the plan's tail feed
-/// joint, evaluates every sink's routing predicate **once** per record —
-/// against a projection of just the fields the predicates read, so a record
-/// is routed without materialising its tree (a predicate on the whole record
-/// costs a full, counted decode) — and deposits each record into the joints
-/// of the sinks it matched. Each out joint is consumed by an
-/// independent store pipeline with its own policy, flow control and custody.
+/// joint, tests every sink's routing predicate **once** per record on the
+/// record's bytes and stamp ([`IngestPlan::route_payload`]: no decode, no
+/// projection) and deposits each record into the joints of the sinks it
+/// matched. Each out joint is consumed by an independent store pipeline
+/// with its own policy, flow control and custody.
+///
+/// [`IngestPlan::route_payload`]: crate::plan::IngestPlan::route_payload
 pub struct RouteDesc {
-    /// The compiled plan whose [`IngestPlan::route_record`] drives fan-out.
-    ///
-    /// [`IngestPlan::route_record`]: crate::plan::IngestPlan::route_record
+    /// The compiled plan whose `route_payload` drives fan-out.
     pub plan: Arc<crate::plan::IngestPlan>,
     /// Joint ids registered at the operator's outputs, one per sink
     /// (`plan:<plan>:<dataset>`), index-aligned with the plan's sinks.
     pub out_joints: Vec<String>,
     /// Pinned locations (the in-joint's nodes; routing never repartitions).
     pub locations: Vec<NodeId>,
-    /// Trunk metrics (`parse_calls`: whole-record decodes).
-    pub metrics: Arc<FeedMetrics>,
     /// Per-sink `plan.sink.records_routed` counters, index-aligned with
     /// `out_joints`.
     pub routed: Vec<asterix_common::Counter>,
-    /// `plan.route.no_match_total`: records that matched no sink (possible
-    /// only without an `otherwise` arm) or whose payload failed to decode.
+    /// `plan.route.no_match_total`: records no arm took (possible only
+    /// without an `otherwise` arm; an arm whose test errs takes nothing).
     pub no_match: asterix_common::Counter,
 }
 
@@ -897,23 +894,9 @@ impl OperatorDescriptor for RouteDesc {
             })
             .collect();
         let plan = Arc::clone(&self.plan);
-        let parse_calls = self.metrics.parse_calls.clone();
         let no_match = self.no_match.clone();
-        let fields = plan.route_fields();
         let route_fn = Arc::new(move |rec: &Record| -> Vec<usize> {
-            // one predicate evaluation pass per record, the same evaluator
-            // whether it sees a projection or the whole tree
-            let route = |value: &asterix_adm::AdmValue| plan.route_record(value, rec.gen_at);
-            let routed = match &fields {
-                Some(fields) => asterix_adm::with_fields(&rec.payload, fields, &parse_calls, route),
-                None => {
-                    parse_calls.add(1);
-                    decode_value(&rec.payload).map(|value| route(&value))
-                }
-            };
-            // undecodable records cannot be routed; count them with the
-            // no-match family rather than killing the trunk
-            let targets = routed.unwrap_or_default();
+            let targets = plan.route_payload(&rec.payload, rec.gen_at);
             if targets.is_empty() {
                 no_match.inc();
             }
@@ -1117,27 +1100,28 @@ impl UnaryOperator for StoreFeed {
 /// record's primary key (falls back to hashing raw bytes on undecodable
 /// payloads — the store's sandbox reports those as soft failures).
 ///
-/// Just the key is decoded out of the record's bytes. Only a record with no
-/// primary key needs the whole value, and that decode is counted in
+/// The key is found with [`record_field_slice`] and only its value is
+/// decoded. Only a record with no primary key (or bytes that are not a
+/// record) needs the whole value, and that decode is counted in
 /// `parse_calls` like every other stage's.
+///
+/// [`record_field_slice`]: asterix_adm::record_field_slice
 pub fn store_key_fn(
     primary_key: String,
     parse_calls: Counter,
 ) -> Arc<dyn Fn(&Record) -> u64 + Send + Sync> {
-    let fields = [primary_key];
     Arc::new(move |rec: &Record| {
-        let key_hash =
-            |v: &asterix_adm::AdmValue| v.field(&fields[0]).map(asterix_adm::hash::hash_value);
-        asterix_adm::with_fields(&rec.payload, &fields, &parse_calls, key_hash)
-            .and_then(|hash| match hash {
-                Some(hash) => Ok(hash),
-                // no primary key: the whole value routes the record
-                None => {
-                    parse_calls.add(1);
-                    decode_value(&rec.payload).map(|v| asterix_adm::hash::hash_value(&v))
-                }
-            })
-            .unwrap_or_else(|_| {
+        let key = match asterix_adm::record_field_slice(&rec.payload, &primary_key) {
+            Ok(Some(key)) => decode_value(key),
+            // no primary key: the whole value routes the record
+            _ => {
+                parse_calls.add(1);
+                decode_value(&rec.payload)
+            }
+        };
+        match key {
+            Ok(key) => asterix_adm::hash::hash_value(&key),
+            Err(_) => {
                 // raw-byte hash keeps routing deterministic
                 let mut h = 0xcbf2_9ce4_8422_2325u64;
                 for &b in rec.payload.iter() {
@@ -1145,7 +1129,8 @@ pub fn store_key_fn(
                     h = h.wrapping_mul(0x0000_0100_0000_01b3);
                 }
                 h
-            })
+            }
+        }
     })
 }
 
@@ -1622,7 +1607,7 @@ mod tests {
         let r3 = rec(2, "{\"id\":\"b\",\"x\":1}");
         assert_eq!(key_fn(&r1), key_fn(&r2), "same key, same route");
         assert_ne!(key_fn(&r1), key_fn(&r3));
-        assert_eq!(parse_calls.get(), 0, "key projections are not decodes");
+        assert_eq!(parse_calls.get(), 0, "a key read is not a decode");
         // no primary key: the whole value routes it, and the decode counts
         let keyless = rec(3, "{\"x\":1}");
         assert_eq!(key_fn(&keyless), key_fn(&rec(4, "{\"x\":1}")));

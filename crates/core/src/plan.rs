@@ -8,10 +8,15 @@
 //! sinks, each carrying its own dataset, ingestion policy and durability
 //! knobs.
 //!
-//! The IR is runtime-agnostic: [`IngestPlan::route_record`] is a pure
-//! function shared by the routing operator, the `exp_fanout` bench's
-//! expected-set computation, and the partition proptests — one evaluator,
-//! no drift between what the pipeline does and what the tests assert.
+//! The IR is runtime-agnostic: [`IngestPlan::route_payload`] is a pure
+//! function of a record's bytes and stamp. The routing operator calls it on
+//! the payload as it arrives — no decode, no projection — and the
+//! `exp_fanout` bench's expected-set computation and the partition
+//! proptests reach it through [`IngestPlan::route_record`], which encodes a
+//! tree first. One evaluator, no drift between what the pipeline does and
+//! what the tests assert. An arm is [`RoutePredicate`], the byte predicate a
+//! query pushes into a scan, so an arm means what the same AQL text means in
+//! a query (DESIGN.md "Routing semantics").
 //!
 //! Construction goes through [`IngestPlanBuilder`] — the one fluent surface,
 //! for plain feed definitions (`build_feed_def` / `register_feeds`) as much
@@ -25,7 +30,7 @@
 use crate::adaptor::AdaptorConfig;
 use crate::catalog::{FeedCatalog, FeedDef, FeedKind};
 use crate::controller::{ConnectionId, FeedController};
-use asterix_adm::AdmValue;
+use asterix_adm::{encode_value, AdmValue};
 use asterix_common::{IngestError, SimInstant};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -188,171 +193,14 @@ pub type PlanResult<T> = Result<T, PlanError>;
 // Routing predicates
 // ---------------------------------------------------------------------------
 
-/// A comparison operator of a [`RoutePredicate::Compare`] leaf: the one the
-/// byte predicates of `asterix_adm::pred` use.
+/// A comparison operator of a [`RoutePredicate::Compare`] leaf.
 pub use asterix_adm::pred::CmpOp;
 
-/// A routing predicate evaluated against a record's parsed ADM value (and,
-/// for windowed arms, its generation timestamp). Field paths are nested:
+/// A routing arm: the byte predicate a query pushes into a scan, tested on
+/// the record's payload and its generation stamp (see
+/// [`IngestPlan::route_payload`]). Field paths are nested:
 /// `["user", "followers_count"]` descends into sub-records.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RoutePredicate {
-    /// `field <op> literal` — false when the field is absent.
-    Compare {
-        /// Nested field path.
-        field: Vec<String>,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Literal to compare against (total order over ADM values).
-        value: AdmValue,
-    },
-    /// The field path resolves to a value (attribute routing on presence).
-    Exists {
-        /// Nested field path.
-        field: Vec<String>,
-    },
-    /// Every sub-predicate holds (empty = true).
-    All(Vec<RoutePredicate>),
-    /// At least one sub-predicate holds (empty = false).
-    Any(Vec<RoutePredicate>),
-    /// The sub-predicate does not hold.
-    Not(Box<RoutePredicate>),
-    /// Windowed routing on the record's generation timestamp: matches when
-    /// `gen_at mod period < open` — the arm is "open" for the first
-    /// `open_millis` of every `period_millis` cycle. Records with no
-    /// timestamp never match.
-    Window {
-        /// Cycle length in sim-milliseconds.
-        period_millis: u64,
-        /// Open prefix of each cycle in sim-milliseconds.
-        open_millis: u64,
-    },
-}
-
-/// Split a dotted path (`"user.followers_count"`) into path segments.
-fn split_path(path: &str) -> Vec<String> {
-    path.split('.').map(str::to_string).collect()
-}
-
-impl RoutePredicate {
-    /// `field <op> value` over a dotted field path.
-    pub fn compare(path: &str, op: CmpOp, value: impl Into<AdmValue>) -> RoutePredicate {
-        RoutePredicate::Compare {
-            field: split_path(path),
-            op,
-            value: value.into(),
-        }
-    }
-
-    /// `field = value`.
-    pub fn eq(path: &str, value: impl Into<AdmValue>) -> RoutePredicate {
-        RoutePredicate::compare(path, CmpOp::Eq, value)
-    }
-
-    /// `field < value`.
-    pub fn lt(path: &str, value: impl Into<AdmValue>) -> RoutePredicate {
-        RoutePredicate::compare(path, CmpOp::Lt, value)
-    }
-
-    /// `field > value`.
-    pub fn gt(path: &str, value: impl Into<AdmValue>) -> RoutePredicate {
-        RoutePredicate::compare(path, CmpOp::Gt, value)
-    }
-
-    /// The dotted field path resolves to a value.
-    pub fn exists(path: &str) -> RoutePredicate {
-        RoutePredicate::Exists {
-            field: split_path(path),
-        }
-    }
-
-    /// Windowed arm: open for the first `open_millis` of every
-    /// `period_millis`.
-    pub fn window(period_millis: u64, open_millis: u64) -> RoutePredicate {
-        RoutePredicate::Window {
-            period_millis,
-            open_millis,
-        }
-    }
-
-    /// Conjunction.
-    pub fn all(preds: Vec<RoutePredicate>) -> RoutePredicate {
-        RoutePredicate::All(preds)
-    }
-
-    /// Disjunction.
-    pub fn any(preds: Vec<RoutePredicate>) -> RoutePredicate {
-        RoutePredicate::Any(preds)
-    }
-
-    /// Negation.
-    pub fn negate(self) -> RoutePredicate {
-        RoutePredicate::Not(Box::new(self))
-    }
-
-    /// Walk a nested field path down the value.
-    fn lookup<'a>(value: &'a AdmValue, path: &[String]) -> Option<&'a AdmValue> {
-        let mut cur = value;
-        for seg in path {
-            cur = cur.field(seg)?;
-        }
-        Some(cur)
-    }
-
-    /// Append the top-level field every leaf of the predicate reads (the
-    /// head of its path). False when a leaf reads the record itself (an
-    /// empty path), so no projection can serve the predicate.
-    fn top_level_fields(&self, out: &mut Vec<String>) -> bool {
-        match self {
-            RoutePredicate::Compare { field, .. } | RoutePredicate::Exists { field } => {
-                let Some(head) = field.first() else {
-                    return false;
-                };
-                if !out.contains(head) {
-                    out.push(head.clone());
-                }
-                true
-            }
-            RoutePredicate::All(ps) | RoutePredicate::Any(ps) => {
-                ps.iter().all(|p| p.top_level_fields(out))
-            }
-            RoutePredicate::Not(p) => p.top_level_fields(out),
-            RoutePredicate::Window { .. } => true,
-        }
-    }
-
-    /// Does the predicate hold for `value` (generated at `gen_at`)?
-    ///
-    /// `value` is the record, or any projection of it that keeps the
-    /// top-level fields the predicate reads ([`IngestPlan::route_fields`]).
-    ///
-    /// This is *the* evaluator: the routing operator, the bench
-    /// expected-set computation and the proptests all call it, so runtime
-    /// behaviour and test oracles cannot drift apart.
-    pub fn matches(&self, value: &AdmValue, gen_at: Option<SimInstant>) -> bool {
-        match self {
-            RoutePredicate::Compare {
-                field,
-                op,
-                value: rhs,
-            } => match RoutePredicate::lookup(value, field) {
-                Some(lhs) => op.holds(lhs.total_cmp(rhs)),
-                None => false,
-            },
-            RoutePredicate::Exists { field } => RoutePredicate::lookup(value, field).is_some(),
-            RoutePredicate::All(ps) => ps.iter().all(|p| p.matches(value, gen_at)),
-            RoutePredicate::Any(ps) => ps.iter().any(|p| p.matches(value, gen_at)),
-            RoutePredicate::Not(p) => !p.matches(value, gen_at),
-            RoutePredicate::Window {
-                period_millis,
-                open_millis,
-            } => match gen_at {
-                Some(at) if *period_millis > 0 => (at.0 % period_millis) < *open_millis,
-                _ => false,
-            },
-        }
-    }
-}
+pub use asterix_adm::pred::Pred as RoutePredicate;
 
 // ---------------------------------------------------------------------------
 // Sinks and routing modes
@@ -494,48 +342,32 @@ impl IngestPlan {
         Ok(())
     }
 
-    /// Indices of the sinks a record routes to. First-match returns at most
-    /// one index; multicast returns every matching arm. An empty result
-    /// means the record matches no arm (dropped by the router, counted).
-    pub fn route_record(&self, value: &AdmValue, gen_at: Option<SimInstant>) -> Vec<usize> {
+    /// Indices of the sinks the record encoded in `payload` (generated at
+    /// `gen_at`) routes to. First-match returns at most one index; multicast
+    /// returns every matching arm. An arm takes the record iff its predicate
+    /// tests `Ok(true)` on the bytes, so an arm whose test errs (a path
+    /// through a non-record, bytes that do not walk) does not take it, while
+    /// an `otherwise` arm still does. An empty result means the record
+    /// matches no arm (dropped by the router, counted).
+    pub fn route_payload(&self, payload: &[u8], gen_at: Option<SimInstant>) -> Vec<usize> {
+        let stamp = gen_at.map(SimInstant::as_millis);
+        let takes = |s: &SinkSpec| {
+            s.predicate
+                .as_ref()
+                .is_none_or(|p| matches!(p.test_bytes(payload, stamp), Ok(true)))
+        };
         match self.mode {
-            RoutingMode::FirstMatch => self
-                .sinks
-                .iter()
-                .position(|s| {
-                    s.predicate
-                        .as_ref()
-                        .map(|p| p.matches(value, gen_at))
-                        .unwrap_or(true)
-                })
-                .into_iter()
-                .collect(),
-            RoutingMode::Multicast => self
-                .sinks
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| {
-                    s.predicate
-                        .as_ref()
-                        .map(|p| p.matches(value, gen_at))
-                        .unwrap_or(true)
-                })
-                .map(|(i, _)| i)
+            RoutingMode::FirstMatch => self.sinks.iter().position(takes).into_iter().collect(),
+            RoutingMode::Multicast => (0..self.sinks.len())
+                .filter(|&i| takes(&self.sinks[i]))
                 .collect(),
         }
     }
 
-    /// The top-level fields the routing predicates read: routing a
-    /// projection of a record onto these fields gives the same answer as
-    /// routing the record. `None` when some predicate reads the record as a
-    /// whole, so only the full value will do.
-    pub fn route_fields(&self) -> Option<Vec<String>> {
-        let mut fields = Vec::new();
-        self.sinks
-            .iter()
-            .filter_map(|s| s.predicate.as_ref())
-            .all(|p| p.top_level_fields(&mut fields))
-            .then_some(fields)
+    /// [`route_payload`](IngestPlan::route_payload) of the value's
+    /// encoding: the same evaluator, for oracles that hold a tree.
+    pub fn route_record(&self, value: &AdmValue, gen_at: Option<SimInstant>) -> Vec<usize> {
+        self.route_payload(&encode_value(value), gen_at)
     }
 
     /// True when the plan carries an `otherwise` arm (first-match) — the
@@ -834,22 +666,21 @@ mod tests {
         assert_eq!(plan.route_record(&tweet("DE", 10), None), vec![2]);
     }
 
-    #[test]
-    fn missing_fields_never_match_compare() {
-        let p = RoutePredicate::gt("user.followers_count", 10);
-        let rec = AdmValue::record(vec![("id", "x".into())]);
-        assert!(!p.matches(&rec, None));
-        assert!(!RoutePredicate::exists("user.lang").matches(&rec, None));
-        assert!(RoutePredicate::exists("id").matches(&rec, None));
+    /// Does `p` take `rec`, as the router tests it?
+    fn takes(p: &RoutePredicate, rec: &AdmValue) -> bool {
+        matches!(p.test_bytes(&encode_value(rec), None), Ok(true))
     }
 
     #[test]
-    fn window_predicate_follows_gen_at() {
-        let p = RoutePredicate::window(1000, 250);
-        assert!(p.matches(&AdmValue::Null, Some(SimInstant(0))));
-        assert!(p.matches(&AdmValue::Null, Some(SimInstant(1249))));
-        assert!(!p.matches(&AdmValue::Null, Some(SimInstant(250))));
-        assert!(!p.matches(&AdmValue::Null, None), "no timestamp, no match");
+    fn an_absent_field_reads_missing() {
+        let rec = AdmValue::record(vec![("id", "x".into())]);
+        assert!(!takes(
+            &RoutePredicate::gt("user.followers_count", 10),
+            &rec
+        ));
+        assert!(takes(&RoutePredicate::lt("user.followers_count", 10), &rec));
+        assert!(!takes(&RoutePredicate::exists("user.lang"), &rec));
+        assert!(takes(&RoutePredicate::exists("id"), &rec));
     }
 
     #[test]
@@ -858,15 +689,15 @@ mod tests {
             RoutePredicate::eq("country", "US"),
             RoutePredicate::gt("user.followers_count", 100).negate(),
         ]);
-        assert!(p.matches(&tweet("US", 50), None));
-        assert!(!p.matches(&tweet("US", 500), None));
-        assert!(!p.matches(&tweet("DE", 50), None));
+        assert!(takes(&p, &tweet("US", 50)));
+        assert!(!takes(&p, &tweet("US", 500)));
+        assert!(!takes(&p, &tweet("DE", 50)));
         let q = RoutePredicate::any(vec![
             RoutePredicate::eq("country", "US"),
             RoutePredicate::eq("country", "DE"),
         ]);
-        assert!(q.matches(&tweet("DE", 0), None));
-        assert!(!q.matches(&tweet("FR", 0), None));
+        assert!(takes(&q, &tweet("DE", 0)));
+        assert!(!takes(&q, &tweet("FR", 0)));
     }
 
     #[test]

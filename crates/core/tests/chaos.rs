@@ -54,25 +54,15 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
-/// Wait until the generator's pattern has finished (count stable for three
-/// looks in a row: one 150 ms stall of a starved generator thread on a busy
-/// host is not the end of its pattern).
+/// Wait until the generator has sent its pattern's last tweet; returns
+/// the generated total.
 fn wait_pattern_done(gen: &TweetGen) -> u64 {
-    let mut last = gen.generated();
-    let mut stable = 0;
-    loop {
-        std::thread::sleep(Duration::from_millis(150));
-        let now = gen.generated();
-        stable = if now == last && now > 0 {
-            stable + 1
-        } else {
-            0
-        };
-        if stable == 3 {
-            return now;
-        }
-        last = now;
-    }
+    assert!(
+        wait_until(Duration::from_secs(120), || gen.finished()),
+        "generator at {} still running after 120 s",
+        gen.addr()
+    );
+    gen.generated()
 }
 
 /// Wait until the dataset has stopped growing (pipeline drained).

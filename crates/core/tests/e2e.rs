@@ -135,17 +135,15 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
-/// Wait until the generator's pattern has finished (count stable).
+/// Wait until the generator has sent its pattern's last tweet; returns
+/// the generated total.
 fn wait_pattern_done(gen: &TweetGen) -> u64 {
-    let mut last = gen.generated();
-    loop {
-        std::thread::sleep(Duration::from_millis(150));
-        let now = gen.generated();
-        if now == last && now > 0 {
-            return now;
-        }
-        last = now;
-    }
+    assert!(
+        wait_until(Duration::from_secs(120), || gen.finished()),
+        "generator at {} still running after 120 s",
+        gen.addr()
+    );
+    gen.generated()
 }
 
 #[test]

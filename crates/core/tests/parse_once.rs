@@ -7,8 +7,8 @@
 //! a record's tree is assign, and only for a UDF with a tree body (a
 //! black-box closure): one binary decode per record per such stage, whether
 //! the record reached it over an in-process edge, a TCP hop or a despill.
-//! The built-in UDFs read a view of the bytes, the router and the
-//! partitioner project their fields out of the bytes and the store keeps the
+//! The built-in UDFs read a view of the bytes, the router tests its arms on
+//! the bytes, the partitioner decodes only the key and the store keeps the
 //! bytes, so a feed whose UDFs are built-ins — or that has none — decodes
 //! no record downstream of the adaptor at all.
 //!

@@ -198,7 +198,7 @@ impl<'a> RunFilter<'a> {
         match self {
             RunFilter::Columns(block) => block.test(row),
             RunFilter::Records(filter, b) => {
-                filter.test_bytes(b.record_slice(row).unwrap_or_default())
+                filter.test_bytes(b.record_slice(row).unwrap_or_default(), None)
             }
         }
     }
@@ -555,7 +555,7 @@ impl LsmSnapshot {
             };
             if let Some(filter) = filter {
                 let passes = match (&live, source) {
-                    (LiveRef::Mem(payload), _) => filter.test_bytes(payload)?,
+                    (LiveRef::Mem(payload), _) => filter.test_bytes(payload, None)?,
                     (LiveRef::Sealed(_, row), Source::Run(ci, _)) => runs[ci].test(*row)?,
                     (LiveRef::Sealed(..), Source::Mem(_)) => {
                         unreachable!("a sealed record comes from a run")

@@ -66,35 +66,51 @@ impl PatternDescriptor {
         }
     }
 
+    /// Length of one cycle, in sim-milliseconds.
+    fn cycle_millis(&self) -> u64 {
+        self.intervals.iter().map(|i| i.duration.as_millis()).sum()
+    }
+
     /// Total run time of the descriptor.
     pub fn total_duration(&self) -> SimDuration {
-        let per_cycle: u64 = self.intervals.iter().map(|i| i.duration.as_millis()).sum();
-        SimDuration::from_millis(per_cycle * self.repeat as u64)
+        SimDuration::from_millis(self.cycle_millis() * self.repeat as u64)
     }
 
     /// Total tweets the pattern will emit.
     pub fn total_tweets(&self) -> u64 {
-        let per_cycle: u64 = self
-            .intervals
-            .iter()
-            .map(|i| i.rate_twps as u64 * i.duration.as_millis() / 1000)
-            .sum();
-        per_cycle * self.repeat as u64
+        self.tweets_due(self.total_duration())
+    }
+
+    /// Tweets due by offset `t` from the start: the integral of the rate up
+    /// to `t`, rounded down per interval (`rate * elapsed_ms / 1000`). Monotone
+    /// in `t`, and `tweets_due(total_duration()) == total_tweets()`.
+    pub fn tweets_due(&self, t: SimDuration) -> u64 {
+        let per_cycle = self.cycle_millis();
+        if per_cycle == 0 {
+            return 0;
+        }
+        let t = t.as_millis().min(per_cycle * self.repeat as u64);
+        // whole cycles, then the elapsed part of each interval of the last
+        let due_by = |mut within: u64| -> u64 {
+            let mut due = 0;
+            for iv in &self.intervals {
+                let elapsed = within.min(iv.duration.as_millis());
+                due += iv.rate_twps as u64 * elapsed / 1000;
+                within -= elapsed;
+            }
+            due
+        };
+        t / per_cycle * due_by(per_cycle) + due_by(t % per_cycle)
     }
 
     /// The rate in effect at offset `t` from the start; `None` once past the
     /// end of all repeats.
     pub fn rate_at(&self, t: SimDuration) -> Option<u32> {
-        let per_cycle: u64 = self.intervals.iter().map(|i| i.duration.as_millis()).sum();
-        if per_cycle == 0 {
+        let per_cycle = self.cycle_millis();
+        if per_cycle == 0 || t >= self.total_duration() {
             return None;
         }
-        let total = per_cycle * self.repeat as u64;
-        let t = t.as_millis();
-        if t >= total {
-            return None;
-        }
-        let mut within = t % per_cycle;
+        let mut within = t.as_millis() % per_cycle;
         for iv in &self.intervals {
             if within < iv.duration.as_millis() {
                 return Some(iv.rate_twps);
@@ -219,6 +235,27 @@ mod tests {
             PatternDescriptor::parse_xml("<pattern><cycle repeat=\"2\"></cycle></pattern>")
                 .is_err()
         );
+    }
+
+    #[test]
+    fn tweets_due_is_the_exact_monotone_integral() {
+        let p = PatternDescriptor::paper_example();
+        let ms = SimDuration::from_millis;
+        assert_eq!(p.tweets_due(ms(0)), 0);
+        assert_eq!(p.tweets_due(ms(1)), 0, "300 twps: 0.3 due after 1 ms");
+        assert_eq!(p.tweets_due(SimDuration::from_secs(400)), 300 * 400);
+        assert_eq!(p.tweets_due(SimDuration::from_secs(401)), 300 * 400 + 600);
+        assert_eq!(p.tweets_due(SimDuration::from_secs(800)), 360_000);
+        assert_eq!(p.tweets_due(p.total_duration()), p.total_tweets());
+        assert_eq!(p.tweets_due(ms(u64::MAX / 2)), p.total_tweets());
+        let odd = PatternDescriptor::constant(7, 3);
+        let mut last = 0;
+        for t in (0..=3_100).step_by(37) {
+            let due = odd.tweets_due(ms(t));
+            assert!(due >= last, "monotone at {t} ms");
+            last = due;
+        }
+        assert_eq!(last, 21);
     }
 
     #[test]

@@ -72,6 +72,7 @@ struct Binding {
     running: Arc<AtomicBool>,
     generated: Arc<AtomicU64>,
     wire_drops: Arc<AtomicU64>,
+    finished: Arc<AtomicBool>,
     /// The persistent "socket": created on the first handshake, shared by
     /// every later one. A receiver that disconnects (e.g. a collect job
     /// being rebuilt during an intake scale) does not tear the wire down —
@@ -88,6 +89,7 @@ pub struct TweetGen {
     running: Arc<AtomicBool>,
     generated: Arc<AtomicU64>,
     wire_drops: Arc<AtomicU64>,
+    finished: Arc<AtomicBool>,
 }
 
 impl TweetGen {
@@ -104,12 +106,14 @@ impl TweetGen {
         let running = Arc::new(AtomicBool::new(true));
         let generated = Arc::new(AtomicU64::new(0));
         let wire_drops = Arc::new(AtomicU64::new(0));
+        let finished = Arc::new(AtomicBool::new(false));
         let binding = Arc::new(Binding {
             config: config.clone(),
             clock,
             running: Arc::clone(&running),
             generated: Arc::clone(&generated),
             wire_drops: Arc::clone(&wire_drops),
+            finished: Arc::clone(&finished),
             wire: Mutex::new(None),
         });
         map.insert(config.addr.clone(), binding);
@@ -118,6 +122,7 @@ impl TweetGen {
             running,
             generated,
             wire_drops,
+            finished,
         })
     }
 
@@ -136,6 +141,13 @@ impl TweetGen {
     pub fn wire_drops(&self) -> u64 {
         // relaxed-ok: monitoring read of a lone counter
         self.wire_drops.load(Ordering::Relaxed)
+    }
+
+    /// True once the generator has left its loop: the pattern ran out (every
+    /// tweet of `total_tweets()` was generated), the instance was stopped or
+    /// the wire closed. `generated()` does not move after that.
+    pub fn finished(&self) -> bool {
+        self.finished.load(Ordering::SeqCst)
     }
 
     /// Stop generating and unbind.
@@ -183,58 +195,15 @@ fn spawn_pusher(binding: Arc<Binding>, tx: Sender<StampedTweet>) {
     sync_thread::spawn_named(format!("tweetgen-{}", binding.config.addr), move || {
         let mut factory = TweetFactory::new(binding.config.instance, binding.config.seed);
         let clock = binding.clock.clone();
+        let pattern = &binding.config.pattern;
         let start = clock.now();
-        let tick = binding.config.tick;
-        let mut owed = 0.0f64;
-        let mut last = start;
-        loop {
-            if !binding.running.load(Ordering::SeqCst) {
-                break;
-            }
-            let now = clock.now();
-            let offset = now.since(start);
-            let (rate, final_tick) = match binding.config.pattern.rate_at(offset) {
-                Some(r) => (r, false),
-                None => {
-                    // pattern complete: emit what was still owed for the
-                    // span between the last tick and the pattern's end,
-                    // at the rate in effect back then (keeps totals
-                    // accurate when the generator thread lags)
-                    let end = start.plus(binding.config.pattern.total_duration());
-                    let last_offset = last.since(start);
-                    match binding.config.pattern.rate_at(last_offset) {
-                        Some(r) if end > last => {
-                            let dt = end.since(last).as_millis() as f64 / 1000.0;
-                            owed += r as f64 * dt;
-                            let to_send = owed as u64;
-                            for _ in 0..to_send {
-                                let tweet = StampedTweet {
-                                    gen_at: clock.now(),
-                                    json: factory.next_json(),
-                                };
-                                binding.generated.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat
-                                match tx.try_send(tweet) {
-                                    Ok(()) => {}
-                                    Err(TrySendError::Full(_)) => {
-                                        // relaxed-ok: stat
-                                        binding.wire_drops.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Err(TrySendError::Disconnected(_)) => return,
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                    break;
-                }
-            };
-            let _ = final_tick;
-            let dt = now.since(last).as_millis() as f64 / 1000.0;
-            last = now;
-            owed += rate as f64 * dt;
-            let to_send = owed as u64;
-            owed -= to_send as f64;
-            for _ in 0..to_send {
+        let mut sent = 0;
+        // each tick sends what the pattern owes by now; the last one, past
+        // the end, sends the rest of `total_tweets()` however late it runs
+        'push: while binding.running.load(Ordering::SeqCst) {
+            let offset = clock.now().since(start);
+            let due = pattern.tweets_due(offset);
+            for _ in sent..due {
                 let tweet = StampedTweet {
                     gen_at: clock.now(),
                     json: factory.next_json(),
@@ -246,11 +215,16 @@ fn spawn_pusher(binding: Arc<Binding>, tx: Sender<StampedTweet>) {
                         // push-based source: the wire drops it
                         binding.wire_drops.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat
                     }
-                    Err(TrySendError::Disconnected(_)) => return,
+                    Err(TrySendError::Disconnected(_)) => break 'push,
                 }
             }
-            clock.sleep(tick);
+            sent = due;
+            if offset >= pattern.total_duration() {
+                break;
+            }
+            clock.sleep(binding.config.tick);
         }
+        binding.finished.store(true, Ordering::SeqCst);
         // channel closes when tx drops → receiver sees end of stream
     })
     .expect("spawn tweetgen pusher");
@@ -270,12 +244,7 @@ mod tests {
         let gen = TweetGen::bind(TweetGenConfig::new("t1:9000", 0, pattern), clock()).unwrap();
         let rx = connect("t1:9000").unwrap();
         let tweets: Vec<StampedTweet> = rx.iter().collect(); // until pattern ends
-                                                             // rate control is approximate: allow 10% slack
-        assert!(
-            tweets.len() as i64 >= 400 && tweets.len() as i64 <= 550,
-            "got {} tweets",
-            tweets.len()
-        );
+        assert_eq!(tweets.len(), 500, "the pattern's total, exactly");
         assert!(
             tweets.windows(2).all(|w| w[0].gen_at <= w[1].gen_at),
             "generation stamps are monotonic"
@@ -340,8 +309,7 @@ mod tests {
         let rx2 = connect("t6:9000").unwrap();
         tweets.extend(rx2.iter()); // resumes the same stream to its end
         assert_eq!(g.wire_drops(), 0, "buffer survived the consumer swap");
-        let n = tweets.len();
-        assert!((400..=550).contains(&n), "got {n} tweets");
+        assert_eq!(tweets.len(), 500);
         // ids are contiguous from zero with no duplicates: the pattern was
         // neither restarted (dup ids) nor advanced blindly (gaps)
         for (i, t) in tweets.iter().enumerate() {
@@ -355,10 +323,12 @@ mod tests {
     fn generated_counts_match_pattern_budget() {
         let p = PatternDescriptor::constant(50, 4); // 200 tweets
         let g = TweetGen::bind(TweetGenConfig::new("t5:9000", 0, p), clock()).unwrap();
+        assert!(!g.finished(), "generation starts at the handshake");
         let rx = connect("t5:9000").unwrap();
         let n = rx.iter().count() as u64;
         assert_eq!(g.generated(), n, "nothing dropped with default buffer");
-        assert!((150..=220).contains(&n), "n={n}");
+        assert_eq!(n, 200);
+        assert!(g.finished());
         g.stop();
     }
 }
