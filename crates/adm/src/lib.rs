@@ -31,14 +31,14 @@
 //!   header + per-field columns + sparse residual), plus the uncompacted
 //!   [`compact::OpenBlock`] fallback;
 //! * [`payload`] — record payloads as binary ADM bytes: transcode text or
-//!   encode a value once, project a few fields out of the bytes, render them
-//!   for a human;
+//!   encode a value once, render them for a human;
 //! * [`view`] — a record read through its top-level field spans
 //!   ([`RecordView`]) and rewritten by a [`RecordPatch`]: what a function
 //!   that reads a field or two and writes one needs, without the tree;
 //! * [`pred`] — a filter ([`Pred`]) compiled once and tested against a
 //!   record's bytes or a compacted component's column cells, meaning what
-//!   AQL's comparisons mean over the decoded record;
+//!   AQL's comparisons mean over the decoded record: a query's pushed
+//!   `where` and a feed's routing arm alike;
 //! * [`functions`] — the builtin scalar functions the feeds chapters use
 //!   (`word-tokens`, `starts-with`, `spatial-cell`, `spatial-intersect`, ...);
 //! * [`hash`] — a stable 64-bit value hash used for hash-partitioning
