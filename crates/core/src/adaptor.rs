@@ -26,7 +26,10 @@
 //!
 //! Every adaptor is *polled* ([`FeedAdaptor::poll`]): the collect operator
 //! hosting it is a task on the shared worker pool, so an adaptor hands over
-//! what its source has already delivered and returns — it never waits. The
+//! what its source has already delivered and returns — it never waits.
+//! While it has nothing, its task parks: a push source wakes it through the
+//! hook the host hands over ([`FeedAdaptor::set_wake`]), a pull source
+//! names when to look again ([`SourcePoll::Idle`]). The
 //! paper's two modes (§5.3.1) both fit: a *push* source is whatever pushes
 //! into the channel the adaptor drains (TweetGen's pusher, a `bind_socket`
 //! client), a *pull* source makes one request per poll (the next lines of a
@@ -44,13 +47,15 @@
 //! so silent drops at the front door are observable in metrics snapshots.
 
 use asterix_adm::transcode;
+use asterix_common::sync::atomic::{AtomicBool, Ordering};
 use asterix_common::sync::Mutex;
 use asterix_common::{
     Counter, FaultKind, FaultPlan, IngestError, IngestResult, Record, SimClock, SimInstant,
 };
 use asterix_hyracks::job::Constraint;
 use asterix_hyracks::operator::SourcePoll;
-use crossbeam_channel::{Receiver, Sender, TryRecvError};
+use asterix_hyracks::WakeHook;
+use crossbeam_channel::{Receiver, SendError, Sender, TryRecvError};
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufRead;
 use std::sync::Arc;
@@ -72,6 +77,13 @@ pub trait FeedAdaptor: Send {
     /// "External Source Failure") and terminates the feed. Nothing touches
     /// the external source before the first poll.
     fn poll(&mut self, emit: EmitFn<'_>, budget: usize) -> IngestResult<SourcePoll>;
+
+    /// The host's wake hook, handed over before the first poll. An adaptor
+    /// whose source pushes arranges for it to fire when input arrives after
+    /// a poll returned [`SourcePoll::Idle`]; without that, its host looks
+    /// again only on its safety deadline. An adaptor that knows when its
+    /// next input is due says so in `Idle` and may ignore the hook.
+    fn set_wake(&mut self, _wake: WakeHook) {}
 }
 
 /// Factory for a named adaptor.
@@ -180,6 +192,7 @@ impl AdaptorFactory for TweetGenAdaptorFactory {
             .clone();
         Ok(Box::new(TweetGenAdaptor {
             addr,
+            wake: None,
             wire: None,
             instance: partition as u32,
             malformed_lines: malformed_lines.clone(),
@@ -190,6 +203,8 @@ impl AdaptorFactory for TweetGenAdaptorFactory {
 
 struct TweetGenAdaptor {
     addr: String,
+    /// Handed to the pusher at the handshake.
+    wake: Option<WakeHook>,
     /// The push channel, once the first poll has done the handshake.
     wire: Option<Receiver<tweetgen::StampedTweet>>,
     instance: u32,
@@ -203,7 +218,10 @@ impl FeedAdaptor for TweetGenAdaptor {
         let wire = match &self.wire {
             Some(wire) => wire,
             // the initial handshake; a failure here is fatal for the feed
-            None => self.wire.insert(tweetgen::connect(&self.addr)?),
+            None => self.wire.insert(match self.wake.clone() {
+                Some(wake) => tweetgen::connect_waking(&self.addr, wake)?,
+                None => tweetgen::connect(&self.addr)?,
+            }),
         };
         // TweetGen closes the push channel when its pattern completes (or it
         // was stopped): the feed's data is exhausted, end gracefully.
@@ -220,25 +238,80 @@ impl FeedAdaptor for TweetGenAdaptor {
             Ok(())
         })
     }
+
+    fn set_wake(&mut self, wake: WakeHook) {
+        self.wake = Some(wake);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Generic socket adaptor
 // ---------------------------------------------------------------------------
 
-static SOCKETS: Mutex<Option<HashMap<String, Receiver<String>>>> = Mutex::new(None);
+/// A bound socket's wake path: the adaptor arms it when it finds the socket
+/// empty, and the next send fires the adaptor's hook.
+#[derive(Default)]
+struct Doorbell {
+    armed: AtomicBool,
+    wake: Mutex<Option<WakeHook>>,
+}
+
+impl Doorbell {
+    fn ring(&self) {
+        if self.armed.load(Ordering::SeqCst) && self.armed.swap(false, Ordering::SeqCst) {
+            let wake = self.wake.lock().clone();
+            if let Some(wake) = wake {
+                wake();
+            }
+        }
+    }
+}
+
+type BoundSocket = (Receiver<String>, Arc<Doorbell>);
+
+static SOCKETS: Mutex<Option<HashMap<String, BoundSocket>>> = Mutex::new(None);
+
+/// The sending end of a bound socket ([`bind_socket`]); clones share it. A
+/// line sent while the adaptor reading the socket is parked on it wakes the
+/// adaptor's task.
+#[derive(Clone)]
+pub struct SocketSender {
+    tx: Sender<String>,
+    bell: Arc<Doorbell>,
+}
+
+impl SocketSender {
+    /// Send one line, waiting while the socket's buffer is full; an error
+    /// hands the line back once no adaptor can ever read the socket.
+    pub fn send(&self, line: String) -> Result<(), SendError<String>> {
+        self.tx.send(line)?;
+        self.bell.ring();
+        Ok(())
+    }
+
+    /// Lines in the socket's buffer.
+    pub fn len(&self) -> usize {
+        self.tx.len()
+    }
+
+    /// Is the socket's buffer empty?
+    pub fn is_empty(&self) -> bool {
+        self.tx.is_empty()
+    }
+}
 
 /// Bind an in-process "socket" at `addr` that external producers can push
 /// lines into; the generic socket adaptor consumes it.
-pub fn bind_socket(addr: &str, capacity: usize) -> IngestResult<Sender<String>> {
+pub fn bind_socket(addr: &str, capacity: usize) -> IngestResult<SocketSender> {
     let (tx, rx) = crossbeam_channel::bounded(capacity);
+    let bell = Arc::new(Doorbell::default());
     let mut reg = SOCKETS.lock();
     let map = reg.get_or_insert_with(HashMap::new);
     if map.contains_key(addr) {
         return Err(IngestError::Config(format!("socket {addr} already bound")));
     }
-    map.insert(addr.to_string(), rx);
-    Ok(tx)
+    map.insert(addr.to_string(), (rx, Arc::clone(&bell)));
+    Ok(SocketSender { tx, bell })
 }
 
 /// Remove a socket binding.
@@ -274,7 +347,7 @@ impl AdaptorFactory for SocketAdaptorFactory {
         let addr = addrs
             .get(partition)
             .ok_or_else(|| IngestError::Plan("socket partition out of range".into()))?;
-        let rx = SOCKETS
+        let (rx, bell) = SOCKETS
             .lock()
             .as_ref()
             .and_then(|m| m.get(addr))
@@ -282,6 +355,7 @@ impl AdaptorFactory for SocketAdaptorFactory {
             .ok_or_else(|| IngestError::Disconnected(format!("no socket bound at {addr}")))?;
         Ok(Box::new(SocketAdaptor {
             rx,
+            bell,
             instance: partition as u32,
             malformed_lines: malformed_lines.clone(),
             scratch: Vec::new(),
@@ -291,6 +365,7 @@ impl AdaptorFactory for SocketAdaptorFactory {
 
 struct SocketAdaptor {
     rx: Receiver<String>,
+    bell: Arc<Doorbell>,
     instance: u32,
     malformed_lines: Counter,
     /// [`translate`]'s buffer, reused for every record.
@@ -299,13 +374,27 @@ struct SocketAdaptor {
 
 impl FeedAdaptor for SocketAdaptor {
     fn poll(&mut self, emit: EmitFn<'_>, budget: usize) -> IngestResult<SourcePoll> {
-        drain_channel(&self.rx, budget, |line| {
+        let polled = drain_channel(&self.rx, budget, |line| {
             match translate(&line, self.instance, &mut self.scratch) {
                 Ok(rec) => emit(rec)?,
                 Err(_) => self.malformed_lines.inc(),
             }
             Ok(())
+        })?;
+        if polled != SourcePoll::Idle(None) {
+            return Ok(polled);
+        }
+        // about to park: arm the doorbell, then look once more, so a line
+        // sent in between is read at once, not on the safety deadline
+        self.bell.armed.store(true, Ordering::SeqCst);
+        Ok(match self.rx.is_empty() {
+            true => polled,
+            false => SourcePoll::Produced,
         })
+    }
+
+    fn set_wake(&mut self, wake: WakeHook) {
+        *self.bell.wake.lock() = Some(wake);
     }
 }
 
@@ -622,6 +711,10 @@ impl FeedAdaptor for ChaosAdaptor {
             return Ok(SourcePoll::Done);
         }
         polled
+    }
+
+    fn set_wake(&mut self, wake: WakeHook) {
+        self.inner.set_wake(wake);
     }
 }
 

@@ -30,11 +30,23 @@
 //! Nothing here blocks. The queue bound is soft: depositors probe
 //! [`FeedJoint::headroom`] and yield while it is short, and a deposit into
 //! a full queue still lands.
+//!
+//! Nobody polls a joint on a timer either; both sides are woken:
+//!
+//! * a subscription carries its consumer's [`WakeHook`], fired when its
+//!   queue goes from empty to not empty — by a deposit or a hand-back — and
+//!   when the joint retires;
+//! * a depositor that has to wait for its subscribers (its queue is full,
+//!   it holds a partial frame behind a backlog, nobody has subscribed yet)
+//!   registers a [`JointDepositor`] and arms it; it is woken when a
+//!   subscriber drains its queue empty or the set of subscribers changes.
 
+use asterix_common::sync::atomic::{AtomicBool, Ordering};
 use asterix_common::sync::Mutex;
 use asterix_common::{DataFrame, IngestError, IngestResult};
+use asterix_hyracks::WakeHook;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// A frame in a subscription's custody.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,8 +86,58 @@ impl Queued {
     }
 }
 
+/// One subscription's queue and its consumer's waker.
+#[derive(Default)]
+struct SubQueue {
+    frames: VecDeque<Queued>,
+    /// Fired on the queue's empty → not-empty edge.
+    waker: Option<WakeHook>,
+}
+
+impl SubQueue {
+    /// The waker to fire after `frames` were added to this queue, if it
+    /// was empty before.
+    fn woken_by_push(&self, pushed: usize) -> Option<WakeHook> {
+        (self.frames.len() == pushed && pushed > 0)
+            .then(|| self.waker.clone())
+            .flatten()
+    }
+}
+
 /// One subscription's queue, shared by the joint and every handle on it.
-type Queue = Arc<Mutex<VecDeque<Queued>>>;
+type Queue = Arc<Mutex<SubQueue>>;
+
+/// A depositor's waker and whether it waits for a drain.
+struct DepositorSlot {
+    wake: WakeHook,
+    armed: AtomicBool,
+}
+
+/// A depositor's handle on a joint ([`FeedJoint::depositor`]); dropping it
+/// unregisters the depositor's waker.
+pub struct JointDepositor {
+    joint: Arc<FeedJoint>,
+    slot: Arc<DepositorSlot>,
+}
+
+impl JointDepositor {
+    /// The joint deposited into.
+    pub fn joint(&self) -> &Arc<FeedJoint> {
+        &self.joint
+    }
+
+    /// Does `blocked` hold for the joint? If so, the depositor is woken
+    /// once, the next time a subscriber drains its queue empty or the
+    /// subscribers change. The waker is armed before `blocked` is read the
+    /// second, deciding time, so a drain in between still wakes.
+    pub fn waits_while(&self, blocked: impl Fn(&FeedJoint) -> bool) -> bool {
+        if !blocked(&self.joint) {
+            return false;
+        }
+        self.slot.armed.store(true, Ordering::SeqCst);
+        blocked(&self.joint)
+    }
+}
 
 /// Per-subscriber queue bound, in frames. Congestion isolation holds up to
 /// this depth; past it, depositors yield (they read [`FeedJoint::headroom`])
@@ -92,6 +154,7 @@ pub struct FeedJoint {
     /// Symbolic id: `<feed>` or `<feed>:f1:...:fN` (§5.3.1).
     pub id: String,
     inner: Mutex<JointInner>,
+    depositors: Mutex<Vec<Weak<DepositorSlot>>>,
 }
 
 impl FeedJoint {
@@ -103,22 +166,76 @@ impl FeedJoint {
                 subscribers: HashMap::new(),
                 retired: false,
             }),
+            depositors: Mutex::new(Vec::new()),
         })
     }
 
     /// Register (or re-attach to) the subscription under `key`. A fresh key
     /// creates an empty queue; an existing key resumes its queue — including
-    /// anything that accumulated while no consumer was attached.
+    /// anything that accumulated while no consumer was attached. It sets no
+    /// waker, and leaves a waking consumer's in place: the controller
+    /// subscribes this way on an intake's behalf, racing the intake's own
+    /// [`FeedJoint::subscribe_waking`].
     pub fn subscribe(self: &Arc<Self>, key: impl Into<String>) -> JointSubscription {
-        let key = key.into();
+        self.attach(key.into(), None)
+    }
+
+    /// [`FeedJoint::subscribe`] for a consumer that parks while its queue is
+    /// empty: `wake` fires when a deposit or hand-back makes it non-empty
+    /// and when the joint retires. It replaces a predecessor's waker.
+    pub fn subscribe_waking(
+        self: &Arc<Self>,
+        key: impl Into<String>,
+        wake: WakeHook,
+    ) -> JointSubscription {
+        self.attach(key.into(), Some(wake))
+    }
+
+    fn attach(self: &Arc<Self>, key: String, wake: Option<WakeHook>) -> JointSubscription {
         let queue = {
             let mut inner = self.inner.lock();
             Arc::clone(inner.subscribers.entry(key.clone()).or_default())
         };
+        if wake.is_some() {
+            queue.lock().waker = wake;
+        }
+        // a depositor may be waiting for its first subscriber
+        self.wake_depositors();
         JointSubscription {
             key,
             queue,
             joint: Arc::clone(self),
+        }
+    }
+
+    /// Register a depositor, woken by `wake` when it waits
+    /// ([`JointDepositor::waits_while`]) and a subscriber drains its queue
+    /// empty or the subscribers change.
+    pub fn depositor(self: &Arc<Self>, wake: WakeHook) -> JointDepositor {
+        let slot = Arc::new(DepositorSlot {
+            wake,
+            armed: AtomicBool::new(false),
+        });
+        let mut depositors = self.depositors.lock();
+        depositors.retain(|d| d.strong_count() > 0);
+        depositors.push(Arc::downgrade(&slot));
+        JointDepositor {
+            joint: Arc::clone(self),
+            slot,
+        }
+    }
+
+    /// Fire every armed depositor once.
+    fn wake_depositors(&self) {
+        let armed: Vec<Arc<DepositorSlot>> = self
+            .depositors
+            .lock()
+            .iter()
+            .filter_map(Weak::upgrade)
+            .filter(|d| d.armed.swap(false, Ordering::SeqCst))
+            .collect();
+        for d in armed {
+            (d.wake)();
         }
     }
 
@@ -127,7 +244,8 @@ impl FeedJoint {
     pub fn unsubscribe(&self, key: &str) {
         let queue = self.inner.lock().subscribers.remove(key);
         if let Some(queue) = queue {
-            queue.lock().clear();
+            queue.lock().frames.clear();
+            self.wake_depositors();
         }
     }
 
@@ -140,13 +258,15 @@ impl FeedJoint {
         let Some(queue) = queue else {
             return Vec::new();
         };
-        let drained: Vec<Queued> = queue.lock().drain(..).collect();
+        let drained: Vec<Queued> = queue.lock().frames.drain(..).collect();
+        self.wake_depositors();
         drained.into_iter().map(Queued::take).collect()
     }
 
     /// Put `frames` at the head of the subscription under `key`, in order,
     /// ahead of everything queued there, creating the subscription if it
-    /// is missing. A retired joint drops them: no consumer will come.
+    /// is missing, and wake its consumer if the queue was empty. A retired
+    /// joint drops them: no consumer will come.
     pub fn hand_back(&self, key: &str, frames: Vec<HeldFrame>) {
         let queue = {
             let mut inner = self.inner.lock();
@@ -155,12 +275,19 @@ impl FeedJoint {
             }
             Arc::clone(inner.subscribers.entry(key.to_string()).or_default())
         };
-        let mut queue = queue.lock();
-        for held in frames.into_iter().rev() {
-            queue.push_front(Queued {
-                frame: Arc::new(held.frame),
-                handed_back: held.handed_back,
-            });
+        let wake = {
+            let mut queue = queue.lock();
+            let pushed = frames.len();
+            for held in frames.into_iter().rev() {
+                queue.frames.push_front(Queued {
+                    frame: Arc::new(held.frame),
+                    handed_back: held.handed_back,
+                });
+            }
+            queue.woken_by_push(pushed)
+        };
+        if let Some(wake) = wake {
+            wake();
         }
     }
 
@@ -181,8 +308,16 @@ impl FeedJoint {
         if inner.retired {
             return 0;
         }
-        let fullest = inner.subscribers.values().map(|q| q.lock().len()).max();
+        let fullest = inner.subscribers.values().map(|q| q.lock().frames.len()).max();
         fullest.unwrap_or(0)
+    }
+
+    /// Frames queued for the fastest subscriber: 0 while some subscriber
+    /// (or nobody) waits for the next frame.
+    pub fn shortest_backlog(&self) -> usize {
+        let inner = self.inner.lock();
+        let shortest = inner.subscribers.values().map(|q| q.lock().frames.len()).min();
+        shortest.unwrap_or(0)
     }
 
     /// Frames the fullest subscriber queue can still take within its bound.
@@ -194,33 +329,53 @@ impl FeedJoint {
         SUBSCRIBER_QUEUE_CAP.saturating_sub(self.backlog())
     }
 
-    /// Deposit a frame onto every subscriber queue; it never waits. No
-    /// subscribers → the frame is dropped (the collect operator defers
-    /// adaptor creation until someone subscribes, so this only happens in
-    /// teardown windows).
+    /// Deposit a frame onto every subscriber queue; it never waits, and it
+    /// wakes each subscriber whose queue was empty. No subscribers → the
+    /// frame is dropped (the collect operator defers adaptor creation until
+    /// someone subscribes, so this only happens in teardown windows).
     pub fn deposit(&self, frame: DataFrame) -> IngestResult<()> {
-        let inner = self.inner.lock();
-        if inner.retired {
-            return Err(IngestError::Disconnected(format!(
-                "joint {} retired",
-                self.id
-            )));
+        let mut woken = Vec::new();
+        {
+            let inner = self.inner.lock();
+            if inner.retired {
+                return Err(IngestError::Disconnected(format!(
+                    "joint {} retired",
+                    self.id
+                )));
+            }
+            let frame = Arc::new(frame);
+            for queue in inner.subscribers.values() {
+                let mut queue = queue.lock();
+                queue.frames.push_back(Queued {
+                    frame: Arc::clone(&frame),
+                    handed_back: false,
+                });
+                woken.extend(queue.woken_by_push(1));
+            }
         }
-        let frame = Arc::new(frame);
-        for queue in inner.subscribers.values() {
-            queue.lock().push_back(Queued {
-                frame: Arc::clone(&frame),
-                handed_back: false,
-            });
+        for wake in woken {
+            wake();
         }
         Ok(())
     }
 
     /// Retire the joint: further deposits and hand-backs fail, and each
-    /// subscriber sees end-of-stream once its queue is empty. Used when a
-    /// feed is dismantled entirely.
+    /// subscriber — woken now — sees end-of-stream once its queue is empty.
+    /// Used when a feed is dismantled entirely.
     pub fn retire(&self) {
-        self.inner.lock().retired = true;
+        let woken: Vec<WakeHook> = {
+            let mut inner = self.inner.lock();
+            inner.retired = true;
+            inner
+                .subscribers
+                .values()
+                .filter_map(|q| q.lock().waker.clone())
+                .collect()
+        };
+        for wake in woken {
+            wake();
+        }
+        self.wake_depositors();
     }
 
     /// Has the joint been retired?
@@ -262,13 +417,21 @@ pub struct JointSubscription {
 
 impl JointSubscription {
     /// Take the next frame without waiting: `None` when the queue is empty.
+    /// Taking the last frame wakes the joint's armed depositors.
     pub fn try_recv(&self) -> Option<JointRecv> {
         // the queue lock is released here, before the joint lock is taken:
         // deposits lock the joint first
-        let next = self.queue.lock().pop_front();
+        let (next, drained) = {
+            let mut queue = self.queue.lock();
+            let next = queue.frames.pop_front();
+            (next, queue.frames.is_empty())
+        };
         let Some(next) = next else {
             return self.joint.is_retired().then_some(JointRecv::Retired);
         };
+        if drained {
+            self.joint.wake_depositors();
+        }
         let held = next.take();
         Some(match held.handed_back {
             true => JointRecv::HandedBack(held.frame),
@@ -318,6 +481,87 @@ mod tests {
 
     fn fresh(ids: &[u64]) -> Vec<(u64, bool)> {
         ids.iter().map(|&i| (i, false)).collect()
+    }
+
+    /// A wake hook and the number of times it fired.
+    fn counting_hook() -> (WakeHook, Arc<std::sync::atomic::AtomicUsize>) {
+        let fired = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = Arc::clone(&fired);
+        let hook: WakeHook = Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        (hook, fired)
+    }
+
+    #[test]
+    fn a_deposit_into_an_empty_queue_wakes_its_subscriber_once() {
+        let joint = FeedJoint::new("F");
+        let (hook, fired) = counting_hook();
+        let sub = joint.subscribe_waking("a", hook);
+        let _polling = joint.subscribe("b"); // no waker: nothing to fire
+        // subscribing without a waker (as the controller does on an
+        // intake's behalf) keeps the consumer's
+        drop(joint.subscribe("a"));
+        joint.deposit(frame(0..1)).unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "empty → non-empty");
+        joint.deposit(frame(1..2)).unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "already non-empty");
+        assert_eq!(drain(&sub), fresh(&[0, 1]));
+        joint.deposit(frame(2..3)).unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 2, "empty again");
+    }
+
+    #[test]
+    fn draining_a_queue_empty_wakes_the_waiting_depositors() {
+        let joint = FeedJoint::new("F");
+        let sub = joint.subscribe("a");
+        let (hook, fired) = counting_hook();
+        let depositor = joint.depositor(hook);
+        let (idle_hook, idle_fired) = counting_hook();
+        let _idle = joint.depositor(idle_hook); // never waits
+        joint.deposit(frame(0..1)).unwrap();
+        joint.deposit(frame(1..2)).unwrap();
+        assert!(depositor.waits_while(|j| j.backlog() > 0));
+        assert!(matches!(sub.try_recv(), Some(JointRecv::Frame(_))));
+        assert_eq!(fired.load(Ordering::SeqCst), 0, "one frame still queued");
+        assert!(matches!(sub.try_recv(), Some(JointRecv::Frame(_))));
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "drained empty");
+        assert_eq!(idle_fired.load(Ordering::SeqCst), 0, "it did not wait");
+        // a wait is woken once: the next drain finds nobody waiting
+        joint.deposit(frame(2..3)).unwrap();
+        assert!(sub.try_recv().is_some());
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        // a condition that does not hold arms nothing
+        assert!(!depositor.waits_while(|j| j.backlog() > 0));
+        joint.deposit(frame(3..4)).unwrap();
+        assert!(sub.try_recv().is_some());
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        // a new subscriber is what a depositor waits for before the first
+        assert!(depositor.waits_while(|j| j.subscriber_count() < 2));
+        let _second = joint.subscribe("b");
+        assert_eq!(fired.load(Ordering::SeqCst), 2, "subscribe wakes");
+        // a dropped depositor is forgotten
+        drop(depositor);
+        assert!(joint.depositors.lock().iter().any(|d| d.strong_count() == 0));
+        let _third = joint.depositor(counting_hook().0);
+        assert_eq!(joint.depositors.lock().len(), 2, "pruned on register");
+    }
+
+    #[test]
+    fn hand_back_and_retire_wake_the_subscriber() {
+        let joint = FeedJoint::new("F");
+        let (hook, fired) = counting_hook();
+        let sub = joint.subscribe_waking("p#p0", hook);
+        sub.hand_back(vec![frame(0..10), frame(10..20)]);
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "hand-back into empty");
+        assert_eq!(drain(&sub), vec![(0, true), (10, true)]);
+        let (waiting, depositor_fired) = counting_hook();
+        let depositor = joint.depositor(waiting);
+        assert!(depositor.waits_while(|j| !j.is_retired()));
+        joint.retire();
+        assert_eq!(fired.load(Ordering::SeqCst), 2, "retire wakes");
+        assert_eq!(depositor_fired.load(Ordering::SeqCst), 1);
+        assert!(matches!(sub.try_recv(), Some(JointRecv::Retired)));
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //!   the feed joint registered at its output. Adaptor use is deferred
 //!   "until there is a request for the operator's output data". A task like
 //!   every other operator: each poll drains what the adaptor's source has
-//!   delivered into 64-record frames, flushes a partial frame on a 20 ms
-//!   tick, and yields — never blocks — while the joint has no room.
+//!   delivered into 64-record frames and yields — never blocks — while the
+//!   joint has no room. No timer paces it. The adaptor's source wakes it
+//!   when records arrive, and a partial frame leaves on the poll that finds
+//!   the source dry while some subscriber has nothing queued. While every
+//!   subscriber still has frames queued, the partial frame keeps filling,
+//!   and the drain of that backlog wakes the collect to send it.
 //! * [`IntakeDesc`] — *FeedIntake*: co-located with a joint, subscribes
 //!   through the local Feed Manager's search API, and pushes frames
 //!   downstream through the policy-governed [`FlowController`], which owns
@@ -27,7 +31,7 @@
 use crate::ack::{AckBatch, AckSender, AckTracker};
 use crate::adaptor::{AdaptorConfig, AdaptorFactory, FeedAdaptor};
 use crate::flow::FlowController;
-use crate::joint::{FeedJoint, JointRecv, JointSubscription};
+use crate::joint::{JointDepositor, JointRecv, JointSubscription};
 use crate::manager::FeedManager;
 use crate::metrics::FeedMetrics;
 use crate::policy::IngestionPolicy;
@@ -45,10 +49,11 @@ use asterix_hyracks::operator::{
     FrameWriter, NullSink, OperatorRuntime, RouterOperator, SourceOperator, SourcePoll, StopMode,
     StopToken, UnaryOperator,
 };
+use asterix_hyracks::WakeHook;
 use asterix_storage::Dataset;
 use crossbeam_channel::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One logged soft failure (§6.1.2).
 #[derive(Debug, Clone, PartialEq)]
@@ -293,20 +298,21 @@ impl OperatorDescriptor for CollectDesc {
     ) -> IngestResult<OperatorRuntime> {
         let fm = FeedManager::on(&ctx.node);
         let joint = fm.register_joint(&self.joint_id);
-        let adaptor = self.factory.create(
+        let mut adaptor = self.factory.create(
             &self.config,
             ctx.partition,
             &ctx.clock,
             &self.malformed_lines,
         )?;
+        adaptor.set_wake(ctx.waker.hook());
         output.open()?;
         Ok(OperatorRuntime::Source(Box::new(CollectSource {
             adaptor,
-            joint,
+            out: joint.depositor(ctx.waker.hook()),
             node: ctx.node.clone(),
             output,
             builder: FrameBuilder::default(),
-            next_flush: None,
+            started: false,
         })))
     }
 }
@@ -342,10 +348,6 @@ const COLLECT_POLL_BUDGET: usize = 4 * DEFAULT_FRAME_CAPACITY;
 /// Frames one poll can deposit: the full ones plus a flushed partial.
 const COLLECT_FRAMES_PER_POLL: usize = COLLECT_POLL_BUDGET / DEFAULT_FRAME_CAPACITY + 1;
 
-/// How often a partial frame is flushed to the joint, so a low-rate feed is
-/// not held back until 64 records ([`DEFAULT_FRAME_CAPACITY`]) have come.
-const COLLECT_FLUSH_TICK: Duration = Duration::from_millis(20);
-
 /// How far a collect runs ahead of its slowest subscriber at full speed: a
 /// source with a backlog is always ready to run again and would keep its
 /// worker to itself, so past this many queued frames (4 096 records) it
@@ -355,14 +357,14 @@ const COLLECT_LEAD_PAUSE: Duration = Duration::from_millis(1);
 
 struct CollectSource {
     adaptor: Box<dyn FeedAdaptor>,
-    joint: Arc<FeedJoint>,
+    /// The joint the collect deposits into, and its wake path.
+    out: JointDepositor,
     node: NodeHandle,
     /// The job edge to the null sink: carries the close, never a frame.
     output: Box<dyn FrameWriter>,
     builder: FrameBuilder,
-    /// When the partial frame is flushed next; `None` until the joint has
-    /// had a subscriber, which is when the adaptor is first used.
-    next_flush: Option<Instant>,
+    /// The adaptor has been used: the joint had a subscriber once.
+    started: bool,
 }
 
 impl CollectSource {
@@ -370,7 +372,7 @@ impl CollectSource {
     /// (`outcome`): what was collected so far still reaches the joint.
     fn finish(&mut self, outcome: IngestResult<()>) -> IngestResult<SourcePoll> {
         if let Some(rest) = self.builder.flush() {
-            let _ = self.joint.deposit(rest);
+            let _ = self.out.joint().deposit(rest);
         }
         outcome?;
         self.output.close()?;
@@ -389,17 +391,19 @@ impl SourceOperator for CollectSource {
             return self.finish(Ok(()));
         }
         // a subscriber queue short of room for this poll's frames: leave
-        // the records in the source and yield until the subscriber drains
-        if self.joint.headroom() < COLLECT_FRAMES_PER_POLL {
+        // the records in the source and park until the subscriber drains
+        if self
+            .out
+            .waits_while(|j| j.headroom() < COLLECT_FRAMES_PER_POLL)
+        {
             return Ok(SourcePoll::Idle(None));
         }
         // defer adaptor use until the output is requested
-        if self.next_flush.is_none() && !self.joint.has_subscribers() {
+        if !self.started && self.out.waits_while(|j| !j.has_subscribers()) {
             return Ok(SourcePoll::Idle(None));
         }
-        let now = Instant::now();
-        let mut flush_at = *self.next_flush.get_or_insert(now + COLLECT_FLUSH_TICK);
-        let (builder, joint) = (&mut self.builder, &self.joint);
+        self.started = true;
+        let (builder, joint) = (&mut self.builder, self.out.joint());
         let mut emit = |rec: Record| match builder.push(rec) {
             Some(full) => joint.deposit(full),
             None => Ok(()),
@@ -409,26 +413,24 @@ impl SourceOperator for CollectSource {
             Ok(polled) => polled,
             Err(e) => return self.finish(Err(e)),
         };
-        // the tick runs free of the arrivals, so a record waits for the
-        // flush at most one tick however the polls fall
-        if now >= flush_at {
-            if let Some(partial) = self.builder.flush() {
-                self.joint.deposit(partial)?;
-            }
-            flush_at = now + COLLECT_FLUSH_TICK;
-            self.next_flush = Some(flush_at);
-        }
         Ok(match polled {
-            // idle no longer than to the next tick: what arrives meanwhile
-            // is then picked up and flushed by the same poll
+            // the source is dry: the partial frame leaves now if a
+            // subscriber waits for it; while every one has frames queued it
+            // keeps filling, and the drain of that backlog wakes this task
             SourcePoll::Idle(wait) => {
-                let to_tick = flush_at.saturating_duration_since(now);
-                SourcePoll::Idle(Some(wait.map_or(to_tick, |w| w.min(to_tick))))
+                if self.builder.pending() > 0
+                    && !self.out.waits_while(|j| j.shortest_backlog() > 0)
+                {
+                    if let Some(partial) = self.builder.flush() {
+                        self.out.joint().deposit(partial)?;
+                    }
+                }
+                SourcePoll::Idle(wait)
             }
             // far ahead of the slowest subscriber: it is the subscriber's
             // tasks that need this worker now, so ask for it back in a
             // moment rather than at once
-            SourcePoll::Produced if self.joint.backlog() > COLLECT_LEAD_FRAMES => {
+            SourcePoll::Produced if self.out.joint().backlog() > COLLECT_LEAD_FRAMES => {
                 SourcePoll::Idle(Some(COLLECT_LEAD_PAUSE))
             }
             polled => polled,
@@ -510,6 +512,7 @@ impl OperatorDescriptor for IntakeDesc {
         Ok(OperatorRuntime::Source(Box::new(IntakeSource {
             joint_id: self.joint_id.clone(),
             sub_key,
+            wake: ctx.waker.hook(),
             node: ctx.node.clone(),
             metrics: Arc::clone(&self.metrics),
             flow: Some(flow),
@@ -524,6 +527,9 @@ impl OperatorDescriptor for IntakeDesc {
 struct IntakeSource {
     joint_id: String,
     sub_key: String,
+    /// Fired by the joint when the subscription's queue fills or the joint
+    /// retires.
+    wake: WakeHook,
     node: NodeHandle,
     metrics: Arc<FeedMetrics>,
     flow: Option<FlowController>,
@@ -615,7 +621,7 @@ impl SourceOperator for IntakeSource {
                     self.node.id()
                 ))
             })?;
-            self.sub = Some(joint.subscribe(self.sub_key.clone()));
+            self.sub = Some(joint.subscribe_waking(self.sub_key.clone(), self.wake.clone()));
         }
         if !self.node.is_alive() {
             // hard failure of this node: vanish (state on this node is
@@ -654,7 +660,9 @@ impl SourceOperator for IntakeSource {
                 "chaos: injected operator panic".into(),
             ));
         }
-        let mut produced = false;
+        // back at once only while frames may be left; a slice that empties
+        // the queue parks, and the next deposit wakes it
+        let mut drained = false;
         for _ in 0..INTAKE_FRAMES_PER_SLICE {
             let recv = self.sub.as_ref().expect("subscribed above").try_recv();
             let frame = match recv {
@@ -673,9 +681,11 @@ impl SourceOperator for IntakeSource {
                     self.ending = true;
                     return Ok(SourcePoll::Produced);
                 }
-                None => break,
+                None => {
+                    drained = true;
+                    break;
+                }
             };
-            produced = true;
             let frame = self.track_frame(frame);
             let flow = self.flow.as_mut().expect("flow active");
             match flow.offer(frame) {
@@ -695,10 +705,10 @@ impl SourceOperator for IntakeSource {
                 }
             }
         }
-        if produced {
+        if !drained {
             return Ok(SourcePoll::Produced);
         }
-        // quiet slice: housekeeping
+        // the queue is empty: housekeeping
         let flow = self.flow.as_mut().expect("flow active");
         if let Err(e) = flow.drain_deferred() {
             self.hand_back();
@@ -796,23 +806,25 @@ impl OperatorDescriptor for AssignDesc {
         );
         // data goes to the joint; the job edge carries only the close signal
         let writer = JointWriter {
-            joint,
+            out: joint.depositor(ctx.waker.hook()),
             close_path: output,
         };
         Ok(OperatorRuntime::Unary(Box::new(meta), Box::new(writer)))
     }
 }
 
-/// Is `joint` too full for one more slice of a unary task's output? A task
-/// yields on it instead of parking its worker inside [`FeedJoint::deposit`].
-fn joint_saturated(joint: &FeedJoint) -> bool {
-    joint.headroom() < MSGS_PER_SLICE
+/// Is the joint too full for one more slice of a unary task's output? A
+/// task yields on it instead of parking its worker inside
+/// [`FeedJoint::deposit`](crate::joint::FeedJoint::deposit), and the
+/// subscriber's drain wakes it.
+fn joint_saturated(out: &JointDepositor) -> bool {
+    out.waits_while(|j| j.headroom() < MSGS_PER_SLICE)
 }
 
 /// Writer depositing frames into a joint while propagating lifecycle events
 /// down the job edge.
 struct JointWriter {
-    joint: Arc<FeedJoint>,
+    out: JointDepositor,
     close_path: Box<dyn FrameWriter>,
 }
 
@@ -822,7 +834,7 @@ impl FrameWriter for JointWriter {
     }
 
     fn next_frame(&mut self, frame: DataFrame) -> IngestResult<()> {
-        self.joint.deposit(frame)
+        self.out.joint().deposit(frame)
     }
 
     fn close(&mut self) -> IngestResult<()> {
@@ -834,7 +846,7 @@ impl FrameWriter for JointWriter {
     }
 
     fn is_saturated(&self) -> bool {
-        joint_saturated(&self.joint)
+        joint_saturated(&self.out)
     }
 }
 
@@ -888,7 +900,7 @@ impl OperatorDescriptor for RouteDesc {
             .zip(&self.routed)
             .map(|(oj, routed)| {
                 Box::new(CountingJointWriter {
-                    joint: fm.register_joint(oj),
+                    out: fm.register_joint(oj).depositor(ctx.waker.hook()),
                     routed: routed.clone(),
                 }) as Box<dyn FrameWriter>
             })
@@ -912,7 +924,7 @@ impl OperatorDescriptor for RouteDesc {
 /// task's own output carries the job-edge lifecycle, and the out joints are
 /// retired by the controller when the plan is dismantled.
 struct CountingJointWriter {
-    joint: Arc<FeedJoint>,
+    out: JointDepositor,
     routed: asterix_common::Counter,
 }
 
@@ -923,7 +935,7 @@ impl FrameWriter for CountingJointWriter {
 
     fn next_frame(&mut self, frame: DataFrame) -> IngestResult<()> {
         self.routed.add(frame.len() as u64);
-        self.joint.deposit(frame)
+        self.out.joint().deposit(frame)
     }
 
     fn close(&mut self) -> IngestResult<()> {
@@ -933,7 +945,7 @@ impl FrameWriter for CountingJointWriter {
     fn fail(&mut self) {}
 
     fn is_saturated(&self) -> bool {
-        joint_saturated(&self.joint)
+        joint_saturated(&self.out)
     }
 }
 
@@ -1137,9 +1149,11 @@ pub fn store_key_fn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::joint::FeedJoint;
     use asterix_common::{RecordId, SimClock};
     use asterix_hyracks::cluster::{Cluster, ClusterConfig};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Instant;
 
     fn metrics() -> Arc<FeedMetrics> {
         FeedMetrics::with_default_bucket(SimClock::fast())
@@ -1192,17 +1206,23 @@ mod tests {
         fn fail(&mut self) {}
     }
 
-    /// A push source the test feeds by hand, counting how often it is polled.
+    /// A push source the test feeds by hand, counting how often it is
+    /// polled; a push fires the wake hook its host handed it.
     #[derive(Clone, Default)]
     struct HandFed {
         lines: Arc<Mutex<std::collections::VecDeque<Record>>>,
         polls: Arc<AtomicUsize>,
+        wake: Arc<Mutex<Option<WakeHook>>>,
     }
 
     impl HandFed {
         fn push(&self, ids: std::ops::Range<u64>) {
             let recs = ids.map(|i| Record::tracked(RecordId(i), 0, "x"));
             self.lines.lock().extend(recs);
+            let wake = self.wake.lock().clone();
+            if let Some(wake) = wake {
+                wake();
+            }
         }
 
         fn polls(&self) -> usize {
@@ -1228,6 +1248,10 @@ mod tests {
             batch.into_iter().try_for_each(emit)?;
             Ok(SourcePoll::Produced)
         }
+
+        fn set_wake(&mut self, wake: WakeHook) {
+            *self.wake.lock() = Some(wake);
+        }
     }
 
     /// The job edge of a collect: records whether it was closed.
@@ -1247,12 +1271,14 @@ mod tests {
     }
 
     /// A collect over a hand-fed source, polled by the test instead of the
-    /// scheduler so every step of the cadence is observable.
+    /// scheduler so every step of the cadence is observable; its "task
+    /// waker" counts the wakes.
     struct CollectRig {
         cluster: Cluster,
         source: HandFed,
         collect: CollectSource,
         closed: Arc<AtomicBool>,
+        wakes: Arc<AtomicUsize>,
         stop: StopToken,
     }
 
@@ -1270,19 +1296,27 @@ mod tests {
         let cluster = one_node_cluster(1);
         let source = HandFed::default();
         let closed = Arc::new(AtomicBool::new(false));
+        let wakes = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&wakes);
+        let hook: WakeHook = Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        let mut adaptor = source.clone();
+        adaptor.set_wake(Arc::clone(&hook));
         let collect = CollectSource {
-            adaptor: Box::new(source.clone()),
-            joint: FeedJoint::new("F"),
+            adaptor: Box::new(adaptor),
+            out: FeedJoint::new("F").depositor(hook),
             node: cluster.nodes()[0].clone(),
             output: Box::new(Edge(Arc::clone(&closed))),
             builder: FrameBuilder::default(),
-            next_flush: None,
+            started: false,
         };
         CollectRig {
             cluster,
             source,
             collect,
             closed,
+            wakes,
             stop: StopToken::new(),
         }
     }
@@ -1290,6 +1324,18 @@ mod tests {
     impl CollectRig {
         fn poll(&mut self) -> SourcePoll {
             self.collect.poll(&self.stop).unwrap()
+        }
+
+        fn joint(&self) -> &Arc<FeedJoint> {
+            self.collect.out.joint()
+        }
+
+        fn subscribe(&self) -> JointSubscription {
+            self.joint().subscribe("conn")
+        }
+
+        fn wakes(&self) -> usize {
+            self.wakes.load(Ordering::SeqCst)
         }
     }
 
@@ -1305,61 +1351,79 @@ mod tests {
     fn unsubscribed_collect_never_touches_its_adaptor() {
         let mut rig = collect_rig();
         rig.source.push(0..10);
+        let woken = rig.wakes();
         for _ in 0..3 {
             assert_eq!(rig.poll(), SourcePoll::Idle(None));
         }
         assert_eq!(rig.source.polls(), 0, "adaptor use is deferred");
-        let sub = rig.collect.joint.subscribe("conn");
+        let sub = rig.subscribe();
+        assert_eq!(rig.wakes(), woken + 1, "the first subscriber wakes it");
         assert_eq!(rig.poll(), SourcePoll::Produced);
         assert_eq!(rig.source.polls(), 1);
         assert_eq!(
             next_frame_len(&sub),
             None,
-            "10 records: neither full nor due"
+            "10 records: not full, and the source is not known to be dry"
         );
+        // the next poll finds the source dry and nothing queued ahead
+        assert_eq!(rig.poll(), SourcePoll::Idle(None));
+        assert_eq!(next_frame_len(&sub), Some(10));
         rig.cluster.shutdown();
     }
 
     #[test]
     fn sixty_four_records_make_exactly_one_full_frame_at_once() {
         let mut rig = collect_rig();
-        let sub = rig.collect.joint.subscribe("conn");
+        let sub = rig.subscribe();
         rig.source.push(0..(DEFAULT_FRAME_CAPACITY as u64 + 3));
         assert_eq!(rig.poll(), SourcePoll::Produced);
         assert_eq!(next_frame_len(&sub), Some(DEFAULT_FRAME_CAPACITY));
         assert_eq!(
             next_frame_len(&sub),
             None,
-            "the 3 left over wait for the tick"
+            "the 3 left over wait for the poll that finds the source dry"
         );
         rig.cluster.shutdown();
     }
 
     #[test]
-    fn lone_record_reaches_the_joint_within_one_tick_and_one_poll() {
+    fn lone_record_reaches_the_joint_on_the_poll_that_finds_the_source_dry() {
         let mut rig = collect_rig();
-        let sub = rig.collect.joint.subscribe("conn");
-        assert!(
-            matches!(rig.poll(), SourcePoll::Idle(Some(_))),
-            "tick armed"
-        );
+        let sub = rig.subscribe();
+        assert_eq!(rig.poll(), SourcePoll::Idle(None), "no timer is armed");
+        let woken = rig.wakes();
         rig.source.push(0..1);
-        let arrived = Instant::now();
+        assert_eq!(rig.wakes(), woken + 1, "the source wakes the collect");
         assert_eq!(rig.poll(), SourcePoll::Produced);
-        assert_eq!(next_frame_len(&sub), None, "held for the tick");
-        // idle now, and told to come back no later than the tick: following
-        // that advice, the poll that finds the tick due delivers the record
-        while next_frame_len(&sub).is_none() {
-            let SourcePoll::Idle(Some(wait)) = rig.poll() else {
-                panic!("an idle collect names its next look");
-            };
-            assert!(
-                wait <= COLLECT_FLUSH_TICK,
-                "idle wait {wait:?} over the tick"
-            );
-            assert!(arrived.elapsed() < 2 * COLLECT_FLUSH_TICK + Duration::from_millis(20));
-            std::thread::sleep(wait);
-        }
+        assert_eq!(next_frame_len(&sub), None, "the source may have more");
+        assert_eq!(rig.poll(), SourcePoll::Idle(None));
+        assert_eq!(next_frame_len(&sub), Some(1), "delivered on the dry poll");
+        rig.cluster.shutdown();
+    }
+
+    #[test]
+    fn partial_frame_waits_behind_a_backlog_and_leaves_on_the_drain_wake() {
+        let mut rig = collect_rig();
+        let sub = rig.subscribe();
+        rig.source.push(0..(DEFAULT_FRAME_CAPACITY as u64 + 3));
+        assert_eq!(rig.poll(), SourcePoll::Produced);
+        // the source is dry, but a full frame is queued ahead: the 3 wait
+        // and keep filling
+        assert_eq!(rig.poll(), SourcePoll::Idle(None));
+        assert_eq!(rig.joint().backlog(), 1, "only the full frame is queued");
+        rig.source.push(100..102);
+        assert_eq!(rig.poll(), SourcePoll::Produced);
+        assert_eq!(rig.poll(), SourcePoll::Idle(None));
+        assert_eq!(rig.joint().backlog(), 1, "still held: 5 records now");
+        // the subscriber drains its queue empty: that wakes the collect,
+        // whose next poll sends the partial frame
+        let woken = rig.wakes();
+        assert_eq!(next_frame_len(&sub), Some(DEFAULT_FRAME_CAPACITY));
+        assert_eq!(rig.wakes(), woken + 1, "the drain wakes the collect");
+        assert_eq!(rig.poll(), SourcePoll::Idle(None));
+        assert_eq!(next_frame_len(&sub), Some(5));
+        // no one waits on the collect now: a further drain wakes nobody
+        assert_eq!(rig.wakes(), woken + 1);
         rig.cluster.shutdown();
     }
 
@@ -1367,16 +1431,20 @@ mod tests {
     fn stop_and_hand_over_flush_the_partial_frame() {
         for hand_over in [false, true] {
             let mut rig = collect_rig();
-            let sub = rig.collect.joint.subscribe("conn");
-            rig.source.push(0..3);
+            let sub = rig.subscribe();
+            // 3 records held behind a queued full frame: neither the dry
+            // poll nor anything else but the stop would send them yet
+            rig.source.push(0..(DEFAULT_FRAME_CAPACITY as u64 + 3));
             assert_eq!(rig.poll(), SourcePoll::Produced);
-            assert_eq!(next_frame_len(&sub), None);
+            assert_eq!(rig.poll(), SourcePoll::Idle(None));
+            assert_eq!(rig.joint().backlog(), 1);
             if hand_over {
                 rig.stop.stop_abandon();
             } else {
                 rig.stop.stop();
             }
             assert_eq!(rig.poll(), SourcePoll::Done);
+            assert_eq!(next_frame_len(&sub), Some(DEFAULT_FRAME_CAPACITY));
             assert_eq!(next_frame_len(&sub), Some(3), "hand_over={hand_over}");
             assert!(rig.closed.load(Ordering::SeqCst));
             rig.cluster.shutdown();
@@ -1386,20 +1454,20 @@ mod tests {
     #[test]
     fn collect_far_ahead_of_its_subscriber_pauses_between_polls() {
         let mut rig = collect_rig();
-        let sub = rig.collect.joint.subscribe("slow");
+        let sub = rig.joint().subscribe("slow");
         let lead = (COLLECT_LEAD_FRAMES * DEFAULT_FRAME_CAPACITY) as u64;
         rig.source.push(0..lead + 2 * COLLECT_POLL_BUDGET as u64);
         // full speed while the subscriber is within reach...
         let mut polled = rig.poll();
-        while rig.collect.joint.backlog() <= COLLECT_LEAD_FRAMES {
+        while rig.joint().backlog() <= COLLECT_LEAD_FRAMES {
             assert_eq!(polled, SourcePoll::Produced);
             polled = rig.poll();
         }
         // ...then a pause after each poll — a pause, not a stop
         assert_eq!(polled, SourcePoll::Idle(Some(COLLECT_LEAD_PAUSE)));
-        let queued = rig.collect.joint.backlog();
+        let queued = rig.joint().backlog();
         assert_eq!(rig.poll(), SourcePoll::Idle(Some(COLLECT_LEAD_PAUSE)));
-        assert!(rig.collect.joint.backlog() > queued, "still pulling");
+        assert!(rig.joint().backlog() > queued, "still pulling");
         // the subscriber catches up: full speed again
         while next_frame_len(&sub).is_some() {}
         rig.source.push(0..10);

@@ -38,7 +38,7 @@ use crate::operator::{
     DevNull, FrameWriter, OperatorRuntime, SourceOperator, SourcePoll, StopToken, UnaryOperator,
 };
 use crate::port::{frame_port, PortHook, PortPop, PortReceiver, PortSender, SaturationProbe};
-use crate::scheduler::{SliceState, Task, TaskHandle};
+use crate::scheduler::{SliceState, Task, TaskHandle, Waker};
 use crate::transport::TransportKind;
 use asterix_common::ids::IdGen;
 use asterix_common::sync::Mutex;
@@ -61,7 +61,8 @@ static JOB_IDS: IdGen = IdGen::new();
 pub const MSGS_PER_SLICE: usize = 8;
 
 /// Pending-deadline safety net: stop requests and node deaths are observed
-/// within this bound even if no waker ever fires.
+/// within this bound even if no waker ever fires. It is also the longest an
+/// idle source parks ([`SourcePoll::Idle`]).
 const POLL_SAFETY: Duration = Duration::from_millis(20);
 
 /// Runtime context handed to operator descriptors at instantiation.
@@ -77,6 +78,11 @@ pub struct TaskContext {
     pub n_partitions: usize,
     /// Shared cluster clock.
     pub clock: SimClock,
+    /// This task's own waker. An operator hands it (as a
+    /// [`Waker::hook`]) to whatever it waits on outside its job edges — a
+    /// joint, an external source — so a parked task is requeued the moment
+    /// it has work, not on its next timer.
+    pub waker: Waker,
 }
 
 impl TaskContext {
@@ -406,13 +412,6 @@ pub fn run_job(cluster: &Cluster, spec: JobSpec) -> IngestResult<JobHandle> {
         let out_edges: Vec<_> = spec.edges().iter().filter(|e| e.from == op_id).collect();
         let has_input = receivers.contains_key(&op_id);
         for (partition, node) in placement.iter().enumerate() {
-            let ctx = TaskContext {
-                job: job_id,
-                node: node.clone(),
-                partition,
-                n_partitions: placement.len(),
-                clock: cluster.clock().clone(),
-            };
             // output writer: tee of routers over outgoing edges
             let mut writers: Vec<Box<dyn FrameWriter>> = Vec::new();
             let mut downstream: Vec<PortSender> = Vec::new();
@@ -433,9 +432,6 @@ pub fn run_job(cluster: &Cluster, spec: JobSpec) -> IngestResult<JobHandle> {
                 _ => Box::new(TeeWriter::new(writers)),
             };
             let output = CountingWriter::wrap(output, &registry, &op_name);
-            let runtime = op.instantiate(&ctx, output)?;
-            let instruments = OpInstruments::for_op(&registry, &op_name);
-            let is_source = matches!(runtime, OperatorRuntime::Source(_));
             let stop = StopToken::new();
             let placement_rec = TaskPlacement {
                 op: op_id,
@@ -443,55 +439,62 @@ pub fn run_job(cluster: &Cluster, spec: JobSpec) -> IngestResult<JobHandle> {
                 partition,
                 node: node.id(),
             };
-            let task_name = format!("{job_id}-{op_name}-{partition}");
-            let handle = match runtime {
-                OperatorRuntime::Source(src) => {
-                    let h = scheduler.create_task(
-                        task_name,
-                        Box::new(SourceTask {
-                            src,
-                            ctx,
-                            stop: stop.clone(),
-                            probe: probe.clone(),
-                            backoff_ms: 1,
-                        }),
-                    );
-                    probe.attach_producer_waker(&h.waker());
-                    to_wake.push(h.clone());
-                    h
-                }
-                OperatorRuntime::Unary(op, output) => {
-                    let rx = receivers
-                        .get_mut(&op_id)
-                        .and_then(|v| v[partition].take())
-                        .ok_or_else(|| {
-                            IngestError::Plan("unary operator scheduled without an input".into())
-                        })?;
-                    let expected = expected_closes.get(&op_id).copied().unwrap_or(0);
-                    let h = scheduler.create_task(
-                        task_name,
-                        Box::new(UnaryTask {
-                            op,
-                            output,
-                            ctx,
-                            rx,
-                            expected_closes: expected.max(1),
-                            closes: 0,
-                            stop: stop.clone(),
-                            instruments,
-                            probe: probe.clone(),
-                            opened: false,
-                        }),
-                    );
-                    if has_input {
-                        hooks.get(&op_id).expect("consumer has hooks")[partition]
-                            .set_consumer_waker(h.waker());
-                    }
-                    probe.attach_producer_waker(&h.waker());
-                    to_wake.push(h.clone());
-                    h
-                }
-            };
+            let mut is_source = false;
+            // the operator is instantiated inside the task it becomes, so
+            // its context can carry the task's own waker
+            let handle = scheduler.create_task_with(
+                format!("{job_id}-{op_name}-{partition}"),
+                |waker| -> IngestResult<Box<dyn Task>> {
+                    let ctx = TaskContext {
+                        job: job_id,
+                        node: node.clone(),
+                        partition,
+                        n_partitions: placement.len(),
+                        clock: cluster.clock().clone(),
+                        waker,
+                    };
+                    Ok(match op.instantiate(&ctx, output)? {
+                        OperatorRuntime::Source(src) => {
+                            is_source = true;
+                            Box::new(SourceTask {
+                                src,
+                                ctx,
+                                stop: stop.clone(),
+                                probe: probe.clone(),
+                            })
+                        }
+                        OperatorRuntime::Unary(op, output) => {
+                            let rx = receivers
+                                .get_mut(&op_id)
+                                .and_then(|v| v[partition].take())
+                                .ok_or_else(|| {
+                                    IngestError::Plan(
+                                        "unary operator scheduled without an input".into(),
+                                    )
+                                })?;
+                            let expected = expected_closes.get(&op_id).copied().unwrap_or(0);
+                            Box::new(UnaryTask {
+                                op,
+                                output,
+                                ctx,
+                                rx,
+                                expected_closes: expected.max(1),
+                                closes: 0,
+                                stop: stop.clone(),
+                                instruments: OpInstruments::for_op(&registry, &op_name),
+                                probe: probe.clone(),
+                                opened: false,
+                            })
+                        }
+                    })
+                },
+            )?;
+            if has_input {
+                hooks.get(&op_id).expect("consumer has hooks")[partition]
+                    .set_consumer_waker(handle.waker());
+            }
+            probe.attach_producer_waker(&handle.waker());
+            to_wake.push(handle.clone());
             tasks.push(TaskRecord {
                 placement: placement_rec.clone(),
                 handle,
@@ -519,13 +522,12 @@ pub fn run_job(cluster: &Cluster, spec: JobSpec) -> IngestResult<JobHandle> {
 }
 
 /// One source partition: polls the source for bounded bursts, yielding on
-/// saturation and backing off exponentially while idle.
+/// saturation and parking while idle until it is woken.
 struct SourceTask {
     src: Box<dyn SourceOperator>,
     ctx: TaskContext,
     stop: StopToken,
     probe: SaturationProbe,
-    backoff_ms: u64,
 }
 
 impl Task for SourceTask {
@@ -543,15 +545,12 @@ impl Task for SourceTask {
         match self.src.poll(&self.stop) {
             Err(e) => SliceState::Done(Err(e)),
             Ok(SourcePoll::Done) => SliceState::Done(Ok(())),
-            Ok(SourcePoll::Produced) => {
-                self.backoff_ms = 1;
-                SliceState::Ready
-            }
-            Ok(SourcePoll::Idle(no_later_than)) => {
-                let wait = Duration::from_millis(self.backoff_ms);
-                self.backoff_ms = (self.backoff_ms * 2).min(32);
-                SliceState::Pending(Some(no_later_than.map_or(wait, |d| d.min(wait))))
-            }
+            Ok(SourcePoll::Produced) => SliceState::Ready,
+            // parked until a waker fires: its own deadline, if it named one,
+            // and the safety net are the only timers
+            Ok(SourcePoll::Idle(no_later_than)) => SliceState::Pending(Some(
+                no_later_than.map_or(POLL_SAFETY, |d| d.min(POLL_SAFETY)),
+            )),
         }
     }
 }

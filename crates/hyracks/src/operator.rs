@@ -114,9 +114,12 @@ impl StopToken {
 pub enum SourcePoll {
     /// Made progress; poll again at once.
     Produced,
-    /// Nothing to do right now: poll again after the engine's idle back-off
-    /// (1 → 32 ms) — and no later than the given wait, when the source knows
-    /// its next deadline (a flush tick, a replay instant).
+    /// Nothing to do right now: the task parks until its waker fires
+    /// ([`TaskContext::waker`](crate::executor::TaskContext), which the
+    /// source gave whatever it waits on), or until the given wait when the
+    /// source knows its next deadline (a replay instant, a pause), and at
+    /// the latest on the engine's safety deadline (20 ms), which re-checks
+    /// stop requests and node death.
     Idle(Option<Duration>),
     /// Input exhausted and the output closed; the task is finished.
     Done,

@@ -74,6 +74,9 @@ const DONE: u32 = 4; // completed; result available
 struct TaskCore {
     name: String,
     state: AtomicU32,
+    /// Bumped every time the task parks; a timer fires only for the park
+    /// that armed it, so a park a waker already ended leaves no live timer.
+    park_gen: AtomicU64,
     /// The task body; `None` after completion.
     body: Mutex<Option<Box<dyn Task>>>,
     result: Mutex<Option<IngestResult<()>>>,
@@ -189,7 +192,18 @@ impl Waker {
             }
         }
     }
+
+    /// This waker as a [`WakeHook`].
+    pub fn hook(&self) -> WakeHook {
+        let waker = self.clone();
+        Arc::new(move || waker.wake())
+    }
 }
+
+/// A wake callback as something outside the scheduler holds it: a task's
+/// [`Waker::hook`], or any closure (a test's counter, an external
+/// producer's doorbell). Crates that cannot name [`Waker`] take this shape.
+pub type WakeHook = Arc<dyn Fn() + Send + Sync>;
 
 impl std::fmt::Debug for Waker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -199,7 +213,29 @@ impl std::fmt::Debug for Waker {
 
 struct TimerEntry {
     deadline: Instant,
+    /// The park this timer ends ([`TaskCore::park_gen`]).
+    park_gen: u64,
     core: Arc<TaskCore>,
+}
+
+impl TimerEntry {
+    /// Is the task still in the park that armed this timer?
+    fn is_live(&self) -> bool {
+        self.core.park_gen.load(Ordering::SeqCst) == self.park_gen
+            && self.core.state.load(Ordering::SeqCst) == IDLE
+    }
+}
+
+/// The earliest deadline of a live timer in `timers`, discarding the stale
+/// entries above it: a parked worker sleeps until a timer that can fire.
+fn live_deadline(timers: &mut BinaryHeap<TimerEntry>) -> Option<Instant> {
+    while let Some(top) = timers.peek() {
+        if top.is_live() {
+            return Some(top.deadline);
+        }
+        timers.pop();
+    }
+    None
 }
 
 impl PartialEq for TimerEntry {
@@ -251,7 +287,13 @@ static SCHED_IDS: AtomicU64 = AtomicU64::new(1);
 std::thread_local! {
     /// (scheduler id, worker index) when the current thread is a pool worker.
     static WORKER: std::cell::Cell<(u64, usize)> = const { std::cell::Cell::new((0, 0)) };
+    /// When the slice this worker is running started.
+    static SLICE_STARTED: std::cell::Cell<Option<Instant>> = const { std::cell::Cell::new(None) };
 }
+
+/// A task woken by a slice that has run this long already is worth a parked
+/// peer's wake-up: waiting for the rest of that slice likely costs more.
+const LONG_SLICE: Duration = Duration::from_micros(50);
 
 /// True when the calling thread is a scheduler worker (of any scheduler).
 ///
@@ -348,19 +390,38 @@ impl Scheduler {
     /// two-phase start closes the gap where a task runs (and parks) before
     /// its wakers are attached.
     pub fn create_task(&self, name: impl Into<String>, body: Box<dyn Task>) -> TaskHandle {
+        self.create_task_with(name, |_| Ok::<_, std::convert::Infallible>(body))
+            .unwrap_or_else(|never| match never {})
+    }
+
+    /// [`Scheduler::create_task`] for a body that needs its own task's
+    /// waker: `build` gets the waker before the body exists (an operator
+    /// hands it to the queues it waits on). A wake that fires while `build`
+    /// runs is kept for the kick that starts the task; a `build` error
+    /// leaves no task behind.
+    pub fn create_task_with<E>(
+        &self,
+        name: impl Into<String>,
+        build: impl FnOnce(Waker) -> Result<Box<dyn Task>, E>,
+    ) -> Result<TaskHandle, E> {
         let core = Arc::new(TaskCore {
             name: name.into(),
-            state: AtomicU32::new(IDLE),
-            body: Mutex::new(Some(body)),
+            // no body yet: a wake may only mark the task, never queue it
+            state: AtomicU32::new(RUNNING),
+            park_gen: AtomicU64::new(0),
+            body: Mutex::new(None),
             result: Mutex::new(None),
             done_cv: Condvar::new(),
         });
-        self.inner.m.tasks_spawned.inc();
-        self.register(&core);
-        TaskHandle {
+        let handle = TaskHandle {
             core,
             sched: Arc::downgrade(&self.inner),
-        }
+        };
+        *handle.core.body.lock() = Some(build(handle.waker())?);
+        handle.core.state.store(IDLE, Ordering::SeqCst);
+        self.inner.m.tasks_spawned.inc();
+        self.register(&handle.core);
+        Ok(handle)
     }
 
     /// Register and immediately queue a task.
@@ -441,10 +502,43 @@ impl SchedulerInner {
     fn enqueue(self: &Arc<Self>, core: Arc<TaskCore>) {
         let (wid, widx) = WORKER.with(|w| w.get());
         if wid == self.id {
+            // woken by the task this worker is running: the worker runs it
+            // after the current slice, and wakes a peer only behind a long
+            // slice or when that slice is requeued too (`push_local`) — for
+            // a short one, a peer would take a frame's worth of work at the
+            // price of a park and a wake-up
             self.locals[widx].lock().push_back(core);
+            let long = SLICE_STARTED.with(|s| s.get().is_some_and(|t| t.elapsed() >= LONG_SLICE));
+            if long {
+                self.notify_parked();
+            }
         } else {
             self.injector.lock().push_back(core);
+            // a worker that is awake takes it from the injector before it
+            // parks (it counts itself parked before its last look), so a
+            // parked one is woken only when none is awake
+            if self.parked.load(Ordering::SeqCst) == self.locals.len() {
+                self.notify_parked();
+            }
         }
+    }
+
+    /// Requeue a task that is ready again onto worker `idx`'s own deque. A
+    /// parked peer is woken only for work queued *behind* what `idx` runs
+    /// next: the lone task in the deque is the worker's own next slice, and
+    /// a peer woken for it would only steal it.
+    fn push_local(&self, idx: usize, core: Arc<TaskCore>) {
+        let behind = {
+            let mut local = self.locals[idx].lock();
+            local.push_back(core);
+            local.len() > 1
+        };
+        if behind {
+            self.notify_parked();
+        }
+    }
+
+    fn notify_parked(&self) {
         if self.parked.load(Ordering::SeqCst) > 0 {
             // serialize with parking workers so the notify cannot be lost
             let _g = self.park.lock();
@@ -453,18 +547,20 @@ impl SchedulerInner {
         }
     }
 
-    fn register_timer(&self, deadline: Instant, core: Arc<TaskCore>) {
-        self.timers.lock().push(TimerEntry { deadline, core });
-        // a parked worker may be waiting past this deadline; re-arm it
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _g = self.park.lock();
-            drop(_g);
-            self.work_cv.notify_one();
-        }
+    /// Arm a timer. Only a worker does, between slices, and it reads the
+    /// heap before it parks, so no parked peer is woken to re-read it: a
+    /// timer comes due late only by what the worker runs before it parks.
+    fn register_timer(&self, deadline: Instant, park_gen: u64, core: Arc<TaskCore>) {
+        self.timers.lock().push(TimerEntry {
+            deadline,
+            park_gen,
+            core,
+        });
     }
 
-    /// Pop one due timer whose task is actually parked. Stale entries
-    /// (tasks woken by other means, rescheduled, or done) are discarded.
+    /// Pop one due timer whose task is still in the park that armed it.
+    /// Stale entries (the task was woken by other means since, possibly
+    /// parking again, or is done) are discarded.
     fn pop_due_timer(&self, now: Instant) -> Option<Arc<TaskCore>> {
         let mut timers = self.timers.lock();
         while let Some(top) = timers.peek() {
@@ -472,11 +568,12 @@ impl SchedulerInner {
                 return None;
             }
             let entry = timers.pop().expect("peeked entry");
-            if entry
-                .core
-                .state
-                .compare_exchange(IDLE, QUEUED, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
+            if entry.is_live()
+                && entry
+                    .core
+                    .state
+                    .compare_exchange(IDLE, QUEUED, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
             {
                 return Some(entry.core);
             }
@@ -485,7 +582,7 @@ impl SchedulerInner {
     }
 
     fn next_deadline(&self) -> Option<Instant> {
-        self.timers.lock().peek().map(|t| t.deadline)
+        live_deadline(&mut self.timers.lock())
     }
 
     fn find_work(&self, idx: usize) -> Option<Arc<TaskCore>> {
@@ -522,6 +619,7 @@ impl SchedulerInner {
             }
             return;
         };
+        SLICE_STARTED.with(|s| s.set(Some(Instant::now())));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body.run_slice()));
         self.m.polls.inc();
         match outcome {
@@ -538,23 +636,20 @@ impl SchedulerInner {
             Ok(SliceState::Ready) => {
                 drop(body_guard);
                 core.state.store(QUEUED, Ordering::SeqCst);
-                self.locals[idx].lock().push_back(core);
-                if self.parked.load(Ordering::SeqCst) > 0 {
-                    let _g = self.park.lock();
-                    drop(_g);
-                    self.work_cv.notify_one();
-                }
+                self.push_local(idx, core);
             }
             Ok(SliceState::Pending(deadline)) => {
                 drop(body_guard);
                 self.m.yields.inc();
+                // a new park: timers armed by earlier ones are void from here
+                let park_gen = core.park_gen.fetch_add(1, Ordering::SeqCst) + 1;
                 match core
                     .state
                     .compare_exchange(RUNNING, IDLE, Ordering::SeqCst, Ordering::SeqCst)
                 {
                     Ok(_) => {
                         if let Some(d) = deadline {
-                            self.register_timer(Instant::now() + d, core);
+                            self.register_timer(Instant::now() + d, park_gen, core);
                         }
                     }
                     Err(_) => {
@@ -574,8 +669,8 @@ impl SchedulerInner {
 }
 
 /// Shortest timed park: fine enough to meet a deadline that is less than a
-/// millisecond away (what is left to a collect's flush tick), coarse enough
-/// not to spin.
+/// millisecond away (a collect's 1 ms lead pause, a trace record that is
+/// nearly due), coarse enough not to spin.
 const MIN_PARK: Duration = Duration::from_micros(50);
 
 fn worker_loop(inner: Arc<SchedulerInner>, idx: usize) {
@@ -589,24 +684,25 @@ fn worker_loop(inner: Arc<SchedulerInner>, idx: usize) {
             Some(core) => inner.run_one(idx, core),
             None => {
                 let mut guard = inner.park.lock();
-                // re-check under the park lock: an enqueue between our scan
-                // and this lock acquisition must not be missed
+                // count as parked *before* the re-check: an enqueue or timer
+                // that the re-check misses then sees the count and notifies,
+                // and its notify waits for the park lock, i.e. for the wait
+                inner.parked.fetch_add(1, Ordering::SeqCst);
                 if inner.shutdown.load(Ordering::SeqCst) {
+                    inner.parked.fetch_sub(1, Ordering::SeqCst);
                     return;
                 }
+                let now = Instant::now();
+                let next = inner.next_deadline();
                 let more = !inner.injector.lock().is_empty()
                     || !inner.locals[idx].lock().is_empty()
-                    || inner.next_deadline().is_some_and(|d| d <= Instant::now());
-                if more {
-                    continue;
+                    || next.is_some_and(|d| d <= now);
+                if !more {
+                    let timeout = next
+                        .map_or(max_park, |d| d.saturating_duration_since(now))
+                        .min(max_park);
+                    let _ = inner.work_cv.wait_for(&mut guard, timeout.max(MIN_PARK));
                 }
-                let timeout = inner
-                    .next_deadline()
-                    .map(|d| d.saturating_duration_since(Instant::now()))
-                    .unwrap_or(max_park)
-                    .min(max_park);
-                inner.parked.fetch_add(1, Ordering::SeqCst);
-                let _ = inner.work_cv.wait_for(&mut guard, timeout.max(MIN_PARK));
                 inner.parked.fetch_sub(1, Ordering::SeqCst);
             }
         }
@@ -741,6 +837,66 @@ mod tests {
         }
         let h = s.spawn("sleepy", Box::new(Sleepy { polls: 0 }));
         h.join().expect("timer re-polls the task");
+        s.shutdown();
+    }
+
+    #[test]
+    fn a_park_a_waker_ended_gets_no_timer_poll() {
+        // every park asks for a poll after PARK; the test ends 100 of them
+        // early with a waker, over more than PARK. The first poll no waker
+        // explains must be the timer of the last park, PARK after it — not
+        // the timer of a park that already ended
+        const PARK: Duration = Duration::from_millis(200);
+        struct Parker {
+            polls: Arc<StdAtomicUsize>,
+            wakes: Arc<StdAtomicUsize>,
+            parked_at: Option<Instant>,
+            timer_poll_after: Arc<Mutex<Option<Duration>>>,
+        }
+        impl Task for Parker {
+            fn run_slice(&mut self) -> SliceState {
+                let n = self.polls.fetch_add(1, Ordering::SeqCst) + 1;
+                if n > self.wakes.load(Ordering::SeqCst) + 1 {
+                    let parked_at = self.parked_at.expect("parked before");
+                    *self.timer_poll_after.lock() = Some(parked_at.elapsed());
+                    return SliceState::Done(Ok(()));
+                }
+                self.parked_at = Some(Instant::now());
+                SliceState::Pending(Some(PARK))
+            }
+        }
+        let (s, _reg) = sched(2);
+        let polls = Arc::new(StdAtomicUsize::new(0));
+        let wakes = Arc::new(StdAtomicUsize::new(0));
+        let timer_poll_after = Arc::new(Mutex::new(None));
+        let h = s.spawn(
+            "parker",
+            Box::new(Parker {
+                polls: Arc::clone(&polls),
+                wakes: Arc::clone(&wakes),
+                parked_at: None,
+                timer_poll_after: Arc::clone(&timer_poll_after),
+            }),
+        );
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for woken in 1..=100 {
+            while polls.load(Ordering::SeqCst) < woken {
+                assert!(Instant::now() < deadline, "poll {woken} never came");
+                std::thread::yield_now();
+            }
+            if h.is_finished() {
+                break; // a stale timer polled the task: reported below
+            }
+            // spread the wakes past PARK: the first parks' timers come due
+            // while the task is still being woken
+            std::thread::sleep(Duration::from_millis(3));
+            wakes.store(woken, Ordering::SeqCst);
+            h.waker().wake();
+        }
+        h.join().expect("the last park's timer ends the task");
+        let after = timer_poll_after.lock().expect("a timer poll");
+        assert_eq!(wakes.load(Ordering::SeqCst), 100, "no early timer poll");
+        assert!(after >= PARK, "timer poll {after:?} after its park");
         s.shutdown();
     }
 

@@ -31,4 +31,4 @@ pub mod source;
 
 pub use gen::TweetFactory;
 pub use pattern::{Interval, PatternDescriptor};
-pub use source::{connect, StampedTweet, TweetGen, TweetGenConfig};
+pub use source::{connect, connect_waking, StampedTweet, TweetGen, TweetGenConfig, WireWake};

@@ -23,6 +23,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// What the pusher calls after putting a tick's tweets on the wire: a
+/// receiver that parks while the wire is empty is woken by it instead of
+/// polling the wire on a timer.
+pub type WireWake = Arc<dyn Fn() + Send + Sync>;
+
 /// One tweet on the wire: the JSON body plus the sim-instant it was
 /// generated at the source. The generation stamp rides with the record all
 /// the way to durable storage, where the store derives the end-to-end
@@ -79,6 +84,8 @@ struct Binding {
     /// buffered tweets wait in the socket buffer and the next [`connect`]
     /// resumes the same stream where the previous consumer left off.
     wire: Mutex<Option<Receiver<StampedTweet>>>,
+    /// The current receiver's wake hook; a later handshake replaces it.
+    wake: Mutex<Option<WireWake>>,
 }
 
 static REGISTRY: Mutex<Option<HashMap<String, Arc<Binding>>>> = Mutex::new(None);
@@ -115,6 +122,7 @@ impl TweetGen {
             wire_drops: Arc::clone(&wire_drops),
             finished: Arc::clone(&finished),
             wire: Mutex::new(None),
+            wake: Mutex::new(None),
         });
         map.insert(config.addr.clone(), binding);
         Ok(TweetGen {
@@ -173,6 +181,17 @@ impl Drop for TweetGen {
 /// and the generator's position survive the consumer swap, so nothing is
 /// re-generated from zero and nothing buffered is lost.
 pub fn connect(addr: &str) -> IngestResult<Receiver<StampedTweet>> {
+    handshake(addr, None)
+}
+
+/// [`connect`] for a receiver that parks while the wire is empty: the
+/// pusher calls `wake` after every tick that put tweets on the wire. It
+/// replaces the hook of an earlier handshake.
+pub fn connect_waking(addr: &str, wake: WireWake) -> IngestResult<Receiver<StampedTweet>> {
+    handshake(addr, Some(wake))
+}
+
+fn handshake(addr: &str, wake: Option<WireWake>) -> IngestResult<Receiver<StampedTweet>> {
     let binding = {
         let reg = REGISTRY.lock();
         reg.as_ref()
@@ -180,6 +199,7 @@ pub fn connect(addr: &str) -> IngestResult<Receiver<StampedTweet>> {
             .cloned()
             .ok_or_else(|| IngestError::Disconnected(format!("no TweetGen bound at {addr}")))?
     };
+    *binding.wake.lock() = wake;
     let mut wire = binding.wire.lock();
     if let Some(rx) = wire.as_ref() {
         return Ok(rx.clone());
@@ -216,6 +236,12 @@ fn spawn_pusher(binding: Arc<Binding>, tx: Sender<StampedTweet>) {
                         binding.wire_drops.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat
                     }
                     Err(TrySendError::Disconnected(_)) => break 'push,
+                }
+            }
+            if due > sent {
+                let wake = binding.wake.lock().clone();
+                if let Some(wake) = wake {
+                    wake();
                 }
             }
             sent = due;
@@ -316,6 +342,22 @@ mod tests {
             let want = format!("\"3-{i}\"");
             assert!(t.json.contains(&want), "tweet {i} missing id {want}");
         }
+        g.stop();
+    }
+
+    #[test]
+    fn the_pusher_wakes_the_receiver_after_each_tick_that_sent() {
+        let p = PatternDescriptor::constant(100, 2); // 200 tweets, 20 ticks
+        let g = TweetGen::bind(TweetGenConfig::new("t7:9000", 0, p), clock()).unwrap();
+        let wakes = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&wakes);
+        let wake: WireWake = Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        let rx = connect_waking("t7:9000", wake).unwrap();
+        assert_eq!(rx.iter().count(), 200);
+        let woken = wakes.load(Ordering::SeqCst);
+        assert!((1..=21).contains(&woken), "{woken} wakes for 20 ticks");
         g.stop();
     }
 
