@@ -86,7 +86,7 @@ impl PortInner {
 
     fn wake_producers(&self) {
         for w in self.wakers.lock().producers.iter() {
-            w.wake();
+            w.wake_now();
         }
         self.not_full.notify_all();
     }

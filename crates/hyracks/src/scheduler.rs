@@ -150,8 +150,20 @@ pub struct Waker {
 
 impl Waker {
     /// Make the task runnable (if it is parked) or mark it dirty (if it is
-    /// mid-slice, so it requeues after the slice).
+    /// mid-slice, so it requeues after the slice). Woken from inside
+    /// another task's slice, it runs on that worker after the slice.
     pub fn wake(&self) {
+        self.wake_with(false);
+    }
+
+    /// [`Waker::wake`] for a producer released from back-pressure: it wakes
+    /// a parked worker even while another is awake, so it refills the queue
+    /// beside the slice that drained it instead of after it.
+    pub fn wake_now(&self) {
+        self.wake_with(true);
+    }
+
+    fn wake_with(&self, now: bool) {
         loop {
             match self.core.state.load(Ordering::SeqCst) {
                 IDLE => {
@@ -162,7 +174,7 @@ impl Waker {
                         .is_ok()
                     {
                         if let Some(sched) = self.sched.upgrade() {
-                            sched.enqueue(Arc::clone(&self.core));
+                            sched.enqueue(Arc::clone(&self.core), now);
                         } else {
                             // scheduler is gone; nothing will ever poll this
                             // task again — fail it so joiners don't hang
@@ -499,25 +511,27 @@ impl std::fmt::Debug for Scheduler {
 impl SchedulerInner {
     /// Queue a runnable task: on a worker of this pool, push to its local
     /// deque; anywhere else, to the global injector.
-    fn enqueue(self: &Arc<Self>, core: Arc<TaskCore>) {
+    fn enqueue(self: &Arc<Self>, core: Arc<TaskCore>, now: bool) {
         let (wid, widx) = WORKER.with(|w| w.get());
         if wid == self.id {
             // woken by the task this worker is running: the worker runs it
-            // after the current slice, and wakes a peer only behind a long
-            // slice or when that slice is requeued too (`push_local`) — for
-            // a short one, a peer would take a frame's worth of work at the
-            // price of a park and a wake-up
+            // after the current slice, and wakes a peer only when asked to
+            // (`wake_now`), behind a long slice, or when that slice is
+            // requeued too (`push_local`) — for a short one, a peer would
+            // take a frame's worth of work at the price of a park and a
+            // wake-up
             self.locals[widx].lock().push_back(core);
             let long = SLICE_STARTED.with(|s| s.get().is_some_and(|t| t.elapsed() >= LONG_SLICE));
-            if long {
+            if now || long {
                 self.notify_parked();
             }
         } else {
             self.injector.lock().push_back(core);
             // a worker that is awake takes it from the injector before it
             // parks (it counts itself parked before its last look), so a
-            // parked one is woken only when none is awake
-            if self.parked.load(Ordering::SeqCst) == self.locals.len() {
+            // parked one is woken only when none is awake — or for a
+            // `wake_now`, which must not wait for an awake worker's slice
+            if now || self.parked.load(Ordering::SeqCst) == self.locals.len() {
                 self.notify_parked();
             }
         }
