@@ -521,21 +521,48 @@ impl CompactedBlock {
     /// keeps out of every image.)
     pub(crate) fn cell_at(&self, fi: usize, row: usize) -> Option<Val<'_>> {
         let meta = &self.fields[fi];
-        let cell = self.cell(meta, row);
-        let word = |at: usize| -> [u8; 8] { cell[at..at + 8].try_into().expect("8-byte cell") };
-        Some(match &meta.encoding {
-            Encoding::Tagged if cell.is_empty() => return None,
-            Encoding::Tagged => Val::of_bytes(cell).ok()?,
-            Encoding::FixedInt => Val::Int(i64::from_le_bytes(word(0))),
-            Encoding::FixedDouble => Val::Double(f64::from_le_bytes(word(0))),
-            Encoding::FixedDateTime => Val::DateTime(i64::from_le_bytes(word(0))),
-            Encoding::FixedBool => Val::Bool(cell[0] != 0),
-            Encoding::FixedPoint => {
-                Val::Point(f64::from_le_bytes(word(0)), f64::from_le_bytes(word(8)))
+        cell_val(&meta.encoding, self.cell(meta, row))
+    }
+
+    /// Slot `fi`'s cells in row order, each as [`CompactedBlock::cell_at`]
+    /// reads it, in one pass over the column's stride: its fixed-width
+    /// cells, or its offset table and data. A row whose offsets do not
+    /// delimit a cell of the data is not visited.
+    pub(crate) fn for_each_cell<'s>(
+        &'s self,
+        fi: usize,
+        mut visit: impl FnMut(usize, Option<Val<'s>>),
+    ) {
+        let meta = &self.fields[fi];
+        let n = self.records as usize;
+        let data = &self.bytes[meta.data_pos..meta.data_pos + meta.data_len];
+        match meta.encoding.width() {
+            Some(w) => {
+                for (row, cell) in data.chunks_exact(w).take(n).enumerate() {
+                    visit(row, cell_val(&meta.encoding, cell));
+                }
             }
-            Encoding::Str => Val::Str(cell),
-            Encoding::RecFixed(names) => Val::Rec(cell, names),
-        })
+            None => {
+                let offsets = &self.bytes[meta.offsets_pos..meta.offsets_pos + 4 * (n + 1)];
+                let mut start = read_u32_at(offsets, 0) as usize;
+                for (row, end) in offsets[4..].chunks_exact(4).enumerate() {
+                    let end = u32::from_le_bytes(end.try_into().expect("4-byte offset")) as usize;
+                    if let Some(cell) = data.get(start..end) {
+                        visit(row, cell_val(&meta.encoding, cell));
+                    }
+                    start = end;
+                }
+            }
+        }
+    }
+
+    /// The rows carried whole in the residual: values that are not sound
+    /// records.
+    pub(crate) fn opaque_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.residual
+            .iter()
+            .filter(|m| m.whole)
+            .map(|m| m.row as usize)
     }
 
     /// The residual of `row`: `(true, value)` for an opaque row carried
@@ -577,11 +604,31 @@ impl CompactedBlock {
     /// [`CompactedBlock::field_value`] into `dst`, reusing its string buffer
     /// when both are strings. `false` (and `dst` untouched) = absent.
     pub fn field_into(&self, row: usize, name: &str, dst: &mut AdmValue) -> bool {
+        self.slot_into(row, self.slot(name), name, dst)
+    }
+
+    /// Each of `names` resolved against the header once: its slot, or
+    /// `None` for a field read from the residual. A projection binds its
+    /// field list so per component, and reads each row's cells with
+    /// [`CompactedBlock::slot_into`] without comparing a name.
+    pub fn slots_of(&self, names: &[String]) -> Vec<Option<usize>> {
+        names.iter().map(|name| self.slot(name)).collect()
+    }
+
+    /// [`CompactedBlock::field_into`] of the field `name`, whose slot
+    /// [`CompactedBlock::slots_of`] resolved to `slot`.
+    pub fn slot_into(
+        &self,
+        row: usize,
+        slot: Option<usize>,
+        name: &str,
+        dst: &mut AdmValue,
+    ) -> bool {
         if row >= self.records as usize {
             return false;
         }
         let residual = self.residual_for(row as u32);
-        match (residual.filter(|m| m.whole), self.slot(name)) {
+        match (residual.filter(|m| m.whole), slot) {
             (None, Some(fi)) => match &self.fields[fi].encoding {
                 Encoding::Str => std::str::from_utf8(self.cell(&self.fields[fi], row))
                     .map(|s| dst.set_str(s))
@@ -628,6 +675,25 @@ impl CompactedBlock {
         };
         Some(AdmValue::Record(fields))
     }
+}
+
+/// A column cell read in place under its column's encoding (`None`: the
+/// row lacks the field).
+fn cell_val<'a>(encoding: &'a Encoding, cell: &'a [u8]) -> Option<Val<'a>> {
+    let word = |at: usize| -> [u8; 8] { cell[at..at + 8].try_into().expect("8-byte cell") };
+    Some(match encoding {
+        Encoding::Tagged if cell.is_empty() => return None,
+        Encoding::Tagged => Val::of_bytes(cell).ok()?,
+        Encoding::FixedInt => Val::Int(i64::from_le_bytes(word(0))),
+        Encoding::FixedDouble => Val::Double(f64::from_le_bytes(word(0))),
+        Encoding::FixedDateTime => Val::DateTime(i64::from_le_bytes(word(0))),
+        Encoding::FixedBool => Val::Bool(cell[0] != 0),
+        Encoding::FixedPoint => {
+            Val::Point(f64::from_le_bytes(word(0)), f64::from_le_bytes(word(8)))
+        }
+        Encoding::Str => Val::Str(cell),
+        Encoding::RecFixed(names) => Val::Rec(cell, names),
+    })
 }
 
 /// The record a hoisted-record cell holds: `values` encoded back to back,

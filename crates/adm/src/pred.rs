@@ -32,6 +32,16 @@
 //! of a column of hoisted records), or to the residual for a field with no
 //! slot — and [`BlockPred::test`] then compares each row's column cells in
 //! place, with no lookup of a name.
+//!
+//! [`BlockPred::select`] decides a whole component a column at a time: one
+//! pass per leaf over that leaf's column stride gives every row a
+//! [`Verdict`]. It decides a row only where the row's test cannot err — a
+//! one-field path into a slot whose cell is a scalar, against a scalar
+//! literal — and leaves the rest [`Verdict::Undecided`]: opaque rows, paths
+//! into the residual, into hoisted records or through a cell, and list or
+//! record cells. `All`, `Any` and `Not` combine the verdicts in the test's
+//! own short-circuit order, so a row whose test would stop at an error is
+//! never decided. An undecided row is [`BlockPred::test`]ed.
 
 use crate::binary::{
     decode_value, record_field_slice, split_value, TAG_BOOLEAN, TAG_DATETIME, TAG_DOUBLE, TAG_INT,
@@ -267,6 +277,27 @@ impl Access {
     }
 }
 
+/// What [`BlockPred::select`] says of one row: what [`BlockPred::test`]
+/// returns for it, or that only the test can tell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The test returns `Ok(false)`.
+    Fail,
+    /// The test returns `Ok(true)`.
+    Pass,
+    /// Not decided a column at a time: the test may err, decode or walk.
+    Undecided,
+}
+
+impl Verdict {
+    fn of(holds: bool) -> Verdict {
+        match holds {
+            true => Verdict::Pass,
+            false => Verdict::Fail,
+        }
+    }
+}
+
 /// A [`Pred`] bound to one [`CompactedBlock`] by [`Pred::bind`].
 #[derive(Debug)]
 pub struct BlockPred<'a> {
@@ -299,6 +330,19 @@ impl BlockPred<'_> {
         };
         self.tree.test(self.block, row, opaque)
     }
+
+    /// Decide every row of the block a column at a time: `out` is cleared
+    /// and gets one [`Verdict`] per row, each a decided row's
+    /// [`BlockPred::test`] result (see the module docs for which rows are
+    /// decided).
+    pub fn select(&self, out: &mut Vec<Verdict>) {
+        out.clear();
+        out.resize(self.block.records(), Verdict::Undecided);
+        self.tree.select(self.block, out);
+        for row in self.block.opaque_rows() {
+            out[row] = Verdict::Undecided;
+        }
+    }
 }
 
 impl<'a> Bound<'a> {
@@ -315,6 +359,62 @@ impl<'a> Bound<'a> {
             Pred::Any(ps) => Bound::Any(children(ps)),
             Pred::Not(p) => Bound::Not(Box::new(Bound::of(p, block))),
             Pred::Window { .. } => Bound::Any(Vec::new()),
+        }
+    }
+
+    /// Fill `out` with each row's verdict under this subtree. Opaque rows
+    /// are left to the caller.
+    fn select(&self, block: &CompactedBlock, out: &mut [Verdict]) {
+        let (bs, unit) = match self {
+            Bound::Compare {
+                path,
+                op,
+                literal,
+                access: Access::Slot(fi),
+            } if path.len() == 1 && is_scalar(literal) => {
+                out.fill(Verdict::Undecided);
+                block.for_each_cell(*fi, |row, cell| {
+                    out[row] = match cell.unwrap_or(Val::Missing) {
+                        Val::Nested(_) | Val::Rec(..) => Verdict::Undecided,
+                        value => value
+                            .cmp_in_place(literal)
+                            .map_or(Verdict::Undecided, |ord| Verdict::of(op.holds(ord))),
+                    };
+                });
+                return;
+            }
+            Bound::Compare { .. } => return out.fill(Verdict::Undecided),
+            Bound::Not(b) => {
+                b.select(block, out);
+                for v in out.iter_mut() {
+                    *v = match *v {
+                        Verdict::Pass => Verdict::Fail,
+                        Verdict::Fail => Verdict::Pass,
+                        Verdict::Undecided => Verdict::Undecided,
+                    };
+                }
+                return;
+            }
+            // `and` runs on while its children pass, `or` while they fail
+            Bound::All(bs) => (bs, Verdict::Pass),
+            Bound::Any(bs) => (bs, Verdict::Fail),
+        };
+        // a row keeps the verdict of the first child that does not let the
+        // test run on, as the test stops there (an undecided child may err
+        // before a later one decides)
+        out.fill(unit);
+        let mut child = Vec::new();
+        for b in bs {
+            if !out.contains(&unit) {
+                break;
+            }
+            child.resize(out.len(), Verdict::Undecided);
+            b.select(block, &mut child);
+            for (v, c) in out.iter_mut().zip(&child) {
+                if *v == unit {
+                    *v = *c;
+                }
+            }
         }
     }
 
@@ -477,35 +577,51 @@ impl<'a> Val<'a> {
     }
 
     /// [`AdmValue::total_cmp`] of the value against `literal`.
+    #[inline]
     fn cmp(&self, literal: &AdmValue) -> IngestResult<Ordering> {
-        let rank = self.rank();
-        if rank != literal.rank() {
-            return Ok(rank.cmp(&literal.rank()));
+        if let Some(ord) = self.cmp_in_place(literal) {
+            return Ok(ord);
         }
-        Ok(match (self, literal) {
-            (Val::Bool(a), AdmValue::Boolean(b)) => a.cmp(b),
+        match self {
+            Val::Nested(bytes) => Ok(decode_value(bytes)?.total_cmp(literal)),
+            Val::Rec(values, names) => match rec_value(values, names) {
+                Some(record) => Ok(record.total_cmp(literal)),
+                None => Err(IngestError::Parse(
+                    "compacted block: bad record cell".into(),
+                )),
+            },
+            _ => unreachable!("a scalar compares in place"),
+        }
+    }
+
+    /// [`Val::cmp`] where it needs no decode: `None` only for a list or a
+    /// record compared with a literal of its own rank.
+    #[inline]
+    fn cmp_in_place(&self, literal: &AdmValue) -> Option<Ordering> {
+        Some(match (self, literal) {
+            (Val::Str(a), AdmValue::String(b)) => (*a).cmp(b.as_bytes()),
             (Val::Int(a), AdmValue::Int(b)) => a.cmp(b),
             (Val::Int(a), AdmValue::Double(b)) => cmp_int_double(*a, *b),
             (Val::Double(a), AdmValue::Int(b)) => cmp_int_double(*b, *a).reverse(),
             (Val::Double(a), AdmValue::Double(b)) => a.total_cmp(b),
-            (Val::Str(a), AdmValue::String(b)) => (*a).cmp(b.as_bytes()),
+            (Val::Bool(a), AdmValue::Boolean(b)) => a.cmp(b),
             (Val::Point(ax, ay), AdmValue::Point(bx, by)) => {
                 ax.total_cmp(bx).then_with(|| ay.total_cmp(by))
             }
             (Val::DateTime(a), AdmValue::DateTime(b)) => a.cmp(b),
-            (Val::Nested(bytes), _) => decode_value(bytes)?.total_cmp(literal),
-            (Val::Rec(values, names), _) => match rec_value(values, names) {
-                Some(record) => record.total_cmp(literal),
-                None => {
-                    return Err(IngestError::Parse(
-                        "compacted block: bad record cell".into(),
-                    ))
-                }
-            },
-            // missing and null: one value each
-            _ => Ordering::Equal,
+            (Val::Nested(_) | Val::Rec(..), _) if self.rank() == literal.rank() => return None,
+            // types of different rank; or missing and null, one value each
+            _ => self.rank().cmp(&literal.rank()),
         })
     }
+}
+
+/// Not a list or a record: a value [`Val::cmp`] compares without decoding.
+fn is_scalar(value: &AdmValue) -> bool {
+    !matches!(
+        value,
+        AdmValue::OrderedList(_) | AdmValue::UnorderedList(_) | AdmValue::Record(_)
+    )
 }
 
 /// The `at`-th of the values encoded back to back in `values`.

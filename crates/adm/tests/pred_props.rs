@@ -10,14 +10,21 @@
 //! encoding, over a [`CompactedBlock`] holding it among the other rows, and
 //! over an [`OpenBlock`] of them.
 //!
+//! The column-at-a-time selection agrees with that test row by row:
+//! `BlockPred::select` gives each row the test's verdict or leaves it
+//! undecided — always for a row whose test errs — and decides exactly the
+//! rows a one-field path into a slot reads a scalar of, against a scalar
+//! literal. A pin: the reader query's predicate leaves no row of a sealed
+//! tweet component undecided.
+//!
 //! The order itself is pinned first: `total_cmp` is antisymmetric and
 //! transitive over int64 extremes, ±0.0, NaN and cross-width pairs, two
 //! ints compare as `i64`, and values it calls equal hash alike.
 
 use asterix_adm::compact::{BlockBuilder, OpenBlock};
 use asterix_adm::hash::hash_value;
-use asterix_adm::pred::cmp_encoded;
-use asterix_adm::{encode_value, AdmValue, CmpOp, Pred};
+use asterix_adm::pred::{cmp_encoded, Verdict};
+use asterix_adm::{encode_value, payload_from_text, AdmValue, CmpOp, Pred};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
@@ -245,6 +252,23 @@ fn pred() -> impl Strategy<Value = Pred> {
     })
 }
 
+/// `and`/`or`/`not` over predicates, two or three children each: the
+/// orders a column-at-a-time selection must keep.
+fn combined() -> impl Strategy<Value = Pred> {
+    prop_oneof![
+        prop::collection::vec(pred(), 2..4).prop_map(Pred::All),
+        prop::collection::vec(pred(), 2..4).prop_map(Pred::Any),
+        combined_leaf().prop_map(|p| Pred::Not(Box::new(p))),
+    ]
+}
+
+fn combined_leaf() -> impl Strategy<Value = Pred> {
+    prop_oneof![
+        prop::collection::vec(pred(), 2..4).prop_map(Pred::All),
+        prop::collection::vec(pred(), 2..4).prop_map(Pred::Any),
+    ]
+}
+
 /// `$v.<path>` on the tree, as the evaluator reads it: `missing` past an
 /// absent field or a `null`/`missing`, an error on any other non-record.
 fn read(row: &AdmValue, path: &[String]) -> Result<AdmValue, ()> {
@@ -279,6 +303,14 @@ fn oracle(pred: &Pred, row: &AdmValue) -> Result<bool, ()> {
         Pred::Not(p) => Ok(!oracle(p, row)?),
         Pred::Window { .. } => Ok(false),
     }
+}
+
+/// Neither a list nor a record.
+fn is_scalar(value: &AdmValue) -> bool {
+    !matches!(
+        value,
+        AdmValue::OrderedList(_) | AdmValue::UnorderedList(_) | AdmValue::Record(_)
+    )
 }
 
 fn rows() -> impl Strategy<Value = Vec<AdmValue>> {
@@ -326,6 +358,47 @@ proptest! {
     }
 
     #[test]
+    fn select_decides_a_row_only_as_its_test_does(
+        rows in rows(),
+        preds in prop::collection::vec(prop_oneof![pred(), combined()], 1..4),
+        presence in pick(vec![0.0, 0.5, 0.9]),
+    ) {
+        let encoded: Vec<Vec<u8>> = rows.iter().map(encode_value).collect();
+        let refs: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+        let builder = BlockBuilder::infer(&refs);
+        let block = builder.encode(&builder.schema().slot_fields(presence));
+        let slots = block.slot_names();
+        let mut verdicts = Vec::new();
+        for pred in &preds {
+            let bound = pred.bind(&block);
+            bound.select(&mut verdicts);
+            prop_assert_eq!(verdicts.len(), rows.len());
+            for (i, row) in rows.iter().enumerate() {
+                let test = bound.test(i).map_err(drop);
+                match verdicts[i] {
+                    Verdict::Pass => prop_assert_eq!(test, Ok(true), "row {}: {:?} on {:?}", i, pred, row),
+                    Verdict::Fail => prop_assert_eq!(test, Ok(false), "row {}: {:?} on {:?}", i, pred, row),
+                    Verdict::Undecided => {}
+                }
+                // a leaf is decided exactly where its test reads a slot's
+                // scalar cell of a sound record against a scalar literal
+                if let Pred::Compare { path, literal, .. } = pred {
+                    let decides = path.len() == 1
+                        && slots.contains(&path[0])
+                        && is_scalar(literal)
+                        && row.as_record().is_some()
+                        && row.field(&path[0]).is_none_or(is_scalar);
+                    prop_assert_eq!(
+                        verdicts[i] != Verdict::Undecided,
+                        decides,
+                        "row {}: {:?} on {:?} (slots {:?})", i, pred, row, slots
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn cmp_encoded_is_total_cmp(value in ordered(), literal in prop_oneof![ordered(), literal()]) {
         let got = cmp_encoded(&encode_value(&value), &literal).expect("well-formed bytes");
         prop_assert_eq!(got, value.total_cmp(&literal));
@@ -348,5 +421,30 @@ proptest! {
         if let (AdmValue::Int(x), AdmValue::Int(y)) = (&a, &b) {
             prop_assert_eq!(a.total_cmp(&b), x.cmp(y), "two ints compare as i64");
         }
+    }
+}
+
+/// The reader query's `where $t.country = "US"`, bound to a component of
+/// generated tweets sealed as storage seals one, decides every row a column
+/// at a time and agrees with the row's test.
+#[test]
+fn the_reader_query_leaves_no_tweet_undecided() {
+    let mut factory = tweetgen::TweetFactory::new(0, 7);
+    let payloads: Vec<_> = (0..2_000)
+        .map(|_| payload_from_text(&factory.next_json()).expect("a generated tweet"))
+        .collect();
+    let refs: Vec<&[u8]> = payloads.iter().map(|p| &p[..]).collect();
+    let builder = BlockBuilder::infer(&refs);
+    let block = builder.encode(&builder.schema().slot_fields(0.5));
+    let pred = Pred::eq("country", "US");
+    let bound = pred.bind(&block);
+    let mut verdicts = Vec::new();
+    bound.select(&mut verdicts);
+    let count = |v: Verdict| verdicts.iter().filter(|&&x| x == v).count();
+    assert_eq!(count(Verdict::Undecided), 0);
+    assert!(count(Verdict::Pass) > 0 && count(Verdict::Fail) > 0);
+    for (row, verdict) in verdicts.iter().enumerate() {
+        let holds = bound.test(row).expect("a tweet's country reads");
+        assert_eq!(*verdict == Verdict::Pass, holds, "row {row}");
     }
 }

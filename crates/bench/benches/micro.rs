@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks over the substrate hot paths: ADM
 //! parse/print, value hashing, LSM and R-tree operations, feed-joint
-//! routing, the WAL, and the UDF sandbox.
+//! routing, the WAL, the UDF sandbox, and the reader query's scan.
 
 use asterix_adm::{
     decode_field_at, decode_value, encode_value, hash::hash_value, parse_value, payload_from_text,
@@ -234,6 +234,82 @@ fn bench_wal_codec(c: &mut Criterion) {
     });
 }
 
+/// The reader query's read path, step by step, over one partition shaped as
+/// a drained `sat_store` partition: 77.5k live tweets in two sealed runs (a
+/// merged run of 73.4k and one 4 096-row seal) under 3.8k memtable rows.
+/// `scan/kway` walks the runs (`len`); `scan/filter` adds the pushed-down
+/// `country = "US"`; `scan/filter_project` adds the projection to `id` that
+/// the query returns; `scan/aql_reader_query` is the whole query through
+/// the evaluator.
+fn bench_scan(c: &mut Criterion) {
+    use asterix_aql::eval::{eval_flwor, Env, EvalContext};
+    use asterix_aql::parser::parse_expr;
+    use asterix_common::{IngestError, IngestResult, NodeId};
+    use asterix_storage::{Dataset, DatasetConfig};
+    use std::sync::Arc;
+
+    struct Tweets(Arc<Dataset>);
+    impl EvalContext for Tweets {
+        fn dataset(&self, name: &str) -> IngestResult<Arc<Dataset>> {
+            match name {
+                "D" => Ok(Arc::clone(&self.0)),
+                _ => Err(IngestError::Metadata(format!("unknown dataset {name}"))),
+            }
+        }
+        fn call_udf(&self, name: &str, _arg: &AdmValue) -> IngestResult<AdmValue> {
+            Err(IngestError::Metadata(format!("no function {name}")))
+        }
+    }
+
+    let mut config = PartitionConfig::keyed_on("id");
+    // no merge but the one forced below
+    config.lsm.max_components = usize::MAX;
+    let dataset = Dataset::create_configured(
+        DatasetConfig {
+            name: "D".into(),
+            datatype: "Tweet".into(),
+            primary_key: "id".into(),
+            nodegroup: vec![NodeId(0)],
+        },
+        config,
+    )
+    .unwrap();
+    let p = dataset.partition(0);
+    let mut factory = tweetgen::TweetFactory::new(0, 42);
+    let mut write = |n: usize| {
+        let payloads: Vec<_> = (0..n)
+            .map(|_| payload_from_text(&factory.next_json()).unwrap())
+            .collect();
+        for frame in payloads.chunks(64) {
+            assert!(p.upsert_batch_bytes(frame, None).unwrap().is_clean());
+        }
+    };
+    write(73_404);
+    p.force_merge();
+    write(4_096 + 3_800);
+    assert_eq!((p.component_count(), p.len()), (2, 81_300));
+
+    let pred = asterix_adm::Pred::eq("country", "US");
+    let (none, id) = (Vec::new(), vec!["id".to_string()]);
+    let count = |fields: &[String]| {
+        let mut rows = 0usize;
+        p.try_for_each_row(Some(fields), Some(&pred), |_, _| {
+            rows += 1;
+            Ok::<_, IngestError>(())
+        })
+        .unwrap();
+        rows
+    };
+    c.bench_function("scan/kway", |b| b.iter(|| black_box(p.len())));
+    c.bench_function("scan/filter", |b| b.iter(|| black_box(count(&none))));
+    c.bench_function("scan/filter_project", |b| b.iter(|| black_box(count(&id))));
+    let ctx = Tweets(Arc::new(dataset));
+    let query = parse_expr(r#"for $t in dataset D where $t.country = "US" return $t.id"#).unwrap();
+    c.bench_function("scan/aql_reader_query", |b| {
+        b.iter(|| black_box(eval_flwor(&query, &mut Env::new(), &ctx).unwrap().len()))
+    });
+}
+
 criterion_group!(
     benches,
     bench_adm,
@@ -244,6 +320,7 @@ criterion_group!(
     bench_udf,
     bench_parse_once,
     bench_store_batch,
-    bench_wal_codec
+    bench_wal_codec,
+    bench_scan
 );
 criterion_main!(benches);

@@ -33,17 +33,26 @@
 //! newest-to-oldest; every ordered read — range scans, the vectorized field
 //! scan and the merge itself — goes through one newest-wins k-way iterator
 //! ([`SortedRuns`]) over the memtable and the runs, so no read rebuilds a
-//! map of the entries it visits. Deletes are tombstones that shadow older
-//! versions until a merge discards them. Keys are probed by reference
-//! ([`crate::AsKey`]).
+//! map of the entries it visits. The iterator finds each key's sources by a
+//! pass over the run heads, and between ties it runs *streaks*: while one
+//! source's keys stay below every other head it yields them without that
+//! pass (a run gallops to the streak's end), so runs whose keys fall in
+//! clusters cost a few comparisons per streak, not per key. Deletes are tombstones
+//! that shadow older versions until a merge discards them. Keys are probed
+//! by reference ([`crate::AsKey`]).
 //!
 //! A long read need not hold its owner's lock: [`LsmTree::snapshot`] copies
 //! the memtable (bounded by its budget; the payloads are shared) and shares
 //! the component stack, and the [`LsmSnapshot`] is walked by the same
 //! iterator with nothing locked. That walk takes a filter
-//! ([`asterix_adm::pred::Pred`]), bound once per compacted component and
-//! tested on each row's column cells — on the payload bytes for memtable
-//! and open-layout rows — so a row the filter rejects is never decoded.
+//! ([`asterix_adm::pred::Pred`]), bound once per compacted component, which
+//! [`BlockPred::select`] then decides a column at a time — one pass per
+//! comparison over its column's stride — before the walk starts; the walk
+//! reads each sealed row's verdict, and tests only the rows the selection
+//! left undecided on their cells, as it tests memtable and open-layout rows
+//! on their payload bytes. A row the filter rejects is never decoded, and a
+//! projection is resolved to its slots once per compacted component, as
+//! the filter is.
 //!
 //! # Compacted component storage
 //!
@@ -73,7 +82,7 @@
 use crate::{AsKey, KeyOrd};
 use asterix_adm::binary::{self, decode_field_at, decode_value, encode_into, encode_value};
 use asterix_adm::compact::{BlockBuilder, CompactedBlock, OpenBlock};
-use asterix_adm::pred::{BlockPred, Pred};
+use asterix_adm::pred::{BlockPred, Pred, Verdict};
 use asterix_adm::AdmValue;
 use asterix_common::{IngestError, IngestResult};
 use bytes::Bytes;
@@ -147,24 +156,7 @@ impl LiveRef<'_> {
     /// scan projecting every row into one buffer allocates for a row only
     /// what differs in shape from the row before.
     pub fn project_into(&self, fields: &[String], dst: &mut AdmValue) {
-        if !matches!(dst, AdmValue::Record(_)) {
-            *dst = AdmValue::Record(Vec::with_capacity(fields.len()));
-        }
-        let AdmValue::Record(out) = dst else {
-            unreachable!("made a record above")
-        };
-        let mut present = 0;
-        for f in fields {
-            match out.get_mut(present) {
-                None => out.push((f.clone(), AdmValue::Missing)),
-                Some((name, _)) if name != f => name.clone_from(f),
-                Some(_) => {}
-            }
-            if self.field_into(f, &mut out[present].1) {
-                present += 1;
-            }
-        }
-        out.truncate(present);
+        project_with(fields, dst, |_, name, value| self.field_into(name, value))
     }
 
     /// Build the whole record — bit-exactly the value whose encoding was
@@ -178,25 +170,64 @@ impl LiveRef<'_> {
     }
 }
 
+/// Write the record holding just `fields` — in that order, a field that
+/// `read(i, fields[i], value)` reports absent skipped — into `dst`, in the
+/// field slots and string buffers `dst` already has where they fit.
+fn project_with(
+    fields: &[String],
+    dst: &mut AdmValue,
+    mut read: impl FnMut(usize, &str, &mut AdmValue) -> bool,
+) {
+    if !matches!(dst, AdmValue::Record(_)) {
+        *dst = AdmValue::Record(Vec::with_capacity(fields.len()));
+    }
+    let AdmValue::Record(out) = dst else {
+        unreachable!("made a record above")
+    };
+    let mut present = 0;
+    for (i, f) in fields.iter().enumerate() {
+        match out.get_mut(present) {
+            None => out.push((f.clone(), AdmValue::Missing)),
+            Some((name, _)) if name != f => name.clone_from(f),
+            Some(_) => {}
+        }
+        if read(i, f, &mut out[present].1) {
+            present += 1;
+        }
+    }
+    out.truncate(present);
+}
+
 /// A filter as the rows of one sealed component are tested against it:
-/// bound once to a compacted image's columns, or on an open image's record
-/// bytes.
+/// bound once to a compacted image's columns, which it decides a column at
+/// a time up front, or on an open image's record bytes.
 enum RunFilter<'a> {
-    Columns(BlockPred<'a>),
+    Columns(BlockPred<'a>, Vec<Verdict>),
     Records(&'a Pred, &'a OpenBlock),
 }
 
 impl<'a> RunFilter<'a> {
     fn new(filter: &'a Pred, storage: &'a ComponentStorage) -> Self {
         match storage {
-            ComponentStorage::Compacted(b) => RunFilter::Columns(filter.bind(b)),
+            ComponentStorage::Compacted(b) => {
+                let bound = filter.bind(b);
+                let mut selected = Vec::new();
+                bound.select(&mut selected);
+                RunFilter::Columns(bound, selected)
+            }
             ComponentStorage::Open(b) => RunFilter::Records(filter, b),
         }
     }
 
+    /// The filter on `row`: its verdict where the selection decided it, the
+    /// row's own test elsewhere.
     fn test(&self, row: usize) -> IngestResult<bool> {
         match self {
-            RunFilter::Columns(block) => block.test(row),
+            RunFilter::Columns(block, selected) => match selected.get(row) {
+                Some(Verdict::Pass) => Ok(true),
+                Some(Verdict::Fail) => Ok(false),
+                _ => block.test(row),
+            },
             RunFilter::Records(filter, b) => {
                 filter.test_bytes(b.record_slice(row).unwrap_or_default(), None)
             }
@@ -428,9 +459,19 @@ enum Source<'a> {
 /// The one ordered read path: a newest-wins k-way merge over the memtable
 /// (optional) and a stack of sorted runs (newest first). Yields every key of
 /// the range once, in key order, with the newest source holding it —
-/// tombstones included, the caller decides what they mean. `k` is bounded by
-/// the merge policy, so the minimum is found by a linear pass over the run
-/// heads: `k − 1` key comparisons per key yielded.
+/// tombstones included, the caller decides what they mean.
+///
+/// `k` is bounded by the merge policy, so the minimum is found by a linear
+/// pass over the source heads, `k − 1` key comparisons. That pass also finds
+/// the smallest head among the other sources, which cannot move while they
+/// wait. When exactly one source holds the key it yields, that source runs a
+/// *streak* up to that bound: a run gallops to the first of its keys that is
+/// not strictly below it (O(log n) comparisons for a streak of n keys) and
+/// yields the keys before it with no comparison at all; the memtable yields
+/// its keys at one comparison each. A tie, or a streak's end, takes the full
+/// pass again. A large merged run beside a few small seals and the memtable,
+/// whose newer keys fall in clusters between the older ones, yields nearly
+/// every key from a streak.
 struct SortedRuns<'a> {
     mem: Option<Peekable<btree_map::Range<'a, KeyOrd, Entry>>>,
     components: &'a [Arc<Component>],
@@ -438,6 +479,17 @@ struct SortedRuns<'a> {
     spans: Vec<(usize, usize)>,
     /// Components whose head holds the key being yielded.
     tied: Vec<usize>,
+    streak: Option<Streak<'a>>,
+}
+
+/// The source on a streak, and where the streak ends.
+#[derive(Clone, Copy)]
+enum Streak<'a> {
+    /// The memtable, while its keys stay below the smallest head of the runs
+    /// (`None`: the runs are spent).
+    Mem(Option<&'a KeyOrd>),
+    /// Component `ci`, up to (not including) key position `until`.
+    Run { ci: usize, until: usize },
 }
 
 impl<'a> SortedRuns<'a> {
@@ -463,16 +515,57 @@ impl<'a> SortedRuns<'a> {
                 .collect(),
             components,
             tied: Vec::with_capacity(components.len()),
+            streak: None,
         }
     }
+
+    /// The streak source's next key, while the streak lasts.
+    fn streak_next(&mut self, streak: Streak<'a>) -> Option<(&'a KeyOrd, Source<'a>)> {
+        match streak {
+            Streak::Mem(below) => {
+                let mem = self.mem.as_mut()?;
+                mem.peek()
+                    .filter(|(key, _)| below.is_none_or(|b| *key < b))?;
+                let (key, entry) = mem.next()?;
+                Some((key, Source::Mem(entry)))
+            }
+            Streak::Run { ci, until } => {
+                let pos = self.spans[ci].0;
+                let key = self.components[ci].keys[..until].get(pos)?;
+                self.spans[ci].0 += 1;
+                Some((key, Source::Run(ci, pos)))
+            }
+        }
+    }
+}
+
+/// How many of `keys`, which ascend from a first key below `bound`, are
+/// strictly below it: an exponential search, then a binary one within the
+/// last step.
+fn gallop(keys: &[KeyOrd], bound: &KeyOrd) -> usize {
+    let (mut below, mut step) = (1, 1);
+    while below + step <= keys.len() && keys[below + step - 1] < *bound {
+        below += step;
+        step *= 2;
+    }
+    let end = (below + step - 1).min(keys.len());
+    below + keys[below..end].partition_point(|k| k < bound)
 }
 
 impl<'a> Iterator for SortedRuns<'a> {
     type Item = (&'a KeyOrd, Source<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
+        if let Some(streak) = self.streak {
+            if let Some(next) = self.streak_next(streak) {
+                return Some(next);
+            }
+            self.streak = None;
+        }
         let mut min = self.mem.as_mut().and_then(|m| m.peek()).map(|(k, _)| *k);
         let mut in_mem = min.is_some();
+        // the smallest head above `min`
+        let mut second: Option<&'a KeyOrd> = None;
         self.tied.clear();
         for (ci, &(pos, end)) in self.spans.iter().enumerate() {
             if pos == end {
@@ -481,13 +574,18 @@ impl<'a> Iterator for SortedRuns<'a> {
             let key = &self.components[ci].keys[pos];
             match min.map_or(Ordering::Less, |m| key.cmp(m)) {
                 Ordering::Less => {
+                    second = min;
                     min = Some(key);
                     in_mem = false;
                     self.tied.clear();
                     self.tied.push(ci);
                 }
                 Ordering::Equal => self.tied.push(ci),
-                Ordering::Greater => {}
+                Ordering::Greater => {
+                    if second.is_none_or(|s| key < s) {
+                        second = Some(key);
+                    }
+                }
             }
         }
         let key = min?;
@@ -501,6 +599,20 @@ impl<'a> Iterator for SortedRuns<'a> {
         for &ci in &self.tied {
             self.spans[ci].0 += 1;
         }
+        self.streak = match (in_mem, self.tied.as_slice()) {
+            (true, []) => Some(Streak::Mem(second)),
+            (false, &[ci]) => {
+                // the key just yielded opens the slice
+                let (pos, end) = self.spans[ci];
+                let keys = &self.components[ci].keys[pos - 1..end];
+                let run = second.map_or(keys.len(), |bound| gallop(keys, bound));
+                Some(Streak::Run {
+                    ci,
+                    until: pos - 1 + run,
+                })
+            }
+            _ => None,
+        };
         Some((key, source))
     }
 }
@@ -542,6 +654,61 @@ impl LsmSnapshot {
         filter: Option<&Pred>,
         mut f: impl FnMut(&AdmValue, LiveRef<'_>) -> Result<(), E>,
     ) -> Result<(), E> {
+        self.try_walk(filter, |key, _, live| f(key, live))
+    }
+
+    /// Hand every live record that passes `filter` (all of them with
+    /// `None`), in key order, to `visit` with its key — projected to
+    /// `fields` (absent fields skipped) or, with `None`, whole — in one row
+    /// buffer lent to the visitor. The field list is resolved once per
+    /// compacted component ([`CompactedBlock::slots_of`]), so a row's
+    /// projection reads its cells without comparing a name. Stops at the
+    /// filter's or the visitor's first error.
+    pub fn try_for_each_row<E: From<IngestError>>(
+        &self,
+        fields: Option<&[String]>,
+        filter: Option<&Pred>,
+        mut visit: impl FnMut(&AdmValue, &mut AdmValue) -> Result<(), E>,
+    ) -> Result<(), E> {
+        // per component, in stack order: a compacted image and the
+        // projection's slots in it
+        let bound: Vec<Option<(&CompactedBlock, _)>> = fields.map_or_else(Vec::new, |fields| {
+            self.components
+                .iter()
+                .map(|c| match &c.storage {
+                    ComponentStorage::Compacted(b) => Some((b, b.slots_of(fields))),
+                    ComponentStorage::Open(_) => None,
+                })
+                .collect()
+        });
+        let mut row = AdmValue::Missing;
+        self.try_walk(filter, |key, run, live| {
+            let block = run.and_then(|ci| bound.get(ci)?.as_ref());
+            match (fields, block, &live) {
+                (Some(fields), Some((b, slots)), LiveRef::Sealed(_, at)) => {
+                    project_with(fields, &mut row, |i, name, value| {
+                        b.slot_into(*at, slots[i], name, value)
+                    })
+                }
+                (Some(fields), ..) => live.project_into(fields, &mut row),
+                (None, ..) => match live.materialize() {
+                    Some(whole) => row = whole,
+                    // only bytes that never passed the checked walk
+                    None => return Ok(()),
+                },
+            }
+            visit(key, &mut row)
+        })
+    }
+
+    /// The one filtered walk behind both scans: every live record that
+    /// passes `filter`, in key order, with the stack index of the run it
+    /// lies in (`None`: the memtable).
+    fn try_walk<E: From<IngestError>>(
+        &self,
+        filter: Option<&Pred>,
+        mut f: impl FnMut(&AdmValue, Option<usize>, LiveRef<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
         // per component, in stack order
         let runs: Vec<RunFilter<'_>> = filter.map_or_else(Vec::new, |filter| {
             self.components
@@ -553,11 +720,15 @@ impl LsmSnapshot {
             let Some(live) = live_ref(&self.components, source) else {
                 continue;
             };
+            let run = match source {
+                Source::Run(ci, _) => Some(ci),
+                Source::Mem(_) => None,
+            };
             if let Some(filter) = filter {
-                let passes = match (&live, source) {
+                let passes = match (&live, run) {
+                    (LiveRef::Sealed(_, row), Some(ci)) => runs[ci].test(*row)?,
                     (LiveRef::Mem(payload), _) => filter.test_bytes(payload, None)?,
-                    (LiveRef::Sealed(_, row), Source::Run(ci, _)) => runs[ci].test(*row)?,
-                    (LiveRef::Sealed(..), Source::Mem(_)) => {
+                    (LiveRef::Sealed(..), None) => {
                         unreachable!("a sealed record comes from a run")
                     }
                 };
@@ -565,7 +736,7 @@ impl LsmSnapshot {
                     continue;
                 }
             }
-            f(&key.0, live)?;
+            f(&key.0, run, live)?;
         }
         Ok(())
     }

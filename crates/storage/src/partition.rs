@@ -542,20 +542,9 @@ impl DatasetPartition {
         &self,
         fields: Option<&[String]>,
         filter: Option<&Pred>,
-        mut visit: impl FnMut(&AdmValue, &mut AdmValue) -> Result<(), E>,
+        visit: impl FnMut(&AdmValue, &mut AdmValue) -> Result<(), E>,
     ) -> Result<(), E> {
-        let mut row = AdmValue::Missing;
-        self.snapshot().try_for_each_live_ref(filter, |key, r| {
-            match fields {
-                Some(fields) => r.project_into(fields, &mut row),
-                None => match r.materialize() {
-                    Some(whole) => row = whole,
-                    // only bytes that never passed the checked walk
-                    None => return Ok(()),
-                },
-            }
-            visit(key, &mut row)
-        })
+        self.snapshot().try_for_each_row(fields, filter, visit)
     }
 
     /// Live record count, walked over a read snapshot: the partition lock is

@@ -1,7 +1,10 @@
 //! Property tests for the linear-time sealed-component paths: a merge that
 //! copies cells out of its inputs' images is indistinguishable from one that
 //! re-encodes the merged rows, and the shared newest-wins k-way iterator
-//! reads exactly what a `BTreeMap` overlay of the runs would.
+//! reads exactly what a `BTreeMap` overlay of the runs would — over small
+//! interleaved stacks, and over the shapes that make it run streaks: one
+//! large run beside small runs and a memtable, with keys in its gaps, ties
+//! and tombstones at the edges of its streaks.
 
 use asterix_adm::compact::{BlockBuilder, CompactedBlock};
 use asterix_adm::{encode_value, AdmValue};
@@ -255,6 +258,71 @@ proptest! {
         prop_assert_eq!(p.scan_projected(&fields), want);
     }
 
+    /// Streak shapes: the k-way iterator, the live count and a merge of the
+    /// runs read what a `BTreeMap` overlay holds, over inclusive, open and
+    /// inverted ranges.
+    #[test]
+    fn kway_streaks_match_a_btreemap_overlay(
+        shape in streaky(),
+        lo in prop::collection::vec(0i64..420, 0..2),
+        hi in prop::collection::vec(0i64..420, 0..2),
+    ) {
+        let (large, stride, batches) = shape;
+        let mut tree = LsmTree::new(LsmConfig {
+            memtable_budget: usize::MAX,
+            defer_merge: true,
+            ..LsmConfig::default()
+        });
+        let mut model = BTreeMap::new();
+        let mut apply = |tree: &mut LsmTree, k: i64, v: Option<u16>| match v {
+            Some(v) => {
+                tree.put(AdmValue::Int(k), value(k as u8, v, 0, false));
+                model.insert(k, value(k as u8, v, 0, false));
+            }
+            None => {
+                tree.delete(AdmValue::Int(k));
+                model.remove(&k);
+            }
+        };
+        for i in 0..large {
+            let k = (i * stride) as i64;
+            apply(&mut tree, k, Some(k as u16));
+        }
+        tree.seal();
+        let (tail, sealed) = batches.split_last().expect("one batch at least");
+        for batch in sealed {
+            for &(k, v) in batch {
+                apply(&mut tree, k, v);
+            }
+            tree.seal();
+        }
+        for &(k, v) in tail {
+            apply(&mut tree, k, v);
+        }
+
+        let (lo, hi) = (lo.first().copied(), hi.first().copied());
+        let want: Vec<(AdmValue, AdmValue)> = model
+            .iter()
+            .filter(|(k, _)| lo.is_none_or(|lo| **k >= lo) && hi.is_none_or(|hi| **k <= hi))
+            .map(|(k, v)| (AdmValue::Int(*k), v.clone()))
+            .collect();
+        let (lo, hi) = (lo.map(AdmValue::Int), hi.map(AdmValue::Int));
+        prop_assert_eq!(tree.scan_range(lo.as_ref(), hi.as_ref()), want);
+        prop_assert_eq!(tree.live_count(), model.len());
+        let mut keys = Vec::new();
+        tree.for_each_live_ref(|k, _| keys.push(k.as_int().unwrap()));
+        prop_assert_eq!(keys, model.keys().copied().collect::<Vec<_>>());
+
+        // the runs merged under the unsealed tail read the same
+        let inputs = tree.components_snapshot();
+        let merged = merge_components_with(&inputs, 0, &LayoutConfig::default());
+        prop_assert!(tree.install_merged(&inputs, Arc::new(merged.component)));
+        prop_assert_eq!(tree.live_count(), model.len());
+        let want: Vec<(AdmValue, AdmValue)> =
+            model.iter().map(|(k, v)| (AdmValue::Int(*k), v.clone())).collect();
+        prop_assert_eq!(tree.scan_all(), want);
+    }
+
     /// The one k-way iterator behind every ordered read equals a `BTreeMap`
     /// overlay of memtable and runs: inclusive `lo..=hi` bounds (either side
     /// open, `lo > hi` empty), tombstones hidden, shadowed versions never
@@ -307,6 +375,30 @@ proptest! {
             );
         }
     }
+}
+
+/// A streak-shaped stack, oldest first: one large run over every
+/// `stride`-th key, then small runs and an unsealed tail that each write a
+/// block of consecutive keys (in the large run's gaps, on its keys or past
+/// its end) and a few scattered ones; a `None` value deletes.
+#[allow(clippy::type_complexity)]
+fn streaky() -> impl Strategy<Value = (usize, usize, Vec<Vec<(i64, Option<u16>)>>)> {
+    let writes = (
+        0i64..400,
+        0i64..12,
+        prop::collection::vec((0i64..400, any::<u16>()), 0..6),
+    )
+        .prop_map(|(start, len, scattered)| {
+            let mut ops: Vec<(i64, Option<u16>)> =
+                (start..start + len).map(|k| (k, Some(k as u16))).collect();
+            ops.extend(
+                scattered
+                    .into_iter()
+                    .map(|(k, v)| (k, (v % 4 != 0).then_some(v))),
+            );
+            ops
+        });
+    (50usize..300, 1usize..4, prop::collection::vec(writes, 1..5))
 }
 
 fn tweet(i: usize) -> AdmValue {
