@@ -308,7 +308,11 @@ impl FeedJoint {
         if inner.retired {
             return 0;
         }
-        let fullest = inner.subscribers.values().map(|q| q.lock().frames.len()).max();
+        let fullest = inner
+            .subscribers
+            .values()
+            .map(|q| q.lock().frames.len())
+            .max();
         fullest.unwrap_or(0)
     }
 
@@ -316,7 +320,11 @@ impl FeedJoint {
     /// (or nobody) waits for the next frame.
     pub fn shortest_backlog(&self) -> usize {
         let inner = self.inner.lock();
-        let shortest = inner.subscribers.values().map(|q| q.lock().frames.len()).min();
+        let shortest = inner
+            .subscribers
+            .values()
+            .map(|q| q.lock().frames.len())
+            .min();
         shortest.unwrap_or(0)
     }
 
@@ -499,8 +507,8 @@ mod tests {
         let (hook, fired) = counting_hook();
         let sub = joint.subscribe_waking("a", hook);
         let _polling = joint.subscribe("b"); // no waker: nothing to fire
-        // subscribing without a waker (as the controller does on an
-        // intake's behalf) keeps the consumer's
+                                             // subscribing without a waker (as the controller does on an
+                                             // intake's behalf) keeps the consumer's
         drop(joint.subscribe("a"));
         joint.deposit(frame(0..1)).unwrap();
         assert_eq!(fired.load(Ordering::SeqCst), 1, "empty → non-empty");
@@ -542,7 +550,11 @@ mod tests {
         assert_eq!(fired.load(Ordering::SeqCst), 2, "subscribe wakes");
         // a dropped depositor is forgotten
         drop(depositor);
-        assert!(joint.depositors.lock().iter().any(|d| d.strong_count() == 0));
+        assert!(joint
+            .depositors
+            .lock()
+            .iter()
+            .any(|d| d.strong_count() == 0));
         let _third = joint.depositor(counting_hook().0);
         assert_eq!(joint.depositors.lock().len(), 2, "pruned on register");
     }

@@ -418,8 +418,7 @@ impl SourceOperator for CollectSource {
             // subscriber waits for it; while every one has frames queued it
             // keeps filling, and the drain of that backlog wakes this task
             SourcePoll::Idle(wait) => {
-                if self.builder.pending() > 0
-                    && !self.out.waits_while(|j| j.shortest_backlog() > 0)
+                if self.builder.pending() > 0 && !self.out.waits_while(|j| j.shortest_backlog() > 0)
                 {
                     if let Some(partial) = self.builder.flush() {
                         self.out.joint().deposit(partial)?;

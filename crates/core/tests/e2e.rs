@@ -964,7 +964,10 @@ fn registry_snapshot_is_complete_and_finite() {
     assert_eq!(snap.counter("feed.records_spilled"), 0);
 
     // storage internals, per dataset/partition
+    // 1 200 records never fill a 4 096-entry memtable: nothing sealed, so
+    // the log still holds every record and no checkpoint dropped it
     assert!(snap.gauge("storage.wal_bytes").expect("wal bytes gauge") > 0);
+    assert_eq!(snap.gauge("storage.wal_checkpoints"), Some(0));
     assert!(snap.gauge("storage.lsm_components").is_some());
     let batches = snap
         .histogram("storage.group_commit_batch_size")

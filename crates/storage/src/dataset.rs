@@ -317,9 +317,11 @@ impl Dataset {
     }
 
     /// Register this dataset's storage instruments in a cluster registry:
-    /// per-partition `storage.lsm_components`, `storage.wal_bytes`,
-    /// `storage.wal_entries`, `storage.wal_group_commits`,
-    /// `storage.compactions`, `storage.bytes_per_record` (rounded),
+    /// per-partition `storage.lsm_components`, `storage.wal_bytes` and
+    /// `storage.wal_entries` (the log's unsealed tail: what a seal has not
+    /// checkpointed yet), `storage.wal_group_commits`,
+    /// `storage.wal_checkpoints`, `storage.compactions`,
+    /// `storage.bytes_per_record` (rounded),
     /// `compaction.schema_inferred_components` and
     /// `compaction.fallback_components` gauges (polled at snapshot time),
     /// plus, shared by all partitions, one `storage.resident_bytes` gauge
@@ -356,6 +358,7 @@ impl Dataset {
                 "storage.wal_group_commits",
                 DatasetPartition::wal_group_commits,
             );
+            gauge("storage.wal_checkpoints", DatasetPartition::wal_checkpoints);
             gauge("storage.compactions", DatasetPartition::compactions);
             gauge("storage.bytes_per_record", |p| {
                 p.bytes_per_record().round() as u64
@@ -581,6 +584,13 @@ mod tests {
         assert_eq!(batch.count, 2, "one group commit per partition");
         assert_eq!(batch.sum, 50);
         assert!(snap.all_finite());
+        // a seal checkpoints the log: the gauges read the unsealed tail
+        assert_eq!(snap.gauge("storage.wal_checkpoints"), Some(0));
+        d.force_merge_all();
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("storage.wal_checkpoints"), Some(2));
+        assert_eq!(snap.gauge("storage.wal_entries"), Some(0));
+        assert_eq!(snap.gauge("storage.wal_bytes"), Some(0));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //! * [`lsm`] — the LSM tree: a mutable memtable over immutable sorted
 //!   components, with flush and merge;
-//! * [`wal`] — the write-ahead log and log-based restart recovery;
+//! * [`wal`] — the write-ahead log of what no sealed component holds yet
+//!   (checkpointed at every seal) and log-based restart recovery;
 //! * [`secondary`] — secondary indexes: a B-tree index over any field and an
 //!   R-tree over `point` fields (the paper's `create index ... type rtree`);
 //! * [`rtree`] — the R-tree implementation backing spatial indexes;

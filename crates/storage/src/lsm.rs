@@ -1,14 +1,24 @@
 //! The LSM tree: a mutable in-memory component (memtable) over a stack of
 //! immutable sorted components.
 //!
-//! Inserts and deletes go to the memtable; when it exceeds its budget it is
-//! *sealed* (flushed) into an immutable component. Components are
-//! `Arc`-shared, so a compactor can take a snapshot under a short lock,
-//! merge the snapshot entirely outside the lock ([`merge_components`] works
-//! by reference and clones only the surviving keys, once), and swap the
-//! result back in with [`LsmTree::install_merged`] — this is how
-//! [`crate::partition::DatasetPartition`] keeps merges off the insert path,
-//! mirroring AsterixDB's asynchronous LSM flush/merge. When
+//! Inserts and deletes go to the memtable; when it reaches its budget it is
+//! *sealed* (flushed) into an immutable component. A standalone tree seals
+//! inside the write that fills it ([`LsmTree::put_bytes`],
+//! [`LsmTree::delete`]). An owner whose unit of atomicity is larger than
+//! one write — [`crate::partition::DatasetPartition`], whose unit is a
+//! group-committed WAL block — writes with [`LsmTree::stage`], which never
+//! seals, and calls [`LsmTree::seal_if_full`] between its units, so a
+//! component never holds part of one. A sealed component is the durable
+//! state: the partition checkpoints its log right after each seal, and
+//! recovery keeps the components and drops only the memtable
+//! ([`LsmTree::drop_memtable`]).
+//!
+//! Components are `Arc`-shared, so a compactor can take a snapshot under a
+//! short lock, merge the snapshot entirely outside the lock
+//! ([`merge_components`] works by reference and clones only the surviving
+//! keys, once), and swap the result back in with
+//! [`LsmTree::install_merged`] — this is how the partition keeps merges off
+//! the insert path, mirroring AsterixDB's asynchronous LSM flush/merge. When
 //! [`LsmConfig::defer_merge`] is unset the tree instead merges inline once
 //! the component count exceeds the threshold (the simplest of AsterixDB's
 //! merge policies, the "constant" policy), which keeps a standalone tree
@@ -42,9 +52,9 @@
 //! by reference ([`crate::AsKey`]).
 //!
 //! A long read need not hold its owner's lock: [`LsmTree::snapshot`] copies
-//! the memtable (bounded by its budget; the payloads are shared) and shares
-//! the component stack, and the [`LsmSnapshot`] is walked by the same
-//! iterator with nothing locked. That walk takes a filter
+//! the memtable (bounded by its budget and one staged unit; the payloads are
+//! shared) and shares the component stack, and the [`LsmSnapshot`] is
+//! walked by the same iterator with nothing locked. That walk takes a filter
 //! ([`asterix_adm::pred::Pred`]), bound once per compacted component, which
 //! [`BlockPred::select`] then decides a column at a time — one pass per
 //! comparison over its column's stride — before the walk starts; the walk
@@ -632,10 +642,10 @@ fn live_ref<'a>(components: &'a [Arc<Component>], source: Source<'a>) -> Option<
 
 /// A read snapshot of an [`LsmTree`]: its component stack, `Arc`-shared,
 /// and a copy of its memtable. [`LsmTree::snapshot`] is O(memtable) — at
-/// most `memtable_budget` entries, each a key clone and a refcount bump of
-/// the payload — so an owner can take it under a short lock and scan it
-/// without: later writes, seals and merges do not touch it, and the
-/// components it shares stay alive until it is dropped.
+/// most `memtable_budget` entries plus one staged unit, each a key clone
+/// and a refcount bump of the payload — so an owner can take it under a
+/// short lock and scan it without: later writes, seals and merges do not
+/// touch it, and the components it shares stay alive until it is dropped.
 #[derive(Debug)]
 pub struct LsmSnapshot {
     memtable: BTreeMap<KeyOrd, Entry>,
@@ -964,10 +974,11 @@ impl LsmTree {
         }
     }
 
-    /// Insert or replace the record under `key`: the one write. `payload`
-    /// is the record's binary ADM encoding and must have passed the checked
-    /// walk ([`asterix_adm::binary::validate`]) — everything downstream
-    /// (seal, merge, reads) trusts it. The buffer is shared, not copied.
+    /// Insert or replace the record under `key`, sealing the memtable if
+    /// this fills it. `payload` is the record's binary ADM encoding and must
+    /// have passed the checked walk ([`asterix_adm::binary::validate`]) —
+    /// everything downstream (seal, merge, reads) trusts it. The buffer is
+    /// shared, not copied.
     pub fn put_bytes(&mut self, key: AdmValue, payload: Bytes) {
         self.write(key, Entry::Put(payload));
     }
@@ -983,12 +994,24 @@ impl LsmTree {
         self.put_bytes(key, encode_value(&value).into());
     }
 
-    /// Delete `key` (tombstone).
+    /// Delete `key` (tombstone), sealing the memtable if this fills it.
     pub fn delete(&mut self, key: AdmValue) {
         self.write(key, Entry::Tombstone);
     }
 
     fn write(&mut self, key: AdmValue, entry: Entry) {
+        self.stage(key, entry);
+        if self.is_full() {
+            self.flush();
+        }
+    }
+
+    /// The one write: put `entry` in the memtable under `key`, replacing
+    /// any version there, and never seal — however far past its budget the
+    /// memtable grows. The owner seals between its atomic units with
+    /// [`LsmTree::seal_if_full`]. A [`Entry::Put`] payload must have passed
+    /// the checked walk, as for [`LsmTree::put_bytes`].
+    pub fn stage(&mut self, key: AdmValue, entry: Entry) {
         let (new_key, new_payload) = (key_bytes(&key), entry.payload_len());
         self.memtable_bytes += new_payload;
         match self.memtable.insert(KeyOrd(key), entry) {
@@ -996,9 +1019,27 @@ impl LsmTree {
             Some(old) => self.memtable_bytes -= old.payload_len(),
             None => self.memtable_bytes += new_key,
         }
-        if self.memtable.len() >= self.config.memtable_budget {
-            self.flush();
+    }
+
+    fn is_full(&self) -> bool {
+        self.memtable.len() >= self.config.memtable_budget
+    }
+
+    /// Seal the memtable if it reached its budget (no merge, ever); returns
+    /// whether it sealed.
+    pub fn seal_if_full(&mut self) -> bool {
+        let full = self.is_full();
+        if full {
+            self.seal();
         }
+        full
+    }
+
+    /// Drop the memtable unsealed, keeping every component: what a crash
+    /// leaves of the tree.
+    pub fn drop_memtable(&mut self) {
+        self.memtable.clear();
+        self.memtable_bytes = 0;
     }
 
     /// The newest version of `key`: memtable first, then the runs newest to
@@ -1172,7 +1213,8 @@ impl LsmTree {
     /// still be the *oldest* suffix of the component stack (pointer
     /// equality); components sealed while the merge ran stay in front.
     /// Returns `false` — leaving the tree untouched — if the stack changed
-    /// incompatibly (e.g. another merge won, or recovery rebuilt the tree).
+    /// incompatibly (another merge won). Recovery keeps the stack, so a
+    /// merge that raced it installs.
     pub fn install_merged(&mut self, inputs: &[Arc<Component>], merged: Arc<Component>) -> bool {
         if inputs.is_empty() || self.components.len() < inputs.len() {
             return false;
@@ -1332,6 +1374,30 @@ mod tests {
         assert_eq!(t.component_count(), 1);
         assert_eq!(t.flushes(), 1);
         assert_eq!(t.memtable_len(), 0);
+    }
+
+    #[test]
+    fn staged_writes_seal_only_when_asked() {
+        let mut t = small_tree();
+        for i in 0..6 {
+            t.stage(k(i), Entry::Put(encode_value(&v("x")).into()));
+        }
+        t.stage(k(0), Entry::Tombstone);
+        assert_eq!((t.component_count(), t.memtable_len()), (0, 6));
+        assert!(t.seal_if_full());
+        assert_eq!((t.component_count(), t.memtable_len()), (1, 0));
+        assert!(!t.seal_if_full(), "an empty memtable is not full");
+        // a crash loses the memtable and keeps the components
+        t.stage(k(9), Entry::Put(encode_value(&v("y")).into()));
+        t.drop_memtable();
+        assert_eq!(t.memtable_len(), 0);
+        assert_eq!(t.resident_bytes(), {
+            let c = &t.components_snapshot()[0];
+            c.key_bytes + c.storage_size_bytes()
+        });
+        assert_eq!(t.get(&k(9)), None);
+        assert_eq!(t.get(&k(0)), None);
+        assert_eq!(t.get(&k(5)), Some(v("x")));
     }
 
     #[test]

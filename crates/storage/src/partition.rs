@@ -27,8 +27,19 @@
 //!   compaction worker merges sealed components from an `Arc` snapshot
 //!   entirely outside the partition lock and swaps the result in under a
 //!   short lock, so a merge of any size never stalls intake.
+//!
+//! A sealed component is the checkpoint. The memtable is sealed only
+//! between batches, once a whole WAL block is applied
+//! ([`crate::lsm::LsmTree::stage`] never seals,
+//! [`crate::lsm::LsmTree::seal_if_full`] runs after the batch), so after a
+//! seal every logged entry is in a component, and the log is dropped whole
+//! under the same lock ([`WriteAheadLog::checkpoint`]). The log therefore
+//! holds only the unsealed tail, and [`DatasetPartition::recover`] keeps
+//! the components, drops the volatile memtable and secondaries, rebuilds
+//! the secondaries from the components and replays that tail. A torn tail
+//! reaches only unsealed batches, each lost whole or kept whole.
 
-use crate::lsm::{merge_components_with, LsmSnapshot, LsmTree};
+use crate::lsm::{merge_components_with, Entry, LsmSnapshot, LsmTree};
 use crate::secondary::{IndexKind, SecondaryIndex};
 use crate::wal::{LogOp, WriteAheadLog};
 use asterix_adm::binary::{
@@ -132,19 +143,43 @@ impl PartitionState {
     /// stored version: the memtable shares the buffer, then every secondary
     /// gets its one field projected out of the bytes. The primary is written
     /// before the secondaries, so an index that rejects its field (a
-    /// non-point under an R-tree) leaves the logged record readable.
+    /// non-point under an R-tree) leaves the logged record readable. Never
+    /// seals: the caller seals once the whole batch is applied.
     fn put(&mut self, key: AdmValue, payload: &Bytes) -> IngestResult<()> {
         self.unindex_old(&key)?;
         if self.secondaries.is_empty() {
-            self.primary.put_bytes(key, payload.clone());
+            self.primary.stage(key, Entry::Put(payload.clone()));
             return Ok(());
         }
-        self.primary.put_bytes(key.clone(), payload.clone());
+        self.primary.stage(key.clone(), Entry::Put(payload.clone()));
         for idx in &mut self.secondaries {
             let indexed = decode_field_at(payload, &idx.field).ok().flatten();
             idx.insert(&key, indexed.as_ref())?;
         }
         Ok(())
+    }
+
+    /// Delete `key` from the primary and every secondary, if it is live;
+    /// returns whether it was. Never seals.
+    fn delete(&mut self, key: &AdmValue) -> IngestResult<bool> {
+        if !self.primary.contains(key) {
+            return Ok(false);
+        }
+        self.unindex_old(key)?;
+        self.primary.stage(key.clone(), Entry::Tombstone);
+        Ok(true)
+    }
+
+    /// Index every live record of the primary in `idx`, reading only the
+    /// indexed field of each — no record is materialized.
+    fn backfill(&self, idx: &mut SecondaryIndex) -> IngestResult<()> {
+        let mut backfill_err = None;
+        self.primary.for_each_live_ref(|key, record| {
+            if backfill_err.is_none() {
+                backfill_err = idx.insert(key, record.field(&idx.field).as_ref()).err();
+            }
+        });
+        backfill_err.map_or(Ok(()), Err)
     }
 }
 
@@ -168,6 +203,19 @@ impl PartitionInner {
             acc = acc.wrapping_add(i).rotate_left(1);
         }
         std::hint::black_box(acc);
+    }
+
+    /// Seal the memtable — whenever `force` is set, otherwise once it
+    /// reached its budget — and checkpoint the log: every entry it holds is
+    /// in a component now. Called with the state lock held, between
+    /// batches, so no append can slip between the seal and the checkpoint.
+    fn seal(&self, st: &mut PartitionState, force: bool) {
+        if force {
+            st.primary.seal();
+        } else if !st.primary.seal_if_full() {
+            return;
+        }
+        self.wal.checkpoint();
     }
 
     /// Wake the compaction worker (called after a mutation sealed enough
@@ -285,17 +333,8 @@ impl DatasetPartition {
         kind: IndexKind,
     ) -> IngestResult<()> {
         let mut idx = SecondaryIndex::new(name, field, kind);
-        let field = idx.field.clone();
         let mut st = self.inner.state.lock();
-        let mut backfill_err = None;
-        st.primary.for_each_live_ref(|key, record| {
-            if backfill_err.is_none() {
-                backfill_err = idx.insert(key, record.field(&field).as_ref()).err();
-            }
-        });
-        if let Some(e) = backfill_err {
-            return Err(e);
-        }
+        st.backfill(&mut idx)?;
         st.secondaries.push(idx);
         Ok(())
     }
@@ -431,7 +470,7 @@ impl DatasetPartition {
             }
             // WAL first, as one block of copied bytes: every record of the
             // batch is durable — and recoverable all-or-nothing — once this
-            // returns
+            // returns, until the seal below checkpoints it
             if group {
                 self.inner.wal.append_put_batch_bytes(
                     accepted
@@ -450,6 +489,7 @@ impl DatasetPartition {
                 st.put(key, &payloads[i])?;
                 outcome.committed += 1;
             }
+            self.inner.seal(&mut st, false);
             needs_merge = st.primary.needs_merge();
         }
         if needs_merge {
@@ -467,8 +507,8 @@ impl DatasetPartition {
                 return Ok(());
             }
             self.inner.wal.append_delete(key);
-            st.unindex_old(key)?;
-            st.primary.delete(key.clone());
+            st.delete(key)?;
+            self.inner.seal(&mut st, false);
             needs_merge = st.primary.needs_merge();
         }
         if needs_merge {
@@ -595,44 +635,46 @@ impl DatasetPartition {
             .collect())
     }
 
-    /// Log-based restart recovery (§6.2.3): rebuild the primary and all
-    /// secondaries from the WAL, as a failed store node does when re-joining
-    /// the cluster. Batched appends replay exactly like single appends; a
-    /// torn trailing block (crash mid-append) is dropped whole.
+    /// Log-based restart recovery (§6.2.3), as a failed store node runs it
+    /// when re-joining the cluster: what a crash leaves is the sealed
+    /// components and the log's unsealed tail. The memtable and the
+    /// secondaries are volatile — the memtable is dropped, each secondary
+    /// is rebuilt from the components — and the tail is replayed over them.
+    /// Batched appends replay exactly like single appends; a torn trailing
+    /// block (crash mid-append) is dropped whole, and cut off the log so
+    /// later appends follow the last complete block.
     pub fn recover(&self) -> IngestResult<()> {
-        let records = self.inner.wal.replay()?;
+        // the log is read under the state lock every append takes, so it
+        // is exactly the tail of the components it is replayed over
         let mut st = self.inner.state.lock();
-        let secondary_specs: Vec<(String, String, IndexKind)> = st
-            .secondaries
-            .iter()
-            .map(|i| (i.name.clone(), i.field.clone(), i.kind))
-            .collect();
-        st.primary = LsmTree::new(self.inner.config.lsm.clone());
-        st.secondaries = secondary_specs
-            .into_iter()
-            .map(|(n, f, k)| SecondaryIndex::new(n, f, k))
-            .collect();
+        let records = self.inner.wal.replay()?;
+        self.inner.wal.discard_torn_tail();
+        st.primary.drop_memtable();
+        let secondaries = std::mem::take(&mut st.secondaries);
+        for old in secondaries {
+            let mut idx = SecondaryIndex::new(old.name, old.field, old.kind);
+            st.backfill(&mut idx)?;
+            st.secondaries.push(idx);
+        }
         for rec in records {
             match rec.op {
                 // replay checked the payload: the write path's trust holds
                 LogOp::Put { key, value } => st.put(key, &value)?,
                 LogOp::Delete { key } => {
-                    if st.primary.contains(&key) {
-                        st.unindex_old(&key)?;
-                        st.primary.delete(key);
-                    }
+                    st.delete(&key)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Seal the memtable and synchronously merge all sealed components down
-    /// to one, on the calling thread (tests, checkpoints). Runs the same
-    /// snapshot/merge/install cycle as the background worker — concurrent
-    /// inserts proceed while the merge itself runs.
+    /// Seal the memtable, checkpointing the log, and synchronously merge
+    /// all sealed components down to one, on the calling thread (tests,
+    /// checkpoints). Runs the same snapshot/merge/install cycle as the
+    /// background worker — concurrent inserts proceed while the merge
+    /// itself runs.
     pub fn force_merge(&self) {
-        self.inner.state.lock().primary.seal();
+        self.inner.seal(&mut self.inner.state.lock(), true);
         loop {
             if !self.inner.compact_once(true) {
                 // nothing left to merge, or a racing merge won — both mean
@@ -662,7 +704,7 @@ impl DatasetPartition {
         self.inner.state.lock().primary.component_count()
     }
 
-    /// WAL record count (observability for tests).
+    /// WAL record count: the entries of the unsealed tail.
     pub fn wal_len(&self) -> usize {
         self.inner.wal.len()
     }
@@ -672,7 +714,12 @@ impl DatasetPartition {
         self.inner.wal.group_commits()
     }
 
-    /// Total WAL bytes (headers included).
+    /// Seals that checkpointed (dropped) a non-empty WAL so far.
+    pub fn wal_checkpoints(&self) -> u64 {
+        self.inner.wal.checkpoints()
+    }
+
+    /// WAL bytes of the unsealed tail (headers included).
     pub fn wal_size_bytes(&self) -> usize {
         self.inner.wal.size_bytes()
     }
@@ -1083,6 +1130,119 @@ mod tests {
         p.recover().unwrap();
         let keys: Vec<AdmValue> = p.scan_all().into_iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![AdmValue::string("a"), AdmValue::string("b")]);
+    }
+
+    fn budget(memtable_budget: usize) -> DatasetPartition {
+        let mut cfg = PartitionConfig::keyed_on("id");
+        cfg.lsm.memtable_budget = memtable_budget;
+        cfg.lsm.max_components = 100; // high threshold: worker stays idle
+        DatasetPartition::new(cfg)
+    }
+
+    fn batch(range: std::ops::Range<usize>) -> Vec<Arc<AdmValue>> {
+        range.map(|i| arc_rec(&format!("t{i:02}"), "v")).collect()
+    }
+
+    #[test]
+    fn a_seal_never_splits_a_batch_and_checkpoints_the_log() {
+        let p = budget(4);
+        // ten records past a budget of four: one seal, after the batch
+        p.upsert_batch(&batch(0..10)).unwrap();
+        assert_eq!(p.component_count(), 1);
+        assert_eq!(p.sealed_records(), 10);
+        assert_eq!((p.wal_len(), p.wal_size_bytes()), (0, 0));
+        assert_eq!(p.wal_checkpoints(), 1);
+        // under the budget: the batch is the unsealed tail
+        p.upsert_batch(&batch(10..12)).unwrap();
+        assert_eq!(p.component_count(), 1);
+        assert_eq!(p.wal_len(), 2);
+        // a delete that fills the memtable seals too
+        p.upsert(&rec("t12", "v")).unwrap();
+        p.delete(&"t00".into()).unwrap();
+        assert_eq!((p.component_count(), p.wal_len()), (2, 0));
+        assert_eq!(p.wal_checkpoints(), 2);
+        p.recover().unwrap();
+        assert_eq!(p.len(), 12);
+        assert!(p.get(&"t00".into()).is_none());
+    }
+
+    #[test]
+    fn a_tear_after_force_merge_loses_nothing() {
+        let p = budget(3);
+        for chunk in batch(0..20).chunks(2) {
+            p.upsert_batch(chunk).unwrap();
+        }
+        p.delete(&"t05".into()).unwrap();
+        let before = p.scan_all();
+        p.force_merge();
+        assert_eq!(p.component_count(), 1);
+        assert_eq!(p.wal_size_bytes(), 0);
+        p.corrupt_wal_tail(1);
+        p.recover().unwrap();
+        assert_eq!(p.scan_all(), before);
+        assert_eq!(p.len(), 19);
+    }
+
+    #[test]
+    fn a_tear_of_an_unsealed_batch_loses_exactly_that_batch() {
+        let p = budget(5);
+        p.upsert_batch(&batch(0..6)).unwrap(); // sealed
+        p.upsert_batch(&batch(6..8)).unwrap(); // tail
+        let kept = p.scan_all();
+        p.upsert_batch(&batch(8..10)).unwrap(); // tail, torn
+        assert_eq!(p.wal_len(), 4, "the log holds only the unsealed tail");
+        p.corrupt_wal_tail(1);
+        p.recover().unwrap();
+        assert_eq!(p.scan_all(), kept);
+        assert_eq!(p.component_count(), 1, "recovery keeps the components");
+        // recovery cut the torn block off: a later batch, and a second
+        // crash before the next seal, recover too
+        p.upsert_batch(&batch(10..11)).unwrap();
+        let kept = p.scan_all();
+        p.recover().unwrap();
+        assert_eq!(p.scan_all(), kept);
+        assert_eq!(p.wal_len(), 3);
+    }
+
+    #[test]
+    fn secondaries_rebuilt_across_a_seal_answer_as_before_the_crash() {
+        let p = budget(4);
+        p.add_secondary("byText", "message_text", IndexKind::BTree)
+            .unwrap();
+        p.add_secondary("locIdx", "location", IndexKind::RTree)
+            .unwrap();
+        let at = |id: &str, text: &str, x: f64| {
+            Arc::new(AdmValue::record(vec![
+                ("id", id.into()),
+                ("message_text", text.into()),
+                ("location", AdmValue::Point(x, x)),
+            ]))
+        };
+        // sealed: a..e; then the tail moves c, replaces d's text and drops e
+        p.upsert_batch(&["a", "b", "c", "d", "e"].map(|id| at(id, "old", 1.0)))
+            .unwrap();
+        assert_eq!(p.component_count(), 1);
+        p.upsert_batch(&[at("c", "old", 9.0), at("d", "new", 1.0)])
+            .unwrap();
+        p.delete(&"e".into()).unwrap();
+        assert!(p.wal_len() > 0 && p.component_count() == 1);
+        let answers = |p: &DatasetPartition| {
+            let ids = |mut rows: Vec<AdmValue>| {
+                rows.sort_by_key(|r| r.field("id").and_then(AdmValue::as_str).map(String::from));
+                rows
+            };
+            (
+                ids(p.query_eq("byText", &"old".into()).unwrap()),
+                ids(p.query_eq("byText", &"new".into()).unwrap()),
+                ids(p.query_rect("locIdx", 0.0, 0.0, 2.0, 2.0).unwrap()),
+                ids(p.query_rect("locIdx", 8.0, 8.0, 10.0, 10.0).unwrap()),
+            )
+        };
+        let before = answers(&p);
+        assert_eq!((before.0.len(), before.1.len()), (3, 1));
+        assert_eq!((before.2.len(), before.3.len()), (3, 1));
+        p.recover().unwrap();
+        assert_eq!(answers(&p), before);
     }
 
     #[test]

@@ -23,13 +23,23 @@
 //! [`WriteAheadLog::append_put_batch`], [`WriteAheadLog::append_delete`])
 //! encode, once, before calling the one bytes path.
 //!
-//! A crashed node's partition can be rebuilt by replaying its log
-//! ([`WriteAheadLog::replay`]), which is how a store node re-joins the
-//! cluster "after log-based recovery" (§6.2.3). Replay is torn-tail
-//! tolerant: a block whose trailing bytes never made it to "disk" (crash
-//! mid-append, injectable with [`WriteAheadLog::corrupt_tail`]) is
+//! The log holds only what no sealed component holds yet. A sealed
+//! component is the durable state, so the partition checkpoints the log
+//! ([`WriteAheadLog::checkpoint`]) right after every seal, under the lock
+//! every append takes: every block is dropped (nothing is copied) and the
+//! LSN sequence carries on. Between two seals the log is the *unsealed
+//! tail* — the batches the memtable holds — and that is all
+//! [`WriteAheadLog::size_bytes`] and [`WriteAheadLog::len`] count.
+//!
+//! A crashed node's partition is rebuilt from its sealed components plus a
+//! replay of that tail ([`WriteAheadLog::replay`]), which is how a store
+//! node re-joins the cluster "after log-based recovery" (§6.2.3). Replay is
+//! torn-tail tolerant: a block whose trailing bytes never made it to "disk"
+//! (crash mid-append, injectable with [`WriteAheadLog::corrupt_tail`]) is
 //! discarded *whole*, so a group-committed frame is recovered
-//! all-or-nothing and every fully-appended block survives exactly.
+//! all-or-nothing and every fully-appended block survives exactly; recovery
+//! then cuts it off ([`WriteAheadLog::discard_torn_tail`]). A seal never
+//! splits a block, so a tear can only reach batches no component holds.
 //!
 //! Physical layout, per block:
 //! `[body_len: u32 LE][entry_count: u32 LE][entry]*`, where each entry is
@@ -107,14 +117,6 @@ impl LogRecord {
         };
         Ok(LogRecord { lsn, op })
     }
-
-    /// The LSN of a raw entry body, without decoding the payload.
-    fn entry_lsn(entry: &[u8]) -> IngestResult<u64> {
-        if entry.len() < 8 {
-            return Err(IngestError::Storage("log record truncated".into()));
-        }
-        Ok(u64::from_le_bytes(entry[..8].try_into().unwrap()))
-    }
 }
 
 /// One physical append: header + one or more entries in a single buffer.
@@ -187,9 +189,11 @@ struct LogState {
     entry_count: usize,
     next_lsn: u64,
     group_commits: u64,
+    checkpoints: u64,
 }
 
-/// An append-only, group-commit-capable write-ahead log.
+/// A group-commit-capable write-ahead log, truncated whole at each
+/// checkpoint.
 #[derive(Debug, Default)]
 pub struct WriteAheadLog {
     state: Mutex<LogState>,
@@ -306,7 +310,8 @@ impl WriteAheadLog {
         Some((first, first + n as u64 - 1))
     }
 
-    /// Number of log records (entries, across all blocks).
+    /// Number of log records (entries, across all blocks) since the last
+    /// checkpoint.
     pub fn len(&self) -> usize {
         self.state.lock().entry_count
     }
@@ -321,7 +326,7 @@ impl WriteAheadLog {
         self.state.lock().group_commits
     }
 
-    /// Read the whole log back in LSN order (restart recovery input): keys
+    /// Read the log back in LSN order (restart recovery input): keys
     /// decoded, record payloads checked and returned as bytes.
     ///
     /// A torn *final* block — a crash cut the append short — is skipped
@@ -347,36 +352,35 @@ impl WriteAheadLog {
         Ok(out)
     }
 
-    /// Truncate the log up to and including `lsn` (checkpointing). Surviving
-    /// entries are repacked; only the fixed-width LSN header of each entry
-    /// is read — payloads are not decoded.
-    pub fn truncate_through(&self, lsn: u64) -> IngestResult<()> {
+    /// Cut a torn final block off the log, as restart recovery does once it
+    /// has replayed what precedes it: the next append then follows the
+    /// last complete block, and a later replay reads past it.
+    pub fn discard_torn_tail(&self) {
         let mut st = self.state.lock();
-        let mut buf = LogBlock::begin(0);
-        let mut kept = 0u32;
-        for block in &st.blocks {
-            if !block.is_complete() {
-                continue;
-            }
-            block.for_each_entry(|entry| {
-                if LogRecord::entry_lsn(entry)? > lsn {
-                    buf.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(entry);
-                    kept += 1;
-                }
-                Ok(())
-            })?;
+        if st.blocks.last().is_some_and(|b| !b.is_complete()) {
+            st.blocks.pop();
         }
-        st.blocks = if kept == 0 {
-            Vec::new()
-        } else {
-            vec![LogBlock::finish(buf, kept)]
-        };
-        st.entry_count = kept as usize;
-        Ok(())
     }
 
-    /// Total bytes in the log (spill/size accounting), headers included —
+    /// Checkpoint: every entry logged so far is held by a sealed component,
+    /// so drop every block — nothing is copied. LSNs carry on from where
+    /// they were. A checkpoint of an empty log is not counted.
+    pub fn checkpoint(&self) {
+        let mut st = self.state.lock();
+        if st.blocks.is_empty() {
+            return;
+        }
+        st.blocks = Vec::new();
+        st.entry_count = 0;
+        st.checkpoints += 1;
+    }
+
+    /// Lifetime count of checkpoints that dropped at least one block.
+    pub fn checkpoints(&self) -> u64 {
+        self.state.lock().checkpoints
+    }
+
+    /// Total bytes in the log since the last checkpoint, headers included —
     /// the length of the simulated on-disk file.
     pub fn size_bytes(&self) -> usize {
         self.state.lock().blocks.iter().map(|b| b.buf.len()).sum()
@@ -525,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn truncate_through_drops_prefix() {
+    fn checkpoint_drops_every_block_and_keeps_lsns_monotonic() {
         let wal = WriteAheadLog::new();
         for i in 0..3 {
             put(&wal, i);
@@ -535,11 +539,19 @@ mod tests {
             (&AdmValue::Int(4), &recval(4)),
         ])
         .unwrap();
-        wal.truncate_through(2).unwrap();
-        let recs = wal.replay().unwrap();
-        let lsns: Vec<u64> = recs.iter().map(|r| r.lsn).collect();
-        assert_eq!(lsns, vec![3, 4]);
-        assert_eq!(wal.len(), 2);
+        wal.checkpoint();
+        assert!(wal.is_empty());
+        assert_eq!(wal.size_bytes(), 0);
+        assert!(wal.replay().unwrap().is_empty());
+        assert_eq!(wal.checkpoints(), 1);
+        // an empty log has nothing to checkpoint
+        wal.checkpoint();
+        assert_eq!(wal.checkpoints(), 1);
+        // the next append continues the LSN sequence
+        assert_eq!(put(&wal, 5), 5);
+        let lsns: Vec<u64> = wal.replay().unwrap().iter().map(|r| r.lsn).collect();
+        assert_eq!(lsns, vec![5]);
+        assert_eq!(wal.group_commits(), 1, "lifetime counts survive");
     }
 
     #[test]
@@ -598,6 +610,22 @@ mod tests {
         assert_eq!(recs.len(), 1);
         // a claimed event never fires twice
         assert_eq!(wal.apply_fault_plan(&plan), 0);
+    }
+
+    #[test]
+    fn appends_after_a_discarded_torn_tail_replay() {
+        let wal = WriteAheadLog::new();
+        put(&wal, 1);
+        put(&wal, 2);
+        wal.corrupt_tail(1);
+        let committed = wal.size_bytes();
+        wal.discard_torn_tail();
+        assert!(wal.size_bytes() < committed, "the torn bytes are gone");
+        wal.discard_torn_tail(); // nothing torn: a no-op
+        assert_eq!(wal.len(), 1);
+        put(&wal, 3);
+        let lsns: Vec<u64> = wal.replay().unwrap().iter().map(|r| r.lsn).collect();
+        assert_eq!(lsns, vec![0, 2], "the torn entry's LSN is not reused");
     }
 
     #[test]

@@ -142,10 +142,25 @@ proptest! {
         prop_assert_eq!(open.schema_inferred_components(), 0);
     }
 
-    /// Replaying the WAL reproduces the exact partition contents.
+    /// Recovery — the sealed components plus a replay of the log's
+    /// unsealed tail — reproduces the exact partition contents, with
+    /// checkpoints (budget 3) or without (the default budget), crashing at
+    /// arbitrary points (`Flush`) and after forced merges (`Merge`). After
+    /// every op the log holds exactly the entries logged since the last
+    /// seal.
     #[test]
-    fn recovery_is_lossless(ops in prop::collection::vec(op_strategy(), 0..120)) {
-        let p = DatasetPartition::new(PartitionConfig::keyed_on("id"));
+    fn recovery_is_lossless(
+        ops in prop::collection::vec(op_strategy(), 0..120),
+        memtable_budget in prop_oneof![Just(3usize), Just(LsmConfig::default().memtable_budget)],
+    ) {
+        let mut config = PartitionConfig::keyed_on("id");
+        config.lsm.memtable_budget = memtable_budget;
+        let p = DatasetPartition::new(config);
+        // the model of the memtable: keys written since the last seal, and
+        // the log entries that wrote them
+        let mut unsealed: std::collections::BTreeSet<u8> = Default::default();
+        let mut logged = 0usize;
+        let mut live: std::collections::BTreeSet<u8> = Default::default();
         for op in ops {
             match op {
                 Op::Put(k, v) => {
@@ -154,10 +169,34 @@ proptest! {
                         ("v", AdmValue::Int(v as i64)),
                     ]);
                     p.upsert(&rec).unwrap();
+                    live.insert(k);
+                    unsealed.insert(k);
+                    logged += 1;
                 }
-                Op::Delete(k) => p.delete(&AdmValue::Int(k as i64)).unwrap(),
-                _ => {}
+                Op::Delete(k) => {
+                    p.delete(&AdmValue::Int(k as i64)).unwrap();
+                    if live.remove(&k) {
+                        unsealed.insert(k);
+                        logged += 1;
+                    }
+                }
+                Op::Flush => {
+                    let before = p.scan_all();
+                    p.recover().unwrap();
+                    prop_assert_eq!(p.scan_all(), before);
+                }
+                Op::Merge => {
+                    p.force_merge();
+                    unsealed.clear();
+                    logged = 0;
+                    prop_assert_eq!(p.wal_size_bytes(), 0);
+                }
             }
+            if unsealed.len() >= memtable_budget {
+                unsealed.clear();
+                logged = 0;
+            }
+            prop_assert_eq!(p.wal_len(), logged);
         }
         let before = p.scan_all();
         p.recover().unwrap();
