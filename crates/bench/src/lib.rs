@@ -1,31 +1,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! The experiment harness.
+//! The experiment harness: the paper's evaluation as one table
+//! ([`table::TABLE`]), one row per figure, regenerated by one binary:
 //!
-//! One binary per table/figure of the paper's evaluation regenerates the
-//! corresponding rows or series (see DESIGN.md's experiment index):
+//! ```text
+//! cargo run --release -p asterix-bench --bin exp -- [--figure <row>] [--seed <n>]
+//! ```
 //!
-//! | binary | paper artefact |
-//! |---|---|
-//! | `exp_table_5_1` | Table 5.1 — batch inserts vs data ingestion |
-//! | `exp_fig_5_13` | Fig 5.13 (+ Table 5.2) — cascade vs independent network |
-//! | `exp_fig_5_16` | Figs 5.14/5.16 — scalability with cluster size |
-//! | `exp_fig_6_5` | Fig 6.5 — throughput under interim hardware failures |
-//! | `exp_chaos_recovery` | Fig 6.5 again, driven by a seeded `FaultPlan` (replayable chaos) |
-//! | `exp_fig_7_2` | Figs 7.2/7.8 — square-wave arrival pattern |
-//! | `exp_fig_7_policies` | Figs 7.3–7.7 — ingestion policies under overload |
-//! | `exp_fig_7_9_10` | Figs 7.9/7.10 — Discard vs Throttle persisted-id pattern |
-//! | `exp_fig_7_11_12` | Figs 7.11/7.12 — Storm+MongoDB durable / non-durable |
-//! | `exp_compaction` | Compacted LSM components — bytes/record + scan speedup |
-//! | `exp_elastic` | §7.3.5 extended — closed-loop governor under a 10x ramp |
-//!
-//! Each binary prints a human-readable table plus CSV series, and writes a
-//! JSON record under `results/`. Absolute numbers are simulator-scale; the
-//! *shapes* are what reproduce the paper (see EXPERIMENTS.md).
+//! The rows: `table_5_1` (Table 5.1), `fig_5_13` (Fig 5.13 + Table 5.2),
+//! `fig_5_16` (Figs 5.14/5.16), `fig_6_5` (Fig 6.5), `chaos_recovery` (Fig
+//! 6.5 from a seeded fault plan), `fig_7_2` (Figs 7.2/7.8), `fig_7_policies`
+//! (Figs 7.3–7.7), `fig_7_9_10` (Figs 7.9/7.10), `fig_7_11_12` (Figs
+//! 7.11/7.12), `exp_compaction` (compacted components), `exp_elastic` (the
+//! governor under a 10x ramp) and `exp_fanout` (a routed three-sink plan
+//! under a seeded node kill). A row is data ([`table::Figure`]: its
+//! [`rig::Setup`]s, sweep and floors); the runner ([`table::run_figure`])
+//! prints a table and a CSV, writes `results/<row>.json` (its keys checked
+//! against the committed file) and the metrics snapshot, and checks the
+//! floors. Absolute numbers are simulator-scale; the *shapes* reproduce the
+//! paper (EXPERIMENTS.md).
 
+pub mod figures;
 pub mod report;
 pub mod rig;
-
-pub use report::{write_json, ExperimentReport};
-pub use rig::{ExperimentRig, RigOptions};
+pub mod table;

@@ -141,9 +141,9 @@ impl PartitionState {
 
     /// Store `payload` (checked binary ADM) under `key`, replacing any
     /// stored version: the memtable shares the buffer, then every secondary
-    /// gets its one field projected out of the bytes. The primary is written
-    /// before the secondaries, so an index that rejects its field (a
-    /// non-point under an R-tree) leaves the logged record readable. Never
+    /// gets its one field projected out of the bytes. The write path refuses
+    /// a record whose field a secondary rejects (a non-point under an
+    /// R-tree) before the log, so a logged record does not fail here. Never
     /// seals: the caller seals once the whole batch is applied.
     fn put(&mut self, key: AdmValue, payload: &Bytes) -> IngestResult<()> {
         self.unindex_old(&key)?;
@@ -467,6 +467,22 @@ impl DatasetPartition {
                 if accepted.is_empty() {
                     return Ok(outcome);
                 }
+            }
+            // a field a secondary would reject (a non-point under an
+            // R-tree) refuses its record here, before the log, so every
+            // logged record applies — and replays — without error
+            for idx in st.secondaries.iter().filter(|x| x.kind == IndexKind::RTree) {
+                accepted.retain(|(i, _, _)| {
+                    let indexed = decode_field_at(&payloads[*i], &idx.field).ok().flatten();
+                    let verdict = idx.accepts(indexed.as_ref());
+                    let soft = |e: IngestError| IngestError::soft(e.to_string());
+                    verdict
+                        .map_err(|e| outcome.soft.push((*i, soft(e))))
+                        .is_ok()
+                });
+            }
+            if accepted.is_empty() {
+                return Ok(outcome);
             }
             // WAL first, as one block of copied bytes: every record of the
             // batch is durable — and recoverable all-or-nothing — once this
@@ -1050,19 +1066,20 @@ mod tests {
     }
 
     #[test]
-    fn index_that_rejects_its_field_leaves_the_logged_record_readable() {
+    fn index_that_rejects_its_field_leaves_the_stored_version() {
         let p = part();
         p.add_secondary("locIdx", "location", IndexKind::RTree)
             .unwrap();
         p.insert(&rec("a", "x")).unwrap();
         let bad = AdmValue::record(vec![("id", "a".into()), ("location", "nowhere".into())]);
-        assert!(matches!(p.upsert(&bad), Err(IngestError::Type(_))));
-        // the write reached the log, so it must have reached the primary too
-        assert_eq!(p.get(&"a".into()), Some(bad.clone()));
-        assert!(p
-            .query_rect("locIdx", 0.0, 0.0, 5.0, 5.0)
-            .unwrap()
-            .is_empty());
+        assert!(p.upsert(&bad).unwrap_err().is_soft());
+        // refused before the log: neither the log nor the primary saw it
+        assert_eq!(p.get(&"a".into()), Some(rec("a", "x")));
+        assert_eq!(p.wal_len(), 1);
+        assert_eq!(
+            p.query_rect("locIdx", 0.0, 0.0, 5.0, 5.0).unwrap(),
+            vec![rec("a", "x")]
+        );
     }
 
     #[test]
@@ -1243,6 +1260,30 @@ mod tests {
         assert_eq!((before.2.len(), before.3.len()), (3, 1));
         p.recover().unwrap();
         assert_eq!(answers(&p), before);
+    }
+
+    #[test]
+    fn a_record_a_secondary_rejects_is_refused_before_the_log() {
+        let p = part();
+        p.add_secondary("locIdx", "loc", IndexKind::RTree).unwrap();
+        let at = |id: &str, loc: AdmValue| {
+            Arc::new(AdmValue::record(vec![("id", id.into()), ("loc", loc)]))
+        };
+        let out = p
+            .upsert_batch(&[
+                at("a", AdmValue::Point(1.0, 1.0)),
+                at("b", "nowhere".into()),
+                at("c", AdmValue::Point(2.0, 2.0)),
+            ])
+            .unwrap();
+        assert_eq!(out.soft.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [1]);
+        assert!(out.soft[0].1.is_soft());
+        assert_eq!(out.committed, 2);
+        // the log holds exactly what the memtable holds
+        assert_eq!((p.wal_len(), p.len()), (2, 2));
+        p.recover().unwrap();
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.query_rect("locIdx", 0.0, 0.0, 3.0, 3.0).unwrap().len(), 2);
     }
 
     #[test]

@@ -60,16 +60,35 @@ impl SecondaryIndex {
         }
     }
 
+    /// Whether [`insert`](SecondaryIndex::insert) takes this value of the
+    /// indexed field: absent, `null` and `missing` are skipped by every
+    /// kind; an R-tree index takes only points, anything else is a type
+    /// error. The write path asks before it logs a record.
+    pub fn accepts(&self, indexed: Option<&AdmValue>) -> IngestResult<()> {
+        match indexed {
+            Some(v) if self.kind == IndexKind::RTree => match v {
+                AdmValue::Null | AdmValue::Missing | AdmValue::Point(..) => Ok(()),
+                _ => Err(IngestError::Type(format!(
+                    "rtree index {} requires point values, got {}",
+                    self.name,
+                    v.type_name()
+                ))),
+            },
+            _ => Ok(()),
+        }
+    }
+
     /// Index the record under `primary_key`, given its value for the
     /// indexed field (the caller projects that one field; the index never
     /// sees the record). Records whose indexed field is absent, `null` or
-    /// `missing` are skipped (optional fields are not indexed). A non-point
-    /// value under an R-tree index is a type error.
+    /// `missing` are skipped (optional fields are not indexed); a value the
+    /// index does not [`accept`](SecondaryIndex::accepts) is a type error.
     pub fn insert(
         &mut self,
         primary_key: &AdmValue,
         indexed: Option<&AdmValue>,
     ) -> IngestResult<()> {
+        self.accepts(indexed)?;
         let field_val = match indexed {
             None | Some(AdmValue::Null) | Some(AdmValue::Missing) => return Ok(()),
             Some(v) => v,
@@ -81,13 +100,7 @@ impl SecondaryIndex {
                     .insert(KeyOrd(primary_key.clone()));
             }
             IndexImpl::RTree(tree) => {
-                let (x, y) = field_val.as_point().ok_or_else(|| {
-                    IngestError::Type(format!(
-                        "rtree index {} requires point values, got {}",
-                        self.name,
-                        field_val.type_name()
-                    ))
-                })?;
+                let (x, y) = field_val.as_point().expect("accepted above");
                 tree.insert(x, y, KeyOrd(primary_key.clone()));
             }
         }
