@@ -371,12 +371,15 @@ pub fn fig_7_2(_seed: u64) -> (Json, Option<MetricsSnapshot>) {
 
 // ---- Figs 7.3–7.7 and 7.9/7.10: policies under overload --------------------
 
-/// Figs 7.3–7.7: one compute instance (~4 000 rec/s real) between the
-/// square wave's low phase (2 000/s) and its high phase (5 000/s).
+/// Figs 7.3–7.7: one compute instance (~4 000 rec/s real) between a 2 000/s
+/// low phase and a 5 000/s high one. Elastic scales on its excess alone (no
+/// lag trigger), a pool worker per instance, until compute is back to one.
 pub fn fig_7_policies(point: Point, _seed: u64) -> Vec<Setup> {
     let wave = phases(&[(200, 30), (500, 30)], 2);
     let mut setup = chapter7(capacity(4, 100.0, 1, 250), wave, point.policy());
     setup.probes = vec![("compute", Probe::Compute(COMPUTE))];
+    (setup.workers, setup.settle_on) = (Some(12), Some((0, 1)));
+    setup.controller.governor.high_lag_millis = u64::MAX;
     vec![setup]
 }
 

@@ -192,12 +192,10 @@ pub fn run(mut setup: Setup, seed: u64, tag: &str) -> Outcome {
     };
     setup.controller.fault_plan = plan.clone();
     let clock = SimClock::with_scale(setup.time_scale);
+    let ms = SimDuration::from_millis;
     let (heartbeat, threshold) = match setup.failure_detection {
-        true => (
-            SimDuration::from_millis(250),
-            SimDuration::from_millis(1500),
-        ),
-        false => (SimDuration::from_secs(5), SimDuration::from_secs(1_000_000)),
+        true => (ms(250), ms(1_500)),
+        false => (ms(5_000), ms(1_000_000_000)),
     };
     let cfg = ClusterConfig {
         heartbeat_interval: heartbeat,

@@ -191,6 +191,12 @@ pub const TABLE: &[Figure] = &[
         shape: "Basic/Spill lose nothing (clamp in the high phase, catch up in the low one); Discard/Throttle lose the clamped-off records; Elastic loses nothing, scaling compute out in high phases and back in once low phases stay calm",
         sweep: &[Point::Policy("Basic"), Point::Policy("Spill"), Point::Policy("Discard"), Point::Policy("Throttle"), Point::Policy("Elastic")],
         drive: Drive::Rig(figures::fig_7_policies, figures::fig_7_policies_data),
+        floors: &[
+            Floor("Basic, Spill and Elastic: persisted == generated", |c| [0, 1, 4].iter().all(|&i| c.row(i).num("persisted") == c.row(i).num("generated"))),
+            Floor("Discard: discarded > 0; Throttle: throttled > 0", |c| c.row(2).num("discarded") > 0.0 && c.row(3).num("throttled") > 0.0),
+            Floor("Spill: spilled > 0 and despilled == spilled", |c| c.row(1).num("spilled") > 0.0 && c.row(1).num("despilled") == c.row(1).num("spilled")),
+            Floor("Elastic: elastic_scaleouts > 0", |c| c.row(4).num("elastic_scaleouts") > 0.0),
+        ],
         ..ROW
     },
     Figure {
@@ -322,14 +328,12 @@ pub fn run_figure(fig: &Figure, seed: u64) -> Result<(), String> {
         ));
     }
     write_result(&file, &record.pretty());
-    let (mut checked, mut failed) = (
-        Checked {
-            data,
-            prom: String::new(),
-            metrics_json: String::new(),
-        },
-        Vec::new(),
-    );
+    let mut failed = Vec::new();
+    let mut checked = Checked {
+        data,
+        prom: String::new(),
+        metrics_json: String::new(),
+    };
     if let Some(snap) = metrics {
         let name = fig.name;
         write_result(&format!("{name}.metrics.json"), &snap.to_json());
@@ -352,14 +356,9 @@ pub fn run_figure(fig: &Figure, seed: u64) -> Result<(), String> {
     for Floor(what, holds) in fig.floors {
         let ok = holds(&checked);
         println!("floor {}: {what}", if ok { "holds" } else { "FAILED" });
-        if !ok {
-            failed.push(what.to_string());
-        }
+        failed.extend((!ok).then(|| what.to_string()));
     }
-    match failed.is_empty() {
-        true => Ok(()),
-        false => Err(failed.join("; ")),
-    }
+    failed.is_empty().then_some(()).ok_or(failed.join("; "))
 }
 
 #[cfg(test)]

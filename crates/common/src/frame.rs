@@ -19,7 +19,7 @@
 //! ```
 //!
 //! One layout and one torn-tail rule for every place a frame is turned into
-//! bytes (the flow controller's spill file, the TCP transport): a decode
+//! bytes (a joint subscription's spill file, the TCP transport): a decode
 //! succeeds only when the input holds exactly the records it announces —
 //! short input, a count or length pointing past the end and trailing bytes
 //! are all typed errors, never a panic or an allocation sized by garbage.

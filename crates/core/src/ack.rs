@@ -176,10 +176,12 @@ impl AckTracker {
     /// when an intake instance dies hard: the unacked in-flight records are
     /// handed back to its joint subscription so the successor re-emits them,
     /// closing the at-least-once window for records that were sitting in
-    /// the intake's output port when the node went down (§6.2.2).
+    /// the intake's output port when the node went down (§6.2.2). Oldest
+    /// first: ids are handed out in tracking order.
     pub fn drain_pending(&self) -> Vec<Record> {
-        let mut pending = self.pending.lock();
-        pending.drain().map(|(_, p)| p.record).collect()
+        let mut pending: Vec<Record> = self.pending.lock().drain().map(|(_, p)| p.record).collect();
+        pending.sort_unstable_by_key(|r| r.id);
+        pending
     }
 
     /// Records still awaiting acks.

@@ -52,6 +52,7 @@
 use crate::adaptor::{AdaptorConfig, AdaptorFactory};
 use crate::catalog::{FeedCatalog, FeedKind};
 use crate::governor::{merge, ConnGovernor, GovernorConfig, ScaleDecision};
+use crate::joint::ExcessPolicy;
 use crate::manager::FeedManager;
 use crate::metrics::FeedMetrics;
 use crate::ops::{
@@ -994,6 +995,7 @@ impl FeedController {
     /// second operator is the kind's.
     fn spawn(&self, st: &State, seg: &Segment) -> IngestResult<JobHandle> {
         let (policy, metrics) = (seg.policy.clone(), Arc::clone(&seg.metrics));
+        let excess = ExcessPolicy::new(policy.clone(), Arc::clone(&metrics), seg.feed_id);
         let (log, log_dataset) = (Arc::clone(&self.log), self.log_dataset.lock().clone());
         let locations = seg.placement.clone();
         let intake_nodes = seg.input.as_deref().and_then(|j| st.placement_of(j));
@@ -1022,10 +1024,8 @@ impl FeedController {
                 joint_id: input.to_string(),
                 sub_key: seg.sub_key(),
                 locations: in_locations.to_vec(),
-                policy: policy.clone(),
-                metrics: Arc::clone(&metrics),
+                excess: excess.clone(),
                 ack,
-                feed: seg.feed_id,
                 // only the store-stage intake panics on schedule: killing
                 // the collect side would sever the external source for good
                 fault_plan: seg.conn().and(self.config.fault_plan.clone()),
@@ -1116,7 +1116,7 @@ impl FeedController {
             let nodes = nodes.iter().map(|n| self.cluster.node(*n));
             for (p, node) in nodes.enumerate().filter_map(|(p, n)| Some((p, n?))) {
                 let joint = FeedManager::on(&node).register_joint(input);
-                drop(joint.subscribe(format!("{}#p{p}", seg.sub_key())));
+                drop(joint.subscribe_policed(format!("{}#p{p}", seg.sub_key()), excess.clone()));
             }
         }
         Ok(handle)
@@ -1412,7 +1412,7 @@ impl FeedController {
                 }
             }
             if let Some(job) = seg.job.take() {
-                // the intake hands its deferred work back to its
+                // the intake hands its unacked records back to its
                 // subscription; what is already in flight behind it drains
                 // through the old job
                 job.hand_over();

@@ -5,9 +5,9 @@
 //! [`FeedController`](crate::controller::FeedController) does both: each
 //! tick, for every running connection whose policy sets
 //! `excess.records.elastic`, it samples the metrics registry — the
-//! ingestion-lag histogram, the frames the intakes' flow controllers hold
-//! back, and the pressure counters (records spilled, throttled, discarded,
-//! and the congestion episodes an Elastic flow controller counts in
+//! ingestion-lag histogram, the excess frames the intakes' subscriptions
+//! hold, and the pressure counters (records spilled, throttled, discarded,
+//! and the excess episodes an Elastic subscription counts in
 //! `feed.elastic_scaleouts`) — and decides whether the connection's intake
 //! and compute stages should grow, shrink or hold. Connections under any
 //! other policy are never scaled.
@@ -53,10 +53,10 @@ pub struct GovernorConfig {
     pub high_backlog_bytes: u64,
     /// Calm requires backlog at or below this many bytes.
     pub low_backlog_bytes: u64,
-    /// Scale-out when a flow controller holds back at least this many
-    /// frames (its output port is full and work waits behind it).
+    /// Scale-out when a subscription holds at least this many excess frames
+    /// (its intake's port and in-memory frames are full).
     pub high_queue_frames: u64,
-    /// Calm requires at most this many frames held back.
+    /// Calm requires at most this many excess frames.
     pub low_queue_frames: u64,
     /// Consecutive calm samples required before scaling in.
     pub scale_in_quiet_ticks: u32,
@@ -101,8 +101,8 @@ pub struct GovernorSample {
     /// In-memory excess buffer plus spill file bytes, summed over the
     /// connection's store and compute stages.
     pub backlog_bytes: u64,
-    /// Frames held back by a flow controller (backlog frames plus spill
-    /// segments), max over the connection's stages.
+    /// Excess frames a subscription holds (in memory and spilled), max over
+    /// the connection's stages.
     pub queue_frames: u64,
     /// Pressure events since the previous sample: records throttled,
     /// discarded or spilled, plus Elastic congestion episodes. Any non-zero

@@ -16,12 +16,11 @@
 //! * [`joint`] — feed joints (§5.4): the routing points that let one flow of
 //!   data feed many pipelines, with guaranteed delivery and congestion
 //!   isolation; each subscription is the one custody queue for its key,
-//!   zombie state (§6.2.2) included;
+//!   zombie state (§6.2.2) included, and the one excess queue (Ch. 7), where
+//!   the connection's policy buffers, spills, discards or throttles;
 //! * [`manager`] — the per-node Feed Manager (§5.3.1): joints and their
 //!   search API;
-//! * [`flow`] — the congestion controller (Ch. 7): where excess records are
-//!   buffered, spilled, discarded, throttled or escalated to elastic
-//!   scaling;
+//! * [`flow`] — where excess records wait (Ch. 7), in brief;
 //! * [`ops`] — the pipeline operators: FeedCollect, FeedIntake, Assign and
 //!   the store operator, each wrapped in the MetaFeed sandbox (§6.1) that
 //!   survives soft failures by frame slicing;

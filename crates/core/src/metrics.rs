@@ -46,8 +46,8 @@ pub struct FeedMetrics {
     pub soft_failures: Counter,
     /// Records replayed by the at-least-once tracker.
     pub records_replayed: Counter,
-    /// Congestion episodes an Elastic flow controller signalled: pressure
-    /// the scaling governor reads on its next tick.
+    /// Excess episodes an Elastic subscription signalled: pressure the
+    /// scaling governor reads on its next tick.
     pub elastic_scaleouts: Counter,
     /// Frames group-committed by the store stage. Together with
     /// `records_persisted` this gives the effective batch size the write
@@ -72,8 +72,8 @@ pub struct FeedMetrics {
     pub spill_bytes: Gauge,
     /// Current in-memory excess buffer size in bytes (gauge).
     pub buffer_bytes: Gauge,
-    /// Frames the intake's flow controller holds back while its output
-    /// port is full — backlog frames plus spilled segments (gauge); the
+    /// Excess frames the intake's joint subscription holds — buffered in
+    /// memory past its port's worth plus spilled segments (gauge); the
     /// congestion signal the scaling governor samples.
     pub handoff_queue_frames: Gauge,
     /// Sim-milliseconds the most recent hard-failure recovery took, from

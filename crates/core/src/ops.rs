@@ -12,10 +12,11 @@
 //!   subscriber still has frames queued, the partial frame keeps filling,
 //!   and the drain of that backlog wakes the collect to send it.
 //! * [`IntakeDesc`] — *FeedIntake*: co-located with a joint, subscribes
-//!   through the local Feed Manager's search API, and pushes frames
-//!   downstream through the policy-governed [`FlowController`], which owns
-//!   its output port. Hosts the at-least-once tracker when the policy
-//!   demands it.
+//!   through the local Feed Manager's search API under the connection's
+//!   policy — the subscription is where excess waits and the policy acts
+//!   ([`crate::joint`]) — and moves frames from it into its output port
+//!   while the port has room. Hosts the at-least-once tracker when the
+//!   policy demands it.
 //! * [`AssignDesc`] — *Assign* (the compute stage): applies the
 //!   pre-processing UDF to every record and deposits results into the
 //!   feed's output joint.
@@ -30,8 +31,7 @@
 
 use crate::ack::{AckBatch, AckSender, AckTracker};
 use crate::adaptor::{AdaptorConfig, AdaptorFactory, FeedAdaptor};
-use crate::flow::FlowController;
-use crate::joint::{JointDepositor, JointRecv, JointSubscription};
+use crate::joint::{ExcessPolicy, JointDepositor, JointRecv, JointSubscription};
 use crate::manager::FeedManager;
 use crate::metrics::FeedMetrics;
 use crate::policy::IngestionPolicy;
@@ -457,14 +457,11 @@ pub struct IntakeDesc {
     pub sub_key: String,
     /// Pinned locations — must coincide with the joint's host nodes.
     pub locations: Vec<NodeId>,
-    /// The connection's ingestion policy.
-    pub policy: IngestionPolicy,
-    /// Shared connection metrics.
-    pub metrics: Arc<FeedMetrics>,
+    /// The connection's policy, metrics and feed, which the subscription
+    /// applies to its excess.
+    pub excess: ExcessPolicy,
     /// At-least-once plumbing, when the policy enables it.
     pub ack: Option<Arc<AckPlumbing>>,
-    /// The owning feed's catalog id (error attribution).
-    pub feed: FeedId,
     /// Chaos schedule; due operator-panic events make this intake die hard
     /// (§6.2.3 runtime-exception injection).
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -486,12 +483,6 @@ impl OperatorDescriptor for IntakeDesc {
     ) -> IngestResult<OperatorRuntime> {
         let sub_key = format!("{}#p{}", self.sub_key, ctx.partition);
         output.open()?;
-        let flow = FlowController::new(
-            self.policy.clone(),
-            Arc::clone(&self.metrics),
-            output,
-            self.feed,
-        );
         let tracker = match &self.ack {
             Some(plumbing) => {
                 let rx = plumbing
@@ -513,8 +504,8 @@ impl OperatorDescriptor for IntakeDesc {
             sub_key,
             wake: ctx.waker.hook(),
             node: ctx.node.clone(),
-            metrics: Arc::clone(&self.metrics),
-            flow: Some(flow),
+            excess: self.excess.clone(),
+            output: Some(output),
             tracker,
             fault_plan: self.fault_plan.clone(),
             sub: None,
@@ -526,19 +517,20 @@ impl OperatorDescriptor for IntakeDesc {
 struct IntakeSource {
     joint_id: String,
     sub_key: String,
-    /// Fired by the joint when the subscription's queue fills or the joint
-    /// retires.
+    /// Fired by the joint when the subscription's queue fills, the policy
+    /// ends the feed or the joint retires.
     wake: WakeHook,
     node: NodeHandle,
-    metrics: Arc<FeedMetrics>,
-    flow: Option<FlowController>,
+    excess: ExcessPolicy,
+    /// The intake's port; `None` once closed or broken.
+    output: Option<Box<dyn FrameWriter>>,
     tracker: Option<AckTracker>,
     fault_plan: Option<Arc<FaultPlan>>,
     /// Created by the first poll; kept for the intake's lifetime, so a
     /// dying intake hands its frames back to the queue it consumed from.
     sub: Option<JointSubscription>,
-    /// The stream has ended (graceful stop or retired joint): polls only
-    /// drain what the flow controller deferred, then close.
+    /// The intake left the joint gracefully: it delivers what its
+    /// subscription still holds, then closes.
     ending: bool,
 }
 
@@ -546,30 +538,42 @@ struct IntakeSource {
 const INTAKE_FRAMES_PER_SLICE: usize = 8;
 
 impl IntakeSource {
-    /// Hand what this intake took but did not finish back to the head of
-    /// its subscription, marked, for its successor (§6.2.2's zombie state):
-    /// the flow controller's deferred frames, then the tracker's unacked
-    /// records — they were in the output port or in flight toward the
-    /// store, and without them at-least-once would only hold for records
-    /// the flow controller still had by value. The output writer closes
-    /// behind what it already holds.
+    /// Hand the tracker's unacked records back to the head of the
+    /// subscription, marked, for this intake's successor (§6.2.2's zombie
+    /// state): they were in the output port or in flight toward the store.
+    /// The port closes behind what it already holds.
     fn hand_back(&mut self) {
-        let Some(flow) = self.flow.take() else {
-            return;
-        };
-        let mut frames = flow.fail();
-        if let Some(t) = &self.tracker {
+        if let (Some(t), Some(sub)) = (&self.tracker, &self.sub) {
             let pending = t.drain_pending();
             if !pending.is_empty() {
-                frames.push(DataFrame::from_records(pending));
+                sub.hand_back(vec![DataFrame::from_records(pending)]);
             }
         }
-        if let Some(sub) = &self.sub {
-            sub.hand_back(frames);
-        }
+        let _ = self.close();
     }
 
-    /// Fire any due injected operator panic (§6.2.3): hand deferred state
+    /// Close the port behind what it holds: the stream ends cleanly.
+    fn close(&mut self) -> IngestResult<()> {
+        self.output
+            .take()
+            .map_or(Ok(()), |mut output| output.close())
+    }
+
+    /// Push one frame into the port, saturated or not. A port error fails
+    /// the port and ends the flow.
+    fn send(&mut self, frame: DataFrame) -> IngestResult<()> {
+        let Some(output) = self.output.as_mut() else {
+            return Err(IngestError::Disconnected("pipeline gone".into()));
+        };
+        let sent = output.next_frame(frame);
+        if sent.is_err() {
+            output.fail();
+            self.output = None;
+        }
+        sent
+    }
+
+    /// Fire any due injected operator panic (§6.2.3): hand unacked records
     /// back exactly like a real runtime exception unwinding this operator,
     /// then surface a hard error so the job sees the instance die.
     fn chaos_panic_due(&self) -> bool {
@@ -597,21 +601,26 @@ impl IntakeSource {
             None => return Ok(()),
         };
         if !due.is_empty() {
-            self.metrics.records_replayed.add(due.len() as u64);
-            let flow = self.flow.as_mut().expect("flow active");
-            flow.offer(DataFrame::from_records(due))?;
+            self.excess.metrics.records_replayed.add(due.len() as u64);
+            self.send(DataFrame::from_records(due))?;
         }
         Ok(())
     }
 }
 
+impl Drop for IntakeSource {
+    fn drop(&mut self) {
+        // what reached the port is delivered and the stream ends cleanly
+        let _ = self.close();
+    }
+}
+
 impl SourceOperator for IntakeSource {
-    /// One scheduler slice of intake work: pull a bounded batch of frames
-    /// off the joint subscription and offer them to the flow controller
-    /// (which owns the output writer) — an idle intake costs a queued task,
-    /// not a blocked OS thread.
+    /// One scheduler slice of intake work: move a bounded batch of frames
+    /// off the joint subscription into the port while the port has room —
+    /// an idle intake costs a queued task, not a blocked OS thread.
     fn poll(&mut self, stop: &StopToken) -> IngestResult<SourcePoll> {
-        if self.sub.is_none() && !self.ending {
+        if self.sub.is_none() {
             let fm = FeedManager::on(&self.node);
             let joint = fm.search_joint(&self.joint_id).ok_or_else(|| {
                 IngestError::Plan(format!(
@@ -620,38 +629,29 @@ impl SourceOperator for IntakeSource {
                     self.node.id()
                 ))
             })?;
-            self.sub = Some(joint.subscribe_waking(self.sub_key.clone(), self.wake.clone()));
+            let (key, wake) = (self.sub_key.clone(), self.wake.clone());
+            self.sub = Some(joint.subscribe_waking(key, wake, self.excess.clone()));
         }
         if !self.node.is_alive() {
             // hard failure of this node: vanish (state on this node is
             // lost with the node)
-            self.flow = None;
             return Err(IngestError::NodeFailed(self.node.id()));
         }
         match stop.mode() {
             StopMode::Running => {}
-            StopMode::Graceful => {
-                // graceful disconnect: leave the joint, drain and close
-                if let Some(sub) = self.sub.take() {
-                    sub.unsubscribe();
-                }
+            StopMode::Graceful if !self.ending => {
+                // graceful disconnect: leave the joint, deliver what the
+                // subscription holds, then close
+                self.sub.as_ref().expect("subscribed above").leave();
                 self.ending = true;
             }
+            StopMode::Graceful => {}
             StopMode::Abandon => {
-                // pipeline rebuild: hand deferred work back and exit
+                // pipeline rebuild: hand unacked records back and exit
                 // while the subscription keeps buffering for the successor
                 self.hand_back();
                 return Ok(SourcePoll::Done);
             }
-        }
-        if self.ending {
-            // a port's worth of deferred work per poll, never the whole
-            // spill at once; idle while the port is full
-            let flow = self.flow.as_mut().expect("flow active");
-            return Ok(match flow.finish()? {
-                true => SourcePoll::Done,
-                false => SourcePoll::Idle(None),
-            });
         }
         if self.chaos_panic_due() {
             self.hand_back();
@@ -659,65 +659,51 @@ impl SourceOperator for IntakeSource {
                 "chaos: injected operator panic".into(),
             ));
         }
-        // back at once only while frames may be left; a slice that empties
-        // the queue parks, and the next deposit wakes it
-        let mut drained = false;
         for _ in 0..INTAKE_FRAMES_PER_SLICE {
-            let recv = self.sub.as_ref().expect("subscribed above").try_recv();
-            let frame = match recv {
+            // the executor holds the task back until the port drains
+            if self.output.as_ref().is_some_and(|o| o.is_saturated()) {
+                return Ok(SourcePoll::Produced);
+            }
+            let frame = match self.sub.as_ref().expect("subscribed above").try_recv() {
                 Some(JointRecv::Frame(frame)) => {
-                    self.metrics.records_in.add(frame.len() as u64);
+                    self.excess.metrics.records_in.add(frame.len() as u64);
                     frame
                 }
                 // a predecessor counted these records in already
                 Some(JointRecv::HandedBack(frame)) => {
-                    self.metrics.zombie_frames_adopted.add(1);
+                    self.excess.metrics.zombie_frames_adopted.add(1);
                     frame
                 }
-                Some(JointRecv::Retired) => {
-                    // nothing more will arrive: drain and close from the
-                    // next poll on
-                    self.ending = true;
-                    return Ok(SourcePoll::Produced);
-                }
-                None => {
-                    drained = true;
-                    break;
-                }
-            };
-            let frame = self.track_frame(frame);
-            let flow = self.flow.as_mut().expect("flow active");
-            match flow.offer(frame) {
-                Ok(()) => {}
-                Err(e @ IngestError::FeedTerminated { .. }) => {
-                    if let Some(sub) = self.sub.take() {
-                        sub.unsubscribe();
-                    }
-                    self.flow = None;
+                Some(JointRecv::Failed(e @ IngestError::FeedTerminated { .. })) => {
+                    self.sub.take().expect("subscribed above").unsubscribe();
                     return Err(e);
                 }
-                Err(e) => {
-                    // downstream died: hand state back, keep the
-                    // subscription buffering for the rebuild
+                Some(JointRecv::Failed(e)) => {
                     self.hand_back();
                     return Err(e);
                 }
+                // the stream ended, and the queue is empty
+                Some(JointRecv::Retired) => return self.close().map(|()| SourcePoll::Done),
+                None if self.ending => return self.close().map(|()| SourcePoll::Done),
+                // the queue is empty: housekeeping, then park until the
+                // next deposit wakes this task
+                None => {
+                    if let Err(e) = self.handle_acks_and_replays() {
+                        self.hand_back();
+                        return Err(e);
+                    }
+                    return Ok(SourcePoll::Idle(None));
+                }
+            };
+            let frame = self.track_frame(frame);
+            if let Err(e) = self.send(frame) {
+                // downstream died: hand state back, keep the subscription
+                // buffering for the rebuild
+                self.hand_back();
+                return Err(e);
             }
         }
-        if !drained {
-            return Ok(SourcePoll::Produced);
-        }
-        // the queue is empty: housekeeping
-        let flow = self.flow.as_mut().expect("flow active");
-        if let Err(e) = flow.drain_deferred() {
-            self.hand_back();
-            return Err(e);
-        }
-        if let Err(e) = self.handle_acks_and_replays() {
-            self.hand_back();
-            return Err(e);
-        }
-        Ok(SourcePoll::Idle(None))
+        Ok(SourcePoll::Produced)
     }
 }
 
@@ -1105,6 +1091,10 @@ impl UnaryOperator for StoreFeed {
     }
 
     fn fail(&mut self) {}
+
+    fn is_saturated(&self) -> bool {
+        self.partition.writes_held()
+    }
 }
 
 /// The hash-partitioning key function for the store connector: hash of the

@@ -16,7 +16,7 @@
 //! `excess.records.elastic` is the one switch for scaling: the controller's
 //! scaling governor ([`crate::governor`]) steers exactly the connections
 //! whose policy sets it, out under congestion and back in when calm, while
-//! the flow controller buffers their excess. No other policy is scaled.
+//! their joint subscriptions buffer the excess. No other policy is scaled.
 //!
 //! Custom policies extend a built-in and override parameters (Listing 4.6's
 //! `Spill_then_Throttle`).

@@ -453,13 +453,14 @@ fn store_node_failure_suspends_then_resumes_on_rejoin() {
 
 #[test]
 fn kill_node_while_congested_recovers_without_loss() {
-    // the hard case: a store node dies while the flow controller is holding
-    // deferred work. Under FaultTolerant nothing may be lost — the handed-back
-    // frames and the unacked tracker records must survive the rebuild — and
-    // the connection must walk Active -> Suspended -> Active.
+    // the hard case: a store node dies while the intake's subscription holds
+    // excess. Under FaultTolerant nothing may be lost — the queued frames and
+    // the unacked tracker records must survive the rebuild — and the
+    // connection must walk Active -> Suspended -> Active.
     let rig = TestRig::start_faulty(3, ControllerConfig::default());
-    let gen = rig.tweetgen("e2e-chaos:9000", 0, 400, 6); // 2400-tweet budget
-                                                         // a slow store keeps the flow controller congested when the kill lands
+    // a 2400-tweet budget; a slow store keeps the intake congested when the
+    // kill lands
+    let gen = rig.tweetgen("e2e-chaos:9000", 0, 400, 6);
     let nodegroup: Vec<NodeId> = rig.cluster.alive_nodes().iter().map(|n| n.id()).collect();
     let dataset = Arc::new(
         Dataset::create_with(

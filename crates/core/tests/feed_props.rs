@@ -1,8 +1,9 @@
 //! Property tests over the feed machinery's core invariants:
 //!
-//! * **Record conservation** — under any policy and congestion pattern,
-//!   every offered record is accounted for: delivered + discarded +
-//!   throttled + still deferred = offered;
+//! * **Record conservation** — under any policy and congestion pattern, a
+//!   joint subscription accounts for every record deposited into it:
+//!   delivered + discarded + throttled + still held (memory and spill) =
+//!   offered, and what is delivered and held comes out in order;
 //! * **Guaranteed delivery** — a feed joint delivers every deposited frame
 //!   to every subscriber that stays subscribed, in order, under arbitrary
 //!   interleavings of subscribe/unsubscribe;
@@ -10,11 +11,9 @@
 //!   parameter state.
 
 use asterix_common::{DataFrame, FeedId, Record, RecordId, SimClock};
-use asterix_feeds::flow::FlowController;
-use asterix_feeds::joint::{FeedJoint, JointRecv};
+use asterix_feeds::joint::{ExcessPolicy, FeedJoint, JointRecv};
 use asterix_feeds::metrics::FeedMetrics;
 use asterix_feeds::policy::IngestionPolicy;
-use asterix_hyracks::operator::ScriptedSink;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -28,16 +27,14 @@ fn frame(start: u64, len: usize) -> DataFrame {
 
 #[derive(Debug, Clone)]
 enum Step {
-    Offer(u8),  // offer a frame of 1..=32 records
-    Budget(u8), // let the consumer take up to n more frames
-    Drain,      // opportunistic drain of deferred work
+    Offer(u8), // deposit a frame of 1..=32 records
+    Take(u8),  // the consumer takes up to n frames
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
-        3 => (1u8..32).prop_map(Step::Offer),
-        2 => (1u8..8).prop_map(Step::Budget),
-        1 => Just(Step::Drain),
+        4 => (1u8..32).prop_map(Step::Offer),
+        1 => (1u8..4).prop_map(Step::Take),
     ]
 }
 
@@ -54,66 +51,48 @@ fn policy_strategy() -> impl Strategy<Value = IngestionPolicy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// offered = delivered + discarded + throttled + deferred, exactly,
-    /// whether the flow finishes or a blown budget terminates it — and what
-    /// is delivered arrives in order.
+    /// offered = delivered + discarded + throttled + held, exactly, at a
+    /// subscription under any of the five policies; the ids delivered and
+    /// then the ids still held (memory, then spill) are in offer order.
     #[test]
-    fn flow_controller_conserves_records(
+    fn subscription_conserves_records(
         policy in policy_strategy(),
-        steps in prop::collection::vec(step_strategy(), 1..60),
+        steps in prop::collection::vec(step_strategy(), 1..300),
     ) {
-        let sink = ScriptedSink::new(2);
         let metrics = FeedMetrics::with_default_bucket(SimClock::fast());
-        let mut fc = FlowController::new(
-            policy,
-            Arc::clone(&metrics),
-            Box::new(sink.clone()),
-            FeedId(1),
-        );
-        let accounted = |deferred: u64| {
-            sink.records().len() as u64
-                + metrics.records_discarded.get()
-                + metrics.records_throttled.get()
-                + deferred
-        };
+        let joint = FeedJoint::new("prop");
+        let excess = ExcessPolicy::new(policy, Arc::clone(&metrics), FeedId(1));
+        let sub = joint.subscribe_policed("p#p0", excess);
+        let mut ids = Vec::new();
         let mut offered = 0u64;
-        let mut next_id = 0u64;
         for step in steps {
             match step {
                 Step::Offer(n) => {
-                    let f = frame(next_id, n as usize);
-                    next_id += n as u64;
+                    joint.deposit(frame(offered, n as usize)).unwrap();
                     offered += n as u64;
-                    match fc.offer(f) {
-                        Ok(()) => {}
-                        Err(asterix_common::IngestError::FeedTerminated { .. }) => {
-                            // Basic with a blown budget: the terminating
-                            // frame was not admitted, and everything before
-                            // it is delivered, dropped or still deferred
-                            offered -= n as u64;
-                            let deferred: u64 =
-                                fc.take_deferred().iter().map(|f| f.len() as u64).sum();
-                            prop_assert_eq!(accounted(deferred), offered);
-                            return Ok(());
-                        }
-                        Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
-                    }
                 }
-                Step::Budget(n) => sink.drain(n as usize),
-                Step::Drain => {
-                    fc.drain_deferred().unwrap();
+                Step::Take(n) => {
+                    for _ in 0..n {
+                        match sub.try_recv() {
+                            Some(JointRecv::Frame(f)) => {
+                                ids.extend(f.records().iter().map(|r| r.id.raw()))
+                            }
+                            None => break,
+                            other => return Err(TestCaseError::fail(format!("{other:?}"))),
+                        }
+                    }
                 }
             }
         }
-        // the consumer catches up and the flow finishes: nothing is left
-        // deferred
-        while !fc.finish().unwrap() {
-            sink.drain(usize::MAX);
-        }
-        prop_assert!(sink.is_closed());
-        let ids: Vec<u64> = sink.records().iter().map(|r| r.id.raw()).collect();
-        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "delivery order: {:?}", ids);
-        prop_assert_eq!(accounted(0), offered);
+        let delivered = ids.len() as u64;
+        let held = joint.detach_queued("p#p0");
+        ids.extend(held.iter().flat_map(|h| h.frame.records().iter().map(|r| r.id.raw())));
+        let held = ids.len() as u64 - delivered;
+        prop_assert_eq!(
+            delivered + metrics.records_discarded.get() + metrics.records_throttled.get() + held,
+            offered
+        );
+        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "order: {:?}", ids);
     }
 
     /// Every subscriber of a joint receives exactly the frames deposited

@@ -186,7 +186,7 @@ fn governor_scales_out_under_load_and_back_in_when_calm() {
     rig.stop();
 }
 
-/// An Elastic flow controller reports congestion by bumping
+/// An Elastic subscription reports its excess by bumping
 /// `feed.elastic_scaleouts` under its stage's scope; for a compute stage
 /// that is the joint id, not a connection key. The governor samples every
 /// scope of the connection's chain, so one bump on the compute scope is the
@@ -212,7 +212,7 @@ fn pressure_on_a_compute_scope_reaches_the_next_tick() {
             ..ControllerConfig::default()
         },
     );
-    // a trickle: no port fills, so the flow controllers signal nothing
+    // a trickle: no port fills, so the subscriptions signal nothing
     let gen = rig.tweetgen("gov-vote:9000", 0, 10, 10_000);
     let dataset = rig.dataset("Tweets");
     rig.catalog.create_function(Udf::add_hash_tags()).unwrap();

@@ -4,16 +4,24 @@
 //! that does not drain, proves the worker is free by running another job
 //! to completion, then lets the consumer drain and checks that every record
 //! arrives once and in order — across an intake's death and respawn too.
+//! And the source itself is held back only by a policy that buffers its
+//! excess: under Spill, Discard and Throttle a stalled consumer never
+//! blocks the sender of a socket feed.
 
 use asterix_common::sync::Mutex;
 use asterix_common::{
-    DataFrame, FaultEvent, FaultKind, FaultPlan, FeedId, IngestResult, NodeId, Record, RecordId,
-    SimClock, SimDuration,
+    Counter, DataFrame, FaultEvent, FaultKind, FaultPlan, FeedId, IngestResult, NodeId, Record,
+    RecordId, SimClock, SimDuration,
 };
-use asterix_feeds::joint::{JointRecv, JointSubscription};
+use asterix_feeds::adaptor::{bind_socket, unbind_socket, SocketAdaptorFactory};
+use asterix_feeds::joint::{
+    ExcessPolicy, FeedJoint, JointRecv, JointSubscription, IN_MEMORY_FRAMES, SUBSCRIBER_QUEUE_CAP,
+};
 use asterix_feeds::manager::FeedManager;
 use asterix_feeds::metrics::FeedMetrics;
-use asterix_feeds::ops::{new_soft_failure_log, AssignDesc, IntakeDesc};
+use asterix_feeds::ops::{
+    ack_channels, new_soft_failure_log, AssignDesc, CollectDesc, IntakeDesc, NullSinkDesc,
+};
 use asterix_feeds::policy::IngestionPolicy;
 use asterix_feeds::udf::Udf;
 use asterix_hyracks::cluster::{Cluster, ClusterConfig};
@@ -21,7 +29,7 @@ use asterix_hyracks::connector::ConnectorSpec;
 use asterix_hyracks::executor::{run_job, TaskContext, MSGS_PER_SLICE};
 use asterix_hyracks::job::{Constraint, JobSpec, OperatorDescriptor};
 use asterix_hyracks::operator::{FrameWriter, OperatorRuntime, UnaryOperator, VecSource};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -183,13 +191,25 @@ impl OperatorDescriptor for GateDesc {
     }
 }
 
+/// `policy` for the feed `FeedId(1)`, counting into `m`.
+fn excess(policy: IngestionPolicy, m: &Arc<FeedMetrics>) -> ExcessPolicy {
+    ExcessPolicy::new(policy, Arc::clone(m), FeedId(1))
+}
+
 /// Queue `n` ten-record frames, ids from 0, in the joint `In` on the one
-/// node, for the subscription `spill#p0` — created first, so the whole
-/// stream is waiting in the joint when the intake first polls.
-fn stream_waiting_in_joint(cluster: &Cluster, n: u64) {
+/// node, for the subscription `spill#p0` under Spill — made first, so the
+/// whole stream has met the policy when the intake first polls: the first
+/// [`IN_MEMORY_FRAMES`] wait in memory, the rest are spilled.
+fn stream_waiting_in_joint(cluster: &Cluster, n: u64, m: &Arc<FeedMetrics>) -> Arc<FeedJoint> {
     let joint = FeedManager::on(&cluster.nodes()[0]).register_joint("In");
-    drop(joint.subscribe("spill#p0"));
-    for i in 0..n {
+    drop(joint.subscribe_policed("spill#p0", excess(IngestionPolicy::spill(), m)));
+    deposit_frames(&joint, 0..n);
+    joint
+}
+
+/// Deposit the ten-record frames numbered `frames`: ids `10 * i ..`.
+fn deposit_frames(joint: &FeedJoint, frames: std::ops::Range<u64>) {
+    for i in frames {
         let ids = i * 10..i * 10 + 10;
         let records = ids
             .map(|id| Record::tracked(RecordId(id), 0, "x"))
@@ -198,13 +218,14 @@ fn stream_waiting_in_joint(cluster: &Cluster, n: u64) {
     }
 }
 
-/// A Spill intake on `spill#p0` feeding `gate` through a 4-frame port: its
-/// first slice pulls 8 frames, and 4 are excess.
+/// A Spill intake on `spill#p0` feeding `gate` through a 4-frame port,
+/// at-least-once when `ack` is given.
 fn spill_intake_job(
     node: NodeId,
     m: &Arc<FeedMetrics>,
     gate: &Gate,
     fault_plan: Option<Arc<FaultPlan>>,
+    ack: Option<Arc<asterix_feeds::ops::AckPlumbing>>,
 ) -> JobSpec {
     let mut job = JobSpec::new("spill-intake");
     job.queue_capacity = 4;
@@ -212,10 +233,8 @@ fn spill_intake_job(
         joint_id: "In".into(),
         sub_key: "spill".into(),
         locations: vec![node],
-        policy: IngestionPolicy::spill(),
-        metrics: Arc::clone(m),
-        ack: None,
-        feed: FeedId(1),
+        excess: excess(IngestionPolicy::spill(), m),
+        ack,
         fault_plan,
     }));
     let consumer = job.add_operator(Box::new(GateDesc(gate.clone(), node)));
@@ -232,47 +251,79 @@ fn wait_taken(gate: &Gate, n: usize) {
     }
 }
 
-#[test]
-fn spill_intake_defers_without_parking_the_worker() {
-    let (cluster, node) = one_worker_node();
-    let n = 100u64;
-    stream_waiting_in_joint(&cluster, n);
-    let m = metrics();
-    let gate = Gate::default();
-    let handle = run_job(&cluster, spill_intake_job(node, &m, &gate, None)).unwrap();
-
+/// Wait until `m` says the intake has taken `n` records.
+fn wait_records_in(m: &FeedMetrics, n: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
-    while m.records_spilled.get() == 0 || m.handoff_queue_frames.get() == 0 {
-        assert!(Instant::now() < deadline, "nothing spilled and held back");
+    while m.records_in.get() < n {
+        assert!(Instant::now() < deadline, "took {}", m.records_in.get());
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert!(gate.ids.lock().is_empty(), "the consumer took nothing");
-    another_job_completes(&cluster, node);
+}
 
-    // the consumer drains: spill first, then the joint, each record once
+/// A Spill subscription whose consumer's port is full spills what arrives
+/// and holds nothing back, without parking the worker; once the consumer
+/// drains, memory comes first, then the spill, each record once and in
+/// order.
+#[test]
+fn spill_subscription_spills_without_parking_the_worker() {
+    let (cluster, node) = one_worker_node();
+    let (n, more) = (100u64, 10u64);
+    let m = metrics();
+    let joint = stream_waiting_in_joint(&cluster, n, &m);
+    let spilled = (n - IN_MEMORY_FRAMES as u64) * 10;
+    assert_eq!(m.records_spilled.get(), spilled);
+    let gate = Gate::default();
+    let handle = run_job(&cluster, spill_intake_job(node, &m, &gate, None, None)).unwrap();
+    // the intake fills its 4-frame port and stops pulling
+    wait_records_in(&m, 40);
+    another_job_completes(&cluster, node);
+    assert_eq!(
+        m.records_in.get(),
+        40,
+        "it pulls only while the port has room"
+    );
+    assert!(gate.ids.lock().is_empty(), "the consumer took nothing");
+    // arrivals while the spill is non-empty go behind it, at once
+    deposit_frames(&joint, n..n + more);
+    assert_eq!(m.records_spilled.get(), spilled + more * 10);
+    assert_eq!(
+        m.handoff_queue_frames.get(),
+        n + more - IN_MEMORY_FRAMES as u64
+    );
+    assert_eq!(
+        joint.headroom(),
+        SUBSCRIBER_QUEUE_CAP,
+        "a Spill queue holds no depositor"
+    );
+
+    // the consumer drains: memory, then the spill, each record once
     gate.open.store(true, Ordering::SeqCst);
-    wait_taken(&gate, (n * 10) as usize);
+    wait_taken(&gate, ((n + more) * 10) as usize);
     handle.stop_sources();
     handle.wait_ok().unwrap();
     assert!(
-        gate.ids.lock().iter().copied().eq(0..n * 10),
+        gate.ids.lock().iter().copied().eq(0..(n + more) * 10),
         "every record once, in order"
     );
-    assert!(m.records_spilled.get() > 0);
     assert_eq!(m.records_despilled.get(), m.records_spilled.get());
+    assert_eq!(m.handoff_queue_frames.get(), 0);
     cluster.shutdown();
 }
 
-/// An intake that dies of an injected operator panic hands the frames it
-/// deferred back to the head of its own subscription. Its respawned
-/// successor takes them first — counted as adopted zombie frames, not a
-/// second time as arrivals — and then the rest of the stream.
+/// An at-least-once Spill intake that dies of an injected operator panic
+/// hands the records its tracker still waits on back to the head of its
+/// own subscription, and the spill outlives it there. Its respawned
+/// successor takes the handed-back frame first — counted as an adopted
+/// zombie frame, not a second time as arrivals — then the memory, then the
+/// spill.
 #[test]
 fn respawned_intake_takes_the_handed_back_frames_first() {
     let (cluster, node) = one_worker_node();
     let n = 100u64;
-    stream_waiting_in_joint(&cluster, n);
     let m = metrics();
+    stream_waiting_in_joint(&cluster, n, &m);
+    let spilled = m.records_spilled.get();
+    assert!(spilled > 0);
     let plan = Arc::new(FaultPlan::from_events(
         1,
         vec![FaultEvent {
@@ -280,16 +331,21 @@ fn respawned_intake_takes_the_handed_back_frames_first() {
             kind: FaultKind::OperatorPanic,
         }],
     ));
+    // no ack ever comes back and none is replayed: the gate is no store
+    let never = SimDuration::from_secs(1_000_000);
+    let (plumbing, _store_side) = ack_channels(1, never, never);
 
-    // the first incarnation spills its excess behind a shut gate...
+    // the first incarnation fills its port behind a shut gate...
     let first = Gate::default();
-    let job = spill_intake_job(node, &m, &first, Some(Arc::clone(&plan)));
+    let job = spill_intake_job(
+        node,
+        &m,
+        &first,
+        Some(Arc::clone(&plan)),
+        Some(Arc::clone(&plumbing)),
+    );
     let handle = run_job(&cluster, job).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while m.records_spilled.get() == 0 || m.handoff_queue_frames.get() == 0 {
-        assert!(Instant::now() < deadline, "nothing spilled and held back");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_records_in(&m, 40);
     // ...and dies at its next poll, which comes once the port drains
     plan.tick_records(1);
     first.open.store(true, Ordering::SeqCst);
@@ -298,32 +354,190 @@ fn respawned_intake_takes_the_handed_back_frames_first() {
         results.iter().any(|(_, r)| r.is_err()),
         "the injected panic fails the job"
     );
-    let delivered = first.ids.lock().len();
-    assert!(delivered > 0, "what reached the port was delivered");
-    // it died before de-spilling anything: every spilled frame went back
+    let delivered: Vec<u64> = first.ids.lock().clone();
+    assert!(!delivered.is_empty(), "what reached the port was delivered");
+    assert!(delivered.iter().copied().eq(0..delivered.len() as u64));
+    // it died before de-spilling anything: the spill waits for the successor
     assert_eq!(m.records_despilled.get(), 0);
-    let handed_back = m.records_spilled.get() / 10;
+    assert_eq!(m.records_spilled.get(), spilled);
 
-    // the successor drains the subscription: handed-back frames first
+    // the successor drains the subscription: the handed-back frame first
     let second = Gate::default();
     second.open.store(true, Ordering::SeqCst);
-    let handle = run_job(&cluster, spill_intake_job(node, &m, &second, None)).unwrap();
-    wait_taken(&second, (n * 10) as usize - delivered);
+    let handle = run_job(
+        &cluster,
+        spill_intake_job(node, &m, &second, None, Some(plumbing)),
+    )
+    .unwrap();
+    wait_taken(&second, (n * 10) as usize);
     handle.stop_sources();
     handle.wait_ok().unwrap();
-    let ids: Vec<u64> = (first.ids.lock().iter())
-        .chain(second.ids.lock().iter())
-        .copied()
-        .collect();
+    let ids = second.ids.lock().clone();
+    // nothing was acked, so every record the first incarnation sent is
+    // re-sent — at least once — and then the stream goes on in order
     assert!(
         ids.iter().copied().eq(0..n * 10),
-        "every record once, in order"
+        "unacked records first, then memory, then the spill: {:?}",
+        &ids[..ids.len().min(60)]
     );
-    assert_eq!(m.zombie_frames_adopted.get(), handed_back);
+    assert_eq!(m.zombie_frames_adopted.get(), 1, "one frame handed back");
     assert_eq!(
         m.records_in.get(),
         n * 10,
         "handed-back records counted once"
     );
+    assert_eq!(m.records_despilled.get(), spilled);
     cluster.shutdown();
+}
+
+/// A socket feed into a one-worker pipeline whose consumer never drains:
+/// `lines` lines sent through a 256-line socket, and whether the sender
+/// got them all out; the subscription's metrics and what the consumer got
+/// once it opened.
+fn stalled_consumer_run(policy: IngestionPolicy, addr: &str, lines: u64) -> StalledRun {
+    let (cluster, node) = one_worker_node();
+    let m = metrics();
+    let joint = FeedManager::on(&cluster.nodes()[0]).register_joint("Lines");
+    // subscribe on the intake's behalf first, as the controller does
+    drop(joint.subscribe_policed("stalled#p0", excess(policy.clone(), &m)));
+    let tx = bind_socket(addr, 256).unwrap();
+    let mut collect = JobSpec::new("collect");
+    let source = collect.add_operator(Box::new(CollectDesc {
+        joint_id: "Lines".into(),
+        factory: Arc::new(SocketAdaptorFactory),
+        config: [("sockets".to_string(), addr.to_string())].into(),
+        locations: vec![node],
+        malformed_lines: Counter::new(),
+    }));
+    let sink = collect.add_operator(Box::new(NullSinkDesc {
+        locations: vec![node],
+    }));
+    collect.connect(source, sink, ConnectorSpec::OneToOne);
+    let collect = run_job(&cluster, collect).unwrap();
+    let gate = Gate::default();
+    let mut store = JobSpec::new("stalled-store");
+    let intake = store.add_operator(Box::new(IntakeDesc {
+        joint_id: "Lines".into(),
+        sub_key: "stalled".into(),
+        locations: vec![node],
+        excess: excess(policy, &m),
+        ack: None,
+        fault_plan: None,
+    }));
+    let consumer = store.add_operator(Box::new(GateDesc(gate.clone(), node)));
+    store.connect(intake, consumer, ConnectorSpec::OneToOne);
+    let store = run_job(&cluster, store).unwrap();
+
+    let sent = Arc::new(AtomicU64::new(0));
+    let sender = {
+        let (tx, sent) = (tx.clone(), Arc::clone(&sent));
+        std::thread::spawn(move || {
+            for i in 0..lines {
+                tx.send(format!("{{\"id\": {i}}}")).unwrap();
+                sent.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    // the sender finishes, or stops making progress against a full socket
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut last = (0, Instant::now());
+    let all_sent = loop {
+        let now = sent.load(Ordering::SeqCst);
+        if now == lines {
+            break true;
+        }
+        if now != last.0 {
+            last = (now, Instant::now());
+        } else if last.1.elapsed() > Duration::from_millis(500) && tx.len() == 256 {
+            break false;
+        }
+        assert!(Instant::now() < deadline, "sent {now} of {lines}");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(gate.ids.lock().is_empty(), "the consumer took nothing");
+    another_job_completes(&cluster, node);
+    let held_frames = joint.backlog();
+
+    // the consumer opens: what the policy kept arrives, the sender finishes
+    gate.open.store(true, Ordering::SeqCst);
+    sender.join().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let accounted =
+        || gate.ids.lock().len() as u64 + m.records_discarded.get() + m.records_throttled.get();
+    while accounted() < lines {
+        assert!(
+            Instant::now() < deadline,
+            "{} of {lines} accounted",
+            accounted()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    collect.stop_sources();
+    collect.wait_ok().unwrap();
+    store.stop_sources();
+    store.wait_ok().unwrap();
+    cluster.shutdown();
+    unbind_socket(addr);
+    let delivered = gate.ids.lock().len() as u64;
+    StalledRun {
+        all_sent,
+        held_frames,
+        delivered,
+        m,
+    }
+}
+
+struct StalledRun {
+    /// The sender got every line out while the consumer was stalled.
+    all_sent: bool,
+    /// Frames the subscription held at that point.
+    held_frames: usize,
+    /// Records the consumer got in the end.
+    delivered: u64,
+    m: Arc<FeedMetrics>,
+}
+
+/// Only a policy that buffers its excess back-pressures a source: under
+/// Spill, Discard and Throttle a consumer that stops never blocks the
+/// socket's sender, and under Basic and Elastic it holds the sender once
+/// the subscription reaches its bound.
+#[test]
+fn a_stalled_consumer_blocks_the_sender_only_under_basic_and_elastic() {
+    // more than a full subscription, its port and the socket hold
+    let lines = 80_000u64;
+    let spill = stalled_consumer_run(IngestionPolicy::spill(), "one-worker-spill:1", lines);
+    assert!(spill.all_sent, "Spill blocked the sender");
+    assert!(spill.m.records_spilled.get() > 0);
+    assert_eq!(
+        spill.m.records_despilled.get(),
+        spill.m.records_spilled.get()
+    );
+    assert_eq!(spill.delivered, lines, "Spill loses nothing");
+
+    let discard = stalled_consumer_run(IngestionPolicy::discard(), "one-worker-discard:1", lines);
+    assert!(discard.all_sent, "Discard blocked the sender");
+    assert!(discard.m.records_discarded.get() > 0);
+    assert!(discard.held_frames <= IN_MEMORY_FRAMES);
+
+    let throttle =
+        stalled_consumer_run(IngestionPolicy::throttle(), "one-worker-throttle:1", lines);
+    assert!(throttle.all_sent, "Throttle blocked the sender");
+    assert!(throttle.m.records_throttled.get() > 0);
+    assert!(throttle.held_frames <= SUBSCRIBER_QUEUE_CAP);
+
+    for (policy, addr) in [
+        (IngestionPolicy::basic(), "one-worker-basic:1"),
+        (IngestionPolicy::elastic(), "one-worker-elastic:1"),
+    ] {
+        let name = policy.name.clone();
+        let held = stalled_consumer_run(policy, addr, lines);
+        assert!(!held.all_sent, "{name} never held the sender");
+        let bound = SUBSCRIBER_QUEUE_CAP - MSGS_PER_SLICE..=SUBSCRIBER_QUEUE_CAP + MSGS_PER_SLICE;
+        assert!(
+            bound.contains(&held.held_frames),
+            "{name} held {}",
+            held.held_frames
+        );
+        assert_eq!(held.delivered, lines, "{name} loses nothing");
+    }
 }

@@ -140,26 +140,23 @@ fn udf_less_feed_decodes_nothing(transport: TransportKind, socket: &str) {
 }
 
 /// N records through socket → sentiment UDF → 3-way route → 3 stores, one
-/// sink congested into a spill/despill, on `transport` (over TCP every job
-/// edge is a real socket): N text parses (the adaptor's), no print, and no
+/// sink held into a spill/despill, on `transport` (over TCP every job edge
+/// is a real socket): N text parses (the adaptor's), no print, and no
 /// decode — the UDF reads `message_text` through a view and appends its
 /// double to the bytes, the router and the partitioner read their fields out
 /// of the bytes, and the store takes the bytes as they are.
 ///
-/// The congestion is real, not a thread's wake-up delay. The catch-all sink
-/// takes ~80 % of the records (10 % are US, ~9 % of the rest popular) into
-/// one store partition spinning 15 000 iterations per record; measured on a
-/// 2-core x86 host it persists ~45k records/s optimised (~7k unoptimised)
-/// while the trunk routes it ~110k/s (~23k/s) — well under half. The
-/// backlog fills, in turn, the store's 32-frame input port, over TCP the
-/// loopback socket and the relay's 32-frame port, and the sink's 1 024-frame
-/// joint queue; a Spill intake spills once the port in front of it is full — the
-/// sink's own, or, once that joint is full, the routed trunk's (always
-/// Spill). The kernel autotunes the socket's buffers (several MB), so no
-/// fixed N promises that on every host: the test offers lines until the
-/// spill has carried 2 000 records — several times what a late-scheduled
-/// relay thread spills on its own (≤ 450 seen) — and N is what it offered
-/// (~20–120k here).
+/// The congestion is a stall the test controls: RestTweets' one store
+/// partition is held (`DatasetPartition::hold_writes`), so its store stage
+/// takes nothing. The catch-all sink takes ~80 % of the records (10 % are
+/// US, ~9 % of the rest popular). Its records fill the store's 32-frame
+/// input port — over TCP also the loopback socket, whose buffers the kernel
+/// autotunes to several MB, and the relay's port — and then the first 32
+/// frames of the sink's Spill subscription; every frame routed to it after
+/// that spills. The test offers lines until 2 000 records have spilled, so
+/// N (at most 300 000) is what it offered. While RestTweets is held the
+/// router is not stalled: every record routed to UsTweets and
+/// PopularTweets persists. Then the store is released and all N persist.
 fn plan_with_a_spill_parses_once_and_decodes_nothing(transport: TransportKind, socket: &str) {
     const SPILLED_AT_LEAST: u64 = 2_000;
     const AT_MOST: u64 = 300_000;
@@ -179,7 +176,8 @@ fn plan_with_a_spill_parses_once_and_decodes_nothing(transport: TransportKind, s
     let us = dataset("UsTweets", &nodegroup, 0);
     let popular = dataset("PopularTweets", &nodegroup, 0);
     // one partition: one socket's worth of buffers to fill
-    let rest = dataset("RestTweets", &nodegroup[..1], 15_000);
+    let rest = dataset("RestTweets", &nodegroup[..1], 0);
+    rest.partition(0).hold_writes(true);
     catalog.create_function(Udf::sentiment_analysis()).unwrap();
 
     let tx = bind_socket(socket, 2048).unwrap();
@@ -213,6 +211,23 @@ fn plan_with_a_spill_parses_once_and_decodes_nothing(transport: TransportKind, s
         }
         n += 1_000;
     }
+    // the held sink stalls no other: what is routed to them persists
+    let routed = |sink: &str| {
+        let label = format!("ScoredFeed:{sink}");
+        (controller.registry().snapshot()).counter_for("plan.sink.records_routed", &label)
+    };
+    let others = || (us.len() + popular.len()) as u64;
+    assert!(
+        wait_until(Duration::from_secs(120), || {
+            let (to_us, to_popular) = (routed("UsTweets"), routed("PopularTweets"));
+            to_us + to_popular + routed("RestTweets") == n && others() == to_us + to_popular
+        }),
+        "{} of {n} routed, {} persisted outside RestTweets while it was held",
+        routed("UsTweets") + routed("PopularTweets") + routed("RestTweets"),
+        others()
+    );
+    assert_eq!(rest.len(), 0, "RestTweets is held");
+    rest.partition(0).hold_writes(false);
     let stored = || (us.len() + popular.len() + rest.len()) as u64;
     assert!(
         wait_until(Duration::from_secs(120), || stored() == n),

@@ -181,7 +181,7 @@ impl Cluster {
     }
 
     /// The cluster-wide metrics registry. Every layer — executor, feed
-    /// operators, flow controllers, storage partitions — registers its
+    /// operators, joint subscriptions, storage partitions — registers its
     /// instruments here, so one [`MetricsRegistry::snapshot`] observes the
     /// whole pipeline. This handle is *the* way to reach metrics; cheap to
     /// clone (all clones share the same instrument table).

@@ -19,10 +19,11 @@
 //! re-woken when a consumer drains below capacity; a unary task whose
 //! operator writes outside its job edge (into a feed joint) also yields
 //! while [`UnaryOperator::is_saturated`] says there is no room for a slice.
-//! A feed intake is held back the same way while its output port is full,
-//! and that port is the sensor its flow controller's ingestion policy reacts
-//! to (Chapter 7). The only dedicated threads left on the data path are the
-//! TCP pumps, whose blocking fills the kernel socket buffers.
+//! A feed intake is held back the same way while its output port is full;
+//! what waits for it meanwhile is excess in its joint subscription, which
+//! applies the connection's ingestion policy to it (Chapter 7). The only
+//! dedicated threads left on the data path are the TCP pumps, whose blocking
+//! fills the kernel socket buffers.
 //!
 //! Tasks scheduled on a node observe the node's alive flag; when the node
 //! is killed they exit *without* closing their outputs — the frames in

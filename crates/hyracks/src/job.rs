@@ -65,6 +65,10 @@ pub struct Edge {
     pub connector: ConnectorSpec,
 }
 
+/// Frames an inter-operator queue holds unless a job sets its own
+/// [`JobSpec::queue_capacity`].
+pub const DEFAULT_QUEUE_CAPACITY: usize = 32;
+
 /// A complete job specification.
 pub struct JobSpec {
     /// Job display name.
@@ -86,7 +90,7 @@ impl JobSpec {
             name: name.into(),
             ops: Vec::new(),
             edges: Vec::new(),
-            queue_capacity: 32,
+            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             transport: TransportKind::InProcess,
         }
     }

@@ -9,9 +9,9 @@
 //!   threads therefore always append and report saturation; the task yields
 //!   ([`SliceState::Pending`](crate::scheduler::SliceState)) when its
 //!   outputs are saturated, which bounds queue growth to the capacity plus
-//!   one slice's burst. A feed intake's port is also its congestion sensor:
-//!   the flow controller in front of it treats what arrives while the port
-//!   is saturated as excess for the connection's ingestion policy
+//!   one slice's burst. A feed intake pulls from its joint subscription
+//!   only while its port has room: what waits behind a full port is excess,
+//!   and the subscription applies the connection's ingestion policy to it
 //!   (Chapter 7).
 //! * **Dedicated threads block.** The TCP ingress reader — the only
 //!   producer that is not a task — uses the classic bounded-queue blocking

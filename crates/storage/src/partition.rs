@@ -295,6 +295,8 @@ impl PartitionInner {
 pub struct DatasetPartition {
     inner: Arc<PartitionInner>,
     worker: Mutex<Option<JoinHandle<()>>>,
+    /// See [`DatasetPartition::hold_writes`].
+    writes_held: AtomicBool,
 }
 
 impl DatasetPartition {
@@ -320,6 +322,7 @@ impl DatasetPartition {
         DatasetPartition {
             inner,
             worker: Mutex::new(worker),
+            writes_held: AtomicBool::new(false),
         }
     }
 
@@ -798,6 +801,18 @@ impl DatasetPartition {
     pub fn panic_under_state_lock(&self) {
         let _st = self.inner.state.lock();
         panic!("injected panic while holding the partition state lock");
+    }
+
+    /// Stall injection for congestion tests: while held, a feed's store
+    /// stage takes no frames for this partition (its task yields as if
+    /// saturated), as behind a disk that stopped. Direct writes still apply.
+    pub fn hold_writes(&self, held: bool) {
+        self.writes_held.store(held, Ordering::SeqCst);
+    }
+
+    /// Are a feed's writes held ([`DatasetPartition::hold_writes`])?
+    pub fn writes_held(&self) -> bool {
+        self.writes_held.load(Ordering::SeqCst)
     }
 
     /// Apply any due WAL-tear events of a chaos schedule to this

@@ -59,9 +59,11 @@ fn run(policy_stmts: &str, policy: &str, round: usize) {
         engine.execute(policy_stmts).expect("custom policy");
     }
     let addr = format!("policies-demo-{round}:9000");
-    // offered ≈ 4000 records/s real vs ≈ 2500/s capacity: sustained overload
+    // offered ≈ 4000 records/s real vs ≈ 2500/s capacity: a sustained
+    // overload, long enough to fill the intake's port and its subscription's
+    // 32 in-memory frames (~4 000 records) several times over
     let gen = TweetGen::bind(
-        TweetGenConfig::new(&addr, 0, PatternDescriptor::constant(400, 20)),
+        TweetGenConfig::new(&addr, 0, PatternDescriptor::constant(400, 60)),
         clock,
     )
     .expect("bind");
