@@ -18,7 +18,7 @@ use crate::rewrite::{self, ChainStep};
 use crate::route::compile_route_predicate;
 use asterix_adm::{payload_from_value, AdmType, AdmValue, Field, RecordType};
 use asterix_common::sync::Mutex;
-use asterix_common::{DataFrame, IngestError, IngestResult, NodeId, Record};
+use asterix_common::{DataFrame, IngestError, IngestResult, MetricsRegistry, NodeId, Record};
 use asterix_feeds::catalog::FeedCatalog;
 use asterix_feeds::controller::{ConnectionId, ControllerConfig, FeedController};
 use asterix_feeds::metrics::FeedMetrics;
@@ -389,8 +389,9 @@ impl AsterixEngine {
             frames.push(f);
         }
         // one Hyracks job per statement
-        let metrics = FeedMetrics::with_default_bucket(self.cluster.clock().clone());
-        let parse_calls = metrics.parse_calls.clone();
+        let registry = MetricsRegistry::new();
+        let metrics = FeedMetrics::registered(&registry, "insert", self.cluster.clock().clone());
+        let parse_calls = registry.counter("feed.parse_calls", &[("conn", "insert")]);
         let mut policy = IngestionPolicy::basic();
         policy.recover_soft_failure = false; // inserts fail loudly
         let mut job = JobSpec::new(format!("insert:{dataset}"));

@@ -353,7 +353,7 @@ pub fn run(mut setup: Setup, seed: u64, tag: &str) -> Outcome {
             });
         }
     }
-    let metrics = |c: &ConnectionId| controller.connection_metrics(*c).expect("connection");
+    let throughput = |c: &ConnectionId| controller.throughput(*c).expect("connection");
     let outcome = Outcome {
         generated: gens.iter().map(TweetGen::generated).sum(),
         persisted: datasets.iter().map(|d| d.len() as u64).collect(),
@@ -361,7 +361,7 @@ pub fn run(mut setup: Setup, seed: u64, tag: &str) -> Outcome {
             true => datasets.iter().map(|d| ids_of(d)).collect(),
             false => Vec::new(),
         },
-        series: conns.iter().map(|c| metrics(c).throughput()).collect(),
+        series: conns.iter().map(throughput).collect(),
         t_secs,
         samples,
         finals: setup.probes.iter().map(|(_, p)| read(p)).collect(),

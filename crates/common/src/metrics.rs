@@ -470,14 +470,6 @@ pub struct MetricSample {
 }
 
 impl MetricSample {
-    fn label_string(&self) -> String {
-        self.labels
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-
     /// True when any label value equals `v`.
     pub fn has_label_value(&self, v: &str) -> bool {
         self.labels.iter().any(|(_, lv)| lv == v)
@@ -711,41 +703,6 @@ impl MetricsSnapshot {
                     out.push_str(&format!("{prom_name}_count{} {}\n", labels(None), h.count));
                 }
             }
-        }
-        out
-    }
-
-    /// Compact multi-line summary for the periodic console reporter.
-    pub fn console_summary(&self) -> String {
-        let mut out = format!(
-            "[metrics t={}s] {} series",
-            self.taken_at_millis / 1000,
-            self.metrics.len()
-        );
-        for m in &self.metrics {
-            let line = match &m.value {
-                MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                    if *v == 0 {
-                        continue;
-                    }
-                    format!("{} [{}] = {v}", m.name, m.label_string())
-                }
-                MetricValue::Histogram(h) => {
-                    if h.count == 0 {
-                        continue;
-                    }
-                    format!(
-                        "{} [{}] count={} mean={:.1} p99<={}",
-                        m.name,
-                        m.label_string(),
-                        h.count,
-                        h.mean(),
-                        h.quantile(0.99)
-                    )
-                }
-            };
-            out.push_str("\n  ");
-            out.push_str(&line);
         }
         out
     }

@@ -668,7 +668,7 @@ pub mod thread {
     //! Every background thread in runtime code must come through
     //! [`spawn_named`] so it (a) carries a meaningful name for debuggers
     //! and `/proc`, and (b) is visible to the process-wide live-thread
-    //! count, which the scheduler smoke tests and the console reporter use
+    //! count, which the scheduler smoke tests and the thread census use
     //! to prove the runtime is *not* spawning a thread per operator. The
     //! `raw-thread-spawn` xtask rule rejects direct `std::thread::spawn` /
     //! `thread::Builder` calls elsewhere.

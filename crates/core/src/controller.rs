@@ -65,7 +65,8 @@ use crate::udf::Udf;
 use asterix_common::ids::IdGen;
 use asterix_common::sync::{handoff, thread as sync_thread, Mutex};
 use asterix_common::{
-    FaultPlan, FeedId, IngestError, IngestResult, JobId, NodeId, SimDuration, SimInstant,
+    FaultPlan, FeedId, IngestError, IngestResult, JobId, MetricsRegistry, NodeId, SimDuration,
+    SimInstant, ThroughputSeries,
 };
 use asterix_hyracks::cluster::{Cluster, ClusterEvent};
 use asterix_hyracks::connector::ConnectorSpec;
@@ -444,8 +445,8 @@ impl FeedController {
         .expect("spawn cfm monitor");
         *ctrl.monitor.lock() = Some(failure_monitor);
         // the scaling governor: periodic housekeeping on the shared
-        // scheduler, like the console reporter — a Weak reference so the
-        // task never keeps a dropped controller alive
+        // scheduler — a Weak reference so the task never keeps a dropped
+        // controller alive
         let weak: Weak<FeedController> = Arc::downgrade(&ctrl);
         let interval = cluster.clock().to_real(ctrl.config.governor.interval);
         let task = cluster
@@ -487,12 +488,11 @@ impl FeedController {
         &self.cluster
     }
 
-    /// The cluster-wide metrics registry — *the* public handle for reading
-    /// metrics. One [`asterix_common::MetricsRegistry::snapshot`] here
-    /// observes every connection's `feed.*` counters, the executor's
-    /// `operator.*` rates and latency histograms, and the target datasets'
-    /// `storage.*` gauges.
-    pub fn registry(&self) -> asterix_common::MetricsRegistry {
+    /// The cluster-wide metrics registry — the one handle for reading
+    /// metrics. One [`MetricsRegistry::snapshot`] here observes every
+    /// connection's `feed.*` series, the executor's `operator.*` rates and
+    /// latency histograms, and the target datasets' `storage.*` gauges.
+    pub fn registry(&self) -> MetricsRegistry {
         self.cluster.registry()
     }
 
@@ -649,19 +649,15 @@ impl FeedController {
     // introspection — views of the table
     // -----------------------------------------------------------------------
 
-    /// Metrics of a connection.
-    pub fn connection_metrics(&self, id: ConnectionId) -> IngestResult<Arc<FeedMetrics>> {
+    /// The §6.3 instantaneous-throughput timeline of a connection's
+    /// persisted records, in two-second buckets. Its counts are in the
+    /// registry; the timeline, bucketed by commit instant, is the one
+    /// reading the registry cannot hold.
+    pub fn throughput(&self, id: ConnectionId) -> IngestResult<ThroughputSeries> {
         let st = self.state.lock();
         st.connection(id)
-            .map(|s| Arc::clone(&s.metrics))
+            .map(|s| s.metrics.throughput())
             .ok_or_else(|| IngestError::Metadata(format!("unknown connection {id}")))
-    }
-
-    /// Metrics of the compute segment publishing `joint_id`.
-    pub fn compute_metrics(&self, joint_id: &str) -> Option<Arc<FeedMetrics>> {
-        let st = self.state.lock();
-        let seg = st.segments.get(&format!("compute:{joint_id}"))?;
-        Some(Arc::clone(&seg.metrics))
     }
 
     /// Current state of a connection. An `Active` connection whose job is
@@ -743,6 +739,7 @@ impl FeedController {
     /// which data is received and persisted.
     pub fn console_report(&self) -> String {
         use std::fmt::Write as _;
+        let snap = self.registry().snapshot();
         let st = self.state.lock();
         let mut out = String::from("Feed Management Console\n");
         for (seg, c) in st.connections().into_iter().filter(|(s, _)| s.live()) {
@@ -756,8 +753,10 @@ impl FeedController {
                 format!("{name}: {:?}", s.placement)
             };
             let stages: Vec<String> = st.chain(&seg.key).iter().rev().map(stage).collect();
-            let m = &seg.metrics;
-            let last_rate = m.throughput().points.last().map_or(0.0, |p| p.rate);
+            let (conn, series) = (seg.conn_key(), seg.metrics.throughput());
+            let count = |name: &str| snap.counter_for(name, conn);
+            let last_rate = series.points.last().map_or(0.0, |p| p.rate);
+            let last_recovery = snap.gauge_for("feed.last_recovery_millis", conn);
             let _ = writeln!(
                 out,
                 "  {} {} -> {} [{:?}]
@@ -769,12 +768,12 @@ impl FeedController {
                 c.dataset.config.name,
                 c.state,
                 stages.join("  "),
-                m.records_in.get(),
-                m.records_persisted.get(),
+                count("feed.records_in"),
+                count("feed.records_persisted"),
                 last_rate,
-                m.hard_failures_recovered.get(),
-                m.zombie_frames_adopted.get(),
-                m.last_recovery_millis.get(),
+                count("feed.hard_failures_recovered"),
+                count("feed.zombie_frames_adopted"),
+                last_recovery.unwrap_or(0),
             );
         }
         out
@@ -843,18 +842,17 @@ impl FeedController {
                 Constraint::Count(n) => (0..n).map(|i| alive[i % alive.len()]).collect(),
                 Constraint::Locations(locs) => locs,
             };
-            let config = config.clone();
+            let (config, key) = (config.clone(), format!("collect:{root}"));
             producers.push(Segment {
-                key: format!("collect:{root}"),
                 input: None,
                 outputs: vec![root.clone()],
                 placement,
                 policy: trunk.clone(),
-                // a collect segment has no intake: nothing writes these
-                metrics: FeedMetrics::with_default_bucket(clock.clone()),
+                metrics: FeedMetrics::registered(&registry, &key, clock.clone()),
                 feed_id: feed_id(&root),
                 job: None,
                 kind: Kind::Collect { factory, config },
+                key,
             });
         }
         let compute_n = self.config.compute_parallelism.unwrap_or(alive.len());
@@ -895,7 +893,7 @@ impl FeedController {
                 input: Some(input),
                 placement: compute_placement.clone(),
                 policy: trunk.clone(),
-                metrics: FeedMetrics::registered_default(&registry, &out, clock.clone()),
+                metrics: FeedMetrics::registered(&registry, &out, clock.clone()),
                 feed_id: feed_id(&f.name),
                 job: None,
                 kind: Kind::Compute {
@@ -922,7 +920,7 @@ impl FeedController {
                 outputs: Vec::new(),
                 placement: dataset.config.nodegroup.clone(),
                 policy,
-                metrics: FeedMetrics::registered_default(&registry, &conn_key, clock.clone()),
+                metrics: FeedMetrics::registered(&registry, &conn_key, clock.clone()),
                 feed_id: feed_id(tail),
                 job: None,
                 kind: Kind::Store(Connection {
@@ -950,7 +948,7 @@ impl FeedController {
                 outputs: sink_joints,
                 placement,
                 policy: trunk.clone(),
-                metrics: FeedMetrics::registered_default(&registry, &key, clock.clone()),
+                metrics: FeedMetrics::registered(&registry, &key, clock.clone()),
                 feed_id: feed_id(tail),
                 job: None,
                 kind: Kind::Route(plan),
@@ -1138,9 +1136,7 @@ impl FeedController {
         };
         let spawned = self.spawn(st, seg);
         if let Err(e) = &spawned {
-            let labels = &[("conn", seg.conn_key())];
-            let registry = self.cluster.registry();
-            registry.counter("feed.respawn_failures", labels).inc();
+            seg.metrics.respawn_failures.inc();
             let log = self.cluster.trace().cluster_log();
             log.event(op, format!("respawn of {key} failed: {e}"));
         }

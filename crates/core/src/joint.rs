@@ -797,7 +797,8 @@ impl std::fmt::Debug for JointSubscription {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asterix_common::{Record, RecordId, SimClock, SimInstant};
+    use crate::metrics::{detached, Readings};
+    use asterix_common::{Record, RecordId, SimInstant};
 
     fn frame(ids: std::ops::Range<u64>) -> DataFrame {
         DataFrame::from_records(ids.map(|i| Record::tracked(RecordId(i), 0, "x")).collect())
@@ -831,13 +832,13 @@ mod tests {
     }
 
     /// `policy` counting into fresh metrics, for the feed `FeedId(7)`.
-    fn policed(policy: IngestionPolicy) -> (ExcessPolicy, Arc<FeedMetrics>) {
-        let m = FeedMetrics::with_default_bucket(SimClock::fast());
-        (ExcessPolicy::new(policy, Arc::clone(&m), FeedId(7)), m)
+    fn policed(policy: IngestionPolicy) -> (ExcessPolicy, Readings) {
+        let (m, readings) = detached();
+        (ExcessPolicy::new(policy, m, FeedId(7)), readings)
     }
 
     /// A joint with one subscription under `policy`, and its metrics.
-    fn one_sub(policy: IngestionPolicy) -> (Arc<FeedJoint>, JointSubscription, Arc<FeedMetrics>) {
+    fn one_sub(policy: IngestionPolicy) -> (Arc<FeedJoint>, JointSubscription, Readings) {
         let joint = FeedJoint::new("F");
         let (policy, m) = policed(policy);
         let sub = joint.subscribe_policed("p#p0", policy);
@@ -1145,15 +1146,15 @@ mod tests {
     fn basic_buffers_excess_and_holds_its_depositors() {
         let (joint, sub, m) = one_sub(IngestionPolicy::basic());
         offer(&joint, 0..M + 8);
-        assert_eq!(m.handoff_queue_frames.get(), 8, "frames past the window");
-        assert!(m.buffer_bytes.get() > 0);
+        assert_eq!(m.get("handoff_queue_frames"), 8, "frames past the window");
+        assert!(m.get("buffer_bytes") > 0);
         assert_eq!(joint.headroom(), SUBSCRIBER_QUEUE_CAP - M as usize - 8);
         assert!(
             take_all(&sub).into_iter().eq(0..(M + 8) * 10),
             "nothing lost"
         );
-        assert_eq!(m.handoff_queue_frames.get(), 0);
-        assert_eq!(m.buffer_bytes.get(), 0);
+        assert_eq!(m.get("handoff_queue_frames"), 0);
+        assert_eq!(m.get("buffer_bytes"), 0);
     }
 
     #[test]
@@ -1190,34 +1191,34 @@ mod tests {
     fn discard_drops_excess_and_resumes() {
         let (joint, sub, m) = one_sub(IngestionPolicy::discard());
         offer(&joint, 0..M + 8);
-        assert_eq!(m.records_discarded.get(), 80);
+        assert_eq!(m.get("records_discarded"), 80);
         assert_eq!(joint.headroom(), SUBSCRIBER_QUEUE_CAP, "never holds");
         assert_eq!(take_all(&sub).len(), M as usize * 10, "the window");
         // the consumer caught up: the next frame flows again
         offer(&joint, 100..101);
         assert_eq!(take_all(&sub), (1000..1010).collect::<Vec<_>>());
-        assert_eq!(m.records_discarded.get(), 80);
+        assert_eq!(m.get("records_discarded"), 80);
     }
 
     #[test]
     fn spill_defers_and_despills_in_order() {
         let (joint, sub, m) = one_sub(IngestionPolicy::spill());
         offer(&joint, 0..M + 8);
-        assert_eq!(m.records_spilled.get(), 80);
-        assert!(m.spill_bytes.get() > 0);
-        assert_eq!(m.handoff_queue_frames.get(), 8, "one segment per frame");
+        assert_eq!(m.get("records_spilled"), 80);
+        assert!(m.get("spill_bytes") > 0);
+        assert_eq!(m.get("handoff_queue_frames"), 8, "one segment per frame");
         assert_eq!(joint.headroom(), SUBSCRIBER_QUEUE_CAP, "never holds");
         assert_eq!(joint.backlog(), M as usize + 8, "spilled frames count");
         // the window drains below its bound, yet arrivals go behind the
         // spilled frames while any wait
         let mut ids = take(&sub, 4);
         offer(&joint, M + 8..M + 10);
-        assert_eq!(m.records_spilled.get(), 100);
+        assert_eq!(m.get("records_spilled"), 100);
         ids.extend(take_all(&sub));
         assert!(ids.into_iter().eq(0..(M + 10) * 10), "no loss, no reorder");
-        assert_eq!(m.records_despilled.get(), m.records_spilled.get());
-        assert_eq!(m.spill_bytes.get(), 0);
-        assert_eq!(m.handoff_queue_frames.get(), 0);
+        assert_eq!(m.get("records_despilled"), m.get("records_spilled"));
+        assert_eq!(m.get("spill_bytes"), 0);
+        assert_eq!(m.get("handoff_queue_frames"), 0);
     }
 
     #[test]
@@ -1228,12 +1229,12 @@ mod tests {
         let sub = joint.subscribe_policed("p#p0", policy);
         offer(&joint, 0..M + 50);
         let delivered = take_all(&sub).len() as u64;
-        assert!(m.records_discarded.get() > 0);
-        assert!(m.records_spilled.get() > 0);
-        assert_eq!(delivered + m.records_discarded.get(), (M + 50) * 10);
+        assert!(m.get("records_discarded") > 0);
+        assert!(m.get("records_spilled") > 0);
+        assert_eq!(delivered + m.get("records_discarded"), (M + 50) * 10);
     }
 
-    fn spill_then_throttle() -> (Arc<FeedJoint>, JointSubscription, Arc<FeedMetrics>) {
+    fn spill_then_throttle() -> (Arc<FeedJoint>, JointSubscription, Readings) {
         let mut params = std::collections::BTreeMap::new();
         params.insert("max.spill.size.on.disk".into(), "2000".into());
         params.insert("excess.records.throttle".into(), "true".into());
@@ -1248,9 +1249,9 @@ mod tests {
         let (joint, sub, m) = spill_then_throttle();
         offer(&joint, 0..M + 50);
         let delivered = take_all(&sub).len() as u64;
-        assert!(m.records_spilled.get() > 0, "spill first");
-        assert!(m.records_throttled.get() > 0, "then throttle");
-        assert_eq!(delivered + m.records_throttled.get(), (M + 50) * 10);
+        assert!(m.get("records_spilled") > 0, "spill first");
+        assert!(m.get("records_throttled") > 0, "then throttle");
+        assert_eq!(delivered + m.get("records_throttled"), (M + 50) * 10);
     }
 
     #[test]
@@ -1267,7 +1268,7 @@ mod tests {
             }
         }
         delivered += take_all(&sub).len() as u64;
-        let dropped = m.records_throttled.get();
+        let dropped = m.get("records_throttled");
         assert!(dropped > 0);
         assert_eq!(delivered + dropped, (M + 100) * 10);
         // keep fraction is 0.5: roughly half of the excess records dropped
@@ -1282,7 +1283,7 @@ mod tests {
         offer(&joint, 0..offered);
         let delivered = take_all(&sub).len() as u64;
         assert!(delivered <= SUBSCRIBER_QUEUE_CAP as u64 * 10);
-        assert_eq!(delivered + m.records_throttled.get(), offered * 10);
+        assert_eq!(delivered + m.get("records_throttled"), offered * 10);
     }
 
     #[test]
@@ -1296,7 +1297,7 @@ mod tests {
                 ids.extend(take(&sub, 1));
             }
         }
-        assert!(m.records_throttled.get() > 0, "the spill overflowed");
+        assert!(m.get("records_throttled") > 0, "the spill overflowed");
         ids.extend(take_all(&sub));
         assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
@@ -1309,16 +1310,16 @@ mod tests {
         let (joint, sub, m) = one_sub(IngestionPolicy::elastic());
         // episode 1: the consumer stalls, the excess signals once
         offer(&joint, 0..M + 10);
-        assert_eq!(m.elastic_scaleouts.get(), 1, "signalled exactly once");
+        assert_eq!(m.get("elastic_scaleouts"), 1, "signalled exactly once");
         offer(&joint, M + 10..M + 15);
-        assert_eq!(m.elastic_scaleouts.get(), 1, "one signal per episode");
+        assert_eq!(m.get("elastic_scaleouts"), 1, "one signal per episode");
         assert!(joint.headroom() < SUBSCRIBER_QUEUE_CAP, "it holds");
         // draining signals nothing, and the episode ends with the excess
         let mut delivered = take_all(&sub).len();
-        assert_eq!(m.elastic_scaleouts.get(), 1, "draining signals nothing");
+        assert_eq!(m.get("elastic_scaleouts"), 1, "draining signals nothing");
         // episode 2: the consumer stalls again — re-armed by itself
         offer(&joint, 0..M + 10);
-        assert_eq!(m.elastic_scaleouts.get(), 2, "second episode signals");
+        assert_eq!(m.get("elastic_scaleouts"), 2, "second episode signals");
         delivered += take_all(&sub).len();
         assert_eq!(delivered as u64, (2 * M + 25) * 10, "buffered everything");
     }
@@ -1335,8 +1336,8 @@ mod tests {
         let window = (0..M + 3).map(|n| (n * 10, false));
         let expected: Vec<_> = std::iter::once((1000, true)).chain(window).collect();
         assert_eq!(firsts, expected, "memory, marks kept, then the spill");
-        assert_eq!(m.records_despilled.get(), m.records_spilled.get());
-        assert_eq!(m.spill_bytes.get(), 0);
+        assert_eq!(m.get("records_despilled"), m.get("records_spilled"));
+        assert_eq!(m.get("spill_bytes"), 0);
     }
 
     #[test]

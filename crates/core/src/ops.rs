@@ -1139,35 +1139,32 @@ pub fn store_key_fn(
 mod tests {
     use super::*;
     use crate::joint::FeedJoint;
+    use crate::metrics::{detached, Readings};
     use asterix_common::{RecordId, SimClock};
     use asterix_hyracks::cluster::{Cluster, ClusterConfig};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::Instant;
 
-    fn metrics() -> Arc<FeedMetrics> {
-        FeedMetrics::with_default_bucket(SimClock::fast())
-    }
-
-    type MetaRig<F> = (MetaFeed<F>, Arc<FeedMetrics>, SoftFailureLog);
+    type MetaRig<F> = (MetaFeed<F>, Readings, SoftFailureLog);
 
     fn meta_with<F>(policy: IngestionPolicy, process: F) -> MetaRig<F>
     where
         F: FnMut(&Record) -> IngestResult<Option<Record>> + Send,
     {
-        let m = metrics();
+        let (m, readings) = detached();
         let log = new_soft_failure_log();
         let meta = MetaFeed::new(
             "test-op",
             FeedId(7),
             policy,
-            Arc::clone(&m),
+            m,
             Arc::clone(&log),
             None,
             SimClock::fast(),
             process,
             None,
         );
-        (meta, m, log)
+        (meta, readings, log)
     }
 
     fn frame_of(payloads: &[&str]) -> DataFrame {
@@ -1587,7 +1584,7 @@ mod tests {
         meta.next_frame(frame_of(&["a", "bad", "b", "bad", "c"]), &mut out)
             .unwrap();
         assert_eq!(out.0[0].len(), 3);
-        assert_eq!(m.soft_failures.get(), 2);
+        assert_eq!(m.get("soft_failures"), 2);
         let entries = log.lock();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].operator, "test-op");

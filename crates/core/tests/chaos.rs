@@ -198,13 +198,15 @@ fn soak_once_with(seed: u64, addr: &str, transport: TransportKind) -> SoakOutcom
         }),
         "seed {seed:#x}: connection never returned to Active"
     );
-    let m = controller.connection_metrics(conn).unwrap();
+    let snap = controller.registry().snapshot();
     let out = SoakOutcome {
         schedule,
         generated,
         ids: dataset_ids(&dataset),
-        hard_recoveries: m.hard_failures_recovered.get(),
-        last_recovery_millis: m.last_recovery_millis.get(),
+        hard_recoveries: snap.counter_for("feed.hard_failures_recovered", "TwitterFeed->Tweets"),
+        last_recovery_millis: snap
+            .gauge_for("feed.last_recovery_millis", "TwitterFeed->Tweets")
+            .expect("registered"),
     };
     gen.stop();
     controller.shutdown();
@@ -377,14 +379,15 @@ fn panic_run(policy: &str, addr: &str) -> PanicOutcome {
         ConnectionState::Active,
         "{policy}: connection should survive the respawn"
     );
-    let m = controller.connection_metrics(conn).unwrap();
+    let snap = controller.registry().snapshot();
+    let count = |name: &str| snap.counter_for(name, "TwitterFeed->Tweets");
     let out = PanicOutcome {
         generated,
         ids: dataset_ids(&dataset),
-        hard_recoveries: m.hard_failures_recovered.get(),
-        zombies_adopted: m.zombie_frames_adopted.get(),
-        spilled: m.records_spilled.get(),
-        despilled: m.records_despilled.get(),
+        hard_recoveries: count("feed.hard_failures_recovered"),
+        zombies_adopted: count("feed.zombie_frames_adopted"),
+        spilled: count("feed.records_spilled"),
+        despilled: count("feed.records_despilled"),
     };
     gen.stop();
     controller.shutdown();
@@ -748,13 +751,18 @@ fn scale_in_soak_once(seed: u64, addr: &str, kill_at: u64) -> SoakOutcome {
         Some(1),
         "seed {seed:#x}: scale-in did not stick across the kill"
     );
-    let m = controller.connection_metrics(conn).unwrap();
+    let snap = controller.registry().snapshot();
     let out = SoakOutcome {
         schedule,
         generated,
         ids: dataset_ids(&dataset),
-        hard_recoveries: m.hard_failures_recovered.get(),
-        last_recovery_millis: m.last_recovery_millis.get(),
+        hard_recoveries: snap.counter_for(
+            "feed.hard_failures_recovered",
+            "ProcessedTwitterFeed->Tweets",
+        ),
+        last_recovery_millis: snap
+            .gauge_for("feed.last_recovery_millis", "ProcessedTwitterFeed->Tweets")
+            .expect("registered"),
     };
     gen.stop();
     controller.shutdown();

@@ -10,12 +10,11 @@
 //! * **Policy algebra** — custom-policy derivation never loses or invents
 //!   parameter state.
 
-use asterix_common::{DataFrame, FeedId, Record, RecordId, SimClock};
+use asterix_common::{DataFrame, FeedId, MetricsRegistry, Record, RecordId, SimClock};
 use asterix_feeds::joint::{ExcessPolicy, FeedJoint, JointRecv};
 use asterix_feeds::metrics::FeedMetrics;
 use asterix_feeds::policy::IngestionPolicy;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn frame(start: u64, len: usize) -> DataFrame {
     DataFrame::from_records(
@@ -59,9 +58,10 @@ proptest! {
         policy in policy_strategy(),
         steps in prop::collection::vec(step_strategy(), 1..300),
     ) {
-        let metrics = FeedMetrics::with_default_bucket(SimClock::fast());
+        let registry = MetricsRegistry::new();
+        let metrics = FeedMetrics::registered(&registry, "c", SimClock::fast());
         let joint = FeedJoint::new("prop");
-        let excess = ExcessPolicy::new(policy, Arc::clone(&metrics), FeedId(1));
+        let excess = ExcessPolicy::new(policy, metrics, FeedId(1));
         let sub = joint.subscribe_policed("p#p0", excess);
         let mut ids = Vec::new();
         let mut offered = 0u64;
@@ -88,8 +88,9 @@ proptest! {
         let held = joint.detach_queued("p#p0");
         ids.extend(held.iter().flat_map(|h| h.frame.records().iter().map(|r| r.id.raw())));
         let held = ids.len() as u64 - delivered;
+        let count = |name: &str| registry.counter(name, &[("conn", "c")]).get();
         prop_assert_eq!(
-            delivered + metrics.records_discarded.get() + metrics.records_throttled.get() + held,
+            delivered + count("feed.records_discarded") + count("feed.records_throttled") + held,
             offered
         );
         prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "order: {:?}", ids);

@@ -515,8 +515,7 @@ fn scale_in_migrates_waiting_frames_and_counts_each_record_in_once() {
         .create_function(Udf::busy_spin("noop", 0))
         .unwrap();
     rig.processed_feed("TwitterFeed", "gov-migrate:9000", "noop");
-    let conn = rig
-        .controller
+    rig.controller
         .connect_feed("ProcessedTwitterFeed", "Tweets", "Spill")
         .unwrap();
     let joint = "TwitterFeed:noop";
@@ -546,34 +545,43 @@ fn scale_in_migrates_waiting_frames_and_counts_each_record_in_once() {
     };
     // quiescent once every record is in the dataset and counted there (the
     // store bumps its counter after the write lands)
-    let store = rig.controller.connection_metrics(conn).unwrap();
+    let store = "ProcessedTwitterFeed->Tweets";
+    // a stage's `feed.*` series, for the failure messages
+    let books = |conn: &str| -> Vec<String> {
+        let snap = rig.snapshot();
+        let series = snap.metrics.iter();
+        let ours = series.filter(|m| m.name.starts_with("feed.") && m.has_label_value(conn));
+        ours.map(|m| format!("{} {:?}", m.name, m.value)).collect()
+    };
+    let persisted = || rig.snapshot().counter_for("feed.records_persisted", store);
     assert!(
         wait_until(Duration::from_secs(120), || dataset.len() as u64
             >= generated
-            && store.records_persisted.get() >= generated),
-        "persisted {} of {generated}: {}",
+            && persisted() >= generated),
+        "persisted {} of {generated}: {:?}",
         dataset.len(),
-        store.summary()
+        books(store)
     );
     let snap = rig.snapshot();
     assert!(snap.counter_for("elastic.frames_migrated", joint) > 0);
-    let compute = rig.controller.compute_metrics(joint).unwrap();
+    let compute = |name: &str| snap.counter_for(name, joint);
     assert_eq!(
-        compute.records_in.get(),
-        compute.records_computed.get()
-            + compute.records_filtered.get()
-            + compute.soft_failures.get(),
-        "compute stage: {}",
-        compute.summary()
+        compute("feed.records_in"),
+        compute("feed.records_computed")
+            + compute("feed.records_filtered")
+            + compute("feed.soft_failures"),
+        "compute stage: {:?}",
+        books(joint)
     );
+    let stored = |name: &str| snap.counter_for(name, store);
     assert_eq!(
-        store.records_in.get(),
-        store.records_persisted.get()
-            + store.soft_failures.get()
-            + store.records_discarded.get()
-            + store.records_throttled.get(),
-        "store stage: {}",
-        store.summary()
+        stored("feed.records_in"),
+        stored("feed.records_persisted")
+            + stored("feed.soft_failures")
+            + stored("feed.records_discarded")
+            + stored("feed.records_throttled"),
+        "store stage: {:?}",
+        books(store)
     );
     gen.stop();
     rig.stop();

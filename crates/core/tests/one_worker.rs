@@ -10,8 +10,8 @@
 
 use asterix_common::sync::Mutex;
 use asterix_common::{
-    Counter, DataFrame, FaultEvent, FaultKind, FaultPlan, FeedId, IngestResult, NodeId, Record,
-    RecordId, SimClock, SimDuration,
+    Counter, DataFrame, FaultEvent, FaultKind, FaultPlan, FeedId, IngestResult, MetricsRegistry,
+    NodeId, Record, RecordId, SimClock, SimDuration,
 };
 use asterix_feeds::adaptor::{bind_socket, unbind_socket, SocketAdaptorFactory};
 use asterix_feeds::joint::{
@@ -45,8 +45,31 @@ fn one_worker_node() -> (Cluster, NodeId) {
     (cluster, node)
 }
 
-fn metrics() -> Arc<FeedMetrics> {
-    FeedMetrics::with_default_bucket(SimClock::fast())
+/// A connection's metrics: the writers' handles, registered as `c` in a
+/// registry of their own, and that registry, which the test reads.
+struct Books {
+    metrics: Arc<FeedMetrics>,
+    registry: MetricsRegistry,
+}
+
+impl Books {
+    fn new() -> Books {
+        let registry = MetricsRegistry::new();
+        let metrics = FeedMetrics::registered(&registry, "c", SimClock::fast());
+        Books { metrics, registry }
+    }
+
+    /// The counter `feed.<name>` of the connection.
+    fn count(&self, name: &str) -> u64 {
+        let labels = &[("conn", "c")];
+        self.registry.counter(&format!("feed.{name}"), labels).get()
+    }
+
+    /// The gauge `feed.<name>` of the connection.
+    fn gauge(&self, name: &str) -> u64 {
+        let labels = &[("conn", "c")];
+        self.registry.gauge(&format!("feed.{name}"), labels).get()
+    }
 }
 
 /// A source emitting `frames` from `node`, one per poll.
@@ -126,7 +149,7 @@ fn assign_yields_while_its_out_joint_subscriber_queue_is_full() {
         locations: vec![node],
         feed: FeedId(1),
         policy: IngestionPolicy::basic(),
-        metrics: metrics(),
+        metrics: Books::new().metrics,
         log: new_soft_failure_log(),
         log_dataset: None,
         extra_delay_us: 0,
@@ -192,15 +215,15 @@ impl OperatorDescriptor for GateDesc {
 }
 
 /// `policy` for the feed `FeedId(1)`, counting into `m`.
-fn excess(policy: IngestionPolicy, m: &Arc<FeedMetrics>) -> ExcessPolicy {
-    ExcessPolicy::new(policy, Arc::clone(m), FeedId(1))
+fn excess(policy: IngestionPolicy, m: &Books) -> ExcessPolicy {
+    ExcessPolicy::new(policy, Arc::clone(&m.metrics), FeedId(1))
 }
 
 /// Queue `n` ten-record frames, ids from 0, in the joint `In` on the one
 /// node, for the subscription `spill#p0` under Spill — made first, so the
 /// whole stream has met the policy when the intake first polls: the first
 /// [`IN_MEMORY_FRAMES`] wait in memory, the rest are spilled.
-fn stream_waiting_in_joint(cluster: &Cluster, n: u64, m: &Arc<FeedMetrics>) -> Arc<FeedJoint> {
+fn stream_waiting_in_joint(cluster: &Cluster, n: u64, m: &Books) -> Arc<FeedJoint> {
     let joint = FeedManager::on(&cluster.nodes()[0]).register_joint("In");
     drop(joint.subscribe_policed("spill#p0", excess(IngestionPolicy::spill(), m)));
     deposit_frames(&joint, 0..n);
@@ -222,7 +245,7 @@ fn deposit_frames(joint: &FeedJoint, frames: std::ops::Range<u64>) {
 /// at-least-once when `ack` is given.
 fn spill_intake_job(
     node: NodeId,
-    m: &Arc<FeedMetrics>,
+    m: &Books,
     gate: &Gate,
     fault_plan: Option<Arc<FaultPlan>>,
     ack: Option<Arc<asterix_feeds::ops::AckPlumbing>>,
@@ -252,10 +275,10 @@ fn wait_taken(gate: &Gate, n: usize) {
 }
 
 /// Wait until `m` says the intake has taken `n` records.
-fn wait_records_in(m: &FeedMetrics, n: u64) {
+fn wait_records_in(m: &Books, n: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
-    while m.records_in.get() < n {
-        assert!(Instant::now() < deadline, "took {}", m.records_in.get());
+    while m.count("records_in") < n {
+        assert!(Instant::now() < deadline, "took {}", m.count("records_in"));
         std::thread::sleep(Duration::from_millis(2));
     }
 }
@@ -268,26 +291,26 @@ fn wait_records_in(m: &FeedMetrics, n: u64) {
 fn spill_subscription_spills_without_parking_the_worker() {
     let (cluster, node) = one_worker_node();
     let (n, more) = (100u64, 10u64);
-    let m = metrics();
+    let m = Books::new();
     let joint = stream_waiting_in_joint(&cluster, n, &m);
     let spilled = (n - IN_MEMORY_FRAMES as u64) * 10;
-    assert_eq!(m.records_spilled.get(), spilled);
+    assert_eq!(m.count("records_spilled"), spilled);
     let gate = Gate::default();
     let handle = run_job(&cluster, spill_intake_job(node, &m, &gate, None, None)).unwrap();
     // the intake fills its 4-frame port and stops pulling
     wait_records_in(&m, 40);
     another_job_completes(&cluster, node);
     assert_eq!(
-        m.records_in.get(),
+        m.count("records_in"),
         40,
         "it pulls only while the port has room"
     );
     assert!(gate.ids.lock().is_empty(), "the consumer took nothing");
     // arrivals while the spill is non-empty go behind it, at once
     deposit_frames(&joint, n..n + more);
-    assert_eq!(m.records_spilled.get(), spilled + more * 10);
+    assert_eq!(m.count("records_spilled"), spilled + more * 10);
     assert_eq!(
-        m.handoff_queue_frames.get(),
+        m.gauge("handoff_queue_frames"),
         n + more - IN_MEMORY_FRAMES as u64
     );
     assert_eq!(
@@ -305,8 +328,8 @@ fn spill_subscription_spills_without_parking_the_worker() {
         gate.ids.lock().iter().copied().eq(0..(n + more) * 10),
         "every record once, in order"
     );
-    assert_eq!(m.records_despilled.get(), m.records_spilled.get());
-    assert_eq!(m.handoff_queue_frames.get(), 0);
+    assert_eq!(m.count("records_despilled"), m.count("records_spilled"));
+    assert_eq!(m.gauge("handoff_queue_frames"), 0);
     cluster.shutdown();
 }
 
@@ -320,9 +343,9 @@ fn spill_subscription_spills_without_parking_the_worker() {
 fn respawned_intake_takes_the_handed_back_frames_first() {
     let (cluster, node) = one_worker_node();
     let n = 100u64;
-    let m = metrics();
+    let m = Books::new();
     stream_waiting_in_joint(&cluster, n, &m);
-    let spilled = m.records_spilled.get();
+    let spilled = m.count("records_spilled");
     assert!(spilled > 0);
     let plan = Arc::new(FaultPlan::from_events(
         1,
@@ -358,8 +381,8 @@ fn respawned_intake_takes_the_handed_back_frames_first() {
     assert!(!delivered.is_empty(), "what reached the port was delivered");
     assert!(delivered.iter().copied().eq(0..delivered.len() as u64));
     // it died before de-spilling anything: the spill waits for the successor
-    assert_eq!(m.records_despilled.get(), 0);
-    assert_eq!(m.records_spilled.get(), spilled);
+    assert_eq!(m.count("records_despilled"), 0);
+    assert_eq!(m.count("records_spilled"), spilled);
 
     // the successor drains the subscription: the handed-back frame first
     let second = Gate::default();
@@ -380,13 +403,13 @@ fn respawned_intake_takes_the_handed_back_frames_first() {
         "unacked records first, then memory, then the spill: {:?}",
         &ids[..ids.len().min(60)]
     );
-    assert_eq!(m.zombie_frames_adopted.get(), 1, "one frame handed back");
+    assert_eq!(m.count("zombie_frames_adopted"), 1, "one frame handed back");
     assert_eq!(
-        m.records_in.get(),
+        m.count("records_in"),
         n * 10,
         "handed-back records counted once"
     );
-    assert_eq!(m.records_despilled.get(), spilled);
+    assert_eq!(m.count("records_despilled"), spilled);
     cluster.shutdown();
 }
 
@@ -396,7 +419,7 @@ fn respawned_intake_takes_the_handed_back_frames_first() {
 /// once it opened.
 fn stalled_consumer_run(policy: IngestionPolicy, addr: &str, lines: u64) -> StalledRun {
     let (cluster, node) = one_worker_node();
-    let m = metrics();
+    let m = Books::new();
     let joint = FeedManager::on(&cluster.nodes()[0]).register_joint("Lines");
     // subscribe on the intake's behalf first, as the controller does
     drop(joint.subscribe_policed("stalled#p0", excess(policy.clone(), &m)));
@@ -462,8 +485,9 @@ fn stalled_consumer_run(policy: IngestionPolicy, addr: &str, lines: u64) -> Stal
     gate.open.store(true, Ordering::SeqCst);
     sender.join().unwrap();
     let deadline = Instant::now() + Duration::from_secs(120);
-    let accounted =
-        || gate.ids.lock().len() as u64 + m.records_discarded.get() + m.records_throttled.get();
+    let accounted = || {
+        gate.ids.lock().len() as u64 + m.count("records_discarded") + m.count("records_throttled")
+    };
     while accounted() < lines {
         assert!(
             Instant::now() < deadline,
@@ -494,7 +518,7 @@ struct StalledRun {
     held_frames: usize,
     /// Records the consumer got in the end.
     delivered: u64,
-    m: Arc<FeedMetrics>,
+    m: Books,
 }
 
 /// Only a policy that buffers its excess back-pressures a source: under
@@ -507,22 +531,22 @@ fn a_stalled_consumer_blocks_the_sender_only_under_basic_and_elastic() {
     let lines = 80_000u64;
     let spill = stalled_consumer_run(IngestionPolicy::spill(), "one-worker-spill:1", lines);
     assert!(spill.all_sent, "Spill blocked the sender");
-    assert!(spill.m.records_spilled.get() > 0);
+    assert!(spill.m.count("records_spilled") > 0);
     assert_eq!(
-        spill.m.records_despilled.get(),
-        spill.m.records_spilled.get()
+        spill.m.count("records_despilled"),
+        spill.m.count("records_spilled")
     );
     assert_eq!(spill.delivered, lines, "Spill loses nothing");
 
     let discard = stalled_consumer_run(IngestionPolicy::discard(), "one-worker-discard:1", lines);
     assert!(discard.all_sent, "Discard blocked the sender");
-    assert!(discard.m.records_discarded.get() > 0);
+    assert!(discard.m.count("records_discarded") > 0);
     assert!(discard.held_frames <= IN_MEMORY_FRAMES);
 
     let throttle =
         stalled_consumer_run(IngestionPolicy::throttle(), "one-worker-throttle:1", lines);
     assert!(throttle.all_sent, "Throttle blocked the sender");
-    assert!(throttle.m.records_throttled.get() > 0);
+    assert!(throttle.m.count("records_throttled") > 0);
     assert!(throttle.held_frames <= SUBSCRIBER_QUEUE_CAP);
 
     for (policy, addr) in [

@@ -99,7 +99,7 @@ fn udf_less_feed_decodes_nothing(transport: TransportKind, socket: &str) {
         .param("sockets", socket)
         .register_feeds(&catalog)
         .unwrap();
-    let conn = controller
+    controller
         .connect_feed("PlainFeed", "RawTweets", "Basic")
         .unwrap();
 
@@ -116,13 +116,18 @@ fn udf_less_feed_decodes_nothing(transport: TransportKind, socket: &str) {
         "expected {N} records persisted, saw {}",
         dataset.len()
     );
-    let metrics = controller.connection_metrics(conn).unwrap();
+    let registry = controller.registry();
+    let count = |name: &str| {
+        registry
+            .counter(name, &[("conn", "PlainFeed->RawTweets")])
+            .get()
+    };
     assert!(wait_until(Duration::from_secs(30), || {
-        metrics.soft_failures.get() == 1
+        count("feed.soft_failures") == 1
     }));
     assert_eq!(parse_calls() - parsed_before, N + 1, "the adaptor's parses");
     assert_eq!(
-        metrics.parse_calls.get(),
+        count("feed.parse_calls"),
         0,
         "no stage of a UDF-less feed decodes a record, wire hops or not"
     );
@@ -356,10 +361,10 @@ fn in_process_cascade_decodes_only_for_a_black_box_udf() {
 
     // the view-bodied UDF decoded nothing; the black box one decode per
     // record, and nothing else anywhere did
-    let decodes = |joint: &str| controller.compute_metrics(joint).unwrap().parse_calls.get();
+    let snap = controller.registry().snapshot();
+    let decodes = |joint: &str| snap.counter_for("feed.parse_calls", joint);
     assert_eq!(decodes("RawFeed:addHashTags"), 0);
     assert_eq!(decodes("RawFeed:lib#identity"), RECORDS);
-    let snap = controller.registry().snapshot();
     assert_eq!(snap.counter("feed.parse_calls"), RECORDS);
 
     // sanity: the records really went through the UDF and the store

@@ -242,8 +242,9 @@ fn degenerate_plan_behaves_like_connect_feed() {
         .controller
         .joint_locations("plan:SoloFeed:Tweets")
         .is_empty());
-    let m = rig.controller.connection_metrics(ids[0]).unwrap();
-    assert_eq!(m.records_persisted.get(), RECORDS);
+    let persisted = rig.controller.registry().snapshot();
+    let persisted = persisted.counter_for("feed.records_persisted", "SoloFeed->Tweets");
+    assert_eq!(persisted, RECORDS);
     rig.stop();
     unbind_socket("fanout-degenerate:9000");
 }

@@ -598,7 +598,7 @@ fn double_kill_leaves_no_active_connection_without_a_job() {
     );
     let snap = rig.controller.registry().snapshot();
     let failures = snap.counter_for("feed.respawn_failures", "Processed->UsTweets")
-        + snap.counter_for("feed.respawn_failures", &format!("compute:{STAGE1}"));
+        + snap.counter_for("feed.respawn_failures", STAGE1);
     assert!(failures >= 1, "the failed respawn was not reported");
     let traced = rig.cluster.trace().recent();
     assert!(

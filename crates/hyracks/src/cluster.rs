@@ -202,21 +202,6 @@ impl Cluster {
         self.inner.scheduler.clone()
     }
 
-    /// Spawn a background reporter that prints a metrics-snapshot summary
-    /// to the console every `every` sim-duration until shutdown.
-    pub fn spawn_console_reporter(&self, every: SimDuration) {
-        let inner = Arc::clone(&self.inner);
-        sync_thread::spawn_named("cc-metrics-reporter", move || {
-            while inner.tick(every) {
-                let snap = inner.registry.snapshot_at(&inner.clock);
-                if !snap.is_empty() {
-                    println!("{}", snap.console_summary());
-                }
-            }
-        })
-        .expect("spawn console reporter");
-    }
-
     /// Add a node; it begins heartbeating immediately. Returns its handle.
     pub fn add_node(&self) -> NodeHandle {
         let mut nodes = self.inner.nodes.write();

@@ -127,59 +127,53 @@ impl PartitionState {
     /// Before `key` is overwritten or deleted: drop its stored version from
     /// every secondary, reading only each index's field of it. A partition
     /// without secondaries skips the probe.
-    fn unindex_old(&mut self, key: &AdmValue) -> IngestResult<()> {
+    fn unindex_old(&mut self, key: &AdmValue) {
         if self.secondaries.is_empty() {
-            return Ok(());
+            return;
         }
         if let Some(old) = self.primary.get_ref(key) {
             for idx in &mut self.secondaries {
-                idx.remove(key, old.field(&idx.field).as_ref())?;
+                idx.remove(key, old.field(&idx.field).as_ref());
             }
         }
-        Ok(())
     }
 
     /// Store `payload` (checked binary ADM) under `key`, replacing any
     /// stored version: the memtable shares the buffer, then every secondary
-    /// gets its one field projected out of the bytes. The write path refuses
-    /// a record whose field a secondary rejects (a non-point under an
-    /// R-tree) before the log, so a logged record does not fail here. Never
-    /// seals: the caller seals once the whole batch is applied.
-    fn put(&mut self, key: AdmValue, payload: &Bytes) -> IngestResult<()> {
-        self.unindex_old(&key)?;
+    /// gets its one field projected out of the bytes. Cannot fail: the
+    /// write path refuses, before the log, any record a secondary does not
+    /// [`accept`](SecondaryIndex::accepts), so every logged record applies
+    /// here and again in replay. Never seals: the caller seals once the
+    /// whole batch is applied.
+    fn put(&mut self, key: AdmValue, payload: &Bytes) {
+        self.unindex_old(&key);
         if self.secondaries.is_empty() {
             self.primary.stage(key, Entry::Put(payload.clone()));
-            return Ok(());
+            return;
         }
         self.primary.stage(key.clone(), Entry::Put(payload.clone()));
         for idx in &mut self.secondaries {
             let indexed = decode_field_at(payload, &idx.field).ok().flatten();
-            idx.insert(&key, indexed.as_ref())?;
+            idx.insert(&key, indexed.as_ref());
         }
-        Ok(())
     }
 
-    /// Delete `key` from the primary and every secondary, if it is live;
-    /// returns whether it was. Never seals.
-    fn delete(&mut self, key: &AdmValue) -> IngestResult<bool> {
-        if !self.primary.contains(key) {
-            return Ok(false);
+    /// Delete `key` from the primary and every secondary, if it is live.
+    /// Never seals.
+    fn delete(&mut self, key: &AdmValue) {
+        if self.primary.contains(key) {
+            self.unindex_old(key);
+            self.primary.stage(key.clone(), Entry::Tombstone);
         }
-        self.unindex_old(key)?;
-        self.primary.stage(key.clone(), Entry::Tombstone);
-        Ok(true)
     }
 
     /// Index every live record of the primary in `idx`, reading only the
     /// indexed field of each — no record is materialized.
-    fn backfill(&self, idx: &mut SecondaryIndex) -> IngestResult<()> {
-        let mut backfill_err = None;
+    fn backfill(&self, idx: &mut SecondaryIndex) {
         self.primary.for_each_live_ref(|key, record| {
-            if backfill_err.is_none() {
-                backfill_err = idx.insert(key, record.field(&idx.field).as_ref()).err();
-            }
+            let indexed = record.field(&idx.field);
+            idx.insert(key, indexed.as_ref());
         });
-        backfill_err.map_or(Ok(()), Err)
     }
 }
 
@@ -337,7 +331,16 @@ impl DatasetPartition {
     ) -> IngestResult<()> {
         let mut idx = SecondaryIndex::new(name, field, kind);
         let mut st = self.inner.state.lock();
-        st.backfill(&mut idx)?;
+        // every live record must be one the index accepts, as every record
+        // logged from now on will be: replay then never meets a refusal
+        let mut refused = Ok(());
+        st.primary.for_each_live_ref(|_, record| {
+            if refused.is_ok() {
+                refused = idx.accepts(record.field(&idx.field).as_ref());
+            }
+        });
+        refused?;
+        st.backfill(&mut idx);
         st.secondaries.push(idx);
         Ok(())
     }
@@ -452,8 +455,22 @@ impl DatasetPartition {
         let needs_merge;
         {
             let mut st = self.inner.state.lock();
+            // a field a secondary would reject (a non-point under an
+            // R-tree) refuses its record here, before the log, so every
+            // logged record applies — and replays — without error
+            for idx in &st.secondaries {
+                accepted.retain(|(i, _, _)| {
+                    let indexed = decode_field_at(&payloads[*i], &idx.field).ok().flatten();
+                    let verdict = idx.accepts(indexed.as_ref());
+                    let soft = |e: IngestError| IngestError::soft(e.to_string());
+                    verdict
+                        .map_err(|e| outcome.soft.push((*i, soft(e))))
+                        .is_ok()
+                });
+            }
             if !upsert {
-                // strict inserts: drop duplicates (stored or in-batch)
+                // strict inserts: drop duplicates (stored, or earlier in
+                // this batch among the records the secondaries took)
                 // before anything reaches the log
                 let mut in_batch: BTreeSet<crate::KeyOrd> = BTreeSet::new();
                 accepted.retain(|(i, key, _)| {
@@ -466,22 +483,6 @@ impl DatasetPartition {
                         ));
                     }
                     !dup
-                });
-                if accepted.is_empty() {
-                    return Ok(outcome);
-                }
-            }
-            // a field a secondary would reject (a non-point under an
-            // R-tree) refuses its record here, before the log, so every
-            // logged record applies — and replays — without error
-            for idx in st.secondaries.iter().filter(|x| x.kind == IndexKind::RTree) {
-                accepted.retain(|(i, _, _)| {
-                    let indexed = decode_field_at(&payloads[*i], &idx.field).ok().flatten();
-                    let verdict = idx.accepts(indexed.as_ref());
-                    let soft = |e: IngestError| IngestError::soft(e.to_string());
-                    verdict
-                        .map_err(|e| outcome.soft.push((*i, soft(e))))
-                        .is_ok()
                 });
             }
             if accepted.is_empty() {
@@ -505,7 +506,7 @@ impl DatasetPartition {
             }
             for (i, key, _) in accepted {
                 self.inner.spin();
-                st.put(key, &payloads[i])?;
+                st.put(key, &payloads[i]);
                 outcome.committed += 1;
             }
             self.inner.seal(&mut st, false);
@@ -526,7 +527,7 @@ impl DatasetPartition {
                 return Ok(());
             }
             self.inner.wal.append_delete(key);
-            st.delete(key)?;
+            st.delete(key);
             self.inner.seal(&mut st, false);
             needs_merge = st.primary.needs_merge();
         }
@@ -672,16 +673,14 @@ impl DatasetPartition {
         let secondaries = std::mem::take(&mut st.secondaries);
         for old in secondaries {
             let mut idx = SecondaryIndex::new(old.name, old.field, old.kind);
-            st.backfill(&mut idx)?;
+            st.backfill(&mut idx);
             st.secondaries.push(idx);
         }
         for rec in records {
             match rec.op {
                 // replay checked the payload: the write path's trust holds
-                LogOp::Put { key, value } => st.put(key, &value)?,
-                LogOp::Delete { key } => {
-                    st.delete(&key)?;
-                }
+                LogOp::Put { key, value } => st.put(key, &value),
+                LogOp::Delete { key } => st.delete(&key),
             }
         }
         Ok(())

@@ -60,10 +60,13 @@ impl SecondaryIndex {
         }
     }
 
-    /// Whether [`insert`](SecondaryIndex::insert) takes this value of the
-    /// indexed field: absent, `null` and `missing` are skipped by every
-    /// kind; an R-tree index takes only points, anything else is a type
-    /// error. The write path asks before it logs a record.
+    /// Whether the index takes this value of the indexed field: absent,
+    /// `null` and `missing` are skipped by every kind; an R-tree index takes
+    /// only points, anything else is a type error. This is the one check: the
+    /// write path asks every secondary before it logs a record, and
+    /// [`crate::partition::DatasetPartition::add_secondary`] asks over the
+    /// live records before it installs an index, so
+    /// [`insert`](SecondaryIndex::insert) cannot fail.
     pub fn accepts(&self, indexed: Option<&AdmValue>) -> IngestResult<()> {
         match indexed {
             Some(v) if self.kind == IndexKind::RTree => match v {
@@ -81,16 +84,13 @@ impl SecondaryIndex {
     /// Index the record under `primary_key`, given its value for the
     /// indexed field (the caller projects that one field; the index never
     /// sees the record). Records whose indexed field is absent, `null` or
-    /// `missing` are skipped (optional fields are not indexed); a value the
-    /// index does not [`accept`](SecondaryIndex::accepts) is a type error.
-    pub fn insert(
-        &mut self,
-        primary_key: &AdmValue,
-        indexed: Option<&AdmValue>,
-    ) -> IngestResult<()> {
-        self.accepts(indexed)?;
+    /// `missing` are skipped (optional fields are not indexed), and so is a
+    /// value the index does not [`accept`](SecondaryIndex::accepts): only a
+    /// record logged before the index existed and overwritten since can
+    /// carry one, and replay puts it only to replace it.
+    pub fn insert(&mut self, primary_key: &AdmValue, indexed: Option<&AdmValue>) {
         let field_val = match indexed {
-            None | Some(AdmValue::Null) | Some(AdmValue::Missing) => return Ok(()),
+            None | Some(AdmValue::Null) | Some(AdmValue::Missing) => return,
             Some(v) => v,
         };
         match &mut self.index {
@@ -99,24 +99,19 @@ impl SecondaryIndex {
                     .or_default()
                     .insert(KeyOrd(primary_key.clone()));
             }
-            IndexImpl::RTree(tree) => {
-                let (x, y) = field_val.as_point().expect("accepted above");
-                tree.insert(x, y, KeyOrd(primary_key.clone()));
-            }
+            IndexImpl::RTree(tree) => match field_val.as_point() {
+                Some((x, y)) => tree.insert(x, y, KeyOrd(primary_key.clone())),
+                None => return,
+            },
         }
         self.entries += 1;
-        Ok(())
     }
 
     /// Remove the entry of the record under `primary_key`, given the value
     /// it was indexed under.
-    pub fn remove(
-        &mut self,
-        primary_key: &AdmValue,
-        indexed: Option<&AdmValue>,
-    ) -> IngestResult<()> {
+    pub fn remove(&mut self, primary_key: &AdmValue, indexed: Option<&AdmValue>) {
         let field_val = match indexed {
-            None | Some(AdmValue::Null) | Some(AdmValue::Missing) => return Ok(()),
+            None | Some(AdmValue::Null) | Some(AdmValue::Missing) => return,
             Some(v) => v,
         };
         let removed = match &mut self.index {
@@ -140,7 +135,6 @@ impl SecondaryIndex {
         if removed {
             self.entries -= 1;
         }
-        Ok(())
     }
 
     /// Primary keys whose indexed value equals `value` (B-tree only).
@@ -217,7 +211,7 @@ mod tests {
         let mut idx = SecondaryIndex::new("byCountry", "country", IndexKind::BTree);
         for (id, country) in [("t1", "US"), ("t2", "US"), ("t3", "IN")] {
             let t = tweet(id, Some(country), None);
-            idx.insert(&id.into(), t.field("country")).unwrap();
+            idx.insert(&id.into(), t.field("country"));
         }
         assert_eq!(idx.len(), 3);
         let mut us = idx.lookup_eq(&"US".into());
@@ -231,11 +225,9 @@ mod tests {
     #[test]
     fn null_or_absent_field_skipped() {
         let mut idx = SecondaryIndex::new("byCountry", "country", IndexKind::BTree);
-        idx.insert(&"t1".into(), tweet("t1", None, None).field("country"))
-            .unwrap();
+        idx.insert(&"t1".into(), tweet("t1", None, None).field("country"));
         let with_null = AdmValue::record(vec![("id", "t2".into()), ("country", AdmValue::Null)]);
-        idx.insert(&"t2".into(), with_null.field("country"))
-            .unwrap();
+        idx.insert(&"t2".into(), with_null.field("country"));
         assert!(idx.is_empty());
     }
 
@@ -243,12 +235,13 @@ mod tests {
     fn btree_remove_cleans_up() {
         let mut idx = SecondaryIndex::new("byCountry", "country", IndexKind::BTree);
         let t = tweet("t1", Some("US"), None);
-        idx.insert(&"t1".into(), t.field("country")).unwrap();
-        idx.remove(&"t1".into(), t.field("country")).unwrap();
+        idx.insert(&"t1".into(), t.field("country"));
+        idx.remove(&"t1".into(), t.field("country"));
         assert!(idx.lookup_eq(&"US".into()).is_empty());
         assert!(idx.is_empty());
         // double-remove is a no-op
-        idx.remove(&"t1".into(), t.field("country")).unwrap();
+        idx.remove(&"t1".into(), t.field("country"));
+        assert!(idx.is_empty());
     }
 
     #[test]
@@ -256,7 +249,7 @@ mod tests {
         let mut idx = SecondaryIndex::new("locationIndex", "location", IndexKind::RTree);
         for (id, at) in [("irvine", (-117.8, 33.6)), ("sf", (-122.4, 37.7))] {
             let t = tweet(id, None, Some(at));
-            idx.insert(&id.into(), t.field("location")).unwrap();
+            idx.insert(&id.into(), t.field("location"));
         }
         let socal = idx.lookup_rect(-120.0, 32.0, -115.0, 35.0);
         assert_eq!(socal, vec![AdmValue::string("irvine")]);
@@ -270,14 +263,16 @@ mod tests {
     fn rtree_rejects_non_point() {
         let mut idx = SecondaryIndex::new("locationIndex", "location", IndexKind::RTree);
         let bad = AdmValue::record(vec![("id", "x".into()), ("location", "nowhere".into())]);
-        assert!(idx.insert(&"x".into(), bad.field("location")).is_err());
+        assert!(idx.accepts(bad.field("location")).is_err());
+        // a value it does not accept is never indexed
+        idx.insert(&"x".into(), bad.field("location"));
+        assert!(idx.is_empty());
     }
 
     #[test]
     fn btree_rect_lookup_is_empty() {
         let mut idx = SecondaryIndex::new("byCountry", "country", IndexKind::BTree);
-        idx.insert(&"t1".into(), tweet("t1", Some("US"), None).field("country"))
-            .unwrap();
+        idx.insert(&"t1".into(), tweet("t1", Some("US"), None).field("country"));
         assert!(idx.lookup_rect(0.0, 0.0, 1.0, 1.0).is_empty());
     }
 }

@@ -5,9 +5,9 @@ use asterix_adm::AdmValue;
 use asterix_common::NodeId;
 use asterix_storage::lsm::{LayoutConfig, LsmConfig, LsmTree};
 use asterix_storage::partition::{DatasetPartition, PartitionConfig};
-use asterix_storage::{Dataset, DatasetConfig};
+use asterix_storage::{Dataset, DatasetConfig, IndexKind};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A record whose field set and per-field value types vary with the inputs,
@@ -49,6 +49,89 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::Flush),
         1 => Just(Op::Merge),
     ]
+}
+
+/// One record of a write batch: keyed, with a `country` for the btree (a
+/// string or an int: any value suits a btree) and maybe a `location` for
+/// the rtree (a point, or a word no rtree accepts) — or keyless.
+#[derive(Debug, Clone)]
+enum Poison {
+    Keyed { k: u8, country: u8, loc: u8 },
+    Keyless,
+}
+
+impl Poison {
+    fn value(&self) -> AdmValue {
+        let (key, country, loc) = match *self {
+            Poison::Keyed { k, country, loc } => (Some(k), country, loc),
+            Poison::Keyless => (None, 0, 0),
+        };
+        let mut fields = Vec::new();
+        if let Some(k) = key {
+            fields.push(("id".to_string(), AdmValue::Int(i64::from(k))));
+        }
+        fields.push(("country".to_string(), country_value(country)));
+        if let Some(location) = location_value(loc) {
+            fields.push(("location".to_string(), location));
+        }
+        AdmValue::Record(fields)
+    }
+}
+
+fn country_value(country: u8) -> AdmValue {
+    match country % 4 {
+        3 => AdmValue::Int(7),
+        c => AdmValue::string(format!("c{c}")),
+    }
+}
+
+/// `loc % 4`: 0 absent, 1 a word, else a point.
+fn location_value(loc: u8) -> Option<AdmValue> {
+    match loc % 4 {
+        0 => None,
+        1 => Some(AdmValue::string("nowhere")),
+        _ => Some(AdmValue::Point(f64::from(loc), f64::from(loc / 2))),
+    }
+}
+
+#[derive(Debug, Clone)]
+enum PoisonOp {
+    Batch { recs: Vec<Poison>, strict: bool },
+    Delete(u8),
+    Crash,
+    Merge,
+    AddRtree,
+}
+
+fn poison_op_strategy() -> impl Strategy<Value = PoisonOp> {
+    let rec = prop_oneof![
+        8 => (0u8..12, any::<u8>(), any::<u8>())
+            .prop_map(|(k, country, loc)| Poison::Keyed { k, country, loc }),
+        1 => Just(Poison::Keyless),
+    ];
+    prop_oneof![
+        6 => (prop::collection::vec(rec, 1..6), any::<bool>())
+            .prop_map(|(recs, strict)| PoisonOp::Batch { recs, strict }),
+        2 => (0u8..12).prop_map(PoisonOp::Delete),
+        1 => Just(PoisonOp::Crash),
+        1 => Just(PoisonOp::Merge),
+        1 => Just(PoisonOp::AddRtree),
+    ]
+}
+
+/// The keys each index answers with: the btree per country value, the
+/// rtree over the whole plane (when installed).
+fn index_answers(p: &DatasetPartition, rtree: bool) -> (Vec<BTreeSet<i64>>, Option<BTreeSet<i64>>) {
+    let ids = |recs: Vec<AdmValue>| -> BTreeSet<i64> {
+        recs.iter()
+            .map(|r| r.field("id").and_then(AdmValue::as_int).unwrap())
+            .collect()
+    };
+    let by_country = (0..4)
+        .map(|c| ids(p.query_eq("byCountry", &country_value(c)).unwrap()))
+        .collect();
+    let by_loc = rtree.then(|| ids(p.query_rect("byLoc", -1.0, -1.0, 300.0, 300.0).unwrap()));
+    (by_country, by_loc)
 }
 
 proptest! {
@@ -197,6 +280,118 @@ proptest! {
                 logged = 0;
             }
             prop_assert_eq!(p.wal_len(), logged);
+        }
+        let before = p.scan_all();
+        p.recover().unwrap();
+        prop_assert_eq!(p.scan_all(), before);
+    }
+
+    /// A logged record always applies. Batches mix poison records — a
+    /// location no rtree accepts, keyless records, duplicates within a
+    /// batch — under a btree and (from the start, or installed at an
+    /// arbitrary point) an rtree, with crashes and forced merges anywhere.
+    /// A poison record is refused before the log; an rtree is installed
+    /// only over live records it accepts. After every op the live set
+    /// equals the oracle, both indexes answer from it, `wal_len()` equals
+    /// the entries logged since the last seal, and every crash's
+    /// `recover()` is `Ok` and changes nothing.
+    #[test]
+    fn a_logged_record_always_applies(
+        ops in prop::collection::vec(poison_op_strategy(), 1..60),
+        rtree_at_start in any::<bool>(),
+        memtable_budget in prop_oneof![Just(3usize), Just(LsmConfig::default().memtable_budget)],
+    ) {
+        let mut config = PartitionConfig::keyed_on("id");
+        config.lsm.memtable_budget = memtable_budget;
+        let p = DatasetPartition::new(config);
+        p.add_secondary("byCountry", "country", IndexKind::BTree).unwrap();
+        let mut rtree = rtree_at_start;
+        if rtree {
+            p.add_secondary("byLoc", "location", IndexKind::RTree).unwrap();
+        }
+        // the oracle: live records by key; keys staged since the last seal
+        // and the log entries that wrote them
+        let mut live: BTreeMap<u8, Poison> = BTreeMap::new();
+        let mut unsealed: BTreeSet<u8> = BTreeSet::new();
+        let mut logged = 0usize;
+        for op in ops {
+            match op {
+                PoisonOp::Batch { recs, strict } => {
+                    let values: Vec<Arc<AdmValue>> = recs.iter().map(|r| Arc::new(r.value())).collect();
+                    let outcome = if strict {
+                        p.insert_batch(&values).unwrap()
+                    } else {
+                        p.upsert_batch(&values).unwrap()
+                    };
+                    // refused: a keyless record, a word under the rtree
+                    // and (strict) a key stored or taken earlier in the
+                    // batch by a record the rtree did not refuse
+                    let mut in_batch = BTreeSet::new();
+                    let mut accepted = Vec::new();
+                    for rec in &recs {
+                        let Poison::Keyed { k, loc, .. } = *rec else { continue };
+                        if rtree && loc % 4 == 1 {
+                            continue;
+                        }
+                        if strict && (live.contains_key(&k) || !in_batch.insert(k)) {
+                            continue;
+                        }
+                        accepted.push((k, rec.clone()));
+                    }
+                    prop_assert_eq!(outcome.committed, accepted.len());
+                    prop_assert_eq!(outcome.soft.len(), recs.len() - accepted.len());
+                    logged += accepted.len();
+                    for (k, rec) in accepted {
+                        unsealed.insert(k);
+                        live.insert(k, rec);
+                    }
+                }
+                PoisonOp::Delete(k) => {
+                    p.delete(&AdmValue::Int(i64::from(k))).unwrap();
+                    if live.remove(&k).is_some() {
+                        unsealed.insert(k);
+                        logged += 1;
+                    }
+                }
+                PoisonOp::Crash => {
+                    let before = (p.scan_all(), index_answers(&p, rtree));
+                    p.recover().unwrap();
+                    prop_assert_eq!((p.scan_all(), index_answers(&p, rtree)), before);
+                }
+                PoisonOp::Merge => {
+                    p.force_merge();
+                    unsealed.clear();
+                    logged = 0;
+                }
+                PoisonOp::AddRtree if !rtree => {
+                    let refusable = live.values().any(|r| {
+                        matches!(r, Poison::Keyed { loc, .. } if loc % 4 == 1)
+                    });
+                    let added = p.add_secondary("byLoc", "location", IndexKind::RTree);
+                    prop_assert_eq!(added.is_ok(), !refusable);
+                    rtree = added.is_ok();
+                }
+                PoisonOp::AddRtree => {}
+            }
+            if unsealed.len() >= memtable_budget {
+                unsealed.clear();
+                logged = 0;
+            }
+            prop_assert_eq!(p.wal_len(), logged);
+            let expected: Vec<(AdmValue, AdmValue)> = live
+                .iter()
+                .map(|(k, r)| (AdmValue::Int(i64::from(*k)), r.value()))
+                .collect();
+            prop_assert_eq!(p.scan_all(), expected);
+            let by_country: Vec<BTreeSet<i64>> = (0..4)
+                .map(|c| {
+                    let of = |r: &Poison| matches!(r, Poison::Keyed { country, .. } if country % 4 == c);
+                    live.iter().filter(|(_, r)| of(r)).map(|(k, _)| i64::from(*k)).collect()
+                })
+                .collect();
+            let located = live.iter().filter(|(_, r)| matches!(r, Poison::Keyed { loc, .. } if loc % 4 >= 2));
+            let by_loc = rtree.then(|| located.map(|(k, _)| i64::from(*k)).collect());
+            prop_assert_eq!(index_answers(&p, rtree), (by_country, by_loc));
         }
         let before = p.scan_all();
         p.recover().unwrap();

@@ -71,7 +71,11 @@ fn main() {
     let conn = controller
         .connect_feed("ProcessedTwitterFeed", "ProcessedTweets", "FaultTolerant")
         .unwrap();
-    let metrics = controller.connection_metrics(conn).unwrap();
+    let registry = controller.registry();
+    let count = |name: &str| {
+        let labels = &[("conn", "ProcessedTwitterFeed->ProcessedTweets")];
+        registry.counter(name, labels).get()
+    };
     println!("connected with the FaultTolerant policy; ingesting...");
 
     let watch = |label: &str, secs: u64| {
@@ -81,8 +85,8 @@ fn main() {
                 "  [{label}] state={:?} persisted={} soft_failures={} replayed={}",
                 controller.connection_state(conn),
                 dataset.len(),
-                metrics.soft_failures.get(),
-                metrics.records_replayed.get(),
+                count("feed.soft_failures"),
+                count("feed.records_replayed"),
             );
         }
     };

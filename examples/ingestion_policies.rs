@@ -87,18 +87,17 @@ fn run(policy_stmts: &str, policy: &str, round: usize) {
         }
         last = n;
     }
-    let m = engine
-        .controller()
-        .compute_metrics("TwitterFeed:addHashTags")
-        .unwrap();
+    let snap = engine.controller().registry().snapshot();
+    let count = |name: &str| snap.counter_for(name, "TwitterFeed:addHashTags");
+    let spill_bytes = snap.gauge_for("feed.spill_bytes", "TwitterFeed:addHashTags");
     println!(
-        "  {policy:<20} generated={:<6} persisted={:<6} discarded={:<5} throttled={:<5} spilled={:<6} spill_peak={}KB",
+        "  {policy:<20} generated={:<6} persisted={:<6} discarded={:<5} throttled={:<5} spilled={:<6} spill_left={}KB",
         gen.generated(),
         dataset.len(),
-        m.records_discarded.get(),
-        m.records_throttled.get(),
-        m.records_spilled.get(),
-        m.spill_bytes.get() / 1024,
+        count("feed.records_discarded"),
+        count("feed.records_throttled"),
+        count("feed.records_spilled"),
+        spill_bytes.unwrap_or(0) / 1024,
     );
     gen.stop();
     engine.controller().shutdown();
