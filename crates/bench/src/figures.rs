@@ -12,7 +12,7 @@ use asterix_aql::engine::AsterixEngine;
 use asterix_aql::eval::{eval, Env, EvalContext};
 use asterix_aql::parser::parse_expr;
 use asterix_common::{
-    FaultPlanConfig, IngestError, IngestResult, MetricsRegistry, MetricsSnapshot, NodeId,
+    socket, FaultPlanConfig, IngestError, IngestResult, MetricsRegistry, MetricsSnapshot, NodeId,
     RateMeter, SimClock, SimDuration, ThroughputSeries, TraceHub,
 };
 use asterix_feeds::controller::ControllerConfig;
@@ -26,8 +26,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stormsim::glue::{run_storm_mongo, StormMongoConfig};
-use stormsim::mongo::MongoConfig;
-use stormsim::topology::TopologyConfig;
 use stormsim::WriteConcern;
 use tweetgen::{PatternDescriptor, TweetFactory, TweetGen, TweetGenConfig};
 
@@ -358,7 +356,7 @@ pub fn fig_7_2(_seed: u64) -> (Json, Option<MetricsSnapshot>) {
     let config = TweetGenConfig::new("fig72:9000", 0, phases(&[(300, 30), (600, 30)], 2));
     let gen = TweetGen::bind(config, clock.clone()).expect("bind");
     let meter = RateMeter::new(clock.now(), secs(2));
-    for _tweet in tweetgen::connect("fig72:9000").expect("connect").iter() {
+    for _tweet in socket::attach("fig72:9000").expect("attach").lines.iter() {
         meter.record_at(clock.now(), 1);
     }
     let series = meter.series();
@@ -470,26 +468,9 @@ fn storm(concern: WriteConcern, addr: &str) -> Json {
     let clock = SimClock::with_scale(100.0);
     let config = TweetGenConfig::new(addr, 0, PatternDescriptor::constant(300, 60));
     let gen = TweetGen::bind(config, clock.clone()).expect("bind");
-    let stamped = tweetgen::connect(addr).expect("connect");
-    // the glue consumes raw JSON lines; it has no use for generation stamps
-    let (tx, source) = crossbeam_channel::unbounded();
-    let pump = move || {
-        for tweet in stamped.iter() {
-            if tx.send(tweet.json).is_err() {
-                break;
-            }
-        }
-    };
-    asterix_common::sync::thread::spawn_named("glue-json-pump", pump).expect("spawn pump");
-    let mut glue = StormMongoConfig {
-        concern,
-        transform_parallelism: 2,
-        store_parallelism: 2,
-        topology: TopologyConfig::default(),
-        mongo: MongoConfig::default(),
-        udf_spin: 1_000,
-        meter_bucket: secs(2),
-    };
+    let source = socket::attach(addr).expect("attach").lines;
+    let mut glue = StormMongoConfig::default();
+    (glue.concern, glue.udf_spin) = (concern, 1_000);
     glue.topology.max_spout_pending = 512;
     // journal group commit every 100 sim-ms (MongoDB's default)
     glue.mongo.commit_interval = SimDuration::from_millis(100);

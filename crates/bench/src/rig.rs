@@ -7,7 +7,7 @@ use asterix_adm::AdmValue;
 use asterix_common::{
     FaultPlan, FaultPlanConfig, MetricsSnapshot, NodeId, SimClock, SimDuration, ThroughputSeries,
 };
-use asterix_feeds::adaptor::{ChaosAdaptorFactory, TweetGenAdaptorFactory};
+use asterix_feeds::adaptor::{ChaosAdaptorFactory, SocketAdaptorFactory};
 use asterix_feeds::catalog::FeedCatalog;
 use asterix_feeds::controller::{ControllerConfig, FeedController};
 use asterix_feeds::plan::{IngestPlanBuilder, SinkSpec};
@@ -209,8 +209,8 @@ pub fn run(mut setup: Setup, seed: u64, tag: &str) -> Outcome {
         Some(plan) => {
             print!("{}", plan.describe());
             cluster.arm_fault_plan(Arc::clone(plan));
-            let chaos =
-                ChaosAdaptorFactory::new(Arc::new(TweetGenAdaptorFactory), Arc::clone(plan));
+            let tweetgen = Arc::new(SocketAdaptorFactory::TWEETGEN);
+            let chaos = ChaosAdaptorFactory::new(tweetgen, Arc::clone(plan));
             catalog.adaptors().register(Arc::new(chaos));
             "chaos:TweetGenAdaptor"
         }

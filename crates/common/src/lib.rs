@@ -24,6 +24,8 @@
 //! * [`metrics`] — the typed metrics registry (counters, gauges, histograms
 //!   with lock-free hot paths) every layer reports into, snapshottable as
 //!   JSON or Prometheus text.
+//! * [`socket`] — the in-process socket every push source writes into and
+//!   every push adaptor reads: one address registry, channel and doorbell.
 //! * [`sync`] — the workspace synchronization facade: poison-recovering
 //!   locks, the compactor [`sync::WakeSignal`], the bounded
 //!   [`sync::handoff`] channel, and cfg-switched atomics that build against
@@ -38,6 +40,8 @@ pub mod frame;
 pub mod ids;
 pub mod meter;
 pub mod metrics;
+#[cfg(not(loom))]
+pub mod socket;
 pub mod sync;
 pub mod trace;
 

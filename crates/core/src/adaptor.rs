@@ -8,14 +8,13 @@
 //! API of §5.3.1) and builds configured instances.
 //!
 //! Built-ins:
-//! * [`TweetGenAdaptorFactory`] (`TweetGenAdaptor`) — connects to TweetGen
-//!   instances at the socket addresses listed in its `datasource`
-//!   parameter, one adaptor instance per address (parallel ingestion,
-//!   Listing 5.19);
-//! * [`SocketAdaptorFactory`] (`socket_adaptor`) — the "generic socket-based
-//!   feed adaptor that can be used to ingest data that is directed at a
-//!   specified socket address" (§4.1), backed by an in-process channel
-//!   registry;
+//! * [`SocketAdaptorFactory`] — the one push adaptor, reading the in-process
+//!   socket ([`asterix_common::socket`]) at each address its parameter
+//!   lists, one adaptor instance per address (parallel ingestion, Listing
+//!   5.19). It serves two aliases: `TweetGenAdaptor` reads the TweetGen
+//!   instances listed in `datasource`, and `socket_adaptor`, the "generic
+//!   socket-based feed adaptor that can be used to ingest data that is
+//!   directed at a specified socket address" (§4.1), reads `sockets`;
 //! * [`FileAdaptorFactory`] (`file_based_feed`) — reads ADM/JSON records
 //!   (one per line) from a file, the §5.7.1 "simulated feed" used to compare
 //!   batch inserts against feed ingestion;
@@ -31,11 +30,11 @@
 //! hook the host hands over ([`FeedAdaptor::set_wake`]), a pull source
 //! names when to look again ([`SourcePoll::Idle`]). The
 //! paper's two modes (§5.3.1) both fit: a *push* source is whatever pushes
-//! into the channel the adaptor drains (TweetGen's pusher, a `bind_socket`
+//! into the socket the adaptor reads (TweetGen's pusher, a `bind_socket`
 //! client), a *pull* source makes one request per poll (the next lines of a
 //! file, the trace records that are due). A source that can only be read
-//! with a blocking call wraps its own thread and channel, exactly as those
-//! push sources do, and is polled like them.
+//! with a blocking call wraps its own thread and pushes into a socket,
+//! exactly as those push sources do.
 //!
 //! Every built-in adaptor turns a line into a record the same way
 //! (`translate`): the text is transcoded straight to binary ADM in the
@@ -47,7 +46,7 @@
 //! so silent drops at the front door are observable in metrics snapshots.
 
 use asterix_adm::transcode;
-use asterix_common::sync::atomic::{AtomicBool, Ordering};
+use asterix_common::socket::{self, SocketReader};
 use asterix_common::sync::Mutex;
 use asterix_common::{
     Counter, FaultKind, FaultPlan, IngestError, IngestResult, Record, SimClock, SimInstant,
@@ -55,10 +54,12 @@ use asterix_common::{
 use asterix_hyracks::job::Constraint;
 use asterix_hyracks::operator::SourcePoll;
 use asterix_hyracks::WakeHook;
-use crossbeam_channel::{Receiver, SendError, Sender, TryRecvError};
+use crossbeam_channel::TryRecvError;
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufRead;
 use std::sync::Arc;
+
+pub use asterix_common::socket::{bind_socket, unbind_socket, SocketSender};
 
 /// Adaptor configuration: the `("key"="value")` pairs of `create feed`.
 pub type AdaptorConfig = BTreeMap<String, String>;
@@ -107,233 +108,67 @@ pub trait AdaptorFactory: Send + Sync {
     ) -> IngestResult<Box<dyn FeedAdaptor>>;
 }
 
-fn parse_datasource_list(config: &AdaptorConfig, key: &str) -> IngestResult<Vec<String>> {
-    let raw = config
-        .get(key)
-        .ok_or_else(|| IngestError::Config(format!("adaptor requires '{key}' parameter")))?;
-    let addrs: Vec<String> = raw
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    if addrs.is_empty() {
-        return Err(IngestError::Config(format!("'{key}' lists no addresses")));
-    }
-    Ok(addrs)
-}
-
-/// Translate one external JSON/ADM line into an ADM record payload (§5.3.1).
-/// Malformed input yields a parse error the adaptor may skip.
+/// Translate one external JSON/ADM line into an ADM record payload (§5.3.1),
+/// stamped `gen_at`. Malformed input yields a parse error the adaptor may
+/// skip.
 ///
 /// This is the *one* text parse a record ever gets, and it builds no tree:
 /// [`transcode`] writes the binary ADM encoding every later stage reads in
 /// place into the adaptor instance's reusable `scratch` buffer, and the
 /// record's payload is one exactly-sized copy of it.
-fn translate(line: &str, adaptor_instance: u32, scratch: &mut Vec<u8>) -> IngestResult<Record> {
+fn translate(
+    line: &str,
+    adaptor_instance: u32,
+    scratch: &mut Vec<u8>,
+    gen_at: Option<SimInstant>,
+) -> IngestResult<Record> {
     scratch.clear();
     transcode(line, scratch)?;
     // `From<&[u8]>` is `Bytes::copy_from_slice`: one allocation, no regrowth
-    Ok(Record::untracked(adaptor_instance, &scratch[..]))
+    let rec = Record::untracked(adaptor_instance, &scratch[..]);
+    Ok(Record { gen_at, ..rec })
 }
 
-/// Drain up to `budget` items a push source has already put on its channel.
-/// A closed, drained channel is an exhausted source.
-fn drain_channel<T>(
-    rx: &Receiver<T>,
-    budget: usize,
-    mut each: impl FnMut(T) -> IngestResult<()>,
-) -> IngestResult<SourcePoll> {
-    for taken in 0..budget {
-        match rx.try_recv() {
-            Ok(item) => each(item)?,
-            Err(TryRecvError::Empty) if taken == 0 => return Ok(SourcePoll::Idle(None)),
-            Err(TryRecvError::Empty) => break,
-            Err(TryRecvError::Disconnected) => return Ok(SourcePoll::Done),
+// ---------------------------------------------------------------------------
+// Push adaptor
+// ---------------------------------------------------------------------------
+
+/// Factory for the push adaptor under one alias: the alias, and the
+/// parameter that lists the socket addresses to read.
+#[derive(Debug, Clone, Copy)]
+pub struct SocketAdaptorFactory(&'static str, &'static str);
+
+impl SocketAdaptorFactory {
+    /// `TweetGenAdaptor`: the TweetGen instances listed in `datasource`.
+    pub const TWEETGEN: Self = Self("TweetGenAdaptor", "datasource");
+    /// `socket_adaptor`: the sockets listed in `sockets`.
+    pub const SOCKET: Self = Self("socket_adaptor", "sockets");
+
+    /// The addresses the factory's parameter lists, one per instance.
+    fn addrs(&self, config: &AdaptorConfig) -> IngestResult<Vec<String>> {
+        let param = self.1;
+        let raw = config
+            .get(param)
+            .ok_or_else(|| IngestError::Config(format!("adaptor requires '{param}' parameter")))?;
+        let addrs: Vec<String> = raw
+            .split(',')
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .collect();
+        if addrs.is_empty() {
+            return Err(IngestError::Config(format!("'{param}' lists no addresses")));
         }
-    }
-    Ok(SourcePoll::Produced)
-}
-
-// ---------------------------------------------------------------------------
-// TweetGen adaptor
-// ---------------------------------------------------------------------------
-
-/// Factory for the TweetGen adaptor.
-#[derive(Debug, Default)]
-pub struct TweetGenAdaptorFactory;
-
-impl AdaptorFactory for TweetGenAdaptorFactory {
-    fn alias(&self) -> &str {
-        "TweetGenAdaptor"
-    }
-
-    fn constraints(&self, config: &AdaptorConfig) -> IngestResult<Constraint> {
-        Ok(Constraint::Count(
-            parse_datasource_list(config, "datasource")?.len(),
-        ))
-    }
-
-    fn create(
-        &self,
-        config: &AdaptorConfig,
-        partition: usize,
-        _clock: &SimClock,
-        malformed_lines: &Counter,
-    ) -> IngestResult<Box<dyn FeedAdaptor>> {
-        let addrs = parse_datasource_list(config, "datasource")?;
-        let addr = addrs
-            .get(partition)
-            .ok_or_else(|| {
-                IngestError::Plan(format!(
-                    "adaptor partition {partition} exceeds datasource list of {}",
-                    addrs.len()
-                ))
-            })?
-            .clone();
-        Ok(Box::new(TweetGenAdaptor {
-            addr,
-            wake: None,
-            wire: None,
-            instance: partition as u32,
-            malformed_lines: malformed_lines.clone(),
-            scratch: Vec::new(),
-        }))
+        Ok(addrs)
     }
 }
-
-struct TweetGenAdaptor {
-    addr: String,
-    /// Handed to the pusher at the handshake.
-    wake: Option<WakeHook>,
-    /// The push channel, once the first poll has done the handshake.
-    wire: Option<Receiver<tweetgen::StampedTweet>>,
-    instance: u32,
-    malformed_lines: Counter,
-    /// [`translate`]'s buffer, reused for every record.
-    scratch: Vec<u8>,
-}
-
-impl FeedAdaptor for TweetGenAdaptor {
-    fn poll(&mut self, emit: EmitFn<'_>, budget: usize) -> IngestResult<SourcePoll> {
-        let wire = match &self.wire {
-            Some(wire) => wire,
-            // the initial handshake; a failure here is fatal for the feed
-            None => self.wire.insert(match self.wake.clone() {
-                Some(wake) => tweetgen::connect_waking(&self.addr, wake)?,
-                None => tweetgen::connect(&self.addr)?,
-            }),
-        };
-        // TweetGen closes the push channel when its pattern completes (or it
-        // was stopped): the feed's data is exhausted, end gracefully.
-        // Recovery from a *transient* source outage (§6.2.3) is
-        // adaptor-specific; TweetGen has no such failure mode, so no
-        // reconnect is attempted — it would restart the pattern from zero.
-        drain_channel(wire, budget, |tweet| {
-            // the wire carries the generation stamp; it rides on the record
-            // so the store can derive end-to-end ingestion lag
-            match translate(&tweet.json, self.instance, &mut self.scratch) {
-                Ok(rec) => emit(rec.stamped(tweet.gen_at))?,
-                Err(_) => self.malformed_lines.inc(),
-            }
-            Ok(())
-        })
-    }
-
-    fn set_wake(&mut self, wake: WakeHook) {
-        self.wake = Some(wake);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Generic socket adaptor
-// ---------------------------------------------------------------------------
-
-/// A bound socket's wake path: the adaptor arms it when it finds the socket
-/// empty, and the next send fires the adaptor's hook.
-#[derive(Default)]
-struct Doorbell {
-    armed: AtomicBool,
-    wake: Mutex<Option<WakeHook>>,
-}
-
-impl Doorbell {
-    fn ring(&self) {
-        if self.armed.load(Ordering::SeqCst) && self.armed.swap(false, Ordering::SeqCst) {
-            let wake = self.wake.lock().clone();
-            if let Some(wake) = wake {
-                wake();
-            }
-        }
-    }
-}
-
-type BoundSocket = (Receiver<String>, Arc<Doorbell>);
-
-static SOCKETS: Mutex<Option<HashMap<String, BoundSocket>>> = Mutex::new(None);
-
-/// The sending end of a bound socket ([`bind_socket`]); clones share it. A
-/// line sent while the adaptor reading the socket is parked on it wakes the
-/// adaptor's task.
-#[derive(Clone)]
-pub struct SocketSender {
-    tx: Sender<String>,
-    bell: Arc<Doorbell>,
-}
-
-impl SocketSender {
-    /// Send one line, waiting while the socket's buffer is full; an error
-    /// hands the line back once no adaptor can ever read the socket.
-    pub fn send(&self, line: String) -> Result<(), SendError<String>> {
-        self.tx.send(line)?;
-        self.bell.ring();
-        Ok(())
-    }
-
-    /// Lines in the socket's buffer.
-    pub fn len(&self) -> usize {
-        self.tx.len()
-    }
-
-    /// Is the socket's buffer empty?
-    pub fn is_empty(&self) -> bool {
-        self.tx.is_empty()
-    }
-}
-
-/// Bind an in-process "socket" at `addr` that external producers can push
-/// lines into; the generic socket adaptor consumes it.
-pub fn bind_socket(addr: &str, capacity: usize) -> IngestResult<SocketSender> {
-    let (tx, rx) = crossbeam_channel::bounded(capacity);
-    let bell = Arc::new(Doorbell::default());
-    let mut reg = SOCKETS.lock();
-    let map = reg.get_or_insert_with(HashMap::new);
-    if map.contains_key(addr) {
-        return Err(IngestError::Config(format!("socket {addr} already bound")));
-    }
-    map.insert(addr.to_string(), (rx, Arc::clone(&bell)));
-    Ok(SocketSender { tx, bell })
-}
-
-/// Remove a socket binding.
-pub fn unbind_socket(addr: &str) {
-    if let Some(map) = SOCKETS.lock().as_mut() {
-        map.remove(addr);
-    }
-}
-
-/// Factory for the generic socket adaptor.
-#[derive(Debug, Default)]
-pub struct SocketAdaptorFactory;
 
 impl AdaptorFactory for SocketAdaptorFactory {
     fn alias(&self) -> &str {
-        "socket_adaptor"
+        self.0
     }
 
     fn constraints(&self, config: &AdaptorConfig) -> IngestResult<Constraint> {
-        Ok(Constraint::Count(
-            parse_datasource_list(config, "sockets")?.len(),
-        ))
+        Ok(Constraint::Count(self.addrs(config)?.len()))
     }
 
     fn create(
@@ -343,19 +178,14 @@ impl AdaptorFactory for SocketAdaptorFactory {
         _clock: &SimClock,
         malformed_lines: &Counter,
     ) -> IngestResult<Box<dyn FeedAdaptor>> {
-        let addrs = parse_datasource_list(config, "sockets")?;
-        let addr = addrs
-            .get(partition)
-            .ok_or_else(|| IngestError::Plan("socket partition out of range".into()))?;
-        let (rx, bell) = SOCKETS
-            .lock()
-            .as_ref()
-            .and_then(|m| m.get(addr))
-            .cloned()
-            .ok_or_else(|| IngestError::Disconnected(format!("no socket bound at {addr}")))?;
+        let addrs = self.addrs(config)?;
+        let addr = addrs.get(partition).ok_or_else(|| {
+            IngestError::Plan(format!("adaptor partition {partition} has no address"))
+        })?;
         Ok(Box::new(SocketAdaptor {
-            rx,
-            bell,
+            addr: addr.clone(),
+            wake: None,
+            reader: None,
             instance: partition as u32,
             malformed_lines: malformed_lines.clone(),
             scratch: Vec::new(),
@@ -364,8 +194,11 @@ impl AdaptorFactory for SocketAdaptorFactory {
 }
 
 struct SocketAdaptor {
-    rx: Receiver<String>,
-    bell: Arc<Doorbell>,
+    addr: String,
+    /// Handed to the socket at the attach.
+    wake: Option<WakeHook>,
+    /// The socket, once the first poll has attached.
+    reader: Option<SocketReader>,
     instance: u32,
     malformed_lines: Counter,
     /// [`translate`]'s buffer, reused for every record.
@@ -374,27 +207,44 @@ struct SocketAdaptor {
 
 impl FeedAdaptor for SocketAdaptor {
     fn poll(&mut self, emit: EmitFn<'_>, budget: usize) -> IngestResult<SourcePoll> {
-        let polled = drain_channel(&self.rx, budget, |line| {
-            match translate(&line, self.instance, &mut self.scratch) {
+        let reader = match &self.reader {
+            Some(reader) => reader,
+            // the one initial request (§4.1), which starts a TweetGen's
+            // generation; a failure here is fatal for the feed
+            None => {
+                let reader = socket::attach(&self.addr)?;
+                if let Some(wake) = self.wake.take() {
+                    reader.set_wake(wake);
+                }
+                self.reader.insert(reader)
+            }
+        };
+        for taken in 0..budget {
+            let line = match reader.lines.try_recv() {
+                Ok(line) => line,
+                // about to park: arm the doorbell, then look once more, so a
+                // line sent in between is read at once, not on the safety
+                // deadline
+                Err(TryRecvError::Empty) if taken > 0 || reader.arm() => break,
+                Err(TryRecvError::Empty) => return Ok(SourcePoll::Idle(None)),
+                // A closed, drained socket is an exhausted source (a
+                // TweetGen's pattern completed or it was stopped, a client
+                // dropped its sender): end gracefully. No reconnect is
+                // attempted (§6.2.3); it would restart a pattern from zero.
+                Err(TryRecvError::Disconnected) => return Ok(SourcePoll::Done),
+            };
+            // a generation stamp rides on the record so the store can
+            // derive end-to-end ingestion lag
+            match translate(&line.text, self.instance, &mut self.scratch, line.gen_at) {
                 Ok(rec) => emit(rec)?,
                 Err(_) => self.malformed_lines.inc(),
             }
-            Ok(())
-        })?;
-        if polled != SourcePoll::Idle(None) {
-            return Ok(polled);
         }
-        // about to park: arm the doorbell, then look once more, so a line
-        // sent in between is read at once, not on the safety deadline
-        self.bell.armed.store(true, Ordering::SeqCst);
-        Ok(match self.rx.is_empty() {
-            true => polled,
-            false => SourcePoll::Produced,
-        })
+        Ok(SourcePoll::Produced)
     }
 
     fn set_wake(&mut self, wake: WakeHook) {
-        *self.bell.wake.lock() = Some(wake);
+        self.wake = Some(wake);
     }
 }
 
@@ -464,7 +314,7 @@ impl FeedAdaptor for FileAdaptor {
             let trimmed = line.trim();
             if !trimmed.is_empty() {
                 // a corrupt file is not survivable
-                emit(translate(trimmed, 0, &mut self.scratch)?)?;
+                emit(translate(trimmed, 0, &mut self.scratch, None)?)?;
             }
         }
         Ok(if taken < budget {
@@ -626,8 +476,8 @@ impl FeedAdaptor for TraceAdaptor {
             let (_, payload) = replay.next.take().expect("buffered by next_due");
             // a recorded payload that never parsed is replayed faithfully:
             // skipped and counted, exactly as the live adaptor treated it
-            match translate(&payload, self.instance, &mut self.scratch) {
-                Ok(rec) => emit(rec.stamped(due))?,
+            match translate(&payload, self.instance, &mut self.scratch, Some(due)) {
+                Ok(rec) => emit(rec)?,
                 Err(_) => self.malformed_lines.inc(),
             }
         }
@@ -735,8 +585,8 @@ impl AdaptorRegistry {
         let reg = AdaptorRegistry {
             factories: Arc::new(Mutex::new(HashMap::new())),
         };
-        reg.register(Arc::new(TweetGenAdaptorFactory));
-        reg.register(Arc::new(SocketAdaptorFactory));
+        reg.register(Arc::new(SocketAdaptorFactory::TWEETGEN));
+        reg.register(Arc::new(SocketAdaptorFactory::SOCKET));
         reg.register(Arc::new(FileAdaptorFactory));
         reg.register(Arc::new(TraceAdaptorFactory));
         reg
@@ -815,7 +665,7 @@ mod tests {
 
     #[test]
     fn tweetgen_adaptor_constraints_follow_datasource_list() {
-        let f = TweetGenAdaptorFactory;
+        let f = SocketAdaptorFactory::TWEETGEN;
         let mut cfg = AdaptorConfig::new();
         cfg.insert("datasource".into(), "a:1, b:2 ,c:3".into());
         assert_eq!(f.constraints(&cfg).unwrap(), Constraint::Count(3));
@@ -826,7 +676,7 @@ mod tests {
     }
 
     #[test]
-    fn tweetgen_adaptor_receives_and_translates() {
+    fn tweetgen_adaptor_attaches_on_its_first_poll_and_translates() {
         let clock = SimClock::with_scale(10.0);
         let g = TweetGen::bind(
             TweetGenConfig::new("adap:9000", 0, PatternDescriptor::constant(200, 2)),
@@ -835,16 +685,36 @@ mod tests {
         .unwrap();
         let mut cfg = AdaptorConfig::new();
         cfg.insert("datasource".into(), "adap:9000".into());
-        let mut adaptor = TweetGenAdaptorFactory
+        let mut adaptor = SocketAdaptorFactory::TWEETGEN
             .create(&cfg, 0, &clock, &Counter::new())
             .unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        assert_eq!(g.generated(), 0, "generation waits for the first poll");
         let records = drain(adaptor.as_mut());
         assert!(records.len() > 100, "got {}", records.len());
         // payload is binary ADM of the translated record
         let v = decode_value(&records[0].payload).unwrap();
         assert!(v.field("id").is_some());
         assert!(!records[0].is_tracked());
+        assert!(records.iter().all(|r| r.gen_at.is_some()), "stamped");
         g.stop();
+    }
+
+    #[test]
+    fn a_stamped_line_stamps_its_record_and_an_unstamped_one_does_not() {
+        let tx = bind_socket("sock:stamp", 4).unwrap();
+        tx.try_send_stamped("{\"id\":\"a\"}".into(), SimInstant(42))
+            .unwrap();
+        tx.send("{\"id\":\"b\"}".into()).unwrap();
+        drop(tx);
+        let mut cfg = AdaptorConfig::new();
+        cfg.insert("sockets".into(), "sock:stamp".into());
+        let mut adaptor = SocketAdaptorFactory::SOCKET
+            .create(&cfg, 0, &SimClock::fast(), &Counter::new())
+            .unwrap();
+        let stamps: Vec<_> = drain(adaptor.as_mut()).iter().map(|r| r.gen_at).collect();
+        assert_eq!(stamps, [Some(SimInstant(42)), None]);
+        unbind_socket("sock:stamp");
     }
 
     #[test]
@@ -862,7 +732,7 @@ mod tests {
         let mut cfg = AdaptorConfig::new();
         cfg.insert("sockets".into(), "sock:1".into());
         let malformed = Counter::new();
-        let mut adaptor = SocketAdaptorFactory
+        let mut adaptor = SocketAdaptorFactory::SOCKET
             .create(&cfg, 0, &SimClock::fast(), &malformed)
             .unwrap();
         let records = drain(adaptor.as_mut());
@@ -919,7 +789,8 @@ mod tests {
                 kind: FaultKind::AdaptorDisconnect,
             }],
         ));
-        let factory = ChaosAdaptorFactory::new(Arc::new(SocketAdaptorFactory), Arc::clone(&plan));
+        let factory =
+            ChaosAdaptorFactory::new(Arc::new(SocketAdaptorFactory::SOCKET), Arc::clone(&plan));
         assert_eq!(factory.alias(), "chaos:socket_adaptor");
         let mut cfg = AdaptorConfig::new();
         cfg.insert("sockets".into(), "sock:chaos".into());
@@ -1047,7 +918,7 @@ mod tests {
         let _tx = bind_socket("sock:3", 4).unwrap();
         let mut cfg = AdaptorConfig::new();
         cfg.insert("sockets".into(), "sock:3".into());
-        let mut adaptor = SocketAdaptorFactory
+        let mut adaptor = SocketAdaptorFactory::SOCKET
             .create(&cfg, 0, &SimClock::fast(), &Counter::new())
             .unwrap();
         let mut emit = |_r: Record| Ok(());

@@ -342,14 +342,14 @@ impl SubQueue {
         p.metrics.records_throttled.add(dropped as u64);
     }
 
-    /// Refresh the gauges the governor samples: the excess bytes in memory
-    /// and on disk, and the excess frames (in memory and spilled).
+    /// Refresh this queue's share of the gauges the governor samples: the
+    /// excess bytes in memory and on disk, and the excess frames (in memory
+    /// and spilled).
     fn publish(&self) {
         if let Some(p) = &self.policy {
-            p.metrics.buffer_bytes.set(self.excess_bytes as u64);
-            p.metrics.spill_bytes.set(self.spill.bytes() as u64);
             let frames = self.excess.len() + self.spill.len();
-            p.metrics.handoff_queue_frames.set(frames as u64);
+            p.metrics
+                .excess_share(p, [self.excess_bytes, self.spill.bytes(), frames]);
         }
     }
 
@@ -1219,6 +1219,45 @@ mod tests {
         assert_eq!(m.get("records_despilled"), m.get("records_spilled"));
         assert_eq!(m.get("spill_bytes"), 0);
         assert_eq!(m.get("handoff_queue_frames"), 0);
+    }
+
+    /// The intake partitions of one connection count into one metrics
+    /// block: the byte gauges read the sum of their excess, the frames
+    /// gauge the fullest partition's, no matter which wrote last.
+    #[test]
+    fn excess_gauges_sum_the_connections_bytes_and_read_its_fullest_queue() {
+        let (metrics, m) = detached();
+        let excess = |policy| ExcessPolicy::new(policy, Arc::clone(&metrics), FeedId(7));
+        let joint = FeedJoint::new("F");
+        let buffering = joint.subscribe_policed("c#p0", excess(IngestionPolicy::basic()));
+        let spilling = joint.subscribe_policed("c#p1", excess(IngestionPolicy::spill()));
+        offer(&joint, 0..M + 4);
+        let mut spill = SpillFile::default();
+        (M..M + 4).for_each(|n| spill.push(&frame(n * 10..n * 10 + 10)));
+        let buffered = 4 * frame(0..10).size_bytes() as u64;
+        let read = || {
+            let gauges = ["buffer_bytes", "spill_bytes", "handoff_queue_frames"];
+            gauges.map(|g| m.get(g))
+        };
+        assert_eq!(read(), [buffered, spill.bytes() as u64, 4]);
+        // the spilling partition takes two of its excess frames
+        take(&spilling, M as usize + 2);
+        (0..2).for_each(|_| drop(spill.pop()));
+        assert_eq!(
+            read(),
+            [buffered, spill.bytes() as u64, 4],
+            "4 is the fullest"
+        );
+        // policed anew (a rebuilt intake), a partition counts once
+        drop(joint.subscribe_policed("c#p1", excess(IngestionPolicy::spill())));
+        take(&spilling, 1);
+        drop(spill.pop());
+        assert_eq!(read(), [buffered, spill.bytes() as u64, 4]);
+        // a partition that goes withdraws its share, and only its own
+        buffering.unsubscribe();
+        assert_eq!(read(), [0, spill.bytes() as u64, 1]);
+        take_all(&spilling);
+        assert_eq!(read(), [0, 0, 0]);
     }
 
     #[test]

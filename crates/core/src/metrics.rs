@@ -13,11 +13,17 @@
 //! buckets persisted records by commit instant
 //! (`FeedController::throughput`).
 
+use crate::joint::ExcessPolicy;
+use asterix_common::sync::Mutex;
 use asterix_common::{
     Counter, Gauge, Histogram, MetricsRegistry, RateMeter, SimClock, SimDuration, SimInstant,
     ThroughputSeries,
 };
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Weak};
+
+/// A subscription's policy and its share of the excess gauges.
+type ExcessShare = (Weak<ExcessPolicy>, [usize; 3]);
 
 /// The throughput timeline's bucket: "the number of records persisted
 /// during consecutive two-second intervals" (§6.3).
@@ -77,14 +83,16 @@ pub struct FeedMetrics {
     /// Failed attempts to (re)start one of the connection's jobs; the
     /// controller retries a pending job on its next pass.
     pub(crate) respawn_failures: Counter,
-    /// Current spill file size in bytes (gauge).
+    /// Bytes in its subscriptions' spill files, summed (gauge).
     pub(crate) spill_bytes: Gauge,
-    /// Current in-memory excess buffer size in bytes (gauge).
+    /// Excess bytes its subscriptions buffer in memory, summed (gauge).
     pub(crate) buffer_bytes: Gauge,
-    /// Excess frames the intake's joint subscription holds — buffered in
-    /// memory past its port's worth plus spilled segments (gauge); the
-    /// congestion signal the scaling governor samples.
+    /// Excess frames its fullest subscription holds — buffered in memory
+    /// past its port's worth plus spilled segments (gauge); the congestion
+    /// signal the scaling governor samples.
     pub(crate) handoff_queue_frames: Gauge,
+    /// Each subscription's share of the three above, by its policy.
+    excess: Mutex<HashMap<usize, ExcessShare>>,
     /// Sim-milliseconds the most recent hard-failure recovery took, from
     /// failure handling to the connection going active again (gauge).
     pub(crate) last_recovery_millis: Gauge,
@@ -129,6 +137,7 @@ impl FeedMetrics {
             buffer_bytes: gauge("buffer_bytes"),
             handoff_queue_frames: gauge("handoff_queue_frames"),
             last_recovery_millis: gauge("last_recovery_millis"),
+            excess: Mutex::default(),
             ingest_lag_millis: registry.histogram("feed.ingest_lag_millis", labels),
             meter: RateMeter::new(origin, METER_BUCKET),
             clock,
@@ -146,6 +155,25 @@ impl FeedMetrics {
     pub(crate) fn lag_from(&self, gen_at: SimInstant) {
         self.ingest_lag_millis
             .record(self.clock.now().since(gen_at).0);
+    }
+
+    /// The subscription policed by `policy` now holds `share` of the
+    /// connection's excess — bytes in memory, bytes spilled, frames: the
+    /// byte gauges read the sum over the connection's subscriptions, the
+    /// frames gauge the fullest one's. A share whose policy is gone (its
+    /// subscription dropped, or policed anew) is forgotten here.
+    pub(crate) fn excess_share(&self, policy: &Arc<ExcessPolicy>, share: [usize; 3]) {
+        let mut shares = self.excess.lock();
+        shares.insert(
+            Arc::as_ptr(policy) as usize,
+            (Arc::downgrade(policy), share),
+        );
+        shares.retain(|_, (held, share)| held.strong_count() > 0 && *share != [0; 3]);
+        let sum = |i: usize| shares.values().map(|(_, s)| s[i] as u64).sum();
+        self.buffer_bytes.set(sum(0));
+        self.spill_bytes.set(sum(1));
+        let fullest = shares.values().map(|(_, s)| s[2] as u64).max();
+        self.handoff_queue_frames.set(fullest.unwrap_or(0));
     }
 
     /// Instantaneous-throughput series of persisted records.

@@ -1488,7 +1488,7 @@ mod tests {
             config.insert("sockets".into(), "sock:backpressure".into());
             let collect = job.add_operator(Box::new(CollectDesc {
                 joint_id: "Slow".into(),
-                factory: Arc::new(SocketAdaptorFactory),
+                factory: Arc::new(SocketAdaptorFactory::SOCKET),
                 config,
                 locations: vec![node.id()],
                 malformed_lines: Counter::new(),

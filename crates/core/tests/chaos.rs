@@ -23,7 +23,7 @@ use asterix_adm::AdmValue;
 use asterix_common::{
     FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, NodeId, SimClock, SimDuration,
 };
-use asterix_feeds::adaptor::{ChaosAdaptorFactory, TweetGenAdaptorFactory};
+use asterix_feeds::adaptor::{ChaosAdaptorFactory, SocketAdaptorFactory};
 use asterix_feeds::catalog::FeedCatalog;
 use asterix_feeds::controller::{ConnectionState, ControllerConfig, FeedController};
 use asterix_feeds::plan::IngestPlanBuilder;
@@ -141,7 +141,7 @@ fn soak_once_with(seed: u64, addr: &str, transport: TransportKind) -> SoakOutcom
     catalog
         .adaptors()
         .register(Arc::new(ChaosAdaptorFactory::new(
-            Arc::new(TweetGenAdaptorFactory),
+            Arc::new(SocketAdaptorFactory::TWEETGEN),
             Arc::clone(&plan),
         )));
     let controller = FeedController::start(
@@ -326,7 +326,7 @@ fn panic_run(policy: &str, addr: &str) -> PanicOutcome {
     catalog
         .adaptors()
         .register(Arc::new(ChaosAdaptorFactory::new(
-            Arc::new(TweetGenAdaptorFactory),
+            Arc::new(SocketAdaptorFactory::TWEETGEN),
             Arc::clone(&plan),
         )));
     let controller = FeedController::start(
@@ -454,7 +454,7 @@ fn adaptor_disconnect_is_graceful_and_lands_at_exact_record() {
     catalog
         .adaptors()
         .register(Arc::new(ChaosAdaptorFactory::new(
-            Arc::new(TweetGenAdaptorFactory),
+            Arc::new(SocketAdaptorFactory::TWEETGEN),
             Arc::clone(&plan),
         )));
     let controller = FeedController::start(
@@ -537,7 +537,7 @@ fn discard_gaps_contiguous_vs_throttle_under_identical_chaos() {
         catalog
             .adaptors()
             .register(Arc::new(ChaosAdaptorFactory::new(
-                Arc::new(TweetGenAdaptorFactory),
+                Arc::new(SocketAdaptorFactory::TWEETGEN),
                 Arc::clone(&plan),
             )));
         let controller = FeedController::start(
@@ -668,7 +668,7 @@ fn scale_in_soak_once(seed: u64, addr: &str, kill_at: u64) -> SoakOutcome {
     catalog
         .adaptors()
         .register(Arc::new(ChaosAdaptorFactory::new(
-            Arc::new(TweetGenAdaptorFactory),
+            Arc::new(SocketAdaptorFactory::TWEETGEN),
             Arc::clone(&plan),
         )));
     let controller = FeedController::start(

@@ -195,7 +195,10 @@ fn primary_feed_ingests_into_dataset() {
 #[test]
 fn secondary_feed_applies_udf_and_shares_head() {
     let rig = TestRig::start(3);
-    let gen = rig.tweetgen("e2e-b:9000", 0, 300, 4);
+    // the test sends the stream itself, once both connections exist: a
+    // subscription sees only what is deposited after it subscribed. The
+    // TweetGen adaptor reads any bound socket.
+    let tx = bind_socket("e2e-b:9000", 1024).unwrap();
     let raw = rig.dataset("Tweets", "Tweet");
     let processed = rig.dataset("ProcessedTweets", "Tweet"); // open type admits topics
     rig.catalog.create_function(Udf::add_hash_tags()).unwrap();
@@ -209,7 +212,11 @@ fn secondary_feed_applies_udf_and_shares_head() {
         .connect_feed("TwitterFeed", "Tweets", "Basic")
         .unwrap();
 
-    let generated = wait_pattern_done(&gen) as usize;
+    let generated = 1200;
+    let mut tweets = tweetgen::TweetFactory::new(0, 5);
+    for _ in 0..generated {
+        tx.send(tweets.next_json()).unwrap();
+    }
     assert!(
         wait_until(Duration::from_secs(20 * 3), || processed.len() >= generated
             && raw.len() >= generated),
@@ -222,7 +229,7 @@ fn secondary_feed_applies_udf_and_shares_head() {
     assert!(p.field("topics").is_some(), "processed tweet lacks topics");
     let r = raw.scan_all().pop().unwrap();
     assert!(r.field("topics").is_none(), "raw tweet should be raw");
-    gen.stop();
+    unbind_socket("e2e-b:9000");
     rig.stop();
 }
 

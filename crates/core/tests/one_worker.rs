@@ -427,7 +427,7 @@ fn stalled_consumer_run(policy: IngestionPolicy, addr: &str, lines: u64) -> Stal
     let mut collect = JobSpec::new("collect");
     let source = collect.add_operator(Box::new(CollectDesc {
         joint_id: "Lines".into(),
-        factory: Arc::new(SocketAdaptorFactory),
+        factory: Arc::new(SocketAdaptorFactory::SOCKET),
         config: [("sockets".to_string(), addr.to_string())].into(),
         locations: vec![node],
         malformed_lines: Counter::new(),

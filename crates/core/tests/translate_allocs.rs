@@ -35,7 +35,7 @@ fn translating_a_line_allocates_only_its_payload() {
     let mut cfg = AdaptorConfig::new();
     cfg.insert("sockets".into(), "translate-allocs:1".into());
     let malformed = Counter::new();
-    let mut adaptor = SocketAdaptorFactory
+    let mut adaptor = SocketAdaptorFactory::SOCKET
         .create(&cfg, 0, &SimClock::fast(), &malformed)
         .unwrap();
     let mut records: Vec<Record> = Vec::with_capacity(TWEETS);

@@ -9,7 +9,7 @@
 //! co-located with their store operator.
 
 use crate::partition::{BatchOutcome, DatasetPartition, PartitionConfig, PartitionObservability};
-use crate::secondary::IndexKind;
+use crate::secondary::{IndexKind, SecondaryIndex};
 use asterix_adm::hash::partition_for;
 use asterix_adm::pred::Pred;
 use asterix_adm::AdmValue;
@@ -303,17 +303,16 @@ impl Dataset {
         }
     }
 
-    /// Add a secondary index on every partition.
+    /// Add a secondary index on every partition, or on none when some
+    /// partition holds a record it does not accept.
     pub fn create_index(
         &self,
-        name: impl Into<String> + Clone,
-        field: impl Into<String> + Clone,
+        name: impl Into<String>,
+        field: impl Into<String>,
         kind: IndexKind,
     ) -> IngestResult<()> {
-        for (_, p) in &self.partitions {
-            p.add_secondary(name.clone(), field.clone(), kind)?;
-        }
-        Ok(())
+        let parts: Vec<&DatasetPartition> = self.partitions.iter().map(|(_, p)| &**p).collect();
+        DatasetPartition::add_secondary_to_all(&parts, SecondaryIndex::new(name, field, kind))
     }
 
     /// Register this dataset's storage instruments in a cluster registry:
@@ -677,5 +676,40 @@ mod tests {
         }
         let hits = d.query_rect("locIdx", 0.0, -1.0, 9.0, 1.0).unwrap();
         assert_eq!(hits.len(), 10);
+    }
+
+    #[test]
+    fn create_index_installs_on_every_partition_or_on_none() {
+        let d = dataset(4);
+        for i in 0..20 {
+            let r = AdmValue::record(vec![
+                ("id", format!("t{i}").into()),
+                ("location", AdmValue::Point(i as f64, 0.0)),
+            ]);
+            d.upsert(&r).unwrap();
+        }
+        // one record the R-tree refuses, on the last partition
+        let bad = (0..).map(|i| AdmValue::from(format!("bad{i}")));
+        let bad = bad
+            .into_iter()
+            .find(|k| d.partition_index_for(k) == 3)
+            .unwrap();
+        let nowhere = AdmValue::record(vec![("id", bad.clone()), ("location", "nowhere".into())]);
+        d.upsert(&nowhere).unwrap();
+        let rect = |i| d.partition(i).query_rect("locIdx", 0.0, -1.0, 19.0, 1.0);
+        assert!(d
+            .create_index("locIdx", "location", IndexKind::RTree)
+            .is_err());
+        for i in 0..4 {
+            assert!(
+                matches!(rect(i), Err(IngestError::Metadata(_))),
+                "partition {i}"
+            );
+        }
+        d.delete(&bad).unwrap();
+        d.create_index("locIdx", "location", IndexKind::RTree)
+            .unwrap();
+        let hits: usize = (0..4).map(|i| rect(i).unwrap().len()).sum();
+        assert_eq!(hits, 20, "installed and back-filled everywhere");
     }
 }

@@ -329,19 +329,29 @@ impl DatasetPartition {
         field: impl Into<String>,
         kind: IndexKind,
     ) -> IngestResult<()> {
-        let mut idx = SecondaryIndex::new(name, field, kind);
-        let mut st = self.inner.state.lock();
+        Self::add_secondary_to_all(&[self], SecondaryIndex::new(name, field, kind))
+    }
+
+    /// Add the empty index `idx` to every partition of `parts`, or to none:
+    /// all are locked, and each checks its live records, before any takes it.
+    pub(crate) fn add_secondary_to_all(parts: &[&Self], idx: SecondaryIndex) -> IngestResult<()> {
+        let mut states: Vec<_> = parts.iter().map(|p| p.inner.state.lock()).collect();
         // every live record must be one the index accepts, as every record
         // logged from now on will be: replay then never meets a refusal
-        let mut refused = Ok(());
-        st.primary.for_each_live_ref(|_, record| {
-            if refused.is_ok() {
-                refused = idx.accepts(record.field(&idx.field).as_ref());
-            }
-        });
-        refused?;
-        st.backfill(&mut idx);
-        st.secondaries.push(idx);
+        for st in &states {
+            let mut refused = Ok(());
+            st.primary.for_each_live_ref(|_, record| {
+                if refused.is_ok() {
+                    refused = idx.accepts(record.field(&idx.field).as_ref());
+                }
+            });
+            refused?;
+        }
+        for st in &mut states {
+            let mut copy = SecondaryIndex::new(&idx.name, &idx.field, idx.kind);
+            st.backfill(&mut copy);
+            st.secondaries.push(copy);
+        }
         Ok(())
     }
 

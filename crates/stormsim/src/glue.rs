@@ -11,8 +11,9 @@
 //! commit.
 
 use crate::mongo::{MongoConfig, MongoStore, WriteConcern};
-use crate::topology::{Bolt, BoltOutcome, ChannelSpout, Topology, TopologyConfig, VecSpout};
+use crate::topology::{closed_source, Bolt, BoltOutcome, Topology, TopologyConfig};
 use asterix_adm::parse_value;
+use asterix_common::socket::Line;
 use asterix_common::{IngestResult, RateMeter, SimClock, SimDuration, ThroughputSeries};
 use crossbeam_channel::Receiver;
 use std::sync::Arc;
@@ -107,34 +108,13 @@ impl Bolt for StoreBolt {
     }
 }
 
-enum SourceKind {
-    Vec(Vec<String>),
-    Channel(Receiver<String>),
-}
-
 /// Drive a tweet workload through the glued Storm+Mongo assembly and report
-/// what the paper's Fig 7.11/7.12 report.
+/// what the paper's Fig 7.11/7.12 report. `source` is an attached socket's
+/// lines; the glue has no use for their generation stamps.
 pub fn run_storm_mongo(
     config: StormMongoConfig,
     clock: SimClock,
-    source: Receiver<String>,
-) -> IngestResult<StormMongoReport> {
-    run_impl(config, clock, SourceKind::Channel(source))
-}
-
-/// Same, over a fixed workload vector.
-pub fn run_storm_mongo_vec(
-    config: StormMongoConfig,
-    clock: SimClock,
-    workload: Vec<String>,
-) -> IngestResult<StormMongoReport> {
-    run_impl(config, clock, SourceKind::Vec(workload))
-}
-
-fn run_impl(
-    config: StormMongoConfig,
-    clock: SimClock,
-    source: SourceKind,
+    source: Receiver<Line>,
 ) -> IngestResult<StormMongoReport> {
     let store = MongoStore::start(config.mongo.clone(), clock.clone());
     let meter = Arc::new(RateMeter::new(clock.now(), config.meter_bucket));
@@ -159,15 +139,10 @@ fn run_impl(
         }) as Box<dyn Bolt>
     });
 
-    let spout: Box<dyn crate::topology::Spout> = match source {
-        SourceKind::Vec(v) => Box::new(VecSpout::new(v)),
-        SourceKind::Channel(rx) => Box::new(ChannelSpout::new(rx)),
-    };
-
     let topo = Topology::run_chain(
         config.topology,
         clock,
-        spout,
+        source,
         vec![
             (transform_factory, config.transform_parallelism),
             (store_factory, config.store_parallelism),
@@ -183,6 +158,15 @@ fn run_impl(
         spout_stalls: stalls_counter.load(std::sync::atomic::Ordering::Relaxed), // relaxed-ok: report read after join
         throughput: meter.series(),
     })
+}
+
+/// [`run_storm_mongo`] over a fixed workload vector.
+pub fn run_storm_mongo_vec(
+    config: StormMongoConfig,
+    clock: SimClock,
+    workload: Vec<String>,
+) -> IngestResult<StormMongoReport> {
+    run_storm_mongo(config, clock, closed_source(workload))
 }
 
 #[cfg(test)]
@@ -266,7 +250,7 @@ mod tests {
             let topo = Topology::run_chain(
                 TopologyConfig::default(),
                 clock.clone(),
-                Box::new(VecSpout::new(w)),
+                closed_source(w),
                 vec![(
                     Box::new(move || {
                         Box::new(StoreBolt {

@@ -13,9 +13,10 @@
 //! This crate implements the structural properties that comparison hinges
 //! on:
 //!
-//! * [`topology`] — a mini Storm: spouts and bolts wired into a chain, with
-//!   Storm's at-least-once machinery (per-tuple message ids, acks, a
-//!   `max.spout.pending` window, timeout replay);
+//! * [`topology`] — a mini Storm: a spout reading a socket's lines and
+//!   bolts wired into a chain, with Storm's at-least-once machinery
+//!   (per-tuple message ids, acks, a `max.spout.pending` window, timeout
+//!   replay);
 //! * [`mongo`] — a mini MongoDB: collections of documents with an
 //!   acknowledged in-memory write path (non-durable) and a journaled
 //!   write path with group commit (durable);
@@ -29,4 +30,4 @@ pub mod topology;
 
 pub use glue::{run_storm_mongo, StormMongoConfig, StormMongoReport};
 pub use mongo::{MongoStore, WriteConcern};
-pub use topology::{Bolt, BoltOutcome, Spout, Topology, TopologyConfig};
+pub use topology::{Bolt, BoltOutcome, Topology, TopologyConfig};

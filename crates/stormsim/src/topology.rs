@@ -16,9 +16,10 @@
 //! shape of the glued ingestion topology; each stage runs `parallelism`
 //! worker threads connected by bounded queues.
 
+use asterix_common::socket::Line;
 use asterix_common::sync::{thread as sync_thread, Mutex};
 use asterix_common::{IngestError, IngestResult, SimClock, SimDuration, SimInstant};
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,14 +42,6 @@ pub enum BoltOutcome {
     Ack,
     /// Processing failed; the tuple will be replayed from the spout.
     Fail,
-}
-
-/// A data source for the spout.
-pub trait Spout: Send {
-    /// Next payload, or `None` if the source is (currently) dry.
-    fn next(&mut self) -> Option<String>;
-    /// Has the source finished for good?
-    fn exhausted(&self) -> bool;
 }
 
 /// A processing stage.
@@ -140,11 +133,13 @@ pub struct Topology {
 
 impl Topology {
     /// Build and start a chain topology: `spout → bolts[0] → bolts[1] → ...`.
-    /// Each bolt stage runs `parallelism[i]` executors.
+    /// The spout reads the lines of `source` (an attached socket's, or
+    /// [`closed_source`]'s) until it is disconnected and drained. Each bolt
+    /// stage runs `parallelism[i]` executors.
     pub fn run_chain(
         config: TopologyConfig,
         clock: SimClock,
-        mut spout: Box<dyn Spout>,
+        source: Receiver<Line>,
         bolts: Vec<(BoltFactory, usize)>,
     ) -> IngestResult<Topology> {
         if bolts.is_empty() {
@@ -234,8 +229,8 @@ impl Topology {
                             std::thread::sleep(std::time::Duration::from_micros(200));
                             continue;
                         }
-                        match spout.next() {
-                            Some(payload) => {
+                        match source.try_recv() {
+                            Ok(Line { text: payload, .. }) => {
                                 let id = next_id;
                                 next_id += 1;
                                 {
@@ -253,12 +248,10 @@ impl Topology {
                                     return;
                                 }
                             }
-                            None => {
-                                if spout.exhausted() && acker.pending() == 0 {
-                                    return; // drop senders → bolts drain out
-                                }
-                                std::thread::sleep(std::time::Duration::from_micros(200));
+                            Err(TryRecvError::Disconnected) if acker.pending() == 0 => {
+                                return; // drop senders → bolts drain out
                             }
+                            Err(_) => std::thread::sleep(std::time::Duration::from_micros(200)),
                         }
                     }
                 })
@@ -373,69 +366,14 @@ impl Topology {
     }
 }
 
-/// A spout over a fixed vector of payloads (tests and batch workloads).
-pub struct VecSpout {
-    items: std::vec::IntoIter<String>,
-    done: bool,
-}
-
-impl VecSpout {
-    /// Spout over `items`.
-    pub fn new(items: Vec<String>) -> VecSpout {
-        VecSpout {
-            items: items.into_iter(),
-            done: false,
-        }
+/// A source that has finished: its channel holds `payloads` and has no
+/// sender left (tests and batch workloads).
+pub fn closed_source(payloads: Vec<String>) -> Receiver<Line> {
+    let (tx, rx) = crossbeam_channel::unbounded();
+    for text in payloads {
+        tx.send(Line { text, gen_at: None }).expect("receiver held");
     }
-}
-
-impl Spout for VecSpout {
-    fn next(&mut self) -> Option<String> {
-        match self.items.next() {
-            Some(x) => Some(x),
-            None => {
-                self.done = true;
-                None
-            }
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.done
-    }
-}
-
-/// A spout draining a channel (live sources); exhausted when disconnected.
-pub struct ChannelSpout {
-    rx: Receiver<String>,
-    disconnected: bool,
-}
-
-impl ChannelSpout {
-    /// Spout over `rx`.
-    pub fn new(rx: Receiver<String>) -> ChannelSpout {
-        ChannelSpout {
-            rx,
-            disconnected: false,
-        }
-    }
-}
-
-impl Spout for ChannelSpout {
-    fn next(&mut self) -> Option<String> {
-        match self.rx.try_recv() {
-            Ok(x) => Some(x),
-            Err(crossbeam_channel::TryRecvError::Empty) => None,
-            Err(crossbeam_channel::TryRecvError::Disconnected) => {
-                self.disconnected = true;
-                None
-            }
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.disconnected
-    }
+    rx
 }
 
 #[cfg(test)]
@@ -461,7 +399,7 @@ mod tests {
         let topo = Topology::run_chain(
             TopologyConfig::default(),
             SimClock::fast(),
-            Box::new(VecSpout::new(payloads(500))),
+            closed_source(payloads(500)),
             vec![(
                 Box::new(move || Box::new(CountBolt(Arc::clone(&c2))) as Box<dyn Bolt>),
                 2,
@@ -495,7 +433,7 @@ mod tests {
         let topo = Topology::run_chain(
             TopologyConfig::default(),
             SimClock::fast(),
-            Box::new(VecSpout::new(payloads(50))),
+            closed_source(payloads(50)),
             vec![
                 (Box::new(|| Box::new(UpperBolt) as Box<dyn Bolt>), 1),
                 (
@@ -529,7 +467,7 @@ mod tests {
         let topo = Topology::run_chain(
             TopologyConfig::default(),
             SimClock::fast(),
-            Box::new(VecSpout::new(payloads(20))),
+            closed_source(payloads(20)),
             vec![(
                 Box::new(|| {
                     Box::new(FlakyBolt {
@@ -562,7 +500,7 @@ mod tests {
                 ..TopologyConfig::default()
             },
             SimClock::fast(),
-            Box::new(VecSpout::new(payloads(200))),
+            closed_source(payloads(200)),
             vec![(Box::new(|| Box::new(SlowBolt) as Box<dyn Bolt>), 1)],
         )
         .unwrap();
@@ -578,18 +516,19 @@ mod tests {
 
     #[test]
     fn kill_stops_promptly() {
-        let (tx, rx) = crossbeam_channel::unbounded::<String>();
+        let (tx, rx) = crossbeam_channel::unbounded::<Line>();
         let topo = Topology::run_chain(
             TopologyConfig::default(),
             SimClock::fast(),
-            Box::new(ChannelSpout::new(rx)),
+            rx,
             vec![(
                 Box::new(|| Box::new(CountBolt(Arc::new(AtomicU64::new(0)))) as Box<dyn Bolt>),
                 1,
             )],
         )
         .unwrap();
-        tx.send("x".into()).unwrap();
+        let (text, gen_at) = ("x".into(), None);
+        tx.send(Line { text, gen_at }).unwrap();
         assert!(topo.is_running());
         topo.kill();
         drop(tx);
@@ -600,7 +539,7 @@ mod tests {
         assert!(Topology::run_chain(
             TopologyConfig::default(),
             SimClock::fast(),
-            Box::new(VecSpout::new(vec![])),
+            closed_source(vec![]),
             vec![],
         )
         .is_err());

@@ -18,12 +18,12 @@
 //!   `(rate, duration)` intervals, repeated N times;
 //! * [`gen`] — deterministic synthetic tweet content (seeded RNG, hashtags
 //!   drawn from a topic pool, `Tweet`-shaped JSON);
-//! * [`source`] — a TweetGen *instance* bound to a socket-style address in a
-//!   process-global registry. A receiver handshakes via
-//!   [`source::connect`], after which tweets are pushed at the pattern's
-//!   rate over a bounded channel (the "socket"). Push-based: the instance
-//!   keeps generating at its configured rate regardless of how fast the
-//!   receiver drains.
+//! * [`source`] — a TweetGen *instance* bound to a socket-style address on
+//!   the in-process socket ([`asterix_common::socket`]). Generation starts
+//!   when the first reader attaches (the handshake); tweets are then pushed
+//!   at the pattern's rate into the socket's bounded buffer, each stamped
+//!   with its generation instant. Push-based: the instance keeps generating
+//!   at its configured rate regardless of how fast the reader drains.
 
 pub mod gen;
 pub mod pattern;
@@ -31,4 +31,4 @@ pub mod source;
 
 pub use gen::TweetFactory;
 pub use pattern::{Interval, PatternDescriptor};
-pub use source::{connect, connect_waking, StampedTweet, TweetGen, TweetGenConfig, WireWake};
+pub use source::{TweetGen, TweetGenConfig};
