@@ -14,7 +14,6 @@ use asterix_feeds::plan::{IngestPlanBuilder, SinkSpec};
 use asterix_feeds::udf::Udf;
 use asterix_feeds::ConnectionId;
 use asterix_hyracks::cluster::{Cluster, ClusterConfig};
-use asterix_hyracks::scheduler::Scheduler;
 use asterix_storage::{Dataset, DatasetConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -75,10 +74,6 @@ pub struct Setup {
     pub time_scale: f64,
     /// Heartbeat failure detection (250 sim-ms beats, 1.5 sim-s threshold).
     pub failure_detection: bool,
-    /// Scheduler worker threads (`None`: the pool's default). The per-record
-    /// delay capacity model needs one per concurrently-delaying instance, or
-    /// the delays serialize on the pool and capacity stops scaling.
-    pub workers: Option<usize>,
     /// Controller configuration.
     pub controller: ControllerConfig,
     /// The generators' arrival patterns, one TweetGen instance each.
@@ -121,7 +116,6 @@ impl Default for Setup {
             nodes: 10,
             time_scale: 10.0,
             failure_detection: false,
-            workers: None,
             controller: ControllerConfig::default(),
             gens: Vec::new(),
             gen_seed: None,
@@ -201,8 +195,7 @@ pub fn run(mut setup: Setup, seed: u64, tag: &str) -> Outcome {
         heartbeat_interval: heartbeat,
         failure_threshold: threshold,
     };
-    let workers = setup.workers.unwrap_or_else(Scheduler::default_workers);
-    let cluster = Cluster::start_with_workers(setup.nodes, clock.clone(), cfg, workers);
+    let cluster = Cluster::start(setup.nodes, clock.clone(), cfg);
     let catalog = FeedCatalog::new(paper_registry());
     let controller = FeedController::start(cluster.clone(), Arc::clone(&catalog), setup.controller);
     let adaptor = match &plan {

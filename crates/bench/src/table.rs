@@ -160,6 +160,7 @@ pub const TABLE: &[Figure] = &[
         shape: "near-linear growth in persisted records with cluster size; % discarded declines",
         sweep: &[Point::Nodes(1), Point::Nodes(2), Point::Nodes(4), Point::Nodes(6), Point::Nodes(8), Point::Nodes(10)],
         drive: Drive::Rig(figures::fig_5_16, figures::fig_5_16_data),
+        floors: &[Floor("speedup_vs_1 at 10 nodes >= 4", |c| c.row(5).num("speedup_vs_1") >= 4.0)],
         ..ROW
     },
     Figure {

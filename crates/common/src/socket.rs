@@ -35,7 +35,7 @@ pub struct Line {
 }
 
 /// A socket's wake path: armed by a reader that found the socket empty,
-/// fired (once) by the next ring.
+/// fired (once) by the next ring, and by the close whether armed or not.
 #[derive(Default)]
 struct Doorbell {
     armed: AtomicBool,
@@ -43,13 +43,22 @@ struct Doorbell {
 }
 
 impl Doorbell {
-    fn ring(&self) {
-        if self.armed.load(Ordering::SeqCst) && self.armed.swap(false, Ordering::SeqCst) {
+    fn ring(&self, close: bool) {
+        if close || self.armed.load(Ordering::SeqCst) && self.armed.swap(false, Ordering::SeqCst) {
             let wake = self.wake.lock().clone();
             if let Some(wake) = wake {
                 wake();
             }
         }
+    }
+}
+
+/// The senders' hold on the doorbell: the last one dropped, after its channel end, rings it.
+struct Senders(Arc<Doorbell>);
+
+impl Drop for Senders {
+    fn drop(&mut self) {
+        self.0.ring(true);
     }
 }
 
@@ -70,39 +79,30 @@ static SOCKETS: Mutex<Option<HashMap<String, Arc<Socket>>>> = Mutex::new(None);
 #[derive(Clone)]
 pub struct SocketSender {
     tx: Sender<Line>,
-    bell: Arc<Doorbell>,
+    bell: Arc<Senders>,
 }
 
 impl SocketSender {
     /// Send one unstamped line, waiting while the buffer is full, and ring;
     /// an error hands the line back once no reader can ever read it.
-    pub fn send(&self, line: String) -> Result<(), SendError<String>> {
-        let line = Line {
-            text: line,
-            gen_at: None,
-        };
-        self.tx
-            .send(line)
-            .map_err(|SendError(l)| SendError(l.text))?;
-        self.bell.ring();
+    pub fn send(&self, text: String) -> Result<(), SendError<String>> {
+        let sent = self.tx.send(Line { text, gen_at: None });
+        sent.map_err(|SendError(l)| SendError(l.text))?;
+        self.ring();
         Ok(())
     }
 
-    /// Put a line generated at `gen_at` on the wire without waiting: a push
+    /// Put a line generated at `at` on the wire without waiting: a push
     /// source cannot be held back, so `Full` is a line the wire drops. It
     /// does not ring; a source sending a batch rings once after it.
-    pub fn try_send_stamped(
-        &self,
-        text: String,
-        gen_at: SimInstant,
-    ) -> Result<(), TrySendError<Line>> {
-        let gen_at = Some(gen_at);
+    pub fn try_send_stamped(&self, text: String, at: SimInstant) -> Result<(), TrySendError<Line>> {
+        let gen_at = Some(at);
         self.tx.try_send(Line { text, gen_at })
     }
 
     /// Wake the reader if it parked on an empty socket.
     pub fn ring(&self) {
-        self.bell.ring();
+        self.bell.0.ring(false);
     }
 
     /// Lines in the socket's buffer.
@@ -120,9 +120,9 @@ impl SocketSender {
 /// `start`, if any, and return its sending end.
 fn bind(addr: &str, capacity: usize, start: Option<Start>) -> IngestResult<SocketSender> {
     let (tx, lines) = crossbeam_channel::bounded(capacity);
-    let bell = Arc::new(Doorbell::default());
+    let bell = Arc::new(Senders(Arc::default()));
     let tx = SocketSender { tx, bell };
-    let (bell, source) = (Arc::clone(&tx.bell), tx.clone());
+    let (bell, source) = (Arc::clone(&tx.bell.0), tx.clone());
     let start = Mutex::new(start.map(|start| Box::new(move || start(source)) as Box<_>));
     let mut reg = SOCKETS.lock();
     let map = reg.get_or_insert_with(HashMap::new);

@@ -17,6 +17,7 @@ use asterix_common::sync::Mutex;
 use asterix_common::{Record, RecordId, SimClock, SimDuration, SimInstant};
 use crossbeam_channel::{Receiver, Sender};
 use std::collections::HashMap;
+use std::time::Duration;
 
 static TRACKING_IDS: IdGen = IdGen::new();
 
@@ -30,7 +31,9 @@ pub struct AckBatch {
     pub ids: Vec<RecordId>,
 }
 
-/// Store-side ack grouping: buffers ids per source over a time window.
+/// Store-side ack grouping: buffers ids per source over a time window, and
+/// sends them at the window's end — on the next ack, or on the deadline
+/// [`AckSender::flush_due`] names when no ack comes.
 pub struct AckSender {
     txs: Vec<Sender<AckBatch>>,
     window: SimDuration,
@@ -66,6 +69,22 @@ impl AckSender {
             self.flush();
             self.window_start = now;
         }
+    }
+
+    /// Send the buffered groups if their window has ended; otherwise the
+    /// real time until it ends (`None` when nothing is buffered).
+    pub fn flush_due(&mut self) -> Option<Duration> {
+        if self.buffered.is_empty() {
+            return None;
+        }
+        let now = self.clock.now();
+        let end = self.window_start.plus(self.window);
+        if now < end {
+            return Some(self.clock.to_real(end.since(now)));
+        }
+        self.flush();
+        self.window_start = now;
+        None
     }
 
     /// Send all buffered groups now.
@@ -153,6 +172,13 @@ impl AckTracker {
                 pending.remove(&id);
             }
         }
+    }
+
+    /// Real time until the earliest unacked record is due for a replay;
+    /// `None` when nothing awaits an ack.
+    pub fn next_replay_in(&self) -> Option<Duration> {
+        let due = self.pending.lock().values().map(|p| p.deadline).min()?;
+        Some(self.clock.to_real(due.since(self.clock.now())))
     }
 
     /// Records past their ack deadline. Each is re-armed with an

@@ -81,9 +81,9 @@ pub trait FeedAdaptor: Send {
 
     /// The host's wake hook, handed over before the first poll. An adaptor
     /// whose source pushes arranges for it to fire when input arrives after
-    /// a poll returned [`SourcePoll::Idle`]; without that, its host looks
-    /// again only on its safety deadline. An adaptor that knows when its
-    /// next input is due says so in `Idle` and may ignore the hook.
+    /// a poll returned [`SourcePoll::Idle`], and when the source ends;
+    /// without that, its host never looks again. An adaptor that knows when
+    /// its next input is due says so in `Idle` and may ignore the hook.
     fn set_wake(&mut self, _wake: WakeHook) {}
 }
 
@@ -222,9 +222,9 @@ impl FeedAdaptor for SocketAdaptor {
         for taken in 0..budget {
             let line = match reader.lines.try_recv() {
                 Ok(line) => line,
-                // about to park: arm the doorbell, then look once more, so a
-                // line sent in between is read at once, not on the safety
-                // deadline
+                // about to park: arm the doorbell, then look once more — a
+                // line sent before the arming rang an unarmed bell and
+                // would wake nobody
                 Err(TryRecvError::Empty) if taken > 0 || reader.arm() => break,
                 Err(TryRecvError::Empty) => return Ok(SourcePoll::Idle(None)),
                 // A closed, drained socket is an exhausted source (a

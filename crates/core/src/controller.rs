@@ -72,7 +72,7 @@ use asterix_hyracks::cluster::{Cluster, ClusterEvent};
 use asterix_hyracks::connector::ConnectorSpec;
 use asterix_hyracks::executor::{run_job, JobHandle};
 use asterix_hyracks::job::{Constraint, JobSpec, OperatorDescriptor, OperatorSpecId};
-use asterix_hyracks::scheduler::TaskHandle;
+use asterix_hyracks::scheduler::{TaskHandle, Tick};
 use asterix_hyracks::transport::TransportKind;
 use asterix_storage::Dataset;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -333,8 +333,7 @@ pub struct ControllerConfig {
     /// (round-robin). Lets experiments separate intake, compute and store
     /// roles onto distinct nodes, like the paper's Fig 6.4 layout.
     pub compute_node_offset: usize,
-    /// Sleep (µs) added per record at every compute stage — fixed per-node
-    /// capacity modelling for scalability experiments (normally 0).
+    /// Modelled µs per record at every compute stage (`Paced`; normally 0).
     pub compute_extra_delay_us: u64,
     /// Chaos schedule handed to store-stage intakes (operator-panic
     /// injection). `None` in production; the chaos harness sets it.
@@ -452,11 +451,8 @@ impl FeedController {
         let task = cluster
             .scheduler()
             .spawn_periodic("cfm-governor", interval, move || match weak.upgrade() {
-                Some(c) if !c.shutdown.load(Ordering::SeqCst) => {
-                    c.governor_tick();
-                    true
-                }
-                _ => false,
+                Some(c) if !c.shutdown.load(Ordering::SeqCst) => c.governor_tick(),
+                _ => Tick::Done,
             });
         *ctrl.governor_task.lock() = Some(task);
         ctrl
@@ -582,6 +578,10 @@ impl FeedController {
         let compiled = self.compile(&st, tail, &trunk, sinks, route)?;
         let ids = compiled.iter().filter_map(|s| Some(s.conn()?.id)).collect();
         self.start_segments(&mut st, compiled)?;
+        // an idle governor ticks again: the connection may be Elastic
+        if let Some(governor) = &*self.governor_task.lock() {
+            governor.waker().wake();
+        }
         connect_span.finish("active");
         Ok(ids)
     }
@@ -615,7 +615,8 @@ impl FeedController {
     /// joined — no `cfm-*` thread survives this call.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(task) = self.governor_task.lock().take() {
+        let governor = self.governor_task.lock().take();
+        if let Some(task) = governor {
             // fire a tick early: it observes the shutdown flag and completes
             task.waker().wake();
             let _ = task.join();
@@ -1606,11 +1607,10 @@ impl FeedController {
     /// running Elastic connection, run the pure control law, and move each
     /// stage those connections run through — compute joint, intake root —
     /// at most one step (`governor::merge`). Exported as `elastic.*`
-    /// metrics and `elastic.governor` trace events.
-    fn governor_tick(&self) {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
+    /// metrics and `elastic.governor` trace events. [`Tick::Idle`] while no
+    /// connection is Elastic: the governor parks without a timer until a
+    /// connect wakes it.
+    fn governor_tick(&self) -> Tick {
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
         enum Stage {
             Compute,
@@ -1665,7 +1665,8 @@ impl FeedController {
         if targets.is_empty() {
             // nothing to steer: no snapshot, whose gauge closures lock
             // partitions on the ingestion path
-            return;
+            let idle = live.is_empty();
+            return if idle { Tick::Idle } else { Tick::Again };
         }
         let cfg = &self.config.governor;
         let registry = self.cluster.registry();
@@ -1729,13 +1730,11 @@ impl FeedController {
                 ScaleDecision::Out => ("elastic.scale_out_total", "scale-out"),
                 _ => ("elastic.scale_in_total", "scale-in"),
             };
-            let labels = &[("conn", t.key.as_str())];
-            registry.counter(counter, labels).inc();
-            log.event(
-                "elastic.governor",
-                format!("{}: {action} ({sample})", t.key),
-            );
+            let key = t.key.as_str();
+            registry.counter(counter, &[("conn", key)]).inc();
+            log.event("elastic.governor", format!("{key}: {action} ({sample})"));
         }
+        Tick::Again
     }
 }
 

@@ -1157,6 +1157,20 @@ mod tests {
         assert_eq!(m.get("buffer_bytes"), 0);
     }
 
+    /// A subscription that leaves, and is dropped with its joint, takes its
+    /// share of the excess gauges along: nothing holds those frames now.
+    #[test]
+    fn a_dropped_subscription_withdraws_its_excess_share() {
+        let (joint, sub, m) = one_sub(IngestionPolicy::basic());
+        offer(&joint, 0..M + 4);
+        let held = 4 * frame(0..10).size_bytes() as u64;
+        let read = || [m.get("handoff_queue_frames"), m.get("buffer_bytes")];
+        assert_eq!(read(), [4, held]);
+        sub.leave();
+        drop((sub, joint));
+        assert_eq!(read(), [0, 0], "the dropped subscription's share");
+    }
+
     #[test]
     fn budget_blowout_ends_the_feed_with_its_real_id() {
         let (mut policy, _) = policed(IngestionPolicy::basic());

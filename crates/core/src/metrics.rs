@@ -22,8 +22,9 @@ use asterix_common::{
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
-/// A subscription's policy and its share of the excess gauges.
-type ExcessShare = (Weak<ExcessPolicy>, [usize; 3]);
+/// Each subscription's policy and its share of the excess gauges, keyed by
+/// the policy's address.
+type ExcessShares = Mutex<HashMap<usize, (Weak<ExcessPolicy>, [usize; 3])>>;
 
 /// The throughput timeline's bucket: "the number of records persisted
 /// during consecutive two-second intervals" (§6.3).
@@ -83,16 +84,13 @@ pub struct FeedMetrics {
     /// Failed attempts to (re)start one of the connection's jobs; the
     /// controller retries a pending job on its next pass.
     pub(crate) respawn_failures: Counter,
-    /// Bytes in its subscriptions' spill files, summed (gauge).
-    pub(crate) spill_bytes: Gauge,
-    /// Excess bytes its subscriptions buffer in memory, summed (gauge).
-    pub(crate) buffer_bytes: Gauge,
-    /// Excess frames its fullest subscription holds — buffered in memory
-    /// past its port's worth plus spilled segments (gauge); the congestion
-    /// signal the scaling governor samples.
-    pub(crate) handoff_queue_frames: Gauge,
-    /// Each subscription's share of the three above, by its policy.
-    excess: Mutex<HashMap<usize, ExcessShare>>,
+    /// Each live subscription's share of the excess, by its policy, which
+    /// three gauges read when they are read: `spill_bytes` (bytes in the
+    /// spill files, summed), `buffer_bytes` (excess bytes buffered in
+    /// memory, summed) and `handoff_queue_frames` (the excess frames of the
+    /// fullest subscription, in memory past its port's worth and spilled —
+    /// the congestion signal the scaling governor samples).
+    excess: Arc<ExcessShares>,
     /// Sim-milliseconds the most recent hard-failure recovery took, from
     /// failure handling to the connection going active again (gauge).
     pub(crate) last_recovery_millis: Gauge,
@@ -116,6 +114,19 @@ impl FeedMetrics {
         let counter = |name: &str| registry.counter(&format!("feed.{name}"), labels);
         let gauge = |name: &str| registry.gauge(&format!("feed.{name}"), labels);
         let origin = clock.now();
+        let excess = Arc::new(ExcessShares::default());
+        let shares = |name: &str, read: fn(&mut dyn Iterator<Item = u64>) -> u64, i: usize| {
+            let excess = Arc::clone(&excess);
+            registry.gauge_fn(&format!("feed.{name}"), labels, move || {
+                let mut shares = excess.lock();
+                // a dropped subscription's policy is gone: so is its share
+                shares.retain(|_, (held, share)| held.strong_count() > 0 && *share != [0; 3]);
+                read(&mut shares.values().map(|(_, s)| s[i] as u64))
+            });
+        };
+        shares("buffer_bytes", |v| v.sum(), 0);
+        shares("spill_bytes", |v| v.sum(), 1);
+        shares("handoff_queue_frames", |v| v.max().unwrap_or(0), 2);
         Arc::new(FeedMetrics {
             records_in: counter("records_in"),
             records_computed: counter("records_computed"),
@@ -133,11 +144,8 @@ impl FeedMetrics {
             hard_failures_recovered: counter("hard_failures_recovered"),
             zombie_frames_adopted: counter("zombie_frames_adopted"),
             respawn_failures: counter("respawn_failures"),
-            spill_bytes: gauge("spill_bytes"),
-            buffer_bytes: gauge("buffer_bytes"),
-            handoff_queue_frames: gauge("handoff_queue_frames"),
             last_recovery_millis: gauge("last_recovery_millis"),
-            excess: Mutex::default(),
+            excess,
             ingest_lag_millis: registry.histogram("feed.ingest_lag_millis", labels),
             meter: RateMeter::new(origin, METER_BUCKET),
             clock,
@@ -161,19 +169,11 @@ impl FeedMetrics {
     /// connection's excess — bytes in memory, bytes spilled, frames: the
     /// byte gauges read the sum over the connection's subscriptions, the
     /// frames gauge the fullest one's. A share whose policy is gone (its
-    /// subscription dropped, or policed anew) is forgotten here.
+    /// subscription dropped, or policed anew) is forgotten when they are
+    /// read.
     pub(crate) fn excess_share(&self, policy: &Arc<ExcessPolicy>, share: [usize; 3]) {
-        let mut shares = self.excess.lock();
-        shares.insert(
-            Arc::as_ptr(policy) as usize,
-            (Arc::downgrade(policy), share),
-        );
-        shares.retain(|_, (held, share)| held.strong_count() > 0 && *share != [0; 3]);
-        let sum = |i: usize| shares.values().map(|(_, s)| s[i] as u64).sum();
-        self.buffer_bytes.set(sum(0));
-        self.spill_bytes.set(sum(1));
-        let fullest = shares.values().map(|(_, s)| s[2] as u64).max();
-        self.handoff_queue_frames.set(fullest.unwrap_or(0));
+        let key = Arc::as_ptr(policy) as usize;
+        (self.excess.lock()).insert(key, (Arc::downgrade(policy), share));
     }
 
     /// Instantaneous-throughput series of persisted records.
@@ -214,6 +214,7 @@ impl Readings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asterix_common::FeedId;
     use std::collections::BTreeSet;
 
     #[test]
@@ -237,7 +238,9 @@ mod tests {
         let m = FeedMetrics::registered(&registry, "F -> D", clock.clone());
         m.records_in.add(7);
         m.persisted(3);
-        m.buffer_bytes.set(1024);
+        let basic = crate::policy::IngestionPolicy::basic();
+        let policy = Arc::new(ExcessPolicy::new(basic, Arc::clone(&m), FeedId(1)));
+        m.excess_share(&policy, [1024, 0, 0]);
         m.lag_from(clock.now());
         let snap = registry.snapshot();
         assert_eq!(snap.counter_for("feed.records_in", "F -> D"), 7);

@@ -46,8 +46,8 @@ use asterix_hyracks::cluster::NodeHandle;
 use asterix_hyracks::executor::{TaskContext, MSGS_PER_SLICE};
 use asterix_hyracks::job::{Constraint, OperatorDescriptor};
 use asterix_hyracks::operator::{
-    FrameWriter, NullSink, OperatorRuntime, RouterOperator, SourceOperator, SourcePoll, StopMode,
-    StopToken, UnaryOperator,
+    FrameWriter, NullSink, OperatorRuntime, Paced, RouterOperator, SourceOperator, SourcePoll,
+    StopMode, StopToken, UnaryOperator,
 };
 use asterix_hyracks::WakeHook;
 use asterix_storage::Dataset;
@@ -592,19 +592,19 @@ impl IntakeSource {
         }
     }
 
-    fn handle_acks_and_replays(&mut self) -> IngestResult<()> {
-        let due = match &self.tracker {
-            Some(t) => {
-                t.process_acks();
-                t.due_replays()
-            }
-            None => return Ok(()),
+    /// Drop what was acked, replay what timed out; the wait until the next
+    /// replay is due.
+    fn handle_acks_and_replays(&mut self) -> IngestResult<Option<Duration>> {
+        let Some(t) = &self.tracker else {
+            return Ok(None);
         };
+        t.process_acks();
+        let due = t.due_replays();
         if !due.is_empty() {
             self.excess.metrics.records_replayed.add(due.len() as u64);
             self.send(DataFrame::from_records(due))?;
         }
-        Ok(())
+        Ok(self.tracker.as_ref().and_then(AckTracker::next_replay_in))
     }
 }
 
@@ -686,13 +686,10 @@ impl SourceOperator for IntakeSource {
                 Some(JointRecv::Retired) => return self.close().map(|()| SourcePoll::Done),
                 None if self.ending => return self.close().map(|()| SourcePoll::Done),
                 // the queue is empty: housekeeping, then park until the
-                // next deposit wakes this task
+                // next deposit wakes this task or the next replay is due
                 None => {
-                    if let Err(e) = self.handle_acks_and_replays() {
-                        self.hand_back();
-                        return Err(e);
-                    }
-                    return Ok(SourcePoll::Idle(None));
+                    let idle = self.handle_acks_and_replays().map(SourcePoll::Idle);
+                    return idle.inspect_err(|_| self.hand_back());
                 }
             };
             let frame = self.track_frame(frame);
@@ -730,10 +727,8 @@ pub struct AssignDesc {
     pub log: SoftFailureLog,
     /// Optional dataset for persisted failure logging.
     pub log_dataset: Option<Arc<Dataset>>,
-    /// Sleep (µs) added per record: models a fixed per-node processing
-    /// capacity of `1e6/extra_delay_us` records/s *without* consuming host
-    /// CPU, so capacity scales with instance count even on few physical
-    /// cores (the Fig 5.16 scalability substitution — see DESIGN.md).
+    /// Modelled time (µs) per record: a capacity of `1e6/extra_delay_us`
+    /// records/s per instance that costs no host CPU ([`Paced`]).
     pub extra_delay_us: u64,
 }
 
@@ -755,12 +750,8 @@ impl OperatorDescriptor for AssignDesc {
         let joint = fm.register_joint(&self.out_joint_id);
         let udf = self.udf.clone();
         let metrics = Arc::clone(&self.metrics);
-        let extra_delay_us = self.extra_delay_us;
         let mut scratch = UdfScratch::default();
         let process = move |rec: &Record| -> IngestResult<Option<Record>> {
-            if extra_delay_us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(extra_delay_us));
-            }
             if udf.decodes_record() {
                 metrics.parse_calls.add(1);
             }
@@ -794,7 +785,8 @@ impl OperatorDescriptor for AssignDesc {
             out: joint.depositor(ctx.waker.hook()),
             close_path: output,
         };
-        Ok(OperatorRuntime::Unary(Box::new(meta), Box::new(writer)))
+        let paced = Paced::new(meta, Duration::from_micros(self.extra_delay_us));
+        Ok(OperatorRuntime::Unary(Box::new(paced), Box::new(writer)))
     }
 }
 
@@ -1016,6 +1008,7 @@ impl OperatorDescriptor for StoreDesc {
                 ctx.clock.clone(),
             ),
             partition: self.dataset.partition(ctx.partition),
+            wake: ctx.waker.hook(),
             datatype: AdmType::Named(self.dataset.config.datatype.clone()),
             registry: self.registry.clone(),
             metrics: Arc::clone(&self.metrics),
@@ -1043,6 +1036,8 @@ impl OperatorDescriptor for StoreDesc {
 struct StoreFeed {
     sandbox: Sandbox,
     partition: Arc<asterix_storage::DatasetPartition>,
+    /// Fired when the partition's writes are released.
+    wake: WakeHook,
     datatype: AdmType,
     registry: Option<Arc<TypeRegistry>>,
     metrics: Arc<FeedMetrics>,
@@ -1093,7 +1088,12 @@ impl UnaryOperator for StoreFeed {
     fn fail(&mut self) {}
 
     fn is_saturated(&self) -> bool {
-        self.partition.writes_held()
+        self.partition.writes_held(&self.wake)
+    }
+
+    /// The ack group's window end, when acks wait in it.
+    fn idle(&mut self) -> Option<Duration> {
+        self.ack_sender.as_mut()?.flush_due()
     }
 }
 

@@ -658,6 +658,41 @@ fn at_least_once_tracks_and_survives_duplicates() {
     rig.stop();
 }
 
+/// The store sends its last ack group at the window's end, not on an ack
+/// that never comes: once a stream goes quiet, every persisted record has
+/// been acked, and three replay timeouts later none was replayed (written
+/// twice).
+#[test]
+fn a_quiet_stream_acks_its_last_group_and_replays_nothing() {
+    let ack_timeout = SimDuration::from_secs(2);
+    let rig = TestRig::start_with(
+        2,
+        ControllerConfig {
+            ack_timeout,
+            ack_window: SimDuration::from_millis(100),
+            ..ControllerConfig::default()
+        },
+    );
+    let gen = rig.tweetgen("e2e-quiet:9000", 0, 200, 4);
+    let dataset = rig.dataset("Tweets", "Tweet");
+    rig.primary_feed("TwitterFeed", "e2e-quiet:9000");
+    rig.controller
+        .connect_feed("TwitterFeed", "Tweets", "FaultTolerant")
+        .unwrap();
+    let generated = wait_pattern_done(&gen);
+    assert!(
+        wait_until(Duration::from_secs(15 * 3), || dataset.len() as u64
+            >= generated),
+        "persisted {} of {generated}",
+        dataset.len()
+    );
+    rig.clock.sleep(SimDuration(3 * ack_timeout.0));
+    let replayed = rig.count("records_replayed", "TwitterFeed->Tweets");
+    assert_eq!(replayed, 0, "records replayed after the stream went quiet");
+    gen.stop();
+    rig.stop();
+}
+
 #[test]
 fn connect_twice_is_an_error_and_unknown_names_fail() {
     let rig = TestRig::start(2);

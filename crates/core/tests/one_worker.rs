@@ -29,6 +29,7 @@ use asterix_hyracks::connector::ConnectorSpec;
 use asterix_hyracks::executor::{run_job, TaskContext, MSGS_PER_SLICE};
 use asterix_hyracks::job::{Constraint, JobSpec, OperatorDescriptor};
 use asterix_hyracks::operator::{FrameWriter, OperatorRuntime, UnaryOperator, VecSource};
+use asterix_hyracks::WakeHook;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,15 +68,15 @@ impl Books {
 
     /// The gauge `feed.<name>` of the connection.
     fn gauge(&self, name: &str) -> u64 {
-        let labels = &[("conn", "c")];
-        self.registry.gauge(&format!("feed.{name}"), labels).get()
+        let snap = self.registry.snapshot();
+        snap.gauge_for(&format!("feed.{name}"), "c").unwrap_or(0)
     }
 }
 
-/// A source emitting `frames` from `node`, one per poll.
+/// A source emitting `frames` from each of `nodes`, one per poll.
 struct FramesDesc {
     frames: Vec<DataFrame>,
-    node: NodeId,
+    nodes: Vec<NodeId>,
 }
 
 impl OperatorDescriptor for FramesDesc {
@@ -83,7 +84,7 @@ impl OperatorDescriptor for FramesDesc {
         "frames".into()
     }
     fn constraints(&self) -> Constraint {
-        Constraint::Locations(vec![self.node])
+        Constraint::Locations(self.nodes.clone())
     }
     fn instantiate(
         &self,
@@ -101,7 +102,7 @@ fn another_job_completes(cluster: &Cluster, node: NodeId) {
     let mut other = JobSpec::new("other");
     other.add_operator(Box::new(FramesDesc {
         frames: vec![],
-        node,
+        nodes: vec![node],
     }));
     let other = run_job(cluster, other).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -142,7 +143,8 @@ fn assign_yields_while_its_out_joint_subscriber_queue_is_full() {
         })
         .collect();
     let mut job = JobSpec::new("assign");
-    let source = job.add_operator(Box::new(FramesDesc { frames, node }));
+    let nodes = vec![node];
+    let source = job.add_operator(Box::new(FramesDesc { frames, nodes }));
     let assign = job.add_operator(Box::new(AssignDesc {
         udf: Udf::busy_spin("identity", 0),
         out_joint_id: "Scored".into(),
@@ -176,12 +178,102 @@ fn assign_yields_while_its_out_joint_subscriber_queue_is_full() {
     cluster.shutdown();
 }
 
+/// Two assign instances with a modelled capacity (`extra_delay_us`) park
+/// on a timer between frames instead of sleeping on the one worker: a
+/// sibling source's job runs to its end while they still have work, and
+/// their budgets overlap — the two take about as long as one.
+#[test]
+fn paced_assigns_leave_the_worker_to_a_sibling_source() {
+    let (cluster, node) = one_worker_node();
+    let joint = FeedManager::on(&cluster.nodes()[0]).register_joint("Paced");
+    let sub = joint.subscribe("listener");
+    // per instance: 20 frames of 64 records at 1 ms a record, 1.28 s
+    let (frames, records, delay_us) = (20u64, 64u64, 1_000u64);
+    let serial = Duration::from_micros(2 * frames * records * delay_us);
+    let frames: Vec<DataFrame> = (0..frames)
+        .map(|f| {
+            let ids = f * records..(f + 1) * records;
+            let payload = |i| asterix_adm::payload_from_text(&format!("{{\"id\":{i}}}")).unwrap();
+            DataFrame::from_records(
+                ids.map(|i| Record::tracked(RecordId(i), 0, payload(i)))
+                    .collect(),
+            )
+        })
+        .collect();
+    let started = Instant::now();
+    let mut job = JobSpec::new("paced");
+    let nodes = vec![node, node];
+    let source = job.add_operator(Box::new(FramesDesc { frames, nodes }));
+    let assign = job.add_operator(Box::new(AssignDesc {
+        udf: Udf::busy_spin("identity", 0),
+        out_joint_id: "Paced".into(),
+        locations: vec![node, node],
+        feed: FeedId(1),
+        policy: IngestionPolicy::basic(),
+        metrics: Books::new().metrics,
+        log: new_soft_failure_log(),
+        log_dataset: None,
+        extra_delay_us: delay_us,
+    }));
+    job.connect(source, assign, ConnectorSpec::OneToOne);
+    let handle = run_job(&cluster, job).unwrap();
+
+    // a sibling source pushes 50 frames through a sink meanwhile
+    let mut sibling = JobSpec::new("sibling");
+    let nodes = vec![node];
+    let one = |i| DataFrame::from_records(vec![Record::tracked(RecordId(i), 0, "x")]);
+    let source = sibling.add_operator(Box::new(FramesDesc {
+        frames: (0..50).map(one).collect(),
+        nodes,
+    }));
+    let sink = sibling.add_operator(Box::new(NullSinkDesc {
+        locations: vec![node],
+    }));
+    sibling.connect(source, sink, ConnectorSpec::OneToOne);
+    let sibling = run_job(&cluster, sibling).unwrap();
+    while sibling.is_running() {
+        assert!(started.elapsed() < serial, "the sibling source starved");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    sibling.wait_ok().unwrap();
+    assert!(
+        handle.is_running(),
+        "the sibling ran beside the paced assigns"
+    );
+
+    handle.wait_ok().unwrap();
+    let took = started.elapsed();
+    let ids = drain_ids(&sub, (2 * 20 * records) as usize);
+    assert_eq!(
+        ids.len() as u64,
+        2 * 20 * records,
+        "both instances, every record"
+    );
+    assert!(
+        took < serial * 3 / 4,
+        "{took:?}: the two budgets ran one after the other ({serial:?})"
+    );
+    cluster.shutdown();
+}
+
 /// A consumer that takes nothing while its gate is shut: its task yields,
-/// so its input port fills up behind it.
+/// so its input port fills up behind it, until [`Gate::release`] wakes it.
 #[derive(Clone, Default)]
 struct Gate {
     open: Arc<AtomicBool>,
     ids: Arc<Mutex<Vec<u64>>>,
+    /// The consumer task's wake hook, once it runs.
+    wake: Arc<Mutex<Option<WakeHook>>>,
+}
+
+impl Gate {
+    /// Open the gate and wake the consumer parked on it.
+    fn release(&self) {
+        self.open.store(true, Ordering::SeqCst);
+        if let Some(wake) = self.wake.lock().as_ref() {
+            wake();
+        }
+    }
 }
 
 impl UnaryOperator for Gate {
@@ -207,9 +299,10 @@ impl OperatorDescriptor for GateDesc {
     }
     fn instantiate(
         &self,
-        _ctx: &TaskContext,
+        ctx: &TaskContext,
         output: Box<dyn FrameWriter>,
     ) -> IngestResult<OperatorRuntime> {
+        *self.0.wake.lock() = Some(ctx.waker.hook());
         Ok(OperatorRuntime::Unary(Box::new(self.0.clone()), output))
     }
 }
@@ -320,7 +413,7 @@ fn spill_subscription_spills_without_parking_the_worker() {
     );
 
     // the consumer drains: memory, then the spill, each record once
-    gate.open.store(true, Ordering::SeqCst);
+    gate.release();
     wait_taken(&gate, ((n + more) * 10) as usize);
     handle.stop_sources();
     handle.wait_ok().unwrap();
@@ -371,7 +464,7 @@ fn respawned_intake_takes_the_handed_back_frames_first() {
     wait_records_in(&m, 40);
     // ...and dies at its next poll, which comes once the port drains
     plan.tick_records(1);
-    first.open.store(true, Ordering::SeqCst);
+    first.release();
     let results = handle.wait();
     assert!(
         results.iter().any(|(_, r)| r.is_err()),
@@ -386,7 +479,7 @@ fn respawned_intake_takes_the_handed_back_frames_first() {
 
     // the successor drains the subscription: the handed-back frame first
     let second = Gate::default();
-    second.open.store(true, Ordering::SeqCst);
+    second.release();
     let handle = run_job(
         &cluster,
         spill_intake_job(node, &m, &second, None, Some(plumbing)),
@@ -482,7 +575,7 @@ fn stalled_consumer_run(policy: IngestionPolicy, addr: &str, lines: u64) -> Stal
     let held_frames = joint.backlog();
 
     // the consumer opens: what the policy kept arrives, the sender finishes
-    gate.open.store(true, Ordering::SeqCst);
+    gate.release();
     sender.join().unwrap();
     let deadline = Instant::now() + Duration::from_secs(120);
     let accounted = || {

@@ -7,13 +7,13 @@
 //! the CC as a node failure", upon which a cluster event is dispatched to
 //! subscribers (the Central Feed Manager among them).
 //!
-//! Here a *node* is a logical container: an alive flag, a set of running
-//! task threads, node-local services and a heartbeat thread. Killing a node
-//! flips the flag — its heartbeats cease, its tasks exit without closing
-//! their outputs, and after the detection threshold the monitor emits
-//! [`ClusterEvent::NodeFailed`].
+//! Here a *node* is a logical container: an alive flag, the wakers of the
+//! tasks placed on it, node-local services and a heartbeat thread. Killing a
+//! node flips the flag and rings those wakers — its heartbeats cease, its
+//! tasks wake, exit without closing their outputs, and after the detection
+//! threshold the monitor emits [`ClusterEvent::NodeFailed`].
 
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Scheduler, Waker};
 use crate::services::ServiceMap;
 use asterix_common::sync::{handoff, thread as sync_thread, Mutex, RwLock, WakeEvent, WakeSignal};
 use asterix_common::{
@@ -56,6 +56,8 @@ pub(crate) struct NodeInner {
     last_heartbeat: Mutex<SimInstant>,
     /// set when the failure monitor has already reported this node
     reported_failed: AtomicBool,
+    /// Wakers of the tasks placed on the node, rung when it dies.
+    tasks: Mutex<Vec<Waker>>,
 }
 
 /// Handle to one node of the cluster.
@@ -80,9 +82,24 @@ impl NodeHandle {
         &self.inner.services
     }
 
-    /// Flip the node dead; its tasks observe the flag on their next slice.
+    /// Place a task on the node: its waker rings when the node dies.
+    pub(crate) fn host(&self, waker: Waker) {
+        let mut tasks = self.inner.tasks.lock();
+        tasks.push(waker);
+        // forget finished tasks, amortized over the pushes
+        if tasks.len().is_power_of_two() {
+            tasks.retain(|w| !w.is_done());
+        }
+    }
+
+    /// Flip the node dead and wake its tasks: each observes the flag on the
+    /// slice the wake runs.
     pub(crate) fn mark_dead(&self) {
         self.inner.alive.store(false, Ordering::SeqCst);
+        let tasks = std::mem::take(&mut *self.inner.tasks.lock());
+        for waker in tasks {
+            waker.wake();
+        }
     }
 }
 
@@ -213,6 +230,7 @@ impl Cluster {
                 services: ServiceMap::new(),
                 last_heartbeat: Mutex::new(self.inner.clock.now()),
                 reported_failed: AtomicBool::new(false),
+                tasks: Mutex::new(Vec::new()),
             }),
         };
         nodes.push(handle.clone());
@@ -264,8 +282,9 @@ impl Cluster {
     }
 
     /// Kill a node: a hard failure. Heartbeats stop; tasks scheduled on the
-    /// node observe the dead flag and exit abruptly; the failure monitor
-    /// reports [`ClusterEvent::NodeFailed`] after the detection threshold.
+    /// node are woken, observe the dead flag and exit abruptly; the failure
+    /// monitor reports [`ClusterEvent::NodeFailed`] after the detection
+    /// threshold.
     pub fn kill_node(&self, id: NodeId) {
         if let Some(n) = self.node(id) {
             n.mark_dead();

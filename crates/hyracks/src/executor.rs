@@ -25,12 +25,15 @@
 //! dedicated threads left on the data path are the TCP pumps, whose blocking
 //! fills the kernel socket buffers.
 //!
-//! Tasks scheduled on a node observe the node's alive flag; when the node
-//! is killed they exit *without* closing their outputs — the frames in
-//! their input ports are simply lost, as they would be on a real machine
-//! crash. With [`TransportKind::Tcp`] every edge's frames additionally
-//! traverse a real loopback socket (see [`crate::transport`]), exercising
-//! the process boundary.
+//! Nothing polls a parked task: it wakes on its waker, or on a deadline its
+//! operator names (a source's [`SourcePoll::Idle`] wait, a unary operator's
+//! [`UnaryOperator::busy_for`] or [`UnaryOperator::idle`]). A stop request
+//! rings the waker of every task it stops, and each task's node rings it
+//! when the node dies: the task observes the alive flag and exits *without*
+//! closing its outputs — the frames in its input port are simply lost, as
+//! they would be on a real machine crash. With [`TransportKind::Tcp`] every
+//! edge's frames additionally traverse a real loopback socket (see
+//! [`crate::transport`]), exercising the process boundary.
 
 use crate::cluster::{Cluster, NodeHandle};
 use crate::connector::{ConnectorSpec, RouterWriter, TeeWriter};
@@ -48,7 +51,6 @@ use asterix_common::{
     SimClock, DEFAULT_FRAME_CAPACITY,
 };
 use std::collections::HashMap;
-use std::time::Duration;
 
 pub use crate::port::TaskMsg;
 
@@ -60,11 +62,6 @@ static JOB_IDS: IdGen = IdGen::new();
 /// emits at most this many per slice: a writer outside the job edge with
 /// less room than this reports itself saturated.
 pub const MSGS_PER_SLICE: usize = 8;
-
-/// Pending-deadline safety net: stop requests and node deaths are observed
-/// within this bound even if no waker ever fires. It is also the longest an
-/// idle source parks ([`SourcePoll::Idle`]).
-const POLL_SAFETY: Duration = Duration::from_millis(20);
 
 /// Runtime context handed to operator descriptors at instantiation.
 #[derive(Clone)]
@@ -217,23 +214,26 @@ impl JobHandle {
         &self.layout
     }
 
+    /// Fire `stop` on the tasks `which` selects and wake each, so a parked
+    /// one observes its token at once.
+    fn stop_each(&self, which: impl Fn(&TaskRecord) -> bool, stop: fn(&StopToken)) {
+        for t in self.tasks.lock().iter().filter(|t| which(t)) {
+            stop(&t.stop);
+            t.handle.waker().wake();
+        }
+    }
+
     /// Request the source operators stop; in-flight frames drain through
     /// the pipeline and downstream operators close gracefully.
     pub fn stop_sources(&self) {
-        for t in self.tasks.lock().iter() {
-            if t.is_source {
-                t.stop.stop();
-            }
-        }
+        self.stop_each(|t| t.is_source, StopToken::stop);
     }
 
     /// Abort: fire every task's stop token in abandon mode (no graceful
     /// drain; shared state such as joint subscriptions is preserved for a
     /// successor incarnation).
     pub fn abort(&self) {
-        for t in self.tasks.lock().iter() {
-            t.stop.stop_abandon();
-        }
+        self.stop_each(|_| true, StopToken::stop_abandon);
     }
 
     /// Hand the job's stream over to a successor: the sources stop in
@@ -242,9 +242,7 @@ impl JobHandle {
     /// while every other task finishes the frames already in flight and
     /// closes, instead of dropping them.
     pub fn hand_over(&self) {
-        for t in self.tasks.lock().iter().filter(|t| t.is_source) {
-            t.stop.stop_abandon();
-        }
+        self.stop_each(|t| t.is_source, StopToken::stop_abandon);
     }
 
     /// Wait for all tasks to finish; returns per-task results (cached, so
@@ -495,6 +493,7 @@ pub fn run_job(cluster: &Cluster, spec: JobSpec) -> IngestResult<JobHandle> {
                     .set_consumer_waker(handle.waker());
             }
             probe.attach_producer_waker(&handle.waker());
+            node.host(handle.waker());
             to_wake.push(handle.clone());
             tasks.push(TaskRecord {
                 placement: placement_rec.clone(),
@@ -539,19 +538,17 @@ impl Task for SourceTask {
             self.stop.stop();
         }
         if self.probe.saturated() {
-            // back-pressure: yield until a consumer drains (waker) or the
-            // safety deadline re-checks stop/node state
-            return SliceState::Pending(Some(POLL_SAFETY));
+            // back-pressure: yield until a consumer drains, a stop or the
+            // node's death wakes the task
+            return SliceState::Pending(None);
         }
         match self.src.poll(&self.stop) {
             Err(e) => SliceState::Done(Err(e)),
             Ok(SourcePoll::Done) => SliceState::Done(Ok(())),
             Ok(SourcePoll::Produced) => SliceState::Ready,
             // parked until a waker fires: its own deadline, if it named one,
-            // and the safety net are the only timers
-            Ok(SourcePoll::Idle(no_later_than)) => SliceState::Pending(Some(
-                no_later_than.map_or(POLL_SAFETY, |d| d.min(POLL_SAFETY)),
-            )),
+            // is the only timer
+            Ok(SourcePoll::Idle(no_later_than)) => SliceState::Pending(no_later_than),
         }
     }
 }
@@ -610,12 +607,17 @@ impl Task for UnaryTask {
                 return SliceState::Done(Err(e));
             }
         }
-        // the downstream ports wake this task when they drain; an output
-        // outside the job (a joint) is re-checked on the safety deadline
+        // the downstream ports wake this task when they drain, and so does
+        // an output outside the job (a joint) that reported itself full
         if self.probe.saturated() || self.op.is_saturated() || self.output.is_saturated() {
-            return SliceState::Pending(Some(POLL_SAFETY));
+            return SliceState::Pending(None);
         }
         for _ in 0..MSGS_PER_SLICE {
+            // a modelled capacity that spent its budget: the timer is back
+            // when the budget is, and no worker waits for it
+            if let Some(wait) = self.op.busy_for() {
+                return SliceState::Pending(Some(wait));
+            }
             match self.rx.pop() {
                 PortPop::Msg(TaskMsg::Frame(frame)) => {
                     self.instruments.frames_in.inc();
@@ -642,7 +644,9 @@ impl Task for UnaryTask {
                         "upstream failed".into(),
                     )));
                 }
-                PortPop::Empty => return SliceState::Pending(Some(POLL_SAFETY)),
+                // parked until a frame, a stop or the node's death wakes
+                // the task, or until the operator's own deadline
+                PortPop::Empty => return SliceState::Pending(self.op.idle()),
                 PortPop::Disconnected => {
                     // all producers vanished without Close: abnormal
                     self.fail();

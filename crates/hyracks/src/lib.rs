@@ -64,5 +64,5 @@ pub use operator::{
     FrameWriter, OperatorRuntime, RouterOperator, SourceOperator, SourcePoll, StopToken,
     UnaryOperator,
 };
-pub use scheduler::{Scheduler, SliceState, Task, TaskHandle, WakeHook, Waker};
+pub use scheduler::{Scheduler, SliceState, Task, TaskHandle, Tick, WakeHook, Waker};
 pub use transport::TransportKind;

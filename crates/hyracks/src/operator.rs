@@ -16,7 +16,7 @@ use asterix_common::{DataFrame, IngestResult, Record};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The push-side handle: the Rust analogue of Hyracks' `IFrameWriter`.
 pub trait FrameWriter: Send {
@@ -116,10 +116,11 @@ pub enum SourcePoll {
     Produced,
     /// Nothing to do right now: the task parks until its waker fires
     /// ([`TaskContext::waker`](crate::executor::TaskContext), which the
-    /// source gave whatever it waits on), or until the given wait when the
-    /// source knows its next deadline (a replay instant, a pause), and at
-    /// the latest on the engine's safety deadline (20 ms), which re-checks
-    /// stop requests and node death.
+    /// source gave whatever it waits on, and which a stop request and the
+    /// node's death ring too), or until the given wait when the source knows
+    /// its next deadline (a replay instant, a pause). There is no other
+    /// timer: a source that waits on something that cannot wake it waits
+    /// for good.
     Idle(Option<Duration>),
     /// Input exhausted and the output closed; the task is finished.
     Done,
@@ -153,9 +154,23 @@ pub trait UnaryOperator: Send {
     fn fail(&mut self) {}
     /// True when writers the operator owns itself (outside its job edge)
     /// have no room for another slice of output; its task then yields like
-    /// one whose output port is full.
+    /// one whose output port is full. Whatever reports `true` must wake the
+    /// task when it has room again.
     fn is_saturated(&self) -> bool {
         false
+    }
+    /// How long the operator must wait before it takes its next frame (a
+    /// modelled capacity's unspent budget, [`Paced`]); `None` when it can
+    /// take one now. Its task parks on a timer meanwhile, holding no worker.
+    fn busy_for(&self) -> Option<Duration> {
+        None
+    }
+    /// Called when the input is empty, before the task parks: time-driven
+    /// work is done here (an ack group whose window ended), and the answer
+    /// is how long the task may park before it must be called again —
+    /// `None` parks it until a frame, a stop or its node's death.
+    fn idle(&mut self) -> Option<Duration> {
+        None
     }
 }
 
@@ -219,6 +234,56 @@ where
             output.next_frame(out)?;
         }
         Ok(())
+    }
+}
+
+/// A unary operator with a modelled capacity: after a frame of `n` records it
+/// takes no input for `n × per_record`, a fixed processing rate per instance
+/// that costs no host CPU, so capacity scales with the instance count however
+/// few cores run them (Fig 5.16's substitution, DESIGN.md). The task parks on
+/// a timer meanwhile ([`UnaryOperator::busy_for`]); no worker sleeps.
+pub struct Paced<O> {
+    inner: O,
+    per_record: Duration,
+    ready_at: Option<Instant>,
+}
+
+impl<O: UnaryOperator> Paced<O> {
+    /// `inner` at one record per `per_record` (zero: unpaced).
+    pub fn new(inner: O, per_record: Duration) -> Self {
+        Paced {
+            inner,
+            per_record,
+            ready_at: None,
+        }
+    }
+}
+
+impl<O: UnaryOperator> UnaryOperator for Paced<O> {
+    fn open(&mut self, output: &mut dyn FrameWriter) -> IngestResult<()> {
+        self.inner.open(output)
+    }
+    fn next_frame(&mut self, frame: DataFrame, output: &mut dyn FrameWriter) -> IngestResult<()> {
+        let budget = self.per_record * frame.len() as u32;
+        let done = self.inner.next_frame(frame, output);
+        self.ready_at = (!budget.is_zero()).then(|| Instant::now() + budget);
+        done
+    }
+    fn close(&mut self, output: &mut dyn FrameWriter) -> IngestResult<()> {
+        self.inner.close(output)
+    }
+    fn fail(&mut self) {
+        self.inner.fail()
+    }
+    fn is_saturated(&self) -> bool {
+        self.inner.is_saturated()
+    }
+    fn busy_for(&self) -> Option<Duration> {
+        let left = self.ready_at?.saturating_duration_since(Instant::now());
+        (!left.is_zero()).then_some(left)
+    }
+    fn idle(&mut self) -> Option<Duration> {
+        self.inner.idle()
     }
 }
 

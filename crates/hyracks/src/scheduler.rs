@@ -15,10 +15,12 @@
 //! * [`SliceState::Ready`] — progress was made and more work is available
 //!   right now; the task is requeued on the worker's local deque.
 //! * [`SliceState::Pending`] — the task is blocked (empty input queue,
-//!   saturated output queue). It parks until a [`Waker`] fires or the
-//!   optional deadline elapses. Executor tasks always pass a deadline so
-//!   stop requests and node deaths are observed within a bounded delay even
-//!   if no wake arrives (the timer is a safety net, not the wake path).
+//!   saturated output queue). It parks until a [`Waker`] fires, or until
+//!   the deadline it names, if any. The waker is the wake path: whatever
+//!   the task waits for rings it, a stop request and a node death included.
+//!   A deadline is the task's own (a replay instant, a modelled capacity's
+//!   budget), never a safety net; `scheduler.timer_fires` counts the parks
+//!   a deadline ended.
 //! * [`SliceState::Done`] — the task finished; its body is dropped (closing
 //!   its output ports) and joiners are released.
 //!
@@ -27,8 +29,11 @@
 //! Each worker owns a local deque; new/externally-woken tasks land in a
 //! global injector. A worker takes from its local deque first (FIFO, so
 //! pipeline stages interleave), then the injector, then due timers, and
-//! finally steals from the *back* of a sibling's deque. Idle workers park
-//! on a condvar with a timeout bounded by the next timer deadline.
+//! finally steals from the *back* of a sibling's deque; one pick in
+//! `FAIR_EVERY` looks at the injector and the timers first. Idle workers
+//! park on a condvar with a timeout bounded by the next timer deadline. A
+//! worker about to block in [`TaskHandle::join`] hands its deque to the
+//! injector first and counts as parked until the join returns.
 //!
 //! ## No blocking escape hatch
 //!
@@ -51,11 +56,20 @@ pub enum SliceState {
     /// Progress was made and more work is immediately available.
     Ready,
     /// Blocked; park until woken or until the deadline (if any) elapses.
-    /// Executor tasks always pass `Some` so stop/node-death is re-checked
-    /// within a bounded delay.
     Pending(Option<Duration>),
     /// Finished with this result; the task body is dropped.
     Done(IngestResult<()>),
+}
+
+/// What a periodic task's tick asks for ([`Scheduler::spawn_periodic`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tick {
+    /// Tick again after the interval, or sooner if woken.
+    Again,
+    /// Nothing to do until someone wakes the task: park without a timer.
+    Idle,
+    /// Complete the task.
+    Done,
 }
 
 /// A cooperative task: one operator partition's incremental drive loop.
@@ -103,15 +117,26 @@ pub struct TaskHandle {
 }
 
 impl TaskHandle {
-    /// Block until the task completes; returns its result.
+    /// Block until the task completes; returns its result. Called on a pool
+    /// worker (a housekeeping task that waits for a job), it first hands the
+    /// worker's queued tasks to its peers — the task it waits for may be
+    /// among them — and counts the worker parked while it waits.
     pub fn join(&self) -> IngestResult<()> {
+        let blocking = self
+            .sched
+            .upgrade()
+            .filter(|s| !self.is_finished() && s.before_blocking());
         let mut slot = self.core.result.lock();
-        loop {
+        let result = loop {
             if let Some(r) = slot.as_ref() {
-                return r.clone();
+                break r.clone();
             }
             self.core.done_cv.wait(&mut slot);
+        };
+        if let Some(sched) = blocking {
+            sched.parked.fetch_sub(1, Ordering::SeqCst);
         }
+        result
     }
 
     /// Has the task completed?
@@ -205,6 +230,11 @@ impl Waker {
         }
     }
 
+    /// Has the task completed (a wake can no longer matter)?
+    pub(crate) fn is_done(&self) -> bool {
+        self.core.state.load(Ordering::SeqCst) == DONE
+    }
+
     /// This waker as a [`WakeHook`].
     pub fn hook(&self) -> WakeHook {
         let waker = self.clone();
@@ -271,6 +301,8 @@ impl Ord for TimerEntry {
 struct SchedMetrics {
     tasks_spawned: asterix_common::Counter,
     polls: asterix_common::Counter,
+    /// Parks ended by their deadline, not by a waker.
+    timer_fires: asterix_common::Counter,
     yields: asterix_common::Counter,
     steals: asterix_common::Counter,
 }
@@ -284,6 +316,7 @@ struct SchedulerInner {
     park: Mutex<()>,
     work_cv: Condvar,
     shutdown: AtomicBool,
+    /// Workers parked, or blocked in [`TaskHandle::join`].
     parked: AtomicUsize,
     /// Live task registry so shutdown can fail stragglers (joiners must not
     /// hang once the worker pool is gone).
@@ -345,6 +378,7 @@ impl Scheduler {
             m: SchedMetrics {
                 tasks_spawned: registry.counter("scheduler.tasks_spawned", &[]),
                 polls: registry.counter("scheduler.polls", &[]),
+                timer_fires: registry.counter("scheduler.timer_fires", &[]),
                 yields: registry.counter("scheduler.yields", &[]),
                 steals: registry.counter("scheduler.steals", &[]),
             },
@@ -445,25 +479,25 @@ impl Scheduler {
 
     /// Run `f` every `interval` as a cooperative task — the housekeeping
     /// shape (control loops, monitors): no dedicated thread, parks between
-    /// ticks, re-checks within `interval` of a wake. `f` returning `true`
-    /// schedules the next tick; `false` completes the task. A waker from
-    /// the handle fires a tick early (used to make shutdown prompt).
+    /// ticks. Each tick says what comes next ([`Tick`]). A waker from the
+    /// handle fires a tick early: it ends an [`Tick::Idle`] park, and makes
+    /// shutdown prompt.
     pub fn spawn_periodic(
         &self,
         name: impl Into<String>,
         interval: Duration,
-        f: impl FnMut() -> bool + Send + 'static,
+        f: impl FnMut() -> Tick + Send + 'static,
     ) -> TaskHandle {
         struct Periodic<F> {
             interval: Duration,
             f: F,
         }
-        impl<F: FnMut() -> bool + Send> Task for Periodic<F> {
+        impl<F: FnMut() -> Tick + Send> Task for Periodic<F> {
             fn run_slice(&mut self) -> SliceState {
-                if (self.f)() {
-                    SliceState::Pending(Some(self.interval))
-                } else {
-                    SliceState::Done(Ok(()))
+                match (self.f)() {
+                    Tick::Again => SliceState::Pending(Some(self.interval)),
+                    Tick::Idle => SliceState::Pending(None),
+                    Tick::Done => SliceState::Done(Ok(())),
                 }
             }
         }
@@ -529,8 +563,9 @@ impl SchedulerInner {
             self.injector.lock().push_back(core);
             // a worker that is awake takes it from the injector before it
             // parks (it counts itself parked before its last look), so a
-            // parked one is woken only when none is awake — or for a
-            // `wake_now`, which must not wait for an awake worker's slice
+            // parked one is woken only when none is awake (one blocked in
+            // `join` counts as parked) — or for a `wake_now`, which must not
+            // wait for an awake worker's slice
             if now || self.parked.load(Ordering::SeqCst) == self.locals.len() {
                 self.notify_parked();
             }
@@ -550,6 +585,25 @@ impl SchedulerInner {
         if behind {
             self.notify_parked();
         }
+    }
+
+    /// On a worker of this pool about to block: move its deque to the
+    /// injector, where a peer finds it, and count the worker parked until
+    /// the caller's wait ends (true), so that work injected meanwhile wakes a
+    /// parked peer as it would if this worker were parked.
+    fn before_blocking(&self) -> bool {
+        let (wid, widx) = WORKER.with(|w| w.get());
+        if wid != self.id {
+            return false;
+        }
+        let queued = std::mem::take(&mut *self.locals[widx].lock());
+        self.injector.lock().extend(queued);
+        // counted before the look: an enqueue the look misses sees the count
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        if !self.injector.lock().is_empty() {
+            self.notify_parked();
+        }
+        true
     }
 
     fn notify_parked(&self) {
@@ -589,6 +643,7 @@ impl SchedulerInner {
                     .compare_exchange(IDLE, QUEUED, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
             {
+                self.m.timer_fires.inc();
                 return Some(entry.core);
             }
         }
@@ -599,14 +654,22 @@ impl SchedulerInner {
         live_deadline(&mut self.timers.lock())
     }
 
-    fn find_work(&self, idx: usize) -> Option<Arc<TaskCore>> {
+    /// The next task for worker `idx`: its own deque, the injector, a due
+    /// timer, a steal. On a `fair` pick the injector and the timers come
+    /// first, so a task that is always ready cannot starve what is woken
+    /// from outside the worker or by its deadline.
+    fn find_work(&self, idx: usize, fair: bool) -> Option<Arc<TaskCore>> {
+        let outside = || {
+            let injected = self.injector.lock().pop_front();
+            injected.or_else(|| self.pop_due_timer(Instant::now()))
+        };
+        if let Some(c) = fair.then(outside).flatten() {
+            return Some(c);
+        }
         if let Some(c) = self.locals[idx].lock().pop_front() {
             return Some(c);
         }
-        if let Some(c) = self.injector.lock().pop_front() {
-            return Some(c);
-        }
-        if let Some(c) = self.pop_due_timer(Instant::now()) {
+        if let Some(c) = outside() {
             return Some(c);
         }
         let n = self.locals.len();
@@ -687,14 +750,19 @@ impl SchedulerInner {
 /// nearly due), coarse enough not to spin.
 const MIN_PARK: Duration = Duration::from_micros(50);
 
+/// Every this many picks a worker looks outside its own deque first.
+const FAIR_EVERY: u32 = 61;
+
 fn worker_loop(inner: Arc<SchedulerInner>, idx: usize) {
     WORKER.with(|w| w.set((inner.id, idx)));
     let max_park = Duration::from_millis(100);
+    let mut picks = 0u32;
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match inner.find_work(idx) {
+        picks = picks.wrapping_add(1);
+        match inner.find_work(idx, picks.is_multiple_of(FAIR_EVERY)) {
             Some(core) => inner.run_one(idx, core),
             None => {
                 let mut guard = inner.park.lock();
@@ -751,12 +819,16 @@ mod tests {
 
     #[test]
     fn spawn_periodic_ticks_until_false_and_wakes_early() {
-        let (s, _reg) = sched(2);
+        let (s, reg) = sched(2);
         let ticks = Arc::new(StdAtomicUsize::new(0));
         let t = Arc::clone(&ticks);
         // long interval: without early wakes this would take ~minutes
         let h = s.spawn_periodic("ticker", Duration::from_secs(60), move || {
-            t.fetch_add(1, Ordering::SeqCst) + 1 < 3
+            match t.fetch_add(1, Ordering::SeqCst) + 1 {
+                1 => Tick::Idle,
+                2 => Tick::Again,
+                _ => Tick::Done,
+            }
         });
         // first tick fires on spawn
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -764,15 +836,17 @@ mod tests {
             assert!(Instant::now() < deadline, "first tick never fired");
             std::thread::sleep(Duration::from_millis(1));
         }
-        // a wake runs the next tick well before the interval elapses
+        // a wake ends the idle park, and runs the next tick well before the
+        // interval elapses
         h.waker().wake();
         while ticks.load(Ordering::SeqCst) < 2 {
             assert!(Instant::now() < deadline, "woken tick never fired");
             std::thread::sleep(Duration::from_millis(1));
         }
-        h.waker().wake(); // third tick returns false → task completes
+        h.waker().wake(); // third tick returns Done → task completes
         h.join().expect("periodic task ok");
         assert_eq!(ticks.load(Ordering::SeqCst), 3);
+        assert_eq!(reg.snapshot().counter("scheduler.timer_fires"), 0);
         s.shutdown();
     }
 
@@ -834,8 +908,44 @@ mod tests {
     }
 
     #[test]
-    fn pending_deadline_is_a_safety_net() {
-        let (s, _reg) = sched(1);
+    fn a_worker_blocked_in_join_lets_an_injected_wake_reach_its_parked_peer() {
+        // one worker blocks in `join` on a gate that only a wake from outside
+        // the pool opens; the other is parked. Counted awake, the blocked
+        // worker would leave that wake to the parked peer's 100 ms park cap.
+        let (s, _reg) = sched(2);
+        struct Gate(Arc<AtomicBool>);
+        impl Task for Gate {
+            fn run_slice(&mut self) -> SliceState {
+                if self.0.load(Ordering::SeqCst) {
+                    SliceState::Done(Ok(()))
+                } else {
+                    SliceState::Pending(None)
+                }
+            }
+        }
+        struct Joiner(TaskHandle);
+        impl Task for Joiner {
+            fn run_slice(&mut self) -> SliceState {
+                SliceState::Done(self.0.join())
+            }
+        }
+        let open = Arc::new(AtomicBool::new(false));
+        let gate = s.spawn("gate", Box::new(Gate(Arc::clone(&open))));
+        let joiner = s.spawn("joiner", Box::new(Joiner(gate.clone())));
+        std::thread::sleep(Duration::from_millis(15));
+        assert!(!joiner.is_finished());
+        let woken = Instant::now();
+        open.store(true, Ordering::SeqCst);
+        gate.waker().wake();
+        joiner.join().expect("the gate opens");
+        let took = woken.elapsed();
+        assert!(took < Duration::from_millis(60), "the wake took {took:?}");
+        s.shutdown();
+    }
+
+    #[test]
+    fn a_pending_deadline_polls_the_task_on_a_timer() {
+        let (s, reg) = sched(1);
         struct Sleepy {
             polls: usize,
         }
@@ -851,6 +961,7 @@ mod tests {
         }
         let h = s.spawn("sleepy", Box::new(Sleepy { polls: 0 }));
         h.join().expect("timer re-polls the task");
+        assert_eq!(reg.snapshot().counter("scheduler.timer_fires"), 2);
         s.shutdown();
     }
 

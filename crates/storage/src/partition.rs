@@ -285,12 +285,17 @@ impl PartitionInner {
     }
 }
 
+/// The hook a held writer hands over, fired when the hold ends.
+pub type Wake = Arc<dyn Fn() + Send + Sync>;
+
 /// A single dataset partition.
 pub struct DatasetPartition {
     inner: Arc<PartitionInner>,
     worker: Mutex<Option<JoinHandle<()>>>,
     /// See [`DatasetPartition::hold_writes`].
     writes_held: AtomicBool,
+    /// The writers that found the writes held, woken when the hold ends.
+    held_writers: Mutex<Vec<Wake>>,
 }
 
 impl DatasetPartition {
@@ -317,6 +322,7 @@ impl DatasetPartition {
             inner,
             worker: Mutex::new(worker),
             writes_held: AtomicBool::new(false),
+            held_writers: Mutex::new(Vec::new()),
         }
     }
 
@@ -815,12 +821,25 @@ impl DatasetPartition {
     /// Stall injection for congestion tests: while held, a feed's store
     /// stage takes no frames for this partition (its task yields as if
     /// saturated), as behind a disk that stopped. Direct writes still apply.
+    /// The release wakes every store the hold stopped.
     pub fn hold_writes(&self, held: bool) {
         self.writes_held.store(held, Ordering::SeqCst);
+        if !held {
+            let held_writers = std::mem::take(&mut *self.held_writers.lock());
+            for wake in held_writers {
+                wake();
+            }
+        }
     }
 
-    /// Are a feed's writes held ([`DatasetPartition::hold_writes`])?
-    pub fn writes_held(&self) -> bool {
+    /// Are a feed's writes held ([`DatasetPartition::hold_writes`])? If so,
+    /// `wake` fires when the hold ends. It is kept before the flag is read
+    /// the second, deciding time, so a release in between still wakes.
+    pub fn writes_held(&self, wake: &Wake) -> bool {
+        if !self.writes_held.load(Ordering::SeqCst) {
+            return false;
+        }
+        self.held_writers.lock().push(Arc::clone(wake));
         self.writes_held.load(Ordering::SeqCst)
     }
 

@@ -144,7 +144,7 @@ fn spawn_pusher(config: TweetGenConfig, clock: SimClock, stats: Arc<Progress>, t
             clock.sleep(config.tick);
         }
         stats.finished.store(true, Ordering::SeqCst);
-        // the socket closes when tx drops → the reader sees end of stream
+        // the socket closes when tx drops → its doorbell wakes the reader
     })
     .expect("spawn tweetgen pusher");
 }
