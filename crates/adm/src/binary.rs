@@ -148,9 +148,15 @@ pub fn decode_value(input: &[u8]) -> IngestResult<AdmValue> {
 /// decoded; `false`, leaving `dst` as it was, for an absent field or bytes
 /// that are not a sound record.
 pub fn field_into(record: &[u8], field: &str, dst: &mut AdmValue) -> bool {
-    let Ok(Some(value)) = record_field_slice(record, field) else {
-        return false;
-    };
+    match record_field_slice(record, field) {
+        Ok(Some(value)) => value_into(value, dst),
+        _ => false,
+    }
+}
+
+/// [`decode_value`] into `dst`, reusing its buffer when both are strings:
+/// `false`, leaving `dst` as it was, for bytes that are not one sound value.
+pub fn value_into(value: &[u8], dst: &mut AdmValue) -> bool {
     match (value.first(), value.get(5..).map(std::str::from_utf8)) {
         (Some(&TAG_STRING), Some(Ok(s))) => dst.set_str(s),
         (Some(&TAG_STRING), _) => return false,

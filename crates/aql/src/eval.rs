@@ -8,11 +8,10 @@
 //! UDFs, which stay black boxes).
 //!
 //! A FLWOR is a pipeline evaluated one binding at a time over a single
-//! scoped [`Env`]: each `for` and `let` binds its variable in place,
-//! recurses into the clauses after it and restores the outer binding on
-//! exit; `where` filters each complete binding, and `return` (or the
-//! group-by accumulator) consumes it. No environment is copied and no list
-//! of bindings is built. A dataset `for` with no `for` before it streams its
+//! scoped [`Env`]: each `for` and `let` pushes its variable, recurses into
+//! the clauses after it and pops it on exit; `where` filters each complete
+//! binding, and `return` (or the group-by accumulator) consumes it. No
+//! environment is copied and no list of bindings is built. A dataset `for` with no `for` before it streams its
 //! rows straight from the storage scan ([`Dataset::try_for_each_row`]),
 //! which reads each partition from a snapshot with no lock held — so a
 //! nested query may scan the same dataset — and lends each row to the
@@ -34,7 +33,8 @@
 //! left are evaluated as trees, and a scan is projected to the fields those
 //! and the rest of the query read: `for $t in dataset D where $t.country =
 //! "US" return $t.id` compares `country` in place and decodes `id` of the
-//! matching rows only.
+//! matching rows only — or, where a B-tree indexes `country`, the partition
+//! reads the matching keys from it and scans no row.
 
 use crate::ast::{BinOp, Expr, FlworClause, GroupBy};
 use crate::route::{cmp_op, compare_leaf};
@@ -43,7 +43,7 @@ use asterix_adm::pred::Pred;
 use asterix_adm::AdmValue;
 use asterix_common::{IngestError, IngestResult};
 use asterix_storage::{AsKey, Dataset, KeyOrd};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Resolves names the evaluator cannot know by itself.
@@ -71,10 +71,57 @@ impl EvalContext for EmptyContext {
     }
 }
 
-/// Variable bindings. Evaluation binds the variables it introduces in
-/// place and restores them on exit: after a call the map holds what it held
-/// before, whether the call succeeded or not.
-pub type Env = HashMap<String, AdmValue>;
+/// Variable bindings: a stack searched from the innermost binding, so a
+/// name costs one string comparison per binding in scope — a query binds a
+/// handful — and no hash. Evaluation pushes the variables it introduces and
+/// pops them on exit: after a call the env holds what it held before,
+/// whether the call succeeded or not.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Env {
+    bindings: Vec<(String, AdmValue)>,
+}
+
+impl Env {
+    /// No bindings.
+    pub fn new() -> Self {
+        Env::default()
+    }
+
+    /// The innermost binding of `name`.
+    pub fn get(&self, name: &str) -> Option<&AdmValue> {
+        let mut bindings = self.bindings.iter().rev();
+        bindings.find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    /// The innermost binding of `name`, to rebind in place.
+    pub fn get_mut(&mut self, name: &str) -> Option<&mut AdmValue> {
+        let mut bindings = self.bindings.iter_mut().rev();
+        bindings.find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    /// Bind `name` to `value`, replacing its innermost binding if it has
+    /// one; returns the value replaced.
+    pub fn insert(&mut self, name: String, value: AdmValue) -> Option<AdmValue> {
+        match self.get_mut(&name) {
+            Some(bound) => Some(std::mem::replace(bound, value)),
+            None => {
+                self.bindings.push((name, value));
+                None
+            }
+        }
+    }
+
+    /// Drop the innermost binding of `name`; returns its value.
+    pub fn remove(&mut self, name: &str) -> Option<AdmValue> {
+        let at = self.bindings.iter().rposition(|(n, _)| n == name)?;
+        Some(self.bindings.remove(at).1)
+    }
+
+    /// No bindings?
+    pub fn is_empty(&self) -> bool {
+        self.bindings.is_empty()
+    }
+}
 
 /// What a field access on a record without the field, or on `null` /
 /// `missing`, reads.
@@ -214,27 +261,17 @@ fn items_of(coll: AdmValue, clause: &str) -> IngestResult<Vec<AdmValue>> {
     }
 }
 
-/// Run `body` with `var` bound in place — to `missing` until the body sets
-/// it through [`slot`] — then restore the outer binding, on error too.
+/// Run `body` with `var` bound innermost — to `missing` until the body sets
+/// it through [`slot`] — then pop the binding, on error too.
 fn scoped<T>(
     env: &mut Env,
     var: &str,
     body: impl FnOnce(&mut Env) -> IngestResult<T>,
 ) -> IngestResult<T> {
-    let outer = match env.get_mut(var) {
-        Some(v) => Some(std::mem::replace(v, AdmValue::Missing)),
-        None => {
-            env.insert(var.to_owned(), AdmValue::Missing);
-            None
-        }
-    };
+    let depth = env.bindings.len();
+    env.bindings.push((var.to_owned(), AdmValue::Missing));
     let out = body(env);
-    match outer {
-        Some(v) => *slot(env, var) = v,
-        None => {
-            env.remove(var);
-        }
-    }
+    env.bindings.truncate(depth);
     out
 }
 

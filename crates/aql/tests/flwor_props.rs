@@ -20,19 +20,29 @@
 //! nothing (a clause after the scan, a join, a rebinding `let`), shadowing,
 //! and group-by under a pushed `where`.
 //!
+//! A B-tree secondary answers the scan of `for $t in dataset A where $t.f =
+//! <literal> return $t.id` (and of any other return that reads no field but
+//! the key) instead of the scan: over datasets whose records lack the
+//! indexed field, hold `null` in it, or change it by upsert, and with
+//! deletes, the indexed dataset answers every such query — string, `null`,
+//! `missing`, NaN, and an int and a double of equal value — row for row and
+//! error for error as an unindexed copy of it does, and the partitions'
+//! `index_reads` counter says which path answered.
+//!
 //! A feed's routing arm is the same predicate: for a corpus of `where`
 //! texts, the arm the DDL compiles takes a record exactly when `eval` of
 //! the text, with `$t` bound to the record, is `true`, and its test fails
 //! with `eval`'s error word for word (an arm that errs takes nothing).
 
 use asterix_adm::{encode_value, AdmValue};
+use asterix_aql::ast::{BinOp, Expr};
 use asterix_aql::compile_route_predicate;
 use asterix_aql::eval::{eval, eval_flwor, Env, EvalContext};
 use asterix_aql::parser::parse_expr;
 use asterix_common::{IngestError, IngestResult, NodeId};
 use asterix_feeds::plan::{IngestPlanBuilder, SinkSpec};
 use asterix_storage::partition::PartitionConfig;
-use asterix_storage::{Dataset, DatasetConfig};
+use asterix_storage::{Dataset, DatasetConfig, IndexKind};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -86,6 +96,19 @@ fn tweet(k: u8, bits: u32, followers: u32) -> AdmValue {
 }
 
 fn dataset(name: &str, partitions: u64, ops: &[Op]) -> Arc<Dataset> {
+    dataset_of(name, partitions, ops, &[], tweet)
+}
+
+/// Dataset `name` over `partitions` partitions holding what `ops` leave of
+/// the records `make` builds, with a B-tree on each field of `indexed`,
+/// created before the writes.
+fn dataset_of(
+    name: &str,
+    partitions: u64,
+    ops: &[Op],
+    indexed: &[&str],
+    make: fn(u8, u32, u32) -> AdmValue,
+) -> Arc<Dataset> {
     let mut config = PartitionConfig::keyed_on("id");
     config.lsm.memtable_budget = 4;
     config.lsm.max_components = 2;
@@ -99,13 +122,63 @@ fn dataset(name: &str, partitions: u64, ops: &[Op]) -> Arc<Dataset> {
         config,
     )
     .expect("dataset");
+    for field in indexed {
+        let index = format!("{field}Idx");
+        d.create_index(index, *field, IndexKind::BTree)
+            .expect("index");
+    }
     for &(k, bits, followers, op) in ops {
         match op {
             0 => d.delete(&key(k)).expect("delete"),
-            _ => d.upsert(&tweet(k, bits, followers)).expect("upsert"),
+            _ => d.upsert(&make(k, bits, followers)).expect("upsert"),
         }
     }
     Arc::new(d)
+}
+
+/// A [`tweet`] with a field `x` that is absent, `null`, `3`, `3.0`, NaN,
+/// `"3"`, `0` or `-0.0` by `bits`.
+fn x_tweet(k: u8, bits: u32, followers: u32) -> AdmValue {
+    let mut t = tweet(k, bits, followers);
+    let x = match bits >> 20 & 7 {
+        0 => return t,
+        1 => AdmValue::Null,
+        2 => AdmValue::Int(3),
+        3 => AdmValue::Double(3.0),
+        4 => AdmValue::Double(f64::NAN),
+        5 => s("3"),
+        6 => AdmValue::Int(0),
+        _ => AdmValue::Double(-0.0),
+    };
+    if let AdmValue::Record(fields) = &mut t {
+        fields.push(("x".to_string(), x));
+    }
+    t
+}
+
+/// Scans the partitions of `d` answered from a secondary.
+fn index_reads(d: &Dataset) -> u64 {
+    let parts = 0..d.partition_count();
+    parts.map(|i| d.partition(i).index_reads()).sum()
+}
+
+/// `for $t in dataset A where $t.<field> = <literal> return <ret>`, the
+/// literal put in after parsing: AQL writes no NaN.
+fn eq_query(field: &str, literal: &AdmValue, ret: &str) -> Expr {
+    let text = format!("for $t in dataset A where $t.{field} = 0 return {ret}");
+    let mut query = parse_expr(&text).expect("query parses");
+    let Expr::Flwor {
+        where_clause: Some(w),
+        ..
+    } = &mut query
+    else {
+        panic!("not a FLWOR with a where: {text}");
+    };
+    let Expr::Bin(BinOp::Eq, _, rhs) = w.as_mut() else {
+        panic!("not an `=`: {text}");
+    };
+    **rhs = Expr::Literal(literal.clone());
+    query
 }
 
 struct Datasets(Vec<Arc<Dataset>>);
@@ -589,7 +662,92 @@ fn with_a(row: &AdmValue) -> Vec<AdmValue> {
     rows
 }
 
+#[test]
+fn a_partition_counter_says_which_path_answers() {
+    let ops: Vec<Op> = (0..24).map(|k| (k, u32::from(k) * 7919, 0, 1)).collect();
+    let d = dataset_of("A", 2, &ops, &["country"], tweet);
+    let ctx = Datasets(vec![Arc::clone(&d)]);
+    let reads = |query: &str| {
+        let before = index_reads(&d);
+        let expr = parse_expr(query).expect("query parses");
+        let rows = eval_flwor(&expr, &mut Env::new(), &ctx).expect("query evaluates");
+        assert!(!rows.is_empty(), "{query} returned nothing");
+        index_reads(&d) - before
+    };
+    // the benchmark's reader query: every partition answers from countryIdx
+    let reader = r#"for $t in dataset A where $t.country = "US" return $t.id"#;
+    assert_eq!(reads(reader), 2, "{reader}");
+    // a whole record, a field other than the key, a `null` literal (no
+    // secondary holds `null`) or an unindexed field: the scan answers
+    for query in [
+        r#"for $t in dataset A where $t.country = "US" return $t"#,
+        r#"for $t in dataset A where $t.country = "US" return $t.message_text"#,
+        r#"for $t in dataset A where $t.country = "US" return $t.user"#,
+        r#"for $t in dataset A where $t.country != null return $t.id"#,
+        r#"for $t in dataset A where $t.country = null or $t.id != "" return $t.id"#,
+        r#"for $t in dataset A where $t.user.name = "bo" return $t.id"#,
+    ] {
+        assert_eq!(reads(query), 0, "{query}");
+    }
+    let null = r#"for $t in dataset A where $t.country = null return $t.id"#;
+    let before = index_reads(&d);
+    let rows = eval_flwor(&parse_expr(null).unwrap(), &mut Env::new(), &ctx).unwrap();
+    assert!(rows.is_empty(), "no generated country is null");
+    assert_eq!(index_reads(&d), before, "{null}");
+}
+
 proptest! {
+    #[test]
+    fn the_index_path_answers_as_the_scan_does(ops in ops()) {
+        let fields = ["country", "lang", "x"];
+        let indexed = dataset_of("A", 2, &ops, &fields, x_tweet);
+        let with_index = Datasets(vec![Arc::clone(&indexed)]);
+        let without = Datasets(vec![dataset_of("A", 2, &ops, &[], x_tweet)]);
+        let literals = [
+            s("US"),
+            s("en"),
+            s("3"),
+            AdmValue::Null,
+            AdmValue::Missing,
+            AdmValue::Double(f64::NAN),
+            AdmValue::Int(3),
+            AdmValue::Double(3.0),
+            AdmValue::Int(0),
+            AdmValue::Double(-0.0),
+        ];
+        // (return, whether it reads no field but the key)
+        let returns = [
+            ("$t.id", true),
+            ("1", true),
+            ("[$t.id, $t.id]", true),
+            ("$t.id.nested", true),
+            ("$t", false),
+            ("$t.x", false),
+        ];
+        for field in fields {
+            for literal in &literals {
+                for (ret, key_only) in returns {
+                    let query = eq_query(field, literal, ret);
+                    let before = index_reads(&indexed);
+                    let got = eval_flwor(&query, &mut Env::new(), &with_index).map_err(|e| e.to_string());
+                    let answered = index_reads(&indexed) - before;
+                    let want = eval_flwor(&query, &mut Env::new(), &without).map_err(|e| e.to_string());
+                    let what = format!("$t.{field} = {literal:?} return {ret}");
+                    // compared by encoding: NaN rows equal themselves
+                    let bits = |r: &Result<Vec<AdmValue>, String>| {
+                        r.clone().map(|rows| rows.iter().map(encode_value).collect::<Vec<_>>())
+                    };
+                    prop_assert_eq!(bits(&got), bits(&want), "{}", what);
+                    // every partition the query reached answered by its
+                    // index: both, unless the first one's rows failed it
+                    let by_index = key_only && !matches!(literal, AdmValue::Null | AdmValue::Missing);
+                    let reached = if got.is_ok() { 2 } else { answered.max(1) };
+                    prop_assert_eq!(answered, if by_index { reached } else { 0 }, "{}", what);
+                }
+            }
+        }
+    }
+
     #[test]
     fn route_arms_decide_as_the_query_does(ops_a in ops()) {
         let ctx = Datasets(Vec::new());

@@ -13,6 +13,13 @@
 //! allocations per scanned row here; a materialised scan that cloned an
 //! environment per row, 19.6 and a 29 MB peak.
 //!
+//! Then a B-tree on `country` is created, and the same two queries are
+//! answered from it (the partition's `index_reads` counter says so): no row
+//! is scanned, so a non-matching row costs nothing — what is left is the
+//! plan — and a returned row's key is copied out of the index into one
+//! shared buffer, decoded into the scan's row buffer and its `id` cloned
+//! into the result: at most 2 allocations per returned row.
+//!
 //! One `#[test]` in its own binary, so the counting allocator sees nothing
 //! but this scenario.
 
@@ -21,7 +28,7 @@ use asterix_aql::eval::{eval_flwor, Env, EvalContext};
 use asterix_aql::parser::parse_expr;
 use asterix_common::{IngestError, IngestResult, NodeId};
 use asterix_storage::partition::PartitionConfig;
-use asterix_storage::{Dataset, DatasetConfig};
+use asterix_storage::{Dataset, DatasetConfig, IndexKind};
 use bytes::Bytes;
 use std::sync::Arc;
 use tweetgen::TweetFactory;
@@ -129,5 +136,41 @@ fn the_reader_query_streams_its_rows() {
     assert!(
         over <= 2.0,
         "the query peaked {over:.1} MB over resident: the scan is materialised"
+    );
+
+    // the index-only path: the same queries, answered by countryIdx
+    ctx.0
+        .create_index("countryIdx", "country", IndexKind::BTree)
+        .expect("index");
+    let partition = ctx.0.partition(0);
+    let (none, rejected, _) =
+        run(r#"for $t in dataset Tweets where $t.country = "nowhere" return $t.id"#);
+    assert!(none.is_empty());
+    let (indexed, spent, over) =
+        run(r#"for $t in dataset Tweets where $t.country = "US" return $t.id"#);
+    assert_eq!(
+        partition.index_reads(),
+        2,
+        "the index answered both queries"
+    );
+    let per_rejected = rejected as f64 / TWEETS as f64;
+    let per_returned = spent.saturating_sub(rejected) as f64 / indexed.len() as f64;
+    println!(
+        "index: {rejected} allocations in all when nothing matches ({per_rejected:.4} per \
+         non-matching row); {per_returned:.2} more per returned row; peak {over:.1} MB; {} rows",
+        indexed.len()
+    );
+    assert_eq!(indexed, rows);
+    assert!(
+        per_rejected <= 0.001,
+        "{rejected} allocations for an index read that matches nothing: rows are scanned"
+    );
+    assert!(
+        per_returned <= 2.0,
+        "{per_returned:.2} allocations per row the index returns: keys are copied one by one"
+    );
+    assert!(
+        over <= 2.0,
+        "the index read peaked {over:.1} MB over resident"
     );
 }

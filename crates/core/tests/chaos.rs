@@ -628,6 +628,23 @@ fn discard_gaps_contiguous_vs_throttle_under_identical_chaos() {
 // the exact generated record-id set
 // ---------------------------------------------------------------------------
 
+/// The plan of `events`, each checked to fall inside `pattern`'s record
+/// budget: an event at or past its last record never fires before the
+/// stream ends, and the round would wait for a kill or a revive that
+/// cannot come.
+fn plan_within(seed: u64, pattern: &PatternDescriptor, events: Vec<FaultEvent>) -> FaultPlan {
+    let budget = pattern.total_tweets();
+    for ev in &events {
+        assert!(
+            ev.at_record < budget,
+            "seed {seed:#x}: `{}` at record {} falls outside the pattern's {budget} records",
+            ev.kind,
+            ev.at_record
+        );
+    }
+    FaultPlan::from_events(seed, events)
+}
+
 /// One scale-in chaos round: a 4-node FaultTolerant connection with a
 /// compute stage scales out to three partitions under flow, then scales
 /// back in right before a scheduled kill of an unprotected node, so the
@@ -648,8 +665,10 @@ fn scale_in_soak_once(seed: u64, addr: &str, kill_at: u64) -> SoakOutcome {
     // node 0 is protected (it hosts the collect job); the victim is the
     // last node, which carries compute/store partitions after scale-out
     let victim = NodeId(3);
-    let plan = Arc::new(FaultPlan::from_events(
+    let pattern = PatternDescriptor::constant(200, 10);
+    let plan = Arc::new(plan_within(
         seed,
+        &pattern,
         vec![
             FaultEvent {
                 at_record: kill_at,
@@ -692,11 +711,7 @@ fn scale_in_soak_once(seed: u64, addr: &str, kill_at: u64) -> SoakOutcome {
     );
     catalog.register_dataset(Arc::clone(&dataset));
     catalog.create_function(Udf::add_hash_tags()).unwrap();
-    let gen = TweetGen::bind(
-        TweetGenConfig::new(addr, 0, PatternDescriptor::constant(200, 10)),
-        clock.clone(),
-    )
-    .unwrap();
+    let gen = TweetGen::bind(TweetGenConfig::new(addr, 0, pattern), clock.clone()).unwrap();
     IngestPlanBuilder::new("TwitterFeed")
         .adaptor("chaos:TweetGenAdaptor")
         .param("datasource", addr)
@@ -774,10 +789,11 @@ fn scale_in_soak_once(seed: u64, addr: &str, kill_at: u64) -> SoakOutcome {
 fn scale_in_soak_survives_node_kill_mid_repartition() {
     for i in 0..soak_iters() {
         let seed = 0x5CA1_E000_0000_0000 | i;
-        // slide the kill across the scale-in window so successive
-        // iterations exercise different interleavings of the settle-and-
-        // migrate protocol and the node death
-        let kill_at = 1_000 + i * 150;
+        // slide the kill across records 1 000..=1 200 of the 2 000-record
+        // pattern so successive iterations exercise different
+        // interleavings of the settle-and-migrate protocol and the node
+        // death; the revive, 600 records later, lands by record 1 800
+        let kill_at = 1_000 + (i * 150) % 201;
         let out = scale_in_soak_once(seed, &format!("chaos-scalein-{i}:9000"), kill_at);
         assert_eq!(
             out.ids,

@@ -242,9 +242,11 @@ impl Dataset {
     /// them with `None`), partition by partition and in key order within
     /// one, lent to `visit` — projected to `fields`, or whole with `None` —
     /// until the filter or the visitor fails. Each partition is read from
-    /// its own snapshot ([`DatasetPartition::try_for_each_row`]): the scan
-    /// sees every partition as of one instant, tests the filter on the
-    /// stored bytes and holds no lock while `visit` runs.
+    /// its own snapshot ([`DatasetPartition::try_for_each_row`]), taken
+    /// when the loop reaches it: the scan sees each partition as of one
+    /// instant, tests the filter on the stored bytes (or reads the keys a
+    /// B-tree secondary holds under it) and holds no lock while `visit`
+    /// runs.
     pub fn try_for_each_row<E: From<IngestError>>(
         &self,
         fields: Option<&[String]>,

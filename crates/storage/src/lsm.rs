@@ -183,7 +183,7 @@ impl LiveRef<'_> {
 /// Write the record holding just `fields` — in that order, a field that
 /// `read(i, fields[i], value)` reports absent skipped — into `dst`, in the
 /// field slots and string buffers `dst` already has where they fit.
-fn project_with(
+pub(crate) fn project_with(
     fields: &[String],
     dst: &mut AdmValue,
     mut read: impl FnMut(usize, &str, &mut AdmValue) -> bool,

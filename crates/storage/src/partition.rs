@@ -39,13 +39,14 @@
 //! the secondaries from the components and replays that tail. A torn tail
 //! reaches only unsealed batches, each lost whole or kept whole.
 
-use crate::lsm::{merge_components_with, Entry, LsmSnapshot, LsmTree};
+use crate::lsm::{merge_components_with, project_with, Entry, LsmSnapshot, LsmTree};
 use crate::secondary::{IndexKind, SecondaryIndex};
 use crate::wal::{LogOp, WriteAheadLog};
 use asterix_adm::binary::{
-    decode_field_at, decode_value, encode_value, record_field_slice, validate,
+    decode_field_at, decode_value, encode_into, encode_value, record_field_slice, validate,
+    value_into,
 };
-use asterix_adm::pred::Pred;
+use asterix_adm::pred::{CmpOp, Pred};
 use asterix_adm::{AdmType, AdmValue, TypeRegistry};
 use asterix_common::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use asterix_common::sync::{thread as sync_thread, Mutex, WakeEvent, WakeSignal};
@@ -175,6 +176,74 @@ impl PartitionState {
             idx.insert(key, indexed.as_ref());
         });
     }
+
+    /// The index-only access path of
+    /// [`DatasetPartition::try_for_each_row`]: the keys a B-tree holds under
+    /// `filter`'s literal, copied out, when they answer the scan whole. The
+    /// index holds exactly the live keys whose field equals the literal
+    /// under the filter's comparison ([`AdmValue::total_cmp`]), in key
+    /// order, and nothing under `null` or `missing`. `None` leaves the read
+    /// to the scan.
+    fn index_hits(&self, key_field: &str, fields: &[String], filter: &Pred) -> Option<IndexHits> {
+        let Pred::Compare {
+            path,
+            op: CmpOp::Eq,
+            literal,
+        } = filter
+        else {
+            return None;
+        };
+        let [field] = path.as_slice() else {
+            return None;
+        };
+        if matches!(literal, AdmValue::Null | AdmValue::Missing)
+            || fields.iter().any(|f| f != key_field)
+        {
+            return None;
+        }
+        let keys = self
+            .secondaries
+            .iter()
+            .filter(|idx| idx.field == *field)
+            .find_map(|idx| idx.btree_eq(literal))?;
+        let mut hits = IndexHits::default();
+        for key in keys {
+            encode_into(key, &mut hits.bytes);
+            hits.ends.push(hits.bytes.len());
+        }
+        Some(hits)
+    }
+}
+
+/// Primary keys copied out of a secondary, encoded back to back: one buffer
+/// for any number of keys, each decoded into one reused value as it is lent.
+#[derive(Default)]
+struct IndexHits {
+    bytes: Vec<u8>,
+    /// Where each key's encoding ends.
+    ends: Vec<usize>,
+}
+
+impl IndexHits {
+    /// Lend every key, in order, to `visit` with its row: the record of
+    /// `fields`, each of which is the primary key. Stops at the visitor's
+    /// first error.
+    fn try_for_each_row<E>(
+        &self,
+        fields: &[String],
+        mut visit: impl FnMut(&AdmValue, &mut AdmValue) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (mut key, mut row) = (AdmValue::Missing, AdmValue::Missing);
+        let mut start = 0;
+        for &end in &self.ends {
+            let encoded = &self.bytes[start..end];
+            start = end;
+            value_into(encoded, &mut key);
+            project_with(fields, &mut row, |_, _, value| value_into(encoded, value));
+            visit(&key, &mut row)?;
+        }
+        Ok(())
+    }
 }
 
 /// State shared between the partition handle and its compaction worker.
@@ -296,6 +365,8 @@ pub struct DatasetPartition {
     writes_held: AtomicBool,
     /// The writers that found the writes held, woken when the hold ends.
     held_writers: Mutex<Vec<Wake>>,
+    /// Scans the index-only access path answered.
+    index_reads: AtomicU64,
 }
 
 impl DatasetPartition {
@@ -323,6 +394,7 @@ impl DatasetPartition {
             worker: Mutex::new(worker),
             writes_held: AtomicBool::new(false),
             held_writers: Mutex::new(Vec::new()),
+            index_reads: AtomicU64::new(0),
         }
     }
 
@@ -614,13 +686,44 @@ impl DatasetPartition {
     /// group-committed batch all or not at all — and `visit` runs with the
     /// lock released: writers, seals and merges proceed beside a slow
     /// visitor, and a visitor may itself read this partition.
+    ///
+    /// A B-tree secondary answers instead of the scan when `filter` is one
+    /// `=` on a one-field path it indexes, against a literal other than
+    /// `null` and `missing`, and `fields` names only the primary key (or
+    /// nothing): under that same one acquisition the partition copies the
+    /// matching keys out of the index, and lends the rows projected from
+    /// them (`{<key field>: key}`, or `{}`), in key order — the scan's rows,
+    /// order and errors, with no record read
+    /// ([`DatasetPartition::index_reads`] counts these reads).
     pub fn try_for_each_row<E: From<IngestError>>(
         &self,
         fields: Option<&[String]>,
         filter: Option<&Pred>,
         visit: impl FnMut(&AdmValue, &mut AdmValue) -> Result<(), E>,
     ) -> Result<(), E> {
-        self.snapshot().try_for_each_row(fields, filter, visit)
+        let st = self.inner.state.lock();
+        let key_field = &self.inner.config.primary_key_field;
+        let hits = fields
+            .zip(filter)
+            .and_then(|(fields, filter)| Some((fields, st.index_hits(key_field, fields, filter)?)));
+        match hits {
+            Some((fields, hits)) => {
+                drop(st);
+                self.index_reads.fetch_add(1, Ordering::SeqCst);
+                hits.try_for_each_row(fields, visit)
+            }
+            None => {
+                let snapshot = st.primary.snapshot();
+                drop(st);
+                snapshot.try_for_each_row(fields, filter, visit)
+            }
+        }
+    }
+
+    /// Scans a B-tree secondary answered without reading a record (see
+    /// [`DatasetPartition::try_for_each_row`]).
+    pub fn index_reads(&self) -> u64 {
+        self.index_reads.load(Ordering::SeqCst)
     }
 
     /// Live record count, walked over a read snapshot: the partition lock is
@@ -650,21 +753,6 @@ impl DatasetPartition {
             .find(|i| i.name == index_name)
             .ok_or_else(|| IngestError::Metadata(format!("unknown index {index_name}")))?;
         let keys = idx.lookup_rect(x0, y0, x1, y1);
-        Ok(keys
-            .into_iter()
-            .filter_map(|k| st.primary.get(&k))
-            .collect())
-    }
-
-    /// Equality lookup through a named secondary.
-    pub fn query_eq(&self, index_name: &str, value: &AdmValue) -> IngestResult<Vec<AdmValue>> {
-        let st = self.inner.state.lock();
-        let idx = st
-            .secondaries
-            .iter()
-            .find(|i| i.name == index_name)
-            .ok_or_else(|| IngestError::Metadata(format!("unknown index {index_name}")))?;
-        let keys = idx.lookup_eq(value);
         Ok(keys
             .into_iter()
             .filter_map(|k| st.primary.get(&k))
@@ -895,6 +983,35 @@ mod tests {
         Arc::new(rec(id, text))
     }
 
+    /// The rows a scan projected to `fields` and filtered by `filter`
+    /// lends, each with its key, until the visitor fails at row `fail_at`.
+    fn rows(
+        p: &DatasetPartition,
+        fields: Option<&[&str]>,
+        filter: &Pred,
+        fail_at: usize,
+    ) -> (Vec<(AdmValue, AdmValue)>, Result<(), IngestError>) {
+        let fields: Option<Vec<String>> = fields.map(|f| f.iter().map(|f| f.to_string()).collect());
+        let mut out = Vec::new();
+        let end = p.try_for_each_row(fields.as_deref(), Some(filter), |key, row| {
+            if out.len() == fail_at {
+                return Err(IngestError::soft(format!("visitor failed at {key}")));
+            }
+            out.push((key.clone(), row.clone()));
+            Ok(())
+        });
+        (out, end)
+    }
+
+    /// The keys whose `field` equals `value`, read as the AQL reader query
+    /// reads them: `=` pushed into a scan projected to the key — what a
+    /// B-tree on `field` answers.
+    fn keys_eq(p: &DatasetPartition, field: &str, value: impl Into<AdmValue>) -> Vec<AdmValue> {
+        let (rows, end) = rows(p, Some(&["id"]), &Pred::eq(field, value), usize::MAX);
+        end.unwrap();
+        rows.into_iter().map(|(key, _)| key).collect()
+    }
+
     #[test]
     fn insert_get_scan() {
         let p = part();
@@ -1048,8 +1165,92 @@ mod tests {
             &AdmValue::string("second")
         );
         // the secondary tracked the replacement: "first" is gone
-        assert!(p.query_eq("byText", &"first".into()).unwrap().is_empty());
-        assert_eq!(p.query_eq("byText", &"second".into()).unwrap().len(), 1);
+        assert!(keys_eq(&p, "message_text", "first").is_empty());
+        assert_eq!(keys_eq(&p, "message_text", "second"), vec!["x".into()]);
+        assert_eq!(p.index_reads(), 2, "the secondary answered both");
+    }
+
+    #[test]
+    fn a_btree_answers_exactly_the_scans_it_can_answer_as_the_scan_does() {
+        let text = |id: &str, text: AdmValue| {
+            Arc::new(AdmValue::record(vec![
+                ("id", id.into()),
+                ("message_text", text),
+                ("location", AdmValue::Point(1.0, 2.0)),
+                ("n", AdmValue::Int(3)),
+            ]))
+        };
+        let batch = [
+            text("e", "x".into()),
+            text("a", "x".into()),
+            text("c", AdmValue::Double(3.0)),
+            text("b", AdmValue::Int(3)),
+            text("d", AdmValue::Null),
+            Arc::new(AdmValue::record(vec![("id", "f".into())])),
+            text("g", AdmValue::Double(f64::NAN)),
+        ];
+        let (indexed, plain) = (budget(3), budget(3));
+        for p in [&indexed, &plain] {
+            p.upsert_batch(&batch).unwrap();
+            p.upsert(&text("a", "moved".into())).unwrap();
+            p.delete(&"e".into()).unwrap();
+        }
+        indexed
+            .add_secondary("byText", "message_text", IndexKind::BTree)
+            .unwrap();
+        indexed
+            .add_secondary("locIdx", "location", IndexKind::RTree)
+            .unwrap();
+        let eq = |path: &str, v: AdmValue| Pred::eq(path, v);
+        let key: &[&str] = &["id"];
+        let answered = [
+            (Some(key), eq("message_text", "x".into())),
+            (Some(key), eq("message_text", "moved".into())),
+            (Some(key), eq("message_text", AdmValue::Int(3))),
+            (Some(key), eq("message_text", AdmValue::Double(3.0))),
+            (Some(key), eq("message_text", AdmValue::Double(f64::NAN))),
+            (Some(&[]), eq("message_text", AdmValue::Int(3))),
+            (Some(&["id", "id"]), eq("message_text", AdmValue::Int(3))),
+        ];
+        let scanned = [
+            (Some(&["message_text"][..]), eq("message_text", "x".into())),
+            (None, eq("message_text", "x".into())),
+            (Some(key), eq("message_text", AdmValue::Null)),
+            (Some(key), eq("message_text", AdmValue::Missing)),
+            (Some(key), Pred::all(vec![eq("message_text", "x".into())])),
+            (Some(key), Pred::compare("message_text", CmpOp::Ge, "x")),
+            (Some(key), eq("message_text.x", "x".into())),
+            (Some(key), eq("location", AdmValue::Point(1.0, 2.0))),
+            (Some(key), eq("n", AdmValue::Int(3))),
+        ];
+        for (shapes, by_index) in [(&answered[..], true), (&scanned[..], false)] {
+            for (fields, filter) in shapes {
+                for fail_at in [usize::MAX, 1] {
+                    let before = indexed.index_reads();
+                    let got = rows(&indexed, *fields, filter, fail_at);
+                    let want = rows(&plain, *fields, filter, fail_at);
+                    let what = format!("{fields:?} {filter:?} failing at {fail_at}");
+                    assert_eq!(got.0, want.0, "{what}");
+                    let err = |r: &Result<(), IngestError>| r.as_ref().err().map(|e| e.to_string());
+                    assert_eq!(err(&got.1), err(&want.1), "{what}");
+                    assert_eq!(
+                        indexed.index_reads() - before,
+                        u64::from(by_index),
+                        "{what}"
+                    );
+                }
+            }
+        }
+        assert_eq!(plain.index_reads(), 0);
+        // the rows an index read lends: `{id: key}`, in key order
+        let (rows, _) = rows(
+            &indexed,
+            Some(key),
+            &eq("message_text", AdmValue::Int(3)),
+            9,
+        );
+        let ids = ["b", "c"].map(|id| (id.into(), AdmValue::record(vec![("id", id.into())])));
+        assert_eq!(rows, ids);
     }
 
     #[test]
@@ -1142,7 +1343,6 @@ mod tests {
             p.query_rect("nope", 0.0, 0.0, 1.0, 1.0),
             Err(IngestError::Metadata(_))
         ));
-        assert!(p.query_eq("nope", &"x".into()).is_err());
     }
 
     #[test]
@@ -1289,11 +1489,13 @@ mod tests {
         let answers = |p: &DatasetPartition| {
             let ids = |mut rows: Vec<AdmValue>| {
                 rows.sort_by_key(|r| r.field("id").and_then(AdmValue::as_str).map(String::from));
-                rows
+                rows.iter()
+                    .map(|r| r.field("id").cloned())
+                    .collect::<Vec<_>>()
             };
             (
-                ids(p.query_eq("byText", &"old".into()).unwrap()),
-                ids(p.query_eq("byText", &"new".into()).unwrap()),
+                keys_eq(p, "message_text", "old"),
+                keys_eq(p, "message_text", "new"),
                 ids(p.query_rect("locIdx", 0.0, 0.0, 2.0, 2.0).unwrap()),
                 ids(p.query_rect("locIdx", 8.0, 8.0, 10.0, 10.0).unwrap()),
             )
@@ -1303,6 +1505,7 @@ mod tests {
         assert_eq!((before.2.len(), before.3.len()), (3, 1));
         p.recover().unwrap();
         assert_eq!(answers(&p), before);
+        assert_eq!(p.index_reads(), 4, "the B-tree answered, rebuilt too");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   `locationIndex`).
 
 use crate::rtree::{RTree, Rect};
-use crate::KeyOrd;
+use crate::{AsKey, KeyOrd};
 use asterix_adm::AdmValue;
 use asterix_common::{IngestError, IngestResult};
 use std::collections::{BTreeMap, BTreeSet};
@@ -137,13 +137,16 @@ impl SecondaryIndex {
         }
     }
 
-    /// Primary keys whose indexed value equals `value` (B-tree only).
+    /// Primary keys whose indexed value equals `value`: a B-tree's in key
+    /// order, an R-tree's for a point.
     pub fn lookup_eq(&self, value: &AdmValue) -> Vec<AdmValue> {
         match &self.index {
-            IndexImpl::BTree(map) => map
-                .get(&KeyOrd(value.clone()))
-                .map(|set| set.iter().map(|k| k.0.clone()).collect())
-                .unwrap_or_default(),
+            IndexImpl::BTree(_) => self
+                .btree_eq(value)
+                .into_iter()
+                .flatten()
+                .cloned()
+                .collect(),
             IndexImpl::RTree(tree) => match value.as_point() {
                 Some((x, y)) => tree
                     .query(&Rect::point(x, y))
@@ -153,6 +156,16 @@ impl SecondaryIndex {
                 None => Vec::new(),
             },
         }
+    }
+
+    /// The primary keys a B-tree holds under `value`, in key order, probed
+    /// by reference; `None` for an R-tree.
+    pub(crate) fn btree_eq(&self, value: &AdmValue) -> Option<impl Iterator<Item = &AdmValue>> {
+        let IndexImpl::BTree(map) = &self.index else {
+            return None;
+        };
+        let keys = map.get(value as &dyn AsKey).into_iter().flatten();
+        Some(keys.map(|k| &k.0))
     }
 
     /// Primary keys with indexed value in `[lo, hi]` (B-tree only; empty for

@@ -10,6 +10,10 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+#[path = "common/keys_eq.rs"]
+mod keys_eq;
+use keys_eq::keys_eq;
+
 /// A record whose field set and per-field value types vary with the inputs,
 /// so sealed components range from perfectly uniform (all slots) through
 /// partially sparse (residuals) to churn-heavy (forcing the open-layout
@@ -122,15 +126,18 @@ fn poison_op_strategy() -> impl Strategy<Value = PoisonOp> {
 /// The keys each index answers with: the btree per country value, the
 /// rtree over the whole plane (when installed).
 fn index_answers(p: &DatasetPartition, rtree: bool) -> (Vec<BTreeSet<i64>>, Option<BTreeSet<i64>>) {
-    let ids = |recs: Vec<AdmValue>| -> BTreeSet<i64> {
+    let by_country = (0..4)
+        .map(|c| {
+            let keys = keys_eq(p, "country", &country_value(c));
+            keys.iter().map(|k| k.as_int().unwrap()).collect()
+        })
+        .collect();
+    let by_loc = rtree.then(|| {
+        let recs = p.query_rect("byLoc", -1.0, -1.0, 300.0, 300.0).unwrap();
         recs.iter()
             .map(|r| r.field("id").and_then(AdmValue::as_int).unwrap())
             .collect()
-    };
-    let by_country = (0..4)
-        .map(|c| ids(p.query_eq("byCountry", &country_value(c)).unwrap()))
-        .collect();
-    let by_loc = rtree.then(|| ids(p.query_rect("byLoc", -1.0, -1.0, 300.0, 300.0).unwrap()));
+    });
     (by_country, by_loc)
 }
 
